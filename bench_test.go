@@ -393,7 +393,7 @@ func benchUCQ(b *testing.B, parallel bool) {
 		if parallel {
 			r, err = u.Execute(context.Background())
 		} else {
-			r, err = u.ExecuteSequential(context.Background(), Options{})
+			r, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
 		}
 		if err != nil {
 			b.Fatal(err)

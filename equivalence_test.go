@@ -87,11 +87,11 @@ func runStringReference(t *testing.T, sch *schema.Schema, reg *source.Registry, 
 					}
 					accesses[key] = true
 					changed = true
-					extracted, err := w.Access(binding)
+					extracted, err := source.ProbeStrings(context.Background(), w, [][]string{binding})
 					if err != nil {
 						t.Fatalf("%s%v: %v", rel.Name, binding, err)
 					}
-					for _, row := range extracted {
+					for _, row := range extracted[0] {
 						rk := rel.Name + "\x00" + row.Key()
 						if seenRow[rk] {
 							continue

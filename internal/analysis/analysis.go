@@ -40,16 +40,14 @@ type Package struct {
 	funcs map[*ast.File][]*funcInfo // built lazily, per file, decl order
 }
 
-// Module is the fully loaded module: every package, plus module-wide
-// indexes the analyzers share (deprecated objects).
+// Module is the fully loaded module: every package.
 type Module struct {
 	Path string
 	Dir  string
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	byPath     map[string]*Package
-	deprecated map[types.Object]bool
+	byPath map[string]*Package
 }
 
 // Lookup returns the loaded package with the given import path, or nil.
@@ -127,14 +125,6 @@ func (p *Pass) InBoundaryFunc(pos token.Pos) bool {
 	return fn != nil && fn.boundary
 }
 
-// InDeprecatedFunc reports whether pos sits inside a function whose doc
-// comment marks it "Deprecated:". Deprecated shims may freely call each
-// other and use pre-context idioms; they are already quarantined.
-func (p *Pass) InDeprecatedFunc(pos token.Pos) bool {
-	fn := p.Pkg.enclosingFunc(pos)
-	return fn != nil && fn.deprecated
-}
-
 // EnclosingFuncDecl returns the function declaration containing pos, or nil
 // at package scope.
 func (p *Pass) EnclosingFuncDecl(pos token.Pos) *ast.FuncDecl {
@@ -144,17 +134,11 @@ func (p *Pass) EnclosingFuncDecl(pos token.Pos) *ast.FuncDecl {
 	return nil
 }
 
-// IsDeprecated reports whether obj is a module object declared deprecated.
-func (p *Pass) IsDeprecated(obj types.Object) bool {
-	return p.Module.deprecated[obj]
-}
-
 // funcInfo caches the directive state of one top-level function.
 type funcInfo struct {
-	decl       *ast.FuncDecl
-	allowed    map[string]bool // analyzers suppressed by //toorjahvet:allow
-	boundary   bool            // //toorjahvet:boundary present
-	deprecated bool            // doc contains "Deprecated:"
+	decl     *ast.FuncDecl
+	allowed  map[string]bool // analyzers suppressed by //toorjahvet:allow
+	boundary bool            // //toorjahvet:boundary present
 }
 
 // enclosingFunc returns the cached info of the top-level function whose
@@ -199,7 +183,7 @@ func (p *Package) buildFuncInfos(file *ast.File) []*funcInfo {
 		if !ok {
 			continue
 		}
-		fi := &funcInfo{decl: decl, allowed: make(map[string]bool), deprecated: isDeprecatedDoc(decl.Doc)}
+		fi := &funcInfo{decl: decl, allowed: make(map[string]bool)}
 		infos = append(infos, fi)
 	}
 	// Attach each directive comment to the function it appears in — as the
@@ -254,67 +238,4 @@ func parseDirective(text string) (name, args string, ok bool) {
 	}
 	name, args, _ = strings.Cut(strings.TrimSpace(rest), " ")
 	return name, strings.TrimSpace(args), name != ""
-}
-
-// isDeprecatedDoc reports whether a doc comment marks its declaration
-// deprecated, per the godoc convention: a line starting "Deprecated:".
-func isDeprecatedDoc(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
-// indexDeprecated records every module object whose declaration doc marks
-// it deprecated — functions, methods, named types, vars, and consts.
-func (m *Module) indexDeprecated() {
-	m.deprecated = make(map[types.Object]bool)
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				switch decl := d.(type) {
-				case *ast.FuncDecl:
-					if isDeprecatedDoc(decl.Doc) {
-						if obj := p.Info.Defs[decl.Name]; obj != nil {
-							m.deprecated[obj] = true
-						}
-					}
-				case *ast.GenDecl:
-					m.indexDeprecatedGen(p, decl)
-				}
-			}
-		}
-	}
-}
-
-// indexDeprecatedGen handles type/var/const declarations: a deprecation
-// marker on the GenDecl doc or an individual spec doc deprecates the
-// declared names.
-func (m *Module) indexDeprecatedGen(p *Package, decl *ast.GenDecl) {
-	declDep := isDeprecatedDoc(decl.Doc)
-	for _, spec := range decl.Specs {
-		var names []*ast.Ident
-		dep := declDep
-		switch s := spec.(type) {
-		case *ast.TypeSpec:
-			names = []*ast.Ident{s.Name}
-			dep = dep || isDeprecatedDoc(s.Doc)
-		case *ast.ValueSpec:
-			names = s.Names
-			dep = dep || isDeprecatedDoc(s.Doc)
-		}
-		if !dep {
-			continue
-		}
-		for _, n := range names {
-			if obj := p.Info.Defs[n]; obj != nil {
-				m.deprecated[obj] = true
-			}
-		}
-	}
 }

@@ -64,10 +64,6 @@ func TestCtxFirstFixture(t *testing.T) {
 	runFixture(t, CtxFirst, "toorjah/internal/ctxfixture", "ctxfirst")
 }
 
-func TestNoDeprecatedShimsFixture(t *testing.T) {
-	runFixture(t, NoDeprecatedShims, "toorjah/internal/depfixture", "deprecated")
-}
-
 func TestSnapshotDisciplineFixture(t *testing.T) {
 	runFixture(t, SnapshotDiscipline, "toorjah/internal/snapfixture", "snapshot")
 }
@@ -128,9 +124,8 @@ func TestHotPathPackagesOnly(t *testing.T) {
 // of -only flags and //toorjahvet:allow directives.
 func TestSuiteNames(t *testing.T) {
 	want := []string{
-		"hotpath-strings", "ctx-first", "no-deprecated-shims",
-		"snapshot-discipline", "pool-hygiene", "handler-hygiene",
-		"metrics-hygiene", "durability-hygiene",
+		"hotpath-strings", "ctx-first", "snapshot-discipline", "pool-hygiene",
+		"handler-hygiene", "metrics-hygiene", "durability-hygiene",
 	}
 	suite := Suite()
 	if len(suite) != len(want) {

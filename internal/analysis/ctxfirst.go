@@ -10,9 +10,9 @@ import (
 // an exported function that takes a context.Context takes it as the first
 // parameter, and no code manufactures a root context with
 // context.Background()/context.TODO() — contexts are threaded from the
-// caller. The nil-fallback idiom (reassigning an existing ctx variable)
-// and deprecated compatibility shims are exempt; interface-imposed shims
-// carry an explicit //toorjahvet:allow ctx-first directive.
+// caller. The nil-fallback idiom (reassigning an existing ctx variable) is
+// exempt; the rare function with no caller context to thread carries an
+// explicit //toorjahvet:allow ctx-first directive.
 var CtxFirst = &Analyzer{
 	Name: "ctx-first",
 	Doc:  "context.Context first in exported signatures; no context.Background/TODO in library packages",
@@ -55,7 +55,7 @@ func checkCtxParamOrder(pass *Pass, f *ast.File) {
 
 // checkNoRootContexts flags context.Background()/context.TODO() calls,
 // skipping the nil-fallback reassignment idiom (ctx = context.Background()
-// with = , not :=) and deprecated shims.
+// with = , not :=).
 func checkNoRootContexts(pass *Pass, f *ast.File) {
 	fallbacks := make(map[*ast.CallExpr]bool)
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -77,7 +77,7 @@ func checkNoRootContexts(pass *Pass, f *ast.File) {
 		if name != "context.Background" && name != "context.TODO" {
 			return true
 		}
-		if fallbacks[call] || pass.InDeprecatedFunc(call.Pos()) {
+		if fallbacks[call] {
 			return true
 		}
 		pass.Reportf(call.Pos(),

@@ -84,7 +84,6 @@ func (l *loader) module() *Module {
 		m.byPath[p.Path] = p
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
-	m.indexDeprecated()
 	return m
 }
 

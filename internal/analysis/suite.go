@@ -7,7 +7,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		HotpathStrings,
 		CtxFirst,
-		NoDeprecatedShims,
 		SnapshotDiscipline,
 		PoolHygiene,
 		HandlerHygiene,

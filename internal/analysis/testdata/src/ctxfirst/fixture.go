@@ -35,16 +35,9 @@ func GoodFallback(ctx context.Context) context.Context {
 	return ctx
 }
 
-// OldEntry is a quarantined compatibility shim.
+// Shimmed has no caller context to thread.
 //
-// Deprecated: use GoodOrder.
-func OldEntry() {
-	helper(context.Background())
-}
-
-// Shimmed implements a contextless interface.
-//
-//toorjahvet:allow ctx-first (fixture: annotated interface shim)
+//toorjahvet:allow ctx-first (fixture: annotated exception)
 func Shimmed() {
 	helper(context.Background())
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 func batchWrapper(t *testing.T, rows int) source.Wrapper {
@@ -25,14 +27,22 @@ func batchWrapper(t *testing.T, rows int) source.Wrapper {
 	return src
 }
 
-// TestMultiGetMultiPut: round-tripping extractions through MultiPut makes
-// them MultiGet hits, with per-binding hit accounting.
+// ids interns boundary-form bindings for the Sym lookup/store API.
+func ids(bindings ...[]string) [][]sym.ID {
+	out := make([][]sym.ID, len(bindings))
+	for i, b := range bindings {
+		out[i] = sym.InternAll(b)
+	}
+	return out
+}
+
+// TestMultiGetMultiPut: round-tripping extractions through MultiPutSym
+// makes them MultiGetSym hits, with per-binding hit accounting.
 func TestMultiGetMultiPut(t *testing.T) {
 	c := New(Options{})
-	bindings := [][]string{{"a0"}, {"a1"}}
-	rows := [][]storage.Row{{{"a0", "b0"}}, {}}
-	c.MultiPut("r", 0, bindings, rows)
-	got, ok := c.MultiGet("r", 0, [][]string{{"a0"}, {"a1"}, {"a2"}})
+	rows := [][]storage.IRow{{storage.Row{"a0", "b0"}.Intern()}, {}}
+	c.MultiPutSym("r", 0, ids([]string{"a0"}, []string{"a1"}), rows)
+	got, ok := c.MultiGetSym("r", 0, ids([]string{"a0"}, []string{"a1"}, []string{"a2"}))
 	if !ok[0] || !ok[1] || ok[2] {
 		t.Fatalf("ok = %v, want [true true false]", ok)
 	}
@@ -55,11 +65,12 @@ func TestMultiGetMultiPut(t *testing.T) {
 // negative caching is off.
 func TestMultiPutRespectsNegativePolicy(t *testing.T) {
 	c := New(Options{DisableNegative: true})
-	c.MultiPut("r", 0, [][]string{{"a0"}, {"a1"}}, [][]storage.Row{{}, {{"a1", "b1"}}})
-	if _, ok := c.MultiGet("r", 0, [][]string{{"a0"}}); ok[0] {
+	c.MultiPutSym("r", 0, ids([]string{"a0"}, []string{"a1"}),
+		[][]storage.IRow{{}, {storage.Row{"a1", "b1"}.Intern()}})
+	if stored(c, "r", 0, "a0") {
 		t.Error("empty extraction cached despite DisableNegative")
 	}
-	if _, ok := c.MultiGet("r", 0, [][]string{{"a1"}}); !ok[0] {
+	if !stored(c, "r", 0, "a1") {
 		t.Error("non-empty extraction missing")
 	}
 }
@@ -67,13 +78,14 @@ func TestMultiPutRespectsNegativePolicy(t *testing.T) {
 // TestMultiPutEvicts: the LRU capacity bound holds under batch stores.
 func TestMultiPutEvicts(t *testing.T) {
 	c := New(Options{Capacity: 4, Shards: 1})
-	var bindings [][]string
-	var rows [][]storage.Row
+	var bindings [][]sym.ID
+	var rows [][]storage.IRow
 	for i := 0; i < 10; i++ {
-		bindings = append(bindings, []string{fmt.Sprintf("a%d", i)})
-		rows = append(rows, []storage.Row{{fmt.Sprintf("a%d", i), "b"}})
+		a := fmt.Sprintf("a%d", i)
+		bindings = append(bindings, sym.InternAll([]string{a}))
+		rows = append(rows, []storage.IRow{storage.Row{a, "b"}.Intern()})
 	}
-	c.MultiPut("r", 0, bindings, rows)
+	c.MultiPutSym("r", 0, bindings, rows)
 	if got := c.Len(); got > 4 {
 		t.Errorf("Len = %d, want <= 4 after batched stores", got)
 	}
@@ -82,23 +94,20 @@ func TestMultiPutEvicts(t *testing.T) {
 	}
 }
 
-// TestCachedSourceAccessBatch: the cache-wrapped source serves batches —
+// TestCachedSourceProbeBatch: the cache-wrapped source serves batches —
 // first call all misses, second call all hits, partial overlaps mixed —
 // and results always match the plain source.
-func TestCachedSourceAccessBatch(t *testing.T) {
+func TestCachedSourceProbeBatch(t *testing.T) {
+	ctx := context.Background()
 	plain := batchWrapper(t, 8)
 	c := New(Options{})
 	cached := c.Wrap(plain)
-	bs, ok := cached.(source.BatchSource)
-	if !ok {
-		t.Fatal("cache-wrapped source must implement BatchSource")
-	}
 	first := [][]string{{"a0"}, {"a1"}, {"a2"}}
-	got, err := bs.AccessBatch(first)
+	got, err := source.ProbeStrings(ctx, cached, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := source.ProbeBatch(plain, first)
+	want, err := source.ProbeStrings(ctx, plain, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +121,11 @@ func TestCachedSourceAccessBatch(t *testing.T) {
 
 	// Overlapping batch: two hits, one fresh miss.
 	second := [][]string{{"a1"}, {"a2"}, {"a5"}}
-	got, err = bs.AccessBatch(second)
+	got, err = source.ProbeStrings(ctx, cached, second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ = source.ProbeBatch(plain, second)
+	want, _ = source.ProbeStrings(ctx, plain, second)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm batch = %v, want %v", got, want)
 	}
@@ -124,14 +133,30 @@ func TestCachedSourceAccessBatch(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 4 {
 		t.Errorf("warm batch stats = %+v, want 2 hits / 4 misses", st)
 	}
+
+	// A binding repeated inside one batch is fetched once: the repeat rides
+	// the batch's own flight.
+	third := [][]string{{"a6"}, {"a6"}}
+	got, err = source.ProbeStrings(ctx, cached, third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ = source.ProbeStrings(ctx, plain, third)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeated binding = %v, want %v", got, want)
+	}
+	st = c.Snapshot()["r"]
+	if st.Misses != 5 || st.Collapsed != 1 {
+		t.Errorf("repeated binding stats = %+v, want 5 misses / 1 collapsed", st)
+	}
 }
 
-// TestAccessBatchSkipsStoreAfterInvalidate: a batch probe that raced an
+// TestProbeSkipsStoreAfterInvalidate: a batch probe that raced an
 // Invalidate must not re-populate the cache with its stale extraction.
-func TestAccessBatchSkipsStoreAfterInvalidate(t *testing.T) {
+func TestProbeSkipsStoreAfterInvalidate(t *testing.T) {
 	c := New(Options{})
 	inner := &invalidatingWrapper{Wrapper: batchWrapper(t, 4), c: c}
-	if _, err := c.accessBatch(inner, [][]string{{"a0"}, {"a1"}}); err != nil {
+	if _, err := source.ProbeStrings(context.Background(), c.Wrap(inner), [][]string{{"a0"}, {"a1"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Len(); got != 0 {
@@ -146,19 +171,19 @@ type invalidatingWrapper struct {
 	c *Cache
 }
 
-func (w *invalidatingWrapper) Access(binding []string) ([]storage.Row, error) {
+func (w *invalidatingWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	w.c.Invalidate(w.Relation().Name)
-	return w.Wrapper.Access(binding)
+	return w.Wrapper.Probe(ctx, bindings)
 }
 
 // TestMultiGetExpiry: expired entries are dropped and counted, not served.
 func TestMultiGetExpiry(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := New(Options{TTL: time.Minute, now: func() time.Time { return now }})
-	c.MultiPut("r", 0, [][]string{{"a0"}}, [][]storage.Row{{{"a0", "b0"}}})
+	c.MultiPutSym("r", 0, ids([]string{"a0"}), [][]storage.IRow{{storage.Row{"a0", "b0"}.Intern()}})
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.MultiGet("r", 0, [][]string{{"a0"}}); ok[0] {
-		t.Error("expired entry served from MultiGet")
+	if _, ok := c.MultiGetSym("r", 0, ids([]string{"a0"})); ok[0] {
+		t.Error("expired entry served from MultiGetSym")
 	}
 	if st := c.Snapshot()["r"]; st.Expirations != 1 {
 		t.Errorf("Expirations = %d, want 1", st.Expirations)

@@ -7,9 +7,9 @@
 // so that an access performed once is never performed again while its entry
 // lives.
 //
-// The cache is keyed by source.Access.Key() (relation name plus input
-// binding) plus the data epoch of the source (source.EpochOf) and is safe
-// for concurrent use:
+// The cache is keyed by the interned access (relation name plus packed
+// input binding, source.AppendSymAccessKey) plus the data epoch of the
+// source (source.EpochOf) and is safe for concurrent use:
 //
 //   - sharded: keys are hashed over independently locked shards, so
 //     concurrent probes of different accesses do not contend;
@@ -21,10 +21,11 @@
 //   - negative-caching: empty extractions are cached too — knowing that an
 //     access returns nothing is exactly as valuable under the access cost
 //     model — optionally with a shorter TTL;
-//   - collapsing: concurrent identical probes are merged into a single
-//     probe of the underlying source (singleflight), which matters under
-//     the pipelined executor's per-relation parallelism and under
-//     concurrent service traffic;
+//   - collapsing: concurrent probes of the same access are merged into a
+//     single probe of the underlying source (singleflight, per key across
+//     overlapping batches), which matters under the pipelined executor's
+//     per-relation parallelism, parallel UCQ disjuncts and concurrent
+//     service traffic — see the flight protocol on cachedSource.Probe;
 //   - versioned: when a source reports a data epoch (source.Versioned —
 //     live tables and federated peers do), entries are keyed by that epoch
 //     too, so an execution pinned to one version of a relation never reads
@@ -45,15 +46,12 @@ package cache
 
 import (
 	"container/list"
-	"context"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"toorjah/internal/obs"
 	"toorjah/internal/source"
 	"toorjah/internal/stats"
 	"toorjah/internal/storage"
@@ -120,12 +118,22 @@ type entry struct {
 	elem    *list.Element
 }
 
-// flight is one in-progress probe; concurrent identical probes wait on done
-// and share the outcome.
+// flight is one request's in-progress round trip for the missed keys it
+// owns. Requests that miss on a key somebody else is already fetching wait
+// on done and read that key's slot.
 type flight struct {
 	done chan struct{}
-	rows []storage.Row
-	err  error
+	// rows holds the extraction of every owned key, in registration order.
+	// It is written once, before done closes; nil means the round trip
+	// failed (error or panic) and waiters must probe for themselves.
+	rows [][]storage.IRow
+}
+
+// claim is one key's registration in a flight: all the keys of one batch
+// share the flight, each with its own slot.
+type claim struct {
+	f    *flight
+	slot int
 }
 
 // shard is one independently locked slice of the key space.
@@ -133,7 +141,7 @@ type shard struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
 	lru      *list.List // front = most recently used
-	inflight map[string]*flight
+	inflight map[string]claim
 	stats    map[string]*RelStats
 	capacity int // per-shard entry bound; 0 = unbounded
 }
@@ -187,7 +195,7 @@ func New(opts Options) *Cache {
 		c.shards[i] = &shard{
 			entries:  make(map[string]*entry),
 			lru:      list.New(),
-			inflight: make(map[string]*flight),
+			inflight: make(map[string]claim),
 			stats:    make(map[string]*RelStats),
 			capacity: perShard,
 		}
@@ -219,242 +227,37 @@ func appendVersionedKey(dst []byte, rel string, binding []sym.ID, epoch uint64) 
 	return dst
 }
 
-// versionedKey is appendVersionedKey over a boundary (string) binding; the
-// values intern — an access worth caching is an access whose values the
-// engine holds anyway.
-func versionedKey(rel string, binding []string, epoch uint64) string {
-	return string(appendVersionedKey(nil, rel, sym.InternAll(binding), epoch))
-}
-
-// access serves one probe of w through the cache. The entry is keyed by
-// w's current data epoch, captured before the probe: if the source
-// advances mid-probe the extraction is stored under the pre-probe epoch and
-// simply never serves the new version — conservative, never stale.
-//
-//toorjahvet:boundary (legacy string-surface adapter; the executors use the Sym forms)
-func (c *Cache) access(w source.Wrapper, binding []string) ([]storage.Row, error) {
-	rel := w.Relation().Name
-	key := versionedKey(rel, binding, source.EpochOf(w))
-	sh := c.shard(key)
-	now := c.opts.now()
-
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		if e.expires.IsZero() || now.Before(e.expires) {
-			sh.lru.MoveToFront(e.elem)
-			sh.bump(rel).Hits++
-			irows := e.rows
-			sh.mu.Unlock()
-			return storage.MaterializeRows(irows), nil
-		}
-		sh.removeLocked(e)
-		sh.bump(rel).Expirations++
-	}
-	if f, ok := sh.inflight[key]; ok {
-		sh.bump(rel).Collapsed++
-		sh.mu.Unlock()
-		<-f.done
-		return f.rows, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.bump(rel).Misses++
-	gen := c.gen.Load()
-	sh.mu.Unlock()
-
-	// A panicking wrapper must not wedge the key: unregister the flight
-	// and unblock waiters with an error before the panic propagates.
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		f.err = fmt.Errorf("cache: probe of %s panicked",
-			source.Access{Relation: rel, Binding: binding})
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		sh.mu.Unlock()
-		close(f.done)
-	}()
-
-	rows, err := w.Access(binding)
-	f.rows, f.err = rows, err
-
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	if err == nil && gen == c.gen.Load() &&
-		(len(rows) > 0 || !c.opts.DisableNegative) {
-		ttl := c.opts.TTL
-		if len(rows) == 0 && c.opts.NegativeTTL > 0 {
-			ttl = c.opts.NegativeTTL
-		}
-		e := &entry{key: key, rel: rel, rows: storage.InternRows(rows)}
-		if ttl > 0 {
-			// TTL counts from when the extraction is stored, not from when
-			// the probe began — a slow source must not shorten its entry's
-			// life (or store it already expired).
-			e.expires = c.opts.now().Add(ttl)
-		}
-		if old, ok := sh.entries[key]; ok {
-			sh.removeLocked(old)
-		}
-		e.elem = sh.lru.PushFront(e)
-		sh.entries[key] = e
-		for sh.capacity > 0 && sh.lru.Len() > sh.capacity {
-			oldest := sh.lru.Back().Value.(*entry)
-			sh.removeLocked(oldest)
-			sh.bump(oldest.rel).Evictions++
-		}
-	}
-	sh.mu.Unlock()
-	completed = true
-	close(f.done)
-	return rows, err
-}
-
-// accessBatch serves a batch of probes of one relation through the cache:
-// cached bindings are answered in place, the misses are probed through the
-// inner wrapper in a single batched round trip, and their extractions are
-// stored. Unlike single access, batched misses are not collapsed with
-// concurrent identical probes — the batch is itself the amortisation of the
-// round trip, and a duplicate probe only costs a redundant store.
-func (c *Cache) accessBatch(w source.Wrapper, bindings [][]string) ([][]storage.Row, error) {
-	//toorjahvet:allow ctx-first (contextless BatchSource interface shim over the ctx-aware form)
-	return c.accessBatchCtx(context.Background(), w, bindings)
-}
-
-// accessBatchCtx is accessBatch threading the request context through to
-// the inner wrapper (cancellation and trace baggage travel to the source
-// that pays the round trip) and, when the context carries a trace, opening
-// a "cache-lookup" span recording how many of the requested accesses the
-// cache absorbed.
-func (c *Cache) accessBatchCtx(ctx context.Context, w source.Wrapper, bindings [][]string) ([][]storage.Row, error) {
-	rel := w.Relation().Name
-	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
-	defer sp.End()
-	sp.SetAttr("relation", rel)
-	sp.SetAttr("requested", len(bindings))
-	epoch := source.EpochOf(w) // pre-probe, like the single-access path
-	out, hit := c.MultiGet(rel, epoch, bindings)
-	var missIdx []int
-	var misses [][]string
-	for i := range bindings {
-		if !hit[i] {
-			missIdx = append(missIdx, i)
-			misses = append(misses, bindings[i])
-		}
-	}
-	sp.SetAttr("hits", len(bindings)-len(misses))
-	if len(misses) == 0 {
-		return out, nil
-	}
-	for _, b := range misses {
-		key := versionedKey(rel, b, epoch)
-		sh := c.shard(key)
-		sh.mu.Lock()
-		sh.bump(rel).Misses++
-		sh.mu.Unlock()
-	}
-	gen := c.gen.Load()
-	rows, err := source.ProbeBatchCtx(ctx, w, misses)
-	if err != nil {
-		return nil, err
-	}
-	// Same invalidation contract as the single-access path: an extraction
-	// read from a source replaced mid-probe must not re-populate the cache.
-	if gen == c.gen.Load() {
-		c.MultiPut(rel, epoch, misses, rows)
-	}
-	for j, i := range missIdx {
-		out[i] = rows[j]
-	}
-	return out, nil
-}
-
-// accessSyms is the integer mirror of accessBatchCtx: the hot path of the
-// executors. Hits are answered from the interned entry store, misses travel
-// to the inner wrapper through source.ProbeSyms as one batched round trip,
-// and no string is constructed anywhere in between.
-func (c *Cache) accessSyms(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	rel := w.Relation().Name
-	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
-	defer sp.End()
-	sp.SetAttr("relation", rel)
-	sp.SetAttr("requested", len(bindings))
-	epoch := source.EpochOf(w) // pre-probe, like the single-access path
-	out, hit := c.MultiGetSym(rel, epoch, bindings)
-	var missIdx []int
-	var misses [][]sym.ID
-	for i := range bindings {
-		if !hit[i] {
-			missIdx = append(missIdx, i)
-			misses = append(misses, bindings[i])
-		}
-	}
-	sp.SetAttr("hits", len(bindings)-len(misses))
-	if len(misses) == 0 {
-		return out, nil
-	}
-	var kb []byte
-	for _, b := range misses {
-		kb = appendVersionedKey(kb[:0], rel, b, epoch)
-		sh := c.shard(string(kb))
-		sh.mu.Lock()
-		sh.bump(rel).Misses++
-		sh.mu.Unlock()
-	}
-	gen := c.gen.Load()
-	rows, err := source.ProbeSyms(ctx, w, misses)
-	if err != nil {
-		return nil, err
-	}
-	// Same invalidation contract as the single-access path: an extraction
-	// read from a source replaced mid-probe must not re-populate the cache.
-	if gen == c.gen.Load() {
-		c.MultiPutSym(rel, epoch, misses, rows)
-	}
-	for j, i := range missIdx {
-		out[i] = rows[j]
-	}
-	return out, nil
-}
-
-// getOne looks one key up, applying expiry and recording the hit; the
-// caller does NOT hold the shard lock.
-func (c *Cache) getOne(rel, key string, now time.Time) ([]storage.IRow, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, present := sh.entries[key]
-	if !present {
+// hitLocked serves a lookup that found e (nil = absent): a live entry is
+// touched in the LRU order and recorded as a hit, an expired one is dropped.
+// The shard lock must be held.
+func (sh *shard) hitLocked(e *entry, now time.Time) ([]storage.IRow, bool) {
+	if e == nil {
 		return nil, false
 	}
 	if e.expires.IsZero() || now.Before(e.expires) {
 		sh.lru.MoveToFront(e.elem)
-		sh.bump(rel).Hits++
+		sh.bump(e.rel).Hits++
 		return e.rows, true
 	}
 	sh.removeLocked(e)
-	sh.bump(rel).Expirations++
+	sh.bump(e.rel).Expirations++
 	return nil, false
 }
 
-// putOne stores one extraction, applying TTL, negative-caching and LRU
-// eviction.
-func (c *Cache) putOne(rel, key string, rows []storage.IRow, now time.Time) {
-	if len(rows) == 0 && c.opts.DisableNegative {
+// putLocked stores one extraction, applying TTL, negative-caching and LRU
+// eviction. The shard lock must be held.
+func (sh *shard) putLocked(opts *Options, rel, key string, rows []storage.IRow, now time.Time) {
+	if len(rows) == 0 && opts.DisableNegative {
 		return
 	}
-	ttl := c.opts.TTL
-	if len(rows) == 0 && c.opts.NegativeTTL > 0 {
-		ttl = c.opts.NegativeTTL
+	ttl := opts.TTL
+	if len(rows) == 0 && opts.NegativeTTL > 0 {
+		ttl = opts.NegativeTTL
 	}
 	e := &entry{key: key, rel: rel, rows: rows}
 	if ttl > 0 {
 		e.expires = now.Add(ttl)
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
 	if old, present := sh.entries[key]; present {
 		sh.removeLocked(old)
 	}
@@ -465,15 +268,14 @@ func (c *Cache) putOne(rel, key string, rows []storage.IRow, now time.Time) {
 		sh.removeLocked(oldest)
 		sh.bump(oldest.rel).Evictions++
 	}
-	sh.mu.Unlock()
 }
 
 // MultiGetSym looks up many interned bindings of one relation at one data
 // epoch at once (epoch 0 = unversioned). Result i holds the cached
 // extraction for bindings[i] and ok[i] reports whether it was present (and
 // unexpired); hits are recorded and touched in the LRU order exactly as
-// single accesses are. The hot-path lookup of the executors: keys pack into
-// one reused buffer, nothing materializes.
+// probed accesses are. Keys pack into one reused buffer, nothing
+// materializes.
 func (c *Cache) MultiGetSym(rel string, epoch uint64, bindings [][]sym.ID) (rows [][]storage.IRow, ok []bool) {
 	rows = make([][]storage.IRow, len(bindings))
 	ok = make([]bool, len(bindings))
@@ -481,7 +283,10 @@ func (c *Cache) MultiGetSym(rel string, epoch uint64, bindings [][]sym.ID) (rows
 	var kb []byte
 	for i, b := range bindings {
 		kb = appendVersionedKey(kb[:0], rel, b, epoch)
-		rows[i], ok[i] = c.getOne(rel, string(kb), now)
+		sh := c.shard(string(kb))
+		sh.mu.Lock()
+		rows[i], ok[i] = sh.hitLocked(sh.entries[string(kb)], now)
+		sh.mu.Unlock()
 	}
 	return rows, ok
 }
@@ -496,62 +301,11 @@ func (c *Cache) MultiPutSym(rel string, epoch uint64, bindings [][]sym.ID, rows 
 	var kb []byte
 	for i, b := range bindings {
 		kb = appendVersionedKey(kb[:0], rel, b, epoch)
-		c.putOne(rel, string(kb), rows[i], now)
+		sh := c.shard(string(kb))
+		sh.mu.Lock()
+		sh.putLocked(&c.opts, rel, string(kb), rows[i], now)
+		sh.mu.Unlock()
 	}
-}
-
-// MultiGet is MultiGetSym over boundary (string) bindings: a binding whose
-// values were never interned cannot have an entry and misses. Hits
-// materialize — callers on the hot path use MultiGetSym.
-//
-//toorjahvet:boundary (legacy string-surface adapter; the executors use the Sym forms)
-func (c *Cache) MultiGet(rel string, epoch uint64, bindings [][]string) (rows [][]storage.Row, ok []bool) {
-	rows = make([][]storage.Row, len(bindings))
-	ok = make([]bool, len(bindings))
-	now := c.opts.now()
-	for i, b := range bindings {
-		ids, known := sym.LookupAll(b)
-		if !known {
-			continue
-		}
-		irows, hit := c.getOne(rel, string(appendVersionedKey(nil, rel, ids, epoch)), now)
-		if hit {
-			rows[i], ok[i] = storage.MaterializeRows(irows), true
-		}
-	}
-	return rows, ok
-}
-
-// MultiPut is MultiPutSym over boundary (string) bindings and rows; values
-// intern on the way in.
-func (c *Cache) MultiPut(rel string, epoch uint64, bindings [][]string, rows [][]storage.Row) {
-	now := c.opts.now()
-	for i, b := range bindings {
-		key := versionedKey(rel, b, epoch)
-		c.putOne(rel, key, storage.InternRows(rows[i]), now)
-	}
-}
-
-// Lookup peeks at the cache without probing or recording a hit; it reports
-// whether the access is currently cached at the given data epoch (0 =
-// unversioned).
-//
-//toorjahvet:boundary (legacy string-surface adapter; the executors use the Sym forms)
-func (c *Cache) Lookup(rel string, epoch uint64, binding []string) ([]storage.Row, bool) {
-	ids, known := sym.LookupAll(binding)
-	if !known {
-		return nil, false
-	}
-	key := string(appendVersionedKey(nil, rel, ids, epoch))
-	sh := c.shard(key)
-	now := c.opts.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok || (!e.expires.IsZero() && !now.Before(e.expires)) {
-		return nil, false
-	}
-	return storage.MaterializeRows(e.rows), true
 }
 
 // Len returns the number of cached accesses.

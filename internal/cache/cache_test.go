@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -10,7 +11,30 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
+
+// access probes w with one boundary-form binding: a batch of one through
+// source.ProbeStrings.
+func access(w source.Wrapper, binding ...string) ([]storage.Row, error) {
+	rows, err := source.ProbeStrings(context.Background(), w, [][]string{binding})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// stored peeks at the cache without recording a hit or touching the LRU
+// order: it reports whether the access currently has a live entry at the
+// given data epoch (0 = unversioned).
+func stored(c *Cache, rel string, epoch uint64, binding ...string) bool {
+	key := string(appendVersionedKey(nil, rel, sym.InternAll(binding), epoch))
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[key]
+	return ok && (e.expires.IsZero() || c.opts.now().Before(e.expires))
+}
 
 // testSource builds a Counter-wrapped table source over relation text like
 // "r^i(A)" with the given rows; the counter observes the probes that reach
@@ -37,7 +61,7 @@ func TestHitMissAndStats(t *testing.T) {
 	w := c.Wrap(ctr)
 
 	for i := 0; i < 3; i++ {
-		rows, err := w.Access([]string{"a"})
+		rows, err := access(w, "a")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +86,7 @@ func TestNegativeCaching(t *testing.T) {
 	c := New(Options{})
 	w := c.Wrap(ctr)
 	for i := 0; i < 2; i++ {
-		if rows, err := w.Access([]string{"zzz"}); err != nil || len(rows) != 0 {
+		if rows, err := access(w, "zzz"); err != nil || len(rows) != 0 {
 			t.Fatalf("rows=%v err=%v", rows, err)
 		}
 	}
@@ -73,8 +97,8 @@ func TestNegativeCaching(t *testing.T) {
 	ctr2, _ := testSource(t, "r^io(A, B)")
 	c2 := New(Options{DisableNegative: true})
 	w2 := c2.Wrap(ctr2)
-	w2.Access([]string{"zzz"})
-	w2.Access([]string{"zzz"})
+	access(w2, "zzz")
+	access(w2, "zzz")
 	if got := ctr2.Stats().Accesses; got != 2 {
 		t.Errorf("DisableNegative: underlying accesses = %d, want 2", got)
 	}
@@ -86,21 +110,21 @@ func TestTTLExpiry(t *testing.T) {
 	c := New(Options{TTL: time.Minute, NegativeTTL: time.Second, now: func() time.Time { return now }})
 	w := c.Wrap(ctr)
 
-	w.Access([]string{"a"}) // positive, TTL 1m
-	w.Access([]string{"x"}) // negative, TTL 1s
+	access(w, "a") // positive, TTL 1m
+	access(w, "x") // negative, TTL 1s
 	if got := ctr.Stats().Accesses; got != 2 {
 		t.Fatalf("underlying = %d", got)
 	}
 
 	now = now.Add(2 * time.Second) // negative expired, positive alive
-	w.Access([]string{"a"})
-	w.Access([]string{"x"})
+	access(w, "a")
+	access(w, "x")
 	if got := ctr.Stats().Accesses; got != 3 {
 		t.Errorf("after negative TTL: underlying = %d, want 3", got)
 	}
 
 	now = now.Add(2 * time.Minute) // everything expired
-	w.Access([]string{"a"})
+	access(w, "a")
 	if got := ctr.Stats().Accesses; got != 4 {
 		t.Errorf("after TTL: underlying = %d, want 4", got)
 	}
@@ -115,23 +139,23 @@ func TestLRUEviction(t *testing.T) {
 	c := New(Options{Capacity: 2, Shards: 1})
 	w := c.Wrap(ctr)
 
-	w.Access([]string{"a"})
-	w.Access([]string{"b"})
-	w.Access([]string{"a"}) // refresh a: b is now LRU
-	w.Access([]string{"c"}) // evicts b
+	access(w, "a")
+	access(w, "b")
+	access(w, "a") // refresh a: b is now LRU
+	access(w, "c") // evicts b
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if _, ok := c.Lookup("r", source.EpochOf(ctr), []string{"b"}); ok {
+	if stored(c, "r", source.EpochOf(ctr), "b") {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.Lookup("r", source.EpochOf(ctr), []string{"a"}); !ok {
+	if !stored(c, "r", source.EpochOf(ctr), "a") {
 		t.Error("a should have survived (recently used)")
 	}
 	if st := c.Snapshot()["r"]; st.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
-	w.Access([]string{"b"}) // re-probe after eviction
+	access(w, "b") // re-probe after eviction
 	if got := ctr.Stats().Accesses; got != 4 {
 		t.Errorf("underlying = %d, want 4", got)
 	}
@@ -142,15 +166,15 @@ func TestInvalidateAndClear(t *testing.T) {
 	ctrS, _ := testSource(t, "s^io(A, B)", storage.Row{"a", "9"})
 	c := New(Options{})
 	wr, ws := c.Wrap(ctrR), c.Wrap(ctrS)
-	wr.Access([]string{"a"})
-	ws.Access([]string{"a"})
+	access(wr, "a")
+	access(ws, "a")
 	if n := c.Invalidate("r"); n != 1 {
 		t.Errorf("Invalidate(r) = %d, want 1", n)
 	}
-	if _, ok := c.Lookup("s", source.EpochOf(ctrS), []string{"a"}); !ok {
+	if !stored(c, "s", source.EpochOf(ctrS), "a") {
 		t.Error("s entry lost by Invalidate(r)")
 	}
-	wr.Access([]string{"a"})
+	access(wr, "a")
 	if got := ctrR.Stats().Accesses; got != 2 {
 		t.Errorf("after invalidate: underlying r accesses = %d, want 2", got)
 	}
@@ -167,7 +191,7 @@ func TestErrorsNotCached(t *testing.T) {
 	c := New(Options{})
 	w := c.Wrap(flaky)
 	for i := 0; i < 2; i++ {
-		if _, err := w.Access([]string{"a"}); !errors.Is(err, boom) {
+		if _, err := access(w, "a"); !errors.Is(err, boom) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -186,9 +210,9 @@ type slowWrapper struct {
 }
 
 func (s *slowWrapper) Relation() *schema.Relation { return s.inner.Relation() }
-func (s *slowWrapper) Access(binding []string) ([]storage.Row, error) {
+func (s *slowWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	time.Sleep(s.d)
-	return s.inner.Access(binding)
+	return s.inner.Probe(ctx, bindings)
 }
 
 func TestSingleflightCollapsesConcurrentProbes(t *testing.T) {
@@ -202,7 +226,7 @@ func TestSingleflightCollapsesConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, err := w.Access([]string{"a"})
+			rows, err := access(w, "a")
 			if err != nil || len(rows) != 1 {
 				t.Errorf("rows=%v err=%v", rows, err)
 			}
@@ -228,19 +252,19 @@ func TestInvalidateDuringProbeSkipsStore(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if rows, err := w.Access([]string{"a"}); err != nil || len(rows) != 1 {
+		if rows, err := access(w, "a"); err != nil || len(rows) != 1 {
 			t.Errorf("rows=%v err=%v", rows, err)
 		}
 	}()
 	time.Sleep(15 * time.Millisecond) // probe is now sleeping in the source
 	c.Invalidate("r")
 	<-done
-	if _, ok := c.Lookup("r", 0, []string{"a"}); ok {
+	if stored(c, "r", 0, "a") {
 		t.Error("extraction stored despite invalidation during the probe")
 	}
 	// The next access re-probes and stores normally.
-	w.Access([]string{"a"})
-	if _, ok := c.Lookup("r", 0, []string{"a"}); !ok {
+	access(w, "a")
+	if !stored(c, "r", 0, "a") {
 		t.Error("cache did not recover after the skipped store")
 	}
 	if got := ctr.Stats().Accesses; got != 2 {
@@ -255,12 +279,12 @@ type panicOnceWrapper struct {
 }
 
 func (p *panicOnceWrapper) Relation() *schema.Relation { return p.inner.Relation() }
-func (p *panicOnceWrapper) Access(binding []string) ([]storage.Row, error) {
+func (p *panicOnceWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	if !p.panicked {
 		p.panicked = true
 		panic("wrapper bug")
 	}
-	return p.inner.Access(binding)
+	return p.inner.Probe(ctx, bindings)
 }
 
 // TestPanicDoesNotWedgeKey: a panicking wrapper must not leave the access
@@ -276,11 +300,11 @@ func TestPanicDoesNotWedgeKey(t *testing.T) {
 				t.Error("first access should panic through")
 			}
 		}()
-		w.Access([]string{"a"})
+		access(w, "a")
 	}()
 	// The key must not be wedged: this would block forever on the dead
 	// flight if cleanup were skipped on panic.
-	rows, err := w.Access([]string{"a"})
+	rows, err := access(w, "a")
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("after panic: rows=%v err=%v", rows, err)
 	}
@@ -300,8 +324,8 @@ func TestWrapRegistryAndSummary(t *testing.T) {
 	if w == nil {
 		t.Fatal("r not in wrapped registry")
 	}
-	w.Access([]string{"a"})
-	w.Access([]string{"a"})
+	access(w, "a")
+	access(w, "a")
 	sum := c.Summary()
 	if sum == "" {
 		t.Fatal("empty summary")
@@ -333,8 +357,8 @@ func TestVersionedEntries(t *testing.T) {
 	c := New(Options{})
 	w := c.Wrap(ctr)
 
-	w.Access([]string{"k"})   // positive entry at the old epoch
-	w.Access([]string{"amy"}) // negative entry at the old epoch
+	access(w, "k")   // positive entry at the old epoch
+	access(w, "amy") // negative entry at the old epoch
 	pinned := c.Wrap(live.Snapshot())
 	if got := ctr.Stats().Accesses; got != 2 {
 		t.Fatalf("underlying = %d, want 2", got)
@@ -344,10 +368,10 @@ func TestVersionedEntries(t *testing.T) {
 
 	// The live wrapper re-probes both bindings: old-epoch entries no longer
 	// match, and the fresh rows are visible.
-	if rows, _ := w.Access([]string{"k"}); len(rows) != 2 {
+	if rows, _ := access(w, "k"); len(rows) != 2 {
 		t.Errorf("post-mutation k rows = %v, want 2", rows)
 	}
-	if rows, _ := w.Access([]string{"amy"}); len(rows) != 1 {
+	if rows, _ := access(w, "amy"); len(rows) != 1 {
 		t.Errorf("negative entry served after mutation: %v", rows)
 	}
 	if got := ctr.Stats().Accesses; got != 4 {
@@ -356,10 +380,10 @@ func TestVersionedEntries(t *testing.T) {
 
 	// The pinned wrapper, probing through the same cache, still serves the
 	// old version — from the old-epoch entries, without a fresh probe.
-	if rows, _ := pinned.Access([]string{"k"}); len(rows) != 1 || rows[0][1] != "old" {
+	if rows, _ := access(pinned, "k"); len(rows) != 1 || rows[0][1] != "old" {
 		t.Errorf("pinned access = %v, want the old row", rows)
 	}
-	if rows, _ := pinned.Access([]string{"amy"}); len(rows) != 0 {
+	if rows, _ := access(pinned, "amy"); len(rows) != 0 {
 		t.Errorf("pinned negative access = %v, want empty", rows)
 	}
 }

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"context"
+	"fmt"
 
+	"toorjah/internal/obs"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
@@ -23,29 +25,158 @@ func (s *cachedSource) Relation() *schema.Relation { return s.inner.Relation() }
 // layered caches and the probe protocol see through the cache decorator.
 func (s *cachedSource) Epoch() uint64 { return source.EpochOf(s.inner) }
 
-// Access serves the probe from the cache, hitting the inner wrapper only on
-// a miss; concurrent identical probes collapse into one inner access.
-func (s *cachedSource) Access(binding []string) ([]storage.Row, error) {
-	return s.c.access(s.inner, binding)
+// wait is one access of a batch that found its key already being fetched
+// by another request's flight.
+type wait struct {
+	claim
+	idx int // position in the batch
 }
 
-// AccessBatch serves a batch of probes through the cache: hits are answered
-// in place, the misses travel to the inner wrapper as one batched round
-// trip, and their extractions are stored for the next query.
-func (s *cachedSource) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	return s.c.accessBatch(s.inner, bindings)
+// Probe serves a batch of accesses through the cache. Every key is looked
+// up once; in the same shard critical section a key that misses either
+// joins the flight already fetching it or is registered in this request's
+// own flight. The protocol is then: own misses first, then wait —
+//
+//  1. the owned misses travel to the inner wrapper as one batched round
+//     trip and are published (stored, unregistered, the flight's done
+//     channel closed) before this request waits on anything, so a request
+//     never holds keys while it waits and no wait cycle can form;
+//  2. foreign flights are awaited, honouring ctx;
+//  3. a foreign flight that ended in error or panic delivers nothing — its
+//     error belongs to the request that paid for it — and the accesses that
+//     waited on it are probed afresh by this request.
+//
+// Each access is counted as it is classified: a hit, a miss (this request's
+// round trip fetches it) or collapsed (another request's does), so
+// hits + misses + collapsed is the number of accesses demanded; only an
+// access orphaned by a failed flight is classified — and counted — again.
+// Entries are keyed by the inner source's data epoch captured before the
+// probe: if the source advances mid-probe the extraction is stored under
+// the pre-probe epoch and simply never serves the new version —
+// conservative, never stale. When the context carries a trace, a
+// "cache-lookup" span records how many of the requested accesses the cache
+// absorbed.
+func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+	c, rel := s.c, s.inner.Relation().Name
+	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
+	defer sp.End()
+	sp.SetAttr("relation", rel)
+	sp.SetAttr("requested", len(bindings))
+
+	epoch := source.EpochOf(s.inner)
+	now := c.opts.now()
+	out := make([][]storage.IRow, len(bindings))
+	var (
+		own     *flight // this request's round trip, if it owns any miss
+		ownKeys []string
+		ownIdx  []int
+		foreign []wait
+		kb      []byte
+	)
+	for i, b := range bindings {
+		kb = appendVersionedKey(kb[:0], rel, b, epoch)
+		sh := c.shard(string(kb))
+		sh.mu.Lock()
+		if rows, hit := sh.hitLocked(sh.entries[string(kb)], now); hit {
+			out[i] = rows
+		} else if cl, flying := sh.inflight[string(kb)]; flying {
+			sh.bump(rel).Collapsed++
+			foreign = append(foreign, wait{claim: cl, idx: i})
+		} else {
+			if own == nil {
+				own = &flight{done: make(chan struct{})}
+			}
+			key := string(kb)
+			sh.inflight[key] = claim{f: own, slot: len(ownKeys)}
+			sh.bump(rel).Misses++
+			ownKeys = append(ownKeys, key)
+			ownIdx = append(ownIdx, i)
+		}
+		sh.mu.Unlock()
+	}
+	sp.SetAttr("hits", len(bindings)-len(ownKeys)-len(foreign))
+	sp.SetAttr("collapsed", len(foreign))
+
+	if own != nil {
+		rows, err := c.fetch(ctx, s.inner, own, ownKeys, pick(bindings, ownIdx))
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range ownIdx {
+			out[i] = rows[j]
+		}
+	}
+
+	var orphans []int // accesses whose foreign flight failed
+	for _, w := range foreign {
+		select {
+		case <-w.f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if w.f.rows == nil {
+			orphans = append(orphans, w.idx)
+			continue
+		}
+		out[w.idx] = w.f.rows[w.slot]
+	}
+	if len(orphans) > 0 {
+		rows, err := s.Probe(ctx, pick(bindings, orphans))
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range orphans {
+			out[i] = rows[j]
+		}
+	}
+	return out, nil
 }
 
-// AccessBatchCtx is AccessBatch threading the request context (cancellation
-// and trace baggage) through the cache to the inner wrapper.
-func (s *cachedSource) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error) {
-	return s.c.accessBatchCtx(ctx, s.inner, bindings)
+// pick gathers the bindings at the given batch positions.
+func pick(bindings [][]sym.ID, idx []int) [][]sym.ID {
+	out := make([][]sym.ID, len(idx))
+	for j, i := range idx {
+		out[j] = bindings[i]
+	}
+	return out
 }
 
-// AccessSyms serves an interned batch through the cache: the executors'
-// probe path, integer keys and rows end to end.
-func (s *cachedSource) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	return s.c.accessSyms(ctx, s.inner, bindings)
+// fetch is the cache's one call into an inner source: it probes the keys
+// flight f owns as a single round trip and publishes the outcome — success,
+// error and panic alike, so a panicking wrapper cannot wedge its keys: the
+// keys are unregistered, waiters are released, and the panic propagates to
+// the request that owns the flight. Extractions are stored unless the probe
+// failed or Invalidate/Clear ran meanwhile (the gen guard: an extraction
+// read from a source that was replaced mid-probe must not re-populate the
+// cache). The TTL counts from when the extraction is stored, not from when
+// the probe began — a slow source must not shorten its entry's life.
+func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, keys []string, bindings [][]sym.ID) (rows [][]storage.IRow, err error) {
+	rel := w.Relation().Name
+	gen := c.gen.Load()
+	delivered := false
+	defer func() {
+		store := delivered && gen == c.gen.Load()
+		now := c.opts.now()
+		for i, key := range keys {
+			sh := c.shard(key)
+			sh.mu.Lock()
+			delete(sh.inflight, key)
+			if store {
+				sh.putLocked(&c.opts, rel, key, rows[i], now)
+			}
+			sh.mu.Unlock()
+		}
+		if delivered {
+			f.rows = rows
+		}
+		close(f.done)
+	}()
+	rows, err = w.Probe(ctx, bindings)
+	if err == nil && len(rows) != len(bindings) {
+		err = fmt.Errorf("cache: source %s returned %d extractions for %d accesses", rel, len(rows), len(bindings))
+	}
+	delivered = err == nil
+	return rows, err
 }
 
 // Wrap layers the cache over a wrapper. Decorators compose: wrap a

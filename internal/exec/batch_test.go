@@ -9,6 +9,7 @@ import (
 
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // wideFixture joins three relations with fan-out, so each round generates
@@ -148,44 +149,90 @@ func TestBatchingSavesRoundTrips(t *testing.T) {
 }
 
 // accessBudget cancels a context once a total number of accesses has been
-// spent across every source of a fixture; the sources keep serving (the run
-// must stop because the executor checks the context, not because a source
-// fails).
+// spent across every source of a fixture. By default the sources keep
+// serving (the run must stop because the executor checks the context, not
+// because a source fails); with abort set, the probe that exhausts the
+// budget — and every later one — fails with the context's error, the way a
+// round trip cut off by the cancellation does.
 type accessBudget struct {
 	mu     sync.Mutex
 	budget int
 	cancel context.CancelFunc
+	abort  bool
 }
 
 // cancelSource routes one relation's accesses through the shared budget.
-// It deliberately has no AccessBatch: the loop fallback charges the budget
-// per access regardless of the executor's batch bound.
 type cancelSource struct {
 	source.Wrapper
 	b *accessBudget
 }
 
-func (w *cancelSource) Access(binding []string) ([]storage.Row, error) {
+func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	w.b.mu.Lock()
-	w.b.budget--
-	if w.b.budget <= 0 {
-		w.b.cancel()
-	}
+	w.b.budget -= len(bindings)
+	spent := w.b.budget <= 0
 	w.b.mu.Unlock()
-	return w.Wrapper.Access(binding)
+	if spent {
+		w.b.cancel()
+		if w.b.abort {
+			return nil, ctx.Err()
+		}
+	}
+	return w.Wrapper.Probe(ctx, bindings)
 }
 
 // cancelAfter rebinds every relation of the fixture behind wrappers that
-// cancel the returned context once budget accesses have been spent.
-func cancelAfter(t *testing.T, f *fixture, budget int) context.Context {
+// cancel the returned context once budget accesses have been spent; abort
+// additionally fails the probes from then on.
+func cancelAfter(t *testing.T, f *fixture, budget int, abort bool) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	shared := &accessBudget{budget: budget, cancel: cancel}
+	shared := &accessBudget{budget: budget, cancel: cancel, abort: abort}
 	for _, name := range f.reg.Names() {
 		f.reg.Bind(&cancelSource{Wrapper: f.reg.Source(name), b: shared})
 	}
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// TestCancelledProbeTruncates: a probe that fails because the run's context
+// was cancelled under it is a cancellation, not a source failure — every
+// executor returns the answers derived so far as a truncated sound subset
+// instead of an error.
+func TestCancelledProbeTruncates(t *testing.T) {
+	runs := map[string]func(context.Context, *fixture) (*Result, error){
+		"naive": func(ctx context.Context, f *fixture) (*Result, error) {
+			return NaiveOpts(ctx, f.sch, f.reg, f.q, f.ty, Options{})
+		},
+		"fastfail": func(ctx context.Context, f *fixture) (*Result, error) {
+			return FastFailingOpts(ctx, f.plan, f.reg, Options{})
+		},
+		"pipelined": func(ctx context.Context, f *fixture) (*Result, error) {
+			return Pipelined(ctx, f.plan, f.reg, Options{}, nil)
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			f := wideFixture(t, 60)
+			full, err := run(context.Background(), f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := run(cancelAfter(t, f, 10, true), f)
+			if err != nil {
+				t.Fatalf("cancelled probe surfaced as an error: %v", err)
+			}
+			if !r.Truncated {
+				t.Error("run with a cancelled probe must be flagged truncated")
+			}
+			fullSet := full.AnswerSet()
+			for _, tu := range r.Answers.Tuples() {
+				if !fullSet[tu.Key()] {
+					t.Errorf("truncated run produced a wrong answer %v", tu)
+				}
+			}
+		})
+	}
 }
 
 // TestNaiveCancellation: a cancelled context stops the naive extraction;
@@ -196,7 +243,7 @@ func TestNaiveCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := cancelAfter(t, f, 10)
+	ctx := cancelAfter(t, f, 10, false)
 	r, err := NaiveOpts(ctx, f.sch, f.reg, f.q, f.ty, Options{MaxBatch: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +269,7 @@ func TestFastFailingCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := cancelAfter(t, f, 10)
+	ctx := cancelAfter(t, f, 10, false)
 	r, err := FastFailingOpts(ctx, f.plan, f.reg, Options{MaxBatch: -1})
 	if err != nil {
 		t.Fatal(err)

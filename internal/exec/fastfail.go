@@ -45,7 +45,7 @@ type Options struct {
 	// reports only the probes that actually reached the sources.
 	Cache *cache.Cache
 	// MaxBatch caps how many access bindings are folded into one source
-	// round trip (source.BatchSource). 0 means DefaultMaxBatch; negative
+	// round trip (one Wrapper.Probe call). 0 means DefaultMaxBatch; negative
 	// (or 1) disables batching — one round trip per access. For a run that
 	// completes, batching never changes the answer set or the access count:
 	// a batch of N bindings is exactly N accesses under the paper's cost
@@ -135,6 +135,18 @@ func ctxDone(ctx context.Context) bool {
 // the context is done; the executors translate it into a truncated result
 // rather than an error.
 var errCancelled = errors.New("exec: extraction cancelled")
+
+// probe is the executors' one call into a source. A probe that fails once
+// its context is done failed because of the cancellation — a round trip cut
+// off mid-flight, an abandoned wait on another query's in-flight access —
+// and reports errCancelled, so the run truncates instead of erroring.
+func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]storage.IRow, error) {
+	rows, err := w.Probe(ctx, bindings)
+	if err != nil && ctxDone(ctx) {
+		return nil, errCancelled
+	}
+	return rows, err
+}
 
 // instrument prepares the registry for one execution: it pins every
 // versioned source to its current data version (Registry.Snapshot — the
@@ -420,7 +432,7 @@ func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache, onTu
 		n := min(maxBatch, len(toProbe))
 		chunk := toProbe[:n]
 		toProbe = toProbe[n:]
-		raws, err := source.ProbeSyms(ctx, w, chunk)
+		raws, err := probe(ctx, w, chunk)
 		if err != nil {
 			return false, err
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -127,7 +128,10 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 				n := min(maxBatch, len(toProbe))
 				chunk := toProbe[:n]
 				toProbe = toProbe[n:]
-				raws, err := source.ProbeSyms(ctx, w, chunk)
+				raws, err := probe(ctx, w, chunk)
+				if errors.Is(err, errCancelled) {
+					return truncatedResult(q, cache, counters, start)
+				}
 				if err != nil {
 					return nil, err
 				}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -106,7 +107,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 					for k, jb := range batch {
 						bindings[k] = jb.binding
 					}
-					raws, err := source.ProbeSyms(pctx, w, bindings)
+					raws, err := probe(pctx, w, bindings)
 					if err != nil {
 						for _, jb := range batch {
 							results <- probeResult{cache: jb.cache, binding: jb.binding, err: err}
@@ -263,6 +264,12 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 		}
 		res := <-results
 		outstanding--
+		if errors.Is(res.err, errCancelled) {
+			// Unanswered, not failed: back on the pending list, where the
+			// job marks the run truncated.
+			pending = append(pending, job{cache: res.cache, binding: res.binding})
+			continue
+		}
 		if res.err != nil {
 			return nil, res.err
 		}

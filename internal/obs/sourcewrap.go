@@ -112,53 +112,14 @@ type probeSource struct {
 func (p *probeSource) Relation() *schema.Relation { return p.inner.Relation() }
 func (p *probeSource) Epoch() uint64              { return source.EpochOf(p.inner) }
 
-func (p *probeSource) Access(binding []string) ([]storage.Row, error) {
-	rows, err := p.AccessBatch([][]string{binding})
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
-func (p *probeSource) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	//toorjahvet:allow ctx-first (contextless BatchSource interface shim over the ctx-aware form)
-	return p.AccessBatchCtx(context.Background(), bindings)
-}
-
-func (p *probeSource) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error) {
+// Probe forwards the batch and records it; the instruments are counts and
+// durations, so they never need the values.
+func (p *probeSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	start := time.Now()
 	ctx, sp := StartSpan(ctx, "probe")
 	sp.SetAttr("relation", p.inner.Relation().Name)
 	sp.SetAttr("accesses", len(bindings))
-	rows, err := source.ProbeBatchCtx(ctx, p.inner, bindings)
-	p.duration.Observe(time.Since(start).Seconds())
-	p.batchSize.Observe(float64(len(bindings)))
-	p.roundTrips.Inc()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		return nil, err
-	}
-	p.accesses.Add(int64(len(bindings)))
-	var tuples int64
-	for _, r := range rows {
-		tuples += int64(len(r))
-	}
-	p.tuples.Add(tuples)
-	sp.SetAttr("tuples", tuples)
-	sp.End()
-	return rows, nil
-}
-
-// AccessSyms records the batch exactly as AccessBatchCtx does while keeping
-// the probe on the integer fast path (the instruments are counts and
-// durations — they never need the values).
-func (p *probeSource) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	start := time.Now()
-	ctx, sp := StartSpan(ctx, "probe")
-	sp.SetAttr("relation", p.inner.Relation().Name)
-	sp.SetAttr("accesses", len(bindings))
-	rows, err := source.ProbeSyms(ctx, p.inner, bindings)
+	rows, err := p.inner.Probe(ctx, bindings)
 	p.duration.Observe(time.Since(start).Seconds())
 	p.batchSize.Observe(float64(len(bindings)))
 	p.roundTrips.Inc()
@@ -188,23 +149,8 @@ type demandSource struct {
 func (d *demandSource) Relation() *schema.Relation { return d.inner.Relation() }
 func (d *demandSource) Epoch() uint64              { return source.EpochOf(d.inner) }
 
-func (d *demandSource) Access(binding []string) ([]storage.Row, error) {
-	d.obs.demanded.Add(1)
-	return d.inner.Access(binding)
-}
-
-func (d *demandSource) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	//toorjahvet:allow ctx-first (contextless BatchSource interface shim over the ctx-aware form)
-	return d.AccessBatchCtx(context.Background(), bindings)
-}
-
-func (d *demandSource) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error) {
+// Probe counts the demanded accesses and forwards the batch.
+func (d *demandSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	d.obs.demanded.Add(int64(len(bindings)))
-	return source.ProbeBatchCtx(ctx, d.inner, bindings)
-}
-
-// AccessSyms counts the demanded accesses and forwards the interned batch.
-func (d *demandSource) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	d.obs.demanded.Add(int64(len(bindings)))
-	return source.ProbeSyms(ctx, d.inner, bindings)
+	return d.inner.Probe(ctx, bindings)
 }

@@ -446,10 +446,10 @@ func (c *Client) probeOnce(ctx context.Context, relation string, bindings [][]st
 	}
 }
 
-// Source is one remote relation as a data source: a source.Wrapper (and
-// source.BatchSource — a batch rides a single HTTP round trip) probing the
-// relation on the client's peer. All sources of one client share its
-// connection pool; each relation has its own breaker and telemetry.
+// Source is one remote relation as a data source: a source.Wrapper probing
+// the relation on the client's peer, a batch riding a single HTTP round
+// trip. All sources of one client share its connection pool; each relation
+// has its own breaker and telemetry.
 type Source struct {
 	c   *Client
 	rel *schema.Relation
@@ -474,37 +474,27 @@ func (s *Source) Epoch() uint64 {
 	return s.c.relStateFor(s.rel.Name).lastEpoch.Load()
 }
 
-// Access probes the relation with one binding: a batch of one.
-func (s *Source) Access(binding []string) ([]storage.Row, error) {
-	out, err := s.AccessBatch([][]string{binding})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// AccessBatch probes the relation with the whole batch in one HTTP round
-// trip; result i is exactly what Access(bindings[i]) would return.
-func (s *Source) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	//toorjahvet:allow ctx-first (contextless BatchSource interface shim over the ctx-aware form)
-	return s.AccessBatchCtx(context.Background(), bindings)
-}
-
-// AccessBatchCtx is AccessBatch under the request context: the caller's
-// cancellation stops retries and in-flight round trips, the trace ID (when
-// present) travels to the peer in the X-Toorjah-Trace header, and a
-// "remote-probe" span records the round trip when the context carries a
-// trace.
-func (s *Source) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Probe probes the relation with the whole batch in one HTTP round trip,
+// under the request context: the caller's cancellation stops retries and
+// in-flight round trips, the trace ID (when present) travels to the peer in
+// the X-Toorjah-Trace header, and a "remote-probe" span records the round
+// trip when the context carries a trace.
+//
+// This is the remote-decode boundary of the engine. The probe protocol
+// speaks NDJSON strings, so the bindings materialize into wire form and
+// every decoded row interns here; the freshly decoded strings become
+// garbage immediately instead of living on in caches and relations, and
+// everything above this source (cache, counters, executors) stays on
+// integer tuples.
+func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	inputs := s.rel.InputPositions()
-	for _, b := range bindings {
+	wire := make([][]string, len(bindings))
+	for i, b := range bindings {
 		if len(b) != len(inputs) {
 			return nil, fmt.Errorf("remote source %s: binding of %d values for %d input arguments",
 				s.rel.Name, len(b), len(inputs))
 		}
+		wire[i] = sym.Strs(b)
 	}
 	ctx, sp := obs.StartSpan(ctx, "remote-probe")
 	sp.SetAttr("peer", s.c.base)
@@ -514,7 +504,7 @@ func (s *Source) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]s
 		sp.SetAttr("trace_id", id)
 	}
 	defer sp.End()
-	results, err := s.c.Probe(ctx, s.rel.Name, bindings)
+	results, err := s.c.Probe(ctx, s.rel.Name, wire)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return nil, err
@@ -522,6 +512,7 @@ func (s *Source) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]s
 	// Soundness guard: every returned row must have the relation's arity
 	// and agree with its binding on the input positions. A misconfigured or
 	// buggy peer surfaces as an error, never as wrong answers.
+	out := make([][]storage.IRow, len(results))
 	for i, rows := range results {
 		for _, row := range rows {
 			if len(row) != s.rel.Arity() {
@@ -529,34 +520,13 @@ func (s *Source) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]s
 					s.rel.Name, s.c.base, len(row), s.rel.Arity())
 			}
 			for k, pos := range inputs {
-				if row[pos] != bindings[i][k] {
+				if row[pos] != wire[i][k] {
 					return nil, fmt.Errorf("remote source %s: peer %s returned a row not matching its binding at position %d",
 						s.rel.Name, s.c.base, pos+1)
 				}
 			}
 		}
-	}
-	return results, nil
-}
-
-// AccessSyms is AccessBatchCtx on interned tuples — the remote-decode
-// boundary of the engine. The probe protocol speaks NDJSON strings, so the
-// bindings materialize into wire form and every decoded row interns here;
-// the freshly decoded strings become garbage immediately instead of living
-// on in caches and relations, and everything above this source (cache,
-// counters, executors) stays on integer tuples.
-func (s *Source) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	strs := make([][]string, len(bindings))
-	for i, b := range bindings {
-		strs[i] = sym.Strs(b)
-	}
-	rows, err := s.AccessBatchCtx(ctx, strs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]storage.IRow, len(rows))
-	for i, rs := range rows {
-		out[i] = storage.InternRows(rs)
+		out[i] = storage.InternRows(rows)
 	}
 	return out, nil
 }

@@ -124,7 +124,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.ContextWithTraceID(ctx, traceID)
 	}
 	epoch := source.EpochOf(src)
-	results, err := source.ProbeBatchCtx(ctx, src, req.Bindings)
+	results, err := source.ProbeStrings(ctx, src, req.Bindings)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -22,6 +22,16 @@ free^oo(A, B)
 empty^io(A, B)
 `
 
+// access probes w with one boundary-form binding: a batch of one through
+// source.ProbeStrings.
+func access(w source.Wrapper, binding ...string) ([]storage.Row, error) {
+	rows, err := source.ProbeStrings(context.Background(), w, [][]string{binding})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
 // testRegistry builds the peer-side registry the tests probe.
 func testRegistry(t *testing.T) (*schema.Schema, *source.Registry) {
 	t.Helper()
@@ -68,11 +78,11 @@ func TestProbeRoundTrip(t *testing.T) {
 
 	src := c.Source(sch.Relation("r"))
 	bindings := [][]string{{"a1"}, {"missing"}, {"a2"}, {"a1"}}
-	got, err := src.AccessBatch(bindings)
+	got, err := source.ProbeStrings(context.Background(), src, bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := source.ProbeBatch(reg.Source("r"), bindings)
+	want, err := source.ProbeStrings(context.Background(), reg.Source("r"), bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +103,14 @@ func TestProbeRoundTrip(t *testing.T) {
 	}
 
 	// Single access and a free relation's empty binding.
-	rows, err := src.Access([]string{"a1"})
+	rows, err := access(src, "a1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Errorf("Access(a1) = %v, want 2 rows", rows)
 	}
-	freeRows, err := c.Source(sch.Relation("free")).Access(nil)
+	freeRows, err := access(c.Source(sch.Relation("free")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +118,7 @@ func TestProbeRoundTrip(t *testing.T) {
 		t.Errorf("free access = %v, want 2 rows", freeRows)
 	}
 	// An empty source answers with no rows, not an error.
-	emptyRows, err := c.Source(sch.Relation("empty")).Access([]string{"a1"})
+	emptyRows, err := access(c.Source(sch.Relation("empty")), "a1")
 	if err != nil || len(emptyRows) != 0 {
 		t.Errorf("empty access = %v, %v", emptyRows, err)
 	}
@@ -186,7 +196,7 @@ func TestRetryAfter5xx(t *testing.T) {
 	c := Dial(ts.URL, fastOptions())
 	defer c.Close()
 
-	rows, err := c.Source(sch.Relation("r")).Access([]string{"a1"})
+	rows, err := access(c.Source(sch.Relation("r")), "a1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestRetryAfterTruncatedStream(t *testing.T) {
 	c := Dial(ts.URL, fastOptions())
 	defer c.Close()
 
-	rows, err := c.Source(sch.Relation("r")).Access([]string{"a1"})
+	rows, err := access(c.Source(sch.Relation("r")), "a1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func TestRetryAfterTimeout(t *testing.T) {
 	c := Dial(ts.URL, opts)
 	defer c.Close()
 
-	rows, err := c.Source(sch.Relation("r")).Access([]string{"a1"})
+	rows, err := access(c.Source(sch.Relation("r")), "a1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestResponseSizeLimit(t *testing.T) {
 	c := Dial(ts.URL, opts)
 	defer c.Close()
 
-	_, err := c.Source(sch.Relation("r")).Access([]string{"a1"})
+	_, err := access(c.Source(sch.Relation("r")), "a1")
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("err = %v, want a size-limit error", err)
 	}
@@ -320,12 +330,12 @@ func TestBreaker(t *testing.T) {
 	src := c.Source(sch.Relation("r"))
 
 	for i := 0; i < 2; i++ {
-		if _, err := src.Access([]string{"a1"}); err == nil {
+		if _, err := access(src, "a1"); err == nil {
 			t.Fatalf("probe %d: err = nil, want failure", i)
 		}
 	}
 	// Threshold reached: the circuit is open, probes fail fast.
-	_, err := src.Access([]string{"a1"})
+	_, err := access(src, "a1")
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
@@ -337,7 +347,7 @@ func TestBreaker(t *testing.T) {
 	}
 
 	// Other relations of the same peer are unaffected.
-	if _, err := c.Source(sch.Relation("free")).Access(nil); err == nil {
+	if _, err := access(c.Source(sch.Relation("free"))); err == nil {
 		t.Error("free: the peer is down, want a real probe failure, got success") // still broken
 	}
 
@@ -346,7 +356,7 @@ func TestBreaker(t *testing.T) {
 	broken.Store(false)
 	time.Sleep(60 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		rows, err := src.Access([]string{"a1"})
+		rows, err := access(src, "a1")
 		if err != nil {
 			t.Fatalf("post-recovery probe %d: %v", i, err)
 		}
@@ -377,15 +387,15 @@ func TestBreakerReopensOnFailedTrial(t *testing.T) {
 	defer c.Close()
 	src := c.Source(sch.Relation("r"))
 
-	if _, err := src.Access([]string{"a1"}); err == nil {
+	if _, err := access(src, "a1"); err == nil {
 		t.Fatal("want failure")
 	}
 	time.Sleep(40 * time.Millisecond)
-	if _, err := src.Access([]string{"a1"}); errors.Is(err, ErrBreakerOpen) || err == nil {
+	if _, err := access(src, "a1"); errors.Is(err, ErrBreakerOpen) || err == nil {
 		t.Fatalf("half-open trial: err = %v, want the real probe failure", err)
 	}
 	// The failed trial re-opened the circuit.
-	_, err := src.Access([]string{"a1"})
+	_, err := access(src, "a1")
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("after failed trial: err = %v, want ErrBreakerOpen", err)
 	}
@@ -412,12 +422,12 @@ func TestSoundnessGuard(t *testing.T) {
 	}
 	// Wrong arity.
 	c := serve(`{"b":0,"row":["a1","b1","extra"]}`, `{"done":true,"accesses":1,"tuples":1}`)
-	if _, err := c.Source(sch.Relation("r")).Access([]string{"a1"}); err == nil || !strings.Contains(err.Error(), "arity") {
+	if _, err := access(c.Source(sch.Relation("r")), "a1"); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Errorf("wrong arity: err = %v", err)
 	}
 	// Row not matching the input binding.
 	c = serve(`{"b":0,"row":["other","b1"]}`, `{"done":true,"accesses":1,"tuples":1}`)
-	if _, err := c.Source(sch.Relation("r")).Access([]string{"a1"}); err == nil || !strings.Contains(err.Error(), "binding") {
+	if _, err := access(c.Source(sch.Relation("r")), "a1"); err == nil || !strings.Contains(err.Error(), "binding") {
 		t.Errorf("binding mismatch: err = %v", err)
 	}
 }
@@ -535,7 +545,7 @@ func TestHandlerRecord(t *testing.T) {
 	c := Dial(ts.URL, fastOptions())
 	defer c.Close()
 
-	if _, err := c.Source(sch.Relation("r")).AccessBatch([][]string{{"a1"}, {"a2"}}); err != nil {
+	if _, err := source.ProbeStrings(context.Background(), c.Source(sch.Relation("r")), [][]string{{"a1"}, {"a2"}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0] != (rec{"r", 2, 3}) {
@@ -569,7 +579,7 @@ func TestEpochPropagation(t *testing.T) {
 		t.Errorf("epoch after schema discovery = %d, want 2", e)
 	}
 
-	if _, err := src.Access([]string{"a1"}); err != nil {
+	if _, err := access(src, "a1"); err != nil {
 		t.Fatal(err)
 	}
 	tel := c.Telemetry()["r"]
@@ -581,7 +591,7 @@ func TestEpochPropagation(t *testing.T) {
 	// the client counts one stale-snapshot detection.
 	tab := reg.Source("r").(*source.TableSource).Table()
 	tab.InsertAll([]storage.Row{{"a1", "b9"}})
-	rows, err := src.Access([]string{"a1"})
+	rows, err := access(src, "a1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,9 @@ var allExecutors = []execKind{execFastFail, execNaive, execPipelined}
 func runCQ(q *toorjah.Query, kind execKind) (*toorjah.Result, error) {
 	switch kind {
 	case execNaive:
-		return q.ExecuteNaive()
+		return q.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorNaive))
 	case execPipelined:
-		return q.Stream(toorjah.PipeOptions{}, func(toorjah.Tuple) {})
+		return q.Execute(context.Background(), toorjah.OnAnswer(func(toorjah.Tuple) {}))
 	default:
 		return q.Execute(context.Background())
 	}
@@ -99,9 +99,9 @@ func runCQ(q *toorjah.Query, kind execKind) (*toorjah.Result, error) {
 func runUCQ(u *toorjah.UnionQuery, kind execKind) (*toorjah.Result, error) {
 	switch kind {
 	case execNaive:
-		return u.ExecuteNaive()
+		return u.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorNaive))
 	case execPipelined:
-		return u.Stream(toorjah.PipeOptions{}, func(toorjah.Tuple) {})
+		return u.Execute(context.Background(), toorjah.OnAnswer(func(toorjah.Tuple) {}))
 	default:
 		return u.Execute(context.Background())
 	}
@@ -414,7 +414,7 @@ func TestFederationFaults(t *testing.T) {
 			var res *toorjah.Result
 			var err error
 			if kind == execPipelined {
-				res, err = q.Stream(toorjah.PipeOptions{}, func(tp toorjah.Tuple) { streamed = append(streamed, tp) })
+				res, err = q.Execute(context.Background(), toorjah.OnAnswer(func(tp toorjah.Tuple) { streamed = append(streamed, tp) }))
 			} else {
 				res, err = runCQ(q, kind)
 			}

@@ -22,7 +22,9 @@ import (
 	"toorjah"
 	"toorjah/internal/obs"
 	"toorjah/internal/schema"
+	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // scrapeMetrics fetches /metrics and returns the body.
@@ -229,6 +231,77 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := metricValue(t, body, `toorjah_relation_epoch{relation="pub1"}`); got == 0 {
 		t.Error("pub1 epoch did not advance on /metrics after ingest")
+	}
+}
+
+// heldSource keeps every probe of its relation inside the source until
+// release is closed: a latency-bearing source whose latency the test ends.
+type heldSource struct {
+	source.Wrapper
+	release chan struct{}
+}
+
+func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return h.Wrapper.Probe(ctx, bindings)
+}
+
+// TestMetricsCoalescedOnServingPath: two identical cold queries in flight
+// at once share one source round trip per access, and the merge shows on
+// /metrics as toorjah_cache_coalesced_total. The first relation the plan
+// probes is held in its source until the cache has classified both
+// queries' accesses, so the overlap is forced, not a matter of timing.
+func TestMetricsCoalescedOnServingPath(t *testing.T) {
+	sys, counters := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
+	held := &heldSource{Wrapper: counters["conf"], release: make(chan struct{})}
+	sys.Bind(held)
+	ts := httptest.NewServer(New(sys, toorjah.Options{}).Handler())
+	defer ts.Close()
+	q := ts.URL + "/query?q=" + strings.ReplaceAll(pubQuery, " ", "%20")
+
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers, _ := queryNDJSON(t, q)
+			got[i] = strings.Join(answers, ";")
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := sys.AccessCache().Snapshot()["conf"]
+		if st.Misses+st.Collapsed == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(held.release)
+			t.Fatalf("both queries never reached the cache: conf stats %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(held.release)
+	wg.Wait()
+
+	for i, g := range got {
+		if g != "alice" {
+			t.Errorf("query %d answers = %q, want alice", i, g)
+		}
+	}
+	if n := counters["conf"].Stats().Accesses; n != 1 {
+		t.Errorf("conf reached its source %d times, want 1", n)
+	}
+	body := scrapeMetrics(t, ts.URL)
+	if v := metricValue(t, body, `toorjah_cache_coalesced_total{relation="conf"}`); v < 1 {
+		t.Errorf("toorjah_cache_coalesced_total{conf} = %v, want > 0", v)
+	}
+	if v := metricValue(t, body, `toorjah_cache_misses_total{relation="conf"}`); v != 1 {
+		t.Errorf("toorjah_cache_misses_total{conf} = %v, want 1", v)
 	}
 }
 

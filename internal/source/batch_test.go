@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -25,17 +26,17 @@ func batchFixture(t *testing.T) (*schema.Relation, *TableSource) {
 	return rel, src
 }
 
-// TestTableSourceAccessBatch: a native batch is element-wise identical to
-// probing one binding at a time.
-func TestTableSourceAccessBatch(t *testing.T) {
+// TestTableSourceProbeBatch: a batch is element-wise identical to probing
+// one binding at a time.
+func TestTableSourceProbeBatch(t *testing.T) {
 	_, src := batchFixture(t)
 	bindings := [][]string{{"a0"}, {"a3"}, {"missing"}, {"a1"}}
-	batch, err := src.AccessBatch(bindings)
+	batch, err := ProbeStrings(context.Background(), src, bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range bindings {
-		single, err := src.Access(b)
+		single, err := access(src, b...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,34 +44,8 @@ func TestTableSourceAccessBatch(t *testing.T) {
 			t.Errorf("binding %v: batch %v, single %v", b, batch[i], single)
 		}
 	}
-	if _, err := src.AccessBatch([][]string{{"a0", "extra"}}); err == nil {
+	if _, err := access(src, "a0", "extra"); err == nil {
 		t.Error("mis-sized binding in a batch must be rejected")
-	}
-}
-
-// TestBatcherUpgradesPlainWrapper: Batcher leaves native batch sources
-// alone and gives everything else a loop adapter with identical semantics.
-func TestBatcherUpgradesPlainWrapper(t *testing.T) {
-	_, src := batchFixture(t)
-	if b := Batcher(src); b != BatchSource(src) {
-		t.Error("Batcher must return a native BatchSource unchanged")
-	}
-	flaky := NewFlaky(src, 1000, errors.New("x")) // plain Wrapper, no batch method
-	if _, ok := Wrapper(flaky).(BatchSource); ok {
-		t.Fatal("test premise broken: Flaky must not batch natively")
-	}
-	up := Batcher(flaky)
-	bindings := [][]string{{"a0"}, {"a2"}}
-	got, err := up.AccessBatch(bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ProbeBatch(src, bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("loop adapter = %v, want %v", got, want)
 	}
 }
 
@@ -80,8 +55,7 @@ func TestBatcherUpgradesPlainWrapper(t *testing.T) {
 func TestCounterBatchAccounting(t *testing.T) {
 	_, src := batchFixture(t)
 	c := NewCounter(src, true)
-	bindings := [][]string{{"a0"}, {"a1"}, {"a0"}}
-	rows, err := c.AccessBatch(bindings)
+	rows, err := ProbeStrings(context.Background(), c, [][]string{{"a0"}, {"a1"}, {"a0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +76,7 @@ func TestCounterBatchAccounting(t *testing.T) {
 		t.Errorf("log length = %d, want 3", got)
 	}
 	// A single access is a round trip of one: Batches tracks it too.
-	if _, err := c.Access([]string{"a2"}); err != nil {
+	if _, err := access(c, "a2"); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -111,14 +85,17 @@ func TestCounterBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestProbeBatchStopsOnError: the loop fallback aborts at the failing
-// binding, like sequential probing would.
-func TestProbeBatchStopsOnError(t *testing.T) {
+// TestFlakyBatchFailsWhole: the batch that overruns the failure budget
+// fails as a whole and exhausts it, like sequential probing would.
+func TestFlakyBatchFailsWhole(t *testing.T) {
 	_, src := batchFixture(t)
 	errDown := errors.New("down")
 	flaky := NewFlaky(src, 2, errDown)
-	_, err := ProbeBatch(flaky, [][]string{{"a0"}, {"a1"}, {"a2"}})
+	_, err := ProbeStrings(context.Background(), flaky, [][]string{{"a0"}, {"a1"}, {"a2"}})
 	if !errors.Is(err, errDown) {
 		t.Errorf("err = %v, want %v", err, errDown)
+	}
+	if _, err := access(flaky, "a0"); !errors.Is(err, errDown) {
+		t.Errorf("access after the budget ran out: err = %v, want %v", err, errDown)
 	}
 }

@@ -43,117 +43,52 @@ func (a Access) String() string {
 	return fmt.Sprintf("%s(%s)", a.Relation, strings.Join(a.Binding, ","))
 }
 
-// Wrapper is a data source with access limitations. Access probes the
-// relation with the given input binding (parallel to
-// Relation().InputPositions()) and returns every matching tuple, complete
-// with both input and output attributes.
+// Wrapper is a data source with access limitations, and Probe is its one
+// operation: the paper's access, batched. Each binding assigns interned
+// values to the relation's input positions (parallel to
+// Relation().InputPositions()); result i holds every tuple matching
+// bindings[i], complete with input and output attributes. A batch of N
+// bindings is exactly N accesses under the paper's cost model folded into
+// one round trip — soundness and access accounting are unaffected, only the
+// per-probe overhead (network latency, lock traffic) is amortised. An error
+// fails the whole batch. The context carries cancellation and the
+// observability baggage of the query being served (trace ID, current span)
+// through decorator stacks down to the source that pays the round trip; a
+// source is free to ignore it. Extracted rows may be shared and must not
+// be mutated.
+//
+// Tuples are interned end to end: the table source, the counting, caching
+// and metrics decorators and the executors never construct a string.
+// Strings enter and leave at two edges only — ProbeStrings, and the NDJSON
+// codec inside remote.Source.
 type Wrapper interface {
 	Relation() *schema.Relation
-	Access(binding []string) ([]storage.Row, error)
+	Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error)
 }
 
-// BatchSource is a Wrapper that can serve many accesses of its relation in
-// a single round trip. AccessBatch probes the relation once per binding and
-// returns the extractions in binding order: result i is exactly what
-// Access(bindings[i]) would return, so a batch is just N accesses folded
-// into one round trip — soundness and access accounting are unaffected,
-// only the per-probe overhead (network latency, lock traffic) is amortised.
-type BatchSource interface {
-	Wrapper
-	AccessBatch(bindings [][]string) ([][]storage.Row, error)
-}
-
-// ProbeBatch serves a batch of accesses through w: natively when w
-// implements BatchSource, otherwise by probing one binding at a time. An
-// error aborts the batch; the extractions of the bindings already probed
-// are discarded with it.
-func ProbeBatch(w Wrapper, bindings [][]string) ([][]storage.Row, error) {
-	if bs, ok := w.(BatchSource); ok {
-		return bs.AccessBatch(bindings)
-	}
-	out := make([][]storage.Row, len(bindings))
+// ProbeStrings probes w with boundary-form bindings: the values intern on
+// the way in and the extracted rows materialize on the way out. It serves
+// callers that hold strings by nature — the /probe wire handler, tests —
+// and is the only string door into a Wrapper.
+func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]storage.Row, error) {
+	ids := make([][]sym.ID, len(bindings))
 	for i, b := range bindings {
-		rows, err := w.Access(b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rows
+		ids[i] = sym.InternAll(b)
 	}
-	return out, nil
-}
-
-// CtxBatchSource is a BatchSource that accepts a request context for its
-// batch probes. The context carries cancellation and the observability
-// baggage of the query being served — the trace ID forwarded to federated
-// peers, the current trace span — through decorator stacks (counting,
-// caching, metrics) down to the source that pays the round trip.
-// AccessBatchCtx(ctx, b) is semantically AccessBatch(b); a source is free
-// to ignore the context entirely.
-type CtxBatchSource interface {
-	BatchSource
-	AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error)
-}
-
-// ProbeBatchCtx is ProbeBatch with a request context: sources (and
-// decorators) implementing CtxBatchSource receive it, everything else is
-// served exactly as ProbeBatch would. A nil ctx is allowed and treated as
-// context.Background().
-func ProbeBatchCtx(ctx context.Context, w Wrapper, bindings [][]string) ([][]storage.Row, error) {
-	if cs, ok := w.(CtxBatchSource); ok {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return cs.AccessBatchCtx(ctx, bindings)
-	}
-	return ProbeBatch(w, bindings)
-}
-
-// SymBatchSource is the integer fast path of a source: AccessSyms is
-// AccessBatchCtx with interned bindings and interned extractions, so the
-// standard stack — table source, counting, caching, metrics decorators, the
-// remote client — serves every probe without constructing a single string.
-// Sources that cannot speak interned tuples simply do not implement the
-// interface; ProbeSyms converts at the boundary for them.
-type SymBatchSource interface {
-	Wrapper
-	AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error)
-}
-
-// ProbeSyms serves a batch of interned accesses through w: natively when w
-// implements SymBatchSource, otherwise by materializing the bindings,
-// probing the string surface, and interning the extracted rows on the way
-// back — so custom string wrappers keep working unchanged while the
-// standard stack stays integer end to end.
-func ProbeSyms(ctx context.Context, w Wrapper, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	if ss, ok := w.(SymBatchSource); ok {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return ss.AccessSyms(ctx, bindings)
-	}
-	strs := make([][]string, len(bindings))
-	for i, b := range bindings {
-		strs[i] = sym.Strs(b)
-	}
-	rows, err := ProbeBatchCtx(ctx, w, strs)
+	rows, err := w.Probe(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]storage.IRow, len(rows))
+	out := make([][]storage.Row, len(rows))
 	for i, rs := range rows {
-		out[i] = storage.InternRows(rs)
+		out[i] = storage.MaterializeRows(rs)
 	}
 	return out, nil
 }
 
-// SymAccessKey encodes an interned access for deduplication: the relation
-// name and the packed binding. The integer counterpart of Access.Key.
-func SymAccessKey(rel string, binding []sym.ID) string {
-	return string(AppendSymAccessKey(nil, rel, binding))
-}
-
-// AppendSymAccessKey appends the encoding of SymAccessKey to dst, letting
-// hot loops reuse one key buffer across probes.
+// AppendSymAccessKey appends the deduplication key of an interned access —
+// the relation name and the packed binding — to dst, letting hot loops
+// reuse one key buffer across probes.
 func AppendSymAccessKey(dst []byte, rel string, binding []sym.ID) []byte {
 	dst = append(dst, rel...)
 	dst = append(dst, 0)
@@ -188,26 +123,6 @@ func EpochOf(w Wrapper) uint64 {
 type Snapshottable interface {
 	Wrapper
 	Snapshot() Wrapper
-}
-
-// Batcher upgrades any plain Wrapper to a BatchSource. Wrappers that
-// already batch natively are returned unchanged; everything else gets a
-// loop adapter, so callers can program uniformly against BatchSource.
-func Batcher(w Wrapper) BatchSource {
-	if bs, ok := w.(BatchSource); ok {
-		return bs
-	}
-	return &loopBatcher{w}
-}
-
-// loopBatcher is the fallback BatchSource: one inner access per binding,
-// with exactly ProbeBatch's semantics.
-type loopBatcher struct {
-	Wrapper
-}
-
-func (b *loopBatcher) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	return ProbeBatch(b.Wrapper, bindings)
 }
 
 // TableSource is a Wrapper over an in-memory table, with an optional
@@ -273,42 +188,11 @@ func (s *TableSource) view() *storage.Snapshot {
 	return s.table.Snapshot()
 }
 
-// Access probes the table with the binding over the relation's input
-// positions.
-func (s *TableSource) Access(binding []string) ([]storage.Row, error) {
-	inputs := s.rel.InputPositions()
-	if len(binding) != len(inputs) {
-		return nil, fmt.Errorf("source %s: binding of %d values for %d input arguments",
-			s.rel.Name, len(binding), len(inputs))
-	}
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	return s.view().Select(inputs, binding), nil
-}
-
-// AccessBatch probes the table once per binding in a single round trip: the
-// simulated latency is paid once for the whole batch (that is the point of
-// batching a remote source) and one table version serves every binding of
-// the batch.
-func (s *TableSource) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	inputs := s.rel.InputPositions()
-	for _, b := range bindings {
-		if len(b) != len(inputs) {
-			return nil, fmt.Errorf("source %s: binding of %d values for %d input arguments",
-				s.rel.Name, len(b), len(inputs))
-		}
-	}
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	return s.view().SelectBatch(inputs, bindings), nil
-}
-
-// AccessSyms probes the table once per interned binding in a single round
-// trip, entirely on packed integer keys; the extracted rows are shared
-// stored rows and must not be mutated.
-func (s *TableSource) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+// Probe probes the table once per binding in a single round trip, entirely
+// on packed integer keys: the simulated latency is paid once for the whole
+// batch (that is the point of batching a remote source) and one table
+// version serves every binding of the batch.
+func (s *TableSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	inputs := s.rel.InputPositions()
 	for _, b := range bindings {
 		if len(b) != len(inputs) {
@@ -350,18 +234,14 @@ type Counter struct {
 	stats   Stats
 	log     []Access
 	keepLog bool
-	// distinct holds the distinct bindings probed through the interned fast
-	// path (integer-keyed — no string ever materializes for accounting);
-	// distinctStr holds those probed through the legacy string methods. One
-	// execution drives one path, so the split never double-counts in
-	// practice.
-	distinct    sym.BindMap[struct{}]
-	distinctStr map[string]bool
+	// distinct holds the distinct bindings probed, integer-keyed: no string
+	// ever materializes for accounting.
+	distinct sym.BindMap[struct{}]
 }
 
 // NewCounter wraps w; when keepLog is set every access is recorded in order.
 func NewCounter(w Wrapper, keepLog bool) *Counter {
-	return &Counter{inner: w, keepLog: keepLog, distinctStr: make(map[string]bool)}
+	return &Counter{inner: w, keepLog: keepLog}
 }
 
 // Relation returns the wrapped relation schema.
@@ -371,61 +251,11 @@ func (c *Counter) Relation() *schema.Relation { return c.inner.Relation() }
 // the cross-query cache sees through the accounting decorator.
 func (c *Counter) Epoch() uint64 { return EpochOf(c.inner) }
 
-// Access forwards to the wrapped source, recording the probe.
-func (c *Counter) Access(binding []string) ([]storage.Row, error) {
-	rows, err := c.inner.Access(binding)
-	if err != nil {
-		return nil, err
-	}
-	a := Access{Relation: c.inner.Relation().Name, Binding: append([]string(nil), binding...)}
-	c.mu.Lock()
-	c.stats.Accesses++
-	c.stats.Batches++
-	c.stats.Tuples += len(rows)
-	c.distinctStr[a.Key()] = true
-	if c.keepLog {
-		c.log = append(c.log, a)
-	}
-	c.mu.Unlock()
-	return rows, nil
-}
-
-// AccessBatch forwards the batch to the wrapped source, recording one probe
-// per binding and one round trip for the whole batch.
-func (c *Counter) AccessBatch(bindings [][]string) ([][]storage.Row, error) {
-	//toorjahvet:allow ctx-first (contextless BatchSource interface shim over the ctx-aware form)
-	return c.AccessBatchCtx(context.Background(), bindings)
-}
-
-// AccessBatchCtx is AccessBatch threading the request context through to
-// the wrapped source.
-func (c *Counter) AccessBatchCtx(ctx context.Context, bindings [][]string) ([][]storage.Row, error) {
-	rows, err := ProbeBatchCtx(ctx, c.inner, bindings)
-	if err != nil {
-		return nil, err
-	}
-	rel := c.inner.Relation().Name
-	c.mu.Lock()
-	c.stats.Accesses += len(bindings)
-	c.stats.Batches++
-	for i, b := range bindings {
-		c.stats.Tuples += len(rows[i])
-		a := Access{Relation: rel, Binding: append([]string(nil), b...)}
-		c.distinctStr[a.Key()] = true
-		if c.keepLog {
-			c.log = append(c.log, a)
-		}
-	}
-	c.mu.Unlock()
-	return rows, nil
-}
-
-// AccessSyms forwards the interned batch to the wrapped source, recording
-// one probe per binding and one round trip for the batch. Accounting runs
-// on packed keys: the distinct-access set and the stats never materialize a
-// string (the optional log does — it exists for debugging, not hot paths).
-func (c *Counter) AccessSyms(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	rows, err := ProbeSyms(ctx, c.inner, bindings)
+// Probe forwards the batch to the wrapped source, recording one access per
+// binding and one round trip for the batch. Accounting runs on packed keys
+// (the optional log materializes — it exists for debugging, not hot paths).
+func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+	rows, err := c.inner.Probe(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -455,22 +285,20 @@ func (c *Counter) Stats() Stats {
 func (c *Counter) DistinctAccesses() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.distinct.Len() + len(c.distinctStr)
+	return c.distinct.Len()
 }
 
-// AccessSet returns the set of distinct access keys probed so far.
+// AccessSet returns the set of distinct accesses probed so far, as
+// Access.Key() strings.
 func (c *Counter) AccessSet() map[string]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]bool, c.distinct.Len()+len(c.distinctStr))
+	out := make(map[string]bool, c.distinct.Len())
 	rel := c.inner.Relation().Name
 	c.distinct.Range(func(b []sym.ID, _ struct{}) bool {
-		out[string(AppendSymAccessKey(nil, rel, b))] = true
+		out[Access{Relation: rel, Binding: sym.Strs(b)}.Key()] = true
 		return true
 	})
-	for k := range c.distinctStr {
-		out[k] = true
-	}
 	return out
 }
 
@@ -490,7 +318,6 @@ func (c *Counter) Reset() {
 	c.stats = Stats{}
 	c.log = nil
 	c.distinct = sym.BindMap[struct{}]{}
-	c.distinctStr = make(map[string]bool)
 }
 
 // Flaky decorates a wrapper with failure injection: the first FailAfter
@@ -516,18 +343,22 @@ func (f *Flaky) Relation() *schema.Relation { return f.inner.Relation() }
 // Epoch forwards the wrapped source's data epoch (0 when unversioned).
 func (f *Flaky) Epoch() uint64 { return EpochOf(f.inner) }
 
-// Access forwards to the wrapped source until the budget is exhausted.
-func (f *Flaky) Access(binding []string) ([]storage.Row, error) {
+// Probe forwards to the wrapped source until the budget is exhausted: a
+// batch spends one access of budget per binding, and the batch that
+// overruns the budget fails whole and exhausts it.
+func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	f.mu.Lock()
-	ok := f.remaining > 0
+	ok := f.remaining >= len(bindings)
 	if ok {
-		f.remaining--
+		f.remaining -= len(bindings)
+	} else {
+		f.remaining = 0
 	}
 	f.mu.Unlock()
 	if !ok {
 		return nil, f.err
 	}
-	return f.inner.Access(binding)
+	return f.inner.Probe(ctx, bindings)
 }
 
 // Registry is the set of wrapped sources of a schema, by relation name.

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -24,23 +25,33 @@ func revSource(t *testing.T) *TableSource {
 	return s
 }
 
+// access probes w with one boundary-form binding: a batch of one through
+// ProbeStrings.
+func access(w Wrapper, binding ...string) ([]storage.Row, error) {
+	rows, err := ProbeStrings(context.Background(), w, [][]string{binding})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
 func TestTableSourceAccess(t *testing.T) {
 	s := revSource(t)
-	rows, err := s.Access([]string{"2008"})
+	rows, err := access(s, "2008")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Errorf("access 2008: %v", rows)
 	}
-	rows, err = s.Access([]string{"1999"})
+	rows, err = access(s, "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 {
 		t.Errorf("access 1999: %v", rows)
 	}
-	if _, err := s.Access(nil); err == nil {
+	if _, err := access(s); err == nil {
 		t.Error("binding arity mismatch: want error")
 	}
 }
@@ -57,7 +68,7 @@ func TestFreeSourceEmptyBinding(t *testing.T) {
 	tab := storage.NewTable("f", 2)
 	tab.Insert(storage.Row{"a", "b"})
 	s, _ := NewTableSource(rel, tab)
-	rows, err := s.Access([]string{})
+	rows, err := access(s)
 	if err != nil || len(rows) != 1 {
 		t.Errorf("free access: %v, %v", rows, err)
 	}
@@ -65,9 +76,9 @@ func TestFreeSourceEmptyBinding(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	c := NewCounter(revSource(t), true)
-	c.Access([]string{"2008"})
-	c.Access([]string{"2008"}) // repeated probe still counts as an access
-	c.Access([]string{"2007"})
+	access(c, "2008")
+	access(c, "2008") // repeated probe still counts as an access
+	access(c, "2007")
 	st := c.Stats()
 	if st.Accesses != 3 {
 		t.Errorf("Accesses = %d", st.Accesses)
@@ -100,7 +111,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				c.Access([]string{fmt.Sprint(2000 + j%5)})
+				access(c, fmt.Sprint(2000+j%5))
 			}
 		}(i)
 	}
@@ -123,7 +134,7 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Names = %v", got)
 	}
 	counted, counters := reg.Counted(false)
-	counted.Source("rev").Access([]string{"2008"})
+	access(counted.Source("rev"), "2008")
 	if counters["rev"].Stats().Accesses != 1 {
 		t.Error("counted registry not recording")
 	}
@@ -145,12 +156,12 @@ r2^oo(B, C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := reg.Source("r1").Access([]string{"a"})
+	rows, err := access(reg.Source("r1"), "a")
 	if err != nil || len(rows) != 1 {
 		t.Errorf("r1 access: %v, %v", rows, err)
 	}
 	// r2 has no table: empty source, not an error.
-	rows, err = reg.Source("r2").Access(nil)
+	rows, err = access(reg.Source("r2"))
 	if err != nil || len(rows) != 0 {
 		t.Errorf("r2 access: %v, %v", rows, err)
 	}
@@ -160,7 +171,7 @@ func TestLatency(t *testing.T) {
 	s := revSource(t).WithLatency(5 * time.Millisecond)
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		s.Access([]string{"2008"})
+		access(s, "2008")
 	}
 	if el := time.Since(start); el < 20*time.Millisecond {
 		t.Errorf("latency not applied: %v", el)
@@ -199,14 +210,14 @@ func TestTableSourcePinning(t *testing.T) {
 	tab.InsertAll([]storage.Row{{"k", "new"}})
 	tab.DeleteAll([]storage.Row{{"k", "old"}})
 
-	got, err := pinned.Access([]string{"k"})
+	got, err := access(pinned, "k")
 	if err != nil || len(got) != 1 || got[0][1] != "old" {
 		t.Errorf("pinned access = %v, %v; want the old row", got, err)
 	}
 	if e := EpochOf(pinned); e != wantEpoch {
 		t.Errorf("pinned epoch moved: %d, want %d", e, wantEpoch)
 	}
-	got, err = live.Access([]string{"k"})
+	got, err = access(live, "k")
 	if err != nil || len(got) != 1 || got[0][1] != "new" {
 		t.Errorf("live access = %v, %v; want the new row", got, err)
 	}
@@ -219,7 +230,7 @@ func TestTableSourcePinning(t *testing.T) {
 	reg.Bind(live)
 	snapReg := reg.Snapshot()
 	tab.InsertAll([]storage.Row{{"k", "newer"}})
-	if rows, _ := snapReg.Source("r").Access([]string{"k"}); len(rows) != 1 {
+	if rows, _ := access(snapReg.Source("r"), "k"); len(rows) != 1 {
 		t.Errorf("registry snapshot reads the live table: %v", rows)
 	}
 	ctr := NewCounter(live, false)

@@ -224,19 +224,19 @@ func TestLiveMutationConsistency(t *testing.T) {
 					res, err := p.cq.Execute(context.Background())
 					check("fastfail CQ", res, err, false)
 				case 1:
-					res, err := p.cq.ExecuteNaive()
+					res, err := p.cq.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorNaive))
 					check("naive CQ", res, err, false)
 				case 2:
-					res, err := p.cq.Stream(toorjah.PipeOptions{}, nil)
+					res, err := p.cq.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorPipelined))
 					check("pipelined CQ", res, err, false)
 				case 3:
 					res, err := p.ucq.Execute(context.Background())
 					check("parallel UCQ", res, err, true)
 				case 4:
-					res, err := p.ucq.Stream(toorjah.PipeOptions{}, func(toorjah.Tuple) {})
+					res, err := p.ucq.Execute(context.Background(), toorjah.OnAnswer(func(toorjah.Tuple) {}))
 					check("streamed UCQ", res, err, true)
 				case 5:
-					res, err := p.ucq.ExecuteSequential(context.Background(), toorjah.Options{})
+					res, err := p.ucq.Execute(context.Background(), toorjah.WithExecOptions(toorjah.Options{MaxConcurrent: -1}))
 					check("sequential UCQ", res, err, true)
 				}
 			}
@@ -256,9 +256,11 @@ func TestLiveMutationConsistency(t *testing.T) {
 			"fastfail": func() (*toorjah.Result, error) {
 				return p.cq.Execute(context.Background())
 			},
-			"naive": p.cq.ExecuteNaive,
+			"naive": func() (*toorjah.Result, error) {
+				return p.cq.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorNaive))
+			},
 			"pipelined": func() (*toorjah.Result, error) {
-				return p.cq.Stream(toorjah.PipeOptions{}, nil)
+				return p.cq.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorPipelined))
 			},
 			"ucq": func() (*toorjah.Result, error) {
 				return p.ucq.Execute(context.Background())

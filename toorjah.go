@@ -42,7 +42,7 @@
 // Unions of conjunctive queries are first-class too: PrepareUCQ takes one
 // disjunct per line (same head predicate and arity), and the resulting
 // UnionQuery executes its disjuncts concurrently — or streams deduplicated
-// union answers via Stream — with per-relation statistics merged across
+// union answers via OnAnswer — with per-relation statistics merged across
 // disjuncts:
 //
 //	u, _ := sys.PrepareUCQ("q(N) :- artist(A, N, Y)\nq(N) :- song(N, Y, A)")
@@ -754,76 +754,4 @@ func (q *Query) emptyResult() *Result {
 		Answers: datalog.NewRelation(q.pipeline.Query.Name, len(q.pipeline.Query.Head)),
 		Stats:   map[string]source.Stats{},
 	}
-}
-
-// PipeOptions tunes the deprecated Stream entry points. The outer fields
-// shadow the same-named fields of the embedded Options; flatten folds them
-// into one executor-level block.
-//
-// Deprecated: use Execute with OnAnswer (and WithExecOptions for the
-// tuning knobs); pass the context as Execute's first argument instead of
-// the Ctx field.
-type PipeOptions struct {
-	// QueueLen is the per-wrapper access queue capacity; default 32.
-	QueueLen int
-	// Parallelism is the number of concurrent probes per relation;
-	// default 4.
-	Parallelism int
-	// Limit, when positive, stops the extraction at that many answers.
-	Limit int
-	// Ctx, when non-nil, cancels the extraction.
-	Ctx context.Context
-	Options
-}
-
-// flatten folds the shadowing outer fields into the embedded Options.
-//
-//toorjahvet:allow no-deprecated-shims (flatten exists only to serve the deprecated Stream shims)
-func (o PipeOptions) flatten() Options {
-	out := o.Options
-	if o.QueueLen != 0 {
-		out.QueueLen = o.QueueLen
-	}
-	if o.Parallelism != 0 {
-		out.Parallelism = o.Parallelism
-	}
-	if o.Limit != 0 {
-		out.Limit = o.Limit
-	}
-	return out
-}
-
-// ExecuteOpts runs the fast-failing strategy with ablation options.
-//
-// Deprecated: use Execute(ctx, WithExecOptions(opts)).
-func (q *Query) ExecuteOpts(opts Options) (*Result, error) {
-	return q.Execute(context.Background(), WithExecOptions(opts))
-}
-
-// ExecuteNaive runs the reference algorithm of the paper's Fig. 1 (probe
-// everything probeable until fixpoint).
-//
-// Deprecated: use Execute(ctx, WithExecutor(ExecutorNaive)).
-func (q *Query) ExecuteNaive() (*Result, error) {
-	return q.Execute(context.Background(), WithExecutor(ExecutorNaive))
-}
-
-// ExecuteNaiveOpts is ExecuteNaive with options.
-//
-// Deprecated: use Execute(ctx, WithExecutor(ExecutorNaive),
-// WithExecOptions(opts)).
-func (q *Query) ExecuteNaiveOpts(opts Options) (*Result, error) {
-	return q.Execute(context.Background(),
-		WithExecutor(ExecutorNaive), WithExecOptions(opts))
-}
-
-// Stream runs the parallel pipelined engine; onAnswer is invoked for every
-// answer the moment it becomes derivable (for queries without negation) or
-// at completion (with negation).
-//
-// Deprecated: use Execute(ctx, OnAnswer(onAnswer)) — OnAnswer alone
-// selects the pipelined engine.
-func (q *Query) Stream(opts PipeOptions, onAnswer func(Tuple)) (*Result, error) {
-	return q.Execute(opts.Ctx, WithExecutor(ExecutorPipelined),
-		WithExecOptions(opts.flatten()), OnAnswer(onAnswer))
 }

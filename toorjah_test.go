@@ -50,7 +50,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	if got := strings.Join(res.SortedAnswers(), ";"); got != "italy" {
 		t.Errorf("answers = %s", got)
 	}
-	naive, err := q.ExecuteNaive()
+	naive, err := q.Execute(context.Background(), WithExecutor(ExecutorNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Errorf("optimized %d > naive %d accesses", res.TotalAccesses(), naive.TotalAccesses())
 	}
 	var streamed int
-	piped, err := q.Stream(PipeOptions{}, func(Tuple) { streamed++ })
+	piped, err := q.Execute(context.Background(), OnAnswer(func(Tuple) { streamed++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ r2^oo(B, C)
 	if res.Answers.Len() != 0 || res.TotalAccesses() != 0 {
 		t.Errorf("non-answerable: %v", res)
 	}
-	naive, err := q.ExecuteNaive()
+	naive, err := q.Execute(context.Background(), WithExecutor(ExecutorNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if naive.Answers.Len() != 0 {
 		t.Error("naive on non-answerable query must be empty")
 	}
-	if _, err := q.Stream(PipeOptions{}, nil); err != nil {
+	if _, err := q.Execute(context.Background(), WithExecutor(ExecutorPipelined)); err != nil {
 		t.Errorf("Stream on non-answerable: %v", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestExecuteOptsAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.ExecuteOpts(Options{NoMetaCache: true, NoEarlyFailure: true})
+	res, err := q.Execute(context.Background(), WithExecOptions(Options{NoMetaCache: true, NoEarlyFailure: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCachedSystemSecondRunNoProbes(t *testing.T) {
 	if strings.Join(res2.SortedAnswers(), ";") != "italy" {
 		t.Errorf("warm answers = %v", res2.SortedAnswers())
 	}
-	piped, err := q.Stream(PipeOptions{Parallelism: 8}, nil)
+	piped, err := q.Execute(context.Background(), WithExecutor(ExecutorPipelined), WithExecOptions(Options{Parallelism: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestCachedSystemSecondRunNoProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive1, err := nq.ExecuteNaive()
+	naive1, err := nq.Execute(context.Background(), WithExecutor(ExecutorNaive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive2, err := nq.ExecuteNaive()
+	naive2, err := nq.Execute(context.Background(), WithExecutor(ExecutorNaive))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,37 +1,31 @@
 package toorjah
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"toorjah/internal/cq"
-	"toorjah/internal/datalog"
-	"toorjah/internal/source"
 )
 
 // UnionQuery is a prepared union of conjunctive queries (UCQ). Each
 // disjunct gets its own optimized plan; execution unions the answers — the
 // UCQ extension sketched in Section II of the paper (the answer to a union
 // is the union of the answers to its CQs). Disjuncts are independent
-// extractions over the same sources, so the concurrent entry points
-// (Execute, ExecuteOpts, ExecuteNaive, Stream) run them in parallel with
+// extractions over the same sources, so Execute runs them in parallel with
 // bounded concurrency; with a cross-query cache configured (WithCache /
 // WithSharedCache), identical probes issued by overlapping disjuncts
 // collapse into a single source access, so parallelism never costs extra
-// accesses over the sequential loop. Every entry point pins one snapshot
-// of the sources for the whole union, so all disjuncts — and therefore the
-// union answer — evaluate over a single data version even while writers
-// ingest into the relations.
+// accesses over running them one at a time (MaxConcurrent: -1). Execute
+// pins one snapshot of the sources for the whole union, so all disjuncts —
+// and therefore the union answer — evaluate over a single data version even
+// while writers ingest into the relations.
 type UnionQuery struct {
 	sys     *System
 	queries []*Query
 	name    string
 	arity   int
 
-	// MaxConcurrent bounds how many disjuncts execute at once in the
-	// concurrent entry points; 0 means runtime.GOMAXPROCS(0), negative
-	// means one at a time.
+	// MaxConcurrent bounds how many disjuncts execute at once; 0 means
+	// runtime.GOMAXPROCS(0), negative means one at a time.
 	MaxConcurrent int
 }
 
@@ -72,80 +66,4 @@ func (u *UnionQuery) Answerable() bool {
 		}
 	}
 	return false
-}
-
-// ExecuteOpts runs every disjunct's fast-failing strategy concurrently
-// with ablation options.
-//
-// Deprecated: use Execute(ctx, WithExecOptions(opts)).
-func (u *UnionQuery) ExecuteOpts(opts Options) (*Result, error) {
-	return u.Execute(context.Background(), WithExecOptions(opts))
-}
-
-// ExecuteNaive runs the reference algorithm of the paper's Fig. 1 on every
-// disjunct, concurrently, and unions the answers.
-//
-// Deprecated: use Execute(ctx, WithExecutor(ExecutorNaive)).
-func (u *UnionQuery) ExecuteNaive() (*Result, error) {
-	return u.Execute(context.Background(), WithExecutor(ExecutorNaive))
-}
-
-// ExecuteNaiveOpts is ExecuteNaive with options.
-//
-// Deprecated: use Execute(ctx, WithExecutor(ExecutorNaive),
-// WithExecOptions(opts)).
-func (u *UnionQuery) ExecuteNaiveOpts(opts Options) (*Result, error) {
-	return u.Execute(context.Background(),
-		WithExecutor(ExecutorNaive), WithExecOptions(opts))
-}
-
-// Stream runs every disjunct's pipelined engine concurrently; onAnswer is
-// invoked exactly once per distinct union answer.
-//
-// Deprecated: use Execute(ctx, OnAnswer(onAnswer)) — OnAnswer alone
-// selects the pipelined engine.
-func (u *UnionQuery) Stream(opts PipeOptions, onAnswer func(Tuple)) (*Result, error) {
-	return u.Execute(opts.Ctx, WithExecutor(ExecutorPipelined),
-		WithExecOptions(opts.flatten()), OnAnswer(onAnswer))
-}
-
-// ExecuteSequential runs the disjuncts one at a time with the fast-failing
-// strategy — the historical UCQ loop, kept for measurement against the
-// concurrent Execute (the benchmarks compare them under source latency).
-// The merge is the same as Execute's: stats via source.Stats.Add, flags
-// OR-ed, wall-clock Elapsed/TimeToFirst; a cancelled ctx stops between
-// (and inside) disjuncts with a truncated sound subset.
-func (u *UnionQuery) ExecuteSequential(ctx context.Context, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	pinned := u.sys.reg.Snapshot() // one data version across the loop too
-	union := datalog.NewRelation(u.name, u.arity)
-	stats := make(map[string]source.Stats)
-	out := &Result{Answers: union, Stats: stats}
-	for _, q := range u.queries {
-		if ctx.Err() != nil {
-			out.Truncated = true
-			break
-		}
-		r, err := q.executeWith(ctx, pinned, execConfig{opts: opts})
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range r.Answers.Tuples() {
-			if union.Insert(t) && out.TimeToFirst == 0 {
-				out.TimeToFirst = time.Since(start)
-			}
-		}
-		for rel, st := range r.Stats {
-			cur := stats[rel]
-			cur.Add(st)
-			stats[rel] = cur
-		}
-		out.Truncated = out.Truncated || r.Truncated
-		out.EarlyEmpty = out.EarlyEmpty || r.EarlyEmpty
-	}
-	out.Elapsed = time.Since(start)
-	return out, nil
 }

@@ -72,7 +72,7 @@ func TestUCQBatchesPropagated(t *testing.T) {
 		if mode == "parallel" {
 			res, err = u.Execute(context.Background()) // default MaxBatch = 16
 		} else {
-			res, err = u.ExecuteSequential(context.Background(), Options{})
+			res, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -95,18 +95,16 @@ func TestUCQBatchesPropagated(t *testing.T) {
 // property: parallel UCQ execution over a shared cross-query cache performs
 // no more total source accesses than the sequential loop on the same
 // instance, and the cache's singleflight guarantees no distinct binding is
-// ever probed twice even with every disjunct in flight at once.
+// ever probed twice even with every disjunct in flight at once — at the
+// default batch bound, where overlapping disjuncts miss on overlapping
+// batches.
 func TestUCQParallelCachedNoMoreAccesses(t *testing.T) {
-	// MaxBatch -1: the unbatched path is the one with singleflight
-	// collapsing (a batch is itself the amortisation of its round trip).
-	opts := Options{MaxBatch: -1}
-
 	seqSys, seqCounters := ucqPubSystem(t, 7, WithCache(CacheOptions{}))
 	seqU, err := seqSys.PrepareUCQ(ucqPubText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := seqU.ExecuteSequential(context.Background(), opts)
+	seqRes, err := seqU.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +119,7 @@ func TestUCQParallelCachedNoMoreAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	parU.MaxConcurrent = len(parU.Disjuncts())
-	parRes, err := parU.ExecuteOpts(opts)
+	parRes, err := parU.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +239,13 @@ func TestUCQPropertyUnionOfDisjuncts(t *testing.T) {
 
 			res, err := u.Execute(context.Background())
 			check(label+"/parallel", res, err)
-			res, err = u.ExecuteSequential(context.Background(), Options{})
+			res, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
 			check(label+"/sequential", res, err)
-			res, err = u.ExecuteNaive()
+			res, err = u.Execute(context.Background(), WithExecutor(ExecutorNaive))
 			check(label+"/naive", res, err)
 
 			var streamed int
-			res, err = u.Stream(PipeOptions{}, func(Tuple) { streamed++ })
+			res, err = u.Execute(context.Background(), OnAnswer(func(Tuple) { streamed++ }))
 			check(label+"/stream", res, err)
 			if err == nil && streamed != res.Answers.Len() {
 				t.Errorf("seed %d %s/stream: %d streamed, %d in result (dedup broken)",
@@ -310,7 +308,7 @@ func TestUCQCancellation(t *testing.T) {
 		if mode == "execute" {
 			r, err = u.Execute(ctx, WithExecOptions(Options{MaxBatch: -1}))
 		} else {
-			r, err = u.Stream(PipeOptions{Ctx: ctx, Options: Options{MaxBatch: -1}}, nil)
+			r, err = u.Execute(ctx, WithExecutor(ExecutorPipelined), WithExecMaxBatch(-1))
 		}
 		cancel()
 		if err != nil {
@@ -351,7 +349,7 @@ q(X) :- pub2(P, X), conf(P, icde, Y)
 		t.Fatal(err)
 	}
 	var streamed []string
-	res, err := u.Stream(PipeOptions{}, func(t Tuple) { streamed = append(streamed, t.Strings()[0]) })
+	res, err := u.Execute(context.Background(), OnAnswer(func(t Tuple) { streamed = append(streamed, t.Strings()[0]) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +364,7 @@ q(X) :- pub2(P, X), conf(P, icde, Y)
 		t.Errorf("TimeToFirst = %v, Elapsed = %v", res.TimeToFirst, res.Elapsed)
 	}
 
-	limited, err := u.Stream(PipeOptions{Limit: 1}, nil)
+	limited, err := u.Execute(context.Background(), WithExecutor(ExecutorPipelined), WithLimit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
