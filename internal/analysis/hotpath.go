@@ -36,7 +36,6 @@ var hotpathBanned = map[string]string{
 	"{mod}/internal/storage.MaterializeRows": "materializes row strings",
 	"({mod}/internal/storage.IRow).Strings":  "materializes row strings",
 	"({mod}/internal/storage.Row).Key":       "builds a string row key",
-	"({mod}/internal/datalog.Tuple).Strings": "materializes tuple strings",
 	"fmt.Sprintf":                            "builds a string through fmt",
 	"fmt.Sprint":                             "builds a string through fmt",
 	"fmt.Sprintln":                           "builds a string through fmt",

@@ -20,8 +20,7 @@ var SnapshotDiscipline = &Analyzer{
 // unpinnedTableReaders is the banned read surface of *storage.Table. The
 // mutation surface (Insert/Delete/...) and Snapshot/Epoch remain fine.
 var unpinnedTableReaders = map[string]bool{
-	"Len": true, "Contains": true, "Rows": true,
-	"Select": true, "SelectBatch": true, "Project": true,
+	"Len": true, "Contains": true, "Rows": true, "Project": true,
 }
 
 func runSnapshotDiscipline(pass *Pass) {

@@ -15,11 +15,6 @@ func BadRows(t *storage.Table) []storage.Row {
 	return t.Rows() // want `unpinned Table\.Rows`
 }
 
-// BadSelect does too.
-func BadSelect(t *storage.Table, vals []string) []storage.Row {
-	return t.Select([]int{0}, vals) // want `unpinned Table\.Select`
-}
-
 // GoodPinned pins one version and reads everything from it.
 func GoodPinned(t *storage.Table) (int, []storage.Row) {
 	snap := t.Snapshot()

@@ -52,7 +52,7 @@ func testSource(t *testing.T, relText string, rows ...storage.Row) (*source.Coun
 	if err != nil {
 		t.Fatal(err)
 	}
-	return source.NewCounter(src, false), rel
+	return source.NewCounter(src, true), rel
 }
 
 func TestHitMissAndStats(t *testing.T) {

@@ -51,7 +51,7 @@ func TestPipelinedConcurrentCachedCorrectness(t *testing.T) {
 	reg := source.NewRegistry()
 	counters := make(map[string]*source.Counter)
 	for _, name := range baseReg.Names() {
-		ctr := source.NewCounter(baseReg.Source(name), false)
+		ctr := source.NewCounter(baseReg.Source(name), true)
 		counters[name] = ctr
 		reg.Bind(ctr)
 	}

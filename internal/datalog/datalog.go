@@ -5,10 +5,11 @@
 // and domain predicates, and the paper's reference semantics for a plan is
 // the usual least fixpoint of that program (Section IV).
 //
-// The engine is self-contained: programs are sets of rules over string
-// tuples, extensional relations are supplied through a DB, and evaluation
-// returns the intensional relations. Atoms reuse the term and atom types of
-// package cq.
+// The engine is self-contained: programs are sets of rules over tuples of
+// interned values (the stored row type of package storage, so rows extracted
+// from a source enter a relation as they are), extensional relations are
+// supplied through a DB, and evaluation returns the intensional relations.
+// Atoms reuse the term and atom types of package cq.
 package datalog
 
 import (

@@ -7,25 +7,21 @@ import (
 	"strings"
 
 	"toorjah/internal/cq"
+	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
 
 // Tuple is one row of a relation, in the engine's stored form: interned
-// symbol IDs. Constants intern on entry (query parse, rule heads); values
-// materialize back into strings only at the result boundary via Strings.
-type Tuple []sym.ID
+// symbol IDs. It is the stored row type of package storage, so an
+// extraction travels from a table through its source into a cache relation
+// without a copy or a conversion. Constants intern on entry (query parse,
+// rule heads); values materialize back into strings only at the result
+// boundary via Strings.
+type Tuple = storage.IRow
 
 // T builds a tuple from string values, interning them — the boundary
 // constructor used by tests and by callers holding boundary data.
-func T(vals ...string) Tuple { return Tuple(sym.InternAll(vals)) }
-
-// Strings materializes the tuple back into its boundary form.
-//
-//toorjahvet:boundary (the one sanctioned ID→string exit of a tuple)
-func (t Tuple) Strings() []string { return sym.Strs(t) }
-
-// Key packs the tuple into a collision-free string for set membership.
-func (t Tuple) Key() string { return sym.Key(t) }
+func T(vals ...string) Tuple { return sym.InternAll(vals) }
 
 // Relation is a set of equal-length tuples with lazily built hash indexes on
 // position subsets. All keys — membership and index — are packed symbol
@@ -43,6 +39,17 @@ type Relation struct {
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
 	return &Relation{Name: name, Arity: arity, seen: make(map[string]bool)}
+}
+
+// Reset empties the relation for reuse (under a new Name and Arity, if the
+// caller sets them). The tuple slice and the membership map keep their
+// capacity but none of their entries — no tuple stays reachable through the
+// relation — and the indexes are discarded.
+func (r *Relation) Reset() {
+	clear(r.tuples)
+	r.tuples = r.tuples[:0]
+	clear(r.seen)
+	clear(r.indexes)
 }
 
 // Insert adds a tuple and reports whether it was new.

@@ -14,10 +14,43 @@ import (
 // per-binding tried set: a binding reaching the emit callback is new by
 // construction, and its access key is packed and hashed once, not once per
 // fixpoint pass.
+//
+// States come from the execution's scratch and go back with it, so the
+// pools below keep their capacity from one execution to the next.
 type enumState struct {
-	fired bool              // the empty binding () was emitted (no-input patterns)
-	seen  []map[sym.ID]bool // per input position: values already enumerated
-	old   [][]sym.ID        // per input position: those values, in first-seen order
+	fired   bool      // the empty binding () was emitted (no-input patterns)
+	pos     []enumPos // per input position
+	binding []sym.ID  // the combination being assembled
+}
+
+// enumPos is the enumerator's view of one input position's domain.
+type enumPos struct {
+	seen  map[sym.ID]bool // values already enumerated
+	old   []sym.ID        // those values, in first-seen order
+	fresh []sym.ID        // values first derived in the current pass
+}
+
+// resize readies a new or recycled state for a node with n input positions.
+func (es *enumState) resize(n int) {
+	if n > cap(es.pos) {
+		es.pos = append(es.pos[:cap(es.pos)], make([]enumPos, n-cap(es.pos))...)
+	}
+	es.pos = es.pos[:n]
+	for i := range es.pos {
+		if es.pos[i].seen == nil {
+			es.pos[i].seen = make(map[sym.ID]bool)
+		}
+	}
+	es.binding = append(es.binding[:0], make([]sym.ID, n)...)
+}
+
+// reset forgets everything enumerated, keeping capacity.
+func (es *enumState) reset() {
+	es.fired = false
+	for i := range es.pos {
+		clear(es.pos[i].seen)
+		es.pos[i].old = es.pos[i].old[:0]
+	}
 }
 
 // newBindings enumerates the candidate access bindings of cache c that no
@@ -30,11 +63,7 @@ type enumState struct {
 func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) error) (bool, error) {
 	es := st.enums[c]
 	if es == nil {
-		n := len(c.DomainPreds)
-		es = &enumState{seen: make([]map[sym.ID]bool, n), old: make([][]sym.ID, n)}
-		for i := range es.seen {
-			es.seen[i] = make(map[sym.ID]bool)
-		}
+		es = st.sc.enum(len(c.DomainPreds))
 		st.enums[c] = es
 	}
 	if len(c.DomainPreds) == 0 {
@@ -45,22 +74,24 @@ func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) err
 		es.fired = true
 		return true, emit(nil)
 	}
-	fresh := make([][]sym.ID, len(c.DomainPreds))
+	pos, binding := es.pos, es.binding
 	any := false
 	for i, dp := range c.DomainPreds {
+		p := &pos[i]
+		p.fresh = p.fresh[:0]
 		vals, err := st.domainValues(dp)
 		if err != nil {
 			return false, err
 		}
 		for v := range vals {
-			if !es.seen[i][v] {
-				fresh[i] = append(fresh[i], v)
+			if !p.seen[v] {
+				p.fresh = append(p.fresh, v)
 			}
 		}
-		if len(es.old[i])+len(fresh[i]) == 0 {
+		if len(p.old)+len(p.fresh) == 0 {
 			return false, nil
 		}
-		any = any || len(fresh[i]) > 0
+		any = any || len(p.fresh) > 0
 	}
 	if !any {
 		return false, nil
@@ -69,7 +100,6 @@ func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) err
 	// before d draw from their full pools, position d from its fresh values
 	// only, positions after d from their old pools — every combination with
 	// at least one fresh coordinate appears under exactly one d.
-	binding := make([]sym.ID, len(fresh))
 	emitted := false
 	var walk func(i, d int) error
 	walk = func(i, d int) error {
@@ -87,29 +117,30 @@ func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) err
 			return nil
 		}
 		if i == d {
-			return use(fresh[i])
+			return use(pos[i].fresh)
 		}
-		if err := use(es.old[i]); err != nil {
+		if err := use(pos[i].old); err != nil {
 			return err
 		}
 		if i < d {
-			return use(fresh[i])
+			return use(pos[i].fresh)
 		}
 		return nil
 	}
-	for d := range fresh {
-		if len(fresh[d]) == 0 {
+	for d := range pos {
+		if len(pos[d].fresh) == 0 {
 			continue
 		}
 		if err := walk(0, d); err != nil {
 			return emitted, err
 		}
 	}
-	for i := range fresh {
-		for _, v := range fresh[i] {
-			es.seen[i][v] = true
+	for i := range pos {
+		p := &pos[i]
+		for _, v := range p.fresh {
+			p.seen[v] = true
 		}
-		es.old[i] = append(es.old[i], fresh[i]...)
+		p.old = append(p.old, p.fresh...)
 	}
 	return emitted, nil
 }

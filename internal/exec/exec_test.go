@@ -28,6 +28,24 @@ type fixture struct {
 func setup(t *testing.T, schemaText, queryText string, data map[string][]storage.Row) *fixture {
 	t.Helper()
 	sch := schema.MustParse(schemaText)
+	db := storage.NewDatabase()
+	for name, rows := range data {
+		rel := sch.Relation(name)
+		if rel == nil {
+			t.Fatalf("data for unknown relation %s", name)
+		}
+		tab, err := db.Create(name, rel.Arity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.InsertAll(rows)
+	}
+	return setupDB(t, sch, db, queryText)
+}
+
+// setupDB plans queryText over sch and binds db's tables as its sources.
+func setupDB(t testing.TB, sch *schema.Schema, db *storage.Database, queryText string) *fixture {
+	t.Helper()
 	q := cq.MustParse(queryText)
 	ty, err := cq.Validate(q, sch)
 	if err != nil {
@@ -44,18 +62,6 @@ func setup(t *testing.T, schemaText, queryText string, data map[string][]storage
 	p, err := plan.Generate(g.Optimize())
 	if err != nil {
 		t.Fatal(err)
-	}
-	db := storage.NewDatabase()
-	for name, rows := range data {
-		rel := sch.Relation(name)
-		if rel == nil {
-			t.Fatalf("data for unknown relation %s", name)
-		}
-		tab, err := db.Create(name, rel.Arity())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab.InsertAll(rows)
 	}
 	reg, err := source.FromDatabase(sch, db, 0)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"toorjah/internal/obs"
 	"toorjah/internal/plan"
 	"toorjah/internal/source"
-	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
 
@@ -140,7 +139,7 @@ var errCancelled = errors.New("exec: extraction cancelled")
 // its context is done failed because of the cancellation — a round trip cut
 // off mid-flight, an abandoned wait on another query's in-flight access —
 // and reports errCancelled, so the run truncates instead of erroring.
-func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]datalog.Tuple, error) {
 	rows, err := w.Probe(ctx, bindings)
 	if err != nil && ctxDone(ctx) {
 		return nil, errCancelled
@@ -183,46 +182,6 @@ func rewrap(reg *source.Registry, wrap func(source.Wrapper) source.Wrapper) *sou
 	return out
 }
 
-// metaCache shares access results across the occurrences of a relation:
-// before probing a relation, the executor consults the relation's
-// meta-cache and reuses the stored extraction without touching the source.
-// One integer-keyed binding map per relation — an executor resolves its
-// relation's map once per pass and every hit/store is a single-word map
-// operation, no access-key string ever materializing.
-type metaCache struct {
-	disabled bool
-	rels     map[string]*sym.BindMap[[]datalog.Tuple]
-}
-
-func newMetaCache(disabled bool) *metaCache {
-	return &metaCache{disabled: disabled, rels: make(map[string]*sym.BindMap[[]datalog.Tuple])}
-}
-
-// forRel returns the relation's binding map (creating it on first use), or
-// nil when the meta-cache is disabled — callers treat nil as "never hits,
-// never stores".
-func (m *metaCache) forRel(name string) *sym.BindMap[[]datalog.Tuple] {
-	if m.disabled {
-		return nil
-	}
-	rm := m.rels[name]
-	if rm == nil {
-		rm = new(sym.BindMap[[]datalog.Tuple])
-		m.rels[name] = rm
-	}
-	return rm
-}
-
-// tuplesOf reinterprets stored rows as Datalog tuples; both are []sym.ID,
-// so the conversion copies slice headers, never values.
-func tuplesOf(rows []storage.IRow) []datalog.Tuple {
-	out := make([]datalog.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = datalog.Tuple(r)
-	}
-	return out
-}
-
 // FastFailing executes a ⊂-minimal plan with the fast-failing strategy of
 // Section IV: for each position group, in order, it first checks that the
 // subquery over the already-populated caches is satisfiable (otherwise the
@@ -241,7 +200,9 @@ func FastFailingOpts(ctx context.Context, p *plan.Plan, reg *source.Registry, op
 	}
 	start := time.Now()
 	counted, counters := instrument(reg, opts)
-	st := newGroupState(p, counted, opts)
+	sc := getScratch()
+	defer sc.release()
+	st := newGroupState(p, counted, opts, sc)
 
 	for gi := range p.Groups {
 		gctx, gsp := obs.StartSpan(ctx, "group")
@@ -298,28 +259,34 @@ type groupState struct {
 	p    *plan.Plan
 	reg  *source.Registry
 	opts Options
+	sc   *scratch // the run's recycled working memory; owned by the executor
 
-	cdb   datalog.DB // cache predicate relations
-	meta  *metaCache
+	cdb   datalog.DB                 // cache predicate relations
 	enums map[*plan.Cache]*enumState // per node: semi-naive binding enumeration
+	// occurrences counts the plan's cache nodes per relation.
+	occurrences map[string]int
 
 	// domainRules[pred] lists the rules defining a domain predicate.
 	domainRules map[string][]*datalog.Rule
 }
 
-func newGroupState(p *plan.Plan, reg *source.Registry, opts Options) *groupState {
+func newGroupState(p *plan.Plan, reg *source.Registry, opts Options, sc *scratch) *groupState {
 	st := &groupState{
 		p:           p,
 		reg:         reg,
 		opts:        opts,
+		sc:          sc,
 		cdb:         datalog.DB{},
-		meta:        newMetaCache(opts.NoMetaCache),
 		enums:       make(map[*plan.Cache]*enumState),
+		occurrences: make(map[string]int),
 		domainRules: make(map[string][]*datalog.Rule),
 	}
 	domainPreds := make(map[string]bool)
 	for _, c := range p.Caches {
-		st.cdb.Get(c.Pred, c.Source.Rel.Arity())
+		if st.cdb[c.Pred] == nil {
+			st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
+		}
+		st.occurrences[c.Source.Rel.Name]++
 		if c.IsConst {
 			// Query constants intern here — the last string boundary on the
 			// way into an execution.
@@ -335,6 +302,22 @@ func newGroupState(p *plan.Plan, reg *source.Registry, opts Options) *groupState
 		}
 	}
 	return st
+}
+
+// metaFor returns the relation's meta-cache: the map through which the
+// occurrences of a relation share access results, so that no binding is
+// probed twice however many cache nodes ask for it. One integer-keyed map
+// per relation — an executor resolves it once per pass and every hit or
+// store is a single-word map operation, no access-key string ever
+// materializing. It returns nil — which callers treat as "never hits, never
+// stores" — when the meta-cache is disabled, and for a relation with a
+// single occurrence: its node's enumerator already visits every binding
+// once, so nobody would ever read what was stored.
+func (st *groupState) metaFor(rel string) *sym.BindMap[[]datalog.Tuple] {
+	if st.opts.NoMetaCache || st.occurrences[rel] < 2 {
+		return nil
+	}
+	return bindMapFor(st.sc.meta, rel)
 }
 
 // domainValues evaluates the rules of one domain predicate over the current
@@ -376,28 +359,25 @@ func (st *groupState) populateGroup(ctx context.Context, gi int, onTuples func(p
 }
 
 // populateCacheOnce performs one pass over the candidate bindings of one
-// cache; it reports whether any new probe was made or tuple extracted.
-// The untried bindings of the pass are collected first and probed in
-// batches of at most Options.MaxBatch (meta-cache hits are folded in
-// without a probe), so a pass that generates N fresh bindings costs
-// ceil(N/MaxBatch) source round trips instead of N.
+// cache; it reports whether any new probe was made or tuple extracted. The
+// pass first enumerates its untried bindings into the scratch arena
+// (meta-cache hits are folded in on the spot, without a probe) and then
+// probes the arena in batches of at most Options.MaxBatch, so a pass that
+// generates N fresh bindings costs ceil(N/MaxBatch) source round trips
+// instead of N.
 func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache, onTuples func(string, []datalog.Tuple) error) (bool, error) {
 	rel := c.Source.Rel
 	w := st.reg.Source(rel.Name)
 	if w == nil {
 		return false, fmt.Errorf("exec: no source bound for relation %s", rel.Name)
 	}
+	crel := st.cdb[c.Pred]
 
-	// ingest folds one extraction into the cache, storing it in the
-	// meta-cache so other occurrences of the relation reuse it.
-	rm := st.meta.forRel(rel.Name)
-	ingest := func(binding []sym.ID, rows []datalog.Tuple, fromMeta bool) error {
-		if !fromMeta && rm != nil {
-			rm.Put(binding, rows)
-		}
+	// ingest folds one extraction into the cache.
+	ingest := func(rows []datalog.Tuple) error {
 		var fresh []datalog.Tuple
 		for _, row := range rows {
-			if st.cdb.Insert(c.Pred, row) {
+			if crel.Insert(row) {
 				fresh = append(fresh, row)
 			}
 		}
@@ -408,41 +388,39 @@ func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache, onTu
 	}
 
 	// Enumerate the pass's new bindings in the canonical order (the
-	// semi-naive enumerator guarantees each reaches here exactly once);
-	// meta-cache hits are ingested on the spot, the rest queue for probing.
-	var toProbe [][]sym.ID
+	// semi-naive enumerator guarantees each reaches here exactly once).
+	rm := st.metaFor(rel.Name)
+	sc := st.sc
+	sc.arena = sc.arena[:0]
+	toProbe := 0
 	changed, err := st.newBindings(c, func(binding []sym.ID) error {
 		if rm != nil {
 			if rows, hit := rm.Get(binding); hit {
-				return ingest(nil, rows, true)
+				return ingest(rows)
 			}
 		}
-		toProbe = append(toProbe, append([]sym.ID(nil), binding...))
+		sc.arena = append(sc.arena, binding...)
+		toProbe++
 		return nil
 	})
 	if err != nil {
 		return false, err
 	}
 
-	maxBatch := st.opts.maxBatch()
-	for len(toProbe) > 0 {
-		if ctxDone(ctx) {
-			return changed, errCancelled
-		}
-		n := min(maxBatch, len(toProbe))
-		chunk := toProbe[:n]
-		toProbe = toProbe[n:]
-		raws, err := probe(ctx, w, chunk)
-		if err != nil {
-			return false, err
-		}
-		for i := range chunk {
-			if err := ingest(chunk[i], tuplesOf(raws[i]), false); err != nil {
-				return false, err
-			}
-		}
+	// The pass's binding count is known before its first probe: size the
+	// meta-cache for it once, so storing the extractions (for the other
+	// occurrences of the relation to reuse) never grows the map.
+	width := len(c.DomainPreds)
+	if rm != nil {
+		rm.Reserve(width, toProbe)
 	}
-	return changed, nil
+	err = sc.probeArena(ctx, w, width, toProbe, st.opts.maxBatch(), func(binding []sym.ID, rows []datalog.Tuple) error {
+		if rm != nil {
+			rm.Put(binding, rows)
+		}
+		return ingest(rows)
+	})
+	return changed, err
 }
 
 // truncatedResult builds the result of a cancelled sequential run: the

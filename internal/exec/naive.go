@@ -61,11 +61,12 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 	for _, rel := range sch.Relations() {
 		cache.Get(rel.Name, rel.Arity())
 	}
-	// tried: per-relation sets of already-probed input bindings, keyed on
-	// packed symbol IDs and recycled across runs (and, in a sequential
+	// The scratch holds the per-relation sets of already-probed input
+	// bindings, keyed on packed symbol IDs, and the arena each pass lays its
+	// bindings out in — both recycled across runs (and, in a sequential
 	// union, across disjuncts).
-	tried := getBindSets()
-	defer putBindSets(tried)
+	sc := getScratch()
+	defer sc.release()
 
 	for changed := true; changed; {
 		changed = false
@@ -74,11 +75,8 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 			if w == nil {
 				return nil, fmt.Errorf("naive: no source bound for relation %s", rel.Name)
 			}
-			relTried := tried[rel.Name]
-			if relTried == nil {
-				relTried = &sym.BindMap[struct{}]{}
-				tried[rel.Name] = relTried
-			}
+			relTried := bindMapFor(sc.tried, rel.Name)
+			crel := cache[rel.Name]
 			inputs := rel.InputPositions()
 			domains := rel.InputDomains()
 			// Enumerate every combination of known values for the input
@@ -101,7 +99,8 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 			// order, then probe them in batches of at most MaxBatch: the
 			// access set is identical to probing one at a time (pools are
 			// fixed for the pass; new values only feed the next round).
-			var toProbe [][]sym.ID
+			sc.arena = sc.arena[:0]
+			toProbe := 0
 			binding := make([]sym.ID, len(inputs))
 			var walk func(i int)
 			walk = func(i int) {
@@ -111,7 +110,8 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 					}
 					relTried.Put(binding, struct{}{})
 					changed = true
-					toProbe = append(toProbe, append([]sym.ID(nil), binding...))
+					sc.arena = append(sc.arena, binding...)
+					toProbe++
 					return
 				}
 				for _, v := range pools[i] {
@@ -120,30 +120,21 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 				}
 			}
 			walk(0)
-			maxBatch := opts.maxBatch()
-			for len(toProbe) > 0 {
-				if ctxDone(ctx) {
-					return truncatedResult(q, cache, counters, start)
-				}
-				n := min(maxBatch, len(toProbe))
-				chunk := toProbe[:n]
-				toProbe = toProbe[n:]
-				raws, err := probe(ctx, w, chunk)
-				if errors.Is(err, errCancelled) {
-					return truncatedResult(q, cache, counters, start)
-				}
-				if err != nil {
-					return nil, err
-				}
-				for _, rows := range raws {
-					for _, row := range rows {
-						if cache.Insert(rel.Name, datalog.Tuple(row)) {
-							for pos, v := range row {
-								addValue(rel.Domains[pos], v)
-							}
+			err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(_ []sym.ID, rows []datalog.Tuple) error {
+				for _, row := range rows {
+					if crel.Insert(row) {
+						for pos, v := range row {
+							addValue(rel.Domains[pos], v)
 						}
 					}
 				}
+				return nil
+			})
+			if errors.Is(err, errCancelled) {
+				return truncatedResult(q, cache, counters, start)
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -46,7 +46,11 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	}
 	start := time.Now()
 	counted, counters := instrument(reg, opts)
-	st := newGroupState(p, counted, opts)
+	// Released last of all the deferred calls below: by then every worker
+	// has exited, so nothing reads a binding out of the arena any more.
+	sc := getScratch()
+	defer sc.release()
+	st := newGroupState(p, counted, opts, sc)
 
 	// One "pipeline" span covers the whole distillation; the workers' probe
 	// batches hang off it (the span is nil — free — when the context
@@ -115,7 +119,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 						continue
 					}
 					for k, jb := range batch {
-						results <- probeResult{cache: jb.cache, binding: jb.binding, rows: tuplesOf(raws[k])}
+						results <- probeResult{cache: jb.cache, binding: jb.binding, rows: raws[k]}
 					}
 				}
 			}(w, q)
@@ -192,11 +196,13 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	// support. Meta-cache hits are folded in synchronously; probes already
 	// in flight for the same relation binding register the extra cache as a
 	// waiter instead of re-probing ("every access tuple is never sent twice
-	// to the same wrapper"); everything else is queued.
+	// to the same wrapper"); everything else is queued. Like the meta-cache,
+	// the in-flight table exists only where occurrences of a relation can
+	// share an access.
 	var pending []job
 	inflight := make(map[string]*sym.BindMap[[]*plan.Cache])
 	inflightFor := func(rel string) *sym.BindMap[[]*plan.Cache] {
-		if opts.NoMetaCache {
+		if st.metaFor(rel) == nil {
 			return nil
 		}
 		fl := inflight[rel]
@@ -212,7 +218,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 				continue
 			}
 			rel := c.Source.Rel
-			rm := st.meta.forRel(rel.Name)
+			rm := st.metaFor(rel.Name)
 			fl := inflightFor(rel.Name)
 			// The semi-naive enumerator hands over each candidate binding of
 			// this node exactly once across all generate calls.
@@ -222,15 +228,16 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 						return ingest(st, c, rows, onFresh)
 					}
 				}
-				cp := append([]sym.ID(nil), binding...)
 				if fl != nil {
-					if waiters, flying := fl.Get(cp); flying {
-						fl.Put(cp, append(waiters, c))
+					if waiters, flying := fl.Get(binding); flying {
+						fl.Put(binding, append(waiters, c))
 						return nil
 					}
-					fl.Put(cp, nil)
+					fl.Put(binding, nil)
 				}
-				pending = append(pending, job{cache: c, binding: cp})
+				// The job outlives this callback (the enumerator reuses
+				// binding), so it gets its own copy, cut from the arena.
+				pending = append(pending, job{cache: c, binding: sc.keep(binding)})
 				return nil
 			})
 			if err != nil {
@@ -274,7 +281,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 			return nil, res.err
 		}
 		relName := res.cache.Source.Rel.Name
-		if rm := st.meta.forRel(relName); rm != nil {
+		if rm := st.metaFor(relName); rm != nil {
 			rm.Put(res.binding, res.rows)
 		}
 		if err := ingest(st, res.cache, res.rows, onFresh); err != nil {

@@ -103,6 +103,10 @@ type Relation struct {
 	Name    string
 	Pattern AccessPattern
 	Domains []Domain
+
+	// inputs caches Pattern.Inputs(): every probe of the relation asks for
+	// its input positions, and the pattern is fixed at construction.
+	inputs []int
 }
 
 // NewRelation builds and validates a relation schema. The pattern string has
@@ -112,7 +116,7 @@ func NewRelation(name, pattern string, domains ...Domain) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	r := &Relation{Name: name, Pattern: p, Domains: domains}
+	r := &Relation{Name: name, Pattern: p, Domains: domains, inputs: p.Inputs()}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -135,8 +139,9 @@ func (r *Relation) Arity() int { return len(r.Domains) }
 // Free reports whether the relation has no input arguments.
 func (r *Relation) Free() bool { return r.Pattern.Free() }
 
-// InputPositions returns the zero-based input argument positions.
-func (r *Relation) InputPositions() []int { return r.Pattern.Inputs() }
+// InputPositions returns the zero-based input argument positions. The slice
+// is shared between calls and must not be modified.
+func (r *Relation) InputPositions() []int { return r.inputs }
 
 // OutputPositions returns the zero-based output argument positions.
 func (r *Relation) OutputPositions() []int { return r.Pattern.Outputs() }
@@ -284,6 +289,7 @@ func (s *Schema) Clone() *Schema {
 			Name:    r.Name,
 			Pattern: append(AccessPattern(nil), r.Pattern...),
 			Domains: append([]Domain(nil), r.Domains...),
+			inputs:  r.inputs,
 		}
 		c.rels[name] = nr
 		c.order = append(c.order, name)

@@ -54,7 +54,7 @@ func newTestSystem(t *testing.T, opts ...toorjah.SystemOption) (*toorjah.System,
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr := source.NewCounter(src, false)
+		ctr := source.NewCounter(src, true)
 		counters[rel.Name] = ctr
 		sys.Bind(ctr)
 	}

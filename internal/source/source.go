@@ -55,7 +55,9 @@ func (a Access) String() string {
 // observability baggage of the query being served (trace ID, current span)
 // through decorator stacks down to the source that pays the round trip; a
 // source is free to ignore it. Extracted rows may be shared and must not
-// be mutated.
+// be mutated; the bindings belong to the caller, which reuses their memory
+// for its next batch, so an implementation must not keep them (or the slice
+// of them) once Probe returns.
 //
 // Tuples are interned end to end: the table source, the counting, caching
 // and metrics decorators and the executors never construct a string.
@@ -225,21 +227,25 @@ func (s *Stats) Add(o Stats) {
 	s.Tuples += o.Tuples
 }
 
-// Counter decorates a Wrapper with thread-safe access accounting and an
-// optional access log.
+// Counter decorates a Wrapper with thread-safe access accounting. A plain
+// counter — what every execution wraps its sources in — keeps the three
+// integers of Stats and nothing per binding. An audited counter (keepLog)
+// also records every access in order and the set of distinct bindings
+// probed; tests and debugging tools use it to check that no access is ever
+// repeated.
 type Counter struct {
 	inner Wrapper
 
 	mu      sync.Mutex
 	stats   Stats
-	log     []Access
 	keepLog bool
-	// distinct holds the distinct bindings probed, integer-keyed: no string
-	// ever materializes for accounting.
-	distinct sym.BindMap[struct{}]
+	// Audit state, maintained only when keepLog is set.
+	log      []Access
+	distinct sym.BindMap[struct{}] // integer-keyed: accounting builds no string
 }
 
-// NewCounter wraps w; when keepLog is set every access is recorded in order.
+// NewCounter wraps w; when keepLog is set the counter is audited: every
+// access is recorded in order and the distinct bindings are tracked.
 func NewCounter(w Wrapper, keepLog bool) *Counter {
 	return &Counter{inner: w, keepLog: keepLog}
 }
@@ -252,21 +258,26 @@ func (c *Counter) Relation() *schema.Relation { return c.inner.Relation() }
 func (c *Counter) Epoch() uint64 { return EpochOf(c.inner) }
 
 // Probe forwards the batch to the wrapped source, recording one access per
-// binding and one round trip for the batch. Accounting runs on packed keys
-// (the optional log materializes — it exists for debugging, not hot paths).
+// binding and one round trip for the batch — integer adds only, unless the
+// counter is audited (the audit log materializes strings; it exists for
+// debugging, not hot paths).
 func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
 	rows, err := c.inner.Probe(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
-	rel := c.inner.Relation().Name
+	tuples := 0
+	for _, r := range rows {
+		tuples += len(r)
+	}
 	c.mu.Lock()
 	c.stats.Accesses += len(bindings)
 	c.stats.Batches++
-	for i, b := range bindings {
-		c.stats.Tuples += len(rows[i])
-		c.distinct.Put(b, struct{}{})
-		if c.keepLog {
+	c.stats.Tuples += tuples
+	if c.keepLog {
+		rel := c.inner.Relation().Name
+		for _, b := range bindings {
+			c.distinct.Put(b, struct{}{})
 			c.log = append(c.log, Access{Relation: rel, Binding: sym.Strs(b)})
 		}
 	}
@@ -281,18 +292,26 @@ func (c *Counter) Stats() Stats {
 	return c.stats
 }
 
-// DistinctAccesses returns the number of distinct access bindings probed.
+// DistinctAccesses returns the number of distinct access bindings probed,
+// or -1 when the counter is not audited: a plain counter does not track
+// bindings, and "unknown" must not read as "none".
 func (c *Counter) DistinctAccesses() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.keepLog {
+		return -1
+	}
 	return c.distinct.Len()
 }
 
 // AccessSet returns the set of distinct accesses probed so far, as
-// Access.Key() strings.
+// Access.Key() strings; nil when the counter is not audited.
 func (c *Counter) AccessSet() map[string]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.keepLog {
+		return nil
+	}
 	out := make(map[string]bool, c.distinct.Len())
 	rel := c.inner.Relation().Name
 	c.distinct.Range(func(b []sym.ID, _ struct{}) bool {
@@ -302,7 +321,7 @@ func (c *Counter) AccessSet() map[string]bool {
 	return out
 }
 
-// Log returns the recorded accesses (empty unless keepLog was set).
+// Log returns the recorded accesses (empty unless the counter is audited).
 func (c *Counter) Log() []Access {
 	c.mu.Lock()
 	defer c.mu.Unlock()

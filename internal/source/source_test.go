@@ -103,8 +103,51 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestCounterAuditedAgreesWithPlain: the audit (log and distinct set) is
+// bookkeeping beside the counters, never part of them — a plain and an
+// audited counter report the same Stats for the same probes — and a plain
+// counter answers the audit questions with "not tracked", not with whatever
+// an earlier state left behind.
+func TestCounterAuditedAgreesWithPlain(t *testing.T) {
+	plain, audited := NewCounter(revSource(t), false), NewCounter(revSource(t), true)
+	batches := [][][]string{
+		{{"2008"}, {"2007"}, {"2008"}},
+		{{"1999"}},
+		{{"2007"}, {"2007"}},
+	}
+	for _, c := range []*Counter{plain, audited} {
+		for _, b := range batches {
+			if _, err := ProbeStrings(context.Background(), c, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p, a := plain.Stats(), audited.Stats(); p != a {
+		t.Errorf("plain counter reports %+v, audited %+v", p, a)
+	}
+	if want := (Stats{Accesses: 6, Batches: 3, Tuples: 7}); audited.Stats() != want {
+		t.Errorf("Stats = %+v, want %+v", audited.Stats(), want)
+	}
+	if got := audited.DistinctAccesses(); got != 3 {
+		t.Errorf("audited DistinctAccesses = %d, want 3", got)
+	}
+	if got := plain.DistinctAccesses(); got != -1 {
+		t.Errorf("plain DistinctAccesses = %d, want -1 (not tracked)", got)
+	}
+	if set := plain.AccessSet(); set != nil {
+		t.Errorf("plain AccessSet = %v, want nil (not tracked)", set)
+	}
+	if log := plain.Log(); len(log) != 0 {
+		t.Errorf("plain Log = %v, want empty", log)
+	}
+	plain.Reset()
+	if got := plain.DistinctAccesses(); got != -1 {
+		t.Errorf("plain DistinctAccesses after Reset = %d, want -1", got)
+	}
+}
+
 func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter(revSource(t), false)
+	c := NewCounter(revSource(t), true)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

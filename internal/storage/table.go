@@ -11,8 +11,8 @@
 // a flat []sym.ID with no pointers for the GC to trace — and every lookup
 // below the insert boundary runs on packed integer keys instead of
 // NUL-joined strings. The string Row type remains the boundary
-// representation (CSV files, JSON ingestion, results); Select/Rows
-// materialize through the symbol table only when a caller asks for strings.
+// representation (CSV files, JSON ingestion, results); Rows materializes
+// through the symbol table only when a caller asks for strings.
 //
 // Tables are live: Insert and Delete batches mutate a table while queries
 // run. Mutation is copy-on-write — every batch publishes a new immutable
@@ -388,18 +388,6 @@ func (t *Table) Contains(r Row) bool { return t.Snapshot().Contains(r) }
 // Rows returns a copy of all live rows in boundary form.
 func (t *Table) Rows() []Row { return t.Snapshot().Rows() }
 
-// Select returns the rows whose values at positions equal vals; with no
-// positions it returns every row.
-func (t *Table) Select(positions []int, vals []string) []Row {
-	return t.Snapshot().Select(positions, vals)
-}
-
-// SelectBatch answers many selections over the same position set in one
-// call; see Snapshot.SelectBatch.
-func (t *Table) SelectBatch(positions []int, bindings [][]string) [][]Row {
-	return t.Snapshot().SelectBatch(positions, bindings)
-}
-
 // Project returns the sorted, deduplicated values of one column.
 func (t *Table) Project(pos int) []string { return t.Snapshot().Project(pos) }
 
@@ -474,65 +462,16 @@ func (s *Snapshot) Contains(r Row) bool {
 	for i := range positions {
 		positions[i] = i
 	}
-	return len(s.SelectSym(positions, ir)) > 0
+	return len(s.SelectBatchSym(positions, [][]sym.ID{ir})[0]) > 0
 }
 
-// Select returns the rows whose values at positions equal vals; with no
-// positions it returns every live row. The boundary-form adapter over
-// SelectSym: values never interned match nothing.
-//
-//toorjahvet:boundary (boundary-form adapter over SelectSym)
-func (s *Snapshot) Select(positions []int, vals []string) []Row {
-	if len(positions) != len(vals) {
-		panic(fmt.Sprintf("table %s: %d positions for %d values", s.name, len(positions), len(vals)))
-	}
-	if len(positions) == 0 {
-		return s.Rows()
-	}
-	ids, ok := sym.LookupAll(vals)
-	if !ok {
-		return []Row{}
-	}
-	return MaterializeRows(s.SelectSym(positions, ids))
-}
-
-// SelectSym returns the stored rows whose values at positions equal vals;
-// with no positions it returns every live row (shared slice). This is the
-// probe primitive of the engine: lookup key packing, index access and the
-// returned rows are all integer-only.
-func (s *Snapshot) SelectSym(positions []int, vals []sym.ID) []IRow {
-	if len(positions) != len(vals) {
-		panic(fmt.Sprintf("table %s: %d positions for %d values", s.name, len(positions), len(vals)))
-	}
-	if len(positions) == 0 {
-		return s.RowsSym()
-	}
-	var kb [64]byte
-	key := sym.AppendKey(kb[:0], vals)
-	return s.idx.lookup(s, positions, string(key))
-}
-
-// SelectBatch answers many selections over the same position set in one
-// call: result i holds the rows matching bindings[i], exactly as
-// Select(positions, bindings[i]) would return them.
-func (s *Snapshot) SelectBatch(positions []int, bindings [][]string) [][]Row {
-	out := make([][]Row, len(bindings))
-	if len(positions) == 0 {
-		rows := s.Rows()
-		for i := range out {
-			out[i] = rows
-		}
-		return out
-	}
-	for i, b := range bindings {
-		out[i] = s.Select(positions, b)
-	}
-	return out
-}
-
-// SelectBatchSym answers many interned selections over the same position
-// set in one call; the index for the position set is extended at most once,
-// so a batch of N lookups costs one index pass instead of N.
+// SelectBatchSym is the probe primitive of the engine: result i holds the
+// stored rows whose values at positions equal bindings[i] (with no
+// positions, every live row — one shared slice). Key packing, index access
+// and the returned rows are integer-only, and the index of the position set
+// is resolved once for the whole batch — one signature, one lock
+// acquisition, at most one extension over rows appended since it was last
+// used — so each binding costs one key packing and one bucket lookup.
 func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow {
 	out := make([][]IRow, len(bindings))
 	if len(positions) == 0 {
@@ -542,14 +481,12 @@ func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow
 		}
 		return out
 	}
-	var kb [64]byte
-	for i, b := range bindings {
+	for _, b := range bindings {
 		if len(positions) != len(b) {
 			panic(fmt.Sprintf("table %s: %d positions for %d values", s.name, len(positions), len(b)))
 		}
-		key := sym.AppendKey(kb[:0], b)
-		out[i] = s.idx.lookup(s, positions, string(key))
 	}
+	s.idx.selectBatch(s, positions, bindings, out)
 	return out
 }
 
@@ -588,23 +525,27 @@ type index struct {
 
 func newIndexSet() *indexSet { return &indexSet{indexes: make(map[string]*index)} }
 
-// lookup returns the rows of snapshot s matching the packed key over the
-// position set, extending the index over s's rows first when it lags.
-func (ix *indexSet) lookup(s *Snapshot, positions []int, key string) []IRow {
-	sig := sigOf(positions)
+// selectBatch fills out[i] with the rows of snapshot s matching bindings[i]
+// over the position set. One read lock covers the whole batch; a batch that
+// finds the index lagging behind s's rows has it extended first (an index
+// only ever grows, so it still covers s once the read lock is back).
+func (ix *indexSet) selectBatch(s *Snapshot, positions []int, bindings [][]sym.ID, out [][]IRow) {
+	var sb [16]byte
+	sig := appendSig(sb[:0], positions)
 	ix.mu.RLock()
-	in, ok := ix.indexes[sig]
+	in, ok := ix.indexes[string(sig)]
 	if !ok || in.built < len(s.rows) {
 		ix.mu.RUnlock()
 		ix.mu.Lock()
-		in = ix.extendLocked(sig, positions, s.rows)
-		rows := s.collect(in.m[key])
+		in = ix.extendLocked(string(sig), positions, s.rows)
 		ix.mu.Unlock()
-		return rows
+		ix.mu.RLock()
 	}
-	rows := s.collect(in.m[key])
+	var kb [64]byte
+	for i, b := range bindings {
+		out[i] = s.collect(in.m[string(sym.AppendKey(kb[:0], b))])
+	}
 	ix.mu.RUnlock()
-	return rows
 }
 
 // extendLocked brings the index of one position set up to the given row
@@ -666,16 +607,16 @@ func projectRow(r IRow, positions []int) []sym.ID {
 	return out
 }
 
-func sigOf(positions []int) string {
-	var b [16]byte
-	out := b[:0]
+// appendSig appends the signature of a position set ("0,2"), the key of its
+// index in the index set.
+func appendSig(out []byte, positions []int) []byte {
 	for i, p := range positions {
 		if i > 0 {
 			out = append(out, ',')
 		}
 		out = appendInt(out, p)
 	}
-	return string(out)
+	return out
 }
 
 func appendInt(b []byte, v int) []byte {

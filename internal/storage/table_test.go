@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"toorjah/internal/sym"
 )
 
 func TestInsertDedupAndLen(t *testing.T) {
@@ -38,18 +40,18 @@ func TestSelectWithIndex(t *testing.T) {
 	tab.Insert(Row{"a", "1", "x"})
 	tab.Insert(Row{"a", "2", "y"})
 	tab.Insert(Row{"b", "1", "x"})
-	if got := tab.Select([]int{0}, []string{"a"}); len(got) != 2 {
+	if got := sel(tab.Snapshot(), []int{0}, "a"); len(got) != 2 {
 		t.Errorf("Select(0=a) = %v", got)
 	}
-	if got := tab.Select([]int{0, 2}, []string{"b", "x"}); len(got) != 1 {
+	if got := sel(tab.Snapshot(), []int{0, 2}, "b", "x"); len(got) != 1 {
 		t.Errorf("Select(0=b,2=x) = %v", got)
 	}
-	if got := tab.Select(nil, nil); len(got) != 3 {
+	if got := sel(tab.Snapshot(), nil); len(got) != 3 {
 		t.Errorf("Select(all) = %v", got)
 	}
 	// Insert after index creation must be visible.
 	tab.Insert(Row{"a", "3", "z"})
-	if got := tab.Select([]int{0}, []string{"a"}); len(got) != 3 {
+	if got := sel(tab.Snapshot(), []int{0}, "a"); len(got) != 3 {
 		t.Errorf("Select after insert = %v", got)
 	}
 }
@@ -60,7 +62,7 @@ func TestSelectMismatchedArgsPanics(t *testing.T) {
 			t.Error("want panic on positions/values mismatch")
 		}
 	}()
-	NewTable("r", 2).Select([]int{0, 1}, []string{"a"})
+	sel(NewTable("r", 2).Snapshot(), []int{0, 1}, "a")
 }
 
 func TestProject(t *testing.T) {
@@ -119,7 +121,12 @@ func TestReadCSVWrongArity(t *testing.T) {
 	}
 }
 
-// Property: Select(positions, vals) returns exactly the rows matching the
+// sel probes snapshot s with one binding given in boundary form.
+func sel(s *Snapshot, positions []int, vals ...string) []Row {
+	return MaterializeRows(s.SelectBatchSym(positions, [][]sym.ID{Row(vals).Intern()})[0])
+}
+
+// Property: a selection returns exactly the rows matching the
 // predicate, for random small tables.
 func TestSelectAgreesWithScanProperty(t *testing.T) {
 	f := func(data []uint8, p0 uint8) bool {
@@ -132,7 +139,7 @@ func TestSelectAgreesWithScanProperty(t *testing.T) {
 			}
 		}
 		val := fmt.Sprint(p0 % 4)
-		got := tab.Select([]int{0}, []string{val})
+		got := sel(tab.Snapshot(), []int{0}, val)
 		want := 0
 		for _, r := range rows {
 			if r[0] == val {
@@ -157,7 +164,7 @@ func TestConcurrentSelectInsert(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 500; i++ {
-			tab.Select([]int{0}, []string{fmt.Sprint(i % 10)})
+			sel(tab.Snapshot(), []int{0}, fmt.Sprint(i%10))
 		}
 		done <- true
 	}()
@@ -208,7 +215,7 @@ func TestDeleteAndRevive(t *testing.T) {
 	if tab.Len() != 2 || tab.Contains(Row{"b", "2"}) {
 		t.Errorf("after delete: Len=%d Contains(b)=%v", tab.Len(), tab.Contains(Row{"b", "2"}))
 	}
-	if got := tab.Select([]int{0}, []string{"b"}); len(got) != 0 {
+	if got := sel(tab.Snapshot(), []int{0}, "b"); len(got) != 0 {
 		t.Errorf("deleted row still selectable: %v", got)
 	}
 	if got := tab.Project(0); len(got) != 2 || got[0] != "a" || got[1] != "c" {
@@ -220,7 +227,7 @@ func TestDeleteAndRevive(t *testing.T) {
 	if tab.Len() != 3 || !tab.Contains(Row{"b", "2"}) {
 		t.Errorf("revive failed: Len=%d", tab.Len())
 	}
-	if got := tab.Select([]int{0}, []string{"b"}); len(got) != 1 {
+	if got := sel(tab.Snapshot(), []int{0}, "b"); len(got) != 1 {
 		t.Errorf("revived row not selectable: %v", got)
 	}
 }
@@ -231,15 +238,15 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap := tab.Snapshot()
 	// Force the snapshot's index before mutating, then again after: both
 	// reads must see the frozen version.
-	if got := snap.Select([]int{0}, []string{"a"}); len(got) != 1 {
+	if got := sel(snap, []int{0}, "a"); len(got) != 1 {
 		t.Fatalf("pre-mutation select: %v", got)
 	}
 	tab.Delete(Row{"a", "1"})
 	tab.InsertAll([]Row{{"c", "3"}, {"d", "4"}})
-	if got := snap.Select([]int{0}, []string{"a"}); len(got) != 1 {
+	if got := sel(snap, []int{0}, "a"); len(got) != 1 {
 		t.Errorf("snapshot lost a deleted row: %v", got)
 	}
-	if got := snap.Select([]int{0}, []string{"c"}); len(got) != 0 {
+	if got := sel(snap, []int{0}, "c"); len(got) != 0 {
 		t.Errorf("snapshot sees a future row: %v", got)
 	}
 	if snap.Len() != 2 || tab.Len() != 3 {
@@ -265,8 +272,8 @@ func TestConcurrentMutateAndSnapshotRead(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			snap := tab.Snapshot()
 			// Within one snapshot, two reads agree however writers advance.
-			a := snap.Select([]int{0}, []string{"k"})
-			b := snap.SelectBatch([]int{0}, [][]string{{"k"}})[0]
+			a := sel(snap, []int{0}, "k")
+			b := sel(snap, []int{0}, "k")
 			if len(a) != len(b) || snap.Len() != len(a) {
 				t.Errorf("torn snapshot read: %v vs %v (len %d)", a, b, snap.Len())
 				break
@@ -303,17 +310,17 @@ func TestCompaction(t *testing.T) {
 	if tab.Len() != 10 {
 		t.Errorf("Len = %d, want 10", tab.Len())
 	}
-	if got := tab.Select([]int{0}, []string{all[len(all)-1][0]}); len(got) != 1 {
+	if got := sel(tab.Snapshot(), []int{0}, all[len(all)-1][0]); len(got) != 1 {
 		t.Errorf("live row lost by compaction: %v", got)
 	}
-	if got := tab.Select([]int{0}, []string{"k0"}); len(got) != 0 {
+	if got := sel(tab.Snapshot(), []int{0}, "k0"); len(got) != 0 {
 		t.Errorf("deleted row survived compaction: %v", got)
 	}
 	// The pre-compaction snapshot still serves everything it froze.
 	if pre.Len() != len(all) {
 		t.Errorf("old snapshot Len = %d, want %d", pre.Len(), len(all))
 	}
-	if got := pre.Select([]int{0}, []string{"k0"}); len(got) != 1 {
+	if got := sel(pre, []int{0}, "k0"); len(got) != 1 {
 		t.Errorf("old snapshot lost a row after compaction: %v", got)
 	}
 	// Reinsert after compaction: dedup state was rebuilt correctly.

@@ -24,6 +24,31 @@ func PackBinding(b []ID) (uint64, bool) {
 type BindMap[V any] struct {
 	packed map[uint64]V
 	long   map[string]V
+	// room is an entry count the packed map's buckets are known to hold:
+	// what Reserve sized it for, or what it held when last cleared (Clear
+	// keeps the buckets).
+	room int
+}
+
+// Reserve sizes the map for n more bindings of the given width, so a caller
+// that knows how many entries are coming — an executor pass knows its
+// binding count before the first probe — pays one allocation instead of a
+// doubling-and-rehash ladder from empty. A map already that roomy (a
+// recycled one, typically) is left alone. Only the integer-keyed map is
+// sized; bindings of three or more IDs grow on demand.
+func (m *BindMap[V]) Reserve(width, n int) {
+	if width > 2 {
+		return
+	}
+	need := len(m.packed) + n
+	if need <= m.room {
+		return
+	}
+	grown := make(map[uint64]V, need)
+	for k, v := range m.packed {
+		grown[k] = v
+	}
+	m.packed, m.room = grown, need
 }
 
 // Get returns the value stored under binding b.
@@ -63,6 +88,7 @@ func (m *BindMap[V]) Delete(b []ID) {
 // Clear removes every entry while keeping the allocated bucket capacity,
 // making the map ready for pooled reuse.
 func (m *BindMap[V]) Clear() {
+	m.room = max(m.room, len(m.packed))
 	clear(m.packed)
 	clear(m.long)
 }

@@ -2,6 +2,7 @@ package sym_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toorjah/internal/sym"
@@ -140,5 +141,111 @@ func TestBindMapClear(t *testing.T) {
 	m.Put(long, struct{}{})
 	if _, ok := m.Get(long); !ok || m.Len() != 1 {
 		t.Error("BindMap not reusable after Clear")
+	}
+}
+
+// TestBindMapReserve: Reserve keeps what the map holds, and the entries it
+// made room for then go in without the map growing — also after a Clear,
+// which keeps the room.
+func TestBindMapReserve(t *testing.T) {
+	const n = 2000
+	bindings := benchBindings(n)
+	var m sym.BindMap[int]
+	m.Put([]sym.ID{7}, 7)
+	m.Put([]sym.ID{1, 2, 3}, 123) // the long side is not Reserve's business
+	m.Reserve(2, n)
+	if v, ok := m.Get([]sym.ID{7}); !ok || v != 7 {
+		t.Fatalf("entry lost by Reserve: %d,%v", v, ok)
+	}
+	if v, ok := m.Get([]sym.ID{1, 2, 3}); !ok || v != 123 {
+		t.Fatalf("long entry lost by Reserve: %d,%v", v, ok)
+	}
+	// Growing to n entries from empty allocates several times the final
+	// table (n × 16 bytes here); a sized map allocates nothing to speak of.
+	fill := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, b := range bindings {
+			m.Put(b, i)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 8 * n // bytes; growing from empty costs ~70 per entry
+	if grew := fill(); grew > slack {
+		t.Errorf("filling a reserved map allocated %d bytes", grew)
+	}
+	if m.Len() != n+2 {
+		t.Fatalf("Len() = %d, want %d", m.Len(), n+2)
+	}
+	m.Clear()
+	m.Reserve(2, n)
+	if grew := fill(); grew > slack {
+		t.Errorf("refilling a cleared, reserved map allocated %d bytes", grew)
+	}
+	for i, b := range bindings {
+		if v, ok := m.Get(b); !ok || v != i {
+			t.Fatalf("Get(%v) = %d,%v after refill, want %d", b, v, ok, i)
+		}
+	}
+}
+
+// benchBindings returns n distinct two-ID bindings, the shape of q2's
+// rev_icde accesses.
+func benchBindings(n int) [][]sym.ID {
+	out := make([][]sym.ID, n)
+	for i := range out {
+		out[i] = []sym.ID{sym.ID(i/200 + 1), sym.ID(i%200 + 1)}
+	}
+	return out
+}
+
+// benchN is q2's order of magnitude: one pass stores ~42k extractions.
+const benchN = 40000
+
+// BenchmarkBindMapPutGrown fills a map from empty, paying the doubling and
+// rehashing ladder — what every execution's meta-cache used to do.
+func BenchmarkBindMapPutGrown(b *testing.B) {
+	bindings := benchBindings(benchN)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var m sym.BindMap[[]int]
+		for _, k := range bindings {
+			m.Put(k, nil)
+		}
+	}
+}
+
+// BenchmarkBindMapPutPresized fills a recycled map that Reserve already
+// sized: the steady state of a pooled meta-cache.
+func BenchmarkBindMapPutPresized(b *testing.B) {
+	bindings := benchBindings(benchN)
+	var m sym.BindMap[[]int]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Clear()
+		m.Reserve(2, len(bindings))
+		for _, k := range bindings {
+			m.Put(k, nil)
+		}
+	}
+}
+
+func BenchmarkBindMapGet(b *testing.B) {
+	bindings := benchBindings(benchN)
+	var m sym.BindMap[[]int]
+	for _, k := range bindings {
+		m.Put(k, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Get(bindings[i%len(bindings)]); ok {
+			hits++
+		}
+	}
+	if hits != b.N {
+		b.Fatalf("%d hits in %d lookups", hits, b.N)
 	}
 }

@@ -1,0 +1,45 @@
+package sym
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestInternExhaustionPanics pins what a full table does. The counter of a
+// private table is advanced to the last ID (issuing four billion values for
+// real would need the reverse pages too), after which every first-seen
+// value must panic — repeatedly, never wrapping round to re-issue ID 1 —
+// while values interned before keep their IDs.
+func TestInternExhaustionPanics(t *testing.T) {
+	tab := NewTable()
+	a := tab.Intern("a")
+	tab.next.Store(math.MaxUint32)
+
+	for _, v := range []string{"b", "c"} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("Intern(%q) on a full table returned instead of panicking", v)
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, "exhausted") {
+					t.Fatalf("Intern(%q) panicked with %v, want the exhaustion message", v, r)
+				}
+			}()
+			tab.Intern(v)
+		}()
+		if _, ok := tab.Lookup(v); ok {
+			t.Errorf("%q is in the table after its Intern panicked", v)
+		}
+	}
+	if got := tab.next.Load(); got != math.MaxUint32 {
+		t.Errorf("counter moved to %d after exhaustion; an ID could be re-issued", got)
+	}
+	if got := tab.Intern("a"); got != a {
+		t.Errorf("Intern(a) = %d after exhaustion, want its original ID %d", got, a)
+	}
+	if got := tab.Str(a); got != "a" {
+		t.Errorf("Str(%d) = %q after exhaustion", a, got)
+	}
+}

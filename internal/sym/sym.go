@@ -21,6 +21,7 @@
 package sym
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -91,7 +92,9 @@ func hash(s string) uint32 {
 
 // Intern returns the ID of v, issuing a fresh one the first time v is seen.
 // Safe for concurrent use; the common case (already interned) is one shard
-// read-lock and one map hit.
+// read-lock and one map hit. A table that has issued all 2³²−1 IDs panics
+// on the next first-seen value: exhaustion is a hard failure, never a
+// reused ID.
 func (t *Table) Intern(v string) ID {
 	sh := &t.shards[hash(v)&(shardCount-1)]
 	sh.mu.RLock()
@@ -105,12 +108,28 @@ func (t *Table) Intern(v string) ID {
 	if id, ok = sh.m[v]; ok {
 		return id
 	}
-	id = ID(t.next.Add(1))
+	id = t.issue()
 	t.store(id, v)
 	// The reverse slot is visible before the forward map publishes the ID,
 	// so any goroutine that can observe the ID can resolve it.
 	sh.m[v] = id
 	return id
+}
+
+// issue hands out the next dense ID. The counter stops at the last ID: a
+// plain Add would wrap to 0 and then re-issue 1, 2, … for new values, so
+// every key packed from IDs would silently alias. Values already interned
+// keep resolving after exhaustion; only first-seen values panic.
+func (t *Table) issue() ID {
+	for {
+		cur := t.next.Load()
+		if cur == math.MaxUint32 {
+			panic("sym: symbol table exhausted: all 2^32-1 IDs are issued")
+		}
+		if t.next.CompareAndSwap(cur, cur+1) {
+			return ID(cur + 1)
+		}
+	}
 }
 
 // store writes the reverse-lookup slot for a freshly issued ID, growing the

@@ -34,7 +34,7 @@ func ucqPubSystem(t *testing.T, seed int64, opts ...SystemOption) (*System, map[
 		if sys.Latency > 0 {
 			src = src.WithLatency(sys.Latency)
 		}
-		ctr := source.NewCounter(src, false)
+		ctr := source.NewCounter(src, true)
 		counters[rel.Name] = ctr
 		sys.Bind(ctr)
 	}
