@@ -11,7 +11,7 @@ import (
 	"toorjah/internal/sym"
 )
 
-func rule(t *testing.T, src string) *Rule {
+func rule(t testing.TB, src string) *Rule {
 	t.Helper()
 	q, err := cq.Parse(src)
 	if err != nil {

@@ -137,10 +137,8 @@ func TestEvalRuleWithDeltaMatchesFull(t *testing.T) {
 		t.Fatalf("full1 = %v", full1)
 	}
 	// New b tuple arrives: the delta join must derive only the new pair.
-	delta := NewRelation("b", 2)
-	delta.Insert(T("y1", "z2"))
 	db.Insert("b", T("y1", "z2"))
-	inc, err := EvalRuleWithDelta(r, db, delta, 1)
+	inc, err := EvalRuleWithDelta(r, db, []Tuple{T("y1", "z2")}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

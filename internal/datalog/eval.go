@@ -2,8 +2,8 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"toorjah/internal/cq"
@@ -31,9 +31,36 @@ type Relation struct {
 	Arity  int
 	tuples []Tuple
 	seen   map[string]bool
-	// indexes maps a position-set signature ("0,2") to packed value-key ->
-	// tuple offsets. Indexes are built on first use and extended on insert.
-	indexes map[string]map[string][]int
+	// indexes holds one hash index per position list a Lookup has asked
+	// for, built on first use and extended on insert. A relation carries a
+	// handful at most (one per way a rule joins into it), so finding one is
+	// a scan comparing position lists.
+	indexes []*index
+}
+
+// index groups a relation's tuples by their values at fixed positions.
+type index struct {
+	positions []int
+	// group maps the packed values at positions to an offset in buckets;
+	// the indirection lets an insert extend a bucket without re-storing —
+	// and so re-allocating — its key.
+	group   map[string]int
+	buckets [][]Tuple
+}
+
+// add files a tuple under its values at the index's positions.
+func (ix *index) add(t Tuple) {
+	var kb [64]byte
+	k := kb[:0]
+	for _, p := range ix.positions {
+		k = sym.AppendKey(k, t[p:p+1])
+	}
+	if b, ok := ix.group[string(k)]; ok {
+		ix.buckets[b] = append(ix.buckets[b], t)
+		return
+	}
+	ix.group[string(k)] = len(ix.buckets)
+	ix.buckets = append(ix.buckets, []Tuple{t})
 }
 
 // NewRelation creates an empty relation.
@@ -50,6 +77,7 @@ func (r *Relation) Reset() {
 	r.tuples = r.tuples[:0]
 	clear(r.seen)
 	clear(r.indexes)
+	r.indexes = r.indexes[:0]
 }
 
 // Insert adds a tuple and reports whether it was new.
@@ -64,10 +92,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	}
 	r.seen[string(k)] = true
 	r.tuples = append(r.tuples, t)
-	idx := len(r.tuples) - 1
-	for sig, m := range r.indexes {
-		key := projectKey(t, sigPositions(sig))
-		m[key] = append(m[key], idx)
+	for _, ix := range r.indexes {
+		ix.add(t)
 	}
 	return true
 }
@@ -86,65 +112,34 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Lookup returns the tuples whose values at the given positions equal vals.
 // With no positions it returns all tuples. The lookup is backed by a hash
-// index built on first use.
+// index built on first use, and the result is the index's own bucket, not a
+// copy: callers must not modify it.
 func (r *Relation) Lookup(positions []int, vals []sym.ID) []Tuple {
 	if len(positions) == 0 {
 		return r.tuples
 	}
-	sig := sigOf(positions)
-	m, ok := r.indexes[sig]
-	if !ok {
-		m = make(map[string][]int)
-		for i, t := range r.tuples {
-			key := projectKey(t, positions)
-			m[key] = append(m[key], i)
-		}
-		if r.indexes == nil {
-			r.indexes = make(map[string]map[string][]int)
-		}
-		r.indexes[sig] = m
-	}
+	ix := r.indexOn(positions)
 	var kb [64]byte
-	offs := m[string(sym.AppendKey(kb[:0], vals))]
-	out := make([]Tuple, len(offs))
-	for i, off := range offs {
-		out[i] = r.tuples[off]
+	if b, ok := ix.group[string(sym.AppendKey(kb[:0], vals))]; ok {
+		return ix.buckets[b]
 	}
-	return out
+	return nil
 }
 
-// sigOf renders a position set as its index signature ("0,2") by integer
-// append — it runs on every index build and extension, so no fmt round
-// trip.
-func sigOf(positions []int) string {
-	var kb [32]byte
-	b := kb[:0]
-	for i, p := range positions {
-		if i > 0 {
-			b = append(b, ',')
+// indexOn returns the index on the given positions, building it over the
+// current tuples when no Lookup has asked for it before.
+func (r *Relation) indexOn(positions []int) *index {
+	for _, ix := range r.indexes {
+		if slices.Equal(ix.positions, positions) {
+			return ix
 		}
-		b = strconv.AppendInt(b, int64(p), 10)
 	}
-	return string(b)
-}
-
-func sigPositions(sig string) []int {
-	parts := strings.Split(sig, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		fmt.Sscan(p, &out[i])
+	ix := &index{positions: slices.Clone(positions), group: make(map[string]int)}
+	for _, t := range r.tuples {
+		ix.add(t)
 	}
-	return out
-}
-
-func projectKey(t Tuple, positions []int) string {
-	var kb [64]byte
-	out := kb[:0]
-	for _, p := range positions {
-		id := t[p]
-		out = append(out, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-	}
-	return string(out)
+	r.indexes = append(r.indexes, ix)
+	return ix
 }
 
 // DB maps predicate names to relations.
@@ -267,7 +262,7 @@ func evalStratum(rules []*Rule, inStratum map[string]bool, idb DB, lookup func(s
 				if !ok || !inStratum[a.Pred] {
 					continue
 				}
-				derived, err := evalRule(r, lookup, d, i)
+				derived, err := evalRule(r, lookup, d.tuples, i)
 				if err != nil {
 					return err
 				}
@@ -302,11 +297,12 @@ func constIDs(a cq.Atom) []sym.ID {
 }
 
 // evalRule derives head tuples for one rule. When deltaPos >= 0, the body
-// atom at that position ranges over deltaRel instead of its full relation
-// (semi-naive differentiation). Negated atoms are checked last; safety
-// guarantees they are ground by then. The whole join runs on symbol IDs:
-// atom constants intern once up front, variable bindings are IDs.
-func evalRule(r *Rule, lookup func(string) *Relation, deltaRel *Relation, deltaPos int) ([]Tuple, error) {
+// atom at that position ranges over the delta tuples instead of its full
+// relation (semi-naive differentiation); it is joined first, so the delta is
+// walked once, front to back, and needs no index. Negated atoms are checked
+// last; safety guarantees they are ground by then. The whole join runs on
+// symbol IDs: atom constants intern once up front, variable bindings are IDs.
+func evalRule(r *Rule, lookup func(string) *Relation, delta []Tuple, deltaPos int) ([]Tuple, error) {
 	var out []Tuple
 	bind := make(map[string]sym.ID)
 	// Order the body atoms: the delta atom first (it is typically smallest),
@@ -321,6 +317,9 @@ func evalRule(r *Rule, lookup func(string) *Relation, deltaRel *Relation, deltaP
 		negConst[i] = constIDs(a)
 	}
 	headConst := constIDs(r.Head)
+	// trail lists the variables bound so far, innermost last, so a step
+	// unbinds what it bound without keeping a list per candidate tuple.
+	var trail []string
 	var rec func(step int) error
 	rec = func(step int) error {
 		if step == len(order) {
@@ -348,28 +347,31 @@ func evalRule(r *Rule, lookup func(string) *Relation, deltaRel *Relation, deltaP
 		i := order[step]
 		a := r.Body[i]
 		cids := bodyConst[i]
-		var rel *Relation
-		if i == deltaPos {
-			rel = deltaRel
-		} else {
-			rel = lookup(a.Pred)
-		}
-		if rel == nil {
-			return fmt.Errorf("rule %s: unknown relation %s", r, a.Pred)
-		}
-		var positions []int
-		var vals []sym.ID
-		for p, term := range a.Args {
-			if !term.IsVar {
-				positions = append(positions, p)
-				vals = append(vals, cids[p])
-			} else if v, ok := bind[term.Name]; ok {
-				positions = append(positions, p)
-				vals = append(vals, v)
+		// The matching loop below re-checks every constant and bound
+		// variable, so the delta — placed first, when nothing but constants
+		// could narrow it — is matched as it stands.
+		candidates := delta
+		if i != deltaPos {
+			rel := lookup(a.Pred)
+			if rel == nil {
+				return fmt.Errorf("rule %s: unknown relation %s", r, a.Pred)
 			}
+			var pbuf [8]int
+			var vbuf [8]sym.ID
+			positions, vals := pbuf[:0], vbuf[:0]
+			for p, term := range a.Args {
+				if !term.IsVar {
+					positions = append(positions, p)
+					vals = append(vals, cids[p])
+				} else if v, ok := bind[term.Name]; ok {
+					positions = append(positions, p)
+					vals = append(vals, v)
+				}
+			}
+			candidates = rel.Lookup(positions, vals)
 		}
-		for _, t := range rel.Lookup(positions, vals) {
-			var added []string
+		mark := len(trail)
+		for _, t := range candidates {
 			ok := true
 			for p, term := range a.Args {
 				if !term.IsVar {
@@ -387,16 +389,17 @@ func evalRule(r *Rule, lookup func(string) *Relation, deltaRel *Relation, deltaP
 					continue
 				}
 				bind[term.Name] = t[p]
-				added = append(added, term.Name)
+				trail = append(trail, term.Name)
 			}
 			if ok {
 				if err := rec(step + 1); err != nil {
 					return err
 				}
 			}
-			for _, v := range added {
+			for _, v := range trail[mark:] {
 				delete(bind, v)
 			}
+			trail = trail[:mark]
 		}
 		return nil
 	}
@@ -468,11 +471,12 @@ func groundAtom(a cq.Atom, cids []sym.ID, bind map[string]sym.ID) (Tuple, bool) 
 }
 
 // EvalRuleWithDelta derives the head tuples of one rule over db, with the
-// body atom at position deltaPos ranging over delta instead of its full
-// relation. It is the incremental-join primitive of the pipelined executor:
-// when new tuples arrive in one cache, only the joins involving them are
-// recomputed. Pass deltaPos = -1 to evaluate against full relations.
-func EvalRuleWithDelta(r *Rule, db DB, delta *Relation, deltaPos int) ([]Tuple, error) {
+// body atom at position deltaPos ranging over the delta tuples instead of
+// its full relation. It is the incremental-join primitive of the optimized
+// executors: when new tuples arrive in one cache, only the joins involving
+// them are recomputed. Pass deltaPos = -1 to evaluate against full
+// relations.
+func EvalRuleWithDelta(r *Rule, db DB, delta []Tuple, deltaPos int) ([]Tuple, error) {
 	lookup := func(name string) *Relation { return db[name] }
 	return evalRule(r, lookup, delta, deltaPos)
 }

@@ -5,15 +5,19 @@ import (
 	"toorjah/internal/sym"
 )
 
-// enumState tracks which domain values one cache node has already folded
-// into its candidate cross product. The domain pools only ever grow (the
-// cache database is monotone within an execution), so enumerating, each
-// pass, exactly the combinations that contain at least one value first
-// derived since the previous pass visits every candidate binding exactly
-// once across the whole execution. The executors therefore need no
+// enumState is one cache node's view of its input domains and of how much
+// of their cross product it has already enumerated. The domain pools only
+// ever grow (the cache database is monotone within an execution), so
+// enumerating, each pass, exactly the combinations that contain at least one
+// value first derived since the previous pass visits every candidate binding
+// exactly once across the whole execution. The executors therefore need no
 // per-binding tried set: a binding reaching the emit callback is new by
 // construction, and its access key is packed and hashed once, not once per
 // fixpoint pass.
+//
+// The pools are maintained from deltas: groupState.ingest appends to fresh
+// whatever values an extraction contributes the moment it lands, so a pass
+// never evaluates a rule — it walks the pools it finds.
 //
 // States come from the execution's scratch and go back with it, so the
 // pools below keep their capacity from one execution to the next.
@@ -25,9 +29,21 @@ type enumState struct {
 
 // enumPos is the enumerator's view of one input position's domain.
 type enumPos struct {
-	seen  map[sym.ID]bool // values already enumerated
-	old   []sym.ID        // those values, in first-seen order
-	fresh []sym.ID        // values first derived in the current pass
+	seen  map[sym.ID]bool // every value derived so far: old and fresh
+	old   []sym.ID        // values earlier passes enumerated, in first-seen order
+	fresh []sym.ID        // values derived since, not yet enumerated
+	// cut is how many fresh values the running pass enumerates: an emit
+	// callback that ingests an extraction appends behind it, and those
+	// values wait for the next pass.
+	cut int
+}
+
+// add records a value of the position's domain, fresh unless known.
+func (p *enumPos) add(v sym.ID) {
+	if !p.seen[v] {
+		p.seen[v] = true
+		p.fresh = append(p.fresh, v)
+	}
 }
 
 // resize readies a new or recycled state for a node with n input positions.
@@ -44,29 +60,27 @@ func (es *enumState) resize(n int) {
 	es.binding = append(es.binding[:0], make([]sym.ID, n)...)
 }
 
-// reset forgets everything enumerated, keeping capacity.
+// reset forgets everything derived and enumerated, keeping capacity.
 func (es *enumState) reset() {
 	es.fired = false
 	for i := range es.pos {
-		clear(es.pos[i].seen)
-		es.pos[i].old = es.pos[i].old[:0]
+		p := &es.pos[i]
+		clear(p.seen)
+		p.old, p.fresh = p.old[:0], p.fresh[:0]
 	}
 }
 
 // newBindings enumerates the candidate access bindings of cache c that no
-// earlier pass has enumerated, and reports whether any were emitted. The
-// binding slice handed to emit is reused between calls — emit must copy it
-// if it keeps it. While any input position's domain is still empty no
-// binding is complete, so nothing is emitted and no state is consumed: the
-// values the other positions already derived stay fresh for the first pass
-// that can combine them.
+// earlier pass has enumerated, and reports whether any were emitted; its
+// cost is the bindings it emits. The binding slice handed to emit is reused
+// between calls — emit must copy it if it keeps it. While any input
+// position's domain is still empty no binding is complete, so nothing is
+// emitted and no state is consumed: the values the other positions already
+// derived stay fresh for the first pass that can combine them.
 func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) error) (bool, error) {
-	es := st.enums[c]
-	if es == nil {
-		es = st.sc.enum(len(c.DomainPreds))
-		st.enums[c] = es
-	}
-	if len(c.DomainPreds) == 0 {
+	es := st.enums[c.Index]
+	pos := es.pos
+	if len(pos) == 0 {
 		// A pattern with no input attributes has the single free access ().
 		if es.fired {
 			return false, nil
@@ -74,24 +88,14 @@ func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) err
 		es.fired = true
 		return true, emit(nil)
 	}
-	pos, binding := es.pos, es.binding
 	any := false
-	for i, dp := range c.DomainPreds {
+	for i := range pos {
 		p := &pos[i]
-		p.fresh = p.fresh[:0]
-		vals, err := st.domainValues(dp)
-		if err != nil {
-			return false, err
-		}
-		for v := range vals {
-			if !p.seen[v] {
-				p.fresh = append(p.fresh, v)
-			}
-		}
 		if len(p.old)+len(p.fresh) == 0 {
 			return false, nil
 		}
-		any = any || len(p.fresh) > 0
+		p.cut = len(p.fresh)
+		any = any || p.cut > 0
 	}
 	if !any {
 		return false, nil
@@ -99,48 +103,48 @@ func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) err
 	// Semi-naive product: with d the rightmost fresh coordinate, positions
 	// before d draw from their full pools, position d from its fresh values
 	// only, positions after d from their old pools — every combination with
-	// at least one fresh coordinate appears under exactly one d.
-	emitted := false
-	var walk func(i, d int) error
-	walk = func(i, d int) error {
-		if i == len(binding) {
-			emitted = true
-			return emit(binding)
-		}
-		use := func(pool []sym.ID) error {
-			for _, v := range pool {
-				binding[i] = v
-				if err := walk(i+1, d); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if i == d {
-			return use(pos[i].fresh)
-		}
-		if err := use(pos[i].old); err != nil {
-			return err
-		}
-		if i < d {
-			return use(pos[i].fresh)
-		}
-		return nil
-	}
+	// at least one fresh coordinate appears under exactly one d. The
+	// rightmost position holding fresh values has only non-empty old pools
+	// behind it, so a pass that gets here emits.
 	for d := range pos {
-		if len(pos[d].fresh) == 0 {
+		if pos[d].cut == 0 {
 			continue
 		}
-		if err := walk(0, d); err != nil {
-			return emitted, err
+		if err := es.walk(0, d, emit); err != nil {
+			return true, err
 		}
 	}
 	for i := range pos {
 		p := &pos[i]
-		for _, v := range p.fresh {
-			p.seen[v] = true
-		}
-		p.old = append(p.old, p.fresh...)
+		p.old = append(p.old, p.fresh[:p.cut]...)
+		p.fresh = p.fresh[:copy(p.fresh, p.fresh[p.cut:])]
 	}
-	return emitted, nil
+	return true, nil
+}
+
+// walk assembles positions i… of the combinations whose rightmost fresh
+// coordinate is d and hands each complete one to emit.
+func (es *enumState) walk(i, d int, emit func(binding []sym.ID) error) error {
+	if i == len(es.binding) {
+		return emit(es.binding)
+	}
+	// An emit that ingests may append to fresh; cut keeps that tail out.
+	p := &es.pos[i]
+	if i != d {
+		for _, v := range p.old {
+			es.binding[i] = v
+			if err := es.walk(i+1, d, emit); err != nil {
+				return err
+			}
+		}
+	}
+	if i <= d {
+		for _, v := range p.fresh[:p.cut] {
+			es.binding[i] = v
+			if err := es.walk(i+1, d, emit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ type fixture struct {
 }
 
 // setup builds a fixture from schema text, query text and table rows.
-func setup(t *testing.T, schemaText, queryText string, data map[string][]storage.Row) *fixture {
+func setup(t testing.TB, schemaText, queryText string, data map[string][]storage.Row) *fixture {
 	t.Helper()
 	sch := schema.MustParse(schemaText)
 	db := storage.NewDatabase()
@@ -46,28 +47,41 @@ func setup(t *testing.T, schemaText, queryText string, data map[string][]storage
 // setupDB plans queryText over sch and binds db's tables as its sources.
 func setupDB(t testing.TB, sch *schema.Schema, db *storage.Database, queryText string) *fixture {
 	t.Helper()
-	q := cq.MustParse(queryText)
-	ty, err := cq.Validate(q, sch)
+	f, err := newFixture(sch, db, cq.MustParse(queryText))
 	if err != nil {
 		t.Fatal(err)
+	}
+	return f
+}
+
+// errNotAnswerable is newFixture's report that the query has no plan.
+var errNotAnswerable = errors.New("query is not answerable")
+
+func newFixture(sch *schema.Schema, db *storage.Database, q *cq.CQ) (*fixture, error) {
+	ty, err := cq.Validate(q, sch)
+	if err != nil {
+		return nil, err
 	}
 	pre, err := cq.EliminateConstants(q, sch, ty)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	g, err := dgraph.Build(pre.Query, pre.Schema)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	if !g.Answerable {
+		return nil, errNotAnswerable
 	}
 	p, err := plan.Generate(g.Optimize())
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	reg, err := source.FromDatabase(sch, db, 0)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &fixture{sch: sch, q: q, ty: ty, plan: p, reg: reg}
+	return &fixture{sch: sch, q: q, ty: ty, plan: p, reg: reg}, nil
 }
 
 // referenceAnswers computes the plan's Datalog least-fixpoint semantics

@@ -68,14 +68,16 @@ type Options struct {
 	// Parallelism is the pipelined engine's concurrent probes per relation;
 	// default 4. Ignored by the batch strategies.
 	Parallelism int
-	// Limit, when positive, caps the answers: the pipelined engine stops
-	// the extraction as soon as that many answers have been emitted — the
-	// paper's interactive early stop ("the user can stop the lengthy
-	// answering process once satisfied") — and the union runner stops once
-	// the union holds that many distinct answers. The result is then a
-	// sound subset and carries Truncated. For queries with negated atoms no
-	// answer is sound until every cache is complete, so the limit cannot
-	// save accesses there; it still caps the answers returned.
+	// Limit, when positive, caps the answers at exactly that many: the
+	// pipelined engine stops the extraction as soon as they have been
+	// emitted — the paper's interactive early stop ("the user can stop the
+	// lengthy answering process once satisfied") — and the union runner
+	// stops once the union holds that many distinct answers. The result
+	// carries Truncated when work was left undone or a further answer was
+	// derived and withheld; it is then a sound subset. For queries with
+	// negated atoms no answer is sound until every cache is complete, so
+	// the limit cannot save accesses there; it still caps the answers
+	// returned.
 	Limit int
 	// MaxConcurrent bounds how many union disjuncts execute at once; 0
 	// means runtime.GOMAXPROCS(0), negative means one at a time. Ignored
@@ -202,7 +204,10 @@ func FastFailingOpts(ctx context.Context, p *plan.Plan, reg *source.Registry, op
 	counted, counters := instrument(reg, opts)
 	sc := getScratch()
 	defer sc.release()
-	st := newGroupState(p, counted, opts, sc)
+	st, err := newGroupState(p, counted, opts, sc)
+	if err != nil {
+		return nil, err
+	}
 
 	for gi := range p.Groups {
 		gctx, gsp := obs.StartSpan(ctx, "group")
@@ -225,7 +230,7 @@ func FastFailingOpts(ctx context.Context, p *plan.Plan, reg *source.Registry, op
 				}, nil
 			}
 		}
-		err := st.populateGroup(gctx, gi, nil)
+		err := st.populateGroup(gctx, gi)
 		gsp.End()
 		if err != nil {
 			if errors.Is(err, errCancelled) {
@@ -261,94 +266,97 @@ type groupState struct {
 	opts Options
 	sc   *scratch // the run's recycled working memory; owned by the executor
 
-	cdb   datalog.DB                 // cache predicate relations
-	enums map[*plan.Cache]*enumState // per node: semi-naive binding enumeration
-	// occurrences counts the plan's cache nodes per relation.
-	occurrences map[string]int
-
-	// domainRules[pred] lists the rules defining a domain predicate.
-	domainRules map[string][]*datalog.Rule
+	cdb   datalog.DB   // cache predicate relations
+	enums []*enumState // per cache node (nil for constants): its input domains
+	// meta holds, per relation of the plan, the meta-cache: the map through
+	// which the occurrences of a relation share access results, so that no
+	// binding is probed twice however many cache nodes ask for it. An entry
+	// is nil — which callers treat as "never hits, never stores" — when the
+	// meta-cache is disabled, and for a relation with a single occurrence:
+	// its node's enumerator already visits every binding once, so nobody
+	// would ever read what was stored.
+	meta []*sym.BindMap[[]datalog.Tuple]
 }
 
-func newGroupState(p *plan.Plan, reg *source.Registry, opts Options, sc *scratch) *groupState {
+// newGroupState sets an execution up: empty cache relations and input
+// domains, then the query constants, whose caches seed the domains they
+// feed once and for all.
+func newGroupState(p *plan.Plan, reg *source.Registry, opts Options, sc *scratch) (*groupState, error) {
 	st := &groupState{
-		p:           p,
-		reg:         reg,
-		opts:        opts,
-		sc:          sc,
-		cdb:         datalog.DB{},
-		enums:       make(map[*plan.Cache]*enumState),
-		occurrences: make(map[string]int),
-		domainRules: make(map[string][]*datalog.Rule),
+		p:     p,
+		reg:   reg,
+		opts:  opts,
+		sc:    sc,
+		cdb:   make(datalog.DB, len(p.Caches)),
+		enums: make([]*enumState, len(p.Caches)),
+		meta:  make([]*sym.BindMap[[]datalog.Tuple], len(p.Relations)),
 	}
-	domainPreds := make(map[string]bool)
 	for _, c := range p.Caches {
-		if st.cdb[c.Pred] == nil {
-			st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
-		}
-		st.occurrences[c.Source.Rel.Name]++
+		st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
 		if c.IsConst {
-			// Query constants intern here — the last string boundary on the
-			// way into an execution.
-			st.cdb.Insert(c.Pred, datalog.Tuple{sym.Intern(c.ConstValue)})
+			continue
 		}
-		for _, dp := range c.DomainPreds {
-			domainPreds[dp] = true
-		}
-	}
-	for _, r := range p.Program.Rules {
-		if domainPreds[r.Head.Pred] {
-			st.domainRules[r.Head.Pred] = append(st.domainRules[r.Head.Pred], r)
+		st.enums[c.Index] = sc.enum(len(c.DomainPreds))
+		if c.Shared && !opts.NoMetaCache {
+			st.meta[c.Rel] = bindMapFor(sc.meta, c.Source.Rel.Name)
 		}
 	}
-	return st
+	for _, c := range p.Caches {
+		if !c.IsConst {
+			continue
+		}
+		// Query constants intern here — the last string boundary on the way
+		// into an execution.
+		if _, err := st.ingest(c, []datalog.Tuple{{sym.Intern(c.ConstValue)}}); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
 }
 
-// metaFor returns the relation's meta-cache: the map through which the
-// occurrences of a relation share access results, so that no binding is
-// probed twice however many cache nodes ask for it. One integer-keyed map
-// per relation — an executor resolves it once per pass and every hit or
-// store is a single-word map operation, no access-key string ever
-// materializing. It returns nil — which callers treat as "never hits, never
-// stores" — when the meta-cache is disabled, and for a relation with a
-// single occurrence: its node's enumerator already visits every binding
-// once, so nobody would ever read what was stored.
-func (st *groupState) metaFor(rel string) *sym.BindMap[[]datalog.Tuple] {
-	if st.opts.NoMetaCache || st.occurrences[rel] < 2 {
-		return nil
+// ingest folds one extraction into cache c — the one way tuples enter the
+// cache database — and returns the tuples that were new to it (valid until
+// the next call). The domains are maintained from that delta: every domain
+// rule mentioning the cache predicate is joined with the new tuples at that
+// body position and the full caches elsewhere, and the values derived go,
+// unless already known, to the fresh pool of the input position the domain
+// binds. No rule is ever evaluated over tuples it has already seen.
+func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tuple, error) {
+	crel := st.cdb[c.Pred]
+	fresh := st.sc.fresh[:0]
+	for _, row := range rows {
+		if crel.Insert(row) {
+			fresh = append(fresh, row)
+		}
 	}
-	return bindMapFor(st.sc.meta, rel)
-}
-
-// domainValues evaluates the rules of one domain predicate over the current
-// caches and returns the provided values (as interned IDs).
-func (st *groupState) domainValues(pred string) (map[sym.ID]bool, error) {
-	out := make(map[sym.ID]bool)
-	for _, r := range st.domainRules[pred] {
-		tuples, err := datalog.EvalRuleWithDelta(r, st.cdb, nil, -1)
+	st.sc.fresh = fresh
+	if len(fresh) == 0 {
+		return nil, nil
+	}
+	for _, f := range c.Feeds {
+		derived, err := datalog.EvalRuleWithDelta(f.Rule, st.cdb, fresh, f.BodyPos)
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range tuples {
-			out[t[0]] = true
+		p := &st.enums[f.Cache].pos[f.Input]
+		for _, t := range derived {
+			p.add(t[0])
 		}
 	}
-	return out, nil
+	return fresh, nil
 }
 
 // populateGroup brings the caches of one position group to their fixpoint.
 // Each new binding derived from the domain predicates is probed (through
 // the meta-cache) and the extraction is added to the occurrence's cache.
-// onTuples, when non-nil, observes every batch of new cache tuples (used by
-// the streaming executor).
-func (st *groupState) populateGroup(ctx context.Context, gi int, onTuples func(pred string, tuples []datalog.Tuple) error) error {
+func (st *groupState) populateGroup(ctx context.Context, gi int) error {
 	for changed := true; changed; {
 		changed = false
 		for _, c := range st.p.Caches {
 			if c.Group != gi || c.IsConst {
 				continue
 			}
-			added, err := st.populateCacheOnce(ctx, c, onTuples)
+			added, err := st.populateCacheOnce(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -365,38 +373,24 @@ func (st *groupState) populateGroup(ctx context.Context, gi int, onTuples func(p
 // probes the arena in batches of at most Options.MaxBatch, so a pass that
 // generates N fresh bindings costs ceil(N/MaxBatch) source round trips
 // instead of N.
-func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache, onTuples func(string, []datalog.Tuple) error) (bool, error) {
+func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache) (bool, error) {
 	rel := c.Source.Rel
 	w := st.reg.Source(rel.Name)
 	if w == nil {
 		return false, fmt.Errorf("exec: no source bound for relation %s", rel.Name)
 	}
-	crel := st.cdb[c.Pred]
-
-	// ingest folds one extraction into the cache.
-	ingest := func(rows []datalog.Tuple) error {
-		var fresh []datalog.Tuple
-		for _, row := range rows {
-			if crel.Insert(row) {
-				fresh = append(fresh, row)
-			}
-		}
-		if onTuples != nil && len(fresh) > 0 {
-			return onTuples(c.Pred, fresh)
-		}
-		return nil
-	}
 
 	// Enumerate the pass's new bindings in the canonical order (the
 	// semi-naive enumerator guarantees each reaches here exactly once).
-	rm := st.metaFor(rel.Name)
+	rm := st.meta[c.Rel]
 	sc := st.sc
 	sc.arena = sc.arena[:0]
 	toProbe := 0
 	changed, err := st.newBindings(c, func(binding []sym.ID) error {
 		if rm != nil {
 			if rows, hit := rm.Get(binding); hit {
-				return ingest(rows)
+				_, err := st.ingest(c, rows)
+				return err
 			}
 		}
 		sc.arena = append(sc.arena, binding...)
@@ -418,7 +412,8 @@ func (st *groupState) populateCacheOnce(ctx context.Context, c *plan.Cache, onTu
 		if rm != nil {
 			rm.Put(binding, rows)
 		}
-		return ingest(rows)
+		_, err := st.ingest(c, rows)
+		return err
 	})
 	return changed, err
 }
@@ -452,14 +447,10 @@ func truncatedResult(q *cq.CQ, cdb datalog.DB, counters map[string]*source.Count
 // group gi: the positive subquery restricted to the atoms whose caches
 // belong to groups j < gi must have at least one satisfying assignment.
 func (st *groupState) subquerySatisfiable(gi int) (bool, error) {
-	groupOf := make(map[string]int, len(st.p.Caches))
-	for _, c := range st.p.Caches {
-		groupOf[c.Pred] = c.Group
-	}
 	var body []cq.Atom
-	for _, a := range st.p.Query.Body {
-		if groupOf[a.Pred] < gi {
-			body = append(body, a)
+	for _, c := range st.p.Caches {
+		if c.QueryPos >= 0 && c.Group < gi {
+			body = append(body, st.p.Query.Body[c.QueryPos])
 		}
 	}
 	if len(body) == 0 {

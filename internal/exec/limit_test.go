@@ -42,8 +42,8 @@ mid^io(B, C)
 	if !lim.Truncated {
 		t.Error("limited run must be flagged truncated")
 	}
-	if lim.Answers.Len() < 10 {
-		t.Errorf("answers = %d, want >= 10", lim.Answers.Len())
+	if lim.Answers.Len() != 10 || len(streamed) != 10 {
+		t.Errorf("answers = %d, streamed = %d, want exactly 10", lim.Answers.Len(), len(streamed))
 	}
 	if lim.TotalAccesses() >= full.TotalAccesses() {
 		t.Errorf("limit did not save accesses: %d vs %d", lim.TotalAccesses(), full.TotalAccesses())

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
 	"toorjah/internal/plan"
@@ -30,12 +29,32 @@ type probeResult struct {
 	err     error
 }
 
+// relQueue is the coordinator's view of one relation of the plan: the
+// bounded access queue its wrapper pool drains, and behind it, in arrival
+// order, the access tuples the queue had no room for yet.
+type relQueue struct {
+	q       chan job
+	pending *jobBuf // FIFO: jobs[head:] are waiting
+	head    int
+	// flying registers, where occurrences of the relation can share an
+	// access (groupState.meta), the bindings queued or in flight, with the
+	// other cache nodes waiting for the same extraction: "every access tuple
+	// is never sent twice to the same wrapper".
+	flying *sym.BindMap[[]*plan.Cache]
+}
+
 // Pipelined executes the plan with the Toorjah engine of Section V: every
 // relation gets a wrapper goroutine pool with a bounded access queue, the
 // coordinator "distils" new access tuples into the queues as soon as the
 // cache database can generate them, and answers are emitted through
 // onAnswer the moment an incremental join derives them. The final result
 // carries the same answer set as FastFailing.
+//
+// The coordinator's work is proportional to what happens, not to what is
+// held: an extraction updates the input domains from its own new tuples
+// (groupState.ingest), only bindings containing a new value are enumerated,
+// and each relation's waiting jobs are offered to its queue front to back
+// until the first refusal.
 //
 // For queries with negated atoms, incremental emission would be unsound
 // (a later extraction can invalidate a tentative answer), so answers are
@@ -50,7 +69,10 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	// has exited, so nothing reads a binding out of the arena any more.
 	sc := getScratch()
 	defer sc.release()
-	st := newGroupState(p, counted, opts, sc)
+	st, err := newGroupState(p, counted, opts, sc)
+	if err != nil {
+		return nil, err
+	}
 
 	// One "pipeline" span covers the whole distillation; the workers' probe
 	// batches hang off it (the span is nil — free — when the context
@@ -58,35 +80,36 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	pctx, psp := obs.StartSpan(ctx, "pipeline")
 	defer psp.End()
 
-	// One queue and worker pool per relation occurring in the plan.
-	queues := make(map[string]chan job)
+	// One queue and worker pool per relation occurring in the plan; no
+	// worker starts unless every relation has its source.
+	rels := make([]relQueue, len(p.Relations))
+	for _, name := range p.Relations {
+		if counted.Source(name) == nil {
+			return nil, fmt.Errorf("pipelined: no source bound for relation %s", name)
+		}
+	}
 	results := make(chan probeResult)
 	var wg sync.WaitGroup
 	var stopped atomic.Bool
-	for _, c := range p.Caches {
-		if c.IsConst {
-			continue
-		}
-		name := c.Source.Rel.Name
-		if _, ok := queues[name]; ok {
-			continue
-		}
+	maxBatch := opts.maxBatch()
+	for ri, name := range p.Relations {
 		w := counted.Source(name)
-		if w == nil {
-			return nil, fmt.Errorf("pipelined: no source bound for relation %s", name)
+		r := &rels[ri]
+		r.q = make(chan job, opts.queueLen())
+		r.pending = sc.jobBuf()
+		if st.meta[ri] != nil {
+			r.flying = new(sym.BindMap[[]*plan.Cache])
 		}
-		q := make(chan job, opts.queueLen())
-		queues[name] = q
-		maxBatch := opts.maxBatch()
 		for i := 0; i < opts.parallelism(); i++ {
 			wg.Add(1)
-			go func(w source.Wrapper, q chan job) {
+			// The worker's batch lives in the scratch, which outlives it.
+			go func(w source.Wrapper, q chan job, buf *jobBuf) {
 				defer wg.Done()
 				for j := range q {
 					// Drain the queue into a batch: every access tuple
 					// already waiting rides the same source round trip, up
 					// to the MaxBatch bound.
-					batch := []job{j}
+					batch := append(buf.jobs[:0], j)
 				drain:
 					for len(batch) < maxBatch {
 						select {
@@ -99,6 +122,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 							break drain
 						}
 					}
+					buf.jobs = batch
 					if stopped.Load() {
 						// Truncated run: pass queued jobs through without
 						// touching the source.
@@ -107,10 +131,11 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 						}
 						continue
 					}
-					bindings := make([][]sym.ID, len(batch))
-					for k, jb := range batch {
-						bindings[k] = jb.binding
+					bindings := buf.bindings[:0]
+					for _, jb := range batch {
+						bindings = append(bindings, jb.binding)
 					}
+					buf.bindings = bindings
 					raws, err := probe(pctx, w, bindings)
 					if err != nil {
 						for _, jb := range batch {
@@ -122,7 +147,7 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 						results <- probeResult{cache: jb.cache, binding: jb.binding, rows: raws[k]}
 					}
 				}
-			}(w, q)
+			}(w, r.q, sc.jobBuf())
 		}
 	}
 	// cleanup stops the workers: close the queues, then drain the results
@@ -134,8 +159,8 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	cleanup := func() {
 		cleanupOnce.Do(func() {
 			stopped.Store(true)
-			for _, q := range queues {
-				close(q)
+			for i := range rels {
+				close(rels[i].q)
 			}
 			go func() {
 				wg.Wait()
@@ -147,15 +172,18 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	}
 	defer cleanup()
 
-	streaming := len(p.Query.Negated) == 0
 	answers := datalog.NewRelation(p.Query.Name, len(p.Query.Head))
-	queryRule := &datalog.Rule{
-		Head:    cq.Atom{Pred: p.Query.Name, Args: p.Query.Head},
-		Body:    p.Query.Body,
-		Negated: p.Query.Negated,
-	}
 	var firstAnswer time.Duration
+	// emit delivers exactly Limit answers when a limit is set; a fresh
+	// answer beyond it proves the limit cut the answer set (the rule the
+	// union runner's emit applies).
+	limitHit := func() bool { return opts.Limit > 0 && answers.Len() >= opts.Limit }
+	overLimit := false
 	emit := func(t datalog.Tuple) {
+		if limitHit() {
+			overLimit = overLimit || !answers.Contains(t)
+			return
+		}
 		if !answers.Insert(t) {
 			return
 		}
@@ -167,77 +195,53 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 		}
 	}
 
-	// onFresh folds a batch of new cache tuples into the incremental
-	// answer join.
-	onFresh := func(pred string, fresh []datalog.Tuple) error {
-		if !streaming {
-			return nil
+	// extract folds an extraction into a cache and, for a positive query,
+	// joins the new tuples — at the body position their cache occupies —
+	// with the full caches elsewhere. Every answer has a last tuple to
+	// arrive, and is derived when it does: the streamed join is complete.
+	streaming := len(p.Query.Negated) == 0
+	extract := func(c *plan.Cache, rows []datalog.Tuple) error {
+		fresh, err := st.ingest(c, rows)
+		if err != nil || len(fresh) == 0 || !streaming || c.QueryPos < 0 {
+			return err
 		}
-		delta := datalog.NewRelation(pred, len(fresh[0]))
-		for _, t := range fresh {
-			delta.Insert(t)
+		derived, err := datalog.EvalRuleWithDelta(p.QueryRule, st.cdb, fresh, c.QueryPos)
+		for _, t := range derived {
+			emit(t)
 		}
-		for i, a := range p.Query.Body {
-			if a.Pred != pred {
-				continue
-			}
-			derived, err := datalog.EvalRuleWithDelta(queryRule, st.cdb, delta, i)
-			if err != nil {
-				return err
-			}
-			for _, t := range derived {
-				emit(t)
-			}
-		}
-		return nil
+		return err
 	}
 
 	// generate derives every new access binding the caches currently
 	// support. Meta-cache hits are folded in synchronously; probes already
 	// in flight for the same relation binding register the extra cache as a
-	// waiter instead of re-probing ("every access tuple is never sent twice
-	// to the same wrapper"); everything else is queued. Like the meta-cache,
-	// the in-flight table exists only where occurrences of a relation can
-	// share an access.
-	var pending []job
-	inflight := make(map[string]*sym.BindMap[[]*plan.Cache])
-	inflightFor := func(rel string) *sym.BindMap[[]*plan.Cache] {
-		if st.metaFor(rel) == nil {
-			return nil
-		}
-		fl := inflight[rel]
-		if fl == nil {
-			fl = new(sym.BindMap[[]*plan.Cache])
-			inflight[rel] = fl
-		}
-		return fl
-	}
+	// waiter instead of re-probing; everything else joins its relation's
+	// FIFO.
+	waiting := 0 // jobs in the FIFOs
 	generate := func() error {
 		for _, c := range p.Caches {
 			if c.IsConst {
 				continue
 			}
-			rel := c.Source.Rel
-			rm := st.metaFor(rel.Name)
-			fl := inflightFor(rel.Name)
+			r := &rels[c.Rel]
+			rm := st.meta[c.Rel]
 			// The semi-naive enumerator hands over each candidate binding of
 			// this node exactly once across all generate calls.
 			_, err := st.newBindings(c, func(binding []sym.ID) error {
 				if rm != nil {
 					if rows, hit := rm.Get(binding); hit {
-						return ingest(st, c, rows, onFresh)
+						return extract(c, rows)
 					}
-				}
-				if fl != nil {
-					if waiters, flying := fl.Get(binding); flying {
-						fl.Put(binding, append(waiters, c))
+					if waiters, flying := r.flying.Get(binding); flying {
+						r.flying.Put(binding, append(waiters, c))
 						return nil
 					}
-					fl.Put(binding, nil)
+					r.flying.Put(binding, nil)
 				}
 				// The job outlives this callback (the enumerator reuses
 				// binding), so it gets its own copy, cut from the arena.
-				pending = append(pending, job{cache: c, binding: sc.keep(binding)})
+				r.pending.jobs = append(r.pending.jobs, job{cache: c, binding: sc.keep(binding)})
+				waiting++
 				return nil
 			})
 			if err != nil {
@@ -247,62 +251,69 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 		return nil
 	}
 
-	limitHit := func() bool { return opts.Limit > 0 && answers.Len() >= opts.Limit }
 	stopRequested := func() bool { return limitHit() || ctxDone(ctx) }
 
 	if err := generate(); err != nil {
 		return nil, err
 	}
 	outstanding := 0
-	for (len(pending) > 0 || outstanding > 0) && !stopRequested() {
-		// Dispatch as many pending jobs as the queues accept.
-		kept := pending[:0]
-		for _, j := range pending {
-			select {
-			case queues[j.cache.Source.Rel.Name] <- j:
-				outstanding++
-			default:
-				kept = append(kept, j)
+	for (waiting > 0 || outstanding > 0) && !stopRequested() {
+		// Dispatch what the queues accept: each relation's FIFO is offered
+		// front to back and left at the first refusal.
+		for ri := range rels {
+			r := &rels[ri]
+			jobs := r.pending.jobs
+		offer:
+			for r.head < len(jobs) {
+				select {
+				case r.q <- jobs[r.head]:
+					r.head++
+					waiting--
+					outstanding++
+				default:
+					break offer
+				}
 			}
-		}
-		pending = kept
-		if outstanding == 0 {
-			continue
+			if r.head == len(jobs) {
+				r.pending.jobs, r.head = jobs[:0], 0
+			}
 		}
 		res := <-results
 		outstanding--
+		c := res.cache
 		if errors.Is(res.err, errCancelled) {
-			// Unanswered, not failed: back on the pending list, where the
-			// job marks the run truncated.
-			pending = append(pending, job{cache: res.cache, binding: res.binding})
+			// Unanswered, not failed: back in the FIFO, where the job marks
+			// the run truncated.
+			r := &rels[c.Rel]
+			r.pending.jobs = append(r.pending.jobs, job{cache: c, binding: res.binding})
+			waiting++
 			continue
 		}
 		if res.err != nil {
 			return nil, res.err
 		}
-		relName := res.cache.Source.Rel.Name
-		if rm := st.metaFor(relName); rm != nil {
+		if rm := st.meta[c.Rel]; rm != nil {
 			rm.Put(res.binding, res.rows)
-		}
-		if err := ingest(st, res.cache, res.rows, onFresh); err != nil {
-			return nil, err
-		}
-		if fl := inflight[relName]; fl != nil {
-			if waiters, ok := fl.Get(res.binding); ok {
-				for _, waiter := range waiters {
-					if err := ingest(st, waiter, res.rows, onFresh); err != nil {
-						return nil, err
-					}
-				}
-				fl.Delete(res.binding)
+			if err := extract(c, res.rows); err != nil {
+				return nil, err
 			}
+			fl := rels[c.Rel].flying
+			waiters, _ := fl.Get(res.binding)
+			for _, waiter := range waiters {
+				if err := extract(waiter, res.rows); err != nil {
+					return nil, err
+				}
+			}
+			fl.Delete(res.binding)
+		} else if err := extract(c, res.rows); err != nil {
+			return nil, err
 		}
 		if err := generate(); err != nil {
 			return nil, err
 		}
 	}
 
-	truncated := stopRequested() && (len(pending) > 0 || outstanding > 0)
+	truncated := overLimit || waiting > 0 || outstanding > 0
 	if truncated {
 		// Stop the workers from touching the sources for jobs still queued;
 		// only probes already in flight complete.
@@ -316,21 +327,18 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 	}
 	cleanup()
 
-	if !truncated {
-		// Authoritative final evaluation (also covers negation). The limit
-		// applies here too: for negated queries this is where answers are
-		// first emitted, and a client who asked for N gets N.
+	if !streaming && !truncated {
+		// With negation no answer is sound before every cache is complete,
+		// so this evaluation is the first, and the only, one. The limit
+		// applies here too: a client who asked for N gets N.
 		final, err := datalog.EvalQuery(p.Query, st.cdb)
 		if err != nil {
 			return nil, fmt.Errorf("pipelined: final evaluation: %w", err)
 		}
 		for _, t := range final.Tuples() {
-			if limitHit() && !answers.Contains(t) {
-				truncated = true
-				break
-			}
 			emit(t)
 		}
+		truncated = overLimit
 	}
 	return &Result{
 		Answers:     answers,
@@ -339,19 +347,4 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 		Elapsed:     time.Since(start),
 		TimeToFirst: firstAnswer,
 	}, nil
-}
-
-// ingest inserts an extraction into a cache and forwards new tuples to the
-// incremental join.
-func ingest(st *groupState, c *plan.Cache, rows []datalog.Tuple, onFresh func(string, []datalog.Tuple) error) error {
-	var fresh []datalog.Tuple
-	for _, row := range rows {
-		if st.cdb.Insert(c.Pred, row) {
-			fresh = append(fresh, row)
-		}
-	}
-	if len(fresh) > 0 {
-		return onFresh(c.Pred, fresh)
-	}
-	return nil
 }

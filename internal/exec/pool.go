@@ -38,6 +38,20 @@ type scratch struct {
 	// the slice of binding headers into it that one round trip carries.
 	arena []sym.ID
 	batch [][]sym.ID
+	// fresh is groupState.ingest's result buffer: the tuples of the latest
+	// extraction that were new to their cache.
+	fresh []datalog.Tuple
+	// jobBufs are the pipelined engine's job lists — a FIFO per relation, a
+	// batch per worker — handed out and recycled like rels and enums.
+	jobBufs    []*jobBuf
+	jobBufsOut int
+}
+
+// jobBuf is one recycled list of access jobs, with room for the binding
+// headers of the round trip a worker makes of it.
+type jobBuf struct {
+	jobs     []job
+	bindings [][]sym.ID
 }
 
 var scratchPool = sync.Pool{
@@ -71,8 +85,14 @@ func (sc *scratch) release() {
 	for _, es := range sc.enums[:sc.enumsOut] {
 		es.reset()
 	}
-	sc.relsOut, sc.enumsOut = 0, 0
+	for _, b := range sc.jobBufs[:sc.jobBufsOut] {
+		clear(b.jobs[:cap(b.jobs)])
+		clear(b.bindings[:cap(b.bindings)])
+		b.jobs, b.bindings = b.jobs[:0], b.bindings[:0]
+	}
+	sc.relsOut, sc.enumsOut, sc.jobBufsOut = 0, 0, 0
 	sc.arena = sc.arena[:0]
+	clear(sc.fresh[:cap(sc.fresh)])
 	scratchPool.Put(sc)
 }
 
@@ -108,6 +128,18 @@ func (sc *scratch) enum(n int) *enumState {
 	sc.enumsOut++
 	es.resize(n)
 	return es
+}
+
+// jobBuf hands out an empty job list. Like everything the scratch hands
+// out it is for one goroutine's use; the pipelined coordinator takes them
+// all before it starts the workers.
+func (sc *scratch) jobBuf() *jobBuf {
+	if sc.jobBufsOut == len(sc.jobBufs) {
+		sc.jobBufs = append(sc.jobBufs, new(jobBuf))
+	}
+	b := sc.jobBufs[sc.jobBufsOut]
+	sc.jobBufsOut++
+	return b
 }
 
 // keep copies a binding into the arena and returns the copy, which stays

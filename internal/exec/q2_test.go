@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"toorjah/internal/gen"
 )
@@ -64,4 +66,48 @@ func BenchmarkFastFailQ2(b *testing.B) {
 		run()
 	}
 	b.ReportMetric(float64(accesses), "accesses")
+}
+
+// runPipelinedQ2 executes q2 pipelined and checks the paper's access count.
+func runPipelinedQ2(t testing.TB, f *fixture) *Result {
+	res, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.TotalAccesses(); got != q2Accesses {
+		t.Fatalf("pipelined q2 made %d accesses, want %d", got, q2Accesses)
+	}
+	return res
+}
+
+// TestPipelinedQ2 pins the coordinator's cost: q2 keeps tens of thousands
+// of access tuples pending on one relation, and a coordinator that re-offers
+// every pending job after every probe result is quadratic in them (33 s
+// before dispatch became O(dispatched), against 22 ms for fast-fail).
+func TestPipelinedQ2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size q2 instance")
+	}
+	f := q2Fixture(t)
+	want := f.fast(t).SortedAnswers()
+	start := time.Now()
+	res := runPipelinedQ2(t, f)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("pipelined q2 took %s, want under 2s", elapsed)
+	}
+	if got := res.SortedAnswers(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pipelined q2 answers = %v, fast-fail = %v", got, want)
+	}
+}
+
+// BenchmarkPipelinedQ2 times warm pipelined executions of q2.
+func BenchmarkPipelinedQ2(b *testing.B) {
+	f := q2Fixture(b)
+	runPipelinedQ2(b, f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runPipelinedQ2(b, f)
+	}
+	b.ReportMetric(q2Accesses, "accesses")
 }

@@ -46,6 +46,37 @@ type Cache struct {
 	IsConst bool
 	// ConstValue is the constant carried by an IsConst cache.
 	ConstValue string
+
+	// The fields below are the executors' per-plan tables, derived once by
+	// GenerateWith and immutable afterwards: a plan is shared by concurrent
+	// executions and replaced, never mutated, by adaptive re-linearization.
+
+	// Index is the cache's position in Plan.Caches.
+	Index int
+	// Rel is the position of the cache's relation in Plan.Relations; -1 for
+	// an IsConst cache, which is never accessed.
+	Rel int
+	// Shared reports that another cache node of the plan accesses the same
+	// relation, so an extraction made for one can serve the other.
+	Shared bool
+	// Feeds lists every place the cache predicate occurs in the body of a
+	// domain rule: what must be re-derived, and for whom, when the cache
+	// gains tuples.
+	Feeds []Feed
+	// QueryPos is the body position the cache predicate occupies in
+	// Plan.QueryRule, -1 for white and negated-occurrence caches.
+	QueryPos int
+}
+
+// Feed says that new tuples of a cache can provide new values for one input
+// position of a cache node: joining them, as the delta at BodyPos, through
+// the domain rule Rule derives exactly the values they contribute.
+type Feed struct {
+	Rule    *datalog.Rule
+	BodyPos int
+	// Cache and Input name the fed input position: Plan.Caches[Cache], input
+	// Input (an index into its DomainPreds).
+	Cache, Input int
 }
 
 // Plan is a ⊂-minimal query plan.
@@ -58,9 +89,14 @@ type Plan struct {
 	// Query is the rewritten query whose body atoms range over the black
 	// caches (negated atoms over negated-occurrence caches).
 	Query *cq.CQ
+	// QueryRule is the rule of Program that defines Query.
+	QueryRule *datalog.Rule
 	// Caches lists one entry per surviving source, ordered by group then
 	// source ID.
 	Caches []*Cache
+	// Relations names the relations the plan accesses, each once, in order
+	// of first occurrence in Caches.
+	Relations []string
 	// Groups are the position groups of sources, in execution order.
 	Groups [][]*dgraph.Source
 	// UniqueOrdering reports whether only one ordering of the groups was
@@ -207,15 +243,63 @@ func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 		}
 	}
 	p.Query = rw
-	p.Program.Add(&datalog.Rule{
+	p.QueryRule = &datalog.Rule{
 		Head:    cq.Atom{Pred: rw.Name, Args: rw.Head},
 		Body:    rw.Body,
 		Negated: rw.Negated,
-	})
+	}
+	p.Program.Add(p.QueryRule)
 	if err := p.Program.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: generated program invalid: %w", err)
 	}
+	p.link()
 	return p, nil
+}
+
+// link derives the executors' tables from the finished program: which
+// relation each cache accesses and whether it shares it, where each cache
+// predicate sits in the domain rules and in the query rule.
+func (p *Plan) link() {
+	byPred := make(map[string]*Cache, len(p.Caches))
+	fed := make(map[string]Feed) // domain predicate -> the input position it binds
+	relIndex := make(map[string]int)
+	occurrences := make(map[string]int)
+	for ci, c := range p.Caches {
+		c.Index, c.Rel, c.QueryPos = ci, -1, -1
+		byPred[c.Pred] = c
+		for ii, dp := range c.DomainPreds {
+			fed[dp] = Feed{Cache: ci, Input: ii}
+		}
+		if c.IsConst {
+			continue
+		}
+		name := c.Source.Rel.Name
+		ri, ok := relIndex[name]
+		if !ok {
+			ri = len(p.Relations)
+			relIndex[name] = ri
+			p.Relations = append(p.Relations, name)
+		}
+		c.Rel = ri
+		occurrences[name]++
+	}
+	for _, c := range p.Caches {
+		c.Shared = !c.IsConst && occurrences[c.Source.Rel.Name] > 1
+	}
+	for _, r := range p.Program.Rules {
+		f, ok := fed[r.Head.Pred]
+		if !ok {
+			continue
+		}
+		for bi, a := range r.Body {
+			f.Rule, f.BodyPos = r, bi
+			c := byPred[a.Pred]
+			c.Feeds = append(c.Feeds, f)
+		}
+	}
+	for bi, a := range p.QueryRule.Body {
+		byPred[a.Pred].QueryPos = bi
+	}
 }
 
 // providerAtom builds the cache atom of the provider behind arc a, with the

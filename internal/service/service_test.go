@@ -387,7 +387,8 @@ func TestServerQueryBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestServerLimit: the limit parameter truncates the stream soundly.
+// TestServerLimit: limit=N streams exactly N answers and flags the cut,
+// even when one access delivers them all in a single burst.
 func TestServerLimit(t *testing.T) {
 	sch, err := schema.Parse("r^o(A)")
 	if err != nil {
@@ -406,11 +407,13 @@ func TestServerLimit(t *testing.T) {
 	defer ts.Close()
 
 	answers, done := queryNDJSON(t, ts.URL+"/query?limit=3&q=q(X)%20:-%20r(X)")
-	if len(answers) < 3 || done.Answers < 3 {
-		t.Errorf("limit run: %d streamed, done=%+v", len(answers), done)
+	if len(answers) != 3 || done.Answers != 3 || !done.Truncated {
+		t.Errorf("limit run: %d streamed, done=%+v; want 3 answers, truncated", len(answers), done)
 	}
-	if done.Answers > 50 {
-		t.Errorf("answers = %d > instance size", done.Answers)
+	// A limit the answers do not reach cuts nothing.
+	answers, done = queryNDJSON(t, ts.URL+"/query?limit=50&q=q(X)%20:-%20r(X)")
+	if len(answers) != 50 || done.Answers != 50 || done.Truncated {
+		t.Errorf("limit = answer count: %d streamed, done=%+v; want 50 answers, not truncated", len(answers), done)
 	}
 }
 
