@@ -12,7 +12,7 @@ import (
 // fast-failing executor notices the join is empty. The query lists big
 // before small, so the static tie-break (equal join scores, source-ID
 // order) probes big first; live sizes reverse that.
-func skewedSystem(t *testing.T, opts ...SystemOption) *System {
+func skewedSystem(t testing.TB, opts ...SystemOption) *System {
 	t.Helper()
 	sch, err := ParseSchema(`
 		seed^o(A)

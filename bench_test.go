@@ -31,7 +31,7 @@ import (
 )
 
 // benchPub prepares the Fig. 6 workload once per benchmark.
-func benchPub(b *testing.B, tuples int) (*schema.Schema, *source.Registry) {
+func benchPub(b testing.TB, tuples int) (*schema.Schema, *source.Registry) {
 	b.Helper()
 	cfg := gen.DefaultPublication()
 	cfg.Tuples = tuples
@@ -58,9 +58,9 @@ func benchFig6Query(b *testing.B, queryIdx int, naive bool) {
 	for i := 0; i < b.N; i++ {
 		var r *exec.Result
 		if naive {
-			r, err = exec.Naive(context.Background(), sch, reg, p.Query, p.Typing)
+			r, err = exec.Naive(context.Background(), sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 		} else {
-			r, err = exec.FastFailing(context.Background(), p.Plan, reg)
+			r, err = exec.FastFailing(context.Background(), p.Plan, reg, exec.Options{}, nil)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -131,7 +131,7 @@ func benchAblation(b *testing.B, prepare core.Options, run exec.Options) {
 	var accesses int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exec.FastFailingOpts(context.Background(), p.Plan, reg, run)
+		r, err := exec.FastFailing(context.Background(), p.Plan, reg, run, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkSequentialWithLatency(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.FastFailing(context.Background(), p.Plan, reg); err != nil {
+		if _, err := exec.FastFailing(context.Background(), p.Plan, reg, exec.Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func benchCrossQuery(b *testing.B, c *cache.Cache, cfg gen.PublicationConfig, qu
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exec.FastFailingOpts(context.Background(), p.Plan, reg, opts)
+		r, err := exec.FastFailing(context.Background(), p.Plan, reg, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func benchBatch(b *testing.B, maxBatch int, pipelined bool) {
 		if pipelined {
 			r, err = exec.Pipelined(context.Background(), p.Plan, reg, exec.Options{Parallelism: 4, MaxBatch: maxBatch}, nil)
 		} else {
-			r, err = exec.FastFailingOpts(context.Background(), p.Plan, reg, opts)
+			r, err = exec.FastFailing(context.Background(), p.Plan, reg, opts, nil)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -368,7 +368,7 @@ q(R) :- pub2(P, R), conf(P, C, Y), rev(R, C, Y)
 q(R) :- sub(P, R), conf(P, C, Y), rev(R, C, Y)
 `
 
-func benchUCQSystem(b *testing.B, opts ...SystemOption) *UnionQuery {
+func benchUCQSystem(b testing.TB, opts ...SystemOption) *UnionQuery {
 	b.Helper()
 	sch, db := gen.Publication(1, gen.SmallPublication())
 	sys := NewSystem(sch, append([]SystemOption{WithLatency(2 * time.Millisecond)}, opts...)...)

@@ -86,8 +86,7 @@
 //
 //	-addr                listen address (default :8344)
 //	-latency             simulated per-access source latency (e.g. 50ms)
-//	-parallelism         concurrent probes per relation (default 4)
-//	-queue               per-relation access queue length (default 32)
+//	-parallelism         round trips in flight per relation (default 4)
 //	-max-batch           access bindings per source round trip (default 16;
 //	                     negative = unbatched)
 //	-no-cache            disable the cross-query access cache
@@ -155,8 +154,7 @@ func main() {
 	dataDir := flag.String("data", "", "directory of per-relation CSV files (required)")
 	addr := flag.String("addr", ":8344", "listen address")
 	latency := flag.Duration("latency", 0, "simulated per-access latency")
-	parallelism := flag.Int("parallelism", 4, "concurrent probes per relation")
-	queueLen := flag.Int("queue", 32, "per-relation access queue length")
+	parallelism := flag.Int("parallelism", 4, "round trips in flight per relation")
 	maxBatch := flag.Int("max-batch", 0, "access bindings per source round trip (0 = default 16, negative = unbatched)")
 	noCache := flag.Bool("no-cache", false, "disable the cross-query access cache")
 	cacheCap := flag.Int("cache-capacity", 0, "max cached accesses (0 = default 65536, negative = unbounded)")
@@ -256,7 +254,7 @@ func main() {
 
 	// The server snapshots the probe registry, so it is built after every
 	// local and remote relation is bound.
-	srv := service.New(sys, toorjah.Options{Parallelism: *parallelism, QueueLen: *queueLen}, svcOpts...)
+	srv := service.New(sys, toorjah.Options{Parallelism: *parallelism}, svcOpts...)
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}

@@ -269,7 +269,7 @@ func TestStringSymbolEngineEquivalence(t *testing.T) {
 			// The symbol-engine naive run must make exactly the reference's
 			// accesses — same set, same count (neither ever repeats one).
 			counted, counters := reg.Counted(true)
-			nres, err := exec.Naive(ctx, sch, counted, p.Query, p.Typing)
+			nres, err := exec.Naive(ctx, sch, counted, p.Query, p.Typing, exec.Options{}, nil)
 			if err != nil {
 				t.Fatalf("seed %d epoch %d: naive: %v", seed, epoch, err)
 			}
@@ -307,10 +307,10 @@ func TestStringSymbolEngineEquivalence(t *testing.T) {
 				run  func(opts exec.Options) (*exec.Result, error)
 			}{
 				{"naive", func(opts exec.Options) (*exec.Result, error) {
-					return exec.NaiveOpts(ctx, sch, reg, p.Query, p.Typing, opts)
+					return exec.Naive(ctx, sch, reg, p.Query, p.Typing, opts, nil)
 				}},
 				{"fastfail", func(opts exec.Options) (*exec.Result, error) {
-					return exec.FastFailingOpts(ctx, p.Plan, reg, opts)
+					return exec.FastFailing(ctx, p.Plan, reg, opts, nil)
 				}},
 				{"pipelined", func(opts exec.Options) (*exec.Result, error) {
 					return exec.Pipelined(ctx, p.Plan, reg, opts, nil)

@@ -45,11 +45,11 @@ func main() {
 			if err != nil || !p.Answerable() {
 				continue
 			}
-			naive, err := exec.Naive(context.Background(), sch, reg, p.Query, p.Typing)
+			naive, err := exec.Naive(context.Background(), sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			opt, err := exec.FastFailing(context.Background(), p.Plan, reg)
+			opt, err := exec.FastFailing(context.Background(), p.Plan, reg, exec.Options{}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

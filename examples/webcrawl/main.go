@@ -68,7 +68,6 @@ similar^ii(Product, Product)
 
 	start := time.Now()
 	res, err := q.Execute(context.Background(),
-		toorjah.WithExecOptions(toorjah.Options{Parallelism: 4}),
 		toorjah.OnAnswer(func(t toorjah.Tuple) {
 			v := t.Strings()
 			fmt.Printf("  %-8s costs %-5s   (streamed after %s)\n",

@@ -18,9 +18,9 @@ const (
 	// deduplication, batched probes, all answers at completion.
 	ExecutorFastFail Executor = iota
 	// ExecutorPipelined is the parallel pipelined engine of Section V:
-	// wrapper goroutine pools probe concurrently and answers stream through
-	// the OnAnswer callback the moment they become derivable. Selected
-	// implicitly when OnAnswer is given without WithExecutor.
+	// several round trips per relation are in flight at once and answers
+	// stream through the OnAnswer callback the moment they become derivable.
+	// Selected implicitly when OnAnswer is given without WithExecutor.
 	ExecutorPipelined
 	// ExecutorNaive is the reference algorithm of the paper's Fig. 1: probe
 	// everything probeable until fixpoint. Kept for measurement; it answers
@@ -48,11 +48,11 @@ func WithExecutor(e Executor) ExecOption {
 	return func(c *execConfig) { c.executor, c.executorSet = e, true }
 }
 
-// WithLimit caps the answers at n. The pipelined engine and the union
+// WithLimit caps the answers at n. The pipelined strategy and the union
 // runner stop the extraction once n answers exist — the paper's
-// interactive early stop — and the batch strategies truncate the final
-// answer set; either way the result is a sound subset carrying Truncated
-// when answers were actually cut.
+// interactive early stop — while naive and fast-fail, which derive their
+// answers at completion, cut the final answer set; either way the result
+// is a sound subset carrying Truncated when answers were actually cut.
 func WithLimit(n int) ExecOption {
 	return func(c *execConfig) { c.opts.Limit = n }
 }
@@ -67,8 +67,8 @@ func WithExecMaxBatch(n int) ExecOption {
 // OnAnswer streams answers to f. Under ExecutorPipelined (implied when no
 // executor is chosen) f fires the moment an answer becomes derivable — for
 // queries without negation; with negation, at completion — and under the
-// batch strategies it fires for every answer once the run completes, so a
-// sink works identically against every executor. For a UnionQuery, f
+// other executors it fires for every answer once the extraction completes,
+// so a sink works identically against every executor. For a UnionQuery, f
 // observes each distinct union answer exactly once; calls are always
 // serialized, never concurrent.
 func OnAnswer(f func(Tuple)) ExecOption {
@@ -77,7 +77,7 @@ func OnAnswer(f func(Tuple)) ExecOption {
 
 // WithExecOptions sets the executor-level Options wholesale — the ablation
 // switches (NoEarlyFailure, NoMetaCache), an explicit cross-query Cache,
-// pipelined tuning (QueueLen, Parallelism), union parallelism
+// pipelined tuning (Parallelism), union parallelism
 // (MaxConcurrent) and the rest. The escape hatch for everything the
 // dedicated ExecOptions don't cover; it replaces the accumulated block, so
 // order it before WithLimit / WithExecMaxBatch.
@@ -124,21 +124,18 @@ func (q *Query) Execute(ctx context.Context, options ...ExecOption) (*Result, er
 // the same data version).
 func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execConfig) (*Result, error) {
 	opts := q.sys.execOpts(cfg.opts)
-	if cfg.executor == ExecutorNaive {
+	switch {
+	case cfg.executor == ExecutorNaive:
 		// The naive algorithm runs on the original query and needs no plan,
 		// so it executes even when the optimized strategies would refuse.
-		res, err := exec.NaiveOpts(ctx, q.sys.sch, reg, q.pipeline.Query, q.pipeline.Typing, opts)
-		return finishBatch(res, err, cfg)
-	}
-	if !q.Answerable() {
+		return exec.Naive(ctx, q.sys.sch, reg, q.pipeline.Query, q.pipeline.Typing, opts, cfg.onAnswer)
+	case !q.Answerable():
 		return q.emptyResult(), nil
+	case cfg.executor == ExecutorPipelined:
+		return exec.Pipelined(ctx, q.activePlan(), reg, opts, cfg.onAnswer)
+	default:
+		return exec.FastFailing(ctx, q.activePlan(), reg, opts, cfg.onAnswer)
 	}
-	pl := q.activePlan()
-	if cfg.executor == ExecutorPipelined {
-		return exec.Pipelined(ctx, pl, reg, opts, cfg.onAnswer)
-	}
-	res, err := exec.FastFailingOpts(ctx, pl, reg, opts)
-	return finishBatch(res, err, cfg)
 }
 
 // activePlan returns the plan this execution runs. On a non-adaptive system
@@ -176,30 +173,6 @@ func (q *Query) activePlan() *plan.Plan {
 	return p
 }
 
-// finishBatch applies the answer limit and the post-completion streaming
-// callback to a batch executor's result. The batch strategies compute the
-// full answer set regardless — the limit cannot save accesses there — so
-// the cap is a truncation of the final relation.
-func finishBatch(res *Result, err error, cfg execConfig) (*Result, error) {
-	if err != nil || res == nil {
-		return res, err
-	}
-	if lim := cfg.opts.Limit; lim > 0 && res.Answers.Len() > lim {
-		capped := datalog.NewRelation(res.Answers.Name, res.Answers.Arity)
-		for _, t := range res.Answers.Tuples()[:lim] {
-			capped.Insert(t)
-		}
-		res.Answers = capped
-		res.Truncated = true
-	}
-	if cfg.onAnswer != nil {
-		for _, t := range res.Answers.Tuples() {
-			cfg.onAnswer(t)
-		}
-	}
-	return res, nil
-}
-
 // Execute runs every disjunct concurrently (bounded by MaxConcurrent) and
 // unions the answers — the UCQ semantics of the paper's Section II. The
 // same options as Query.Execute apply: WithExecutor selects the strategy
@@ -215,22 +188,13 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	pinned := u.sys.reg.Snapshot() // one data version for every disjunct
 	runs := make([]exec.DisjunctRun, len(u.queries))
 	for i, q := range u.queries {
-		q := q
 		runs[i] = func(dctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+			// Every disjunct delivers into the union. It keeps the limit for
+			// itself too: the union needs at most Limit distinct answers and
+			// a disjunct's own answers are distinct, so a disjunct that
+			// withholds one has an answer the union lacks or has no room for.
 			dc := cfg
-			if dc.executor == ExecutorPipelined {
-				// Streaming disjuncts feed the union incrementally; the
-				// per-disjunct limit is sound because the union needs at most
-				// Limit distinct answers and a disjunct's own answers are
-				// distinct.
-				dc.onAnswer = emit
-			} else {
-				// Batch disjuncts enter the union through the runner's final
-				// fold; a per-disjunct cap would mislabel complete unions as
-				// truncated.
-				dc.onAnswer = nil
-				dc.opts.Limit = 0
-			}
+			dc.onAnswer = emit
 			return q.executeWith(dctx, pinned, dc)
 		}
 	}

@@ -42,7 +42,7 @@ func TestPipelinedConcurrentCachedCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := exec.FastFailing(context.Background(), p.Plan, baseReg)
+	base, err := exec.FastFailing(context.Background(), p.Plan, baseReg, exec.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,12 +133,12 @@ func TestRandomizedExecutorEquivalence(t *testing.T) {
 		ref := &exec.Result{Answers: idb[p.Query.Name]}
 		want := strings.Join(ref.SortedAnswers(), ";")
 
-		naive, err := exec.Naive(context.Background(), sch, reg, p.Query, p.Typing)
+		naive, err := exec.Naive(context.Background(), sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 		if err != nil {
 			t.Errorf("seed %d: naive: %v", seed, err)
 			continue
 		}
-		fast, err := exec.FastFailing(context.Background(), p.Plan, reg)
+		fast, err := exec.FastFailing(context.Background(), p.Plan, reg, exec.Options{}, nil)
 		if err != nil {
 			t.Errorf("seed %d: fast: %v", seed, err)
 			continue
@@ -153,7 +153,7 @@ func TestRandomizedExecutorEquivalence(t *testing.T) {
 			t.Errorf("seed %d: unpruned prepare: %v", seed, err)
 			continue
 		}
-		ab, err := exec.FastFailing(context.Background(), unpruned.Plan, reg)
+		ab, err := exec.FastFailing(context.Background(), unpruned.Plan, reg, exec.Options{}, nil)
 		if err != nil {
 			t.Errorf("seed %d: unpruned exec: %v", seed, err)
 			continue
@@ -209,11 +209,11 @@ func TestRandomizedAccessSubset(t *testing.T) {
 			continue
 		}
 		countedN, countersN := reg.Counted(true)
-		if _, err := exec.Naive(context.Background(), sch, countedN, p.Query, p.Typing); err != nil {
+		if _, err := exec.Naive(context.Background(), sch, countedN, p.Query, p.Typing, exec.Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		countedF, countersF := reg.Counted(true)
-		if _, err := exec.FastFailing(context.Background(), p.Plan, countedF); err != nil {
+		if _, err := exec.FastFailing(context.Background(), p.Plan, countedF, exec.Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for name, cf := range countersF {

@@ -82,13 +82,13 @@ func TestBatchingInvariance(t *testing.T) {
 				opts := Options{MaxBatch: mb}
 				got := map[string]outcome{}
 
-				nr, err := NaiveOpts(context.Background(), f.sch, f.reg, f.q, f.ty, opts)
+				nr, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, opts, nil)
 				if err != nil {
 					t.Fatalf("naive MaxBatch=%d: %v", mb, err)
 				}
 				got["naive"] = outcome{strings.Join(nr.SortedAnswers(), ";"), nr.TotalAccesses(), nr.TotalBatches()}
 
-				fr, err := FastFailingOpts(context.Background(), f.plan, f.reg, opts)
+				fr, err := FastFailing(context.Background(), f.plan, f.reg, opts, nil)
 				if err != nil {
 					t.Fatalf("fastfail MaxBatch=%d: %v", mb, err)
 				}
@@ -138,7 +138,7 @@ func TestBatchingInvariance(t *testing.T) {
 // sequential executors actually fold accesses into fewer round trips.
 func TestBatchingSavesRoundTrips(t *testing.T) {
 	f := wideFixture(t, 60)
-	r, err := FastFailingOpts(context.Background(), f.plan, f.reg, Options{})
+	r, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func cancelAfter(t *testing.T, f *fixture, budget int, abort bool) context.Conte
 func TestCancelledProbeTruncates(t *testing.T) {
 	runs := map[string]func(context.Context, *fixture) (*Result, error){
 		"naive": func(ctx context.Context, f *fixture) (*Result, error) {
-			return NaiveOpts(ctx, f.sch, f.reg, f.q, f.ty, Options{})
+			return Naive(ctx, f.sch, f.reg, f.q, f.ty, Options{}, nil)
 		},
 		"fastfail": func(ctx context.Context, f *fixture) (*Result, error) {
-			return FastFailingOpts(ctx, f.plan, f.reg, Options{})
+			return FastFailing(ctx, f.plan, f.reg, Options{}, nil)
 		},
 		"pipelined": func(ctx context.Context, f *fixture) (*Result, error) {
 			return Pipelined(ctx, f.plan, f.reg, Options{}, nil)
@@ -239,12 +239,12 @@ func TestCancelledProbeTruncates(t *testing.T) {
 // the result is flagged truncated, is a sound subset, and saved accesses.
 func TestNaiveCancellation(t *testing.T) {
 	f := wideFixture(t, 60)
-	full, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty)
+	full, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := cancelAfter(t, f, 10, false)
-	r, err := NaiveOpts(ctx, f.sch, f.reg, f.q, f.ty, Options{MaxBatch: -1})
+	r, err := Naive(ctx, f.sch, f.reg, f.q, f.ty, Options{MaxBatch: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +265,12 @@ func TestNaiveCancellation(t *testing.T) {
 // TestFastFailingCancellation: same contract for the fast-failing strategy.
 func TestFastFailingCancellation(t *testing.T) {
 	f := wideFixture(t, 60)
-	full, err := FastFailing(context.Background(), f.plan, f.reg)
+	full, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := cancelAfter(t, f, 10, false)
-	r, err := FastFailingOpts(ctx, f.plan, f.reg, Options{MaxBatch: -1})
+	r, err := FastFailing(ctx, f.plan, f.reg, Options{MaxBatch: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,14 +294,14 @@ func TestCancelledBeforeStart(t *testing.T) {
 	f := wideFixture(t, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := NaiveOpts(ctx, f.sch, f.reg, f.q, f.ty, Options{})
+	r, err := Naive(ctx, f.sch, f.reg, f.q, f.ty, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Truncated || r.TotalAccesses() != 0 {
 		t.Errorf("naive: truncated=%v accesses=%d, want truncated with 0 accesses", r.Truncated, r.TotalAccesses())
 	}
-	rf, err := FastFailingOpts(ctx, f.plan, f.reg, Options{})
+	rf, err := FastFailing(ctx, f.plan, f.reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

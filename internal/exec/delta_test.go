@@ -51,7 +51,7 @@ func sortedKeys(set map[string]bool) []string {
 }
 
 // assertDeltaEquivalence: the pipelined engine, whatever its parallelism
-// and queue bound, and fast-fail without the early test (which would stop
+// and batch bound, and fast-fail without the early test (which would stop
 // short of the fixpoint on an empty answer) make the same set of accesses —
 // the domains maintained from deltas reach exactly the fixpoint the rules
 // define — never one the naive algorithm does not make, and all three agree
@@ -60,10 +60,10 @@ func assertDeltaEquivalence(t *testing.T, f *fixture) (answers string, accesses 
 	t.Helper()
 	ctx := context.Background()
 	wantAns, naiveSet := auditedSet(t, f, func(f *fixture) (*Result, error) {
-		return Naive(ctx, f.sch, f.reg, f.q, f.ty)
+		return Naive(ctx, f.sch, f.reg, f.q, f.ty, Options{}, nil)
 	})
 	ffAns, ffSet := auditedSet(t, f, func(f *fixture) (*Result, error) {
-		return FastFailingOpts(ctx, f.plan, f.reg, Options{NoEarlyFailure: true})
+		return FastFailing(ctx, f.plan, f.reg, Options{NoEarlyFailure: true}, nil)
 	})
 	if ffAns != wantAns {
 		t.Errorf("fast-fail answers = [%s], naive = [%s]", ffAns, wantAns)
@@ -75,8 +75,8 @@ func assertDeltaEquivalence(t *testing.T, f *fixture) (answers string, accesses 
 	}
 	for _, opts := range []Options{
 		{},
-		{Parallelism: 1, QueueLen: 1, MaxBatch: -1},
-		{Parallelism: 8, QueueLen: 2, MaxBatch: 3},
+		{Parallelism: 1, MaxBatch: -1},
+		{Parallelism: 8, MaxBatch: 3},
 	} {
 		ans, set := auditedSet(t, f, func(f *fixture) (*Result, error) {
 			return Pipelined(ctx, f.plan, f.reg, opts, nil)

@@ -109,7 +109,7 @@ func (f *fixture) referenceAnswers(t *testing.T) []string {
 
 func (f *fixture) naive(t *testing.T) *Result {
 	t.Helper()
-	r, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty)
+	r, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func (f *fixture) naive(t *testing.T) *Result {
 
 func (f *fixture) fast(t *testing.T) *Result {
 	t.Helper()
-	r, err := FastFailing(context.Background(), f.plan, f.reg)
+	r, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ lim^io(P, D2)
 	}
 	// Ablation: without early failure, lim is still not probed (no values
 	// derivable) but no early-empty flag is set.
-	r2, err := FastFailingOpts(context.Background(), f.plan, f.reg, Options{NoEarlyFailure: true})
+	r2, err := FastFailing(context.Background(), f.plan, f.reg, Options{NoEarlyFailure: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ r^io(A, B)
 		t.Errorf("r accessed %d times, want 2 (meta-cache shares occurrences)", got)
 	}
 	// Ablation: without the meta-cache, both occurrences probe.
-	r2, err := FastFailingOpts(context.Background(), f.plan, f.reg, Options{NoMetaCache: true})
+	r2, err := FastFailing(context.Background(), f.plan, f.reg, Options{NoMetaCache: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ last^io(C, D)
 	})
 	// Run with outer logging counters to compare access sets.
 	countedN, countersN := f.reg.Counted(true)
-	if _, err := Naive(context.Background(), f.sch, countedN, f.q, f.ty); err != nil {
+	if _, err := Naive(context.Background(), f.sch, countedN, f.q, f.ty, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	countedF, countersF := f.reg.Counted(true)
-	if _, err := FastFailing(context.Background(), f.plan, countedF); err != nil {
+	if _, err := FastFailing(context.Background(), f.plan, countedF, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, cf := range countersF {

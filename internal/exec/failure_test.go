@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"toorjah/internal/datalog"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
 )
@@ -42,7 +45,7 @@ mid^io(B, C)
 func TestNaivePropagatesSourceError(t *testing.T) {
 	f := chainFixture(t)
 	flakyFixture(t, f, "mid", 5)
-	_, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty)
+	_, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, Options{}, nil)
 	if !errors.Is(err, errSourceDown) {
 		t.Errorf("err = %v, want %v", err, errSourceDown)
 	}
@@ -51,7 +54,7 @@ func TestNaivePropagatesSourceError(t *testing.T) {
 func TestFastFailingPropagatesSourceError(t *testing.T) {
 	f := chainFixture(t)
 	flakyFixture(t, f, "mid", 5)
-	_, err := FastFailing(context.Background(), f.plan, f.reg)
+	_, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 	if !errors.Is(err, errSourceDown) {
 		t.Errorf("err = %v, want %v", err, errSourceDown)
 	}
@@ -64,22 +67,109 @@ func TestPipelinedPropagatesSourceErrorNoDeadlock(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		f := chainFixture(t)
 		flakyFixture(t, f, "mid", trial)
-		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 3, QueueLen: 2}, nil)
+		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 3, MaxBatch: 2}, nil)
 		if !errors.Is(err, errSourceDown) {
 			t.Fatalf("trial %d: err = %v, want %v", trial, err, errSourceDown)
 		}
 	}
 }
 
-// TestErrorBeforeAnyAccess: a source that fails immediately.
+// TestErrorBeforeAnyAccess: a source that fails immediately, and a relation
+// with no source at all — which every strategy reports before its first
+// probe, whichever group the relation belongs to, so it never costs an
+// access.
 func TestErrorBeforeAnyAccess(t *testing.T) {
-	f := chainFixture(t)
-	flakyFixture(t, f, "free", 0)
-	if _, err := FastFailing(context.Background(), f.plan, f.reg); !errors.Is(err, errSourceDown) {
-		t.Errorf("fast: err = %v", err)
+	strategies := map[string]func(f *fixture) (*Result, error){
+		"fast-fail": func(f *fixture) (*Result, error) {
+			return FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
+		},
+		"pipelined": func(f *fixture) (*Result, error) {
+			return Pipelined(context.Background(), f.plan, f.reg, Options{}, nil)
+		},
 	}
-	if _, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, nil); !errors.Is(err, errSourceDown) {
-		t.Errorf("pipelined: err = %v", err)
+	for name, run := range strategies {
+		f := chainFixture(t)
+		flakyFixture(t, f, "free", 0)
+		if _, err := run(f); !errors.Is(err, errSourceDown) {
+			t.Errorf("%s, failing source: err = %v", name, err)
+		}
+
+		// mid, probed only after free has delivered, is left unbound.
+		f = chainFixture(t)
+		counted, counters := f.reg.Counted(false)
+		f.reg = source.NewRegistry()
+		f.reg.Bind(counted.Source("free"))
+		_, err := run(f)
+		if err == nil || !strings.Contains(err.Error(), "no source bound for relation mid") {
+			t.Errorf("%s, unbound relation: err = %v", name, err)
+		}
+		if n := counters["free"].Stats().Accesses; n != 0 {
+			t.Errorf("%s made %d accesses before reporting the unbound relation", name, n)
+		}
+	}
+}
+
+// TestNoGoroutineLeft: a run's round-trip goroutines are gone when it
+// returns — after completing, stopping at the limit, being cancelled with
+// round trips in flight, and failing on a source error — and so are a
+// union's after its first disjunct fails.
+func TestNoGoroutineLeft(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Parallelism: 3, MaxBatch: 2}
+	cases := map[string]func(t *testing.T){
+		"completes": func(t *testing.T) {
+			f := chainFixture(t)
+			if r, err := Pipelined(ctx, f.plan, f.reg, opts, nil); err != nil || r.Truncated {
+				t.Fatalf("err = %v, result = %v", err, r)
+			}
+		},
+		"stops at the limit": func(t *testing.T) {
+			f := chainFixture(t)
+			lim := opts
+			lim.Limit = 2
+			if r, err := Pipelined(ctx, f.plan, f.reg, lim, nil); err != nil || !r.Truncated {
+				t.Fatalf("err = %v, result = %v", err, r)
+			}
+		},
+		"cancelled mid-flight": func(t *testing.T) {
+			f := chainFixture(t)
+			if r, err := Pipelined(cancelAfter(t, f, 5, true), f.plan, f.reg, opts, nil); err != nil || !r.Truncated {
+				t.Fatalf("err = %v, result = %v", err, r)
+			}
+		},
+		"source error": func(t *testing.T) {
+			f := chainFixture(t)
+			flakyFixture(t, f, "mid", 5)
+			if _, err := Pipelined(ctx, f.plan, f.reg, opts, nil); !errors.Is(err, errSourceDown) {
+				t.Fatalf("err = %v, want %v", err, errSourceDown)
+			}
+		},
+		"union whose first disjunct fails": func(t *testing.T) {
+			f := chainFixture(t)
+			runs := []DisjunctRun{
+				func(context.Context, func(datalog.Tuple)) (*Result, error) { return nil, errSourceDown },
+				func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+					return Pipelined(ctx, f.plan, f.reg, opts, emit)
+				},
+			}
+			if _, err := Union(ctx, "q", 2, runs, Options{}, nil); !errors.Is(err, errSourceDown) {
+				t.Fatalf("err = %v, want %v", err, errSourceDown)
+			}
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			run(t)
+			// A goroutine that has reported back may still be exiting.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the run, %d after", before, after)
+			}
+		})
 	}
 }
 
@@ -89,7 +179,7 @@ func TestSufficientBudgetSucceeds(t *testing.T) {
 	f := chainFixture(t)
 	flakyFixture(t, f, "mid", 1000)
 	flakyFixture(t, f, "free", 1000)
-	ff, err := FastFailing(context.Background(), f.plan, f.reg)
+	ff, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

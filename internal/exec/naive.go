@@ -3,8 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
@@ -18,25 +16,25 @@ import (
 // every relation with every untried combination of known values of the
 // right abstract domains, accumulate the extracted tuples in a cache and
 // the extracted values in the known-value set, until no new access can be
-// made; finally evaluate the query over the cache.
+// made; finally evaluate the query over the cache and hand the answers to
+// onAnswer (when non-nil).
 //
 // The typing must come from cq.Validate(q, sch). Every access is counted
-// once; no binding is ever probed twice.
-func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing) (*Result, error) {
-	return NaiveOpts(ctx, sch, reg, q, ty, Options{})
-}
-
-// NaiveOpts is Naive with options; the cross-query Cache and MaxBatch
-// options are meaningful here (the ablation switches target the optimized
-// strategies). Each round's untried bindings of a relation are probed in
-// batches of at most MaxBatch; a cancelled ctx stops the extraction and
-// returns the answers derivable so far as a truncated, sound subset.
-func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options) (*Result, error) {
+// once; no binding is ever probed twice. Of the options, the cross-query
+// Cache, MaxBatch and Limit are meaningful here (the ablation switches
+// target the optimized strategies). Each round's untried bindings of a
+// relation are probed in batches of at most MaxBatch; a cancelled ctx stops
+// the extraction and returns the answers derivable so far as a truncated,
+// sound subset.
+func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
+	k := newSink(q.Name, len(q.Head), opts, onAnswer)
 	counted, counters := instrument(reg, opts)
+	if err := requireSources(counted, sch.Names()); err != nil {
+		return nil, err
+	}
 
 	// B: known values per abstract domain, seeded with the query constants
 	// (interned here — the string boundary of the run).
@@ -68,13 +66,11 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 	sc := getScratch()
 	defer sc.release()
 
-	for changed := true; changed; {
+	truncated := false
+	for changed := true; changed && !truncated; {
 		changed = false
 		for _, rel := range sch.Relations() {
 			w := counted.Source(rel.Name)
-			if w == nil {
-				return nil, fmt.Errorf("naive: no source bound for relation %s", rel.Name)
-			}
 			relTried := bindMapFor(sc.tried, rel.Name)
 			crel := cache[rel.Name]
 			inputs := rel.InputPositions()
@@ -120,7 +116,7 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 				}
 			}
 			walk(0)
-			err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(_ []sym.ID, rows []datalog.Tuple) error {
+			err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(rows []datalog.Tuple) {
 				for _, row := range rows {
 					if crel.Insert(row) {
 						for pos, v := range row {
@@ -128,10 +124,10 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 						}
 					}
 				}
-				return nil
 			})
 			if errors.Is(err, errCancelled) {
-				return truncatedResult(q, cache, counters, start)
+				truncated = true
+				break
 			}
 			if err != nil {
 				return nil, err
@@ -139,20 +135,8 @@ func NaiveOpts(ctx context.Context, sch *schema.Schema, reg *source.Registry, q 
 		}
 	}
 
-	answers, err := datalog.EvalQuery(q, cache)
-	if err != nil {
-		return nil, fmt.Errorf("naive: final evaluation: %w", err)
+	if err := k.evaluate(q, cache, truncated); err != nil {
+		return nil, err
 	}
-	res := &Result{
-		Answers: answers,
-		Stats:   statsOf(counters),
-		Elapsed: time.Since(start),
-	}
-	if answers.Len() > 0 {
-		// Batch strategy: the first answer becomes available with the final
-		// evaluation — recorded so every executor feeds the latency
-		// histograms uniformly.
-		res.TimeToFirst = res.Elapsed
-	}
-	return res, nil
+	return k.finish(statsOf(counters), truncated, false), nil
 }

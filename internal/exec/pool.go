@@ -25,40 +25,36 @@ import (
 type scratch struct {
 	// tried: per relation, the bindings the naive executor already probed.
 	tried map[string]*sym.BindMap[struct{}]
-	// meta: per relation, the extractions the optimized executors share
+	// meta: per relation, the extractions the optimized executor shares
 	// between the relation's occurrences (the meta-cache).
-	meta map[string]*sym.BindMap[[]datalog.Tuple]
+	meta map[string]*sym.BindMap[metaEntry]
 	// rels and enums are handed out front to back — the first relsOut
 	// (enumsOut) are in use by the current run — and recycled whole.
 	rels     []*datalog.Relation
 	relsOut  int
 	enums    []*enumState
 	enumsOut int
-	// arena holds access bindings laid out flat, width IDs apiece; batch is
-	// the slice of binding headers into it that one round trip carries.
+	// arena holds a naive pass's access bindings laid out flat, width IDs
+	// apiece; batch is the slice of binding headers into it that one round
+	// trip carries.
 	arena []sym.ID
 	batch [][]sym.ID
 	// fresh is groupState.ingest's result buffer: the tuples of the latest
 	// extraction that were new to their cache.
 	fresh []datalog.Tuple
-	// jobBufs are the pipelined engine's job lists — a FIFO per relation, a
-	// batch per worker — handed out and recycled like rels and enums.
-	jobBufs    []*jobBuf
-	jobBufsOut int
-}
-
-// jobBuf is one recycled list of access jobs, with room for the binding
-// headers of the round trip a worker makes of it.
-type jobBuf struct {
-	jobs     []job
-	bindings [][]sym.ID
+	// queues are the optimized executor's per-relation access queues, the
+	// first queuesOut of them in use by the current run; flights are its
+	// round-trip records, the ones not in flight.
+	queues    []relQueue
+	queuesOut int
+	flights   []*flight
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
 		return &scratch{
 			tried: make(map[string]*sym.BindMap[struct{}], 8),
-			meta:  make(map[string]*sym.BindMap[[]datalog.Tuple], 8),
+			meta:  make(map[string]*sym.BindMap[metaEntry], 8),
 		}
 	},
 }
@@ -85,12 +81,11 @@ func (sc *scratch) release() {
 	for _, es := range sc.enums[:sc.enumsOut] {
 		es.reset()
 	}
-	for _, b := range sc.jobBufs[:sc.jobBufsOut] {
-		clear(b.jobs[:cap(b.jobs)])
-		clear(b.bindings[:cap(b.bindings)])
-		b.jobs, b.bindings = b.jobs[:0], b.bindings[:0]
+	for i := range sc.queues[:sc.queuesOut] {
+		q := &sc.queues[i]
+		*q = relQueue{ids: q.ids[:0], owners: q.owners[:0]}
 	}
-	sc.relsOut, sc.enumsOut, sc.jobBufsOut = 0, 0, 0
+	sc.relsOut, sc.enumsOut, sc.queuesOut = 0, 0, 0
 	sc.arena = sc.arena[:0]
 	clear(sc.fresh[:cap(sc.fresh)])
 	scratchPool.Put(sc)
@@ -130,36 +125,40 @@ func (sc *scratch) enum(n int) *enumState {
 	return es
 }
 
-// jobBuf hands out an empty job list. Like everything the scratch hands
-// out it is for one goroutine's use; the pipelined coordinator takes them
-// all before it starts the workers.
-func (sc *scratch) jobBuf() *jobBuf {
-	if sc.jobBufsOut == len(sc.jobBufs) {
-		sc.jobBufs = append(sc.jobBufs, new(jobBuf))
+// relQueues hands out n empty access queues, one per relation of a plan.
+func (sc *scratch) relQueues(n int) []relQueue {
+	if n > len(sc.queues) {
+		sc.queues = append(sc.queues, make([]relQueue, n-len(sc.queues))...)
 	}
-	b := sc.jobBufs[sc.jobBufsOut]
-	sc.jobBufsOut++
-	return b
+	sc.queuesOut = n
+	return sc.queues[:n]
 }
 
-// keep copies a binding into the arena and returns the copy, which stays
-// valid until the scratch is released (growing the arena leaves earlier
-// copies in the array they were written to).
-func (sc *scratch) keep(binding []sym.ID) []sym.ID {
-	from := len(sc.arena)
-	sc.arena = append(sc.arena, binding...)
-	return sc.arena[from:len(sc.arena):len(sc.arena)]
+// flight hands out an empty round-trip record; recycle takes it back once
+// its extractions have been folded in, dropping its references to them.
+func (sc *scratch) flight() *flight {
+	if n := len(sc.flights); n > 0 {
+		fl := sc.flights[n-1]
+		sc.flights = sc.flights[:n-1]
+		return fl
+	}
+	return new(flight)
 }
 
-// probeArena probes the count bindings of the given width that a pass laid
-// out in the arena, at most maxBatch per round trip and in arena order, and
-// hands every extraction to ingest. A pass that collected N fresh bindings
-// thus costs ceil(N/maxBatch) round trips and allocates nothing per
-// binding: each batch is a reused slice of headers into the arena. A
-// context found done between two round trips ends the pass with
+func (sc *scratch) recycle(fl *flight) {
+	clear(fl.bindings)
+	fl.bindings, fl.rows, fl.err = fl.bindings[:0], nil, nil
+	sc.flights = append(sc.flights, fl)
+}
+
+// probeArena probes the count bindings of the given width that a naive
+// pass laid out in the arena, at most maxBatch per round trip and in arena
+// order, and hands every extraction to ingest. A pass that collected N
+// fresh bindings thus costs ceil(N/maxBatch) round trips and allocates
+// nothing per binding: each batch is a reused slice of headers into the
+// arena. A context found done between two round trips ends the pass with
 // errCancelled.
-func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int,
-	ingest func(binding []sym.ID, rows []datalog.Tuple) error) error {
+func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int, ingest func(rows []datalog.Tuple)) error {
 	for done := 0; done < count; {
 		if ctxDone(ctx) {
 			return errCancelled
@@ -169,14 +168,12 @@ func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, coun
 		for i := done; i < done+n; i++ {
 			sc.batch = append(sc.batch, sc.arena[i*width:(i+1)*width:(i+1)*width])
 		}
-		rows, err := probe(ctx, w, sc.batch)
+		extractions, err := probe(ctx, w, sc.batch)
 		if err != nil {
 			return err
 		}
-		for i, b := range sc.batch {
-			if err := ingest(b, rows[i]); err != nil {
-				return err
-			}
+		for _, rows := range extractions {
+			ingest(rows)
 		}
 		done += n
 	}

@@ -31,7 +31,7 @@ const q2Accesses = 42845
 func TestFastFailQ2AllocBudget(t *testing.T) {
 	f := q2Fixture(t)
 	run := func() {
-		res, err := FastFailing(context.Background(), f.plan, f.reg)
+		res, err := FastFailing(context.Background(), f.plan, f.reg, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func BenchmarkFastFailQ2(b *testing.B) {
 	ctx := context.Background()
 	var accesses int
 	run := func() {
-		res, err := FastFailing(ctx, f.plan, f.reg)
+		res, err := FastFailing(ctx, f.plan, f.reg, Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,21 +1,26 @@
 // Package exec executes query plans over access-limited sources. It
-// provides the three evaluation strategies of the paper:
+// provides the evaluation strategies of the paper:
 //
 //   - Naive: the reference algorithm of Fig. 1 ([Li & Chang, ICDE 2000]):
 //     probe every relation with every untried combination of known values
 //     until no access yields anything new, then evaluate the query over the
 //     accumulated cache;
-//   - FastFailing: the ⊂-minimal strategy of Section IV: populate the cache
-//     of each position group in the plan's ordering, running an early
-//     non-emptiness test before each group and never repeating an access
-//     (per-relation meta-caches);
-//   - Pipelined: the Toorjah engine of Section V: per-source wrapper
-//     goroutines with queued access tuples ("distillation"), incremental
-//     join evaluation, and answers streamed as soon as they are derivable.
+//   - FastFailing and Pipelined: the two strategies of the one executor of
+//     ⊂-minimal plans (run), which generates access tuples from the input
+//     domains, never repeats an access (per-relation meta-caches) and folds
+//     every extraction back into caches and domains. FastFailing (Section
+//     IV) populates the position groups in the plan's ordering, one round
+//     trip at a time, running an early non-emptiness test before each group,
+//     and evaluates the query at the end; Pipelined (Section V, the Toorjah
+//     engine) opens every group at once, keeps several round trips per
+//     relation in flight, and joins incrementally, so answers stream as soon
+//     as they are derivable;
+//   - Union: the disjuncts of a UCQ, concurrently, into one answer set.
 //
-// All strategies compute the same answer — the set of obtainable answers
-// under the access limitations — which the tests assert against the Datalog
-// least-fixpoint reference semantics.
+// Answers leave every executor through one sink, which applies the answer
+// limit and builds the Result. All strategies compute the same answer — the
+// set of obtainable answers under the access limitations — which the tests
+// assert against the Datalog least-fixpoint reference semantics.
 package exec
 
 import (
@@ -38,15 +43,18 @@ type Result struct {
 	// EarlyEmpty reports that the fast-failing test proved the answer empty
 	// before all groups were populated.
 	EarlyEmpty bool
-	// Truncated reports that the run stopped early — a pipelined run at its
-	// answer limit, or any executor on context cancellation; the answers
-	// are a sound subset of the obtainable ones (empty for queries with
-	// negation, where no partial answer is sound).
+	// Truncated reports that the run stopped early, on context cancellation
+	// or at its answer limit, leaving work undone or an answer withheld; the
+	// answers are a sound subset of the obtainable ones (after a
+	// cancellation, empty for queries with negation, where no partial
+	// answer is sound).
 	Truncated bool
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
-	// TimeToFirst is the time until the first answer was emitted; zero when
-	// no answer was produced or the strategy does not stream.
+	// TimeToFirst is the time from the start of the execution until its
+	// first answer was emitted — for every executor; the ones that derive
+	// their answers at completion emit the first one then. Zero when there
+	// was no answer.
 	TimeToFirst time.Duration
 }
 

@@ -1,0 +1,438 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"toorjah/internal/cq"
+	"toorjah/internal/datalog"
+	"toorjah/internal/obs"
+	"toorjah/internal/plan"
+	"toorjah/internal/source"
+	"toorjah/internal/sym"
+)
+
+// strategy is what the paper's two ways of executing a ⊂-minimal plan
+// differ in. The extraction scheme itself — derive new access tuples from
+// the caches, probe them, fold the extractions back — is run's, and the
+// same for both.
+type strategy struct {
+	// staged opens the plan's position groups one at a time, in order —
+	// each, unless Options.NoEarlyFailure, only after the subquery over the
+	// groups before it proved non-empty — and evaluates the query once,
+	// over the final caches. Otherwise every group is open from the start
+	// and each extraction's new tuples are joined into answers as they land.
+	staged bool
+	// inline makes each round trip on the caller's goroutine, one at a
+	// time. Otherwise up to Options.Parallelism round trips per relation are
+	// in flight at once, each on a goroutine started for it.
+	inline bool
+}
+
+var (
+	fastFailing = strategy{staged: true, inline: true}
+	pipelined   = strategy{}
+)
+
+// FastFailing executes a ⊂-minimal plan with the fast-failing strategy of
+// Section IV: for each position group, in order, it first checks that the
+// subquery over the already-populated caches is satisfiable (otherwise the
+// answer is empty and execution stops), then populates the group's caches
+// to a fixpoint, generating access bindings from the domain predicates and
+// never repeating an access to a relation; finally it evaluates the
+// rewritten query over the caches and hands the answers to onAnswer (when
+// non-nil).
+func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
+	return run(ctx, p, reg, opts, fastFailing, onAnswer)
+}
+
+// Pipelined executes the plan with the Toorjah engine of Section V: the
+// coordinator "distils" new access tuples into per-relation queues as soon
+// as the cache database can generate them, several round trips per relation
+// are in flight at once, and answers are emitted through onAnswer the
+// moment an incremental join derives them. The final result carries the
+// same answer set as FastFailing.
+//
+// For queries with negated atoms, incremental emission would be unsound
+// (a later extraction can invalidate a tentative answer), so answers are
+// emitted only after all caches are complete.
+func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
+	return run(ctx, p, reg, opts, pipelined, onAnswer)
+}
+
+// relQueue is the coordinator's view of one relation of the plan: its
+// source and the access queue of the paper's Fig. 5 — the access tuples
+// generated for the relation, in arrival order, laid out flat.
+type relQueue struct {
+	w        source.Wrapper
+	width    int      // IDs per access tuple: the relation's input positions
+	ids      []sym.ID // the access tuples, width IDs apiece
+	owners   []int32  // per access tuple, the cache node that asked (plan.Cache.Index)
+	head     int      // access tuples before head have been dispatched
+	inflight int      // round trips dispatched and not yet landed
+}
+
+// flight is one round trip: up to MaxBatch consecutive access tuples of one
+// relation's queue, probed together.
+type flight struct {
+	rel      int        // position in Plan.Relations
+	from     int        // queue position of the first access tuple
+	bindings [][]sym.ID // headers into the queue's ids
+	rows     [][]datalog.Tuple
+	err      error
+}
+
+// run executes a ⊂-minimal plan: one coordinator loop that generates the
+// access tuples the caches newly support (newBindings), answers each from
+// the meta-cache, attaches it to a round trip already under way, or queues
+// it on its relation; cuts the queues into round trips of at most MaxBatch;
+// folds every extraction back into the caches and the input domains
+// (ingest); and repeats until nothing new can be generated. Its work is
+// proportional to what happens, not to what is held: an extraction updates
+// the domains from its own new tuples, only bindings containing a new value
+// are enumerated, and a round trip reports back once.
+func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswer func(datalog.Tuple)) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswer)
+	counted, counters := instrument(reg, opts)
+	if err := requireSources(counted, p.Relations); err != nil {
+		return nil, err
+	}
+	sc := getScratch()
+	defer sc.release()
+	st, err := newGroupState(p, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	rels := sc.relQueues(len(p.Relations))
+	for _, c := range p.Caches {
+		if !c.IsConst {
+			rels[c.Rel].w, rels[c.Rel].width = counted.Source(c.Source.Rel.Name), len(c.DomainPreds)
+		}
+	}
+
+	var (
+		maxBatch, par = opts.maxBatch(), opts.parallelism()
+		landed        = make(chan *flight) // round trips reporting back
+		outstanding   = 0                  // round trips in flight
+		unanswered    = false              // a round trip was cut off by cancellation
+		opened        = 0                  // position groups [0, opened) are open
+	)
+	// No round trip outlives the run: whatever is still in flight when it
+	// ends — at the limit, on cancellation, on an error — lands first, its
+	// extraction discarded. This runs before the scratch is released, so
+	// nothing reads an access tuple out of it afterwards.
+	drain := func() {
+		for ; outstanding > 0; outstanding-- {
+			<-landed
+		}
+	}
+	defer drain()
+
+	// Spans: one "group" per position group when staged, else one
+	// "pipeline" over the whole distillation; the probes hang off whichever
+	// is current (nil — free — when the context carries no trace).
+	pctx, span := ctx, (*obs.Span)(nil)
+	defer func() { span.End() }()
+
+	// extract folds an extraction into a cache and, when answers are joined
+	// incrementally, joins the new tuples — at the body position their cache
+	// occupies — with the full caches elsewhere. Every answer has a last
+	// tuple to arrive, and is derived when it does: the join is complete.
+	streaming := !s.staged && len(p.Query.Negated) == 0
+	extract := func(c *plan.Cache, rows []datalog.Tuple) error {
+		fresh, err := st.ingest(c, rows)
+		if err != nil || len(fresh) == 0 || !streaming || c.QueryPos < 0 {
+			return err
+		}
+		derived, err := datalog.EvalRuleWithDelta(p.QueryRule, st.cdb, fresh, c.QueryPos)
+		for _, t := range derived {
+			k.emit(t)
+		}
+		return err
+	}
+
+	// generate queues the access tuples cache node c newly supports; the
+	// semi-naive enumerator hands each over exactly once. One the meta-cache
+	// already holds is folded in on the spot; one another occurrence of the
+	// relation has queued or in flight waits for that extraction — "every
+	// access tuple is never sent twice to the same wrapper".
+	generate := func(c *plan.Cache) (bool, error) {
+		r, rm := &rels[c.Rel], st.meta[c.Rel]
+		if r.head == len(r.owners) && r.inflight == 0 {
+			// Nothing refers to the queue's storage: reuse it.
+			r.ids, r.owners, r.head = r.ids[:0], r.owners[:0], 0
+		}
+		return st.newBindings(c, func(binding []sym.ID) error {
+			if rm != nil {
+				switch e, known := rm.Get(binding); {
+				case e.landed:
+					return extract(c, e.rows)
+				case known:
+					e.waiters = append(e.waiters, c)
+					rm.Put(binding, e)
+					return nil
+				}
+				rm.Put(binding, metaEntry{}) // queued: later askers wait
+			}
+			r.ids = append(r.ids, binding...)
+			r.owners = append(r.owners, int32(c.Index))
+			return nil
+		})
+	}
+
+	// land folds a finished round trip back: each extraction goes to the
+	// meta-cache, to the node that asked and to the nodes that waited.
+	land := func(fl *flight) error {
+		defer sc.recycle(fl)
+		if errors.Is(fl.err, errCancelled) {
+			unanswered = true
+			return nil
+		}
+		if fl.err != nil {
+			return fl.err
+		}
+		rm, caches := st.meta[fl.rel], p.Caches
+		owners := rels[fl.rel].owners[fl.from:]
+		for i, rows := range fl.rows {
+			var waiters []*plan.Cache
+			if rm != nil {
+				e, _ := rm.Get(fl.bindings[i])
+				waiters = e.waiters
+				rm.Put(fl.bindings[i], metaEntry{rows: rows, landed: true})
+			}
+			if err := extract(caches[owners[i]], rows); err != nil {
+				return err
+			}
+			for _, c := range waiters {
+				if err := extract(c, rows); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+
+	stop := func() bool { return k.full() || ctxDone(ctx) }
+
+	// dispatch cuts round trips off the front of a relation's queue while
+	// the strategy has room for them — always, when they are made inline —
+	// and the run has not been stopped.
+	dispatch := func(rel int) error {
+		r := &rels[rel]
+		for r.head < len(r.owners) && r.inflight < par && !stop() {
+			fl := sc.flight()
+			fl.rel, fl.from = rel, r.head
+			for n := min(maxBatch, len(r.owners)-r.head); n > 0; n-- {
+				at := r.head * r.width
+				fl.bindings = append(fl.bindings, r.ids[at:at+r.width:at+r.width])
+				r.head++
+			}
+			if s.inline {
+				fl.rows, fl.err = probe(pctx, r.w, fl.bindings)
+				if err := land(fl); err != nil {
+					return err
+				}
+				continue
+			}
+			r.inflight++
+			outstanding++
+			go func(ctx context.Context) {
+				fl.rows, fl.err = probe(ctx, r.w, fl.bindings)
+				landed <- fl
+			}(pctx)
+		}
+		return nil
+	}
+
+	for {
+		// One sweep over the open cache nodes: what each can newly ask for
+		// is queued and, as far as the strategy allows, sent.
+		progress := false
+		for _, c := range p.Caches {
+			if c.IsConst || c.Group >= opened {
+				continue
+			}
+			emitted, err := generate(c)
+			if err == nil {
+				err = dispatch(c.Rel)
+			}
+			if err != nil {
+				return nil, err
+			}
+			progress = progress || emitted
+		}
+		if stop() {
+			break
+		}
+		if outstanding > 0 {
+			fl := <-landed
+			outstanding--
+			rels[fl.rel].inflight--
+			if err := land(fl); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if progress {
+			continue // what the sweep folded in may support more
+		}
+		// The open groups are at their fixpoint.
+		if opened >= len(p.Groups) {
+			break
+		}
+		span.End()
+		if s.staged {
+			pctx, span = obs.StartSpan(ctx, "group")
+			span.SetAttr("group", opened)
+			if opened > 0 && !opts.NoEarlyFailure {
+				sat, err := st.subquerySatisfiable(opened)
+				if err != nil {
+					return nil, err
+				}
+				if !sat {
+					span.SetAttr("early_empty", true)
+					return k.finish(statsOf(counters), false, true), nil
+				}
+			}
+			opened++
+		} else {
+			pctx, span = obs.StartSpan(ctx, "pipeline")
+			opened = len(p.Groups)
+		}
+	}
+
+	// Stopped short — by the limit or the context — when a group was never
+	// opened or an access tuple that was generated was not probed.
+	truncated := opened < len(p.Groups) || outstanding > 0 || unanswered
+	for i := range rels {
+		truncated = truncated || rels[i].head < len(rels[i].owners)
+	}
+	drain() // the access statistics are final once nothing is in flight
+	if !streaming {
+		if err := k.evaluate(p.Query, st.cdb, truncated); err != nil {
+			return nil, err
+		}
+	}
+	return k.finish(statsOf(counters), truncated, false), nil
+}
+
+// groupState holds the cache database and the bookkeeping of one execution
+// of a plan.
+type groupState struct {
+	p  *plan.Plan
+	sc *scratch // the run's recycled working memory; owned by the executor
+
+	cdb   datalog.DB   // cache predicate relations
+	enums []*enumState // per cache node (nil for constants): its input domains
+	// meta holds, per relation of the plan, the meta-cache: the map through
+	// which the occurrences of a relation share access results, so that no
+	// binding is probed twice however many cache nodes ask for it. An entry
+	// is nil — which callers treat as "never hits, never stores" — when the
+	// meta-cache is disabled, and for a relation with a single occurrence:
+	// its node's enumerator already visits every binding once, so nobody
+	// would ever read what was stored.
+	meta []*sym.BindMap[metaEntry]
+}
+
+// metaEntry is what the meta-cache knows about one access tuple of a
+// relation: its extraction once the round trip has landed, and until then
+// the cache nodes, beside the one that queued it, waiting for it.
+type metaEntry struct {
+	rows    []datalog.Tuple
+	landed  bool
+	waiters []*plan.Cache
+}
+
+// newGroupState sets an execution up: empty cache relations and input
+// domains, then the query constants, whose caches seed the domains they
+// feed once and for all.
+func newGroupState(p *plan.Plan, opts Options, sc *scratch) (*groupState, error) {
+	st := &groupState{
+		p:     p,
+		sc:    sc,
+		cdb:   make(datalog.DB, len(p.Caches)),
+		enums: make([]*enumState, len(p.Caches)),
+		meta:  make([]*sym.BindMap[metaEntry], len(p.Relations)),
+	}
+	for _, c := range p.Caches {
+		st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
+		if c.IsConst {
+			continue
+		}
+		st.enums[c.Index] = sc.enum(len(c.DomainPreds))
+		if c.Shared && !opts.NoMetaCache {
+			st.meta[c.Rel] = bindMapFor(sc.meta, c.Source.Rel.Name)
+		}
+	}
+	for _, c := range p.Caches {
+		if !c.IsConst {
+			continue
+		}
+		// Query constants intern here — the last string boundary on the way
+		// into an execution.
+		if _, err := st.ingest(c, []datalog.Tuple{{sym.Intern(c.ConstValue)}}); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// ingest folds one extraction into cache c — the one way tuples enter the
+// cache database — and returns the tuples that were new to it (valid until
+// the next call). The domains are maintained from that delta: every domain
+// rule mentioning the cache predicate is joined with the new tuples at that
+// body position and the full caches elsewhere, and the values derived go,
+// unless already known, to the fresh pool of the input position the domain
+// binds. No rule is ever evaluated over tuples it has already seen.
+func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tuple, error) {
+	if len(rows) == 0 {
+		return nil, nil // most accesses of a selective plan extract nothing
+	}
+	crel := st.cdb[c.Pred]
+	fresh := st.sc.fresh[:0]
+	for _, row := range rows {
+		if crel.Insert(row) {
+			fresh = append(fresh, row)
+		}
+	}
+	st.sc.fresh = fresh
+	if len(fresh) == 0 {
+		return nil, nil
+	}
+	for _, f := range c.Feeds {
+		derived, err := datalog.EvalRuleWithDelta(f.Rule, st.cdb, fresh, f.BodyPos)
+		if err != nil {
+			return nil, err
+		}
+		p := &st.enums[f.Cache].pos[f.Input]
+		for _, t := range derived {
+			p.add(t[0])
+		}
+	}
+	return fresh, nil
+}
+
+// subquerySatisfiable runs the early non-emptiness test before populating
+// group gi: the positive subquery restricted to the atoms whose caches
+// belong to groups j < gi must have at least one satisfying assignment.
+func (st *groupState) subquerySatisfiable(gi int) (bool, error) {
+	var body []cq.Atom
+	for _, c := range st.p.Caches {
+		if c.QueryPos >= 0 && c.Group < gi {
+			body = append(body, st.p.Query.Body[c.QueryPos])
+		}
+	}
+	if len(body) == 0 {
+		return true, nil
+	}
+	sub := &cq.CQ{Name: "sat", Body: body} // boolean query: empty head
+	ans, err := datalog.EvalQuery(sub, st.cdb)
+	if err != nil {
+		return false, fmt.Errorf("early test before group %d: %w", gi, err)
+	}
+	return ans.Len() > 0, nil
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"sync"
-	"time"
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
@@ -13,10 +12,9 @@ import (
 // DisjunctRun executes one disjunct of a union. The runner hands it a
 // context derived from the union's — the run must honor it the way the CQ
 // executors honor their ctx parameter (stop probing, return a truncated
-// sound subset) — and an emit callback for streaming strategies;
-// non-streaming runs may ignore emit, since the runner also folds the
-// returned Answers into the union. A run must return a non-nil Result
-// unless it errors.
+// sound subset) — and the union's emit, through which the run must deliver
+// every answer it derives, as the CQ executors deliver through onAnswer. A
+// run must return a non-nil Result unless it errors.
 type DisjunctRun func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error)
 
 // Union executes the disjuncts of a union of conjunctive queries
@@ -43,44 +41,29 @@ type DisjunctRun func(ctx context.Context, emit func(datalog.Tuple)) (*Result, e
 // disjunct error cancels the rest and is returned, while a cancelled ctx
 // instead yields a truncated result, never an error.
 func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	union := datalog.NewRelation(name, arity)
+	union := newSink(name, arity, opts, onAnswer)
 	stats := make(map[string]source.Stats)
 	var (
-		mu          sync.Mutex // guards union, stats, flags and onAnswer
-		truncated   bool
-		earlyEmpty  bool
-		firstAnswer time.Duration
-		firstErr    error
+		mu         sync.Mutex // guards union, stats and the flags
+		truncated  bool
+		earlyEmpty bool
+		firstErr   error
 	)
 
-	// emit folds one answer into the union; fresh answers under the limit
-	// are forwarded to onAnswer (serialized under mu), a fresh answer beyond
-	// it proves the limit truncated the union and cancels the remaining
-	// disjuncts.
+	// emit folds one answer into the union (onAnswer is thereby serialized
+	// under mu); an answer withheld at the limit proves the limit truncated
+	// the union and cancels the remaining disjuncts.
 	emit := func(t datalog.Tuple) {
 		mu.Lock()
 		defer mu.Unlock()
-		if opts.Limit > 0 && union.Len() >= opts.Limit {
-			if !union.Contains(t) {
-				truncated = true
-				cancel()
-			}
-			return
-		}
-		if union.Insert(t) {
-			if firstAnswer == 0 {
-				firstAnswer = time.Since(start)
-			}
-			if onAnswer != nil {
-				onAnswer(t)
-			}
+		if union.emit(t); union.withheld {
+			cancel()
 		}
 	}
 
@@ -108,22 +91,15 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 			dsp.SetAttr("index", di)
 			res, err := run(dctx, emit)
 			dsp.End()
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
-				mu.Unlock()
 				cancel() // stop the other disjuncts from spending accesses
 				return
 			}
-			// Fold the final answer set through emit: for streaming runs this
-			// deduplicates against what they already emitted; for batch runs
-			// it is where their answers enter the union.
-			for _, t := range res.Answers.Tuples() {
-				emit(t)
-			}
-			mu.Lock()
 			for rel, st := range res.Stats {
 				cur := stats[rel]
 				cur.Add(st)
@@ -131,7 +107,6 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 			}
 			truncated = truncated || res.Truncated
 			earlyEmpty = earlyEmpty || res.EarlyEmpty
-			mu.Unlock()
 		}(di, run)
 	}
 	wg.Wait()
@@ -139,12 +114,5 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return &Result{
-		Answers:     union,
-		Stats:       stats,
-		Truncated:   truncated,
-		EarlyEmpty:  earlyEmpty,
-		Elapsed:     time.Since(start),
-		TimeToFirst: firstAnswer,
-	}, nil
+	return union.finish(stats, truncated, earlyEmpty), nil
 }

@@ -62,11 +62,11 @@ func RunFig6(ctx context.Context, seed int64, tuples int) ([]Fig6Result, error) 
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", qs, err)
 		}
-		naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing)
+		naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 		if err != nil {
 			return nil, err
 		}
-		fast, err := exec.FastFailing(ctx, p.Plan, reg)
+		fast, err := exec.FastFailing(ctx, p.Plan, reg, exec.Options{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -181,11 +181,11 @@ func RunFig10(ctx context.Context, seed int64, nSchemas, nQueries int, cfg gen.C
 				out.Orderable++
 			}
 
-			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing)
+			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 			if err != nil {
 				return nil, err
 			}
-			fast, err := exec.FastFailing(ctx, p.Plan, reg)
+			fast, err := exec.FastFailing(ctx, p.Plan, reg, exec.Options{}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -272,11 +272,11 @@ func RunFig11(ctx context.Context, seed int64, nSchemas, nQueries int, latency t
 			if err != nil || !p.Answerable() {
 				continue
 			}
-			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing)
+			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 			if err != nil {
 				return nil, err
 			}
-			fast, err := exec.FastFailing(ctx, p.Plan, reg)
+			fast, err := exec.FastFailing(ctx, p.Plan, reg, exec.Options{}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -32,7 +32,7 @@ func NewTraceID() string {
 }
 
 // Span is one node of the trace tree. Attrs and children are mutex-guarded
-// because executors probe concurrently (pipeline workers, union
+// because executors probe concurrently (pipelined round trips, union
 // disjuncts). A nil *Span is a valid no-op receiver for every method.
 type Span struct {
 	Name  string

@@ -22,7 +22,7 @@ import (
 
 // benchRemoteSystem shards the publication schema round-robin across two
 // peer nodes and returns a system sourcing everything from them.
-func benchRemoteSystem(b *testing.B, maxBatch int) *System {
+func benchRemoteSystem(b testing.TB, maxBatch int) *System {
 	b.Helper()
 	sch, db := gen.Publication(1, gen.SmallPublication())
 	var shards [2][]*schema.Relation
