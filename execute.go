@@ -19,8 +19,9 @@ const (
 	ExecutorFastFail Executor = iota
 	// ExecutorPipelined is the parallel pipelined engine of Section V:
 	// several round trips per relation are in flight at once and answers
-	// stream through the OnAnswer callback the moment they become derivable.
-	// Selected implicitly when OnAnswer is given without WithExecutor.
+	// stream through the OnAnswers/OnAnswer callback as each landed round
+	// trip makes them derivable. Selected implicitly when a callback is given
+	// without WithExecutor.
 	ExecutorPipelined
 	// ExecutorNaive is the reference algorithm of the paper's Fig. 1: probe
 	// everything probeable until fixpoint. Kept for measurement; it answers
@@ -32,7 +33,7 @@ const (
 type execConfig struct {
 	executor    Executor
 	executorSet bool
-	onAnswer    func(Tuple)
+	onAnswers   func([]Tuple)
 	opts        Options
 }
 
@@ -42,8 +43,8 @@ type execConfig struct {
 type ExecOption func(*execConfig)
 
 // WithExecutor selects the execution strategy. The default is
-// ExecutorFastFail — or ExecutorPipelined when OnAnswer is given without
-// an explicit executor.
+// ExecutorFastFail — or ExecutorPipelined when OnAnswers or OnAnswer is
+// given without an explicit executor.
 func WithExecutor(e Executor) ExecOption {
 	return func(c *execConfig) { c.executor, c.executorSet = e, true }
 }
@@ -64,15 +65,35 @@ func WithExecMaxBatch(n int) ExecOption {
 	return func(c *execConfig) { c.opts.MaxBatch = n }
 }
 
-// OnAnswer streams answers to f. Under ExecutorPipelined (implied when no
-// executor is chosen) f fires the moment an answer becomes derivable — for
-// queries without negation; with negation, at completion — and under the
-// other executors it fires for every answer once the extraction completes,
-// so a sink works identically against every executor. For a UnionQuery, f
-// observes each distinct union answer exactly once; calls are always
-// serialized, never concurrent.
+// OnAnswers streams answers to f in bursts: each call carries, in the order
+// they were derived, the answers one completed step of the engine made
+// derivable. Under ExecutorPipelined (implied when no executor is chosen)
+// that is one landed round trip — f is called as soon as its extractions
+// are joined in, before the engine sends or waits for another, so no answer
+// is held back while a source is awaited and a ctx cancelled from inside f
+// stops the run before its next access (for queries without negation; with
+// negation, one burst at completion). Under the other executors it is the
+// whole answer set, once the extraction completes, so a sink works
+// identically against every executor. A run that stops early — limit,
+// cancellation, error — has delivered every answer derived before it
+// stopped. For a UnionQuery, a burst is one disjunct's, less the answers
+// the union already holds: f observes each distinct union answer exactly
+// once. Calls are always serialized, never concurrent, and never empty.
+//
+// The slice belongs to the engine and is reused: it is valid only during
+// the call (the Tuples in it stay valid — copy them out to keep them).
+func OnAnswers(f func([]Tuple)) ExecOption {
+	return func(c *execConfig) { c.onAnswers = f }
+}
+
+// OnAnswer is OnAnswers one answer at a time: f sees every answer of every
+// burst, in order.
 func OnAnswer(f func(Tuple)) ExecOption {
-	return func(c *execConfig) { c.onAnswer = f }
+	return OnAnswers(func(burst []Tuple) {
+		for _, t := range burst {
+			f(t)
+		}
+	})
 }
 
 // WithExecOptions sets the executor-level Options wholesale — the ablation
@@ -93,7 +114,7 @@ func resolveExec(options []ExecOption) execConfig {
 			o(&cfg)
 		}
 	}
-	if !cfg.executorSet && cfg.onAnswer != nil {
+	if !cfg.executorSet && cfg.onAnswers != nil {
 		cfg.executor = ExecutorPipelined
 	}
 	return cfg
@@ -128,13 +149,13 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 	case cfg.executor == ExecutorNaive:
 		// The naive algorithm runs on the original query and needs no plan,
 		// so it executes even when the optimized strategies would refuse.
-		return exec.Naive(ctx, q.sys.sch, reg, q.pipeline.Query, q.pipeline.Typing, opts, cfg.onAnswer)
+		return exec.Naive(ctx, q.sys.sch, reg, q.pipeline.Query, q.pipeline.Typing, opts, cfg.onAnswers)
 	case !q.Answerable():
 		return q.emptyResult(), nil
 	case cfg.executor == ExecutorPipelined:
-		return exec.Pipelined(ctx, q.activePlan(), reg, opts, cfg.onAnswer)
+		return exec.Pipelined(ctx, q.activePlan(), reg, opts, cfg.onAnswers)
 	default:
-		return exec.FastFailing(ctx, q.activePlan(), reg, opts, cfg.onAnswer)
+		return exec.FastFailing(ctx, q.activePlan(), reg, opts, cfg.onAnswers)
 	}
 }
 
@@ -176,8 +197,9 @@ func (q *Query) activePlan() *plan.Plan {
 // Execute runs every disjunct concurrently (bounded by MaxConcurrent) and
 // unions the answers — the UCQ semantics of the paper's Section II. The
 // same options as Query.Execute apply: WithExecutor selects the strategy
-// every disjunct runs, OnAnswer observes each distinct union answer exactly
-// once (serialized, the moment the first disjunct derives it), WithLimit
+// every disjunct runs, OnAnswers/OnAnswer observe each distinct union answer
+// exactly once (serialized, with the burst of the first disjunct to deliver
+// it), WithLimit
 // caps the distinct union answers and cancels the remaining disjuncts once
 // reached. One snapshot of the sources is pinned for the whole union, so
 // all disjuncts answer over a single data version; per-relation statistics
@@ -188,13 +210,13 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	pinned := u.sys.reg.Snapshot() // one data version for every disjunct
 	runs := make([]exec.DisjunctRun, len(u.queries))
 	for i, q := range u.queries {
-		runs[i] = func(dctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+		runs[i] = func(dctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 			// Every disjunct delivers into the union. It keeps the limit for
 			// itself too: the union needs at most Limit distinct answers and
 			// a disjunct's own answers are distinct, so a disjunct that
 			// withholds one has an answer the union lacks or has no room for.
 			dc := cfg
-			dc.onAnswer = emit
+			dc.onAnswers = emit
 			return q.executeWith(dctx, pinned, dc)
 		}
 	}
@@ -202,5 +224,5 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	if uopts.MaxConcurrent == 0 {
 		uopts.MaxConcurrent = u.MaxConcurrent
 	}
-	return exec.Union(ctx, u.name, u.arity, runs, uopts, cfg.onAnswer)
+	return exec.Union(ctx, u.name, u.arity, runs, uopts, cfg.onAnswers)
 }

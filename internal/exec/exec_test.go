@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +53,16 @@ func setupDB(t testing.TB, sch *schema.Schema, db *storage.Database, queryText s
 		t.Fatal(err)
 	}
 	return f
+}
+
+// each adapts a per-answer callback to the executors' burst callback, the
+// way the façade's OnAnswer does.
+func each(f func(datalog.Tuple)) func([]datalog.Tuple) {
+	return func(burst []datalog.Tuple) {
+		for _, t := range burst {
+			f(t)
+		}
+	}
 }
 
 // errNotAnswerable is newFixture's report that the query has no plan.
@@ -412,8 +423,9 @@ blocked^io(Name, City)
 	_ = n
 }
 
-// TestPipelinedStreamsAnswers: incremental answers arrive via the callback
-// and match the final result.
+// TestPipelinedStreamsAnswers: incremental answers arrive via the callback,
+// one burst per landed round trip that derived any, and the bursts laid end
+// to end are the answers in the order they were emitted.
 func TestPipelinedStreamsAnswers(t *testing.T) {
 	rows := []storage.Row{}
 	for i := 0; i < 50; i++ {
@@ -430,18 +442,32 @@ mid^io(B, C)
 		"free": rows,
 		"mid":  mid,
 	})
-	var streamed []string
-	r, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, func(tu datalog.Tuple) {
-		streamed = append(streamed, strings.Join(tu.Strings(), ","))
+	var streamed []datalog.Tuple
+	bursts := 0
+	r, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, func(burst []datalog.Tuple) {
+		if len(burst) == 0 {
+			t.Error("empty burst delivered")
+		}
+		bursts++
+		streamed = append(streamed, burst...) // the slice itself is only valid during the call
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != r.Answers.Len() {
-		t.Errorf("streamed %d answers, result has %d", len(streamed), r.Answers.Len())
-	}
 	if r.Answers.Len() != 50 {
 		t.Errorf("answers = %d, want 50", r.Answers.Len())
+	}
+	if len(streamed) != r.Answers.Len() {
+		t.Fatalf("streamed %d answers, result has %d", len(streamed), r.Answers.Len())
+	}
+	for i, tu := range r.Answers.Tuples() {
+		if !slices.Equal(tu, streamed[i]) {
+			t.Fatalf("answer %d streamed as %v, emitted as %v", i, streamed[i].Strings(), tu.Strings())
+		}
+	}
+	// Every mid round trip derives answers, the one free access none.
+	if want := r.Stats["mid"].Batches; bursts != want || want < 2 {
+		t.Errorf("%d bursts for %d round trips on mid", bursts, want)
 	}
 	if r.TimeToFirst <= 0 || r.TimeToFirst > r.Elapsed {
 		t.Errorf("TimeToFirst = %v (elapsed %v)", r.TimeToFirst, r.Elapsed)

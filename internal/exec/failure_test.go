@@ -74,6 +74,24 @@ func TestPipelinedPropagatesSourceErrorNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestSourceErrorStillDeliversDerivedAnswers: a run that fails returns no
+// Result, so what it derived before the error must have left through the
+// callback — one round trip at a time, the five that succeed deliver their
+// five answers before the sixth fails.
+func TestSourceErrorStillDeliversDerivedAnswers(t *testing.T) {
+	f := chainFixture(t)
+	flakyFixture(t, f, "mid", 5)
+	var delivered []datalog.Tuple
+	_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 1, MaxBatch: -1},
+		func(burst []datalog.Tuple) { delivered = append(delivered, burst...) })
+	if !errors.Is(err, errSourceDown) {
+		t.Fatalf("err = %v, want %v", err, errSourceDown)
+	}
+	if len(delivered) != 5 {
+		t.Errorf("delivered %d answers before the error, want 5", len(delivered))
+	}
+}
+
 // TestErrorBeforeAnyAccess: a source that fails immediately, and a relation
 // with no source at all — which every strategy reports before its first
 // probe, whichever group the relation belongs to, so it never costs an
@@ -147,8 +165,8 @@ func TestNoGoroutineLeft(t *testing.T) {
 		"union whose first disjunct fails": func(t *testing.T) {
 			f := chainFixture(t)
 			runs := []DisjunctRun{
-				func(context.Context, func(datalog.Tuple)) (*Result, error) { return nil, errSourceDown },
-				func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+				func(context.Context, func([]datalog.Tuple)) (*Result, error) { return nil, errSourceDown },
+				func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 					return Pipelined(ctx, f.plan, f.reg, opts, emit)
 				},
 			}

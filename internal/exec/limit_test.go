@@ -33,9 +33,9 @@ mid^io(B, C)
 	}
 
 	var streamed []datalog.Tuple
-	lim, err := Pipelined(context.Background(), f.plan, f.reg, Options{Limit: 10, Parallelism: 2}, func(tu datalog.Tuple) {
+	lim, err := Pipelined(context.Background(), f.plan, f.reg, Options{Limit: 10, Parallelism: 2}, each(func(tu datalog.Tuple) {
 		streamed = append(streamed, tu)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ mid^io(B, C)
 	// Cancel after the first few answers, as a disconnected client would.
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	res, err := Pipelined(ctx, f.plan, f.reg, Options{Parallelism: 2}, func(datalog.Tuple) {
+	res, err := Pipelined(ctx, f.plan, f.reg, Options{Parallelism: 2}, each(func(datalog.Tuple) {
 		if n++; n == 5 {
 			cancel()
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +94,11 @@ mid^io(B, C)
 	if res.TotalAccesses() >= full.TotalAccesses() {
 		t.Errorf("cancellation did not save accesses: %d vs %d",
 			res.TotalAccesses(), full.TotalAccesses())
+	}
+	// Whatever the run derived before it stopped — the round trips in flight
+	// at the cancellation included — reached the consumer.
+	if n != res.Answers.Len() {
+		t.Errorf("cancelled run derived %d answers and delivered %d", res.Answers.Len(), n)
 	}
 	fullSet := full.AnswerSet()
 	for _, tu := range res.Answers.Tuples() {

@@ -17,7 +17,7 @@ import (
 // right abstract domains, accumulate the extracted tuples in a cache and
 // the extracted values in the known-value set, until no new access can be
 // made; finally evaluate the query over the cache and hand the answers to
-// onAnswer (when non-nil).
+// onAnswers (when non-nil) as one burst.
 //
 // The typing must come from cq.Validate(q, sch). Every access is counted
 // once; no binding is ever probed twice. Of the options, the cross-query
@@ -26,15 +26,16 @@ import (
 // relation are probed in batches of at most MaxBatch; a cancelled ctx stops
 // the extraction and returns the answers derivable so far as a truncated,
 // sound subset.
-func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
+func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := newSink(q.Name, len(q.Head), opts, onAnswer)
-	counted, counters := instrument(reg, opts)
-	if err := requireSources(counted, sch.Names()); err != nil {
+	k := newSink(q.Name, len(q.Head), opts, onAnswers)
+	names := sch.Names() // the naive algorithm probes every relation
+	if err := requireSources(reg, names); err != nil {
 		return nil, err
 	}
+	srcs, counters := instrument(reg, names, opts)
 
 	// B: known values per abstract domain, seeded with the query constants
 	// (interned here — the string boundary of the run).
@@ -69,8 +70,8 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	truncated := false
 	for changed := true; changed && !truncated; {
 		changed = false
-		for _, rel := range sch.Relations() {
-			w := counted.Source(rel.Name)
+		for ri, rel := range sch.Relations() {
+			w := srcs[ri]
 			relTried := bindMapFor(sc.tried, rel.Name)
 			crel := cache[rel.Name]
 			inputs := rel.InputPositions()
@@ -138,5 +139,5 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	if err := k.evaluate(q, cache, truncated); err != nil {
 		return nil, err
 	}
-	return k.finish(statsOf(counters), truncated, false), nil
+	return k.finish(statsOf(names, counters), truncated, false), nil
 }

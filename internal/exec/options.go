@@ -137,39 +137,35 @@ func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]data
 	return rows, err
 }
 
-// instrument prepares the registry for one execution: it pins every
-// versioned source to its current data version (Registry.Snapshot — the
-// run then observes one consistent epoch per relation however far
-// concurrent writers advance the tables), wraps every source in a fresh
-// Counter — the per-run access accounting behind Result.Stats — and, when
-// a cross-query cache is configured, layers the cache outside the counters
+// instrument prepares, for one execution, the sources of the relations it
+// probes — those and no others, so a run costs what its plan touches, not
+// what the schema holds — and returns them with their counters, both in the
+// order of relations. Each source is pinned to its current data version
+// when it is versioned (the run then observes one consistent epoch per
+// relation however far concurrent writers advance the tables) and wrapped
+// in a fresh Counter — the per-run access accounting behind Result.Stats;
+// when a cross-query cache is configured it is layered outside the counter
 // (Cached(Counted(Snapshot(source)))) so cache hits bypass the counters
-// entirely.
-func instrument(reg *source.Registry, opts Options) (*source.Registry, map[string]*source.Counter) {
-	counted, counters := reg.Snapshot().Counted(false)
-	if opts.Obs != nil {
-		// Probe metrics sit inside the cache: they observe exactly the
-		// round trips that reach a source, in lockstep with the counters.
-		counted = rewrap(counted, opts.Obs.WrapProbe)
+// entirely. Probe metrics sit inside the cache: they observe exactly the
+// round trips that reach a source, in lockstep with the counters. Demand
+// counting sits outside it: it sees every access the plan requested, cache
+// hits included. Every relation must have a source (requireSources).
+func instrument(reg *source.Registry, relations []string, opts Options) ([]source.Wrapper, []*source.Counter) {
+	srcs := make([]source.Wrapper, len(relations))
+	counters := make([]*source.Counter, len(relations))
+	for i, name := range relations {
+		w := reg.Source(name)
+		if s, ok := w.(source.Snapshottable); ok {
+			w = s.Snapshot()
+		}
+		counters[i] = source.NewCounter(w, false)
+		w = opts.Obs.WrapProbe(counters[i])
+		if opts.Cache != nil {
+			w = opts.Cache.Wrap(w)
+		}
+		srcs[i] = opts.Obs.WrapDemand(w)
 	}
-	if opts.Cache != nil {
-		counted = opts.Cache.WrapRegistry(counted)
-	}
-	if opts.Obs != nil {
-		// Demand counting sits outside the cache: it sees every access the
-		// plan requested, cache hits included.
-		counted = rewrap(counted, opts.Obs.WrapDemand)
-	}
-	return counted, counters
-}
-
-// rewrap maps a decorator over every source of a registry.
-func rewrap(reg *source.Registry, wrap func(source.Wrapper) source.Wrapper) *source.Registry {
-	out := source.NewRegistry()
-	for _, name := range reg.Names() {
-		out.Bind(wrap(reg.Source(name)))
-	}
-	return out
+	return srcs, counters
 }
 
 // requireSources reports the first of the named relations that has no

@@ -18,7 +18,12 @@
 //   - Union: the disjuncts of a UCQ, concurrently, into one answer set.
 //
 // Answers leave every executor through one sink, which applies the answer
-// limit and builds the Result. All strategies compute the same answer — the
+// limit and builds the Result, and they leave in bursts: the one answer
+// callback is func([]datalog.Tuple), called with the answers one completed
+// step made derivable — a landed round trip, a sweep's meta-cache hits, the
+// final evaluation — in derivation order, before the executor sends or
+// awaits another round trip and on every way out of a run. The slice is
+// valid only during the call. All strategies compute the same answer — the
 // set of obtainable answers under the access limitations — which the tests
 // assert against the Datalog least-fixpoint reference semantics.
 package exec
@@ -126,12 +131,12 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// statsOf snapshots the counters of a counted registry.
-func statsOf(counters map[string]*source.Counter) map[string]source.Stats {
+// statsOf snapshots the counters instrument made for the relations.
+func statsOf(relations []string, counters []*source.Counter) map[string]source.Stats {
 	out := make(map[string]source.Stats, len(counters))
-	for name, c := range counters {
+	for i, c := range counters {
 		if st := c.Stats(); st.Accesses > 0 {
-			out[name] = st
+			out[relations[i]] = st
 		}
 	}
 	return out

@@ -41,24 +41,25 @@ var (
 // answer is empty and execution stops), then populates the group's caches
 // to a fixpoint, generating access bindings from the domain predicates and
 // never repeating an access to a relation; finally it evaluates the
-// rewritten query over the caches and hands the answers to onAnswer (when
-// non-nil).
-func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
-	return run(ctx, p, reg, opts, fastFailing, onAnswer)
+// rewritten query over the caches and hands the answers to onAnswers (when
+// non-nil) as one burst.
+func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+	return run(ctx, p, reg, opts, fastFailing, onAnswers)
 }
 
 // Pipelined executes the plan with the Toorjah engine of Section V: the
 // coordinator "distils" new access tuples into per-relation queues as soon
 // as the cache database can generate them, several round trips per relation
-// are in flight at once, and answers are emitted through onAnswer the
-// moment an incremental join derives them. The final result carries the
-// same answer set as FastFailing.
+// are in flight at once, and the answers each landed round trip makes
+// derivable are joined incrementally and handed to onAnswers as one burst
+// before the coordinator sends or awaits another. The final result carries
+// the same answer set as FastFailing.
 //
 // For queries with negated atoms, incremental emission would be unsound
 // (a later extraction can invalidate a tentative answer), so answers are
 // emitted only after all caches are complete.
-func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
-	return run(ctx, p, reg, opts, pipelined, onAnswer)
+func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+	return run(ctx, p, reg, opts, pipelined, onAnswers)
 }
 
 // relQueue is the coordinator's view of one relation of the plan: its
@@ -92,15 +93,15 @@ type flight struct {
 // proportional to what happens, not to what is held: an extraction updates
 // the domains from its own new tuples, only bindings containing a new value
 // are enumerated, and a round trip reports back once.
-func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswer func(datalog.Tuple)) (*Result, error) {
+func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswers func([]datalog.Tuple)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswer)
-	counted, counters := instrument(reg, opts)
-	if err := requireSources(counted, p.Relations); err != nil {
+	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers)
+	if err := requireSources(reg, p.Relations); err != nil {
 		return nil, err
 	}
+	srcs, counters := instrument(reg, p.Relations, opts)
 	sc := getScratch()
 	defer sc.release()
 	st, err := newGroupState(p, opts, sc)
@@ -110,7 +111,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	rels := sc.relQueues(len(p.Relations))
 	for _, c := range p.Caches {
 		if !c.IsConst {
-			rels[c.Rel].w, rels[c.Rel].width = counted.Source(c.Source.Rel.Name), len(c.DomainPreds)
+			rels[c.Rel].w, rels[c.Rel].width = srcs[c.Rel], len(c.DomainPreds)
 		}
 	}
 
@@ -131,6 +132,9 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		}
 	}
 	defer drain()
+	// An error ends the run mid-step: the answers derived before it still
+	// reach the consumer, and before the drain waits on a source.
+	defer k.deliver()
 
 	// Spans: one "group" per position group when staged, else one
 	// "pipeline" over the whole distillation; the probes hang off whichever
@@ -185,7 +189,8 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 
 	// land folds a finished round trip back: each extraction goes to the
-	// meta-cache, to the node that asked and to the nodes that waited.
+	// meta-cache, to the node that asked and to the nodes that waited. The
+	// answers that made derivable leave as one burst.
 	land := func(fl *flight) error {
 		defer sc.recycle(fl)
 		if errors.Is(fl.err, errCancelled) {
@@ -213,6 +218,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 			}
 		}
+		k.deliver()
 		return nil
 	}
 
@@ -258,6 +264,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			}
 			emitted, err := generate(c)
 			if err == nil {
+				k.deliver() // what the meta-cache answered on the spot
 				err = dispatch(c.Rel)
 			}
 			if err != nil {
@@ -295,7 +302,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 				if !sat {
 					span.SetAttr("early_empty", true)
-					return k.finish(statsOf(counters), false, true), nil
+					return k.finish(statsOf(p.Relations, counters), false, true), nil
 				}
 			}
 			opened++
@@ -317,7 +324,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			return nil, err
 		}
 	}
-	return k.finish(statsOf(counters), truncated, false), nil
+	return k.finish(statsOf(p.Relations, counters), truncated, false), nil
 }
 
 // groupState holds the cache database and the bookkeeping of one execution

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"toorjah/internal/cache"
+	"toorjah/internal/obs"
 	"toorjah/internal/storage"
 )
 
@@ -83,5 +84,41 @@ func BenchmarkPipelinedScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runWarmScan(b, f, opts)
+	}
+}
+
+// TestExecutionCostIgnoresUnprobedRelations: an execution prepares the
+// sources of the relations its plan probes and no others, so what a warm
+// point query allocates does not grow with the schema around it. Wrapping
+// every bound source per run (a counter, a cache layer and two metric
+// layers each, in five registries) cost three allocations and more per
+// unrelated relation.
+func TestExecutionCostIgnoresUnprobedRelations(t *testing.T) {
+	warmPointQueryAllocs := func(unrelated int) float64 {
+		sch := "conf^ioo(P, C, Y)\n"
+		for i := 0; i < unrelated; i++ {
+			sch += fmt.Sprintf("x%d^o(A)\n", i)
+		}
+		f := setup(t, sch, "q(C, Y) :- conf(p1, C, Y)", map[string][]storage.Row{
+			"conf": {{"p1", "icde", "y2008"}, {"p2", "vldb", "y2007"}},
+		})
+		opts := Options{Cache: cache.New(cache.Options{}), Obs: &obs.ExecObs{}}
+		run := func() {
+			res, err := Pipelined(context.Background(), f.plan, f.reg, opts, nil)
+			if err != nil || res.Answers.Len() != 1 {
+				t.Fatalf("point query over %d unrelated relations: %v, %v", unrelated, res, err)
+			}
+		}
+		run() // fill the cache, size the scratch
+		return testing.AllocsPerRun(50, run)
+	}
+	// A run that finds the scratch pool empty — after a collection, or
+	// because the race detector makes pools forget at random — rebuilds its
+	// scratch, so the two averages differ by noise: the slack is half an
+	// allocation per relation added.
+	const slack = 25
+	alone, crowded := warmPointQueryAllocs(0), warmPointQueryAllocs(50)
+	if crowded > alone+slack {
+		t.Errorf("a warm point query allocates %.0f times alone and %.0f times beside 50 unrelated relations", alone, crowded)
 	}
 }

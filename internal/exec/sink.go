@@ -14,22 +14,32 @@ import (
 // mutex) all emit through one — and the one place the answer limit is
 // applied: exactly Limit answers when a limit is set, and Truncated exactly
 // when an answer was derived and withheld or the run left work undone.
+//
+// Answers leave in bursts. emit only records; deliver hands the consumer
+// everything recorded since the last call, in emit order, as one slice. An
+// executor delivers as soon as the step that derived the answers is done —
+// a landed round trip folded in, a sweep's meta-cache hits, the final
+// evaluation — and always before it sends another round trip or waits for
+// one, so an answer is never held while a source is awaited and a consumer
+// that cancels from the callback stops the run where a per-answer callback
+// would have.
 type sink struct {
-	answers  *datalog.Relation
-	limit    int // 0: unlimited
-	onAnswer func(datalog.Tuple)
-	start    time.Time     // of the execution
-	first    time.Duration // when the first answer was emitted; 0 for none
-	withheld bool          // a fresh answer arrived beyond the limit
+	answers   *datalog.Relation
+	limit     int // 0: unlimited
+	onAnswers func([]datalog.Tuple)
+	burst     []datalog.Tuple // recorded, not yet delivered; reused
+	start     time.Time       // of the execution
+	first     time.Duration   // when the first answer was emitted; 0 for none
+	withheld  bool            // a fresh answer arrived beyond the limit
 }
 
 // newSink starts an execution's clock and opens its empty answer relation.
-func newSink(name string, arity int, opts Options, onAnswer func(datalog.Tuple)) *sink {
+func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tuple)) *sink {
 	return &sink{
-		answers:  datalog.NewRelation(name, arity),
-		limit:    opts.Limit,
-		onAnswer: onAnswer,
-		start:    time.Now(),
+		answers:   datalog.NewRelation(name, arity),
+		limit:     opts.Limit,
+		onAnswers: onAnswers,
+		start:     time.Now(),
 	}
 }
 
@@ -37,10 +47,10 @@ func newSink(name string, arity int, opts Options, onAnswer func(datalog.Tuple))
 // an executor that derives answers as it goes may stop extracting.
 func (k *sink) full() bool { return k.limit > 0 && k.answers.Len() >= k.limit }
 
-// emit delivers one derived answer: dropped when already delivered,
-// withheld — a fresh answer beyond the limit proves the limit cut the
-// answer set — when the sink is full, otherwise recorded and handed to
-// onAnswer.
+// emit takes one derived answer: dropped when already taken, withheld — a
+// fresh answer beyond the limit proves the limit cut the answer set — when
+// the sink is full, otherwise recorded in the answer relation and in the
+// burst the next deliver hands over.
 func (k *sink) emit(t datalog.Tuple) {
 	if k.full() {
 		k.withheld = k.withheld || !k.answers.Contains(t)
@@ -52,9 +62,20 @@ func (k *sink) emit(t datalog.Tuple) {
 	if k.first == 0 {
 		k.first = time.Since(k.start)
 	}
-	if k.onAnswer != nil {
-		k.onAnswer(t)
+	if k.onAnswers != nil {
+		k.burst = append(k.burst, t)
 	}
+}
+
+// deliver hands the consumer the answers emitted since the last delivery.
+// The slice is the sink's own and is reused: it is valid only during the
+// call.
+func (k *sink) deliver() {
+	if len(k.burst) == 0 {
+		return
+	}
+	k.onAnswers(k.burst)
+	k.burst = k.burst[:0]
 }
 
 // evaluate emits the answers of q over the tuples extracted into db — how
@@ -76,8 +97,10 @@ func (k *sink) evaluate(q *cq.CQ, db datalog.DB, truncated bool) error {
 	return nil
 }
 
-// finish builds the execution's Result — the one place a Result is made.
+// finish delivers what is still recorded and builds the execution's Result
+// — the one place a Result is made.
 func (k *sink) finish(stats map[string]source.Stats, truncated, earlyEmpty bool) *Result {
+	k.deliver()
 	return &Result{
 		Answers:     k.answers,
 		Stats:       stats,

@@ -13,18 +13,20 @@ import (
 // context derived from the union's — the run must honor it the way the CQ
 // executors honor their ctx parameter (stop probing, return a truncated
 // sound subset) — and the union's emit, through which the run must deliver
-// every answer it derives, as the CQ executors deliver through onAnswer. A
-// run must return a non-nil Result unless it errors.
-type DisjunctRun func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error)
+// every answer it derives, burst by burst, as the CQ executors deliver
+// through onAnswers. A run must return a non-nil Result unless it errors.
+type DisjunctRun func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error)
 
 // Union executes the disjuncts of a union of conjunctive queries
 // concurrently with bounded parallelism and merges their outcomes into one
 // Result — the UCQ semantics of the paper's Section II (the answer to a
 // union is the union of the per-CQ answers):
 //
-//   - answers are deduplicated across disjuncts, and onAnswer (when
-//     non-nil) observes each distinct answer exactly once, the moment the
-//     first disjunct derives it; calls are serialized, never concurrent;
+//   - answers are deduplicated across disjuncts, and onAnswers (when
+//     non-nil) observes each distinct answer exactly once, in the burst of
+//     the first disjunct to deliver it — a disjunct's burst with the
+//     answers the union already holds taken out; calls are serialized,
+//     never concurrent;
 //   - per-relation statistics merge via source.Stats.Add, so Accesses,
 //     Batches and Tuples all survive (a disjunct's probes are counted
 //     against whichever disjunct actually reached the source — under a
@@ -40,14 +42,14 @@ type DisjunctRun func(ctx context.Context, emit func(datalog.Tuple)) (*Result, e
 // The union reads Options.MaxConcurrent and Options.Limit; the first
 // disjunct error cancels the rest and is returned, while a cancelled ctx
 // instead yields a truncated result, never an error.
-func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts Options, onAnswer func(datalog.Tuple)) (*Result, error) {
+func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	union := newSink(name, arity, opts, onAnswer)
+	union := newSink(name, arity, opts, onAnswers)
 	stats := make(map[string]source.Stats)
 	var (
 		mu         sync.Mutex // guards union, stats and the flags
@@ -56,13 +58,18 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 		firstErr   error
 	)
 
-	// emit folds one answer into the union (onAnswer is thereby serialized
-	// under mu); an answer withheld at the limit proves the limit truncated
-	// the union and cancels the remaining disjuncts.
-	emit := func(t datalog.Tuple) {
+	// emit folds one disjunct's burst into the union and passes on what was
+	// new to it (onAnswers is thereby serialized under mu, taken once per
+	// burst); an answer withheld at the limit proves the limit truncated the
+	// union and cancels the remaining disjuncts.
+	emit := func(burst []datalog.Tuple) {
 		mu.Lock()
 		defer mu.Unlock()
-		if union.emit(t); union.withheld {
+		for _, t := range burst {
+			union.emit(t)
+		}
+		union.deliver()
+		if union.withheld {
 			cancel()
 		}
 	}

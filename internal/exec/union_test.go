@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,15 +13,15 @@ import (
 	"toorjah/internal/sym"
 )
 
-// fakeDisjunct fabricates a disjunct run that emits the given answers and
-// returns them with the given stats and flags.
+// fakeDisjunct fabricates a disjunct run that emits the given answers, as
+// one burst, and returns them with the given stats and flags.
 func fakeDisjunct(answers []datalog.Tuple, stats map[string]source.Stats, truncated, earlyEmpty bool) DisjunctRun {
-	return func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+	return func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 		rel := datalog.NewRelation("q", 1)
 		for _, t := range answers {
 			rel.Insert(t)
-			emit(t)
 		}
+		emit(answers)
 		return &Result{Answers: rel, Stats: stats, Truncated: truncated, EarlyEmpty: earlyEmpty}, nil
 	}
 }
@@ -48,9 +47,9 @@ func TestUnionDedupAndStatsMerge(t *testing.T) {
 			true, false),
 	}
 	var streamed []string
-	res, err := Union(context.Background(), "q", 1, runs, Options{}, func(t datalog.Tuple) {
+	res, err := Union(context.Background(), "q", 1, runs, Options{}, each(func(t datalog.Tuple) {
 		streamed = append(streamed, sym.Str(t[0]))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +86,11 @@ func TestUnionError(t *testing.T) {
 	started := make(chan struct{})
 	sawCancel := make(chan bool, 1)
 	runs := []DisjunctRun{
-		func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+		func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 			<-started
 			return nil, boom
 		},
-		func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+		func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 			close(started)
 			select {
 			case <-ctx.Done():
@@ -123,7 +122,7 @@ func TestUnionLimit(t *testing.T) {
 	res, err := Union(context.Background(), "q", 1,
 		[]DisjunctRun{fakeDisjunct(many, nil, false, false)},
 		Options{Limit: 3},
-		func(datalog.Tuple) { atomic.AddInt32(&streamed, 1) })
+		each(func(datalog.Tuple) { atomic.AddInt32(&streamed, 1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestUnionCancelled(t *testing.T) {
 	cancel()
 	ran := false
 	res, err := Union(ctx, "q", 1, []DisjunctRun{
-		func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+		func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 			ran = true
 			return &Result{Answers: datalog.NewRelation("q", 1)}, nil
 		},
@@ -174,7 +173,7 @@ func TestUnionCancelled(t *testing.T) {
 // flight, and with more slots than disjuncts they genuinely overlap.
 func TestUnionBoundedParallelism(t *testing.T) {
 	var inFlight, peak int32
-	slow := func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+	slow := func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 		n := atomic.AddInt32(&inFlight, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -203,37 +202,47 @@ func TestUnionBoundedParallelism(t *testing.T) {
 	}
 }
 
-// TestUnionSerializedEmission: concurrent disjuncts emitting the same and
-// different answers never invoke onAnswer concurrently and never repeat an
-// answer (exercised under -race).
+// TestUnionSerializedEmission: concurrent disjuncts delivering bursts — of
+// different sizes, overlapping within and across disjuncts — never invoke
+// onAnswers concurrently, never repeat an answer and never hand over an
+// empty burst (exercised under -race).
 func TestUnionSerializedEmission(t *testing.T) {
 	const disjuncts = 8
 	runs := make([]DisjunctRun, disjuncts)
 	for i := range runs {
 		i := i
-		runs[i] = func(ctx context.Context, emit func(datalog.Tuple)) (*Result, error) {
+		runs[i] = func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
 			rel := datalog.NewRelation("q", 1)
+			var burst []datalog.Tuple
 			for j := 0; j < 50; j++ {
 				t := datalog.T(string(rune('a' + (i+j)%26)))
 				rel.Insert(t)
-				emit(t)
+				if burst = append(burst, t); len(burst) > i {
+					emit(burst) // disjunct i delivers i+1 answers at a time
+					burst = burst[:0]
+				}
+			}
+			if len(burst) > 0 {
+				emit(burst)
 			}
 			return &Result{Answers: rel}, nil
 		}
 	}
 	var inCallback int32
 	seen := make(map[string]bool)
-	var mu sync.Mutex
-	res, err := Union(context.Background(), "q", 1, runs, Options{MaxConcurrent: disjuncts}, func(t datalog.Tuple) {
+	res, err := Union(context.Background(), "q", 1, runs, Options{MaxConcurrent: disjuncts}, func(burst []datalog.Tuple) {
 		if atomic.AddInt32(&inCallback, 1) != 1 {
-			panic("onAnswer invoked concurrently")
+			panic("onAnswers invoked concurrently")
 		}
-		mu.Lock()
-		if seen[sym.Str(t[0])] {
-			panic("duplicate answer emitted")
+		if len(burst) == 0 {
+			panic("empty burst delivered")
 		}
-		seen[sym.Str(t[0])] = true
-		mu.Unlock()
+		for _, t := range burst {
+			if seen[sym.Str(t[0])] { // unsynchronized on purpose: -race sees overlapping calls
+				panic("duplicate answer emitted")
+			}
+			seen[sym.Str(t[0])] = true
+		}
 		atomic.AddInt32(&inCallback, -1)
 	})
 	if err != nil {

@@ -131,8 +131,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// No flush between bindings: the whole batch is in memory and the
+	// client returns nothing before the done frame, so the response leaves
+	// as net/http buffers it — one write for all but the largest probes.
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
 	tuples := 0
 	for i, rows := range results {
 		for _, row := range rows {
@@ -144,9 +146,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		tuples += len(rows)
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 	if err := enc.Encode(doneFrame{Done: true, Accesses: len(req.Bindings), Tuples: tuples, Epoch: epoch}); err != nil {
 		return // without the done frame the client treats the stream as truncated

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,18 +235,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// heldSource keeps every probe of its relation inside the source until
-// release is closed: a latency-bearing source whose latency the test ends.
+// heldSource keeps every probe of its relation — after the first free of
+// them — inside the source until release is closed: a latency-bearing source
+// whose latency the test ends.
 type heldSource struct {
 	source.Wrapper
+	free    atomic.Int32 // probes still let straight through
 	release chan struct{}
 }
 
 func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	select {
-	case <-h.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if h.free.Add(-1) < 0 {
+		select {
+		case <-h.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	return h.Wrapper.Probe(ctx, bindings)
 }

@@ -29,6 +29,7 @@ import (
 	"toorjah/internal/remote"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 	"toorjah/internal/wal"
 )
 
@@ -495,7 +496,9 @@ func (s *Server) planCount() int {
 	return len(s.plans)
 }
 
-// answerLine / doneLine / errorLine are the NDJSON frames of /query.
+// answerLine / doneLine / errorLine are the NDJSON frames of /query. The
+// answer line is rendered by appendAnswerLine, not through this type, which
+// stays as the frame's definition and the reference the encoder is held to.
 type answerLine struct {
 	Answer []string `json:"answer"`
 }
@@ -525,8 +528,9 @@ type errorLine struct {
 }
 
 // handleQuery answers one conjunctive query — or a union of them, one
-// disjunct per line — streaming each distinct answer as an NDJSON line the
-// moment the engine derives it, then a final summary line. The query text
+// disjunct per line — streaming each distinct answer as an NDJSON line, the
+// first the moment the engine derives it and the rest burst by burst as
+// round trips land, then a final summary line. The query text
 // comes from the q parameter (GET) or the request body (POST); limit, when
 // positive, stops after that many answers.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -604,18 +608,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := s.exec
 	opts.Limit = limit
 	opts.Obs = execObs
-	// OnAnswer calls are serialized by both kinds of runnable — a CQ streams
-	// from the goroutine executing the query, a UCQ serializes its concurrent
-	// disjuncts — so writing to the response here needs no locking. Answers
-	// materialize to strings only here, at the NDJSON boundary.
+	// Answers leave the way the engine hands them over, in bursts: the
+	// answers one landed round trip made derivable are rendered into one
+	// buffer and written and flushed together — the engine delivers before
+	// it sends or awaits another round trip, so no answer sits in a buffer
+	// while a source is awaited — and the very first answer is flushed on
+	// its own, time to first answer being what streaming is for. Calls are
+	// serialized by both kinds of runnable — a CQ delivers from the goroutine
+	// executing the query, a UCQ serializes its concurrent disjuncts — so
+	// the buffers need no locking. Answers materialize to strings only here,
+	// at the NDJSON boundary.
+	var (
+		lines     []byte   // rendered answers not yet written; reused from burst to burst
+		vals      []string // one answer's values; reused from answer to answer
+		streaming bool     // the first answer has left
+	)
+	write := func(flush bool) {
+		if _, err := w.Write(lines); err != nil {
+			s.writeErrs.Inc()
+			cancel() // nobody is reading: abort the execution, not just the stream
+		} else if flush && flusher != nil {
+			flusher.Flush()
+		}
+		lines = lines[:0]
+	}
 	res, err := q.Execute(ctx, toorjah.WithExecOptions(opts),
-		toorjah.OnAnswer(func(t toorjah.Tuple) {
-			if !s.encode(enc, answerLine{Answer: t.Strings()}) {
-				cancel() // nobody is reading: abort the execution, not just the stream
-				return
+		toorjah.OnAnswers(func(burst []toorjah.Tuple) {
+			for _, t := range burst {
+				if len(lines) >= answerSpill {
+					write(false) // net/http's own buffering takes it from here
+				}
+				vals = sym.Default.StrsAppend(vals, t)
+				lines = appendAnswerLine(lines, vals)
+				if !streaming {
+					streaming = true
+					write(true)
+				}
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if len(lines) > 0 {
+				write(true)
 			}
 		}))
 	if err != nil {

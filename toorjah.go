@@ -32,7 +32,8 @@
 // query's observability baggage down to the sources. Functional options
 // select the executor and shape the run — WithExecutor picks the
 // fast-failing batch strategy (default), the parallel pipelined engine or
-// the naive reference algorithm; OnAnswer streams answers as they are
+// the naive reference algorithm; OnAnswer — or OnAnswers, a burst at a
+// time, the unit the engine delivers in — streams answers as they are
 // derived (and alone implies the pipelined engine); WithLimit caps the
 // answers; WithExecOptions opens the full executor-level Options block:
 //

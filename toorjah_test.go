@@ -70,6 +70,84 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOnAnswerIsOnAnswersOneAtATime: under every executor, and for a union,
+// the bursts OnAnswers receives laid end to end, and the sequence the
+// OnAnswer adapter sees, are both the answers in the order the engine took
+// them — the order a per-answer callback inside the engine used to see.
+func TestOnAnswerIsOnAnswersOneAtATime(t *testing.T) {
+	sch, err := ParseSchema("free^oo(A, B)\nmid^io(B, C)\nalt^oo(A, C)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	var free, mid, alt []Row
+	for i := 0; i < 70; i++ {
+		free = append(free, Row{"a" + strconv.Itoa(i), "b" + strconv.Itoa(i)})
+		mid = append(mid, Row{"b" + strconv.Itoa(i), "c" + strconv.Itoa(i)})
+		alt = append(alt, Row{"a" + strconv.Itoa(i%10), "c" + strconv.Itoa(i%10)})
+	}
+	for rel, rows := range map[string][]Row{"free": free, "mid": mid, "alt": alt} {
+		if err := sys.BindRows(rel, rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := sys.Prepare("q(X, Z) :- free(X, Y), mid(Y, Z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.PrepareUCQ("q(X, Z) :- free(X, Y), mid(Y, Z)\nq(X, Z) :- alt(X, Z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type runner interface {
+		Execute(context.Context, ...ExecOption) (*Result, error)
+	}
+	// Answers derived at completion are one burst; the pipelined join
+	// delivers one per round trip on mid (70 accesses, 16 apiece); how a
+	// union's disjuncts interleave is not fixed.
+	cases := []struct {
+		name   string
+		run    runner
+		opts   []ExecOption
+		bursts int // 0: any number
+	}{
+		{"pipelined", q, nil, 5},
+		{"fast-fail", q, []ExecOption{WithExecutor(ExecutorFastFail)}, 1},
+		{"naive", q, []ExecOption{WithExecutor(ExecutorNaive)}, 1},
+		{"union", u, nil, 0},
+	}
+	for _, c := range cases {
+		for _, adapter := range []bool{false, true} {
+			var seen []Tuple
+			bursts := 0
+			stream := OnAnswers(func(burst []Tuple) {
+				bursts++
+				seen = append(seen, burst...)
+			})
+			if adapter {
+				stream = OnAnswer(func(t Tuple) { seen = append(seen, t) })
+			}
+			res, err := c.run.Execute(context.Background(), append([]ExecOption{stream}, c.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitted := res.Answers.Tuples()
+			if len(emitted) != 70 || len(seen) != len(emitted) {
+				t.Fatalf("%s (adapter %v): %d answers, %d streamed, want 70", c.name, adapter, len(emitted), len(seen))
+			}
+			for i := range emitted {
+				if emitted[i].Key() != seen[i].Key() {
+					t.Fatalf("%s (adapter %v): answer %d streamed as %v, taken as %v",
+						c.name, adapter, i, seen[i].Strings(), emitted[i].Strings())
+				}
+			}
+			if !adapter && c.bursts != 0 && bursts != c.bursts {
+				t.Errorf("%s: %d bursts, want %d", c.name, bursts, c.bursts)
+			}
+		}
+	}
+}
+
 func TestSystemPlanIntrospection(t *testing.T) {
 	sys := musicSystem(t)
 	q, err := sys.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
