@@ -12,6 +12,7 @@ package toorjah
 // BenchmarkFig11_*    — paper Fig. 11 (execution time by query size)
 // BenchmarkAblation_* — each optimization toggled off
 // BenchmarkPlanning_* — cost of d-graph construction, GFP and plan generation
+// BenchmarkPrepare/*  — System.Prepare on a planned shape and on a new one
 
 import (
 	"context"
@@ -458,5 +459,48 @@ func BenchmarkPlanning_RandomLarge(b *testing.B) {
 		if _, err := core.Prepare(sch, queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPrepare is the prepare layer as the façade and /query pay it:
+// the text of a point lookup (serve-cold's) with a constant never seen
+// before but a shape already planned — parse, shape key, one lookup — and
+// the same text, and paper q3, when the shape is new and has to be planned.
+// The cold cases make a shape new by renaming the head predicate.
+func BenchmarkPrepare(b *testing.B) {
+	serve := schema.MustParse("pub^oo(P, T)\ncat^oo(P, T)\nconf^ioo(P, C, Y)")
+	pub := schema.MustParse(gen.PublicationSchemaText)
+	q3 := gen.PublicationQueries[2][len("q3"):]
+	for _, c := range []struct {
+		name string
+		sch  *schema.Schema
+		text func(i int) string
+		warm bool
+	}{
+		{"point-warm-shape", serve, func(i int) string { return fmt.Sprintf("q(C, Y) :- conf(p%d, C, Y)", i) }, true},
+		{"point-cold-shape", serve, func(i int) string { return fmt.Sprintf("q%d(C, Y) :- conf(p7, C, Y)", i) }, false},
+		{"q3-cold-shape", pub, func(i int) string { return fmt.Sprintf("q%d%s", i, q3) }, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sys := NewSystem(c.sch)
+			texts := make([]string, b.N+1)
+			for i := range texts {
+				texts[i] = c.text(i)
+			}
+			if _, err := sys.Prepare(texts[b.N]); err != nil { // bind the sources; plan the warm shape
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Prepare(texts[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := sys.PlanCacheStats(); c.warm != (st.Misses == 1) {
+				b.Fatalf("plan cache = %+v", st)
+			}
+		})
 	}
 }

@@ -96,9 +96,9 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "// query: %s\n// relevant: %v\n// irrelevant: %v\n",
 		qText, p.Opt.RelevantRelations(), p.Opt.IrrelevantRelations())
 	if showOpt {
-		fmt.Fprint(stdout, dgraph.DOTOptimized(p.Opt))
+		fmt.Fprint(stdout, dgraph.DOTOptimized(p.Opt, nil))
 	} else {
-		fmt.Fprint(stdout, dgraph.DOT(p.Graph, p.Opt.Solution, true))
+		fmt.Fprint(stdout, dgraph.DOT(p.Graph, p.Opt.Solution, true, nil))
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Command toorjahd is the long-running Toorjah query service: it loads a
-// schema and CSV-backed sources once, keeps prepared query plans warm, and
+// schema and CSV-backed sources once, plans each query shape once, and
 // serves concurrent conjunctive queries over HTTP, streaming answers as
 // NDJSON the moment the pipelined engine derives them. All requests share
 // one cross-query access cache (internal/cache), so the dominant cost of

@@ -3,6 +3,7 @@ package toorjah
 import (
 	"context"
 
+	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/exec"
 	"toorjah/internal/plan"
@@ -147,50 +148,58 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 	opts := q.sys.execOpts(cfg.opts)
 	switch {
 	case cfg.executor == ExecutorNaive:
-		// The naive algorithm runs on the original query and needs no plan,
-		// so it executes even when the optimized strategies would refuse.
-		return exec.Naive(ctx, q.sys.sch, reg, q.pipeline.Query, q.pipeline.Typing, opts, cfg.onAnswers)
+		// The naive algorithm runs on the query itself — the shape with this
+		// query's constants back in their slots — and needs no plan, so it
+		// executes even when the optimized strategies would refuse.
+		query := cq.Instantiate(q.shape.pipeline.Query, q.consts)
+		typing, err := cq.Validate(query, q.sys.sch)
+		if err != nil {
+			return nil, err
+		}
+		return exec.Naive(ctx, q.sys.sch, reg, query, typing, opts, cfg.onAnswers)
 	case !q.Answerable():
 		return q.emptyResult(), nil
 	case cfg.executor == ExecutorPipelined:
-		return exec.Pipelined(ctx, q.activePlan(), reg, opts, cfg.onAnswers)
+		return exec.Pipelined(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onAnswers)
 	default:
-		return exec.FastFailing(ctx, q.activePlan(), reg, opts, cfg.onAnswers)
+		return exec.FastFailing(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onAnswers)
 	}
 }
 
-// activePlan returns the plan this execution runs. On a non-adaptive system
-// that is always the one built at Prepare. On an adaptive system
+// activePlan returns the plan an execution of the shape runs, before the
+// query's constants are bound to it. On a non-adaptive system that is always
+// the one built at Prepare. On an adaptive system
 // (WithAdaptiveOrdering) the prepared linearization is checked against the
 // current data epochs of the plan's relations; when any has advanced the
 // plan is re-linearized from the optimized d-graph against the live row
 // counts — same sources, same ⊂-minimality, possibly a different probe
-// order — and kept until the data moves again. Executions already running
-// keep the plan they started with.
-func (q *Query) activePlan() *plan.Plan {
-	if !q.sys.adaptive || q.pipeline.Plan == nil {
-		return q.pipeline.Plan
+// order — and kept until the data moves again: once per epoch change for the
+// shape, however many queries share it. Executions already running keep the
+// plan they started with.
+func (sh *shape) activePlan(sys *System) *plan.Plan {
+	if !sys.adaptive || sh.pipeline.Plan == nil {
+		return sh.pipeline.Plan
 	}
-	q.planMu.Lock()
-	defer q.planMu.Unlock()
+	sh.planMu.Lock()
+	defer sh.planMu.Unlock()
 	stale := false
-	for name, epoch := range q.planEpochs {
-		if q.sys.RelationEpoch(name) != epoch {
+	for name, epoch := range sh.planEpochs {
+		if sys.RelationEpoch(name) != epoch {
 			stale = true
 			break
 		}
 	}
 	if !stale {
-		return q.livePlan
+		return sh.livePlan
 	}
-	p, err := plan.GenerateWith(q.pipeline.Opt, plan.OrderOptions{Sizes: q.sys.RelationSizes()})
+	p, err := plan.GenerateWith(sh.pipeline.Opt, plan.OrderOptions{Sizes: sys.RelationSizes()})
 	if err != nil {
 		// The d-graph did not change, so regeneration cannot really fail;
 		// if it somehow does, the last good linearization is still sound.
-		return q.livePlan
+		return sh.livePlan
 	}
-	q.livePlan = p
-	q.planEpochs = q.snapshotEpochs()
+	sh.livePlan = p
+	sh.planEpochs = sys.snapshotEpochs(sh.pipeline)
 	return p
 }
 

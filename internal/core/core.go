@@ -3,11 +3,16 @@
 // elimination, dependency-graph construction, GFP optimization, and
 // ⊂-minimal plan generation. It is the implementation behind the module's
 // public API.
+//
+// No stage looks at what a constant holds — to the planner a constant a is
+// the artificial relation ℓ_a and nothing more — so a Pipeline prepared from
+// a query's shape (cq.Shape) is the pipeline of every query of that shape:
+// the façade prepares shapes, caches them, and binds each query's constants
+// at execution (plan.Plan.Bind). Prepared from a query as written, the
+// pipeline runs as it is: its plan carries that query's constants.
 package core
 
 import (
-	"fmt"
-
 	"toorjah/internal/cq"
 	"toorjah/internal/dgraph"
 	"toorjah/internal/plan"
@@ -32,7 +37,8 @@ type Options struct {
 // Pipeline carries every artifact of query preparation.
 type Pipeline struct {
 	Schema *schema.Schema
-	// Query is the input query after optional minimization.
+	// Query is the input query after optional minimization; Typing is the
+	// input query's, whose constant order is the plan's slot order.
 	Query  *cq.CQ
 	Typing *cq.Typing
 	// Pre is the constant-free rewriting over the extended schema.
@@ -63,17 +69,15 @@ func PrepareOpts(sch *schema.Schema, q *cq.CQ, opts Options) (*Pipeline, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.Query = q
+	// The typing of the query as written stays: minimization only drops
+	// atoms, so it types what is left, and it numbers the constants the way
+	// cq.Shape does — the minimized query may meet them in another order.
+	p.Query, p.Typing = q, ty
 	if !opts.SkipMinimize {
-		m := cq.Minimize(q)
-		if len(m.Body) < len(q.Body) {
+		if m := cq.Minimize(q); len(m.Body) < len(q.Body) {
 			p.Query = m
-			if ty, err = cq.Validate(m, sch); err != nil {
-				return nil, fmt.Errorf("core: minimized query invalid: %w", err)
-			}
 		}
 	}
-	p.Typing = ty
 	p.Pre, err = cq.EliminateConstants(p.Query, sch, ty)
 	if err != nil {
 		return nil, err

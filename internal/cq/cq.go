@@ -5,6 +5,14 @@
 // consistency), constant elimination into artificial unary relations,
 // Chandra–Merlin containment, and CQ minimization.
 //
+// It also splits a query into what planning depends on and what it does not
+// (shape.go): its shape — every distinct constant replaced by a numbered
+// slot — with an injective key to cache plans under, and its constants by
+// slot, which Instantiate puts back. Validate, EliminateConstants and Shape
+// number the constants alike, in order of first occurrence, and constant
+// elimination names the artificial relations by that slot, so nothing a
+// plan is made of spells out a value.
+//
 // A CQ is written in Datalog notation:
 //
 //	q(N) :- r1(A, N, Y1), r2(volare, Y2, A)

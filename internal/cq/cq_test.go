@@ -183,3 +183,19 @@ q(X) :- pub2(P, X)
 		t.Error("empty UCQ: want error")
 	}
 }
+
+func TestIsUnion(t *testing.T) {
+	for text, want := range map[string]bool{
+		"":                                  false,
+		"q(X) :- r(X)":                      false,
+		"\n\n  q(X) :- r(X)  \n# comment\n": false,
+		"# a\n# b\n":                        false,
+		"q(X) :- r(X)\nq(X) :- s(X)":        true,
+		"q(X) :- r(X)\r\n\t\nq(X) :- s(X)":  true,
+		"q(X) :- r(X)\n#\nbad(":             true,
+	} {
+		if got := IsUnion(text); got != want {
+			t.Errorf("IsUnion(%q) = %v, want %v", text, got, want)
+		}
+	}
+}

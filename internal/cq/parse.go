@@ -37,17 +37,20 @@ func MustParse(text string) *CQ {
 
 // IsUnion reports whether a query text is a union under ParseUCQ's
 // line-splitting rules: more than one non-blank, non-comment line. Both
-// binaries use it to route a text to Parse or ParseUCQ.
+// binaries use it to route a text to Parse or ParseUCQ — /query on every
+// request, so it walks the text in place.
 func IsUnion(text string) bool {
 	lines := 0
-	for _, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for len(text) > 0 {
+		var raw string
+		raw, text, _ = strings.Cut(text, "\n")
+		if line := strings.TrimSpace(raw); line != "" && !strings.HasPrefix(line, "#") {
+			if lines++; lines > 1 {
+				return true
+			}
 		}
-		lines++
 	}
-	return lines > 1
+	return false
 }
 
 // ParseUCQ parses a union of conjunctive queries, one disjunct per line

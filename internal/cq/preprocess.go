@@ -2,14 +2,14 @@ package cq
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"toorjah/internal/schema"
 )
 
 // ConstPrefix prefixes the names of the artificial relations created by
-// EliminateConstants (the paper's ℓ_a relations); the prefix keeps them
-// disjoint from user relation names.
+// EliminateConstants (the paper's ℓ_a relations), which are named by slot:
+// l_0, l_1, … A schema that already uses one of those names is refused.
 const ConstPrefix = "l_"
 
 // ConstRelation describes an artificial unary relation introduced for a
@@ -23,15 +23,17 @@ type ConstRelation struct {
 
 // Preprocessed is the result of constant elimination: an equivalent
 // constant-free query over the schema extended with one artificial relation
-// per (constant, domain) pair.
+// per constant.
 type Preprocessed struct {
 	// Query is the constant-free rewriting of the original query. For every
 	// occurrence of a constant a at a body position of domain A, a fresh
-	// variable replaces the constant and an atom l_a(X) is appended.
+	// variable replaces the constant and an atom l_k(X) is appended, k being
+	// the constant's slot.
 	Query *CQ
-	// Schema is the input schema extended with the artificial relations.
+	// Schema is the input schema extended with the artificial relations, in
+	// slot order, each marked with its constant (schema.Relation.Const).
 	Schema *schema.Schema
-	// Consts lists the artificial relations in deterministic order.
+	// Consts lists the artificial relations by slot.
 	Consts []ConstRelation
 	// HeadConsts maps, for each head position holding a constant in the
 	// original query, the position to the constant. The rewritten head uses
@@ -42,59 +44,56 @@ type Preprocessed struct {
 // EliminateConstants rewrites q into an equivalent constant-free query, as
 // in Section III of the paper: every constant a acts as an artificial
 // relation ℓ_a with a single output attribute whose content is exactly ⟨a⟩.
-// For example q(Y) :- r(a, Y) becomes q(Y) :- r(X, Y), l_a(X).
+// For example q(Y) :- r(a, Y) becomes q(Y) :- r(X, Y), l_0(X).
+//
+// The constants are numbered by the typing, not by q: slot k belongs to
+// typing.Consts[k]. The typing may therefore come from a query q was
+// minimized from — minimization keeps every constant but can drop the atom
+// it first occurred in — and the slots still are those of the query as
+// written. Nothing downstream looks at a constant's value: the artificial
+// relation only points at it, and whoever executes the plan decides what
+// each slot holds.
 func EliminateConstants(q *CQ, s *schema.Schema, typing *Typing) (*Preprocessed, error) {
 	out := &Preprocessed{
 		Query:      &CQ{Name: q.Name},
 		Schema:     s.Clone(),
+		Consts:     make([]ConstRelation, len(typing.Consts)),
 		HeadConsts: make(map[int]string),
 	}
 	used := make(map[string]bool)
 	for _, v := range q.Vars() {
 		used[v] = true
 	}
-	constVar := make(map[string]string)  // constant value -> replacement variable
-	nameOwner := make(map[string]string) // artificial relation name -> constant value
-	fresh := func(base string) string {
-		name := base
-		for i := 2; used[name]; i++ {
-			name = fmt.Sprintf("%s%d", base, i)
+	slotOf := make(map[string]int, len(typing.Consts))
+	for k, value := range typing.Consts {
+		name := ConstPrefix + strconv.Itoa(k)
+		r, err := schema.NewRelation(name, "o", typing.ConstDomain[value])
+		if err != nil {
+			return nil, err
 		}
-		used[name] = true
-		return name
+		r.Const = &value
+		if err := out.Schema.Add(r); err != nil {
+			return nil, fmt.Errorf("constant %q: %w", value, err)
+		}
+		slotOf[value] = k
+		out.Consts[k] = ConstRelation{Name: name, Value: value, Domain: r.Domains[0]}
 	}
+	constVar := make([]string, len(typing.Consts)) // slot -> replacement variable, once its atom exists
 	handle := func(value string) (string, error) {
-		if v, ok := constVar[value]; ok {
-			return v, nil
-		}
-		d, ok := typing.ConstDomain[value]
+		k, ok := slotOf[value]
 		if !ok {
 			return "", fmt.Errorf("constant %q has no inferred domain", value)
 		}
-		name := constRelName(value)
-		for i := 2; ; i++ {
-			owner, taken := nameOwner[name]
-			if !taken || owner == value {
-				break
+		if constVar[k] == "" {
+			v := "X_" + strconv.Itoa(k)
+			for i := 2; used[v]; i++ {
+				v = fmt.Sprintf("X_%d_%d", k, i)
 			}
-			name = fmt.Sprintf("%s_%d", constRelName(value), i)
+			used[v] = true
+			constVar[k] = v
+			out.Query.Body = append(out.Query.Body, Atom{Pred: out.Consts[k].Name, Args: []Term{V(v)}})
 		}
-		nameOwner[name] = value
-		rel := ConstRelation{Name: name, Value: value, Domain: d}
-		v := fresh("X_" + sanitizeIdent(value))
-		constVar[value] = v
-		if !out.Schema.Has(rel.Name) {
-			r, err := schema.NewRelation(rel.Name, "o", d)
-			if err != nil {
-				return "", err
-			}
-			if err := out.Schema.Add(r); err != nil {
-				return "", err
-			}
-		}
-		out.Consts = append(out.Consts, rel)
-		out.Query.Body = append(out.Query.Body, Atom{Pred: rel.Name, Args: []Term{V(v)}})
-		return v, nil
+		return constVar[k], nil
 	}
 	rewriteArgs := func(args []Term) ([]Term, error) {
 		nargs := make([]Term, len(args))
@@ -140,36 +139,12 @@ func EliminateConstants(q *CQ, s *schema.Schema, typing *Typing) (*Preprocessed,
 		}
 		out.Query.Head[i] = V(v)
 	}
-	return out, nil
-}
-
-// constRelName builds the artificial relation name for a constant.
-func constRelName(value string) string { return ConstPrefix + sanitizeIdent(value) }
-
-// IsConstRelation reports whether a relation name denotes an artificial
-// constant relation, returning the constant value it carries.
-func IsConstRelation(name string) (value string, ok bool) {
-	if !strings.HasPrefix(name, ConstPrefix) {
-		return "", false
-	}
-	return strings.TrimPrefix(name, ConstPrefix), true
-}
-
-func sanitizeIdent(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '_':
-			b.WriteByte(c)
-		case c >= 'A' && c <= 'Z':
-			b.WriteByte(c - 'A' + 'a')
-		default:
-			fmt.Fprintf(&b, "x%02x", c)
+	for k, v := range constVar {
+		if v == "" {
+			// Its relation would sit in the schema as a free source of a
+			// value the query never mentions.
+			return nil, fmt.Errorf("constant %q of the typing does not occur in query %s", typing.Consts[k], q.Name)
 		}
 	}
-	if b.Len() == 0 {
-		return "empty"
-	}
-	return b.String()
+	return out, nil
 }

@@ -13,6 +13,11 @@ type Typing struct {
 	VarDomain map[string]schema.Domain
 	// ConstDomain maps constant value to its abstract domain.
 	ConstDomain map[string]schema.Domain
+	// Consts lists the distinct constants in order of first occurrence —
+	// body, then negated atoms; a head constant always occurs in the body.
+	// The position of a constant here is its slot: the numbering Shape,
+	// EliminateConstants and a plan's constant vector agree on.
+	Consts []string
 }
 
 // SeedDomains returns the sorted domains of the constants occurring in the
@@ -53,18 +58,22 @@ func Validate(q *CQ, s *schema.Schema) (*Typing, error) {
 		VarDomain:   make(map[string]schema.Domain),
 		ConstDomain: make(map[string]schema.Domain),
 	}
-	record := func(term Term, d schema.Domain, where string) error {
+	record := func(term Term, d schema.Domain, where Atom) error {
 		m := t.VarDomain
 		if !term.IsVar {
 			m = t.ConstDomain
 		}
-		if prev, ok := m[term.Name]; ok && prev != d {
+		prev, ok := m[term.Name]
+		if ok && prev != d {
 			kind := "variable"
 			if !term.IsVar {
 				kind = "constant"
 			}
 			return fmt.Errorf("query %s: %s %q used with domains %s and %s (%s)",
 				q.Name, kind, term.Name, prev, d, where)
+		}
+		if !ok && !term.IsVar {
+			t.Consts = append(t.Consts, term.Name)
 		}
 		m[term.Name] = d
 		return nil
@@ -79,7 +88,7 @@ func Validate(q *CQ, s *schema.Schema) (*Typing, error) {
 				q.Name, a, len(a.Args), r.Arity())
 		}
 		for i, term := range a.Args {
-			if err := record(term, r.Domains[i], a.String()); err != nil {
+			if err := record(term, r.Domains[i], a); err != nil {
 				return err
 			}
 		}

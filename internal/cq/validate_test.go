@@ -201,15 +201,47 @@ func TestEliminateConstantsNameCollision(t *testing.T) {
 		t.Fatalf("want 2 artificial relations, got %+v", pre.Consts)
 	}
 	if pre.Consts[0].Name == pre.Consts[1].Name {
-		t.Errorf("sanitized names collide: %+v", pre.Consts)
+		t.Errorf("names collide: %+v", pre.Consts)
+	}
+	if pre.Consts[0].Value != "foo" || pre.Consts[1].Value != "Foo" {
+		t.Errorf("constants by slot = %+v, want foo then Foo", pre.Consts)
 	}
 }
 
-func TestIsConstRelation(t *testing.T) {
-	if v, ok := IsConstRelation("l_volare"); !ok || v != "volare" {
-		t.Errorf("IsConstRelation = %q, %v", v, ok)
+// TestConstRelationsAreMarked: what makes a relation of the extended schema
+// artificial, and which constant it stands for, is data on the relation —
+// never read back out of its name, which a user's relation may share a
+// prefix with and which cannot spell a constant faithfully.
+func TestConstRelationsAreMarked(t *testing.T) {
+	s := schema.MustParse("l_volare^o(Title)\nr2^oio(Title, Year, Artist)")
+	q := MustParse("q(A) :- r2('Hello World', Y, A), l_volare('hello world')")
+	ty, err := Validate(q, s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := IsConstRelation("pub1"); ok {
-		t.Error("pub1 is not a const relation")
+	pre, err := EliminateConstants(q, s, ty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []string{"Hello World", "hello world"} {
+		rel := pre.Schema.Relation(pre.Consts[k].Name)
+		if rel == nil || rel.Const == nil || *rel.Const != want || pre.Consts[k].Value != want {
+			t.Errorf("slot %d: relation %v of %+v does not carry %q", k, rel, pre.Consts[k], want)
+		}
+	}
+	for _, name := range s.Names() {
+		if pre.Schema.Relation(name).Const != nil {
+			t.Errorf("%s is a relation of the user's schema, not a constant", name)
+		}
+	}
+	// A schema that took an artificial relation's name is refused, not
+	// silently read as the constant.
+	clash := schema.MustParse("l_0^o(Title)\nr2^oio(Title, Year, Artist)")
+	q = MustParse("q(A) :- r2(volare, Y, A)")
+	if ty, err = Validate(q, clash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EliminateConstants(q, clash, ty); err == nil {
+		t.Error("want an error for a schema relation named like an artificial one")
 	}
 }

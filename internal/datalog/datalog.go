@@ -134,9 +134,11 @@ func (p *Program) EDB() []string {
 // across the program.
 func (p *Program) Validate() error {
 	arity := make(map[string]int)
-	check := func(a cq.Atom, where string) error {
+	// The rule is rendered only to label a clash: a generated program has
+	// none, and planning a query validates its whole program.
+	check := func(a cq.Atom, r *Rule) error {
 		if n, ok := arity[a.Pred]; ok && n != len(a.Args) {
-			return fmt.Errorf("%s: predicate %s used with arities %d and %d", where, a.Pred, n, len(a.Args))
+			return fmt.Errorf("%s: predicate %s used with arities %d and %d", r, a.Pred, n, len(a.Args))
 		}
 		arity[a.Pred] = len(a.Args)
 		return nil
@@ -145,16 +147,16 @@ func (p *Program) Validate() error {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		if err := check(r.Head, r.String()); err != nil {
+		if err := check(r.Head, r); err != nil {
 			return err
 		}
 		for _, a := range r.Body {
-			if err := check(a, r.String()); err != nil {
+			if err := check(a, r); err != nil {
 				return err
 			}
 		}
 		for _, a := range r.Negated {
-			if err := check(a, r.String()); err != nil {
+			if err := check(a, r); err != nil {
 				return err
 			}
 		}

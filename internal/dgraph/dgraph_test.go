@@ -57,9 +57,9 @@ func TestPaperExample4(t *testing.T) {
 	if r3 == nil || r3.Black {
 		t.Fatal("r3 must be a white source")
 	}
-	ra := g.SourceByLabel("l_a(1)")
+	ra := g.SourceByLabel("l_0(1)")
 	if ra == nil || !ra.Black || !ra.Free() {
-		t.Fatal("artificial source l_a(1) must be black and free")
+		t.Fatal("artificial source l_0(1) (the constant a) must be black and free")
 	}
 }
 
@@ -79,7 +79,7 @@ func TestPaperExample5(t *testing.T) {
 	for _, a := range g.Arcs {
 		mark := sol.Mark(a)
 		switch {
-		case a.To.Source.Label() == "r1(1)" && a.From.Source.Label() == "l_a(1)":
+		case a.To.Source.Label() == "r1(1)" && a.From.Source.Label() == "l_0(1)":
 			if mark != Strong {
 				t.Errorf("e1 %s: mark %s, want strong", a, mark)
 			}
@@ -95,7 +95,7 @@ func TestPaperExample5(t *testing.T) {
 	}
 	o := g.OptimizeWith(sol)
 	rel := o.RelevantRelations()
-	want := "l_a,r1,r2"
+	want := "l_0,r1,r2"
 	if got := strings.Join(rel, ","); got != want {
 		t.Errorf("relevant = %s, want %s", got, want)
 	}
@@ -201,14 +201,14 @@ func TestFig8Q2(t *testing.T) {
 	if err := o.Solution.Verify(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	if got := strings.Join(o.RelevantRelations(), ","); got != "conf,l_rej,rev,rev_icde" {
-		t.Errorf("relevant = %s, want conf,l_rej,rev,rev_icde", got)
+	if got := strings.Join(o.RelevantRelations(), ","); got != "conf,l_0,rev,rev_icde" {
+		t.Errorf("relevant = %s, want conf,l_0,rev,rev_icde", got)
 	}
 	if got := strings.Join(o.IrrelevantRelations(), ","); got != "pub1,pub2,sub" {
 		t.Errorf("irrelevant = %s", got)
 	}
 	// Three strong arcs: rev.Person->rev_icde.Person, conf.Paper->
-	// rev_icde.Paper, conf.Year->rev.Year. The l_rej source provides a value
+	// rev_icde.Paper, conf.Year->rev.Year. The l_0 source (rej) provides a value
 	// for an output position, so it has no arcs but stays (it is black).
 	if len(o.Arcs) != 3 {
 		t.Fatalf("live arcs = %d, want 3\n%s", len(o.Arcs), o)
@@ -218,9 +218,9 @@ func TestFig8Q2(t *testing.T) {
 			t.Errorf("arc %s should be strong", a)
 		}
 	}
-	lrej := g.SourceByLabel("l_rej(1)")
+	lrej := g.SourceByLabel("l_0(1)")
 	if lrej == nil || !o.Contains(lrej) {
-		t.Error("constant source l_rej(1) must survive (black)")
+		t.Error("constant source l_0(1) (rej) must survive (black)")
 	}
 }
 
@@ -232,7 +232,7 @@ func TestFig9Q3(t *testing.T) {
 	if err := o.Solution.Verify(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	want := "conf,l_acc,l_icde,l_y2008,pub1,rev,rev_icde,sub"
+	want := "conf,l_0,l_1,l_2,pub1,rev,rev_icde,sub"
 	if got := strings.Join(o.RelevantRelations(), ","); got != want {
 		t.Errorf("relevant = %s\nwant %s", got, want)
 	}
@@ -447,13 +447,13 @@ func superset(big, small map[int]bool) bool {
 func TestDOTOutput(t *testing.T) {
 	g := build(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
 	o := g.Optimize()
-	full := DOT(g, o.Solution, true)
+	full := DOT(g, o.Solution, true, nil)
 	for _, want := range []string{"digraph", "cluster_s0", "r3", "dashed"} {
 		if !strings.Contains(full, want) {
 			t.Errorf("DOT output missing %q", want)
 		}
 	}
-	opt := DOTOptimized(o)
+	opt := DOTOptimized(o, nil)
 	if strings.Contains(opt, "\"r3\"") {
 		t.Error("optimized DOT should not contain pruned source r3")
 	}

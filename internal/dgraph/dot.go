@@ -3,13 +3,39 @@ package dgraph
 import (
 	"fmt"
 	"strings"
+
+	"toorjah/internal/cq"
+	"toorjah/internal/schema"
 )
+
+// sourceLabels returns the cluster label of every source: Label, followed
+// for the artificial relation of a query constant by what it holds —
+// consts[slot] when consts is given, otherwise the constant as the graph's
+// query names it (for the graph of a shape, the slot's placeholder).
+func sourceLabels(g *Graph, consts []string) func(*Source) string {
+	held := make(map[*schema.Relation]string)
+	for k, r := range g.Schema.ConstRelations() {
+		held[r] = *r.Const
+		if k < len(consts) {
+			held[r] = consts[k]
+		}
+	}
+	return func(s *Source) string {
+		if c, ok := held[s.Rel]; ok {
+			return s.Label() + " = " + cq.C(c).String()
+		}
+		return s.Label()
+	}
+}
 
 // DOT renders the full d-graph in Graphviz DOT format, one cluster per
 // source. Strong arcs render with double lines (penwidth), deleted arcs are
 // dashed grey when includeDeleted is set, weak arcs are plain. Passing a nil
-// solution renders every arc as weak (the unmarked d-graph).
-func DOT(g *Graph, sol *Solution, includeDeleted bool) string {
+// solution renders every arc as weak (the unmarked d-graph). consts, when
+// non-nil, are the values to show on the sources of the query constants, by
+// slot (see sourceLabels).
+func DOT(g *Graph, sol *Solution, includeDeleted bool, consts []string) string {
+	label := sourceLabels(g, consts)
 	var b strings.Builder
 	b.WriteString("digraph dgraph {\n")
 	b.WriteString("  rankdir=LR;\n  compound=true;\n  node [shape=circle, fontsize=10];\n")
@@ -19,7 +45,7 @@ func DOT(g *Graph, sol *Solution, includeDeleted bool) string {
 		if s.Black {
 			style = "solid"
 		}
-		fmt.Fprintf(&b, "    label=%q; style=%s;\n", s.Label(), style)
+		fmt.Fprintf(&b, "    label=%q; style=%s;\n", label(s), style)
 		if len(s.Nodes) == 0 {
 			// Nullary source: emit a point so the cluster renders.
 			fmt.Fprintf(&b, "    n_s%d [shape=point, label=\"\"];\n", s.ID)
@@ -55,14 +81,16 @@ func DOT(g *Graph, sol *Solution, includeDeleted bool) string {
 	return b.String()
 }
 
-// DOTOptimized renders the optimized d-graph (pruned sources omitted).
-func DOTOptimized(o *Optimized) string {
+// DOTOptimized renders the optimized d-graph (pruned sources omitted), with
+// consts as in DOT.
+func DOTOptimized(o *Optimized, consts []string) string {
+	label := sourceLabels(o.Graph, consts)
 	var b strings.Builder
 	b.WriteString("digraph optimized {\n")
 	b.WriteString("  rankdir=LR;\n  compound=true;\n  node [shape=circle, fontsize=10];\n")
 	for _, s := range o.Sources {
 		fmt.Fprintf(&b, "  subgraph cluster_s%d {\n", s.ID)
-		fmt.Fprintf(&b, "    label=%q;\n", s.Label())
+		fmt.Fprintf(&b, "    label=%q;\n", label(s))
 		if len(s.Nodes) == 0 {
 			fmt.Fprintf(&b, "    n_s%d [shape=point, label=\"\"];\n", s.ID)
 		}

@@ -23,7 +23,15 @@
 // step made derivable — a landed round trip, a sweep's meta-cache hits, the
 // final evaluation — in derivation order, before the executor sends or
 // awaits another round trip and on every way out of a run. The slice is
-// valid only during the call. All strategies compute the same answer — the
+// valid only during the call.
+//
+// The query's constants reach an execution as values, never as structure:
+// the optimized strategies seed the cache of each artificial constant
+// relation from the plan's constant vector (plan.Plan.Consts, by slot), so a
+// plan generated once for a query shape runs for any constants it is bound
+// to (plan.Plan.Bind); Naive is handed the query itself, constants in place.
+//
+// All strategies compute the same answer — the
 // set of obtainable answers under the access limitations — which the tests
 // assert against the Datalog least-fixpoint reference semantics.
 package exec

@@ -379,9 +379,13 @@ func newGroupState(p *plan.Plan, opts Options, sc *scratch) (*groupState, error)
 		if !c.IsConst {
 			continue
 		}
+		if c.Slot >= len(p.Consts) {
+			return nil, fmt.Errorf("exec: the plan of %s is bound to %d constants and needs slot %d", p.Query.Name, len(p.Consts), c.Slot)
+		}
 		// Query constants intern here — the last string boundary on the way
-		// into an execution.
-		if _, err := st.ingest(c, []datalog.Tuple{{sym.Intern(c.ConstValue)}}); err != nil {
+		// into an execution. They come from the plan's vector, never from
+		// its structure: the plan may be shared by every query of a shape.
+		if _, err := st.ingest(c, []datalog.Tuple{{sym.Intern(p.Consts[c.Slot])}}); err != nil {
 			return nil, err
 		}
 	}

@@ -13,6 +13,13 @@
 //   - the rewritten query over the black caches, plus one fact per
 //     artificial constant relation introduced by the preprocessing.
 //
+// Nothing in a plan depends on what a query constant holds. The constants
+// are numbered — cq.EliminateConstants gives each a slot — and a plan names
+// them, by slot, in Consts: that vector is what the executors seed the
+// caches of the artificial relations from, and Bind swaps it. A plan
+// generated from a shape (cq.Shape) is therefore the plan of every query of
+// that shape, each run bound to its own constants.
+//
 // The plan also carries the source ordering: the surviving sources are
 // grouped into positions 1…k (sources on a common cyclic d-path share a
 // position; weak arcs order groups non-strictly, strong arcs strictly), and
@@ -28,6 +35,7 @@ import (
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/dgraph"
+	"toorjah/internal/schema"
 )
 
 // Cache describes the cache predicate of one surviving source.
@@ -44,8 +52,9 @@ type Cache struct {
 	// IsConst marks caches of artificial constant relations; they are
 	// populated by a fact instead of source accesses.
 	IsConst bool
-	// ConstValue is the constant carried by an IsConst cache.
-	ConstValue string
+	// Slot is the slot of the constant an IsConst cache carries: its value
+	// in an execution is Plan.Consts[Slot].
+	Slot int
 
 	// The fields below are the executors' per-plan tables, derived once by
 	// GenerateWith and immutable afterwards: a plan is shared by concurrent
@@ -97,6 +106,11 @@ type Plan struct {
 	// Relations names the relations the plan accesses, each once, in order
 	// of first occurrence in Caches.
 	Relations []string
+	// Consts holds the query constants by slot: what an execution seeds the
+	// IsConst caches with. GenerateWith fills in the constants as the planned
+	// query names them — the values themselves, unless that query is a shape,
+	// whose constants are placeholders and whose plan runs through Bind.
+	Consts []string
 	// Groups are the position groups of sources, in execution order.
 	Groups [][]*dgraph.Source
 	// UniqueOrdering reports whether only one ordering of the groups was
@@ -119,7 +133,18 @@ func (p *Plan) CacheBySource(s *dgraph.Source) *Cache {
 // ⊂-minimal plan is unique iff exactly one ordering is possible).
 func (p *Plan) ForAllMinimal() bool { return p.UniqueOrdering }
 
-// String renders the plan: ordering, program.
+// Bind returns the plan with consts as its constant vector: the plan of the
+// query that has consts[k] where the planned query has the constant of slot
+// k. Everything else is shared with p, which is not modified.
+func (p *Plan) Bind(consts []string) *Plan {
+	b := *p
+	b.Consts = consts
+	return &b
+}
+
+// String renders the plan: ordering, the constant each artificial relation
+// holds, program. The program names the constants as the planned query did;
+// on a plan bound to other values the legend is where those show.
 func (p *Plan) String() string {
 	var b strings.Builder
 	b.WriteString("ordering:")
@@ -132,6 +157,14 @@ func (p *Plan) String() string {
 			labels = append(labels, s.Label())
 		}
 		fmt.Fprintf(&b, " {%s}", strings.Join(labels, ", "))
+	}
+	if len(p.Consts) > 0 {
+		b.WriteString("\nconstants:")
+		for _, c := range p.Caches {
+			if c.IsConst {
+				fmt.Fprintf(&b, " %s = ⟨%s⟩", c.Source.Rel.Name, cq.C(p.Consts[c.Slot]))
+			}
+		}
 	}
 	b.WriteString("\nprogram:\n")
 	b.WriteString(p.Program.String())
@@ -172,14 +205,18 @@ func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 		Groups:         groups,
 		UniqueOrdering: unique,
 	}
+	// The artificial relations sit in the extended schema in slot order,
+	// each pointing at its constant.
+	slot := make(map[*schema.Relation]int)
+	for k, r := range o.Graph.Schema.ConstRelations() {
+		slot[r] = k
+		p.Consts = append(p.Consts, *r.Const)
+	}
 	// Caches in group order for deterministic output.
 	for gi, g := range groups {
 		for _, s := range g {
 			c := &Cache{Source: s, Pred: cachePred(s), Group: gi}
-			if v, ok := cq.IsConstRelation(s.Rel.Name); ok {
-				c.IsConst = true
-				c.ConstValue = v
-			}
+			c.Slot, c.IsConst = slot[s.Rel]
 			p.Caches = append(p.Caches, c)
 		}
 	}
@@ -188,7 +225,7 @@ func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 		if c.IsConst {
 			// The artificial relation ℓ_a contributes the single fact
 			// ĉ(a); no access is ever made for it.
-			p.Program.AddFact(c.Pred, c.ConstValue)
+			p.Program.AddFact(c.Pred, p.Consts[c.Slot])
 			continue
 		}
 		rel := c.Source.Rel

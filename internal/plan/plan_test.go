@@ -45,7 +45,7 @@ func TestPaperExample7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ordering: three singleton groups, l_a before r1 before r2.
+	// Ordering: three singleton groups, l_0 (the constant a) before r1 before r2.
 	if len(p.Groups) != 3 {
 		t.Fatalf("groups = %d, want 3\n%s", len(p.Groups), p)
 	}
@@ -56,8 +56,8 @@ func TestPaperExample7(t *testing.T) {
 		}
 		labels = append(labels, g[0].Label())
 	}
-	if got := strings.Join(labels, " "); got != "l_a(1) r1(1) r2(1)" {
-		t.Errorf("ordering = %s, want l_a(1) r1(1) r2(1)", got)
+	if got := strings.Join(labels, " "); got != "l_0(1) r1(1) r2(1)" {
+		t.Errorf("ordering = %s, want l_0(1) r1(1) r2(1)", got)
 	}
 	// Paper: "the only possible ordering", hence the plan is ∀-minimal.
 	if !p.UniqueOrdering || !p.ForAllMinimal() {
@@ -70,9 +70,9 @@ func TestPaperExample7(t *testing.T) {
 	// Domain predicates: r1's input A fed by ra's cache (strong), r2's
 	// input B fed by r1's cache (strong).
 	for _, want := range []string{
-		"s_hat_r1_1_0(X) :- hat_l_a_1(X)",
+		"s_hat_r1_1_0(X) :- hat_l_0_1(X)",
 		"s_hat_r2_1_0(X) :- hat_r1_1(",
-		"hat_l_a_1(a).",
+		"hat_l_0_1(a).",
 	} {
 		if !strings.Contains(prog, want) {
 			t.Errorf("program missing %q:\n%s", want, prog)
@@ -82,7 +82,7 @@ func TestPaperExample7(t *testing.T) {
 	// Example 2-style data returns the right answers.
 	edb := datalog.DB{}
 	edb.Insert("r1", datalog.T("a", "b1"))
-	edb.Insert("r1", datalog.T("z", "b9")) // not reachable via l_a
+	edb.Insert("r1", datalog.T("z", "b9")) // not reachable via l_0
 	edb.Insert("r2", datalog.T("b1", "c1"))
 	edb.Insert("r2", datalog.T("b9", "c9"))
 	idb, err := datalog.Eval(p.Program, edb)

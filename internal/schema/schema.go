@@ -103,6 +103,13 @@ type Relation struct {
 	Name    string
 	Pattern AccessPattern
 	Domains []Domain
+	// Const, when non-nil, makes this the artificial relation ℓ_a that
+	// stands for a query constant a (the paper's Section III): a free unary
+	// relation no source backs and nobody probes, its extension being the
+	// single fact ⟨a⟩. It points at the constant as the query names it.
+	// cq.EliminateConstants adds these to its copy of a schema; the
+	// relations of a user's schema never carry one.
+	Const *string
 
 	// inputs caches Pattern.Inputs(): every probe of the relation asks for
 	// its input positions, and the pattern is fixed at construction.
@@ -254,6 +261,18 @@ func (s *Schema) Relations() []*Relation {
 	return out
 }
 
+// ConstRelations returns the artificial relations of query constants
+// (Relation.Const) in insertion order, which is the constants' slot order.
+func (s *Schema) ConstRelations() []*Relation {
+	var out []*Relation
+	for _, n := range s.order {
+		if r := s.rels[n]; r.Const != nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Names returns the relation names in insertion order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.order))
@@ -289,6 +308,7 @@ func (s *Schema) Clone() *Schema {
 			Name:    r.Name,
 			Pattern: append(AccessPattern(nil), r.Pattern...),
 			Domains: append([]Domain(nil), r.Domains...),
+			Const:   r.Const,
 			inputs:  r.inputs,
 		}
 		c.rels[name] = nr

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"testing"
+
+	"toorjah/internal/obs"
 )
 
 // encoderAnswerLine is the reference: the frame as json.Encoder renders it.
@@ -92,4 +95,51 @@ func BenchmarkAnswerLine(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestAppendDoneLineMatchesEncoder: the done line leaves /query byte for
+// byte as json.Encoder.Encode(doneLine{…}) wrote it, over everything its
+// members can hold.
+func TestAppendDoneLineMatchesEncoder(t *testing.T) {
+	span := &obs.SpanJSON{
+		Name: "query", StartMS: 0, DurMS: 0.125,
+		Attrs: map[string]any{"executor": "pipelined", "html": "<a&b>", "n": 3},
+		Children: []obs.SpanJSON{
+			{Name: "probe", StartMS: 0.01, DurMS: 0.1, Attrs: map[string]any{"relation": "conf"}},
+		},
+	}
+	cases := map[string]doneLine{
+		"zero value":      {},
+		"empty answer":    {Done: true},
+		"point query":     {Done: true, Answers: 2, Accesses: 1, Batches: 1, Tuples: 2, ElapsedMS: 0.093, TraceID: "4f2a9c0d1b3e5f67"},
+		"large counts":    {Done: true, Answers: math.MaxInt32, Accesses: 42845, Batches: 1 << 40, Tuples: math.MaxInt64, ElapsedMS: 86400000},
+		"negative count":  {Done: true, Answers: -1},
+		"whole ms":        {Done: true, ElapsedMS: 17},
+		"microsecond":     {Done: true, ElapsedMS: 0.001},
+		"long fraction":   {Done: true, ElapsedMS: 1234.567},
+		"tiny, exponent":  {Done: true, ElapsedMS: 1e-7},
+		"two-digit exp":   {Done: true, ElapsedMS: 2.5e-12},
+		"huge, exponent":  {Done: true, ElapsedMS: 1e21},
+		"just below 1e21": {Done: true, ElapsedMS: 999999999999999900000},
+		"truncated":       {Done: true, Answers: 3, Truncated: true},
+		"union":           {Done: true, Answers: 1, Disjuncts: 2, TraceID: "abc"},
+		"escaped id":      {Done: true, TraceID: "<\"id\">\u2028é\xff"},
+		"traced":          {Done: true, Answers: 2, ElapsedMS: 0.2, TraceID: "t1", Trace: span},
+		"everything":      {Done: true, Answers: 9, Accesses: 8, Batches: 7, Tuples: 6, ElapsedMS: 5.4321, Truncated: true, Disjuncts: 3, TraceID: "t2", Trace: span},
+		"empty trace":     {Done: true, Trace: &obs.SpanJSON{}},
+	}
+	prefix := []byte(`{"answer":["kept"]}` + "\n")
+	for name, d := range cases {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		got := appendDoneLine(append([]byte(nil), prefix...), &d)
+		if !bytes.HasPrefix(got, prefix) {
+			t.Errorf("%s: appending overwrote what the buffer held: %q", name, got)
+		}
+		if got = got[len(prefix):]; !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s:\n got %q\nwant %q", name, got, want.Bytes())
+		}
+	}
 }

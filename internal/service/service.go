@@ -1,8 +1,9 @@
 // Package service is the toorjahd HTTP service behind cmd/toorjahd,
 // importable so tools can run real in-process nodes: the full route table
 // (/query streaming NDJSON, /ingest, /probe federation serving, /stats,
-// /schema, /healthz, /metrics) over one toorjah.System, with warm prepared
-// plans and the system's cross-query access cache shared by every request.
+// /schema, /healthz, /metrics) over one toorjah.System, whose plan cache
+// (one plan per query shape) and cross-query access cache every request
+// shares.
 // cmd/loadgen uses it to stand up a live multi-node cluster inside one
 // process — same handlers, same metrics — so a load run exercises exactly
 // the code a deployment serves.
@@ -33,12 +34,6 @@ import (
 	"toorjah/internal/wal"
 )
 
-// maxPreparedPlans bounds the warm-plan map: query texts carry arbitrary
-// client-chosen constants, so distinct texts are unbounded in a
-// long-running service; beyond the cap the oldest plan is dropped (plans
-// are cheap to rebuild).
-const maxPreparedPlans = 1024
-
 // maxQueryBytes bounds the /query request body; longer bodies are rejected
 // with 413 rather than silently truncated into a parse error.
 const maxQueryBytes = 1 << 20
@@ -64,10 +59,6 @@ type Server struct {
 	exec  toorjah.Options // executor tuning shared by every served query
 	start time.Time
 
-	mu        sync.Mutex
-	plans     map[string]runnable
-	planOrder []string // insertion order, for FIFO eviction
-	planCap   int
 	served    atomic.Int64
 	ucqServed atomic.Int64
 
@@ -151,8 +142,6 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 		sys:            sys,
 		exec:           execOpts,
 		start:          time.Now(),
-		plans:          make(map[string]runnable),
-		planCap:        maxPreparedPlans,
 		sources:        make(map[string]toorjah.SourceStats),
 		probeSources:   make(map[string]toorjah.SourceStats),
 		maxIngestBytes: DefaultMaxIngestBytes,
@@ -200,8 +189,17 @@ func (s *Server) registerCollectors() {
 		"POST /ingest batches applied.",
 		func() float64 { return float64(s.ingestsServed.Load()) })
 	m.GaugeFunc("toorjah_prepared_plans",
-		"Warm prepared query plans currently held.",
-		func() float64 { return float64(s.planCount()) })
+		"Query shapes whose plan the system currently holds.",
+		func() float64 { return float64(s.sys.PlanCacheStats().Shapes) })
+	m.CounterFunc("toorjah_plan_cache_hits_total",
+		"Prepared queries (each disjunct of a union counts) whose shape was already planned.",
+		func() float64 { return float64(s.sys.PlanCacheStats().Hits) })
+	m.CounterFunc("toorjah_plan_cache_misses_total",
+		"Prepared queries (each disjunct of a union counts) whose shape had to be planned.",
+		func() float64 { return float64(s.sys.PlanCacheStats().Misses) })
+	m.CounterFunc("toorjah_plan_cache_evictions_total",
+		"Planned query shapes dropped at the plan cache's bound.",
+		func() float64 { return float64(s.sys.PlanCacheStats().Evictions) })
 	m.CounterVecFunc("toorjah_ingest_rows_total",
 		"Rows applied by POST /ingest, by relation and op.",
 		[]string{"relation", "op"}, func(emit func([]string, float64)) {
@@ -453,52 +451,20 @@ func (s *Server) writeString(w io.Writer, text string) {
 	}
 }
 
-// prepared returns the warm plan for a query text — a single CQ, or a UCQ
-// when the text has several disjunct lines — planning it on first use.
-// Planning runs outside the lock so one slow-to-plan query cannot stall
-// every other request; concurrent first requests for the same text may plan
-// it twice, and the first to finish wins.
-func (s *Server) prepared(text string) (runnable, error) {
-	s.mu.Lock()
-	if q, ok := s.plans[text]; ok {
-		s.mu.Unlock()
-		return q, nil
-	}
-	s.mu.Unlock()
-	var q runnable
-	var err error
+// prepare parses a query text — a single CQ, or a UCQ when the text has
+// several disjunct lines — and prepares it against the system, whose plan
+// cache makes that a lookup for every shape it has seen.
+func (s *Server) prepare(text string) (runnable, error) {
 	if cq.IsUnion(text) {
-		q, err = s.sys.PrepareUCQ(text)
-	} else {
-		q, err = s.sys.Prepare(text)
+		return s.sys.PrepareUCQ(text)
 	}
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.plans[text]; ok {
-		return existing, nil
-	}
-	if len(s.plans) >= s.planCap {
-		oldest := s.planOrder[0]
-		s.planOrder = s.planOrder[1:]
-		delete(s.plans, oldest)
-	}
-	s.plans[text] = q
-	s.planOrder = append(s.planOrder, text)
-	return q, nil
-}
-
-func (s *Server) planCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.plans)
+	return s.sys.Prepare(text)
 }
 
 // answerLine / doneLine / errorLine are the NDJSON frames of /query. The
-// answer line is rendered by appendAnswerLine, not through this type, which
-// stays as the frame's definition and the reference the encoder is held to.
+// answer and done lines are rendered by appendAnswerLine and appendDoneLine,
+// not through these types, which stay as the frames' definition and the
+// reference the encoders are held to.
 type answerLine struct {
 	Answer []string `json:"answer"`
 }
@@ -534,10 +500,11 @@ type errorLine struct {
 // comes from the q parameter (GET) or the request body (POST); limit, when
 // positive, stops after that many answers.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query() // parsed once: every call to Query re-parses the raw string
 	var text string
 	switch r.Method {
 	case http.MethodGet:
-		text = r.URL.Query().Get("q")
+		text = params.Get("q")
 	case http.MethodPost:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 		if err != nil {
@@ -552,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		text = string(body)
 		if strings.TrimSpace(text) == "" {
-			text = r.URL.Query().Get("q")
+			text = params.Get("q")
 		}
 	default:
 		http.Error(w, "use GET ?q= or POST with the query as body", http.StatusMethodNotAllowed)
@@ -563,7 +530,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := params.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
@@ -571,7 +538,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	q, err := s.prepared(text)
+	q, err := s.prepare(text)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -592,7 +559,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(obs.ContextWithTraceID(r.Context(), traceID))
 	defer cancel()
 	var trace *obs.Trace
-	if r.URL.Query().Get("trace") == "1" {
+	if params.Get("trace") == "1" {
 		trace = obs.NewTrace(traceID, "query")
 		trace.Root.SetAttr("executor", executor)
 		ctx = obs.ContextWithSpan(ctx, trace.Root)
@@ -603,7 +570,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	execObs := &obs.ExecObs{Probe: s.probeMetrics}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	opts := s.exec
 	opts.Limit = limit
@@ -652,7 +618,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.queryLog.Query(obs.QueryRecord{TraceID: traceID, Query: text, Executor: executor, Err: err})
 		// The stream may already be half-written; report the error in-band.
-		s.encode(enc, errorLine{Error: err.Error()})
+		s.encode(json.NewEncoder(w), errorLine{Error: err.Error()})
 		return
 	}
 	s.recordSources(res.Stats)
@@ -695,7 +661,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tj := trace.JSON()
 		done.Trace = &tj
 	}
-	s.encode(enc, done)
+	lines = appendDoneLine(lines, &done)
+	write(false)
 }
 
 // ingestResponse is the JSON payload answering one applied /ingest.
@@ -901,7 +868,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		QueriesServed: s.served.Load(),
 		UCQsServed:    s.ucqServed.Load(),
-		PreparedPlans: s.planCount(),
+		PreparedPlans: s.sys.PlanCacheStats().Shapes,
 	}
 	if rels, totals := s.sourceSnapshot(); len(rels) > 0 {
 		resp.Sources = &sourceStatsBlock{Totals: totals, Relations: rels}

@@ -353,8 +353,8 @@ func TestServerUCQStream(t *testing.T) {
 	if st.QueriesServed != 1 || st.UCQsServed != 1 {
 		t.Errorf("stats served=%d ucqs=%d, want 1 and 1", st.QueriesServed, st.UCQsServed)
 	}
-	if st.PreparedPlans != 1 {
-		t.Errorf("prepared plans = %d, want 1 (the UCQ plan is warm)", st.PreparedPlans)
+	if st.PreparedPlans != 2 {
+		t.Errorf("prepared plans = %d, want 2 (one per shape: the union's disjuncts have two)", st.PreparedPlans)
 	}
 
 	// A warm repeat of the same UCQ is served from the shared cache.
@@ -417,35 +417,61 @@ func TestServerLimit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBounded: the warm-plan map evicts oldest entries beyond its
-// cap instead of growing forever.
-func TestPlanCacheBounded(t *testing.T) {
+// TestPlansAreCachedPerShape: the service keeps no plan cache of its own —
+// /stats and /metrics report the system's, which holds one plan per query
+// shape however many constants and texts arrive, shared between CQs and the
+// disjuncts of unions.
+func TestPlansAreCachedPerShape(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	srv := New(sys, toorjah.Options{})
-	srv.planCap = 2
-	texts := []string{
-		"q(N) :- pub1(P, N)",
-		"q(P) :- conf(P, icde, Y)",
-		"q(R) :- rev(R, C, y2008)",
-	}
-	for _, text := range texts {
-		if _, err := srv.prepared(text); err != nil {
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	query := func(text string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(text))
+		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"done":true`) {
+			t.Fatalf("%s: status %d: %s", text, resp.StatusCode, body)
+		}
 	}
-	if got := srv.planCount(); got != 2 {
-		t.Errorf("plan count = %d, want 2 (capped)", got)
+	for _, conf := range []string{"icde", "vldb", "'SIGMOD Record'", "icde"} {
+		query("q(P) :- conf(P, " + conf + ", Y)")
 	}
-	srv.mu.Lock()
-	_, oldest := srv.plans[texts[0]]
-	_, newest := srv.plans[texts[2]]
-	srv.mu.Unlock()
-	if oldest || !newest {
-		t.Errorf("eviction order wrong: oldest present=%v newest present=%v", oldest, newest)
-	}
-	// An evicted plan is transparently rebuilt.
-	if _, err := srv.prepared(texts[0]); err != nil {
+	query("q(P)  :-  conf( P,pods,Y )") // the same shape, spelled differently
+	query("q(R) :- rev(R, C, y2008)")
+	// A union whose first disjunct is the shape above and whose second is new.
+	query("q(P) :- conf(P, edbt, Y)\nq(P) :- pub1(P, alice)")
+
+	var st statsResponse
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.PreparedPlans != 3 {
+		t.Errorf("prepared plans = %d, want 3 shapes", st.PreparedPlans)
+	}
+	if got := sys.PlanCacheStats(); got.Shapes != 3 || got.Misses != 3 || got.Hits != 5 || got.Evictions != 0 {
+		t.Errorf("plan cache = %+v, want 3 shapes from 3 misses and 5 hits", got)
+	}
+	metrics := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		"toorjah_prepared_plans 3",
+		"toorjah_plan_cache_hits_total 5",
+		"toorjah_plan_cache_misses_total 3",
+		"toorjah_plan_cache_evictions_total 0",
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 

@@ -226,3 +226,43 @@ func BenchmarkQueryHandlerScan(b *testing.B) {
 	b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
 	b.ReportMetric(float64(w.body.Len()), "resp-B/op")
 }
+
+// BenchmarkQueryHandlerPointDistinct is serve-cold without the network and
+// without the source: a point lookup with a constant no earlier request
+// carried, through Handler() into memory. Every request is a new text of a
+// known shape, so what is timed is parse, shape key, plan-cache hit, the
+// executor set-up and one cache-missing probe of a local table.
+func BenchmarkQueryHandlerPointDistinct(b *testing.B) {
+	const persons = 1 << 14
+	sch, err := schema.Parse("conf^ioo(P, C, Y)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := toorjah.NewSystem(sch, toorjah.WithCache(toorjah.CacheOptions{}))
+	rows := make([]toorjah.Row, 0, 2*persons)
+	reqs := make([]*http.Request, persons)
+	for k := 0; k < persons; k++ {
+		p := fmt.Sprintf("p%d", k)
+		rows = append(rows, toorjah.Row{p, fmt.Sprintf("c%d", k%60), "y2008"}, toorjah.Row{p, fmt.Sprintf("c%d", 60+k%60), "y2009"})
+		reqs[k] = httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape("q(C, Y) :- conf("+p+", C, Y)"), nil)
+	}
+	if err := sys.BindRows("conf", rows...); err != nil {
+		b.Fatal(err)
+	}
+	h := New(sys, toorjah.Options{}).Handler()
+	w := newFlushCounter()
+	h.ServeHTTP(w, reqs[0]) // plan the shape
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.body.Reset()
+		h.ServeHTTP(w, reqs[(i+1)%persons])
+	}
+	b.StopTimer()
+	if !bytes.Contains(w.body.Bytes(), []byte(`"answers":2,`)) {
+		b.Fatalf("last response: %s", w.body.Bytes())
+	}
+	if st := sys.PlanCacheStats(); st.Shapes != 1 || st.Misses != 1 {
+		b.Fatalf("plan cache = %+v, want the one shape planned once", st)
+	}
+}

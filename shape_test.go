@@ -1,0 +1,637 @@
+package toorjah
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"toorjah/internal/cq"
+	"toorjah/internal/gen"
+	"toorjah/internal/schema"
+	"toorjah/internal/source"
+	"toorjah/internal/storage"
+)
+
+var shapeExecutors = []struct {
+	name string
+	e    Executor
+}{{"naive", ExecutorNaive}, {"fast-fail", ExecutorFastFail}, {"pipelined", ExecutorPipelined}}
+
+// TestConstantsTravelAsValues is the regression test for constants that
+// reached the optimized executors as the identifier their artificial
+// relation was named by — lower-cased, punctuation hex-escaped, a collision
+// suffix appended — instead of as the value written in the query: naive,
+// fast-fail and pipelined answer alike on constants no identifier can
+// spell, with a decoy row sitting at each mangled form.
+func TestConstantsTravelAsValues(t *testing.T) {
+	sch, err := ParseSchema("r^io(A, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	if err := sys.BindRows("r",
+		Row{"Hello World", "x"}, Row{"hello world", "lower"}, Row{"hellox20world", "decoy1"}, Row{"hellox20world_2", "decoy2"},
+		Row{"a-b", "dash"}, Row{"ax2db", "weird"},
+		Row{"É", "accent"}, Row{"xc3x89", "decoy3"}, Row{"é", "small accent"},
+		Row{"", "nothing"}, Row{"empty", "decoy4"},
+		Row{"l_0", "slot"}, Row{"$0", "placeholder"}, Row{"0", "decoy5"},
+		Row{"it's", "unquotable"},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ query, want string }{
+		{"q(Y) :- r('Hello World', Y)", "x"},
+		{"q(Y) :- r('hello world', Y)", "lower"},
+		{"q(Y) :- r('a-b', Y)", "dash"},
+		{"q(Y) :- r(ax2db, Y)", "weird"},
+		{"q(Y) :- r('É', Y)", "accent"},
+		{"q(Y) :- r('é', Y)", "small accent"},
+		{"q(Y) :- r('', Y)", "nothing"},
+		{"q(Y) :- r(empty, Y)", "decoy4"},
+		{"q(Y) :- r(l_0, Y)", "slot"},
+		{"q(Y) :- r('$0', Y)", "placeholder"},
+		{"q(Y) :- r('HELLO WORLD', Y)", ""},
+		// Both at once: one collides with the other's mangled form.
+		{"q(Y, Z) :- r('Hello World', Y), r('hello world', Z)", "x,lower"},
+		{"q('Hello World', Y) :- r('Hello World', Y)", "Hello World,x"},
+	} {
+		q, err := sys.Prepare(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		for _, ex := range shapeExecutors {
+			res, err := q.Execute(context.Background(), WithExecutor(ex.e))
+			if err != nil {
+				t.Fatalf("%s under %s: %v", c.query, ex.name, err)
+			}
+			if got := strings.Join(res.SortedAnswers(), ";"); got != c.want {
+				t.Errorf("%s under %s answers [%s], want [%s]", c.query, ex.name, got, c.want)
+			}
+		}
+	}
+	// A constant a text cannot quote still travels in a query that is built.
+	built := &CQ{Name: "q", Head: []cq.Term{cq.V("Y")}, Body: []cq.Atom{cq.NewAtom("r", cq.C("it's"), cq.V("Y"))}}
+	q, err := sys.PrepareCQ(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range shapeExecutors {
+		res, err := q.Execute(context.Background(), WithExecutor(ex.e))
+		if err != nil || strings.Join(res.SortedAnswers(), ";") != "unquotable" {
+			t.Errorf("built query under %s: %v, %v", ex.name, res.SortedAnswers(), err)
+		}
+	}
+	if st := sys.PlanCacheStats(); st.Shapes != 3 {
+		t.Errorf("%d shapes planned, want 3: one constant, two constants, constant in the head", st.Shapes)
+	}
+}
+
+// observation is everything one execution showed: the answers, the accesses
+// that reached the sources (audited, as a set) and how many each relation
+// was charged.
+type observation struct{ answers, accesses, counts string }
+
+// auditedSystem builds a system over db with every table source wrapped in
+// an auditing Counter beneath whatever the System layers on top (cache,
+// latency), so the counters observe exactly the probes that reach the
+// tables.
+func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts ...SystemOption) (*System, map[string]*source.Counter) {
+	t.Helper()
+	sys := NewSystem(sch, opts...)
+	counters := make(map[string]*source.Counter)
+	for _, rel := range sch.Relations() {
+		tab := db.Table(rel.Name)
+		if tab == nil {
+			tab = storage.NewTable(rel.Name, rel.Arity())
+		}
+		src, err := source.NewTableSource(rel, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Latency > 0 {
+			src = src.WithLatency(sys.Latency)
+		}
+		counters[rel.Name] = source.NewCounter(src, true)
+		sys.Bind(counters[rel.Name])
+	}
+	return sys, counters
+}
+
+// observe prepares the disjuncts of a query — one is a CQ, several a union —
+// on sys and executes it once.
+func observe(t *testing.T, sys *System, counters map[string]*source.Counter, disjuncts []*CQ, e Executor) (observation, []*Query) {
+	t.Helper()
+	var (
+		run interface {
+			Execute(context.Context, ...ExecOption) (*Result, error)
+		}
+		prepared []*Query
+	)
+	if len(disjuncts) == 1 {
+		q, err := sys.PrepareCQ(disjuncts[0])
+		if err != nil {
+			t.Fatalf("prepare %s: %v", disjuncts[0], err)
+		}
+		run, prepared = q, []*Query{q}
+	} else {
+		u, err := sys.PrepareUCQFrom(&UCQ{Name: disjuncts[0].Name, Disjuncts: disjuncts})
+		if err != nil {
+			t.Fatalf("prepare union of %s, …: %v", disjuncts[0], err)
+		}
+		// One disjunct at a time: two running at once may both make an
+		// access the cross-disjunct sharing would otherwise save.
+		u.MaxConcurrent = -1
+		run, prepared = u, u.Disjuncts()
+	}
+	for _, c := range counters {
+		c.Reset()
+	}
+	res, err := run.Execute(context.Background(), WithExecutor(e))
+	if err != nil {
+		t.Fatalf("execute %s: %v", disjuncts[0], err)
+	}
+	var accesses, counts []string
+	for name, c := range counters {
+		for key := range c.AccessSet() {
+			accesses = append(accesses, strings.ReplaceAll(key, "\x00", "·"))
+		}
+		if st := res.Stats[name]; st.Accesses > 0 {
+			counts = append(counts, fmt.Sprintf("%s=%d", name, st.Accesses))
+		}
+	}
+	sort.Strings(accesses)
+	sort.Strings(counts)
+	return observation{
+		answers:  strings.Join(res.SortedAnswers(), ";"),
+		accesses: strings.Join(accesses, " "),
+		counts:   strings.Join(counts, " "),
+	}, prepared
+}
+
+// checkShapeShared is the property: with a and b two queries (or unions) of
+// one shape and different constants, b prepared on a system that planned a
+// first runs on a's pipeline — the very object — and shows exactly what b
+// shows on a system that never saw a — and, under the optimized executors,
+// answers what it answers under the naive one. It reports whether b's
+// answers differ from a's, i.e. whether the case could tell the constants
+// apart at all.
+func checkShapeShared(t *testing.T, label string, sch *schema.Schema, db *storage.Database, a, b []*CQ) (discriminating bool) {
+	t.Helper()
+	var naive observation
+	for _, ex := range shapeExecutors {
+		warmSys, warmCounters := auditedSystem(t, sch, db)
+		first, qa := observe(t, warmSys, warmCounters, a, ex.e)
+		shapes := warmSys.PlanCacheStats().Shapes
+		warm, qb := observe(t, warmSys, warmCounters, b, ex.e)
+		for i := range qb {
+			if qb[i].shape != qa[i].shape || qb[i].shape.pipeline != qa[i].shape.pipeline {
+				t.Errorf("%s: disjunct %d of b (%s) was planned anew, not served a's pipeline", label, i, b[i])
+			}
+		}
+		if got := warmSys.PlanCacheStats().Shapes; got != shapes {
+			t.Errorf("%s: preparing b grew the plan cache from %d to %d shapes", label, shapes, got)
+		}
+		coldSys, coldCounters := auditedSystem(t, sch, db)
+		cold, _ := observe(t, coldSys, coldCounters, b, ex.e)
+		if warm != cold {
+			t.Errorf("%s under %s: b = %s\n on a's plan:  %+v\n planned anew: %+v", label, ex.name, b[0], warm, cold)
+		}
+		// The naive executor gets the query itself, the others a plan and a
+		// vector: a slot that took another slot's constant shows here.
+		if ex.e == ExecutorNaive {
+			naive = cold
+		} else if cold.answers != naive.answers {
+			t.Errorf("%s: b = %s answers [%s] under %s, [%s] under naive", label, b[0], cold.answers, ex.name, naive.answers)
+		}
+		// a again, after b: nothing of b's stuck to the shared plan.
+		if again, _ := observe(t, warmSys, warmCounters, a, ex.e); again != first {
+			t.Errorf("%s under %s: a = %s\n before b: %+v\n after b:  %+v", label, ex.name, a[0], first, again)
+		}
+		discriminating = discriminating || warm.answers != first.answers
+	}
+	return discriminating
+}
+
+// rotateConstants returns q with every constant replaced by another value
+// of its domain — the one `by` places further in the domain's sorted pool of
+// values, so distinct constants stay distinct — or nil when some constant's
+// domain has no other value to offer.
+func rotateConstants(q *CQ, sch *schema.Schema, pools map[schema.Domain][]string, by int) *CQ {
+	ty, err := cq.Validate(q, sch)
+	if err != nil {
+		return nil
+	}
+	shape, consts := cq.Shape(q)
+	rotated := make([]string, len(consts))
+	for k, c := range consts {
+		pool := pools[ty.ConstDomain[c]]
+		at := sort.SearchStrings(pool, c)
+		if at == len(pool) || pool[at] != c {
+			pool = append(append(append([]string(nil), pool[:at]...), c), pool[at:]...)
+		}
+		if len(pool) < 2 || by%len(pool) == 0 {
+			return nil
+		}
+		rotated[k] = pool[(at+by)%len(pool)]
+	}
+	return cq.Instantiate(shape, rotated)
+}
+
+// TestShapeSharedEqualsFreshlyPlanned holds the plan cache to the one thing
+// it must never change: what a query answers and what it costs. Randomized
+// schemas, instances and queries from gen — with, on odd seeds, every value
+// rewritten into something no identifier spells — and a fixed set of cases
+// for what gen does not generate: a join through a constant, a constant in
+// the head, a constant under negation, a constant whose first atom
+// minimization drops, and unions.
+func TestShapeSharedEqualsFreshlyPlanned(t *testing.T) {
+	cfg := gen.Fig10() // three in ten positions hold a constant
+	cfg.MinTuples, cfg.MaxTuples = 10, 60
+	cfg.MinDomainValues, cfg.MaxDomainValues = 4, 10
+	seeds := int64(24)
+	if testing.Short() {
+		seeds = 8
+	}
+	ran, discriminating := 0, 0
+	for seed := int64(900); seed < 900+seeds; seed++ {
+		g := gen.New(seed, cfg)
+		sch := g.Schema()
+		a, ok := g.Query(sch, "q")
+		if !ok || len(a.Constants()) == 0 {
+			continue
+		}
+		a2, _ := g.Query(sch, "q")
+		db := g.Instance(sch)
+		rename := func(v string) string { return v }
+		if seed%2 == 1 {
+			rename = func(v string) string { return strings.ToUpper(v[:1]) + v[1:] + " é-" + v }
+		}
+		renamed := storage.NewDatabase()
+		pools := make(map[schema.Domain][]string)
+		for _, rel := range sch.Relations() {
+			tab, err := renamed.Create(rel.Name, rel.Arity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range db.Table(rel.Name).Rows() {
+				out := make(storage.Row, len(row))
+				for p, v := range row {
+					out[p] = rename(v)
+					pools[rel.Domains[p]] = append(pools[rel.Domains[p]], out[p])
+				}
+				tab.Insert(out)
+			}
+		}
+		for d, pool := range pools {
+			sort.Strings(pool)
+			uniq := pool[:0]
+			for i, v := range pool {
+				if i == 0 || v != pool[i-1] {
+					uniq = append(uniq, v)
+				}
+			}
+			pools[d] = uniq
+		}
+		renameQuery := func(q *CQ) *CQ {
+			shape, consts := cq.Shape(q)
+			for k := range consts {
+				consts[k] = rename(consts[k])
+			}
+			return cq.Instantiate(shape, consts)
+		}
+		a = renameQuery(a)
+		b := rotateConstants(a, sch, pools, 1+int(seed%3))
+		if b == nil {
+			continue
+		}
+		ran++
+		label := fmt.Sprintf("seed %d: %s", seed, a)
+		if checkShapeShared(t, label, sch, renamed, []*CQ{a}, []*CQ{b}) {
+			discriminating++
+		}
+		// A union of two disjuncts, each swapping its constants.
+		if a2 == nil || a2.Arity() != a.Arity() {
+			continue
+		}
+		a2 = renameQuery(a2)
+		if b2 := rotateConstants(a2, sch, pools, 2); b2 != nil {
+			checkShapeShared(t, label+" ∪ "+a2.String(), sch, renamed, []*CQ{a, a2}, []*CQ{b, b2})
+		}
+	}
+	if ran < int(seeds)/3 {
+		t.Errorf("only %d of %d seeds produced a pair of queries", ran, seeds)
+	}
+	if discriminating == 0 {
+		t.Error("no random pair answered differently for its two constant vectors: the property could not see a plan that ignored them")
+	}
+
+	sch := schema.MustParse(`
+		r^io(A, B)
+		s^io(A, C)
+		u^oo(A, B)
+		w^o(B)`)
+	db := storage.NewDatabase()
+	for name, rows := range map[string][]storage.Row{
+		"r": {{"Hello World", "x"}, {"Hello World", "x2"}, {"a-b", "dash"}, {"a-b", "x"}, {"é", "accent"}, {"", "none"}, {"k1", "c1"}, {"k2", "c2"}, {"k2", "x"}},
+		"s": {{"Hello World", "sx"}, {"a-b", "sdash"}, {"é", "saccent"}, {"", "snone"}, {"m1", "y1"}, {"m2", "y2"}},
+		"u": {{"Hello World", "x"}, {"a-b", "x"}, {"é", "x2"}, {"k1", "dash"}, {"", "accent"}},
+		"w": {{"x"}, {"x2"}, {"dash"}, {"accent"}, {"none"}},
+	} {
+		tab, err := db.Create(name, sch.Relation(name).Arity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.InsertAll(rows)
+	}
+	parse := func(texts ...string) []*CQ {
+		var out []*CQ
+		for _, text := range texts {
+			out = append(out, cq.MustParse(text))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		label string
+		a, b  []*CQ
+	}{
+		{"a join through the constant",
+			parse("q(X, Y) :- r('Hello World', X), s('Hello World', Y)"),
+			parse("q(X, Y) :- r('a-b', X), s('a-b', Y)")},
+		{"two constants that could be one",
+			parse("q(X, Y) :- r('Hello World', X), s('a-b', Y)"),
+			parse("q(X, Y) :- r('é', X), s('', Y)")},
+		{"a constant in the head",
+			parse("q('Hello World', X) :- r('Hello World', X)"),
+			parse("q('é', X) :- r('é', X)")},
+		{"a constant under negation",
+			parse("q(X) :- w(X), not r('Hello World', X)"),
+			parse("q(X) :- w(X), not r('a-b', X)")},
+		{"a constant only under negation and another in the body",
+			parse("q(X) :- u('a-b', X), not r('Hello World', X)"),
+			parse("q(X) :- u('Hello World', X), not r('', X)")},
+		{"minimization drops the atom the first constant first occurred in",
+			parse("q(Y) :- r(k1, X), s(m1, Y), r(k1, c1)"),
+			parse("q(Y) :- r(k2, X), s(m2, Y), r(k2, c2)")},
+		{"the empty constant",
+			parse("q(X) :- r('Hello World', X)"),
+			parse("q(X) :- r('', X)")},
+		{"a union whose disjuncts share a shape",
+			parse("q(X) :- r('Hello World', X)", "q(X) :- r('a-b', X)"),
+			parse("q(X) :- r('é', X)", "q(X) :- r('', X)")},
+		{"a union of two shapes",
+			parse("q(X) :- r('Hello World', X)", "q(X) :- u(A, X), s(A, 'sdash')"),
+			parse("q(X) :- r(k1, X)", "q(X) :- u(A, X), s(A, 'saccent')")},
+	} {
+		if !checkShapeShared(t, c.label, sch, db, c.a, c.b) {
+			t.Errorf("%s: a and b answer alike; the case shows nothing", c.label)
+		}
+	}
+}
+
+// TestOneShapeManyGoroutines: sixteen goroutines preparing and executing
+// sixteen constants of one shape — racing to plan it — end with one cached
+// entry, one pipeline between them, and each its own answers.
+func TestOneShapeManyGoroutines(t *testing.T) {
+	sch, err := ParseSchema("conf^ioo(P, C, Y)\ncat^oo(P, T)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch, WithCache(CacheOptions{}))
+	const goroutines, rounds = 16, 8
+	var rows []Row
+	for k := 0; k < goroutines*rounds; k++ {
+		rows = append(rows, Row{fmt.Sprintf("p%d", k), fmt.Sprintf("c%d", k), "y2008"})
+	}
+	if err := sys.BindRows("conf", rows...); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg     sync.WaitGroup
+		start  = make(chan struct{})
+		shapes [goroutines]*shape
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				k := g*rounds + i
+				q, err := sys.Prepare(fmt.Sprintf("q(C) :- conf(p%d, C, Y)", k))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e := shapeExecutors[k%len(shapeExecutors)]
+				res, err := q.Execute(context.Background(), WithExecutor(e.e))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, want := strings.Join(res.SortedAnswers(), ";"), fmt.Sprintf("c%d", k); got != want {
+					t.Errorf("p%d under %s answers [%s], want [%s]", k, e.name, got, want)
+				}
+				if shapes[g] != nil && shapes[g] != q.shape {
+					t.Errorf("goroutine %d was served two entries for one shape", g)
+				}
+				shapes[g] = q.shape
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if shapes[g] != shapes[0] {
+			t.Errorf("goroutines 0 and %d hold different entries for one shape", g)
+		}
+	}
+	st := sys.PlanCacheStats()
+	if st.Shapes != 1 || st.Hits+st.Misses != goroutines*rounds || st.Misses < 1 || st.Misses > goroutines {
+		t.Errorf("plan cache = %+v, want one shape from %d prepares, planned by at most the %d that raced", st, goroutines*rounds, goroutines)
+	}
+}
+
+// TestAdaptiveRelinearizesOncePerShape: when the data moves, the first
+// execution of any query of a shape re-linearizes the shape's plan, and the
+// others — whatever their constants — run what it left.
+func TestAdaptiveRelinearizesOncePerShape(t *testing.T) {
+	ctx := context.Background()
+	sys := skewedSystem(t, WithAdaptiveOrdering())
+	const text = "q(B, C) :- big(%s, B), small(%s, C), seed(%s)"
+	var queries []*Query
+	for _, k := range []string{"k1", "k2", "k3"} {
+		q, err := sys.Prepare(fmt.Sprintf(text, k, k, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	sh := queries[0].shape
+	live := func() *Plan {
+		sh.planMu.Lock()
+		defer sh.planMu.Unlock()
+		return sh.livePlan
+	}
+	execAll := func() {
+		for _, q := range queries {
+			if q.shape != sh {
+				t.Fatal("three constants of one shape, more than one entry")
+			}
+			if _, err := q.Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	planned := live()
+	execAll()
+	if live() != planned {
+		t.Error("re-linearized although no epoch advanced")
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := sys.Insert("small", Row{"k1", fmt.Sprintf("s%d", round)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := queries[round].Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+		relinearized := live()
+		if relinearized == planned {
+			t.Fatalf("round %d: the epoch advanced and the plan was not re-linearized", round)
+		}
+		execAll()
+		if live() != relinearized {
+			t.Errorf("round %d: re-linearized again for a query of the same shape and epochs", round)
+		}
+		planned = relinearized
+	}
+	// The answers are each query's own throughout.
+	res, err := queries[0].Execute(ctx)
+	if err != nil || res.Answers.Len() != 30 {
+		t.Errorf("k1: %d answers (%v), want 10 big × 3 small", res.Answers.Len(), err)
+	}
+	if res, err = queries[1].Execute(ctx); err != nil || res.Answers.Len() != 0 {
+		t.Errorf("k2: %d answers (%v), want none", res.Answers.Len(), err)
+	}
+}
+
+// TestPlanCacheBounded: the plan cache holds at most maxPlannedShapes
+// shapes, dropping the one planned longest ago; a dropped shape is planned
+// again, transparently, when it comes back.
+func TestPlanCacheBounded(t *testing.T) {
+	sch, err := ParseSchema("pub1^io(Paper, Person)\nconf^ooo(Paper, ConfName, Year)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	if err := sys.BindRows("conf", Row{"p1", "icde", "y2008"}); err != nil {
+		t.Fatal(err)
+	}
+	const extra = 5
+	text := func(i int) string { return fmt.Sprintf("q%d(P) :- conf(P, icde, Y)", i) }
+	for i := 0; i < maxPlannedShapes+extra; i++ {
+		if _, err := sys.Prepare(text(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := PlanCacheStats{Shapes: maxPlannedShapes, Misses: maxPlannedShapes + extra, Evictions: extra}
+	if got := sys.PlanCacheStats(); got != want {
+		t.Fatalf("plan cache = %+v, want %+v", got, want)
+	}
+	// The newest and the oldest survivor are hits; the oldest of all is gone.
+	for _, i := range []int{maxPlannedShapes + extra - 1, extra} {
+		if _, err := sys.Prepare(text(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want.Hits = 2
+	if got := sys.PlanCacheStats(); got != want {
+		t.Fatalf("after two survivors: plan cache = %+v, want %+v", got, want)
+	}
+	q, err := sys.Prepare(text(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Misses++
+	want.Evictions++
+	if got := sys.PlanCacheStats(); got != want {
+		t.Fatalf("after an evicted shape came back: plan cache = %+v, want %+v", got, want)
+	}
+	res, err := q.Execute(context.Background())
+	if err != nil || strings.Join(res.SortedAnswers(), ";") != "p1" {
+		t.Errorf("the rebuilt plan answers %v (%v)", res.SortedAnswers(), err)
+	}
+}
+
+// TestPrepareErrorsQuoteTheQuery: the planner sees slots, the author of a
+// refused query sees the constants they wrote.
+func TestPrepareErrorsQuoteTheQuery(t *testing.T) {
+	sch, err := ParseSchema("r^io(A, B)\ns^io(C, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	for text, want := range map[string]string{
+		"q(Y) :- r('Hello World', Y, extra)":               "r('Hello World', Y, extra)",
+		"q(Y) :- r('Hello World', Y), s('Hello World', Y)": `constant "Hello World" used with domains`,
+		"q(Y, nowhere) :- r('Hello World', Y)":             `head constant "nowhere"`,
+		"q(Y) :- r('Hello World', Y), not s(other, Z)":     "negated atom s(other, Z)",
+	} {
+		_, err := sys.Prepare(text)
+		if err == nil {
+			t.Errorf("%s: prepared", text)
+			continue
+		}
+		if !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "$") {
+			t.Errorf("%s: error %q, want it to quote %s and no slot", text, err, want)
+		}
+	}
+	if st := sys.PlanCacheStats(); st.Shapes != 0 {
+		t.Errorf("refused queries left %d shapes in the plan cache", st.Shapes)
+	}
+}
+
+// TestExplainShowsThisQuerysConstants: the plan and the d-graph of a query
+// served from another query's pipeline name the artificial relations by
+// slot and say what each holds — for the query asked about.
+func TestExplainShowsThisQuerysConstants(t *testing.T) {
+	sch, err := ParseSchema("r^io(A, B)\ns^io(B, C)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	first, err := sys.Prepare("q(C) :- r('Hello World', B), s(B, C)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.Prepare("q(C) :- r('another one', B), s(B, C)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.shape != first.shape {
+		t.Fatal("one shape, two entries")
+	}
+	for _, c := range []struct {
+		q          *Query
+		mine, them string
+	}{{first, "Hello World", "another one"}, {second, "another one", "Hello World"}} {
+		for name, text := range map[string]string{
+			"plan": c.q.Plan().String(), "d-graph": c.q.DGraphDOT(), "optimized d-graph": c.q.OptimizedDOT(),
+		} {
+			if !strings.Contains(text, "l_0") || !strings.Contains(text, "'"+c.mine+"'") || strings.Contains(text, c.them) {
+				t.Errorf("the %s of the query about %q:\n%s", name, c.mine, text)
+			}
+		}
+		if got := strings.Join(c.q.RelevantRelations(), ","); got != "l_0,r,s" {
+			t.Errorf("relevant relations = %s, want l_0,r,s", got)
+		}
+	}
+	// Nothing a query brought is held by what the next one is served from.
+	p := first.shape.pipeline
+	held := fmt.Sprint(p.Query, p.Pre.Query, p.Pre.Consts, p.Plan.Consts, p.Plan.Program, p.Plan, p.Typing.Consts, p.Graph)
+	if strings.Contains(held, "Hello World") || strings.Contains(held, "another one") {
+		t.Errorf("the cached pipeline holds a constant:\n%s", held)
+	}
+}

@@ -27,6 +27,12 @@
 //	res, _ := q.Execute(ctx)
 //	fmt.Println(res.SortedAnswers(), res.TotalAccesses())
 //
+// Prepare plans once per query shape. To the planner a constant is only an
+// artificial relation holding one fact; nothing it builds depends on the
+// value. Queries that differ only in their constants therefore share one
+// plan, kept in the System's bounded plan cache, and bind their constants at
+// execution: preparing a query of a known shape costs a parse and a lookup.
+//
 // Execute is context-first: the context cancels the extraction (returning
 // the answers derived so far as a truncated, sound subset) and carries the
 // query's observability baggage down to the sources. Functional options
@@ -213,6 +219,9 @@ type System struct {
 	// commitHook, when set (SetCommitHook), is installed on every local
 	// table the system binds — the write-ahead-log attachment point.
 	commitHook func(CommitEvent)
+
+	// plans holds what Prepare has planned, by query shape.
+	plans planCache
 }
 
 // SystemOption configures a System at construction.
@@ -636,23 +645,108 @@ func (s *System) ensureBound() error {
 	return nil
 }
 
-// Query is a prepared query: the validated, minimized, optimized and
-// planned form of a conjunctive query against a System.
-type Query struct {
-	sys      *System
+// maxPlannedShapes bounds the plan cache. A shape is a query text less its
+// constants, so an application has as many as it has query templates — but
+// a client is free to send any number, and beyond the cap the shape planned
+// longest ago is dropped (it is rebuilt if it comes back).
+const maxPlannedShapes = 1024
+
+// planCache is the system's one plan cache: everything Prepare has planned,
+// keyed by query shape (cq.AppendShapeKey).
+type planCache struct {
+	mu     sync.Mutex
+	shapes map[string]*shape
+	// order holds the keys of shapes in insertion order, as a ring once it
+	// is full: next is the oldest entry, the one to evict.
+	order []string
+	next  int
+
+	hits, misses, evictions uint64
+}
+
+// shape is the prepared form of every query of one shape: the validated,
+// minimized, optimized and planned slot form, in which constants are slots
+// and no value occurs. Queries that differ only in their constants share it.
+type shape struct {
 	pipeline *core.Pipeline
 
 	// Adaptive-ordering state (WithAdaptiveOrdering): the linearization in
-	// use and the relation epochs it was computed against. planMu guards
-	// both; they stay nil on non-adaptive systems, where pipeline.Plan is
-	// the only plan there will ever be.
+	// use and the relation epochs it was computed against — a linearization
+	// depends on relation sizes, not on constants, so it is the shape's.
+	// planMu guards both; they stay nil on non-adaptive systems, where
+	// pipeline.Plan is the only plan there will ever be.
 	planMu     sync.Mutex
 	livePlan   *plan.Plan
 	planEpochs map[string]uint64
 }
 
+// get returns the cached shape for a key, or nil, and counts the outcome.
+func (c *planCache) get(key []byte) *shape {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sh := c.shapes[string(key)]
+	if sh == nil {
+		c.misses++
+	} else {
+		c.hits++
+	}
+	return sh
+}
+
+// add caches a freshly planned shape and returns the entry to use: when a
+// concurrent Prepare planned the same shape first, that one — every query of
+// a shape shares one pipeline.
+func (c *planCache) add(key string, sh *shape) *shape {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if first := c.shapes[key]; first != nil {
+		return first
+	}
+	if c.shapes == nil {
+		c.shapes = make(map[string]*shape)
+	}
+	if len(c.order) < maxPlannedShapes {
+		c.order = append(c.order, key)
+	} else {
+		delete(c.shapes, c.order[c.next])
+		c.evictions++
+		c.order[c.next] = key
+		c.next = (c.next + 1) % maxPlannedShapes
+	}
+	c.shapes[key] = sh
+	return sh
+}
+
+// PlanCacheStats is the accounting of a system's plan cache.
+type PlanCacheStats struct {
+	// Shapes is the number of query shapes currently planned.
+	Shapes int
+	// Hits and Misses count the Prepare calls (one per disjunct of a union)
+	// that found their shape planned, or had to plan it; Evictions the
+	// shapes dropped at the cap.
+	Hits, Misses, Evictions uint64
+}
+
+// PlanCacheStats reports the plan cache's size and counters.
+func (s *System) PlanCacheStats() PlanCacheStats {
+	c := &s.plans
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PlanCacheStats{Shapes: len(c.shapes), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+}
+
+// Query is a prepared query: the shared prepared form of its shape, and its
+// own constants by slot, which every execution binds the plan to.
+type Query struct {
+	sys    *System
+	shape  *shape
+	consts []string
+}
+
 // Prepare validates the query text against the schema and builds the
-// optimized plan.
+// optimized plan — once per query shape: a query that differs from an
+// earlier one only in its constants reuses that one's plan, so preparing it
+// costs a parse and a lookup.
 func (s *System) Prepare(queryText string) (*Query, error) {
 	q, err := cq.Parse(queryText)
 	if err != nil {
@@ -663,6 +757,22 @@ func (s *System) Prepare(queryText string) (*Query, error) {
 
 // PrepareCQ is Prepare for an already-parsed query.
 func (s *System) PrepareCQ(q *CQ) (*Query, error) {
+	var buf [256]byte
+	key, consts := cq.AppendShapeKey(buf[:0], q)
+	sh := s.plans.get(key)
+	if sh == nil {
+		var err error
+		if sh, err = s.planShape(string(key), q); err != nil {
+			return nil, err
+		}
+	}
+	return &Query{sys: s, shape: sh, consts: consts}, nil
+}
+
+// planShape plans the shape of q, which the cache does not hold, and caches
+// it. The planner is given the slot form, so nothing it builds can hold a
+// constant of q.
+func (s *System) planShape(key string, q *CQ) (*shape, error) {
 	if err := s.ensureBound(); err != nil {
 		return nil, err
 	}
@@ -670,59 +780,71 @@ func (s *System) PrepareCQ(q *CQ) (*Query, error) {
 	if s.adaptive {
 		opts.Order = plan.OrderOptions{Sizes: s.RelationSizes()}
 	}
-	p, err := core.PrepareOpts(s.sch, q, opts)
+	slotForm, _ := cq.Shape(q)
+	p, err := core.PrepareOpts(s.sch, slotForm, opts)
 	if err != nil {
+		// A query the schema refuses is reported as its author wrote it,
+		// constants and all, not in terms of slots.
+		if _, asWritten := cq.Validate(q, s.sch); asWritten != nil {
+			return nil, asWritten
+		}
 		return nil, err
 	}
-	pq := &Query{sys: s, pipeline: p}
+	sh := &shape{pipeline: p}
 	if s.adaptive && p.Plan != nil {
-		pq.livePlan = p.Plan
-		pq.planEpochs = pq.snapshotEpochs()
+		sh.livePlan = p.Plan
+		sh.planEpochs = s.snapshotEpochs(p)
 	}
-	return pq, nil
+	return s.plans.add(key, sh), nil
 }
 
 // snapshotEpochs records the current data epoch of every relation the
 // optimized plan may access — the staleness check of adaptive ordering.
-func (q *Query) snapshotEpochs() map[string]uint64 {
+func (s *System) snapshotEpochs(p *core.Pipeline) map[string]uint64 {
 	eps := make(map[string]uint64)
-	for _, name := range q.pipeline.Opt.RelevantRelations() {
-		eps[name] = q.sys.RelationEpoch(name)
+	for _, name := range p.Opt.RelevantRelations() {
+		eps[name] = s.RelationEpoch(name)
 	}
 	return eps
 }
 
 // Answerable reports whether the query can return any answer on any
 // instance under the access limitations.
-func (q *Query) Answerable() bool { return q.pipeline.Answerable() }
+func (q *Query) Answerable() bool { return q.shape.pipeline.Answerable() }
 
-// Plan returns the ⊂-minimal plan, or nil for non-answerable queries. On an
-// adaptive system (WithAdaptiveOrdering) it is the linearization currently
-// in use, which executions refresh when relation epochs advance.
+// Plan returns the ⊂-minimal plan, bound to the query's constants, or nil
+// for non-answerable queries. On an adaptive system (WithAdaptiveOrdering)
+// it is the linearization currently in use, which executions refresh when
+// relation epochs advance. Its String is the query's explain output: the
+// artificial relations of the constants are named by slot (l_0, l_1, …) and
+// a legend line says what each holds for this query.
 func (q *Query) Plan() *Plan {
-	if q.sys.adaptive {
-		q.planMu.Lock()
-		defer q.planMu.Unlock()
-		if q.livePlan != nil {
-			return q.livePlan
-		}
+	p := q.shape.pipeline.Plan
+	if p == nil {
+		return nil
 	}
-	return q.pipeline.Plan
+	if q.sys.adaptive {
+		q.shape.planMu.Lock()
+		p = q.shape.livePlan
+		q.shape.planMu.Unlock()
+	}
+	return p.Bind(q.consts)
 }
 
-// RelevantRelations returns the relations the optimized plan may access.
-func (q *Query) RelevantRelations() []string { return q.pipeline.Opt.RelevantRelations() }
+// RelevantRelations returns the relations the optimized plan may access
+// (the artificial relations of the query's constants included, by slot).
+func (q *Query) RelevantRelations() []string { return q.shape.pipeline.Opt.RelevantRelations() }
 
 // IrrelevantRelations returns the queryable relations the optimization
 // proved useless for this query.
-func (q *Query) IrrelevantRelations() []string { return q.pipeline.Opt.IrrelevantRelations() }
+func (q *Query) IrrelevantRelations() []string { return q.shape.pipeline.Opt.IrrelevantRelations() }
 
 // Orderable reports whether the (minimized) query is executable without
 // recursion by some left-to-right ordering of its own atoms that respects
 // the access patterns; when it is not — like the paper's Example 1 — the
 // recursive plan of Execute is the only way to obtain answers.
 func (q *Query) Orderable() bool {
-	_, ok := plan.Orderable(q.pipeline.Query, q.sys.sch)
+	_, ok := plan.Orderable(q.shape.pipeline.Query, q.sys.sch)
 	return ok
 }
 
@@ -730,29 +852,33 @@ func (q *Query) Orderable() bool {
 // connection-query class of earlier relevance work (Section VI); Toorjah
 // handles arbitrary conjunctive queries.
 func (q *Query) IsConnectionQuery() bool {
-	return cq.IsConnectionQuery(q.pipeline.Query, q.sys.sch)
+	return cq.IsConnectionQuery(q.shape.pipeline.Query, q.sys.sch)
 }
 
 // ForAllMinimal reports whether the plan is ∀-minimal: no other plan makes
 // fewer accesses on any instance (Section IV: this holds exactly when the
 // source ordering is unique).
 func (q *Query) ForAllMinimal() bool {
-	return q.pipeline.Plan != nil && q.pipeline.Plan.ForAllMinimal()
+	return q.shape.pipeline.Plan != nil && q.shape.pipeline.Plan.ForAllMinimal()
 }
 
 // DGraphDOT renders the query's full d-graph in Graphviz DOT format;
-// deleted arcs are dashed.
+// deleted arcs are dashed. The source of each constant is labelled with its
+// slot's relation and the value it holds for this query.
 func (q *Query) DGraphDOT() string {
-	return dgraph.DOT(q.pipeline.Graph, q.pipeline.Opt.Solution, true)
+	return dgraph.DOT(q.shape.pipeline.Graph, q.shape.pipeline.Opt.Solution, true, q.consts)
 }
 
 // OptimizedDOT renders the optimized d-graph in Graphviz DOT format.
-func (q *Query) OptimizedDOT() string { return dgraph.DOTOptimized(q.pipeline.Opt) }
+func (q *Query) OptimizedDOT() string {
+	return dgraph.DOTOptimized(q.shape.pipeline.Opt, q.consts)
+}
 
 // emptyResult is the constant answer of non-answerable queries.
 func (q *Query) emptyResult() *Result {
+	query := q.shape.pipeline.Query
 	return &Result{
-		Answers: datalog.NewRelation(q.pipeline.Query.Name, len(q.pipeline.Query.Head)),
+		Answers: datalog.NewRelation(query.Name, len(query.Head)),
 		Stats:   map[string]source.Stats{},
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"toorjah/internal/cq"
 	"toorjah/internal/gen"
 	"toorjah/internal/source"
-	"toorjah/internal/storage"
 )
 
 // ucqPubSystem builds a system over a small publication instance, with every
@@ -20,25 +19,7 @@ import (
 func ucqPubSystem(t *testing.T, seed int64, opts ...SystemOption) (*System, map[string]*source.Counter) {
 	t.Helper()
 	sch, db := gen.Publication(seed, gen.SmallPublication())
-	sys := NewSystem(sch, opts...)
-	counters := make(map[string]*source.Counter)
-	for _, rel := range sch.Relations() {
-		tab := db.Table(rel.Name)
-		if tab == nil {
-			tab = storage.NewTable(rel.Name, rel.Arity())
-		}
-		src, err := source.NewTableSource(rel, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sys.Latency > 0 {
-			src = src.WithLatency(sys.Latency)
-		}
-		ctr := source.NewCounter(src, true)
-		counters[rel.Name] = ctr
-		sys.Bind(ctr)
-	}
-	return sys, counters
+	return auditedSystem(t, sch, db, opts...)
 }
 
 // ucqPubText is a union of three overlapping publication disjuncts: all
