@@ -38,25 +38,87 @@ func BenchmarkRelationInsertIndexed(b *testing.B) {
 
 // BenchmarkEvalRuleDelta times the incremental join of the executors: two
 // new tuples of one body atom against a full, indexed relation at the
-// other.
+// other, through a rule compiled once.
 func BenchmarkEvalRuleDelta(b *testing.B) {
-	r := rule(b, "q(V, W) :- a(K, G, V), c(K, G2, W)")
+	join, err := Compile(rule(b, "q(V, W) :- a(K, G, V), c(K, G2, W)"), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	db := DB{}
 	for _, t := range benchTuples(1024, 64) {
 		db.Insert("a", t)
 		db.Insert("c", t)
 	}
 	delta := []Tuple{db["c"].Tuples()[17], db["c"].Tuples()[901]}
-	if _, err := EvalRuleWithDelta(r, db, delta, 1); err != nil { // builds a's index
+	var m Machine
+	derived := 0
+	count := func(Tuple) { derived++ }
+	if err := join.Run(&m, db, delta, count); err != nil { // builds a's index
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := EvalRuleWithDelta(r, db, delta, 1)
-		if err != nil || len(out) != 2 {
-			b.Fatalf("derived %d tuples, err %v; want 2", len(out), err)
+		derived = 0
+		if err := join.Run(&m, db, delta, count); err != nil || derived != 2 {
+			b.Fatalf("derived %d tuples, err %v; want 2", derived, err)
 		}
-		benchSink += len(out)
+		benchSink += derived
+	}
+}
+
+// BenchmarkCompileRule times what planning a query shape pays once per rule
+// and body position: the paper's q1 rewritten over its caches.
+func BenchmarkCompileRule(b *testing.B) {
+	r := rule(b, "q(R) :- hat_pub1_1(P, R), hat_conf_1(P, C, Y), hat_rev_1(R, C, Y), hat_l_0_1(C)")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := Compile(r, i%len(r.Body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(c.steps)
+	}
+}
+
+// BenchmarkRelationContains times a membership test, hit and miss
+// alternating, at the arities of the paper's relations.
+func BenchmarkRelationContains(b *testing.B) {
+	for _, arity := range []int{2, 3} {
+		b.Run(fmt.Sprintf("arity%d", arity), func(b *testing.B) {
+			tuples := benchTuples(2048, 64)
+			r := NewRelation("r", arity)
+			for _, t := range tuples[:1024] {
+				r.Insert(t[:arity])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r.Contains(tuples[i%2048][:arity]) {
+					benchSink++
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRelationLookup times an index lookup on the first column — a
+// bucket of one — and on the second — a bucket of sixteen.
+func BenchmarkRelationLookup(b *testing.B) {
+	for _, arity := range []int{2, 3} {
+		b.Run(fmt.Sprintf("arity%d", arity), func(b *testing.B) {
+			tuples := benchTuples(1024, 64)
+			r := NewRelation("r", arity)
+			for _, t := range tuples {
+				r.Insert(t[:arity])
+			}
+			first, second := []int{0}, []int{1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := tuples[i%1024]
+				benchSink += len(r.Lookup(first, t[:1])) + len(r.Lookup(second, t[1:2]))
+			}
+		})
 	}
 }

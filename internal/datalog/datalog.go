@@ -10,6 +10,17 @@
 // from a source enter a relation as they are), extensional relations are
 // supplied through a DB, and evaluation returns the intensional relations.
 // Atoms reuse the term and atom types of package cq.
+//
+// There is one join, and it is compiled: Compile turns a rule — over full
+// relations, or with one body atom ranging over a delta — into a fixed
+// nested-loop order over register slots and index lookups, once; Run and
+// Exists execute it any number of times, from any number of goroutines,
+// each on a Machine of its own, without allocating. The executors run the
+// programs their plan compiled for them (package plan); Eval, the
+// least-fixpoint reference, compiles a program's rules and runs the same
+// code. Relations (relation.go) keep membership and indexes in
+// open-addressing tables hashed straight from the IDs, which point into the
+// tuples the relation stores and keep no key of their own.
 package datalog
 
 import (
@@ -25,6 +36,12 @@ type Rule struct {
 	Head    cq.Atom
 	Body    []cq.Atom
 	Negated []cq.Atom
+}
+
+// RuleOf returns the rule that defines a conjunctive query: its head
+// predicate is the query's name. The rule shares the query's terms and atoms.
+func RuleOf(q *cq.CQ) *Rule {
+	return &Rule{Head: cq.Atom{Pred: q.Name, Args: q.Head}, Body: q.Body, Negated: q.Negated}
 }
 
 // String renders the rule in Datalog notation; facts render without ":-".

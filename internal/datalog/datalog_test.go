@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func rule(t testing.TB, src string) *Rule {
 	if err != nil {
 		t.Fatalf("parse rule %q: %v", src, err)
 	}
-	return &Rule{Head: cq.Atom{Pred: q.Name, Args: q.Head}, Body: q.Body, Negated: q.Negated}
+	return RuleOf(q)
 }
 
 func program(t *testing.T, srcs ...string) *Program {
@@ -212,11 +213,31 @@ func TestRelationLookupIndex(t *testing.T) {
 	}
 }
 
+// TestTupleKeyNoCollision: membership tells apart tuples that a key built
+// by concatenation — of the strings, or of the IDs' digits or bytes — would
+// confuse, whichever of them arrived first.
 func TestTupleKeyNoCollision(t *testing.T) {
-	a := T("ab", "c")
-	b := T("a", "bc")
-	if a.Key() == b.Key() {
-		t.Error("tuple keys collide")
+	for _, pair := range [][2]Tuple{
+		{T("ab", "c"), T("a", "bc")},
+		{{1, 2}, {2, 1}},
+		{{1, 23}, {12, 3}},
+		{{0x0100, 0x01}, {0x01, 0x0001}},
+		{{1, 2, 3}, {3, 2, 1}},
+		{{7, 7, 8}, {7, 8, 8}},
+	} {
+		for _, first := range []int{0, 1} {
+			r := NewRelation("r", len(pair[0]))
+			r.Insert(pair[first])
+			if r.Contains(pair[1-first]) {
+				t.Errorf("a relation holding %v claims to hold %v", pair[first], pair[1-first])
+			}
+			if !r.Insert(pair[1-first]) || r.Len() != 2 {
+				t.Errorf("a relation holding %v took %v for a duplicate", pair[first], pair[1-first])
+			}
+			if got := r.Lookup([]int{0, 1}, pair[first][:2]); len(got) != 1 || !slices.Equal(got[0], pair[first]) {
+				t.Errorf("Lookup of %v on its first two positions = %v", pair[first], got)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"toorjah/internal/cq"
@@ -122,26 +123,39 @@ func TestEvalNegationOverIDBAndEDB(t *testing.T) {
 	}
 }
 
+// derive runs a rule compiled for deltaPos and returns the head tuples in
+// derivation order.
+func derive(t testing.TB, r *Rule, db DB, delta []Tuple, deltaPos int) []Tuple {
+	t.Helper()
+	c, err := Compile(r, deltaPos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		m   Machine
+		out []Tuple
+	)
+	if err := c.Run(&m, db, delta, func(head Tuple) { out = append(out, slices.Clone(head)) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestEvalRuleWithDeltaMatchesFull: incremental evaluation over a delta plus
-// previous full state covers exactly the new derivations.
+// previous full state covers exactly the new derivations. (Named after the
+// interpreter's entry point it was written against; it runs the compiled
+// join now.)
 func TestEvalRuleWithDeltaMatchesFull(t *testing.T) {
 	r := rule(t, "q(X, Z) :- a(X, Y), b(Y, Z)")
 	db := DB{}
 	db.Insert("a", T("x1", "y1"))
 	db.Insert("b", T("y1", "z1"))
-	full1, err := EvalRuleWithDelta(r, db, nil, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full1) != 1 {
-		t.Fatalf("full1 = %v", full1)
+	if full := derive(t, r, db, nil, -1); len(full) != 1 {
+		t.Fatalf("full = %v", full)
 	}
 	// New b tuple arrives: the delta join must derive only the new pair.
 	db.Insert("b", T("y1", "z2"))
-	inc, err := EvalRuleWithDelta(r, db, []Tuple{T("y1", "z2")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := derive(t, r, db, []Tuple{T("y1", "z2")}, 1)
 	if len(inc) != 1 || inc[0][1] != sym.Intern("z2") {
 		t.Errorf("incremental = %v", inc)
 	}

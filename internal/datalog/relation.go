@@ -1,0 +1,346 @@
+package datalog
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"sort"
+	"strings"
+
+	"toorjah/internal/storage"
+	"toorjah/internal/sym"
+)
+
+// Tuple is one row of a relation, in the engine's stored form: interned
+// symbol IDs. It is the stored row type of package storage, so an
+// extraction travels from a table through its source into a cache relation
+// without a copy or a conversion. Constants intern on entry (query parse,
+// rule heads); values materialize back into strings only at the result
+// boundary via Strings.
+type Tuple = storage.IRow
+
+// T builds a tuple from string values, interning them — the boundary
+// constructor used by tests and by callers holding boundary data.
+func T(vals ...string) Tuple { return sym.InternAll(vals) }
+
+// hashSeed keys every table of the process. The values hashed are symbol
+// IDs of client-supplied strings, so — like the runtime's maps — the
+// function must not be predictable from outside.
+var hashSeed = rand.Uint64()
+
+// hashIDs hashes a sequence of IDs: one 64×64→128-bit multiplication per
+// ID, folded. The table indexes by the top bits, which a multiplicative
+// hash spreads evenly over consecutive IDs — what the interner hands out.
+func hashIDs(ids []sym.ID) uint32 {
+	h := hashSeed
+	for _, id := range ids {
+		hi, lo := bits.Mul64(h^uint64(id), 0x9E3779B97F4A7C15)
+		h = hi ^ lo
+	}
+	return uint32(h >> 32)
+}
+
+// table is an open-addressing hash table (linear probing, at most half
+// full) of int32 references into storage its owner already keeps: a
+// relation's tuples, an index's buckets. It stores no key — the owner
+// compares a candidate against what the reference points at — only the
+// hash, which saves most of those comparisons and lets the table grow
+// without looking at a tuple. The zero value is an empty table.
+type table struct {
+	slots []slot
+	used  int
+	shift uint8 // 32 − log₂ len(slots): a hash's home slot is its top bits
+}
+
+type slot struct {
+	hash uint32
+	ref  int32 // the reference plus one; 0 marks an empty slot
+}
+
+// first returns the first reference filed under hash h and the slot it
+// occupies, or −1 when there is none; next continues from a slot first or
+// next returned. The caller walks until a reference points at what it is
+// looking for:
+//
+//	for at, ref := tb.first(h); ref >= 0; at, ref = tb.next(at, h) { … }
+func (tb *table) first(h uint32) (at int, ref int32) {
+	if len(tb.slots) == 0 {
+		return 0, -1
+	}
+	return tb.scan(int(h>>tb.shift), h)
+}
+
+func (tb *table) next(at int, h uint32) (int, int32) {
+	return tb.scan((at+1)&(len(tb.slots)-1), h)
+}
+
+func (tb *table) scan(at int, h uint32) (int, int32) {
+	for mask := len(tb.slots) - 1; ; at = (at + 1) & mask {
+		switch s := tb.slots[at]; {
+		case s.ref == 0:
+			return at, -1
+		case s.hash == h:
+			return at, s.ref - 1
+		}
+	}
+}
+
+// add files a reference under hash h. The caller has walked the entries
+// under h and found none equal to what ref points at.
+func (tb *table) add(h uint32, ref int32) {
+	if 2*(tb.used+1) > len(tb.slots) {
+		old := tb.slots
+		tb.slots = make([]slot, max(8, 2*len(old)))
+		tb.shift = uint8(32 - bits.TrailingZeros(uint(len(tb.slots))))
+		for _, s := range old {
+			if s.ref != 0 {
+				tb.place(s)
+			}
+		}
+	}
+	tb.place(slot{hash: h, ref: ref + 1})
+	tb.used++
+}
+
+func (tb *table) place(s slot) {
+	at, mask := int(s.hash>>tb.shift), len(tb.slots)-1
+	for tb.slots[at].ref != 0 {
+		at = (at + 1) & mask
+	}
+	tb.slots[at] = s
+}
+
+// reset empties the table, keeping its capacity.
+func (tb *table) reset() {
+	clear(tb.slots)
+	tb.used = 0
+}
+
+// Relation is a set of equal-length tuples with lazily built hash indexes on
+// position subsets. Membership and every index are one table each, hashed
+// straight from the IDs and pointing into what the relation stores anyway:
+// no key is built, and none is kept beside the tuple it came from. A
+// relation holds fewer than 2³¹ tuples.
+type Relation struct {
+	Name   string
+	Arity  int
+	tuples []Tuple
+	seen   table // references into tuples
+	// indexes holds one hash index per position list a Lookup has asked
+	// for, built on first use and extended on insert. A relation carries a
+	// handful at most (one per way a rule joins into it), so finding one is
+	// a scan comparing position lists.
+	indexes []*index
+	// chunk is where InsertCopy carves its copies from.
+	chunk []sym.ID
+}
+
+// index groups a relation's tuples by their values at fixed positions.
+type index struct {
+	positions []int
+	group     table // references into buckets
+	buckets   [][]Tuple
+	slab      []Tuple // what new buckets are carved from
+}
+
+// find returns the bucket of the tuples holding vals at the index's
+// positions, hashed to h, or −1. Every tuple of a bucket carries the
+// bucket's key, so the first one stands for it.
+func (ix *index) find(vals []sym.ID, h uint32) int32 {
+candidates:
+	for at, ref := ix.group.first(h); ref >= 0; at, ref = ix.group.next(at, h) {
+		t := ix.buckets[ref][0]
+		for i, p := range ix.positions {
+			if t[p] != vals[i] {
+				continue candidates
+			}
+		}
+		return ref
+	}
+	return -1
+}
+
+// add files a tuple under its values at the index's positions.
+func (ix *index) add(t Tuple) {
+	var kb [8]sym.ID
+	vals := kb[:0]
+	for _, p := range ix.positions {
+		vals = append(vals, t[p])
+	}
+	h := hashIDs(vals)
+	if b := ix.find(vals, h); b >= 0 {
+		ix.buckets[b] = append(ix.buckets[b], t)
+		return
+	}
+	ix.group.add(h, int32(len(ix.buckets)))
+	// A bucket starts with room for a second tuple, carved with many others:
+	// a key that joins to one tuple or two never allocates on its own.
+	if cap(ix.slab)-len(ix.slab) < 2 {
+		ix.slab = make([]Tuple, 0, max(8, min(2*cap(ix.slab), 1024)))
+	}
+	n := len(ix.slab)
+	ix.slab = append(ix.slab, t, nil)
+	ix.buckets = append(ix.buckets, ix.slab[n:n+1:n+2])
+}
+
+// NewRelation creates an empty relation.
+func NewRelation(name string, arity int) *Relation {
+	return &Relation{Name: name, Arity: arity}
+}
+
+// Reset empties the relation for reuse (under a new Name and Arity, if the
+// caller sets them). The tuple slice and the membership table keep their
+// capacity but none of their entries — no tuple stays reachable through the
+// relation — and the indexes are discarded.
+func (r *Relation) Reset() {
+	clear(r.tuples)
+	r.tuples = r.tuples[:0]
+	r.seen.reset()
+	clear(r.indexes)
+	r.indexes = r.indexes[:0]
+	r.chunk = nil // its tuples may live on in whoever was handed them
+}
+
+// holds reports membership of a tuple hashed to h.
+func (r *Relation) holds(t Tuple, h uint32) bool {
+	for at, ref := r.seen.first(h); ref >= 0; at, ref = r.seen.next(at, h) {
+		if slices.Equal(r.tuples[ref], t) {
+			return true
+		}
+	}
+	return false
+}
+
+// store appends a tuple, hashed to h, that the relation does not hold.
+func (r *Relation) store(t Tuple, h uint32) {
+	r.seen.add(h, int32(len(r.tuples)))
+	r.tuples = append(r.tuples, t)
+	for _, ix := range r.indexes {
+		ix.add(t)
+	}
+}
+
+func (r *Relation) checkArity(t Tuple) {
+	if len(t) != r.Arity {
+		panic(fmt.Sprintf("relation %s: inserting arity-%d tuple into arity-%d relation", r.Name, len(t), r.Arity))
+	}
+}
+
+// Insert adds a tuple — the slice itself, which the caller must not modify
+// afterwards — and reports whether it was new.
+func (r *Relation) Insert(t Tuple) bool {
+	r.checkArity(t)
+	h := hashIDs(t)
+	if r.holds(t, h) {
+		return false
+	}
+	r.store(t, h)
+	return true
+}
+
+// InsertCopy is Insert for a tuple the caller will reuse, a join's head
+// buffer typically: unless the relation holds t already, it stores a copy
+// carved from memory it allocates many tuples at a time, and returns the
+// copy.
+func (r *Relation) InsertCopy(t Tuple) (Tuple, bool) {
+	r.checkArity(t)
+	h := hashIDs(t)
+	if r.holds(t, h) {
+		return nil, false
+	}
+	if cap(r.chunk)-len(r.chunk) < len(t) {
+		r.chunk = make([]sym.ID, 0, max(16*len(t), min(2*cap(r.chunk), 4096)))
+	}
+	n := len(r.chunk)
+	r.chunk = append(r.chunk, t...)
+	own := r.chunk[n:len(r.chunk):len(r.chunk)]
+	r.store(own, h)
+	return own, true
+}
+
+// Contains reports membership of a tuple.
+func (r *Relation) Contains(t Tuple) bool { return r.holds(t, hashIDs(t)) }
+
+// Len returns the number of tuples.
+func (r *Relation) Len() int { return len(r.tuples) }
+
+// Tuples returns the underlying tuple slice; callers must not modify it.
+func (r *Relation) Tuples() []Tuple { return r.tuples }
+
+// Lookup returns the tuples whose values at the given positions equal vals.
+// With no positions it returns all tuples. The lookup is backed by a hash
+// index built on first use, and the result is the index's own bucket, not a
+// copy: callers must not modify it.
+func (r *Relation) Lookup(positions []int, vals []sym.ID) []Tuple {
+	if len(positions) == 0 {
+		return r.tuples
+	}
+	ix := r.indexOn(positions)
+	if b := ix.find(vals, hashIDs(vals)); b >= 0 {
+		return ix.buckets[b]
+	}
+	return nil
+}
+
+// indexOn returns the index on the given positions, building it over the
+// current tuples when no Lookup has asked for it before.
+func (r *Relation) indexOn(positions []int) *index {
+	for _, ix := range r.indexes {
+		if slices.Equal(ix.positions, positions) {
+			return ix
+		}
+	}
+	ix := &index{positions: slices.Clone(positions)}
+	for _, t := range r.tuples {
+		ix.add(t)
+	}
+	r.indexes = append(r.indexes, ix)
+	return ix
+}
+
+// DB maps predicate names to relations.
+type DB map[string]*Relation
+
+// Get returns the relation, creating an empty one of the given arity when
+// absent.
+func (db DB) Get(name string, arity int) *Relation {
+	r, ok := db[name]
+	if !ok {
+		r = NewRelation(name, arity)
+		db[name] = r
+	}
+	return r
+}
+
+// Insert adds a tuple to the named relation, creating it when needed.
+func (db DB) Insert(name string, t Tuple) bool { return db.Get(name, len(t)).Insert(t) }
+
+// Clone returns a DB sharing no relation storage with the receiver.
+func (db DB) Clone() DB {
+	out := make(DB, len(db))
+	for name, r := range db {
+		nr := NewRelation(name, r.Arity)
+		for _, t := range r.tuples {
+			nr.Insert(t)
+		}
+		out[name] = nr
+	}
+	return out
+}
+
+// Summary renders relation names with cardinalities, sorted by name.
+//
+//toorjahvet:boundary (debug rendering, not an evaluation path)
+func (db DB) Summary() string {
+	names := make([]string, 0, len(db))
+	for n := range db {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	parts := make([]string, len(names))
+	for i, n := range names {
+		parts[i] = fmt.Sprintf("%s:%d", n, db[n].Len())
+	}
+	return strings.Join(parts, " ")
+}

@@ -1,0 +1,219 @@
+package datalog
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"toorjah/internal/sym"
+)
+
+// relationModel is what a Relation is held to: the distinct tuples in
+// insertion order, membership through a map on their rendering.
+type relationModel struct {
+	tuples []Tuple
+	seen   map[string]bool
+}
+
+func (m *relationModel) insert(t Tuple) bool {
+	if m.seen[fmt.Sprint(t)] {
+		return false
+	}
+	m.seen[fmt.Sprint(t)] = true
+	m.tuples = append(m.tuples, slices.Clone(t))
+	return true
+}
+
+func (m *relationModel) lookup(positions []int, vals []sym.ID) []Tuple {
+	var out []Tuple
+tuples:
+	for _, t := range m.tuples {
+		for i, p := range positions {
+			if t[p] != vals[i] {
+				continue tuples
+			}
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestRelationMatchesMapModel drives a relation and the model side by side
+// through what the executors do to a cache relation and more: arities 0–5,
+// an index asked for while the relation is empty and others once it is
+// full, some two thousand inserts — half of them duplicates, half through
+// InsertCopy from a buffer that is overwritten afterwards — across eight
+// doublings of the tables, then Reset and the same again under another
+// arity.
+func TestRelationMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewRelation("r", 0)
+	for round, arity := range []int{3, 0, 5, 1, 2, 4, 3} {
+		r.Reset()
+		r.Name, r.Arity = fmt.Sprintf("r%d", round), arity
+		model := &relationModel{seen: map[string]bool{}}
+		// IDs from a range that makes about half of 2000 draws repeat a tuple.
+		span := []int{0: 1, 1: 1500, 2: 40, 3: 12, 4: 7, 5: 5}[arity]
+		draw := func(n int) Tuple {
+			t := make(Tuple, n)
+			for i := range t {
+				t[i] = sym.ID(1 + rng.Intn(span))
+			}
+			return t
+		}
+		positionLists := [][]int{}
+		for p := 0; p < arity; p++ {
+			positionLists = append(positionLists, []int{p})
+		}
+		if arity >= 2 {
+			positionLists = append(positionLists, []int{0, arity - 1}, []int{arity - 1, 0})
+		}
+		if arity >= 3 {
+			all := make([]int, arity)
+			for i := range all {
+				all[i] = i
+			}
+			positionLists = append(positionLists, all)
+		}
+		check := func(when string) {
+			t.Helper()
+			if r.Len() != len(model.tuples) {
+				t.Fatalf("arity %d, %s: Len = %d, model holds %d", arity, when, r.Len(), len(model.tuples))
+			}
+			for i, want := range model.tuples {
+				if !slices.Equal(r.Tuples()[i], want) {
+					t.Fatalf("arity %d, %s: tuple %d = %v, model %v", arity, when, i, r.Tuples()[i], want)
+				}
+			}
+			for n := 0; n < 300; n++ {
+				probe := draw(arity)
+				if got, want := r.Contains(probe), model.seen[fmt.Sprint(probe)]; got != want {
+					t.Fatalf("arity %d, %s: Contains(%v) = %v, model %v", arity, when, probe, got, want)
+				}
+			}
+			for _, positions := range positionLists {
+				for n := 0; n < 100; n++ {
+					vals := draw(len(positions))
+					got, want := r.Lookup(positions, vals), model.lookup(positions, vals)
+					if !slices.EqualFunc(got, want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+						t.Fatalf("arity %d, %s: Lookup(%v, %v) = %v, model %v", arity, when, positions, vals, got, want)
+					}
+				}
+			}
+			if got := r.Lookup(nil, nil); len(got) != len(model.tuples) {
+				t.Fatalf("arity %d, %s: Lookup() returns %d tuples of %d", arity, when, len(got), len(model.tuples))
+			}
+		}
+
+		// The first index is asked for before any tuple arrives, the way a
+		// join finds the cache it looks into still empty; check builds the
+		// others over the tuples it finds.
+		if arity > 0 {
+			if got := r.Lookup(positionLists[0], draw(1)); got != nil {
+				t.Fatalf("arity %d: Lookup on the empty relation = %v", arity, got)
+			}
+		}
+		buf := make(Tuple, arity)
+		for n := 0; n < 2000; n++ {
+			tuple := draw(arity)
+			want := model.insert(tuple)
+			if n%2 == 0 {
+				if got := r.Insert(tuple); got != want {
+					t.Fatalf("arity %d: Insert(%v) = %v, model %v", arity, tuple, got, want)
+				}
+				continue
+			}
+			copy(buf, tuple)
+			own, got := r.InsertCopy(buf)
+			if got != want || got && !slices.Equal(own, tuple) {
+				t.Fatalf("arity %d: InsertCopy(%v) = %v, %v, model %v", arity, tuple, own, got, want)
+			}
+			for i := range buf {
+				buf[i] = 0 // the relation kept a copy, not the buffer
+			}
+		}
+		if arity > 0 && (len(model.tuples) < 500 || len(model.tuples) > 1800) {
+			t.Fatalf("arity %d: %d distinct tuples of 2000 inserts: the draw does not mix fresh and duplicate", arity, len(model.tuples))
+		}
+		check("after the inserts")
+		// The indexes built over the full relation keep up with inserts.
+		for n := 0; n < 200; n++ {
+			tuple := draw(arity)
+			if got, want := r.Insert(tuple), model.insert(tuple); got != want {
+				t.Fatalf("arity %d: Insert(%v) = %v, model %v", arity, tuple, got, want)
+			}
+		}
+		check("after inserts into the indexed relation")
+	}
+}
+
+// TestRelationSequentialIDs: the interner hands out consecutive IDs, so
+// that is what tuples are made of. 10⁵ of them, under several seeds, land
+// within a slot of where their hash points on average — the tables stay
+// O(1) — and membership and lookups stay exact.
+func TestRelationSequentialIDs(t *testing.T) {
+	defer func(seed uint64) { hashSeed = seed }(hashSeed)
+	const n = 100000
+	for _, seed := range []uint64{hashSeed, 0, ^uint64(0), 0x9E3779B97F4A7C15} {
+		hashSeed = seed
+		for _, arity := range []int{1, 2, 3} {
+			r := NewRelation("r", arity)
+			tuple := func(i int) Tuple {
+				t := make(Tuple, arity)
+				for j := range t {
+					t[j] = sym.ID(1 + i + j) // (i), (i, i+1), (i, i+1, i+2)
+				}
+				return t
+			}
+			for i := 0; i < n; i++ {
+				if !r.Insert(tuple(i)) {
+					t.Fatalf("seed %#x, arity %d: tuple %d reported as held", seed, arity, i)
+				}
+			}
+			r.Lookup([]int{0}, tuple(0)[:1])
+			for i := 0; i < n; i += 97 {
+				if !r.Contains(tuple(i)) || r.Contains(tuple(n+i)) {
+					t.Fatalf("seed %#x, arity %d: membership of tuple %d or %d is wrong", seed, arity, i, n+i)
+				}
+				if got := r.Lookup([]int{0}, tuple(i)[:1]); len(got) != 1 || !slices.Equal(got[0], tuple(i)) {
+					t.Fatalf("seed %#x, arity %d: Lookup of tuple %d by its first value = %v", seed, arity, i, got)
+				}
+			}
+			for name, tb := range map[string]*table{"membership": &r.seen, "index": &r.indexes[0].group} {
+				if tb.used != n || 2*tb.used > len(tb.slots) {
+					t.Fatalf("seed %#x, arity %d: %s table holds %d entries in %d slots", seed, arity, name, tb.used, len(tb.slots))
+				}
+				displaced := 0
+				for at, s := range tb.slots {
+					if s.ref != 0 {
+						displaced += (at - int(s.hash>>tb.shift)) & (len(tb.slots) - 1)
+					}
+				}
+				if mean := float64(displaced) / n; mean > 1 {
+					t.Errorf("seed %#x, arity %d: an entry of the %s table sits %.2f slots from home on average, want under 1", seed, arity, name, mean)
+				}
+			}
+		}
+	}
+}
+
+// TestRelationResetKeepsCapacity: a recycled relation that held a thousand
+// tuples takes a thousand again without growing its membership table.
+func TestRelationResetKeepsCapacity(t *testing.T) {
+	tuples := benchTuples(1000, 10)
+	r := NewRelation("r", 3)
+	fill := func() {
+		for _, t := range tuples {
+			r.Insert(t)
+		}
+	}
+	fill()
+	r.Reset()
+	if r.Len() != 0 || r.Contains(tuples[0]) {
+		t.Fatalf("after Reset the relation holds %d tuples, the first among them: %v", r.Len(), r.Contains(tuples[0]))
+	}
+	if allocs := testing.AllocsPerRun(5, func() { r.Reset(); fill() }); allocs != 0 {
+		t.Errorf("refilling a reset relation makes %.0f allocations, want none", allocs)
+	}
+}

@@ -31,6 +31,10 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 		ctx = context.Background()
 	}
 	k := newSink(q.Name, len(q.Head), opts, onAnswers)
+	query, err := datalog.Compile(datalog.RuleOf(q), -1)
+	if err != nil {
+		return nil, err
+	}
 	names := sch.Names() // the naive algorithm probes every relation
 	if err := requireSources(reg, names); err != nil {
 		return nil, err
@@ -136,7 +140,7 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 		}
 	}
 
-	if err := k.evaluate(q, cache, truncated); err != nil {
+	if err := k.evaluate(query, &sc.join, cache, truncated); err != nil {
 		return nil, err
 	}
 	return k.finish(statsOf(names, counters), truncated, false), nil

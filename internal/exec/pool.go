@@ -42,6 +42,9 @@ type scratch struct {
 	// fresh is groupState.ingest's result buffer: the tuples of the latest
 	// extraction that were new to their cache.
 	fresh []datalog.Tuple
+	// join is the working memory of every compiled rule the run runs, one at
+	// a time.
+	join datalog.Machine
 	// queues are the optimized executor's per-relation access queues, the
 	// first queuesOut of them in use by the current run; flights are its
 	// round-trip records, the ones not in flight.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
 	"toorjah/internal/plan"
@@ -152,11 +151,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		if err != nil || len(fresh) == 0 || !streaming || c.QueryPos < 0 {
 			return err
 		}
-		derived, err := datalog.EvalRuleWithDelta(p.QueryRule, st.cdb, fresh, c.QueryPos)
-		for _, t := range derived {
-			k.emit(t)
-		}
-		return err
+		return p.QueryDeltas[c.QueryPos].Run(&sc.join, st.cdb, fresh, k.emit)
 	}
 
 	// generate queues the access tuples cache node c newly supports; the
@@ -320,7 +315,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 	drain() // the access statistics are final once nothing is in flight
 	if !streaming {
-		if err := k.evaluate(p.Query, st.cdb, truncated); err != nil {
+		if err := k.evaluate(p.QueryJoin, &sc.join, st.cdb, truncated); err != nil {
 			return nil, err
 		}
 	}
@@ -415,13 +410,9 @@ func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tup
 		return nil, nil
 	}
 	for _, f := range c.Feeds {
-		derived, err := datalog.EvalRuleWithDelta(f.Rule, st.cdb, fresh, f.BodyPos)
-		if err != nil {
-			return nil, err
-		}
 		p := &st.enums[f.Cache].pos[f.Input]
-		for _, t := range derived {
-			p.add(t[0])
+		if err := f.Join.Run(&st.sc.join, st.cdb, fresh, func(head datalog.Tuple) { p.add(head[0]) }); err != nil {
+			return nil, err
 		}
 	}
 	return fresh, nil
@@ -429,21 +420,16 @@ func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tup
 
 // subquerySatisfiable runs the early non-emptiness test before populating
 // group gi: the positive subquery restricted to the atoms whose caches
-// belong to groups j < gi must have at least one satisfying assignment.
+// belong to groups j < gi must have at least one satisfying assignment —
+// one; the join stops at the first it finds.
 func (st *groupState) subquerySatisfiable(gi int) (bool, error) {
-	var body []cq.Atom
-	for _, c := range st.p.Caches {
-		if c.QueryPos >= 0 && c.Group < gi {
-			body = append(body, st.p.Query.Body[c.QueryPos])
-		}
-	}
-	if len(body) == 0 {
+	test := st.p.GroupTests[gi]
+	if test == nil {
 		return true, nil
 	}
-	sub := &cq.CQ{Name: "sat", Body: body} // boolean query: empty head
-	ans, err := datalog.EvalQuery(sub, st.cdb)
+	sat, err := test.Exists(&st.sc.join, st.cdb, nil)
 	if err != nil {
 		return false, fmt.Errorf("early test before group %d: %w", gi, err)
 	}
-	return ans.Len() > 0, nil
+	return sat, nil
 }

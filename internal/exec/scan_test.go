@@ -61,16 +61,20 @@ func runWarmScan(t testing.TB, f *fixture, opts Options) {
 	}
 }
 
-// TestPipelinedScanAllocBudget pins delta-driven distillation: a warm scan
-// allocates per extraction and per answer. Re-deriving the domains after
-// every probe result (115 894 allocations before the domains were
-// maintained from deltas) fails here rather than in a benchmark nobody
-// reads.
+// TestPipelinedScanAllocBudget pins delta-driven distillation over compiled
+// joins: a warm scan allocates per growth step of what it builds — the
+// answer relation, the cache indexes — and per round trip, not per
+// extraction, per derived tuple or per answer (136 allocations for 512
+// answers and 129 accesses). Re-deriving the domains after every probe
+// result (115 894 allocations before the domains were maintained from
+// deltas), a join that allocates per call or per head (4 264 while an
+// interpreter ran the rules), or compiling anything during an execution of
+// a planned shape fails here rather than in a benchmark nobody reads.
 func TestPipelinedScanAllocBudget(t *testing.T) {
 	f, opts := scanFixture(t)
 	run := func() { runWarmScan(t, f, opts) }
 	run() // size the scratch
-	const budget = 15000
+	const budget = 500
 	if allocs := testing.AllocsPerRun(5, run); allocs > budget {
 		t.Errorf("a warm scan makes %.0f allocations for %d answers, budget %d", allocs, scanAnswers, budget)
 	}

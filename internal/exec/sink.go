@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/source"
 )
@@ -47,16 +46,17 @@ func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tupl
 // an executor that derives answers as it goes may stop extracting.
 func (k *sink) full() bool { return k.limit > 0 && k.answers.Len() >= k.limit }
 
-// emit takes one derived answer: dropped when already taken, withheld — a
-// fresh answer beyond the limit proves the limit cut the answer set — when
-// the sink is full, otherwise recorded in the answer relation and in the
-// burst the next deliver hands over.
+// emit takes one derived answer, in a buffer the caller may reuse: dropped
+// when already taken, withheld — a fresh answer beyond the limit proves the
+// limit cut the answer set — when the sink is full, otherwise copied into
+// the answer relation and recorded in the burst the next deliver hands over.
 func (k *sink) emit(t datalog.Tuple) {
 	if k.full() {
 		k.withheld = k.withheld || !k.answers.Contains(t)
 		return
 	}
-	if !k.answers.Insert(t) {
+	t, fresh := k.answers.InsertCopy(t)
+	if !fresh {
 		return
 	}
 	if k.first == 0 {
@@ -78,21 +78,17 @@ func (k *sink) deliver() {
 	k.burst = k.burst[:0]
 }
 
-// evaluate emits the answers of q over the tuples extracted into db — how
-// an executor that does not join incrementally delivers. Every tuple of db
-// is a real one, so after a truncated run the answers are a sound subset —
-// except with negation, where none is sound before the caches are complete
-// and none is emitted.
-func (k *sink) evaluate(q *cq.CQ, db datalog.DB, truncated bool) error {
-	if truncated && len(q.Negated) > 0 {
+// evaluate emits the answers of the query rule over the tuples extracted
+// into db — how an executor that does not join incrementally delivers.
+// Every tuple of db is a real one, so after a truncated run the answers are
+// a sound subset — except with negation, where none is sound before the
+// caches are complete and none is emitted.
+func (k *sink) evaluate(query *datalog.Compiled, m *datalog.Machine, db datalog.DB, truncated bool) error {
+	if truncated && len(query.Rule().Negated) > 0 {
 		return nil
 	}
-	answers, err := datalog.EvalQuery(q, db)
-	if err != nil {
-		return fmt.Errorf("exec: evaluating %s: %w", q.Name, err)
-	}
-	for _, t := range answers.Tuples() {
-		k.emit(t)
+	if err := query.Run(m, db, nil, k.emit); err != nil {
+		return fmt.Errorf("exec: evaluating %s: %w", query.Rule().Head.Pred, err)
 	}
 	return nil
 }

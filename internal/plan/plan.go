@@ -20,6 +20,15 @@
 // generated from a shape (cq.Shape) is therefore the plan of every query of
 // that shape, each run bound to its own constants.
 //
+// A finished plan is linked: beside the program it carries the tables the
+// executors index by — which relation each cache accesses, which domain
+// rules and which query-rule position its predicate feeds — and every rule
+// an executor will run in compiled form (datalog.Compile): the domain rules
+// per body position, the query rule per body position and over full
+// relations, the early-failure subquery of each position group. All of it
+// is immutable, so whatever compiling costs is paid once per shape and
+// shared by every execution.
+//
 // The plan also carries the source ordering: the surviving sources are
 // grouped into positions 1…k (sources on a common cyclic d-path share a
 // position; weak arcs order groups non-strictly, strong arcs strictly), and
@@ -79,10 +88,12 @@ type Cache struct {
 
 // Feed says that new tuples of a cache can provide new values for one input
 // position of a cache node: joining them, as the delta at BodyPos, through
-// the domain rule Rule derives exactly the values they contribute.
+// the domain rule Rule derives exactly the values they contribute. Join is
+// that rule compiled for that position.
 type Feed struct {
 	Rule    *datalog.Rule
 	BodyPos int
+	Join    *datalog.Compiled
 	// Cache and Input name the fed input position: Plan.Caches[Cache], input
 	// Input (an index into its DomainPreds).
 	Cache, Input int
@@ -100,6 +111,17 @@ type Plan struct {
 	Query *cq.CQ
 	// QueryRule is the rule of Program that defines Query.
 	QueryRule *datalog.Rule
+	// The compiled forms of QueryRule and of its positive subqueries — with
+	// the Feeds' joins, every program an executor runs, compiled once here
+	// and shared, like the plan, by every execution. QueryJoin evaluates the
+	// query over complete caches; QueryDeltas[i] joins new tuples of the
+	// cache at body position i with the full caches elsewhere; GroupTests[g]
+	// is the early-failure test before position group g — the boolean query
+	// over the body atoms whose caches belong to earlier groups — and nil
+	// where there is nothing to test.
+	QueryJoin   *datalog.Compiled
+	QueryDeltas []*datalog.Compiled
+	GroupTests  []*datalog.Compiled
 	// Caches lists one entry per surviving source, ordered by group then
 	// source ID.
 	Caches []*Cache
@@ -280,23 +302,22 @@ func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 		}
 	}
 	p.Query = rw
-	p.QueryRule = &datalog.Rule{
-		Head:    cq.Atom{Pred: rw.Name, Args: rw.Head},
-		Body:    rw.Body,
-		Negated: rw.Negated,
-	}
+	p.QueryRule = datalog.RuleOf(rw)
 	p.Program.Add(p.QueryRule)
 	if err := p.Program.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: generated program invalid: %w", err)
 	}
-	p.link()
+	if err := p.link(); err != nil {
+		return nil, fmt.Errorf("plan: compiling the program: %w", err)
+	}
 	return p, nil
 }
 
 // link derives the executors' tables from the finished program: which
 // relation each cache accesses and whether it shares it, where each cache
-// predicate sits in the domain rules and in the query rule.
-func (p *Plan) link() {
+// predicate sits in the domain rules and in the query rule — and compiles
+// the joins those places stand for.
+func (p *Plan) link() (err error) {
 	byPred := make(map[string]*Cache, len(p.Caches))
 	fed := make(map[string]Feed) // domain predicate -> the input position it binds
 	relIndex := make(map[string]int)
@@ -330,13 +351,39 @@ func (p *Plan) link() {
 		}
 		for bi, a := range r.Body {
 			f.Rule, f.BodyPos = r, bi
+			if f.Join, err = datalog.Compile(r, bi); err != nil {
+				return err
+			}
 			c := byPred[a.Pred]
 			c.Feeds = append(c.Feeds, f)
 		}
 	}
+	if p.QueryJoin, err = datalog.Compile(p.QueryRule, -1); err != nil {
+		return err
+	}
+	p.QueryDeltas = make([]*datalog.Compiled, len(p.QueryRule.Body))
 	for bi, a := range p.QueryRule.Body {
 		byPred[a.Pred].QueryPos = bi
+		if p.QueryDeltas[bi], err = datalog.Compile(p.QueryRule, bi); err != nil {
+			return err
+		}
 	}
+	p.GroupTests = make([]*datalog.Compiled, len(p.Groups))
+	for gi := range p.Groups {
+		test := &datalog.Rule{Head: cq.Atom{Pred: "sat"}} // boolean: empty head
+		for _, c := range p.Caches {
+			if c.QueryPos >= 0 && c.Group < gi {
+				test.Body = append(test.Body, p.QueryRule.Body[c.QueryPos])
+			}
+		}
+		if len(test.Body) == 0 {
+			continue
+		}
+		if p.GroupTests[gi], err = datalog.Compile(test, -1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // providerAtom builds the cache atom of the provider behind arc a, with the
