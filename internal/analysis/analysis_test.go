@@ -60,6 +60,12 @@ func TestHotpathStringsFixture(t *testing.T) {
 	runFixture(t, HotpathStrings, "toorjah/internal/exec", "hotpath")
 }
 
+// TestHotpathPackedKeysFixture: posing as internal/datalog, the packed-key
+// calls the exec-posing fixture above makes freely (GoodKey) are findings.
+func TestHotpathPackedKeysFixture(t *testing.T) {
+	runFixture(t, HotpathStrings, "toorjah/internal/datalog", "packedkey")
+}
+
 func TestCtxFirstFixture(t *testing.T) {
 	runFixture(t, CtxFirst, "toorjah/internal/ctxfixture", "ctxfirst")
 }

@@ -9,10 +9,12 @@ import (
 // hot-path packages (exec, storage, cache, datalog) no code may
 // materialize symbol IDs back into strings or build keys through fmt — IDs
 // flow end to end and strings appear only at result/serialization
-// boundaries, which are marked //toorjahvet:boundary.
+// boundaries, which are marked //toorjahvet:boundary. In storage and datalog
+// it also bans packing IDs into string keys: every lookup there hashes the
+// IDs through sym.RefTable.
 var HotpathStrings = &Analyzer{
 	Name: "hotpath-strings",
-	Doc:  "no string materialization or fmt-based key building in hot-path packages",
+	Doc:  "no string materialization or fmt-based key building in hot-path packages; no packed string keys in storage and datalog",
 	Run:  runHotpathStrings,
 }
 
@@ -45,15 +47,33 @@ var hotpathBanned = map[string]string{
 	"strings.Join":                           "builds a joined string key",
 }
 
+// refTablePkgs are the hot-path packages whose every ID-keyed lookup goes
+// through sym.RefTable; packedKeyBanned is what they may not call on top of
+// hotpathBanned. exec and cache keep packed keys (Result.AnswerSet, the
+// versioned cache key — a table with TTL, LRU and singleflight of its own).
+var refTablePkgs = []string{
+	"/internal/storage",
+	"/internal/datalog",
+}
+
+const packedKeyReason = "builds a packed string key (hash the IDs through sym.RefTable)"
+
+var packedKeyBanned = map[string]string{
+	"{mod}/internal/sym.Key":            packedKeyReason,
+	"{mod}/internal/sym.AppendKey":      packedKeyReason,
+	"({mod}/internal/storage.IRow).Key": packedKeyReason,
+}
+
 // stringerMethods may materialize freely: they exist to render.
 var stringerMethods = map[string]bool{
 	"String": true, "GoString": true, "Format": true, "Error": true,
 }
 
 func runHotpathStrings(pass *Pass) {
-	if !isHotPathPkg(pass.Module.Path, pass.Pkg.Path) {
+	if !pkgIn(hotPathPkgs, pass.Module.Path, pass.Pkg.Path) {
 		return
 	}
+	noPackedKeys := pkgIn(refTablePkgs, pass.Module.Path, pass.Pkg.Path)
 	panicArgs := collectPanicArgCalls(pass.Pkg.Files)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -67,6 +87,9 @@ func runHotpathStrings(pass *Pass) {
 			}
 			name = strings.Replace(name, pass.Module.Path+"/", "{mod}/", 1)
 			reason, banned := hotpathBanned[name]
+			if !banned && noPackedKeys {
+				reason, banned = packedKeyBanned[name]
+			}
 			if !banned || panicArgs[call] || pass.InBoundaryFunc(call.Pos()) {
 				return true
 			}
@@ -81,8 +104,10 @@ func runHotpathStrings(pass *Pass) {
 	}
 }
 
-func isHotPathPkg(modPath, pkgPath string) bool {
-	for _, suffix := range hotPathPkgs {
+// pkgIn reports whether pkgPath is one of the module packages listed by path
+// suffix.
+func pkgIn(suffixes []string, modPath, pkgPath string) bool {
+	for _, suffix := range suffixes {
 		if pkgPath == modPath+suffix {
 			return true
 		}

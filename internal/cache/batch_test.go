@@ -171,9 +171,9 @@ type invalidatingWrapper struct {
 	c *Cache
 }
 
-func (w *invalidatingWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (w *invalidatingWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	w.c.Invalidate(w.Relation().Name)
-	return w.Wrapper.Probe(ctx, bindings)
+	return w.Wrapper.Probe(ctx, bindings, out)
 }
 
 // TestMultiGetExpiry: expired entries are dropped and counted, not served.

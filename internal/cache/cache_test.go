@@ -210,9 +210,9 @@ type slowWrapper struct {
 }
 
 func (s *slowWrapper) Relation() *schema.Relation { return s.inner.Relation() }
-func (s *slowWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (s *slowWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	time.Sleep(s.d)
-	return s.inner.Probe(ctx, bindings)
+	return s.inner.Probe(ctx, bindings, out)
 }
 
 func TestSingleflightCollapsesConcurrentProbes(t *testing.T) {
@@ -279,12 +279,12 @@ type panicOnceWrapper struct {
 }
 
 func (p *panicOnceWrapper) Relation() *schema.Relation { return p.inner.Relation() }
-func (p *panicOnceWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (p *panicOnceWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	if !p.panicked {
 		p.panicked = true
 		panic("wrapper bug")
 	}
-	return p.inner.Probe(ctx, bindings)
+	return p.inner.Probe(ctx, bindings, out)
 }
 
 // TestPanicDoesNotWedgeKey: a panicking wrapper must not leave the access

@@ -1,0 +1,75 @@
+package cache
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
+)
+
+// TestProbeContract runs source.Wrapper's contract test over the cache
+// wrapper, on each of the four ways it fills a slot: a hit, a miss its own
+// round trip fetches, an access collapsed onto another request's flight,
+// and one orphaned when that flight fails.
+func TestProbeContract(t *testing.T) {
+	t.Run("own miss, then hit", func(t *testing.T) {
+		f := sourcetest.New(t)
+		ctr := source.NewCounter(f.Source, false)
+		c := New(Options{})
+		f.Contract(t, c.Wrap(ctr), func() int { return ctr.Stats().Accesses })
+		if st := c.Snapshot()["r"]; st.Hits < int64(len(f.Batch())) {
+			t.Errorf("the second probe was not served from the cache: %+v", st)
+		}
+		if got := ctr.Stats().Accesses; got != 5 {
+			t.Errorf("source accesses = %d, want 5: the batch's distinct bindings, once", got)
+		}
+	})
+
+	for name, fail := range map[string]func() error{
+		"collapsed onto another request's flight": nil,
+		"orphaned by a failed flight":             func() error { return errors.New("boom") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := sourcetest.New(t)
+			ctr := source.NewCounter(f.Source, false)
+			gate := &gateWrapper{Wrapper: ctr, release: make(chan struct{}), failFirst: fail}
+			c := New(Options{})
+			w := c.Wrap(gate)
+			n := int64(len(f.Batch()))
+
+			owner := make(chan error, 1)
+			ownerOut := f.Dirty()
+			go func() { owner <- w.Probe(context.Background(), f.Batch(), ownerOut) }()
+			awaitClassified(t, c, n) // the owner's round trip is held by the gate
+
+			waiter := make(chan error, 1)
+			waiterOut := f.Dirty()
+			go func() { waiter <- w.Probe(context.Background(), f.Batch(), waiterOut) }()
+			if st := awaitClassified(t, c, 2*n); st.Collapsed < n {
+				t.Fatalf("the second request did not join the flight: %+v", st)
+			}
+			close(gate.release)
+
+			if err := <-owner; (err != nil) != (fail != nil) {
+				t.Fatalf("owner: err = %v", err)
+			} else if err == nil {
+				f.Check(t, "the flight's owner", ownerOut)
+			}
+			if err := <-waiter; err != nil {
+				t.Fatalf("waiter: %v", err)
+			}
+			f.Check(t, "the waiter", waiterOut)
+			// The flight's slots are the cache's: a third request is served
+			// from what was stored, whatever the first two callers do to theirs.
+			clear(ownerOut)
+			clear(waiterOut)
+			out := f.Dirty()
+			if err := w.Probe(context.Background(), f.Batch(), out); err != nil {
+				t.Fatal(err)
+			}
+			f.Check(t, "a later hit", out)
+		})
+	}
+}

@@ -25,16 +25,16 @@ type gateWrapper struct {
 	failFirst func() error
 }
 
-func (g *gateWrapper) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (g *gateWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	<-g.release
 	g.mu.Lock()
 	fail := g.failFirst
 	g.failFirst = nil
 	g.mu.Unlock()
 	if fail != nil {
-		return nil, fail()
+		return fail()
 	}
-	return g.Wrapper.Probe(ctx, bindings)
+	return g.Wrapper.Probe(ctx, bindings, out)
 }
 
 // awaitClassified blocks until the cache has classified n accesses of r

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"fmt"
 
 	"toorjah/internal/obs"
 	"toorjah/internal/schema"
@@ -56,7 +55,15 @@ type wait struct {
 // conservative, never stale. When the context carries a trace, a
 // "cache-lookup" span records how many of the requested accesses the cache
 // absorbed.
-func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+//
+// Hits, and what foreign flights deliver, go straight into the caller's
+// slots. A flight's own extractions land in slots the cache allocates for
+// it: the requests collapsed onto the flight read them after this one has
+// returned and its caller has reused out.
+func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+	if err := source.CheckSlots(s.inner.Relation(), bindings, out); err != nil {
+		return err
+	}
 	c, rel := s.c, s.inner.Relation().Name
 	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
 	defer sp.End()
@@ -65,7 +72,6 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]stor
 
 	epoch := source.EpochOf(s.inner)
 	now := c.opts.now()
-	out := make([][]storage.IRow, len(bindings))
 	var (
 		own     *flight // this request's round trip, if it owns any miss
 		ownKeys []string
@@ -100,7 +106,7 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]stor
 	if own != nil {
 		rows, err := c.fetch(ctx, s.inner, own, ownKeys, pick(bindings, ownIdx))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for j, i := range ownIdx {
 			out[i] = rows[j]
@@ -112,7 +118,7 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]stor
 		select {
 		case <-w.f.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if w.f.rows == nil {
 			orphans = append(orphans, w.idx)
@@ -121,15 +127,15 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]stor
 		out[w.idx] = w.f.rows[w.slot]
 	}
 	if len(orphans) > 0 {
-		rows, err := s.Probe(ctx, pick(bindings, orphans))
-		if err != nil {
-			return nil, err
+		rows := make([][]storage.IRow, len(orphans))
+		if err := s.Probe(ctx, pick(bindings, orphans), rows); err != nil {
+			return err
 		}
 		for j, i := range orphans {
 			out[i] = rows[j]
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // pick gathers the bindings at the given batch positions.
@@ -142,7 +148,8 @@ func pick(bindings [][]sym.ID, idx []int) [][]sym.ID {
 }
 
 // fetch is the cache's one call into an inner source: it probes the keys
-// flight f owns as a single round trip and publishes the outcome — success,
+// flight f owns as a single round trip, into result slots it allocates for
+// the flight (its waiters share them), and publishes the outcome — success,
 // error and panic alike, so a panicking wrapper cannot wedge its keys: the
 // keys are unregistered, waiters are released, and the panic propagates to
 // the request that owns the flight. Extractions are stored unless the probe
@@ -171,10 +178,8 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, keys []s
 		}
 		close(f.done)
 	}()
-	rows, err = w.Probe(ctx, bindings)
-	if err == nil && len(rows) != len(bindings) {
-		err = fmt.Errorf("cache: source %s returned %d extractions for %d accesses", rel, len(rows), len(bindings))
-	}
+	rows = make([][]storage.IRow, len(bindings))
+	err = w.Probe(ctx, bindings, rows)
 	delivered = err == nil
 	return rows, err
 }

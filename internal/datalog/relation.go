@@ -2,8 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand/v2"
 	"slices"
 	"sort"
 	"strings"
@@ -24,109 +22,16 @@ type Tuple = storage.IRow
 // constructor used by tests and by callers holding boundary data.
 func T(vals ...string) Tuple { return sym.InternAll(vals) }
 
-// hashSeed keys every table of the process. The values hashed are symbol
-// IDs of client-supplied strings, so — like the runtime's maps — the
-// function must not be predictable from outside.
-var hashSeed = rand.Uint64()
-
-// hashIDs hashes a sequence of IDs: one 64×64→128-bit multiplication per
-// ID, folded. The table indexes by the top bits, which a multiplicative
-// hash spreads evenly over consecutive IDs — what the interner hands out.
-func hashIDs(ids []sym.ID) uint32 {
-	h := hashSeed
-	for _, id := range ids {
-		hi, lo := bits.Mul64(h^uint64(id), 0x9E3779B97F4A7C15)
-		h = hi ^ lo
-	}
-	return uint32(h >> 32)
-}
-
-// table is an open-addressing hash table (linear probing, at most half
-// full) of int32 references into storage its owner already keeps: a
-// relation's tuples, an index's buckets. It stores no key — the owner
-// compares a candidate against what the reference points at — only the
-// hash, which saves most of those comparisons and lets the table grow
-// without looking at a tuple. The zero value is an empty table.
-type table struct {
-	slots []slot
-	used  int
-	shift uint8 // 32 − log₂ len(slots): a hash's home slot is its top bits
-}
-
-type slot struct {
-	hash uint32
-	ref  int32 // the reference plus one; 0 marks an empty slot
-}
-
-// first returns the first reference filed under hash h and the slot it
-// occupies, or −1 when there is none; next continues from a slot first or
-// next returned. The caller walks until a reference points at what it is
-// looking for:
-//
-//	for at, ref := tb.first(h); ref >= 0; at, ref = tb.next(at, h) { … }
-func (tb *table) first(h uint32) (at int, ref int32) {
-	if len(tb.slots) == 0 {
-		return 0, -1
-	}
-	return tb.scan(int(h>>tb.shift), h)
-}
-
-func (tb *table) next(at int, h uint32) (int, int32) {
-	return tb.scan((at+1)&(len(tb.slots)-1), h)
-}
-
-func (tb *table) scan(at int, h uint32) (int, int32) {
-	for mask := len(tb.slots) - 1; ; at = (at + 1) & mask {
-		switch s := tb.slots[at]; {
-		case s.ref == 0:
-			return at, -1
-		case s.hash == h:
-			return at, s.ref - 1
-		}
-	}
-}
-
-// add files a reference under hash h. The caller has walked the entries
-// under h and found none equal to what ref points at.
-func (tb *table) add(h uint32, ref int32) {
-	if 2*(tb.used+1) > len(tb.slots) {
-		old := tb.slots
-		tb.slots = make([]slot, max(8, 2*len(old)))
-		tb.shift = uint8(32 - bits.TrailingZeros(uint(len(tb.slots))))
-		for _, s := range old {
-			if s.ref != 0 {
-				tb.place(s)
-			}
-		}
-	}
-	tb.place(slot{hash: h, ref: ref + 1})
-	tb.used++
-}
-
-func (tb *table) place(s slot) {
-	at, mask := int(s.hash>>tb.shift), len(tb.slots)-1
-	for tb.slots[at].ref != 0 {
-		at = (at + 1) & mask
-	}
-	tb.slots[at] = s
-}
-
-// reset empties the table, keeping its capacity.
-func (tb *table) reset() {
-	clear(tb.slots)
-	tb.used = 0
-}
-
 // Relation is a set of equal-length tuples with lazily built hash indexes on
-// position subsets. Membership and every index are one table each, hashed
-// straight from the IDs and pointing into what the relation stores anyway:
-// no key is built, and none is kept beside the tuple it came from. A
+// position subsets. Membership and every index are one sym.RefTable each,
+// hashed straight from the IDs and pointing into what the relation stores
+// anyway: no key is built, and none is kept beside the tuple it came from. A
 // relation holds fewer than 2³¹ tuples.
 type Relation struct {
 	Name   string
 	Arity  int
 	tuples []Tuple
-	seen   table // references into tuples
+	seen   sym.RefTable // references into tuples
 	// indexes holds one hash index per position list a Lookup has asked
 	// for, built on first use and extended on insert. A relation carries a
 	// handful at most (one per way a rule joins into it), so finding one is
@@ -139,7 +44,7 @@ type Relation struct {
 // index groups a relation's tuples by their values at fixed positions.
 type index struct {
 	positions []int
-	group     table // references into buckets
+	group     sym.RefTable // references into buckets
 	buckets   [][]Tuple
 	slab      []Tuple // what new buckets are carved from
 }
@@ -149,7 +54,7 @@ type index struct {
 // bucket's key, so the first one stands for it.
 func (ix *index) find(vals []sym.ID, h uint32) int32 {
 candidates:
-	for at, ref := ix.group.first(h); ref >= 0; at, ref = ix.group.next(at, h) {
+	for at, ref := ix.group.First(h); ref >= 0; at, ref = ix.group.Next(at, h) {
 		t := ix.buckets[ref][0]
 		for i, p := range ix.positions {
 			if t[p] != vals[i] {
@@ -168,12 +73,12 @@ func (ix *index) add(t Tuple) {
 	for _, p := range ix.positions {
 		vals = append(vals, t[p])
 	}
-	h := hashIDs(vals)
+	h := sym.HashIDs(vals)
 	if b := ix.find(vals, h); b >= 0 {
 		ix.buckets[b] = append(ix.buckets[b], t)
 		return
 	}
-	ix.group.add(h, int32(len(ix.buckets)))
+	ix.group.Add(h, int32(len(ix.buckets)))
 	// A bucket starts with room for a second tuple, carved with many others:
 	// a key that joins to one tuple or two never allocates on its own.
 	if cap(ix.slab)-len(ix.slab) < 2 {
@@ -196,7 +101,7 @@ func NewRelation(name string, arity int) *Relation {
 func (r *Relation) Reset() {
 	clear(r.tuples)
 	r.tuples = r.tuples[:0]
-	r.seen.reset()
+	r.seen.Reset()
 	clear(r.indexes)
 	r.indexes = r.indexes[:0]
 	r.chunk = nil // its tuples may live on in whoever was handed them
@@ -204,7 +109,7 @@ func (r *Relation) Reset() {
 
 // holds reports membership of a tuple hashed to h.
 func (r *Relation) holds(t Tuple, h uint32) bool {
-	for at, ref := r.seen.first(h); ref >= 0; at, ref = r.seen.next(at, h) {
+	for at, ref := r.seen.First(h); ref >= 0; at, ref = r.seen.Next(at, h) {
 		if slices.Equal(r.tuples[ref], t) {
 			return true
 		}
@@ -214,7 +119,7 @@ func (r *Relation) holds(t Tuple, h uint32) bool {
 
 // store appends a tuple, hashed to h, that the relation does not hold.
 func (r *Relation) store(t Tuple, h uint32) {
-	r.seen.add(h, int32(len(r.tuples)))
+	r.seen.Add(h, int32(len(r.tuples)))
 	r.tuples = append(r.tuples, t)
 	for _, ix := range r.indexes {
 		ix.add(t)
@@ -231,7 +136,7 @@ func (r *Relation) checkArity(t Tuple) {
 // afterwards — and reports whether it was new.
 func (r *Relation) Insert(t Tuple) bool {
 	r.checkArity(t)
-	h := hashIDs(t)
+	h := sym.HashIDs(t)
 	if r.holds(t, h) {
 		return false
 	}
@@ -245,7 +150,7 @@ func (r *Relation) Insert(t Tuple) bool {
 // copy.
 func (r *Relation) InsertCopy(t Tuple) (Tuple, bool) {
 	r.checkArity(t)
-	h := hashIDs(t)
+	h := sym.HashIDs(t)
 	if r.holds(t, h) {
 		return nil, false
 	}
@@ -260,7 +165,7 @@ func (r *Relation) InsertCopy(t Tuple) (Tuple, bool) {
 }
 
 // Contains reports membership of a tuple.
-func (r *Relation) Contains(t Tuple) bool { return r.holds(t, hashIDs(t)) }
+func (r *Relation) Contains(t Tuple) bool { return r.holds(t, sym.HashIDs(t)) }
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.tuples) }
@@ -277,7 +182,7 @@ func (r *Relation) Lookup(positions []int, vals []sym.ID) []Tuple {
 		return r.tuples
 	}
 	ix := r.indexOn(positions)
-	if b := ix.find(vals, hashIDs(vals)); b >= 0 {
+	if b := ix.find(vals, sym.HashIDs(vals)); b >= 0 {
 		return ix.buckets[b]
 	}
 	return nil

@@ -149,50 +149,30 @@ func TestRelationMatchesMapModel(t *testing.T) {
 }
 
 // TestRelationSequentialIDs: the interner hands out consecutive IDs, so
-// that is what tuples are made of. 10⁵ of them, under several seeds, land
-// within a slot of where their hash points on average — the tables stay
-// O(1) — and membership and lookups stay exact.
+// that is what tuples are made of. With 10⁵ of them membership and lookups
+// stay exact. (How evenly they spread is sym.RefTable's to show.)
 func TestRelationSequentialIDs(t *testing.T) {
-	defer func(seed uint64) { hashSeed = seed }(hashSeed)
 	const n = 100000
-	for _, seed := range []uint64{hashSeed, 0, ^uint64(0), 0x9E3779B97F4A7C15} {
-		hashSeed = seed
-		for _, arity := range []int{1, 2, 3} {
-			r := NewRelation("r", arity)
-			tuple := func(i int) Tuple {
-				t := make(Tuple, arity)
-				for j := range t {
-					t[j] = sym.ID(1 + i + j) // (i), (i, i+1), (i, i+1, i+2)
-				}
-				return t
+	for _, arity := range []int{1, 2, 3} {
+		r := NewRelation("r", arity)
+		tuple := func(i int) Tuple {
+			t := make(Tuple, arity)
+			for j := range t {
+				t[j] = sym.ID(1 + i + j) // (i), (i, i+1), (i, i+1, i+2)
 			}
-			for i := 0; i < n; i++ {
-				if !r.Insert(tuple(i)) {
-					t.Fatalf("seed %#x, arity %d: tuple %d reported as held", seed, arity, i)
-				}
+			return t
+		}
+		for i := 0; i < n; i++ {
+			if !r.Insert(tuple(i)) {
+				t.Fatalf("arity %d: tuple %d reported as held", arity, i)
 			}
-			r.Lookup([]int{0}, tuple(0)[:1])
-			for i := 0; i < n; i += 97 {
-				if !r.Contains(tuple(i)) || r.Contains(tuple(n+i)) {
-					t.Fatalf("seed %#x, arity %d: membership of tuple %d or %d is wrong", seed, arity, i, n+i)
-				}
-				if got := r.Lookup([]int{0}, tuple(i)[:1]); len(got) != 1 || !slices.Equal(got[0], tuple(i)) {
-					t.Fatalf("seed %#x, arity %d: Lookup of tuple %d by its first value = %v", seed, arity, i, got)
-				}
+		}
+		for i := 0; i < n; i += 97 {
+			if !r.Contains(tuple(i)) || r.Contains(tuple(n+i)) {
+				t.Fatalf("arity %d: membership of tuple %d or %d is wrong", arity, i, n+i)
 			}
-			for name, tb := range map[string]*table{"membership": &r.seen, "index": &r.indexes[0].group} {
-				if tb.used != n || 2*tb.used > len(tb.slots) {
-					t.Fatalf("seed %#x, arity %d: %s table holds %d entries in %d slots", seed, arity, name, tb.used, len(tb.slots))
-				}
-				displaced := 0
-				for at, s := range tb.slots {
-					if s.ref != 0 {
-						displaced += (at - int(s.hash>>tb.shift)) & (len(tb.slots) - 1)
-					}
-				}
-				if mean := float64(displaced) / n; mean > 1 {
-					t.Errorf("seed %#x, arity %d: an entry of the %s table sits %.2f slots from home on average, want under 1", seed, arity, name, mean)
-				}
+			if got := r.Lookup([]int{0}, tuple(i)[:1]); len(got) != 1 || !slices.Equal(got[0], tuple(i)) {
+				t.Fatalf("arity %d: Lookup of tuple %d by its first value = %v", arity, i, got)
 			}
 		}
 	}

@@ -167,7 +167,7 @@ type cancelSource struct {
 	b *accessBudget
 }
 
-func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	w.b.mu.Lock()
 	w.b.budget -= len(bindings)
 	spent := w.b.budget <= 0
@@ -175,10 +175,10 @@ func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]stor
 	if spent {
 		w.b.cancel()
 		if w.b.abort {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return w.Wrapper.Probe(ctx, bindings)
+	return w.Wrapper.Probe(ctx, bindings, out)
 }
 
 // cancelAfter rebinds every relation of the fixture behind wrappers that

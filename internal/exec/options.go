@@ -128,13 +128,14 @@ var errCancelled = errors.New("exec: extraction cancelled")
 // probe is the executors' one call into a source. A probe that fails once
 // its context is done failed because of the cancellation — a round trip cut
 // off mid-flight, an abandoned wait on another query's in-flight access —
-// and reports errCancelled, so the run truncates instead of erroring.
-func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID) ([][]datalog.Tuple, error) {
-	rows, err := w.Probe(ctx, bindings)
+// and reports errCancelled, so the run truncates instead of erroring. The
+// extractions land in slots, which the caller owns as it owns the bindings.
+func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID, slots [][]datalog.Tuple) error {
+	err := w.Probe(ctx, bindings, slots)
 	if err != nil && ctxDone(ctx) {
-		return nil, errCancelled
+		return errCancelled
 	}
-	return rows, err
+	return err
 }
 
 // instrument prepares, for one execution, the sources of the relations it

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"toorjah/internal/datalog"
@@ -36,9 +37,10 @@ type scratch struct {
 	enumsOut int
 	// arena holds a naive pass's access bindings laid out flat, width IDs
 	// apiece; batch is the slice of binding headers into it that one round
-	// trip carries.
+	// trip carries, slots the extractions it brings back.
 	arena []sym.ID
 	batch [][]sym.ID
+	slots [][]datalog.Tuple
 	// fresh is groupState.ingest's result buffer: the tuples of the latest
 	// extraction that were new to their cache.
 	fresh []datalog.Tuple
@@ -90,6 +92,7 @@ func (sc *scratch) release() {
 	}
 	sc.relsOut, sc.enumsOut, sc.queuesOut = 0, 0, 0
 	sc.arena = sc.arena[:0]
+	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.fresh[:cap(sc.fresh)])
 	scratchPool.Put(sc)
 }
@@ -138,7 +141,8 @@ func (sc *scratch) relQueues(n int) []relQueue {
 }
 
 // flight hands out an empty round-trip record; recycle takes it back once
-// its extractions have been folded in, dropping its references to them.
+// its extractions have been folded in, dropping its references to them — no
+// row stays reachable from the pool.
 func (sc *scratch) flight() *flight {
 	if n := len(sc.flights); n > 0 {
 		fl := sc.flights[n-1]
@@ -150,7 +154,8 @@ func (sc *scratch) flight() *flight {
 
 func (sc *scratch) recycle(fl *flight) {
 	clear(fl.bindings)
-	fl.bindings, fl.rows, fl.err = fl.bindings[:0], nil, nil
+	clear(fl.rows)
+	fl.bindings, fl.rows, fl.err = fl.bindings[:0], fl.rows[:0], nil
 	sc.flights = append(sc.flights, fl)
 }
 
@@ -159,8 +164,8 @@ func (sc *scratch) recycle(fl *flight) {
 // order, and hands every extraction to ingest. A pass that collected N
 // fresh bindings thus costs ceil(N/maxBatch) round trips and allocates
 // nothing per binding: each batch is a reused slice of headers into the
-// arena. A context found done between two round trips ends the pass with
-// errCancelled.
+// arena and a reused slice of result slots. A context found done between
+// two round trips ends the pass with errCancelled.
 func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int, ingest func(rows []datalog.Tuple)) error {
 	for done := 0; done < count; {
 		if ctxDone(ctx) {
@@ -171,11 +176,11 @@ func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, coun
 		for i := done; i < done+n; i++ {
 			sc.batch = append(sc.batch, sc.arena[i*width:(i+1)*width:(i+1)*width])
 		}
-		extractions, err := probe(ctx, w, sc.batch)
-		if err != nil {
+		sc.slots = slices.Grow(sc.slots[:0], n)[:n]
+		if err := probe(ctx, w, sc.batch, sc.slots); err != nil {
 			return err
 		}
-		for _, rows := range extractions {
+		for _, rows := range sc.slots {
 			ingest(rows)
 		}
 		done += n

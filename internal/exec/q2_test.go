@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"toorjah/internal/datalog"
 	"toorjah/internal/gen"
 )
 
@@ -25,10 +26,12 @@ const q2Accesses = 42845
 
 // TestFastFailQ2AllocBudget pins the flat access path: a warm fast-fail
 // execution of q2 allocates per pass and per extracted tuple, never per
-// access. At 42845 accesses one allocation per access would already blow
-// the budget — 2 919 measured, plus 10% — so a per-binding copy, a key
-// string, a head tuple per derived value or map growth creeping back fails
-// here rather than in a benchmark nobody reads.
+// access and never per round trip. It measures 240 allocations for 42845
+// accesses in 2680 round trips; the budget is that plus 10%, so one
+// allocation per round trip — a result slice the source makes instead of
+// filling the caller's — already fails here, as does a per-binding copy, a
+// key string or map growth creeping back, rather than in a benchmark nobody
+// reads.
 func TestFastFailQ2AllocBudget(t *testing.T) {
 	f := q2Fixture(t)
 	run := func() {
@@ -41,8 +44,16 @@ func TestFastFailQ2AllocBudget(t *testing.T) {
 		}
 	}
 	run() // warm: build the storage indexes, size the scratch
-	const budget = 3200
-	if allocs := testing.AllocsPerRun(5, run); allocs > budget {
+	// The best of eight runs: under the race detector sync.Pool drops a
+	// quarter of what is put back, and a run that finds the scratch gone
+	// rebuilds it (some 230 allocations). What the budget guards against
+	// shows in every run.
+	const budget = 264
+	allocs := testing.AllocsPerRun(1, run)
+	for i := 1; i < 8; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, run))
+	}
+	if allocs > budget {
 		t.Errorf("a warm q2 execution makes %.0f allocations for %d accesses, budget %d", allocs, q2Accesses, budget)
 	}
 }
@@ -111,4 +122,31 @@ func BenchmarkPipelinedQ2(b *testing.B) {
 		runPipelinedQ2(b, f)
 	}
 	b.ReportMetric(q2Accesses, "accesses")
+}
+
+// TestRecycledSlotsHoldNoRow: a flight's result slots and the naive
+// executor's go back to the pool empty — the rows a run extracted are the
+// sources', and a pooled scratch must not keep a table version reachable
+// after the run that read it.
+func TestRecycledSlotsHoldNoRow(t *testing.T) {
+	row := []datalog.Tuple{datalog.T("a", "b")}
+	sc := getScratch()
+	fl := sc.flight()
+	fl.bindings = append(fl.bindings, row[0][:1], row[0][1:])
+	fl.rows = append(fl.rows, row, row)
+	sc.recycle(fl)
+	sc.slots = append(sc.slots, row, row)
+	sc.release()
+	for name, slots := range map[string][][]datalog.Tuple{"flight": fl.rows, "naive": sc.slots} {
+		for i, rows := range slots[:cap(slots)] {
+			if rows != nil {
+				t.Errorf("%s slot %d still holds %v", name, i, rows)
+			}
+		}
+	}
+	for i, b := range fl.bindings[:cap(fl.bindings)] {
+		if b != nil {
+			t.Errorf("binding %d of the recycled flight still points into a queue", i)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
@@ -74,12 +75,13 @@ type relQueue struct {
 }
 
 // flight is one round trip: up to MaxBatch consecutive access tuples of one
-// relation's queue, probed together.
+// relation's queue, probed together. It owns the memory the source is handed
+// — the binding headers and the result slots — and is recycled with it.
 type flight struct {
-	rel      int        // position in Plan.Relations
-	from     int        // queue position of the first access tuple
-	bindings [][]sym.ID // headers into the queue's ids
-	rows     [][]datalog.Tuple
+	rel      int               // position in Plan.Relations
+	from     int               // queue position of the first access tuple
+	bindings [][]sym.ID        // headers into the queue's ids
+	rows     [][]datalog.Tuple // per binding, the slot its extraction lands in
 	err      error
 }
 
@@ -204,6 +206,9 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				waiters = e.waiters
 				rm.Put(fl.bindings[i], metaEntry{rows: rows, landed: true})
 			}
+			if len(rows) == 0 {
+				continue // most accesses of a selective plan extract nothing
+			}
 			if err := extract(caches[owners[i]], rows); err != nil {
 				return err
 			}
@@ -232,8 +237,9 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				fl.bindings = append(fl.bindings, r.ids[at:at+r.width:at+r.width])
 				r.head++
 			}
+			fl.rows = slices.Grow(fl.rows, len(fl.bindings))[:len(fl.bindings)]
 			if s.inline {
-				fl.rows, fl.err = probe(pctx, r.w, fl.bindings)
+				fl.err = probe(pctx, r.w, fl.bindings, fl.rows)
 				if err := land(fl); err != nil {
 					return err
 				}
@@ -242,7 +248,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			r.inflight++
 			outstanding++
 			go func(ctx context.Context) {
-				fl.rows, fl.err = probe(ctx, r.w, fl.bindings)
+				fl.err = probe(ctx, r.w, fl.bindings, fl.rows)
 				landed <- fl
 			}(pctx)
 		}

@@ -114,29 +114,29 @@ func (p *probeSource) Epoch() uint64              { return source.EpochOf(p.inne
 
 // Probe forwards the batch and records it; the instruments are counts and
 // durations, so they never need the values.
-func (p *probeSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (p *probeSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	start := time.Now()
 	ctx, sp := StartSpan(ctx, "probe")
 	sp.SetAttr("relation", p.inner.Relation().Name)
 	sp.SetAttr("accesses", len(bindings))
-	rows, err := p.inner.Probe(ctx, bindings)
+	err := p.inner.Probe(ctx, bindings, out)
 	p.duration.Observe(time.Since(start).Seconds())
 	p.batchSize.Observe(float64(len(bindings)))
 	p.roundTrips.Inc()
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()
-		return nil, err
+		return err
 	}
 	p.accesses.Add(int64(len(bindings)))
 	var tuples int64
-	for _, r := range rows {
+	for _, r := range out {
 		tuples += int64(len(r))
 	}
 	p.tuples.Add(tuples)
 	sp.SetAttr("tuples", tuples)
 	sp.End()
-	return rows, nil
+	return nil
 }
 
 // demandSource counts the accesses a plan requests, before the cache gets
@@ -150,7 +150,7 @@ func (d *demandSource) Relation() *schema.Relation { return d.inner.Relation() }
 func (d *demandSource) Epoch() uint64              { return source.EpochOf(d.inner) }
 
 // Probe counts the demanded accesses and forwards the batch.
-func (d *demandSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (d *demandSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	d.obs.demanded.Add(int64(len(bindings)))
-	return d.inner.Probe(ctx, bindings)
+	return d.inner.Probe(ctx, bindings, out)
 }

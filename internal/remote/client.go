@@ -16,6 +16,7 @@ import (
 
 	"toorjah/internal/obs"
 	"toorjah/internal/schema"
+	"toorjah/internal/source"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
@@ -486,12 +487,15 @@ func (s *Source) Epoch() uint64 {
 // garbage immediately instead of living on in caches and relations, and
 // everything above this source (cache, counters, executors) stays on
 // integer tuples.
-func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+	if err := source.CheckSlots(s.rel, bindings, out); err != nil {
+		return err
+	}
 	inputs := s.rel.InputPositions()
 	wire := make([][]string, len(bindings))
 	for i, b := range bindings {
 		if len(b) != len(inputs) {
-			return nil, fmt.Errorf("remote source %s: binding of %d values for %d input arguments",
+			return fmt.Errorf("remote source %s: binding of %d values for %d input arguments",
 				s.rel.Name, len(b), len(inputs))
 		}
 		wire[i] = sym.Strs(b)
@@ -507,26 +511,28 @@ func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IR
 	results, err := s.c.Probe(ctx, s.rel.Name, wire)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		return nil, err
+		return err
 	}
 	// Soundness guard: every returned row must have the relation's arity
 	// and agree with its binding on the input positions. A misconfigured or
 	// buggy peer surfaces as an error, never as wrong answers.
-	out := make([][]storage.IRow, len(results))
 	for i, rows := range results {
 		for _, row := range rows {
 			if len(row) != s.rel.Arity() {
-				return nil, fmt.Errorf("remote source %s: peer %s returned a row of arity %d, want %d",
+				return fmt.Errorf("remote source %s: peer %s returned a row of arity %d, want %d",
 					s.rel.Name, s.c.base, len(row), s.rel.Arity())
 			}
 			for k, pos := range inputs {
 				if row[pos] != wire[i][k] {
-					return nil, fmt.Errorf("remote source %s: peer %s returned a row not matching its binding at position %d",
+					return fmt.Errorf("remote source %s: peer %s returned a row not matching its binding at position %d",
 						s.rel.Name, s.c.base, pos+1)
 				}
 			}
 		}
-		out[i] = storage.InternRows(rows)
+		out[i] = nil
+		if len(rows) > 0 {
+			out[i] = storage.InternRows(rows)
+		}
 	}
-	return out, nil
+	return nil
 }

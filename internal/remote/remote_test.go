@@ -13,6 +13,7 @@ import (
 
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
@@ -622,5 +623,25 @@ func TestSchemaEpochRoundTrip(t *testing.T) {
 	}
 	if got := ParseSchemaEpochs("# epoch bad\n# epoch x notanumber\n"); len(got) != 0 {
 		t.Errorf("malformed epoch lines parsed: %v", got)
+	}
+}
+
+// TestProbeContract runs source.Wrapper's contract test over a remote
+// source against a live peer: the decoded rows land in the caller's slots,
+// a binding the peer has nothing for leaves nil, and a batch this side can
+// refuse never reaches the peer.
+func TestProbeContract(t *testing.T) {
+	f := sourcetest.New(t)
+	peer := source.NewCounter(f.Source, false)
+	reg := source.NewRegistry()
+	reg.Bind(peer)
+	ts := httptest.NewServer(PeerMux(reg))
+	defer ts.Close()
+	c := Dial(ts.URL, fastOptions())
+	defer c.Close()
+
+	f.Contract(t, c.Source(f.Rel), func() int { return peer.Stats().Accesses })
+	if got := c.Telemetry()["r"].RoundTrips; got != 2 {
+		t.Errorf("the contract's two batches made %d round trips", got)
 	}
 }

@@ -244,15 +244,15 @@ type heldSource struct {
 	release chan struct{}
 }
 
-func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	if h.free.Add(-1) < 0 {
 		select {
 		case <-h.release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return h.Wrapper.Probe(ctx, bindings)
+	return h.Wrapper.Probe(ctx, bindings, out)
 }
 
 // TestMetricsCoalescedOnServingPath: two identical cold queries in flight

@@ -7,9 +7,14 @@
 // remote sources the paper targets, so that execution time is proportional
 // to the number of accesses, as in the paper's Fig. 11.
 //
+// Who owns the memory of a round trip — the caller its bindings and result
+// slots, the source the rows it puts into them — is part of the interface:
+// see Wrapper.
+//
 // The package also provides the access accounting used throughout the
 // experimental evaluation: a counting decorator records the number of
-// accesses and extracted tuples per relation.
+// accesses and extracted tuples per relation. internal/source/sourcetest
+// holds the contract test every implementation of Wrapper runs.
 package source
 
 import (
@@ -46,18 +51,26 @@ func (a Access) String() string {
 // Wrapper is a data source with access limitations, and Probe is its one
 // operation: the paper's access, batched. Each binding assigns interned
 // values to the relation's input positions (parallel to
-// Relation().InputPositions()); result i holds every tuple matching
+// Relation().InputPositions()); Probe sets out[i] to every tuple matching
 // bindings[i], complete with input and output attributes. A batch of N
 // bindings is exactly N accesses under the paper's cost model folded into
 // one round trip — soundness and access accounting are unaffected, only the
 // per-probe overhead (network latency, lock traffic) is amortised. An error
-// fails the whole batch. The context carries cancellation and the
-// observability baggage of the query being served (trace ID, current span)
-// through decorator stacks down to the source that pays the round trip; a
-// source is free to ignore it. Extracted rows may be shared and must not
-// be mutated; the bindings belong to the caller, which reuses their memory
-// for its next batch, so an implementation must not keep them (or the slice
-// of them) once Probe returns.
+// fails the whole batch and leaves out unspecified. The context carries
+// cancellation and the observability baggage of the query being served
+// (trace ID, current span) through decorator stacks down to the source that
+// pays the round trip; a source is free to ignore it.
+//
+// A round trip's memory is its caller's. The bindings and the result slots
+// out (len(out) == len(bindings), or the probe is an error) both belong to
+// the caller, which reuses them for its next batch: an implementation
+// assigns every out[i] — nil when nothing matches, whatever the slot held
+// before — and keeps neither slice, nor a binding, once Probe returns. What
+// it puts into the slots, the extracted rows, belongs to the source: rows
+// may be shared between results and with the table they came from, are
+// immutable, and stay valid for as long as anyone holds them. So a probe of
+// a local table that matches nothing allocates nothing, and a decorator
+// forwards its caller's slots instead of copying between its own and theirs.
 //
 // Tuples are interned end to end: the table source, the counting, caching
 // and metrics decorators and the executors never construct a string.
@@ -65,7 +78,17 @@ func (a Access) String() string {
 // codec inside remote.Source.
 type Wrapper interface {
 	Relation() *schema.Relation
-	Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error)
+	Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error
+}
+
+// CheckSlots reports a batch whose result slots do not pair up with its
+// bindings. Every implementation that writes slots itself — rather than
+// forwarding the batch whole — checks before it touches either.
+func CheckSlots(rel *schema.Relation, bindings [][]sym.ID, out [][]storage.IRow) error {
+	if len(out) != len(bindings) {
+		return fmt.Errorf("source %s: %d result slots for %d bindings", rel.Name, len(out), len(bindings))
+	}
+	return nil
 }
 
 // ProbeStrings probes w with boundary-form bindings: the values intern on
@@ -77,8 +100,8 @@ func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]stor
 	for i, b := range bindings {
 		ids[i] = sym.InternAll(b)
 	}
-	rows, err := w.Probe(ctx, ids)
-	if err != nil {
+	rows := make([][]storage.IRow, len(ids))
+	if err := w.Probe(ctx, ids, rows); err != nil {
 		return nil, err
 	}
 	out := make([][]storage.Row, len(rows))
@@ -190,22 +213,23 @@ func (s *TableSource) view() *storage.Snapshot {
 	return s.table.Snapshot()
 }
 
-// Probe probes the table once per binding in a single round trip, entirely
-// on packed integer keys: the simulated latency is paid once for the whole
-// batch (that is the point of batching a remote source) and one table
-// version serves every binding of the batch.
-func (s *TableSource) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	inputs := s.rel.InputPositions()
-	for _, b := range bindings {
-		if len(b) != len(inputs) {
-			return nil, fmt.Errorf("source %s: binding of %d values for %d input arguments",
-				s.rel.Name, len(b), len(inputs))
-		}
+// Probe probes the table once per binding in a single round trip, hashing
+// the IDs as they stand and writing the matches into the caller's slots: the
+// simulated latency is paid once for the whole batch (that is the point of
+// batching a remote source) and one table version serves every binding of
+// the batch. A binding whose width is not the relation's input count fails
+// the batch.
+func (s *TableSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+	if err := CheckSlots(s.rel, bindings, out); err != nil {
+		return err
 	}
 	if s.latency > 0 {
 		time.Sleep(s.latency)
 	}
-	return s.view().SelectBatchSym(inputs, bindings), nil
+	if err := s.view().SelectInto(s.rel.InputPositions(), bindings, out); err != nil {
+		return fmt.Errorf("source %s: %w", s.rel.Name, err)
+	}
+	return nil
 }
 
 // Stats aggregates the access accounting of one relation.
@@ -261,13 +285,12 @@ func (c *Counter) Epoch() uint64 { return EpochOf(c.inner) }
 // binding and one round trip for the batch — integer adds only, unless the
 // counter is audited (the audit log materializes strings; it exists for
 // debugging, not hot paths).
-func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
-	rows, err := c.inner.Probe(ctx, bindings)
-	if err != nil {
-		return nil, err
+func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+	if err := c.inner.Probe(ctx, bindings, out); err != nil {
+		return err
 	}
 	tuples := 0
-	for _, r := range rows {
+	for _, r := range out {
 		tuples += len(r)
 	}
 	c.mu.Lock()
@@ -282,7 +305,7 @@ func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.I
 		}
 	}
 	c.mu.Unlock()
-	return rows, nil
+	return nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -365,7 +388,7 @@ func (f *Flaky) Epoch() uint64 { return EpochOf(f.inner) }
 // Probe forwards to the wrapped source until the budget is exhausted: a
 // batch spends one access of budget per binding, and the batch that
 // overruns the budget fails whole and exhausts it.
-func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRow, error) {
+func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
 	f.mu.Lock()
 	ok := f.remaining >= len(bindings)
 	if ok {
@@ -375,9 +398,9 @@ func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID) ([][]storage.IRo
 	}
 	f.mu.Unlock()
 	if !ok {
-		return nil, f.err
+		return f.err
 	}
-	return f.inner.Probe(ctx, bindings)
+	return f.inner.Probe(ctx, bindings, out)
 }
 
 // Registry is the set of wrapped sources of a schema, by relation name.

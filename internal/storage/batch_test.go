@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"toorjah/internal/sym"
@@ -57,9 +58,11 @@ func TestSelectBatchSymArityMismatchPanics(t *testing.T) {
 
 // BenchmarkSelectBatchSym times the probe primitive per binding over a
 // 600-row relation indexed on two input positions — the shape of q2's
-// rev_icde accesses, most of which match nothing — one binding per call
-// and sixteen (the executors' default batch): the difference is the
-// per-batch work (signature, lock, result slice) amortised.
+// rev_icde accesses — into slots the caller owns, as a round trip makes it:
+// bindings that match one row each and bindings that match nothing (most of
+// q2's), one per call and sixteen (the executors' default batch). The
+// difference between the sizes is the per-batch work (index resolution,
+// lock) amortised; a miss allocates nothing, a hit its result.
 func BenchmarkSelectBatchSym(b *testing.B) {
 	tab := NewTable("r", 3)
 	rows := make([]Row, 600)
@@ -69,27 +72,104 @@ func BenchmarkSelectBatchSym(b *testing.B) {
 	tab.InsertAll(rows)
 	snap := tab.Snapshot()
 	positions := []int{0, 1}
-	// 1600 bindings; 600 of them match one row each.
-	var bindings [][]sym.ID
+	// 1600 bindings; the 600 with q < 15 match one row each.
+	bindings := map[string][][]sym.ID{}
 	for p := 0; p < 40; p++ {
 		for q := 0; q < 40; q++ {
-			bindings = append(bindings, Row{fmt.Sprintf("p%d", p), fmt.Sprintf("q%d", q)}.Intern())
+			kind := "miss"
+			if q < 15 {
+				kind = "hit"
+			}
+			bindings[kind] = append(bindings[kind], Row{fmt.Sprintf("p%d", p), fmt.Sprintf("q%d", q)}.Intern())
 		}
 	}
-	snap.SelectBatchSym(positions, bindings[:1]) // build the index outside the timing
-	for _, size := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			matched := 0
-			for i := 0; i < b.N; i += size {
-				from := i % len(bindings)
-				for _, rows := range snap.SelectBatchSym(positions, bindings[from:from+size]) {
-					matched += len(rows)
+	out := make([][]IRow, 16)
+	if err := snap.SelectInto(positions, bindings["hit"][:1], out[:1]); err != nil { // builds the index outside the timing
+		b.Fatal(err)
+	}
+	for _, kind := range []string{"hit", "miss"} {
+		for _, size := range []int{1, 16} {
+			b.Run(fmt.Sprintf("%s/%d", kind, size), func(b *testing.B) {
+				bs := bindings[kind]
+				b.ReportAllocs()
+				matched := 0
+				for i := 0; i < b.N; i += size {
+					from := i % (len(bs) - size)
+					if err := snap.SelectInto(positions, bs[from:from+size], out[:size]); err != nil {
+						b.Fatal(err)
+					}
+					for _, rows := range out[:size] {
+						matched += len(rows)
+					}
 				}
-			}
-			if matched == 0 {
-				b.Fatal("no binding matched")
-			}
-		})
+				if (matched > 0) != (kind == "hit") {
+					b.Fatalf("%d rows matched", matched)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkTableChurn times the write leg of a streaming ingest without the
+// HTTP around it: at 4096 live rows, one batch inserts 64 new rows and one
+// deletes the 64 oldest, tombstones accumulate and the log is compacted
+// whenever they dominate it. Reported per pair of batches.
+func BenchmarkTableChurn(b *testing.B) {
+	const live, batch = 4096, 64
+	// Row n pairs two values from pools interned up front, so the loop
+	// builds no string, and no row comes round again for 2²³ rows.
+	keys, vals := make([]string, 8192), make([]string, 1024)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+		sym.Intern(keys[i])
+	}
+	for i := range vals {
+		vals[i] = "v" + strconv.Itoa(i)
+		sym.Intern(vals[i])
+	}
+	fill := func(rows []Row, from int) []Row {
+		for i := range rows {
+			n := from + i
+			rows[i][0], rows[i][1] = keys[n%len(keys)], vals[n/len(keys)%len(vals)]
+		}
+		return rows
+	}
+	ins, del := make([]Row, batch), make([]Row, batch)
+	for i := range ins {
+		ins[i], del[i] = make(Row, 2), make(Row, 2)
+	}
+	tab := NewTable("live", 2)
+	for from := 0; from < live; from += batch {
+		tab.InsertAll(fill(ins, from))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := tab.InsertAll(fill(ins, live+i*batch)); n != batch {
+			b.Fatalf("batch %d inserted %d rows", i, n)
+		}
+		if n := tab.DeleteAll(fill(del, i*batch)); n != batch {
+			b.Fatalf("batch %d deleted %d rows", i, n)
+		}
+	}
+	if tab.Len() != live {
+		b.Fatalf("%d live rows after the churn, want %d", tab.Len(), live)
+	}
+}
+
+// BenchmarkTableLoad times one InsertAll of 300 000 rows into an empty
+// table — what the serving workloads pay at start-up, per relation.
+func BenchmarkTableLoad(b *testing.B) {
+	rows := make([]Row, 300000)
+	for i := range rows {
+		rows[i] = Row{"person" + strconv.Itoa(i/2), "conf" + strconv.Itoa(i%1000), strconv.Itoa(1990 + i%30)}
+	}
+	NewTable("warm", 3).InsertAll(rows) // the values are interned outside the timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := NewTable("conf", 3).InsertAll(rows); n != len(rows) {
+			b.Fatalf("loaded %d rows of %d", n, len(rows))
+		}
 	}
 }

@@ -9,10 +9,12 @@
 // Rows are interned: every value is swapped for its internal/sym ID at
 // insert time (ingest, CSV load), so the stored representation is an IRow —
 // a flat []sym.ID with no pointers for the GC to trace — and every lookup
-// below the insert boundary runs on packed integer keys instead of
-// NUL-joined strings. The string Row type remains the boundary
-// representation (CSV files, JSON ingestion, results); Rows materializes
-// through the symbol table only when a caller asks for strings.
+// below the insert boundary hashes those IDs directly: the row set and every
+// index are a sym.RefTable of references into the row log, so neither a
+// probe nor an insert builds a key, and none is kept beside the row it came
+// from. The string Row type remains the boundary representation (CSV files,
+// JSON ingestion, results); Rows materializes through the symbol table only
+// when a caller asks for strings.
 //
 // Tables are live: Insert and Delete batches mutate a table while queries
 // run. Mutation is copy-on-write — every batch publishes a new immutable
@@ -24,20 +26,28 @@
 // a query's answers are always the answers over some single epoch of each
 // relation, never a torn mix of two.
 //
+// A snapshot shares three things with the writer and with its siblings, each
+// safe for its own reason. The row log's backing array: a snapshot of length
+// n never reads past n, writers only append, and a stored row is never
+// modified. The tombstones — a bitset over log offsets and its count: a
+// published bitset is immutable, and the batch that deletes or revives a row
+// copies it first (one memmove of len(rows)/8 bytes, whatever the number of
+// tombstones). The index set, the one shared structure that does change,
+// behind its own lock.
+//
 // Indexes are persistent across epochs: all snapshots of a table share one
-// copy-on-write index set, and a snapshot that needs an index extends it
-// incrementally over the rows appended since the index was last used —
-// instead of rebuilding a fresh map per snapshot per position set, the old
-// per-snapshot lazy scheme. Buckets hold master-log offsets in ascending
-// order; each snapshot serves lookups by cutting a bucket at its own row
-// watermark and skipping its own tombstones, so arbitrarily many epochs
-// read one shared index without seeing each other's rows. Compaction (which
-// renumbers offsets) starts a fresh index set; snapshots published before
-// it keep the old one.
+// index set, and a snapshot that needs an index extends it incrementally
+// over the rows appended since the index was last used. Buckets hold
+// master-log offsets in ascending order; each snapshot serves lookups by
+// cutting a bucket at its own row watermark and skipping its own
+// tombstones, so arbitrarily many epochs read one shared index without
+// seeing each other's rows. Compaction (which renumbers offsets) starts a
+// fresh index set; snapshots published before it keep the old one.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,7 +81,10 @@ type IRow []sym.ID
 //toorjahvet:boundary (the one sanctioned ID→string exit of a stored row)
 func (r IRow) Strings() Row { return sym.Strs(r) }
 
-// Key packs the row into a collision-free map key (4 bytes per value).
+// Key packs the row into a collision-free map key (4 bytes per value), for
+// callers that keep rows in maps of their own; nothing in this package does.
+//
+//toorjahvet:boundary (the packed-key exit of a stored row; storage itself hashes IDs through sym.RefTable)
 func (r IRow) Key() string { return sym.Key(r) }
 
 // InternRows interns a batch of boundary rows.
@@ -96,22 +109,54 @@ func MaterializeRows(rows []IRow) []Row {
 
 // Table is a named set of rows of fixed arity with hash indexes and
 // copy-on-write mutation. The master state — an append-only interned row
-// log, the dedup map, and the current tombstone set — belongs to writers
+// log, the row set over it, and the current tombstones — belongs to writers
 // and is guarded by wmu; readers never touch it. Every mutating batch
 // publishes a fresh immutable Snapshot (sharing the row log's backing
 // array, which is safe: a snapshot of length n never reads past n, and
-// writers only append) carrying the table's shared persistent index set.
+// writers only append) carrying the table's shared persistent index set. A
+// table's log holds fewer than 2³¹ rows between compactions.
 type Table struct {
 	Name  string
 	Arity int
 
-	wmu  sync.Mutex     // serializes writers
-	rows []IRow         // append-only master log (interned)
-	seen map[string]int // packed row key -> offset in rows
-	dead map[int]bool   // current tombstones; copied, never mutated, once published
-	idx  *indexSet      // persistent indexes over rows; replaced on compaction
+	wmu  sync.Mutex   // serializes writers
+	rows []IRow       // append-only master log (interned)
+	seen sym.RefTable // the row set: references into rows, tombstoned rows included
+	dead tombstones   // current tombstones; copied, never mutated, once published
+	idx  *indexSet    // persistent indexes over rows; replaced on compaction
 	hook func(CommitEvent)
 	snap atomic.Pointer[Snapshot]
+}
+
+// tombstones marks the deleted offsets of a row log: a bitset and its
+// population count. A set may be shorter than the log it covers — offsets
+// past its end are live.
+type tombstones struct {
+	bits []uint64
+	n    int
+}
+
+func (d tombstones) has(off int) bool {
+	w := off >> 6
+	return w < len(d.bits) && d.bits[w]>>(uint(off)&63)&1 != 0
+}
+
+// forWrite returns a private copy of the set covering a log of the given
+// length, which a batch can mark without disturbing published snapshots.
+func (d tombstones) forWrite(rows int) tombstones {
+	bits := make([]uint64, (rows+63)/64)
+	copy(bits, d.bits)
+	return tombstones{bits: bits, n: d.n}
+}
+
+func (d *tombstones) mark(off int) {
+	d.bits[off>>6] |= 1 << (uint(off) & 63)
+	d.n++
+}
+
+func (d *tombstones) unmark(off int) {
+	d.bits[off>>6] &^= 1 << (uint(off) & 63)
+	d.n--
 }
 
 // CommitOp says what a committed batch did.
@@ -156,7 +201,7 @@ func (t *Table) SetCommitHook(fn func(CommitEvent)) {
 
 // NewTable creates an empty table at epoch 1.
 func NewTable(name string, arity int) *Table {
-	t := &Table{Name: name, Arity: arity, seen: make(map[string]int), idx: newIndexSet()}
+	t := &Table{Name: name, Arity: arity, idx: new(indexSet)}
 	t.snap.Store(&Snapshot{name: name, arity: arity, epoch: 1, idx: t.idx})
 	return t
 }
@@ -169,19 +214,15 @@ func NewTable(name string, arity int) *Table {
 // disagree with the arity or duplicate earlier rows are dropped. An epoch
 // of 0 restores to 1, the epoch of a fresh table.
 func RestoreTable(name string, arity int, epoch uint64, rows []Row) *Table {
-	t := &Table{Name: name, Arity: arity, seen: make(map[string]int, len(rows)), idx: newIndexSet()}
-	var kb []byte
+	t := &Table{Name: name, Arity: arity, idx: new(indexSet)}
 	for _, r := range rows {
 		if len(r) != arity {
 			continue
 		}
 		ir := r.Intern()
-		kb = sym.AppendKey(kb[:0], ir)
-		if _, ok := t.seen[string(kb)]; ok {
-			continue
+		if h := sym.HashIDs(ir); t.offsetOf(ir, h) < 0 {
+			t.appendLocked(ir, h)
 		}
-		t.seen[string(kb)] = len(t.rows)
-		t.rows = append(t.rows, ir)
 	}
 	if epoch == 0 {
 		epoch = 1
@@ -224,14 +265,21 @@ func (t *Table) publish() {
 	})
 }
 
-// copyDeadLocked returns a private copy of the tombstone set, so the batch
-// can mutate it without disturbing published snapshots; wmu is held.
-func (t *Table) copyDeadLocked() map[int]bool {
-	out := make(map[int]bool, len(t.dead))
-	for off := range t.dead {
-		out[off] = true
+// offsetOf returns the log offset of a stored row hashed to h — live or
+// tombstoned — or −1; wmu is held (or the table is not yet shared).
+func (t *Table) offsetOf(ir IRow, h uint32) int {
+	for at, ref := t.seen.First(h); ref >= 0; at, ref = t.seen.Next(at, h) {
+		if slices.Equal(t.rows[ref], ir) {
+			return int(ref)
+		}
 	}
-	return out
+	return -1
+}
+
+// appendLocked adds a row, hashed to h, that the log does not hold.
+func (t *Table) appendLocked(ir IRow, h uint32) {
+	t.seen.Add(h, int32(len(t.rows)))
+	t.rows = append(t.rows, ir)
 }
 
 // Insert adds a row, deduplicating; it reports whether the row was new.
@@ -253,28 +301,21 @@ func (t *Table) InsertAll(rows []Row) int {
 	defer t.wmu.Unlock()
 	n := 0
 	deadCopied := false
-	var kb []byte
 	var applied []Row // collected only when a commit hook is listening
 	for _, r := range rows {
 		ir := r.Intern()
-		kb = sym.AppendKey(kb[:0], ir)
-		if off, ok := t.seen[string(kb)]; ok {
-			if !t.dead[off] {
-				continue
-			}
-			if !deadCopied {
-				t.dead = t.copyDeadLocked()
-				deadCopied = true
-			}
-			delete(t.dead, off)
-			n++
-			if t.hook != nil {
-				applied = append(applied, r)
-			}
+		h := sym.HashIDs(ir)
+		switch off := t.offsetOf(ir, h); {
+		case off < 0:
+			t.appendLocked(ir, h)
+		case !t.dead.has(off):
 			continue
+		default:
+			if !deadCopied {
+				t.dead, deadCopied = t.dead.forWrite(len(t.rows)), true
+			}
+			t.dead.unmark(off)
 		}
-		t.seen[string(kb)] = len(t.rows)
-		t.rows = append(t.rows, ir)
 		n++
 		if t.hook != nil {
 			applied = append(applied, r)
@@ -307,33 +348,37 @@ func (t *Table) Delete(r Row) bool { return t.DeleteAll([]Row{r}) == 1 }
 
 // DeleteAll removes every given row in one batch and returns the number of
 // rows actually removed. Deletion is a tombstone over the master log: the
-// batch copies the tombstone set once, so published snapshots keep serving
-// the rows they were born with. A batch that removes at least one row
-// advances the epoch by exactly one.
+// batch copies the tombstone bitset once, so published snapshots keep
+// serving the rows they were born with. A batch that removes at least one
+// row advances the epoch by exactly one.
 func (t *Table) DeleteAll(rows []Row) int {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	n := 0
 	deadCopied := false
+	ir := make(IRow, t.Arity)
 	var applied []Row // collected only when a commit hook is listening
+rows:
 	for _, r := range rows {
 		if len(r) != t.Arity {
 			continue
 		}
-		// A row whose values were never interned cannot be stored anywhere.
-		ir, ok := sym.LookupAll(r)
-		if !ok {
-			continue
+		for i, v := range r {
+			// A value never interned cannot be stored anywhere.
+			id, ok := sym.Lookup(v)
+			if !ok {
+				continue rows
+			}
+			ir[i] = id
 		}
-		off, present := t.seen[sym.Key(ir)]
-		if !present || t.dead[off] {
+		off := t.offsetOf(ir, sym.HashIDs(ir))
+		if off < 0 || t.dead.has(off) {
 			continue
 		}
 		if !deadCopied {
-			t.dead = t.copyDeadLocked()
-			deadCopied = true
+			t.dead, deadCopied = t.dead.forWrite(len(t.rows)), true
 		}
-		t.dead[off] = true
+		t.dead.mark(off)
 		n++
 		if t.hook != nil {
 			applied = append(applied, r)
@@ -360,19 +405,19 @@ const compactMinDead = 1024
 // Invisible to readers: the next publish carries the usual single epoch
 // advance. wmu is held.
 func (t *Table) maybeCompactLocked() {
-	if len(t.dead) < compactMinDead || 2*len(t.dead) < len(t.rows) {
+	if t.dead.n < compactMinDead || 2*t.dead.n < len(t.rows) {
 		return
 	}
-	live := make([]IRow, 0, len(t.rows)-len(t.dead))
-	seen := make(map[string]int, len(t.rows)-len(t.dead))
+	live := make([]IRow, 0, len(t.rows)-t.dead.n)
+	var seen sym.RefTable
 	for off, r := range t.rows {
-		if !t.dead[off] {
-			seen[sym.Key(r)] = len(live)
+		if !t.dead.has(off) {
+			seen.Add(sym.HashIDs(r), int32(len(live)))
 			live = append(live, r)
 		}
 	}
-	t.rows, t.seen, t.dead = live, seen, make(map[int]bool)
-	t.idx = newIndexSet()
+	t.rows, t.seen, t.dead = live, seen, tombstones{}
+	t.idx = new(indexSet)
 }
 
 // The read surface of Table delegates to the current snapshot, so callers
@@ -402,9 +447,9 @@ type Snapshot struct {
 	arity int
 	epoch uint64
 	at    time.Time
-	rows  []IRow       // immutable prefix of the master log
-	dead  map[int]bool // immutable tombstones over rows
-	idx   *indexSet    // shared persistent indexes (see indexSet)
+	rows  []IRow     // immutable prefix of the master log
+	dead  tombstones // immutable tombstones over rows
+	idx   *indexSet  // shared persistent indexes (see indexSet)
 
 	liveOnce sync.Once
 	live     []IRow // cached live rows (== rows when no tombstones)
@@ -419,20 +464,20 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) ModifiedAt() time.Time { return s.at }
 
 // Len returns the number of live rows in this version.
-func (s *Snapshot) Len() int { return len(s.rows) - len(s.dead) }
+func (s *Snapshot) Len() int { return len(s.rows) - s.dead.n }
 
 // RowsSym returns the live rows of this version in stored (interned) form.
 // The returned slice is shared and must not be mutated; free-relation
 // probes serve every access from it without materializing a string.
 func (s *Snapshot) RowsSym() []IRow {
 	s.liveOnce.Do(func() {
-		if len(s.dead) == 0 {
+		if s.dead.n == 0 {
 			s.live = s.rows
 			return
 		}
 		live := make([]IRow, 0, s.Len())
 		for off, r := range s.rows {
-			if !s.dead[off] {
+			if !s.dead.has(off) {
 				live = append(live, r)
 			}
 		}
@@ -465,28 +510,41 @@ func (s *Snapshot) Contains(r Row) bool {
 	return len(s.SelectBatchSym(positions, [][]sym.ID{ir})[0]) > 0
 }
 
-// SelectBatchSym is the probe primitive of the engine: result i holds the
-// stored rows whose values at positions equal bindings[i] (with no
-// positions, every live row — one shared slice). Key packing, index access
-// and the returned rows are integer-only, and the index of the position set
-// is resolved once for the whole batch — one signature, one lock
-// acquisition, at most one extension over rows appended since it was last
-// used — so each binding costs one key packing and one bucket lookup.
+// SelectInto is the probe primitive of the engine: it sets out[i] to the
+// stored rows whose values at positions equal bindings[i] — nil when there
+// are none; with no positions, every live row, one shared slice. Every
+// slot is assigned, whatever it held; len(out) must be len(bindings). A
+// binding whose width is not len(positions) is an error. Nothing is built
+// per binding and nothing allocated for one that matches no row: the IDs are
+// hashed as they stand, and the index of the position set is resolved once
+// for the whole batch — one lock acquisition, at most one extension over
+// rows appended since it was last used. The rows are shared and immutable;
+// neither the bindings nor out are kept.
+func (s *Snapshot) SelectInto(positions []int, bindings [][]sym.ID, out [][]IRow) error {
+	if len(positions) > 0 {
+		return s.idx.selectInto(s, positions, bindings, out)
+	}
+	rows := s.RowsSym()
+	for i, b := range bindings {
+		if len(b) != 0 {
+			return s.widthError(positions, b)
+		}
+		out[i] = rows
+	}
+	return nil
+}
+
+func (s *Snapshot) widthError(positions []int, b []sym.ID) error {
+	return fmt.Errorf("table %s: binding of %d values for %d bound positions", s.name, len(b), len(positions))
+}
+
+// SelectBatchSym is SelectInto with the result slots allocated for the
+// caller; a binding of the wrong width panics.
 func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow {
 	out := make([][]IRow, len(bindings))
-	if len(positions) == 0 {
-		rows := s.RowsSym()
-		for i := range out {
-			out[i] = rows
-		}
-		return out
+	if err := s.SelectInto(positions, bindings, out); err != nil {
+		panic(err.Error())
 	}
-	for _, b := range bindings {
-		if len(positions) != len(b) {
-			panic(fmt.Sprintf("table %s: %d positions for %d values", s.name, len(positions), len(b)))
-		}
-	}
-	s.idx.selectBatch(s, positions, bindings, out)
 	return out
 }
 
@@ -507,71 +565,114 @@ func (s *Snapshot) Project(pos int) []string {
 }
 
 // indexSet is the persistent index state shared by every snapshot of one
-// table (until a compaction renumbers offsets and starts a fresh set).
-// Each index maps a packed value key to the ascending master-log offsets of
-// the rows projecting to it, over the prefix [0, built); a snapshot
-// extends an index to its own watermark on first use and filters lookups
-// through its watermark and tombstone set, so one index serves every epoch.
+// table (until a compaction renumbers offsets and starts a fresh set): one
+// index per position set a probe has bound — a handful at most, so finding
+// one is a scan comparing position lists. A snapshot extends an index to its
+// own watermark on first use and filters lookups through its watermark and
+// tombstones, so one index serves every epoch. The zero value is an empty
+// set.
 type indexSet struct {
 	mu      sync.RWMutex
-	indexes map[string]*index
+	indexes []*index
 }
 
+// index groups the rows of a log prefix by their values at fixed positions.
 type index struct {
 	positions []int
-	built     int // rows [0, built) are indexed
-	m         map[string][]int32
+	rows      []IRow       // the log prefix indexed so far; what the offsets below point into
+	group     sym.RefTable // references into buckets
+	buckets   [][]int32    // per key, the ascending log offsets of the rows holding it
 }
 
-func newIndexSet() *indexSet { return &indexSet{indexes: make(map[string]*index)} }
+// on returns the index on the given positions, or nil; ix.mu is held.
+func (ix *indexSet) on(positions []int) *index {
+	for _, in := range ix.indexes {
+		if slices.Equal(in.positions, positions) {
+			return in
+		}
+	}
+	return nil
+}
 
-// selectBatch fills out[i] with the rows of snapshot s matching bindings[i]
+// find returns the bucket of the rows holding vals at the index's positions,
+// hashed to h, or −1. Every row of a bucket carries the bucket's key, so the
+// first one stands for it.
+func (in *index) find(vals []sym.ID, h uint32) int32 {
+candidates:
+	for at, ref := in.group.First(h); ref >= 0; at, ref = in.group.Next(at, h) {
+		r := in.rows[in.buckets[ref][0]]
+		for i, p := range in.positions {
+			if r[p] != vals[i] {
+				continue candidates
+			}
+		}
+		return ref
+	}
+	return -1
+}
+
+// selectInto fills out[i] with the rows of snapshot s matching bindings[i]
 // over the position set. One read lock covers the whole batch; a batch that
 // finds the index lagging behind s's rows has it extended first (an index
 // only ever grows, so it still covers s once the read lock is back).
-func (ix *indexSet) selectBatch(s *Snapshot, positions []int, bindings [][]sym.ID, out [][]IRow) {
-	var sb [16]byte
-	sig := appendSig(sb[:0], positions)
+func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID, out [][]IRow) error {
 	ix.mu.RLock()
-	in, ok := ix.indexes[string(sig)]
-	if !ok || in.built < len(s.rows) {
+	defer ix.mu.RUnlock()
+	in := ix.on(positions)
+	if in == nil || len(in.rows) < len(s.rows) {
 		ix.mu.RUnlock()
 		ix.mu.Lock()
-		in = ix.extendLocked(string(sig), positions, s.rows)
+		in = ix.extendLocked(positions, s.rows)
 		ix.mu.Unlock()
 		ix.mu.RLock()
 	}
-	var kb [64]byte
 	for i, b := range bindings {
-		out[i] = s.collect(in.m[string(sym.AppendKey(kb[:0], b))])
+		if len(b) != len(positions) {
+			return s.widthError(positions, b)
+		}
+		out[i] = nil
+		if bucket := in.find(b, sym.HashIDs(b)); bucket >= 0 {
+			out[i] = s.collect(in.buckets[bucket])
+		}
 	}
-	ix.mu.RUnlock()
+	return nil
 }
 
 // extendLocked brings the index of one position set up to the given row
 // prefix; ix.mu is held for writing. Later rows appended by newer epochs
 // are indexed when a newer snapshot first looks them up.
-func (ix *indexSet) extendLocked(sig string, positions []int, rows []IRow) *index {
-	in, ok := ix.indexes[sig]
-	if !ok {
-		in = &index{positions: append([]int(nil), positions...)}
-		in.m = make(map[string][]int32)
-		ix.indexes[sig] = in
+func (ix *indexSet) extendLocked(positions []int, rows []IRow) *index {
+	in := ix.on(positions)
+	if in == nil {
+		in = &index{positions: slices.Clone(positions)}
+		ix.indexes = append(ix.indexes, in)
 	}
-	var kb [64]byte
-	for off := in.built; off < len(rows); off++ {
-		key := sym.AppendKey(kb[:0], projectRow(rows[off], in.positions))
-		in.m[string(key)] = append(in.m[string(key)], int32(off))
+	if len(rows) <= len(in.rows) {
+		return in
 	}
-	if len(rows) > in.built {
-		in.built = len(rows)
+	from := len(in.rows)
+	in.rows = rows
+	var kb [8]sym.ID
+	for off := from; off < len(rows); off++ {
+		vals := kb[:0]
+		for _, p := range in.positions {
+			vals = append(vals, rows[off][p])
+		}
+		h := sym.HashIDs(vals)
+		if bucket := in.find(vals, h); bucket >= 0 {
+			in.buckets[bucket] = append(in.buckets[bucket], int32(off))
+			continue
+		}
+		in.group.Add(h, int32(len(in.buckets)))
+		in.buckets = append(in.buckets, []int32{int32(off)})
 	}
 	return in
 }
 
 // collect resolves a bucket of master-log offsets into this snapshot's
 // rows: offsets are ascending, so the bucket is cut at the snapshot's
-// watermark, and the snapshot's own tombstones are skipped.
+// watermark, and the snapshot's own tombstones are skipped. A bucket with
+// nothing to show for this snapshot resolves to nil.
 func (s *Snapshot) collect(offs []int32) []IRow {
 	n := len(offs)
 	// Binary-search the watermark cut: rows past this snapshot belong to
@@ -579,51 +680,25 @@ func (s *Snapshot) collect(offs []int32) []IRow {
 	if n > 0 && int(offs[n-1]) >= len(s.rows) {
 		n = sort.Search(n, func(i int) bool { return int(offs[i]) >= len(s.rows) })
 	}
-	if n == 0 {
+	live := n
+	if s.dead.n > 0 {
+		live = 0
+		for _, off := range offs[:n] {
+			if !s.dead.has(int(off)) {
+				live++
+			}
+		}
+	}
+	if live == 0 {
 		return nil
 	}
-	out := make([]IRow, 0, n)
-	if len(s.dead) == 0 {
-		for _, off := range offs[:n] {
-			out = append(out, s.rows[off])
-		}
-		return out
-	}
+	out := make([]IRow, 0, live)
 	for _, off := range offs[:n] {
-		if !s.dead[int(off)] {
+		if live == n || !s.dead.has(int(off)) {
 			out = append(out, s.rows[off])
 		}
 	}
 	return out
-}
-
-// projectRow gathers the row's values at the given positions; small
-// position sets reuse a stack buffer at the call sites via sym.AppendKey.
-func projectRow(r IRow, positions []int) []sym.ID {
-	out := make([]sym.ID, len(positions))
-	for i, p := range positions {
-		out[i] = r[p]
-	}
-	return out
-}
-
-// appendSig appends the signature of a position set ("0,2"), the key of its
-// index in the index set.
-func appendSig(out []byte, positions []int) []byte {
-	for i, p := range positions {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = appendInt(out, p)
-	}
-	return out
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
 }
 
 // Database is a collection of named tables.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,7 +303,7 @@ func TestCompaction(t *testing.T) {
 	tab.DeleteAll(all[:len(all)-10])
 
 	tab.wmu.Lock()
-	logLen, deadLen := len(tab.rows), len(tab.dead)
+	logLen, deadLen := len(tab.rows), tab.dead.n
 	tab.wmu.Unlock()
 	if logLen != 10 || deadLen != 0 {
 		t.Errorf("after churn: log=%d dead=%d, want compacted to 10 live rows", logLen, deadLen)
@@ -326,5 +327,40 @@ func TestCompaction(t *testing.T) {
 	// Reinsert after compaction: dedup state was rebuilt correctly.
 	if !tab.Insert(all[0]) || tab.Len() != 11 {
 		t.Errorf("reinsert after compaction failed (Len=%d)", tab.Len())
+	}
+}
+
+// TestDeleteBatchCopiesNoMap pins what a deleting batch pays for keeping
+// published snapshots frozen: one copy of the tombstone bitset — a constant
+// number of allocations, whether the table carries two hundred tombstones
+// or two thousand — not a copy of a set that grows with them.
+func TestDeleteBatchCopiesNoMap(t *testing.T) {
+	const live, batch, runs = 4096, 64, 5
+	row := func(i int) Row { return Row{"k" + strconv.Itoa(i), "v" + strconv.Itoa(i%97)} }
+	allocs := map[int]float64{}
+	for _, dead := range []int{200, 2000} {
+		tab := NewTable("r", 2)
+		var rows []Row
+		for i := 0; i < live+dead; i++ {
+			rows = append(rows, row(i))
+		}
+		tab.InsertAll(rows)
+		if n := tab.DeleteAll(rows[:dead]); n != dead {
+			t.Fatalf("deleted %d rows of %d", n, dead)
+		}
+		next := dead
+		allocs[dead] = testing.AllocsPerRun(runs, func() {
+			if n := tab.DeleteAll(rows[next : next+batch]); n != batch {
+				t.Fatalf("a batch of %d deleted %d rows", batch, n)
+			}
+			next += batch
+		})
+		if tab.Len() != live-(runs+1)*batch {
+			t.Fatalf("%d live rows after the batches", tab.Len())
+		}
+	}
+	// The row buffer, the bitset, the snapshot — and nothing per tombstone.
+	if allocs[2000] > 4 || allocs[2000] != allocs[200] {
+		t.Errorf("a %d-row DeleteAll makes %.0f allocations at 2000 tombstones and %.0f at 200, want the same and at most 4", batch, allocs[2000], allocs[200])
 	}
 }

@@ -1,0 +1,112 @@
+package sym
+
+import (
+	"math/bits"
+	"math/rand/v2"
+)
+
+// hashSeed keys every reference table of the process. The values hashed are
+// IDs of client-supplied strings — query constants, ingested rows — so, like
+// the runtime's maps, the function must not be predictable from outside.
+var hashSeed = rand.Uint64()
+
+// HashIDs hashes a sequence of IDs for a RefTable: one 64×64→128-bit
+// multiplication per ID, folded. The table indexes by the top bits, which a
+// multiplicative hash spreads evenly over consecutive IDs — what the
+// interner hands out.
+func HashIDs(ids []ID) uint32 {
+	h := hashSeed
+	for _, id := range ids {
+		hi, lo := bits.Mul64(h^uint64(id), 0x9E3779B97F4A7C15)
+		h = hi ^ lo
+	}
+	return uint32(h >> 32)
+}
+
+// RefTable is the one ID-keyed hash table of the engine: open addressing
+// (linear probing, at most half full) over int32 references into storage its
+// owner already keeps — a relation's tuples, a table's row log, an index's
+// buckets. It stores no key: the owner hashes the IDs it looks for (HashIDs),
+// walks the references filed under that hash and compares each candidate
+// against what the reference points at. Only the hash is kept, which saves
+// most of those comparisons and lets the table grow without looking at a
+// tuple. So a lookup builds nothing — no packed key, no string — and nothing
+// but the eight bytes of a slot is kept beside the tuple an entry came from.
+//
+// What keys a lookup below the string boundary is decided here: datalog's
+// cache relations and storage's row set and indexes are all this table. (The
+// cross-query cache is a different structure — string-keyed by relation,
+// packed binding and epoch, with TTL, LRU and singleflight — and keeps
+// AppendKey.) The zero value is an empty table; a table holds fewer than 2³¹
+// references and is not safe for concurrent use.
+type RefTable struct {
+	slots []refSlot
+	used  int
+	shift uint8 // 32 − log₂ len(slots): a hash's home slot is its top bits
+}
+
+type refSlot struct {
+	hash uint32
+	ref  int32 // the reference plus one; 0 marks an empty slot
+}
+
+// First returns the first reference filed under hash h and the slot it
+// occupies, or −1 when there is none; Next continues from a slot First or
+// Next returned. The caller walks until a reference points at what it is
+// looking for:
+//
+//	for at, ref := tb.First(h); ref >= 0; at, ref = tb.Next(at, h) { … }
+func (tb *RefTable) First(h uint32) (at int, ref int32) {
+	if len(tb.slots) == 0 {
+		return 0, -1
+	}
+	return tb.scan(int(h>>tb.shift), h)
+}
+
+// Next continues a walk begun by First.
+func (tb *RefTable) Next(at int, h uint32) (int, int32) {
+	return tb.scan((at+1)&(len(tb.slots)-1), h)
+}
+
+func (tb *RefTable) scan(at int, h uint32) (int, int32) {
+	for mask := len(tb.slots) - 1; ; at = (at + 1) & mask {
+		switch s := tb.slots[at]; {
+		case s.ref == 0:
+			return at, -1
+		case s.hash == h:
+			return at, s.ref - 1
+		}
+	}
+}
+
+// Add files a reference under hash h. The caller has walked the entries
+// under h and found none equal to what ref points at. A full table doubles,
+// rehashing by the stored hashes alone.
+func (tb *RefTable) Add(h uint32, ref int32) {
+	if 2*(tb.used+1) > len(tb.slots) {
+		old := tb.slots
+		tb.slots = make([]refSlot, max(8, 2*len(old)))
+		tb.shift = uint8(32 - bits.TrailingZeros(uint(len(tb.slots))))
+		for _, s := range old {
+			if s.ref != 0 {
+				tb.place(s)
+			}
+		}
+	}
+	tb.place(refSlot{hash: h, ref: ref + 1})
+	tb.used++
+}
+
+func (tb *RefTable) place(s refSlot) {
+	at, mask := int(s.hash>>tb.shift), len(tb.slots)-1
+	for tb.slots[at].ref != 0 {
+		at = (at + 1) & mask
+	}
+	tb.slots[at] = s
+}
+
+// Reset empties the table, keeping its capacity.
+func (tb *RefTable) Reset() {
+	clear(tb.slots)
+	tb.used = 0
+}
