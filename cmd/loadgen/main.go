@@ -25,10 +25,9 @@
 // against a reference system holding every relation locally. The run exits
 // 1 when any scenario fails its predicates.
 //
-// The -json snapshot is a benchfmt result array, so two runs diff exactly
-// like two benchmark snapshots:
-//
-//	go run ./cmd/benchgate -injson LOADGEN_PR9.json -baseline LOADGEN_BASELINE.json
+// The -json snapshot is the report itself (load.Report) as one JSON object:
+// per scenario the declaration, the measurement, the verdict and the latency
+// quantiles, then the whole-run rollup and each node's /metrics deltas.
 //
 // -wal runs the query-serving node durable: every applied mutation batch
 // reaches a write-ahead log under the given directory before its
@@ -48,7 +47,7 @@
 //	-adaptive   serve queries with live-size adaptive plan ordering
 //	-wal        write-ahead-log directory for the query-serving node ("" = in-memory)
 //	-fsync      WAL flush policy with -wal: always, interval or never (default never)
-//	-json       write the benchfmt snapshot to this path
+//	-json       write the report as JSON to this path
 //	-md         write the GFM report to this path (CI: $GITHUB_STEP_SUMMARY)
 package main
 
@@ -76,7 +75,7 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "serve queries with live-size adaptive plan ordering")
 	walDir := flag.String("wal", "", "write-ahead-log directory for the query-serving node (\"\" = in-memory)")
 	fsync := flag.String("fsync", "never", "WAL flush policy when -wal is set: always, interval or never")
-	jsonOut := flag.String("json", "", "write the benchfmt snapshot to this path")
+	jsonOut := flag.String("json", "", "write the report as JSON to this path")
 	mdOut := flag.String("md", "", "write the GFM report to this path")
 	flag.Parse()
 
@@ -134,7 +133,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nloadgen: snapshot written to %s\n", *jsonOut)
+		fmt.Printf("\nloadgen: report written to %s\n", *jsonOut)
 	}
 	if *mdOut != "" {
 		f, err := os.OpenFile(*mdOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

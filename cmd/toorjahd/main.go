@@ -252,8 +252,6 @@ func main() {
 		svcOpts = append(svcOpts, service.WithWAL(wlog))
 	}
 
-	// The server snapshots the probe registry, so it is built after every
-	// local and remote relation is bound.
 	srv := service.New(sys, toorjah.Options{Parallelism: *parallelism}, svcOpts...)
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)

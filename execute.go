@@ -135,8 +135,8 @@ func resolveExec(options []ExecOption) execConfig {
 //	    fmt.Println(t.Strings())
 //	}))
 //
-// The system's cross-query cache, batch bound and probe metrics apply
-// unless the options carry their own.
+// The system's cross-query cache and batch bound apply unless the options
+// carry their own.
 func (q *Query) Execute(ctx context.Context, options ...ExecOption) (*Result, error) {
 	return q.executeWith(ctx, q.sys.reg, resolveExec(options))
 }

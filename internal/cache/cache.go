@@ -31,11 +31,12 @@
 //     too, so an execution pinned to one version of a relation never reads
 //     or feeds entries of another. Mutating a relation therefore makes its
 //     whole cached extraction set — negative entries included — unreachable
-//     at once; Invalidate additionally frees the stale entries eagerly.
+//     at once; Sweep additionally frees the stale entries eagerly, and a
+//     rebind, which may restart the epochs, calls Invalidate.
 //
 // Use Wrap to layer the cache over any source.Wrapper (composable
-// middleware, e.g. Cached(Counted(TableSource))), or WrapRegistry for a
-// whole registry. Per-relation hit/miss/eviction statistics are available
+// middleware, e.g. Cached(Counted(TableSource))). Per-relation
+// hit/miss/eviction statistics are available
 // through Snapshot and, rendered as a text table via internal/stats,
 // through Summary.
 //
@@ -321,14 +322,24 @@ func (c *Cache) Len() int {
 
 // Invalidate drops every cached access of one relation — every epoch,
 // negative entries included — and returns the number of entries dropped.
-// Call it after rebinding a relation's source; for versioned sources an
-// advancing data epoch already makes the old entries unreachable, and
-// Invalidate additionally frees them eagerly. Probes in flight when
-// Invalidate runs do not store their (possibly stale) extraction; an
-// execution pinned to an older version may still store entries under its
-// own (old) epoch afterwards, which no newer execution can read.
+// Call it after rebinding a relation's source. Probes in flight when
+// Invalidate runs — of any relation: gen is the cache's — do not store their
+// (possibly stale) extraction; an execution pinned to an older version may
+// still store entries under its own (old) epoch afterwards, which no newer
+// execution can read.
 func (c *Cache) Invalidate(rel string) int {
 	c.gen.Add(1)
+	return c.Sweep(rel)
+}
+
+// Sweep frees every cached access of one relation and returns how many it
+// dropped, leaving probes in flight alone: what they fetch is still stored.
+// It is for entries that are already unreachable — a versioned relation's,
+// once its epoch has advanced — where nothing stale can be stored any more
+// and the only question is how long the old extractions, and the rows of old
+// table versions they hold, stay resident. It walks every entry of every
+// shard.
+func (c *Cache) Sweep(rel string) int {
 	dropped := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()

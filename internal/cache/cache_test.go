@@ -313,17 +313,10 @@ func TestPanicDoesNotWedgeKey(t *testing.T) {
 	}
 }
 
-func TestWrapRegistryAndSummary(t *testing.T) {
-	ctr, rel := testSource(t, "r^io(A, B)", storage.Row{"a", "1"})
-	_ = rel
-	reg := source.NewRegistry()
-	reg.Bind(ctr)
+func TestSummary(t *testing.T) {
+	ctr, _ := testSource(t, "r^io(A, B)", storage.Row{"a", "1"})
 	c := New(Options{})
-	wrapped := c.WrapRegistry(reg)
-	w := wrapped.Source("r")
-	if w == nil {
-		t.Fatal("r not in wrapped registry")
-	}
+	w := c.Wrap(ctr)
 	access(w, "a")
 	access(w, "a")
 	sum := c.Summary()

@@ -186,18 +186,9 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, keys []s
 
 // Wrap layers the cache over a wrapper. Decorators compose: wrap a
 // source.Counter to count only the probes that actually reach the source,
-// e.g. Cached(Counted(TableSource)).
+// e.g. Cached(Counted(TableSource)). The cache is keyed by relation name:
+// everything wrapped by one cache must bind the same logical sources to the
+// same names.
 func (c *Cache) Wrap(w source.Wrapper) source.Wrapper {
 	return &cachedSource{c: c, inner: w}
-}
-
-// WrapRegistry returns a registry in which every source of reg is wrapped
-// by the cache. The cache is keyed by relation name: registries sharing one
-// cache must bind the same logical sources to the same names.
-func (c *Cache) WrapRegistry(reg *source.Registry) *source.Registry {
-	out := source.NewRegistry()
-	for _, name := range reg.Names() {
-		out.Bind(c.Wrap(reg.Source(name)))
-	}
-	return out
 }

@@ -223,19 +223,6 @@ func (q *CQ) Constants() []string {
 	return sortedKeys(set)
 }
 
-// Predicates returns the sorted set of predicate names used in the body
-// (positive and negated).
-func (q *CQ) Predicates() []string {
-	set := make(map[string]bool)
-	for _, a := range q.Body {
-		set[a.Pred] = true
-	}
-	for _, a := range q.Negated {
-		set[a.Pred] = true
-	}
-	return sortedKeys(set)
-}
-
 // JoinVars returns the sorted set of variables occurring in at least two
 // distinct positions of positive body atoms (including twice within one
 // atom). These are the variables whose occurrences give rise to candidate

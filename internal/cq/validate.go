@@ -137,19 +137,3 @@ func Validate(q *CQ, s *schema.Schema) (*Typing, error) {
 	}
 	return t, nil
 }
-
-// ValidateUCQ validates every disjunct of a union against the schema.
-func ValidateUCQ(u *UCQ, s *schema.Schema) ([]*Typing, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]*Typing, len(u.Disjuncts))
-	for i, d := range u.Disjuncts {
-		t, err := Validate(d, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}

@@ -55,17 +55,6 @@ func (sol *Solution) Mark(a *Arc) Mark {
 	}
 }
 
-// LiveArcs returns the non-deleted arcs (weak and strong) in arc-ID order.
-func (sol *Solution) LiveArcs() []*Arc {
-	var out []*Arc
-	for _, a := range sol.G.Arcs {
-		if !sol.Deleted[a.ID] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // LiveInArcs returns the non-deleted arcs entering node n.
 func (sol *Solution) LiveInArcs(n *Node) []*Arc {
 	var out []*Arc

@@ -89,17 +89,6 @@ func (s *Source) InputNodes() []*Node {
 	return out
 }
 
-// OutputNodes returns the source's output nodes in position order.
-func (s *Source) OutputNodes() []*Node {
-	var out []*Node
-	for _, n := range s.Nodes {
-		if !n.IsInput() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Label renders the source name in the paper's style: the relation name with
 // a parenthesised occurrence number for black sources, e.g. "pub1(2)".
 func (s *Source) Label() string {
@@ -248,17 +237,6 @@ func (g *Graph) BlackSources() []*Source {
 	var out []*Source
 	for _, s := range g.Sources {
 		if s.Black {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// WhiteSources returns the sources of relations not mentioned in the query.
-func (g *Graph) WhiteSources() []*Source {
-	var out []*Source
-	for _, s := range g.Sources {
-		if !s.Black {
 			out = append(out, s)
 		}
 	}

@@ -36,10 +36,10 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 		return nil, err
 	}
 	names := sch.Names() // the naive algorithm probes every relation
-	if err := requireSources(reg, names); err != nil {
+	paths, err := openAccess(reg, names, opts)
+	if err != nil {
 		return nil, err
 	}
-	srcs, counters := instrument(reg, names, opts)
 
 	// B: known values per abstract domain, seeded with the query constants
 	// (interned here — the string boundary of the run).
@@ -71,11 +71,11 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	sc := getScratch()
 	defer sc.release()
 
-	truncated := false
+	truncated, demanded := false, 0
 	for changed := true; changed && !truncated; {
 		changed = false
 		for ri, rel := range sch.Relations() {
-			w := srcs[ri]
+			w := paths[ri].top
 			relTried := bindMapFor(sc.tried, rel.Name)
 			crel := cache[rel.Name]
 			inputs := rel.InputPositions()
@@ -121,7 +121,7 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 				}
 			}
 			walk(0)
-			err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(rows []datalog.Tuple) {
+			sent, err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(rows []datalog.Tuple) {
 				for _, row := range rows {
 					if crel.Insert(row) {
 						for pos, v := range row {
@@ -130,6 +130,7 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 					}
 				}
 			})
+			demanded += sent
 			if errors.Is(err, errCancelled) {
 				truncated = true
 				break
@@ -143,5 +144,5 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	if err := k.evaluate(query, &sc.join, cache, truncated); err != nil {
 		return nil, err
 	}
-	return k.finish(statsOf(names, counters), truncated, false), nil
+	return k.finish(statsOf(names, paths), demanded, truncated, false), nil
 }

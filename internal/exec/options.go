@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 
 	"toorjah/internal/cache"
@@ -36,9 +35,9 @@ type Options struct {
 	// of the same relation binding hit the source again.
 	NoMetaCache bool
 	// Cache, when set, serves accesses through a cross-query access cache
-	// shared between executions (and between concurrent executions). The
-	// cache is layered outside the per-run counters, so Result.Stats then
-	// reports only the probes that actually reached the sources.
+	// shared between executions (and between concurrent executions). It sits
+	// in front of the per-run accounting, so Result.Stats then reports only
+	// the probes that actually reached the sources.
 	Cache *cache.Cache
 	// MaxBatch caps how many access bindings are folded into one source
 	// round trip (one Wrapper.Probe call). 0 means DefaultMaxBatch; negative
@@ -51,13 +50,11 @@ type Options struct {
 	// round trip: one already started when the stop lands completes and is
 	// charged in full.
 	MaxBatch int
-	// Obs, when non-nil, instruments the execution: probe metrics (latency
-	// and batch-size histograms, per-relation access counters) are recorded
-	// below the cache — only probes that reach a source count — and the
-	// execution's demanded accesses (cache hits included) are counted above
-	// it, yielding the per-query cache-hit ratio. All instruments are
-	// atomic; a nil Obs leaves the probe path untouched.
-	Obs *obs.ExecObs
+	// Metrics, when non-nil, is the server's source-level metric families:
+	// every round trip that reaches a source — below the cache, in lockstep
+	// with Result.Stats — is timed and counted into them. A server sets it
+	// once, for every execution; nil leaves the probe path untimed.
+	Metrics *obs.ProbeMetrics
 
 	// Parallelism is how many round trips per relation the pipelined
 	// strategy keeps in flight; default 4. The other executors make one
@@ -136,47 +133,4 @@ func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID, slots [][
 		return errCancelled
 	}
 	return err
-}
-
-// instrument prepares, for one execution, the sources of the relations it
-// probes — those and no others, so a run costs what its plan touches, not
-// what the schema holds — and returns them with their counters, both in the
-// order of relations. Each source is pinned to its current data version
-// when it is versioned (the run then observes one consistent epoch per
-// relation however far concurrent writers advance the tables) and wrapped
-// in a fresh Counter — the per-run access accounting behind Result.Stats;
-// when a cross-query cache is configured it is layered outside the counter
-// (Cached(Counted(Snapshot(source)))) so cache hits bypass the counters
-// entirely. Probe metrics sit inside the cache: they observe exactly the
-// round trips that reach a source, in lockstep with the counters. Demand
-// counting sits outside it: it sees every access the plan requested, cache
-// hits included. Every relation must have a source (requireSources).
-func instrument(reg *source.Registry, relations []string, opts Options) ([]source.Wrapper, []*source.Counter) {
-	srcs := make([]source.Wrapper, len(relations))
-	counters := make([]*source.Counter, len(relations))
-	for i, name := range relations {
-		w := reg.Source(name)
-		if s, ok := w.(source.Snapshottable); ok {
-			w = s.Snapshot()
-		}
-		counters[i] = source.NewCounter(w, false)
-		w = opts.Obs.WrapProbe(counters[i])
-		if opts.Cache != nil {
-			w = opts.Cache.Wrap(w)
-		}
-		srcs[i] = opts.Obs.WrapDemand(w)
-	}
-	return srcs, counters
-}
-
-// requireSources reports the first of the named relations that has no
-// source bound. Every executor calls it before its first probe, so a
-// missing binding never costs an access.
-func requireSources(reg *source.Registry, relations []string) error {
-	for _, name := range relations {
-		if reg.Source(name) == nil {
-			return fmt.Errorf("exec: no source bound for relation %s", name)
-		}
-	}
-	return nil
 }

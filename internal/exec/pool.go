@@ -165,11 +165,12 @@ func (sc *scratch) recycle(fl *flight) {
 // fresh bindings thus costs ceil(N/maxBatch) round trips and allocates
 // nothing per binding: each batch is a reused slice of headers into the
 // arena and a reused slice of result slots. A context found done between
-// two round trips ends the pass with errCancelled.
-func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int, ingest func(rows []datalog.Tuple)) error {
+// two round trips ends the pass with errCancelled. Either way it reports how
+// many of the bindings it sent on a round trip: the accesses demanded.
+func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int, ingest func(rows []datalog.Tuple)) (sent int, err error) {
 	for done := 0; done < count; {
 		if ctxDone(ctx) {
-			return errCancelled
+			return done, errCancelled
 		}
 		n := min(maxBatch, count-done)
 		sc.batch = sc.batch[:0]
@@ -178,12 +179,12 @@ func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, coun
 		}
 		sc.slots = slices.Grow(sc.slots[:0], n)[:n]
 		if err := probe(ctx, w, sc.batch, sc.slots); err != nil {
-			return err
+			return done + n, err
 		}
 		for _, rows := range sc.slots {
 			ingest(rows)
 		}
 		done += n
 	}
-	return nil
+	return count, nil
 }

@@ -17,7 +17,9 @@
 //     as they are derivable;
 //   - Union: the disjuncts of a UCQ, concurrently, into one answer set.
 //
-// Answers leave every executor through one sink, which applies the answer
+// Probes leave every executor through one access path per relation (access:
+// cache, meter, pinned source), where an access is counted once. Answers
+// leave every executor through one sink, which applies the answer
 // limit and builds the Result, and they leave in bursts: the one answer
 // callback is func([]datalog.Tuple), called with the answers one completed
 // step made derivable — a landed round trip, a sweep's meta-cache hits, the
@@ -51,8 +53,14 @@ type Result struct {
 	// Answers is the deduplicated answer relation.
 	Answers *datalog.Relation
 	// Stats has per-relation access accounting (relations never probed are
-	// absent).
+	// absent): what reached the sources.
 	Stats map[string]source.Stats
+	// Demanded is the number of accesses the execution sent on a round
+	// trip, whoever answered them: for a run that completes,
+	// Demanded − TotalAccesses() is what the cross-query cache absorbed —
+	// hits, and accesses collapsed onto another request's round trip — and
+	// zero without a cache.
+	Demanded int
 	// EarlyEmpty reports that the fast-failing test proved the answer empty
 	// before all groups were populated.
 	EarlyEmpty bool
@@ -137,15 +145,4 @@ func (r *Result) String() string {
 		b.WriteString(" (early empty)")
 	}
 	return b.String()
-}
-
-// statsOf snapshots the counters instrument made for the relations.
-func statsOf(relations []string, counters []*source.Counter) map[string]source.Stats {
-	out := make(map[string]source.Stats, len(counters))
-	for i, c := range counters {
-		if st := c.Stats(); st.Accesses > 0 {
-			out[relations[i]] = st
-		}
-	}
-	return out
 }

@@ -99,10 +99,10 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		ctx = context.Background()
 	}
 	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers)
-	if err := requireSources(reg, p.Relations); err != nil {
+	paths, err := openAccess(reg, p.Relations, opts)
+	if err != nil {
 		return nil, err
 	}
-	srcs, counters := instrument(reg, p.Relations, opts)
 	sc := getScratch()
 	defer sc.release()
 	st, err := newGroupState(p, opts, sc)
@@ -112,7 +112,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	rels := sc.relQueues(len(p.Relations))
 	for _, c := range p.Caches {
 		if !c.IsConst {
-			rels[c.Rel].w, rels[c.Rel].width = srcs[c.Rel], len(c.DomainPreds)
+			rels[c.Rel].w, rels[c.Rel].width = paths[c.Rel].top, len(c.DomainPreds)
 		}
 	}
 
@@ -120,6 +120,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		maxBatch, par = opts.maxBatch(), opts.parallelism()
 		landed        = make(chan *flight) // round trips reporting back
 		outstanding   = 0                  // round trips in flight
+		demanded      = 0                  // accesses sent on a round trip
 		unanswered    = false              // a round trip was cut off by cancellation
 		opened        = 0                  // position groups [0, opened) are open
 	)
@@ -238,6 +239,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				r.head++
 			}
 			fl.rows = slices.Grow(fl.rows, len(fl.bindings))[:len(fl.bindings)]
+			demanded += len(fl.bindings)
 			if s.inline {
 				fl.err = probe(pctx, r.w, fl.bindings, fl.rows)
 				if err := land(fl); err != nil {
@@ -303,7 +305,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 				if !sat {
 					span.SetAttr("early_empty", true)
-					return k.finish(statsOf(p.Relations, counters), false, true), nil
+					return k.finish(statsOf(p.Relations, paths), demanded, false, true), nil
 				}
 			}
 			opened++
@@ -325,7 +327,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			return nil, err
 		}
 	}
-	return k.finish(statsOf(p.Relations, counters), truncated, false), nil
+	return k.finish(statsOf(p.Relations, paths), demanded, truncated, false), nil
 }
 
 // groupState holds the cache database and the bookkeeping of one execution

@@ -91,12 +91,11 @@ func BenchmarkPipelinedScan(b *testing.B) {
 	}
 }
 
-// TestExecutionCostIgnoresUnprobedRelations: an execution prepares the
-// sources of the relations its plan probes and no others, so what a warm
-// point query allocates does not grow with the schema around it. Wrapping
-// every bound source per run (a counter, a cache layer and two metric
-// layers each, in five registries) cost three allocations and more per
-// unrelated relation.
+// TestExecutionCostIgnoresUnprobedRelations: an execution opens the access
+// paths of the relations its plan probes and no others, so what a warm
+// point query allocates does not grow with the schema around it — with the
+// cache and a server's metric families both on. Wrapping every bound source
+// per run cost three allocations and more per unrelated relation.
 func TestExecutionCostIgnoresUnprobedRelations(t *testing.T) {
 	warmPointQueryAllocs := func(unrelated int) float64 {
 		sch := "conf^ioo(P, C, Y)\n"
@@ -106,11 +105,16 @@ func TestExecutionCostIgnoresUnprobedRelations(t *testing.T) {
 		f := setup(t, sch, "q(C, Y) :- conf(p1, C, Y)", map[string][]storage.Row{
 			"conf": {{"p1", "icde", "y2008"}, {"p2", "vldb", "y2007"}},
 		})
-		opts := Options{Cache: cache.New(cache.Options{}), Obs: &obs.ExecObs{}}
+		opts := Options{Cache: cache.New(cache.Options{}), Metrics: obs.NewProbeMetrics(obs.NewRegistry())}
 		run := func() {
 			res, err := Pipelined(context.Background(), f.plan, f.reg, opts, nil)
 			if err != nil || res.Answers.Len() != 1 {
 				t.Fatalf("point query over %d unrelated relations: %v, %v", unrelated, res, err)
+			}
+			// One access asked for on every run; only the first reaches conf.
+			if res.Demanded != 1 || metered(opts.Metrics).Accesses != 1 {
+				t.Fatalf("point query: %d accesses demanded, %+v metered; want 1 and 1 in all",
+					res.Demanded, metered(opts.Metrics))
 			}
 		}
 		run() // fill the cache, size the scratch

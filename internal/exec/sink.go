@@ -95,11 +95,12 @@ func (k *sink) evaluate(query *datalog.Compiled, m *datalog.Machine, db datalog.
 
 // finish delivers what is still recorded and builds the execution's Result
 // — the one place a Result is made.
-func (k *sink) finish(stats map[string]source.Stats, truncated, earlyEmpty bool) *Result {
+func (k *sink) finish(stats map[string]source.Stats, demanded int, truncated, earlyEmpty bool) *Result {
 	k.deliver()
 	return &Result{
 		Answers:     k.answers,
 		Stats:       stats,
+		Demanded:    demanded,
 		EarlyEmpty:  earlyEmpty,
 		Truncated:   truncated || k.withheld,
 		Elapsed:     time.Since(k.start),

@@ -28,10 +28,10 @@ type DisjunctRun func(ctx context.Context, emit func([]datalog.Tuple)) (*Result,
 //     answers the union already holds taken out; calls are serialized,
 //     never concurrent;
 //   - per-relation statistics merge via source.Stats.Add, so Accesses,
-//     Batches and Tuples all survive (a disjunct's probes are counted
-//     against whichever disjunct actually reached the source — under a
-//     shared cross-query cache, concurrent identical probes collapse into
-//     one flight and are counted once);
+//     Batches and Tuples all survive, and Demanded sums (a disjunct's
+//     probes are counted against whichever disjunct actually reached the
+//     source — under a shared cross-query cache, concurrent identical
+//     probes collapse into one flight and are counted once);
 //   - Truncated and EarlyEmpty are OR-ed over disjuncts: a union containing
 //     any truncated disjunct is itself a sound subset of the obtainable
 //     answers, and EarlyEmpty records that at least one disjunct's
@@ -53,6 +53,7 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	stats := make(map[string]source.Stats)
 	var (
 		mu         sync.Mutex // guards union, stats and the flags
+		demanded   int
 		truncated  bool
 		earlyEmpty bool
 		firstErr   error
@@ -112,6 +113,7 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 				cur.Add(st)
 				stats[rel] = cur
 			}
+			demanded += res.Demanded
 			truncated = truncated || res.Truncated
 			earlyEmpty = earlyEmpty || res.EarlyEmpty
 		}(di, run)
@@ -121,5 +123,5 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return union.finish(stats, truncated, earlyEmpty), nil
+	return union.finish(stats, demanded, truncated, earlyEmpty), nil
 }

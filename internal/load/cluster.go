@@ -24,8 +24,11 @@ type Node struct {
 	Srv  *service.Server
 	URL  string
 
-	hs     *http.Server
-	lis    net.Listener
+	hs  *http.Server
+	lis net.Listener
+	// outage, while set (runFailure), answers every request 503: the
+	// client-visible shape of a crashed or partitioned peer — connections
+	// still open, service gone.
 	outage atomic.Bool
 	wlog   *wal.Log
 }
@@ -49,11 +52,6 @@ func startNode(name string, sys *toorjah.System, execOpts toorjah.Options, svcOp
 	go n.hs.Serve(lis) //nolint — Serve returns when Close is called
 	return n, nil
 }
-
-// SetOutage switches the node between serving and answering 503 to every
-// request — the client-visible shape of a crashed or partitioned peer
-// (connections still open, service gone).
-func (n *Node) SetOutage(down bool) { n.outage.Store(down) }
 
 // Scrape fetches and parses the node's /metrics exposition.
 func (n *Node) Scrape(ctx context.Context, client *http.Client) (*obs.Scrape, error) {

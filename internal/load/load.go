@@ -11,8 +11,7 @@
 // error budgets; scrapes each node's /metrics before and after the run to
 // embed the server-side deltas (cache savings, probe round trips, breaker
 // opens, ingest rows) next to the client-observed numbers; and emits the
-// whole report as internal/benchfmt results, so cmd/benchgate diffs two
-// runs exactly like two benchmark snapshots.
+// whole report as text, GFM or JSON.
 package load
 
 import (

@@ -3,11 +3,10 @@ package load
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
-
-	"toorjah/internal/benchfmt"
 )
 
 func TestEvaluate(t *testing.T) {
@@ -182,22 +181,26 @@ func TestRunMixedSuite(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	results, err := benchfmt.ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("the JSON artifact is not a benchfmt snapshot: %v", err)
+	var snapshot Report
+	if err := json.Unmarshal(buf.Bytes(), &snapshot); err != nil {
+		t.Fatalf("the JSON artifact does not decode back into a Report: %v", err)
 	}
 	found := false
-	for _, r := range results {
-		if r.Name == "Load/adaptive-skew" {
+	for _, r := range snapshot.Results {
+		if r.Scenario.Name == "adaptive-skew" {
 			found = true
-			if r.Metrics["adaptive-accesses/op"] > r.Metrics["static-accesses/op"] {
-				t.Errorf("snapshot records adaptive %v > static %v",
-					r.Metrics["adaptive-accesses/op"], r.Metrics["static-accesses/op"])
+			if want := byName["adaptive-skew"].Measured; r.Measured.AdaptiveAccesses != want.AdaptiveAccesses ||
+				r.Measured.StaticAccesses != want.StaticAccesses || !r.Pass {
+				t.Errorf("snapshot records adaptive-skew as %+v (pass=%v), the run measured %+v",
+					r.Measured, r.Pass, want)
 			}
 		}
 	}
 	if !found {
-		t.Error("snapshot lacks Load/adaptive-skew")
+		t.Error("snapshot lacks adaptive-skew")
+	}
+	if _, ok := snapshot.ServerDeltas["node0"]; !ok || snapshot.Suite != rep.Suite {
+		t.Errorf("snapshot of suite %q lacks node0's server deltas", snapshot.Suite)
 	}
 	if rep.Markdown() == "" || rep.Text() == "" {
 		t.Error("empty rendered report")

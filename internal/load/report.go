@@ -1,13 +1,13 @@
 package load
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
 
-	"toorjah/internal/benchfmt"
 	"toorjah/internal/obs"
 	"toorjah/internal/stats"
 )
@@ -146,70 +146,13 @@ func buildReport(suiteName string, scenarios []Scenario, tallies []*tally, aggre
 	return rep
 }
 
-// BenchResults renders the report as benchfmt results, so two load runs
-// diff with cmd/benchgate exactly like two benchmark snapshots:
-//
-//	Load/<scenario>     client-side metrics, with accesses/op gated
-//	LoadAggregate       the whole-run rollup
-//	LoadServer/<node>   server-side counter deltas (informational)
-func (r *Report) BenchResults() []benchfmt.Result {
-	toMS := func(s float64) float64 { return s * 1e3 }
-	boolMetric := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	one := func(name string, res ScenarioResult) benchfmt.Result {
-		m := map[string]float64{
-			"p50-ms":         toMS(res.P50),
-			"p99-ms":         toMS(res.P99),
-			"p999-ms":        toMS(res.P999),
-			"throughput-rps": res.Throughput,
-			"pass":           boolMetric(res.Pass),
-		}
-		if res.Measured.Requests > 0 {
-			m["error-rate"] = float64(res.Measured.Errors) / float64(res.Measured.Requests)
-			m["truncated-rate"] = float64(res.Measured.Truncated) / float64(res.Measured.Requests)
-		}
-		if res.Scenario.Kind == KindQuery {
-			m["accesses/op"] = res.MeanAccesses
-		}
-		if res.Scenario.Kind == KindCompare {
-			m["adaptive-accesses/op"] = float64(res.Measured.AdaptiveAccesses)
-			m["static-accesses/op"] = float64(res.Measured.StaticAccesses)
-		}
-		if res.Scenario.Kind == KindCrash {
-			m["acked-batches"] = float64(res.Measured.AckedBatches)
-			m["survived-batches"] = float64(res.Measured.SurvivedBatches)
-			m["violations"] = float64(len(res.Measured.Violations))
-		}
-		return benchfmt.Result{Name: name, Iterations: res.Measured.Requests, Metrics: m}
-	}
-	out := make([]benchfmt.Result, 0, len(r.Results)+len(r.ServerDeltas)+1)
-	for _, res := range r.Results {
-		out = append(out, one("Load/"+res.Scenario.Name, res))
-	}
-	out = append(out, one("LoadAggregate", r.Aggreg))
-	nodes := make([]string, 0, len(r.ServerDeltas))
-	for n := range r.ServerDeltas {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		out = append(out, benchfmt.Result{
-			Name:       "LoadServer/" + n,
-			Iterations: 1,
-			Metrics:    r.ServerDeltas[n],
-		})
-	}
-	return out
-}
-
-// WriteJSON writes the report as a bare benchfmt result array — the shape
-// cmd/benchgate's ReadJSON expects.
+// WriteJSON writes the report as it stands — every scenario's declaration,
+// measurement, verdict and latency quantiles (seconds), the whole-run rollup
+// and the servers' counter deltas — as one indented JSON object.
 func (r *Report) WriteJSON(w io.Writer) error {
-	return benchfmt.WriteJSON(w, r.BenchResults())
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 // table renders the per-scenario rows into t (shared by Text and Markdown).

@@ -160,10 +160,6 @@ func (h *Histogram) CumulativeCounts() []uint64 {
 	return out
 }
 
-// Bounds returns the finite bucket upper bounds (shared, not copied; do
-// not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // LatencyBuckets is the default histogram bucketing for durations in
 // seconds: 0.5ms up to 10s, roughly logarithmic — wide enough for a cache
 // hit and a cross-country federated probe to land in different buckets.

@@ -1,0 +1,44 @@
+package obs
+
+import (
+	"testing"
+	"time"
+)
+
+// TestProbeMetricsRecord: a relation's handles resolve once and for all; a
+// round trip that delivered moves the three counters and both histograms, one
+// that failed only the histograms — it was paid for, no access was answered;
+// and Each reads back what the exposition renders.
+func TestProbeMetricsRecord(t *testing.T) {
+	m := NewProbeMetrics(NewRegistry())
+	r := m.For("r")
+	if m.For("r") != r {
+		t.Fatal("the relation's handles were resolved twice")
+	}
+	if m.For("s") == r || (*ProbeMetrics)(nil).For("r") != nil {
+		t.Fatal("handles are per relation, and a nil ProbeMetrics has none")
+	}
+	r.Record(6, time.Millisecond, 12, true)
+	r.Record(4, time.Millisecond, 0, false)
+
+	seen := 0
+	m.Each(func(rel string, accesses, roundTrips, tuples int64) {
+		seen++
+		want := [3]int64{}
+		if rel == "r" {
+			want = [3]int64{6, 1, 12}
+		}
+		if got := [3]int64{accesses, roundTrips, tuples}; got != want {
+			t.Errorf("%s counts (accesses, round trips, tuples) %v, want %v", rel, got, want)
+		}
+	})
+	if seen != 2 {
+		t.Errorf("Each visited %d relations, want r and s", seen)
+	}
+	if got := m.accesses.With("r").Value(); got != 6 {
+		t.Errorf("the exposition's series holds %d accesses, the handle recorded 6", got)
+	}
+	if d, b := m.duration.Count(), m.batchSize.Count(); d != 2 || b != 2 {
+		t.Errorf("histograms observed %d durations and %d batch sizes, want both round trips", d, b)
+	}
+}

@@ -23,12 +23,14 @@ const (
 	DefaultMaxRequestBytes = 8 << 20
 )
 
-// Handler serves the /probe protocol over a source registry: each request
-// is one batched probe of a single relation, honoring the relation's
-// binding pattern (a binding must cover exactly the input positions) and
-// streaming every matching tuple back as NDJSON row frames.
+// Handler serves the /probe protocol: each request is one batched probe of
+// a single relation, honoring the relation's binding pattern (a binding must
+// cover exactly the input positions) and streaming every matching tuple back
+// as NDJSON row frames. The relation's source is resolved per request, so a
+// node serves what it has bound now, not what it had when the handler was
+// built.
 type Handler struct {
-	reg *source.Registry
+	resolve func(relation string) source.Wrapper
 
 	// Record, when set, observes every served probe. toorjahd feeds its
 	// /stats, /metrics and probe log from it.
@@ -53,9 +55,11 @@ type ProbeRecord struct {
 	TraceID  string
 }
 
-// NewHandler serves probes of the registry's relations.
-func NewHandler(reg *source.Registry) *Handler {
-	return &Handler{reg: reg}
+// NewHandler serves probes of the relations resolve knows — a
+// source.Registry's Source, or a system's view of its bindings; nil means
+// unknown relation.
+func NewHandler(resolve func(relation string) source.Wrapper) *Handler {
+	return &Handler{resolve: resolve}
 }
 
 // ServeHTTP answers one POST /probe.
@@ -93,7 +97,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			len(req.Bindings), maxBindings), http.StatusBadRequest)
 		return
 	}
-	src := h.reg.Source(req.Relation)
+	src := h.resolve(req.Relation)
 	if src == nil {
 		http.Error(w, "unknown relation "+req.Relation, http.StatusNotFound)
 		return
@@ -169,7 +173,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // else.
 func PeerMux(reg *source.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/probe", NewHandler(reg))
+	mux.Handle("/probe", NewHandler(reg.Source))
 	mux.HandleFunc("/schema", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		var b strings.Builder

@@ -137,7 +137,7 @@ func TestProbeRoundTrip(t *testing.T) {
 // and binding caps, unknown relations, arity mismatches.
 func TestHandlerRejects(t *testing.T) {
 	_, reg := testRegistry(t)
-	h := NewHandler(reg)
+	h := NewHandler(reg.Source)
 	h.MaxBindings = 2
 	h.MaxRequestBytes = 256
 
@@ -530,7 +530,7 @@ func TestHealthy(t *testing.T) {
 // TestHandlerRecord: the Record hook observes served probes.
 func TestHandlerRecord(t *testing.T) {
 	sch, reg := testRegistry(t)
-	h := NewHandler(reg)
+	h := NewHandler(reg.Source)
 	type rec struct {
 		rel              string
 		accesses, tuples int

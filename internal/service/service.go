@@ -62,9 +62,8 @@ type Server struct {
 	served    atomic.Int64
 	ucqServed atomic.Int64
 
-	srcMu        sync.Mutex
-	sources      map[string]toorjah.SourceStats // per-relation accounting, summed over queries
-	probeSources map[string]toorjah.SourceStats // per-relation accounting of probes served to peers
+	srcMu      sync.Mutex
+	peerProbes map[string]toorjah.SourceStats // per-relation accounting of probes served to peers
 
 	probeH       *remote.Handler
 	probesServed atomic.Int64
@@ -78,12 +77,12 @@ type Server struct {
 
 	// Observability: the registry behind GET /metrics (counters and gauges
 	// the service already accumulates become scrape-time collectors; the
-	// histograms below are fed directly), the source-level metric families
-	// every execution records into, the end-to-end latency histograms per
-	// executor, the structured query log (nil = silent), and the peer
-	// reachability timeout of /healthz?ready.
+	// histograms below are fed directly; the source-level families travel
+	// to every execution in exec.Metrics, and /stats' sources block reads
+	// them back), the end-to-end latency histograms per executor, the
+	// structured query log (nil = silent), and the peer reachability timeout
+	// of /healthz?ready.
 	metrics       *obs.Registry
-	probeMetrics  *obs.ProbeMetrics
 	queryDuration *obs.HistogramVec
 	queryFirst    *obs.HistogramVec
 	peerProbeDur  *obs.Histogram
@@ -133,23 +132,21 @@ func WithQueryLog(l *obs.QueryLog) Option {
 	return func(s *Server) { s.queryLog = l }
 }
 
-// New builds the route table's state over a fully bound system: the
-// /probe endpoint snapshots the system's sources (behind its cross-query
-// cache) at construction, so bind every relation — including remote
-// attaches — first.
+// New builds the route table's state over a system. Every endpoint reads
+// the system's bindings per request, so relations bound, attached or rebound
+// afterwards are served as they stand.
 func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server {
 	s := &Server{
 		sys:            sys,
 		exec:           execOpts,
 		start:          time.Now(),
-		sources:        make(map[string]toorjah.SourceStats),
-		probeSources:   make(map[string]toorjah.SourceStats),
+		peerProbes:     make(map[string]toorjah.SourceStats),
 		maxIngestBytes: DefaultMaxIngestBytes,
 		ingests:        make(map[string]*ingestStats),
 		readyTimeout:   DefaultReadyTimeout,
 	}
 	s.metrics = obs.NewRegistry()
-	s.probeMetrics = obs.NewProbeMetrics(s.metrics)
+	s.exec.Metrics = obs.NewProbeMetrics(s.metrics)
 	s.queryDuration = s.metrics.HistogramVec("toorjah_query_duration_seconds",
 		"End-to-end latency of one served /query, by executor.", obs.LatencyBuckets, "executor")
 	s.queryFirst = s.metrics.HistogramVec("toorjah_query_time_to_first_seconds",
@@ -160,7 +157,7 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 		"Response writes dropped because the client disconnected mid-reply.")
 	s.registerCollectors()
 	obs.RegisterRuntimeMetrics(s.metrics)
-	s.probeH = remote.NewHandler(sys.ProbeRegistry())
+	s.probeH = remote.NewHandler(sys.PeerSource)
 	s.probeH.Record = s.recordProbe
 	for _, o := range opts {
 		o(s)
@@ -327,43 +324,18 @@ func (s *Server) recordProbe(p remote.ProbeRecord) {
 	s.queryLog.Probe(p.TraceID, p.Relation, p.Accesses, p.Tuples, p.Elapsed)
 	s.srcMu.Lock()
 	defer s.srcMu.Unlock()
-	cur := s.probeSources[p.Relation]
+	cur := s.peerProbes[p.Relation]
 	cur.Add(toorjah.SourceStats{Accesses: p.Accesses, Batches: 1, Tuples: p.Tuples})
-	s.probeSources[p.Relation] = cur
+	s.peerProbes[p.Relation] = cur
 }
 
 // probeSnapshot copies the served-probe accounting.
 func (s *Server) probeSnapshot() (map[string]toorjah.SourceStats, toorjah.SourceStats) {
 	s.srcMu.Lock()
 	defer s.srcMu.Unlock()
-	out := make(map[string]toorjah.SourceStats, len(s.probeSources))
+	out := make(map[string]toorjah.SourceStats, len(s.peerProbes))
 	var totals toorjah.SourceStats
-	for rel, st := range s.probeSources {
-		out[rel] = st
-		totals.Add(st)
-	}
-	return out, totals
-}
-
-// recordSources folds one execution's per-relation accounting into the
-// service totals (accesses, source round trips, extracted tuples).
-func (s *Server) recordSources(stats map[string]toorjah.SourceStats) {
-	s.srcMu.Lock()
-	defer s.srcMu.Unlock()
-	for rel, st := range stats {
-		cur := s.sources[rel]
-		cur.Add(st)
-		s.sources[rel] = cur
-	}
-}
-
-// sourceSnapshot copies the service-wide per-relation accounting.
-func (s *Server) sourceSnapshot() (map[string]toorjah.SourceStats, toorjah.SourceStats) {
-	s.srcMu.Lock()
-	defer s.srcMu.Unlock()
-	out := make(map[string]toorjah.SourceStats, len(s.sources))
-	var totals toorjah.SourceStats
-	for rel, st := range s.sources {
+	for rel, st := range s.peerProbes {
 		out[rel] = st
 		totals.Add(st)
 	}
@@ -564,16 +536,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		trace.Root.SetAttr("executor", executor)
 		ctx = obs.ContextWithSpan(ctx, trace.Root)
 	}
-	// The per-query observability bundle: the shared probe metric families
-	// plus this query's demanded-access counter — demanded minus probed is
-	// what the cross-query cache absorbed for this query.
-	execObs := &obs.ExecObs{Probe: s.probeMetrics}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	opts := s.exec
 	opts.Limit = limit
-	opts.Obs = execObs
 	// Answers leave the way the engine hands them over, in bursts: the
 	// answers one landed round trip made derivable are rendered into one
 	// buffer and written and flushed together — the engine delivers before
@@ -621,7 +587,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.encode(json.NewEncoder(w), errorLine{Error: err.Error()})
 		return
 	}
-	s.recordSources(res.Stats)
 	s.queryDuration.With(executor).Observe(res.Elapsed.Seconds())
 	if res.TimeToFirst > 0 {
 		s.queryFirst.With(executor).Observe(res.TimeToFirst.Seconds())
@@ -632,7 +597,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Executor:    executor,
 		Answers:     res.Answers.Len(),
 		Accesses:    res.TotalAccesses(),
-		Demanded:    execObs.Demanded(),
+		Demanded:    res.Demanded,
 		RoundTrips:  res.TotalBatches(),
 		Elapsed:     res.Elapsed,
 		TimeToFirst: res.TimeToFirst,
@@ -848,8 +813,9 @@ type dataRelStats struct {
 	Deleted    int64  `json:"deleted,omitempty"`
 }
 
-// sourceStatsBlock aggregates per-relation source accounting over every
-// query the service has executed: accesses (the paper's cost metric),
+// sourceStatsBlock aggregates per-relation source accounting — over every
+// query the service has executed, failed ones included (sources), or every
+// probe it served to peers (probes): accesses (the paper's cost metric),
 // batches (actual round trips — accesses/batches is the mean batch size
 // bought by -max-batch), and extracted tuples.
 type sourceStatsBlock struct {
@@ -870,8 +836,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UCQsServed:    s.ucqServed.Load(),
 		PreparedPlans: s.sys.PlanCacheStats().Shapes,
 	}
-	if rels, totals := s.sourceSnapshot(); len(rels) > 0 {
-		resp.Sources = &sourceStatsBlock{Totals: totals, Relations: rels}
+	// The sources block is the toorjah_source_* counters of /metrics, read
+	// back: one producer (the executors' meter), so the two views agree. As
+	// in Result.Stats, a relation no probe has reached is absent.
+	sources := &sourceStatsBlock{Relations: make(map[string]toorjah.SourceStats)}
+	s.exec.Metrics.Each(func(rel string, accesses, roundTrips, tuples int64) {
+		if accesses == 0 {
+			return
+		}
+		st := toorjah.SourceStats{Accesses: int(accesses), Batches: int(roundTrips), Tuples: int(tuples)}
+		sources.Relations[rel] = st
+		sources.Totals.Add(st)
+	})
+	if len(sources.Relations) > 0 {
+		resp.Sources = sources
 	}
 	resp.ProbesServed = s.probesServed.Load()
 	if rels, totals := s.probeSnapshot(); len(rels) > 0 {

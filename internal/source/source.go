@@ -72,8 +72,8 @@ func (a Access) String() string {
 // a local table that matches nothing allocates nothing, and a decorator
 // forwards its caller's slots instead of copying between its own and theirs.
 //
-// Tuples are interned end to end: the table source, the counting, caching
-// and metrics decorators and the executors never construct a string.
+// Tuples are interned end to end: the table source, the counting and caching
+// decorators and the executors with their meter never construct a string.
 // Strings enter and leave at two edges only — ProbeStrings, and the NDJSON
 // codec inside remote.Source.
 type Wrapper interface {
@@ -251,12 +251,13 @@ func (s *Stats) Add(o Stats) {
 	s.Tuples += o.Tuples
 }
 
-// Counter decorates a Wrapper with thread-safe access accounting. A plain
-// counter — what every execution wraps its sources in — keeps the three
-// integers of Stats and nothing per binding. An audited counter (keepLog)
-// also records every access in order and the set of distinct bindings
-// probed; tests and debugging tools use it to check that no access is ever
-// repeated.
+// Counter decorates a Wrapper with thread-safe access accounting, for tests
+// and tools to audit with: bound in a source's place it sees exactly what
+// reaches the source, whatever sits above it. (The executors keep their own
+// per-run Stats in their access path and wrap nothing.) A plain counter keeps
+// the three integers of Stats and nothing per binding. An audited counter
+// (keepLog) also records every access in order and the set of distinct
+// bindings probed, to check that no access is ever repeated.
 type Counter struct {
 	inner Wrapper
 

@@ -12,7 +12,9 @@ import (
 
 	"toorjah"
 	"toorjah/internal/schema"
+	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // TestLiveMutationConsistency is the live-data acceptance property: a writer
@@ -291,5 +293,75 @@ func TestLiveMutationConsistency(t *testing.T) {
 	info := writerSys.DataInfo()["r"]
 	if info.Rows != 2 || !info.Local || info.ModifiedAt.IsZero() {
 		t.Errorf("DataInfo(r) = %+v", info)
+	}
+}
+
+// heldSource keeps its relation's first probe inside the source until release
+// is closed, and says when it got there.
+type heldSource struct {
+	toorjah.Wrapper
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.Wrapper.Probe(ctx, bindings, out)
+}
+
+// TestIngestVoidsNobodyElsesStore: a batch applied to one relation takes
+// nothing from anyone else. The relation's own entries are fenced by the epoch
+// the batch advanced and then swept; a miss of another relation that was in
+// flight while the batch landed is still stored when it returns, so its repeat
+// is a hit. (The sweep used to be an Invalidate, which bumps the cache-wide
+// generation every fetch checks before it stores.)
+func TestIngestVoidsNobodyElsesStore(t *testing.T) {
+	sch := schema.MustParse(`
+		r^io(K, V)
+		s^io(K, V)`)
+	sys := toorjah.NewSystem(sch, toorjah.WithCache(toorjah.CacheOptions{}))
+	if err := sys.BindRows("s", toorjah.Row{"k", "v"}); err != nil {
+		t.Fatal(err)
+	}
+	tab := storage.NewTable("r", 2)
+	tab.InsertAll([]storage.Row{{"a", "1"}})
+	src, err := source.NewTableSource(sch.Relation("r"), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldSource{Wrapper: src, entered: make(chan struct{}), release: make(chan struct{})}
+	sys.Bind(held)
+	q, err := sys.Prepare("q(V) :- r(a, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		res *toorjah.Result
+		err error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		res, err := q.Execute(context.Background())
+		first <- outcome{res, err}
+	}()
+	<-held.entered
+	if n, err := sys.Insert("s", toorjah.Row{"k2", "v2"}); err != nil || n != 1 {
+		t.Fatalf("insert into s beside r's probe: %d rows, %v", n, err)
+	}
+	close(held.release)
+	if o := <-first; o.err != nil || o.res.TotalAccesses() != 1 || strings.Join(o.res.SortedAnswers(), ";") != "1" {
+		t.Fatalf("the gated query: %v, %v", o.res, o.err)
+	}
+	res, err := q.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalAccesses() != 0 || res.Demanded != 1 || strings.Join(res.SortedAnswers(), ";") != "1" {
+		t.Errorf("the repeat made %d accesses for %d demanded (answers %v): r's extraction was not stored because a batch landed on s meanwhile",
+			res.TotalAccesses(), res.Demanded, res.SortedAnswers())
 	}
 }

@@ -173,14 +173,15 @@ func (s *System) RemotePeers() []*RemotePeer {
 	return out
 }
 
-// ProbeRegistry returns the system's sources as served to federated peers:
-// behind the cross-query cache when one is configured, so a probe repeated
-// by (or across) peers costs no local access. toorjahd mounts its /probe
-// endpoint over this view. The view snapshots the current bindings — take
-// it after every relation is bound, and retake it after a rebind.
-func (s *System) ProbeRegistry() *source.Registry {
-	if s.cache != nil {
-		return s.cache.WrapRegistry(s.reg)
+// PeerSource returns a relation's source as served to federated peers: the
+// one bound right now — nil when there is none — behind the cross-query cache
+// when one is configured, so a probe repeated by (or across) peers costs no
+// local access. toorjahd's /probe endpoint asks per request, so it serves
+// whatever the node has bound, inserted into or rebound since it started.
+func (s *System) PeerSource(name string) Wrapper {
+	w := s.reg.Source(name)
+	if w == nil || s.cache == nil {
+		return w
 	}
-	return s.reg
+	return s.cache.Wrap(w)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"toorjah/internal/obs"
 )
 
 func musicSystem(t *testing.T) *System {
@@ -491,27 +493,31 @@ func must(t *testing.T, err error) {
 	}
 }
 
-func TestWithProbeMetrics(t *testing.T) {
-	reg := NewMetricsRegistry()
+// TestMetricsOption: an execution handed a server's source-level families
+// (Options.Metrics) records into them exactly the probes that reach a source,
+// and reports what it asked for — answered by the cache or not — as
+// Result.Demanded.
+func TestMetricsOption(t *testing.T) {
+	reg := obs.NewRegistry()
 	sch, _ := ParseSchema(`
 r1^ioo(Artist, Nation, Year)
 r2^oio(Title, Year, Artist)
 r3^oo(Artist, Album)
 `)
-	sys := NewSystem(sch,
-		WithProbeMetrics(NewProbeMetricsHandles(reg)),
-		WithCache(CacheOptions{}))
+	sys := NewSystem(sch, WithCache(CacheOptions{}))
 	must(t, sys.BindRows("r3", Row{"madonna", "like_a_virgin"}))
 	q, err := sys.Prepare("q(A) :- r3(X, A)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Execute(context.Background())
+	metrics := WithExecOptions(Options{Metrics: obs.NewProbeMetrics(reg)})
+	res, err := q.Execute(context.Background(), metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalAccesses() == 0 {
-		t.Fatal("expected at least one access")
+	if res.TotalAccesses() == 0 || res.Demanded != res.TotalAccesses() {
+		t.Fatalf("cold run: %d accesses for %d demanded, want the same and at least one",
+			res.TotalAccesses(), res.Demanded)
 	}
 	var out strings.Builder
 	if err := reg.WriteText(&out); err != nil {
@@ -522,9 +528,15 @@ r3^oo(Artist, Album)
 	if !strings.Contains(out.String(), want) {
 		t.Fatalf("metrics missing %q:\n%s", want, out.String())
 	}
-	// A cache-warm repeat must not advance the probed-access counter.
-	if _, err := q.Execute(context.Background()); err != nil {
+	// A cache-warm repeat asks for the same accesses and must not advance the
+	// probed-access counter.
+	warm, err := q.Execute(context.Background(), metrics)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if warm.Demanded != res.Demanded || warm.TotalAccesses() != 0 {
+		t.Fatalf("warm run: %d accesses for %d demanded, want 0 for %d",
+			warm.TotalAccesses(), warm.Demanded, res.Demanded)
 	}
 	out.Reset()
 	if err := reg.WriteText(&out); err != nil {
