@@ -60,10 +60,10 @@ func TestHotpathStringsFixture(t *testing.T) {
 	runFixture(t, HotpathStrings, "toorjah/internal/exec", "hotpath")
 }
 
-// TestHotpathPackedKeysFixture: posing as internal/datalog, the packed-key
-// calls the exec-posing fixture above makes freely (GoodKey) are findings.
+// TestHotpathPackedKeysFixture: the shapes a packed string key takes, posing
+// as internal/cache — the last package of the hot-path list to have built one.
 func TestHotpathPackedKeysFixture(t *testing.T) {
-	runFixture(t, HotpathStrings, "toorjah/internal/datalog", "packedkey")
+	runFixture(t, HotpathStrings, "toorjah/internal/cache", "packedkey")
 }
 
 func TestCtxFirstFixture(t *testing.T) {

@@ -2,19 +2,19 @@ package analysis
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 )
 
 // HotpathStrings enforces PR 7's integer-tuple representation: inside the
 // hot-path packages (exec, storage, cache, datalog) no code may
-// materialize symbol IDs back into strings or build keys through fmt — IDs
-// flow end to end and strings appear only at result/serialization
-// boundaries, which are marked //toorjahvet:boundary. In storage and datalog
-// it also bans packing IDs into string keys: every lookup there hashes the
-// IDs through sym.RefTable.
+// materialize symbol IDs back into strings, build keys through fmt or pack
+// IDs into string keys — IDs flow end to end, every ID-keyed lookup hashes
+// them through sym.RefTable, and strings appear only at result/serialization
+// boundaries, which are marked //toorjahvet:boundary.
 var HotpathStrings = &Analyzer{
 	Name: "hotpath-strings",
-	Doc:  "no string materialization or fmt-based key building in hot-path packages; no packed string keys in storage and datalog",
+	Doc:  "no string materialization, fmt-based key building or packed string keys in hot-path packages",
 	Run:  runHotpathStrings,
 }
 
@@ -26,6 +26,8 @@ var hotPathPkgs = []string{
 	"/internal/cache",
 	"/internal/datalog",
 }
+
+const packedKeyReason = "builds a packed string key (hash the IDs through sym.RefTable)"
 
 // hotpathBanned maps fully qualified callee names to the reason each is
 // banned on the hot path.
@@ -45,23 +47,9 @@ var hotpathBanned = map[string]string{
 	"fmt.Append":                             "builds a string through fmt",
 	"fmt.Appendln":                           "builds a string through fmt",
 	"strings.Join":                           "builds a joined string key",
-}
-
-// refTablePkgs are the hot-path packages whose every ID-keyed lookup goes
-// through sym.RefTable; packedKeyBanned is what they may not call on top of
-// hotpathBanned. exec and cache keep packed keys (Result.AnswerSet, the
-// versioned cache key — a table with TTL, LRU and singleflight of its own).
-var refTablePkgs = []string{
-	"/internal/storage",
-	"/internal/datalog",
-}
-
-const packedKeyReason = "builds a packed string key (hash the IDs through sym.RefTable)"
-
-var packedKeyBanned = map[string]string{
-	"{mod}/internal/sym.Key":            packedKeyReason,
-	"{mod}/internal/sym.AppendKey":      packedKeyReason,
-	"({mod}/internal/storage.IRow).Key": packedKeyReason,
+	"{mod}/internal/sym.Key":                 packedKeyReason,
+	"{mod}/internal/sym.AppendKey":           packedKeyReason,
+	"({mod}/internal/storage.IRow).Key":      packedKeyReason,
 }
 
 // stringerMethods may materialize freely: they exist to render.
@@ -70,10 +58,9 @@ var stringerMethods = map[string]bool{
 }
 
 func runHotpathStrings(pass *Pass) {
-	if !pkgIn(hotPathPkgs, pass.Module.Path, pass.Pkg.Path) {
+	if !slices.Contains(hotPathPkgs, strings.TrimPrefix(pass.Pkg.Path, pass.Module.Path)) {
 		return
 	}
-	noPackedKeys := pkgIn(refTablePkgs, pass.Module.Path, pass.Pkg.Path)
 	panicArgs := collectPanicArgCalls(pass.Pkg.Files)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -87,9 +74,6 @@ func runHotpathStrings(pass *Pass) {
 			}
 			name = strings.Replace(name, pass.Module.Path+"/", "{mod}/", 1)
 			reason, banned := hotpathBanned[name]
-			if !banned && noPackedKeys {
-				reason, banned = packedKeyBanned[name]
-			}
 			if !banned || panicArgs[call] || pass.InBoundaryFunc(call.Pos()) {
 				return true
 			}
@@ -102,17 +86,6 @@ func runHotpathStrings(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// pkgIn reports whether pkgPath is one of the module packages listed by path
-// suffix.
-func pkgIn(suffixes []string, modPath, pkgPath string) bool {
-	for _, suffix := range suffixes {
-		if pkgPath == modPath+suffix {
-			return true
-		}
-	}
-	return false
 }
 
 // collectPanicArgCalls gathers every call expression appearing inside a

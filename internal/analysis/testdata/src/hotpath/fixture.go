@@ -27,9 +27,10 @@ func BadRow(r storage.IRow) []string {
 	return r.Strings() // want `materializes row strings`
 }
 
-// GoodKey packs IDs without materialization.
-func GoodKey(ids []sym.ID) string {
-	return sym.Key(ids)
+// BadPackedKey skips the materialization and still builds a string to look
+// IDs up by (the packed-key fixture has the other shapes).
+func BadPackedKey(ids []sym.ID) string {
+	return sym.Key(ids) // want `builds a packed string key`
 }
 
 // IDList's String renders for debugging; stringer methods are exempt.

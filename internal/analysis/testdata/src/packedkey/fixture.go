@@ -1,12 +1,22 @@
-// The packed-key fixture poses as toorjah/internal/datalog (the test loads
-// it at that import path): one of the two packages in which hotpath-strings
-// also bans packing IDs into string keys.
-package datalog
+// The packed-key fixture poses as toorjah/internal/cache (the test loads it
+// at that import path), the last hot-path package to have kept a packed
+// string key: hotpath-strings bans them in all four.
+package cache
 
 import (
+	"strconv"
+
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
+
+// BadVersionedKey renders relation, binding and epoch into one key, the way
+// the cross-query cache once addressed its entries.
+func BadVersionedKey(buf []byte, rel string, binding []sym.ID, epoch uint64) []byte {
+	buf = append(append(buf[:0], rel...), 0)
+	buf = sym.AppendKey(buf, binding) // want `builds a packed string key`
+	return strconv.AppendUint(append(buf, 0, '@'), epoch, 16)
+}
 
 // BadSeen keys a membership map by packed IDs.
 func BadSeen(seen map[string]bool, ids []sym.ID) bool {

@@ -28,12 +28,20 @@ func access(w source.Wrapper, binding ...string) ([]storage.Row, error) {
 // order: it reports whether the access currently has a live entry at the
 // given data epoch (0 = unversioned).
 func stored(c *Cache, rel string, epoch uint64, binding ...string) bool {
-	key := string(appendVersionedKey(nil, rel, sym.InternAll(binding), epoch))
-	sh := c.shard(key)
+	return storedIDs(c, rel, epoch, sym.InternAll(binding))
+}
+
+func storedIDs(c *Cache, rel string, epoch uint64, ids []sym.ID) bool {
+	r, h := c.relation(rel), sym.HashIDs(ids)
+	sh := c.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	return ok && (e.expires.IsZero() || c.opts.now().Before(e.expires))
+	g := sh.rel(r.n).generation(version{r, r.inc.Load(), epoch}, false)
+	if g == nil {
+		return false
+	}
+	_, i := sh.find(g, h, ids)
+	return i >= 0 && sh.slab[i].flight == nil && (sh.slab[i].expires == 0 || c.now() < sh.slab[i].expires)
 }
 
 // testSource builds a Counter-wrapped table source over relation text like
@@ -262,8 +270,10 @@ func TestInvalidateDuringProbeSkipsStore(t *testing.T) {
 	if stored(c, "r", 0, "a") {
 		t.Error("extraction stored despite invalidation during the probe")
 	}
-	// The next access re-probes and stores normally.
-	access(w, "a")
+	// The next access re-probes and stores normally — through a wrapper made
+	// for the new incarnation, as a rebind's next execution makes one; the old
+	// one belongs to the binding that was invalidated and caches nothing.
+	access(c.Wrap(&slowWrapper{inner: ctr}), "a")
 	if !stored(c, "r", 0, "a") {
 		t.Error("cache did not recover after the skipped store")
 	}

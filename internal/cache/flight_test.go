@@ -205,33 +205,3 @@ func TestFailedOwnerDoesNotPoisonWaiter(t *testing.T) {
 		})
 	}
 }
-
-// TestSweepLeavesFlightsAlone: Sweep frees a relation's entries and, unlike
-// Invalidate, voids nobody's store — a probe in flight meanwhile, even of the
-// swept relation, still stores what it fetched.
-func TestSweepLeavesFlightsAlone(t *testing.T) {
-	ctr, _ := testSource(t, "r^io(A, B)", storage.Row{"a", "1"}, storage.Row{"b", "2"})
-	c := New(Options{})
-	if _, err := access(c.Wrap(ctr), "b"); err != nil {
-		t.Fatal(err)
-	}
-	gate := &gateWrapper{Wrapper: ctr, release: make(chan struct{})}
-	w := c.Wrap(gate)
-	done := make(chan error, 1)
-	go func() {
-		_, err := access(w, "a")
-		done <- err
-	}()
-	awaitClassified(t, c, 2) // b's miss, stored; a's, held in the source
-	if n := c.Sweep("r"); n != 1 {
-		t.Errorf("Sweep(r) dropped %d entries, want 1 (b's)", n)
-	}
-	close(gate.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The gate hides the counter's epoch, so a's entry is unversioned.
-	if b, a := stored(c, "r", source.EpochOf(ctr), "b"), stored(c, "r", 0, "a"); b || !a {
-		t.Errorf("after the sweep b is stored: %v (want false), a, fetched across it: %v (want true)", b, a)
-	}
-}

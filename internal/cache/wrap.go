@@ -11,10 +11,12 @@ import (
 )
 
 // cachedSource is a source.Wrapper whose accesses are served through a
-// shared Cache.
+// shared Cache, for the incarnation of its relation it was wrapped under.
 type cachedSource struct {
 	c     *Cache
 	inner source.Wrapper
+	rel   *relation
+	inc   uint32
 }
 
 // Relation returns the wrapped relation schema.
@@ -27,8 +29,9 @@ func (s *cachedSource) Epoch() uint64 { return source.EpochOf(s.inner) }
 // wait is one access of a batch that found its key already being fetched
 // by another request's flight.
 type wait struct {
-	claim
-	idx int // position in the batch
+	f    *flight
+	slot int32
+	idx  int // position in the batch
 }
 
 // Probe serves a batch of accesses through the cache. Every key is looked
@@ -49,7 +52,7 @@ type wait struct {
 // round trip fetches it) or collapsed (another request's does), so
 // hits + misses + collapsed is the number of accesses demanded; only an
 // access orphaned by a failed flight is classified — and counted — again.
-// Entries are keyed by the inner source's data epoch captured before the
+// Entries are filed under the inner source's data epoch captured before the
 // probe: if the source advances mid-probe the extraction is stored under
 // the pre-probe epoch and simply never serves the new version —
 // conservative, never stale. When the context carries a trace, a
@@ -64,47 +67,47 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 	if err := source.CheckSlots(s.inner.Relation(), bindings, out); err != nil {
 		return err
 	}
-	c, rel := s.c, s.inner.Relation().Name
+	c := s.c
 	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
 	defer sp.End()
-	sp.SetAttr("relation", rel)
+	sp.SetAttr("relation", s.inner.Relation().Name)
 	sp.SetAttr("requested", len(bindings))
 
-	epoch := source.EpochOf(s.inner)
-	now := c.opts.now()
+	v := version{s.rel, s.inc, source.EpochOf(s.inner)}
+	c.enter(v)
+	now := c.now()
 	var (
 		own     *flight // this request's round trip, if it owns any miss
-		ownKeys []string
 		ownIdx  []int
 		foreign []wait
-		kb      []byte
 	)
 	for i, b := range bindings {
-		kb = appendVersionedKey(kb[:0], rel, b, epoch)
-		sh := c.shard(string(kb))
+		h := sym.HashIDs(b)
+		sh := c.shard(h)
 		sh.mu.Lock()
-		if rows, hit := sh.hitLocked(sh.entries[string(kb)], now); hit {
-			out[i] = rows
-		} else if cl, flying := sh.inflight[string(kb)]; flying {
-			sh.bump(rel).Collapsed++
-			foreign = append(foreign, wait{claim: cl, idx: i})
+		rs := sh.rel(v.r.n)
+		if e, hit := sh.get(rs, v, h, b, now); hit {
+			out[i] = e.rows
+		} else if e != nil {
+			rs.stats.Collapsed++
+			foreign = append(foreign, wait{f: e.flight, slot: e.slot, idx: i})
 		} else {
 			if own == nil {
 				own = &flight{done: make(chan struct{})}
 			}
-			key := string(kb)
-			sh.inflight[key] = claim{f: own, slot: len(ownKeys)}
-			sh.bump(rel).Misses++
-			ownKeys = append(ownKeys, key)
+			rs.stats.Misses++
+			if g := rs.generation(v, true); g != nil {
+				sh.file(g, h, b, own, len(ownIdx))
+			}
 			ownIdx = append(ownIdx, i)
 		}
 		sh.mu.Unlock()
 	}
-	sp.SetAttr("hits", len(bindings)-len(ownKeys)-len(foreign))
+	sp.SetAttr("hits", len(bindings)-len(ownIdx)-len(foreign))
 	sp.SetAttr("collapsed", len(foreign))
 
 	if own != nil {
-		rows, err := c.fetch(ctx, s.inner, own, ownKeys, pick(bindings, ownIdx))
+		rows, err := c.fetch(ctx, s.inner, own, v, pick(bindings, ownIdx))
 		if err != nil {
 			return err
 		}
@@ -151,25 +154,30 @@ func pick(bindings [][]sym.ID, idx []int) [][]sym.ID {
 // flight f owns as a single round trip, into result slots it allocates for
 // the flight (its waiters share them), and publishes the outcome — success,
 // error and panic alike, so a panicking wrapper cannot wedge its keys: the
-// keys are unregistered, waiters are released, and the panic propagates to
-// the request that owns the flight. Extractions are stored unless the probe
-// failed or Invalidate/Clear ran meanwhile (the gen guard: an extraction
-// read from a source that was replaced mid-probe must not re-populate the
-// cache). The TTL counts from when the extraction is stored, not from when
-// the probe began — a slow source must not shorten its entry's life.
-func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, keys []string, bindings [][]sym.ID) (rows [][]storage.IRow, err error) {
-	rel := w.Relation().Name
-	gen := c.gen.Load()
+// claims are settled or dropped, waiters are released, and the panic
+// propagates to the request that owns the flight. An extraction is stored
+// where its claim still stands: not when the probe failed, and not when the
+// claim's generation was freed meanwhile — by a newer epoch's first use, or by
+// Invalidate: an extraction read from a source that was replaced mid-probe
+// must not re-populate the cache. The TTL counts from when the extraction is
+// stored, not from when the probe began — a slow source must not shorten its
+// entry's life.
+func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v version, bindings [][]sym.ID) (rows [][]storage.IRow, err error) {
 	delivered := false
 	defer func() {
-		store := delivered && gen == c.gen.Load()
-		now := c.opts.now()
-		for i, key := range keys {
-			sh := c.shard(key)
+		now := c.now()
+		for j, b := range bindings {
+			h := sym.HashIDs(b)
+			sh := c.shard(h)
 			sh.mu.Lock()
-			delete(sh.inflight, key)
-			if store {
-				sh.putLocked(&c.opts, rel, key, rows[i], now)
+			if g := sh.rel(v.r.n).generation(v, false); g != nil {
+				if _, i := sh.find(g, h, b); i >= 0 && sh.slab[i].flight == f {
+					if delivered && c.keeps(rows[j]) {
+						sh.settle(&c.opts, i, rows[j], now, false)
+					} else {
+						sh.drop(i)
+					}
+				}
 			}
 			sh.mu.Unlock()
 		}
@@ -188,7 +196,13 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, keys []s
 // source.Counter to count only the probes that actually reach the source,
 // e.g. Cached(Counted(TableSource)). The cache is keyed by relation name:
 // everything wrapped by one cache must bind the same logical sources to the
-// same names.
+// same names. A wrapper is made for one binding of its relation: it holds the
+// incarnation current when it was made, and after an Invalidate or a Clear it
+// still answers, from the source, and caches nothing — wrap again, as the
+// engine does per execution and per /probe request. Wrap before reading which
+// source is bound, and a rebind in between cannot file the old source's rows
+// under the new incarnation.
 func (c *Cache) Wrap(w source.Wrapper) source.Wrapper {
-	return &cachedSource{c: c, inner: w}
+	r := c.relation(w.Relation().Name)
+	return &cachedSource{c: c, inner: w, rel: r, inc: r.inc.Load()}
 }

@@ -52,14 +52,19 @@ func openAccess(reg *source.Registry, relations []string, opts Options) ([]acces
 		if a.src = reg.Source(name); a.src == nil {
 			return nil, fmt.Errorf("exec: no source bound for relation %s", name)
 		}
+		a.top = a
+		if opts.Cache != nil {
+			// The cache's wrapper first, the source second: a rebind swaps the
+			// source before it invalidates the relation, so a wrapper of the new
+			// incarnation implies the new source, and one that pinned the old
+			// source caches nothing (cache.Wrap).
+			a.top = opts.Cache.Wrap(a)
+			a.src = reg.Source(name)
+		}
 		if s, ok := a.src.(source.Snapshottable); ok {
 			a.src = s.Snapshot()
 		}
 		a.m = opts.Metrics.For(name)
-		a.top = a
-		if opts.Cache != nil {
-			a.top = opts.Cache.Wrap(a)
-		}
 	}
 	return paths, nil
 }

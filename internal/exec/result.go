@@ -125,6 +125,8 @@ func (r *Result) SortedAnswers() []string {
 }
 
 // AnswerSet returns the answers as a set of encoded keys.
+//
+//toorjahvet:boundary (a result leaves the engine: callers compare answer sets as maps of their own)
 func (r *Result) AnswerSet() map[string]bool {
 	set := make(map[string]bool)
 	if r.Answers == nil {

@@ -10,9 +10,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -523,5 +525,99 @@ func TestReadyTimeoutBoundsSlowPeer(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("readiness took %v against a hung peer; -ready-timeout was %v", elapsed, fsrv.readyTimeout)
+	}
+}
+
+// TestScrapeOfFullCacheEqualsSnapshot: on a node whose cache is full (65536
+// entries, most of them of a relation no query touches) /metrics' cache
+// families and /stats' cache block say exactly what Cache.Snapshot says —
+// names, help texts, label sets and JSON shape pinned here — which they read
+// from counts the cache maintains, not by walking its entries.
+func TestScrapeOfFullCacheEqualsSnapshot(t *testing.T) {
+	sys, _ := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
+	ts := httptest.NewServer(New(sys, toorjah.Options{}).Handler())
+	defer ts.Close()
+	q := ts.URL + "/query?q=" + strings.ReplaceAll(pubQuery, " ", "%20")
+	for i := 0; i < 2; i++ { // a cold run and a warm one: misses, then hits
+		if answers, _ := queryNDJSON(t, q); strings.Join(answers, ";") != "alice" {
+			t.Fatalf("answers = %v", answers)
+		}
+	}
+	c := sys.AccessCache()
+	keys := make([][]sym.ID, 2*65536) // twice the default capacity: every shard fills and evicts
+	rows := make([][]storage.IRow, len(keys))
+	for i := range keys {
+		k := "o" + strconv.Itoa(i)
+		keys[i] = sym.InternAll([]string{k})
+		rows[i] = []storage.IRow{storage.Row{k, "v"}.Intern()}
+	}
+	c.MultiPutSym("other", 1, keys, rows)
+	snap := c.Snapshot()
+	if snap["other"].Entries < 65000 || snap["other"].Evictions == 0 || snap["conf"].Hits == 0 || snap["conf"].Misses == 0 {
+		t.Fatalf("the fixture did not fill the cache: %+v", snap)
+	}
+
+	body := scrapeMetrics(t, ts.URL)
+	for _, fam := range []struct {
+		name, kind, help string
+		field            func(toorjah.CacheStats) int64
+	}{
+		{"toorjah_cache_hits_total", "counter", "Accesses served from the cross-query cache, by relation.", func(st toorjah.CacheStats) int64 { return st.Hits }},
+		{"toorjah_cache_misses_total", "counter", "Accesses that fell through the cross-query cache to the source, by relation.", func(st toorjah.CacheStats) int64 { return st.Misses }},
+		{"toorjah_cache_coalesced_total", "counter", "Accesses merged into an identical probe already in flight (singleflight), by relation.", func(st toorjah.CacheStats) int64 { return st.Collapsed }},
+		{"toorjah_cache_evictions_total", "counter", "Cache entries dropped by the LRU capacity bound, by relation.", func(st toorjah.CacheStats) int64 { return st.Evictions }},
+		{"toorjah_cache_expirations_total", "counter", "Cache entries dropped by TTL expiry, by relation.", func(st toorjah.CacheStats) int64 { return st.Expirations }},
+		{"toorjah_cache_entries", "gauge", "Accesses currently cached, by relation.", func(st toorjah.CacheStats) int64 { return st.Entries }},
+	} {
+		for _, line := range []string{"# HELP " + fam.name + " " + fam.help, "# TYPE " + fam.name + " " + fam.kind} {
+			if !strings.Contains(body, line+"\n") {
+				t.Errorf("/metrics lacks the line %q", line)
+			}
+		}
+		for rel, st := range snap {
+			if v := metricValue(t, body, fam.name+`{relation="`+rel+`"}`); v != float64(fam.field(st)) {
+				t.Errorf("%s{%s} = %v, Snapshot says %d", fam.name, rel, v, fam.field(st))
+			}
+		}
+		if n := strings.Count(body, "\n"+fam.name+"{"); n != len(snap) {
+			t.Errorf("%s has %d series, Snapshot %d relations", fam.name, n, len(snap))
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Cache map[string]json.RawMessage `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		entries   int64
+		totals    toorjah.CacheStats
+		relations map[string]map[string]int64
+		want      toorjah.CacheStats
+	)
+	for field, into := range map[string]any{"entries": &entries, "totals": &totals, "relations": &relations} {
+		if err := json.Unmarshal(stats.Cache[field], into); err != nil {
+			t.Fatalf("/stats cache.%s: %v", field, err)
+		}
+	}
+	if len(stats.Cache) != 3 || len(relations) != len(snap) {
+		t.Errorf("/stats cache block has fields %v and %d relations, want entries/totals/relations and %d", stats.Cache, len(relations), len(snap))
+	}
+	for rel, st := range snap {
+		want.Add(st)
+		got := map[string]int64{"hits": st.Hits, "misses": st.Misses, "collapsed": st.Collapsed,
+			"evictions": st.Evictions, "expirations": st.Expirations, "entries": st.Entries}
+		if !reflect.DeepEqual(relations[rel], got) {
+			t.Errorf("/stats cache.relations.%s = %v, Snapshot says %v", rel, relations[rel], got)
+		}
+	}
+	if totals != want || entries != want.Entries {
+		t.Errorf("/stats cache: entries %d, totals %+v; Snapshot sums to %+v", entries, totals, want)
 	}
 }

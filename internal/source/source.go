@@ -111,15 +111,6 @@ func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]stor
 	return out, nil
 }
 
-// AppendSymAccessKey appends the deduplication key of an interned access —
-// the relation name and the packed binding — to dst, letting hot loops
-// reuse one key buffer across probes.
-func AppendSymAccessKey(dst []byte, rel string, binding []sym.ID) []byte {
-	dst = append(dst, rel...)
-	dst = append(dst, 0)
-	return sym.AppendKey(dst, binding)
-}
-
 // Versioned is implemented by sources whose extraction set carries a
 // monotonically increasing epoch: the version number of the data behind the
 // source. Two probes of the same binding at the same epoch are guaranteed

@@ -34,11 +34,9 @@ func HashIDs(ids []ID) uint32 {
 // but the eight bytes of a slot is kept beside the tuple an entry came from.
 //
 // What keys a lookup below the string boundary is decided here: datalog's
-// cache relations and storage's row set and indexes are all this table. (The
-// cross-query cache is a different structure — string-keyed by relation,
-// packed binding and epoch, with TTL, LRU and singleflight — and keeps
-// AppendKey.) The zero value is an empty table; a table holds fewer than 2³¹
-// references and is not safe for concurrent use.
+// cache relations, storage's row set and indexes and the generations of the
+// cross-query cache are all this table. The zero value is an empty table; a
+// table holds fewer than 2³¹ references and is not safe for concurrent use.
 type RefTable struct {
 	slots []refSlot
 	used  int
@@ -103,6 +101,24 @@ func (tb *RefTable) place(s refSlot) {
 		at = (at + 1) & mask
 	}
 	tb.slots[at] = s
+}
+
+// Delete unfiles the reference in slot at — one First or Next just returned
+// — and closes the gap (backward shift): each later entry of the run moves
+// back unless that would put it before its home slot, so every walk still
+// ends at an empty slot and nothing is left behind to skip. Slots move, so a
+// walk in progress does not survive it.
+func (tb *RefTable) Delete(at int) {
+	mask := len(tb.slots) - 1
+	for next := (at + 1) & mask; tb.slots[next].ref != 0; next = (next + 1) & mask {
+		s := tb.slots[next]
+		if home := int(s.hash >> tb.shift); (next-home)&mask >= (next-at)&mask {
+			tb.slots[at] = s
+			at = next
+		}
+	}
+	tb.slots[at] = refSlot{}
+	tb.used--
 }
 
 // Reset empties the table, keeping its capacity.

@@ -24,6 +24,18 @@ func (s *refSet) find(t []ID) int32 {
 	return -1
 }
 
+// remove unfiles t's reference; the tuple stays in the slice, unreferenced.
+func (s *refSet) remove(t []ID) bool {
+	h := HashIDs(t)
+	for at, ref := s.tb.First(h); ref >= 0; at, ref = s.tb.Next(at, h) {
+		if slices.Equal(s.tuples[ref], t) {
+			s.tb.Delete(at)
+			return true
+		}
+	}
+	return false
+}
+
 func (s *refSet) insert(t []ID) bool {
 	if s.find(t) >= 0 {
 		return false
@@ -34,8 +46,9 @@ func (s *refSet) insert(t []ID) bool {
 }
 
 // TestRefTableMatchesMapModel: random tuples of arity 0–4, about half of
-// the draws duplicates, across the table's doublings; every reference comes
-// back under its own tuple and under no other.
+// the draws duplicates, a quarter of them deletions, across the table's
+// doublings; every reference comes back under its own tuple and under no
+// other, and a deleted one under none — its neighbours in the run included.
 func TestRefTableMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for arity, span := range []int{0: 1, 1: 1500, 2: 40, 3: 12, 4: 7} {
@@ -50,6 +63,13 @@ func TestRefTableMatchesMapModel(t *testing.T) {
 			if got := set.find(tuple); held && got != ref || !held && got != -1 {
 				t.Fatalf("arity %d: find(%v) = %d, model holds it: %v at %d", arity, tuple, got, held, ref)
 			}
+			if rng.Intn(4) == 0 {
+				if set.remove(tuple) != held {
+					t.Fatalf("arity %d: remove(%v) found it: %v, model held it: %v", arity, tuple, !held, held)
+				}
+				delete(model, fmt.Sprint(tuple))
+				continue
+			}
 			if set.insert(tuple) == held {
 				t.Fatalf("arity %d: insert(%v) new = %v, model held it: %v", arity, tuple, !held, held)
 			}
@@ -59,6 +79,11 @@ func TestRefTableMatchesMapModel(t *testing.T) {
 		}
 		if set.tb.used != len(model) {
 			t.Fatalf("arity %d: the table files %d references, the model %d", arity, set.tb.used, len(model))
+		}
+		for key, ref := range model {
+			if got := set.find(set.tuples[ref]); got != ref {
+				t.Fatalf("arity %d: after the script %s is filed at %d, the model holds it at %d", arity, key, got, ref)
+			}
 		}
 	}
 }

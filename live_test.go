@@ -314,10 +314,9 @@ func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]sto
 
 // TestIngestVoidsNobodyElsesStore: a batch applied to one relation takes
 // nothing from anyone else. The relation's own entries are fenced by the epoch
-// the batch advanced and then swept; a miss of another relation that was in
-// flight while the batch landed is still stored when it returns, so its repeat
-// is a hit. (The sweep used to be an Invalidate, which bumps the cache-wide
-// generation every fetch checks before it stores.)
+// the batch advanced, and freed by its first read at the new one; a miss of
+// another relation that was in flight while the batch landed is still stored
+// when it returns, so its repeat is a hit.
 func TestIngestVoidsNobodyElsesStore(t *testing.T) {
 	sch := schema.MustParse(`
 		r^io(K, V)
@@ -363,5 +362,100 @@ func TestIngestVoidsNobodyElsesStore(t *testing.T) {
 	if res.TotalAccesses() != 0 || res.Demanded != 1 || strings.Join(res.SortedAnswers(), ";") != "1" {
 		t.Errorf("the repeat made %d accesses for %d demanded (answers %v): r's extraction was not stored because a batch landed on s meanwhile",
 			res.TotalAccesses(), res.Demanded, res.SortedAnswers())
+	}
+}
+
+// heldTable binds rows of relation name behind a heldSource (which hides the
+// table's epoch: the relation is unversioned, so two bindings of it share
+// their cache keys and only the cache's own fence can tell them apart).
+func heldTable(t *testing.T, sch *toorjah.Schema, name string, rows ...storage.Row) *heldSource {
+	t.Helper()
+	tab := storage.NewTable(name, 2)
+	tab.InsertAll(rows)
+	src, err := source.NewTableSource(sch.Relation(name), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &heldSource{Wrapper: src, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// TestRebindVoidsNobodyElsesStore is TestIngestVoidsNobodyElsesStore's twin
+// for a rebind: Bind of s while r's miss is in flight starts a new incarnation
+// of s and of nothing else, so r's extraction is stored and its repeat is a
+// hit. (Invalidate used to bump a cache-wide counter every fetch checked.)
+func TestRebindVoidsNobodyElsesStore(t *testing.T) {
+	sch := schema.MustParse(`
+		r^io(K, V)
+		s^io(K, V)`)
+	sys := toorjah.NewSystem(sch, toorjah.WithCache(toorjah.CacheOptions{}))
+	held := heldTable(t, sch, "r", storage.Row{"a", "1"})
+	sys.Bind(held)
+	q, err := sys.Prepare("q(V) :- r(a, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, err := q.Execute(context.Background())
+		first <- err
+	}()
+	<-held.entered
+	if err := sys.BindRows("s", toorjah.Row{"k", "v"}); err != nil {
+		t.Fatal(err)
+	}
+	close(held.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalAccesses() != 0 || strings.Join(res.SortedAnswers(), ";") != "1" {
+		t.Errorf("the repeat made %d accesses (answers %v): r's extraction was not stored because s was rebound meanwhile",
+			res.TotalAccesses(), res.SortedAnswers())
+	}
+}
+
+// TestRebindUnderHeldQuery: a rebind under live traffic cannot poison the
+// cache. A two-hop query over r is held inside its first probe of source A
+// while r is rebound to B; released, it finishes over A — the source it
+// pinned — and its second hop, fetched after the rebind, must not be served
+// to the next execution, which reads B.
+func TestRebindUnderHeldQuery(t *testing.T) {
+	sch := schema.MustParse("r^io(Node, Node)")
+	sys := toorjah.NewSystem(sch, toorjah.WithCache(toorjah.CacheOptions{}))
+	a := heldTable(t, sch, "r", storage.Row{"a", "k"}, storage.Row{"k", "old"})
+	b := heldTable(t, sch, "r", storage.Row{"a", "k"}, storage.Row{"k", "new"})
+	close(b.release)
+	sys.Bind(a)
+	q, err := sys.Prepare("q(V) :- r(a, K), r(K, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *toorjah.Result
+		err error
+	}
+	heldRun := make(chan outcome, 1)
+	go func() {
+		res, err := q.Execute(context.Background())
+		heldRun <- outcome{res, err}
+	}()
+	<-a.entered
+	sys.Bind(b)
+	close(a.release)
+	if o := <-heldRun; o.err != nil || strings.Join(o.res.SortedAnswers(), ";") != "old" {
+		t.Fatalf("the held query: %v, %v; want A's answer, the source it pinned", o.res, o.err)
+	}
+	res, err := q.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.SortedAnswers(), ";"); got != "new" || res.TotalAccesses() != 2 {
+		t.Errorf("after the rebind the query answers %q with %d accesses, want B's \"new\" with 2: rows of A were served", got, res.TotalAccesses())
+	}
+	if res, err = q.Execute(context.Background()); err != nil || res.TotalAccesses() != 0 || strings.Join(res.SortedAnswers(), ";") != "new" {
+		t.Errorf("B's repeat: %v, %v; want its answer from the cache", res, err)
 	}
 }

@@ -183,5 +183,17 @@ func (s *System) PeerSource(name string) Wrapper {
 	if w == nil || s.cache == nil {
 		return w
 	}
-	return s.cache.Wrap(w)
+	// As an execution's access path does: the cache's wrapper first, the
+	// source second, so a rebind in between cannot file the old source's rows
+	// under the relation's new incarnation (cache.Wrap).
+	p := &peerAccess{w}
+	cached := s.cache.Wrap(p)
+	p.Wrapper = s.reg.Source(name)
+	return cached
 }
+
+// peerAccess is what PeerSource wraps: the bound source, settable after the
+// cache has wrapped it, with the epoch the embedding would hide.
+type peerAccess struct{ Wrapper }
+
+func (p *peerAccess) Epoch() uint64 { return source.EpochOf(p.Wrapper) }

@@ -266,18 +266,21 @@ func (s *System) AccessCache() *AccessCache { return s.cache }
 
 // Bind attaches a wrapper as the source of its relation, dropping any
 // cached accesses of that relation. Executions already in flight complete
-// against the sources they started with and may re-populate cache entries
-// read from the previous source; rebind quiescently, or configure a TTL
-// when sources change under live traffic.
+// against the sources they started with and cache nothing of that relation
+// from here on: the cache starts a new incarnation of it
+// (AccessCache.Invalidate), which only executions that read the new source
+// can feed — rows of the previous source do not outlive a rebind in the
+// cache, under live traffic either.
 func (s *System) Bind(w Wrapper) {
 	if s.commitHook != nil {
 		if ts, ok := w.(interface{ Table() *storage.Table }); ok {
 			ts.Table().SetCommitHook(s.commitHook)
 		}
 	}
-	// Swap first, invalidate second: an execution snapshotting the registry
-	// between the two steps reads the new source, and the invalidation
-	// merely drops its fresh entries (a wasted probe, never staleness).
+	// Swap first, invalidate second: an execution takes its cache wrapper
+	// before it reads its source (exec.openAccess), so one that holds the new
+	// incarnation reads the new source; one that reads the new source between
+	// the two steps under the old incarnation merely caches nothing.
 	s.reg.Bind(w)
 	if s.cache != nil {
 		s.cache.Invalidate(w.Relation().Name)
@@ -409,27 +412,14 @@ func (s *System) mutableTable(name string) (*storage.Table, error) {
 	return ts.Table(), nil
 }
 
-// mutated follows every successful mutation of a relation: it frees the
-// relation's cached accesses. Correctness does not depend on it — cache
-// entries are keyed by the relation's data epoch, which the mutation just
-// advanced, so the stale entries are already unreachable — but they hold the
-// rows of table versions nobody can read any more, and a relation read after
-// every write would otherwise fill the cache with them (measured on the repo
-// benchmark's ingest-rw: +10% peak RSS, +5% on the read). Other relations'
-// entries, and their probes in flight, are left alone: a sweep is not an
-// invalidation.
-func (s *System) mutated(name string) {
-	if s.cache != nil {
-		s.cache.Sweep(name)
-	}
-}
-
 // Insert appends rows to the live table of a relation, as one batch:
 // one copy-on-write step, one new epoch (when anything was actually new —
 // duplicates are discarded). It returns the number of rows added. Queries
 // in flight keep answering over the version they pinned at start; queries
 // prepared earlier need no re-Prepare — their next execution reads the new
-// version.
+// version. The cross-query cache is not told: it files accesses under the
+// epoch they were made at, and the relation's first read at the new epoch
+// frees what this batch made unreachable.
 func (s *System) Insert(name string, rows ...Row) (int, error) {
 	t, err := s.mutableTable(name)
 	if err != nil {
@@ -438,11 +428,7 @@ func (s *System) Insert(name string, rows ...Row) (int, error) {
 	if err := validateRows(name, rows, t.Arity); err != nil {
 		return 0, err
 	}
-	n := t.InsertAll(rows)
-	if n > 0 {
-		s.mutated(name)
-	}
-	return n, nil
+	return t.InsertAll(rows), nil
 }
 
 // validateRows rejects rows a table could not store faithfully: wrong
@@ -480,11 +466,7 @@ func (s *System) Delete(name string, rows ...Row) (int, error) {
 	if err := validateRows(name, rows, t.Arity); err != nil {
 		return 0, err
 	}
-	n := t.DeleteAll(rows)
-	if n > 0 {
-		s.mutated(name)
-	}
-	return n, nil
+	return t.DeleteAll(rows), nil
 }
 
 // LoadCSV parses CSV data (ReadCSV's tolerant dialect) and inserts the rows
