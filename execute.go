@@ -34,7 +34,7 @@ const (
 type execConfig struct {
 	executor    Executor
 	executorSet bool
-	onAnswers   func([]Tuple)
+	onBursts    func(burst []Tuple, last bool)
 	opts        Options
 }
 
@@ -67,24 +67,37 @@ func WithExecMaxBatch(n int) ExecOption {
 }
 
 // OnAnswers streams answers to f in bursts: each call carries, in the order
-// they were derived, the answers one completed step of the engine made
-// derivable. Under ExecutorPipelined (implied when no executor is chosen)
-// that is one landed round trip — f is called as soon as its extractions
-// are joined in, before the engine sends or waits for another, so no answer
-// is held back while a source is awaited and a ctx cancelled from inside f
-// stops the run before its next access (for queries without negation; with
-// negation, one burst at completion). Under the other executors it is the
-// whole answer set, once the extraction completes, so a sink works
-// identically against every executor. A run that stops early — limit,
-// cancellation, error — has delivered every answer derived before it
-// stopped. For a UnionQuery, a burst is one disjunct's, less the answers
-// the union already holds: f observes each distinct union answer exactly
-// once. Calls are always serialized, never concurrent, and never empty.
+// they were derived, the answers derived since the last call. The engine
+// calls f in three places — just before it sends a round trip to a source,
+// just before it waits for one to land, and when the run finishes — so no
+// answer is held back while a source is awaited, a ctx cancelled from inside
+// f stops the run before its next access, and a run that ends without
+// another send hands its last answers over as it finishes. Under
+// ExecutorPipelined (implied when no executor is chosen) a burst is what
+// the round trips landed since the last call made derivable (for queries
+// without negation; with negation, one burst at completion). Under the
+// other executors it is the whole answer set, once the extraction
+// completes, so a sink works identically against every executor. A run that
+// stops early — limit, cancellation, error — has delivered every answer
+// derived before it stopped. For a UnionQuery, a burst is one disjunct's,
+// less the answers the union already holds, passed on at once: f observes
+// each distinct union answer exactly once. Calls are always serialized,
+// never concurrent, and never empty.
 //
 // The slice belongs to the engine and is reused: it is valid only during
 // the call (the Tuples in it stay valid — copy them out to keep them).
 func OnAnswers(f func([]Tuple)) ExecOption {
-	return func(c *execConfig) { c.onAnswers = f }
+	return OnBursts(func(burst []Tuple, _ bool) { f(burst) })
+}
+
+// OnBursts is OnAnswers for a consumer that acts once more after the run —
+// the service writes a summary line — and wants its last burst to ride with
+// that: last is set on the call the engine makes as a run finishes, and no
+// call follows it. A run whose answers had all left before it finished, a
+// run that fails, and a UnionQuery (a disjunct's last burst is not the
+// union's) never say last.
+func OnBursts(f func(burst []Tuple, last bool)) ExecOption {
+	return func(c *execConfig) { c.onBursts = f }
 }
 
 // OnAnswer is OnAnswers one answer at a time: f sees every answer of every
@@ -115,7 +128,7 @@ func resolveExec(options []ExecOption) execConfig {
 			o(&cfg)
 		}
 	}
-	if !cfg.executorSet && cfg.onAnswers != nil {
+	if !cfg.executorSet && cfg.onBursts != nil {
 		cfg.executor = ExecutorPipelined
 	}
 	return cfg
@@ -156,13 +169,13 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 		if err != nil {
 			return nil, err
 		}
-		return exec.Naive(ctx, q.sys.sch, reg, query, typing, opts, cfg.onAnswers)
+		return exec.Naive(ctx, q.sys.sch, reg, query, typing, opts, cfg.onBursts)
 	case !q.Answerable():
 		return q.emptyResult(), nil
 	case cfg.executor == ExecutorPipelined:
-		return exec.Pipelined(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onAnswers)
+		return exec.Pipelined(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onBursts)
 	default:
-		return exec.FastFailing(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onAnswers)
+		return exec.FastFailing(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onBursts)
 	}
 }
 
@@ -225,7 +238,7 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 			// a disjunct's own answers are distinct, so a disjunct that
 			// withholds one has an answer the union lacks or has no room for.
 			dc := cfg
-			dc.onAnswers = emit
+			dc.onBursts = func(burst []datalog.Tuple, _ bool) { emit(burst) }
 			return q.executeWith(dctx, pinned, dc)
 		}
 	}
@@ -233,5 +246,5 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	if uopts.MaxConcurrent == 0 {
 		uopts.MaxConcurrent = u.MaxConcurrent
 	}
-	return exec.Union(ctx, u.name, u.arity, runs, uopts, cfg.onAnswers)
+	return exec.Union(ctx, u.name, u.arity, runs, uopts, cfg.onBursts)
 }

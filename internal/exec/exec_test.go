@@ -57,8 +57,8 @@ func setupDB(t testing.TB, sch *schema.Schema, db *storage.Database, queryText s
 
 // each adapts a per-answer callback to the executors' burst callback, the
 // way the façade's OnAnswer does.
-func each(f func(datalog.Tuple)) func([]datalog.Tuple) {
-	return func(burst []datalog.Tuple) {
+func each(f func(datalog.Tuple)) func([]datalog.Tuple, bool) {
+	return func(burst []datalog.Tuple, _ bool) {
 		for _, t := range burst {
 			f(t)
 		}
@@ -444,7 +444,7 @@ mid^io(B, C)
 	})
 	var streamed []datalog.Tuple
 	bursts := 0
-	r, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, func(burst []datalog.Tuple) {
+	r, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, func(burst []datalog.Tuple, _ bool) {
 		if len(burst) == 0 {
 			t.Error("empty burst delivered")
 		}

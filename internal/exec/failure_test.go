@@ -83,7 +83,7 @@ func TestSourceErrorStillDeliversDerivedAnswers(t *testing.T) {
 	flakyFixture(t, f, "mid", 5)
 	var delivered []datalog.Tuple
 	_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 1, MaxBatch: -1},
-		func(burst []datalog.Tuple) { delivered = append(delivered, burst...) })
+		func(burst []datalog.Tuple, _ bool) { delivered = append(delivered, burst...) })
 	if !errors.Is(err, errSourceDown) {
 		t.Fatalf("err = %v, want %v", err, errSourceDown)
 	}
@@ -167,7 +167,7 @@ func TestNoGoroutineLeft(t *testing.T) {
 			runs := []DisjunctRun{
 				func(context.Context, func([]datalog.Tuple)) (*Result, error) { return nil, errSourceDown },
 				func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
-					return Pipelined(ctx, f.plan, f.reg, opts, emit)
+					return Pipelined(ctx, f.plan, f.reg, opts, func(burst []datalog.Tuple, _ bool) { emit(burst) })
 				},
 			}
 			if _, err := Union(ctx, "q", 2, runs, Options{}, nil); !errors.Is(err, errSourceDown) {

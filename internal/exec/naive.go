@@ -17,7 +17,7 @@ import (
 // right abstract domains, accumulate the extracted tuples in a cache and
 // the extracted values in the known-value set, until no new access can be
 // made; finally evaluate the query over the cache and hand the answers to
-// onAnswers (when non-nil) as one burst.
+// onAnswers (when non-nil) as one burst, the run's last.
 //
 // The typing must come from cq.Validate(q, sch). Every access is counted
 // once; no binding is ever probed twice. Of the options, the cross-query
@@ -26,7 +26,7 @@ import (
 // relation are probed in batches of at most MaxBatch; a cancelled ctx stops
 // the extraction and returns the answers derivable so far as a truncated,
 // sound subset.
-func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.CQ, ty *cq.Typing, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

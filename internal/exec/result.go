@@ -21,11 +21,12 @@
 // cache, meter, pinned source), where an access is counted once. Answers
 // leave every executor through one sink, which applies the answer
 // limit and builds the Result, and they leave in bursts: the one answer
-// callback is func([]datalog.Tuple), called with the answers one completed
-// step made derivable — a landed round trip, a sweep's meta-cache hits, the
-// final evaluation — in derivation order, before the executor sends or
-// awaits another round trip and on every way out of a run. The slice is
-// valid only during the call.
+// callback is func(burst []datalog.Tuple, last bool), called with the
+// answers derived since it was last called, in derivation order, just before
+// the executor sends a round trip, just before it waits for one to land, and
+// on every way out of a run — last set on the call a run that completes
+// makes from its finish, after which none follows. The slice is valid only
+// during the call.
 //
 // The query's constants reach an execution as values, never as structure:
 // the optimized strategies seed the cache of each artificial constant

@@ -42,8 +42,8 @@ var (
 // to a fixpoint, generating access bindings from the domain predicates and
 // never repeating an access to a relation; finally it evaluates the
 // rewritten query over the caches and hands the answers to onAnswers (when
-// non-nil) as one burst.
-func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+// non-nil) as one burst, the run's last.
+func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
 	return run(ctx, p, reg, opts, fastFailing, onAnswers)
 }
 
@@ -51,14 +51,15 @@ func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts O
 // coordinator "distils" new access tuples into per-relation queues as soon
 // as the cache database can generate them, several round trips per relation
 // are in flight at once, and the answers each landed round trip makes
-// derivable are joined incrementally and handed to onAnswers as one burst
-// before the coordinator sends or awaits another. The final result carries
-// the same answer set as FastFailing.
+// derivable are joined incrementally and handed to onAnswers, as one burst,
+// before the coordinator sends a round trip, before it waits for one to
+// land, and when the run finishes — that burst alone is flagged last. The
+// final result carries the same answer set as FastFailing.
 //
 // For queries with negated atoms, incremental emission would be unsound
 // (a later extraction can invalidate a tentative answer), so answers are
 // emitted only after all caches are complete.
-func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
 	return run(ctx, p, reg, opts, pipelined, onAnswers)
 }
 
@@ -94,7 +95,7 @@ type flight struct {
 // proportional to what happens, not to what is held: an extraction updates
 // the domains from its own new tuples, only bindings containing a new value
 // are enumerated, and a round trip reports back once.
-func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswers func([]datalog.Tuple)) (*Result, error) {
+func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswers func([]datalog.Tuple, bool)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -124,19 +125,27 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		unanswered    = false              // a round trip was cut off by cancellation
 		opened        = 0                  // position groups [0, opened) are open
 	)
+	// await receives the next round trip to land, first handing over what
+	// has been derived: no answer is held while a source is awaited.
+	await := func() *flight {
+		k.deliver(false)
+		fl := <-landed
+		outstanding--
+		return fl
+	}
 	// No round trip outlives the run: whatever is still in flight when it
 	// ends — at the limit, on cancellation, on an error — lands first, its
 	// extraction discarded. This runs before the scratch is released, so
 	// nothing reads an access tuple out of it afterwards.
 	drain := func() {
-		for ; outstanding > 0; outstanding-- {
-			<-landed
+		for outstanding > 0 {
+			await()
 		}
 	}
 	defer drain()
-	// An error ends the run mid-step: the answers derived before it still
-	// reach the consumer, and before the drain waits on a source.
-	defer k.deliver()
+	// An error ends the run mid-step, short of finish: the answers derived
+	// before it still reach the consumer.
+	defer k.deliver(false)
 
 	// Spans: one "group" per position group when staged, else one
 	// "pipeline" over the whole distillation; the probes hang off whichever
@@ -187,8 +196,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 
 	// land folds a finished round trip back: each extraction goes to the
-	// meta-cache, to the node that asked and to the nodes that waited. The
-	// answers that made derivable leave as one burst.
+	// meta-cache, to the node that asked and to the nodes that waited.
 	land := func(fl *flight) error {
 		defer sc.recycle(fl)
 		if errors.Is(fl.err, errCancelled) {
@@ -219,7 +227,6 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 			}
 		}
-		k.deliver()
 		return nil
 	}
 
@@ -227,10 +234,15 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 
 	// dispatch cuts round trips off the front of a relation's queue while
 	// the strategy has room for them — always, when they are made inline —
-	// and the run has not been stopped.
+	// and the run has not been stopped. What has been derived is handed over
+	// before each is sent; a cancel from the callback stops that access.
 	dispatch := func(rel int) error {
 		r := &rels[rel]
-		for r.head < len(r.owners) && r.inflight < par && !stop() {
+		for r.head < len(r.owners) && r.inflight < par {
+			k.deliver(false)
+			if stop() {
+				break
+			}
 			fl := sc.flight()
 			fl.rel, fl.from = rel, r.head
 			for n := min(maxBatch, len(r.owners)-r.head); n > 0; n-- {
@@ -267,7 +279,6 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			}
 			emitted, err := generate(c)
 			if err == nil {
-				k.deliver() // what the meta-cache answered on the spot
 				err = dispatch(c.Rel)
 			}
 			if err != nil {
@@ -279,8 +290,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			break
 		}
 		if outstanding > 0 {
-			fl := <-landed
-			outstanding--
+			fl := await()
 			rels[fl.rel].inflight--
 			if err := land(fl); err != nil {
 				return nil, err

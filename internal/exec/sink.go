@@ -16,16 +16,15 @@ import (
 //
 // Answers leave in bursts. emit only records; deliver hands the consumer
 // everything recorded since the last call, in emit order, as one slice. An
-// executor delivers as soon as the step that derived the answers is done —
-// a landed round trip folded in, a sweep's meta-cache hits, the final
-// evaluation — and always before it sends another round trip or waits for
-// one, so an answer is never held while a source is awaited and a consumer
-// that cancels from the callback stops the run where a per-answer callback
-// would have.
+// executor delivers in three places: just before it sends a round trip,
+// just before it waits for one to land, and in finish. So an answer is never
+// held while a source is awaited, a consumer that cancels from the callback
+// stops the run before its next access, and a run that ends without another
+// send hands its last answers over from finish: the one delivery flagged last.
 type sink struct {
 	answers   *datalog.Relation
 	limit     int // 0: unlimited
-	onAnswers func([]datalog.Tuple)
+	onAnswers func(burst []datalog.Tuple, last bool)
 	burst     []datalog.Tuple // recorded, not yet delivered; reused
 	start     time.Time       // of the execution
 	first     time.Duration   // when the first answer was emitted; 0 for none
@@ -33,7 +32,7 @@ type sink struct {
 }
 
 // newSink starts an execution's clock and opens its empty answer relation.
-func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tuple)) *sink {
+func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tuple, bool)) *sink {
 	return &sink{
 		answers:   datalog.NewRelation(name, arity),
 		limit:     opts.Limit,
@@ -67,14 +66,14 @@ func (k *sink) emit(t datalog.Tuple) {
 	}
 }
 
-// deliver hands the consumer the answers emitted since the last delivery.
-// The slice is the sink's own and is reused: it is valid only during the
-// call.
-func (k *sink) deliver() {
+// deliver hands the consumer the answers emitted since the last delivery;
+// last says no delivery follows, which only finish can know. The slice is
+// the sink's own and is reused: it is valid only during the call.
+func (k *sink) deliver(last bool) {
 	if len(k.burst) == 0 {
 		return
 	}
-	k.onAnswers(k.burst)
+	k.onAnswers(k.burst, last)
 	k.burst = k.burst[:0]
 }
 
@@ -93,10 +92,10 @@ func (k *sink) evaluate(query *datalog.Compiled, m *datalog.Machine, db datalog.
 	return nil
 }
 
-// finish delivers what is still recorded and builds the execution's Result
-// — the one place a Result is made.
+// finish delivers what is still recorded, as the run's last burst, and
+// builds the execution's Result — the one place a Result is made.
 func (k *sink) finish(stats map[string]source.Stats, demanded int, truncated, earlyEmpty bool) *Result {
-	k.deliver()
+	k.deliver(true)
 	return &Result{
 		Answers:     k.answers,
 		Stats:       stats,

@@ -25,8 +25,10 @@ type DisjunctRun func(ctx context.Context, emit func([]datalog.Tuple)) (*Result,
 //   - answers are deduplicated across disjuncts, and onAnswers (when
 //     non-nil) observes each distinct answer exactly once, in the burst of
 //     the first disjunct to deliver it — a disjunct's burst with the
-//     answers the union already holds taken out; calls are serialized,
-//     never concurrent;
+//     answers the union already holds taken out, passed on at once and never
+//     as last: a disjunct's last burst is not the union's, whose other
+//     disjuncts may be awaiting their sources; calls are serialized, never
+//     concurrent;
 //   - per-relation statistics merge via source.Stats.Add, so Accesses,
 //     Batches and Tuples all survive, and Demanded sums (a disjunct's
 //     probes are counted against whichever disjunct actually reached the
@@ -42,7 +44,7 @@ type DisjunctRun func(ctx context.Context, emit func([]datalog.Tuple)) (*Result,
 // The union reads Options.MaxConcurrent and Options.Limit; the first
 // disjunct error cancels the rest and is returned, while a cancelled ctx
 // instead yields a truncated result, never an error.
-func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts Options, onAnswers func([]datalog.Tuple)) (*Result, error) {
+func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -69,7 +71,7 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 		for _, t := range burst {
 			union.emit(t)
 		}
-		union.deliver()
+		union.deliver(false)
 		if union.withheld {
 			cancel()
 		}

@@ -230,7 +230,7 @@ func TestUnionSerializedEmission(t *testing.T) {
 	}
 	var inCallback int32
 	seen := make(map[string]bool)
-	res, err := Union(context.Background(), "q", 1, runs, Options{MaxConcurrent: disjuncts}, func(burst []datalog.Tuple) {
+	res, err := Union(context.Background(), "q", 1, runs, Options{MaxConcurrent: disjuncts}, func(burst []datalog.Tuple, _ bool) {
 		if atomic.AddInt32(&inCallback, 1) != 1 {
 			panic("onAnswers invoked concurrently")
 		}

@@ -154,7 +154,7 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 	s.peerProbeDur = s.metrics.Histogram("toorjah_peer_probe_duration_seconds",
 		"Latency of one /probe round trip served to a federated peer.", obs.LatencyBuckets)
 	s.writeErrs = s.metrics.Counter("toorjah_response_write_errors_total",
-		"Response writes dropped because the client disconnected mid-reply.")
+		"Responses cut short by a failed write; on /query, not one whose client had already left.")
 	s.registerCollectors()
 	obs.RegisterRuntimeMetrics(s.metrics)
 	s.probeH = remote.NewHandler(sys.PeerSource)
@@ -468,7 +468,8 @@ type errorLine struct {
 // handleQuery answers one conjunctive query — or a union of them, one
 // disjunct per line — streaming each distinct answer as an NDJSON line, the
 // first the moment the engine derives it and the rest burst by burst as
-// round trips land, then a final summary line. The query text
+// round trips land, then a final summary line, in one write with the run's
+// last burst. The query text
 // comes from the q parameter (GET) or the request body (POST); limit, when
 // positive, stops after that many answers.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -541,23 +542,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := s.exec
 	opts.Limit = limit
 	// Answers leave the way the engine hands them over, in bursts: the
-	// answers one landed round trip made derivable are rendered into one
-	// buffer and written and flushed together — the engine delivers before
-	// it sends or awaits another round trip, so no answer sits in a buffer
-	// while a source is awaited — and the very first answer is flushed on
-	// its own, time to first answer being what streaming is for. Calls are
+	// answers derived since the last burst are rendered into one buffer and
+	// written and flushed together — the engine delivers before it sends or
+	// awaits a round trip, so no answer sits in a buffer while a source is
+	// awaited — and the very first answer is flushed on its own, time to
+	// first answer being what streaming is for. The run's last burst waits
+	// for nothing but the done line and leaves with it: a response whose run
+	// never waited again is one Write and no Flush, sent un-chunked. Calls are
 	// serialized by both kinds of runnable — a CQ delivers from the goroutine
 	// executing the query, a UCQ serializes its concurrent disjuncts — so
 	// the buffers need no locking. Answers materialize to strings only here,
 	// at the NDJSON boundary.
 	var (
-		lines     []byte   // rendered answers not yet written; reused from burst to burst
-		vals      []string // one answer's values; reused from answer to answer
-		streaming bool     // the first answer has left
+		lines     = make([]byte, 0, 512) // rendered, not yet written; reused; a point response fits
+		vals      []string               // one answer's values; reused from answer to answer
+		streaming bool                   // the first answer has left
+		failed    bool                   // a write failed: the response is over, render nothing more
 	)
 	write := func(flush bool) {
 		if _, err := w.Write(lines); err != nil {
-			s.writeErrs.Inc()
+			// One failed response, not one per write — and none when the
+			// request's context is done: the client left, no server error.
+			if r.Context().Err() == nil {
+				s.writeErrs.Inc()
+			}
+			failed = true
 			cancel() // nobody is reading: abort the execution, not just the stream
 		} else if flush && flusher != nil {
 			flusher.Flush()
@@ -565,26 +574,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lines = lines[:0]
 	}
 	res, err := q.Execute(ctx, toorjah.WithExecOptions(opts),
-		toorjah.OnAnswers(func(burst []toorjah.Tuple) {
+		toorjah.OnBursts(func(burst []toorjah.Tuple, last bool) {
 			for _, t := range burst {
+				if failed {
+					return
+				}
 				if len(lines) >= answerSpill {
 					write(false) // net/http's own buffering takes it from here
 				}
 				vals = sym.Default.StrsAppend(vals, t)
 				lines = appendAnswerLine(lines, vals)
-				if !streaming {
+				if !streaming && !last {
 					streaming = true
 					write(true)
 				}
 			}
-			if len(lines) > 0 {
+			if len(lines) > 0 && !last {
 				write(true)
 			}
 		}))
+	gone := failed || r.Context().Err() != nil // nobody is reading an error line or a summary
 	if err != nil {
 		s.queryLog.Query(obs.QueryRecord{TraceID: traceID, Query: text, Executor: executor, Err: err})
 		// The stream may already be half-written; report the error in-band.
-		s.encode(json.NewEncoder(w), errorLine{Error: err.Error()})
+		if !gone {
+			s.encode(json.NewEncoder(w), errorLine{Error: err.Error()})
+		}
 		return
 	}
 	s.queryDuration.With(executor).Observe(res.Elapsed.Seconds())
@@ -603,8 +618,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		TimeToFirst: res.TimeToFirst,
 		Truncated:   res.Truncated,
 	})
-	if r.Context().Err() != nil {
-		return // client gone; nobody is reading the summary
+	if gone {
+		return
 	}
 	s.served.Add(1)
 	done := doneLine{

@@ -2,6 +2,7 @@ package toorjah
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,7 +76,11 @@ func TestSystemEndToEnd(t *testing.T) {
 // TestOnAnswerIsOnAnswersOneAtATime: under every executor, and for a union,
 // the bursts OnAnswers receives laid end to end, and the sequence the
 // OnAnswer adapter sees, are both the answers in the order the engine took
-// them — the order a per-answer callback inside the engine used to see.
+// them — the order a per-answer callback inside the engine used to see. And
+// OnBursts is told which burst is the last: once at most, with no call
+// after it — by a run handing over answers as it finishes, never by a union
+// (a disjunct's last burst is not the union's) and not by a run the limit
+// stopped with round trips still out, which delivers before it waits.
 func TestOnAnswerIsOnAnswersOneAtATime(t *testing.T) {
 	sch, err := ParseSchema("free^oo(A, B)\nmid^io(B, C)\nalt^oo(A, C)")
 	if err != nil {
@@ -108,17 +113,30 @@ func TestOnAnswerIsOnAnswersOneAtATime(t *testing.T) {
 	// delivers one per round trip on mid (70 accesses, 16 apiece); how a
 	// union's disjuncts interleave is not fixed.
 	cases := []struct {
-		name   string
-		run    runner
-		opts   []ExecOption
-		bursts int // 0: any number
+		name    string
+		run     runner
+		opts    []ExecOption
+		bursts  int  // 0: any number
+		last    bool // the run's final burst is delivered as it finishes
+		answers int
 	}{
-		{"pipelined", q, nil, 5},
-		{"fast-fail", q, []ExecOption{WithExecutor(ExecutorFastFail)}, 1},
-		{"naive", q, []ExecOption{WithExecutor(ExecutorNaive)}, 1},
-		{"union", u, nil, 0},
+		{"pipelined", q, nil, 5, true, 70},
+		{"fast-fail", q, []ExecOption{WithExecutor(ExecutorFastFail)}, 1, true, 70},
+		{"naive", q, []ExecOption{WithExecutor(ExecutorNaive)}, 1, true, 70},
+		{"union", u, nil, 0, false, 70},
+		{"pipelined, limit", q, []ExecOption{WithLimit(20)}, 2, false, 20},
 	}
 	for _, c := range cases {
+		var flags []bool
+		_, err := c.run.Execute(context.Background(), append([]ExecOption{OnBursts(func(_ []Tuple, last bool) {
+			flags = append(flags, last)
+		})}, c.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(flags) == 0 || slices.Contains(flags[:len(flags)-1], true) || flags[len(flags)-1] != c.last {
+			t.Errorf("%s: last flags of the bursts = %v, want true %v, on the final call only", c.name, flags, c.last)
+		}
 		for _, adapter := range []bool{false, true} {
 			var seen []Tuple
 			bursts := 0
@@ -134,8 +152,8 @@ func TestOnAnswerIsOnAnswersOneAtATime(t *testing.T) {
 				t.Fatal(err)
 			}
 			emitted := res.Answers.Tuples()
-			if len(emitted) != 70 || len(seen) != len(emitted) {
-				t.Fatalf("%s (adapter %v): %d answers, %d streamed, want 70", c.name, adapter, len(emitted), len(seen))
+			if len(emitted) != c.answers || len(seen) != len(emitted) {
+				t.Fatalf("%s (adapter %v): %d answers, %d streamed, want %d", c.name, adapter, len(emitted), len(seen), c.answers)
 			}
 			for i := range emitted {
 				if emitted[i].Key() != seen[i].Key() {
