@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"toorjah/internal/ndjson"
 	"toorjah/internal/obs"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
@@ -292,17 +292,16 @@ func (c *Client) FetchSchema(ctx context.Context) (*schema.Schema, error) {
 // errResponseTooLarge aborts a stream that exceeds MaxResponseBytes.
 var errResponseTooLarge = errors.New("remote: probe response too large")
 
-// limitedReader is io.LimitReader that remembers tripping the limit, so the
-// decode error can be classified as non-retryable.
+// limitedReader is io.LimitReader that fails at the limit, with an error the
+// decoder that runs into it passes on, so that it can be classified as
+// non-retryable.
 type limitedReader struct {
-	r        io.Reader
-	n        int64
-	exceeded bool
+	r io.Reader
+	n int64
 }
 
 func (l *limitedReader) Read(p []byte) (int, error) {
 	if l.n <= 0 {
-		l.exceeded = true
 		return 0, errResponseTooLarge
 	}
 	if int64(len(p)) > l.n {
@@ -319,17 +318,24 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 // streams), failing fast while the relation's circuit breaker is open.
 // Result i holds exactly the rows matching bindings[i].
 func (c *Client) Probe(ctx context.Context, relation string, bindings [][]string) ([][]storage.Row, error) {
+	return c.probe(ctx, c.relStateFor(relation), relation, bindings)
+}
+
+// probe is Probe for a caller that holds the relation's state.
+func (c *Client) probe(ctx context.Context, st *relState, relation string, bindings [][]string) ([][]storage.Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := c.relStateFor(relation)
 	if !st.br.allow() {
 		return nil, fmt.Errorf("remote %s: relation %s: %w", c.base, relation, ErrBreakerOpen)
 	}
+	// Read by every attempt, written by none: not a pooled buffer, which a
+	// failed round trip may still be reading when it returns.
+	body := appendProbeRequest(make([]byte, 0, 128), relation, bindings)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		rows, retryable, err := c.probeOnce(ctx, relation, bindings)
+		rows, retryable, err := c.probeOnce(ctx, st, body, len(bindings))
 		st.roundTrips.Add(1)
 		st.latencyNS.Add(int64(time.Since(start)))
 		if err == nil {
@@ -375,13 +381,9 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// probeOnce is one HTTP round trip: POST the request, stream the NDJSON
+// probeOnce is one HTTP round trip: POST the request, read the NDJSON
 // frames back, and classify any failure as retryable or not.
-func (c *Client) probeOnce(ctx context.Context, relation string, bindings [][]string) (_ [][]storage.Row, retryable bool, _ error) {
-	body, err := json.Marshal(ProbeRequest{Relation: relation, Bindings: bindings})
-	if err != nil {
-		return nil, false, err
-	}
+func (c *Client) probeOnce(ctx context.Context, st *relState, body []byte, bindings int) (_ [][]storage.Row, retryable bool, _ error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/probe", bytes.NewReader(body))
@@ -408,20 +410,30 @@ func (c *Client) probeOnce(ctx context.Context, relation string, bindings [][]st
 		return nil, retry, fmt.Errorf("probe: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 
-	out := make([][]storage.Row, len(bindings))
+	// Nothing is returned before the done frame, so the stream is read to
+	// its end — or to where it fails — and its frames decoded in the order
+	// they came: what the read ended with matters only to a stream whose
+	// frames end without a done frame. The rows are copies; the buffer goes
+	// back to the pool.
 	lr := &limitedReader{r: resp.Body, n: c.opts.MaxResponseBytes}
-	dec := json.NewDecoder(lr)
-	tuples := 0
+	buf, readErr := ndjson.Read(lr)
+	defer buf.Free()
+	out := make([][]storage.Row, bindings)
+	var (
+		sc     = ndjson.Scanner{B: buf.B, Err: readErr}
+		f      probeFrame // one for the stream: what a decoder is handed lives on the heap
+		tuples int
+	)
 	for {
-		var f probeFrame
-		err := dec.Decode(&f)
+		f = probeFrame{}
+		err := decodeFrame(&sc, &f)
 		if err == io.EOF {
 			// The peer died mid-stream; a retry re-probes from scratch
 			// (probes are idempotent reads).
 			return nil, true, errors.New("probe stream ended without a done frame")
 		}
 		if err != nil {
-			if lr.exceeded || errors.Is(err, errResponseTooLarge) {
+			if errors.Is(err, errResponseTooLarge) { // the decoder reached the cut, not merely the read
 				return nil, false, fmt.Errorf("probe response exceeds %d bytes", c.opts.MaxResponseBytes)
 			}
 			return nil, true, fmt.Errorf("bad probe frame: %w", err)
@@ -433,7 +445,7 @@ func (c *Client) probeOnce(ctx context.Context, relation string, bindings [][]st
 			if f.Tuples != tuples {
 				return nil, true, fmt.Errorf("probe stream carried %d tuples, done frame says %d", tuples, f.Tuples)
 			}
-			c.relStateFor(relation).noteEpoch(f.Epoch)
+			st.noteEpoch(f.Epoch)
 			return out, false, nil
 		case f.Row != nil:
 			if f.B < 0 || f.B >= len(out) {
@@ -454,13 +466,14 @@ func (c *Client) probeOnce(ctx context.Context, relation string, bindings [][]st
 type Source struct {
 	c   *Client
 	rel *schema.Relation
+	st  *relState // resolved once: Epoch is read on every cached probe
 }
 
 // Source binds a relation schema to the peer. The relation must match the
 // peer's own declaration — Attach discovers and verifies that; this
 // constructor trusts the caller.
 func (c *Client) Source(rel *schema.Relation) *Source {
-	return &Source{c: c, rel: rel}
+	return &Source{c: c, rel: rel, st: c.relStateFor(rel.Name)}
 }
 
 // Relation returns the relation schema this source serves.
@@ -472,7 +485,7 @@ func (s *Source) Relation() *schema.Relation { return s.rel }
 // ingests new data, every entry cached from the older version stops
 // serving as soon as the change is observed.
 func (s *Source) Epoch() uint64 {
-	return s.c.relStateFor(s.rel.Name).lastEpoch.Load()
+	return s.st.lastEpoch.Load()
 }
 
 // Probe probes the relation with the whole batch in one HTTP round trip,
@@ -508,7 +521,7 @@ func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage
 		sp.SetAttr("trace_id", id)
 	}
 	defer sp.End()
-	results, err := s.c.Probe(ctx, s.rel.Name, wire)
+	results, err := s.c.probe(ctx, s.st, s.rel.Name, wire)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return err

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +8,9 @@ import (
 	"strings"
 	"time"
 
+	"toorjah/internal/ndjson"
 	"toorjah/internal/obs"
 	"toorjah/internal/source"
-	"toorjah/internal/storage"
 )
 
 // Server-side bounds of one /probe request; both are defensive caps, not
@@ -72,7 +71,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxRequestBytes
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	buf, err := ndjson.Read(http.MaxBytesReader(w, r.Body, maxBytes))
+	defer buf.Free()
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -84,7 +84,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ProbeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeProbeRequest(buf.B, &req); err != nil {
 		http.Error(w, "bad probe request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -137,21 +137,25 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// No flush between bindings: the whole batch is in memory and the
 	// client returns nothing before the done frame, so the response leaves
-	// as net/http buffers it — one write for all but the largest probes.
-	enc := json.NewEncoder(w)
+	// in one write for all but the largest probes. The request is decoded
+	// into copies: its buffer is free to hold the frames.
+	out := buf.B[:0]
 	tuples := 0
 	for i, rows := range results {
 		for _, row := range rows {
-			if row == nil {
-				row = storage.Row{}
+			if len(out) >= ndjson.Spill {
+				if _, err := w.Write(out); err != nil {
+					return // peer gone mid-stream; it will retry against another replica
+				}
+				out = out[:0]
 			}
-			if err := enc.Encode(rowFrame{B: i, Row: row}); err != nil {
-				return // peer gone mid-stream; it will retry against another replica
-			}
+			out = appendRowFrame(out, i, row)
 		}
 		tuples += len(rows)
 	}
-	if err := enc.Encode(doneFrame{Done: true, Accesses: len(req.Bindings), Tuples: tuples, Epoch: epoch}); err != nil {
+	out = appendDoneFrame(out, doneFrame{Done: true, Accesses: len(req.Bindings), Tuples: tuples, Epoch: epoch})
+	buf.B = out // grown, and the pool's to keep
+	if _, err := w.Write(out); err != nil {
 		return // without the done frame the client treats the stream as truncated
 	}
 	if h.Record != nil {

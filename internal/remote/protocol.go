@@ -19,10 +19,14 @@
 package remote
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
+
+	"toorjah/internal/ndjson"
 )
 
 // The /probe wire format. Request: a JSON body naming the relation and the
@@ -32,6 +36,14 @@ import (
 // binding i, terminated by a done frame {"done":true,...}. A failure after
 // the stream has started is reported in-band as {"error":"..."}; failures
 // before it use plain HTTP status codes.
+
+// The frames are rendered by the append encoders below and decoded by the
+// scanners beside them, not through these types, which stay as the frames'
+// definition and the reference both are held to (fuzz_test.go). A scanner
+// takes literally the member sequence its encoder writes, with the values
+// internal/ndjson takes literally; any other request, and any other frame
+// with the frames behind it, is decoded by encoding/json, as that package's
+// rule has it.
 
 // ProbeRequest is the body of a POST /probe: one batched probe of a single
 // relation. Bindings holds one input binding per access, each parallel to
@@ -82,6 +94,115 @@ type probeFrame struct {
 	Tuples   int      `json:"tuples"`
 	Epoch    uint64   `json:"epoch"`
 	Error    string   `json:"error"`
+}
+
+// appendProbeRequest appends the body of a POST /probe — byte for byte what
+// json.Marshal(ProbeRequest{relation, bindings}) returns, a nil batch or
+// binding as null included.
+func appendProbeRequest(dst []byte, relation string, bindings [][]string) []byte {
+	dst = append(dst, `{"relation":`...)
+	dst = ndjson.AppendString(dst, relation)
+	dst = append(dst, `,"bindings":`...)
+	if bindings == nil {
+		return append(dst, "null}"...)
+	}
+	dst = append(dst, '[')
+	for i, b := range bindings {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if b == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = ndjson.AppendStrings(dst, b)
+		}
+	}
+	return append(dst, "]}"...)
+}
+
+// decodeProbeRequest decodes the body of a POST /probe into a zero req as
+// json.Unmarshal(body, req) does: a body that is what appendProbeRequest
+// renders, whitespace allowed behind it, is scanned.
+func decodeProbeRequest(body []byte, req *ProbeRequest) error {
+	sc := ndjson.Scanner{B: body}
+	sc.Expect(`{"relation":`)
+	req.Relation = sc.Str()
+	sc.Expect(`,"bindings":[`)
+	req.Bindings = [][]string{}
+	if !sc.Has("]") {
+		for more := true; more; more = sc.Has(",") {
+			req.Bindings = append(req.Bindings, sc.Strings())
+		}
+		sc.Expect("]")
+	}
+	sc.Expect("}")
+	if !sc.Failed() && sc.End() == io.EOF {
+		return nil
+	}
+	*req = ProbeRequest{}
+	return json.Unmarshal(body, req)
+}
+
+// appendRowFrame appends one row frame — byte for byte what
+// json.Encoder.Encode(rowFrame{b, row}) writes, newline included, for a
+// non-nil row; a nil one travels as [] too, so that the empty row of a
+// nullary relation is always present.
+func appendRowFrame(dst []byte, b int, row []string) []byte {
+	dst = append(dst, `{"b":`...)
+	dst = strconv.AppendInt(dst, int64(b), 10)
+	dst = append(dst, `,"row":`...)
+	dst = ndjson.AppendStrings(dst, row)
+	return append(dst, "}\n"...)
+}
+
+// appendDoneFrame appends the frame that ends a stream — byte for byte what
+// json.Encoder.Encode(d) writes, newline included.
+func appendDoneFrame(dst []byte, d doneFrame) []byte {
+	dst = append(dst, `{"done":`...)
+	dst = strconv.AppendBool(dst, d.Done)
+	dst = append(dst, `,"accesses":`...)
+	dst = strconv.AppendInt(dst, int64(d.Accesses), 10)
+	dst = append(dst, `,"tuples":`...)
+	dst = strconv.AppendInt(dst, int64(d.Tuples), 10)
+	if d.Epoch != 0 {
+		dst = append(dst, `,"epoch":`...)
+		dst = strconv.AppendUint(dst, d.Epoch, 10)
+	}
+	return append(dst, "}\n"...)
+}
+
+// decodeFrame is json.Decoder.Decode(f) for a zero f over the stream sc
+// holds, read to its end: io.EOF when nothing but whitespace is left of a
+// stream that ended cleanly. A row frame as appendRowFrame renders it, a done
+// frame as appendDoneFrame does and an error frame {"error":"..."} are
+// scanned.
+func decodeFrame(sc *ndjson.Scanner, f *probeFrame) error {
+	if err := sc.End(); err != nil {
+		return err
+	}
+	at := sc.I
+	switch {
+	case sc.Has(`{"b":`):
+		f.B = int(sc.Uint())
+		sc.Expect(`,"row":`)
+		f.Row = sc.Strings()
+	case sc.Has(`{"done":true,"accesses":`):
+		f.Done = true
+		f.Accesses = int(sc.Uint())
+		sc.Expect(`,"tuples":`)
+		f.Tuples = int(sc.Uint())
+		if sc.Has(`,"epoch":`) {
+			f.Epoch = sc.Uint()
+		}
+	default:
+		sc.Expect(`{"error":`)
+		f.Error = sc.Str()
+	}
+	if sc.Expect("}"); sc.Failed() {
+		*f = probeFrame{}
+		return sc.Fallback(at, f)
+	}
+	return nil
 }
 
 // SchemaEpochPrefix starts the per-relation epoch lines a peer appends to

@@ -2,45 +2,19 @@ package service
 
 import (
 	"encoding/json"
-	"math"
 	"strconv"
-)
 
-// answerSpill bounds the rendered bytes /query holds back within one burst:
-// a burst larger than this leaves in several writes, so the buffer of a
-// request stays bounded however many answers one round trip derives.
-const answerSpill = 32 << 10
+	"toorjah/internal/ndjson"
+)
 
 // appendAnswerLine appends the NDJSON frame of one answer — byte for byte
 // what json.Encoder.Encode(answerLine{Answer: vals}) writes, newline
 // included, for a non-nil vals (FuzzAnswerLine holds it to that) — without
 // reflection or an intermediate value.
 func appendAnswerLine(dst []byte, vals []string) []byte {
-	dst = append(dst, `{"answer":[`...)
-	for i, v := range vals {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, v)
-	}
-	return append(dst, "]}\n"...)
-}
-
-// appendJSONString appends s as a JSON string the way encoding/json
-// renders it with HTML escaping on (the Encoder's default). Printable ASCII
-// that needs no escape — nearly every value — is copied between quotes;
-// anything else (quotes, backslashes, control bytes, <>&, non-ASCII and
-// with it U+2028/2029 and invalid UTF-8) is left to encoding/json itself.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	dst = append(dst, `{"answer":`...)
+	dst = ndjson.AppendStrings(dst, vals)
+	return append(dst, "}\n"...)
 }
 
 // appendDoneLine appends the NDJSON summary frame of a query — byte for byte
@@ -59,7 +33,7 @@ func appendDoneLine(dst []byte, d *doneLine) []byte {
 	dst = append(dst, `,"tuples":`...)
 	dst = strconv.AppendInt(dst, int64(d.Tuples), 10)
 	dst = append(dst, `,"elapsed_ms":`...)
-	dst = appendJSONFloat(dst, d.ElapsedMS)
+	dst = ndjson.AppendFloat(dst, d.ElapsedMS)
 	if d.Truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}
@@ -69,7 +43,7 @@ func appendDoneLine(dst []byte, d *doneLine) []byte {
 	}
 	if d.TraceID != "" {
 		dst = append(dst, `,"trace_id":`...)
-		dst = appendJSONString(dst, d.TraceID)
+		dst = ndjson.AppendString(dst, d.TraceID)
 	}
 	if d.Trace != nil {
 		// Span attributes are open-ended; one encoding/json refuses costs
@@ -82,19 +56,20 @@ func appendDoneLine(dst []byte, d *doneLine) []byte {
 	return append(dst, "}\n"...)
 }
 
-// appendJSONFloat appends a finite f the way encoding/json renders a
-// float64: shortest decimal that round-trips, exponent form only for very
-// small and very large magnitudes, and then without a leading zero in a
-// two-digit exponent.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
+// appendIngestAck appends the payload answering one applied /ingest — byte
+// for byte what json.Encoder.Encode(a) writes, newline included.
+func appendIngestAck(dst []byte, a *ingestResponse) []byte {
+	dst = append(dst, `{"relation":`...)
+	dst = ndjson.AppendString(dst, a.Relation)
+	dst = append(dst, `,"op":`...)
+	dst = ndjson.AppendString(dst, a.Op)
+	dst = append(dst, `,"rows":`...)
+	dst = strconv.AppendInt(dst, int64(a.Rows), 10)
+	dst = append(dst, `,"applied":`...)
+	dst = strconv.AppendInt(dst, int64(a.Applied), 10)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, a.Epoch, 10)
+	dst = append(dst, `,"elapsed_ms":`...)
+	dst = ndjson.AppendFloat(dst, a.ElapsedMS)
+	return append(dst, "}\n"...)
 }

@@ -26,6 +26,7 @@ import (
 
 	"toorjah"
 	"toorjah/internal/cq"
+	"toorjah/internal/ndjson"
 	"toorjah/internal/obs"
 	"toorjah/internal/remote"
 	"toorjah/internal/schema"
@@ -579,7 +580,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				if failed {
 					return
 				}
-				if len(lines) >= answerSpill {
+				if len(lines) >= ndjson.Spill {
 					write(false) // net/http's own buffering takes it from here
 				}
 				vals = sym.Default.StrsAppend(vals, t)
@@ -677,12 +678,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST with NDJSON rows as the body", http.StatusMethodNotAllowed)
 		return
 	}
-	rel := r.URL.Query().Get("relation")
+	params := r.URL.Query() // parsed once, as in handleQuery
+	rel := params.Get("relation")
 	if rel == "" {
 		http.Error(w, "missing ?relation=", http.StatusBadRequest)
 		return
 	}
-	op := r.URL.Query().Get("op")
+	op := params.Get("op")
 	if op == "" {
 		op = "insert"
 	}
@@ -696,7 +698,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rows, err := decodeIngestRows(http.MaxBytesReader(w, r.Body, s.maxIngestBytes), relSchema.Arity())
+	body, readErr := ndjson.Read(http.MaxBytesReader(w, r.Body, s.maxIngestBytes))
+	defer body.Free()
+	rows, err := decodeIngestRows(body.B, readErr, relSchema.Arity())
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -723,7 +727,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.recordIngest(rel, op, applied)
 
 	w.Header().Set("Content-Type", "application/json")
-	s.encode(json.NewEncoder(w), ingestResponse{
+	// The rows are copies: the body's buffer is free to hold the ack.
+	body.B = appendIngestAck(body.B[:0], &ingestResponse{
 		Relation:  rel,
 		Op:        op,
 		Rows:      len(rows),
@@ -731,29 +736,41 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Epoch:     s.sys.RelationEpoch(rel),
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
+	if _, err := w.Write(body.B); err != nil {
+		s.writeErrs.Inc()
+	}
 }
 
-// decodeIngestRows parses an NDJSON ingest body — one JSON string array
-// per line, each of the given arity — stopping at the first malformed or
-// wrong-arity row. The returned error wraps the decoder's, so a body cut
-// off by http.MaxBytesReader still surfaces as *http.MaxBytesError for
-// the handler's 413 path.
-func decodeIngestRows(r io.Reader, arity int) ([]toorjah.Row, error) {
-	dec := json.NewDecoder(r)
+// decodeIngestRows decodes an NDJSON ingest body — JSON arrays of strings,
+// one per line as a rule, each of the given arity — stopping at the first
+// malformed or wrong-arity row. body is what the request's reader delivered
+// and readErr what it ended with (nil at a clean end): a body cut off by
+// http.MaxBytesReader fails at the row the cut falls in, with an error that
+// wraps *http.MaxBytesError for the handler's 413 path. A row ndjson.Scanner
+// does not take literally is encoding/json's to decide, and the rows behind
+// it with it.
+func decodeIngestRows(body []byte, readErr error, arity int) ([]toorjah.Row, error) {
+	sc := ndjson.Scanner{B: body, Err: readErr}
 	var rows []toorjah.Row
 	for {
-		var row []string
-		err := dec.Decode(&row)
-		if err == io.EOF {
+		if err := sc.End(); err == io.EOF {
 			return rows, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, fmt.Errorf("row %d: %w", len(rows)+1, err)
+		}
+		at := sc.I
+		row := sc.Strings()
+		if sc.Failed() {
+			var decoded []string // its own variable: what a decoder is handed lives on the heap
+			if err := sc.Fallback(at, &decoded); err != nil {
+				return nil, fmt.Errorf("row %d: %w", len(rows)+1, err)
+			}
+			row = decoded
 		}
 		if len(row) != arity {
 			return nil, fmt.Errorf("row %d has arity %d, want %d", len(rows)+1, len(row), arity)
 		}
-		rows = append(rows, toorjah.Row(row))
+		rows = append(rows, row)
 	}
 }
 
