@@ -86,7 +86,7 @@
 //
 //	-addr                listen address (default :8344)
 //	-latency             simulated per-access source latency (e.g. 50ms)
-//	-parallelism         round trips in flight per relation (default 4)
+//	-parallelism         round trips in flight per relation whose source can block (default 4)
 //	-max-batch           access bindings per source round trip (default 16;
 //	                     negative = unbatched)
 //	-no-cache            disable the cross-query access cache
@@ -154,7 +154,7 @@ func main() {
 	dataDir := flag.String("data", "", "directory of per-relation CSV files (required)")
 	addr := flag.String("addr", ":8344", "listen address")
 	latency := flag.Duration("latency", 0, "simulated per-access latency")
-	parallelism := flag.Int("parallelism", 4, "round trips in flight per relation")
+	parallelism := flag.Int("parallelism", 4, "round trips in flight per relation whose source can block")
 	maxBatch := flag.Int("max-batch", 0, "access bindings per source round trip (0 = default 16, negative = unbatched)")
 	noCache := flag.Bool("no-cache", false, "disable the cross-query access cache")
 	cacheCap := flag.Int("cache-capacity", 0, "max cached accesses (0 = default 65536, negative = unbounded)")

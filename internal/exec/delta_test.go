@@ -51,11 +51,12 @@ func sortedKeys(set map[string]bool) []string {
 }
 
 // assertDeltaEquivalence: the pipelined engine, whatever its parallelism
-// and batch bound, and fast-fail without the early test (which would stop
-// short of the fixpoint on an empty answer) make the same set of accesses —
-// the domains maintained from deltas reach exactly the fixpoint the rules
-// define — never one the naive algorithm does not make, and all three agree
-// on the answers.
+// and batch bound, over the tables or behind sources that can block (its
+// round trips then run on goroutines), and fast-fail without the early test
+// (which would stop short of the fixpoint on an empty answer) make the same
+// set of accesses — the domains maintained from deltas reach exactly the
+// fixpoint the rules define — never one the naive algorithm does not make,
+// and all three agree on the answers.
 func assertDeltaEquivalence(t *testing.T, f *fixture) (answers string, accesses map[string]bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -73,19 +74,21 @@ func assertDeltaEquivalence(t *testing.T, f *fixture) (answers string, accesses 
 			t.Errorf("fast-fail made access %q that naive never made", strings.ReplaceAll(k, "\x00", "|"))
 		}
 	}
-	for _, opts := range []Options{
-		{},
-		{Parallelism: 1, MaxBatch: -1},
-		{Parallelism: 8, MaxBatch: 3},
-	} {
-		ans, set := auditedSet(t, f, func(f *fixture) (*Result, error) {
-			return Pipelined(ctx, f.plan, f.reg, opts, nil)
-		})
-		if ans != wantAns {
-			t.Errorf("pipelined %+v answers = [%s], naive = [%s]", opts, ans, wantAns)
-		}
-		if got, want := sortedKeys(set), sortedKeys(ffSet); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("pipelined %+v accesses = %v, fast-fail = %v", opts, got, want)
+	for path, f := range map[string]*fixture{"tables": f, "blocking": f.blocking()} {
+		for _, opts := range []Options{
+			{},
+			{Parallelism: 1, MaxBatch: -1},
+			{Parallelism: 8, MaxBatch: 3},
+		} {
+			ans, set := auditedSet(t, f, func(f *fixture) (*Result, error) {
+				return Pipelined(ctx, f.plan, f.reg, opts, nil)
+			})
+			if ans != wantAns {
+				t.Errorf("pipelined %+v over %s: answers = [%s], naive = [%s]", opts, path, ans, wantAns)
+			}
+			if got, want := sortedKeys(set), sortedKeys(ffSet); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("pipelined %+v over %s: accesses = %v, fast-fail = %v", opts, path, got, want)
+			}
 		}
 	}
 	return wantAns, ffSet

@@ -5,17 +5,17 @@ import (
 	"toorjah/internal/sym"
 )
 
-// enumState is one cache node's view of its input domains and of how much
-// of their cross product it has already enumerated. The domain pools only
-// ever grow (the cache database is monotone within an execution), so
-// enumerating, each pass, exactly the combinations that contain at least one
-// value first derived since the previous pass visits every candidate binding
-// exactly once across the whole execution. The executors therefore need no
-// per-binding tried set: a binding reaching the emit callback is new by
-// construction, and its access key is packed and hashed once, not once per
-// fixpoint pass.
+// enumState is one access pattern's view of its input domains — a cache
+// node's in the optimized executor, a relation's in the naive one — and of
+// how much of their cross product it has already enumerated. The domain
+// pools only ever grow (the cache database is monotone within an execution),
+// so enumerating, each pass, exactly the combinations that contain at least
+// one value first derived since the previous pass visits every candidate
+// binding exactly once across the whole execution. The executors therefore
+// need no per-binding tried set: a binding reaching the emit callback is new
+// by construction.
 //
-// The pools are maintained from deltas: groupState.ingest appends to fresh
+// The pools are maintained from deltas: the executor appends to fresh
 // whatever values an extraction contributes the moment it lands, so a pass
 // never evaluates a rule — it walks the pools it finds.
 //
@@ -71,14 +71,19 @@ func (es *enumState) reset() {
 }
 
 // newBindings enumerates the candidate access bindings of cache c that no
-// earlier pass has enumerated, and reports whether any were emitted; its
-// cost is the bindings it emits. The binding slice handed to emit is reused
-// between calls — emit must copy it if it keeps it. While any input
-// position's domain is still empty no binding is complete, so nothing is
-// emitted and no state is consumed: the values the other positions already
-// derived stay fresh for the first pass that can combine them.
+// earlier pass has enumerated (enumState.next).
 func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) error) (bool, error) {
-	es := st.enums[c.Index]
+	return st.enums[c.Index].next(emit)
+}
+
+// next is one pass: it enumerates the candidate bindings no earlier pass has
+// enumerated, and reports whether any were emitted; its cost is the bindings
+// it emits. The binding slice handed to emit is reused between calls — emit
+// must copy it if it keeps it. While any input position's domain is still
+// empty no binding is complete, so nothing is emitted and no state is
+// consumed: the values the other positions already derived stay fresh for
+// the first pass that can combine them.
+func (es *enumState) next(emit func(binding []sym.ID) error) (bool, error) {
 	pos := es.pos
 	if len(pos) == 0 {
 		// A pattern with no input attributes has the single free access ().

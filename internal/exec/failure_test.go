@@ -65,12 +65,13 @@ func TestFastFailingPropagatesSourceError(t *testing.T) {
 // or deadlock — run repeatedly to shake races.
 func TestPipelinedPropagatesSourceErrorNoDeadlock(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
-		f := chainFixture(t)
-		flakyFixture(t, f, "mid", trial)
-		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 3, MaxBatch: 2}, nil)
-		if !errors.Is(err, errSourceDown) {
-			t.Fatalf("trial %d: err = %v, want %v", trial, err, errSourceDown)
-		}
+		onBothPaths(t, chainFixture(t), func(t *testing.T, f *fixture) {
+			flakyFixture(t, f, "mid", trial)
+			_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 3, MaxBatch: 2}, nil)
+			if !errors.Is(err, errSourceDown) {
+				t.Fatalf("trial %d: err = %v, want %v", trial, err, errSourceDown)
+			}
+		})
 	}
 }
 
@@ -79,17 +80,18 @@ func TestPipelinedPropagatesSourceErrorNoDeadlock(t *testing.T) {
 // callback — one round trip at a time, the five that succeed deliver their
 // five answers before the sixth fails.
 func TestSourceErrorStillDeliversDerivedAnswers(t *testing.T) {
-	f := chainFixture(t)
-	flakyFixture(t, f, "mid", 5)
-	var delivered []datalog.Tuple
-	_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 1, MaxBatch: -1},
-		func(burst []datalog.Tuple, _ bool) { delivered = append(delivered, burst...) })
-	if !errors.Is(err, errSourceDown) {
-		t.Fatalf("err = %v, want %v", err, errSourceDown)
-	}
-	if len(delivered) != 5 {
-		t.Errorf("delivered %d answers before the error, want 5", len(delivered))
-	}
+	onBothPaths(t, chainFixture(t), func(t *testing.T, f *fixture) {
+		flakyFixture(t, f, "mid", 5)
+		var delivered []datalog.Tuple
+		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 1, MaxBatch: -1},
+			func(burst []datalog.Tuple, _ bool) { delivered = append(delivered, burst...) })
+		if !errors.Is(err, errSourceDown) {
+			t.Fatalf("err = %v, want %v", err, errSourceDown)
+		}
+		if len(delivered) != 5 {
+			t.Errorf("delivered %d answers before the error, want 5", len(delivered))
+		}
+	})
 }
 
 // TestErrorBeforeAnyAccess: a source that fails immediately, and a relation
@@ -103,6 +105,9 @@ func TestErrorBeforeAnyAccess(t *testing.T) {
 		},
 		"pipelined": func(f *fixture) (*Result, error) {
 			return Pipelined(context.Background(), f.plan, f.reg, Options{}, nil)
+		},
+		"pipelined, blocking": func(f *fixture) (*Result, error) {
+			return Pipelined(context.Background(), f.plan, f.blocking().reg, Options{}, nil)
 		},
 	}
 	for name, run := range strategies {
@@ -201,12 +206,14 @@ func TestSufficientBudgetSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(ff.SortedAnswers(), ";") != strings.Join(pp.SortedAnswers(), ";") {
-		t.Error("strategies disagree under a permissive flaky wrapper")
+	for _, f := range []*fixture{f, f.blocking()} {
+		pp, err := Pipelined(context.Background(), f.plan, f.reg, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(ff.SortedAnswers(), ";") != strings.Join(pp.SortedAnswers(), ";") {
+			t.Error("strategies disagree under a permissive flaky wrapper")
+		}
 	}
 	if ff.Answers.Len() != 30 {
 		t.Errorf("answers = %d, want 30", ff.Answers.Len())

@@ -20,7 +20,9 @@ import (
 // onAnswers (when non-nil) as one burst, the run's last.
 //
 // The typing must come from cq.Validate(q, sch). Every access is counted
-// once; no binding is ever probed twice. Of the options, the cross-query
+// once; no binding is ever probed twice: each relation's bindings come from
+// the semi-naive enumerator the optimized executor uses, which hands every
+// combination over once. Of the options, the cross-query
 // Cache, MaxBatch and Limit are meaningful here (the ablation switches
 // target the optimized strategies). Each round's untried bindings of a
 // relation are probed in batches of at most MaxBatch; a cancelled ctx stops
@@ -41,91 +43,64 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 		return nil, err
 	}
 
-	// B: known values per abstract domain, seeded with the query constants
-	// (interned here — the string boundary of the run).
-	known := make(map[schema.Domain]map[sym.ID]bool)
-	addValue := func(d schema.Domain, v sym.ID) bool {
-		m, ok := known[d]
-		if !ok {
-			m = make(map[sym.ID]bool)
-			known[d] = m
+	rels := sch.Relations()
+	// The scratch holds each relation's enumerator over its input domains and
+	// the arena a pass lays its bindings out in — both recycled across runs
+	// (and, in a sequential union, across disjuncts).
+	sc := getScratch()
+	defer sc.release()
+	// B, the known values, lives in the enumerators: a value the run learns
+	// goes to every input position of its abstract domain, and a pass of a
+	// relation's enumerator hands over exactly the combinations no earlier
+	// pass did — the untried ones, without a tried-set.
+	enums := make([]*enumState, len(rels))
+	inputs := make(map[schema.Domain][]*enumPos)
+	for ri, rel := range rels {
+		enums[ri] = sc.enum(len(rel.InputPositions()))
+		for i, d := range rel.InputDomains() {
+			inputs[d] = append(inputs[d], &enums[ri].pos[i])
 		}
-		if m[v] {
-			return false
-		}
-		m[v] = true
-		return true
 	}
+	learn := func(d schema.Domain, v sym.ID) {
+		for _, p := range inputs[d] {
+			p.add(v)
+		}
+	}
+	// Seeded with the query constants, interned here — the string boundary
+	// of the run.
 	for c, d := range ty.ConstDomain {
-		addValue(d, sym.Intern(c))
+		learn(d, sym.Intern(c))
 	}
 
 	cache := datalog.DB{}
-	for _, rel := range sch.Relations() {
+	for _, rel := range rels {
 		cache.Get(rel.Name, rel.Arity())
 	}
-	// The scratch holds the per-relation sets of already-probed input
-	// bindings, keyed on packed symbol IDs, and the arena each pass lays its
-	// bindings out in — both recycled across runs (and, in a sequential
-	// union, across disjuncts).
-	sc := getScratch()
-	defer sc.release()
-
 	truncated, demanded := false, 0
 	for changed := true; changed && !truncated; {
 		changed = false
-		for ri, rel := range sch.Relations() {
-			w := paths[ri].top
-			relTried := bindMapFor(sc.tried, rel.Name)
-			crel := cache[rel.Name]
-			inputs := rel.InputPositions()
-			domains := rel.InputDomains()
-			// Enumerate every combination of known values for the input
-			// domains; free relations have the single empty combination.
-			pools := make([][]sym.ID, len(inputs))
-			empty := false
-			for i, d := range domains {
-				for v := range known[d] {
-					pools[i] = append(pools[i], v)
-				}
-				if len(pools[i]) == 0 {
-					empty = true
-					break
-				}
-			}
-			if empty {
+		for ri, rel := range rels {
+			// Collect the pass's bindings, then probe them in batches of at
+			// most MaxBatch: the access set is identical to probing one at a
+			// time (what they extract only feeds the next pass).
+			sc.arena = sc.arena[:0]
+			count := 0
+			// The error is emit's, and this emit cannot fail.
+			emitted, _ := enums[ri].next(func(binding []sym.ID) error {
+				sc.arena = append(sc.arena, binding...)
+				count++
+				return nil
+			})
+			if !emitted {
 				continue
 			}
-			// Collect the untried bindings of this pass in enumeration
-			// order, then probe them in batches of at most MaxBatch: the
-			// access set is identical to probing one at a time (pools are
-			// fixed for the pass; new values only feed the next round).
-			sc.arena = sc.arena[:0]
-			toProbe := 0
-			binding := make([]sym.ID, len(inputs))
-			var walk func(i int)
-			walk = func(i int) {
-				if i == len(inputs) {
-					if _, dup := relTried.Get(binding); dup {
-						return
-					}
-					relTried.Put(binding, struct{}{})
-					changed = true
-					sc.arena = append(sc.arena, binding...)
-					toProbe++
-					return
-				}
-				for _, v := range pools[i] {
-					binding[i] = v
-					walk(i + 1)
-				}
-			}
-			walk(0)
-			sent, err := sc.probeArena(ctx, w, len(inputs), toProbe, opts.maxBatch(), func(rows []datalog.Tuple) {
+			changed = true
+			crel := cache[rel.Name]
+			sent, err := sc.probeArena(ctx, paths[ri].top, len(enums[ri].pos), count, opts.maxBatch(), func(rows []datalog.Tuple) {
 				for _, row := range rows {
 					if crel.Insert(row) {
 						for pos, v := range row {
-							addValue(rel.Domains[pos], v)
+							learn(rel.Domains[pos], v)
 						}
 					}
 				}

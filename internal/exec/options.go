@@ -57,8 +57,10 @@ type Options struct {
 	Metrics *obs.ProbeMetrics
 
 	// Parallelism is how many round trips per relation the pipelined
-	// strategy keeps in flight; default 4. The other executors make one
-	// round trip at a time.
+	// strategy keeps in flight, each on a goroutine, when the relation's
+	// source can block (source.CanBlock); default 4. The round trips of a
+	// source that cannot block — a local table — are made on the
+	// coordinator, one at a time, as the other executors make all of theirs.
 	Parallelism int
 	// Limit, when positive, caps the answers at exactly that many, for every
 	// executor. The pipelined strategy stops the extraction as soon as they

@@ -13,22 +13,17 @@ import (
 // scratch is the working memory of one execution — everything an executor
 // fills while it runs and nobody needs once it returns. Every executor
 // borrows one from scratchPool and releases it on the way out, so a
-// prepared query executed again and again stops paying for map growth,
-// slice growth and rehashing: the second run finds the meta-cache buckets,
-// the binding arena and the enumerator pools of the first already as large
-// as the query needs. Clearing a map or truncating a slice keeps its
-// capacity in Go, which is the entire point.
+// prepared query executed again and again stops paying for table growth,
+// slice growth and rehashing: the second run finds the access queues and
+// their meta-caches, the binding arena and the enumerator pools of the first
+// already as large as the query needs. Clearing a table or truncating a
+// slice keeps its capacity, which is the entire point.
 //
 // Nothing reachable from a returned Result may live here. Answers are
 // tuples the final (or incremental) join allocates itself; the cache
 // relations, whose tuples are the sources' shared immutable rows, are
 // dropped with the run.
 type scratch struct {
-	// tried: per relation, the bindings the naive executor already probed.
-	tried map[string]*sym.BindMap[struct{}]
-	// meta: per relation, the extractions the optimized executor shares
-	// between the relation's occurrences (the meta-cache).
-	meta map[string]*sym.BindMap[metaEntry]
 	// rels and enums are handed out front to back — the first relsOut
 	// (enumsOut) are in use by the current run — and recycled whole.
 	rels     []*datalog.Relation
@@ -55,18 +50,10 @@ type scratch struct {
 	flights   []*flight
 }
 
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &scratch{
-			tried: make(map[string]*sym.BindMap[struct{}], 8),
-			meta:  make(map[string]*sym.BindMap[metaEntry], 8),
-		}
-	},
-}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getScratch returns an empty scratch with whatever capacity earlier runs
-// left in it. Sets of relations of other schemas may be present but empty;
-// lookups simply miss them.
+// left in it.
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // release empties the scratch — dropping every reference to the run's
@@ -74,12 +61,6 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // returns it to the pool. The caller must not touch it, or anything handed
 // out by it, afterwards.
 func (sc *scratch) release() {
-	for _, s := range sc.tried {
-		s.Clear()
-	}
-	for _, m := range sc.meta {
-		m.Clear()
-	}
 	for _, r := range sc.rels[:sc.relsOut] {
 		r.Reset()
 	}
@@ -88,24 +69,15 @@ func (sc *scratch) release() {
 	}
 	for i := range sc.queues[:sc.queuesOut] {
 		q := &sc.queues[i]
-		*q = relQueue{ids: q.ids[:0], owners: q.owners[:0]}
+		q.seen.Reset()
+		clear(q.meta)
+		*q = relQueue{ids: q.ids[:0], owners: q.owners[:0], seen: q.seen, meta: q.meta[:0]}
 	}
 	sc.relsOut, sc.enumsOut, sc.queuesOut = 0, 0, 0
 	sc.arena = sc.arena[:0]
 	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.fresh[:cap(sc.fresh)])
 	scratchPool.Put(sc)
-}
-
-// bindMapFor returns the relation's map of a per-relation family (tried or
-// meta), creating it on first use.
-func bindMapFor[V any](family map[string]*sym.BindMap[V], rel string) *sym.BindMap[V] {
-	m := family[rel]
-	if m == nil {
-		m = new(sym.BindMap[V])
-		family[rel] = m
-	}
-	return m
 }
 
 // relation hands out an empty cache relation.

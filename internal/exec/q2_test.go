@@ -112,6 +112,26 @@ func TestPipelinedQ2(t *testing.T) {
 	}
 }
 
+// TestPipelinedQ2AllocBudget pins where a pipelined run makes the round
+// trips of a source that cannot block: on its coordinator, as fast-fail does,
+// so a warm q2 over plain tables allocates per pass and per extracted tuple —
+// no goroutine, closure or channel hand-off for each of its 2680 round trips
+// (5642 allocations when it started one per round trip). It measures 282; the
+// budget is 400, the best of eight runs, as for fast-fail.
+func TestPipelinedQ2AllocBudget(t *testing.T) {
+	f := q2Fixture(t)
+	run := func() { runPipelinedQ2(t, f) }
+	run() // warm: build the storage indexes, size the scratch
+	const budget = 400
+	allocs := testing.AllocsPerRun(1, run)
+	for i := 1; i < 8; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, run))
+	}
+	if allocs > budget {
+		t.Errorf("a warm pipelined q2 execution makes %.0f allocations for %d accesses, budget %d", allocs, q2Accesses, budget)
+	}
+}
+
 // BenchmarkPipelinedQ2 times warm pipelined executions of q2.
 func BenchmarkPipelinedQ2(b *testing.B) {
 	f := q2Fixture(b)

@@ -4,7 +4,9 @@
 //   - Naive: the reference algorithm of Fig. 1 ([Li & Chang, ICDE 2000]):
 //     probe every relation with every untried combination of known values
 //     until no access yields anything new, then evaluate the query over the
-//     accumulated cache;
+//     accumulated cache; the untried combinations are what the semi-naive
+//     enumerator the optimized executor uses hands over, so nothing keeps a
+//     tried-set;
 //   - FastFailing and Pipelined: the two strategies of the one executor of
 //     ⊂-minimal plans (run), which generates access tuples from the input
 //     domains, never repeats an access (per-relation meta-caches) and folds
@@ -12,9 +14,11 @@
 //     IV) populates the position groups in the plan's ordering, one round
 //     trip at a time, running an early non-emptiness test before each group,
 //     and evaluates the query at the end; Pipelined (Section V, the Toorjah
-//     engine) opens every group at once, keeps several round trips per
-//     relation in flight, and joins incrementally, so answers stream as soon
-//     as they are derivable;
+//     engine) opens every group at once, keeps up to Options.Parallelism
+//     round trips in flight per relation whose source can block
+//     (source.CanBlock; those of a source that cannot are made on the
+//     coordinator, one at a time, as fast-fail makes all of its), and joins
+//     incrementally, so answers stream as soon as they are derivable;
 //   - Union: the disjuncts of a UCQ, concurrently, into one answer set.
 //
 // Probes leave every executor through one access path per relation (access:

@@ -13,28 +13,6 @@ import (
 	"toorjah/internal/sym"
 )
 
-// strategy is what the paper's two ways of executing a ⊂-minimal plan
-// differ in. The extraction scheme itself — derive new access tuples from
-// the caches, probe them, fold the extractions back — is run's, and the
-// same for both.
-type strategy struct {
-	// staged opens the plan's position groups one at a time, in order —
-	// each, unless Options.NoEarlyFailure, only after the subquery over the
-	// groups before it proved non-empty — and evaluates the query once,
-	// over the final caches. Otherwise every group is open from the start
-	// and each extraction's new tuples are joined into answers as they land.
-	staged bool
-	// inline makes each round trip on the caller's goroutine, one at a
-	// time. Otherwise up to Options.Parallelism round trips per relation are
-	// in flight at once, each on a goroutine started for it.
-	inline bool
-}
-
-var (
-	fastFailing = strategy{staged: true, inline: true}
-	pipelined   = strategy{}
-)
-
 // FastFailing executes a ⊂-minimal plan with the fast-failing strategy of
 // Section IV: for each position group, in order, it first checks that the
 // subquery over the already-populated caches is satisfiable (otherwise the
@@ -44,23 +22,23 @@ var (
 // rewritten query over the caches and hands the answers to onAnswers (when
 // non-nil) as one burst, the run's last.
 func FastFailing(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
-	return run(ctx, p, reg, opts, fastFailing, onAnswers)
+	return run(ctx, p, reg, opts, true, onAnswers)
 }
 
 // Pipelined executes the plan with the Toorjah engine of Section V: the
 // coordinator "distils" new access tuples into per-relation queues as soon
 // as the cache database can generate them, several round trips per relation
-// are in flight at once, and the answers each landed round trip makes
-// derivable are joined incrementally and handed to onAnswers, as one burst,
-// before the coordinator sends a round trip, before it waits for one to
-// land, and when the run finishes — that burst alone is flagged last. The
-// final result carries the same answer set as FastFailing.
+// whose source can block are in flight at once, and the answers each landed
+// round trip makes derivable are joined incrementally and handed to
+// onAnswers, as one burst, before the coordinator sends a round trip, before
+// it waits for one to land, and when the run finishes — that burst alone is
+// flagged last. The final result carries the same answer set as FastFailing.
 //
 // For queries with negated atoms, incremental emission would be unsound
 // (a later extraction can invalidate a tentative answer), so answers are
 // emitted only after all caches are complete.
 func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, onAnswers func(burst []datalog.Tuple, last bool)) (*Result, error) {
-	return run(ctx, p, reg, opts, pipelined, onAnswers)
+	return run(ctx, p, reg, opts, false, onAnswers)
 }
 
 // relQueue is the coordinator's view of one relation of the plan: its
@@ -73,6 +51,42 @@ type relQueue struct {
 	owners   []int32  // per access tuple, the cache node that asked (plan.Cache.Index)
 	head     int      // access tuples before head have been dispatched
 	inflight int      // round trips dispatched and not yet landed
+	// concurrent keeps up to Options.Parallelism of the relation's round
+	// trips in flight at once, each on a goroutine started for it: the run
+	// is not staged and the pinned source can block. Otherwise the
+	// coordinator makes them itself, one at a time.
+	concurrent bool
+	// shared makes the queue the relation's meta-cache, through which the
+	// relation's occurrences share access results, so that no binding is
+	// probed twice however many cache nodes ask for it: every access tuple
+	// ever queued stays, filed in seen by its position, and meta says what is
+	// known of its extraction. A shared queue is therefore not reused mid-run.
+	// Off for a relation with a single occurrence — its node's enumerator
+	// already visits every binding once — and under Options.NoMetaCache.
+	shared bool
+	seen   sym.RefTable
+	meta   []metaEntry // per access tuple, when shared
+}
+
+// metaEntry is what the meta-cache knows about one access tuple of a
+// relation: its extraction once the round trip has landed, and until then
+// the cache nodes, beside the one that queued it, waiting for it.
+type metaEntry struct {
+	rows    []datalog.Tuple
+	landed  bool
+	waiters []*plan.Cache
+}
+
+// find returns the queue position of the access tuple equal to binding, or
+// −1, and the binding's hash.
+func (r *relQueue) find(binding []sym.ID) (int32, uint32) {
+	h := sym.HashIDs(binding)
+	for at, ref := r.seen.First(h); ref >= 0; at, ref = r.seen.Next(at, h) {
+		if from := int(ref) * r.width; slices.Equal(r.ids[from:from+r.width], binding) {
+			return ref, h
+		}
+	}
+	return -1, h
 }
 
 // flight is one round trip: up to MaxBatch consecutive access tuples of one
@@ -95,7 +109,14 @@ type flight struct {
 // proportional to what happens, not to what is held: an extraction updates
 // the domains from its own new tuples, only bindings containing a new value
 // are enumerated, and a round trip reports back once.
-func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, s strategy, onAnswers func([]datalog.Tuple, bool)) (*Result, error) {
+//
+// A staged run (fast-fail) opens the plan's position groups one at a time,
+// in order — each, unless Options.NoEarlyFailure, only after the subquery
+// over the groups before it proved non-empty — and evaluates the query once,
+// over the final caches. Otherwise (pipelined) every group is open from the
+// start and each extraction's new tuples are joined into answers as they
+// land. Where a round trip runs is the source's to say (relQueue.concurrent).
+func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, staged bool, onAnswers func([]datalog.Tuple, bool)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -106,14 +127,17 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 	sc := getScratch()
 	defer sc.release()
-	st, err := newGroupState(p, opts, sc)
+	st, err := newGroupState(p, sc)
 	if err != nil {
 		return nil, err
 	}
 	rels := sc.relQueues(len(p.Relations))
 	for _, c := range p.Caches {
 		if !c.IsConst {
-			rels[c.Rel].w, rels[c.Rel].width = paths[c.Rel].top, len(c.DomainPreds)
+			r := &rels[c.Rel]
+			r.w, r.width = paths[c.Rel].top, len(c.DomainPreds)
+			r.concurrent = !staged && source.CanBlock(paths[c.Rel].src)
+			r.shared = r.shared || c.Shared && !opts.NoMetaCache
 		}
 	}
 
@@ -157,7 +181,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// incrementally, joins the new tuples — at the body position their cache
 	// occupies — with the full caches elsewhere. Every answer has a last
 	// tuple to arrive, and is derived when it does: the join is complete.
-	streaming := !s.staged && len(p.Query.Negated) == 0
+	streaming := !staged && len(p.Query.Negated) == 0
 	extract := func(c *plan.Cache, rows []datalog.Tuple) error {
 		fresh, err := st.ingest(c, rows)
 		if err != nil || len(fresh) == 0 || !streaming || c.QueryPos < 0 {
@@ -172,22 +196,24 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// relation has queued or in flight waits for that extraction — "every
 	// access tuple is never sent twice to the same wrapper".
 	generate := func(c *plan.Cache) (bool, error) {
-		r, rm := &rels[c.Rel], st.meta[c.Rel]
-		if r.head == len(r.owners) && r.inflight == 0 {
+		r := &rels[c.Rel]
+		if !r.shared && r.head == len(r.owners) && r.inflight == 0 {
 			// Nothing refers to the queue's storage: reuse it.
 			r.ids, r.owners, r.head = r.ids[:0], r.owners[:0], 0
 		}
 		return st.newBindings(c, func(binding []sym.ID) error {
-			if rm != nil {
-				switch e, known := rm.Get(binding); {
-				case e.landed:
-					return extract(c, e.rows)
-				case known:
+			if r.shared {
+				at, h := r.find(binding)
+				if at >= 0 {
+					e := &r.meta[at]
+					if e.landed {
+						return extract(c, e.rows)
+					}
 					e.waiters = append(e.waiters, c)
-					rm.Put(binding, e)
 					return nil
 				}
-				rm.Put(binding, metaEntry{}) // queued: later askers wait
+				r.seen.Add(h, int32(len(r.owners))) // queued: later askers wait
+				r.meta = append(r.meta, metaEntry{})
 			}
 			r.ids = append(r.ids, binding...)
 			r.owners = append(r.owners, int32(c.Index))
@@ -206,14 +232,14 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		if fl.err != nil {
 			return fl.err
 		}
-		rm, caches := st.meta[fl.rel], p.Caches
-		owners := rels[fl.rel].owners[fl.from:]
+		r, caches := &rels[fl.rel], p.Caches
+		owners := r.owners[fl.from:]
 		for i, rows := range fl.rows {
 			var waiters []*plan.Cache
-			if rm != nil {
-				e, _ := rm.Get(fl.bindings[i])
+			if r.shared {
+				e := &r.meta[fl.from+i]
 				waiters = e.waiters
-				rm.Put(fl.bindings[i], metaEntry{rows: rows, landed: true})
+				*e = metaEntry{rows: rows, landed: true}
 			}
 			if len(rows) == 0 {
 				continue // most accesses of a selective plan extract nothing
@@ -233,8 +259,8 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	stop := func() bool { return k.full() || ctxDone(ctx) }
 
 	// dispatch cuts round trips off the front of a relation's queue while
-	// the strategy has room for them — always, when they are made inline —
-	// and the run has not been stopped. What has been derived is handed over
+	// there is room for them — always, when the coordinator makes them — and
+	// the run has not been stopped. What has been derived is handed over
 	// before each is sent; a cancel from the callback stops that access.
 	dispatch := func(rel int) error {
 		r := &rels[rel]
@@ -252,7 +278,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			}
 			fl.rows = slices.Grow(fl.rows, len(fl.bindings))[:len(fl.bindings)]
 			demanded += len(fl.bindings)
-			if s.inline {
+			if !r.concurrent {
 				fl.err = probe(pctx, r.w, fl.bindings, fl.rows)
 				if err := land(fl); err != nil {
 					return err
@@ -305,7 +331,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			break
 		}
 		span.End()
-		if s.staged {
+		if staged {
 			pctx, span = obs.StartSpan(ctx, "group")
 			span.SetAttr("group", opened)
 			if opened > 0 && !opts.NoEarlyFailure {
@@ -348,44 +374,22 @@ type groupState struct {
 
 	cdb   datalog.DB   // cache predicate relations
 	enums []*enumState // per cache node (nil for constants): its input domains
-	// meta holds, per relation of the plan, the meta-cache: the map through
-	// which the occurrences of a relation share access results, so that no
-	// binding is probed twice however many cache nodes ask for it. An entry
-	// is nil — which callers treat as "never hits, never stores" — when the
-	// meta-cache is disabled, and for a relation with a single occurrence:
-	// its node's enumerator already visits every binding once, so nobody
-	// would ever read what was stored.
-	meta []*sym.BindMap[metaEntry]
-}
-
-// metaEntry is what the meta-cache knows about one access tuple of a
-// relation: its extraction once the round trip has landed, and until then
-// the cache nodes, beside the one that queued it, waiting for it.
-type metaEntry struct {
-	rows    []datalog.Tuple
-	landed  bool
-	waiters []*plan.Cache
 }
 
 // newGroupState sets an execution up: empty cache relations and input
 // domains, then the query constants, whose caches seed the domains they
 // feed once and for all.
-func newGroupState(p *plan.Plan, opts Options, sc *scratch) (*groupState, error) {
+func newGroupState(p *plan.Plan, sc *scratch) (*groupState, error) {
 	st := &groupState{
 		p:     p,
 		sc:    sc,
 		cdb:   make(datalog.DB, len(p.Caches)),
 		enums: make([]*enumState, len(p.Caches)),
-		meta:  make([]*sym.BindMap[metaEntry], len(p.Relations)),
 	}
 	for _, c := range p.Caches {
 		st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
-		if c.IsConst {
-			continue
-		}
-		st.enums[c.Index] = sc.enum(len(c.DomainPreds))
-		if c.Shared && !opts.NoMetaCache {
-			st.meta[c.Rel] = bindMapFor(sc.meta, c.Source.Rel.Name)
+		if !c.IsConst {
+			st.enums[c.Index] = sc.enum(len(c.DomainPreds))
 		}
 	}
 	for _, c := range p.Caches {

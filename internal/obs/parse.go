@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -90,46 +88,6 @@ func seriesName(series string) string {
 	return name
 }
 
-// labelValue extracts one label's (unescaped) value from a series
-// identity, reporting whether the label is present.
-func labelValue(series, label string) (string, bool) {
-	_, block, ok := strings.Cut(series, "{")
-	if !ok {
-		return "", false
-	}
-	block = strings.TrimSuffix(block, "}")
-	for block != "" {
-		name, rest, ok := strings.Cut(block, `="`)
-		if !ok {
-			return "", false
-		}
-		// Consume the quoted value, honouring the \\ \" \n escapes of the
-		// exposition format.
-		var b strings.Builder
-		i := 0
-		for i < len(rest) && rest[i] != '"' {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				i++
-				c = rest[i]
-				if c == 'n' {
-					c = '\n'
-				}
-			}
-			b.WriteByte(c)
-			i++
-		}
-		if i >= len(rest) { // unterminated value
-			return "", false
-		}
-		if name == label {
-			return b.String(), true
-		}
-		block = strings.TrimPrefix(rest[i+1:], ",")
-	}
-	return "", false
-}
-
 // Sum adds up every sample of the named family across its label
 // combinations — `sum(name)` over one scrape. Zero when absent.
 func (s *Scrape) Sum(name string) float64 {
@@ -145,24 +103,6 @@ func (s *Scrape) Sum(name string) float64 {
 // Value returns one exact series' sample, or 0 when absent.
 func (s *Scrape) Value(series string) float64 { return s.Samples[series] }
 
-// DeltaFrom subtracts an earlier scrape series-by-series, keeping only
-// series that moved (series absent from the earlier scrape count from 0).
-// For the counter-dominated expositions toorjahd serves, the result is
-// "what this run did to the server".
-func (s *Scrape) DeltaFrom(before *Scrape) map[string]float64 {
-	out := make(map[string]float64)
-	for series, v := range s.Samples {
-		var prev float64
-		if before != nil {
-			prev = before.Samples[series]
-		}
-		if d := v - prev; d != 0 {
-			out[series] = d
-		}
-	}
-	return out
-}
-
 // SumDelta is Sum(name) minus the earlier scrape's Sum(name).
 func (s *Scrape) SumDelta(before *Scrape, name string) float64 {
 	var prev float64
@@ -170,46 +110,4 @@ func (s *Scrape) SumDelta(before *Scrape, name string) float64 {
 		prev = before.Sum(name)
 	}
 	return s.Sum(name) - prev
-}
-
-// HistogramQuantile reconstructs the q-quantile of the named histogram
-// family from its `_bucket` series, aggregated across every label
-// combination (Prometheus' `histogram_quantile(q, sum by (le) (...))`) via
-// the same estimator the serving process uses. NaN when the family has no
-// buckets or no observations.
-func (s *Scrape) HistogramQuantile(name string, q float64) float64 {
-	byBound := make(map[float64]uint64)
-	var inf uint64
-	for series, v := range s.Samples {
-		if seriesName(series) != name+"_bucket" {
-			continue
-		}
-		le, ok := labelValue(series, "le")
-		if !ok {
-			continue
-		}
-		if le == "+Inf" {
-			inf += uint64(v)
-			continue
-		}
-		bound, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			continue
-		}
-		byBound[bound] += uint64(v)
-	}
-	if len(byBound) == 0 {
-		return math.NaN()
-	}
-	bounds := make([]float64, 0, len(byBound))
-	for b := range byBound {
-		bounds = append(bounds, b)
-	}
-	sort.Float64s(bounds)
-	cum := make([]uint64, 0, len(bounds)+1)
-	for _, b := range bounds {
-		cum = append(cum, byBound[b])
-	}
-	cum = append(cum, inf)
-	return QuantileFromBuckets(bounds, cum, q)
 }

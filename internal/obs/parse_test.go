@@ -45,14 +45,8 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	}
 
 	// The escaped label survives the round trip.
-	found := false
-	for series := range sc.Samples {
-		if v, ok := labelValue(series, "rel"); ok && v == "pub, \"quoted\"\nname" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("escaped label value did not round-trip")
+	if got := sc.Value(`toorjah_test_hits_total{rel="pub, \"quoted\"\nname"}`); got != 4 {
+		t.Errorf("escaped label value did not round-trip: %v", sc.Samples)
 	}
 }
 
@@ -68,10 +62,6 @@ func TestScrapeDeltaFrom(t *testing.T) {
 	before := parse("toorjah_a_total 10\ntoorjah_b_total{x=\"1\"} 2\n")
 	after := parse("toorjah_a_total 15\ntoorjah_b_total{x=\"1\"} 2\ntoorjah_c_total 4\n")
 
-	d := after.DeltaFrom(before)
-	if len(d) != 2 || d["toorjah_a_total"] != 5 || d["toorjah_c_total"] != 4 {
-		t.Errorf("delta = %v, want a:+5 c:+4", d)
-	}
 	if got := after.SumDelta(before, "toorjah_a_total"); got != 5 {
 		t.Errorf("SumDelta = %v, want 5", got)
 	}

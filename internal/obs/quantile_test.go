@@ -60,35 +60,6 @@ func TestQuantileFromBucketsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestScrapeQuantileMatchesHistogram proves the round trip the load harness
-// relies on: serving process → text exposition → scrape → quantile equals
-// the quantile the process computes on its own buckets.
-func TestScrapeQuantileMatchesHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("toorjah_test_latency_seconds", "test latencies", []float64{0.001, 0.01, 0.1, 1})
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 2000) // 0 .. 0.4995
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := ParseExposition(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		want := h.Quantile(q)
-		got := sc.HistogramQuantile("toorjah_test_latency_seconds", q)
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("q=%v: scrape %v, histogram %v", q, got, want)
-		}
-	}
-	if got := sc.HistogramQuantile("toorjah_no_such_family", 0.5); !math.IsNaN(got) {
-		t.Errorf("missing family: got %v, want NaN", got)
-	}
-}
-
 func TestRegisterRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)

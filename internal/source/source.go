@@ -141,6 +141,18 @@ type Snapshottable interface {
 	Snapshot() Wrapper
 }
 
+// CanBlock reports whether a probe of w can make its caller wait: a source
+// states it through an optional CanBlock() bool, beside Versioned and
+// Snapshottable, and one that does not can block. The executors probe a
+// source that cannot block on their own goroutine, one round trip at a time
+// — a goroutine per round trip would cost more than the probe.
+func CanBlock(w Wrapper) bool {
+	if b, ok := w.(interface{ CanBlock() bool }); ok {
+		return b.CanBlock()
+	}
+	return true
+}
+
 // TableSource is a Wrapper over an in-memory table, with an optional
 // simulated per-access latency. A live TableSource reads the table's
 // current version on every access; Snapshot pins one version for the life
@@ -196,6 +208,10 @@ func (s *TableSource) Epoch() uint64 {
 	return s.table.Epoch()
 }
 
+// CanBlock reports whether the source simulates a remote one: only its
+// latency makes a caller wait.
+func (s *TableSource) CanBlock() bool { return s.latency > 0 }
+
 // view returns the table version this access should read.
 func (s *TableSource) view() *storage.Snapshot {
 	if s.pinned != nil {
@@ -247,21 +263,19 @@ func (s *Stats) Add(o Stats) {
 // reaches the source, whatever sits above it. (The executors keep their own
 // per-run Stats in their access path and wrap nothing.) A plain counter keeps
 // the three integers of Stats and nothing per binding. An audited counter
-// (keepLog) also records every access in order and the set of distinct
-// bindings probed, to check that no access is ever repeated.
+// (keepLog) also records every access in order, from which the distinct
+// bindings probed are read, to check that no access is ever repeated.
 type Counter struct {
 	inner Wrapper
 
 	mu      sync.Mutex
 	stats   Stats
 	keepLog bool
-	// Audit state, maintained only when keepLog is set.
-	log      []Access
-	distinct sym.BindMap[struct{}] // integer-keyed: accounting builds no string
+	log     []Access // maintained only when keepLog is set
 }
 
 // NewCounter wraps w; when keepLog is set the counter is audited: every
-// access is recorded in order and the distinct bindings are tracked.
+// access is recorded in order.
 func NewCounter(w Wrapper, keepLog bool) *Counter {
 	return &Counter{inner: w, keepLog: keepLog}
 }
@@ -272,6 +286,9 @@ func (c *Counter) Relation() *schema.Relation { return c.inner.Relation() }
 // Epoch forwards the wrapped source's data epoch (0 when unversioned), so
 // the cross-query cache sees through the accounting decorator.
 func (c *Counter) Epoch() uint64 { return EpochOf(c.inner) }
+
+// CanBlock answers for the wrapped source.
+func (c *Counter) CanBlock() bool { return CanBlock(c.inner) }
 
 // Probe forwards the batch to the wrapped source, recording one access per
 // binding and one round trip for the batch — integer adds only, unless the
@@ -292,7 +309,6 @@ func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storag
 	if c.keepLog {
 		rel := c.inner.Relation().Name
 		for _, b := range bindings {
-			c.distinct.Put(b, struct{}{})
 			c.log = append(c.log, Access{Relation: rel, Binding: sym.Strs(b)})
 		}
 	}
@@ -311,12 +327,10 @@ func (c *Counter) Stats() Stats {
 // or -1 when the counter is not audited: a plain counter does not track
 // bindings, and "unknown" must not read as "none".
 func (c *Counter) DistinctAccesses() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.keepLog {
-		return -1
+	if set := c.AccessSet(); set != nil {
+		return len(set)
 	}
-	return c.distinct.Len()
+	return -1
 }
 
 // AccessSet returns the set of distinct accesses probed so far, as
@@ -327,12 +341,10 @@ func (c *Counter) AccessSet() map[string]bool {
 	if !c.keepLog {
 		return nil
 	}
-	out := make(map[string]bool, c.distinct.Len())
-	rel := c.inner.Relation().Name
-	c.distinct.Range(func(b []sym.ID, _ struct{}) bool {
-		out[Access{Relation: rel, Binding: sym.Strs(b)}.Key()] = true
-		return true
-	})
+	out := make(map[string]bool, len(c.log))
+	for _, a := range c.log {
+		out[a.Key()] = true
+	}
 	return out
 }
 
@@ -351,7 +363,6 @@ func (c *Counter) Reset() {
 	defer c.mu.Unlock()
 	c.stats = Stats{}
 	c.log = nil
-	c.distinct = sym.BindMap[struct{}]{}
 }
 
 // Flaky decorates a wrapper with failure injection: the first FailAfter
@@ -376,6 +387,9 @@ func (f *Flaky) Relation() *schema.Relation { return f.inner.Relation() }
 
 // Epoch forwards the wrapped source's data epoch (0 when unversioned).
 func (f *Flaky) Epoch() uint64 { return EpochOf(f.inner) }
+
+// CanBlock answers for the wrapped source.
+func (f *Flaky) CanBlock() bool { return CanBlock(f.inner) }
 
 // Probe forwards to the wrapped source until the budget is exhausted: a
 // batch spends one access of budget per binding, and the batch that

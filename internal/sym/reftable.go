@@ -34,8 +34,8 @@ func HashIDs(ids []ID) uint32 {
 // but the eight bytes of a slot is kept beside the tuple an entry came from.
 //
 // What keys a lookup below the string boundary is decided here: datalog's
-// cache relations, storage's row set and indexes and the generations of the
-// cross-query cache are all this table. The zero value is an empty table; a
+// cache relations, storage's row set and indexes, the generations of the
+// cross-query cache and the executors' meta-caches are all this table. The zero value is an empty table; a
 // table holds fewer than 2³¹ references and is not safe for concurrent use.
 type RefTable struct {
 	slots []refSlot

@@ -10,18 +10,18 @@
 // boundary.
 //
 // The package also says how ID tuples are looked up, in two forms. RefTable
-// is the engine's one ID-keyed hash table: storage's row set and indexes and
-// datalog's cache relations hash the IDs as they stand (HashIDs) into a
-// table of references to tuples they already store, and build no key at
-// all. AppendKey/Key pack IDs into a string for the callers that key a Go
-// map — the cross-query cache, whose key also carries a relation name and an
-// epoch, the executors' answer sets, BindMap's fallback for wide bindings.
+// is the engine's one ID-keyed hash table: storage's row set and indexes,
+// datalog's cache relations, the cross-query cache's generations and the
+// executors' meta-caches hash the IDs as they stand (HashIDs) into a table
+// of references to tuples they already store, and build no key at all.
+// AppendKey/Key pack IDs into a string for the callers that key a Go map at
+// a boundary — a finished result's answer set, tests.
 //
 // IDs are stable for the life of the process: the table is append-only (an
 // interned value is never removed or renumbered), so IDs — and every hash or
 // key made from them — survive table snapshots, compactions and data epochs.
 // That epoch-stability is what lets the cross-query cache keep serving
-// entries keyed by packed IDs while relations advance underneath it.
+// entries filed by IDs while relations advance underneath it.
 //
 // The zero ID is never issued; it is reserved as "no value" so packed keys
 // and sentinel slots stay unambiguous.
@@ -262,10 +262,9 @@ func Strs(ids []ID) []string { return Default.Strs(ids) }
 
 // AppendKey appends the 4-byte big-endian encoding of every ID to dst and
 // returns it: the packed-key primitive of the callers that key a Go map by
-// IDs — the cross-query cache's versioned access key, the executors' answer
-// sets, BindMap's wide bindings. Packing is collision-free by construction
-// (fixed width), unlike NUL-joined strings. Storage and datalog do not pack:
-// their lookups hash the IDs through RefTable.
+// IDs at a boundary. Packing is collision-free by construction (fixed
+// width), unlike NUL-joined strings. Below the boundary nothing packs: the
+// lookups hash the IDs through RefTable.
 func AppendKey(dst []byte, ids []ID) []byte {
 	for _, id := range ids {
 		dst = append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))

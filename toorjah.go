@@ -316,17 +316,15 @@ func (s *System) BindRows(name string, rows ...Row) error {
 }
 
 // BindDatabase attaches every relation to the same-named table of db
-// (missing tables become empty sources).
+// (missing tables become empty sources), each as Bind attaches one.
 func (s *System) BindDatabase(db *storage.Database) error {
 	reg, err := source.FromDatabase(s.sch, db, s.Latency)
 	if err != nil {
 		return err
 	}
-	s.reg = reg
-	if s.cache != nil {
-		s.cache.Clear() // after the swap, for the same reason as Bind
+	for _, name := range reg.Names() {
+		s.Bind(reg.Source(name))
 	}
-	s.applyCommitHook()
 	return nil
 }
 

@@ -2,12 +2,14 @@ package toorjah
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"toorjah/internal/gen"
 	"toorjah/internal/obs"
 )
 
@@ -434,6 +436,43 @@ func TestCachedSystemRebindInvalidates(t *testing.T) {
 	}
 	if got := strings.Join(res.SortedAnswers(), ";"); got != "like_a_prayer" {
 		t.Errorf("answers = %s, want like_a_prayer", got)
+	}
+}
+
+// TestBindDatabaseUnderQueries: BindDatabase binds relation by relation into
+// the registry executions read, as Bind does — it used to replace the
+// registry itself, a write the race detector reported against Query.Execute
+// — and a query running beside it answers as before: every binding holds the
+// same tables.
+func TestBindDatabaseUnderQueries(t *testing.T) {
+	ctx := context.Background()
+	sch, db := gen.Publication(5, gen.SmallPublication())
+	sys := NewSystem(sch, WithCache(CacheOptions{}))
+	must(t, sys.BindDatabase(db))
+	q, err := sys.Prepare(gen.PublicationQueries[0])
+	must(t, err)
+	first, err := q.Execute(ctx)
+	must(t, err)
+	want := first.SortedAnswers()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			res, err := q.Execute(ctx)
+			if err == nil && !slices.Equal(res.SortedAnswers(), want) {
+				err = fmt.Errorf("run %d answered %v beside BindDatabase, want %v", i, res.SortedAnswers(), want)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 20; i++ {
+		must(t, sys.BindDatabase(db))
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
