@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,7 +71,11 @@ func TestLinkcheckFindsBreakage(t *testing.T) {
 }
 
 // TestRepoDocs runs the checker over the repository's real documentation,
-// so a broken link fails `go test` even before the CI docs job runs.
+// so a broken link fails `go test` even before the CI docs job runs. It also
+// fails on a backticked test, benchmark or fuzz target that no _test.go in
+// the tree declares, so the docs cannot cite a deleted test; a name
+// followed by `*` or `{…}` (`BenchmarkBatch*`) stands for every name it
+// prefixes.
 func TestRepoDocs(t *testing.T) {
 	root := "../.."
 	files := []string{
@@ -80,4 +87,76 @@ func TestRepoDocs(t *testing.T) {
 	if err := run(files, &out); err != nil {
 		t.Fatalf("repository docs: %v\n%s", err, out.String())
 	}
+
+	var declared []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range declaredRE.FindAllSubmatch(src, -1) {
+			declared = append(declared, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		for _, cited := range citedTests(t, f) {
+			name, prefix := strings.CutSuffix(cited, "*")
+			if i := strings.IndexByte(name, '{'); i >= 0 {
+				name, prefix = name[:i], true
+			}
+			if !slices.ContainsFunc(declared, func(d string) bool {
+				return d == name || prefix && strings.HasPrefix(d, name)
+			}) {
+				t.Errorf("%s cites `%s`, which no _test.go declares", f, cited)
+			}
+		}
+	}
+}
+
+var (
+	declaredRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	codeSpanRE = regexp.MustCompile("`[^`]+`")
+	citedRE    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\*|\{[^}]*\})?`)
+)
+
+// citedTests returns the test, benchmark and fuzz target names a markdown
+// file cites in code: in inline code spans, which never cross a blank line,
+// and anywhere in fenced blocks.
+func citedTests(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var code []string
+	var para strings.Builder
+	flush := func() {
+		code = append(code, codeSpanRE.FindAllString(para.String(), -1)...)
+		para.Reset()
+	}
+	inFence := false
+	for _, line := range strings.Split(string(data), "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			flush()
+			inFence = !inFence
+		case inFence:
+			code = append(code, line)
+		case trimmed == "":
+			flush()
+		default:
+			para.WriteString(line + "\n")
+		}
+	}
+	flush()
+	var names []string
+	for _, c := range code {
+		names = append(names, citedRE.FindAllString(c, -1)...)
+	}
+	return names
 }

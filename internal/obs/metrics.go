@@ -11,10 +11,8 @@
 // The package deliberately implements only what toorjahd needs of the
 // Prometheus exposition format (counters, gauges, histograms with
 // cumulative le buckets, HELP/TYPE comments, label escaping); it is not a
-// client library. Quantiles (p50/p99/p999) are extracted from histogram
-// buckets with the same linear interpolation Prometheus'
-// histogram_quantile uses, for query logs and tests — the /metrics output
-// exposes the raw buckets.
+// client library, and it computes no quantiles: /metrics exposes the raw
+// buckets, and a scraper estimates percentiles from them.
 package obs
 
 import (
@@ -94,13 +92,6 @@ func (f *atomicFloat) add(v float64) {
 
 func (f *atomicFloat) value() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// NewStandaloneHistogram builds a histogram that is not attached to any
-// registry — for callers (like the load harness) that want the lock-free
-// bucket accounting and the shared quantile estimator without exposing the
-// series on /metrics. Panics if the bounds are not strictly ascending; nil
-// or empty buckets default to LatencyBuckets.
-func NewStandaloneHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
-
 // newHistogram validates and copies the bucket bounds.
 func newHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
@@ -135,30 +126,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.value() }
-
-// Quantile extracts the q-quantile (0 < q <= 1, e.g. 0.5, 0.99, 0.999)
-// from the buckets — the estimate QuantileFromBuckets computes, which is
-// also what a scraper reconstructs from the text exposition, so the
-// serving process and its observers always agree on a percentile. An empty
-// histogram returns NaN; a rank falling in the +Inf bucket returns the
-// highest finite bound (the histogram cannot see further).
-func (h *Histogram) Quantile(q float64) float64 {
-	return QuantileFromBuckets(h.bounds, h.CumulativeCounts(), q)
-}
-
-// CumulativeCounts snapshots the cumulative per-bucket counts — cum[i] is
-// the number of observations <= bounds[i], exactly the `le` series of the
-// text exposition — with one extra trailing entry for the implicit +Inf
-// bucket (the total count).
-func (h *Histogram) CumulativeCounts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out[i] = cum
-	}
-	return out
-}
 
 // LatencyBuckets is the default histogram bucketing for durations in
 // seconds: 0.5ms up to 10s, roughly logarithmic — wide enough for a cache

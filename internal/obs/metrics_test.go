@@ -53,18 +53,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-38.5) > 1e-9 {
 		t.Fatalf("sum = %g, want 38.5", got)
 	}
-	// p50: rank 4 falls in the (2,4] bucket (cum before it = 3, count 3);
-	// interpolation gives 2 + 2*(1/3).
-	if got, want := h.Quantile(0.5), 2+2.0/3; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("p50 = %g, want %g", got, want)
-	}
-	// A rank in the +Inf bucket clamps to the top finite bound.
-	if got := h.Quantile(0.999); got != 8 {
-		t.Fatalf("p999 = %g, want 8", got)
-	}
-	if !math.IsNaN(newHistogram([]float64{1}).Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
@@ -89,6 +77,7 @@ func TestWriteTextFormat(t *testing.T) {
 	v := r.CounterVec("t_rel_total", "per relation", "relation")
 	v.With("conf").Add(2)
 	v.With(`we"ird\rel`).Inc()
+	v.With("two\nlines").Add(4)
 	r.Gauge("t_gauge", "a gauge").Set(-1)
 	h := r.Histogram("t_lat_seconds", "latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
@@ -110,6 +99,7 @@ func TestWriteTextFormat(t *testing.T) {
 		"# HELP t_count_total a counter\n# TYPE t_count_total counter\nt_count_total 3\n",
 		`t_rel_total{relation="conf"} 2`,
 		`t_rel_total{relation="we\"ird\\rel"} 1`,
+		`t_rel_total{relation="two\nlines"} 4`,
 		"t_gauge -1\n",
 		"# TYPE t_lat_seconds histogram",
 		`t_lat_seconds_bucket{le="0.01"} 0`,
@@ -128,6 +118,49 @@ func TestWriteTextFormat(t *testing.T) {
 	// Families render in sorted order: deterministic scrapes.
 	if strings.Index(out, "t_count_total") > strings.Index(out, "t_gauge") {
 		t.Error("families not sorted")
+	}
+}
+
+func TestRegisterRuntimeMetrics(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for _, want := range []string{
+		"# TYPE toorjah_build_info gauge",
+		`toorjah_build_info{version=`,
+		"# TYPE toorjah_goroutines gauge",
+		"# TYPE toorjah_heap_objects_bytes gauge",
+		"# TYPE toorjah_gc_cycles_total counter",
+		"# TYPE toorjah_gc_pause_seconds_total counter",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// sample reads an unlabeled series' value off its exposition line.
+	sample := func(name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s line in\n%s", name, text)
+		return 0
+	}
+	if got := sample("toorjah_goroutines"); got < 1 {
+		t.Errorf("goroutines = %v, want >= 1", got)
+	}
+	if got := sample("toorjah_heap_objects_bytes"); got <= 0 {
+		t.Errorf("heap bytes = %v, want > 0", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"toorjah"
+	"toorjah/internal/cq"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
 )
@@ -64,11 +65,18 @@ func genMutations(rng *rand.Rand, n int) []mutation {
 	return out
 }
 
-// answerSet executes the query with the given executor and returns the
-// sorted answer multiset as comparable strings.
+// answerSet executes the query — a CQ, or a UCQ with one disjunct per line —
+// with the given executor and returns the sorted answer multiset as
+// comparable strings.
 func answerSet(ctx context.Context, t *testing.T, sys *toorjah.System, query string, ex toorjah.Executor) []string {
 	t.Helper()
-	q, err := sys.Prepare(query)
+	var q runnable
+	var err error
+	if cq.IsUnion(query) {
+		q, err = sys.PrepareUCQ(query)
+	} else {
+		q, err = sys.Prepare(query)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 // /schema, /healthz, /metrics) over one toorjah.System, whose plan cache
 // (one plan per query shape) and cross-query access cache every request
 // shares.
-// cmd/loadgen uses it to stand up a live multi-node cluster inside one
-// process — same handlers, same metrics — so a load run exercises exactly
-// the code a deployment serves.
+// The repo benchmark and this package's own tests use it to stand up live
+// nodes inside one process — same handlers, same metrics — so they exercise
+// exactly the code a deployment serves.
 package service
 
 import (

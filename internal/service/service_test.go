@@ -64,21 +64,36 @@ func newTestSystem(t *testing.T, opts ...toorjah.SystemOption) (*toorjah.System,
 // queryNDJSON issues one /query request and decodes the stream.
 func queryNDJSON(t *testing.T, url string) (answers []string, done doneLine) {
 	t.Helper()
-	resp, err := http.Get(url)
+	rows, done, err := readNDJSON(http.DefaultClient, url)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range rows {
+		answers = append(answers, strings.Join(r, ","))
+	}
+	return answers, done
+}
+
+// readNDJSON is queryNDJSON for a caller that must not stop the test (a
+// client goroutine): a non-200 status, an in-band error, a bad line or a
+// stream without a done line is returned as the error, beside the answer
+// rows that arrived before it.
+func readNDJSON(client *http.Client, url string) (rows []storage.Row, done doneLine, err error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, done, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+		return nil, done, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e errorLine
 		if json.Unmarshal(line, &e) == nil && e.Error != "" {
-			t.Fatalf("in-band error: %s", e.Error)
+			return rows, done, fmt.Errorf("in-band error: %s", e.Error)
 		}
 		var d doneLine
 		if json.Unmarshal(line, &d) == nil && d.Done {
@@ -87,19 +102,19 @@ func queryNDJSON(t *testing.T, url string) (answers []string, done doneLine) {
 		}
 		var a answerLine
 		if err := json.Unmarshal(line, &a); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+			return rows, done, fmt.Errorf("bad NDJSON line %q: %v", line, err)
 		}
 		if a.Answer != nil {
-			answers = append(answers, strings.Join(a.Answer, ","))
+			rows = append(rows, a.Answer)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		return rows, done, err
 	}
 	if !done.Done {
-		t.Fatal("stream ended without a done line")
+		return rows, done, fmt.Errorf("stream ended without a done line")
 	}
-	return answers, done
+	return rows, done, nil
 }
 
 // TestServerConcurrentQueriesShareCache is the service acceptance property:

@@ -114,39 +114,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as a GitHub-flavored markdown pipe table (the
-// first row is the header), for CI job summaries. Pipe characters inside
-// cells are escaped so a cell can carry query text.
-func (t *Table) Markdown() string {
-	if len(t.rows) == 0 {
-		return ""
-	}
-	cols := 0
-	for _, r := range t.rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	cell := func(r []string, i int) string {
-		if i >= len(r) {
-			return ""
-		}
-		return strings.ReplaceAll(r[i], "|", `\|`)
-	}
-	var b strings.Builder
-	for ri, r := range t.rows {
-		for i := 0; i < cols; i++ {
-			b.WriteByte('|')
-			b.WriteString(cell(r, i))
-		}
-		b.WriteString("|\n")
-		if ri == 0 {
-			b.WriteString(strings.Repeat("|---", cols))
-			b.WriteString("|\n")
-		}
-	}
-	return b.String()
-}
-
 // Pct formats a ratio as a percentage with two decimals, e.g. "81.02%".
 func Pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }
