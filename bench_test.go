@@ -380,7 +380,6 @@ func benchUCQSystem(b testing.TB, opts ...SystemOption) *UnionQuery {
 	if err != nil {
 		b.Fatal(err)
 	}
-	u.MaxConcurrent = len(u.Disjuncts())
 	return u
 }
 
@@ -392,7 +391,7 @@ func benchUCQ(b *testing.B, parallel bool) {
 		var r *Result
 		var err error
 		if parallel {
-			r, err = u.Execute(context.Background())
+			r, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: len(u.Disjuncts())}))
 		} else {
 			r, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
 		}

@@ -37,14 +37,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"toorjah"
 	"toorjah/internal/cq"
 	"toorjah/internal/schema"
-	"toorjah/internal/storage"
+	"toorjah/internal/service"
 )
 
 func main() {
@@ -105,7 +104,7 @@ func run(args []string, stdout io.Writer) error {
 		toorjah.WithMaxBatch(*maxBatch),
 		toorjah.WithRemoteOptions(toorjah.RemoteOptions{Timeout: *remoteTimeout}))
 	if *dataDir != "" {
-		db, err := loadDatabase(sch, *dataDir)
+		db, err := service.LoadDatabase(sch, *dataDir)
 		if err != nil {
 			return err
 		}
@@ -234,31 +233,4 @@ func printSummary(stdout io.Writer, sch *schema.Schema, res *toorjah.Result, sho
 				rel.Name, st.Accesses, st.Batches, st.Tuples)
 		}
 	}
-}
-
-// loadDatabase reads one CSV file per schema relation from dir; missing
-// files become empty sources.
-func loadDatabase(sch *schema.Schema, dir string) (*storage.Database, error) {
-	db := storage.NewDatabase()
-	for _, rel := range sch.Relations() {
-		path := filepath.Join(dir, rel.Name+".csv")
-		f, err := os.Open(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // missing file = empty source
-			}
-			return nil, err
-		}
-		tab, err := storage.ReadCSV(rel.Name, rel.Arity(), f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		dbt, err := db.Create(rel.Name, rel.Arity())
-		if err != nil {
-			return nil, err
-		}
-		dbt.InsertAll(tab.Snapshot().Rows())
-	}
-	return db, nil
 }

@@ -37,8 +37,7 @@ similar^ii(Product, Product)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys := toorjah.NewSystem(sch)
-	sys.Latency = 3 * time.Millisecond // every form submission costs a round trip
+	sys := toorjah.NewSystem(sch, toorjah.WithLatency(3*time.Millisecond)) // every form submission costs a round trip
 
 	products := []string{"laptop", "phone", "tablet", "camera", "drone", "watch", "printer", "monitor"}
 	var catalog, shop, reviews, similar []toorjah.Row

@@ -216,7 +216,7 @@ func (sh *shape) activePlan(sys *System) *plan.Plan {
 	return p
 }
 
-// Execute runs every disjunct concurrently (bounded by MaxConcurrent) and
+// Execute runs every disjunct concurrently (bounded by Options.MaxConcurrent) and
 // unions the answers — the UCQ semantics of the paper's Section II. The
 // same options as Query.Execute apply: WithExecutor selects the strategy
 // every disjunct runs, OnAnswers/OnAnswer observe each distinct union answer
@@ -242,9 +242,5 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 			return q.executeWith(dctx, pinned, dc)
 		}
 	}
-	uopts := cfg.opts
-	if uopts.MaxConcurrent == 0 {
-		uopts.MaxConcurrent = u.MaxConcurrent
-	}
-	return exec.Union(ctx, u.name, u.arity, runs, uopts, cfg.onBursts)
+	return exec.Union(ctx, u.name, u.arity, runs, cfg.opts, cfg.onBursts)
 }

@@ -135,7 +135,9 @@ type Graph struct {
 // cq.EliminateConstants (constants in q would violate the constant-free
 // precondition). White sources are created only for queryable relations:
 // non-queryable relations can never be accessed and are discarded up front,
-// as Section II prescribes.
+// as Section II prescribes. A relation the query mentions only under "not"
+// gets a white source too: its negated source provides nothing, yet the
+// relation provides values to every other like any relation of the schema.
 func Build(q *cq.CQ, sch *schema.Schema) (*Graph, error) {
 	if !q.IsConstantFree() {
 		return nil, fmt.Errorf("dgraph: query %s is not constant-free; run cq.EliminateConstants first", q.Name)
@@ -163,7 +165,7 @@ func Build(q *cq.CQ, sch *schema.Schema) (*Graph, error) {
 			s.Black = true
 			a := atom.Clone()
 			s.Atom = &a
-			inQuery[rel.Name] = true
+			inQuery[rel.Name] = inQuery[rel.Name] || !negated
 		}
 		for pos := 0; pos < rel.Arity(); pos++ {
 			n := &Node{

@@ -2,11 +2,13 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
+	"toorjah/internal/cache"
+	"toorjah/internal/oracle"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
@@ -61,72 +63,36 @@ r3^oo(Artist, Album)
 // TestBatchingInvariance is the batching soundness property: every executor
 // must produce the identical answer set and the identical access count with
 // batching off, at 1, at a small bound, and at the default — a batch is
-// just N accesses folded into one round trip.
+// just N accesses folded into one round trip. The oracle holds the answers
+// and counts (batching-invariant) beside its own matrix; the round trips are
+// checked here.
 func TestBatchingInvariance(t *testing.T) {
 	fixtures := map[string]func(*testing.T) *fixture{
 		"wide":      func(t *testing.T) *fixture { return wideFixture(t, 60) },
 		"recursive": recursiveFixture,
 		"chain":     chainFixture,
 	}
-	batchSettings := []int{-1, 1, 3, DefaultMaxBatch}
 	for name, mk := range fixtures {
 		t.Run(name, func(t *testing.T) {
 			f := mk(t)
-			type outcome struct {
-				answers  string
-				accesses int
-				batches  int
-			}
-			var baseline map[string]outcome
-			for _, mb := range batchSettings {
+			c := f.oracleCase(t)
+			checkExecutors(t, c, f.reg, map[string]*cache.Cache{})
+			for _, mb := range []int{-1, 1, 3, DefaultMaxBatch} {
 				opts := Options{MaxBatch: mb}
-				got := map[string]outcome{}
-
-				nr, err := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, opts, nil)
-				if err != nil {
-					t.Fatalf("naive MaxBatch=%d: %v", mb, err)
+				nr, err1 := Naive(context.Background(), f.sch, f.reg, f.q, f.ty, opts, nil)
+				fr, err2 := FastFailing(context.Background(), f.plan, f.reg, opts, nil)
+				pr, err3 := Pipelined(context.Background(), f.plan, f.reg, opts, nil)
+				if err := errors.Join(err1, err2, err3); err != nil {
+					t.Fatalf("MaxBatch=%d: %v", mb, err)
 				}
-				got["naive"] = outcome{strings.Join(nr.SortedAnswers(), ";"), nr.TotalAccesses(), nr.TotalBatches()}
-
-				fr, err := FastFailing(context.Background(), f.plan, f.reg, opts, nil)
-				if err != nil {
-					t.Fatalf("fastfail MaxBatch=%d: %v", mb, err)
-				}
-				got["fastfail"] = outcome{strings.Join(fr.SortedAnswers(), ";"), fr.TotalAccesses(), fr.TotalBatches()}
-
-				pr, err := Pipelined(context.Background(), f.plan, f.reg, opts, nil)
-				if err != nil {
-					t.Fatalf("pipelined MaxBatch=%d: %v", mb, err)
-				}
-				got["pipelined"] = outcome{strings.Join(pr.SortedAnswers(), ";"), pr.TotalAccesses(), pr.TotalBatches()}
-
-				// All strategies agree on the answers at this setting.
-				if got["naive"].answers != got["fastfail"].answers || got["fastfail"].answers != got["pipelined"].answers {
-					t.Fatalf("MaxBatch=%d: strategies disagree on answers: %v", mb, got)
-				}
-				for strat, o := range got {
-					if o.batches > o.accesses {
-						t.Errorf("MaxBatch=%d %s: %d batches for %d accesses", mb, strat, o.batches, o.accesses)
+				for strat, r := range map[string]*Result{"naive": nr, "fast-fail": fr, "pipelined": pr} {
+					o := oracle.Outcome{Count: r.TotalAccesses(), Batching: fmt.Sprint(strat, false)}
+					for _, tup := range r.Answers.Tuples() {
+						o.Answers = append(o.Answers, oracle.Key(tup.Strings()))
 					}
-					if mb <= 1 && o.batches != o.accesses {
-						t.Errorf("MaxBatch=%d %s: batching off but %d round trips for %d accesses",
-							mb, strat, o.batches, o.accesses)
-					}
-				}
-				if baseline == nil {
-					baseline = got
-					continue
-				}
-				// Against the unbatched baseline: same answers, same access
-				// counts, per strategy.
-				for strat, o := range got {
-					b := baseline[strat]
-					if o.answers != b.answers {
-						t.Errorf("%s MaxBatch=%d: answers differ from unbatched", strat, mb)
-					}
-					if o.accesses != b.accesses {
-						t.Errorf("%s MaxBatch=%d: %d accesses, unbatched %d — batching changed the cost",
-							strat, mb, o.accesses, b.accesses)
+					oracle.Check(t, c, fmt.Sprintf("%s MaxBatch=%d", strat, mb), o)
+					if b := r.TotalBatches(); b > o.Count || mb <= 1 && b != o.Count {
+						t.Errorf("MaxBatch=%d %s: %d round trips for %d accesses", mb, strat, b, o.Count)
 					}
 				}
 			}

@@ -14,8 +14,11 @@ import (
 )
 
 // mayBlock hides whether its source can block: it implements Wrapper and
-// nothing else, so by source.CanBlock it can, as a remote source can.
+// Versioned and nothing else, so by source.CanBlock it can, as a remote
+// source can, and an access cache still sees its epoch.
 type mayBlock struct{ source.Wrapper }
+
+func (m mayBlock) Epoch() uint64 { return source.EpochOf(m.Wrapper) }
 
 // blocking returns the fixture over the same tables, each behind mayBlock:
 // a pipelined run over it makes its round trips on goroutines.

@@ -9,37 +9,16 @@ import (
 	"strings"
 	"testing"
 
-	"toorjah/internal/gen"
+	"toorjah/internal/cache"
+	"toorjah/internal/core"
+	"toorjah/internal/cq"
+	"toorjah/internal/datalog"
+	"toorjah/internal/oracle"
 	"toorjah/internal/plan"
+	"toorjah/internal/source"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
-
-// auditedSet runs one executor over logging counters and returns its sorted
-// answers and the set of accesses that reached the tables.
-func auditedSet(t *testing.T, f *fixture, run func(f *fixture) (*Result, error)) (string, map[string]bool) {
-	t.Helper()
-	counted, counters := f.reg.Counted(true)
-	res, err := run(&fixture{sch: f.sch, q: f.q, ty: f.ty, plan: f.plan, reg: counted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Fatal("complete run flagged truncated")
-	}
-	set := map[string]bool{}
-	n := 0
-	for _, c := range counters {
-		for _, a := range c.Log() {
-			set[a.Key()] = true
-			n++
-		}
-	}
-	if n != len(set) {
-		t.Errorf("%d accesses made, %d distinct: an access was repeated", n, len(set))
-	}
-	return strings.Join(res.SortedAnswers(), ";"), set
-}
 
 func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
@@ -50,48 +29,22 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// assertDeltaEquivalence: the pipelined engine, whatever its parallelism
-// and batch bound, over the tables or behind sources that can block (its
-// round trips then run on goroutines), and fast-fail without the early test
-// (which would stop short of the fixpoint on an empty answer) make the same
-// set of accesses — the domains maintained from deltas reach exactly the
-// fixpoint the rules define — never one the naive algorithm does not make,
-// and all three agree on the answers.
+// assertDeltaEquivalence holds f to the oracle over its whole matrix
+// (checkExecutors): the pipelined engine, whatever its parallelism and batch
+// bound, over the tables or behind sources that can block, and fast-fail
+// without the early test make the same set of accesses — the domains
+// maintained from deltas reach exactly the fixpoint the rules define —
+// never one the naive algorithm does not make, and all answer alike. It
+// returns the answers and that access set.
 func assertDeltaEquivalence(t *testing.T, f *fixture) (answers string, accesses map[string]bool) {
 	t.Helper()
-	ctx := context.Background()
-	wantAns, naiveSet := auditedSet(t, f, func(f *fixture) (*Result, error) {
-		return Naive(ctx, f.sch, f.reg, f.q, f.ty, Options{}, nil)
-	})
-	ffAns, ffSet := auditedSet(t, f, func(f *fixture) (*Result, error) {
-		return FastFailing(ctx, f.plan, f.reg, Options{NoEarlyFailure: true}, nil)
-	})
-	if ffAns != wantAns {
-		t.Errorf("fast-fail answers = [%s], naive = [%s]", ffAns, wantAns)
+	o := checkExecutors(t, f.oracleCase(t), f.reg, map[string]*cache.Cache{})
+	var rows []string
+	for _, a := range o.Answers {
+		rows = append(rows, strings.ReplaceAll(a, "\x1f", ","))
 	}
-	for k := range ffSet {
-		if !naiveSet[k] {
-			t.Errorf("fast-fail made access %q that naive never made", strings.ReplaceAll(k, "\x00", "|"))
-		}
-	}
-	for path, f := range map[string]*fixture{"tables": f, "blocking": f.blocking()} {
-		for _, opts := range []Options{
-			{},
-			{Parallelism: 1, MaxBatch: -1},
-			{Parallelism: 8, MaxBatch: 3},
-		} {
-			ans, set := auditedSet(t, f, func(f *fixture) (*Result, error) {
-				return Pipelined(ctx, f.plan, f.reg, opts, nil)
-			})
-			if ans != wantAns {
-				t.Errorf("pipelined %+v over %s: answers = [%s], naive = [%s]", opts, path, ans, wantAns)
-			}
-			if got, want := sortedKeys(set), sortedKeys(ffSet); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("pipelined %+v over %s: accesses = %v, fast-fail = %v", opts, path, got, want)
-			}
-		}
-	}
-	return wantAns, ffSet
+	sort.Strings(rows)
+	return strings.Join(rows, ";"), o.Accesses
 }
 
 // TestDeltaPaths drives each way a value can reach an input domain through
@@ -220,38 +173,177 @@ r^iio(A, B, C)
 	})
 }
 
-// TestDeltaEquivalenceRandomized is the same property over the generated
-// workloads of the paper's Section V shape: random schemas, queries with
-// joins and constants, random instances.
+// TestDeltaEquivalenceRandomized is the executors' driver of internal/oracle.
+// Every generated case runs under naive, fast-fail, fast-fail without early
+// failure and pipelined, at batch bounds -1, 1 and 16, uncached and over a
+// cold and then a warm access cache; pipelined also behind sources that can
+// block, at parallelism 4, 1 and 8 (a dimension an executor ignores is not
+// varied for it). The least fixpoint of each plan program and the unpruned
+// plans answer the reference too. A case with a mutation script runs all of
+// it again after the script, over the same tables and caches.
 func TestDeltaEquivalenceRandomized(t *testing.T) {
-	cfg := gen.Scaled()
-	cfg.MaxTuples = 60
-	cfg.MaxDomainValues = 20
 	seeds := int64(40)
 	if testing.Short() {
 		seeds = 12
 	}
-	ran := 0
 	for seed := int64(900); seed < 900+seeds; seed++ {
-		g := gen.New(seed, cfg)
-		sch := g.Schema()
-		q, ok := g.Query(sch, "q")
-		if !ok {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			c := oracle.Generate(seed)
+			reg, err := source.FromDatabase(c.Schema, c.DB, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caches := map[string]*cache.Cache{}
+			checkExecutors(t, c, reg, caches)
+			if c.Script != nil {
+				after := c.Replay()
+				oracle.Apply(c.DB, c.Script)
+				checkExecutors(t, after, reg, caches)
+			}
+		})
+	}
+}
+
+// checkExecutors runs c's matrix over reg — caches holds each
+// configuration's access cache, kept across the script — and returns the
+// outcome of the first run of the fixpoint group.
+func checkExecutors(t *testing.T, c *oracle.Case, reg *source.Registry, caches map[string]*cache.Cache) (fixpoint oracle.Outcome) {
+	var pipes, unpruned []*core.Pipeline
+	var relevant []string
+	for _, q := range c.Disjuncts {
+		p, err := core.Prepare(c.Schema, q)
+		u, err2 := core.PrepareOpts(c.Schema, q, core.Options{SkipPruning: true})
+		if err = errors.Join(err, err2); err != nil {
+			t.Fatal(err)
+		}
+		pipes, unpruned, relevant = append(pipes, p), append(unpruned, u), append(relevant, p.Opt.RelevantRelations()...)
+	}
+	for _, mb := range []int{-1, 1, 16} {
+		for _, cf := range []struct {
+			ex       string
+			opts     Options
+			blocking bool
+		}{
+			{"naive", Options{MaxBatch: mb}, false},
+			{"fast-fail", Options{MaxBatch: mb}, false},
+			{"fast-fail", Options{MaxBatch: mb, NoEarlyFailure: true}, false},
+			{"pipelined", Options{MaxBatch: mb}, false},
+			{"pipelined", Options{MaxBatch: mb}, true},
+			{"pipelined", Options{MaxBatch: mb, Parallelism: 1}, true},
+			{"pipelined", Options{MaxBatch: mb, Parallelism: 8}, true},
+		} {
+			label := fmt.Sprintf("%s mb=%d par=%d no-early=%v blocking=%v", cf.ex, mb, cf.opts.Parallelism, cf.opts.NoEarlyFailure, cf.blocking)
+			for _, run := range []string{"uncached", "cold", "warm"} {
+				opts := cf.opts
+				if run != "uncached" {
+					if caches[label] == nil {
+						caches[label] = cache.New(cache.Options{})
+					}
+					opts.Cache = caches[label]
+				}
+				o := auditedRun(t, c, pipes, cf.ex, reg, opts, cf.blocking)
+				o.Naive, o.Warm = cf.ex == "naive" && run == "uncached", run == "warm"
+				if cf.ex != "naive" {
+					o.Relevant = relevant
+				}
+				if run == "uncached" {
+					o.Batching = fmt.Sprint(cf.ex, cf.opts.NoEarlyFailure)
+					if cf.ex == "pipelined" || cf.opts.NoEarlyFailure {
+						o.Fixpoint = "uncached"
+					}
+				}
+				if o.Fixpoint != "" && fixpoint.Accesses == nil {
+					fixpoint = o
+				}
+				oracle.Check(t, c, label+" "+run, o)
+			}
+		}
+	}
+	if c.Limit > 0 {
+		for _, ex := range []string{"fast-fail", "pipelined"} {
+			oracle.Check(t, c, ex+" limited", auditedRun(t, c, pipes, ex, reg, Options{Limit: c.Limit}, false))
+		}
+	}
+	oracle.Check(t, c, "unpruned", auditedRun(t, c, unpruned, "fast-fail", reg, Options{}, false))
+
+	// The least fixpoint of each plan program over the full relations.
+	edb, lfp := datalog.DB{}, oracle.Outcome{}
+	for _, rel := range c.Schema.Relations() {
+		edb.Get(rel.Name, rel.Arity())
+		for _, row := range c.DB.Table(rel.Name).Rows() {
+			edb.Insert(rel.Name, datalog.T(row...))
+		}
+	}
+	for _, p := range pipes {
+		if p.Plan == nil {
 			continue
 		}
-		f, err := newFixture(sch, g.Instance(sch), q)
-		if errors.Is(err, errNotAnswerable) {
-			continue
-		}
+		idb, err := datalog.Eval(p.Plan.Program, edb)
 		if err != nil {
-			t.Fatalf("seed %d: %s: %v", seed, q, err)
+			t.Fatal(err)
 		}
-		ran++
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { assertDeltaEquivalence(t, f) })
+		for _, tup := range idb[p.Query.Name].Tuples() {
+			lfp.Answers = append(lfp.Answers, oracle.Key(tup.Strings()))
+		}
 	}
-	if ran < int(seeds)/4 {
-		t.Errorf("only %d of %d seeds produced an answerable query", ran, seeds)
+	oracle.Check(t, c, "least fixpoint", lfp)
+	return fixpoint
+}
+
+// auditedRun runs c — its disjuncts as a union when there are several — with
+// one executor over counters on reg, behind sources that can block when
+// blocking is set, and reports what the run showed.
+func auditedRun(t *testing.T, c *oracle.Case, pipes []*core.Pipeline, ex string, reg *source.Registry, opts Options, blocking bool) oracle.Outcome {
+	t.Helper()
+	counted, counters := reg.Counted(true)
+	if blocking {
+		counted = (&fixture{reg: counted}).blocking().reg
 	}
+	o := oracle.Outcome{Limit: opts.Limit, Accesses: map[string]bool{}, Streamed: []string{}}
+	runs := make([]DisjunctRun, len(pipes))
+	for i, p := range pipes {
+		runs[i] = func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
+			onBursts := func(burst []datalog.Tuple, _ bool) { emit(burst) }
+			switch {
+			case ex == "naive":
+				ty, err := cq.Validate(c.Disjuncts[i], c.Schema)
+				if err != nil {
+					return nil, err
+				}
+				return Naive(ctx, c.Schema, counted, c.Disjuncts[i], ty, opts, onBursts)
+			case p.Plan == nil:
+				return &Result{Answers: datalog.NewRelation("q", p.Query.Arity())}, nil
+			case ex == "pipelined":
+				return Pipelined(ctx, p.Plan, counted, opts, onBursts)
+			}
+			return FastFailing(ctx, p.Plan, counted, opts, onBursts)
+		}
+	}
+	stream := func(burst []datalog.Tuple) {
+		for _, tup := range burst {
+			o.Streamed = append(o.Streamed, oracle.Key(tup.Strings()))
+		}
+	}
+	run := runs[0] // a CQ runs on its executor itself
+	if len(runs) > 1 {
+		run = func(ctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
+			return Union(ctx, "q", c.Disjuncts[0].Arity(), runs, opts, func(burst []datalog.Tuple, _ bool) { emit(burst) })
+		}
+	}
+	res, err := run(context.Background(), stream)
+	if err != nil {
+		t.Fatalf("seed %d, %s %+v: %v", c.Seed, ex, opts, err)
+	}
+	o.Truncated, o.Count = res.Truncated, res.TotalAccesses()
+	for _, tup := range res.Answers.Tuples() {
+		o.Answers = append(o.Answers, oracle.Key(tup.Strings()))
+	}
+	for _, ctr := range counters {
+		for k := range ctr.AccessSet() {
+			o.Accesses[k] = true
+		}
+	}
+	return o
 }
 
 // TestEnumeratorVisitsEachBindingOnce: whenever the values of a node's input

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"toorjah/internal/cache"
+	"toorjah/internal/core"
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
-	"toorjah/internal/dgraph"
+	"toorjah/internal/oracle"
 	"toorjah/internal/plan"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
@@ -69,53 +71,35 @@ func each(f func(datalog.Tuple)) func([]datalog.Tuple, bool) {
 var errNotAnswerable = errors.New("query is not answerable")
 
 func newFixture(sch *schema.Schema, db *storage.Database, q *cq.CQ) (*fixture, error) {
-	ty, err := cq.Validate(q, sch)
+	p, err := core.PrepareOpts(sch, q, core.Options{SkipMinimize: true})
 	if err != nil {
 		return nil, err
 	}
-	pre, err := cq.EliminateConstants(q, sch, ty)
-	if err != nil {
-		return nil, err
-	}
-	g, err := dgraph.Build(pre.Query, pre.Schema)
-	if err != nil {
-		return nil, err
-	}
-	if !g.Answerable {
+	if !p.Answerable() {
 		return nil, errNotAnswerable
-	}
-	p, err := plan.Generate(g.Optimize())
-	if err != nil {
-		return nil, err
 	}
 	reg, err := source.FromDatabase(sch, db, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &fixture{sch: sch, q: q, ty: ty, plan: p, reg: reg}, nil
+	return &fixture{sch: sch, q: q, ty: p.Typing, plan: p.Plan, reg: reg}, nil
 }
 
-// referenceAnswers computes the plan's Datalog least-fixpoint semantics
-// with full relations as EDB.
-func (f *fixture) referenceAnswers(t *testing.T) []string {
+// oracleCase is the fixture as an oracle case: its query over its tables,
+// with the string-space reference's outcome.
+func (f *fixture) oracleCase(t *testing.T) *oracle.Case {
 	t.Helper()
-	edb := datalog.DB{}
-	for _, rel := range f.sch.Relations() {
-		edb.Get(rel.Name, rel.Arity())
-		ts, ok := f.reg.Source(rel.Name).(*source.TableSource)
-		if !ok {
-			t.Fatalf("source for %s is not a table source", rel.Name)
-		}
-		for _, row := range ts.Table().Rows() {
-			edb.Insert(rel.Name, datalog.T(row...))
+	db := storage.NewDatabase()
+	for _, name := range f.reg.Names() {
+		if err := db.Attach(f.reg.Source(name).(*source.TableSource).Table()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	idb, err := datalog.Eval(f.plan.Program, edb)
+	ref, err := oracle.Reference(f.sch, f.reg, []*cq.CQ{f.q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{Answers: idb[f.q.Name]}
-	return res.SortedAnswers()
+	return &oracle.Case{Schema: f.sch, DB: db, Disjuncts: []*cq.CQ{f.q}, Ref: ref}
 }
 
 func (f *fixture) naive(t *testing.T) *Result {
@@ -145,28 +129,12 @@ func (f *fixture) piped(t *testing.T) *Result {
 	return r
 }
 
-// assertAllAgree runs every strategy and checks the answer sets coincide
-// with the reference semantics; it returns (naive, fast) for further
-// access-count assertions.
+// assertAllAgree holds every strategy to the oracle (checkExecutors); it
+// returns (naive, fast) for further access-count assertions.
 func assertAllAgree(t *testing.T, f *fixture) (*Result, *Result) {
 	t.Helper()
-	want := f.referenceAnswers(t)
-	n := f.naive(t)
-	ff := f.fast(t)
-	pp := f.piped(t)
-	if got := strings.Join(n.SortedAnswers(), ";"); got != strings.Join(want, ";") {
-		t.Errorf("naive answers = [%s], want [%s]", got, strings.Join(want, ";"))
-	}
-	if got := strings.Join(ff.SortedAnswers(), ";"); got != strings.Join(want, ";") {
-		t.Errorf("fast-failing answers = [%s], want [%s]", got, strings.Join(want, ";"))
-	}
-	if got := strings.Join(pp.SortedAnswers(), ";"); got != strings.Join(want, ";") {
-		t.Errorf("pipelined answers = [%s], want [%s]", got, strings.Join(want, ";"))
-	}
-	if ff.TotalAccesses() > n.TotalAccesses() {
-		t.Errorf("fast-failing made %d accesses, naive only %d", ff.TotalAccesses(), n.TotalAccesses())
-	}
-	return n, ff
+	checkExecutors(t, f.oracleCase(t), f.reg, map[string]*cache.Cache{})
+	return f.naive(t), f.fast(t)
 }
 
 // TestPaperExample2Extraction reproduces the extraction chain of paper
@@ -328,7 +296,8 @@ r^io(A, B)
 }
 
 // TestAccessSubsetProperty: on a pipeline schema, every access made by the
-// optimized executor is also made by the naive one.
+// optimized executors is also made by the naive one (the oracle's
+// within-naive).
 func TestAccessSubsetProperty(t *testing.T) {
 	f := setup(t, `
 free^oo(A, B)
@@ -339,23 +308,7 @@ last^io(C, D)
 		"mid":  {{"b1", "c1"}, {"b2", "c2"}, {"b9", "c9"}},
 		"last": {{"c1", "d1"}, {"c2", "d2"}},
 	})
-	// Run with outer logging counters to compare access sets.
-	countedN, countersN := f.reg.Counted(true)
-	if _, err := Naive(context.Background(), f.sch, countedN, f.q, f.ty, Options{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	countedF, countersF := f.reg.Counted(true)
-	if _, err := FastFailing(context.Background(), f.plan, countedF, Options{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for name, cf := range countersF {
-		cn := countersN[name]
-		for key := range cf.AccessSet() {
-			if !cn.AccessSet()[key] {
-				t.Errorf("optimized made access %q on %s that naive never made", key, name)
-			}
-		}
-	}
+	checkExecutors(t, f.oracleCase(t), f.reg, map[string]*cache.Cache{})
 }
 
 // TestQ1PublicationWorkload runs the paper's q1 on a small hand-built
@@ -487,12 +440,8 @@ seed^o(A)
 r^io(A, B)
 s^io(B, A)
 `, "q(Y) :- r(X, Y), s(Y2, X2)", data)
-	ff := f.fast(t)
-	pp := f.piped(t)
-	if strings.Join(ff.SortedAnswers(), ";") != strings.Join(pp.SortedAnswers(), ";") {
-		t.Errorf("pipelined answers differ:\nfast: %v\npiped: %v", ff.SortedAnswers(), pp.SortedAnswers())
-	}
-	if pp.TotalAccesses() != ff.TotalAccesses() {
+	_, ff := assertAllAgree(t, f)
+	if pp := f.piped(t); pp.TotalAccesses() != ff.TotalAccesses() {
 		t.Errorf("pipelined accesses %d, fast-failing %d (meta-cache should dedupe)",
 			pp.TotalAccesses(), ff.TotalAccesses())
 	}

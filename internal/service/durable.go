@@ -80,9 +80,9 @@ func closeQuiet(l *wal.Log) {
 	_ = l.Close()
 }
 
-// loadCSVRelation seeds one relation from its CSV file, mirroring
-// LoadDatabase; it reports how many rows it loaded (0 when the file is
-// absent).
+// loadCSVRelation seeds one relation of db from its CSV file in dir; it
+// reports how many rows it loaded (0 when the file is absent, and then no
+// table is created).
 func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (int, error) {
 	path := filepath.Join(dir, rel.Name+".csv")
 	f, err := os.Open(path)

@@ -1,16 +1,14 @@
 package service
 
-// Federation acceptance tests: a toorjahd node must answer any CQ or UCQ
-// over relations sourced from other toorjahd nodes exactly as it would over
-// local tables — same answers, same per-relation access counts — across all
-// three executors, with and without the cross-query cache, batched and
-// unbatched; and injected transport faults (timeouts, 5xx) must be retried
-// or surfaced as errors/truncated sound subsets, never as wrong answers.
+// Federation tests: injected transport faults (timeouts, 5xx) must be
+// retried or surfaced as errors/truncated sound subsets, never as wrong
+// answers; the server-level federation surface reports what it did. That a
+// node answers over peers what it answers over its own tables is
+// TestOracleService's federated surface.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +17,6 @@ import (
 	"time"
 
 	"toorjah"
-	"toorjah/internal/cq"
-	"toorjah/internal/gen"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
 )
@@ -95,18 +91,6 @@ func runCQ(q *toorjah.Query, kind execKind) (*toorjah.Result, error) {
 	}
 }
 
-// runUCQ executes a prepared union with the chosen executor.
-func runUCQ(u *toorjah.UnionQuery, kind execKind) (*toorjah.Result, error) {
-	switch kind {
-	case execNaive:
-		return u.Execute(context.Background(), toorjah.WithExecutor(toorjah.ExecutorNaive))
-	case execPipelined:
-		return u.Execute(context.Background(), toorjah.OnAnswer(func(toorjah.Tuple) {}))
-	default:
-		return u.Execute(context.Background())
-	}
-}
-
 // compareResults asserts the federated run reproduced the local one: same
 // answers, same per-relation accesses and extracted tuples. Round trips are
 // not compared — batch grouping is scheduling-dependent; the access count
@@ -128,179 +112,6 @@ func compareResults(t *testing.T, label string, got, want *toorjah.Result) {
 		if g.Accesses != w.Accesses || g.Tuples != w.Tuples {
 			t.Errorf("%s: relation %s: accesses/tuples = %d/%d, want %d/%d",
 				label, r, g.Accesses, g.Tuples, w.Accesses, w.Tuples)
-		}
-	}
-}
-
-// federationWorkload is one randomized scenario: a generated schema and
-// instance, its relations sharded over two toorjahd peers plus this node,
-// and the attach specs for the shards.
-type federationWorkload struct {
-	sch      *schema.Schema
-	db       *storage.Database
-	local    []*schema.Relation
-	specs    []string // one per peer
-	queries  []*cq.CQ
-	ucq      *cq.UCQ
-	shardOf  map[string]string
-	peerURLs []string
-}
-
-// newFederationWorkload generates the scenario for one seed: every third
-// relation stays local, the rest are sharded round-robin across two peers.
-func newFederationWorkload(t *testing.T, seed int64) *federationWorkload {
-	t.Helper()
-	cfg := gen.Scaled()
-	// Small instances: the naive executor probes input-domain cross
-	// products, and every probe here is a real HTTP round trip.
-	cfg.MinTuples, cfg.MaxTuples = 5, 30
-	cfg.MinDomainValues, cfg.MaxDomainValues = 5, 15
-	g := gen.New(seed, cfg)
-	sch := g.Schema()
-	db := g.Instance(sch)
-
-	var local, peerA, peerB []*schema.Relation
-	shardOf := make(map[string]string)
-	for i, rel := range sch.Relations() {
-		switch i % 3 {
-		case 0:
-			local = append(local, rel)
-			shardOf[rel.Name] = "local"
-		case 1:
-			peerA = append(peerA, rel)
-			shardOf[rel.Name] = "peerA"
-		default:
-			peerB = append(peerB, rel)
-			shardOf[rel.Name] = "peerB"
-		}
-	}
-	if len(peerA) == 0 || len(peerB) == 0 {
-		t.Fatalf("seed %d: schema of %d relations left a peer empty", seed, sch.Len())
-	}
-	w := &federationWorkload{sch: sch, db: db, local: local, shardOf: shardOf}
-	for _, shard := range [][]*schema.Relation{peerA, peerB} {
-		url := startToorjahd(t, shard, subDatabase(t, db, shard), nil)
-		var names []string
-		for _, rel := range shard {
-			names = append(names, rel.Name)
-		}
-		w.peerURLs = append(w.peerURLs, url)
-		w.specs = append(w.specs, url+"="+strings.Join(names, ","))
-	}
-
-	// A few generated queries (the generator only emits answerable ones),
-	// plus a UCQ built from two same-arity queries when the draw allows.
-	byArity := make(map[int][]*cq.CQ)
-	for tries := 0; tries < 60 && len(w.queries) < 3; tries++ {
-		q, ok := g.Query(sch, fmt.Sprintf("q%d", len(w.queries)))
-		if !ok {
-			continue
-		}
-		w.queries = append(w.queries, q)
-		a := len(q.Head)
-		byArity[a] = append(byArity[a], q)
-		if w.ucq == nil && len(byArity[a]) == 2 {
-			d1, d2 := byArity[a][0].Clone(), byArity[a][1].Clone()
-			d2.Name = d1.Name
-			w.ucq = &cq.UCQ{Name: d1.Name, Disjuncts: []*cq.CQ{d1, d2}}
-		}
-	}
-	if len(w.queries) == 0 {
-		t.Fatalf("seed %d: no answerable query generated", seed)
-	}
-	return w
-}
-
-// localSystem binds the full instance locally.
-func (w *federationWorkload) localSystem(t *testing.T, opts ...toorjah.SystemOption) *toorjah.System {
-	t.Helper()
-	sys := toorjah.NewSystem(w.sch, opts...)
-	if err := sys.BindDatabase(w.db); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// federatedSystem binds the local shard's tables and attaches both peers.
-func (w *federationWorkload) federatedSystem(t *testing.T, opts ...toorjah.SystemOption) *toorjah.System {
-	t.Helper()
-	opts = append([]toorjah.SystemOption{toorjah.WithRemoteOptions(fastRemote())}, opts...)
-	sys := toorjah.NewSystem(w.sch, opts...)
-	if err := sys.BindDatabase(subDatabase(t, w.db, w.local)); err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range w.specs {
-		if err := sys.AttachRemote(context.Background(), spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sys
-}
-
-// TestFederationEquivalenceRandomized is the acceptance property: randomized
-// CQs and UCQs answered over two in-process toorjahd peers return exactly
-// the answers and per-relation access counts of the same query over local
-// tables, across all three executors, with and without the cache, batched
-// and unbatched.
-func TestFederationEquivalenceRandomized(t *testing.T) {
-	seeds := []int64{7, 19}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		w := newFederationWorkload(t, seed)
-		for _, cached := range []bool{false, true} {
-			for _, maxBatch := range []int{-1, 0} { // unbatched / default batching
-				var opts []toorjah.SystemOption
-				if cached {
-					opts = append(opts, toorjah.WithCache(toorjah.CacheOptions{}))
-				}
-				opts = append(opts, toorjah.WithMaxBatch(maxBatch))
-				for _, kind := range allExecutors {
-					for qi, q := range w.queries {
-						label := fmt.Sprintf("seed=%d %s cached=%v batch=%d q%d", seed, kind, cached, maxBatch, qi)
-						// Fresh systems per run: cache state must not leak
-						// across combinations.
-						lq, err := w.localSystem(t, opts...).PrepareCQ(q)
-						if err != nil {
-							t.Fatalf("%s: local prepare: %v", label, err)
-						}
-						want, err := runCQ(lq, kind)
-						if err != nil {
-							t.Fatalf("%s: local run: %v", label, err)
-						}
-						fq, err := w.federatedSystem(t, opts...).PrepareCQ(q)
-						if err != nil {
-							t.Fatalf("%s: federated prepare: %v", label, err)
-						}
-						got, err := runCQ(fq, kind)
-						if err != nil {
-							t.Fatalf("%s: federated run: %v", label, err)
-						}
-						compareResults(t, label, got, want)
-					}
-					if w.ucq != nil {
-						label := fmt.Sprintf("seed=%d %s cached=%v batch=%d ucq", seed, kind, cached, maxBatch)
-						lu, err := w.localSystem(t, opts...).PrepareUCQFrom(w.ucq)
-						if err != nil {
-							t.Fatalf("%s: local prepare: %v", label, err)
-						}
-						want, err := runUCQ(lu, kind)
-						if err != nil {
-							t.Fatalf("%s: local run: %v", label, err)
-						}
-						fu, err := w.federatedSystem(t, opts...).PrepareUCQFrom(w.ucq)
-						if err != nil {
-							t.Fatalf("%s: federated prepare: %v", label, err)
-						}
-						got, err := runUCQ(fu, kind)
-						if err != nil {
-							t.Fatalf("%s: federated run: %v", label, err)
-						}
-						compareResults(t, label, got, want)
-					}
-				}
-			}
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 	"time"
 
 	"toorjah"
+	"toorjah/internal/cq"
+	"toorjah/internal/oracle"
 	"toorjah/internal/schema"
+	"toorjah/internal/source"
 	"toorjah/internal/storage"
 	"toorjah/internal/wal"
 )
@@ -83,7 +86,7 @@ func TestConcurrentMixMatchesGroundTruth(t *testing.T) {
 	WireWAL(sys, l)
 	front := httptest.NewServer(New(sys, toorjah.Options{}, WithWAL(l)).Handler())
 	t.Cleanup(front.Close)
-	queries := mixQueries(ctx, t, sch, all)
+	queries := mixQueries(t, sch, all)
 
 	// Each query is answered once, exactly, before the clients start. That
 	// warms the access cache: the federated queries are answered from it
@@ -201,10 +204,10 @@ func mixData(t *testing.T) (*schema.Schema, *storage.Database) {
 }
 
 // mixQueries returns the mix's queries, each with its ground truth: the
-// naive algorithm's answers on an all-local system over all.
-func mixQueries(ctx context.Context, t *testing.T, sch *schema.Schema, all *storage.Database) []*mixQuery {
-	ref := toorjah.NewSystem(sch)
-	if err := ref.BindDatabase(all); err != nil {
+// answers of the naive algorithm's string-space reference over all.
+func mixQueries(t *testing.T, sch *schema.Schema, all *storage.Database) []*mixQuery {
+	reg, err := source.FromDatabase(sch, all, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	queries := []*mixQuery{
@@ -214,7 +217,15 @@ func mixQueries(ctx context.Context, t *testing.T, sch *schema.Schema, all *stor
 		{text: "q(P, T) :- pub(P, T)", limit: 10},
 	}
 	for _, q := range queries {
-		q.truth = answerSet(ctx, t, ref, q.text, toorjah.ExecutorNaive)
+		u, err := cq.ParseUCQ(q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := oracle.Reference(sch, reg, u.Disjuncts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.truth = ref.Answers
 	}
 	return queries
 }
@@ -224,7 +235,7 @@ func mixQueries(ctx context.Context, t *testing.T, sch *schema.Schema, all *stor
 // truncated and limited responses by.
 func TestMixGroundTruth(t *testing.T) {
 	sch, all := mixData(t)
-	queries := mixQueries(context.Background(), t, sch, all)
+	queries := mixQueries(t, sch, all)
 	// p1 is at conf1 in y2001 and conf2 in y2002; every paper has 5 titles
 	// at 2 conferences.
 	if got, want := strings.Join(queries[0].truth, ";"), "conf1\x1fy2001;conf2\x1fy2002"; got != want {

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -953,29 +951,14 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 }
 
 // LoadDatabase reads one CSV file per schema relation from dir; missing
-// files become empty sources. It is the boot-time loader of cmd/toorjahd
-// and of any other harness that stands a Server up over CSV data.
+// files become empty sources. It is the boot-time loader of cmd/toorjahd and
+// cmd/toorjah, and of any other harness that stands a Server up over CSV data.
 func LoadDatabase(sch *schema.Schema, dir string) (*storage.Database, error) {
 	db := storage.NewDatabase()
 	for _, rel := range sch.Relations() {
-		path := filepath.Join(dir, rel.Name+".csv")
-		f, err := os.Open(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
+		if _, err := loadCSVRelation(db, rel, dir); err != nil {
 			return nil, err
 		}
-		tab, err := storage.ReadCSV(rel.Name, rel.Arity(), f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		dbt, err := db.Create(rel.Name, rel.Arity())
-		if err != nil {
-			return nil, err
-		}
-		dbt.InsertAll(tab.Snapshot().Rows())
 	}
 	return db, nil
 }

@@ -262,6 +262,11 @@ func loadSnapshot(path string) (map[string]*relReplay, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	return decodeSnapshot(b)
+}
+
+// decodeSnapshot reads a snapshot file's contents.
+func decodeSnapshot(b []byte) (map[string]*relReplay, int, error) {
 	out := make(map[string]*relReplay)
 	unknown := 0
 	for len(b) > 0 {

@@ -371,20 +371,9 @@ func (l *Log) snapshot(src func() []RelationState) error {
 // temp file, flushes it, and renames it into place — a snapshot is either
 // completely present or absent, never torn.
 func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-	var buf []byte
-	for _, st := range states {
-		var err error
-		buf, err = AppendEncode(buf, Record{
-			Type:     TypeSnapshotRows,
-			Relation: st.Name,
-			Arity:    st.Arity,
-			Epoch:    st.Epoch,
-			Rows:     st.Rows,
-		})
-		if err != nil {
-			return fmt.Errorf("wal: encoding snapshot of %s: %w", st.Name, err)
-		}
+	buf, err := encodeSnapshot(states)
+	if err != nil {
+		return err
 	}
 	final := snapPath(l.opts.Dir, seq)
 	tmp := final + ".tmp"
@@ -409,6 +398,27 @@ func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
 		return err
 	}
 	return syncDir(l.opts.Dir)
+}
+
+// encodeSnapshot renders states as a snapshot file's contents: sorted by
+// name, one record each.
+func encodeSnapshot(states []RelationState) ([]byte, error) {
+	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
+	var buf []byte
+	for _, st := range states {
+		var err error
+		buf, err = AppendEncode(buf, Record{
+			Type:     TypeSnapshotRows,
+			Relation: st.Name,
+			Arity:    st.Arity,
+			Epoch:    st.Epoch,
+			Rows:     st.Rows,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("wal: encoding snapshot of %s: %w", st.Name, err)
+		}
+	}
+	return buf, nil
 }
 
 // syncDir flushes a directory so a just-renamed file survives power loss.

@@ -11,7 +11,6 @@ package toorjah
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"toorjah/internal/remote"
 	"toorjah/internal/source"
@@ -33,41 +32,14 @@ type (
 )
 
 // WithRemoteOptions sets the client tuning used by every subsequently
-// attached peer (WithRemote / AttachRemote); the zero value is the package
-// defaults.
+// attached peer (AttachRemote); the zero value is the package defaults.
 func WithRemoteOptions(o RemoteOptions) SystemOption {
 	return func(s *System) { s.remoteOpts = o }
 }
 
-// WithRemote attaches a federation peer by spec — "http://host:8344=R1,R2",
+// AttachRemote attaches a federation peer by spec — "http://host:8344=R1,R2",
 // or just the address to attach every peer relation the schema declares
-// that this node does not already hold data for. Construction stays
-// network-free: the attach (schema discovery and validation against the
-// local declarations) happens on the first Prepare, or eagerly via
-// AttachRemotes; a failed attach surfaces there and is retried by later
-// calls, with a short cooldown between attempts so a dead peer costs one
-// dial per cooldown window, not one per query.
-func WithRemote(spec string) SystemOption {
-	return func(s *System) {
-		s.pendingRemote = append(s.pendingRemote, pendingAttach{spec: spec})
-	}
-}
-
-// pendingAttach is a WithRemote spec not yet attached, with the failure
-// bookkeeping behind the retry cooldown.
-type pendingAttach struct {
-	spec    string
-	lastTry time.Time
-	lastErr error
-}
-
-// attachRetryCooldown spaces out re-attach attempts of a failing pending
-// peer: within the window, AttachRemotes returns the recorded error
-// without touching the network (the attach runs under remoteMu, so every
-// concurrent Prepare would otherwise serialize behind a full dial timeout).
-const attachRetryCooldown = 5 * time.Second
-
-// AttachRemote attaches a federation peer now: it parses the spec, dials
+// that this node does not already hold data for: it parses the spec, dials
 // the peer, discovers its schema, verifies every attached relation is
 // declared identically on both sides, and binds a remote source per
 // relation (dropping any cached accesses of those relations, like any
@@ -76,28 +48,6 @@ func (s *System) AttachRemote(ctx context.Context, spec string) error {
 	s.remoteMu.Lock()
 	defer s.remoteMu.Unlock()
 	return s.attachRemoteLocked(ctx, spec)
-}
-
-// AttachRemotes applies the pending WithRemote specs. It is idempotent and
-// safe to call concurrently (Prepare calls it); a spec leaves the pending
-// list only when its attach succeeds, so a peer that was down at first use
-// is retried by a later Prepare — after attachRetryCooldown, the recorded
-// error being returned in between.
-func (s *System) AttachRemotes(ctx context.Context) error {
-	s.remoteMu.Lock()
-	defer s.remoteMu.Unlock()
-	for len(s.pendingRemote) > 0 {
-		p := &s.pendingRemote[0]
-		if p.lastErr != nil && time.Since(p.lastTry) < attachRetryCooldown {
-			return p.lastErr
-		}
-		if err := s.attachRemoteLocked(ctx, p.spec); err != nil {
-			p.lastTry, p.lastErr = time.Now(), err
-			return err
-		}
-		s.pendingRemote = s.pendingRemote[1:]
-	}
-	return nil
 }
 
 // attachRemoteLocked does the attach; callers hold s.remoteMu. The
@@ -163,8 +113,7 @@ func (s *System) locallyOwned(name string) bool {
 
 // RemotePeers returns the attached federation peers, in attach order; use
 // them for telemetry (RemotePeer.Telemetry) and reachability
-// (RemotePeer.Healthy). Peers whose WithRemote attach has not run yet are
-// absent.
+// (RemotePeer.Healthy).
 func (s *System) RemotePeers() []*RemotePeer {
 	s.remoteMu.Lock()
 	defer s.remoteMu.Unlock()

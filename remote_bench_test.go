@@ -53,15 +53,7 @@ func benchRemoteSystem(b testing.TB, maxBatch int) *System {
 		b.Cleanup(ts.Close)
 		specs = append(specs, ts.URL)
 	}
-	opts := []SystemOption{WithMaxBatch(maxBatch)}
-	for _, spec := range specs {
-		opts = append(opts, WithRemote(spec))
-	}
-	sys := NewSystem(sch.Clone(), opts...)
-	if err := sys.AttachRemotes(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	return sys
+	return attach(b, NewSystem(sch.Clone(), WithMaxBatch(maxBatch)), specs...)
 }
 
 // benchRemote runs the Fig. 7 query fully federated with the fast-failing

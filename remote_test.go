@@ -62,8 +62,20 @@ var federationRows = map[string][]Row{
 
 const federationQuery = "q(N) :- r1(A, N, Y1), r2(volare, Y2, A)"
 
+// attach attaches the peers of specs to sys, in order, and returns sys.
+func attach(t testing.TB, sys *System, specs ...string) *System {
+	t.Helper()
+	for _, spec := range specs {
+		if err := sys.AttachRemote(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
 // TestWithRemoteFederatedQuery: a query over a mix of local tables and two
-// federation peers returns exactly the all-local answers and access counts.
+// attached federation peers returns exactly the all-local answers and
+// access counts.
 func TestWithRemoteFederatedQuery(t *testing.T) {
 	local := newExample1System(t)
 	lq, err := local.Prepare(federationQuery)
@@ -78,14 +90,11 @@ func TestWithRemoteFederatedQuery(t *testing.T) {
 	// r1 stays local; r2 and r3 live on two different peers.
 	peerB, _ := startPeer(t, map[string][]Row{"r2": federationRows["r2"]})
 	peerC, _ := startPeer(t, map[string][]Row{"r3": federationRows["r3"]})
-	sys := NewSystem(local.Schema().Clone(),
-		WithRemote(peerB+"=r2"),
-		WithRemote(peerC),
-		WithRemoteOptions(RemoteOptions{Timeout: 5 * time.Second}))
+	sys := NewSystem(local.Schema().Clone(), WithRemoteOptions(RemoteOptions{Timeout: 5 * time.Second}))
 	if err := sys.BindRows("r1", federationRows["r1"]...); err != nil {
 		t.Fatal(err)
 	}
-	q, err := sys.Prepare(federationQuery) // first Prepare attaches the peers
+	q, err := attach(t, sys, peerB+"=r2", peerC).Prepare(federationQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +133,11 @@ func TestWithRemoteFederatedQuery(t *testing.T) {
 func TestRemoteBatchingAmortizesRoundTrips(t *testing.T) {
 	run := func(maxBatch int) (*Result, int64) {
 		url, probes := startPeer(t, federationRows) // everything remote
-		sys := NewSystem(schema.MustParse(`
+		sys := attach(t, NewSystem(schema.MustParse(`
 r1^ioo(Artist, Nation, Year)
 r2^oio(Title, Year, Artist)
 r3^oo(Artist, Album)
-`), WithRemote(url), WithMaxBatch(maxBatch))
+`), WithMaxBatch(maxBatch)), url)
 		q, err := sys.Prepare(federationQuery)
 		if err != nil {
 			t.Fatal(err)
@@ -162,11 +171,11 @@ r3^oo(Artist, Album)
 // traffic — a second identical query reaches the peer zero times.
 func TestRemoteWithCache(t *testing.T) {
 	url, probes := startPeer(t, federationRows)
-	sys := NewSystem(schema.MustParse(`
+	sys := attach(t, NewSystem(schema.MustParse(`
 r1^ioo(Artist, Nation, Year)
 r2^oio(Title, Year, Artist)
 r3^oo(Artist, Album)
-`), WithRemote(url), WithCache(CacheOptions{}))
+`), WithCache(CacheOptions{})), url)
 	q, err := sys.Prepare(federationQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +218,7 @@ func TestRemoteUCQ(t *testing.T) {
 	}
 
 	url, _ := startPeer(t, federationRows)
-	sys := NewSystem(local.Schema().Clone(), WithRemote(url))
-	u, err := sys.PrepareUCQ(ucq)
+	u, err := attach(t, NewSystem(local.Schema().Clone()), url).PrepareUCQ(ucq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +235,7 @@ func TestRemoteUCQ(t *testing.T) {
 }
 
 // TestAttachRemoteErrors: bad specs and unreachable peers fail the attach
-// with a useful error — at AttachRemote for the eager form, at Prepare for
-// WithRemote — and a peer that comes up later succeeds on retry.
+// with a useful error and attach nothing.
 func TestAttachRemoteErrors(t *testing.T) {
 	sys := NewSystem(schema.MustParse("r1^ioo(Artist, Nation, Year)"))
 	if err := sys.AttachRemote(context.Background(), "=r1"); err == nil {
@@ -240,32 +247,9 @@ func TestAttachRemoteErrors(t *testing.T) {
 	if got := len(sys.RemotePeers()); got != 0 {
 		t.Errorf("failed attaches left %d peers", got)
 	}
-
-	// WithRemote surfaces the same failure at Prepare, and keeps the spec
-	// pending: once the peer exists, the next Prepare succeeds.
-	down := NewSystem(schema.MustParse("r2^oio(Title, Year, Artist)"), WithRemote("http://127.0.0.1:1"))
-	if _, err := down.Prepare("q(T) :- r2(T, 1958, A)"); err == nil {
-		t.Fatal("Prepare with a dead peer: want error")
-	}
-	url, _ := startPeer(t, map[string][]Row{"r2": federationRows["r2"]})
-	recovered := NewSystem(schema.MustParse("r2^oio(Title, Year, Artist)"), WithRemote("http://127.0.0.1:1"))
-	recovered.remoteMu.Lock()
-	recovered.pendingRemote = []pendingAttach{{spec: url}} // the peer "came up" under a new address
-	recovered.remoteMu.Unlock()
-	q, err := recovered.Prepare("q(T) :- r2(T, 1958, A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := q.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := strings.Join(res.SortedAnswers(), ";"); g != "volare" {
-		t.Errorf("answers = %q, want volare", g)
-	}
 }
 
-// TestBareAttachDoesNotShadowLocalData: a bare WithRemote attaches only the
+// TestBareAttachDoesNotShadowLocalData: a bare attach takes only the
 // relations this node does not hold data for — the peer's /schema lists
 // every declared relation, and rebinding an owned table behind a remote
 // (possibly empty) source would silently change answers.
@@ -281,14 +265,14 @@ func TestBareAttachDoesNotShadowLocalData(t *testing.T) {
 r1^ioo(Artist, Nation, Year)
 r2^oio(Title, Year, Artist)
 r3^oo(Artist, Album)
-`), WithRemote(url))
+`))
 	if err := sys.BindRows("r1", federationRows["r1"]...); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.BindRows("r3", federationRows["r3"]...); err != nil {
 		t.Fatal(err)
 	}
-	q, err := sys.Prepare(federationQuery)
+	q, err := attach(t, sys, url).Prepare(federationQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,26 +294,5 @@ r3^oo(Artist, Album)
 	}
 	if err := full.AttachRemote(context.Background(), url); err == nil || !strings.Contains(err.Error(), "already locally bound") {
 		t.Errorf("fully-owned bare attach: err = %v", err)
-	}
-}
-
-// TestAttachRetryCooldown: a failing pending peer is re-dialed at most once
-// per cooldown window; Prepares in between get the recorded error without
-// network I/O.
-func TestAttachRetryCooldown(t *testing.T) {
-	var discoveries atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		discoveries.Add(1)
-		http.Error(w, "not ready", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-	sys := NewSystem(schema.MustParse("r2^oio(Title, Year, Artist)"), WithRemote(ts.URL))
-	for i := 0; i < 3; i++ {
-		if _, err := sys.Prepare("q(T) :- r2(T, 1958, A)"); err == nil {
-			t.Fatalf("Prepare %d: err = nil against a broken peer", i)
-		}
-	}
-	if got := discoveries.Load(); got != 1 {
-		t.Errorf("broken peer dialed %d times in one cooldown window, want 1", got)
 	}
 }

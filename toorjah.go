@@ -67,7 +67,7 @@
 // per-probe latency without changing answers or access counts — a batch is
 // just N accesses. Result.Stats reports the round trips as Batches.
 //
-// Sources need not be local at all (see WithRemote): relations served by a
+// Sources need not be local at all (see AttachRemote): relations served by a
 // remote toorjahd peer attach as federated sources probed over HTTP — a
 // batch of bindings per round trip, with retries, circuit breakers and
 // connection pooling — so a deployment can shard its relations across
@@ -89,7 +89,6 @@
 package toorjah
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -170,13 +169,11 @@ type System struct {
 	reg         *source.Registry
 	cache       *cache.Cache
 	sharedCache bool
-	// Latency is applied to sources bound through BindRows/BindTable,
-	// simulating remote sources.
-	Latency time.Duration
-	// MaxBatch is the default batch bound of every execution: how many
-	// access bindings are folded into one source round trip. 0 means the
-	// executor default (exec.DefaultMaxBatch); negative disables batching.
-	MaxBatch int
+	// latency is applied to sources bound through BindRows/BindTable,
+	// simulating remote sources (WithLatency).
+	latency time.Duration
+	// maxBatch is the default batch bound of every execution (WithMaxBatch).
+	maxBatch int
 
 	// adaptive, when set (WithAdaptiveOrdering), feeds live per-relation
 	// row counts into plan linearization and re-linearizes prepared queries
@@ -184,11 +181,10 @@ type System struct {
 	adaptive bool
 
 	// Federation state (see remote.go): client tuning for attached peers,
-	// the WithRemote specs not yet attached, and the attached peers.
-	remoteOpts    RemoteOptions
-	remoteMu      sync.Mutex
-	pendingRemote []pendingAttach
-	peers         []*RemotePeer
+	// and the attached peers.
+	remoteOpts RemoteOptions
+	remoteMu   sync.Mutex
+	peers      []*RemotePeer
 
 	// commitHook, when set (SetCommitHook), is installed on every local
 	// table the system binds — the write-ahead-log attachment point.
@@ -218,7 +214,7 @@ func WithSharedCache(c *AccessCache) SystemOption {
 // WithLatency sets the simulated per-access latency of sources bound
 // through BindRows/BindTable/BindDatabase.
 func WithLatency(d time.Duration) SystemOption {
-	return func(s *System) { s.Latency = d }
+	return func(s *System) { s.latency = d }
 }
 
 // WithMaxBatch sets the batch bound of every execution: up to n access
@@ -227,7 +223,7 @@ func WithLatency(d time.Duration) SystemOption {
 // amortises per-probe overhead. 0 keeps the executor default (16); negative
 // disables batching.
 func WithMaxBatch(n int) SystemOption {
-	return func(s *System) { s.MaxBatch = n }
+	return func(s *System) { s.maxBatch = n }
 }
 
 // WithAdaptiveOrdering feeds live per-relation row counts (read from the
@@ -297,8 +293,8 @@ func (s *System) BindTable(name string, t *storage.Table) error {
 	if err != nil {
 		return err
 	}
-	if s.Latency > 0 {
-		src = src.WithLatency(s.Latency)
+	if s.latency > 0 {
+		src = src.WithLatency(s.latency)
 	}
 	s.Bind(src)
 	return nil
@@ -318,7 +314,7 @@ func (s *System) BindRows(name string, rows ...Row) error {
 // BindDatabase attaches every relation to the same-named table of db
 // (missing tables become empty sources), each as Bind attaches one.
 func (s *System) BindDatabase(db *storage.Database) error {
-	reg, err := source.FromDatabase(s.sch, db, s.Latency)
+	reg, err := source.FromDatabase(s.sch, db, s.latency)
 	if err != nil {
 		return err
 	}
@@ -555,7 +551,7 @@ func (s *System) execOpts(o Options) Options {
 		o.Cache = s.cache
 	}
 	if o.MaxBatch == 0 {
-		o.MaxBatch = s.MaxBatch
+		o.MaxBatch = s.maxBatch
 	}
 	return o
 }
@@ -564,13 +560,8 @@ func (s *System) execOpts(o Options) Options {
 // empty sources for the missing ones — except when the system shares its
 // cache with others: an implicitly empty source would poison the shared
 // cache with negative entries for relations the other systems have data
-// for, so missing bindings are an error there. Pending WithRemote peers
-// attach first, so their relations are never mistaken for missing.
+// for, so missing bindings are an error there.
 func (s *System) ensureBound() error {
-	//toorjahvet:allow ctx-first (Prepare is not context-first; the lazy attach path has no caller context to thread)
-	if err := s.AttachRemotes(context.Background()); err != nil {
-		return err
-	}
 	for _, rel := range s.sch.Relations() {
 		if s.reg.Source(rel.Name) == nil {
 			if s.sharedCache {

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"toorjah/internal/cq"
 	"toorjah/internal/gen"
 	"toorjah/internal/obs"
+	"toorjah/internal/oracle"
 )
 
 func musicSystem(t *testing.T) *System {
@@ -39,40 +41,31 @@ r3^oo(Artist, Album)
 	return sys
 }
 
+// caseOf is the oracle case of a query text — one disjunct a line — over
+// sys's tables, with the reference's outcome.
+func caseOf(t *testing.T, sys *System, text string) *oracle.Case {
+	t.Helper()
+	u, err := cq.ParseUCQ(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var load []oracle.Batch
+	for name, dump := range sys.DataSnapshot() {
+		load = append(load, oracle.Batch{Rel: name, Rows: dump.Rows})
+	}
+	ref, err := oracle.Reference(sys.sch, sys.reg, u.Disjuncts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &oracle.Case{Schema: sys.sch, DB: oracle.Build(sys.sch, load), Disjuncts: u.Disjuncts, Ref: ref}
+}
+
 func TestSystemEndToEnd(t *testing.T) {
-	sys := musicSystem(t)
-	q, err := sys.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Answerable() {
-		t.Fatal("answerable")
-	}
-	res, err := q.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(res.SortedAnswers(), ";"); got != "italy" {
+	c := caseOf(t, musicSystem(t), "q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
+	if got := strings.Join(c.Ref.Answers, ";"); got != "italy" {
 		t.Errorf("answers = %s", got)
 	}
-	naive, err := q.Execute(context.Background(), WithExecutor(ExecutorNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(naive.SortedAnswers(), ";") != "italy" {
-		t.Errorf("naive answers = %v", naive.SortedAnswers())
-	}
-	if res.TotalAccesses() > naive.TotalAccesses() {
-		t.Errorf("optimized %d > naive %d accesses", res.TotalAccesses(), naive.TotalAccesses())
-	}
-	var streamed int
-	piped, err := q.Execute(context.Background(), OnAnswer(func(Tuple) { streamed++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != 1 || piped.Answers.Len() != 1 {
-		t.Errorf("streamed=%d, answers=%d", streamed, piped.Answers.Len())
-	}
+	checkFacade(t, c)
 }
 
 // TestOnAnswerIsOnAnswersOneAtATime: under every executor, and for a union,
@@ -256,9 +249,8 @@ func TestBindErrors(t *testing.T) {
 }
 
 func TestSystemLatency(t *testing.T) {
-	sys := musicSystem(t)
-	sys.Latency = 2 * time.Millisecond
-	// Rebind with latency applied.
+	sch, _ := ParseSchema("r3^oo(Artist, Album)")
+	sys := NewSystem(sch, WithLatency(2*time.Millisecond))
 	if err := sys.BindRows("r3", Row{"madonna", "like_a_virgin"}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +267,16 @@ func TestSystemLatency(t *testing.T) {
 	}
 }
 
-func TestUCQEndToEnd(t *testing.T) {
+// pubUCQText is a union of two overlapping disjuncts over pubUCQSystem.
+const pubUCQText = `
+q(X) :- pub1(P, X), conf(P, icde, Y)
+q(X) :- pub2(P, X), conf(P, icde, Y)
+`
+
+// pubUCQSystem is a small publication system on which pubUCQText's
+// disjuncts share an answer.
+func pubUCQSystem(t *testing.T) *System {
+	t.Helper()
 	sch, _ := ParseSchema(`
 pub1^io(Paper, Person)
 pub2^oo(Paper, Person)
@@ -285,26 +286,15 @@ conf^ooo(Paper, ConfName, Year)
 	must(t, sys.BindRows("pub1", Row{"p1", "alice"}, Row{"p2", "bob"}))
 	must(t, sys.BindRows("pub2", Row{"p1", "alice"}, Row{"p3", "carol"}))
 	must(t, sys.BindRows("conf", Row{"p1", "icde", "2008"}, Row{"p2", "vldb", "2007"}, Row{"p3", "icde", "2008"}))
-	u, err := sys.PrepareUCQ(`
-q(X) :- pub1(P, X), conf(P, icde, Y)
-q(X) :- pub2(P, X), conf(P, icde, Y)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.Answerable() || len(u.Disjuncts()) != 2 {
-		t.Fatal("UCQ preparation broken")
-	}
-	res, err := u.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(res.SortedAnswers(), ";"); got != "alice;carol" {
+	return sys
+}
+
+func TestUCQEndToEnd(t *testing.T) {
+	c := caseOf(t, pubUCQSystem(t), pubUCQText)
+	if got := strings.Join(c.Ref.Answers, ";"); got != "alice;carol" {
 		t.Errorf("UCQ answers = %s, want alice;carol", got)
 	}
-	if res.TotalAccesses() == 0 {
-		t.Error("no accesses recorded")
-	}
+	checkFacade(t, c)
 }
 
 func TestUCQErrors(t *testing.T) {
@@ -353,64 +343,22 @@ r3^oo(Artist, Album)
 
 // TestCachedSystemSecondRunNoProbes is the cross-query cache acceptance
 // property: the second execution of the same query probes no source at all,
-// for the fast-failing, streaming and naive strategies alike.
+// for the fast-failing, streaming and naive strategies alike (the oracle's
+// warm-zero), and the cache counts its hits and misses.
 func TestCachedSystemSecondRunNoProbes(t *testing.T) {
+	const text = "q(N) :- r1(A, N, Y1), r2(volare, Y2, A)"
+	checkFacade(t, caseOf(t, cachedMusicSystem(t), text))
 	sys := cachedMusicSystem(t, WithCache(CacheOptions{}))
-	q, err := sys.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
+	q, err := sys.Prepare(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := q.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := q.Execute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res1.TotalAccesses() == 0 {
-		t.Fatal("cold run made no accesses")
-	}
-	res2, err := q.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res2.TotalAccesses(); got != 0 {
-		t.Errorf("warm run made %d source probes, want 0", got)
-	}
-	if strings.Join(res2.SortedAnswers(), ";") != "italy" {
-		t.Errorf("warm answers = %v", res2.SortedAnswers())
-	}
-	piped, err := q.Execute(context.Background(), WithExecutor(ExecutorPipelined), WithExecOptions(Options{Parallelism: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := piped.TotalAccesses(); got != 0 {
-		t.Errorf("warm pipelined run made %d source probes, want 0", got)
-	}
-	if strings.Join(piped.SortedAnswers(), ";") != "italy" {
-		t.Errorf("warm pipelined answers = %v", piped.SortedAnswers())
-	}
-	// Naive strategy through a fresh cached system (the cache above is
-	// already warm for this query's whole access set).
-	nsys := cachedMusicSystem(t, WithCache(CacheOptions{}))
-	nq, err := nsys.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive1, err := nq.Execute(context.Background(), WithExecutor(ExecutorNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive2, err := nq.Execute(context.Background(), WithExecutor(ExecutorNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive1.TotalAccesses() == 0 || naive2.TotalAccesses() != 0 {
-		t.Errorf("naive accesses cold=%d warm=%d, want >0 and 0",
-			naive1.TotalAccesses(), naive2.TotalAccesses())
-	}
-	c := sys.AccessCache()
-	if c == nil {
-		t.Fatal("AccessCache() = nil")
-	}
-	if tot := c.Totals(); tot.Hits == 0 || tot.Misses == 0 {
+	if tot := sys.AccessCache().Totals(); tot.Hits == 0 || tot.Misses == 0 {
 		t.Errorf("cache totals = %+v, want hits and misses", tot)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // bounded concurrency; with a cross-query cache configured (WithCache /
 // WithSharedCache), identical probes issued by overlapping disjuncts
 // collapse into a single source access, so parallelism never costs extra
-// accesses over running them one at a time (MaxConcurrent: -1). Execute
+// accesses over running them one at a time (Options.MaxConcurrent: -1). Execute
 // pins one snapshot of the sources for the whole union, so all disjuncts —
 // and therefore the union answer — evaluate over a single data version even
 // while writers ingest into the relations.
@@ -23,10 +23,6 @@ type UnionQuery struct {
 	queries []*Query
 	name    string
 	arity   int
-
-	// MaxConcurrent bounds how many disjuncts execute at once; 0 means
-	// runtime.GOMAXPROCS(0), negative means one at a time.
-	MaxConcurrent int
 }
 
 // PrepareUCQ parses and prepares a union of conjunctive queries, one

@@ -2,12 +2,10 @@ package toorjah
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"toorjah/internal/cq"
 	"toorjah/internal/gen"
 	"toorjah/internal/source"
 )
@@ -99,8 +97,7 @@ func TestUCQParallelCachedNoMoreAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parU.MaxConcurrent = len(parU.Disjuncts())
-	parRes, err := parU.Execute(context.Background())
+	parRes, err := parU.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: len(parU.Disjuncts())}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,124 +123,6 @@ func TestUCQParallelCachedNoMoreAccesses(t *testing.T) {
 	}
 	if parRes.TotalAccesses() != parProbes {
 		t.Errorf("merged stats report %d accesses, counters saw %d", parRes.TotalAccesses(), parProbes)
-	}
-}
-
-// TestUCQPropertyUnionOfDisjuncts: on randomized schemas, queries and
-// instances, every UCQ entry point — concurrent fast-failing, sequential,
-// naive, streaming; with and without a cross-query cache — returns exactly
-// the union of the per-disjunct answer sets.
-func TestUCQPropertyUnionOfDisjuncts(t *testing.T) {
-	found := 0
-	for seed := int64(1); seed <= 40 && found < 4; seed++ {
-		g := gen.New(seed, gen.Fig10())
-		sch := g.Schema()
-		// Collect disjuncts sharing a head arity (a valid UCQ needs it).
-		byArity := make(map[int][]*cq.CQ)
-		var disjuncts []*cq.CQ
-		for i := 0; i < 12 && disjuncts == nil; i++ {
-			q, ok := g.Query(sch, "q")
-			if !ok {
-				break
-			}
-			byArity[q.Arity()] = append(byArity[q.Arity()], q)
-			if len(byArity[q.Arity()]) == 3 {
-				disjuncts = byArity[q.Arity()]
-			}
-		}
-		if disjuncts == nil {
-			continue
-		}
-		found++
-		db := g.Instance(sch)
-		ucq := &UCQ{Name: "q", Disjuncts: disjuncts}
-
-		newSys := func(opts ...SystemOption) *System {
-			sys := NewSystem(sch, opts...)
-			if err := sys.BindDatabase(db); err != nil {
-				t.Fatal(err)
-			}
-			return sys
-		}
-
-		// Expected: the union of the per-disjunct answer sets.
-		expected := make(map[string]bool)
-		refSys := newSys()
-		for _, d := range disjuncts {
-			q, err := refSys.PrepareCQ(d)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			r, err := q.Execute(context.Background())
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for k := range r.AnswerSet() {
-				expected[k] = true
-			}
-		}
-		wantKeys := make([]string, 0, len(expected))
-		for k := range expected {
-			wantKeys = append(wantKeys, k)
-		}
-		sort.Strings(wantKeys)
-		want := strings.Join(wantKeys, "|")
-
-		check := func(label string, res *Result, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, label, err)
-			}
-			gotKeys := make([]string, 0, res.Answers.Len())
-			for k := range res.AnswerSet() {
-				gotKeys = append(gotKeys, k)
-			}
-			sort.Strings(gotKeys)
-			if got := strings.Join(gotKeys, "|"); got != want {
-				t.Errorf("seed %d %s: answers = %q, want %q", seed, label, got, want)
-			}
-		}
-
-		for _, cached := range []bool{false, true} {
-			var opts []SystemOption
-			label := "uncached"
-			if cached {
-				opts = []SystemOption{WithCache(CacheOptions{})}
-				label = "cached"
-			}
-			sys := newSys(opts...)
-			u, err := sys.PrepareUCQFrom(ucq)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			u.MaxConcurrent = len(u.Disjuncts())
-
-			res, err := u.Execute(context.Background())
-			check(label+"/parallel", res, err)
-			res, err = u.Execute(context.Background(), WithExecOptions(Options{MaxConcurrent: -1}))
-			check(label+"/sequential", res, err)
-			res, err = u.Execute(context.Background(), WithExecutor(ExecutorNaive))
-			check(label+"/naive", res, err)
-
-			var streamed int
-			res, err = u.Execute(context.Background(), OnAnswer(func(Tuple) { streamed++ }))
-			check(label+"/stream", res, err)
-			if err == nil && streamed != res.Answers.Len() {
-				t.Errorf("seed %d %s/stream: %d streamed, %d in result (dedup broken)",
-					seed, label, streamed, res.Answers.Len())
-			}
-			if cached {
-				// A warm repeat is served entirely from the cache.
-				warm, err := u.Execute(context.Background())
-				check("warm/parallel", warm, err)
-				if err == nil && warm.TotalAccesses() != 0 {
-					t.Errorf("seed %d warm run made %d probes, want 0", seed, warm.TotalAccesses())
-				}
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no seed produced a UCQ workload; loosen the search")
 	}
 }
 
@@ -307,52 +186,20 @@ func TestUCQCancellation(t *testing.T) {
 }
 
 // TestUCQStreamDedupAndLimit: overlapping disjuncts stream each distinct
-// answer once; a limit caps the stream and marks it truncated when answers
-// remained.
+// answer once, and a limit caps the stream and marks it truncated when
+// answers remained — the oracle's streamed-once and truncated-subset, under
+// every executor — and the time to the first answer is reported.
 func TestUCQStreamDedupAndLimit(t *testing.T) {
-	sch, err := ParseSchema(`
-pub1^io(Paper, Person)
-pub2^oo(Paper, Person)
-conf^ooo(Paper, ConfName, Year)
-`)
+	sys := pubUCQSystem(t)
+	c := caseOf(t, sys, pubUCQText)
+	c.Limit = 1
+	checkFacade(t, c)
+	u, err := sys.PrepareUCQ(pubUCQText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(sch)
-	must(t, sys.BindRows("pub1", Row{"p1", "alice"}, Row{"p2", "bob"}))
-	must(t, sys.BindRows("pub2", Row{"p1", "alice"}, Row{"p3", "carol"}))
-	must(t, sys.BindRows("conf", Row{"p1", "icde", "2008"}, Row{"p2", "vldb", "2007"}, Row{"p3", "icde", "2008"}))
-	u, err := sys.PrepareUCQ(`
-q(X) :- pub1(P, X), conf(P, icde, Y)
-q(X) :- pub2(P, X), conf(P, icde, Y)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []string
-	res, err := u.Execute(context.Background(), OnAnswer(func(t Tuple) { streamed = append(streamed, t.Strings()[0]) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(streamed)
-	if got := strings.Join(streamed, ";"); got != "alice;carol" {
-		t.Errorf("streamed = %s, want alice;carol (deduplicated)", got)
-	}
-	if res.Truncated {
-		t.Error("complete stream marked truncated")
-	}
-	if res.TimeToFirst == 0 || res.TimeToFirst > res.Elapsed {
-		t.Errorf("TimeToFirst = %v, Elapsed = %v", res.TimeToFirst, res.Elapsed)
-	}
-
-	limited, err := u.Execute(context.Background(), WithExecutor(ExecutorPipelined), WithLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limited.Answers.Len() != 1 {
-		t.Errorf("limit 1: %d answers", limited.Answers.Len())
-	}
-	if !limited.Truncated {
-		t.Error("limit 1 of 2 obtainable answers: want Truncated")
+	res, err := u.Execute(context.Background(), OnAnswer(func(Tuple) {}))
+	if err != nil || res.TimeToFirst == 0 || res.TimeToFirst > res.Elapsed {
+		t.Errorf("TimeToFirst = %v, Elapsed = %v (%v)", res.TimeToFirst, res.Elapsed, err)
 	}
 }
