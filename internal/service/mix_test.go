@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -169,12 +170,20 @@ func TestConcurrentMixMatchesGroundTruth(t *testing.T) {
 		t.Errorf("/stats counts %d storm rows, %d acked batches hold %d", got, acked.Load(), want)
 	}
 
+	// Idle keep-alive connections hold goroutines: the clients' to the front
+	// node, and the front node's own to the peer.
 	client.CloseIdleConnections()
+	for _, p := range sys.RemotePeers() {
+		p.Close()
+	}
 	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(wait); {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > goroutines {
 		t.Errorf("%d goroutines before the clients, %d after", goroutines, after)
+		var profile strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&profile, 1)
+		t.Log(profile.String())
 	}
 }
 

@@ -3,8 +3,10 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"toorjah/internal/sym"
 )
@@ -157,19 +159,85 @@ func BenchmarkTableChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkTableLoad times one InsertAll of 300 000 rows into an empty
-// table — what the serving workloads pay at start-up, per relation.
-func BenchmarkTableLoad(b *testing.B) {
-	rows := make([]Row, 300000)
+// loadRows are n rows shaped like the serving workloads' conf relation: two
+// rows per person, a thousand conferences, thirty years.
+func loadRows(n int) []Row {
+	rows := make([]Row, n)
 	for i := range rows {
 		rows[i] = Row{"person" + strconv.Itoa(i/2), "conf" + strconv.Itoa(i%1000), strconv.Itoa(1990 + i%30)}
 	}
+	return rows
+}
+
+// BenchmarkTableLoad times one InsertAll of 300 000 rows into an empty
+// table — what the serving workloads pay at start-up, per relation.
+func BenchmarkTableLoad(b *testing.B) {
+	rows := loadRows(300000)
 	NewTable("warm", 3).InsertAll(rows) // the values are interned outside the timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if n := NewTable("conf", 3).InsertAll(rows); n != len(rows) {
 			b.Fatalf("loaded %d rows of %d", n, len(rows))
+		}
+	}
+}
+
+// TestTableLoadAllocBudget: loading rows whose values are interned allocates
+// per batch — the scratch, the log, the row set, one block for the rows, the
+// snapshot — never per row, through InsertAll and RestoreTable alike. The
+// budget is one allocation per 16 rows; one per row fails it sixteen times
+// over.
+func TestTableLoadAllocBudget(t *testing.T) {
+	rows := loadRows(4096)
+	NewTable("warm", 3).InsertAll(rows) // intern the values outside the count
+	budget := float64(len(rows) / 16)
+	for name, load := range map[string]func(){
+		"InsertAll":    func() { NewTable("conf", 3).InsertAll(rows) },
+		"RestoreTable": func() { RestoreTable("conf", 3, 7, rows) },
+	} {
+		if allocs := testing.AllocsPerRun(3, load); allocs > budget {
+			t.Errorf("%s of %d interned rows makes %.0f allocations, budget %.0f", name, len(rows), allocs, budget)
+		}
+	}
+}
+
+// TestCompactionReleasesDeadBlocks: compaction copies the live rows into a
+// fresh block, so a table's memory follows its live rows under churn. A
+// 10 000-row batch deleted down to one live row — which compacts the log —
+// no longer holds the batch's block: a finalizer on the block runs. Rows
+// RestoreTable rebuilds come from the same block path.
+func TestCompactionReleasesDeadBlocks(t *testing.T) {
+	rows := make([]Row, 10000)
+	for i := range rows {
+		rows[i] = Row{"churn" + strconv.Itoa(i), "v" + strconv.Itoa(i%7)}
+	}
+	for name, load := range map[string]func() *Table{
+		"InsertAll": func() *Table {
+			tab := NewTable("r", 2)
+			tab.InsertAll(rows)
+			return tab
+		},
+		"RestoreTable": func() *Table { return RestoreTable("r", 2, 3, rows) },
+	} {
+		tab := load()
+		freed := make(chan struct{})
+		// The first row of a batch starts its block.
+		runtime.SetFinalizer(&tab.rows[0][0], func(*sym.ID) { close(freed) })
+		if n := tab.DeleteAll(rows[1:]); n != len(rows)-1 {
+			t.Fatalf("%s: deleted %d rows of %d", name, n, len(rows)-1)
+		}
+		if len(tab.rows) != 1 {
+			t.Fatalf("%s: %d rows in the log after the churn, want the one live row", name, len(tab.rows))
+		}
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: the compacted table still holds the block of its first batch", name)
+		}
+		if !tab.Contains(rows[0]) { // and keeps the table alive until here
+			t.Errorf("%s: the live row is gone", name)
 		}
 	}
 }

@@ -119,13 +119,14 @@ type Table struct {
 	Name  string
 	Arity int
 
-	wmu  sync.Mutex   // serializes writers
-	rows []IRow       // append-only master log (interned)
-	seen sym.RefTable // the row set: references into rows, tombstoned rows included
-	dead tombstones   // current tombstones; copied, never mutated, once published
-	idx  *indexSet    // persistent indexes over rows; replaced on compaction
-	hook func(CommitEvent)
-	snap atomic.Pointer[Snapshot]
+	wmu     sync.Mutex   // serializes writers
+	rows    []IRow       // append-only master log (interned), carved from per-batch blocks
+	seen    sym.RefTable // the row set: references into rows, tombstoned rows included
+	dead    tombstones   // current tombstones; copied, never mutated, once published
+	idx     *indexSet    // persistent indexes over rows; replaced on compaction
+	scratch []sym.ID     // the IDs of the batch being added; no row keeps it
+	hook    func(CommitEvent)
+	snap    atomic.Pointer[Snapshot]
 }
 
 // tombstones marks the deleted offsets of a row log: a bitset and its
@@ -215,15 +216,7 @@ func NewTable(name string, arity int) *Table {
 // of 0 restores to 1, the epoch of a fresh table.
 func RestoreTable(name string, arity int, epoch uint64, rows []Row) *Table {
 	t := &Table{Name: name, Arity: arity, idx: new(indexSet)}
-	for _, r := range rows {
-		if len(r) != arity {
-			continue
-		}
-		ir := r.Intern()
-		if h := sym.HashIDs(ir); t.offsetOf(ir, h) < 0 {
-			t.appendLocked(ir, h)
-		}
-	}
+	t.addLocked(rows)
 	if epoch == 0 {
 		epoch = 1
 	}
@@ -276,12 +269,6 @@ func (t *Table) offsetOf(ir IRow, h uint32) int {
 	return -1
 }
 
-// appendLocked adds a row, hashed to h, that the log does not hold.
-func (t *Table) appendLocked(ir IRow, h uint32) {
-	t.seen.Add(h, int32(len(t.rows)))
-	t.rows = append(t.rows, ir)
-}
-
 // Insert adds a row, deduplicating; it reports whether the row was new.
 // Single-row convenience over InsertAll — batch mutations where possible:
 // every changing batch is one copy-on-write step and one epoch.
@@ -299,15 +286,46 @@ func (t *Table) InsertAll(rows []Row) int {
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	n := 0
-	deadCopied := false
-	var applied []Row // collected only when a commit hook is listening
+	n, applied := t.addLocked(rows)
+	if n > 0 {
+		t.publish()
+		t.commitLocked(OpInsert, applied)
+	}
+	return n
+}
+
+// addLocked adds a batch, skipping rows of another arity, and returns the
+// number of rows it added or revived and — when a commit hook is listening —
+// those rows. The batch is interned into the table's scratch, deduplicated
+// against the row set (new rows point into the scratch meanwhile, so a row
+// repeated within the batch is found too), and the new rows are then copied
+// into one block sized exactly to them: a batch costs the log one
+// allocation, not one per row, and no row keeps the scratch. wmu is held.
+func (t *Table) addLocked(rows []Row) (n int, applied []Row) {
+	ids := slices.Grow(t.scratch[:0], len(rows)*t.Arity)
 	for _, r := range rows {
-		ir := r.Intern()
+		if len(r) == t.Arity {
+			for _, v := range r {
+				ids = append(ids, sym.Intern(v))
+			}
+		}
+	}
+	t.scratch = ids
+	from := len(t.rows)
+	t.rows = slices.Grow(t.rows, len(rows))
+	t.seen.Grow(len(rows))
+	deadCopied := false
+	for _, r := range rows {
+		if len(r) != t.Arity {
+			continue
+		}
+		ir := IRow(ids[:t.Arity:t.Arity])
+		ids = ids[t.Arity:]
 		h := sym.HashIDs(ir)
 		switch off := t.offsetOf(ir, h); {
 		case off < 0:
-			t.appendLocked(ir, h)
+			t.seen.Add(h, int32(len(t.rows)))
+			t.rows = append(t.rows, ir)
 		case !t.dead.has(off):
 			continue
 		default:
@@ -321,11 +339,20 @@ func (t *Table) InsertAll(rows []Row) int {
 			applied = append(applied, r)
 		}
 	}
-	if n > 0 {
-		t.publish()
-		t.commitLocked(OpInsert, applied)
+	block := make([]sym.ID, (len(t.rows)-from)*t.Arity)
+	for off := from; off < len(t.rows); off++ {
+		t.rows[off] = carve(&block, t.rows[off])
 	}
-	return n
+	return n, applied
+}
+
+// carve copies r into the front of *block and cuts it off, capacity and
+// all, so no row of a block can grow into its neighbour.
+func carve(block *[]sym.ID, r IRow) IRow {
+	ir := IRow((*block)[:len(r):len(r)])
+	*block = (*block)[len(r):]
+	copy(ir, r)
+	return ir
 }
 
 // commitLocked delivers the batch to the commit hook, if any; wmu is held
@@ -399,7 +426,9 @@ const compactMinDead = 1024
 // maybeCompactLocked rewrites the master log without its tombstoned rows
 // once they dominate it, so that sustained insert/delete churn — the
 // streaming-ingest workload — keeps memory and index cost proportional to
-// the live data, not to everything ever inserted. The rewrite renumbers
+// the live data, not to everything ever inserted. The live rows are copied
+// into one fresh block, so a survivor does not keep the block of the batch
+// it came in alive, with all its dead rows. The rewrite renumbers
 // offsets, so it also starts a fresh persistent index set; snapshots
 // already published keep the old log and the old indexes untouched.
 // Invisible to readers: the next publish carries the usual single epoch
@@ -409,11 +438,13 @@ func (t *Table) maybeCompactLocked() {
 		return
 	}
 	live := make([]IRow, 0, len(t.rows)-t.dead.n)
+	block := make([]sym.ID, cap(live)*t.Arity)
 	var seen sym.RefTable
+	seen.Grow(cap(live))
 	for off, r := range t.rows {
 		if !t.dead.has(off) {
 			seen.Add(sym.HashIDs(r), int32(len(live)))
-			live = append(live, r)
+			live = append(live, carve(&block, r))
 		}
 	}
 	t.rows, t.seen, t.dead = live, seen, tombstones{}

@@ -20,8 +20,8 @@ func benchValues(n int) []string {
 }
 
 // BenchmarkIntern prices the interner's two paths: a value already interned
-// (a shard read lock and one map hit) and a first-seen value (the write lock,
-// a new ID, its reverse-lookup slot and the map entry) — the bench's direct
+// (a shard read lock and one index walk) and a first-seen value (the write
+// lock, a new ID, its bytes, its reverse-lookup slot and its index entry) — the bench's direct
 // sym.intern_ns, on a private table that starts over every 2¹⁶ values so the
 // process-wide one does not grow.
 func BenchmarkIntern(b *testing.B) {
@@ -71,5 +71,28 @@ func BenchmarkLookup(b *testing.B) {
 				benchID, _ = tab.Lookup(c.vals[i&(len(c.vals)-1)])
 			}
 		})
+	}
+}
+
+// benchStr keeps the measured calls' results alive.
+var benchStr string
+
+// BenchmarkStr prices resolving an ID, per ID, as the answer boundary does:
+// 1024 IDs scattered over a table of 150 000 values — serve-scan renders 1024
+// values per request, out of the serve workloads' 150 000 persons.
+func BenchmarkStr(b *testing.B) {
+	tab := sym.NewTable()
+	vals := benchValues(150000)
+	ids := make([]sym.ID, 1024)
+	for i, v := range vals {
+		id := tab.Intern(v)
+		if i%146 == 0 && i/146 < len(ids) {
+			ids[i/146] = id
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStr = tab.Str(ids[i&(len(ids)-1)])
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // TestInternExhaustionPanics pins what a full table does. The counter of a
-// private table is advanced to the last ID (issuing four billion values for
+// private table is advanced to the last ID (issuing two billion values for
 // real would need the reverse pages too), after which every first-seen
 // value must panic — repeatedly, never wrapping round to re-issue ID 1 —
 // while values interned before keep their IDs.
 func TestInternExhaustionPanics(t *testing.T) {
 	tab := NewTable()
 	a := tab.Intern("a")
-	tab.next.Store(math.MaxUint32)
+	tab.next.Store(math.MaxInt32)
 
 	for _, v := range []string{"b", "c"} {
 		func() {
@@ -33,7 +33,7 @@ func TestInternExhaustionPanics(t *testing.T) {
 			t.Errorf("%q is in the table after its Intern panicked", v)
 		}
 	}
-	if got := tab.next.Load(); got != math.MaxUint32 {
+	if got := tab.next.Load(); got != math.MaxInt32 {
 		t.Errorf("counter moved to %d after exhaustion; an ID could be re-issued", got)
 	}
 	if got := tab.Intern("a"); got != a {

@@ -82,17 +82,27 @@ func (tb *RefTable) scan(at int, h uint32) (int, int32) {
 // rehashing by the stored hashes alone.
 func (tb *RefTable) Add(h uint32, ref int32) {
 	if 2*(tb.used+1) > len(tb.slots) {
-		old := tb.slots
-		tb.slots = make([]refSlot, max(8, 2*len(old)))
-		tb.shift = uint8(32 - bits.TrailingZeros(uint(len(tb.slots))))
-		for _, s := range old {
-			if s.ref != 0 {
-				tb.place(s)
-			}
-		}
+		tb.Grow(1)
 	}
 	tb.place(refSlot{hash: h, ref: ref + 1})
 	tb.used++
+}
+
+// Grow makes room for n more references, so the next n Adds rehash nothing:
+// a batch of n grows the table once, to the size n Adds would have doubled
+// it to.
+func (tb *RefTable) Grow(n int) {
+	if 2*(tb.used+n) <= len(tb.slots) {
+		return
+	}
+	old := tb.slots
+	tb.slots = make([]refSlot, max(8, 1<<bits.Len(uint(2*(tb.used+n)-1))))
+	tb.shift = uint8(32 - bits.TrailingZeros(uint(len(tb.slots))))
+	for _, s := range old {
+		if s.ref != 0 {
+			tb.place(s)
+		}
+	}
 }
 
 func (tb *RefTable) place(s refSlot) {

@@ -28,7 +28,9 @@
 package sym
 
 import (
+	"hash/maphash"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -44,39 +46,53 @@ const shardCount = 64
 // Table is an append-only, concurrency-safe symbol table. The zero value is
 // not usable; use NewTable (or the package-level Default table, which the
 // storage, cache and executor layers share — one process, one ID space).
+//
+// A value costs the GC one pointer: its header in a reverse page. Its bytes
+// are copied into the chunks of its shard, which hold no pointers, and the
+// forward index files the ID itself under the value's hash — no map entry,
+// no boxed string, and nothing kept of the string Intern was handed.
 type Table struct {
-	// next is the next ID to issue; IDs are dense and start at 1.
-	next atomic.Uint32
-
-	// shards hold the forward map (value -> ID), sharded by value hash so
+	// shards hold the forward index (value -> ID), sharded by value hash so
 	// concurrent interning scales.
 	shards [shardCount]shard
 
-	// strs is the reverse map (ID -> value), grown in fixed-size pages that
-	// are published once and never moved, so Str reads are lock-free: a
-	// page pointer is written exactly once (under its shard-independent
-	// pageMu) and the ID's slot is written before the forward map publishes
-	// the ID.
+	// next is the next ID to issue; IDs are dense and start at 1.
+	next atomic.Uint32
+
+	// pages are the reverse index (ID -> value header), grown in fixed-size
+	// pages that are published once and never moved, so Str reads are
+	// lock-free: a page pointer is written exactly once (under the
+	// shard-independent pageMu), and an ID's header before its shard files it.
 	pages  atomic.Pointer[[]*page]
 	pageMu sync.Mutex
 }
 
+// shard is two cache lines: the lock and the index a lookup touches share
+// the first, and no two shards share one.
 type shard struct {
-	mu sync.RWMutex
-	m  map[string]ID
+	mu    sync.RWMutex
+	ids   RefTable        // the shard's IDs, filed under their values' hashes
+	chunk strings.Builder // the bytes of the shard's newest values
+	_     [32]byte
 }
+
+// chunkSize is the capacity of a shard's value chunk. A chunk is grown once,
+// so the values written into it are substrings of one buffer that no later
+// write moves; a value longer than a chunk gets an allocation of its own.
+const chunkSize = 64 << 10
 
 // pageSize is the number of symbols per reverse-lookup page (power of two).
 const pageSize = 1 << 12
 
-type page [pageSize]atomic.Pointer[string]
+type page [pageSize]string
+
+// valueSeed keys the hash of every value of the process: the values are
+// client-supplied strings, so the hash must not be predictable from outside.
+var valueSeed = maphash.MakeSeed()
 
 // NewTable creates an empty symbol table.
 func NewTable() *Table {
 	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]ID)
-	}
 	empty := make([]*page, 0)
 	t.pages.Store(&empty)
 	return t
@@ -87,40 +103,60 @@ func NewTable() *Table {
 // value everywhere in the process.
 var Default = NewTable()
 
-// hash is FNV-1a; inlined so the intern fast path does not allocate.
-func hash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // Intern returns the ID of v, issuing a fresh one the first time v is seen.
 // Safe for concurrent use; the common case (already interned) is one shard
-// read-lock and one map hit. A table that has issued all 2³²−1 IDs panics
-// on the next first-seen value: exhaustion is a hard failure, never a
-// reused ID.
+// read-lock and one index walk. A first-seen value is copied, so the ID
+// keeps nothing of v alive. A table that has issued 2³¹−1 IDs — what a
+// RefTable can reference — panics on the next first-seen value: exhaustion
+// is a hard failure, never a reused ID.
 func (t *Table) Intern(v string) ID {
-	sh := &t.shards[hash(v)&(shardCount-1)]
-	sh.mu.RLock()
-	id, ok := sh.m[v]
-	sh.mu.RUnlock()
-	if ok {
+	if id, ok := t.Lookup(v); ok {
 		return id
 	}
+	sh, h := t.shard(v)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok = sh.m[v]; ok {
+	if id := t.find(sh, v, h); id != 0 {
 		return id
 	}
-	id = t.issue()
-	t.store(id, v)
-	// The reverse slot is visible before the forward map publishes the ID,
-	// so any goroutine that can observe the ID can resolve it.
-	sh.m[v] = id
+	id := t.issue()
+	t.store(id, sh.copy(v))
+	// The reverse slot is written before the forward index files the ID
+	// under the shard's lock, so any goroutine that can observe the ID can
+	// resolve it.
+	sh.ids.Add(h, int32(id))
 	return id
+}
+
+// shard returns the shard of v and the hash its index files v under: the
+// low bits of one seeded hash pick the shard, the high half keys the index.
+func (t *Table) shard(v string) (*shard, uint32) {
+	h := maphash.String(valueSeed, v)
+	return &t.shards[h&(shardCount-1)], uint32(h >> 32)
+}
+
+// find returns the ID of v, hashed to h, in its shard, or 0; sh.mu is held.
+func (t *Table) find(sh *shard, v string, h uint32) ID {
+	for at, ref := sh.ids.First(h); ref >= 0; at, ref = sh.ids.Next(at, h) {
+		if t.Str(ID(ref)) == v {
+			return ID(ref)
+		}
+	}
+	return 0
+}
+
+// copy appends v to the shard's chunk and returns the copy; sh.mu is held.
+func (sh *shard) copy(v string) string {
+	if len(v) > chunkSize {
+		return strings.Clone(v)
+	}
+	if sh.chunk.Cap()-sh.chunk.Len() < len(v) {
+		sh.chunk.Reset()
+		sh.chunk.Grow(chunkSize)
+	}
+	from := sh.chunk.Len()
+	sh.chunk.WriteString(v)
+	return sh.chunk.String()[from:]
 }
 
 // issue hands out the next dense ID. The counter stops at the last ID: a
@@ -130,8 +166,8 @@ func (t *Table) Intern(v string) ID {
 func (t *Table) issue() ID {
 	for {
 		cur := t.next.Load()
-		if cur == math.MaxUint32 {
-			panic("sym: symbol table exhausted: all 2^32-1 IDs are issued")
+		if cur >= math.MaxInt32 {
+			panic("sym: symbol table exhausted: all 2^31-1 IDs are issued")
 		}
 		if t.next.CompareAndSwap(cur, cur+1) {
 			return ID(cur + 1)
@@ -146,7 +182,7 @@ func (t *Table) store(id ID, v string) {
 	for {
 		pages := *t.pages.Load()
 		if pi < len(pages) {
-			pages[pi][uint32(id)%pageSize].Store(&v)
+			pages[pi][uint32(id)%pageSize] = v
 			return
 		}
 		t.pageMu.Lock()
@@ -168,30 +204,23 @@ func (t *Table) store(id ID, v string) {
 // any relation) use Lookup so that queries for absent values cannot grow
 // the table.
 func (t *Table) Lookup(v string) (ID, bool) {
-	sh := &t.shards[hash(v)&(shardCount-1)]
+	sh, h := t.shard(v)
 	sh.mu.RLock()
-	id, ok := sh.m[v]
+	id := t.find(sh, v, h)
 	sh.mu.RUnlock()
-	return id, ok
+	return id, id != 0
 }
 
-// Str returns the value of an interned ID. Lock-free: one atomic page-
-// directory load and one atomic slot load. IDs never issued (or 0) return
-// the empty string.
+// Str returns the value of an ID handed out by Intern or Lookup. Lock-free:
+// one atomic page-directory load and one header read. The zero ID, and an
+// ID never issued, return the empty string.
 func (t *Table) Str(id ID) string {
-	if id == 0 {
-		return ""
-	}
 	pages := *t.pages.Load()
 	pi := int(uint32(id) / pageSize)
 	if pi >= len(pages) {
 		return ""
 	}
-	p := pages[pi][uint32(id)%pageSize].Load()
-	if p == nil {
-		return ""
-	}
-	return *p
+	return pages[pi][uint32(id)%pageSize]
 }
 
 // Len returns the number of interned symbols.

@@ -3,7 +3,9 @@ package sym_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"toorjah/internal/storage"
@@ -97,46 +99,142 @@ func TestInternPageGrowth(t *testing.T) {
 	}
 }
 
-// TestConcurrentIntern is the -race property: goroutines interning heavily
-// overlapping value sets must agree on every ID, resolve every ID back to
-// its value mid-flight, and leave exactly one ID per distinct value.
+// TestConcurrentIntern is the -race model test of the table: goroutines
+// intern, look up and resolve heavily overlapping values at once, against a
+// model of one atomic slot per value that the first goroutine to learn the
+// value's ID fills. Every ID agrees with the model; a value the model holds
+// is found by Lookup; every ID the model holds resolves to its value, also
+// on goroutines that did not intern it; and the table ends with exactly one
+// dense ID per value interned. The values are long enough to fill several
+// chunks per shard, and a few are longer than a chunk.
 func TestConcurrentIntern(t *testing.T) {
 	tab := sym.NewTable()
-	const goroutines = 16
-	const distinct = 3000
+	const goroutines = 8
+	const distinct = 20000
+	values := make([]string, distinct)
+	for i := range values {
+		values[i] = fmt.Sprintf("shared-%d-", i) + strings.Repeat("x", i*37%500)
+		if i%5000 == 0 {
+			values[i] += strings.Repeat("\xff", 70<<10)
+		}
+	}
+	model := make([]atomic.Uint32, distinct)
+	// learn records that values[i] has ID id, or reports a disagreement.
+	learn := func(g, i int, id sym.ID) bool {
+		if model[i].CompareAndSwap(0, uint32(id)) {
+			return true
+		}
+		if known := sym.ID(model[i].Load()); known != id {
+			t.Errorf("g%d: %q is ID %d, the model has %d", g, values[i], id, known)
+			return false
+		}
+		return true
+	}
 
-	results := make([][]sym.ID, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			out := make([]sym.ID, distinct)
-			for _, i := range rng.Perm(distinct) {
-				v := fmt.Sprintf("shared-%d", i)
-				id := tab.Intern(v)
-				out[i] = id
-				if got := tab.Str(id); got != v {
-					t.Errorf("g%d: Str(Intern(%q)) = %q mid-flight", g, v, got)
-					return
+			for n := 0; n < 2*distinct; n++ {
+				i := rng.Intn(distinct)
+				switch known := sym.ID(model[i].Load()); rng.Intn(3) {
+				case 0:
+					if !learn(g, i, tab.Intern(values[i])) {
+						return
+					}
+				case 1:
+					id, ok := tab.Lookup(values[i])
+					if known != 0 && (!ok || id != known) {
+						t.Errorf("g%d: Lookup(%q) = %d,%v; the model has %d", g, values[i], id, ok, known)
+						return
+					}
+					if ok && !learn(g, i, id) {
+						return
+					}
+				default:
+					if known != 0 && tab.Str(known) != values[i] {
+						t.Errorf("g%d: Str(%d) = %q, want %q", g, known, tab.Str(known), values[i])
+						return
+					}
 				}
 			}
-			results[g] = out
 		}(g)
 	}
 	wg.Wait()
 
-	for g := 1; g < goroutines; g++ {
-		for i := range results[g] {
-			if results[g][i] != results[0][i] {
-				t.Fatalf("goroutines disagree on shared-%d: %d vs %d", i, results[g][i], results[0][i])
-			}
+	seen := map[sym.ID]bool{}
+	for i := range model {
+		id := sym.ID(model[i].Load())
+		if id == 0 {
+			continue
+		}
+		if seen[id] || uint32(id) > uint32(tab.Len()) {
+			t.Fatalf("%q has ID %d: reused, or past the %d issued", values[i], id, tab.Len())
+		}
+		seen[id] = true
+		if got := tab.Str(id); got != values[i] {
+			t.Fatalf("Str(%d) = %q after the run, want %q", id, got, values[i])
 		}
 	}
-	if tab.Len() != distinct {
-		t.Errorf("Len() = %d, want %d", tab.Len(), distinct)
+	if tab.Len() != len(seen) {
+		t.Errorf("Len() = %d, want %d: one ID per value interned", tab.Len(), len(seen))
 	}
+}
+
+// TestFirstSeenInternAllocBudget: a first-seen value costs no allocation of
+// its own. Its bytes go into its shard's chunk, its header into a reverse
+// page and its ID into the shard's index, so what 2¹⁶ first-seen values
+// allocate is chunks, pages and index doublings — under one per 64 values —
+// where a copy, a box or a map entry per value would be 2¹⁶ or more.
+func TestFirstSeenInternAllocBudget(t *testing.T) {
+	vals := benchValues(1 << 16)
+	allocs := testing.AllocsPerRun(3, func() {
+		tab := sym.NewTable()
+		for _, v := range vals {
+			tab.Intern(v)
+		}
+	})
+	if budget := float64(len(vals) / 64); allocs > budget {
+		t.Errorf("interning %d first-seen values makes %.0f allocations, budget %.0f", len(vals), allocs, budget)
+	}
+}
+
+// FuzzIntern holds the table to its contract on any values: the empty
+// string, NUL, invalid UTF-8, values that are prefixes of others and one
+// longer than a chunk among them. Str inverts Intern, Intern is idempotent,
+// Lookup agrees with it, and distinct values get distinct IDs.
+func FuzzIntern(f *testing.F) {
+	f.Add("", "")
+	f.Add("a\x00b", "\xff\xfe")
+	f.Add("héllo", "wörld")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		tab := sym.NewTable()
+		values := []string{"", "\x00", a, b, a + b, b + a, a + "\x00" + b, "\xff" + a,
+			strings.Repeat(a+b+"\xff", 70<<10/(len(a)+len(b)+1)+1), a}
+		ids := map[string]sym.ID{}
+		owner := map[sym.ID]string{}
+		for _, v := range values {
+			id := tab.Intern(v)
+			if got := tab.Str(id); id == 0 || got != v {
+				t.Fatalf("Intern(%q) = %d, which resolves to %q", v, id, got)
+			}
+			if again := tab.Intern(v); again != id {
+				t.Fatalf("Intern(%q) = %d, then %d", v, id, again)
+			}
+			if got, ok := tab.Lookup(v); !ok || got != id {
+				t.Fatalf("Lookup(%q) = %d,%v; Intern gave %d", v, got, ok, id)
+			}
+			if prev, ok := owner[id]; ok && prev != v {
+				t.Fatalf("%q and %q share ID %d", prev, v, id)
+			}
+			ids[v], owner[id] = id, v
+		}
+		if tab.Len() != len(ids) {
+			t.Fatalf("Len() = %d for %d distinct values", tab.Len(), len(ids))
+		}
+	})
 }
 
 // TestKeyInjectivity: packed keys collide only when the ID tuples are
