@@ -2,6 +2,7 @@ package main
 
 import (
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -75,7 +76,8 @@ func TestLinkcheckFindsBreakage(t *testing.T) {
 // fails on a backticked test, benchmark or fuzz target that no _test.go in
 // the tree declares, so the docs cannot cite a deleted test; a name
 // followed by `*` or `{…}` (`BenchmarkBatch*`) stands for every name it
-// prefixes.
+// prefixes. And README's metric catalog must name exactly the families the
+// code registers (checkMetricCatalog).
 func TestRepoDocs(t *testing.T) {
 	root := "../.."
 	files := []string{
@@ -115,12 +117,90 @@ func TestRepoDocs(t *testing.T) {
 			}
 		}
 	}
+	checkMetricCatalog(t, root)
+}
+
+// checkMetricCatalog holds README's metric catalog — the first cell of each
+// table row that starts with a `toorjah_` code span, a brace group standing
+// for each of its alternatives — to the family names quoted in the non-test
+// Go under internal/ and cmd/ (testdata aside): each registered family must
+// be in the catalog, and each family the catalog cites must be registered.
+func checkMetricCatalog(t *testing.T, root string) {
+	t.Helper()
+	registered := make(map[string]bool)
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range familyRE.FindAllSubmatch(src, -1) {
+				registered[string(m[1])] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("no metric family is registered under internal/ or cmd/")
+	}
+
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cataloged := make(map[string]bool)
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| `toorjah_") {
+			continue
+		}
+		cell, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
+		for _, span := range codeSpanRE.FindAllString(cell, -1) {
+			for _, name := range expandBraces(strings.Trim(span, "`")) {
+				cataloged[name] = true
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(registered)) {
+		if !cataloged[name] {
+			t.Errorf("metric family %s is registered, but README's catalog lacks it", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(cataloged)) {
+		if !registered[name] {
+			t.Errorf("README's catalog cites metric family %s, which nothing registers", name)
+		}
+	}
+}
+
+// expandBraces spells out every name a brace group stands for:
+// toorjah_cache_{hits,misses}_total is toorjah_cache_hits_total and
+// toorjah_cache_misses_total.
+func expandBraces(name string) []string {
+	open := strings.IndexByte(name, '{')
+	if open < 0 {
+		return []string{name}
+	}
+	end := open + strings.IndexByte(name[open:], '}')
+	var out []string
+	for _, alt := range strings.Split(name[open+1:end], ",") {
+		out = append(out, expandBraces(name[:open]+alt+name[end+1:])...)
+	}
+	return out
 }
 
 var (
 	declaredRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	codeSpanRE = regexp.MustCompile("`[^`]+`")
 	citedRE    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\*|\{[^}]*\})?`)
+	familyRE   = regexp.MustCompile(`"(toorjah_[a-z_]+)"`)
 )
 
 // citedTests returns the test, benchmark and fuzz target names a markdown

@@ -17,31 +17,29 @@
 //	                               (bodies beyond 1 MiB are rejected with 413)
 //	POST /ingest?relation=R[&op=]  apply one batch of live mutations (NDJSON
 //	                               rows; op insert or delete; size-capped)
-//	GET  /stats                    cache + service + data-freshness statistics
 //	GET  /schema                   the loaded schema (+ per-relation epochs)
 //	GET  /healthz                  liveness probe
-//	GET  /metrics                  Prometheus text exposition of the service:
+//	GET  /metrics                  the node's read-out, Prometheus text:
 //	                               query latency histograms per executor,
 //	                               per-relation source accesses/round trips,
 //	                               cache hits/misses/evictions/coalesces,
 //	                               remote retries/breaker state/epochs,
-//	                               ingest batches, probe batch sizes
+//	                               probes served, ingest batches and rows,
+//	                               relation epochs/rows/modification times
 //
 // A query text with several non-comment lines is a union of conjunctive
 // queries (UCQ), one disjunct per line sharing the head predicate and
 // arity: the disjuncts execute concurrently over the shared access cache
 // and the deduplicated union answers stream as NDJSON the moment the first
 // disjunct derives them; the summary line carries the merged access
-// statistics and the disjunct count, and /stats reports how many served
-// queries were unions (ucqs_served).
+// statistics and the disjunct count.
 //
 // Relations are live: POST /ingest?relation=rev streams NDJSON rows (one
 // JSON string array per line) into the relation as a single batch — one
 // epoch advance — with op=delete removing rows instead. Queries in flight
 // keep the consistent version they started with; queries arriving after
 // the ingest response see the new rows, including through the shared
-// access cache (entries are keyed by data epoch). /stats reports each
-// relation's epoch, live row count and last-ingest time under "data".
+// access cache (entries are keyed by data epoch).
 //
 // A node is also a federation peer: POST /probe serves batched
 // binding-pattern probes of its relations to other toorjahd/toorjah nodes
@@ -50,9 +48,7 @@
 // node's own sources — a deployment shards its relations across machines
 // and every node answers queries over the union. GET /healthz?ready is the
 // readiness view, reporting the reachability of the attached peers within
-// -ready-timeout; /stats reports probes served (probes_served, probes) and
-// per-peer outbound telemetry (remote_peers: round trips, retries, breaker
-// opens, latency).
+// -ready-timeout.
 //
 // Every query is observable end to end: a random trace ID names it in the
 // structured query log (one slog line per query with latency, access counts
@@ -75,8 +71,9 @@
 // replays the WAL tail (truncating a torn final record rather than
 // refusing to start), and serves the same rows and epochs it had
 // acknowledged — the CSV seed in -data is read only on the very first
-// boot. /stats gains a "wal" block and /metrics the toorjah_wal_*
-// families (appends, bytes, syncs, snapshots, recovery duration).
+// boot. The startup log line accounts for the recovery, and /metrics gains
+// the toorjah_wal_* families (appends, bytes, syncs, snapshots, recovery
+// duration).
 //
 // The process drains gracefully: SIGINT/SIGTERM stop accepting connections
 // and in-flight query streams get up to 15s to finish; a durable node then
@@ -204,8 +201,10 @@ func main() {
 			fatal(err)
 		}
 		rec := wlog.Stats().Recovery
-		log.Printf("toorjahd: durable under %s (fsync=%s): recovered %d relation(s), %d record(s) replayed in %.1fms",
-			*walDir, *fsync, rec.Relations, rec.RecordsReplayed, rec.DurationMS)
+		log.Printf("toorjahd: durable under %s (fsync=%s): recovered %d relation(s), %d record(s) replayed in %.1fms "+
+			"(had_snapshot=%v truncated=%v records_skipped=%d unknown_records=%d)",
+			*walDir, *fsync, rec.Relations, rec.RecordsReplayed, rec.DurationMS,
+			rec.HadSnapshot, rec.Truncated, rec.RecordsSkipped, rec.UnknownRecords)
 	} else {
 		db, err = service.LoadDatabase(sch, *dataDir)
 		if err != nil {

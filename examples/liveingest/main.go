@@ -76,7 +76,7 @@ rev^ooi(Person, ConfName, Year)`)
 	show("after LoadCSV")
 
 	fmt.Println()
-	fmt.Println("data freshness (what toorjahd serves as /stats \"data\"):")
+	fmt.Println("data freshness (what toorjahd serves as the toorjah_relation_* gauges):")
 	for name, info := range sys.DataInfo() {
 		fmt.Printf("  %-5s epoch=%d rows=%d\n", name, info.Epoch, info.Rows)
 	}

@@ -45,9 +45,7 @@
 //
 // Use Wrap to layer the cache over any source.Wrapper (composable
 // middleware, e.g. Cached(Counted(TableSource))). Per-relation
-// hit/miss/eviction statistics are available
-// through Snapshot and, rendered as a text table via internal/stats,
-// through Summary.
+// hit/miss/eviction statistics are available through Snapshot.
 //
 // Errors are never cached: a failed probe is retried by the next access.
 // Results handed out by the cache are shared slices and must not be
@@ -56,12 +54,10 @@ package cache
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"toorjah/internal/stats"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
@@ -560,33 +556,4 @@ func (c *Cache) Totals() RelStats {
 		t.Add(st)
 	}
 	return t
-}
-
-// Summary renders the per-relation statistics as an aligned text table
-// (internal/stats), with a totals row.
-func (c *Cache) Summary() string {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for rel := range snap {
-		names = append(names, rel)
-	}
-	sort.Strings(names)
-	var tb stats.Table
-	tb.Header("relation", "hits", "misses", "hit%", "collapsed", "evictions", "expired", "entries")
-	row := func(name string, st RelStats) {
-		ratio := 0.0
-		if st.Hits+st.Misses > 0 {
-			ratio = float64(st.Hits) / float64(st.Hits+st.Misses)
-		}
-		tb.Rowf(name, st.Hits, st.Misses, stats.Pct(ratio), st.Collapsed, st.Evictions, st.Expirations, st.Entries)
-	}
-	for _, rel := range names {
-		row(rel, snap[rel])
-	}
-	var total RelStats
-	for _, st := range snap {
-		total.Add(st)
-	}
-	row("TOTAL", total)
-	return tb.String()
 }

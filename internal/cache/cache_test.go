@@ -3,7 +3,6 @@ package cache
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -320,23 +319,6 @@ func TestPanicDoesNotWedgeKey(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestSummary(t *testing.T) {
-	ctr, _ := testSource(t, "r^io(A, B)", storage.Row{"a", "1"})
-	c := New(Options{})
-	w := c.Wrap(ctr)
-	access(w, "a")
-	access(w, "a")
-	sum := c.Summary()
-	if sum == "" {
-		t.Fatal("empty summary")
-	}
-	for _, want := range []string{"relation", "r", "TOTAL", "50.00%"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("summary missing %q:\n%s", want, sum)
-		}
 	}
 }
 

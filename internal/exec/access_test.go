@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"toorjah/internal/cache"
@@ -10,13 +12,34 @@ import (
 	"toorjah/internal/source/sourcetest"
 )
 
-// metered sums what a server's source-level families hold, read back the way
-// /stats reads them.
-func metered(m *obs.ProbeMetrics) source.Stats {
+// metered sums what a server's source-level families hold, read from the
+// registry's exposition the way a scrape of /metrics reads them.
+func metered(t *testing.T, reg *obs.Registry) source.Stats {
+	t.Helper()
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
 	var st source.Stats
-	m.Each(func(_ string, accesses, roundTrips, tuples int64) {
-		st.Add(source.Stats{Accesses: int(accesses), Batches: int(roundTrips), Tuples: int(tuples)})
-	})
+	for _, line := range strings.Split(text.String(), "\n") {
+		series, val, _ := strings.Cut(line, " ")
+		var into *int
+		switch family, _, _ := strings.Cut(series, "{"); family {
+		case "toorjah_source_accesses_total":
+			into = &st.Accesses
+		case "toorjah_source_round_trips_total":
+			into = &st.Batches
+		case "toorjah_source_tuples_total":
+			into = &st.Tuples
+		default:
+			continue
+		}
+		n, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		*into += int(n)
+	}
 	return st
 }
 
@@ -44,8 +67,9 @@ func TestProbeContract(t *testing.T) {
 			reg := source.NewRegistry()
 			reg.Bind(f.Source)
 			var opts Options
+			metrics := obs.NewRegistry()
 			if shape.metrics {
-				opts.Metrics = obs.NewProbeMetrics(obs.NewRegistry())
+				opts.Metrics = obs.NewProbeMetrics(metrics)
 			}
 			if shape.cached {
 				opts.Cache = cache.New(cache.Options{})
@@ -75,7 +99,7 @@ func TestProbeContract(t *testing.T) {
 			if shape.metrics {
 				total := shape.want
 				total.Add(warmed)
-				if m := metered(opts.Metrics); m != total {
+				if m := metered(t, metrics); m != total {
 					t.Errorf("the metric families hold %+v, the executions' stats sum to %+v", m, total)
 				}
 			}

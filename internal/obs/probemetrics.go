@@ -9,9 +9,8 @@ import (
 // source — accesses, round trips and tuples, by relation — and how long and
 // how full the round trips were. They have one producer, the meter of the
 // executors' access path (internal/exec), which sits below the cross-query
-// cache, and two readers: /metrics renders them and /stats' sources block
-// reads them back through Each, so the two cannot disagree. Construct once
-// per registry with NewProbeMetrics.
+// cache, and one reader: /metrics renders them. Construct once per registry
+// with NewProbeMetrics.
 type ProbeMetrics struct {
 	accesses, roundTrips, tuples *CounterVec
 	duration, batchSize          *Histogram
@@ -83,14 +82,5 @@ func (p *RelationProbes) Record(n int, elapsed time.Duration, tuples int, delive
 		p.accesses.Add(int64(n))
 		p.roundTrips.Inc()
 		p.tuples.Add(int64(tuples))
-	}
-}
-
-// Each reads the per-relation counters back, in no particular order.
-func (m *ProbeMetrics) Each(fn func(rel string, accesses, roundTrips, tuples int64)) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for rel, p := range m.byRel {
-		fn(rel, p.accesses.Value(), p.roundTrips.Value(), p.tuples.Value())
 	}
 }

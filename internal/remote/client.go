@@ -99,33 +99,15 @@ type Telemetry struct {
 	Epoch        uint64  `json:"epoch,omitempty"`
 	EpochChanges int     `json:"epoch_changes,omitempty"`
 	// BreakerState is the relation's circuit at snapshot time: "closed",
-	// "open" or "half-open". Empty in merged aggregates unless set.
+	// "open" or "half-open".
 	BreakerState string `json:"breaker_state,omitempty"`
-}
-
-// Add accumulates another relation's counters into t; Epoch, being a
-// version rather than a counter, takes the latest non-zero value, and
-// BreakerState, being a state rather than a counter, the latest non-empty
-// one.
-func (t *Telemetry) Add(o Telemetry) {
-	t.RoundTrips += o.RoundTrips
-	t.Retries += o.Retries
-	t.BreakerOpens += o.BreakerOpens
-	t.LatencyMS += o.LatencyMS
-	t.EpochChanges += o.EpochChanges
-	if o.Epoch != 0 {
-		t.Epoch = o.Epoch
-	}
-	if o.BreakerState != "" {
-		t.BreakerState = o.BreakerState
-	}
 }
 
 // relState is the per-relation resilience state of a client. The counters
 // are atomics, not a mutex block: the epoch is read on the hot path of
 // every cached probe (Source.Epoch keys the cross-query cache), the
-// accounting is written on every round trip, and /stats and /metrics
-// snapshot them from other goroutines — lock-free loads keep the probe
+// accounting is written on every round trip, and /metrics snapshots them
+// from other goroutines — lock-free loads keep the probe
 // path allocation- and contention-free and make torn reads impossible by
 // construction.
 type relState struct {

@@ -32,7 +32,7 @@ type Handler struct {
 	resolve func(relation string) source.Wrapper
 
 	// Record, when set, observes every served probe. toorjahd feeds its
-	// /stats, /metrics and probe log from it.
+	// /metrics and probe log from it.
 	Record func(ProbeRecord)
 
 	// MaxBindings and MaxRequestBytes bound one request; zero means the

@@ -24,32 +24,17 @@ func urlQuery(base, text string) string {
 	return base + "/query?q=" + strings.ReplaceAll(strings.ReplaceAll(text, "\n", "%0A"), " ", "%20")
 }
 
-// getStats fetches and decodes /stats.
-func getStats(t *testing.T, base string) statsResponse {
-	t.Helper()
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 var hitRatioInLog = regexp.MustCompile(`cache_hit_ratio=(\S+)`)
 
 // TestOneProducerPerNumber: an access is counted once, below the cache, and
 // every view of the count is that one count. After each of a cold CQ, its
 // warm repeat, a UCQ whose disjuncts overlap and a query whose source fails
 // mid-run, on a node with a cache over audited counters: the done line says
-// what reached the audited tables; /metrics' toorjah_source_* families and
-// /stats' sources block say, per relation, exactly what the audit counters
-// say — the failed query's completed round trips included; and what the
-// query asked for beyond that (Result.Demanded, through the query log's
-// cache_hit_ratio) is what the cache says it absorbed, hits and collapsed.
+// what reached the audited tables; /metrics' toorjah_source_* families say,
+// per relation, exactly what the audit counters say — the failed query's
+// completed round trips included; and what the query asked for beyond that
+// (Result.Demanded, through the query log's cache_hit_ratio) is what the
+// cache says it absorbed, hits and collapsed.
 func TestOneProducerPerNumber(t *testing.T) {
 	sys, counters := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
 	srv := New(sys, toorjah.Options{})
@@ -68,22 +53,13 @@ func TestOneProducerPerNumber(t *testing.T) {
 		tot := sys.AccessCache().Totals()
 		return tot.Hits + tot.Collapsed
 	}
-	// agree holds the two server-side views to the audit counters, relation
-	// by relation.
+	// agree holds the server-side view to the audit counters, relation by
+	// relation.
 	agree := func(when string) {
 		t.Helper()
-		st, body := getStats(t, ts.URL), scrapeMetrics(t, ts.URL)
+		body := scrapeMetrics(t, ts.URL)
 		for rel, ctr := range counters {
 			want := ctr.Stats()
-			if want.Accesses == 0 {
-				if _, listed := st.Sources.Relations[rel]; listed {
-					t.Errorf("%s: /stats lists %s, which no probe has reached", when, rel)
-				}
-				continue
-			}
-			if got := st.Sources.Relations[rel]; got != want {
-				t.Errorf("%s: /stats sources[%s] = %+v, the audit counter %+v", when, rel, got, want)
-			}
 			for family, n := range map[string]int{
 				"toorjah_source_accesses_total":    want.Accesses,
 				"toorjah_source_round_trips_total": want.Batches,
@@ -93,9 +69,6 @@ func TestOneProducerPerNumber(t *testing.T) {
 					t.Errorf("%s: %s{%s} = %v, the audit counter %d", when, family, rel, got, n)
 				}
 			}
-		}
-		if want := audited(); st.Sources.Totals != want {
-			t.Errorf("%s: /stats sources totals = %+v, the audit counters sum to %+v", when, st.Sources.Totals, want)
 		}
 	}
 	// served runs one query that must succeed and checks its own bill.

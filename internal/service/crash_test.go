@@ -134,7 +134,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 // crashRound runs one round in a fresh data directory: storm a durable
 // child and kill it, then compare the recovered state with the twin three
 // independent ways — an in-process replay of the directory, a /query scan of
-// a restarted child, and that child's /stats data block.
+// a restarted child, and that child's /metrics relation rows and epoch.
 func crashRound(t *testing.T, fsync, failpoint string) {
 	dir := t.TempDir()
 	killAfter := 1 + rand.New(rand.NewSource(7)).Intn(crashBatches)
@@ -225,12 +225,12 @@ func crashRound(t *testing.T, fsync, failpoint string) {
 	if got := strings.Join(sortedRows(rows), ";"); got != want {
 		t.Errorf("restarted node served rows that differ from the twin's:\n got %s\nwant %s", got, want)
 	}
-	data := getStats(t, reborn.base).Data["storm"]
-	if data.Epoch != snap.Epoch() {
-		t.Errorf("restarted node serves epoch %d, twin %d", data.Epoch, snap.Epoch())
+	metrics := scrapeMetrics(t, reborn.base)
+	if got := metricValue(t, metrics, `toorjah_relation_epoch{relation="storm"}`); got != float64(snap.Epoch()) {
+		t.Errorf("restarted node serves epoch %v, twin %d", got, snap.Epoch())
 	}
-	if data.Rows != survived*crashRows {
-		t.Errorf("restarted node serves %d rows, want %d", data.Rows, survived*crashRows)
+	if got := metricValue(t, metrics, `toorjah_relation_rows{relation="storm"}`); got != float64(survived*crashRows) {
+		t.Errorf("restarted node serves %v rows, want %d", got, survived*crashRows)
 	}
 }
 

@@ -144,20 +144,16 @@ func WireWAL(sys *toorjah.System, l *wal.Log) {
 	})
 }
 
-// WithWAL surfaces a write-ahead log on the server: /stats gains the wal
-// block and /metrics the toorjah_wal_* families. The log itself is wired
-// to the system by WireWAL — this option only makes it observable.
+// WithWAL surfaces a write-ahead log on the server: /metrics gains the
+// toorjah_wal_* families. The log itself is wired to the system by WireWAL
+// — this option only makes it observable.
 func WithWAL(l *wal.Log) Option {
-	return func(s *Server) {
-		s.wal = l
-		s.registerWALCollectors()
-	}
+	return func(s *Server) { s.registerWALCollectors(l) }
 }
 
 // registerWALCollectors exposes the log's counters as scrape-time series.
-func (s *Server) registerWALCollectors() {
+func (s *Server) registerWALCollectors(l *wal.Log) {
 	m := s.metrics
-	l := s.wal
 	m.CounterFunc("toorjah_wal_appends_total",
 		"Mutation batches appended to the write-ahead log.",
 		func() float64 { return float64(l.Stats().Appends) })

@@ -131,42 +131,21 @@ func TestDurableRestartPreservesStateAndEpochs(t *testing.T) {
 		t.Errorf("epoch after post-restart ingest = %d, want %d", e, wantEpochs["pub1"]+1)
 	}
 
-	// /stats surfaces the wal block with the recovery account.
-	resp, err := http.Get(ts2.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		WAL *wal.Stats `json:"wal"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.WAL == nil {
-		t.Fatal("/stats has no wal block")
-	}
-	if stats.WAL.Recovery.RecordsReplayed != 4 {
-		t.Errorf("recovery replayed %d records, want 4", stats.WAL.Recovery.RecordsReplayed)
-	}
-	if !stats.WAL.Recovery.HadSnapshot {
-		t.Error("first boot wrote no initial snapshot")
+	// The log keeps the recovery account.
+	if rec := l2.Stats().Recovery; rec.RecordsReplayed != 4 || !rec.HadSnapshot {
+		t.Errorf("recovery replayed %d records (want 4), had snapshot %v (want the first boot's)",
+			rec.RecordsReplayed, rec.HadSnapshot)
 	}
 
 	// /metrics exposes the toorjah_wal_* families.
-	mresp, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	exposition, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exposition := scrapeMetrics(t, ts2.URL)
 	for _, fam := range []string{"toorjah_wal_appends_total", "toorjah_wal_appended_bytes_total",
 		"toorjah_wal_snapshots_total", "toorjah_wal_recovery_duration_seconds"} {
-		if !bytes.Contains(exposition, []byte(fam)) {
+		if !strings.Contains(exposition, fam) {
 			t.Errorf("/metrics missing %s", fam)
 		}
+	}
+	if got := metricValue(t, exposition, "toorjah_wal_recovery_records_replayed"); got != 4 {
+		t.Errorf("toorjah_wal_recovery_records_replayed = %v, want 4", got)
 	}
 }

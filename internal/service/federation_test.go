@@ -272,7 +272,7 @@ func TestFederationFaults(t *testing.T) {
 
 // TestServerFederationEndpoints: the server-level federation surface — a
 // front node answering /query over a peer's relations, probe accounting in
-// the peer's /stats, outbound telemetry in the front's /stats, and the
+// the peer's /metrics, outbound telemetry in the front's /metrics, and the
 // /healthz?ready readiness view tracking peer reachability.
 func TestServerFederationEndpoints(t *testing.T) {
 	sch := schema.MustParse(pubSchemaText)
@@ -306,25 +306,24 @@ func TestServerFederationEndpoints(t *testing.T) {
 		t.Fatalf("federated /query = %v %+v, want alice", answers, done)
 	}
 
-	// Front node /stats: outbound telemetry for the peer.
-	var fst statsResponse
-	getJSON(t, fsrv.URL+"/stats", &fst)
-	tel, ok := fst.RemotePeers[peerURL]
-	if !ok {
-		t.Fatalf("front /stats remote_peers = %v, want %s", fst.RemotePeers, peerURL)
-	}
-	if tel["rev"].RoundTrips == 0 || tel["rev"].LatencyMS <= 0 {
-		t.Errorf("front telemetry for rev = %+v, want round trips and latency", tel["rev"])
+	// Front node /metrics: outbound telemetry for the peer.
+	fm := scrapeMetrics(t, fsrv.URL)
+	labels := `{peer="` + peerURL + `",relation="rev"}`
+	if rts, lat := metricValue(t, fm, "toorjah_remote_round_trips_total"+labels),
+		metricValue(t, fm, "toorjah_remote_latency_seconds_total"+labels); rts == 0 || lat <= 0 {
+		t.Errorf("front telemetry for rev: %v round trips, %vs latency; want both", rts, lat)
 	}
 
-	// Peer /stats: the served probes are accounted per relation.
-	var pst statsResponse
-	getJSON(t, peerURL+"/stats", &pst)
-	if pst.ProbesServed == 0 || pst.Probes == nil {
-		t.Fatalf("peer /stats probes_served=%d probes=%v, want served probes", pst.ProbesServed, pst.Probes)
+	// Peer /metrics: the served probes are accounted per relation.
+	servedProbes := func() (roundTrips, accesses, tuples float64) {
+		peer := scrapeMetrics(t, peerURL)
+		return metricValue(t, peer, `toorjah_probes_served_total{relation="rev"}`),
+			metricValue(t, peer, `toorjah_peer_probe_accesses_total{relation="rev"}`),
+			metricValue(t, peer, `toorjah_peer_probe_tuples_total{relation="rev"}`)
 	}
-	if st := pst.Probes.Relations["rev"]; st.Accesses == 0 || st.Batches == 0 || st.Batches > st.Accesses {
-		t.Errorf("peer probe accounting for rev = %+v", st)
+	probesBefore, accesses, tuples := servedProbes()
+	if probesBefore == 0 || accesses < probesBefore || tuples == 0 {
+		t.Errorf("peer probe accounting for rev: %v round trips, %v accesses, %v tuples", probesBefore, accesses, tuples)
 	}
 
 	// Readiness: healthy while the peer is up, 503 once it is gone.
@@ -346,26 +345,11 @@ func TestServerFederationEndpoints(t *testing.T) {
 
 	// queryNDJSON(fsrv) again: the front's cache absorbs the repeat — the
 	// peer's probe count must not grow.
-	probesBefore := pst.ProbesServed
 	if a2, _ := queryNDJSON(t, fsrv.URL+"/query?q="+strings.ReplaceAll(pubQuery, " ", "%20")); strings.Join(a2, ";") != "alice" {
 		t.Fatalf("warm federated query = %v", a2)
 	}
-	getJSON(t, peerURL+"/stats", &pst)
-	if pst.ProbesServed != probesBefore {
-		t.Errorf("warm query reached the peer: probes %d -> %d", probesBefore, pst.ProbesServed)
-	}
-}
-
-// getJSON fetches and decodes a JSON endpoint.
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatal(err)
+	if probes, _, _ := servedProbes(); probes != probesBefore {
+		t.Errorf("warm query reached the peer: probes %v -> %v", probesBefore, probes)
 	}
 }
 

@@ -55,7 +55,7 @@ type mixQuery struct {
 // to the naive algorithm's answers on an all-local system. A complete
 // response equals them; a truncated or limited one is a subset, a limited
 // one of exactly limit answers. Errors stay on the queries that read the
-// peer, within a 10 % budget of them. Every ingest is acked and /stats
+// peer, within a 10 % budget of them. Every ingest is acked and /metrics
 // counts every acked row, and no goroutine outlives the clients.
 func TestConcurrentMixMatchesGroundTruth(t *testing.T) {
 	ctx := context.Background()
@@ -166,8 +166,8 @@ func TestConcurrentMixMatchesGroundTruth(t *testing.T) {
 	if acked.Load() == 0 {
 		t.Error("no ingest batch ran")
 	}
-	if got, want := getStats(t, front.URL).Data["storm"].Rows, int(acked.Load())*mixRows; got != want {
-		t.Errorf("/stats counts %d storm rows, %d acked batches hold %d", got, acked.Load(), want)
+	if got, want := metricValue(t, scrapeMetrics(t, front.URL), `toorjah_relation_rows{relation="storm"}`), acked.Load()*mixRows; got != float64(want) {
+		t.Errorf("/metrics counts %v storm rows, %d acked batches hold %d", got, acked.Load(), want)
 	}
 
 	// Idle keep-alive connections hold goroutines: the clients' to the front

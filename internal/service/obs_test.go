@@ -10,11 +10,9 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,9 +156,10 @@ func checkExposition(t *testing.T, body string) {
 }
 
 // TestMetricsEndpoint is the scrape golden test: after two identical
-// queries (the second fully absorbed by the cross-query cache) and one
-// ingest batch, /metrics must render every required family with HELP/TYPE,
-// monotone histogram buckets, and values matching what the service did.
+// queries (the second fully absorbed by the cross-query cache), one ingest
+// batch and one probe served to a peer, /metrics must render every required
+// family with HELP/TYPE and its label names, monotone histogram buckets, and
+// values matching what the service did.
 func TestMetricsEndpoint(t *testing.T) {
 	// Mutable tables via BindDatabase so /ingest works against the fixture.
 	sch := schema.MustParse(pubSchemaText)
@@ -187,6 +186,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/ingest status %d", resp.StatusCode)
 	}
+	resp, err = http.Post(ts.URL+"/probe", "application/json",
+		strings.NewReader(`{"relation":"rev","bindings":[["y2008"],["y2007"]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/probe status %d", resp.StatusCode)
+	}
 
 	body := scrapeMetrics(t, ts.URL)
 	checkExposition(t, body)
@@ -204,12 +212,43 @@ func TestMetricsEndpoint(t *testing.T) {
 		"toorjah_cache_evictions_total":    "counter",
 		"toorjah_remote_round_trips_total": "counter",
 		"toorjah_remote_breaker_state":     "gauge",
-		"toorjah_ingests_served_total":     "counter",
 		"toorjah_queries_served_total":     "counter",
 		"toorjah_uptime_seconds":           "gauge",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" "+typ) {
 			t.Errorf("family %s (%s) missing from scrape", family, typ)
+		}
+	}
+	// The families labeled by what the node served: type and label names.
+	for family, want := range map[string]struct{ typ, labels string }{
+		"toorjah_probes_served_total":                 {"counter", "relation"},
+		"toorjah_peer_probe_accesses_total":           {"counter", "relation"},
+		"toorjah_peer_probe_tuples_total":             {"counter", "relation"},
+		"toorjah_ingests_served_total":                {"counter", "relation,op"},
+		"toorjah_ingest_rows_total":                   {"counter", "relation,op"},
+		"toorjah_relation_modified_timestamp_seconds": {"gauge", "relation"},
+	} {
+		if !strings.Contains(body, "# TYPE "+family+" "+want.typ+"\n") {
+			t.Errorf("family %s (%s) missing from scrape", family, want.typ)
+		}
+		series := 0
+		for _, line := range strings.Split(body, "\n") {
+			name, labels, _ := strings.Cut(strings.SplitN(line, " ", 2)[0], "{")
+			if name != family {
+				continue
+			}
+			series++
+			var names []string
+			for _, pair := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+				k, _, _ := strings.Cut(pair, "=")
+				names = append(names, k)
+			}
+			if got := strings.Join(names, ","); got != want.labels {
+				t.Errorf("%q is labeled by %q, want %q", line, got, want.labels)
+			}
+		}
+		if series == 0 {
+			t.Errorf("family %s has no series", family)
 		}
 	}
 
@@ -226,14 +265,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, body, `toorjah_cache_hits_total{relation="rev"}`); got == 0 {
 		t.Error("repeat query recorded no cache hits for rev")
 	}
-	if got := metricValue(t, body, "toorjah_ingests_served_total"); got != 1 {
-		t.Errorf("ingests_served_total = %v, want 1", got)
-	}
-	if got := metricValue(t, body, `toorjah_ingest_rows_total{relation="pub1",op="insert"}`); got != 1 {
-		t.Errorf("ingest_rows_total = %v, want 1", got)
+	for series, want := range map[string]float64{
+		`toorjah_ingests_served_total{relation="pub1",op="insert"}`: 1,
+		`toorjah_ingest_rows_total{relation="pub1",op="insert"}`:    1,
+		// One round trip of two bindings, answered by alice's review alone.
+		`toorjah_probes_served_total{relation="rev"}`:       1,
+		`toorjah_peer_probe_accesses_total{relation="rev"}`: 2,
+		`toorjah_peer_probe_tuples_total{relation="rev"}`:   1,
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 	if got := metricValue(t, body, `toorjah_relation_epoch{relation="pub1"}`); got == 0 {
 		t.Error("pub1 epoch did not advance on /metrics after ingest")
+	}
+	if got := metricValue(t, body, `toorjah_relation_modified_timestamp_seconds{relation="pub1"}`); got <= 0 {
+		t.Errorf("pub1 modified at %v, want the ingest's time", got)
 	}
 }
 
@@ -530,9 +578,9 @@ func TestReadyTimeoutBoundsSlowPeer(t *testing.T) {
 
 // TestScrapeOfFullCacheEqualsSnapshot: on a node whose cache is full (65536
 // entries, most of them of a relation no query touches) /metrics' cache
-// families and /stats' cache block say exactly what Cache.Snapshot says —
-// names, help texts, label sets and JSON shape pinned here — which they read
-// from counts the cache maintains, not by walking its entries.
+// families say exactly what Cache.Snapshot says — names, help texts and
+// label sets pinned here — which they read from counts the cache maintains,
+// not by walking its entries.
 func TestScrapeOfFullCacheEqualsSnapshot(t *testing.T) {
 	sys, _ := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
 	ts := httptest.NewServer(New(sys, toorjah.Options{}).Handler())
@@ -584,40 +632,4 @@ func TestScrapeOfFullCacheEqualsSnapshot(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Cache map[string]json.RawMessage `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		entries   int64
-		totals    toorjah.CacheStats
-		relations map[string]map[string]int64
-		want      toorjah.CacheStats
-	)
-	for field, into := range map[string]any{"entries": &entries, "totals": &totals, "relations": &relations} {
-		if err := json.Unmarshal(stats.Cache[field], into); err != nil {
-			t.Fatalf("/stats cache.%s: %v", field, err)
-		}
-	}
-	if len(stats.Cache) != 3 || len(relations) != len(snap) {
-		t.Errorf("/stats cache block has fields %v and %d relations, want entries/totals/relations and %d", stats.Cache, len(relations), len(snap))
-	}
-	for rel, st := range snap {
-		want.Add(st)
-		got := map[string]int64{"hits": st.Hits, "misses": st.Misses, "collapsed": st.Collapsed,
-			"evictions": st.Evictions, "expirations": st.Expirations, "entries": st.Entries}
-		if !reflect.DeepEqual(relations[rel], got) {
-			t.Errorf("/stats cache.relations.%s = %v, Snapshot says %v", rel, relations[rel], got)
-		}
-	}
-	if totals != want || entries != want.Entries {
-		t.Errorf("/stats cache: entries %d, totals %+v; Snapshot sums to %+v", entries, totals, want)
-	}
 }

@@ -1,7 +1,7 @@
 // Package service is the toorjahd HTTP service behind cmd/toorjahd,
 // importable so tools can run real in-process nodes: the full route table
-// (/query streaming NDJSON, /ingest, /probe federation serving, /stats,
-// /schema, /healthz, /metrics) over one toorjah.System, whose plan cache
+// (/query streaming NDJSON, /ingest, /probe federation serving, /schema,
+// /healthz, /metrics) over one toorjah.System, whose plan cache
 // (one plan per query shape) and cross-query access cache every request
 // shares.
 // The repo benchmark and this package's own tests use it to stand up live
@@ -30,7 +30,6 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
-	"toorjah/internal/wal"
 )
 
 // maxQueryBytes bounds the /query request body; longer bodies are rejected
@@ -64,23 +63,20 @@ type Server struct {
 	srcMu      sync.Mutex
 	peerProbes map[string]toorjah.SourceStats // per-relation accounting of probes served to peers
 
-	probeH       *remote.Handler
-	probesServed atomic.Int64
+	probeH *remote.Handler
 
-	// Ingestion state: the body cap and the per-relation accounting of
-	// applied mutations behind /stats' data block.
+	// Ingestion state: the body cap and the accounting of applied
+	// mutations, per relation and op.
 	maxIngestBytes int64
-	ingestsServed  atomic.Int64
 	ingMu          sync.Mutex
-	ingests        map[string]*ingestStats
+	ingests        map[ingestKey]ingestStats
 
 	// Observability: the registry behind GET /metrics (counters and gauges
 	// the service already accumulates become scrape-time collectors; the
 	// histograms below are fed directly; the source-level families travel
-	// to every execution in exec.Metrics, and /stats' sources block reads
-	// them back), the end-to-end latency histograms per executor, the
-	// structured query log (nil = silent), and the peer reachability timeout
-	// of /healthz?ready.
+	// to every execution in exec.Metrics), the end-to-end latency histograms
+	// per executor, the structured query log (nil = silent), and the peer
+	// reachability timeout of /healthz?ready.
 	metrics       *obs.Registry
 	queryDuration *obs.HistogramVec
 	queryFirst    *obs.HistogramVec
@@ -88,18 +84,15 @@ type Server struct {
 	writeErrs     *obs.Counter
 	queryLog      *obs.QueryLog
 	readyTimeout  time.Duration
-
-	// wal, when set (WithWAL), surfaces write-ahead-log counters on
-	// /stats and /metrics.
-	wal *wal.Log
 }
 
-// ingestStats accumulates one relation's served ingestion.
+// ingestKey names one relation and op of the ingestion accounting.
+type ingestKey struct{ relation, op string }
+
+// ingestStats accumulates what /ingest applied under one ingestKey.
 type ingestStats struct {
-	Ingests  int64     `json:"ingests"`  // /ingest requests applied
-	Inserted int64     `json:"inserted"` // rows added
-	Deleted  int64     `json:"deleted"`  // rows removed
-	LastAt   time.Time `json:"-"`        // wall clock of the last request
+	batches int64 // /ingest requests applied
+	rows    int64 // rows that changed the relation
 }
 
 // Option configures a Server at construction.
@@ -141,7 +134,7 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 		start:          time.Now(),
 		peerProbes:     make(map[string]toorjah.SourceStats),
 		maxIngestBytes: DefaultMaxIngestBytes,
-		ingests:        make(map[string]*ingestStats),
+		ingests:        make(map[ingestKey]ingestStats),
 		readyTimeout:   DefaultReadyTimeout,
 	}
 	s.metrics = obs.NewRegistry()
@@ -165,8 +158,8 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 }
 
 // registerCollectors turns every point-in-time statistic the service (and
-// its system) already keeps into scrape-time series on /metrics: nothing is
-// double-counted, a scrape renders the same accumulators /stats reports.
+// its system) already keeps into scrape-time series on /metrics, the node's
+// one read-out: nothing is counted twice.
 func (s *Server) registerCollectors() {
 	m := s.metrics
 	m.GaugeFunc("toorjah_uptime_seconds",
@@ -178,12 +171,39 @@ func (s *Server) registerCollectors() {
 	m.CounterFunc("toorjah_ucqs_served_total",
 		"Served queries that were unions of conjunctive queries.",
 		func() float64 { return float64(s.ucqServed.Load()) })
-	m.CounterFunc("toorjah_probes_served_total",
-		"POST /probe round trips answered for federated peers.",
-		func() float64 { return float64(s.probesServed.Load()) })
-	m.CounterFunc("toorjah_ingests_served_total",
-		"POST /ingest batches applied.",
-		func() float64 { return float64(s.ingestsServed.Load()) })
+	peerProbeCounter := func(name, help string, field func(toorjah.SourceStats) int) {
+		m.CounterVecFunc(name, help, []string{"relation"}, func(emit func([]string, float64)) {
+			s.srcMu.Lock()
+			defer s.srcMu.Unlock()
+			for rel, st := range s.peerProbes {
+				emit([]string{rel}, float64(field(st)))
+			}
+		})
+	}
+	peerProbeCounter("toorjah_probes_served_total",
+		"POST /probe round trips answered for federated peers, by relation.",
+		func(st toorjah.SourceStats) int { return st.Batches })
+	peerProbeCounter("toorjah_peer_probe_accesses_total",
+		"Bindings probed by POST /probe for federated peers, by relation.",
+		func(st toorjah.SourceStats) int { return st.Accesses })
+	peerProbeCounter("toorjah_peer_probe_tuples_total",
+		"Tuples streamed by POST /probe to federated peers, by relation.",
+		func(st toorjah.SourceStats) int { return st.Tuples })
+	ingestCounter := func(name, help string, field func(ingestStats) int64) {
+		m.CounterVecFunc(name, help, []string{"relation", "op"}, func(emit func([]string, float64)) {
+			s.ingMu.Lock()
+			defer s.ingMu.Unlock()
+			for k, st := range s.ingests {
+				emit([]string{k.relation, k.op}, float64(field(st)))
+			}
+		})
+	}
+	ingestCounter("toorjah_ingests_served_total",
+		"POST /ingest batches applied, by relation and op.",
+		func(st ingestStats) int64 { return st.batches })
+	ingestCounter("toorjah_ingest_rows_total",
+		"Rows applied by POST /ingest, by relation and op.",
+		func(st ingestStats) int64 { return st.rows })
 	m.GaugeFunc("toorjah_prepared_plans",
 		"Query shapes whose plan the system currently holds.",
 		func() float64 { return float64(s.sys.PlanCacheStats().Shapes) })
@@ -196,16 +216,6 @@ func (s *Server) registerCollectors() {
 	m.CounterFunc("toorjah_plan_cache_evictions_total",
 		"Planned query shapes dropped at the plan cache's bound.",
 		func() float64 { return float64(s.sys.PlanCacheStats().Evictions) })
-	m.CounterVecFunc("toorjah_ingest_rows_total",
-		"Rows applied by POST /ingest, by relation and op.",
-		[]string{"relation", "op"}, func(emit func([]string, float64)) {
-			s.ingMu.Lock()
-			defer s.ingMu.Unlock()
-			for rel, st := range s.ingests {
-				emit([]string{rel, "insert"}, float64(st.Inserted))
-				emit([]string{rel, "delete"}, float64(st.Deleted))
-			}
-		})
 
 	if c := s.sys.AccessCache(); c != nil {
 		cacheCounter := func(name, help string, field func(toorjah.CacheStats) float64) {
@@ -298,6 +308,15 @@ func (s *Server) registerCollectors() {
 				}
 			}
 		})
+	m.GaugeVecFunc("toorjah_relation_modified_timestamp_seconds",
+		"Unix time a local relation's data last changed (the boot-time load counts).",
+		[]string{"relation"}, func(emit func([]string, float64)) {
+			for rel, info := range s.sys.DataInfo() {
+				if !info.ModifiedAt.IsZero() {
+					emit([]string{rel}, float64(info.ModifiedAt.UnixNano())/1e9)
+				}
+			}
+		})
 }
 
 // breakerStateValue maps a breaker state name onto the gauge scale.
@@ -318,7 +337,6 @@ func breakerStateValue(state string) float64 {
 // histogram, and — carrying the calling query's trace ID — the query log,
 // so a federated trace stitches across nodes in the logs.
 func (s *Server) recordProbe(p remote.ProbeRecord) {
-	s.probesServed.Add(1)
 	s.peerProbeDur.Observe(p.Elapsed.Seconds())
 	s.queryLog.Probe(p.TraceID, p.Relation, p.Accesses, p.Tuples, p.Elapsed)
 	s.srcMu.Lock()
@@ -328,26 +346,12 @@ func (s *Server) recordProbe(p remote.ProbeRecord) {
 	s.peerProbes[p.Relation] = cur
 }
 
-// probeSnapshot copies the served-probe accounting.
-func (s *Server) probeSnapshot() (map[string]toorjah.SourceStats, toorjah.SourceStats) {
-	s.srcMu.Lock()
-	defer s.srcMu.Unlock()
-	out := make(map[string]toorjah.SourceStats, len(s.peerProbes))
-	var totals toorjah.SourceStats
-	for rel, st := range s.peerProbes {
-		out[rel] = st
-		totals.Add(st)
-	}
-	return out, totals
-}
-
 // handler returns the service's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.Handle("/probe", s.probeH)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/schema", s.handleSchema)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", s.metrics.Handler())
@@ -721,7 +725,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.ingestsServed.Add(1)
 	s.recordIngest(rel, op, applied)
 
 	w.Header().Set("Content-Type", "application/json")
@@ -774,162 +777,13 @@ func decodeIngestRows(body []byte, readErr error, arity int) ([]toorjah.Row, err
 
 // recordIngest folds one applied /ingest into the per-relation accounting.
 func (s *Server) recordIngest(rel, op string, applied int) {
+	k := ingestKey{rel, op}
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
-	st := s.ingests[rel]
-	if st == nil {
-		st = &ingestStats{}
-		s.ingests[rel] = st
-	}
-	st.Ingests++
-	if op == "insert" {
-		st.Inserted += int64(applied)
-	} else {
-		st.Deleted += int64(applied)
-	}
-	st.LastAt = time.Now()
-}
-
-// statsResponse is the payload of /stats.
-type statsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	QueriesServed int64   `json:"queries_served"`
-	// UCQsServed counts the served queries that were unions of CQs (already
-	// included in QueriesServed).
-	UCQsServed    int64             `json:"ucqs_served"`
-	PreparedPlans int               `json:"prepared_plans"`
-	Sources       *sourceStatsBlock `json:"sources"`
-	Cache         *cacheStatsBlock  `json:"cache"`
-	// ProbesServed counts the /probe round trips this node answered for
-	// federated peers; Probes breaks them down per relation (accesses =
-	// bindings probed, batches = round trips, tuples streamed).
-	ProbesServed int64             `json:"probes_served"`
-	Probes       *sourceStatsBlock `json:"probes,omitempty"`
-	// RemotePeers is the outbound federation telemetry: for every attached
-	// peer, per sourced relation, the HTTP round trips, retries, circuit
-	// breaker opens, cumulative probe latency, and last observed data epoch
-	// (epoch_changes counts stale-snapshot detections) this node spent on
-	// or learned from it.
-	RemotePeers map[string]map[string]toorjah.RemoteTelemetry `json:"remote_peers,omitempty"`
-	// IngestsServed counts the applied POST /ingest requests; Data is the
-	// per-relation freshness view (current epoch, live rows, when the data
-	// last changed, and what ingestion it has absorbed).
-	IngestsServed int64                   `json:"ingests_served"`
-	Data          map[string]dataRelStats `json:"data,omitempty"`
-	// WAL is the write-ahead-log accounting (appends, bytes, syncs,
-	// segment rotation/archival, snapshots, and what startup recovery
-	// reassembled); present only when the server runs durable.
-	WAL *wal.Stats `json:"wal,omitempty"`
-}
-
-// dataRelStats is one relation's freshness entry in /stats.
-type dataRelStats struct {
-	// Epoch is the relation's current data version (advances once per
-	// mutating batch; 0 = unversioned source).
-	Epoch uint64 `json:"epoch"`
-	// Rows is the live row count, -1 when the source is not a local table.
-	Rows int `json:"rows"`
-	// Local reports whether the relation is served from a local table.
-	Local bool `json:"local"`
-	// LastModified is when the relation's data last changed (RFC 3339) —
-	// the boot-time CSV load counts; absent only for an empty untouched
-	// table or a non-local source. LastIngest isolates HTTP ingestion.
-	LastModified string `json:"last_modified,omitempty"`
-	// LastIngest is when /ingest last touched the relation (absent when it
-	// never did); Ingests/Inserted/Deleted break down what was applied.
-	LastIngest string `json:"last_ingest,omitempty"`
-	Ingests    int64  `json:"ingests,omitempty"`
-	Inserted   int64  `json:"inserted,omitempty"`
-	Deleted    int64  `json:"deleted,omitempty"`
-}
-
-// sourceStatsBlock aggregates per-relation source accounting — over every
-// query the service has executed, failed ones included (sources), or every
-// probe it served to peers (probes): accesses (the paper's cost metric),
-// batches (actual round trips — accesses/batches is the mean batch size
-// bought by -max-batch), and extracted tuples.
-type sourceStatsBlock struct {
-	Totals    toorjah.SourceStats            `json:"totals"`
-	Relations map[string]toorjah.SourceStats `json:"relations"`
-}
-
-type cacheStatsBlock struct {
-	Entries   int                           `json:"entries"`
-	Totals    toorjah.CacheStats            `json:"totals"`
-	Relations map[string]toorjah.CacheStats `json:"relations"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueriesServed: s.served.Load(),
-		UCQsServed:    s.ucqServed.Load(),
-		PreparedPlans: s.sys.PlanCacheStats().Shapes,
-	}
-	// The sources block is the toorjah_source_* counters of /metrics, read
-	// back: one producer (the executors' meter), so the two views agree. As
-	// in Result.Stats, a relation no probe has reached is absent.
-	sources := &sourceStatsBlock{Relations: make(map[string]toorjah.SourceStats)}
-	s.exec.Metrics.Each(func(rel string, accesses, roundTrips, tuples int64) {
-		if accesses == 0 {
-			return
-		}
-		st := toorjah.SourceStats{Accesses: int(accesses), Batches: int(roundTrips), Tuples: int(tuples)}
-		sources.Relations[rel] = st
-		sources.Totals.Add(st)
-	})
-	if len(sources.Relations) > 0 {
-		resp.Sources = sources
-	}
-	resp.ProbesServed = s.probesServed.Load()
-	if rels, totals := s.probeSnapshot(); len(rels) > 0 {
-		resp.Probes = &sourceStatsBlock{Totals: totals, Relations: rels}
-	}
-	if peers := s.sys.RemotePeers(); len(peers) > 0 {
-		resp.RemotePeers = make(map[string]map[string]toorjah.RemoteTelemetry, len(peers))
-		for _, p := range peers {
-			resp.RemotePeers[p.Base()] = p.Telemetry()
-		}
-	}
-	resp.IngestsServed = s.ingestsServed.Load()
-	if info := s.sys.DataInfo(); len(info) > 0 {
-		resp.Data = make(map[string]dataRelStats, len(info))
-		s.ingMu.Lock()
-		for name, ri := range info {
-			d := dataRelStats{Epoch: ri.Epoch, Rows: ri.Rows, Local: ri.Local}
-			if !ri.ModifiedAt.IsZero() {
-				d.LastModified = ri.ModifiedAt.UTC().Format(time.RFC3339)
-			}
-			if ist := s.ingests[name]; ist != nil {
-				d.Ingests, d.Inserted, d.Deleted = ist.Ingests, ist.Inserted, ist.Deleted
-				d.LastIngest = ist.LastAt.UTC().Format(time.RFC3339)
-			}
-			resp.Data[name] = d
-		}
-		s.ingMu.Unlock()
-	}
-	if s.wal != nil {
-		st := s.wal.Stats()
-		resp.WAL = &st
-	}
-	if c := s.sys.AccessCache(); c != nil {
-		// One snapshot pass; totals and entry count derive from it rather
-		// than re-walking (and re-locking) every cache shard.
-		snap := c.Snapshot()
-		var totals toorjah.CacheStats
-		for _, st := range snap {
-			totals.Add(st)
-		}
-		resp.Cache = &cacheStatsBlock{
-			Entries:   int(totals.Entries),
-			Totals:    totals,
-			Relations: snap,
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	s.encode(enc, resp)
+	st := s.ingests[k]
+	st.batches++
+	st.rows += int64(applied)
+	s.ingests[k] = st
 }
 
 // handleSchema serves the schema in the paper's notation — the federation

@@ -193,38 +193,34 @@ func TestServerConcurrentQueriesShareCache(t *testing.T) {
 		t.Errorf("warm request grew underlying probes %d -> %d", underlying, after)
 	}
 
-	// /stats reflects the shared cache and the warm plan.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics reflects the shared cache and the warm plan, and the
+	// toorjah_source_* families accumulate per-relation accounting across
+	// queries: the cold runs probed every relation, round trips never exceed
+	// accesses, and the accesses are what the counters saw.
+	body := scrapeMetrics(t, ts.URL)
+	hits, accesses := 0.0, 0.0
+	for rel, ctr := range counters {
+		hits += metricValue(t, body, `toorjah_cache_hits_total{relation="`+rel+`"}`)
+		a := metricValue(t, body, `toorjah_source_accesses_total{relation="`+rel+`"}`)
+		if b := metricValue(t, body, `toorjah_source_round_trips_total{relation="`+rel+`"}`); b == 0 || b > a {
+			t.Errorf("%s: %v round trips for %v accesses", rel, b, a)
+		}
+		if a != float64(ctr.Stats().Accesses) {
+			t.Errorf("%s: toorjah_source_accesses_total = %v, its counter saw %d", rel, a, ctr.Stats().Accesses)
+		}
+		accesses += a
 	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if hits == 0 {
+		t.Error("toorjah_cache_hits_total is 0 after a warm query")
 	}
-	resp.Body.Close()
-	if st.Cache == nil || st.Cache.Totals.Hits == 0 {
-		t.Errorf("stats cache block = %+v, want hits > 0", st.Cache)
+	if accesses != float64(underlying) {
+		t.Errorf("toorjah_source_accesses_total sums to %v, counters saw %d", accesses, underlying)
 	}
-	// The sources block accumulates per-relation accounting across queries:
-	// the cold runs probed the sources, so accesses and round trips are
-	// positive, round trips never exceed accesses, and every probed relation
-	// appears.
-	if st.Sources == nil || st.Sources.Totals.Accesses == 0 {
-		t.Fatalf("stats sources block = %+v, want accumulated accesses", st.Sources)
+	if got := metricValue(t, body, "toorjah_prepared_plans"); got != 1 {
+		t.Errorf("prepared plans = %v, want 1", got)
 	}
-	if b, a := st.Sources.Totals.Batches, st.Sources.Totals.Accesses; b == 0 || b > a {
-		t.Errorf("sources totals: %d round trips for %d accesses", b, a)
-	}
-	if st.Sources.Totals.Accesses != underlying {
-		t.Errorf("sources totals = %d accesses, counters saw %d",
-			st.Sources.Totals.Accesses, underlying)
-	}
-	if st.PreparedPlans != 1 {
-		t.Errorf("prepared plans = %d, want 1", st.PreparedPlans)
-	}
-	if st.QueriesServed != G+1 {
-		t.Errorf("queries served = %d, want %d", st.QueriesServed, G+1)
+	if got := metricValue(t, body, "toorjah_queries_served_total"); got != G+1 {
+		t.Errorf("queries served = %v, want %d", got, G+1)
 	}
 }
 
@@ -288,6 +284,16 @@ func TestServerEndpoints(t *testing.T) {
 	if strings.TrimSpace(string(body)) != "ok" {
 		t.Errorf("/healthz = %q", body)
 	}
+
+	// /metrics is the node's one read-out.
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats: status %d, want 404", resp.StatusCode)
+	}
 }
 
 // pubUCQ unions two overlapping disjuncts: both derive alice through
@@ -296,7 +302,7 @@ const pubUCQ = "q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)\nq(R) :- pub1(P,
 
 // TestServerUCQStream: a multi-line query streams as a UCQ — deduplicated
 // NDJSON answers, a summary carrying merged accesses/batches/tuples and the
-// disjunct count — and /stats counts the union.
+// disjunct count — and /metrics counts the union.
 func TestServerUCQStream(t *testing.T) {
 	sys, counters := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
 	srv := New(sys, toorjah.Options{Parallelism: 4})
@@ -355,21 +361,13 @@ func TestServerUCQStream(t *testing.T) {
 		t.Errorf("summary reports %d accesses, tables saw %d", done.Accesses, under)
 	}
 
-	// /stats counts the union among the served queries.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics counts the union among the served queries.
+	body := scrapeMetrics(t, ts.URL)
+	if served, ucqs := metricValue(t, body, "toorjah_queries_served_total"), metricValue(t, body, "toorjah_ucqs_served_total"); served != 1 || ucqs != 1 {
+		t.Errorf("served=%v ucqs=%v, want 1 and 1", served, ucqs)
 	}
-	var st statsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if st.QueriesServed != 1 || st.UCQsServed != 1 {
-		t.Errorf("stats served=%d ucqs=%d, want 1 and 1", st.QueriesServed, st.UCQsServed)
-	}
-	if st.PreparedPlans != 2 {
-		t.Errorf("prepared plans = %d, want 2 (one per shape: the union's disjuncts have two)", st.PreparedPlans)
+	if got := metricValue(t, body, "toorjah_prepared_plans"); got != 2 {
+		t.Errorf("prepared plans = %v, want 2 (one per shape: the union's disjuncts have two)", got)
 	}
 
 	// A warm repeat of the same UCQ is served from the shared cache.
@@ -433,7 +431,7 @@ func TestServerLimit(t *testing.T) {
 }
 
 // TestPlansAreCachedPerShape: the service keeps no plan cache of its own —
-// /stats and /metrics report the system's, which holds one plan per query
+// /metrics reports the system's, which holds one plan per query
 // shape however many constants and texts arrive, shared between CQs and the
 // disjuncts of unions.
 func TestPlansAreCachedPerShape(t *testing.T) {
@@ -462,18 +460,6 @@ func TestPlansAreCachedPerShape(t *testing.T) {
 	// A union whose first disjunct is the shape above and whose second is new.
 	query("q(P) :- conf(P, edbt, Y)\nq(P) :- pub1(P, alice)")
 
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.PreparedPlans != 3 {
-		t.Errorf("prepared plans = %d, want 3 shapes", st.PreparedPlans)
-	}
 	if got := sys.PlanCacheStats(); got.Shapes != 3 || got.Misses != 3 || got.Hits != 5 || got.Evictions != 0 {
 		t.Errorf("plan cache = %+v, want 3 shapes from 3 misses and 5 hits", got)
 	}
@@ -537,8 +523,9 @@ func TestLoadDatabase(t *testing.T) {
 }
 
 // TestServerIngest: rows POSTed to /ingest become visible to the next
-// /query through the shared cache with no rebind, /stats reports the
-// relation's epoch and last-ingest time, and malformed or oversized bodies
+// /query through the shared cache with no rebind, /metrics reports the
+// relation's epoch, rows, modification time and what was ingested into it,
+// and malformed or oversized bodies
 // are rejected without applying anything.
 func TestServerIngest(t *testing.T) {
 	// Plain table bindings (no Counter decorators): ingestion needs the
@@ -593,25 +580,34 @@ func TestServerIngest(t *testing.T) {
 	}
 
 	// Deleting the review removes carol again.
+	deleting := time.Now()
 	resp = post("/ingest?relation=rev&op=delete", "[\"carol\",\"icde\",\"y2008\"]\n")
 	resp.Body.Close()
 	if answers, _ := queryNDJSON(t, queryURL); strings.Join(answers, ";") != "alice" {
 		t.Fatalf("post-delete query = %v, want alice", answers)
 	}
 
-	// /stats: per-relation epoch, row count and ingest accounting.
-	var st statsResponse
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.IngestsServed != 4 {
-		t.Errorf("ingests_served = %d, want 4", st.IngestsServed)
+	// /metrics: per-relation epoch, row count, modification time and ingest
+	// accounting.
+	body := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		`toorjah_ingests_served_total{relation="rev",op="insert"}`:  1,
+		`toorjah_ingests_served_total{relation="rev",op="delete"}`:  1,
+		`toorjah_ingests_served_total{relation="pub1",op="insert"}`: 1,
+		`toorjah_ingests_served_total{relation="conf",op="insert"}`: 1,
+		`toorjah_ingest_rows_total{relation="rev",op="insert"}`:     1,
+		`toorjah_ingest_rows_total{relation="rev",op="delete"}`:     1,
+		`toorjah_relation_rows{relation="rev"}`:                     1,
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
-	rev, ok := st.Data["rev"]
-	if !ok {
-		t.Fatalf("stats data block missing rev: %+v", st.Data)
+	if got := metricValue(t, body, `toorjah_relation_epoch{relation="rev"}`); got < 3 {
+		t.Errorf("rev epoch = %v, want 3 or more", got)
 	}
-	if rev.Epoch < 3 || rev.Rows != 1 || !rev.Local || rev.LastIngest == "" ||
-		rev.Ingests != 2 || rev.Inserted != 1 || rev.Deleted != 1 {
-		t.Errorf("rev data stats = %+v", rev)
+	if got, want := metricValue(t, body, `toorjah_relation_modified_timestamp_seconds{relation="rev"}`), float64(deleting.UnixNano())/1e9; got < want {
+		t.Errorf("rev last modified at %v, before the delete sent at %v", got, want)
 	}
 
 	// Error paths apply nothing: wrong arity, bad JSON, unknown relation,

@@ -543,7 +543,7 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Stats is a point-in-time counter snapshot for /stats and /metrics.
+// Stats is a point-in-time counter snapshot for /metrics.
 type Stats struct {
 	Dir              string        `json:"dir"`
 	Fsync            string        `json:"fsync"`

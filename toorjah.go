@@ -154,10 +154,6 @@ func NewAccessCache(opts CacheOptions) *AccessCache { return cache.New(opts) }
 // line: "rev^ooi(Person, ConfName, Year)".
 func ParseSchema(text string) (*Schema, error) { return schema.Parse(text) }
 
-// ParseQuery parses a conjunctive query in Datalog notation:
-// "q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)".
-func ParseQuery(text string) (*CQ, error) { return cq.Parse(text) }
-
 // System binds a schema to data sources and prepares queries against them.
 // With a cache configured (WithCache / WithSharedCache), every execution —
 // whichever executor, CQ or UCQ — serves its accesses
@@ -499,16 +495,15 @@ type RelationInfo struct {
 	Rows int
 	// ModifiedAt is when the local table's data last changed — the initial
 	// load counts, so it is zero only for an empty never-touched table or
-	// when the source is not a local table. LastIngest in toorjahd's
-	// /stats separates HTTP ingestion from the boot-time load.
+	// when the source is not a local table.
 	ModifiedAt time.Time
 	// Local reports whether the relation is served from a local table.
 	Local bool
 }
 
 // DataInfo snapshots the data freshness of every bound relation: epoch,
-// live row count and last-modification time. toorjahd serves it in /stats
-// so operators can see at a glance which relations moved and when.
+// live row count and last-modification time. toorjahd serves it on
+// /metrics as the toorjah_relation_* gauges.
 func (s *System) DataInfo() map[string]RelationInfo {
 	out := make(map[string]RelationInfo)
 	for _, name := range s.reg.Names() {
