@@ -26,16 +26,17 @@ func T(vals ...string) Tuple { return sym.InternAll(vals) }
 // position subsets. Membership and every index are one sym.RefTable each,
 // hashed straight from the IDs and pointing into what the relation stores
 // anyway: no key is built, and none is kept beside the tuple it came from. A
-// relation holds fewer than 2³¹ tuples.
+// relation holds fewer than 2³¹ tuples. Lookup writes — it files the tuples
+// its index has not seen — so a relation is not safe for concurrent use.
 type Relation struct {
 	Name   string
 	Arity  int
 	tuples []Tuple
 	seen   sym.RefTable // references into tuples
 	// indexes holds one hash index per position list a Lookup has asked
-	// for, built on first use and extended on insert. A relation carries a
-	// handful at most (one per way a rule joins into it), so finding one is
-	// a scan comparing position lists.
+	// for, caught up at lookup: inserting touches none of them. A relation
+	// carries a handful at most (one per way a rule joins into it), so
+	// finding one is a scan comparing position lists.
 	indexes []*index
 	// chunk is where InsertCopy carves its copies from.
 	chunk []sym.ID
@@ -47,6 +48,8 @@ type index struct {
 	group     sym.RefTable // references into buckets
 	buckets   [][]Tuple
 	slab      []Tuple // what new buckets are carved from
+	filed     int     // the relation's tuples before this one are filed
+	asked     bool    // a Lookup asked for the index since the last Reset
 }
 
 // find returns the bucket of the tuples holding vals at the index's
@@ -95,16 +98,30 @@ func NewRelation(name string, arity int) *Relation {
 }
 
 // Reset empties the relation for reuse (under a new Name and Arity, if the
-// caller sets them). The tuple slice and the membership table keep their
-// capacity but none of their entries — no tuple stays reachable through the
-// relation — and the indexes are discarded.
+// caller sets them). The tuple slice, the membership table and the indexes a
+// Lookup asked for since the last Reset keep their capacity but none of their
+// entries — no tuple stays reachable through the relation; the other indexes
+// are discarded, so a recycled relation carries what its last use joined on.
 func (r *Relation) Reset() {
 	clear(r.tuples)
 	r.tuples = r.tuples[:0]
 	r.seen.Reset()
-	clear(r.indexes)
-	r.indexes = r.indexes[:0]
+	r.indexes = slices.DeleteFunc(r.indexes, func(ix *index) bool { return !ix.asked })
+	for _, ix := range r.indexes {
+		ix.reset()
+	}
 	r.chunk = nil // its tuples may live on in whoever was handed them
+}
+
+// reset empties the index, keeping its group table, its bucket list and a
+// slab with room for as many buckets as it held.
+func (ix *index) reset() {
+	ix.group.Reset()
+	clear(ix.slab)
+	ix.slab = slices.Grow(ix.slab[:0], 2*len(ix.buckets))
+	clear(ix.buckets)
+	ix.buckets = ix.buckets[:0]
+	ix.filed, ix.asked = 0, false
 }
 
 // holds reports membership of a tuple hashed to h.
@@ -121,9 +138,6 @@ func (r *Relation) holds(t Tuple, h uint32) bool {
 func (r *Relation) store(t Tuple, h uint32) {
 	r.seen.Add(h, int32(len(r.tuples)))
 	r.tuples = append(r.tuples, t)
-	for _, ix := range r.indexes {
-		ix.add(t)
-	}
 }
 
 func (r *Relation) checkArity(t Tuple) {
@@ -164,6 +178,19 @@ func (r *Relation) InsertCopy(t Tuple) (Tuple, bool) {
 	return own, true
 }
 
+// Grow makes room for n more tuples: the next n inserts grow neither the
+// tuple slice, the membership table nor the chunk InsertCopy carves from.
+func (r *Relation) Grow(n int) {
+	if cap(r.tuples)-len(r.tuples) < n {
+		// Not slices.Grow: built for the race detector, it allocates twice.
+		r.tuples = append(make([]Tuple, 0, len(r.tuples)+n), r.tuples...)
+	}
+	r.seen.Grow(n)
+	if cap(r.chunk)-len(r.chunk) < n*r.Arity {
+		r.chunk = make([]sym.ID, 0, n*r.Arity)
+	}
+}
+
 // Contains reports membership of a tuple.
 func (r *Relation) Contains(t Tuple) bool { return r.holds(t, sym.HashIDs(t)) }
 
@@ -175,8 +202,8 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Lookup returns the tuples whose values at the given positions equal vals.
 // With no positions it returns all tuples. The lookup is backed by a hash
-// index built on first use, and the result is the index's own bucket, not a
-// copy: callers must not modify it.
+// index — built on first use, caught up at every one — and the result is the
+// index's own bucket, not a copy: callers must not modify it.
 func (r *Relation) Lookup(positions []int, vals []sym.ID) []Tuple {
 	if len(positions) == 0 {
 		return r.tuples
@@ -188,19 +215,24 @@ func (r *Relation) Lookup(positions []int, vals []sym.ID) []Tuple {
 	return nil
 }
 
-// indexOn returns the index on the given positions, building it over the
-// current tuples when no Lookup has asked for it before.
+// indexOn returns the index on the given positions — created when no Lookup
+// has asked for it before — with every tuple of the relation filed.
 func (r *Relation) indexOn(positions []int) *index {
-	for _, ix := range r.indexes {
-		if slices.Equal(ix.positions, positions) {
-			return ix
+	var ix *index
+	for _, x := range r.indexes {
+		if slices.Equal(x.positions, positions) {
+			ix = x
+			break
 		}
 	}
-	ix := &index{positions: slices.Clone(positions)}
-	for _, t := range r.tuples {
+	if ix == nil {
+		ix = &index{positions: slices.Clone(positions)}
+		r.indexes = append(r.indexes, ix)
+	}
+	for _, t := range r.tuples[ix.filed:] {
 		ix.add(t)
 	}
-	r.indexes = append(r.indexes, ix)
+	ix.filed, ix.asked = len(r.tuples), true
 	return ix
 }
 

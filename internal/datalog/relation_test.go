@@ -2,9 +2,12 @@ package datalog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"toorjah/internal/sym"
 )
@@ -44,8 +47,8 @@ tuples:
 // an index asked for while the relation is empty and others once it is
 // full, some two thousand inserts — half of them duplicates, half through
 // InsertCopy from a buffer that is overwritten afterwards — across eight
-// doublings of the tables, then Reset and the same again under another
-// arity.
+// doublings of the tables, then inserts with lookups between them, then
+// Reset and the same again under another arity.
 func TestRelationMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRelation("r", 0)
@@ -145,6 +148,29 @@ func TestRelationMatchesMapModel(t *testing.T) {
 			}
 		}
 		check("after inserts into the indexed relation")
+		// Lookups between every few inserts, each for the key of the tuple
+		// just inserted: an index that catches up one tuple short, or files
+		// one twice, answers one of them wrong.
+		for n := 0; n < 300; n++ {
+			tuple := draw(arity)
+			if got, want := r.Insert(tuple), model.insert(tuple); got != want {
+				t.Fatalf("arity %d: Insert(%v) = %v, model %v", arity, tuple, got, want)
+			}
+			if n%3 != 0 {
+				continue
+			}
+			for _, positions := range positionLists {
+				vals := make([]sym.ID, len(positions))
+				for i, p := range positions {
+					vals[i] = tuple[p]
+				}
+				got, want := r.Lookup(positions, vals), model.lookup(positions, vals)
+				if !slices.EqualFunc(got, want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+					t.Fatalf("arity %d, interleaved: Lookup(%v, %v) = %v, model %v", arity, positions, vals, got, want)
+				}
+			}
+		}
+		check("after interleaved inserts and lookups")
 	}
 }
 
@@ -179,21 +205,98 @@ func TestRelationSequentialIDs(t *testing.T) {
 }
 
 // TestRelationResetKeepsCapacity: a recycled relation that held a thousand
-// tuples takes a thousand again without growing its membership table.
+// tuples takes a thousand again, and answers the lookups it answered before,
+// without growing its membership table or rebuilding its indexes.
 func TestRelationResetKeepsCapacity(t *testing.T) {
 	tuples := benchTuples(1000, 10)
 	r := NewRelation("r", 3)
+	first, last := []int{0}, []int{1, 2}
 	fill := func() {
 		for _, t := range tuples {
 			r.Insert(t)
 		}
+		for _, t := range tuples {
+			if len(r.Lookup(first, t[:1])) != 1 || len(r.Lookup(last, t[1:])) != 1 {
+				panic(fmt.Sprintf("lookups of %v miss it", t))
+			}
+		}
 	}
 	fill()
 	r.Reset()
-	if r.Len() != 0 || r.Contains(tuples[0]) {
-		t.Fatalf("after Reset the relation holds %d tuples, the first among them: %v", r.Len(), r.Contains(tuples[0]))
+	if found := r.Lookup(first, tuples[0][:1]); r.Len() != 0 || r.Contains(tuples[0]) || found != nil {
+		t.Fatalf("after Reset the relation holds %d tuples, the first among them: %v; a lookup finds %v", r.Len(), r.Contains(tuples[0]), found)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { r.Reset(); fill() }); allocs != 0 {
 		t.Errorf("refilling a reset relation makes %.0f allocations, want none", allocs)
+	}
+}
+
+// allocated returns the fewest bytes any of three calls of f allocates.
+func allocated(f func()) uint64 {
+	var least uint64 = math.MaxUint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestUnaskedIndexCostsInsertNothing: an index is filed at lookup, so one a
+// join asked for while the relation was empty — conf's index on P in the
+// scan, looked up once, before conf holds a tuple — costs the inserts that
+// follow nothing.
+func TestUnaskedIndexCostsInsertNothing(t *testing.T) {
+	tuples := benchTuples(10000, 64)
+	fill := func(lookup bool) uint64 {
+		return allocated(func() {
+			r := NewRelation("r", 3)
+			if lookup {
+				r.Lookup([]int{1}, tuples[0][1:2])
+			}
+			for _, t := range tuples {
+				r.Insert(t)
+			}
+		})
+	}
+	// The index's own header and position list are the slack.
+	if indexed, plain := fill(true), fill(false); indexed > plain+256 {
+		t.Errorf("10000 inserts allocate %d bytes under an index nobody looked up since, %d under none", indexed, plain)
+	}
+}
+
+// TestResetReleasesTuples: a reset relation keeps its indexes' capacity but
+// none of their entries — no tuple stays reachable through a bucket or the
+// slab buckets are carved from, so a pooled cache relation does not hold a
+// table version alive after the run that read it.
+func TestResetReleasesTuples(t *testing.T) {
+	r := NewRelation("r", 4)
+	key := []int{0}
+	freed := make(chan int, 3)
+	// Three tuples under one key: the first two sit in the slab, and the
+	// bucket then outgrows its two slots into an array of its own. Four IDs
+	// apiece keep each tuple out of the tiny allocator, which batches objects
+	// and may never run their finalizers.
+	for i := range 3 {
+		tuple := Tuple{1, sym.ID(i + 2), 0, 0}
+		runtime.SetFinalizer(&tuple[0], func(*sym.ID) { freed <- i })
+		r.Insert(tuple)
+	}
+	if n := len(r.Lookup(key, []sym.ID{1})); n != 3 {
+		t.Fatalf("Lookup finds %d tuples, want 3", n)
+	}
+	r.Reset()
+	for range 3 {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a tuple stays reachable through the reset relation's index")
+		}
+	}
+	if r.Lookup(key, []sym.ID{1}) != nil { // and keeps the relation alive until here
+		t.Error("the reset relation still finds a tuple")
 	}
 }

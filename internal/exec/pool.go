@@ -15,14 +15,14 @@ import (
 // borrows one from scratchPool and releases it on the way out, so a
 // prepared query executed again and again stops paying for table growth,
 // slice growth and rehashing: the second run finds the access queues and
-// their meta-caches, the binding arena and the enumerator pools of the first
-// already as large as the query needs. Clearing a table or truncating a
-// slice keeps its capacity, which is the entire point.
+// their meta-caches, the binding arena, the enumerator pools and the cache
+// relations' indexes of the first already as large as the query needs.
+// Clearing a table or truncating a slice keeps its capacity, the point.
 //
 // Nothing reachable from a returned Result may live here. Answers are
 // tuples the final (or incremental) join allocates itself; the cache
-// relations, whose tuples are the sources' shared immutable rows, are
-// dropped with the run.
+// relations, whose tuples are the sources' shared immutable rows, let go of
+// every row with the run.
 type scratch struct {
 	// rels and enums are handed out front to back — the first relsOut
 	// (enumsOut) are in use by the current run — and recycled whole.

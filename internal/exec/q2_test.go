@@ -26,12 +26,12 @@ const q2Accesses = 42845
 
 // TestFastFailQ2AllocBudget pins the flat access path: a warm fast-fail
 // execution of q2 allocates per pass and per extracted tuple, never per
-// access and never per round trip. It measures 240 allocations for 42845
-// accesses in 2680 round trips; the budget is that plus 10%, so one
-// allocation per round trip — a result slice the source makes instead of
-// filling the caller's — already fails here, as does a per-binding copy, a
-// key string or map growth creeping back, rather than in a benchmark nobody
-// reads.
+// access and never per round trip. It measures 153 allocations for 42845
+// accesses in 2680 round trips; the budget is 180, so one allocation per
+// round trip — a result slice the source makes instead of filling the
+// caller's — already fails here, as does a per-binding copy, a key string,
+// map growth or cache indexes rebuilt from nothing creeping back, rather than
+// in a benchmark nobody reads.
 func TestFastFailQ2AllocBudget(t *testing.T) {
 	f := q2Fixture(t)
 	run := func() {
@@ -48,7 +48,7 @@ func TestFastFailQ2AllocBudget(t *testing.T) {
 	// quarter of what is put back, and a run that finds the scratch gone
 	// rebuilds it (some 230 allocations). What the budget guards against
 	// shows in every run.
-	const budget = 264
+	const budget = 180
 	allocs := testing.AllocsPerRun(1, run)
 	for i := 1; i < 8; i++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, run))
@@ -116,13 +116,13 @@ func TestPipelinedQ2(t *testing.T) {
 // trips of a source that cannot block: on its coordinator, as fast-fail does,
 // so a warm q2 over plain tables allocates per pass and per extracted tuple —
 // no goroutine, closure or channel hand-off for each of its 2680 round trips
-// (5642 allocations when it started one per round trip). It measures 282; the
-// budget is 400, the best of eight runs, as for fast-fail.
+// (5642 allocations when it started one per round trip). It measures 148; the
+// budget is 180, the best of eight runs, as for fast-fail.
 func TestPipelinedQ2AllocBudget(t *testing.T) {
 	f := q2Fixture(t)
 	run := func() { runPipelinedQ2(t, f) }
 	run() // warm: build the storage indexes, size the scratch
-	const budget = 400
+	const budget = 180
 	allocs := testing.AllocsPerRun(1, run)
 	for i := 1; i < 8; i++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, run))

@@ -121,6 +121,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		ctx = context.Background()
 	}
 	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers)
+	k.sizeFrom(p.LastAnswers)
 	paths, err := openAccess(reg, p.Relations, opts)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"toorjah/internal/datalog"
@@ -29,6 +30,23 @@ type sink struct {
 	start     time.Time       // of the execution
 	first     time.Duration   // when the first answer was emitted; 0 for none
 	withheld  bool            // a fresh answer arrived beyond the limit
+	sizedBy   *atomic.Int64   // the plan's answer count, recorded by finish; nil: none
+}
+
+// maxAnswerHint caps the answers a run sizes its answer relation for, so one
+// big run does not make every later run of its shape allocate as much.
+const maxAnswerHint = 1024
+
+// sizeFrom sizes the answer relation for the answers the plan's last
+// execution found, up to the limit and maxAnswerHint, and has finish record
+// this one's for the next.
+func (k *sink) sizeFrom(last *atomic.Int64) {
+	n := min(int(last.Load()), maxAnswerHint)
+	if k.limit > 0 {
+		n = min(n, k.limit)
+	}
+	k.answers.Grow(n)
+	k.sizedBy = last
 }
 
 // newSink starts an execution's clock and opens its empty answer relation.
@@ -96,6 +114,9 @@ func (k *sink) evaluate(query *datalog.Compiled, m *datalog.Machine, db datalog.
 // builds the execution's Result — the one place a Result is made.
 func (k *sink) finish(stats map[string]source.Stats, demanded int, truncated, earlyEmpty bool) *Result {
 	k.deliver(true)
+	if k.sizedBy != nil {
+		k.sizedBy.Store(int64(k.answers.Len()))
+	}
 	return &Result{
 		Answers:     k.answers,
 		Stats:       stats,

@@ -40,6 +40,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
@@ -139,6 +140,9 @@ type Plan struct {
 	// possible; by Section IV this is exactly the condition under which a
 	// ∀-minimal plan exists (and then this plan is it).
 	UniqueOrdering bool
+	// LastAnswers counts the answers of the plan's latest execution — the one
+	// field executions write — for the next to size its own. Bind shares it.
+	LastAnswers *atomic.Int64
 }
 
 // CacheBySource returns the cache of the given source, or nil.
@@ -226,6 +230,7 @@ func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 		Program:        &datalog.Program{},
 		Groups:         groups,
 		UniqueOrdering: unique,
+		LastAnswers:    new(atomic.Int64),
 	}
 	// The artificial relations sit in the extended schema in slot order,
 	// each pointing at its constant.

@@ -30,6 +30,32 @@ func optimize(t *testing.T, schemaText, queryText string) *dgraph.Optimized {
 	return g.Optimize()
 }
 
+// TestBindSharesAnswerCount: the plans Bind makes of one plan — the queries
+// of one shape — share the answer count each execution sizes its answer
+// relation from, and a plan generated anew starts its own.
+func TestBindSharesAnswerCount(t *testing.T) {
+	o := optimize(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
+	p, err := Generate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := p.Bind([]string{"x"}), p.Bind([]string{"y"})
+	if p.LastAnswers == nil || a.LastAnswers != p.LastAnswers || b.LastAnswers != p.LastAnswers {
+		t.Fatalf("answer counts: plan %p, bound %p and %p; want one, shared", p.LastAnswers, a.LastAnswers, b.LastAnswers)
+	}
+	a.LastAnswers.Store(7)
+	if got := b.LastAnswers.Load(); got != 7 {
+		t.Errorf("a count stored through one bound plan reads %d through the other, want 7", got)
+	}
+	again, err := Generate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.LastAnswers == p.LastAnswers {
+		t.Error("a plan generated anew shares the answer count of the first")
+	}
+}
+
 const example3Schema = `
 r1^io(A, B)
 r2^io(B, C)
