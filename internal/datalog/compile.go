@@ -187,7 +187,8 @@ type Machine struct {
 // during the call. delta is what the atom the rule was compiled for ranges
 // over; a rule compiled for position −1 ignores it. Relations are resolved
 // once, up front: a positive atom over a relation db lacks is an error, a
-// negated one holds.
+// negated one holds. A positive atom over an empty relation ends the run
+// there, before any lookup: nothing can be derived.
 func (c *Compiled) Run(m *Machine, db DB, delta []Tuple, emit func(head Tuple)) error {
 	_, err := c.run(m, db, delta, emit)
 	return err
@@ -207,12 +208,18 @@ func (c *Compiled) run(m *Machine, db DB, delta []Tuple, emit func(Tuple)) (bool
 	}
 	m.rels = m.rels[:0]
 	defer func() { clear(m.rels) }()
+	empty := false
 	for i := range c.steps {
-		rel := db[c.steps[i].pred]
-		if rel == nil && !c.steps[i].delta {
-			return false, fmt.Errorf("rule %s: unknown relation %s", c.rule, c.steps[i].pred)
+		s := &c.steps[i]
+		rel := db[s.pred]
+		if rel == nil && !s.delta {
+			return false, fmt.Errorf("rule %s: unknown relation %s", c.rule, s.pred)
 		}
+		empty = empty || !s.delta && rel.Len() == 0
 		m.rels = append(m.rels, rel)
+	}
+	if empty {
+		return false, nil
 	}
 	for i := range c.negated {
 		m.rels = append(m.rels, db[c.negated[i].pred])

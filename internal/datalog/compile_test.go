@@ -281,6 +281,54 @@ func TestRunUnknownRelation(t *testing.T) {
 	}
 }
 
+// TestRunOverEmptyRelation: a positive atom over an empty relation ends a run
+// before its join starts — Run derives nothing, Exists is false, over full
+// relations or a delta elsewhere, and no relation of the rule is asked for
+// an index — yet a relation the database lacks is an error wherever the rule
+// names it.
+func TestRunOverEmptyRelation(t *testing.T) {
+	db := DB{}
+	for _, v := range []string{"k1", "k2"} {
+		db.Insert("r", T(v, v))
+		db.Insert("s", T(v))
+	}
+	db.Get("e", 1)
+	r := rule(t, "q(X) :- r(X, Y), e(Y), s(X)")
+	var m Machine
+	for _, deltaPos := range []int{-1, 0, 2} {
+		c, err := Compile(r, deltaPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := []Tuple{T("k1", "k1")}
+		if deltaPos == 2 {
+			delta = []Tuple{T("k1")}
+		}
+		derived := 0
+		if err := c.Run(&m, db, delta, func(Tuple) { derived++ }); err != nil || derived > 0 {
+			t.Errorf("Run at %d over an empty e: %d derived, %v", deltaPos, derived, err)
+		}
+		if ok, err := c.Exists(&m, db, delta); ok || err != nil {
+			t.Errorf("Exists at %d over an empty e: %v, %v", deltaPos, ok, err)
+		}
+	}
+	for name, rel := range db {
+		if len(rel.indexes) > 0 {
+			t.Errorf("%s was asked for %d indexes by runs that could derive nothing", name, len(rel.indexes))
+		}
+	}
+	c, err := Compile(rule(t, "q(X) :- r(X, Y), e(Y), nosuch(X)"), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(&m, db, nil, func(Tuple) {}); err == nil {
+		t.Error("Run naming nosuch after an empty e: want an error")
+	}
+	if _, err := c.Exists(&m, db, nil); err == nil {
+		t.Error("Exists naming nosuch after an empty e: want an error")
+	}
+}
+
 // TestRunAllocatesNothing: a run on a warm machine — registers, buffer and
 // relation list sized, indexes built — makes no allocation, whatever it
 // derives.

@@ -15,9 +15,10 @@ import (
 // need no per-binding tried set: a binding reaching the emit callback is new
 // by construction.
 //
-// The pools are maintained from deltas: the executor appends to fresh
-// whatever values an extraction contributes the moment it lands, so a pass
-// never evaluates a rule — it walks the pools it finds.
+// Each position's pool is one slice cut by watermarks (enumPos), maintained
+// from deltas: the executor appends whatever values an extraction
+// contributes the moment it lands, so a pass never evaluates a rule — it
+// walks the pools it finds.
 //
 // States come from the execution's scratch and go back with it, so the
 // pools below keep their capacity from one execution to the next.
@@ -27,23 +28,27 @@ type enumState struct {
 	binding []sym.ID  // the combination being assembled
 }
 
-// enumPos is the enumerator's view of one input position's domain.
+// enumPos is the enumerator's view of one input position's domain: one pool
+// of values in first-seen order, cut by two watermarks. vals[:old] were
+// enumerated by earlier passes; vals[old:cut] are the fresh values the
+// running pass enumerates; an emit callback that ingests an extraction
+// appends behind cut, and those values wait for the next pass.
 type enumPos struct {
-	seen  map[sym.ID]bool // every value derived so far: old and fresh
-	old   []sym.ID        // values earlier passes enumerated, in first-seen order
-	fresh []sym.ID        // values derived since, not yet enumerated
-	// cut is how many fresh values the running pass enumerates: an emit
-	// callback that ingests an extraction appends behind it, and those
-	// values wait for the next pass.
-	cut int
+	vals     []sym.ID
+	seen     sym.RefTable // references into vals
+	old, cut int
 }
 
 // add records a value of the position's domain, fresh unless known.
 func (p *enumPos) add(v sym.ID) {
-	if !p.seen[v] {
-		p.seen[v] = true
-		p.fresh = append(p.fresh, v)
+	h := sym.HashIDs([]sym.ID{v})
+	for at, ref := p.seen.First(h); ref >= 0; at, ref = p.seen.Next(at, h) {
+		if p.vals[ref] == v {
+			return
+		}
 	}
+	p.seen.Add(h, int32(len(p.vals)))
+	p.vals = append(p.vals, v)
 }
 
 // resize readies a new or recycled state for a node with n input positions.
@@ -52,11 +57,6 @@ func (es *enumState) resize(n int) {
 		es.pos = append(es.pos[:cap(es.pos)], make([]enumPos, n-cap(es.pos))...)
 	}
 	es.pos = es.pos[:n]
-	for i := range es.pos {
-		if es.pos[i].seen == nil {
-			es.pos[i].seen = make(map[sym.ID]bool)
-		}
-	}
 	es.binding = append(es.binding[:0], make([]sym.ID, n)...)
 }
 
@@ -65,8 +65,8 @@ func (es *enumState) reset() {
 	es.fired = false
 	for i := range es.pos {
 		p := &es.pos[i]
-		clear(p.seen)
-		p.old, p.fresh = p.old[:0], p.fresh[:0]
+		p.seen.Reset()
+		p.vals, p.old, p.cut = p.vals[:0], 0, 0
 	}
 }
 
@@ -96,11 +96,11 @@ func (es *enumState) next(emit func(binding []sym.ID) error) (bool, error) {
 	any := false
 	for i := range pos {
 		p := &pos[i]
-		if len(p.old)+len(p.fresh) == 0 {
+		if len(p.vals) == 0 {
 			return false, nil
 		}
-		p.cut = len(p.fresh)
-		any = any || p.cut > 0
+		p.cut = len(p.vals)
+		any = any || p.cut > p.old
 	}
 	if !any {
 		return false, nil
@@ -112,7 +112,7 @@ func (es *enumState) next(emit func(binding []sym.ID) error) (bool, error) {
 	// rightmost position holding fresh values has only non-empty old pools
 	// behind it, so a pass that gets here emits.
 	for d := range pos {
-		if pos[d].cut == 0 {
+		if pos[d].cut == pos[d].old {
 			continue
 		}
 		if err := es.walk(0, d, emit); err != nil {
@@ -120,9 +120,7 @@ func (es *enumState) next(emit func(binding []sym.ID) error) (bool, error) {
 		}
 	}
 	for i := range pos {
-		p := &pos[i]
-		p.old = append(p.old, p.fresh[:p.cut]...)
-		p.fresh = p.fresh[:copy(p.fresh, p.fresh[p.cut:])]
+		pos[i].old = pos[i].cut
 	}
 	return true, nil
 }
@@ -133,22 +131,19 @@ func (es *enumState) walk(i, d int, emit func(binding []sym.ID) error) error {
 	if i == len(es.binding) {
 		return emit(es.binding)
 	}
-	// An emit that ingests may append to fresh; cut keeps that tail out.
+	// An emit that ingests may append to vals; cut keeps that tail out.
 	p := &es.pos[i]
-	if i != d {
-		for _, v := range p.old {
-			es.binding[i] = v
-			if err := es.walk(i+1, d, emit); err != nil {
-				return err
-			}
-		}
+	vals := p.vals[:p.cut]
+	switch {
+	case i == d:
+		vals = vals[p.old:]
+	case i > d:
+		vals = vals[:p.old]
 	}
-	if i <= d {
-		for _, v := range p.fresh[:p.cut] {
-			es.binding[i] = v
-			if err := es.walk(i+1, d, emit); err != nil {
-				return err
-			}
+	for _, v := range vals {
+		es.binding[i] = v
+		if err := es.walk(i+1, d, emit); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -295,6 +295,42 @@ r^io(A, B)
 	}
 }
 
+// TestNoMetaCacheFoldsByOwner: without the meta-cache, a relation named twice
+// keeps one queue for both occurrences, so a round trip of 16 accesses can
+// carry bindings of each — r's first occurrence asks for seed values, its
+// second for what the first extracted. A landed round trip must fold each
+// extraction into the cache of the occurrence that asked: the answers and
+// the accesses per relation are those of one access per round trip.
+func TestNoMetaCacheFoldsByOwner(t *testing.T) {
+	const n = 100
+	data := map[string][]storage.Row{}
+	for i := 0; i < n; i++ {
+		x, y, z := fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i), fmt.Sprintf("z%d", i)
+		data["seed"] = append(data["seed"], storage.Row{x})
+		data["r"] = append(data["r"], storage.Row{x, y}, storage.Row{y, z})
+	}
+	f := setup(t, `
+seed^o(A)
+r^io(A, A)
+`, "q(X, Z) :- seed(X), r(X, Y), r(Y, Z)", data)
+	onBothPaths(t, f, func(t *testing.T, f *fixture) {
+		var runs [2]string
+		for i, mb := range []int{1, 16} {
+			res, err := Pipelined(context.Background(), f.plan, f.reg, Options{MaxBatch: mb, NoMetaCache: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = fmt.Sprintf("answers %v, accesses seed %d r %d", res.SortedAnswers(), res.Stats["seed"].Accesses, res.Stats["r"].Accesses)
+		}
+		if runs[0] != runs[1] {
+			t.Errorf("max batch 16: %s\nmax batch 1: %s", runs[1], runs[0])
+		}
+		if want := fmt.Sprintf("accesses seed 1 r %d", 2*n); !strings.HasSuffix(runs[0], want) {
+			t.Errorf("max batch 1: %s; want %s", runs[0], want)
+		}
+	})
+}
+
 // TestAccessSubsetProperty: on a pipeline schema, every access made by the
 // optimized executors is also made by the naive one (the oracle's
 // within-naive).

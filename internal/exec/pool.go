@@ -37,8 +37,10 @@ type scratch struct {
 	batch [][]sym.ID
 	slots [][]datalog.Tuple
 	// fresh is groupState.ingest's result buffer: the tuples of the latest
-	// extraction that were new to their cache.
-	fresh []datalog.Tuple
+	// extraction that were new to their cache. fold is where a landed round
+	// trip gathers one cache node's extractions into one; it is cleared after
+	// each use.
+	fresh, fold []datalog.Tuple
 	// join is the working memory of every compiled rule the run runs, one at
 	// a time.
 	join datalog.Machine

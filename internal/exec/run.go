@@ -178,7 +178,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	pctx, span := ctx, (*obs.Span)(nil)
 	defer func() { span.End() }()
 
-	// extract folds an extraction into a cache and, when answers are joined
+	// extract folds a delta into a cache and, when answers are joined
 	// incrementally, joins the new tuples — at the body position their cache
 	// occupies — with the full caches elsewhere. Every answer has a last
 	// tuple to arrive, and is derived when it does: the join is complete.
@@ -223,7 +223,10 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 
 	// land folds a finished round trip back: each extraction goes to the
-	// meta-cache, to the node that asked and to the nodes that waited.
+	// meta-cache, to the node that asked and to the nodes that waited. The
+	// extractions of consecutive accesses one node asked for are one delta
+	// (sc.fold), extracted once; an access with waiters closes it first, and
+	// its waiters extract after it, in the order accesses landed.
 	land := func(fl *flight) error {
 		defer sc.recycle(fl)
 		if errors.Is(fl.err, errCancelled) {
@@ -235,6 +238,16 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		}
 		r, caches := &rels[fl.rel], p.Caches
 		owners := r.owners[fl.from:]
+		fold, by := sc.fold[:0], int32(-1)
+		flush := func() error {
+			if len(fold) == 0 {
+				return nil
+			}
+			err := extract(caches[by], fold)
+			clear(fold) // no row stays reachable from the scratch
+			fold = fold[:0]
+			return err
+		}
 		for i, rows := range fl.rows {
 			var waiters []*plan.Cache
 			if r.shared {
@@ -245,7 +258,17 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			if len(rows) == 0 {
 				continue // most accesses of a selective plan extract nothing
 			}
-			if err := extract(caches[owners[i]], rows); err != nil {
+			if owners[i] != by {
+				if err := flush(); err != nil {
+					return err
+				}
+				by = owners[i]
+			}
+			fold = append(fold, rows...)
+			if len(waiters) == 0 {
+				continue
+			}
+			if err := flush(); err != nil {
 				return err
 			}
 			for _, c := range waiters {
@@ -254,7 +277,9 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 			}
 		}
-		return nil
+		err := flush()
+		sc.fold = fold
+		return err
 	}
 
 	stop := func() bool { return k.full() || ctxDone(ctx) }
@@ -410,13 +435,14 @@ func newGroupState(p *plan.Plan, sc *scratch) (*groupState, error) {
 	return st, nil
 }
 
-// ingest folds one extraction into cache c — the one way tuples enter the
-// cache database — and returns the tuples that were new to it (valid until
-// the next call). The domains are maintained from that delta: every domain
-// rule mentioning the cache predicate is joined with the new tuples at that
-// body position and the full caches elsewhere, and the values derived go,
-// unless already known, to the fresh pool of the input position the domain
-// binds. No rule is ever evaluated over tuples it has already seen.
+// ingest folds one delta into cache c — the one way tuples enter the cache
+// database — and returns the tuples that were new to it (valid until the
+// next call). The delta is an extraction, or the extractions of a round trip
+// that c asked for. The domains are maintained from it: every domain rule
+// mentioning the cache predicate is joined with the new tuples at that body
+// position and the full caches elsewhere, and the values derived go, unless
+// already known, to the pool of the input position the domain binds. No rule
+// is ever evaluated over tuples it has already seen.
 func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tuple, error) {
 	if len(rows) == 0 {
 		return nil, nil // most accesses of a selective plan extract nothing

@@ -28,6 +28,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -38,14 +39,23 @@ import (
 // derives.
 const Spill = 32 << 10
 
+// raw marks the bytes encoding/json writes as they are in a string with HTML
+// escaping on: printable ASCII and DEL, but for ", \, <, > and &.
+var raw = func() (set [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		set[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return set
+}()
+
 // AppendString appends s as a JSON string the way encoding/json renders it
-// with HTML escaping on (its default). Printable ASCII that needs no escape
-// — nearly every value — is copied between quotes; anything else (quotes,
-// backslashes, control bytes, <>&, non-ASCII and with it U+2028/2029 and
-// invalid UTF-8) is left to encoding/json itself.
+// with HTML escaping on (its default). A string of raw bytes — nearly every
+// value — is copied between quotes; anything else (quotes, backslashes,
+// control bytes, <>&, non-ASCII and with it U+2028/2029 and invalid UTF-8)
+// is left to encoding/json itself.
 func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !raw[s[i]] {
 			quoted, _ := json.Marshal(s) // a string always marshals
 			return append(dst, quoted...)
 		}

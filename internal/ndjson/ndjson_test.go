@@ -13,7 +13,8 @@ import (
 // The codec's equivalence to encoding/json is held by the differential fuzz
 // targets of its callers (internal/service, internal/remote); these tests
 // are about what only this package knows — where a token ends, how arrays
-// share their storage, what a buffer holds after a failed read.
+// share their storage, what a buffer holds after a failed read, which bytes
+// a string is copied with.
 
 func TestUint(t *testing.T) {
 	for _, tc := range []struct {
@@ -170,6 +171,26 @@ func TestScannerArraysAreTheirOwn(t *testing.T) {
 		t.Errorf("rows = %q, want %q", rows, want)
 	}
 
+}
+
+// TestAppendStringMatchesMarshal: over every string of one and of two bytes
+// — every pair of raw and escaped bytes, every ASCII byte beside every
+// non-ASCII one, valid UTF-8 or not — AppendString writes what json.Marshal
+// does.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	var buf []byte
+	check := func(s string) {
+		want, err := json.Marshal(s)
+		if buf = AppendString(buf[:0], s); err != nil || string(buf) != string(want) {
+			t.Fatalf("AppendString(%q) = %s, json.Marshal = %s, %v", s, buf, want, err)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		check(string([]byte{byte(c)}))
+		for d := 0; d < 256; d++ {
+			check(string([]byte{byte(c), byte(d)}))
+		}
+	}
 }
 
 func TestReadAndFree(t *testing.T) {

@@ -35,8 +35,9 @@ func HashIDs(ids []ID) uint32 {
 //
 // What keys a lookup below the string boundary is decided here: datalog's
 // cache relations, storage's row set and indexes, the generations of the
-// cross-query cache and the executors' meta-caches are all this table. The zero value is an empty table; a
-// table holds fewer than 2³¹ references and is not safe for concurrent use.
+// cross-query cache, the executors' meta-caches and their enumerators'
+// domain sets are all this table. The zero value is an empty table; a table
+// holds fewer than 2³¹ references and is not safe for concurrent use.
 type RefTable struct {
 	slots []refSlot
 	used  int

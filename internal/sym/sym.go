@@ -11,9 +11,10 @@
 //
 // The package also says how ID tuples are looked up, in two forms. RefTable
 // is the engine's one ID-keyed hash table: storage's row set and indexes,
-// datalog's cache relations, the cross-query cache's generations and the
-// executors' meta-caches hash the IDs as they stand (HashIDs) into a table
-// of references to tuples they already store, and build no key at all.
+// datalog's cache relations, the cross-query cache's generations, the
+// executors' meta-caches and their enumerators' domain sets hash the IDs as
+// they stand (HashIDs) into a table of references to tuples they already
+// store, and build no key at all.
 // AppendKey/Key pack IDs into a string for the callers that key a Go map at
 // a boundary — a finished result's answer set, tests.
 //
