@@ -266,9 +266,8 @@ func (db DB) Clone() DB {
 	return out
 }
 
-// Summary renders relation names with cardinalities, sorted by name.
-//
-//toorjahvet:boundary (debug rendering, not an evaluation path)
+// Summary renders relation names with cardinalities, sorted by name, for
+// debugging; no evaluation path calls it.
 func (db DB) Summary() string {
 	names := make([]string, 0, len(db))
 	for n := range db {

@@ -280,7 +280,7 @@ func checkExecutors(t *testing.T, c *oracle.Case, reg *source.Registry, caches m
 	edb, lfp := datalog.DB{}, oracle.Outcome{}
 	for _, rel := range c.Schema.Relations() {
 		edb.Get(rel.Name, rel.Arity())
-		for _, row := range c.DB.Table(rel.Name).Rows() {
+		for _, row := range c.DB.Table(rel.Name).Snapshot().Rows() {
 			edb.Insert(rel.Name, datalog.T(row...))
 		}
 	}

@@ -115,8 +115,6 @@ func (r *Result) TotalTuples() int {
 // SortedAnswers returns the answers as sorted strings, for deterministic
 // comparison and display. This is a result boundary: tuples materialize
 // from symbol IDs into strings here.
-//
-//toorjahvet:boundary (comparison/display rendering of a finished result)
 func (r *Result) SortedAnswers() []string {
 	if r.Answers == nil {
 		return nil
@@ -129,9 +127,8 @@ func (r *Result) SortedAnswers() []string {
 	return out
 }
 
-// AnswerSet returns the answers as a set of encoded keys.
-//
-//toorjahvet:boundary (a result leaves the engine: callers compare answer sets as maps of their own)
+// AnswerSet returns the answers as a set of encoded keys: the result leaves
+// the engine, and callers compare answer sets as maps of their own.
 func (r *Result) AnswerSet() map[string]bool {
 	set := make(map[string]bool)
 	if r.Answers == nil {

@@ -93,7 +93,7 @@ func TestInstanceRespectsSchema(t *testing.T) {
 		if tab == nil {
 			t.Fatalf("no table for %s", rel.Name)
 		}
-		if tab.Len() == 0 {
+		if tab.Snapshot().Len() == 0 {
 			t.Errorf("empty table %s", rel.Name)
 		}
 		if tab.Arity != rel.Arity() {
@@ -126,13 +126,13 @@ func TestPublicationWorkload(t *testing.T) {
 		t.Fatalf("schema: %d relations", sch.Len())
 	}
 	for _, rel := range sch.Relations() {
-		if db.Table(rel.Name).Len() == 0 {
+		if db.Table(rel.Name).Snapshot().Len() == 0 {
 			t.Errorf("empty table %s", rel.Name)
 		}
 	}
 	// The query constants occur in the data.
 	found := map[string]bool{}
-	for _, r := range db.Table("conf").Rows() {
+	for _, r := range db.Table("conf").Snapshot().Rows() {
 		found[r[1]] = true
 		found[r[2]] = true
 	}
@@ -140,7 +140,7 @@ func TestPublicationWorkload(t *testing.T) {
 		t.Error("conf must mention icde and y2008")
 	}
 	evals := map[string]bool{}
-	for _, r := range db.Table("rev_icde").Rows() {
+	for _, r := range db.Table("rev_icde").Snapshot().Rows() {
 		evals[r[2]] = true
 	}
 	if !evals["acc"] || !evals["rej"] {
@@ -159,7 +159,7 @@ func TestPublicationDeterministic(t *testing.T) {
 	_, a := Publication(5, SmallPublication())
 	_, b := Publication(5, SmallPublication())
 	for _, name := range a.Names() {
-		if a.Table(name).Len() != b.Table(name).Len() {
+		if a.Table(name).Snapshot().Len() != b.Table(name).Snapshot().Len() {
 			t.Errorf("table %s differs across runs with the same seed", name)
 		}
 	}

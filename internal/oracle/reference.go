@@ -97,7 +97,7 @@ func runNaive(sch *schema.Schema, reg *source.Registry, q *cq.CQ) (*naiveRun, er
 				}
 				n.accesses[key] = true
 				changed = true
-				//toorjahvet:allow ctx-first (the reference is a test's own computation; no caller's context governs it)
+				// The reference is a test's own computation: no caller's context governs it.
 				extracted, err := source.ProbeStrings(context.Background(), w, [][]string{binding})
 				if err != nil {
 					return nil, fmt.Errorf("oracle: %s%q: %w", rel.Name, binding, err)

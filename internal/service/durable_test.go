@@ -139,6 +139,7 @@ func TestDurableRestartPreservesStateAndEpochs(t *testing.T) {
 
 	// /metrics exposes the toorjah_wal_* families.
 	exposition := scrapeMetrics(t, ts2.URL)
+	checkExposition(t, exposition)
 	for _, fam := range []string{"toorjah_wal_appends_total", "toorjah_wal_appended_bytes_total",
 		"toorjah_wal_snapshots_total", "toorjah_wal_recovery_duration_seconds"} {
 		if !strings.Contains(exposition, fam) {

@@ -62,7 +62,7 @@ func subDatabase(t *testing.T, db *storage.Database, rels []*schema.Relation) *s
 			t.Fatal(err)
 		}
 		if src := db.Table(rel.Name); src != nil {
-			tab.InsertAll(src.Rows())
+			tab.InsertAll(src.Snapshot().Rows())
 		}
 	}
 	return out

@@ -72,9 +72,9 @@ func metricValue(t *testing.T, body, series string) float64 {
 }
 
 // checkExposition validates the format invariants of a scrape: every sample
-// belongs to a family announced by HELP and TYPE lines, and every
-// histogram's cumulative buckets are monotone with the +Inf bucket equal to
-// its _count.
+// belongs to a family announced by HELP and TYPE lines, every HELP line says
+// something, and every histogram's cumulative buckets are monotone with the
+// +Inf bucket equal to its _count.
 func checkExposition(t *testing.T, body string) {
 	t.Helper()
 	typed := make(map[string]string) // family -> type
@@ -90,7 +90,11 @@ func checkExposition(t *testing.T, body string) {
 			continue
 		}
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			helped[strings.Fields(rest)[0]] = true
+			f := strings.Fields(rest)
+			if len(f) < 2 {
+				t.Errorf("family %s has no help text", f[0])
+			}
+			helped[f[0]] = true
 			continue
 		}
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {

@@ -498,10 +498,10 @@ func TestLoadDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Table("pub1").Len(); got != 2 {
+	if got := db.Table("pub1").Snapshot().Len(); got != 2 {
 		t.Errorf("pub1 rows = %d, want 2", got)
 	}
-	if got := db.Table("conf").Len(); got != 2 {
+	if got := db.Table("conf").Snapshot().Len(); got != 2 {
 		t.Errorf("conf rows = %d, want 2", got)
 	}
 

@@ -445,7 +445,7 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 // more of it is rendered or written, and toorjah_response_write_errors_total
 // goes up by one however many bursts were still to come — and not at all
 // when the request was aborted mid-stream: a client leaving is not a server
-// error.
+// error. An /ingest ack whose one write fails counts once as well.
 func TestWriteErrorsCountResponses(t *testing.T) {
 	for _, aborted := range []bool{false, true} {
 		sys, target := scanSystem(t, 64) // a dozen writes when they all succeed
@@ -464,6 +464,14 @@ func TestWriteErrorsCountResponses(t *testing.T) {
 		if w.writes != 2 || bytes.Count(w.body.Bytes(), []byte("\n")) != 1 {
 			t.Errorf("aborted %v: %d writes, body %q, want the first answer and one failed write", aborted, w.writes, w.body.Bytes())
 		}
+	}
+
+	sys, _ := scanSystem(t, 1)
+	srv := New(sys, toorjah.Options{})
+	w := &failingWriter{flushCounter: newFlushCounter()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/ingest?relation=cat", strings.NewReader(`["p9","t9"]`+"\n")))
+	if got := srv.writeErrs.Value(); got != 1 || w.writes != 1 {
+		t.Errorf("failed /ingest ack: toorjah_response_write_errors_total = %d after %d writes, want 1 after 1", got, w.writes)
 	}
 }
 

@@ -92,9 +92,8 @@ func (f *Fixture) Check(t testing.TB, when string, out [][]storage.IRow) {
 
 // Contract holds w — some stack of wrappers over f.Source — to the Probe
 // contract. accesses, when non-nil, reads whatever access count the stack
-// keeps; a refused batch must not move it.
-//
-//toorjahvet:allow ctx-first (a test's body: there is no caller's context to thread)
+// keeps; a refused batch must not move it. It is a test's body, so there
+// is no caller's context to thread.
 func (f *Fixture) Contract(t *testing.T, w source.Wrapper, accesses func() int) {
 	t.Helper()
 	ctx := context.Background()

@@ -154,8 +154,8 @@ func BenchmarkTableChurn(b *testing.B) {
 			b.Fatalf("batch %d deleted %d rows", i, n)
 		}
 	}
-	if tab.Len() != live {
-		b.Fatalf("%d live rows after the churn, want %d", tab.Len(), live)
+	if tab.Snapshot().Len() != live {
+		b.Fatalf("%d live rows after the churn, want %d", tab.Snapshot().Len(), live)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestCompactionReleasesDeadBlocks(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Errorf("%s: the compacted table still holds the block of its first batch", name)
 		}
-		if !tab.Contains(rows[0]) { // and keeps the table alive until here
+		if !tab.Snapshot().Contains(rows[0]) { // and keeps the table alive until here
 			t.Errorf("%s: the live row is gone", name)
 		}
 	}

@@ -104,7 +104,7 @@ func (e *blankLineEraser) Read(p []byte) (int, error) {
 // WriteCSV writes every row of the table as CSV.
 func WriteCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
-	for _, r := range t.Rows() {
+	for _, r := range t.Snapshot().Rows() {
 		if err := cw.Write([]string(r)); err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
 		}

@@ -10,8 +10,8 @@ func TestReadCSVBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 2 || !tab.Contains(Row{"a", "1"}) || !tab.Contains(Row{"b", "2"}) {
-		t.Errorf("rows = %v", tab.Rows())
+	if tab.Snapshot().Len() != 2 || !tab.Snapshot().Contains(Row{"a", "1"}) || !tab.Snapshot().Contains(Row{"b", "2"}) {
+		t.Errorf("rows = %v", tab.Snapshot().Rows())
 	}
 }
 
@@ -37,8 +37,8 @@ func TestReadCSVTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tab.Len() != c.want {
-				t.Errorf("rows = %v, want %d", tab.Rows(), c.want)
+			if tab.Snapshot().Len() != c.want {
+				t.Errorf("rows = %v, want %d", tab.Snapshot().Rows(), c.want)
 			}
 		})
 	}
@@ -47,8 +47,8 @@ func TestReadCSVTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Contains(Row{"a", "1"}) {
-		t.Errorf("BOM leaked into data: %v", tab.Rows())
+	if !tab.Snapshot().Contains(Row{"a", "1"}) {
+		t.Errorf("BOM leaked into data: %v", tab.Snapshot().Rows())
 	}
 }
 
@@ -59,15 +59,15 @@ func TestReadCSVQuotedEmptyIsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 3 || !tab.Contains(Row{""}) {
-		t.Errorf("rows = %v, want a, \"\", b", tab.Rows())
+	if tab.Snapshot().Len() != 3 || !tab.Snapshot().Contains(Row{""}) {
+		t.Errorf("rows = %v, want a, \"\", b", tab.Snapshot().Rows())
 	}
 	tab2, err := ReadCSV("r", 2, strings.NewReader("a,\"\"\n  \"\",b\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab2.Len() != 2 || !tab2.Contains(Row{"a", ""}) || !tab2.Contains(Row{"", "b"}) {
-		t.Errorf("rows = %v", tab2.Rows())
+	if tab2.Snapshot().Len() != 2 || !tab2.Snapshot().Contains(Row{"a", ""}) || !tab2.Snapshot().Contains(Row{"", "b"}) {
+		t.Errorf("rows = %v", tab2.Snapshot().Rows())
 	}
 }
 
@@ -78,16 +78,16 @@ func TestReadCSVQuotedMultilineField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 2 || !tab.Contains(Row{"a", "x\n   \ny"}) {
-		t.Errorf("rows = %q, want the quoted field intact", tab.Rows())
+	if tab.Snapshot().Len() != 2 || !tab.Snapshot().Contains(Row{"a", "x\n   \ny"}) {
+		t.Errorf("rows = %q, want the quoted field intact", tab.Snapshot().Rows())
 	}
 	// Escaped quotes inside a field keep the quote tracking honest.
 	tab2, err := ReadCSV("r", 2, strings.NewReader("a,\"say \"\"hi\"\"\"\n   \nb,2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab2.Len() != 2 || !tab2.Contains(Row{"a", `say "hi"`}) {
-		t.Errorf("rows = %q", tab2.Rows())
+	if tab2.Snapshot().Len() != 2 || !tab2.Snapshot().Contains(Row{"a", `say "hi"`}) {
+		t.Errorf("rows = %q", tab2.Snapshot().Rows())
 	}
 }
 
@@ -133,7 +133,7 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 || !back.Contains(Row{"a", "1"}) {
-		t.Errorf("round trip lost rows: %v", back.Rows())
+	if back.Snapshot().Len() != 2 || !back.Snapshot().Contains(Row{"a", "1"}) {
+		t.Errorf("round trip lost rows: %v", back.Snapshot().Rows())
 	}
 }

@@ -63,8 +63,6 @@ import (
 type Row []string
 
 // Key encodes the row into a collision-free string.
-//
-//toorjahvet:boundary (Row is the boundary representation; its key is a string by definition)
 func (r Row) Key() string { return strings.Join([]string(r), "\x00") }
 
 // Intern swaps every value for its symbol ID (interning first-seen values).
@@ -77,14 +75,10 @@ func (r Row) Intern() IRow { return sym.InternAll(r) }
 type IRow []sym.ID
 
 // Strings materializes the row back into its boundary form.
-//
-//toorjahvet:boundary (the one sanctioned ID→string exit of a stored row)
 func (r IRow) Strings() Row { return sym.Strs(r) }
 
 // Key packs the row into a collision-free map key (4 bytes per value), for
 // callers that keep rows in maps of their own; nothing in this package does.
-//
-//toorjahvet:boundary (the packed-key exit of a stored row; storage itself hashes IDs through sym.RefTable)
 func (r IRow) Key() string { return sym.Key(r) }
 
 // InternRows interns a batch of boundary rows.
@@ -97,8 +91,6 @@ func InternRows(rows []Row) []IRow {
 }
 
 // MaterializeRows renders a batch of stored rows into boundary rows.
-//
-//toorjahvet:boundary (the batch form of IRow.Strings)
 func MaterializeRows(rows []IRow) []Row {
 	out := make([]Row, len(rows))
 	for i, r := range rows {
@@ -451,22 +443,6 @@ func (t *Table) maybeCompactLocked() {
 	t.idx = new(indexSet)
 }
 
-// The read surface of Table delegates to the current snapshot, so callers
-// holding only a *Table still get internally consistent single calls; pin a
-// Snapshot explicitly for consistency across calls.
-
-// Len returns the number of live rows.
-func (t *Table) Len() int { return t.Snapshot().Len() }
-
-// Contains reports row membership.
-func (t *Table) Contains(r Row) bool { return t.Snapshot().Contains(r) }
-
-// Rows returns a copy of all live rows in boundary form.
-func (t *Table) Rows() []Row { return t.Snapshot().Rows() }
-
-// Project returns the sorted, deduplicated values of one column.
-func (t *Table) Project(pos int) []string { return t.Snapshot().Project(pos) }
-
 // Snapshot is one immutable version of a table: the rows visible at one
 // epoch. All methods are safe for concurrent use. Lookups are served by the
 // table's persistent index set, shared across snapshots: the first snapshot
@@ -518,8 +494,6 @@ func (s *Snapshot) RowsSym() []IRow {
 }
 
 // Rows returns a copy of the live rows of this version in boundary form.
-//
-//toorjahvet:boundary (boundary-form adapter over RowsSym)
 func (s *Snapshot) Rows() []Row { return MaterializeRows(s.RowsSym()) }
 
 // Contains reports row membership in this version.
@@ -579,9 +553,8 @@ func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow
 	return out
 }
 
-// Project returns the sorted, deduplicated values of one column.
-//
-//toorjahvet:boundary (renders a column for boundary callers, off the probe path)
+// Project returns the sorted, deduplicated values of one column, for
+// boundary callers off the probe path.
 func (s *Snapshot) Project(pos int) []string {
 	set := make(map[sym.ID]bool)
 	for _, r := range s.RowsSym() {

@@ -19,10 +19,10 @@ func TestInsertDedupAndLen(t *testing.T) {
 	if tab.Insert(Row{"a", "1"}) {
 		t.Error("duplicate insert should report false")
 	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
+	if tab.Snapshot().Len() != 1 {
+		t.Errorf("Len = %d", tab.Snapshot().Len())
 	}
-	if !tab.Contains(Row{"a", "1"}) || tab.Contains(Row{"a", "2"}) {
+	if !tab.Snapshot().Contains(Row{"a", "1"}) || tab.Snapshot().Contains(Row{"a", "2"}) {
 		t.Error("Contains misbehaves")
 	}
 }
@@ -71,7 +71,7 @@ func TestProject(t *testing.T) {
 	tab.Insert(Row{"b", "1"})
 	tab.Insert(Row{"a", "2"})
 	tab.Insert(Row{"a", "3"})
-	if got := strings.Join(tab.Project(0), ","); got != "a,b" {
+	if got := strings.Join(tab.Snapshot().Project(0), ","); got != "a,b" {
 		t.Errorf("Project(0) = %s", got)
 	}
 }
@@ -111,8 +111,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 || !back.Contains(Row{"a", "hello, world"}) || !back.Contains(Row{"b", "line\nbreak"}) {
-		t.Errorf("round trip lost rows: %v", back.Rows())
+	if back.Snapshot().Len() != 2 || !back.Snapshot().Contains(Row{"a", "hello, world"}) || !back.Snapshot().Contains(Row{"b", "line\nbreak"}) {
+		t.Errorf("round trip lost rows: %v", back.Snapshot().Rows())
 	}
 }
 
@@ -171,8 +171,8 @@ func TestConcurrentSelectInsert(t *testing.T) {
 	}()
 	<-done
 	<-done
-	if tab.Len() != 500 {
-		t.Errorf("Len = %d", tab.Len())
+	if tab.Snapshot().Len() != 500 {
+		t.Errorf("Len = %d", tab.Snapshot().Len())
 	}
 }
 
@@ -213,20 +213,20 @@ func TestDeleteAndRevive(t *testing.T) {
 	if n := tab.DeleteAll([]Row{{"b", "2"}, {"nope", "0"}}); n != 1 {
 		t.Fatalf("DeleteAll = %d, want 1", n)
 	}
-	if tab.Len() != 2 || tab.Contains(Row{"b", "2"}) {
-		t.Errorf("after delete: Len=%d Contains(b)=%v", tab.Len(), tab.Contains(Row{"b", "2"}))
+	if tab.Snapshot().Len() != 2 || tab.Snapshot().Contains(Row{"b", "2"}) {
+		t.Errorf("after delete: Len=%d Contains(b)=%v", tab.Snapshot().Len(), tab.Snapshot().Contains(Row{"b", "2"}))
 	}
 	if got := sel(tab.Snapshot(), []int{0}, "b"); len(got) != 0 {
 		t.Errorf("deleted row still selectable: %v", got)
 	}
-	if got := tab.Project(0); len(got) != 2 || got[0] != "a" || got[1] != "c" {
+	if got := tab.Snapshot().Project(0); len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Errorf("Project after delete = %v", got)
 	}
 	if !tab.Insert(Row{"b", "2"}) {
 		t.Error("revive insert reported duplicate")
 	}
-	if tab.Len() != 3 || !tab.Contains(Row{"b", "2"}) {
-		t.Errorf("revive failed: Len=%d", tab.Len())
+	if tab.Snapshot().Len() != 3 || !tab.Snapshot().Contains(Row{"b", "2"}) {
+		t.Errorf("revive failed: Len=%d", tab.Snapshot().Len())
 	}
 	if got := sel(tab.Snapshot(), []int{0}, "b"); len(got) != 1 {
 		t.Errorf("revived row not selectable: %v", got)
@@ -250,8 +250,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := sel(snap, []int{0}, "c"); len(got) != 0 {
 		t.Errorf("snapshot sees a future row: %v", got)
 	}
-	if snap.Len() != 2 || tab.Len() != 3 {
-		t.Errorf("Len: snapshot=%d (want 2) table=%d (want 3)", snap.Len(), tab.Len())
+	if snap.Len() != 2 || tab.Snapshot().Len() != 3 {
+		t.Errorf("Len: snapshot=%d (want 2) table=%d (want 3)", snap.Len(), tab.Snapshot().Len())
 	}
 	if snap.Epoch() == tab.Epoch() {
 		t.Errorf("snapshot epoch %d did not diverge from table epoch %d", snap.Epoch(), tab.Epoch())
@@ -284,8 +284,8 @@ func TestConcurrentMutateAndSnapshotRead(t *testing.T) {
 	}()
 	<-done
 	<-done
-	if tab.Len() != 1 {
-		t.Errorf("final Len = %d, want 1", tab.Len())
+	if tab.Snapshot().Len() != 1 {
+		t.Errorf("final Len = %d, want 1", tab.Snapshot().Len())
 	}
 }
 
@@ -308,8 +308,8 @@ func TestCompaction(t *testing.T) {
 	if logLen != 10 || deadLen != 0 {
 		t.Errorf("after churn: log=%d dead=%d, want compacted to 10 live rows", logLen, deadLen)
 	}
-	if tab.Len() != 10 {
-		t.Errorf("Len = %d, want 10", tab.Len())
+	if tab.Snapshot().Len() != 10 {
+		t.Errorf("Len = %d, want 10", tab.Snapshot().Len())
 	}
 	if got := sel(tab.Snapshot(), []int{0}, all[len(all)-1][0]); len(got) != 1 {
 		t.Errorf("live row lost by compaction: %v", got)
@@ -325,8 +325,8 @@ func TestCompaction(t *testing.T) {
 		t.Errorf("old snapshot lost a row after compaction: %v", got)
 	}
 	// Reinsert after compaction: dedup state was rebuilt correctly.
-	if !tab.Insert(all[0]) || tab.Len() != 11 {
-		t.Errorf("reinsert after compaction failed (Len=%d)", tab.Len())
+	if !tab.Insert(all[0]) || tab.Snapshot().Len() != 11 {
+		t.Errorf("reinsert after compaction failed (Len=%d)", tab.Snapshot().Len())
 	}
 }
 
@@ -355,8 +355,8 @@ func TestDeleteBatchCopiesNoMap(t *testing.T) {
 			}
 			next += batch
 		})
-		if tab.Len() != live-(runs+1)*batch {
-			t.Fatalf("%d live rows after the batches", tab.Len())
+		if tab.Snapshot().Len() != live-(runs+1)*batch {
+			t.Fatalf("%d live rows after the batches", tab.Snapshot().Len())
 		}
 	}
 	// The row buffer, the bitset, the snapshot — and nothing per tombstone.

@@ -73,7 +73,7 @@ func (fp *failpoint) write(f *os.File, b []byte) (int, error) {
 		keep = 0
 	}
 	if keep > 0 {
-		//toorjahvet:allow durability-hygiene (the process dies on the next line; the torn prefix is the point)
+		// unchecked: the process dies on the next line; the torn prefix is the point
 		_, _ = f.Write(b[:keep])
 	}
 	die()
@@ -95,6 +95,7 @@ func (fp *failpoint) beforeSync() {
 // die delivers SIGKILL to the current process: unconditional, untrappable,
 // identical to the kill -9 the crash harness sends externally.
 func die() {
+	// unchecked: if the kill fails, the select below blocks forever instead.
 	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	select {} // unreachable unless the kill syscall itself failed
 }

@@ -286,9 +286,8 @@ func (l *Log) sealLocked() {
 	l.sealed.Add(1)
 }
 
-// openSegmentLocked creates the next segment file and makes it active.
-//
-//toorjahvet:allow durability-hygiene (creates an empty segment; nothing to fsync until the first append)
+// openSegmentLocked creates the next segment file and makes it active. The
+// segment is empty, so there is nothing to fsync until the first append.
 func (l *Log) openSegmentLocked() error {
 	seq := l.nextSeq
 	f, err := os.OpenFile(segPath(l.opts.Dir, seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -382,12 +381,12 @@ func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
 		return err
 	}
 	if _, err := f.Write(buf); err != nil {
-		//toorjahvet:allow durability-hygiene (the write already failed; the close error cannot matter)
+		// unchecked: the write already failed; the close error cannot matter
 		_ = f.Close()
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		//toorjahvet:allow durability-hygiene (the fsync already failed; the close error cannot matter)
+		// unchecked: the fsync already failed; the close error cannot matter
 		_ = f.Close()
 		return err
 	}
@@ -428,7 +427,7 @@ func syncDir(dir string) error {
 		return err
 	}
 	if err := d.Sync(); err != nil {
-		//toorjahvet:allow durability-hygiene (the directory fsync already failed; the close error cannot matter)
+		// unchecked: the directory fsync already failed; the close error cannot matter
 		_ = d.Close()
 		return err
 	}
@@ -519,7 +518,7 @@ func (l *Log) run() {
 			src := l.source
 			l.mu.Unlock()
 			if src != nil {
-				// Error already counted and logged by snapshot.
+				// unchecked: snapshot has already counted and logged the error.
 				_ = l.snapshot(src)
 			}
 		}

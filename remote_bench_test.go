@@ -42,7 +42,7 @@ func benchRemoteSystem(b testing.TB, maxBatch int) *System {
 				b.Fatal(err)
 			}
 			if t := db.Table(rel.Name); t != nil {
-				tab.InsertAll(t.Rows())
+				tab.InsertAll(t.Snapshot().Rows())
 			}
 		}
 		reg, err := source.FromDatabase(ssch, sdb, 0)
