@@ -161,13 +161,6 @@ func BenchmarkAblation_NoOrderingHeuristic(b *testing.B) {
 	benchAblation(b, core.Options{Order: plan.OrderOptions{NoHeuristic: true}}, exec.Options{})
 }
 
-func BenchmarkAblation_SizeStatistics(b *testing.B) {
-	// The paper's §IV suggestion: with table statistics available, place
-	// small tables first compatibly with the ordering.
-	sizes := map[string]int{"pub1": 300, "pub2": 300, "conf": 300, "rev": 300, "sub": 300, "rev_icde": 300}
-	benchAblation(b, core.Options{Order: plan.OrderOptions{Sizes: sizes}}, exec.Options{})
-}
-
 // BenchmarkPipelined measures the parallel engine against the sequential
 // fast-failing strategy under per-access latency, reporting time-to-first-
 // answer (the paper's pagination argument).

@@ -103,9 +103,6 @@
 //	                     (default 64 MiB)
 //	-wal-segment-age     age at which a non-empty active segment seals
 //	                     (default: size-only)
-//	-adaptive-ordering   feed live per-relation row counts from pinned
-//	                     snapshots into plan ordering (smaller relations
-//	                     probed earlier; replans when epochs advance)
 //	-remote              attach a federation peer: http://host:8344=R1,R2
 //	                     (bare address = every shared relation this node
 //	                     holds no data for; repeatable)
@@ -159,7 +156,6 @@ func main() {
 	cacheNegTTL := flag.Duration("cache-negative-ttl", 0, "expiry of cached empty accesses (0 = same as cache-ttl)")
 	noNegative := flag.Bool("no-negative", false, "do not cache empty accesses")
 	maxIngest := flag.Int64("max-ingest-bytes", service.DefaultMaxIngestBytes, "cap on one /ingest request body")
-	adaptive := flag.Bool("adaptive-ordering", false, "feed live per-relation row counts into plan ordering")
 	walDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots; empty = memory only)")
 	fsync := flag.String("fsync", wal.FsyncAlways, "WAL flush policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "flush period under -fsync interval (0 = default 100ms)")
@@ -224,9 +220,6 @@ func main() {
 			NegativeTTL:     *cacheNegTTL,
 			DisableNegative: *noNegative,
 		}))
-	}
-	if *adaptive {
-		opts = append(opts, toorjah.WithAdaptiveOrdering())
 	}
 	sys := toorjah.NewSystem(sch, opts...)
 	if err := sys.BindDatabase(db); err != nil {

@@ -2,6 +2,7 @@ package toorjah
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"toorjah/internal/cache"
@@ -24,6 +25,14 @@ func TestExactAccessCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	planOf := func(query string) *Plan {
+		p, err := core.Prepare(sch, cq.MustParse(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Plan
+	}
+	q1, q3 := planOf(gen.PublicationQueries[0]), planOf(gen.PublicationQueries[2])
 	execute := func(sys *System, query string) func() (*Result, error) {
 		return func() (*Result, error) {
 			q, err := sys.Prepare(query)
@@ -59,7 +68,21 @@ func TestExactAccessCounts(t *testing.T) {
 		{"remote fast-fail, unbatched", execute(benchRemoteSystem(t, -1), gen.PublicationQueries[0]), 46, 46},
 		{"remote fast-fail, batch 16", execute(benchRemoteSystem(t, 16), gen.PublicationQueries[0]), 46, 5},
 		{"skewed join, static order", execute(skewedSystem(t), skewedQuery), 21, -1},
-		{"skewed join, adaptive order", execute(skewedSystem(t, WithAdaptiveOrdering()), skewedQuery), 11, -1},
+		{"q1 fast-fail", func() (*Result, error) {
+			return exec.FastFailing(ctx, q1, reg, exec.Options{}, nil)
+		}, 233, 17},
+		{"q3 fast-fail", func() (*Result, error) {
+			return exec.FastFailing(ctx, q3, reg, exec.Options{}, nil)
+		}, 214, 16},
+		{"q3 fast-fail, no early failure", func() (*Result, error) {
+			return exec.FastFailing(ctx, q3, reg, exec.Options{NoEarlyFailure: true}, nil)
+		}, 1289, 85},
+		{"q3 pipelined", func() (*Result, error) {
+			return exec.Pipelined(ctx, q3, reg, exec.Options{}, nil)
+		}, 1289, -1},
+		{"q3 pipelined, no meta-cache", func() (*Result, error) {
+			return exec.Pipelined(ctx, q3, reg, exec.Options{NoMetaCache: true}, nil)
+		}, 1501, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := tc.run()
@@ -75,3 +98,40 @@ func TestExactAccessCounts(t *testing.T) {
 		})
 	}
 }
+
+// skewedSystem builds a skewed join: seed feeds a key into two
+// order-equivalent joined relations, big (many rows) and small (empty), so
+// the only thing ordering changes is how early the fast-failing executor
+// notices the join is empty. The query lists big before small, so the
+// static tie-break (equal join scores, source-ID order) probes big first.
+func skewedSystem(t testing.TB) *System {
+	t.Helper()
+	sch, err := ParseSchema(`
+		seed^o(A)
+		big^io(A, B)
+		small^io(A, C)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	var seeds, bigs []Row
+	for i := 0; i < 10; i++ {
+		k := fmt.Sprintf("k%d", i)
+		seeds = append(seeds, Row{k})
+		for j := 0; j < 10; j++ {
+			bigs = append(bigs, Row{k, fmt.Sprintf("v%d_%d", i, j)})
+		}
+	}
+	if err := sys.BindRows("seed", seeds...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.BindRows("big", bigs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.BindRows("small"); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+const skewedQuery = "q(B, C) :- big(X, B), small(X, C), seed(X)"

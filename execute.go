@@ -6,7 +6,6 @@ import (
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/exec"
-	"toorjah/internal/plan"
 	"toorjah/internal/source"
 )
 
@@ -40,7 +39,7 @@ type execConfig struct {
 
 // ExecOption configures one Execute call. Options apply in order;
 // WithExecOptions replaces the whole executor-level block, so pass it
-// first when combining it with WithLimit or WithExecMaxBatch.
+// first when combining it with WithLimit.
 type ExecOption func(*execConfig)
 
 // WithExecutor selects the execution strategy. The default is
@@ -57,13 +56,6 @@ func WithExecutor(e Executor) ExecOption {
 // is a sound subset carrying Truncated when answers were actually cut.
 func WithLimit(n int) ExecOption {
 	return func(c *execConfig) { c.opts.Limit = n }
-}
-
-// WithExecMaxBatch caps how many access bindings ride one source round
-// trip for this execution, overriding the system default (see the
-// system-level WithMaxBatch option for semantics).
-func WithExecMaxBatch(n int) ExecOption {
-	return func(c *execConfig) { c.opts.MaxBatch = n }
 }
 
 // OnAnswers streams answers to f in bursts: each call carries, in the order
@@ -115,7 +107,7 @@ func OnAnswer(f func(Tuple)) ExecOption {
 // pipelined tuning (Parallelism), union parallelism
 // (MaxConcurrent) and the rest. The escape hatch for everything the
 // dedicated ExecOptions don't cover; it replaces the accumulated block, so
-// order it before WithLimit / WithExecMaxBatch.
+// order it before WithLimit.
 func WithExecOptions(o Options) ExecOption {
 	return func(c *execConfig) { c.opts = o }
 }
@@ -164,7 +156,7 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 		// The naive algorithm runs on the query itself — the shape with this
 		// query's constants back in their slots — and needs no plan, so it
 		// executes even when the optimized strategies would refuse.
-		query := cq.Instantiate(q.shape.pipeline.Query, q.consts)
+		query := cq.Instantiate(q.pipeline.Query, q.consts)
 		typing, err := cq.Validate(query, q.sys.sch)
 		if err != nil {
 			return nil, err
@@ -173,47 +165,10 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 	case !q.Answerable():
 		return q.emptyResult(), nil
 	case cfg.executor == ExecutorPipelined:
-		return exec.Pipelined(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onBursts)
+		return exec.Pipelined(ctx, q.pipeline.Plan.Bind(q.consts), reg, opts, cfg.onBursts)
 	default:
-		return exec.FastFailing(ctx, q.shape.activePlan(q.sys).Bind(q.consts), reg, opts, cfg.onBursts)
+		return exec.FastFailing(ctx, q.pipeline.Plan.Bind(q.consts), reg, opts, cfg.onBursts)
 	}
-}
-
-// activePlan returns the plan an execution of the shape runs, before the
-// query's constants are bound to it. On a non-adaptive system that is always
-// the one built at Prepare. On an adaptive system
-// (WithAdaptiveOrdering) the prepared linearization is checked against the
-// current data epochs of the plan's relations; when any has advanced the
-// plan is re-linearized from the optimized d-graph against the live row
-// counts — same sources, same ⊂-minimality, possibly a different probe
-// order — and kept until the data moves again: once per epoch change for the
-// shape, however many queries share it. Executions already running keep the
-// plan they started with.
-func (sh *shape) activePlan(sys *System) *plan.Plan {
-	if !sys.adaptive || sh.pipeline.Plan == nil {
-		return sh.pipeline.Plan
-	}
-	sh.planMu.Lock()
-	defer sh.planMu.Unlock()
-	stale := false
-	for name, epoch := range sh.planEpochs {
-		if sys.RelationEpoch(name) != epoch {
-			stale = true
-			break
-		}
-	}
-	if !stale {
-		return sh.livePlan
-	}
-	p, err := plan.GenerateWith(sh.pipeline.Opt, plan.OrderOptions{Sizes: sys.RelationSizes()})
-	if err != nil {
-		// The d-graph did not change, so regeneration cannot really fail;
-		// if it somehow does, the last good linearization is still sound.
-		return sh.livePlan
-	}
-	sh.livePlan = p
-	sh.planEpochs = sys.snapshotEpochs(sh.pipeline)
-	return p
 }
 
 // Execute runs every disjunct concurrently (bounded by Options.MaxConcurrent) and

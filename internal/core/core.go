@@ -29,8 +29,8 @@ type Options struct {
 	// SkipPruning keeps every arc of the d-graph weak (no GFP), producing
 	// the unoptimized plan; used by ablation experiments.
 	SkipPruning bool
-	// Order tunes the linearization of the source ordering (statistics or
-	// heuristic-free; see plan.OrderOptions).
+	// Order tunes the linearization of the source ordering (heuristic-free;
+	// see plan.OrderOptions).
 	Order plan.OrderOptions
 }
 

@@ -12,15 +12,6 @@ type OrderOptions struct {
 	// NoHeuristic disables the fast-failure tie-breaks: ready groups are
 	// taken in source-ID order. Used by ablation experiments.
 	NoHeuristic bool
-	// Sizes, when provided, gives estimated relation cardinalities; among
-	// ready groups the smaller total size goes first — the paper's
-	// "compatibly with the ordering, place small tables first" (§IV).
-	// A relation absent from the map has unknown cardinality, which is not
-	// the same as zero: a group is size-compared only when every relation in
-	// it has an entry, so partial statistics (say, live counts of the local
-	// relations while federated ones stay opaque) never demote a group below
-	// one whose size is simply unknown.
-	Sizes map[string]int
 }
 
 // Order computes the source ordering of Section IV for an optimized
@@ -86,22 +77,12 @@ func OrderWith(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Sourc
 	// to failure"), then by smallest source ID for determinism.
 	joinScore := make([]int, ncomp)
 	allFree := make([]bool, ncomp)
-	size := make([]int, ncomp)
-	sized := make([]bool, ncomp)
 	for ci, ms := range members {
 		allFree[ci] = true
-		sized[ci] = opts.Sizes != nil
 		for _, s := range ms {
 			joinScore[ci] += sourceJoins(o, s)
 			if !s.Free() {
 				allFree[ci] = false
-			}
-			if opts.Sizes != nil {
-				n, known := opts.Sizes[s.Rel.Name]
-				if !known {
-					sized[ci] = false
-				}
-				size[ci] += n
 			}
 		}
 		sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
@@ -129,10 +110,6 @@ func OrderWith(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Sourc
 			switch {
 			case allFree[a] != allFree[b]:
 				if allFree[a] {
-					best = i
-				}
-			case sized[a] && sized[b] && size[a] != size[b]:
-				if size[a] < size[b] {
 					best = i
 				}
 			case joinScore[a] != joinScore[b]:

@@ -4,43 +4,6 @@ import (
 	"testing"
 )
 
-// TestOrderWithSizes: among equally-ready limited groups, statistics place
-// the smaller table first (paper §IV: "place small tables first").
-func TestOrderWithSizes(t *testing.T) {
-	o := optimize(t, `
-seed^o(A)
-big^io(A, B)
-small^io(A, C)
-`, "q(B, C) :- big(X, B), small(X, C), seed(X)")
-	p, err := GenerateWith(o, OrderOptions{Sizes: map[string]int{"big": 10000, "small": 10, "seed": 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	posOf := map[string]int{}
-	for gi, g := range p.Groups {
-		for _, s := range g {
-			posOf[s.Rel.Name] = gi
-		}
-	}
-	if posOf["small"] > posOf["big"] {
-		t.Errorf("small table should be ordered before big: %s", p)
-	}
-	// The opposite statistics flip the order.
-	p2, err := GenerateWith(o, OrderOptions{Sizes: map[string]int{"big": 10, "small": 10000, "seed": 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	posOf2 := map[string]int{}
-	for gi, g := range p2.Groups {
-		for _, s := range g {
-			posOf2[s.Rel.Name] = gi
-		}
-	}
-	if posOf2["big"] > posOf2["small"] {
-		t.Errorf("statistics ignored: %s", p2)
-	}
-}
-
 // TestOrderNoHeuristic is deterministic and ignores joins and freeness.
 func TestOrderNoHeuristic(t *testing.T) {
 	o := optimize(t, `
@@ -79,7 +42,7 @@ seed^o(A)
 mid^io(A, B)
 last^io(B, C)
 `, "q(C) :- seed(X), mid(X, Y), last(Y, C)")
-	for _, opts := range []OrderOptions{{}, {NoHeuristic: true}, {Sizes: map[string]int{"mid": 5}}} {
+	for _, opts := range []OrderOptions{{}, {NoHeuristic: true}} {
 		groups, unique := OrderWith(o, opts)
 		if !unique {
 			t.Errorf("chain ordering must be unique (opts %+v)", opts)

@@ -68,7 +68,7 @@ type Cache struct {
 
 	// The fields below are the executors' per-plan tables, derived once by
 	// GenerateWith and immutable afterwards: a plan is shared by concurrent
-	// executions and replaced, never mutated, by adaptive re-linearization.
+	// executions.
 
 	// Index is the cache's position in Plan.Caches.
 	Index int
@@ -218,8 +218,8 @@ func Generate(o *dgraph.Optimized) (*Plan, error) {
 	return GenerateWith(o, OrderOptions{})
 }
 
-// GenerateWith is Generate with explicit ordering options (statistics-based
-// or heuristic-free linearization).
+// GenerateWith is Generate with explicit ordering options (the
+// heuristic-free linearization of the ablation).
 func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 	if !o.Graph.Answerable {
 		return nil, fmt.Errorf("plan: query %s is not answerable", o.Graph.Query.Name)

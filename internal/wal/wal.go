@@ -58,11 +58,6 @@ type Options struct {
 	// automatic snapshots.
 	SnapshotInterval time.Duration
 
-	// ArchiveDir receives sealed segments and superseded snapshots
-	// (default Dir/archive). Recovery never reads it; it is the cold
-	// tier an operator ships elsewhere or prunes.
-	ArchiveDir string
-
 	// Logger receives recovery warnings and append-path errors
 	// (default slog.Default()).
 	Logger *slog.Logger
@@ -84,9 +79,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = defaultSegmentMaxBytes
-	}
-	if o.ArchiveDir == "" {
-		o.ArchiveDir = filepath.Join(o.Dir, "archive")
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -153,7 +145,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := os.MkdirAll(opts.ArchiveDir, 0o755); err != nil {
+	if err := os.MkdirAll(archiveDir(opts.Dir), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{
@@ -188,6 +180,10 @@ func segPath(dir string, seq uint64) string {
 func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", seq))
 }
+
+// archiveDir receives sealed segments and superseded snapshots. Recovery
+// never reads it; it is the cold tier an operator ships elsewhere or prunes.
+func archiveDir(dir string) string { return filepath.Join(dir, "archive") }
 
 // AppendCommit logs one applied mutation batch. It has the exact shape of
 // the storage commit hook and runs inside it: under FsyncAlways the record
@@ -237,7 +233,7 @@ func (l *Log) syncLocked() {
 		return
 	}
 	l.fail.beforeSync()
-	if err := l.f.Sync(); err != nil {
+	if err := fsync(l.f); err != nil {
 		l.noteErrLocked("fsync", err)
 		return
 	}
@@ -277,7 +273,7 @@ func (l *Log) sealLocked() {
 		l.noteErrLocked("rotate", err)
 		return
 	}
-	if err := prev.Sync(); err != nil {
+	if err := fsync(prev); err != nil {
 		l.noteErrLocked("seal fsync", err)
 	}
 	if err := prev.Close(); err != nil {
@@ -385,7 +381,7 @@ func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
 		_ = f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
 		// unchecked: the fsync already failed; the close error cannot matter
 		_ = f.Close()
 		return err
@@ -420,13 +416,18 @@ func encodeSnapshot(states []RelationState) ([]byte, error) {
 	return buf, nil
 }
 
+// fsync flushes a file's written bytes, or a directory's entries, to stable
+// storage. Every fsync the log makes goes through it, so a test can observe
+// which files are flushed, and when.
+var fsync = (*os.File).Sync
+
 // syncDir flushes a directory so a just-renamed file survives power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	if err := d.Sync(); err != nil {
+	if err := fsync(d); err != nil {
 		// unchecked: the directory fsync already failed; the close error cannot matter
 		_ = d.Close()
 		return err
@@ -466,7 +467,7 @@ func (l *Log) archive(segsBelow, snapSeq uint64) {
 
 func (l *Log) moveToArchive(name string) {
 	from := filepath.Join(l.opts.Dir, name)
-	to := filepath.Join(l.opts.ArchiveDir, name)
+	to := filepath.Join(archiveDir(l.opts.Dir), name)
 	if err := os.Rename(from, to); err != nil {
 		l.errors.Add(1)
 		l.logger.Error("wal archive move failed", "file", name, "err", err)

@@ -448,3 +448,95 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal("Open with a bogus fsync policy must fail")
 	}
 }
+
+// fsyncCall is one fsync the log made: the file it flushed, and the
+// snapshot files Dir held at that moment.
+type fsyncCall struct {
+	name  string
+	snaps []string
+}
+
+// recordFsyncs routes the log's fsyncs through a recorder for the rest of
+// the test. The log under test must be opened after it and closed before
+// the test ends.
+func recordFsyncs(t *testing.T, dir string) *[]fsyncCall {
+	t.Helper()
+	var calls []fsyncCall
+	prev := fsync
+	fsync = func(f *os.File) error {
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil {
+			t.Error(err)
+		}
+		calls = append(calls, fsyncCall{f.Name(), snaps})
+		return prev(f)
+	}
+	t.Cleanup(func() { fsync = prev })
+	return &calls
+}
+
+// TestSnapshotAndSealFsync: a snapshot is flushed under its temporary name
+// before the rename publishes it, and the directory entry the rename made is
+// flushed after it; a sealed segment is flushed whatever the fsync policy.
+// Without any one of the three, power loss can leave recovery an empty
+// snapshot, a snapshot that vanished, or a sealed segment missing records.
+func TestSnapshotAndSealFsync(t *testing.T) {
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		calls := recordFsyncs(t, dir)
+		l, _ := openTestLog(t, dir, nil)
+		if err := l.WriteSnapshot([]RelationState{
+			{Name: "pub", Arity: 2, Epoch: 3, Rows: []storage.Row{{"a", "1"}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		final, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(final) != 1 {
+			t.Fatalf("snapshot files %v (%v), want one", final, err)
+		}
+		published := []string{final[0]}
+		var file, entry bool
+		for _, c := range *calls {
+			switch c.name {
+			case final[0] + ".tmp":
+				file = true
+				if !reflect.DeepEqual(c.snaps, []string{final[0] + ".tmp"}) {
+					t.Errorf("snapshot fsynced when Dir held %v, want it before the rename", c.snaps)
+				}
+			case dir:
+				entry = true
+				if !file || !reflect.DeepEqual(c.snaps, published) {
+					t.Errorf("Dir fsynced when it held %v (file fsynced: %v), want it after the rename", c.snaps, file)
+				}
+			}
+		}
+		if !file || !entry {
+			t.Errorf("fsyncs %v: snapshot file fsynced %v, Dir %v; want both", *calls, file, entry)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("seal", func(t *testing.T) {
+		dir := t.TempDir()
+		calls := recordFsyncs(t, dir)
+		l, _ := openTestLog(t, dir, func(o *Options) { o.SegmentMaxBytes = 64 })
+		first := segPath(dir, l.Stats().ActiveSegment)
+		for i := 0; i < 2; i++ {
+			l.AppendCommit(ev("pub", storage.OpInsert, uint64(i+2), storage.Row{"key-key-key", "value-value-value"}))
+		}
+		if l.Stats().SegmentsSealed != 1 {
+			t.Fatalf("%d segments sealed, want 1", l.Stats().SegmentsSealed)
+		}
+		sealed := false
+		for _, c := range *calls {
+			sealed = sealed || c.name == first
+		}
+		if !sealed {
+			t.Errorf("fsyncs %v under FsyncNever: the sealed segment %s is not among them", *calls, first)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

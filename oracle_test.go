@@ -49,7 +49,7 @@ func TestStringSymbolEngineEquivalence(t *testing.T) {
 			}
 			for _, ex := range shapeExecutors {
 				for _, mb := range []int{-1, 1, 16} {
-					with := []ExecOption{WithExecutor(ex.e), WithExecMaxBatch(mb)}
+					with := []ExecOption{WithExecutor(ex.e), WithExecOptions(Options{MaxBatch: mb})}
 					surface := fmt.Sprintf("epoch %d, %s, batch %d", epoch, ex.name, mb)
 					o, _ := observe(t, plain, counters, ec.Disjuncts, with...)
 					o.Naive, o.Batching = ex.e == ExecutorNaive, fmt.Sprintf("epoch %d, %s", epoch, ex.name)
@@ -100,7 +100,7 @@ func checkFacade(t *testing.T, c *oracle.Case) {
 			_, siblings := observe(t, shared, counters, sibling, with)
 			o, qs := observe(t, shared, counters, c.Disjuncts, with)
 			for i := range qs {
-				if qs[i].shape != siblings[i].shape {
+				if qs[i].pipeline != siblings[i].pipeline {
 					t.Errorf("seed %d: disjunct %d was planned anew, not served its sibling's shape", c.Seed, i)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"toorjah/internal/core"
 	"toorjah/internal/cq"
 	"toorjah/internal/oracle"
 	"toorjah/internal/schema"
@@ -184,7 +185,7 @@ func checkShapeShared(t *testing.T, label string, sch *schema.Schema, db *storag
 		shapes := warmSys.PlanCacheStats().Shapes
 		warm, qb := observe(t, warmSys, warmCounters, b, WithExecutor(ex.e))
 		for i := range qb {
-			if qb[i].shape != qa[i].shape || qb[i].shape.pipeline != qa[i].shape.pipeline {
+			if qb[i].pipeline != qa[i].pipeline {
 				t.Errorf("%s: disjunct %d of b (%s) was planned anew, not served a's pipeline", label, i, b[i])
 			}
 		}
@@ -302,7 +303,7 @@ func TestOneShapeManyGoroutines(t *testing.T) {
 	var (
 		wg     sync.WaitGroup
 		start  = make(chan struct{})
-		shapes [goroutines]*shape
+		shapes [goroutines]*core.Pipeline
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -325,10 +326,10 @@ func TestOneShapeManyGoroutines(t *testing.T) {
 				if got, want := strings.Join(res.SortedAnswers(), ";"), fmt.Sprintf("c%d", k); got != want {
 					t.Errorf("p%d under %s answers [%s], want [%s]", k, e.name, got, want)
 				}
-				if shapes[g] != nil && shapes[g] != q.shape {
+				if shapes[g] != nil && shapes[g] != q.pipeline {
 					t.Errorf("goroutine %d was served two entries for one shape", g)
 				}
-				shapes[g] = q.shape
+				shapes[g] = q.pipeline
 			}
 		}(g)
 	}
@@ -342,69 +343,6 @@ func TestOneShapeManyGoroutines(t *testing.T) {
 	st := sys.PlanCacheStats()
 	if st.Shapes != 1 || st.Hits+st.Misses != goroutines*rounds || st.Misses < 1 || st.Misses > goroutines {
 		t.Errorf("plan cache = %+v, want one shape from %d prepares, planned by at most the %d that raced", st, goroutines*rounds, goroutines)
-	}
-}
-
-// TestAdaptiveRelinearizesOncePerShape: when the data moves, the first
-// execution of any query of a shape re-linearizes the shape's plan, and the
-// others — whatever their constants — run what it left.
-func TestAdaptiveRelinearizesOncePerShape(t *testing.T) {
-	ctx := context.Background()
-	sys := skewedSystem(t, WithAdaptiveOrdering())
-	const text = "q(B, C) :- big(%s, B), small(%s, C), seed(%s)"
-	var queries []*Query
-	for _, k := range []string{"k1", "k2", "k3"} {
-		q, err := sys.Prepare(fmt.Sprintf(text, k, k, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	sh := queries[0].shape
-	live := func() *Plan {
-		sh.planMu.Lock()
-		defer sh.planMu.Unlock()
-		return sh.livePlan
-	}
-	execAll := func() {
-		for _, q := range queries {
-			if q.shape != sh {
-				t.Fatal("three constants of one shape, more than one entry")
-			}
-			if _, err := q.Execute(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	planned := live()
-	execAll()
-	if live() != planned {
-		t.Error("re-linearized although no epoch advanced")
-	}
-	for round := 0; round < 3; round++ {
-		if _, err := sys.Insert("small", Row{"k1", fmt.Sprintf("s%d", round)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := queries[round].Execute(ctx); err != nil {
-			t.Fatal(err)
-		}
-		relinearized := live()
-		if relinearized == planned {
-			t.Fatalf("round %d: the epoch advanced and the plan was not re-linearized", round)
-		}
-		execAll()
-		if live() != relinearized {
-			t.Errorf("round %d: re-linearized again for a query of the same shape and epochs", round)
-		}
-		planned = relinearized
-	}
-	// The answers are each query's own throughout.
-	res, err := queries[0].Execute(ctx)
-	if err != nil || res.Answers.Len() != 30 {
-		t.Errorf("k1: %d answers (%v), want 10 big × 3 small", res.Answers.Len(), err)
-	}
-	if res, err = queries[1].Execute(ctx); err != nil || res.Answers.Len() != 0 {
-		t.Errorf("k2: %d answers (%v), want none", res.Answers.Len(), err)
 	}
 }
 
@@ -501,7 +439,7 @@ func TestExplainShowsThisQuerysConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.shape != first.shape {
+	if second.pipeline != first.pipeline {
 		t.Fatal("one shape, two entries")
 	}
 	for _, c := range []struct {
@@ -520,7 +458,7 @@ func TestExplainShowsThisQuerysConstants(t *testing.T) {
 		}
 	}
 	// Nothing a query brought is held by what the next one is served from.
-	p := first.shape.pipeline
+	p := first.pipeline
 	held := fmt.Sprint(p.Query, p.Pre.Query, p.Pre.Consts, p.Plan.Consts, p.Plan.Program, p.Plan, p.Typing.Consts, p.Graph)
 	if strings.Contains(held, "Hello World") || strings.Contains(held, "another one") {
 		t.Errorf("the cached pipeline holds a constant:\n%s", held)

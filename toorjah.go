@@ -171,11 +171,6 @@ type System struct {
 	// maxBatch is the default batch bound of every execution (WithMaxBatch).
 	maxBatch int
 
-	// adaptive, when set (WithAdaptiveOrdering), feeds live per-relation
-	// row counts into plan linearization and re-linearizes prepared queries
-	// when the data behind them moves.
-	adaptive bool
-
 	// Federation state (see remote.go): client tuning for attached peers,
 	// and the attached peers.
 	remoteOpts RemoteOptions
@@ -220,24 +215,6 @@ func WithLatency(d time.Duration) SystemOption {
 // disables batching.
 func WithMaxBatch(n int) SystemOption {
 	return func(s *System) { s.maxBatch = n }
-}
-
-// WithAdaptiveOrdering feeds live per-relation row counts (read from the
-// same pinned snapshots DataInfo reports) into the plan linearization of
-// every prepared query: among order-equivalent source groups, relations
-// with fewer live rows are probed first — the paper's "place small tables
-// first" (§IV) driven by the actual data instead of static estimates.
-// Prepared queries stay adaptive after preparation: an execution that finds
-// the epoch of a relevant relation has advanced re-linearizes the plan
-// against the current counts before running. Only the linearization moves —
-// the set of sources probed and the ⊂-minimality of the plan are decided by
-// the GFP optimization and never change, so answers are identical; what
-// changes is how early a doomed extraction can fail, i.e. the access count.
-// Relations not backed by a local table (federated peers, custom wrappers)
-// have unknown cardinality and never demote a group (see
-// plan.OrderOptions.Sizes).
-func WithAdaptiveOrdering() SystemOption {
-	return func(s *System) { s.adaptive = true }
 }
 
 // NewSystem creates a system over the schema with no sources bound.
@@ -522,23 +499,6 @@ func (s *System) DataInfo() map[string]RelationInfo {
 	return out
 }
 
-// AdaptiveOrdering reports whether the system feeds live relation sizes
-// into plan linearization (see WithAdaptiveOrdering).
-func (s *System) AdaptiveOrdering() bool { return s.adaptive }
-
-// RelationSizes snapshots the live row count of every relation backed by a
-// local table — the statistics adaptive ordering runs on. Relations served
-// by federated peers or custom wrappers are absent (unknown), not zero.
-func (s *System) RelationSizes() map[string]int {
-	sizes := make(map[string]int)
-	for name, info := range s.DataInfo() {
-		if info.Local {
-			sizes[name] = info.Rows
-		}
-	}
-	return sizes
-}
-
 // execOpts threads the system's cross-query cache and batch bound into
 // executor options.
 func (s *System) execOpts(o Options) Options {
@@ -577,10 +537,13 @@ func (s *System) ensureBound() error {
 const maxPlannedShapes = 1024
 
 // planCache is the system's one plan cache: everything Prepare has planned,
-// keyed by query shape (cq.AppendShapeKey).
+// keyed by query shape (cq.AppendShapeKey). A shape's entry is the
+// validated, minimized, optimized and planned slot form, in which constants
+// are slots and no value occurs; queries that differ only in their
+// constants share it, and nothing mutates it once cached.
 type planCache struct {
 	mu     sync.Mutex
-	shapes map[string]*shape
+	shapes map[string]*core.Pipeline
 	// order holds the keys of shapes in insertion order, as a ring once it
 	// is full: next is the oldest entry, the one to evict.
 	order []string
@@ -589,46 +552,30 @@ type planCache struct {
 	hits, misses, evictions uint64
 }
 
-// shape is the prepared form of every query of one shape: the validated,
-// minimized, optimized and planned slot form, in which constants are slots
-// and no value occurs. Queries that differ only in their constants share it.
-type shape struct {
-	pipeline *core.Pipeline
-
-	// Adaptive-ordering state (WithAdaptiveOrdering): the linearization in
-	// use and the relation epochs it was computed against — a linearization
-	// depends on relation sizes, not on constants, so it is the shape's.
-	// planMu guards both; they stay nil on non-adaptive systems, where
-	// pipeline.Plan is the only plan there will ever be.
-	planMu     sync.Mutex
-	livePlan   *plan.Plan
-	planEpochs map[string]uint64
-}
-
 // get returns the cached shape for a key, or nil, and counts the outcome.
-func (c *planCache) get(key []byte) *shape {
+func (c *planCache) get(key []byte) *core.Pipeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sh := c.shapes[string(key)]
-	if sh == nil {
+	p := c.shapes[string(key)]
+	if p == nil {
 		c.misses++
 	} else {
 		c.hits++
 	}
-	return sh
+	return p
 }
 
 // add caches a freshly planned shape and returns the entry to use: when a
 // concurrent Prepare planned the same shape first, that one — every query of
 // a shape shares one pipeline.
-func (c *planCache) add(key string, sh *shape) *shape {
+func (c *planCache) add(key string, p *core.Pipeline) *core.Pipeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if first := c.shapes[key]; first != nil {
 		return first
 	}
 	if c.shapes == nil {
-		c.shapes = make(map[string]*shape)
+		c.shapes = make(map[string]*core.Pipeline)
 	}
 	if len(c.order) < maxPlannedShapes {
 		c.order = append(c.order, key)
@@ -638,8 +585,8 @@ func (c *planCache) add(key string, sh *shape) *shape {
 		c.order[c.next] = key
 		c.next = (c.next + 1) % maxPlannedShapes
 	}
-	c.shapes[key] = sh
-	return sh
+	c.shapes[key] = p
+	return p
 }
 
 // PlanCacheStats is the accounting of a system's plan cache.
@@ -663,9 +610,9 @@ func (s *System) PlanCacheStats() PlanCacheStats {
 // Query is a prepared query: the shared prepared form of its shape, and its
 // own constants by slot, which every execution binds the plan to.
 type Query struct {
-	sys    *System
-	shape  *shape
-	consts []string
+	sys      *System
+	pipeline *core.Pipeline
+	consts   []string
 }
 
 // Prepare validates the query text against the schema and builds the
@@ -684,29 +631,25 @@ func (s *System) Prepare(queryText string) (*Query, error) {
 func (s *System) PrepareCQ(q *CQ) (*Query, error) {
 	var buf [256]byte
 	key, consts := cq.AppendShapeKey(buf[:0], q)
-	sh := s.plans.get(key)
-	if sh == nil {
+	p := s.plans.get(key)
+	if p == nil {
 		var err error
-		if sh, err = s.planShape(string(key), q); err != nil {
+		if p, err = s.planShape(string(key), q); err != nil {
 			return nil, err
 		}
 	}
-	return &Query{sys: s, shape: sh, consts: consts}, nil
+	return &Query{sys: s, pipeline: p, consts: consts}, nil
 }
 
 // planShape plans the shape of q, which the cache does not hold, and caches
 // it. The planner is given the slot form, so nothing it builds can hold a
 // constant of q.
-func (s *System) planShape(key string, q *CQ) (*shape, error) {
+func (s *System) planShape(key string, q *CQ) (*core.Pipeline, error) {
 	if err := s.ensureBound(); err != nil {
 		return nil, err
 	}
-	var opts core.Options
-	if s.adaptive {
-		opts.Order = plan.OrderOptions{Sizes: s.RelationSizes()}
-	}
 	slotForm, _ := cq.Shape(q)
-	p, err := core.PrepareOpts(s.sch, slotForm, opts)
+	p, err := core.Prepare(s.sch, slotForm)
 	if err != nil {
 		// A query the schema refuses is reported as its author wrote it,
 		// constants and all, not in terms of slots.
@@ -715,61 +658,38 @@ func (s *System) planShape(key string, q *CQ) (*shape, error) {
 		}
 		return nil, err
 	}
-	sh := &shape{pipeline: p}
-	if s.adaptive && p.Plan != nil {
-		sh.livePlan = p.Plan
-		sh.planEpochs = s.snapshotEpochs(p)
-	}
-	return s.plans.add(key, sh), nil
-}
-
-// snapshotEpochs records the current data epoch of every relation the
-// optimized plan may access — the staleness check of adaptive ordering.
-func (s *System) snapshotEpochs(p *core.Pipeline) map[string]uint64 {
-	eps := make(map[string]uint64)
-	for _, name := range p.Opt.RelevantRelations() {
-		eps[name] = s.RelationEpoch(name)
-	}
-	return eps
+	return s.plans.add(key, p), nil
 }
 
 // Answerable reports whether the query can return any answer on any
 // instance under the access limitations.
-func (q *Query) Answerable() bool { return q.shape.pipeline.Answerable() }
+func (q *Query) Answerable() bool { return q.pipeline.Answerable() }
 
 // Plan returns the ⊂-minimal plan, bound to the query's constants, or nil
-// for non-answerable queries. On an adaptive system (WithAdaptiveOrdering)
-// it is the linearization currently in use, which executions refresh when
-// relation epochs advance. Its String is the query's explain output: the
+// for non-answerable queries. Its String is the query's explain output: the
 // artificial relations of the constants are named by slot (l_0, l_1, …) and
 // a legend line says what each holds for this query.
 func (q *Query) Plan() *Plan {
-	p := q.shape.pipeline.Plan
-	if p == nil {
+	if q.pipeline.Plan == nil {
 		return nil
 	}
-	if q.sys.adaptive {
-		q.shape.planMu.Lock()
-		p = q.shape.livePlan
-		q.shape.planMu.Unlock()
-	}
-	return p.Bind(q.consts)
+	return q.pipeline.Plan.Bind(q.consts)
 }
 
 // RelevantRelations returns the relations the optimized plan may access
 // (the artificial relations of the query's constants included, by slot).
-func (q *Query) RelevantRelations() []string { return q.shape.pipeline.Opt.RelevantRelations() }
+func (q *Query) RelevantRelations() []string { return q.pipeline.Opt.RelevantRelations() }
 
 // IrrelevantRelations returns the queryable relations the optimization
 // proved useless for this query.
-func (q *Query) IrrelevantRelations() []string { return q.shape.pipeline.Opt.IrrelevantRelations() }
+func (q *Query) IrrelevantRelations() []string { return q.pipeline.Opt.IrrelevantRelations() }
 
 // Orderable reports whether the (minimized) query is executable without
 // recursion by some left-to-right ordering of its own atoms that respects
 // the access patterns; when it is not — like the paper's Example 1 — the
 // recursive plan of Execute is the only way to obtain answers.
 func (q *Query) Orderable() bool {
-	_, ok := plan.Orderable(q.shape.pipeline.Query, q.sys.sch)
+	_, ok := plan.Orderable(q.pipeline.Query, q.sys.sch)
 	return ok
 }
 
@@ -777,31 +697,31 @@ func (q *Query) Orderable() bool {
 // connection-query class of earlier relevance work (Section VI); Toorjah
 // handles arbitrary conjunctive queries.
 func (q *Query) IsConnectionQuery() bool {
-	return cq.IsConnectionQuery(q.shape.pipeline.Query, q.sys.sch)
+	return cq.IsConnectionQuery(q.pipeline.Query, q.sys.sch)
 }
 
 // ForAllMinimal reports whether the plan is ∀-minimal: no other plan makes
 // fewer accesses on any instance (Section IV: this holds exactly when the
 // source ordering is unique).
 func (q *Query) ForAllMinimal() bool {
-	return q.shape.pipeline.Plan != nil && q.shape.pipeline.Plan.ForAllMinimal()
+	return q.pipeline.Plan != nil && q.pipeline.Plan.ForAllMinimal()
 }
 
 // DGraphDOT renders the query's full d-graph in Graphviz DOT format;
 // deleted arcs are dashed. The source of each constant is labelled with its
 // slot's relation and the value it holds for this query.
 func (q *Query) DGraphDOT() string {
-	return dgraph.DOT(q.shape.pipeline.Graph, q.shape.pipeline.Opt.Solution, true, q.consts)
+	return dgraph.DOT(q.pipeline.Graph, q.pipeline.Opt.Solution, true, q.consts)
 }
 
 // OptimizedDOT renders the optimized d-graph in Graphviz DOT format.
 func (q *Query) OptimizedDOT() string {
-	return dgraph.DOTOptimized(q.shape.pipeline.Opt, q.consts)
+	return dgraph.DOTOptimized(q.pipeline.Opt, q.consts)
 }
 
 // emptyResult is the constant answer of non-answerable queries.
 func (q *Query) emptyResult() *Result {
-	query := q.shape.pipeline.Query
+	query := q.pipeline.Query
 	return &Result{
 		Answers: datalog.NewRelation(query.Name, len(query.Head)),
 		Stats:   map[string]source.Stats{},

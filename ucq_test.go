@@ -168,7 +168,7 @@ func TestUCQCancellation(t *testing.T) {
 		if mode == "execute" {
 			r, err = u.Execute(ctx, WithExecOptions(Options{MaxBatch: -1}))
 		} else {
-			r, err = u.Execute(ctx, WithExecutor(ExecutorPipelined), WithExecMaxBatch(-1))
+			r, err = u.Execute(ctx, WithExecutor(ExecutorPipelined), WithExecOptions(Options{MaxBatch: -1}))
 		}
 		cancel()
 		if err != nil {
