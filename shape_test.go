@@ -122,7 +122,9 @@ func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts 
 // on sys and executes it once, reporting the answers, the accesses that
 // reached the counters (audited, as a set) and how many the result counts.
 // A union runs one disjunct at a time: two running at once may both make an
-// access the cross-disjunct sharing would otherwise save.
+// access the cross-disjunct sharing would otherwise save. The setting goes
+// last and sets MaxConcurrent alone, so a caller's WithExecOptions cannot
+// undo it.
 func observe(t *testing.T, sys *System, counters map[string]*source.Counter, disjuncts []*CQ, options ...ExecOption) (oracle.Outcome, []*Query) {
 	t.Helper()
 	var (
@@ -143,7 +145,7 @@ func observe(t *testing.T, sys *System, counters map[string]*source.Counter, dis
 			t.Fatalf("prepare union of %s, …: %v", disjuncts[0], err)
 		}
 		run, prepared = u, u.Disjuncts()
-		options = append([]ExecOption{WithExecOptions(Options{MaxConcurrent: -1})}, options...)
+		options = append(options[:len(options):len(options)], func(c *execConfig) { c.opts.MaxConcurrent = -1 })
 	}
 	for _, c := range counters {
 		c.Reset()
