@@ -282,8 +282,8 @@ type failingReader struct{ err error }
 func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
 
 // A Buffer holds one body's bytes — read from a request or a response, then
-// reused for what is rendered in reply. Buffers are pooled: Read takes one,
-// Free hands it back.
+// reused for what is rendered in reply. Buffers are pooled: Get and Read take
+// one, Free hands it back.
 type Buffer struct{ B []byte }
 
 var buffers = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 2048)} }}
@@ -292,11 +292,14 @@ var buffers = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 2048
 // allocated behind every small one that follows.
 const maxPooled = 1 << 20
 
+// Get takes an empty buffer from the pool; it is the caller's to Free.
+func Get() *Buffer { return buffers.Get().(*Buffer) }
+
 // Read reads r to its end into a pooled buffer. The error is r's, nil at a
 // clean end; the buffer holds what was read before it either way, and is the
 // caller's to Free.
 func Read(r io.Reader) (*Buffer, error) {
-	buf := buffers.Get().(*Buffer)
+	buf := Get()
 	b := bytes.NewBuffer(buf.B[:0])
 	_, err := b.ReadFrom(r) // nil at io.EOF
 	buf.B = b.Bytes()

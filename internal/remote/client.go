@@ -46,9 +46,6 @@ type Options struct {
 	BreakerCooldown  time.Duration
 	// MaxResponseBytes caps one probe response stream. Default 32 MiB.
 	MaxResponseBytes int64
-	// MaxIdleConns bounds the pooled idle connections to the peer.
-	// Default 32.
-	MaxIdleConns int
 }
 
 // withDefaults resolves the zero values.
@@ -76,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxResponseBytes <= 0 {
 		o.MaxResponseBytes = 32 << 20
-	}
-	if o.MaxIdleConns <= 0 {
-		o.MaxIdleConns = 32
 	}
 	return o
 }
@@ -143,13 +137,14 @@ func (st *relState) noteEpoch(e uint64) {
 	}
 }
 
-// Client speaks the probe protocol to one peer. It owns a per-host
-// connection pool shared by every relation sourced from the peer, and keeps
-// per-relation circuit breakers and telemetry. A Client is safe for
+// Client speaks the probe protocol to one peer. It owns the keep-alive
+// connections to the peer, shared by every relation sourced from it, and
+// keeps per-relation circuit breakers and telemetry. A Client is safe for
 // concurrent use; the executors probe through it from many goroutines.
 type Client struct {
 	base string
-	hc   *http.Client
+	tr   *transport
+	err  error // why base cannot be spoken to; every request fails with it
 	opts Options
 
 	mu   sync.Mutex
@@ -157,28 +152,25 @@ type Client struct {
 }
 
 // Dial prepares a client for the peer at base (e.g. "http://host:8344").
-// No connection is made until the first probe.
+// No connection is made until the first request; a base that is not an
+// http:// URL fails every request, FetchSchema's included.
 func Dial(base string, opts Options) *Client {
-	o := opts.withDefaults()
-	tr := &http.Transport{
-		Proxy:               http.ProxyFromEnvironment,
-		MaxIdleConns:        o.MaxIdleConns,
-		MaxIdleConnsPerHost: o.MaxIdleConns,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &Client{
+	c := &Client{
 		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{Transport: tr},
-		opts: o,
+		opts: opts.withDefaults(),
 		rels: make(map[string]*relState),
 	}
+	if c.tr, c.err = newTransport(c.base); c.err != nil {
+		c.tr = &transport{}
+	}
+	return c
 }
 
 // Base returns the peer's base URL.
 func (c *Client) Base() string { return c.base }
 
-// Close releases the pooled idle connections.
-func (c *Client) Close() { c.hc.CloseIdleConnections() }
+// Close closes the idle connections to the peer.
+func (c *Client) Close() { c.tr.closeIdle() }
 
 // relStateFor returns (creating on first use) the relation's state.
 func (c *Client) relStateFor(relation string) *relState {
@@ -215,20 +207,33 @@ func (c *Client) Telemetry() map[string]Telemetry {
 	return out
 }
 
-// Healthy probes the peer's /healthz; nil means reachable.
-func (c *Client) Healthy(ctx context.Context) error {
+// get fetches path from the peer within one attempt's timeout and returns
+// the response with up to limit bytes of its body.
+func (c *Client) get(ctx context.Context, path string, limit int64) (*http.Response, []byte, error) {
+	if c.err != nil {
+		return nil, nil, c.err
+	}
 	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	cn, resp, err := c.tr.roundTrip(ctx, c.tr.appendRequest(nil, path, "", nil))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	resp, err := c.hc.Do(req)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	// A read that stopped short of the limit without an error reached the end.
+	c.tr.release(cn, resp, err == nil && int64(len(body)) < limit)
 	if err != nil {
-		return err
+		return nil, nil, ctxErr(ctx, err)
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+	return resp, body, nil
+}
+
+// Healthy probes the peer's /healthz; nil means reachable.
+func (c *Client) Healthy(ctx context.Context) error {
+	resp, _, err := c.get(ctx, "/healthz", 1<<10)
+	if err != nil {
+		return fmt.Errorf("%s/healthz: %w", c.base, err)
+	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return fmt.Errorf("%s/healthz: %s", c.base, resp.Status)
 	}
@@ -239,18 +244,7 @@ func (c *Client) Healthy(ctx context.Context) error {
 // textual notation, one relation per line — exactly what toorjahd serves)
 // and parses it.
 func (c *Client) FetchSchema(ctx context.Context) (*schema.Schema, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/schema", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: schema discovery: %w", c.base, err)
-	}
-	defer resp.Body.Close()
-	text, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp, text, err := c.get(ctx, "/schema", 1<<20)
 	if err != nil {
 		return nil, fmt.Errorf("remote %s: schema discovery: %w", c.base, err)
 	}
@@ -308,16 +302,28 @@ func (c *Client) probe(ctx context.Context, st *relState, relation string, bindi
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if c.err != nil {
+		return nil, fmt.Errorf("remote %s: relation %s: %w", c.base, relation, c.err)
+	}
 	if !st.br.allow() {
 		return nil, fmt.Errorf("remote %s: relation %s: %w", c.base, relation, ErrBreakerOpen)
 	}
-	// Read by every attempt, written by none: not a pooled buffer, which a
-	// failed round trip may still be reading when it returns.
-	body := appendProbeRequest(make([]byte, 0, 128), relation, bindings)
+	// The request, head and body, is rendered once for all attempts; an
+	// attempt has finished writing it when it returns, so the buffer can be
+	// a pooled one. The body is rendered first, since the head counts its
+	// bytes, and copied in behind the head. The query's trace ID travels to
+	// the peer, so the peer's probe log carries the same ID as the query's
+	// trace — one query, one ID, across nodes.
+	buf := ndjson.Get()
+	defer buf.Free()
+	buf.B = appendProbeRequest(buf.B, relation, bindings)
+	n := len(buf.B)
+	buf.B = c.tr.appendRequest(buf.B, "/probe", obs.TraceIDFromContext(ctx), buf.B[:n])
+	req := buf.B[n:]
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		rows, retryable, err := c.probeOnce(ctx, st, body, len(bindings))
+		rows, retryable, err := c.probeOnce(ctx, st, req, len(bindings))
 		st.roundTrips.Add(1)
 		st.latencyNS.Add(int64(time.Since(start)))
 		if err == nil {
@@ -363,27 +369,17 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// probeOnce is one HTTP round trip: POST the request, read the NDJSON
+// probeOnce is one HTTP round trip: write the request, read the NDJSON
 // frames back, and classify any failure as retryable or not.
-func (c *Client) probeOnce(ctx context.Context, st *relState, body []byte, bindings int) (_ [][]storage.Row, retryable bool, _ error) {
+func (c *Client) probeOnce(ctx context.Context, st *relState, req []byte, bindings int) (_ [][]storage.Row, retryable bool, _ error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/probe", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Propagate the query's trace ID to the peer, so the peer's probe log
-	// carries the same ID as the originating query's trace — one query, one
-	// ID, across nodes.
-	if id := obs.TraceIDFromContext(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := c.hc.Do(req)
+	cn, resp, err := c.tr.roundTrip(ctx, req)
 	if err != nil {
 		return nil, true, err // connection refused, reset, timeout: all retryable
 	}
-	defer resp.Body.Close()
+	read := false // whether the connection may serve the next request
+	defer func() { c.tr.release(cn, resp, read) }()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		retry := resp.StatusCode >= 500 ||
@@ -400,6 +396,9 @@ func (c *Client) probeOnce(ctx context.Context, st *relState, body []byte, bindi
 	lr := &limitedReader{r: resp.Body, n: c.opts.MaxResponseBytes}
 	buf, readErr := ndjson.Read(lr)
 	defer buf.Free()
+	if readErr != nil {
+		readErr = ctxErr(ctx, readErr)
+	}
 	out := make([][]storage.Row, bindings)
 	var (
 		sc     = ndjson.Scanner{B: buf.B, Err: readErr}
@@ -428,6 +427,7 @@ func (c *Client) probeOnce(ctx context.Context, st *relState, body []byte, bindi
 				return nil, true, fmt.Errorf("probe stream carried %d tuples, done frame says %d", tuples, f.Tuples)
 			}
 			st.noteEpoch(f.Epoch)
+			read = readErr == nil
 			return out, false, nil
 		case f.Row != nil:
 			if f.B < 0 || f.B >= len(out) {
@@ -496,16 +496,20 @@ func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage
 		wire[i] = sym.Strs(b)
 	}
 	ctx, sp := obs.StartSpan(ctx, "remote-probe")
-	sp.SetAttr("peer", s.c.base)
-	sp.SetAttr("relation", s.rel.Name)
-	sp.SetAttr("accesses", len(bindings))
-	if id := obs.TraceIDFromContext(ctx); id != "" {
-		sp.SetAttr("trace_id", id)
+	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
+		sp.SetAttr("peer", s.c.base)
+		sp.SetAttr("relation", s.rel.Name)
+		sp.SetAttr("accesses", len(bindings))
+		if id := obs.TraceIDFromContext(ctx); id != "" {
+			sp.SetAttr("trace_id", id)
+		}
 	}
 	defer sp.End()
 	results, err := s.c.probe(ctx, s.st, s.rel.Name, wire)
 	if err != nil {
-		sp.SetAttr("error", err.Error())
+		if sp != nil {
+			sp.SetAttr("error", err.Error())
+		}
 		return err
 	}
 	// Soundness guard: every returned row must have the relation's arity

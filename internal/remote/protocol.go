@@ -12,10 +12,11 @@
 // network latency the same way it amortises the simulated kind.
 //
 // The client half (Client, Source) implements source.Wrapper over that
-// protocol with the resilience a real network needs: per-host connection pooling, per-attempt timeouts, bounded retries
-// with exponential backoff and jitter, a per-relation circuit breaker, and
-// response-size limits. Schema discovery (FetchSchema, Attach) builds the
-// remote relations from a peer's /schema endpoint.
+// protocol with the resilience a real network needs: keep-alive connections
+// per peer, per-attempt timeouts, bounded retries with exponential backoff
+// and jitter, a per-relation circuit breaker, and response-size limits.
+// Schema discovery (FetchSchema, Attach) builds the remote relations from a
+// peer's /schema endpoint.
 package remote
 
 import (

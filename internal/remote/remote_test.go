@@ -34,7 +34,7 @@ func access(w source.Wrapper, binding ...string) ([]storage.Row, error) {
 }
 
 // testRegistry builds the peer-side registry the tests probe.
-func testRegistry(t *testing.T) (*schema.Schema, *source.Registry) {
+func testRegistry(t testing.TB) (*schema.Schema, *source.Registry) {
 	t.Helper()
 	sch, err := schema.Parse(testSchemaText)
 	if err != nil {

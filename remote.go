@@ -21,7 +21,7 @@ import (
 type (
 	// RemoteOptions tunes the remote-source clients: per-attempt timeout,
 	// bounded retries with backoff and jitter, per-relation circuit
-	// breaker, response-size limit, connection pool.
+	// breaker, response-size limit.
 	RemoteOptions = remote.Options
 	// RemotePeer is an attached peer: one probe client with per-relation
 	// breakers and telemetry, shared by every relation sourced from it.
