@@ -11,8 +11,7 @@
 //
 // Absolute numbers differ from the paper (different generator seeds and an
 // in-memory store instead of PostgreSQL); the shapes — which relations are
-// pruned, who wins and by what factor — are the reproduction target. See
-// EXPERIMENTS.md for the recorded comparison.
+// pruned, who wins and by what factor — are the reproduction target.
 package main
 
 import (

@@ -44,7 +44,7 @@
 // and what belongs to the old one — a wrapper, a flight — stores into nothing.
 //
 // Use Wrap to layer the cache over any source.Wrapper (composable
-// middleware, e.g. Cached(Counted(TableSource))). Per-relation
+// middleware). Per-relation
 // hit/miss/eviction statistics are available through Snapshot.
 //
 // Errors are never cached: a failed probe is retried by the next access.

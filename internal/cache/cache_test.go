@@ -9,6 +9,7 @@ import (
 
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
@@ -46,7 +47,7 @@ func storedIDs(c *Cache, rel string, epoch uint64, ids []sym.ID) bool {
 // testSource builds a Counter-wrapped table source over relation text like
 // "r^i(A)" with the given rows; the counter observes the probes that reach
 // the table through the cache.
-func testSource(t *testing.T, relText string, rows ...storage.Row) (*source.Counter, *schema.Relation) {
+func testSource(t *testing.T, relText string, rows ...storage.Row) (*sourcetest.Counter, *schema.Relation) {
 	t.Helper()
 	sch, err := schema.Parse(relText)
 	if err != nil {
@@ -59,7 +60,7 @@ func testSource(t *testing.T, relText string, rows ...storage.Row) (*source.Coun
 	if err != nil {
 		t.Fatal(err)
 	}
-	return source.NewCounter(src, true), rel
+	return sourcetest.NewCounter(src, true), rel
 }
 
 func TestHitMissAndStats(t *testing.T) {
@@ -194,7 +195,7 @@ func TestInvalidateAndClear(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	ctr, _ := testSource(t, "r^io(A, B)", storage.Row{"a", "1"})
 	boom := errors.New("boom")
-	flaky := source.NewFlaky(ctr, 0, boom) // every access fails
+	flaky := sourcetest.NewFlaky(ctr, 0, boom) // every access fails
 	c := New(Options{})
 	w := c.Wrap(flaky)
 	for i := 0; i < 2; i++ {
@@ -338,7 +339,7 @@ func TestVersionedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := source.NewCounter(live, false)
+	ctr := sourcetest.NewCounter(live, false)
 	c := New(Options{})
 	w := c.Wrap(ctr)
 

@@ -12,6 +12,7 @@ import (
 	"toorjah/internal/exec"
 	"toorjah/internal/gen"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 )
 
 // TestPipelinedConcurrentCachedCorrectness runs the pipelined executor with
@@ -49,9 +50,9 @@ func TestPipelinedConcurrentCachedCorrectness(t *testing.T) {
 
 	// Cached registry over per-relation counters observing table probes.
 	reg := source.NewRegistry()
-	counters := make(map[string]*source.Counter)
+	counters := make(map[string]*sourcetest.Counter)
 	for _, name := range baseReg.Names() {
-		ctr := source.NewCounter(baseReg.Source(name), true)
+		ctr := sourcetest.NewCounter(baseReg.Source(name), true)
 		counters[name] = ctr
 		reg.Bind(ctr)
 	}

@@ -3,10 +3,12 @@ package cache
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 
-	"toorjah/internal/source"
 	"toorjah/internal/source/sourcetest"
+	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // TestProbeContract runs source.Wrapper's contract test over the cache
@@ -16,7 +18,7 @@ import (
 func TestProbeContract(t *testing.T) {
 	t.Run("own miss, then hit", func(t *testing.T) {
 		f := sourcetest.New(t)
-		ctr := source.NewCounter(f.Source, false)
+		ctr := sourcetest.NewCounter(f.Source, false)
 		c := New(Options{})
 		f.Contract(t, c.Wrap(ctr), func() int { return ctr.Stats().Accesses })
 		if st := c.Snapshot()["r"]; st.Hits < int64(len(f.Batch())) {
@@ -33,7 +35,7 @@ func TestProbeContract(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f := sourcetest.New(t)
-			ctr := source.NewCounter(f.Source, false)
+			ctr := sourcetest.NewCounter(f.Source, false)
 			gate := &gateWrapper{Wrapper: ctr, release: make(chan struct{}), failFirst: fail}
 			c := New(Options{})
 			w := c.Wrap(gate)
@@ -71,5 +73,32 @@ func TestProbeContract(t *testing.T) {
 			}
 			f.Check(t, "a later hit", out)
 		})
+	}
+}
+
+// TestWarmHitAllocatesNothing is the cache's counterpart of the source's
+// TestProbeMissAllocatesNothing: a warm round trip of sixteen accesses that
+// the cache answers whole, through Wrap over a table source and into slots
+// the caller owns, allocates nothing when no trace is recording.
+func TestWarmHitAllocatesNothing(t *testing.T) {
+	f := sourcetest.New(t)
+	ctr := sourcetest.NewCounter(f.Source, false)
+	w := New(Options{}).Wrap(ctr)
+	bindings, out := make([][]sym.ID, 16), make([][]storage.IRow, 16)
+	for i := range bindings {
+		bindings[i] = []sym.ID{sym.Intern("a" + strconv.Itoa(i))} // a0…a3 match rows, the rest nothing
+	}
+	ctx := context.Background()
+	probe := func() {
+		if err := w.Probe(ctx, bindings, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // warm: every binding misses once and is stored
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Errorf("a warm round trip of %d hits makes %.0f allocations, want none", len(bindings), allocs)
+	}
+	if got := ctr.Stats().Accesses; got != len(bindings) {
+		t.Errorf("the source saw %d accesses, want %d: each binding once, on the warm-up", got, len(bindings))
 	}
 }

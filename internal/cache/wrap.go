@@ -70,8 +70,10 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 	c := s.c
 	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
 	defer sp.End()
-	sp.SetAttr("relation", s.inner.Relation().Name)
-	sp.SetAttr("requested", len(bindings))
+	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
+		sp.SetAttr("relation", s.inner.Relation().Name)
+		sp.SetAttr("requested", len(bindings))
+	}
 
 	v := version{s.rel, s.inc, source.EpochOf(s.inner)}
 	c.enter(v)
@@ -103,8 +105,10 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 		}
 		sh.mu.Unlock()
 	}
-	sp.SetAttr("hits", len(bindings)-len(ownIdx)-len(foreign))
-	sp.SetAttr("collapsed", len(foreign))
+	if sp != nil {
+		sp.SetAttr("hits", len(bindings)-len(ownIdx)-len(foreign))
+		sp.SetAttr("collapsed", len(foreign))
+	}
 
 	if own != nil {
 		rows, err := c.fetch(ctx, s.inner, own, v, pick(bindings, ownIdx))
@@ -192,16 +196,15 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v versio
 	return rows, err
 }
 
-// Wrap layers the cache over a wrapper. Decorators compose: wrap a
-// source.Counter to count only the probes that actually reach the source,
-// e.g. Cached(Counted(TableSource)). The cache is keyed by relation name:
-// everything wrapped by one cache must bind the same logical sources to the
-// same names. A wrapper is made for one binding of its relation: it holds the
-// incarnation current when it was made, and after an Invalidate or a Clear it
-// still answers, from the source, and caches nothing — wrap again, as the
-// engine does per execution and per /probe request. Wrap before reading which
-// source is bound, and a rebind in between cannot file the old source's rows
-// under the new incarnation.
+// Wrap layers the cache over a wrapper. Decorators compose: one wrapped
+// under the cache sees only the probes that actually reach the source. The
+// cache is keyed by relation name: everything wrapped by one cache must bind
+// the same logical sources to the same names. A wrapper is made for one
+// binding of its relation: it holds the incarnation current when it was made,
+// and after an Invalidate or a Clear it still answers, from the source, and
+// caches nothing — wrap again, as the engine does per execution and per
+// /probe request. Wrap before reading which source is bound, and a rebind in
+// between cannot file the old source's rows under the new incarnation.
 func (c *Cache) Wrap(w source.Wrapper) source.Wrapper {
 	r := c.relation(w.Relation().Name)
 	return &cachedSource{c: c, inner: w, rel: r, inc: r.inc.Load()}

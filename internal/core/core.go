@@ -99,7 +99,7 @@ func PrepareOpts(sch *schema.Schema, q *cq.CQ, opts Options) (*Pipeline, error) 
 	if !p.Graph.Answerable {
 		return p, nil
 	}
-	p.Plan, err = plan.GenerateWith(p.Opt, opts.Order)
+	p.Plan, err = plan.Generate(p.Opt, opts.Order)
 	if err != nil {
 		return nil, err
 	}

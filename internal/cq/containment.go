@@ -1,7 +1,5 @@
 package cq
 
-import "fmt"
-
 // Homomorphism searches for a homomorphism from query q1 to query q2: a
 // mapping h of q1's variables to q2's terms such that h is the identity on
 // constants, h(head(q1)) = head(q2) position-wise, and every positive body
@@ -83,9 +81,6 @@ func mapAtoms(src, dst []Atom, h map[string]Term) bool {
 // an answer of q1 over every database instance.
 func Contains(q1, q2 *CQ) bool { return Homomorphism(q1, q2) != nil }
 
-// Equivalent reports whether the two queries are logically equivalent.
-func Equivalent(q1, q2 *CQ) bool { return Contains(q1, q2) && Contains(q2, q1) }
-
 // Minimize computes the core of q: an equivalent query with a minimal set of
 // body atoms, obtained by repeatedly dropping atoms whose removal preserves
 // equivalence (paper Section IV assumes a minimal CQ as planner input; the
@@ -147,18 +142,4 @@ func safeForNegation(q *CQ) bool {
 		}
 	}
 	return true
-}
-
-// IsMinimal reports whether no single body atom can be dropped from q while
-// preserving equivalence.
-func IsMinimal(q *CQ) bool { return len(Minimize(q).Body) == len(q.Body) }
-
-// RenameApart returns a copy of q whose variables are renamed with the given
-// suffix so they are disjoint from any other query's variables.
-func RenameApart(q *CQ, suffix string) *CQ {
-	sub := make(map[string]Term)
-	for _, v := range q.Vars() {
-		sub[v] = V(fmt.Sprintf("%s%s", v, suffix))
-	}
-	return q.Substitute(sub)
 }

@@ -97,19 +97,6 @@ func (a Atom) Clone() Atom {
 	return Atom{Pred: a.Pred, Args: append([]Term(nil), a.Args...)}
 }
 
-// Equal reports syntactic equality of two atoms.
-func (a Atom) Equal(b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CQ is a conjunctive query head(X) :- body, with an optional set of safely
 // negated atoms.
 type CQ struct {
@@ -202,27 +189,6 @@ func (q *CQ) BodyVars() []string {
 	return sortedKeys(set)
 }
 
-// Constants returns the sorted set of constants occurring anywhere in the
-// query.
-func (q *CQ) Constants() []string {
-	set := make(map[string]bool)
-	add := func(ts []Term) {
-		for _, t := range ts {
-			if !t.IsVar {
-				set[t.Name] = true
-			}
-		}
-	}
-	add(q.Head)
-	for _, a := range q.Body {
-		add(a.Args)
-	}
-	for _, a := range q.Negated {
-		add(a.Args)
-	}
-	return sortedKeys(set)
-}
-
 // JoinVars returns the sorted set of variables occurring in at least two
 // distinct positions of positive body atoms (including twice within one
 // atom). These are the variables whose occurrences give rise to candidate
@@ -266,34 +232,6 @@ func (q *CQ) IsConstantFree() bool {
 		}
 	}
 	return true
-}
-
-// Substitute applies a variable substitution to the whole query and returns
-// the result. Variables missing from sub are left untouched.
-func (q *CQ) Substitute(sub map[string]Term) *CQ {
-	out := &CQ{Name: q.Name}
-	out.Head = substTerms(q.Head, sub)
-	for _, a := range q.Body {
-		out.Body = append(out.Body, Atom{Pred: a.Pred, Args: substTerms(a.Args, sub)})
-	}
-	for _, a := range q.Negated {
-		out.Negated = append(out.Negated, Atom{Pred: a.Pred, Args: substTerms(a.Args, sub)})
-	}
-	return out
-}
-
-func substTerms(ts []Term, sub map[string]Term) []Term {
-	out := make([]Term, len(ts))
-	for i, t := range ts {
-		if t.IsVar {
-			if r, ok := sub[t.Name]; ok {
-				out[i] = r
-				continue
-			}
-		}
-		out[i] = t
-	}
-	return out
 }
 
 // UCQ is a union of conjunctive queries sharing head predicate and arity.

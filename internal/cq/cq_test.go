@@ -116,9 +116,6 @@ func TestVarsConstantsJoins(t *testing.T) {
 	if got := strings.Join(q.Vars(), ","); got != "C,P,R,Y" {
 		t.Errorf("Vars = %s", got)
 	}
-	if len(q.Constants()) != 0 {
-		t.Errorf("Constants = %v", q.Constants())
-	}
 	if got := strings.Join(q.JoinVars(), ","); got != "C,P,R,Y" {
 		t.Errorf("JoinVars = %s", got)
 	}
@@ -126,28 +123,12 @@ func TestVarsConstantsJoins(t *testing.T) {
 		t.Error("HasJoin")
 	}
 	q2 := MustParse("q(X) :- r(X, a), s(b)")
-	if got := strings.Join(q2.Constants(), ","); got != "a,b" {
-		t.Errorf("Constants = %s", got)
-	}
 	if q2.HasJoin() {
 		t.Error("q2 has no join")
 	}
 	q3 := MustParse("q(X) :- r(X, X)")
 	if got := strings.Join(q3.JoinVars(), ","); got != "X" {
 		t.Errorf("self-join within one atom: JoinVars = %s", got)
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	q := MustParse("q(X) :- r(X, Y), s(Y)")
-	out := q.Substitute(map[string]Term{"Y": C("k")})
-	want := "q(X) :- r(X, k), s(k)"
-	if out.String() != want {
-		t.Errorf("Substitute = %q, want %q", out.String(), want)
-	}
-	// Original untouched.
-	if q.Body[1].Args[0].Name != "Y" {
-		t.Error("Substitute mutated the receiver")
 	}
 }
 

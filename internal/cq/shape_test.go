@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// Equal reports syntactic equality of two atoms.
+func (a Atom) Equal(b Atom) bool {
+	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if a.Args[i] != b.Args[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // sameAtoms and sameCQ are structural equality: names, order and terms, an
 // absent list being an empty one.
 func sameAtoms(a, b []Atom) bool {

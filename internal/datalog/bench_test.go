@@ -49,8 +49,8 @@ func BenchmarkEvalRuleDelta(b *testing.B) {
 	}
 	db := DB{}
 	for _, t := range benchTuples(1024, 64) {
-		db.Insert("a", t)
-		db.Insert("c", t)
+		db.Get("a", len(t)).Insert(t)
+		db.Get("c", len(t)).Insert(t)
 	}
 	delta := []Tuple{db["c"].Tuples()[17], db["c"].Tuples()[901]}
 	var m Machine

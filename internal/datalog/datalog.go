@@ -105,48 +105,6 @@ func (p *Program) AddFact(pred string, values ...string) {
 	p.Add(&Rule{Head: cq.Atom{Pred: pred, Args: args}})
 }
 
-// IDB returns the sorted set of intensional predicate names.
-func (p *Program) IDB() []string {
-	set := make(map[string]bool)
-	for _, r := range p.Rules {
-		set[r.Head.Pred] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EDB returns the sorted set of extensional predicate names: those used in
-// rule bodies but never defined.
-func (p *Program) EDB() []string {
-	idb := make(map[string]bool)
-	for _, r := range p.Rules {
-		idb[r.Head.Pred] = true
-	}
-	set := make(map[string]bool)
-	for _, r := range p.Rules {
-		for _, a := range r.Body {
-			if !idb[a.Pred] {
-				set[a.Pred] = true
-			}
-		}
-		for _, a := range r.Negated {
-			if !idb[a.Pred] {
-				set[a.Pred] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Validate checks the safety of every rule and consistent predicate arities
 // across the program.
 func (p *Program) Validate() error {

@@ -48,9 +48,9 @@ func TestEvalTransitiveClosure(t *testing.T) {
 		"tc(X, Z) :- tc(X, Y), e(Y, Z)",
 	)
 	edb := DB{}
-	edb.Insert("e", T("a", "b"))
-	edb.Insert("e", T("b", "c"))
-	edb.Insert("e", T("c", "d"))
+	edb.Get("e", 2).Insert(T("a", "b"))
+	edb.Get("e", 2).Insert(T("b", "c"))
+	edb.Get("e", 2).Insert(T("c", "d"))
 	idb, err := Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestEvalCyclicClosure(t *testing.T) {
 		"tc(X, Z) :- tc(X, Y), tc(Y, Z)",
 	)
 	edb := DB{}
-	edb.Insert("e", T("a", "b"))
-	edb.Insert("e", T("b", "a"))
+	edb.Get("e", 2).Insert(T("a", "b"))
+	edb.Get("e", 2).Insert(T("b", "a"))
 	idb, err := Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +105,10 @@ func TestEvalNegationStratified(t *testing.T) {
 		"unreach(X) :- node(X), not reach(X)",
 	)
 	edb := DB{}
-	edb.Insert("start", T("a"))
-	edb.Insert("e", T("a", "b"))
+	edb.Get("start", 1).Insert(T("a"))
+	edb.Get("e", 2).Insert(T("a", "b"))
 	for _, n := range []string{"a", "b", "c"} {
-		edb.Insert("node", T(n))
+		edb.Get("node", 1).Insert(T(n))
 	}
 	idb, err := Eval(p, edb)
 	if err != nil {
@@ -172,19 +172,6 @@ func TestProgramValidateArity(t *testing.T) {
 	}
 }
 
-func TestIDBEDBSets(t *testing.T) {
-	p := program(t,
-		"q(X) :- r(X, Y), s(Y)",
-		"s(X) :- t(X), not u(X)",
-	)
-	if got := strings.Join(p.IDB(), ","); got != "q,s" {
-		t.Errorf("IDB = %s", got)
-	}
-	if got := strings.Join(p.EDB(), ","); got != "r,t,u" {
-		t.Errorf("EDB = %s", got)
-	}
-}
-
 func TestRelationLookupIndex(t *testing.T) {
 	r := NewRelation("r", 3)
 	r.Insert(T("a", "1", "x"))
@@ -241,27 +228,17 @@ func TestTupleKeyNoCollision(t *testing.T) {
 	}
 }
 
-func TestDBCloneIndependence(t *testing.T) {
-	db := DB{}
-	db.Insert("r", T("a"))
-	c := db.Clone()
-	c.Insert("r", T("b"))
-	if db["r"].Len() != 1 || c["r"].Len() != 2 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestEvalQueryJoin(t *testing.T) {
 	db := DB{}
-	db.Insert("pub1", T("p1", "alice"))
-	db.Insert("pub1", T("p2", "bob"))
-	db.Insert("conf", T("p1", "icde", "2008"))
-	db.Insert("rev", T("alice", "icde", "2008"))
-	q := cq.MustParse("q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)")
-	ans, err := EvalQuery(q, db)
+	db.Get("pub1", 2).Insert(T("p1", "alice"))
+	db.Get("pub1", 2).Insert(T("p2", "bob"))
+	db.Get("conf", 3).Insert(T("p1", "icde", "2008"))
+	db.Get("rev", 3).Insert(T("alice", "icde", "2008"))
+	idb, err := Eval(program(t, "q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans := idb["q"]
 	if got := rows(ans); fmt.Sprint(got) != "[alice]" {
 		t.Errorf("answers = %v", got)
 	}
@@ -269,14 +246,14 @@ func TestEvalQueryJoin(t *testing.T) {
 
 func TestEvalQueryWithNegation(t *testing.T) {
 	db := DB{}
-	db.Insert("r", T("a"))
-	db.Insert("r", T("b"))
-	db.Insert("s", T("b"))
-	q := cq.MustParse("q(X) :- r(X), not s(X)")
-	ans, err := EvalQuery(q, db)
+	db.Get("r", 1).Insert(T("a"))
+	db.Get("r", 1).Insert(T("b"))
+	db.Get("s", 1).Insert(T("b"))
+	idb, err := Eval(program(t, "q(X) :- r(X), not s(X)"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans := idb["q"]
 	if got := rows(ans); fmt.Sprint(got) != "[a]" {
 		t.Errorf("answers = %v", got)
 	}
@@ -291,13 +268,13 @@ func TestEvalUnknownRelation(t *testing.T) {
 
 func TestEvalSelfJoinWithinAtom(t *testing.T) {
 	db := DB{}
-	db.Insert("e", T("a", "a"))
-	db.Insert("e", T("a", "b"))
-	q := cq.MustParse("q(X) :- e(X, X)")
-	ans, err := EvalQuery(q, db)
+	db.Get("e", 2).Insert(T("a", "a"))
+	db.Get("e", 2).Insert(T("a", "b"))
+	idb, err := Eval(program(t, "q(X) :- e(X, X)"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans := idb["q"]
 	if got := rows(ans); fmt.Sprint(got) != "[a]" {
 		t.Errorf("answers = %v", got)
 	}
@@ -321,7 +298,7 @@ func TestSemiNaiveAgreesWithReachabilityProperty(t *testing.T) {
 			v := int(e&0xff) % n
 			adj[u][v] = true
 			reach[u][v] = true
-			edb.Insert("e", T(fmt.Sprint(u), fmt.Sprint(v)))
+			edb.Get("e", 2).Insert(T(fmt.Sprint(u), fmt.Sprint(v)))
 		}
 		for k := 0; k < n; k++ {
 			for i := 0; i < n; i++ {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"toorjah/internal/cq"
 	"toorjah/internal/sym"
 )
 
@@ -13,7 +12,7 @@ import (
 func TestEvalConstantInHead(t *testing.T) {
 	p := program(t, "q(X, tag) :- r(X)")
 	edb := DB{}
-	edb.Insert("r", T("a"))
+	edb.Get("r", 1).Insert(T("a"))
 	idb, err := Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +26,7 @@ func TestEvalConstantInHead(t *testing.T) {
 func TestEvalRepeatedHeadVariable(t *testing.T) {
 	p := program(t, "q(X, X) :- r(X)")
 	edb := DB{}
-	edb.Insert("r", T("a"))
+	edb.Get("r", 1).Insert(T("a"))
 	idb, err := Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +44,10 @@ func TestEvalDeepRecursionIterative(t *testing.T) {
 		"reach(Y) :- reach(X), e(X, Y)",
 	)
 	edb := DB{}
-	edb.Insert("start", T("n0"))
+	edb.Get("start", 1).Insert(T("n0"))
 	const n = 3000
 	for i := 0; i < n; i++ {
-		edb.Insert("e", T(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)))
+		edb.Get("e", 2).Insert(T(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)))
 	}
 	idb, err := Eval(p, edb)
 	if err != nil {
@@ -67,9 +66,9 @@ func TestEvalMutualRecursion(t *testing.T) {
 		"even(Y) :- odd(X), succ(X, Y)",
 	)
 	edb := DB{}
-	edb.Insert("zero", T("0"))
+	edb.Get("zero", 1).Insert(T("0"))
 	for i := 0; i < 10; i++ {
-		edb.Insert("succ", T(fmt.Sprint(i), fmt.Sprint(i+1)))
+		edb.Get("succ", 2).Insert(T(fmt.Sprint(i), fmt.Sprint(i+1)))
 	}
 	idb, err := Eval(p, edb)
 	if err != nil {
@@ -108,11 +107,11 @@ func TestEvalNegationOverIDBAndEDB(t *testing.T) {
 	)
 	edb := DB{}
 	for _, v := range []string{"a", "b", "c"} {
-		edb.Insert("all", T(v))
+		edb.Get("all", 1).Insert(T(v))
 	}
-	edb.Insert("flagged", T("a"))
-	edb.Insert("checked", T("a"))
-	edb.Insert("checked", T("b"))
+	edb.Get("flagged", 1).Insert(T("a"))
+	edb.Get("checked", 1).Insert(T("a"))
+	edb.Get("checked", 1).Insert(T("b"))
 	idb, err := Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -148,13 +147,13 @@ func derive(t testing.TB, r *Rule, db DB, delta []Tuple, deltaPos int) []Tuple {
 func TestEvalRuleWithDeltaMatchesFull(t *testing.T) {
 	r := rule(t, "q(X, Z) :- a(X, Y), b(Y, Z)")
 	db := DB{}
-	db.Insert("a", T("x1", "y1"))
-	db.Insert("b", T("y1", "z1"))
+	db.Get("a", 2).Insert(T("x1", "y1"))
+	db.Get("b", 2).Insert(T("y1", "z1"))
 	if full := derive(t, r, db, nil, -1); len(full) != 1 {
 		t.Fatalf("full = %v", full)
 	}
 	// New b tuple arrives: the delta join must derive only the new pair.
-	db.Insert("b", T("y1", "z2"))
+	db.Get("b", 2).Insert(T("y1", "z2"))
 	inc := derive(t, r, db, []Tuple{T("y1", "z2")}, 1)
 	if len(inc) != 1 || inc[0][1] != sym.Intern("z2") {
 		t.Errorf("incremental = %v", inc)
@@ -163,12 +162,12 @@ func TestEvalRuleWithDeltaMatchesFull(t *testing.T) {
 
 func TestEvalQueryHeadConstantsFilter(t *testing.T) {
 	db := DB{}
-	db.Insert("r", T("a", "x"))
-	q := cq.MustParse("q(k, X) :- r(X, Y)")
-	ans, err := EvalQuery(q, db)
+	db.Get("r", 2).Insert(T("a", "x"))
+	idb, err := Eval(program(t, "q(k, X) :- r(X, Y)"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans := idb["q"]
 	if !ans.Contains(T("k", "a")) {
 		t.Errorf("answers = %v", ans.Tuples())
 	}

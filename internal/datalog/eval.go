@@ -1,10 +1,6 @@
 package datalog
 
-import (
-	"slices"
-
-	"toorjah/internal/cq"
-)
+import "slices"
 
 // Eval computes the least fixpoint of the program over the extensional DB
 // using stratified semi-naive evaluation, and returns a DB holding the IDB
@@ -66,7 +62,7 @@ func evalStratum(rules []*Rule, inStratum map[string]bool, idb, view DB) error {
 		pred := c.Rule().Head.Pred
 		for _, t := range derived {
 			if idb[pred].Insert(t) {
-				next.Insert(pred, t)
+				next.Get(pred, len(t)).Insert(t)
 			}
 		}
 		return nil
@@ -109,17 +105,4 @@ func evalStratum(rules []*Rule, inStratum map[string]bool, idb, view DB) error {
 		delta = next
 	}
 	return nil
-}
-
-// EvalQuery evaluates a single conjunctive query over a database and returns
-// the answer relation (deduplicated head tuples). It wraps the query into a
-// one-rule program.
-func EvalQuery(q *cq.CQ, db DB) (*Relation, error) {
-	p := &Program{}
-	p.Add(RuleOf(q))
-	idb, err := Eval(p, db)
-	if err != nil {
-		return nil, err
-	}
-	return idb[q.Name], nil
 }

@@ -3,8 +3,6 @@ package datalog
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
@@ -248,35 +246,4 @@ func (db DB) Get(name string, arity int) *Relation {
 		db[name] = r
 	}
 	return r
-}
-
-// Insert adds a tuple to the named relation, creating it when needed.
-func (db DB) Insert(name string, t Tuple) bool { return db.Get(name, len(t)).Insert(t) }
-
-// Clone returns a DB sharing no relation storage with the receiver.
-func (db DB) Clone() DB {
-	out := make(DB, len(db))
-	for name, r := range db {
-		nr := NewRelation(name, r.Arity)
-		for _, t := range r.tuples {
-			nr.Insert(t)
-		}
-		out[name] = nr
-	}
-	return out
-}
-
-// Summary renders relation names with cardinalities, sorted by name, for
-// debugging; no evaluation path calls it.
-func (db DB) Summary() string {
-	names := make([]string, 0, len(db))
-	for n := range db {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s:%d", n, db[n].Len())
-	}
-	return strings.Join(parts, " ")
 }

@@ -55,17 +55,6 @@ func (sol *Solution) Mark(a *Arc) Mark {
 	}
 }
 
-// LiveInArcs returns the non-deleted arcs entering node n.
-func (sol *Solution) LiveInArcs(n *Node) []*Arc {
-	var out []*Arc
-	for _, a := range sol.G.InArcs(n) {
-		if !sol.Deleted[a.ID] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Counts returns the number of strong and deleted arcs.
 func (sol *Solution) Counts() (strong, deleted int) {
 	return len(sol.Strong), len(sol.Deleted)

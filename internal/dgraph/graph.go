@@ -78,17 +78,6 @@ func (s *Source) Free() bool {
 	return true
 }
 
-// InputNodes returns the source's input nodes in position order.
-func (s *Source) InputNodes() []*Node {
-	var out []*Node
-	for _, n := range s.Nodes {
-		if n.IsInput() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Label renders the source name in the paper's style: the relation name with
 // a parenthesised occurrence number for black sources, e.g. "pub1(2)".
 func (s *Source) Label() string {
@@ -227,9 +216,6 @@ func Build(q *cq.CQ, sch *schema.Schema) (*Graph, error) {
 // paper's outArcs(u, G).
 func (g *Graph) OutArcs(n *Node) []*Arc { return g.arcsFromSource[n.Source.ID] }
 
-// OutArcsOfSource returns the arcs leaving any node of the source.
-func (g *Graph) OutArcsOfSource(s *Source) []*Arc { return g.arcsFromSource[s.ID] }
-
 // InArcs returns the arcs entering the given node.
 func (g *Graph) InArcs(n *Node) []*Arc { return g.arcsIntoNode[n.ID] }
 
@@ -243,16 +229,6 @@ func (g *Graph) BlackSources() []*Source {
 		}
 	}
 	return out
-}
-
-// SourceByLabel returns the source with the given Label(), or nil.
-func (g *Graph) SourceByLabel(label string) *Source {
-	for _, s := range g.Sources {
-		if s.Label() == label {
-			return s
-		}
-	}
-	return nil
 }
 
 // String renders a summary of the graph: sources and arcs.

@@ -18,8 +18,6 @@ type Optimized struct {
 	Sources []*Source
 	// Arcs are the live (weak or strong) arcs.
 	Arcs []*Arc
-
-	sourceSet map[int]bool
 }
 
 // Optimize computes the maximal solution with GFP and assembles the
@@ -32,7 +30,7 @@ func (g *Graph) Optimize() *Optimized {
 // by ablation experiments that want to bypass GFP (e.g. the naive solution
 // with every arc weak).
 func (g *Graph) OptimizeWith(sol *Solution) *Optimized {
-	o := &Optimized{Graph: g, Solution: sol, sourceSet: make(map[int]bool)}
+	o := &Optimized{Graph: g, Solution: sol}
 	touched := make(map[int]bool) // source IDs with a live incident arc
 	for _, a := range g.Arcs {
 		if sol.Deleted[a.ID] {
@@ -45,14 +43,10 @@ func (g *Graph) OptimizeWith(sol *Solution) *Optimized {
 	for _, s := range g.Sources {
 		if s.Black || touched[s.ID] {
 			o.Sources = append(o.Sources, s)
-			o.sourceSet[s.ID] = true
 		}
 	}
 	return o
 }
-
-// Contains reports whether the source survives in the optimized d-graph.
-func (o *Optimized) Contains(s *Source) bool { return o.sourceSet[s.ID] }
 
 // RelevantRelations returns the sorted names of the relations relevant for
 // the query: a relation r is relevant iff it is nullary and occurs in the
@@ -91,9 +85,6 @@ func (o *Optimized) IrrelevantRelations() []string {
 	sort.Strings(out)
 	return out
 }
-
-// LiveInArcs returns the live arcs entering node n.
-func (o *Optimized) LiveInArcs(n *Node) []*Arc { return o.Solution.LiveInArcs(n) }
 
 // StrongInArcs returns the strong arcs entering node n.
 func (o *Optimized) StrongInArcs(n *Node) []*Arc {

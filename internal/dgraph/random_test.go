@@ -54,7 +54,7 @@ func TestRandomizedGFPInvariants(t *testing.T) {
 		o := dg.OptimizeWith(sol)
 		for _, src := range o.Sources {
 			for _, v := range src.InputNodes() {
-				if len(o.LiveInArcs(v)) == 0 {
+				if len(o.StrongInArcs(v))+len(o.WeakInArcs(v)) == 0 {
 					t.Errorf("seed %d: surviving source %s has unprovided input %s",
 						seed, src.Label(), v)
 				}

@@ -2,6 +2,10 @@ package dgraph
 
 import "fmt"
 
+// The tests read the declarations of this file as oracles: queryability
+// and free-reachability recomputed from the graph, against which GFP's
+// solution and the optimized d-graph are checked.
+
 // AccessibleSources computes the graph-level counterpart of queryability: a
 // source is accessible when every one of its input nodes is reachable by a
 // d-path originating from sources having only output nodes. Negated sources
@@ -124,6 +128,27 @@ func (sol *Solution) Verify() error {
 			if !fr[v.ID] {
 				return fmt.Errorf("black input node %s lost free-reachability", v)
 			}
+		}
+	}
+	return nil
+}
+
+// InputNodes returns the source's input nodes in position order.
+func (s *Source) InputNodes() []*Node {
+	var out []*Node
+	for _, n := range s.Nodes {
+		if n.IsInput() {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// SourceByLabel returns the source with the given Label(), or nil.
+func (g *Graph) SourceByLabel(label string) *Source {
+	for _, s := range g.Sources {
+		if s.Label() == label {
+			return s
 		}
 	}
 	return nil

@@ -16,6 +16,7 @@ import (
 	"toorjah/internal/oracle"
 	"toorjah/internal/plan"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
@@ -279,9 +280,9 @@ func checkExecutors(t *testing.T, c *oracle.Case, reg *source.Registry, caches m
 	// The least fixpoint of each plan program over the full relations.
 	edb, lfp := datalog.DB{}, oracle.Outcome{}
 	for _, rel := range c.Schema.Relations() {
-		edb.Get(rel.Name, rel.Arity())
+		r := edb.Get(rel.Name, rel.Arity())
 		for _, row := range c.DB.Table(rel.Name).Snapshot().Rows() {
-			edb.Insert(rel.Name, datalog.T(row...))
+			r.Insert(datalog.T(row...))
 		}
 	}
 	for _, p := range pipes {
@@ -305,7 +306,7 @@ func checkExecutors(t *testing.T, c *oracle.Case, reg *source.Registry, caches m
 // blocking is set, and reports what the run showed.
 func auditedRun(t *testing.T, c *oracle.Case, pipes []*core.Pipeline, ex string, reg *source.Registry, opts Options, blocking bool) oracle.Outcome {
 	t.Helper()
-	counted, counters := reg.Counted(true)
+	counted, counters := sourcetest.Counted(reg, true)
 	if blocking {
 		counted = (&fixture{reg: counted}).blocking().reg
 	}

@@ -11,6 +11,7 @@ import (
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
@@ -24,7 +25,7 @@ func flakyFixture(t *testing.T, f *fixture, rel string, failAfter int) {
 	if w == nil {
 		t.Fatalf("no source for %s", rel)
 	}
-	f.reg.Bind(source.NewFlaky(w, failAfter, errSourceDown))
+	f.reg.Bind(sourcetest.NewFlaky(w, failAfter, errSourceDown))
 }
 
 func chainFixture(t *testing.T) *fixture {
@@ -119,7 +120,7 @@ func TestErrorBeforeAnyAccess(t *testing.T) {
 
 		// mid, probed only after free has delivered, is left unbound.
 		f = chainFixture(t)
-		counted, counters := f.reg.Counted(false)
+		counted, counters := sourcetest.Counted(f.reg, false)
 		f.reg = source.NewRegistry()
 		f.reg.Bind(counted.Source("free"))
 		_, err := run(f)

@@ -48,7 +48,7 @@ func TestUnionDedupAndStatsMerge(t *testing.T) {
 	}
 	var streamed []string
 	res, err := Union(context.Background(), "q", 1, runs, Options{}, each(func(t datalog.Tuple) {
-		streamed = append(streamed, sym.Str(t[0]))
+		streamed = append(streamed, sym.Default.Str(t[0]))
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +238,10 @@ func TestUnionSerializedEmission(t *testing.T) {
 			panic("empty burst delivered")
 		}
 		for _, t := range burst {
-			if seen[sym.Str(t[0])] { // unsynchronized on purpose: -race sees overlapping calls
+			if seen[sym.Default.Str(t[0])] { // unsynchronized on purpose: -race sees overlapping calls
 				panic("duplicate answer emitted")
 			}
-			seen[sym.Str(t[0])] = true
+			seen[sym.Default.Str(t[0])] = true
 		}
 		atomic.AddInt32(&inCallback, -1)
 	})

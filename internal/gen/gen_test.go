@@ -113,9 +113,11 @@ func TestQueryConstantsOccurInInstancePools(t *testing.T) {
 	if !ok {
 		t.Skip("no query for this seed")
 	}
-	for _, c := range q.Constants() {
-		if len(c) == 0 {
-			t.Errorf("empty constant in %s", q)
+	for _, a := range q.Body {
+		for _, c := range a.Args {
+			if !c.IsVar && len(c.Name) == 0 {
+				t.Errorf("empty constant in %s", q)
+			}
 		}
 	}
 }
@@ -156,11 +158,11 @@ func TestPublicationWorkload(t *testing.T) {
 }
 
 func TestPublicationDeterministic(t *testing.T) {
-	_, a := Publication(5, SmallPublication())
+	sch, a := Publication(5, SmallPublication())
 	_, b := Publication(5, SmallPublication())
-	for _, name := range a.Names() {
-		if a.Table(name).Snapshot().Len() != b.Table(name).Snapshot().Len() {
-			t.Errorf("table %s differs across runs with the same seed", name)
+	for _, rel := range sch.Relations() {
+		if a.Table(rel.Name).Snapshot().Len() != b.Table(rel.Name).Snapshot().Len() {
+			t.Errorf("table %s differs across runs with the same seed", rel.Name)
 		}
 	}
 }

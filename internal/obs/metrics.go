@@ -50,20 +50,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable integer metric.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket distribution: Observe is a binary search
 // plus two atomic adds, with no locking and no allocation, so it is safe
 // on the per-round-trip hot path. Buckets are cumulative upper bounds in
@@ -115,15 +101,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.value() }
 
@@ -149,7 +126,7 @@ type family struct {
 	buckets    []float64
 
 	mu     sync.Mutex
-	series map[string]any // label signature -> *Counter | *Gauge | *Histogram
+	series map[string]any // label signature -> *Counter | *Histogram
 
 	collect func(emit func(labelValues []string, value float64))
 }
@@ -222,12 +199,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // With returns the counter of one label-value combination.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.instrument(labelValues, func() any { return &Counter{} }).(*Counter)
-}
-
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.familyFor(name, help, TypeGauge, nil)
-	return f.instrument(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram registers an unlabeled histogram; nil buckets means
@@ -383,8 +354,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 			switch m := series[k].(type) {
 			case *Counter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labelNames, values, "", ""), formatValue(float64(m.Value())))
-			case *Gauge:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labelNames, values, "", ""), formatValue(float64(m.Value())))
 			case *Histogram:
 				var cum uint64

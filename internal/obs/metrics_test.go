@@ -20,12 +20,6 @@ func TestCounterGauge(t *testing.T) {
 	if r.Counter("test_total", "a counter") != c {
 		t.Fatal("re-registered counter is a different instrument")
 	}
-	g := r.Gauge("test_gauge", "a gauge")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
 }
 
 func TestCounterVecSeries(t *testing.T) {
@@ -47,12 +41,21 @@ func TestHistogramQuantiles(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 6, 20} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 8 {
+	if got := observations(h); got != 8 {
 		t.Fatalf("count = %d, want 8", got)
 	}
 	if got := h.Sum(); math.Abs(got-38.5) > 1e-9 {
 		t.Fatalf("sum = %g, want 38.5", got)
 	}
+}
+
+// observations returns the number of values h has observed.
+func observations(h *Histogram) uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
@@ -78,7 +81,6 @@ func TestWriteTextFormat(t *testing.T) {
 	v.With("conf").Add(2)
 	v.With(`we"ird\rel`).Inc()
 	v.With("two\nlines").Add(4)
-	r.Gauge("t_gauge", "a gauge").Set(-1)
 	h := r.Histogram("t_lat_seconds", "latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -100,7 +102,6 @@ func TestWriteTextFormat(t *testing.T) {
 		`t_rel_total{relation="conf"} 2`,
 		`t_rel_total{relation="we\"ird\\rel"} 1`,
 		`t_rel_total{relation="two\nlines"} 4`,
-		"t_gauge -1\n",
 		"# TYPE t_lat_seconds histogram",
 		`t_lat_seconds_bucket{le="0.01"} 0`,
 		`t_lat_seconds_bucket{le="0.1"} 1`,
@@ -116,7 +117,7 @@ func TestWriteTextFormat(t *testing.T) {
 		}
 	}
 	// Families render in sorted order: deterministic scrapes.
-	if strings.Index(out, "t_count_total") > strings.Index(out, "t_gauge") {
+	if strings.Index(out, "t_count_total") > strings.Index(out, "t_dynamic") {
 		t.Error("families not sorted")
 	}
 }

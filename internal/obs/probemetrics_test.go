@@ -30,7 +30,7 @@ func TestProbeMetricsRecord(t *testing.T) {
 	if got := m.accesses.With("r").Value(); got != 6 {
 		t.Errorf("the exposition's series holds %d accesses, the handle recorded 6", got)
 	}
-	if d, b := m.duration.Count(), m.batchSize.Count(); d != 2 || b != 2 {
+	if d, b := observations(m.duration), observations(m.batchSize); d != 2 || b != 2 {
 		t.Errorf("histograms observed %d durations and %d batch sizes, want both round trips", d, b)
 	}
 }

@@ -98,19 +98,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// Duration returns the span's elapsed time (up to now if still open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return time.Since(s.start)
-	}
-	return s.end.Sub(s.start)
-}
-
 // SpanJSON is the wire form of a span, with start offsets relative to the
 // trace root so the tree is self-contained.
 type SpanJSON struct {

@@ -16,8 +16,8 @@ type Outcome struct {
 	Streamed  []string
 	Truncated bool
 	Limit     int // the run's answer limit; 0 for none
-	// Accesses are the audited access keys (source.Access.Key) that reached
-	// the sources; nil when the run was not audited.
+	// Accesses are the audited access keys (sourcetest.Access.Key) that
+	// reached the sources; nil when the run was not audited.
 	Accesses map[string]bool
 	Count    int      // the accesses the run reports
 	Probed   []string // the relations the run reports accesses to

@@ -10,11 +10,12 @@ import (
 	"toorjah/internal/cq"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
 // Ref is the reference's outcome: the sorted answers, as Key strings, and the
-// set of accesses made, as source.Access keys — for the naive algorithm a
+// set of accesses made, as sourcetest.Access keys — for the naive algorithm a
 // pure function of the instance, whatever the probing order, the batching or
 // the representation of values.
 type Ref struct {
@@ -91,7 +92,7 @@ func runNaive(sch *schema.Schema, reg *source.Registry, q *cq.CQ) (*naiveRun, er
 				pools = append(pools, slices.Sorted(maps.Keys(n.known[d])))
 			}
 			for _, binding := range product(pools) {
-				key := source.Access{Relation: rel.Name, Binding: binding}.Key()
+				key := sourcetest.Access{Relation: rel.Name, Binding: binding}.Key()
 				if n.accesses[key] {
 					continue
 				}

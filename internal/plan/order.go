@@ -24,13 +24,9 @@ type OrderOptions struct {
 // those whose sources take part in more query joins (failure is detected
 // earlier). The second result reports whether the linearization was forced
 // at every step — exactly one ordering possible — which is the paper's
-// criterion for the existence of a ∀-minimal plan.
-func Order(o *dgraph.Optimized) (groups [][]*dgraph.Source, unique bool) {
-	return OrderWith(o, OrderOptions{})
-}
-
-// OrderWith is Order with explicit linearization options.
-func OrderWith(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Source, unique bool) {
+// criterion for the existence of a ∀-minimal plan. opts tunes the
+// linearization.
+func Order(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Source, unique bool) {
 	sources := o.Sources
 	if len(sources) == 0 {
 		return nil, true

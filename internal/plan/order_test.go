@@ -11,7 +11,7 @@ seed^o(A)
 r^io(A, B)
 s^io(A, C)
 `, "q(B, C) :- r(X, B), s(X, C), seed(X)")
-	p, err := GenerateWith(o, OrderOptions{NoHeuristic: true})
+	p, err := Generate(o, OrderOptions{NoHeuristic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ mid^io(A, B)
 last^io(B, C)
 `, "q(C) :- seed(X), mid(X, Y), last(Y, C)")
 	for _, opts := range []OrderOptions{{}, {NoHeuristic: true}} {
-		groups, unique := OrderWith(o, opts)
+		groups, unique := Order(o, opts)
 		if !unique {
 			t.Errorf("chain ordering must be unique (opts %+v)", opts)
 		}

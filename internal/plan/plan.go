@@ -67,7 +67,7 @@ type Cache struct {
 	Slot int
 
 	// The fields below are the executors' per-plan tables, derived once by
-	// GenerateWith and immutable afterwards: a plan is shared by concurrent
+	// Generate and immutable afterwards: a plan is shared by concurrent
 	// executions.
 
 	// Index is the cache's position in Plan.Caches.
@@ -130,7 +130,7 @@ type Plan struct {
 	// of first occurrence in Caches.
 	Relations []string
 	// Consts holds the query constants by slot: what an execution seeds the
-	// IsConst caches with. GenerateWith fills in the constants as the planned
+	// IsConst caches with. Generate fills in the constants as the planned
 	// query names them — the values themselves, unless that query is a shape,
 	// whose constants are placeholders and whose plan runs through Bind.
 	Consts []string
@@ -143,16 +143,6 @@ type Plan struct {
 	// LastAnswers counts the answers of the plan's latest execution — the one
 	// field executions write — for the next to size its own. Bind shares it.
 	LastAnswers *atomic.Int64
-}
-
-// CacheBySource returns the cache of the given source, or nil.
-func (p *Plan) CacheBySource(s *dgraph.Source) *Cache {
-	for _, c := range p.Caches {
-		if c.Source.ID == s.ID {
-			return c
-		}
-	}
-	return nil
 }
 
 // ForAllMinimal reports whether the plan is ∀-minimal (Section IV: the
@@ -213,18 +203,13 @@ func domainPred(s *dgraph.Source, pos int) string {
 }
 
 // Generate builds the ⊂-minimal plan for an optimized d-graph whose query
-// is answerable.
-func Generate(o *dgraph.Optimized) (*Plan, error) {
-	return GenerateWith(o, OrderOptions{})
-}
-
-// GenerateWith is Generate with explicit ordering options (the
+// is answerable, ordering its sources with ordOpts (the zero value, or the
 // heuristic-free linearization of the ablation).
-func GenerateWith(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
+func Generate(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
 	if !o.Graph.Answerable {
 		return nil, fmt.Errorf("plan: query %s is not answerable", o.Graph.Query.Name)
 	}
-	groups, unique := OrderWith(o, ordOpts)
+	groups, unique := Order(o, ordOpts)
 	p := &Plan{
 		Opt:            o,
 		Program:        &datalog.Program{},

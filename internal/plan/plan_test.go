@@ -10,6 +10,26 @@ import (
 	"toorjah/internal/schema"
 )
 
+// cacheOf returns the plan's cache of the given source, or nil.
+func cacheOf(p *Plan, s *dgraph.Source) *Cache {
+	for _, c := range p.Caches {
+		if c.Source.ID == s.ID {
+			return c
+		}
+	}
+	return nil
+}
+
+// sourceByLabel returns the source of g with the given Label(), or nil.
+func sourceByLabel(g *dgraph.Graph, label string) *dgraph.Source {
+	for _, s := range g.Sources {
+		if s.Label() == label {
+			return s
+		}
+	}
+	return nil
+}
+
 // optimize runs the full pipeline up to the optimized d-graph.
 func optimize(t *testing.T, schemaText, queryText string) *dgraph.Optimized {
 	t.Helper()
@@ -35,7 +55,7 @@ func optimize(t *testing.T, schemaText, queryText string) *dgraph.Optimized {
 // relation from, and a plan generated anew starts its own.
 func TestBindSharesAnswerCount(t *testing.T) {
 	o := optimize(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +67,7 @@ func TestBindSharesAnswerCount(t *testing.T) {
 	if got := b.LastAnswers.Load(); got != 7 {
 		t.Errorf("a count stored through one bound plan reads %d through the other, want 7", got)
 	}
-	again, err := Generate(o)
+	again, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +87,7 @@ r3^io(C, A)
 // predicates, the ordering ra ≺ r1 ≺ r2, and no trace of the irrelevant r3.
 func TestPaperExample7(t *testing.T) {
 	o := optimize(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +127,10 @@ func TestPaperExample7(t *testing.T) {
 	// Reference semantics: evaluating the program's least fixpoint over
 	// Example 2-style data returns the right answers.
 	edb := datalog.DB{}
-	edb.Insert("r1", datalog.T("a", "b1"))
-	edb.Insert("r1", datalog.T("z", "b9")) // not reachable via l_0
-	edb.Insert("r2", datalog.T("b1", "c1"))
-	edb.Insert("r2", datalog.T("b9", "c9"))
+	edb.Get("r1", 2).Insert(datalog.T("a", "b1"))
+	edb.Get("r1", 2).Insert(datalog.T("z", "b9")) // not reachable via l_0
+	edb.Get("r2", 2).Insert(datalog.T("b1", "c1"))
+	edb.Get("r2", 2).Insert(datalog.T("b9", "c9"))
 	idb, err := datalog.Eval(p.Program, edb)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +151,7 @@ func TestPaperExample7(t *testing.T) {
 // unique.
 func TestExample6NoForAllMinimal(t *testing.T) {
 	o := optimize(t, "r1^o(A)\nr2^o(B)", "q(X) :- r1(X), r2(Y)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +170,7 @@ r1^io(A, C)
 r2^io(B, C)
 r3^io(C, B)
 `, "q(C) :- r1(X, C), r3(C2, X2)")
-	if _, err := Generate(o); err == nil {
+	if _, err := Generate(o, OrderOptions{}); err == nil {
 		t.Error("want error for non-answerable query")
 	}
 }
@@ -169,7 +189,7 @@ rev_icde^iio(Person, Paper, Eval)
 // relations absent.
 func TestQ1PlanShape(t *testing.T) {
 	o := optimize(t, pubSchema, "q1(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +204,13 @@ func TestQ1PlanShape(t *testing.T) {
 		t.Errorf("first group = %s, want conf", p.Groups[0][0].Label())
 	}
 	// Caches in group order; conf's cache has no domain predicates.
-	confCache := p.CacheBySource(p.Groups[0][0])
+	confCache := cacheOf(p, p.Groups[0][0])
 	if confCache == nil || len(confCache.DomainPreds) != 0 {
 		t.Errorf("conf cache: %+v", confCache)
 	}
 	// rev^ooi has one input (Year): exactly one domain predicate.
-	rev := o.Graph.SourceByLabel("rev(1)")
-	revCache := p.CacheBySource(rev)
+	rev := sourceByLabel(o.Graph, "rev(1)")
+	revCache := cacheOf(p, rev)
 	if revCache == nil || len(revCache.DomainPreds) != 1 {
 		t.Fatalf("rev cache: %+v", revCache)
 	}
@@ -206,13 +226,13 @@ f1^oo(A, B)
 f2^oo(B, C)
 lim^io(B, D)
 `, "q(D) :- lim(X, D)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Count rules defining lim's domain predicate.
-	limSrc := o.Graph.SourceByLabel("lim(1)")
-	c := p.CacheBySource(limSrc)
+	limSrc := sourceByLabel(o.Graph, "lim(1)")
+	c := cacheOf(p, limSrc)
 	if c == nil || len(c.DomainPreds) != 1 {
 		t.Fatalf("lim cache: %+v", c)
 	}
@@ -239,12 +259,12 @@ a^oo(P, D1)
 b^oo(P, D2)
 lim^io(P, D3)
 `, "q(Z) :- a(X, Y1), b(X, Y2), lim(X, Z)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	limSrc := o.Graph.SourceByLabel("lim(1)")
-	c := p.CacheBySource(limSrc)
+	limSrc := sourceByLabel(o.Graph, "lim(1)")
+	c := cacheOf(p, limSrc)
 	dp := c.DomainPreds[0]
 	var defs []*datalog.Rule
 	for _, r := range p.Program.Rules {
@@ -271,7 +291,7 @@ lim^io(P, D3)
 // off-diagonal tuples; the diagonal restriction lives in the query rule.
 func TestSelfJoinCacheNotRestricted(t *testing.T) {
 	o := optimize(t, "r^oo(A, A)\nlim^io(A, B)", "q(X, Z) :- r(X, X), lim(X, Z)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +316,7 @@ func TestNegatedAtomInPlan(t *testing.T) {
 r^oo(A, B)
 s^io(B, C)
 `, "q(X) :- r(X, Y), s(Y, Z), not s(Y, Z)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +341,7 @@ seed^o(A)
 r^io(A, B)
 s^io(B, A)
 `, "q(Y) :- r(X, Y), s(Y2, X2)")
-	p, err := Generate(o)
+	p, err := Generate(o, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +371,7 @@ func TestPlanProgramValidates(t *testing.T) {
 	}
 	for _, c := range cases {
 		o := optimize(t, c.schema, c.query)
-		p, err := Generate(o)
+		p, err := Generate(o, OrderOptions{})
 		if err != nil {
 			t.Errorf("%s: %v", c.query, err)
 			continue
@@ -364,7 +384,7 @@ func TestPlanProgramValidates(t *testing.T) {
 		}
 		// Every black source must have a cache.
 		for _, s := range o.Graph.BlackSources() {
-			if p.CacheBySource(s) == nil {
+			if cacheOf(p, s) == nil {
 				t.Errorf("%s: black source %s has no cache", c.query, s.Label())
 			}
 		}

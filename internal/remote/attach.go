@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,25 +43,14 @@ func ParseAttachSpec(s string) (AttachSpec, error) {
 	return spec, nil
 }
 
-// Attach discovers the peer's schema and builds one Source per attached
-// relation. With an explicit relation list, every listed relation must be
-// served by the peer; with none, all peer relations also declared locally
-// are attached (and there must be at least one). Either way, each attached
-// relation's declaration — name, access pattern, and domains — must be
-// identical on both sides: a pattern mismatch would let the planner issue
-// probes the peer rejects, and a domain mismatch would corrupt the
-// relevance analysis.
-func Attach(ctx context.Context, c *Client, local *schema.Schema, relations []string) ([]*Source, error) {
-	peer, err := c.FetchSchema(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return AttachDiscovered(c, local, peer, relations)
-}
-
-// AttachDiscovered is Attach for a peer schema already fetched (callers
-// that inspect the discovery before choosing relations avoid a second
-// round trip).
+// AttachDiscovered builds one Source per attached relation of a peer whose
+// schema, peer, FetchSchema has discovered. With an explicit relation list,
+// every listed relation must be served by the peer; with none, all peer
+// relations also declared locally are attached (and there must be at least
+// one). Either way, each attached relation's declaration — name, access
+// pattern, and domains — must be identical on both sides: a pattern mismatch
+// would let the planner issue probes the peer rejects, and a domain mismatch
+// would corrupt the relevance analysis.
 func AttachDiscovered(c *Client, local, peer *schema.Schema, relations []string) ([]*Source, error) {
 	if relations == nil {
 		for _, rel := range peer.Relations() {

@@ -15,8 +15,8 @@
 // protocol with the resilience a real network needs: keep-alive connections
 // per peer, per-attempt timeouts, bounded retries with exponential backoff
 // and jitter, a per-relation circuit breaker, and response-size limits.
-// Schema discovery (FetchSchema, Attach) builds the remote relations from a
-// peer's /schema endpoint.
+// Schema discovery (FetchSchema, AttachDiscovered) builds the remote
+// relations from a peer's /schema endpoint.
 package remote
 
 import (

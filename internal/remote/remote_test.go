@@ -453,7 +453,7 @@ func TestFetchSchemaAndAttach(t *testing.T) {
 	// The local node declares a superset; nil relations attaches the
 	// intersection.
 	local := schema.MustParse(testSchemaText + "\nlocalonly^o(C)")
-	srcs, err := Attach(context.Background(), c, local, nil)
+	srcs, err := AttachDiscovered(c, local, peer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,17 +466,17 @@ func TestFetchSchemaAndAttach(t *testing.T) {
 	}
 
 	// Explicit list: a relation the peer does not serve is an error.
-	if _, err := Attach(context.Background(), c, local, []string{"localonly"}); err == nil {
+	if _, err := AttachDiscovered(c, local, peer, []string{"localonly"}); err == nil {
 		t.Error("attaching a relation the peer lacks: want error")
 	}
 	// A declaration mismatch is an error.
 	mismatched := schema.MustParse("r^oi(A, B)\nfree^oo(A, B)\nempty^io(A, B)")
-	if _, err := Attach(context.Background(), c, mismatched, []string{"r"}); err == nil || !strings.Contains(err.Error(), "declared as") {
+	if _, err := AttachDiscovered(c, mismatched, peer, []string{"r"}); err == nil || !strings.Contains(err.Error(), "declared as") {
 		t.Errorf("pattern mismatch: err = %v", err)
 	}
 	// No shared relation at all.
 	disjoint := schema.MustParse("other^o(X)")
-	if _, err := Attach(context.Background(), c, disjoint, nil); err == nil {
+	if _, err := AttachDiscovered(c, disjoint, peer, nil); err == nil {
 		t.Error("disjoint schemas: want error")
 	}
 }
@@ -632,7 +632,7 @@ func TestSchemaEpochRoundTrip(t *testing.T) {
 // refuse never reaches the peer.
 func TestProbeContract(t *testing.T) {
 	f := sourcetest.New(t)
-	peer := source.NewCounter(f.Source, false)
+	peer := sourcetest.NewCounter(f.Source, false)
 	reg := source.NewRegistry()
 	reg.Bind(peer)
 	ts := httptest.NewServer(PeerMux(reg))

@@ -14,7 +14,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -283,22 +282,6 @@ func (s *Schema) Names() []string {
 // Len returns the number of relations in the schema.
 func (s *Schema) Len() int { return len(s.order) }
 
-// Domains returns the sorted set of abstract domains mentioned by the schema.
-func (s *Schema) Domains() []Domain {
-	set := make(map[Domain]bool)
-	for _, r := range s.rels {
-		for _, d := range r.Domains {
-			set[d] = true
-		}
-	}
-	out := make([]Domain, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	c := &Schema{rels: make(map[string]*Relation, len(s.rels))}
@@ -368,37 +351,4 @@ func (s *Schema) QueryableRelations(seeds []Domain) map[string]bool {
 		}
 	}
 	return queryable
-}
-
-// ObtainableDomains computes the closure of domains whose values can be
-// obtained starting from the seed domains, under the schema's access
-// patterns.
-func (s *Schema) ObtainableDomains(seeds []Domain) map[Domain]bool {
-	obtainable := make(map[Domain]bool, len(seeds))
-	for _, d := range seeds {
-		obtainable[d] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, name := range s.order {
-			r := s.rels[name]
-			ok := true
-			for _, d := range r.InputDomains() {
-				if !obtainable[d] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, d := range r.OutputDomains() {
-				if !obtainable[d] {
-					obtainable[d] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return obtainable
 }

@@ -16,7 +16,7 @@ import (
 	"toorjah"
 	"toorjah/internal/obs"
 	"toorjah/internal/schema"
-	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 )
 
 // urlQuery renders a query text — one disjunct per line — as a /query URL.
@@ -122,7 +122,7 @@ func TestOneProducerPerNumber(t *testing.T) {
 	// round trips the coordinator makes one at a time — happened whatever
 	// became of the query.
 	sys.AccessCache().Clear()
-	sys.Bind(source.NewFlaky(counters["rev"], 0, errors.New("rev is down")))
+	sys.Bind(sourcetest.NewFlaky(counters["rev"], 0, errors.New("rev is down")))
 	before := audited()
 	resp, err := http.Get(urlQuery(ts.URL, pubQuery))
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"toorjah"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
@@ -39,14 +40,14 @@ const pubQuery = "q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)"
 // newTestSystem builds a cached System over Counter-wrapped table sources,
 // so the counters observe exactly the probes that reach the tables through
 // the shared cache.
-func newTestSystem(t *testing.T, opts ...toorjah.SystemOption) (*toorjah.System, map[string]*source.Counter) {
+func newTestSystem(t *testing.T, opts ...toorjah.SystemOption) (*toorjah.System, map[string]*sourcetest.Counter) {
 	t.Helper()
 	sch, err := schema.Parse(pubSchemaText)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := toorjah.NewSystem(sch, opts...)
-	counters := make(map[string]*source.Counter)
+	counters := make(map[string]*sourcetest.Counter)
 	for _, rel := range sch.Relations() {
 		tab := storage.NewTable(rel.Name, rel.Arity())
 		tab.InsertAll(pubRows[rel.Name])
@@ -54,7 +55,7 @@ func newTestSystem(t *testing.T, opts ...toorjah.SystemOption) (*toorjah.System,
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr := source.NewCounter(src, true)
+		ctr := sourcetest.NewCounter(src, true)
 		counters[rel.Name] = ctr
 		sys.Bind(ctr)
 	}

@@ -19,6 +19,7 @@ import (
 	"toorjah"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
@@ -373,7 +374,7 @@ func TestLimitedRunDeliversBeforeItDrains(t *testing.T) {
 func TestFailedRunDeliversWhatItDerived(t *testing.T) {
 	down := errors.New("source down")
 	target := heldJoin(t, 3, toorjah.Options{Parallelism: 1}, func(w source.Wrapper) source.Wrapper {
-		return source.NewFlaky(w, 1, down) // the second access fails
+		return sourcetest.NewFlaky(w, 1, down) // the second access fails
 	})
 	lines := streamed(t, target, func() {})(4)
 	for _, line := range lines[:3] {

@@ -29,7 +29,7 @@ func TestProbeContract(t *testing.T) {
 	t.Run("counter", func(t *testing.T) {
 		for _, audited := range []bool{false, true} {
 			f := sourcetest.New(t)
-			c := source.NewCounter(f.Source, audited)
+			c := sourcetest.NewCounter(f.Source, audited)
 			f.Contract(t, c, func() int { return c.Stats().Accesses })
 			if got, want := c.Stats(), (source.Stats{Accesses: 12, Batches: 2, Tuples: 24}); got != want {
 				t.Errorf("audited %v: two batches of six counted as %+v, want %+v", audited, got, want)
@@ -39,13 +39,13 @@ func TestProbeContract(t *testing.T) {
 	t.Run("flaky", func(t *testing.T) {
 		f := sourcetest.New(t)
 		errDown := errors.New("down")
-		c := source.NewCounter(f.Source, false)
-		f.Contract(t, source.NewFlaky(c, 1<<20, errDown), func() int { return c.Stats().Accesses })
+		c := sourcetest.NewCounter(f.Source, false)
+		f.Contract(t, sourcetest.NewFlaky(c, 1<<20, errDown), func() int { return c.Stats().Accesses })
 		// The batch that overruns the budget fails whole: nothing reaches the
 		// source, not even the accesses the budget still covered, and the
 		// caller's slots are not to be read.
 		c.Reset()
-		flaky := source.NewFlaky(c, 9, errDown)
+		flaky := sourcetest.NewFlaky(c, 9, errDown)
 		out := f.Dirty()
 		if err := flaky.Probe(context.Background(), f.Batch(), out); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestProbeFreeRelationSlots(t *testing.T) {
 // into slots the caller owns, allocates nothing — no key, no result slice.
 func TestProbeMissAllocatesNothing(t *testing.T) {
 	f := sourcetest.New(t)
-	w := source.NewCounter(f.Source.Snapshot(), false)
+	w := sourcetest.NewCounter(f.Source.Snapshot(), false)
 	bindings, out := make([][]sym.ID, 16), make([][]storage.IRow, 16)
 	for i := range bindings {
 		bindings[i] = []sym.ID{sym.Intern("miss" + strconv.Itoa(i))}

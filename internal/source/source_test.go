@@ -2,8 +2,6 @@ package source
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -74,99 +72,6 @@ func TestFreeSourceEmptyBinding(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter(revSource(t), true)
-	access(c, "2008")
-	access(c, "2008") // repeated probe still counts as an access
-	access(c, "2007")
-	st := c.Stats()
-	if st.Accesses != 3 {
-		t.Errorf("Accesses = %d", st.Accesses)
-	}
-	if st.Tuples != 5 {
-		t.Errorf("Tuples = %d", st.Tuples)
-	}
-	if c.DistinctAccesses() != 2 {
-		t.Errorf("DistinctAccesses = %d", c.DistinctAccesses())
-	}
-	log := c.Log()
-	if len(log) != 3 || log[0].String() != "rev(2008)" {
-		t.Errorf("Log = %v", log)
-	}
-	set := c.AccessSet()
-	if !set[Access{Relation: "rev", Binding: []string{"2008"}}.Key()] {
-		t.Error("AccessSet missing key")
-	}
-	c.Reset()
-	if c.Stats().Accesses != 0 || c.DistinctAccesses() != 0 || len(c.Log()) != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-// TestCounterAuditedAgreesWithPlain: the audit (log and distinct set) is
-// bookkeeping beside the counters, never part of them — a plain and an
-// audited counter report the same Stats for the same probes — and a plain
-// counter answers the audit questions with "not tracked", not with whatever
-// an earlier state left behind.
-func TestCounterAuditedAgreesWithPlain(t *testing.T) {
-	plain, audited := NewCounter(revSource(t), false), NewCounter(revSource(t), true)
-	batches := [][][]string{
-		{{"2008"}, {"2007"}, {"2008"}},
-		{{"1999"}},
-		{{"2007"}, {"2007"}},
-	}
-	for _, c := range []*Counter{plain, audited} {
-		for _, b := range batches {
-			if _, err := ProbeStrings(context.Background(), c, b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if p, a := plain.Stats(), audited.Stats(); p != a {
-		t.Errorf("plain counter reports %+v, audited %+v", p, a)
-	}
-	if want := (Stats{Accesses: 6, Batches: 3, Tuples: 7}); audited.Stats() != want {
-		t.Errorf("Stats = %+v, want %+v", audited.Stats(), want)
-	}
-	if got := audited.DistinctAccesses(); got != 3 {
-		t.Errorf("audited DistinctAccesses = %d, want 3", got)
-	}
-	if got := plain.DistinctAccesses(); got != -1 {
-		t.Errorf("plain DistinctAccesses = %d, want -1 (not tracked)", got)
-	}
-	if set := plain.AccessSet(); set != nil {
-		t.Errorf("plain AccessSet = %v, want nil (not tracked)", set)
-	}
-	if log := plain.Log(); len(log) != 0 {
-		t.Errorf("plain Log = %v, want empty", log)
-	}
-	plain.Reset()
-	if got := plain.DistinctAccesses(); got != -1 {
-		t.Errorf("plain DistinctAccesses after Reset = %d, want -1", got)
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter(revSource(t), true)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				access(c, fmt.Sprint(2000+j%5))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := c.Stats().Accesses; got != 400 {
-		t.Errorf("Accesses = %d, want 400", got)
-	}
-	if got := c.DistinctAccesses(); got != 5 {
-		t.Errorf("DistinctAccesses = %d, want 5", got)
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
 	reg.Bind(revSource(t))
@@ -175,15 +80,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if got := reg.Names(); len(got) != 1 || got[0] != "rev" {
 		t.Errorf("Names = %v", got)
-	}
-	counted, counters := reg.Counted(false)
-	access(counted.Source("rev"), "2008")
-	if counters["rev"].Stats().Accesses != 1 {
-		t.Error("counted registry not recording")
-	}
-	// Original registry unaffected.
-	if _, ok := reg.Source("rev").(*Counter); ok {
-		t.Error("Counted mutated the original registry")
 	}
 }
 
@@ -218,14 +114,6 @@ func TestLatency(t *testing.T) {
 	}
 	if el := time.Since(start); el < 20*time.Millisecond {
 		t.Errorf("latency not applied: %v", el)
-	}
-}
-
-func TestAccessKeyDistinguishesRelations(t *testing.T) {
-	a := Access{Relation: "r", Binding: []string{"x"}}
-	b := Access{Relation: "rx", Binding: []string{}}
-	if a.Key() == b.Key() {
-		t.Error("access keys collide")
 	}
 }
 
@@ -268,16 +156,12 @@ func TestTableSourcePinning(t *testing.T) {
 		t.Errorf("live epoch did not advance from %d", wantEpoch)
 	}
 
-	// Registry.Snapshot pins table sources and forwards through Counter.
+	// Registry.Snapshot pins table sources.
 	reg := NewRegistry()
 	reg.Bind(live)
 	snapReg := reg.Snapshot()
 	tab.InsertAll([]storage.Row{{"k", "newer"}})
 	if rows, _ := access(snapReg.Source("r"), "k"); len(rows) != 1 {
 		t.Errorf("registry snapshot reads the live table: %v", rows)
-	}
-	ctr := NewCounter(live, false)
-	if EpochOf(ctr) != EpochOf(live) {
-		t.Error("Counter does not forward the data epoch")
 	}
 }

@@ -2,6 +2,8 @@
 // every package that implements the interface to run over its own
 // implementation: who owns a round trip's memory is decided in one place
 // (the interface's documentation), so it is checked by one piece of code.
+// It also holds the decorators tests bind in a source's place: Counter,
+// which audits what reaches the source, and Flaky, which makes it fail.
 package sourcetest
 
 import (

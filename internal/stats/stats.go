@@ -28,9 +28,6 @@ func (s *Series) Add(v float64) {
 	s.hasExtrema = true
 }
 
-// N returns the number of observations.
-func (s *Series) N() int { return s.n }
-
 // Min returns the smallest observation (0 when empty).
 func (s *Series) Min() float64 { return s.min }
 
@@ -45,9 +42,6 @@ func (s *Series) Avg() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Sum returns the total.
-func (s *Series) Sum() float64 { return s.sum }
-
 // Table renders an aligned text table; the first row is the header.
 type Table struct {
 	rows [][]string
@@ -58,16 +52,6 @@ func (t *Table) Header(cells ...string) { t.rows = append([][]string{cells}, t.r
 
 // Row appends a data row.
 func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
-
-// Rowf appends a row of formatted cells ({format, value} pairs are applied
-// elementwise via fmt.Sprintf("%v")).
-func (t *Table) Rowf(cells ...any) {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		out[i] = fmt.Sprintf("%v", c)
-	}
-	t.rows = append(t.rows, out)
-}
 
 // String renders the table with column alignment.
 func (t *Table) String() string {

