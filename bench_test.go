@@ -182,7 +182,7 @@ func BenchmarkPipelined(b *testing.B) {
 	var first, total time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exec.Pipelined(context.Background(), p.Plan, reg, exec.Options{Parallelism: 4}, nil)
+		r, err := exec.Pipelined(context.Background(), p.Plan, reg, exec.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func benchCrossQueryPipelined(b *testing.B, c *cache.Cache) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := exec.Options{Parallelism: 4, Cache: c}
+	opts := exec.Options{Cache: c}
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,7 +333,7 @@ func benchBatch(b *testing.B, maxBatch int, pipelined bool) {
 	for i := 0; i < b.N; i++ {
 		var r *exec.Result
 		if pipelined {
-			r, err = exec.Pipelined(context.Background(), p.Plan, reg, exec.Options{Parallelism: 4, MaxBatch: maxBatch}, nil)
+			r, err = exec.Pipelined(context.Background(), p.Plan, reg, exec.Options{MaxBatch: maxBatch}, nil)
 		} else {
 			r, err = exec.FastFailing(context.Background(), p.Plan, reg, opts, nil)
 		}

@@ -76,8 +76,9 @@ func TestLinkcheckFindsBreakage(t *testing.T) {
 // fails on a backticked test, benchmark or fuzz target that no _test.go in
 // the tree declares, so the docs cannot cite a deleted test; a name
 // followed by `*` or `{…}` (`BenchmarkBatch*`) stands for every name it
-// prefixes. And README's metric catalog must name exactly the families the
-// code registers (checkMetricCatalog).
+// prefixes. README's metric catalog must name exactly the families the
+// code registers (checkMetricCatalog), and its toorjahd table exactly the
+// flags toorjahd registers (checkFlagTable).
 func TestRepoDocs(t *testing.T) {
 	root := "../.."
 	files := []string{
@@ -118,6 +119,7 @@ func TestRepoDocs(t *testing.T) {
 		}
 	}
 	checkMetricCatalog(t, root)
+	checkFlagTable(t, root)
 }
 
 // checkMetricCatalog holds README's metric catalog — the first cell of each
@@ -180,6 +182,42 @@ func checkMetricCatalog(t *testing.T, root string) {
 	}
 }
 
+// checkFlagTable holds README's toorjahd flag table — the table rows that
+// start with a `-name` code span — to the flag names cmd/toorjahd/main.go
+// registers, in both directions.
+func checkFlagTable(t *testing.T, root string) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(root, "cmd", "toorjahd", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := make(map[string]bool)
+	for _, m := range flagRE.FindAllSubmatch(src, -1) {
+		registered[string(m[1])] = true
+	}
+	if len(registered) == 0 {
+		t.Fatal("cmd/toorjahd/main.go registers no flag")
+	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabled := make(map[string]bool)
+	for _, m := range flagRowRE.FindAllSubmatch(readme, -1) {
+		tabled[string(m[1])] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(registered)) {
+		if !tabled[name] {
+			t.Errorf("toorjahd registers -%s, but README's flag table lacks it", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(tabled)) {
+		if !registered[name] {
+			t.Errorf("README's flag table lists -%s, which toorjahd does not register", name)
+		}
+	}
+}
+
 // expandBraces spells out every name a brace group stands for:
 // toorjah_cache_{hits,misses}_total is toorjah_cache_hits_total and
 // toorjah_cache_misses_total.
@@ -201,6 +239,8 @@ var (
 	codeSpanRE = regexp.MustCompile("`[^`]+`")
 	citedRE    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\*|\{[^}]*\})?`)
 	familyRE   = regexp.MustCompile(`"(toorjah_[a-z_]+)"`)
+	flagRE     = regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Var)\((?:&\w+, )?"([a-z0-9-]+)"`)
+	flagRowRE  = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
 )
 
 // citedTests returns the test, benchmark and fuzz target names a markdown

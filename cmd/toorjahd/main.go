@@ -66,52 +66,20 @@
 // inside the acknowledgement path, interval flushes on -fsync-interval,
 // never leaves flushing to the OS), snapshot files of every relation's
 // live rows are written every -snapshot-interval, and sealed WAL segments
-// rotate by -wal-segment-bytes/-wal-segment-age into an archive
-// subdirectory. On restart the node recovers the latest valid snapshot,
-// replays the WAL tail (truncating a torn final record rather than
-// refusing to start), and serves the same rows and epochs it had
-// acknowledged — the CSV seed in -data is read only on the very first
-// boot. The startup log line accounts for the recovery, and /metrics gains
-// the toorjah_wal_* families (appends, bytes, syncs, snapshots, recovery
-// duration).
+// rotate by -wal-segment-bytes into an archive subdirectory. On restart the
+// node recovers the latest valid snapshot, replays the WAL tail (truncating
+// a torn final record rather than refusing to start), and serves the same
+// rows and epochs it had acknowledged — the CSV seed in -data is read only
+// on the very first boot. The startup log line accounts for the recovery,
+// and /metrics gains the toorjah_wal_* families (appends, bytes, syncs,
+// snapshots, recovery duration).
 //
 // The process drains gracefully: SIGINT/SIGTERM stop accepting connections
 // and in-flight query streams get up to 15s to finish; a durable node then
 // flushes and closes its WAL.
 //
-// Flags:
-//
-//	-addr                listen address (default :8344)
-//	-latency             simulated per-access source latency (e.g. 50ms)
-//	-parallelism         round trips in flight per relation whose source can block (default 4)
-//	-max-batch           access bindings per source round trip (default 16;
-//	                     negative = unbatched)
-//	-no-cache            disable the cross-query access cache
-//	-cache-capacity      max cached accesses, LRU-bounded (default 65536)
-//	-cache-ttl           expiry of cached accesses (default: never)
-//	-cache-negative-ttl  expiry of cached empty accesses (default: cache-ttl)
-//	-no-negative         do not cache empty accesses
-//	-max-ingest-bytes    cap on one /ingest request body (default 8 MiB)
-//	-data-dir            durable state directory: write-ahead log + epoch
-//	                     snapshots + archive (default: memory only)
-//	-fsync               WAL flush policy: always, interval or never
-//	                     (default always)
-//	-fsync-interval      flush period under -fsync interval (default 100ms)
-//	-snapshot-interval   how often to snapshot relations and archive sealed
-//	                     WAL segments (default 5m; 0 disables)
-//	-wal-segment-bytes   size at which the active WAL segment seals
-//	                     (default 64 MiB)
-//	-wal-segment-age     age at which a non-empty active segment seals
-//	                     (default: size-only)
-//	-remote              attach a federation peer: http://host:8344=R1,R2
-//	                     (bare address = every shared relation this node
-//	                     holds no data for; repeatable)
-//	-remote-timeout      per-probe-attempt timeout against peers (default 10s)
-//	-ready-timeout       peer reachability timeout of /healthz?ready
-//	                     (default 2s)
-//	-slow-query          latency at or above which a query logs as slow
-//	                     (default 1s; 0 disables the threshold)
-//	-debug-addr          private pprof listen address (default: disabled)
+// The flags and their defaults are listed in README's toorjahd table and by
+// toorjahd -h.
 package main
 
 import (
@@ -148,20 +116,16 @@ func main() {
 	dataDir := flag.String("data", "", "directory of per-relation CSV files (required)")
 	addr := flag.String("addr", ":8344", "listen address")
 	latency := flag.Duration("latency", 0, "simulated per-access latency")
-	parallelism := flag.Int("parallelism", 4, "round trips in flight per relation whose source can block")
 	maxBatch := flag.Int("max-batch", 0, "access bindings per source round trip (0 = default 16, negative = unbatched)")
 	noCache := flag.Bool("no-cache", false, "disable the cross-query access cache")
-	cacheCap := flag.Int("cache-capacity", 0, "max cached accesses (0 = default 65536, negative = unbounded)")
+	cacheCap := flag.Int("cache-capacity", 0, "max cached accesses (0 or less = default 65536)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "expiry of cached accesses (0 = never)")
-	cacheNegTTL := flag.Duration("cache-negative-ttl", 0, "expiry of cached empty accesses (0 = same as cache-ttl)")
-	noNegative := flag.Bool("no-negative", false, "do not cache empty accesses")
 	maxIngest := flag.Int64("max-ingest-bytes", service.DefaultMaxIngestBytes, "cap on one /ingest request body")
 	walDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots; empty = memory only)")
 	fsync := flag.String("fsync", wal.FsyncAlways, "WAL flush policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "flush period under -fsync interval (0 = default 100ms)")
 	snapInterval := flag.Duration("snapshot-interval", 5*time.Minute, "snapshot + archive period (0 = disabled)")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "active WAL segment size cap (0 = default 64 MiB)")
-	segAge := flag.Duration("wal-segment-age", 0, "active WAL segment age cap (0 = size-only)")
 	var remotes multiFlag
 	flag.Var(&remotes, "remote", "federation peer to attach, host[:port][=R1,R2] (repeatable)")
 	remoteTimeout := flag.Duration("remote-timeout", 0, "per-probe-attempt timeout against federation peers (0 = default 10s)")
@@ -190,7 +154,6 @@ func main() {
 			Fsync:            *fsync,
 			FsyncInterval:    *fsyncInterval,
 			SegmentMaxBytes:  *segBytes,
-			SegmentMaxAge:    *segAge,
 			SnapshotInterval: *snapInterval,
 		})
 		if err != nil {
@@ -215,10 +178,8 @@ func main() {
 	}
 	if !*noCache {
 		opts = append(opts, toorjah.WithCache(toorjah.CacheOptions{
-			Capacity:        *cacheCap,
-			TTL:             *cacheTTL,
-			NegativeTTL:     *cacheNegTTL,
-			DisableNegative: *noNegative,
+			Capacity: *cacheCap,
+			TTL:      *cacheTTL,
 		}))
 	}
 	sys := toorjah.NewSystem(sch, opts...)
@@ -244,7 +205,7 @@ func main() {
 		svcOpts = append(svcOpts, service.WithWAL(wlog))
 	}
 
-	srv := service.New(sys, toorjah.Options{Parallelism: *parallelism}, svcOpts...)
+	srv := service.New(sys, toorjah.Options{}, svcOpts...)
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}

@@ -104,8 +104,7 @@ func OnAnswer(f func(Tuple)) ExecOption {
 
 // WithExecOptions sets the executor-level Options wholesale — the ablation
 // switches (NoEarlyFailure, NoMetaCache), an explicit cross-query Cache,
-// pipelined tuning (Parallelism), union parallelism
-// (MaxConcurrent) and the rest. The escape hatch for everything the
+// union parallelism (MaxConcurrent) and the rest. The escape hatch for everything the
 // dedicated ExecOptions don't cover; it replaces the accumulated block, so
 // order it before WithLimit.
 func WithExecOptions(o Options) ExecOption {

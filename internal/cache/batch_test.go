@@ -61,20 +61,6 @@ func TestMultiGetMultiPut(t *testing.T) {
 	}
 }
 
-// TestMultiPutRespectsNegativePolicy: empty extractions are skipped when
-// negative caching is off.
-func TestMultiPutRespectsNegativePolicy(t *testing.T) {
-	c := New(Options{DisableNegative: true})
-	c.MultiPutSym("r", 0, ids([]string{"a0"}, []string{"a1"}),
-		[][]storage.IRow{{}, {storage.Row{"a1", "b1"}.Intern()}})
-	if stored(c, "r", 0, "a0") {
-		t.Error("empty extraction cached despite DisableNegative")
-	}
-	if !stored(c, "r", 0, "a1") {
-		t.Error("non-empty extraction missing")
-	}
-}
-
 // TestMultiPutEvicts: the LRU capacity bound holds under batch stores.
 func TestMultiPutEvicts(t *testing.T) {
 	c := New(Options{Capacity: 4, Shards: 1})

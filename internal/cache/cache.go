@@ -22,7 +22,7 @@
 //     forever);
 //   - negative-caching: empty extractions are cached too — knowing that an
 //     access returns nothing is exactly as valuable under the access cost
-//     model — optionally with a shorter TTL;
+//     model — under the same TTL;
 //   - collapsing: concurrent probes of the same access are merged into a
 //     single probe of the underlying source (singleflight, per key across
 //     overlapping batches), which matters under the pipelined executor's
@@ -63,23 +63,18 @@ import (
 )
 
 // Options configures a Cache. The zero value gives a 65536-entry cache with
-// 16 shards, no expiry, and negative caching on.
+// 16 shards and no expiry.
 type Options struct {
 	// Capacity bounds the total number of cached accesses across all
 	// shards; the least recently used entries are evicted beyond it.
-	// 0 means DefaultCapacity; negative means unbounded.
+	// 0 or less means DefaultCapacity.
 	Capacity int
 	// Shards is the number of independently locked shards; 0 means
 	// DefaultShards.
 	Shards int
-	// TTL expires entries that many nanoseconds after they were stored;
-	// 0 means entries never expire.
+	// TTL expires entries — empty extractions too — that many nanoseconds
+	// after they were stored; 0 means entries never expire.
 	TTL time.Duration
-	// NegativeTTL, when positive, overrides TTL for empty extractions, so
-	// that "nothing there" can be re-checked sooner than positive results.
-	NegativeTTL time.Duration
-	// DisableNegative turns off caching of empty extractions entirely.
-	DisableNegative bool
 
 	// now is a test hook for the clock; nil means time.Now.
 	now func() time.Time
@@ -204,7 +199,7 @@ type shard struct {
 	slab     []entry
 	free     int32 // head of the free list
 	resident int
-	capacity int        // bound on resident; 0 = unbounded
+	capacity int        // bound on resident
 	rels     []relShard // by relation number, grown on demand
 }
 
@@ -316,12 +311,8 @@ func (sh *shard) get(rs *relShard, v version, h uint32, binding []sym.ID, now in
 
 // settle makes entry i — resident already (linked), or a claim, or just filed
 // — the resident, most recently used extraction of its binding, applying the
-// TTLs and the LRU bound.
-func (sh *shard) settle(opts *Options, i int32, rows []storage.IRow, now int64, linked bool) {
-	ttl := opts.TTL
-	if len(rows) == 0 && opts.NegativeTTL > 0 {
-		ttl = opts.NegativeTTL
-	}
+// TTL and the LRU bound.
+func (sh *shard) settle(ttl time.Duration, i int32, rows []storage.IRow, now int64, linked bool) {
 	e := &sh.slab[i]
 	e.rows, e.flight, e.expires = rows, nil, 0
 	if ttl > 0 {
@@ -332,7 +323,7 @@ func (sh *shard) settle(opts *Options, i int32, rows []storage.IRow, now int64, 
 		sh.resident++
 		sh.rels[e.filed.r.n].stats.Entries++
 	}
-	for sh.capacity > 0 && sh.resident > sh.capacity {
+	for sh.resident > sh.capacity {
 		lru := sh.slab[0].prev
 		sh.rels[sh.slab[lru].filed.r.n].stats.Evictions++
 		sh.drop(lru)
@@ -349,24 +340,27 @@ type Cache struct {
 	rels map[string]*relation // the one string-keyed map: a name is resolved once per call
 }
 
-// New creates a cache with the given options.
+// New creates a cache with the given options. The shard bounds sum to
+// Capacity exactly: the first Capacity % Shards shards hold one entry more
+// than the rest, and a Capacity below Shards gets one shard per entry.
 func New(opts Options) *Cache {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.Capacity == 0 {
+	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
+	opts.Shards = min(opts.Shards, opts.Capacity)
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	perShard := 0
-	if opts.Capacity > 0 {
-		perShard = (opts.Capacity + opts.Shards - 1) / opts.Shards
-	}
 	c := &Cache{opts: opts, shards: make([]*shard, opts.Shards), rels: make(map[string]*relation)}
 	for i := range c.shards {
-		c.shards[i] = &shard{slab: make([]entry, 1), capacity: perShard}
+		capacity := opts.Capacity / opts.Shards
+		if i < opts.Capacity%opts.Shards {
+			capacity++
+		}
+		c.shards[i] = &shard{slab: make([]entry, 1), capacity: capacity}
 	}
 	return c
 }
@@ -394,15 +388,11 @@ func (c *Cache) shard(h uint32) *shard { return c.shards[h%uint32(len(c.shards))
 
 // now is the clock in Unix nanoseconds, read only when something can expire.
 func (c *Cache) now() int64 {
-	if c.opts.TTL <= 0 && c.opts.NegativeTTL <= 0 {
+	if c.opts.TTL <= 0 {
 		return 0
 	}
 	return c.opts.now().UnixNano()
 }
-
-// keeps reports whether an extraction is one the cache stores: all but the
-// empty ones when negative caching is off.
-func (c *Cache) keeps(rows []storage.IRow) bool { return len(rows) > 0 || !c.opts.DisableNegative }
 
 // enter precedes the lookups and stores of one call at v: the first use of an
 // epoch newer than any its relation has been used at frees the relation's
@@ -471,19 +461,15 @@ func (c *Cache) MultiGetSym(rel string, epoch uint64, bindings [][]sym.ID) (rows
 }
 
 // MultiPutSym stores the extractions of many interned bindings of one
-// relation at one data epoch (0 = unversioned), applying the same TTL,
-// negative-caching and LRU-eviction rules as a probed store. It does not
-// count misses: callers that probed a source account for that at the probe
-// site.
+// relation at one data epoch (0 = unversioned), applying the same TTL and
+// LRU-eviction rules as a probed store. It does not count misses: callers
+// that probed a source account for that at the probe site.
 func (c *Cache) MultiPutSym(rel string, epoch uint64, bindings [][]sym.ID, rows [][]storage.IRow) {
 	r := c.relation(rel)
 	v := version{r, r.inc.Load(), epoch}
 	c.enter(v)
 	now := c.now()
 	for i, b := range bindings {
-		if !c.keeps(rows[i]) {
-			continue
-		}
 		h := sym.HashIDs(b)
 		sh := c.shard(h)
 		sh.mu.Lock()
@@ -493,7 +479,7 @@ func (c *Cache) MultiPutSym(rel string, epoch uint64, bindings [][]sym.ID, rows 
 			if at < 0 {
 				at = sh.file(g, h, b, nil, 0)
 			}
-			sh.settle(&c.opts, at, rows[i], now, linked)
+			sh.settle(c.opts.TTL, at, rows[i], now, linked)
 		}
 		sh.mu.Unlock()
 	}

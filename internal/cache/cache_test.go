@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -101,38 +102,30 @@ func TestNegativeCaching(t *testing.T) {
 	if got := ctr.Stats().Accesses; got != 1 {
 		t.Errorf("negative result not cached: %d underlying accesses", got)
 	}
-
-	ctr2, _ := testSource(t, "r^io(A, B)")
-	c2 := New(Options{DisableNegative: true})
-	w2 := c2.Wrap(ctr2)
-	access(w2, "zzz")
-	access(w2, "zzz")
-	if got := ctr2.Stats().Accesses; got != 2 {
-		t.Errorf("DisableNegative: underlying accesses = %d, want 2", got)
-	}
 }
 
 func TestTTLExpiry(t *testing.T) {
 	ctr, _ := testSource(t, "r^io(A, B)", storage.Row{"a", "1"})
 	now := time.Unix(1000, 0)
-	c := New(Options{TTL: time.Minute, NegativeTTL: time.Second, now: func() time.Time { return now }})
+	c := New(Options{TTL: time.Minute, now: func() time.Time { return now }})
 	w := c.Wrap(ctr)
 
 	access(w, "a") // positive, TTL 1m
-	access(w, "x") // negative, TTL 1s
+	access(w, "x") // negative, TTL 1m
 	if got := ctr.Stats().Accesses; got != 2 {
 		t.Fatalf("underlying = %d", got)
 	}
 
-	now = now.Add(2 * time.Second) // negative expired, positive alive
+	now = now.Add(30 * time.Second) // both alive
 	access(w, "a")
 	access(w, "x")
-	if got := ctr.Stats().Accesses; got != 3 {
-		t.Errorf("after negative TTL: underlying = %d, want 3", got)
+	if got := ctr.Stats().Accesses; got != 2 {
+		t.Errorf("within TTL: underlying = %d, want 2", got)
 	}
 
 	now = now.Add(2 * time.Minute) // everything expired
 	access(w, "a")
+	access(w, "x")
 	if got := ctr.Stats().Accesses; got != 4 {
 		t.Errorf("after TTL: underlying = %d, want 4", got)
 	}
@@ -166,6 +159,31 @@ func TestLRUEviction(t *testing.T) {
 	access(w, "b") // re-probe after eviction
 	if got := ctr.Stats().Accesses; got != 4 {
 		t.Errorf("underlying = %d, want 4", got)
+	}
+}
+
+// TestCapacityIsExact: the shard bounds sum to Capacity, so however the
+// bindings hash, five times Capacity distinct probes leave at most Capacity
+// entries resident — also when Capacity is not a multiple of the shard count,
+// or is below it.
+func TestCapacityIsExact(t *testing.T) {
+	for _, capacity := range []int{10, 100, 1000, DefaultCapacity} {
+		ctr, _ := testSource(t, "r^io(A, B)") // every extraction is empty, and cached
+		c := New(Options{Capacity: capacity})
+		w := c.Wrap(ctr)
+		batch := make([][]sym.ID, 0, 64)
+		for i := 0; i < 5*capacity; i++ {
+			batch = append(batch, sym.InternAll([]string{fmt.Sprintf("k%d", i)}))
+			if len(batch) == cap(batch) || i == 5*capacity-1 {
+				if err := w.Probe(context.Background(), batch, make([][]storage.IRow, len(batch))); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+		if got := c.Len(); got > capacity || got == 0 {
+			t.Errorf("Capacity %d: %d entries resident", capacity, got)
+		}
 	}
 }
 

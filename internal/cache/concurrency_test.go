@@ -60,8 +60,7 @@ func TestPipelinedConcurrentCachedCorrectness(t *testing.T) {
 
 	const G = 6
 	opts := exec.Options{
-		Parallelism: 16,
-		Cache:       c,
+		Cache: c,
 		// NoMetaCache disables the executor's own within-run access
 		// sharing, so concurrent identical probes actually reach the cache
 		// and exercise its singleflight.

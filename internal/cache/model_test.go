@@ -129,13 +129,7 @@ func (m *model) touch(key string, sh int) {
 }
 
 func (m *model) put(rel string, epoch uint64, ids []sym.ID, rows []storage.IRow) {
-	if len(rows) == 0 && m.opts.DisableNegative {
-		return
-	}
 	ttl := m.opts.TTL
-	if len(rows) == 0 && m.opts.NegativeTTL > 0 {
-		ttl = m.opts.NegativeTTL
-	}
 	key, sh := modelKey(rel, epoch, ids), m.shard(ids)
 	e := m.entries[key]
 	if e == nil {
@@ -159,188 +153,187 @@ func (m *model) put(rel string, epoch uint64, ids []sym.ID, rows []storage.IRow)
 // TestCacheMatchesMapModel drives the cache and the reference through one
 // seeded random script — lookups, stores, probes through wrappers (current
 // ones, ones pinned to an older epoch, ones an Invalidate left behind), epoch
-// advances, Invalidate, Clear, the clock moving past both TTLs, all under a
+// advances, Invalidate, Clear, the clock moving past the TTL, all under a
 // capacity small enough that most stores evict — over 3 relations and
 // bindings of width 0–3, and compares after every step: what was served, what
 // reached the source, every counter of Snapshot, Len, and that exactly the
 // reference's keys are resident — so also which key the LRU evicted. A
 // bystander reads the cache throughout, for the race detector.
 func TestCacheMatchesMapModel(t *testing.T) {
-	for _, disableNegative := range []bool{false, true} {
-		t.Run(fmt.Sprintf("DisableNegative=%v", disableNegative), func(t *testing.T) {
-			var clock atomic.Int64
-			clock.Store(time.Unix(1000, 0).UnixNano())
-			opts := Options{Capacity: 24, Shards: 4, TTL: 10 * time.Second, NegativeTTL: 3 * time.Second,
-				DisableNegative: disableNegative, now: func() time.Time { return time.Unix(0, clock.Load()) }}
-			c := New(opts)
-			m := &model{opts: opts, now: clock.Load, entries: map[string]*modelEntry{},
-				recency: make([][]string, opts.Shards), newest: map[string]uint64{}, stats: map[string]RelStats{}}
+	// Empty extractions are always cached; the subtest name says so.
+	t.Run("DisableNegative=false", func(t *testing.T) {
+		var clock atomic.Int64
+		clock.Store(time.Unix(1000, 0).UnixNano())
+		opts := Options{Capacity: 24, Shards: 4, TTL: 10 * time.Second,
+			now: func() time.Time { return time.Unix(0, clock.Load()) }}
+		c := New(opts)
+		m := &model{opts: opts, now: clock.Load, entries: map[string]*modelEntry{},
+			recency: make([][]string, opts.Shards), newest: map[string]uint64{}, stats: map[string]RelStats{}}
 
-			stop := make(chan struct{})
-			var bystander sync.WaitGroup
-			bystander.Add(1)
-			go func() {
-				defer bystander.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						c.MultiGetSym("bystander", 1, [][]sym.ID{{1}, {2, 3}})
-						c.Snapshot()
-						c.Len()
-					}
-				}
-			}()
-			defer bystander.Wait()
-			defer close(stop)
-
-			rng := rand.New(rand.NewSource(22))
-			rels := []string{"r0", "r1", "r2"}
-			epochs := map[string]uint64{"r0": 1, "r1": 1, "r2": 0} // r2 starts unversioned
-			type wrapper struct {
-				src  *scriptedSource
-				w    source.Wrapper
-				live bool // false once its relation was invalidated
-			}
-			wrappers := map[string][]*wrapper{}
-			binding := func() []sym.ID {
-				b := make([]sym.ID, rng.Intn(4))
-				for i := range b {
-					b[i] = sym.ID(1 + rng.Intn(4))
-				}
-				return b
-			}
-			someEpoch := func(rel string) uint64 { // the current epoch, at times an older one
-				if e := epochs[rel]; e > 1 && rng.Intn(4) == 0 {
-					return e - 1 - uint64(rng.Intn(2))
-				}
-				return epochs[rel]
-			}
-			invalidated := func(rel string) {
-				m.newest[rel] = 0
-				for _, w := range wrappers[rel] {
-					w.live = false
-				}
-			}
-			tag := sym.ID(1000)
-
-			for step := 0; step < 6000; step++ {
-				rel := rels[rng.Intn(len(rels))]
-				switch op := rng.Intn(20); {
-				case op < 5: // lookup
-					epoch, bs := someEpoch(rel), [][]sym.ID{binding(), binding()}
-					rows, ok := c.MultiGetSym(rel, epoch, bs)
-					m.enter(rel, epoch)
-					for i, b := range bs {
-						want, hit := m.get(rel, epoch, b)
-						if ok[i] != hit || !reflect.DeepEqual(rows[i], want) {
-							t.Fatalf("step %d: get %s@%d %v = %v, %v; the model has %v, %v", step, rel, epoch, b, rows[i], ok[i], want, hit)
-						}
-					}
-				case op < 9: // store
-					epoch, b := someEpoch(rel), binding()
-					tag++
-					rows := []storage.IRow{{tag}}
-					if rng.Intn(4) == 0 {
-						rows = nil
-					}
-					c.MultiPutSym(rel, epoch, [][]sym.ID{b}, [][]storage.IRow{rows})
-					m.enter(rel, epoch)
-					m.put(rel, epoch, b, rows)
-				case op < 15: // probe through a wrapper: a new one, or one made earlier
-					var w *wrapper
-					if ws := wrappers[rel]; len(ws) > 0 && rng.Intn(3) > 0 {
-						w = ws[rng.Intn(len(ws))]
-					} else {
-						src := &scriptedSource{rel: schema.MustParse(rel + "^io(A, B)").Relation(rel), epoch: someEpoch(rel)}
-						w = &wrapper{src: src, w: c.Wrap(src), live: true}
-						wrappers[rel] = append(wrappers[rel], w)
-					}
-					var bs [][]sym.ID
-					for n := 1 + rng.Intn(4); len(bs) < n; {
-						if b := binding(); !slices.ContainsFunc(bs, func(o []sym.ID) bool { return slices.Equal(o, b) }) {
-							bs = append(bs, b)
-						}
-					}
-					w.src.probed = nil
-					out := make([][]storage.IRow, len(bs))
-					if err := w.w.Probe(context.Background(), bs, out); err != nil {
-						t.Fatal(err)
-					}
-					var missed [][]sym.ID
-					if w.live {
-						m.enter(rel, w.src.epoch)
-					}
-					for i, b := range bs {
-						want, hit := []storage.IRow(nil), false
-						if w.live {
-							want, hit = m.get(rel, w.src.epoch, b)
-						}
-						if !hit {
-							m.bump(rel, func(st *RelStats) { st.Misses++ })
-							missed = append(missed, b)
-							want = extraction(w.src.epoch, b)
-						}
-						if !reflect.DeepEqual(out[i], want) {
-							t.Fatalf("step %d: probe %s@%d %v = %v, want %v (hit: %v)", step, rel, w.src.epoch, b, out[i], want, hit)
-						}
-					}
-					if !reflect.DeepEqual(w.src.probed, missed) {
-						t.Fatalf("step %d: probe of %s@%d %v reached the source with %v, the model misses %v", step, rel, w.src.epoch, bs, w.src.probed, missed)
-					}
-					for _, b := range missed {
-						if w.live {
-							m.put(rel, w.src.epoch, b, extraction(w.src.epoch, b))
-						}
-					}
-				case op < 17: // a write lands: the next use is at a newer epoch
-					if epochs[rel] > 0 {
-						epochs[rel]++
-					}
-				case op == 17:
-					clock.Add(int64(rng.Intn(5000)) * int64(time.Millisecond))
-				case op == 18:
-					want := m.removeIf(func(e *modelEntry) bool { return e.rel == rel })
-					if got := c.Invalidate(rel); got != want {
-						t.Fatalf("step %d: Invalidate(%s) dropped %d entries, the model %d", step, rel, got, want)
-					}
-					invalidated(rel)
-					epochs[rel] = uint64(rng.Intn(2)) // the new source counts from the start, or not at all
+		stop := make(chan struct{})
+		var bystander sync.WaitGroup
+		bystander.Add(1)
+		go func() {
+			defer bystander.Done()
+			for {
+				select {
+				case <-stop:
+					return
 				default:
-					if rng.Intn(8) > 0 {
-						continue // Clear is rare: it empties what the other steps build
-					}
-					c.Clear()
-					m.removeIf(func(*modelEntry) bool { return true })
-					for _, rel := range rels {
-						invalidated(rel)
-					}
+					c.MultiGetSym("bystander", 1, [][]sym.ID{{1}, {2, 3}})
+					c.Snapshot()
+					c.Len()
 				}
+			}
+		}()
+		defer bystander.Wait()
+		defer close(stop)
 
-				if got := c.Len(); got != len(m.entries) {
-					t.Fatalf("step %d: Len = %d, the model holds %d", step, got, len(m.entries))
-				}
-				for _, e := range m.entries {
-					if !storedIDs(c, e.rel, e.epoch, e.ids) && !(e.expires != 0 && clock.Load() >= e.expires) {
-						t.Fatalf("step %d: %s@%d %v is not resident; the model holds it", step, e.rel, e.epoch, e.ids)
+		rng := rand.New(rand.NewSource(22))
+		rels := []string{"r0", "r1", "r2"}
+		epochs := map[string]uint64{"r0": 1, "r1": 1, "r2": 0} // r2 starts unversioned
+		type wrapper struct {
+			src  *scriptedSource
+			w    source.Wrapper
+			live bool // false once its relation was invalidated
+		}
+		wrappers := map[string][]*wrapper{}
+		binding := func() []sym.ID {
+			b := make([]sym.ID, rng.Intn(4))
+			for i := range b {
+				b[i] = sym.ID(1 + rng.Intn(4))
+			}
+			return b
+		}
+		someEpoch := func(rel string) uint64 { // the current epoch, at times an older one
+			if e := epochs[rel]; e > 1 && rng.Intn(4) == 0 {
+				return e - 1 - uint64(rng.Intn(2))
+			}
+			return epochs[rel]
+		}
+		invalidated := func(rel string) {
+			m.newest[rel] = 0
+			for _, w := range wrappers[rel] {
+				w.live = false
+			}
+		}
+		tag := sym.ID(1000)
+
+		for step := 0; step < 6000; step++ {
+			rel := rels[rng.Intn(len(rels))]
+			switch op := rng.Intn(20); {
+			case op < 5: // lookup
+				epoch, bs := someEpoch(rel), [][]sym.ID{binding(), binding()}
+				rows, ok := c.MultiGetSym(rel, epoch, bs)
+				m.enter(rel, epoch)
+				for i, b := range bs {
+					want, hit := m.get(rel, epoch, b)
+					if ok[i] != hit || !reflect.DeepEqual(rows[i], want) {
+						t.Fatalf("step %d: get %s@%d %v = %v, %v; the model has %v, %v", step, rel, epoch, b, rows[i], ok[i], want, hit)
 					}
 				}
-				want := map[string]RelStats{}
-				for rel, st := range m.stats {
-					if st != (RelStats{}) {
-						want[rel] = st
+			case op < 9: // store
+				epoch, b := someEpoch(rel), binding()
+				tag++
+				rows := []storage.IRow{{tag}}
+				if rng.Intn(4) == 0 {
+					rows = nil
+				}
+				c.MultiPutSym(rel, epoch, [][]sym.ID{b}, [][]storage.IRow{rows})
+				m.enter(rel, epoch)
+				m.put(rel, epoch, b, rows)
+			case op < 15: // probe through a wrapper: a new one, or one made earlier
+				var w *wrapper
+				if ws := wrappers[rel]; len(ws) > 0 && rng.Intn(3) > 0 {
+					w = ws[rng.Intn(len(ws))]
+				} else {
+					src := &scriptedSource{rel: schema.MustParse(rel + "^io(A, B)").Relation(rel), epoch: someEpoch(rel)}
+					w = &wrapper{src: src, w: c.Wrap(src), live: true}
+					wrappers[rel] = append(wrappers[rel], w)
+				}
+				var bs [][]sym.ID
+				for n := 1 + rng.Intn(4); len(bs) < n; {
+					if b := binding(); !slices.ContainsFunc(bs, func(o []sym.ID) bool { return slices.Equal(o, b) }) {
+						bs = append(bs, b)
 					}
 				}
-				if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: Snapshot = %+v, the model counts %+v", step, got, want)
+				w.src.probed = nil
+				out := make([][]storage.IRow, len(bs))
+				if err := w.w.Probe(context.Background(), bs, out); err != nil {
+					t.Fatal(err)
+				}
+				var missed [][]sym.ID
+				if w.live {
+					m.enter(rel, w.src.epoch)
+				}
+				for i, b := range bs {
+					want, hit := []storage.IRow(nil), false
+					if w.live {
+						want, hit = m.get(rel, w.src.epoch, b)
+					}
+					if !hit {
+						m.bump(rel, func(st *RelStats) { st.Misses++ })
+						missed = append(missed, b)
+						want = extraction(w.src.epoch, b)
+					}
+					if !reflect.DeepEqual(out[i], want) {
+						t.Fatalf("step %d: probe %s@%d %v = %v, want %v (hit: %v)", step, rel, w.src.epoch, b, out[i], want, hit)
+					}
+				}
+				if !reflect.DeepEqual(w.src.probed, missed) {
+					t.Fatalf("step %d: probe of %s@%d %v reached the source with %v, the model misses %v", step, rel, w.src.epoch, bs, w.src.probed, missed)
+				}
+				for _, b := range missed {
+					if w.live {
+						m.put(rel, w.src.epoch, b, extraction(w.src.epoch, b))
+					}
+				}
+			case op < 17: // a write lands: the next use is at a newer epoch
+				if epochs[rel] > 0 {
+					epochs[rel]++
+				}
+			case op == 17:
+				clock.Add(int64(rng.Intn(5000)) * int64(time.Millisecond))
+			case op == 18:
+				want := m.removeIf(func(e *modelEntry) bool { return e.rel == rel })
+				if got := c.Invalidate(rel); got != want {
+					t.Fatalf("step %d: Invalidate(%s) dropped %d entries, the model %d", step, rel, got, want)
+				}
+				invalidated(rel)
+				epochs[rel] = uint64(rng.Intn(2)) // the new source counts from the start, or not at all
+			default:
+				if rng.Intn(8) > 0 {
+					continue // Clear is rare: it empties what the other steps build
+				}
+				c.Clear()
+				m.removeIf(func(*modelEntry) bool { return true })
+				for _, rel := range rels {
+					invalidated(rel)
 				}
 			}
+
+			if got := c.Len(); got != len(m.entries) {
+				t.Fatalf("step %d: Len = %d, the model holds %d", step, got, len(m.entries))
+			}
+			for _, e := range m.entries {
+				if !storedIDs(c, e.rel, e.epoch, e.ids) && !(e.expires != 0 && clock.Load() >= e.expires) {
+					t.Fatalf("step %d: %s@%d %v is not resident; the model holds it", step, e.rel, e.epoch, e.ids)
+				}
+			}
+			want := map[string]RelStats{}
 			for rel, st := range m.stats {
-				if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Expirations == 0 {
-					t.Errorf("the script never exercised some path of %s: %+v", rel, st)
+				if st != (RelStats{}) {
+					want[rel] = st
 				}
 			}
-		})
-	}
+			if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Snapshot = %+v, the model counts %+v", step, got, want)
+			}
+		}
+		for rel, st := range m.stats {
+			if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Expirations == 0 {
+				t.Errorf("the script never exercised some path of %s: %+v", rel, st)
+			}
+		}
+	})
 }

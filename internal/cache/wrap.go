@@ -176,8 +176,8 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v versio
 			sh.mu.Lock()
 			if g := sh.rel(v.r.n).generation(v, false); g != nil {
 				if _, i := sh.find(g, h, b); i >= 0 && sh.slab[i].flight == f {
-					if delivered && c.keeps(rows[j]) {
-						sh.settle(&c.opts, i, rows[j], now, false)
+					if delivered {
+						sh.settle(c.opts.TTL, i, rows[j], now, false)
 					} else {
 						sh.drop(i)
 					}

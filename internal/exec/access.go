@@ -61,8 +61,8 @@ func openAccess(reg *source.Registry, relations []string, opts Options) ([]acces
 			a.top = opts.Cache.Wrap(a)
 			a.src = reg.Source(name)
 		}
-		if s, ok := a.src.(source.Snapshottable); ok {
-			a.src = s.Snapshot()
+		if ts, ok := a.src.(*source.TableSource); ok {
+			a.src = ts.Snapshot()
 		}
 		a.m = opts.Metrics.For(name)
 	}

@@ -102,7 +102,7 @@ func (s *probeSpy) Probe(ctx context.Context, bindings [][]sym.ID, out [][]stora
 // block in flight at once, none of them on the coordinator.
 func TestRoundTripsRunWhereTheSourceSays(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{Parallelism: 4, MaxBatch: 1}
+	opts := Options{MaxBatch: 1}
 	spy := func(f *fixture, rel string, canBlock bool) *probeSpy {
 		s := newProbeSpy(f.reg.Source(rel), canBlock)
 		f.reg.Bind(s)
@@ -133,9 +133,9 @@ func TestRoundTripsRunWhereTheSourceSays(t *testing.T) {
 		if err != nil || res.Answers.Len() != 30 {
 			t.Fatalf("err = %v, result = %v; want 30 answers", err, res)
 		}
-		if s.goroutines[me] != 0 || s.most < 2 || s.most > opts.Parallelism {
+		if s.goroutines[me] != 0 || s.most < 2 || s.most > roundTripsInFlight {
 			t.Errorf("mid: round trips per goroutine %v, at most %d in flight; want none on the coordinator (%s) and 2 to %d at once",
-				s.goroutines, s.most, me, opts.Parallelism)
+				s.goroutines, s.most, me, roundTripsInFlight)
 		}
 	})
 }

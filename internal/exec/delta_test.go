@@ -233,13 +233,13 @@ func checkExecutors(t *testing.T, c *oracle.Case, reg *source.Registry, caches m
 			{"fast-fail", Options{MaxBatch: mb, NoEarlyFailure: true}, false},
 			{"pipelined", Options{MaxBatch: mb}, false},
 			{"pipelined", Options{MaxBatch: mb}, true},
-			{"pipelined", Options{MaxBatch: mb, Parallelism: 1}, true},
-			{"pipelined", Options{MaxBatch: mb, Parallelism: 8}, true},
+			{"pipelined", Options{MaxBatch: mb, parallelism: 1}, true},
+			{"pipelined", Options{MaxBatch: mb, parallelism: 8}, true},
 			{"fast-fail", Options{MaxBatch: mb, NoMetaCache: true}, false},
 			{"pipelined", Options{MaxBatch: mb, NoMetaCache: true}, false},
 			{"pipelined", Options{MaxBatch: mb, NoMetaCache: true}, true},
 		} {
-			label := fmt.Sprintf("%s mb=%d par=%d no-early=%v no-meta=%v blocking=%v", cf.ex, mb, cf.opts.Parallelism, cf.opts.NoEarlyFailure, cf.opts.NoMetaCache, cf.blocking)
+			label := fmt.Sprintf("%s mb=%d par=%d no-early=%v no-meta=%v blocking=%v", cf.ex, mb, cf.opts.parallelism, cf.opts.NoEarlyFailure, cf.opts.NoMetaCache, cf.blocking)
 			for _, run := range []string{"uncached", "cold", "warm"} {
 				opts := cf.opts
 				if run != "uncached" {

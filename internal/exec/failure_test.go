@@ -68,7 +68,7 @@ func TestPipelinedPropagatesSourceErrorNoDeadlock(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		onBothPaths(t, chainFixture(t), func(t *testing.T, f *fixture) {
 			flakyFixture(t, f, "mid", trial)
-			_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 3, MaxBatch: 2}, nil)
+			_, err := Pipelined(context.Background(), f.plan, f.reg, Options{MaxBatch: 2}, nil)
 			if !errors.Is(err, errSourceDown) {
 				t.Fatalf("trial %d: err = %v, want %v", trial, err, errSourceDown)
 			}
@@ -84,7 +84,7 @@ func TestSourceErrorStillDeliversDerivedAnswers(t *testing.T) {
 	onBothPaths(t, chainFixture(t), func(t *testing.T, f *fixture) {
 		flakyFixture(t, f, "mid", 5)
 		var delivered []datalog.Tuple
-		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{Parallelism: 1, MaxBatch: -1},
+		_, err := Pipelined(context.Background(), f.plan, f.reg, Options{MaxBatch: -1, parallelism: 1},
 			func(burst []datalog.Tuple, _ bool) { delivered = append(delivered, burst...) })
 		if !errors.Is(err, errSourceDown) {
 			t.Fatalf("err = %v, want %v", err, errSourceDown)
@@ -139,7 +139,7 @@ func TestErrorBeforeAnyAccess(t *testing.T) {
 // union's after its first disjunct fails.
 func TestNoGoroutineLeft(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{Parallelism: 3, MaxBatch: 2}
+	opts := Options{MaxBatch: 2}
 	cases := map[string]func(t *testing.T){
 		"completes": func(t *testing.T) {
 			f := chainFixture(t)

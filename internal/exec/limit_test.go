@@ -34,7 +34,7 @@ mid^io(B, C)
 		}
 
 		var streamed []datalog.Tuple
-		lim, err := Pipelined(context.Background(), f.plan, f.reg, Options{Limit: 10, Parallelism: 2}, each(func(tu datalog.Tuple) {
+		lim, err := Pipelined(context.Background(), f.plan, f.reg, Options{Limit: 10}, each(func(tu datalog.Tuple) {
 			streamed = append(streamed, tu)
 		}))
 		if err != nil {
@@ -83,7 +83,7 @@ mid^io(B, C)
 		// Cancel after the first few answers, as a disconnected client would.
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		res, err := Pipelined(ctx, f.plan, f.reg, Options{Parallelism: 2}, each(func(datalog.Tuple) {
+		res, err := Pipelined(ctx, f.plan, f.reg, Options{}, each(func(datalog.Tuple) {
 			if n++; n == 5 {
 				cancel()
 			}

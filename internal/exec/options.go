@@ -15,6 +15,13 @@ import (
 // DefaultMaxBatch is the batch size used when Options.MaxBatch is zero.
 const DefaultMaxBatch = 16
 
+// roundTripsInFlight is how many round trips per relation the pipelined
+// strategy keeps in flight, each on a goroutine, when the relation's source
+// can block (source.CanBlock). The round trips of a source that cannot block
+// — a local table — are made on the coordinator, one at a time, as the other
+// executors make all of theirs.
+const roundTripsInFlight = 4
+
 // Options is the unified execution configuration of every executor in the
 // package — the naive reference algorithm, the two strategies of the
 // optimized executor and the concurrent union runner each read the fields
@@ -56,12 +63,6 @@ type Options struct {
 	// once, for every execution; nil leaves the probe path untimed.
 	Metrics *obs.ProbeMetrics
 
-	// Parallelism is how many round trips per relation the pipelined
-	// strategy keeps in flight, each on a goroutine, when the relation's
-	// source can block (source.CanBlock); default 4. The round trips of a
-	// source that cannot block — a local table — are made on the
-	// coordinator, one at a time, as the other executors make all of theirs.
-	Parallelism int
 	// Limit, when positive, caps the answers at exactly that many, for every
 	// executor. The pipelined strategy stops the extraction as soon as they
 	// have been emitted — the paper's interactive early stop ("the user can
@@ -77,6 +78,11 @@ type Options struct {
 	// means runtime.GOMAXPROCS(0), negative means one at a time. Ignored
 	// outside the union runner.
 	MaxConcurrent int
+
+	// parallelism overrides roundTripsInFlight when positive. It is a test
+	// hook: a failing source's derived-answer count is exact only one round
+	// trip at a time.
+	parallelism int
 }
 
 // maxBatch resolves the effective batch bound (always >= 1).
@@ -90,12 +96,12 @@ func (o Options) maxBatch() int {
 	return o.MaxBatch
 }
 
-// parallelism resolves the pipelined in-flight bound (always >= 1).
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return 4
+// inFlight resolves the pipelined in-flight bound (always >= 1).
+func (o Options) inFlight() int {
+	if o.parallelism > 0 {
+		return o.parallelism
 	}
-	return o.Parallelism
+	return roundTripsInFlight
 }
 
 // maxConcurrent resolves the effective disjunct parallelism (always >= 1).

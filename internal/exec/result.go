@@ -14,7 +14,7 @@
 //     IV) populates the position groups in the plan's ordering, one round
 //     trip at a time, running an early non-emptiness test before each group,
 //     and evaluates the query at the end; Pipelined (Section V, the Toorjah
-//     engine) opens every group at once, keeps up to Options.Parallelism
+//     engine) opens every group at once, keeps up to roundTripsInFlight
 //     round trips in flight per relation whose source can block
 //     (source.CanBlock; those of a source that cannot are made on the
 //     coordinator, one at a time, as fast-fail makes all of its), and joins

@@ -51,7 +51,7 @@ type relQueue struct {
 	owners   []int32  // per access tuple, the cache node that asked (plan.Cache.Index)
 	head     int      // access tuples before head have been dispatched
 	inflight int      // round trips dispatched and not yet landed
-	// concurrent keeps up to Options.Parallelism of the relation's round
+	// concurrent keeps up to roundTripsInFlight of the relation's round
 	// trips in flight at once, each on a goroutine started for it: the run
 	// is not staged and the pinned source can block. Otherwise the
 	// coordinator makes them itself, one at a time.
@@ -143,7 +143,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 
 	var (
-		maxBatch, par = opts.maxBatch(), opts.parallelism()
+		maxBatch, par = opts.maxBatch(), opts.inFlight()
 		landed        = make(chan *flight) // round trips reporting back
 		outstanding   = 0                  // round trips in flight
 		demanded      = 0                  // accesses sent on a round trip

@@ -452,8 +452,8 @@ type Source struct {
 }
 
 // Source binds a relation schema to the peer. The relation must match the
-// peer's own declaration — Attach discovers and verifies that; this
-// constructor trusts the caller.
+// peer's own declaration — AttachDiscovered verifies that against the schema
+// FetchSchema discovered; this constructor trusts the caller.
 func (c *Client) Source(rel *schema.Relation) *Source {
 	return &Source{c: c, rel: rel, st: c.relStateFor(rel.Name)}
 }

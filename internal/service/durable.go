@@ -92,7 +92,7 @@ func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (in
 		}
 		return 0, err
 	}
-	tab, err := storage.ReadCSV(rel.Name, rel.Arity(), f)
+	rows, err := storage.ReadCSVRows(rel.Name, rel.Arity(), f)
 	f.Close()
 	if err != nil {
 		return 0, err
@@ -101,7 +101,7 @@ func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (in
 	if err != nil {
 		return 0, err
 	}
-	return dbt.InsertAll(tab.Snapshot().Rows()), nil
+	return dbt.InsertAll(rows), nil
 }
 
 // databaseStates reads a pinned version of every schema relation present
@@ -167,7 +167,7 @@ func (s *Server) registerWALCollectors(l *wal.Log) {
 		"WAL append, fsync, rotation or snapshot failures (durability degraded, serving continues).",
 		func() float64 { return float64(l.Stats().Errors) })
 	m.CounterFunc("toorjah_wal_segments_sealed_total",
-		"WAL segments sealed by the size or age cap.",
+		"WAL segments sealed by the size cap or a snapshot.",
 		func() float64 { return float64(l.Stats().SegmentsSealed) })
 	m.CounterFunc("toorjah_wal_segments_archived_total",
 		"Sealed WAL segments and superseded snapshots moved to the archive directory.",

@@ -139,7 +139,7 @@ func TestServerConcurrentQueriesShareCache(t *testing.T) {
 	}
 
 	sys, counters := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
-	srv := New(sys, toorjah.Options{Parallelism: 8})
+	srv := New(sys, toorjah.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	url := ts.URL + "/query?q=" + strings.ReplaceAll(pubQuery, " ", "%20")
@@ -306,7 +306,7 @@ const pubUCQ = "q(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)\nq(R) :- pub1(P,
 // disjunct count — and /metrics counts the union.
 func TestServerUCQStream(t *testing.T) {
 	sys, counters := newTestSystem(t, toorjah.WithCache(toorjah.CacheOptions{}))
-	srv := New(sys, toorjah.Options{Parallelism: 4})
+	srv := New(sys, toorjah.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -373,7 +373,7 @@ func TestLimitedRunDeliversBeforeItDrains(t *testing.T) {
 // line, and no done line follows.
 func TestFailedRunDeliversWhatItDerived(t *testing.T) {
 	down := errors.New("source down")
-	target := heldJoin(t, 3, toorjah.Options{Parallelism: 1}, func(w source.Wrapper) source.Wrapper {
+	target := heldJoin(t, 3, toorjah.Options{}, func(w source.Wrapper) source.Wrapper {
 		return sourcetest.NewFlaky(w, 1, down) // the second access fails
 	})
 	lines := streamed(t, target, func() {})(4)

@@ -110,22 +110,11 @@ func EpochOf(w Wrapper) uint64 {
 	return 0
 }
 
-// Snapshottable is implemented by sources that can pin their current data
-// version: Snapshot returns a wrapper whose every access reads the same
-// immutable version, no matter how far concurrent writers advance the
-// underlying data. Executors snapshot the registry once per execution
-// (Registry.Snapshot), so an in-flight query never observes a torn mix of
-// two versions of one relation.
-type Snapshottable interface {
-	Wrapper
-	Snapshot() Wrapper
-}
-
 // CanBlock reports whether a probe of w can make its caller wait: a source
-// states it through an optional CanBlock() bool, beside Versioned and
-// Snapshottable, and one that does not can block. The executors probe a
-// source that cannot block on their own goroutine, one round trip at a time
-// — a goroutine per round trip would cost more than the probe.
+// states it through an optional CanBlock() bool, beside Versioned, and one
+// that does not can block. The executors probe a source that cannot block on
+// their own goroutine, one round trip at a time — a goroutine per round trip
+// would cost more than the probe.
 func CanBlock(w Wrapper) bool {
 	if b, ok := w.(interface{ CanBlock() bool }); ok {
 		return b.CanBlock()
@@ -274,8 +263,8 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Snapshot returns a registry in which every Snapshottable source is pinned
-// to its current data version (everything else passes through unchanged).
+// Snapshot returns a registry in which every TableSource is pinned to its
+// current data version (everything else passes through unchanged).
 // Executors snapshot once per execution, so a query in flight keeps reading
 // one consistent epoch of every relation while Insert/Delete batches
 // advance the live tables.
@@ -284,8 +273,8 @@ func (r *Registry) Snapshot() *Registry {
 	defer r.mu.RUnlock()
 	out := NewRegistry()
 	for name, w := range r.sources {
-		if s, ok := w.(Snapshottable); ok {
-			out.sources[name] = s.Snapshot()
+		if ts, ok := w.(*TableSource); ok {
+			out.sources[name] = ts.Snapshot()
 		} else {
 			out.sources[name] = w
 		}

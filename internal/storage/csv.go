@@ -30,8 +30,9 @@ func ReadCSV(name string, arity int, r io.Reader) (*Table, error) {
 }
 
 // ReadCSVRows parses CSV data into rows of the given arity without building
-// a table, for callers that batch-apply the rows to a live table (the
-// ingestion API). Parsing rules are exactly ReadCSV's.
+// a table, for callers that batch-apply the rows to a table of their own
+// (the ingestion API, the service's CSV seed). Parsing rules are exactly
+// ReadCSV's.
 func ReadCSVRows(name string, arity int, r io.Reader) ([]Row, error) {
 	var rows []Row
 	br := bufio.NewReader(r)

@@ -49,10 +49,6 @@ type Options struct {
 	// this size (default 64 MiB).
 	SegmentMaxBytes int64
 
-	// SegmentMaxAge seals a non-empty active segment older than this,
-	// so low-traffic relations still reach the archive. 0 disables.
-	SegmentMaxAge time.Duration
-
 	// SnapshotInterval writes a snapshot (and archives the sealed
 	// segments it covers) this often, when a source is set. 0 disables
 	// automatic snapshots.
@@ -95,7 +91,7 @@ type RelationState struct {
 	Rows  []storage.Row
 }
 
-// Log is an append-only write-ahead log over size/age-rotated segment
+// Log is an append-only write-ahead log over size-rotated segment
 // files, with epoch-stamped snapshots that bound replay and feed sealed
 // segments to the archive. Open recovers existing state; AppendCommit is
 // the storage commit hook; Close flushes and stops background work.
@@ -108,7 +104,6 @@ type Log struct {
 	f           *os.File
 	activeSeq   uint64
 	activeBytes int64
-	openedAt    time.Time
 	dirty       bool // unsynced bytes in the active segment
 	nextSeq     uint64
 	source      func() []RelationState
@@ -248,15 +243,10 @@ func (l *Log) noteErrLocked(op string, err error) {
 }
 
 // rotateLocked seals the active segment and opens a fresh one when the
-// incoming record would push it past the size cap or it has outlived the
-// age cap. An empty segment never rotates.
+// incoming record would push it past the size cap. An empty segment never
+// rotates.
 func (l *Log) rotateLocked(incoming int64) {
-	if l.activeBytes == 0 {
-		return
-	}
-	over := l.activeBytes+incoming > l.opts.SegmentMaxBytes
-	old := l.opts.SegmentMaxAge > 0 && time.Since(l.openedAt) >= l.opts.SegmentMaxAge
-	if !over && !old {
+	if l.activeBytes == 0 || l.activeBytes+incoming <= l.opts.SegmentMaxBytes {
 		return
 	}
 	l.sealLocked()
@@ -294,7 +284,6 @@ func (l *Log) openSegmentLocked() error {
 	l.f = f
 	l.activeSeq = seq
 	l.activeBytes = 0
-	l.openedAt = time.Now()
 	l.dirty = false
 	return nil
 }
@@ -476,24 +465,14 @@ func (l *Log) moveToArchive(name string) {
 	l.archived.Add(1)
 }
 
-// run is the background loop: interval fsync, age-based rotation, and
-// periodic snapshots.
+// run is the background loop: interval fsync and periodic snapshots.
 func (l *Log) run() {
 	defer l.wg.Done()
-	var syncC, ageC, snapC <-chan time.Time
+	var syncC, snapC <-chan time.Time
 	if l.opts.Fsync == FsyncInterval {
 		t := time.NewTicker(l.opts.FsyncInterval)
 		defer t.Stop()
 		syncC = t.C
-	}
-	if l.opts.SegmentMaxAge > 0 {
-		period := l.opts.SegmentMaxAge / 4
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		t := time.NewTicker(period)
-		defer t.Stop()
-		ageC = t.C
 	}
 	if l.opts.SnapshotInterval > 0 {
 		t := time.NewTicker(l.opts.SnapshotInterval)
@@ -507,12 +486,6 @@ func (l *Log) run() {
 		case <-syncC:
 			l.mu.Lock()
 			l.syncLocked()
-			l.mu.Unlock()
-		case <-ageC:
-			l.mu.Lock()
-			if !l.closed {
-				l.rotateLocked(0)
-			}
 			l.mu.Unlock()
 		case <-snapC:
 			l.mu.Lock()

@@ -132,8 +132,8 @@ type (
 	// and the epoch the batch advanced it to.
 	CommitEvent = storage.CommitEvent
 	// Options is the unified executor-level configuration (ablation
-	// switches, cross-query cache, batching, pipelined tuning, union
-	// parallelism); see WithExecOptions.
+	// switches, cross-query cache, batching, union parallelism); see
+	// WithExecOptions.
 	Options = exec.Options
 	// CacheOptions configures the cross-query access cache.
 	CacheOptions = cache.Options
@@ -146,25 +146,19 @@ type (
 	SourceStats = source.Stats
 )
 
-// NewAccessCache creates a standalone access cache, for sharing between
-// several Systems over the same sources (see WithSharedCache).
-func NewAccessCache(opts CacheOptions) *AccessCache { return cache.New(opts) }
-
 // ParseSchema parses a schema in the paper's notation, one relation per
 // line: "rev^ooi(Person, ConfName, Year)".
 func ParseSchema(text string) (*Schema, error) { return schema.Parse(text) }
 
 // System binds a schema to data sources and prepares queries against them.
-// With a cache configured (WithCache / WithSharedCache), every execution —
-// whichever executor, CQ or UCQ — serves its accesses
-// through the shared cross-query cache; Result.Stats then counts only the
-// probes that actually reached the sources, so a fully cached run reports
-// zero accesses.
+// With a cache configured (WithCache), every execution — whichever
+// executor, CQ or UCQ — serves its accesses through the shared cross-query
+// cache; Result.Stats then counts only the probes that actually reached the
+// sources, so a fully cached run reports zero accesses.
 type System struct {
-	sch         *schema.Schema
-	reg         *source.Registry
-	cache       *cache.Cache
-	sharedCache bool
+	sch   *schema.Schema
+	reg   *source.Registry
+	cache *cache.Cache
 	// latency is applied to sources bound through BindRows/BindTable,
 	// simulating remote sources (WithLatency).
 	latency time.Duration
@@ -191,15 +185,6 @@ type SystemOption func(*System)
 // WithCache equips the system with a private cross-query access cache.
 func WithCache(opts CacheOptions) SystemOption {
 	return func(s *System) { s.cache = cache.New(opts) }
-}
-
-// WithSharedCache makes the system serve accesses through an existing
-// cache, shared with other systems bound to the same logical sources. A
-// system sharing a cache must bind every relation its queries touch:
-// Prepare refuses to auto-bind empty sources for it, since their (empty)
-// extractions would be negative-cached under keys other systems rely on.
-func WithSharedCache(c *AccessCache) SystemOption {
-	return func(s *System) { s.cache, s.sharedCache = c, true }
 }
 
 // WithLatency sets the simulated per-access latency of sources bound
@@ -242,7 +227,7 @@ func (s *System) AccessCache() *AccessCache { return s.cache }
 // cache, under live traffic either.
 func (s *System) Bind(w Wrapper) {
 	if s.commitHook != nil {
-		if ts, ok := w.(interface{ Table() *storage.Table }); ok {
+		if ts, ok := w.(*source.TableSource); ok {
 			ts.Table().SetCommitHook(s.commitHook)
 		}
 	}
@@ -318,7 +303,7 @@ func (s *System) applyCommitHook() {
 		return
 	}
 	for _, name := range s.reg.Names() {
-		if ts, ok := s.reg.Source(name).(interface{ Table() *storage.Table }); ok {
+		if ts, ok := s.reg.Source(name).(*source.TableSource); ok {
 			ts.Table().SetCommitHook(s.commitHook)
 		}
 	}
@@ -341,7 +326,7 @@ type RelationDump struct {
 func (s *System) DataSnapshot() map[string]RelationDump {
 	out := make(map[string]RelationDump)
 	for _, name := range s.reg.Names() {
-		ts, ok := s.reg.Source(name).(interface{ Table() *storage.Table })
+		ts, ok := s.reg.Source(name).(*source.TableSource)
 		if !ok {
 			continue
 		}
@@ -370,9 +355,7 @@ func (s *System) mutableTable(name string) (*storage.Table, error) {
 		}
 		src = s.reg.Source(name)
 	}
-	// Duck-typed rather than asserting *source.TableSource, so a decorator
-	// that exposes its backing table stays mutable.
-	ts, ok := src.(interface{ Table() *storage.Table })
+	ts, ok := src.(*source.TableSource)
 	if !ok {
 		return nil, fmt.Errorf("toorjah: relation %s is not backed by a local table", name)
 	}
@@ -486,9 +469,9 @@ func (s *System) DataInfo() map[string]RelationInfo {
 	for _, name := range s.reg.Names() {
 		src := s.reg.Source(name)
 		info := RelationInfo{Epoch: source.EpochOf(src), Rows: -1}
-		// The same duck type as mutableTable: whatever Insert can mutate,
-		// DataInfo reports as local.
-		if ts, ok := src.(interface{ Table() *storage.Table }); ok {
+		// Whatever Insert can mutate (mutableTable), DataInfo reports as
+		// local.
+		if ts, ok := src.(*source.TableSource); ok {
 			snap := ts.Table().Snapshot()
 			info.Rows = snap.Len()
 			info.ModifiedAt = snap.ModifiedAt()
@@ -512,16 +495,10 @@ func (s *System) execOpts(o Options) Options {
 }
 
 // ensureBound verifies every schema relation has a source, auto-binding
-// empty sources for the missing ones — except when the system shares its
-// cache with others: an implicitly empty source would poison the shared
-// cache with negative entries for relations the other systems have data
-// for, so missing bindings are an error there.
+// empty sources for the missing ones.
 func (s *System) ensureBound() error {
 	for _, rel := range s.sch.Relations() {
 		if s.reg.Source(rel.Name) == nil {
-			if s.sharedCache {
-				return fmt.Errorf("toorjah: relation %s has no source bound; a system sharing an access cache must bind every relation explicitly", rel.Name)
-			}
 			if err := s.BindRows(rel.Name); err != nil {
 				return err
 			}

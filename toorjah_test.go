@@ -424,73 +424,6 @@ func TestBindDatabaseUnderQueries(t *testing.T) {
 	}
 }
 
-// TestSharedCacheRequiresExplicitBinding: a system sharing a cache must not
-// auto-bind empty sources — their negative entries would poison the cache
-// for the other systems — so Prepare errors instead.
-func TestSharedCacheRequiresExplicitBinding(t *testing.T) {
-	c := NewAccessCache(CacheOptions{})
-	sysA := cachedMusicSystem(t, WithSharedCache(c))
-	qA, err := sysA.Prepare("q(AL) :- r3(A, AL)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qA.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// sysB shares the cache but never binds its relations.
-	sch, _ := ParseSchema(`
-r1^ioo(Artist, Nation, Year)
-r2^oio(Title, Year, Artist)
-r3^oo(Artist, Album)
-`)
-	sysB := NewSystem(sch, WithSharedCache(c))
-	if _, err := sysB.Prepare("q(AL) :- r3(A, AL)"); err == nil {
-		t.Fatal("Prepare on a shared-cache system with unbound relations must error")
-	}
-
-	// sysA's cached answers are intact.
-	res, err := qA.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(res.SortedAnswers(), ";"); got != "like_a_virgin" {
-		t.Errorf("sysA answers after sysB = %q, want like_a_virgin", got)
-	}
-	if res.TotalAccesses() != 0 {
-		t.Errorf("sysA warm run probed %d times", res.TotalAccesses())
-	}
-}
-
-// TestSharedCacheAcrossSystems: two systems over the same sources sharing
-// one cache — the second system's first run is already warm.
-func TestSharedCacheAcrossSystems(t *testing.T) {
-	c := NewAccessCache(CacheOptions{})
-	sysA := cachedMusicSystem(t, WithSharedCache(c))
-	sysB := cachedMusicSystem(t, WithSharedCache(c))
-	qA, err := sysA.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qA.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	qB, err := sysB.Prepare("q(N) :- r1(A, N, Y1), r2(volare, Y2, A)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := qB.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.TotalAccesses(); got != 0 {
-		t.Errorf("second system probed %d times, want 0 (shared cache)", got)
-	}
-	if strings.Join(res.SortedAnswers(), ";") != "italy" {
-		t.Errorf("answers = %v", res.SortedAnswers())
-	}
-}
-
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

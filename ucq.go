@@ -11,10 +11,10 @@ import (
 // UCQ extension sketched in Section II of the paper (the answer to a union
 // is the union of the answers to its CQs). Disjuncts are independent
 // extractions over the same sources, so Execute runs them in parallel with
-// bounded concurrency; with a cross-query cache configured (WithCache /
-// WithSharedCache), identical probes issued by overlapping disjuncts
-// collapse into a single source access, so parallelism never costs extra
-// accesses over running them one at a time (Options.MaxConcurrent: -1). Execute
+// bounded concurrency; with a cross-query cache configured (WithCache),
+// identical probes issued by overlapping disjuncts collapse into a single
+// source access, so parallelism never costs extra accesses over running
+// them one at a time (Options.MaxConcurrent: -1). Execute
 // pins one snapshot of the sources for the whole union, so all disjuncts —
 // and therefore the union answer — evaluate over a single data version even
 // while writers ingest into the relations.
