@@ -7,14 +7,16 @@
 // reported behaviour.
 //
 // Rows are interned: every value is swapped for its internal/sym ID at
-// insert time (ingest, CSV load), so the stored representation is an IRow —
-// a flat []sym.ID with no pointers for the GC to trace — and every lookup
-// below the insert boundary hashes those IDs directly: the row set and every
-// index are a sym.RefTable of references into the row log, so neither a
-// probe nor an insert builds a key, and none is kept beside the row it came
-// from. The string Row type remains the boundary representation (CSV files,
-// JSON ingestion, results); Rows materializes through the symbol table only
-// when a caller asks for strings.
+// insert time (ingest, CSV load), and a stored row is nothing but its IDs —
+// arity IDs in a run of the row log, which is cut into pointer-free chunks,
+// so the GC traces one pointer per chunk, not one per row. An IRow (a
+// []sym.ID) is a view of one such run, built when a probe hands the row
+// out. Every lookup below the insert boundary hashes IDs directly: the row
+// set and every index are a sym.RefTable of references into the row log,
+// so neither a probe nor an insert builds a key, and none is kept beside
+// the row it came from. The string Row type remains the boundary
+// representation (CSV files, JSON ingestion, results); Rows materializes
+// through the symbol table only when a caller asks for strings.
 //
 // Tables are live: Insert and Delete batches mutate a table while queries
 // run. Mutation is copy-on-write — every batch publishes a new immutable
@@ -27,28 +29,29 @@
 // relation, never a torn mix of two.
 //
 // A snapshot shares three things with the writer and with its siblings, each
-// safe for its own reason. The row log's backing array: a snapshot of length
-// n never reads past n, writers only append, and a stored row is never
-// modified. The tombstones — a bitset over log offsets and its count: a
+// safe for its own reason. The row log's chunks: a snapshot of length n
+// never reads past row n, writers only append, a stored row is never
+// modified, and a chunk directory, once published, is never written below
+// its length. The tombstones — a bitset over log offsets and its count: a
 // published bitset is immutable, and the batch that deletes or revives a row
-// copies it first (one memmove of len(rows)/8 bytes, whatever the number of
+// copies it first (one memmove of n/8 bytes, whatever the number of
 // tombstones). The index set, the one shared structure that does change,
 // behind its own lock.
 //
 // Indexes are persistent across epochs: all snapshots of a table share one
 // index set, and a snapshot that needs an index extends it incrementally
-// over the rows appended since the index was last used. Buckets hold
-// master-log offsets in ascending order; each snapshot serves lookups by
-// cutting a bucket at its own row watermark and skipping its own
-// tombstones, so arbitrarily many epochs read one shared index without
-// seeing each other's rows. Compaction (which renumbers offsets) starts a
-// fresh index set; snapshots published before it keep the old one.
+// over the rows appended since the index was last used. An index chains the
+// master-log offsets of each key in ascending order, through one int32 per
+// row; each snapshot serves lookups by cutting a chain at its own row
+// watermark and skipping its own tombstones, so arbitrarily many epochs read
+// one shared index without seeing each other's rows. Compaction (which
+// renumbers offsets) starts a fresh index set; snapshots published before it
+// keep the old one.
 package storage
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,24 +102,75 @@ func MaterializeRows(rows []IRow) []Row {
 	return out
 }
 
+// chunkRows is the number of rows a chunk of the row log holds, a power of
+// two so that an offset splits into a chunk and a row by a shift and a
+// mask. A row handed out of the log keeps its chunk alive, not the log:
+// the cross-query cache, holding a row extracted before a compaction, pins
+// 256 rows of the old log. It is also at most compactMinDead, so that every
+// compaction — which needs 2·compactMinDead rows and leaves at most half —
+// leaves fewer chunks than it found.
+const (
+	chunkShift = 8
+	chunkRows  = 1 << chunkShift
+)
+
+// chunks is a row log of one arity: row off is the arity IDs at
+// (off mod chunkRows)·arity of chunk off/chunkRows. Every chunk but the
+// first is allocated full; the first starts at the size of the log's first
+// batch and is reallocated, doubling, until it is full too — so a two-row
+// table costs two rows, not a chunk. A directory that was published (a
+// snapshot holds it) is never written again below its length: appending a
+// chunk writes past it, and reallocating the first chunk replaces the
+// directory.
+type chunks [][]sym.ID
+
+// row returns the view of row off; its capacity ends with the row, so no
+// caller can grow it into its neighbour.
+func (c chunks) row(off, arity int) IRow {
+	i := (off & (chunkRows - 1)) * arity
+	return IRow(c[off>>chunkShift][i : i+arity : i+arity])
+}
+
+// push copies ir into the log, which holds n rows, as row n and returns the
+// log; more is how many rows the same batch may push after it, which sizes
+// a first chunk that must grow.
+func (c chunks) push(n int, ir IRow, more int) chunks {
+	k, i := n>>chunkShift, (n&(chunkRows-1))*len(ir)
+	switch {
+	case k == len(c):
+		size := chunkRows
+		if k == 0 {
+			size = min(chunkRows, 1+more)
+		}
+		c = append(c, make([]sym.ID, size*len(ir)))
+	case k == 0 && i+len(ir) > len(c[0]):
+		grown := make([]sym.ID, min(chunkRows, max(2*n, n+1+more))*len(ir))
+		copy(grown, c[0][:i])
+		c = chunks{grown}
+	}
+	copy(c[k][i:], ir)
+	return c
+}
+
 // Table is a named set of rows of fixed arity with hash indexes and
 // copy-on-write mutation. The master state — an append-only interned row
 // log, the row set over it, and the current tombstones — belongs to writers
 // and is guarded by wmu; readers never touch it. Every mutating batch
-// publishes a fresh immutable Snapshot (sharing the row log's backing
-// array, which is safe: a snapshot of length n never reads past n, and
-// writers only append) carrying the table's shared persistent index set. A
-// table's log holds fewer than 2³¹ rows between compactions.
+// publishes a fresh immutable Snapshot (sharing the row log's chunks, which
+// is safe: a snapshot of length n never reads past row n, and writers only
+// append) carrying the table's shared persistent index set. A table's log
+// holds fewer than 2³¹ rows between compactions.
 type Table struct {
 	Name  string
 	Arity int
 
 	wmu     sync.Mutex   // serializes writers
-	rows    []IRow       // append-only master log (interned), carved from per-batch blocks
-	seen    sym.RefTable // the row set: references into rows, tombstoned rows included
+	rows    chunks       // append-only master log (interned)
+	n       int          // rows in the log, tombstoned rows included
+	seen    sym.RefTable // the row set: offsets into rows, tombstoned rows included
 	dead    tombstones   // current tombstones; copied, never mutated, once published
 	idx     *indexSet    // persistent indexes over rows; replaced on compaction
-	scratch []sym.ID     // the IDs of the batch being added; no row keeps it
+	scratch []sym.ID     // IDs of the rows being added (internBlock at most) or deleted; no row keeps them
 	hook    func(CommitEvent)
 	snap    atomic.Pointer[Snapshot]
 }
@@ -207,18 +261,9 @@ func NewTable(name string, arity int) *Table {
 // disagree with the arity or duplicate earlier rows are dropped. An epoch
 // of 0 restores to 1, the epoch of a fresh table.
 func RestoreTable(name string, arity int, epoch uint64, rows []Row) *Table {
-	t := &Table{Name: name, Arity: arity, idx: new(indexSet)}
+	t := NewTable(name, arity)
 	t.addLocked(rows)
-	if epoch == 0 {
-		epoch = 1
-	}
-	snap := &Snapshot{
-		name:  name,
-		arity: arity,
-		epoch: epoch,
-		rows:  t.rows[:len(t.rows):len(t.rows)],
-		idx:   t.idx,
-	}
+	snap := &Snapshot{name: name, arity: arity, epoch: max(epoch, 1), rows: t.published(), n: t.n, idx: t.idx}
 	if epoch > 1 {
 		snap.at = time.Now()
 	}
@@ -235,6 +280,10 @@ func (t *Table) Snapshot() *Snapshot { return t.snap.Load() }
 // by one per mutating batch (a batch that changes nothing keeps the epoch).
 func (t *Table) Epoch() uint64 { return t.Snapshot().epoch }
 
+// published returns the log's directory as a snapshot holds it: cut at its
+// length, so appending a chunk can never write into it.
+func (t *Table) published() chunks { return t.rows[:len(t.rows):len(t.rows)] }
+
 // publish installs a new snapshot one epoch past the current one; the
 // caller holds wmu and has finished mutating the master state.
 func (t *Table) publish() {
@@ -244,7 +293,8 @@ func (t *Table) publish() {
 		arity: t.Arity,
 		epoch: cur.epoch + 1,
 		at:    time.Now(),
-		rows:  t.rows[:len(t.rows):len(t.rows)],
+		rows:  t.published(),
+		n:     t.n,
 		dead:  t.dead,
 		idx:   t.idx,
 	})
@@ -254,7 +304,7 @@ func (t *Table) publish() {
 // tombstoned — or −1; wmu is held (or the table is not yet shared).
 func (t *Table) offsetOf(ir IRow, h uint32) int {
 	for at, ref := t.seen.First(h); ref >= 0; at, ref = t.seen.Next(at, h) {
-		if slices.Equal(t.rows[ref], ir) {
+		if slices.Equal(t.rows.row(int(ref), t.Arity), ir) {
 			return int(ref)
 		}
 	}
@@ -288,64 +338,60 @@ func (t *Table) InsertAll(rows []Row) int {
 
 // addLocked adds a batch, skipping rows of another arity, and returns the
 // number of rows it added or revived and — when a commit hook is listening —
-// those rows. The batch is interned into the table's scratch, deduplicated
-// against the row set (new rows point into the scratch meanwhile, so a row
-// repeated within the batch is found too), and the new rows are then copied
-// into one block sized exactly to them: a batch costs the log one
-// allocation, not one per row, and no row keeps the scratch. wmu is held.
+// those rows. The batch is interned internBlock rows at a time into the
+// table's scratch, and each row then deduplicated against the row set (which
+// holds the batch's earlier rows too) and, when new, copied to the end of
+// the log: the log allocates per chunk, never per row, and nothing the size
+// of a bulk load is kept. wmu is held.
 func (t *Table) addLocked(rows []Row) (n int, applied []Row) {
-	ids := slices.Grow(t.scratch[:0], len(rows)*t.Arity)
-	for _, r := range rows {
-		if len(r) == t.Arity {
-			for _, v := range r {
-				ids = append(ids, sym.Intern(v))
-			}
-		}
-	}
-	t.scratch = ids
-	from := len(t.rows)
-	t.rows = slices.Grow(t.rows, len(rows))
 	t.seen.Grow(len(rows))
 	deadCopied := false
-	for _, r := range rows {
-		if len(r) != t.Arity {
-			continue
-		}
-		ir := IRow(ids[:t.Arity:t.Arity])
-		ids = ids[t.Arity:]
-		h := sym.HashIDs(ir)
-		switch off := t.offsetOf(ir, h); {
-		case off < 0:
-			t.seen.Add(h, int32(len(t.rows)))
-			t.rows = append(t.rows, ir)
-		case !t.dead.has(off):
-			continue
-		default:
-			if !deadCopied {
-				t.dead, deadCopied = t.dead.forWrite(len(t.rows)), true
+	for len(rows) > 0 {
+		block := rows[:min(len(rows), internBlock)]
+		rows = rows[len(block):]
+		ids := slices.Grow(t.scratch[:0], len(block)*t.Arity)
+		for _, r := range block {
+			if len(r) == t.Arity {
+				for _, v := range r {
+					ids = append(ids, sym.Intern(v))
+				}
 			}
-			t.dead.unmark(off)
 		}
-		n++
-		if t.hook != nil {
-			applied = append(applied, r)
+		t.scratch = ids
+		for i, r := range block {
+			if len(r) != t.Arity {
+				continue
+			}
+			ir := IRow(ids[:t.Arity:t.Arity])
+			ids = ids[t.Arity:]
+			h := sym.HashIDs(ir)
+			switch off := t.offsetOf(ir, h); {
+			case off < 0:
+				t.seen.Add(h, int32(t.n))
+				t.rows = t.rows.push(t.n, ir, len(rows)+len(block)-i-1)
+				t.n++
+			case !t.dead.has(off):
+				continue
+			default:
+				if !deadCopied {
+					t.dead, deadCopied = t.dead.forWrite(t.n), true
+				}
+				t.dead.unmark(off)
+			}
+			n++
+			if t.hook != nil {
+				applied = append(applied, r)
+			}
 		}
-	}
-	block := make([]sym.ID, (len(t.rows)-from)*t.Arity)
-	for off := from; off < len(t.rows); off++ {
-		t.rows[off] = carve(&block, t.rows[off])
 	}
 	return n, applied
 }
 
-// carve copies r into the front of *block and cuts it off, capacity and
-// all, so no row of a block can grow into its neighbour.
-func carve(block *[]sym.ID, r IRow) IRow {
-	ir := IRow((*block)[:len(r):len(r)])
-	*block = (*block)[len(r):]
-	copy(ir, r)
-	return ir
-}
+// internBlock is the number of rows a batch interns before it deduplicates
+// them, which bounds the table's scratch. Interning row by row, between
+// probes of the row set, walks the symbol table and the row set in turns,
+// which made a 300 000-row load measurably slower.
+const internBlock = 4096
 
 // commitLocked delivers the batch to the commit hook, if any; wmu is held
 // and publish has run, so the snapshot carries the post-batch epoch.
@@ -375,7 +421,8 @@ func (t *Table) DeleteAll(rows []Row) int {
 	defer t.wmu.Unlock()
 	n := 0
 	deadCopied := false
-	ir := make(IRow, t.Arity)
+	ir := IRow(slices.Grow(t.scratch[:0], t.Arity)[:t.Arity])
+	t.scratch = ir
 	var applied []Row // collected only when a commit hook is listening
 rows:
 	for _, r := range rows {
@@ -395,7 +442,7 @@ rows:
 			continue
 		}
 		if !deadCopied {
-			t.dead, deadCopied = t.dead.forWrite(len(t.rows)), true
+			t.dead, deadCopied = t.dead.forWrite(t.n), true
 		}
 		t.dead.mark(off)
 		n++
@@ -419,27 +466,29 @@ const compactMinDead = 1024
 // once they dominate it, so that sustained insert/delete churn — the
 // streaming-ingest workload — keeps memory and index cost proportional to
 // the live data, not to everything ever inserted. The live rows are copied
-// into one fresh block, so a survivor does not keep the block of the batch
-// it came in alive, with all its dead rows. The rewrite renumbers
-// offsets, so it also starts a fresh persistent index set; snapshots
-// already published keep the old log and the old indexes untouched.
-// Invisible to readers: the next publish carries the usual single epoch
-// advance. wmu is held.
+// into fresh chunks, so a survivor does not keep the chunk it was stored in
+// alive, with all its dead rows. The rewrite renumbers offsets, so it also
+// starts a fresh persistent index set; snapshots already published keep the
+// old log and the old indexes untouched. Invisible to readers: the next
+// publish carries the usual single epoch advance. wmu is held.
 func (t *Table) maybeCompactLocked() {
-	if t.dead.n < compactMinDead || 2*t.dead.n < len(t.rows) {
+	if t.dead.n < compactMinDead || 2*t.dead.n < t.n {
 		return
 	}
-	live := make([]IRow, 0, len(t.rows)-t.dead.n)
-	block := make([]sym.ID, cap(live)*t.Arity)
+	live := t.n - t.dead.n
+	var rows chunks
 	var seen sym.RefTable
-	seen.Grow(cap(live))
-	for off, r := range t.rows {
+	seen.Grow(live)
+	n := 0
+	for off := range t.n {
 		if !t.dead.has(off) {
-			seen.Add(sym.HashIDs(r), int32(len(live)))
-			live = append(live, carve(&block, r))
+			r := t.rows.row(off, t.Arity)
+			seen.Add(sym.HashIDs(r), int32(n))
+			rows = rows.push(n, r, live-n-1)
+			n++
 		}
 	}
-	t.rows, t.seen, t.dead = live, seen, tombstones{}
+	t.rows, t.n, t.seen, t.dead = rows, n, seen, tombstones{}
 	t.idx = new(indexSet)
 }
 
@@ -454,12 +503,13 @@ type Snapshot struct {
 	arity int
 	epoch uint64
 	at    time.Time
-	rows  []IRow     // immutable prefix of the master log
+	rows  chunks     // the master log's directory, read up to row n
+	n     int        // the row watermark: rows past it belong to later epochs
 	dead  tombstones // immutable tombstones over rows
 	idx   *indexSet  // shared persistent indexes (see indexSet)
 
 	liveOnce sync.Once
-	live     []IRow // cached live rows (== rows when no tombstones)
+	live     []IRow // the live rows, built on the first free access
 }
 
 // Epoch returns this version's number; epochs start at 1 and increase by
@@ -471,30 +521,37 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) ModifiedAt() time.Time { return s.at }
 
 // Len returns the number of live rows in this version.
-func (s *Snapshot) Len() int { return len(s.rows) - s.dead.n }
+func (s *Snapshot) Len() int { return s.n - s.dead.n }
 
 // RowsSym returns the live rows of this version in stored (interned) form.
 // The returned slice is shared and must not be mutated; free-relation
-// probes serve every access from it without materializing a string.
+// probes serve every access from it without materializing a string. It is
+// the one slice of row headers a snapshot builds, on its first call.
 func (s *Snapshot) RowsSym() []IRow {
 	s.liveOnce.Do(func() {
-		if s.dead.n == 0 {
-			s.live = s.rows
+		if s.Len() == 0 {
 			return
 		}
-		live := make([]IRow, 0, s.Len())
-		for off, r := range s.rows {
+		s.live = make([]IRow, 0, s.Len())
+		for off := range s.n {
 			if !s.dead.has(off) {
-				live = append(live, r)
+				s.live = append(s.live, s.rows.row(off, s.arity))
 			}
 		}
-		s.live = live
 	})
 	return s.live
 }
 
 // Rows returns a copy of the live rows of this version in boundary form.
-func (s *Snapshot) Rows() []Row { return MaterializeRows(s.RowsSym()) }
+func (s *Snapshot) Rows() []Row {
+	out := make([]Row, 0, s.Len())
+	for off := range s.n {
+		if !s.dead.has(off) {
+			out = append(out, s.rows.row(off, s.arity).Strings())
+		}
+	}
+	return out
+}
 
 // SelectInto is the probe primitive of the engine: it sets out[i] to the
 // stored rows whose values at positions equal bindings[i] — nil when there
@@ -547,12 +604,21 @@ type indexSet struct {
 }
 
 // index groups the rows of a log prefix by their values at fixed positions.
+// It holds no pointer per key or per row: a key is its chain's first and
+// last offset, and a row the offset of the next row of its key.
 type index struct {
 	positions []int
-	rows      []IRow       // the log prefix indexed so far; what the offsets below point into
-	group     sym.RefTable // references into buckets
-	buckets   [][]int32    // per key, the ascending log offsets of the rows holding it
+	arity     int
+	rows      chunks       // the directory of the log prefix indexed so far
+	n         int          // the rows indexed
+	group     sym.RefTable // references into keys
+	keys      []chain      // per key, the ends of its chain
+	next      []int32      // per indexed row, the next offset of its key, or −1
 }
+
+// chain is the first and last log offset of the rows holding one key; next
+// links the ones between in ascending order.
+type chain struct{ first, last int32 }
 
 // on returns the index on the given positions, or nil; ix.mu is held.
 func (ix *indexSet) on(positions []int) *index {
@@ -564,13 +630,13 @@ func (ix *indexSet) on(positions []int) *index {
 	return nil
 }
 
-// find returns the bucket of the rows holding vals at the index's positions,
-// hashed to h, or −1. Every row of a bucket carries the bucket's key, so the
+// find returns the key of the rows holding vals at the index's positions,
+// hashed to h, or −1. Every row of a chain carries the chain's key, so the
 // first one stands for it.
 func (in *index) find(vals []sym.ID, h uint32) int32 {
 candidates:
 	for at, ref := in.group.First(h); ref >= 0; at, ref = in.group.Next(at, h) {
-		r := in.rows[in.buckets[ref][0]]
+		r := in.rows.row(int(in.keys[ref].first), in.arity)
 		for i, p := range in.positions {
 			if r[p] != vals[i] {
 				continue candidates
@@ -589,10 +655,10 @@ func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	in := ix.on(positions)
-	if in == nil || len(in.rows) < len(s.rows) {
+	if in == nil || in.n < s.n {
 		ix.mu.RUnlock()
 		ix.mu.Lock()
-		in = ix.extendLocked(positions, s.rows)
+		in = ix.extendLocked(positions, s)
 		ix.mu.Unlock()
 		ix.mu.RLock()
 	}
@@ -601,71 +667,66 @@ func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID
 			return s.widthError(positions, b)
 		}
 		out[i] = nil
-		if bucket := in.find(b, sym.HashIDs(b)); bucket >= 0 {
-			out[i] = s.collect(in.buckets[bucket])
+		if key := in.find(b, sym.HashIDs(b)); key >= 0 {
+			out[i] = s.collect(in, in.keys[key].first)
 		}
 	}
 	return nil
 }
 
-// extendLocked brings the index of one position set up to the given row
-// prefix; ix.mu is held for writing. Later rows appended by newer epochs
-// are indexed when a newer snapshot first looks them up.
-func (ix *indexSet) extendLocked(positions []int, rows []IRow) *index {
+// extendLocked brings the index of one position set up to snapshot s's
+// rows; ix.mu is held for writing. Later rows appended by newer epochs are
+// indexed when a newer snapshot first looks them up.
+func (ix *indexSet) extendLocked(positions []int, s *Snapshot) *index {
 	in := ix.on(positions)
 	if in == nil {
-		in = &index{positions: slices.Clone(positions)}
+		in = &index{positions: slices.Clone(positions), arity: s.arity}
 		ix.indexes = append(ix.indexes, in)
 	}
-	if len(rows) <= len(in.rows) {
+	if s.n <= in.n {
 		return in
 	}
-	from := len(in.rows)
-	in.rows = rows
+	in.rows = s.rows
+	in.next = slices.Grow(in.next, s.n-in.n)
 	var kb [8]sym.ID
-	for off := from; off < len(rows); off++ {
+	for off := in.n; off < s.n; off++ {
+		r := in.rows.row(off, in.arity)
 		vals := kb[:0]
 		for _, p := range in.positions {
-			vals = append(vals, rows[off][p])
+			vals = append(vals, r[p])
 		}
+		in.next = append(in.next, -1)
 		h := sym.HashIDs(vals)
-		if bucket := in.find(vals, h); bucket >= 0 {
-			in.buckets[bucket] = append(in.buckets[bucket], int32(off))
+		if key := in.find(vals, h); key >= 0 {
+			in.next[in.keys[key].last] = int32(off)
+			in.keys[key].last = int32(off)
 			continue
 		}
-		in.group.Add(h, int32(len(in.buckets)))
-		in.buckets = append(in.buckets, []int32{int32(off)})
+		in.group.Add(h, int32(len(in.keys)))
+		in.keys = append(in.keys, chain{int32(off), int32(off)})
 	}
+	in.n = s.n
 	return in
 }
 
-// collect resolves a bucket of master-log offsets into this snapshot's
-// rows: offsets are ascending, so the bucket is cut at the snapshot's
-// watermark, and the snapshot's own tombstones are skipped. A bucket with
-// nothing to show for this snapshot resolves to nil.
-func (s *Snapshot) collect(offs []int32) []IRow {
-	n := len(offs)
-	// Binary-search the watermark cut: rows past this snapshot belong to
-	// later epochs.
-	if n > 0 && int(offs[n-1]) >= len(s.rows) {
-		n = sort.Search(n, func(i int) bool { return int(offs[i]) >= len(s.rows) })
-	}
-	live := n
-	if s.dead.n > 0 {
-		live = 0
-		for _, off := range offs[:n] {
-			if !s.dead.has(int(off)) {
-				live++
-			}
+// collect resolves the chain starting at offset first into this snapshot's
+// rows: offsets ascend, so the chain is cut at the snapshot's watermark, and
+// the snapshot's own tombstones are skipped. A chain with nothing to show
+// for this snapshot resolves to nil. in.mu is held for reading.
+func (s *Snapshot) collect(in *index, first int32) []IRow {
+	live := 0
+	for off := first; off >= 0 && int(off) < s.n; off = in.next[off] {
+		if !s.dead.has(int(off)) {
+			live++
 		}
 	}
 	if live == 0 {
 		return nil
 	}
 	out := make([]IRow, 0, live)
-	for _, off := range offs[:n] {
-		if live == n || !s.dead.has(int(off)) {
-			out = append(out, s.rows[off])
+	for off := first; len(out) < live; off = in.next[off] {
+		if !s.dead.has(int(off)) {
+			out = append(out, s.rows.row(int(off), s.arity))
 		}
 	}
 	return out

@@ -284,7 +284,7 @@ func TestCompaction(t *testing.T) {
 	tab.DeleteAll(all[:len(all)-10])
 
 	tab.wmu.Lock()
-	logLen, deadLen := len(tab.rows), tab.dead.n
+	logLen, deadLen := tab.n, tab.dead.n
 	tab.wmu.Unlock()
 	if logLen != 10 || deadLen != 0 {
 		t.Errorf("after churn: log=%d dead=%d, want compacted to 10 live rows", logLen, deadLen)
@@ -340,8 +340,8 @@ func TestDeleteBatchCopiesNoMap(t *testing.T) {
 			t.Fatalf("%d live rows after the batches", tab.Snapshot().Len())
 		}
 	}
-	// The row buffer, the bitset, the snapshot — and nothing per tombstone.
-	if allocs[2000] > 4 || allocs[2000] != allocs[200] {
-		t.Errorf("a %d-row DeleteAll makes %.0f allocations at 2000 tombstones and %.0f at 200, want the same and at most 4", batch, allocs[2000], allocs[200])
+	// The bitset and the snapshot — and nothing per tombstone.
+	if allocs[2000] > 2 || allocs[2000] != allocs[200] {
+		t.Errorf("a %d-row DeleteAll makes %.0f allocations at 2000 tombstones and %.0f at 200, want the same and at most 2", batch, allocs[2000], allocs[200])
 	}
 }

@@ -13,14 +13,27 @@ var hashSeed = rand.Uint64()
 // HashIDs hashes a sequence of IDs for a RefTable: one 64×64→128-bit
 // multiplication per ID, folded. The table indexes by the top bits, which a
 // multiplicative hash spreads evenly over consecutive IDs — what the
-// interner hands out.
+// interner hands out. One and two IDs — most bindings, and every
+// single-input index key — are unrolled; every width hashes as the loop
+// does.
 func HashIDs(ids []ID) uint32 {
+	switch len(ids) {
+	case 1:
+		return uint32(mix(hashSeed, ids[0]) >> 32)
+	case 2:
+		return uint32(mix(mix(hashSeed, ids[0]), ids[1]) >> 32)
+	}
 	h := hashSeed
 	for _, id := range ids {
-		hi, lo := bits.Mul64(h^uint64(id), 0x9E3779B97F4A7C15)
-		h = hi ^ lo
+		h = mix(h, id)
 	}
 	return uint32(h >> 32)
+}
+
+// mix folds one ID into a running hash.
+func mix(h uint64, id ID) uint64 {
+	hi, lo := bits.Mul64(h^uint64(id), 0x9E3779B97F4A7C15)
+	return hi ^ lo
 }
 
 // RefTable is the one ID-keyed hash table of the engine: open addressing
