@@ -183,7 +183,17 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 // context yields a truncated sound subset, never an error.
 func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Result, error) {
 	cfg := resolveExec(options)
+	// The cache's incarnations first, the sources second, as for one query
+	// (exec.openAccess): the disjuncts wrap the cache after the sources are
+	// pinned, so a rebind in between would otherwise pair a new incarnation
+	// with the old source.
+	if c := u.sys.execOpts(cfg.opts).Cache; c != nil {
+		cfg.opts.Cache = c.Pin()
+	}
 	pinned := u.sys.reg.Snapshot() // one data version for every disjunct
+	if unionPinned != nil {
+		unionPinned()
+	}
 	runs := make([]exec.DisjunctRun, len(u.queries))
 	for i, q := range u.queries {
 		runs[i] = func(dctx context.Context, emit func([]datalog.Tuple)) (*Result, error) {
@@ -198,3 +208,7 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	}
 	return exec.Union(ctx, u.name, u.arity, runs, cfg.opts, cfg.onBursts)
 }
+
+// unionPinned, when set, runs between a union's pinning of its sources and
+// its disjuncts; tests rebind a relation from it.
+var unionPinned func()

@@ -333,6 +333,14 @@ func (sh *shard) settle(ttl time.Duration, i int32, rows []storage.IRow, now int
 // Cache is a sharded, bounded, expiring access cache shared across query
 // executions. Create one with New; the zero value is not usable.
 type Cache struct {
+	*state
+	// pinned is, in a view Pin made, each relation's incarnation at the
+	// Pin; nil in the cache New made.
+	pinned map[*relation]uint32
+}
+
+// state is everything a cache and its pinned views share.
+type state struct {
 	opts   Options
 	shards []*shard
 
@@ -354,7 +362,7 @@ func New(opts Options) *Cache {
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	c := &Cache{opts: opts, shards: make([]*shard, opts.Shards), rels: make(map[string]*relation)}
+	c := &Cache{state: &state{opts: opts, shards: make([]*shard, opts.Shards), rels: make(map[string]*relation)}}
 	for i := range c.shards {
 		capacity := opts.Capacity / opts.Shards
 		if i < opts.Capacity%opts.Shards {
@@ -501,6 +509,22 @@ func (c *Cache) invalidate(r *relation) int {
 	defer r.mu.Unlock()
 	r.newest.Store(0) // a new source may count its epochs from the start
 	return c.freeBelow(version{r: r, inc: r.inc.Add(1)})
+}
+
+// Pin returns a view of the cache whose wrappers (Wrap) take each
+// relation's incarnation as it is now, not as it is when they are made;
+// everything else is the cache's own. A caller that pins its sources after
+// the cache — a union pins one data version for all its disjuncts, which
+// wrap later — thereby keeps the rule Wrap states: a rebind after the Pin
+// leaves those wrappers an invalidated incarnation, and they cache nothing.
+func (c *Cache) Pin() *Cache {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	pinned := make(map[*relation]uint32, len(c.rels))
+	for _, r := range c.rels {
+		pinned[r] = r.inc.Load()
+	}
+	return &Cache{state: c.state, pinned: pinned}
 }
 
 // Clear invalidates every relation; statistics are preserved.

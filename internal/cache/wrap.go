@@ -200,12 +200,16 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v versio
 // under the cache sees only the probes that actually reach the source. The
 // cache is keyed by relation name: everything wrapped by one cache must bind
 // the same logical sources to the same names. A wrapper is made for one
-// binding of its relation: it holds the incarnation current when it was made,
-// and after an Invalidate or a Clear it still answers, from the source, and
-// caches nothing — wrap again, as the engine does per execution and per
-// /probe request. Wrap before reading which source is bound, and a rebind in
+// binding of its relation: it holds the incarnation current when it was made
+// (by a Pin view: at the Pin), and after an Invalidate or a Clear it still
+// answers, from the source, and caches nothing — wrap again, as the engine
+// does per execution and per /probe request. Wrap before reading which source is bound, and a rebind in
 // between cannot file the old source's rows under the new incarnation.
 func (c *Cache) Wrap(w source.Wrapper) source.Wrapper {
 	r := c.relation(w.Relation().Name)
-	return &cachedSource{c: c, inner: w, rel: r, inc: r.inc.Load()}
+	inc := r.inc.Load()
+	if c.pinned != nil {
+		inc = c.pinned[r] // a relation first seen after the Pin was at its first, 0
+	}
+	return &cachedSource{c: c, inner: w, rel: r, inc: inc}
 }

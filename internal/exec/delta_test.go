@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -14,11 +13,9 @@ import (
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
 	"toorjah/internal/oracle"
-	"toorjah/internal/plan"
 	"toorjah/internal/source"
 	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
-	"toorjah/internal/sym"
 )
 
 func sortedKeys(set map[string]bool) []string {
@@ -355,89 +352,4 @@ func auditedRun(t *testing.T, c *oracle.Case, pipes []*core.Pipeline, ex string,
 		}
 	}
 	return o
-}
-
-// TestEnumeratorVisitsEachBindingOnce: whenever the values of a node's input
-// domains arrive — before a pass, or in the middle of one, from an emit
-// callback that ingests an extraction — the passes together enumerate the
-// cross product of the final domains, every binding exactly once, and
-// nothing while a domain is empty.
-func TestEnumeratorVisitsEachBindingOnce(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		width := 1 + rng.Intn(3)
-		sc := getScratch()
-		es := sc.enum(width)
-		st := &groupState{enums: []*enumState{es}}
-		c := &plan.Cache{Index: 0, DomainPreds: make([]string, width)}
-
-		// arrivals[i] are the values position i still has to receive.
-		arrivals := make([][]sym.ID, width)
-		for i := range arrivals {
-			for v := 0; v < 1+rng.Intn(5); v++ {
-				arrivals[i] = append(arrivals[i], sym.ID(100*(i+1)+v))
-			}
-		}
-		want := 1
-		for _, a := range arrivals {
-			want *= len(a)
-		}
-		arrive := func() {
-			i := rng.Intn(width)
-			if len(arrivals[i]) == 0 {
-				return
-			}
-			// Known values arrive again, as they do from overlapping deltas.
-			es.pos[i].add(arrivals[i][0])
-			if rng.Intn(3) > 0 {
-				es.pos[i].add(arrivals[i][0])
-			}
-			arrivals[i] = arrivals[i][1:]
-		}
-		pending := func() bool {
-			for _, a := range arrivals {
-				if len(a) > 0 {
-					return true
-				}
-			}
-			return false
-		}
-
-		visits := map[string]int{}
-		for {
-			more := pending()
-			for n := rng.Intn(3); n > 0; n-- {
-				arrive()
-			}
-			complete := true
-			for i := range es.pos {
-				complete = complete && len(es.pos[i].vals) > 0
-			}
-			emitted, err := st.newBindings(c, func(b []sym.ID) error {
-				visits[fmt.Sprint(b)]++
-				if rng.Intn(4) == 0 {
-					arrive()
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if emitted && !complete {
-				t.Fatalf("seed %d: a pass emitted while a domain was empty", seed)
-			}
-			if !more && !emitted {
-				break // every value had arrived and a pass found nothing new
-			}
-		}
-		if len(visits) != want {
-			t.Errorf("seed %d: %d distinct bindings enumerated, want %d", seed, len(visits), want)
-		}
-		for b, n := range visits {
-			if n != 1 {
-				t.Errorf("seed %d: binding %s enumerated %d times", seed, b, n)
-			}
-		}
-		sc.release()
-	}
 }

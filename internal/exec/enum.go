@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"toorjah/internal/plan"
+	"slices"
+
 	"toorjah/internal/sym"
 )
 
@@ -12,31 +13,30 @@ import (
 // so enumerating, each pass, exactly the combinations that contain at least
 // one value first derived since the previous pass visits every candidate
 // binding exactly once across the whole execution. The executors therefore
-// need no per-binding tried set: a binding reaching the emit callback is new
-// by construction.
+// need no per-binding tried set: a binding a pass appends is new by
+// construction.
 //
-// Each position's pool is one slice cut by watermarks (enumPos), maintained
+// Each position's pool is one slice cut by a watermark (enumPos), maintained
 // from deltas: the executor appends whatever values an extraction
 // contributes the moment it lands, so a pass never evaluates a rule — it
-// walks the pools it finds.
+// walks the pools it finds. Nothing is ingested while a pass runs, so the
+// pools a pass walks hold still under it.
 //
 // States come from the execution's scratch and go back with it, so the
 // pools below keep their capacity from one execution to the next.
 type enumState struct {
-	fired   bool      // the empty binding () was emitted (no-input patterns)
+	fired   bool      // the empty binding () was enumerated (no-input patterns)
 	pos     []enumPos // per input position
-	binding []sym.ID  // the combination being assembled
+	binding []sym.ID  // the leading coordinates of the combinations being assembled
 }
 
 // enumPos is the enumerator's view of one input position's domain: one pool
-// of values in first-seen order, cut by two watermarks. vals[:old] were
-// enumerated by earlier passes; vals[old:cut] are the fresh values the
-// running pass enumerates; an emit callback that ingests an extraction
-// appends behind cut, and those values wait for the next pass.
+// of values in first-seen order, cut by a watermark. vals[:old] were
+// enumerated by earlier passes; vals[old:] are fresh.
 type enumPos struct {
-	vals     []sym.ID
-	seen     sym.RefTable // references into vals
-	old, cut int
+	vals []sym.ID
+	seen sym.RefTable // references into vals
+	old  int
 }
 
 // add records a value of the position's domain, fresh unless known.
@@ -66,85 +66,88 @@ func (es *enumState) reset() {
 	for i := range es.pos {
 		p := &es.pos[i]
 		p.seen.Reset()
-		p.vals, p.old, p.cut = p.vals[:0], 0, 0
+		p.vals, p.old = p.vals[:0], 0
 	}
 }
 
-// newBindings enumerates the candidate access bindings of cache c that no
-// earlier pass has enumerated (enumState.next).
-func (st *groupState) newBindings(c *plan.Cache, emit func(binding []sym.ID) error) (bool, error) {
-	return st.enums[c.Index].next(emit)
-}
-
-// next is one pass: it enumerates the candidate bindings no earlier pass has
-// enumerated, and reports whether any were emitted; its cost is the bindings
-// it emits. The binding slice handed to emit is reused between calls — emit
-// must copy it if it keeps it. While any input position's domain is still
-// empty no binding is complete, so nothing is emitted and no state is
-// consumed: the values the other positions already derived stay fresh for
-// the first pass that can combine them.
-func (es *enumState) next(emit func(binding []sym.ID) error) (bool, error) {
+// next is one pass: it appends to dst the candidate bindings no earlier pass
+// has enumerated, one input position's ID apiece, and returns dst and how
+// many bindings it appended — one, with no ID, for the free access of a
+// pattern without inputs. Its cost is the bindings it appends. While any
+// input position's domain is still empty no binding is complete, so nothing
+// is appended and no state is consumed: the values the other positions
+// already derived stay fresh for the first pass that can combine them.
+func (es *enumState) next(dst []sym.ID) ([]sym.ID, int) {
 	pos := es.pos
 	if len(pos) == 0 {
 		// A pattern with no input attributes has the single free access ().
 		if es.fired {
-			return false, nil
+			return dst, 0
 		}
 		es.fired = true
-		return true, emit(nil)
+		return dst, 1
 	}
 	any := false
 	for i := range pos {
 		p := &pos[i]
 		if len(p.vals) == 0 {
-			return false, nil
+			return dst, 0
 		}
-		p.cut = len(p.vals)
-		any = any || p.cut > p.old
+		any = any || len(p.vals) > p.old
 	}
 	if !any {
-		return false, nil
+		return dst, 0
 	}
 	// Semi-naive product: with d the rightmost fresh coordinate, positions
 	// before d draw from their full pools, position d from its fresh values
 	// only, positions after d from their old pools — every combination with
 	// at least one fresh coordinate appears under exactly one d. The
 	// rightmost position holding fresh values has only non-empty old pools
-	// behind it, so a pass that gets here emits.
+	// behind it, so a pass that gets here appends.
+	start := len(dst)
 	for d := range pos {
-		if pos[d].cut == pos[d].old {
-			continue
-		}
-		if err := es.walk(0, d, emit); err != nil {
-			return true, err
+		if len(pos[d].vals) > pos[d].old {
+			dst = es.walk(dst, 0, d)
 		}
 	}
 	for i := range pos {
-		pos[i].old = pos[i].cut
+		pos[i].old = len(pos[i].vals)
 	}
-	return true, nil
+	return dst, (len(dst) - start) / len(pos)
 }
 
-// walk assembles positions i… of the combinations whose rightmost fresh
-// coordinate is d and hands each complete one to emit.
-func (es *enumState) walk(i, d int, emit func(binding []sym.ID) error) error {
-	if i == len(es.binding) {
-		return emit(es.binding)
-	}
-	// An emit that ingests may append to vals; cut keeps that tail out.
+// walk appends to dst the combinations whose rightmost fresh coordinate is
+// d, with es.binding[:i] as their leading coordinates. The last position
+// writes each binding in place: the leading coordinates, then its own value.
+func (es *enumState) walk(dst []sym.ID, i, d int) []sym.ID {
 	p := &es.pos[i]
-	vals := p.vals[:p.cut]
+	vals := p.vals
 	switch {
 	case i == d:
 		vals = vals[p.old:]
 	case i > d:
 		vals = vals[:p.old]
 	}
-	for _, v := range vals {
-		es.binding[i] = v
-		if err := es.walk(i+1, d, emit); err != nil {
-			return err
+	if last := len(es.pos) - 1; i < last {
+		for _, v := range vals {
+			es.binding[i] = v
+			dst = es.walk(dst, i+1, d)
 		}
+		return dst
 	}
-	return nil
+	if i == 0 {
+		return append(dst, vals...) // one input: the pool slice is the bindings
+	}
+	lead, w := es.binding[:i], i+1
+	at := len(dst)
+	dst = slices.Grow(dst, len(vals)*w)[:at+len(vals)*w]
+	for _, v := range vals {
+		b := dst[at : at+w : at+w]
+		for j, x := range lead {
+			b[j] = x
+		}
+		b[i] = v
+		at += w
+	}
+	return dst
 }

@@ -83,15 +83,9 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 			// Collect the pass's bindings, then probe them in batches of at
 			// most MaxBatch: the access set is identical to probing one at a
 			// time (what they extract only feeds the next pass).
-			sc.arena = sc.arena[:0]
-			count := 0
-			// The error is emit's, and this emit cannot fail.
-			emitted, _ := enums[ri].next(func(binding []sym.ID) error {
-				sc.arena = append(sc.arena, binding...)
-				count++
-				return nil
-			})
-			if !emitted {
+			var count int
+			sc.arena, count = enums[ri].next(sc.arena[:0])
+			if count == 0 {
 				continue
 			}
 			changed = true

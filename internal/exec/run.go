@@ -89,6 +89,35 @@ func (r *relQueue) find(binding []sym.ID) (int32, uint32) {
 	return -1, h
 }
 
+// file sorts the access tuples a pass of cache node c appended to a shared
+// queue, from queue position from on, one by one in their order: one the
+// meta-cache already holds the extraction of goes to extract on the spot;
+// one another occurrence of the relation has queued or in flight waits for
+// that extraction — "every access tuple is never sent twice to the same
+// wrapper"; the rest stay queued and are filed in seen, so that later askers
+// wait. The tail is compacted in place; an error from extract ends it there.
+func (r *relQueue) file(c *plan.Cache, from int, extract func(*plan.Cache, []datalog.Tuple) error) error {
+	w, keep := r.width, from
+	var err error
+	for i := from; i < len(r.owners) && err == nil; i++ {
+		binding := r.ids[i*w : (i+1)*w]
+		at, h := r.find(binding)
+		switch {
+		case at < 0:
+			copy(r.ids[keep*w:], binding)
+			r.seen.Add(h, int32(keep))
+			r.meta = append(r.meta, metaEntry{})
+			keep++
+		case r.meta[at].landed:
+			err = extract(c, r.meta[at].rows)
+		default:
+			r.meta[at].waiters = append(r.meta[at].waiters, c)
+		}
+	}
+	r.ids, r.owners = r.ids[:keep*w], r.owners[:keep]
+	return err
+}
+
 // flight is one round trip: up to MaxBatch consecutive access tuples of one
 // relation's queue, probed together. It owns the memory the source is handed
 // — the binding headers and the result slots — and is recycled with it.
@@ -101,7 +130,7 @@ type flight struct {
 }
 
 // run executes a ⊂-minimal plan: one coordinator loop that generates the
-// access tuples the caches newly support (newBindings), answers each from
+// access tuples the caches newly support (generate), answers each from
 // the meta-cache, attaches it to a round trip already under way, or queues
 // it on its relation; cuts the queues into round trips of at most MaxBatch;
 // folds every extraction back into the caches and the input domains
@@ -191,35 +220,30 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		return p.QueryDeltas[c.QueryPos].Run(&sc.join, st.cdb, fresh, k.emit)
 	}
 
-	// generate queues the access tuples cache node c newly supports; the
-	// semi-naive enumerator hands each over exactly once. One the meta-cache
-	// already holds is folded in on the spot; one another occurrence of the
-	// relation has queued or in flight waits for that extraction — "every
-	// access tuple is never sent twice to the same wrapper".
+	// generate queues the access tuples cache node c newly supports: the
+	// semi-naive enumerator appends each, exactly once, straight onto the
+	// relation's queue. A shared queue then sorts the tail it was handed
+	// (file).
 	generate := func(c *plan.Cache) (bool, error) {
 		r := &rels[c.Rel]
 		if !r.shared && r.head == len(r.owners) && r.inflight == 0 {
 			// Nothing refers to the queue's storage: reuse it.
 			r.ids, r.owners, r.head = r.ids[:0], r.owners[:0], 0
 		}
-		return st.newBindings(c, func(binding []sym.ID) error {
-			if r.shared {
-				at, h := r.find(binding)
-				if at >= 0 {
-					e := &r.meta[at]
-					if e.landed {
-						return extract(c, e.rows)
-					}
-					e.waiters = append(e.waiters, c)
-					return nil
-				}
-				r.seen.Add(h, int32(len(r.owners))) // queued: later askers wait
-				r.meta = append(r.meta, metaEntry{})
-			}
-			r.ids = append(r.ids, binding...)
+		from := len(r.owners)
+		var n int
+		r.ids, n = st.enums[c.Index].next(r.ids)
+		if n == 0 {
+			return false, nil
+		}
+		r.owners = slices.Grow(r.owners, n)
+		for range n {
 			r.owners = append(r.owners, int32(c.Index))
-			return nil
-		})
+		}
+		if !r.shared {
+			return true, nil
+		}
+		return true, r.file(c, from, extract)
 	}
 
 	// land folds a finished round trip back: each extraction goes to the

@@ -83,23 +83,17 @@ func TestFreeProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectBatchSym times the probe primitive per binding over a
-// 600-row relation indexed on two input positions — the shape of q2's
-// rev_icde accesses — into slots the caller owns, as a round trip makes it:
-// bindings that match one row each and bindings that match nothing (most of
-// q2's), one per call and sixteen (the executors' default batch). The
-// difference between the sizes is the per-batch work (index resolution,
-// lock) amortised; a miss allocates nothing, a hit its result.
-func BenchmarkSelectBatchSym(b *testing.B) {
+// selectFixture is a 600-row relation of arity 3 with 600 distinct keys on
+// its first two positions, and 1600 two-ID bindings of those positions: the
+// 600 "hit" bindings with q < 15 match one row each, the 1000 "miss" ones
+// nothing.
+func selectFixture() (*Snapshot, []int, map[string][][]sym.ID) {
 	tab := NewTable("r", 3)
 	rows := make([]Row, 600)
 	for i := range rows {
 		rows[i] = Row{fmt.Sprintf("p%d", i%40), fmt.Sprintf("q%d", i/40), fmt.Sprintf("v%d", i)}
 	}
 	tab.InsertAll(rows)
-	snap := tab.Snapshot()
-	positions := []int{0, 1}
-	// 1600 bindings; the 600 with q < 15 match one row each.
 	bindings := map[string][][]sym.ID{}
 	for p := 0; p < 40; p++ {
 		for q := 0; q < 40; q++ {
@@ -110,6 +104,51 @@ func BenchmarkSelectBatchSym(b *testing.B) {
 			bindings[kind] = append(bindings[kind], Row{fmt.Sprintf("p%d", p), fmt.Sprintf("q%d", q)}.Intern())
 		}
 	}
+	return tab.Snapshot(), []int{0, 1}, bindings
+}
+
+// TestIndexFilterRejectsMisses: an index answers most absent keys from its
+// key filter, never walking its hash table for them, and still finds every
+// present one. Of selectFixture's 1000 absent two-ID keys at least 80 % must
+// be rejected before the lookup; one hash sets one of at least 8 bits per
+// key, so about 7 % get through here.
+func TestIndexFilterRejectsMisses(t *testing.T) {
+	snap, positions, bindings := selectFixture()
+	out := make([][]IRow, 1000)
+	if err := snap.SelectInto(positions, bindings["hit"], out[:600]); err != nil {
+		t.Fatal(err)
+	}
+	for i, rows := range out[:600] {
+		if len(rows) != 1 {
+			t.Fatalf("present key %v matched %d rows, want 1", bindings["hit"][i], len(rows))
+		}
+	}
+	finds := 0
+	findHook = func() { finds++ }
+	defer func() { findHook = nil }()
+	if err := snap.SelectInto(positions, bindings["miss"], out); err != nil {
+		t.Fatal(err)
+	}
+	for i, rows := range out {
+		if rows != nil {
+			t.Fatalf("absent key %v matched %v", bindings["miss"][i], rows)
+		}
+	}
+	t.Logf("%d of %d absent keys rejected by the filter", len(out)-finds, len(out))
+	if finds > len(out)/5 {
+		t.Errorf("%d of %d absent keys reached the index lookup, want at most %d", finds, len(out), len(out)/5)
+	}
+}
+
+// BenchmarkSelectBatchSym times the probe primitive per binding over a
+// 600-row relation indexed on two input positions — the shape of q2's
+// rev_icde accesses — into slots the caller owns, as a round trip makes it:
+// bindings that match one row each and bindings that match nothing (most of
+// q2's), one per call and sixteen (the executors' default batch). The
+// difference between the sizes is the per-batch work (index resolution,
+// lock) amortised; a miss allocates nothing, a hit its result.
+func BenchmarkSelectBatchSym(b *testing.B) {
+	snap, positions, bindings := selectFixture()
 	out := make([][]IRow, 16)
 	if err := snap.SelectInto(positions, bindings["hit"][:1], out[:1]); err != nil { // builds the index outside the timing
 		b.Fatal(err)

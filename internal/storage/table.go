@@ -606,6 +606,17 @@ type indexSet struct {
 // index groups the rows of a log prefix by their values at fixed positions.
 // It holds no pointer per key or per row: a key is its chain's first and
 // last offset, and a row the offset of the next row of its key.
+//
+// filter is a one-hash Bloom filter over the keys (B. H. Bloom, "Space/time
+// trade-offs in hash coding with allowable errors", CACM 1970): a
+// power-of-two bitset of at least 8 bits per key, in which each key's hash
+// sets the bit its low bits name — group addresses by the top bits. A
+// lookup whose bit is clear has no key and is answered without walking
+// group; with 8–16 bits per key, about nine absent keys in ten are. An index
+// only grows and compaction starts a fresh set, so no bit is ever cleared:
+// a key's bit is set when it is filed, and the bitset is rebuilt from keys
+// when it doubles. It lives here, not in sym.RefTable, whose other users
+// delete.
 type index struct {
 	positions []int
 	arity     int
@@ -614,7 +625,50 @@ type index struct {
 	group     sym.RefTable // references into keys
 	keys      []chain      // per key, the ends of its chain
 	next      []int32      // per indexed row, the next offset of its key, or −1
+	filter    []uint64     // the key filter; its length is a power of two
 }
+
+// filterBitsPerKey is the fewest filter bits an index keeps per key.
+const filterBitsPerKey = 8
+
+// mayHold reports whether a key hashed to h may be in the index: false
+// means it is not.
+func (in *index) mayHold(h uint32) bool {
+	bit := h & uint32(64*len(in.filter)-1)
+	return in.filter[bit>>6]>>(bit&63)&1 != 0
+}
+
+// mark sets the filter bit of the key just filed, hashed to h, first
+// doubling the filter — and refilling it from every key — when the keys
+// outgrow it.
+func (in *index) mark(h uint32) {
+	if filterBitsPerKey*len(in.keys) > 64*len(in.filter) {
+		in.filter = make([]uint64, 2*len(in.filter))
+		var kb [8]sym.ID
+		for _, k := range in.keys[:len(in.keys)-1] {
+			in.set(sym.HashIDs(in.key(kb[:0], int(k.first))))
+		}
+	}
+	in.set(h)
+}
+
+func (in *index) set(h uint32) {
+	bit := h & uint32(64*len(in.filter)-1)
+	in.filter[bit>>6] |= 1 << (bit & 63)
+}
+
+// key appends to vals the values of log row off at the index's positions.
+func (in *index) key(vals []sym.ID, off int) []sym.ID {
+	r := in.rows.row(off, in.arity)
+	for _, p := range in.positions {
+		vals = append(vals, r[p])
+	}
+	return vals
+}
+
+// findHook, when set, is called for each lookup the key filter lets
+// through; tests count with it what the filter rejects.
+var findHook func()
 
 // chain is the first and last log offset of the rows holding one key; next
 // links the ones between in ascending order.
@@ -631,9 +685,16 @@ func (ix *indexSet) on(positions []int) *index {
 }
 
 // find returns the key of the rows holding vals at the index's positions,
-// hashed to h, or −1. Every row of a chain carries the chain's key, so the
-// first one stands for it.
+// hashed to h, or −1. A key the filter rejects — most of those a selective
+// plan probes for — costs one bit; otherwise every row of a chain carries
+// the chain's key, so the first one stands for it.
 func (in *index) find(vals []sym.ID, h uint32) int32 {
+	if !in.mayHold(h) {
+		return -1
+	}
+	if findHook != nil {
+		findHook()
+	}
 candidates:
 	for at, ref := in.group.First(h); ref >= 0; at, ref = in.group.Next(at, h) {
 		r := in.rows.row(int(in.keys[ref].first), in.arity)
@@ -680,7 +741,7 @@ func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID
 func (ix *indexSet) extendLocked(positions []int, s *Snapshot) *index {
 	in := ix.on(positions)
 	if in == nil {
-		in = &index{positions: slices.Clone(positions), arity: s.arity}
+		in = &index{positions: slices.Clone(positions), arity: s.arity, filter: make([]uint64, 1)}
 		ix.indexes = append(ix.indexes, in)
 	}
 	if s.n <= in.n {
@@ -690,11 +751,7 @@ func (ix *indexSet) extendLocked(positions []int, s *Snapshot) *index {
 	in.next = slices.Grow(in.next, s.n-in.n)
 	var kb [8]sym.ID
 	for off := in.n; off < s.n; off++ {
-		r := in.rows.row(off, in.arity)
-		vals := kb[:0]
-		for _, p := range in.positions {
-			vals = append(vals, r[p])
-		}
+		vals := in.key(kb[:0], off)
 		in.next = append(in.next, -1)
 		h := sym.HashIDs(vals)
 		if key := in.find(vals, h); key >= 0 {
@@ -704,6 +761,7 @@ func (ix *indexSet) extendLocked(positions []int, s *Snapshot) *index {
 		}
 		in.group.Add(h, int32(len(in.keys)))
 		in.keys = append(in.keys, chain{int32(off), int32(off)})
+		in.mark(h)
 	}
 	in.n = s.n
 	return in

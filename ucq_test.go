@@ -203,3 +203,51 @@ func TestUCQStreamDedupAndLimit(t *testing.T) {
 		t.Errorf("TimeToFirst = %v, Elapsed = %v (%v)", res.TimeToFirst, res.Elapsed, err)
 	}
 }
+
+// TestUCQRebindCachesNoStaleRows: a union pins its sources before its
+// disjuncts wrap the access cache, and a rebind landing in between must not
+// let the old source's rows be filed where the new source's queries read
+// them. Both tables are at the same epoch, so only the cache's incarnation
+// tells their rows apart. The rebind runs from unionPinned, the hook between
+// pinning the sources and running the disjuncts; the union answers over the
+// old table (its pinned data version), and a query after it over the new one.
+func TestUCQRebindCachesNoStaleRows(t *testing.T) {
+	sch, err := ParseSchema("s^o(A)\nt^o(A)\nr^io(A, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch, WithCache(CacheOptions{}))
+	for name, row := range map[string]Row{"s": {"a"}, "t": {"a"}, "r": {"a", "old"}} {
+		if err := sys.BindRows(name, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, err := sys.PrepareUCQ("q(B) :- s(A), r(A, B)\nq(B) :- t(A), r(A, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unionPinned = func() {
+		if err := sys.BindRows("r", Row{"a", "new"}); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := u.Execute(context.Background())
+	unionPinned = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.SortedAnswers(), ";"); got != "old" {
+		t.Errorf("the union answered %q over its pinned sources, want old", got)
+	}
+	q, err := sys.Prepare("q(B) :- s(A), r(A, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = q.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.SortedAnswers(), ";"); got != "new" {
+		t.Errorf("after the rebind a query answered %q, want new: the union cached the old source's rows under the new binding", got)
+	}
+}
