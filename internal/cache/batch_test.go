@@ -63,7 +63,7 @@ func TestMultiGetMultiPut(t *testing.T) {
 
 // TestMultiPutEvicts: the LRU capacity bound holds under batch stores.
 func TestMultiPutEvicts(t *testing.T) {
-	c := New(Options{Capacity: 4, Shards: 1})
+	c := New(Options{Capacity: 4, shards: 1})
 	var bindings [][]sym.ID
 	var rows [][]storage.IRow
 	for i := 0; i < 10; i++ {

@@ -69,13 +69,13 @@ type Options struct {
 	// shards; the least recently used entries are evicted beyond it.
 	// 0 or less means DefaultCapacity.
 	Capacity int
-	// Shards is the number of independently locked shards; 0 means
-	// DefaultShards.
-	Shards int
 	// TTL expires entries — empty extractions too — that many nanoseconds
 	// after they were stored; 0 means entries never expire.
 	TTL time.Duration
 
+	// shards is a test hook for the number of independently locked
+	// shards; 0 means DefaultShards.
+	shards int
 	// now is a test hook for the clock; nil means time.Now.
 	now func() time.Time
 }
@@ -349,23 +349,23 @@ type state struct {
 }
 
 // New creates a cache with the given options. The shard bounds sum to
-// Capacity exactly: the first Capacity % Shards shards hold one entry more
-// than the rest, and a Capacity below Shards gets one shard per entry.
+// Capacity exactly: of s shards, the first Capacity % s hold one entry more
+// than the rest, and a Capacity below s gets one shard per entry.
 func New(opts Options) *Cache {
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
+	if opts.shards <= 0 {
+		opts.shards = DefaultShards
 	}
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	opts.Shards = min(opts.Shards, opts.Capacity)
+	opts.shards = min(opts.shards, opts.Capacity)
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	c := &Cache{state: &state{opts: opts, shards: make([]*shard, opts.Shards), rels: make(map[string]*relation)}}
+	c := &Cache{state: &state{opts: opts, shards: make([]*shard, opts.shards), rels: make(map[string]*relation)}}
 	for i := range c.shards {
-		capacity := opts.Capacity / opts.Shards
-		if i < opts.Capacity%opts.Shards {
+		capacity := opts.Capacity / opts.shards
+		if i < opts.Capacity%opts.shards {
 			capacity++
 		}
 		c.shards[i] = &shard{slab: make([]entry, 1), capacity: capacity}

@@ -137,7 +137,7 @@ func TestTTLExpiry(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	ctr, _ := testSource(t, "r^io(A, B)",
 		storage.Row{"a", "1"}, storage.Row{"b", "2"}, storage.Row{"c", "3"})
-	c := New(Options{Capacity: 2, Shards: 1})
+	c := New(Options{Capacity: 2, shards: 1})
 	w := c.Wrap(ctr)
 
 	access(w, "a")

@@ -164,11 +164,11 @@ func TestCacheMatchesMapModel(t *testing.T) {
 	t.Run("DisableNegative=false", func(t *testing.T) {
 		var clock atomic.Int64
 		clock.Store(time.Unix(1000, 0).UnixNano())
-		opts := Options{Capacity: 24, Shards: 4, TTL: 10 * time.Second,
+		opts := Options{Capacity: 24, shards: 4, TTL: 10 * time.Second,
 			now: func() time.Time { return time.Unix(0, clock.Load()) }}
 		c := New(opts)
 		m := &model{opts: opts, now: clock.Load, entries: map[string]*modelEntry{},
-			recency: make([][]string, opts.Shards), newest: map[string]uint64{}, stats: map[string]RelStats{}}
+			recency: make([][]string, opts.shards), newest: map[string]uint64{}, stats: map[string]RelStats{}}
 
 		stop := make(chan struct{})
 		var bystander sync.WaitGroup

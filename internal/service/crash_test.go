@@ -177,7 +177,7 @@ func crashRound(t *testing.T, fsync, failpoint string) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if failpoint != "" && rec.Records == 0 {
+	if failpoint != "" && rec.RecordsReplayed == 0 {
 		t.Errorf("failpoint %s: recovery replayed no record", failpoint)
 	}
 	// Only a death mid-write leaves a torn tail; one inside an fsync leaves
@@ -187,7 +187,7 @@ func crashRound(t *testing.T, fsync, failpoint string) {
 	}
 	epoch, recovered := uint64(1), []storage.Row(nil)
 	if st := rec.Relations["storm"]; st != nil {
-		epoch, recovered = st.Epoch, st.Rows
+		epoch, recovered = st.Epoch(), st.Snapshot().Rows()
 	}
 
 	// The never-crashed twin is fed exactly the surviving batches, in order.
@@ -205,7 +205,7 @@ func crashRound(t *testing.T, fsync, failpoint string) {
 		twin.InsertAll(crashBatchRows(i))
 	}
 	t.Logf("%d/%d batches acknowledged, %d survived, %d records replayed, truncated=%v",
-		nAcked, crashBatches, survived, rec.Records, rec.Truncated)
+		nAcked, crashBatches, survived, rec.RecordsReplayed, rec.Truncated)
 
 	snap := twin.Snapshot()
 	want := strings.Join(sortedRows(snap.Rows()), ";")

@@ -14,9 +14,10 @@ import (
 
 // OpenDurable opens (or creates) the durable state under wopts.Dir and
 // returns the recovered database plus the live log. Each schema relation
-// comes from, in order of preference: the recovered WAL state (latest
-// valid snapshot + replayed tail), else its CSV seed file in csvDir (""
-// skips seeding), else an absent table (the facade auto-binds it empty).
+// comes from, in order of preference: the table WAL recovery rebuilt
+// (latest valid snapshot + replayed tail), attached as it is, else its CSV
+// seed file in csvDir ("" skips seeding), else an absent table (the facade
+// auto-binds it empty).
 // On a first boot — nothing recovered — the seeded database is snapshotted
 // synchronously before returning, so the WAL tail always has a durable
 // base state to replay onto and the CSV seed is never re-read again.
@@ -34,14 +35,14 @@ func OpenDurable(sch *schema.Schema, csvDir string, wopts wal.Options) (*storage
 	db := storage.NewDatabase()
 	seeded := false
 	for _, rel := range sch.Relations() {
-		if st, ok := rec.Relations[rel.Name]; ok {
-			if st.Arity != rel.Arity() {
+		if t, ok := rec.Relations[rel.Name]; ok {
+			if t.Arity != rel.Arity() {
 				closeQuiet(l)
 				return nil, nil, fmt.Errorf(
 					"service: recovered relation %s has arity %d, schema says %d — refusing to serve reshaped data",
-					rel.Name, st.Arity, rel.Arity())
+					rel.Name, t.Arity, rel.Arity())
 			}
-			if err := db.Attach(storage.RestoreTable(rel.Name, st.Arity, st.Epoch, st.Rows)); err != nil {
+			if err := db.Attach(t); err != nil {
 				closeQuiet(l)
 				return nil, nil, err
 			}

@@ -10,11 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"toorjah"
 	"toorjah/internal/schema"
+	"toorjah/internal/storage"
 	"toorjah/internal/wal"
 )
 
@@ -149,4 +152,96 @@ func TestDurableRestartPreservesStateAndEpochs(t *testing.T) {
 	if got := metricValue(t, exposition, "toorjah_wal_recovery_records_replayed"); got != 4 {
 		t.Errorf("toorjah_wal_recovery_records_replayed = %v, want 4", got)
 	}
+}
+
+// BenchmarkRecover is recovery's layer benchmark: OpenDurable over a log
+// with no snapshot, so every record is replayed, into the table the node
+// then serves. It reports per replayed record. "load" logs 300 000 arity-3
+// rows inserted in 64-row batches, every eighth batch a delete of the 64
+// oldest rows still live: recovery rebuilds a large table. "churn" logs
+// bench's ingest-rw: 64-row batches of fresh values over 256 keys, the
+// oldest deleted once 64 are held, 48 000 records: the history dwarfs the
+// 4096 rows that survive it, and compaction cycles.
+func BenchmarkRecover(b *testing.B) {
+	b.Run("load", func(b *testing.B) {
+		benchRecover(b, "r^ioo(A, B, C)", func(tab *storage.Table, batch []storage.Row) {
+			row := func(i int) storage.Row {
+				return storage.Row{"k" + strconv.Itoa(i), "v" + strconv.Itoa(i%1000), "w" + strconv.Itoa(i%37)}
+			}
+			for n, inserted, deleted := 0, 0, 0; inserted < 300000; n++ {
+				if n%8 == 7 {
+					for i := range batch {
+						batch[i] = row(deleted + i)
+					}
+					deleted += len(batch)
+					tab.DeleteAll(batch)
+					continue
+				}
+				for i := range batch {
+					batch[i] = row(inserted + i)
+				}
+				inserted += len(batch)
+				tab.InsertAll(batch)
+			}
+		})
+	})
+	b.Run("churn", func(b *testing.B) {
+		benchRecover(b, "r^io(K, V)", func(tab *storage.Table, batch []storage.Row) {
+			row := func(n, i int) storage.Row {
+				return storage.Row{"k" + strconv.Itoa((n*64+i)*7919%256), "v" + strconv.Itoa(n) + "_" + strconv.Itoa(i)}
+			}
+			for n := 0; n < 24000; n++ {
+				for i := range batch {
+					batch[i] = row(n, i)
+				}
+				tab.InsertAll(batch)
+				if n >= 64 {
+					for i := range batch {
+						batch[i] = row(n-64, i)
+					}
+					tab.DeleteAll(batch)
+				}
+			}
+		})
+	})
+}
+
+// benchRecover logs what fill writes, through 64-row batches, into relation
+// r of the schema, then times OpenDurable over the log.
+func benchRecover(b *testing.B, schemaText string, fill func(tab *storage.Table, batch []storage.Row)) {
+	dir := b.TempDir()
+	l, _, err := wal.Open(quietWALOpts(dir))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sch := schema.MustParse(schemaText)
+	tab := storage.NewTable("r", sch.Relation("r").Arity())
+	tab.SetCommitHook(l.AppendCommit)
+	fill(tab, make([]storage.Row, 64))
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated, mallocs := ms.TotalAlloc, ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, l, err := OpenDurable(sch, "", quietWALOpts(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += l.Stats().Recovery.RecordsReplayed
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if got := db.Table("r"); got == nil || got.Epoch() != tab.Epoch() {
+			b.Fatalf("recovered %v, want the table at epoch %d", got, tab.Epoch())
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+	b.ReportMetric(float64(ms.TotalAlloc-allocated)/float64(records), "B/record")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(records), "allocs/record")
 }

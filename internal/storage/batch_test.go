@@ -273,7 +273,7 @@ func BenchmarkTableLoad(b *testing.B) {
 
 // TestTableLoadAllocBudget: loading rows whose values are interned allocates
 // per chunk of the log — and for the row set, the chunk directory and the
-// snapshot — never per row, through InsertAll and RestoreTable alike. The
+// snapshot — never per row, through InsertAll and Replay alike. The
 // budget is one allocation per 128 rows; one per row fails it 128 times
 // over.
 func TestTableLoadAllocBudget(t *testing.T) {
@@ -281,8 +281,8 @@ func TestTableLoadAllocBudget(t *testing.T) {
 	NewTable("warm", 3).InsertAll(rows) // intern the values outside the count
 	budget := float64(len(rows) / 128)
 	for name, load := range map[string]func(){
-		"InsertAll":    func() { NewTable("conf", 3).InsertAll(rows) },
-		"RestoreTable": func() { RestoreTable("conf", 3, 7, rows) },
+		"InsertAll": func() { NewTable("conf", 3).InsertAll(rows) },
+		"Replay":    func() { NewTable("conf", 3).Replay(CommitEvent{Op: OpInsert, Epoch: 7, Rows: rows}) },
 	} {
 		if allocs := testing.AllocsPerRun(3, load); allocs > budget {
 			t.Errorf("%s of %d interned rows makes %.0f allocations, budget %.0f", name, len(rows), allocs, budget)
@@ -294,7 +294,7 @@ func TestTableLoadAllocBudget(t *testing.T) {
 // fresh chunks, so a table's memory follows its live rows under churn. A
 // 10 000-row batch deleted down to one live row — which compacts the log —
 // no longer holds the chunks the batch filled: a finalizer on the first one
-// runs. Rows RestoreTable rebuilds come from the same path.
+// runs. Rows Replay rebuilds come from the same path.
 func TestCompactionReleasesDeadBlocks(t *testing.T) {
 	rows := make([]Row, 10000)
 	for i := range rows {
@@ -306,7 +306,11 @@ func TestCompactionReleasesDeadBlocks(t *testing.T) {
 			tab.InsertAll(rows)
 			return tab
 		},
-		"RestoreTable": func() *Table { return RestoreTable("r", 2, 3, rows) },
+		"Replay": func() *Table {
+			tab := NewTable("r", 2)
+			tab.Replay(CommitEvent{Op: OpInsert, Epoch: 3, Rows: rows})
+			return tab
+		},
 	} {
 		tab := load()
 		freed := make(chan struct{})

@@ -224,9 +224,13 @@ func (op CommitOp) String() string {
 
 // CommitEvent describes one applied mutating batch: the rows that actually
 // changed the table (duplicates and misses filtered out) and the epoch the
-// batch advanced the table to. Replaying the events of a table in order on
-// an empty table of the same name and arity rebuilds both its live row set
-// and its epoch — the contract the write-ahead log persists.
+// batch advanced the table to. Replaying the events of a table in order
+// (Table.Replay) on an empty table of the same name and arity rebuilds its
+// live row set, the order Rows lists them in, and its epoch — the contract
+// the write-ahead log persists. The order holds for the events alone: a
+// snapshot replayed in their place lists only the live rows, so a row
+// deleted before it and revived after it lands at the end of the table, not
+// at its old place.
 type CommitEvent struct {
 	Relation string
 	Arity    int
@@ -253,45 +257,27 @@ func NewTable(name string, arity int) *Table {
 	return t
 }
 
-// RestoreTable rebuilds a table from recovered durable state: the live
-// rows it held and the epoch it had reached. It is the write-ahead-log
-// recovery entry point — the restored table is observationally identical
-// to one that applied the original batches, so epochs keep their meaning
-// (cache keys, federation staleness checks) across a restart. Rows that
-// disagree with the arity or duplicate earlier rows are dropped. An epoch
-// of 0 restores to 1, the epoch of a fresh table.
-func RestoreTable(name string, arity int, epoch uint64, rows []Row) *Table {
-	t := NewTable(name, arity)
-	t.addLocked(rows)
-	snap := &Snapshot{name: name, arity: arity, epoch: max(epoch, 1), rows: t.published(), n: t.n, idx: t.idx}
-	if epoch > 1 {
-		snap.at = time.Now()
-	}
-	t.snap.Store(snap)
-	return t
-}
-
 // Snapshot returns the current immutable version of the table. The snapshot
 // stays valid and consistent forever: later Insert/Delete batches publish
 // new versions without disturbing it.
 func (t *Table) Snapshot() *Snapshot { return t.snap.Load() }
 
 // Epoch returns the current version number. Epochs start at 1 and advance
-// by one per mutating batch (a batch that changes nothing keeps the epoch).
+// by one per mutating batch (a batch that changes nothing keeps the epoch);
+// Replay sets the epoch a batch was logged at.
 func (t *Table) Epoch() uint64 { return t.Snapshot().epoch }
 
 // published returns the log's directory as a snapshot holds it: cut at its
 // length, so appending a chunk can never write into it.
 func (t *Table) published() chunks { return t.rows[:len(t.rows):len(t.rows)] }
 
-// publish installs a new snapshot one epoch past the current one; the
-// caller holds wmu and has finished mutating the master state.
-func (t *Table) publish() {
-	cur := t.snap.Load()
+// publish installs a new snapshot at the given epoch; the caller holds wmu
+// and has finished mutating the master state.
+func (t *Table) publish(epoch uint64) {
 	t.snap.Store(&Snapshot{
 		name:  t.Name,
 		arity: t.Arity,
-		epoch: cur.epoch + 1,
+		epoch: epoch,
 		at:    time.Now(),
 		rows:  t.published(),
 		n:     t.n,
@@ -330,10 +316,35 @@ func (t *Table) InsertAll(rows []Row) int {
 	defer t.wmu.Unlock()
 	n, applied := t.addLocked(rows)
 	if n > 0 {
-		t.publish()
+		t.publish(t.Epoch() + 1)
 		t.commitLocked(OpInsert, applied)
 	}
 	return n
+}
+
+// Replay applies one logged batch, the inverse of the commit hook: it
+// applies the event's rows by its op and publishes the result at the
+// event's epoch, not one past the current one. An event at or below the
+// current epoch — state the table already holds — is ignored, and Replay
+// reports false. So a table rebuilt from a log resumes at its last
+// record's epoch even when the log has a gap (a lost snapshot, with the
+// segments it covered archived), and epoch-keyed cache entries and peers'
+// staleness checks never see an epoch go backwards. A snapshot is one
+// insert event replayed onto a fresh table. Rows of another arity are
+// skipped, and the commit hook is not called.
+func (t *Table) Replay(ev CommitEvent) bool {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	if ev.Epoch <= t.Epoch() {
+		return false
+	}
+	if ev.Op == OpDelete {
+		t.deleteLocked(ev.Rows)
+	} else {
+		t.addLocked(ev.Rows)
+	}
+	t.publish(ev.Epoch)
+	return true
 }
 
 // addLocked adds a batch, skipping rows of another arity, and returns the
@@ -419,11 +430,21 @@ func (t *Table) Delete(r Row) bool { return t.DeleteAll([]Row{r}) == 1 }
 func (t *Table) DeleteAll(rows []Row) int {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	n := 0
+	n, applied := t.deleteLocked(rows)
+	if n > 0 {
+		t.publish(t.Epoch() + 1)
+		t.commitLocked(OpDelete, applied)
+	}
+	return n
+}
+
+// deleteLocked tombstones a batch, compacting the log when the batch
+// removed a row, and returns the number of rows it removed and — when a
+// commit hook is listening — those rows. wmu is held.
+func (t *Table) deleteLocked(rows []Row) (n int, applied []Row) {
 	deadCopied := false
 	ir := IRow(slices.Grow(t.scratch[:0], t.Arity)[:t.Arity])
 	t.scratch = ir
-	var applied []Row // collected only when a commit hook is listening
 rows:
 	for _, r := range rows {
 		if len(r) != t.Arity {
@@ -452,10 +473,8 @@ rows:
 	}
 	if n > 0 {
 		t.maybeCompactLocked()
-		t.publish()
-		t.commitLocked(OpDelete, applied)
 	}
-	return n
+	return n, applied
 }
 
 // compactMinDead is the tombstone count below which compaction is never
@@ -811,8 +830,8 @@ func (d *Database) Create(name string, arity int) (*Table, error) {
 	return t, nil
 }
 
-// Attach adds an existing table — typically one rebuilt by RestoreTable
-// during recovery; it fails on duplicate names.
+// Attach adds an existing table — typically one rebuilt by Replay during
+// recovery; it fails on duplicate names.
 func (d *Database) Attach(t *Table) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

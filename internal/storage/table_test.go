@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,6 +190,50 @@ func TestEpochAdvancesPerBatch(t *testing.T) {
 	}
 	if tab.Snapshot().ModifiedAt().IsZero() {
 		t.Error("mutated table has zero ModifiedAt")
+	}
+}
+
+// TestReplayRebuildsTheTable: the commit events of a churning table,
+// replayed in order onto a fresh one, rebuild its rows in its order and its
+// epoch — compactions and revived rows included — and an event at or below
+// the current epoch changes nothing. One event alone lands at its own epoch.
+func TestReplayRebuildsTheTable(t *testing.T) {
+	tab := NewTable("r", 2)
+	var events []CommitEvent
+	tab.SetCommitHook(func(ev CommitEvent) { events = append(events, ev) })
+	rng := rand.New(rand.NewSource(7))
+	batch := func() []Row {
+		rows := make([]Row, 200)
+		for i := range rows {
+			rows[i] = Row{"k" + strconv.Itoa(rng.Intn(3000)), "v"}
+		}
+		return rows
+	}
+	for i := 0; i < 60; i++ {
+		if i%3 == 2 {
+			tab.DeleteAll(slices.Concat(batch(), batch(), batch(), batch(), batch()))
+		} else {
+			tab.InsertAll(batch())
+		}
+	}
+
+	re := NewTable("r", 2)
+	for i, ev := range events {
+		if !re.Replay(ev) {
+			t.Fatalf("event %d at epoch %d was ignored at epoch %d", i, ev.Epoch, re.Epoch())
+		}
+	}
+	want, got := tab.Snapshot(), re.Snapshot()
+	if got.Epoch() != want.Epoch() || !slices.EqualFunc(got.Rows(), want.Rows(), slices.Equal) {
+		t.Fatalf("replayed table: epoch %d, %d rows; original: epoch %d, %d rows, or the order differs",
+			got.Epoch(), got.Len(), want.Epoch(), want.Len())
+	}
+	if re.Replay(events[len(events)-1]) || re.Replay(events[0]) || re.Snapshot() != got {
+		t.Error("an event at or below the epoch was applied")
+	}
+	last := events[len(events)-1]
+	if one := NewTable("r", 2); !one.Replay(last) || one.Epoch() != last.Epoch {
+		t.Errorf("a lone event landed at epoch %d, want %d", one.Epoch(), last.Epoch)
 	}
 }
 

@@ -107,10 +107,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 }
 
 // snapshotStates lists what a loaded snapshot holds, by relation name.
-func snapshotStates(loaded map[string]*relReplay) []RelationState {
+func snapshotStates(loaded map[string]*storage.Table) []RelationState {
 	var out []RelationState
-	for name, s := range loaded {
-		out = append(out, *s.state(name))
+	for name, t := range loaded {
+		snap := t.Snapshot()
+		out = append(out, RelationState{Name: name, Arity: t.Arity, Epoch: snap.Epoch(), Rows: snap.Rows()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

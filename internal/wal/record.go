@@ -77,6 +77,16 @@ type Record struct {
 	Rows     []storage.Row
 }
 
+// event is the batch r logged, in the form storage.Table.Replay applies; a
+// snapshot record inserts every live row.
+func (r Record) event() storage.CommitEvent {
+	op := storage.OpInsert
+	if r.Type == TypeDelete {
+		op = storage.OpDelete
+	}
+	return storage.CommitEvent{Relation: r.Relation, Arity: r.Arity, Op: op, Epoch: r.Epoch, Rows: r.Rows}
+}
+
 // AppendEncode appends the framed encoding of r to dst. Encoding fails
 // only on records the log never produces (oversized names, rows that
 // disagree with the arity, zero arity with rows) — the error keeps a

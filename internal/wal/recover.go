@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -15,111 +14,13 @@ import (
 	"toorjah/internal/storage"
 )
 
-// Recovered is the durable state Open found: per-relation live rows and
-// epochs, ready for storage.RestoreTable, plus an account of how they were
-// reassembled.
+// Recovered is what Open found on disk: the tables it rebuilt, and the
+// account of how, which Log.Stats reports as Recovery.
 type Recovered struct {
-	// Relations maps name to recovered state. Empty when the directory
-	// was fresh.
-	Relations map[string]*RelationState
-
-	HadSnapshot     bool
-	SnapshotSeq     uint64
-	SegmentsScanned int
-	Records         int  // tail records applied on top of the snapshot
-	Skipped         int  // records at or below their relation's snapshot epoch
-	Unknown         int  // checksummed records of unknown type, skipped
-	Truncated       bool // a torn/corrupt tail was cut from a segment
-	Duration        time.Duration
-}
-
-func (r *Recovered) stats() RecoveryStats {
-	return RecoveryStats{
-		HadSnapshot:     r.HadSnapshot,
-		SnapshotSeq:     r.SnapshotSeq,
-		SegmentsScanned: r.SegmentsScanned,
-		RecordsReplayed: r.Records,
-		RecordsSkipped:  r.Skipped,
-		UnknownRecords:  r.Unknown,
-		Truncated:       r.Truncated,
-		Relations:       len(r.Relations),
-		DurationMS:      float64(r.Duration) / float64(time.Millisecond),
-	}
-}
-
-// relReplay accumulates one relation's state during replay, keeping live
-// rows in first-insert order so a restored table enumerates like the
-// original.
-type relReplay struct {
-	arity int
-	epoch uint64
-	order []storage.Row  // live rows; deleted slots are nil
-	index map[string]int // row key -> slot in order
-}
-
-// rowKey builds a collision-free map key from a row's raw values
-// (length-prefixed, so value boundaries cannot alias).
-func rowKey(r storage.Row) string {
-	var b []byte
-	for _, v := range r {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	return string(b)
-}
-
-// apply folds one record into the replay state. Records at or below the
-// relation's current epoch are duplicates of state already restored (the
-// snapshot, or a record replayed from an earlier segment) and are skipped —
-// this is what makes replay after a covering snapshot idempotent.
-func (s *relReplay) apply(rec Record) (applied bool) {
-	if rec.Epoch <= s.epoch {
-		return false
-	}
-	switch rec.Type {
-	case TypeSnapshotRows:
-		s.order = s.order[:0]
-		s.index = make(map[string]int, len(rec.Rows))
-		for _, row := range rec.Rows {
-			if _, dup := s.index[rowKey(row)]; dup {
-				continue
-			}
-			s.index[rowKey(row)] = len(s.order)
-			s.order = append(s.order, row)
-		}
-	case TypeInsert:
-		if s.index == nil {
-			s.index = make(map[string]int, len(rec.Rows))
-		}
-		for _, row := range rec.Rows {
-			k := rowKey(row)
-			if _, live := s.index[k]; live {
-				continue
-			}
-			s.index[k] = len(s.order)
-			s.order = append(s.order, row)
-		}
-	case TypeDelete:
-		for _, row := range rec.Rows {
-			k := rowKey(row)
-			if slot, live := s.index[k]; live {
-				s.order[slot] = nil
-				delete(s.index, k)
-			}
-		}
-	}
-	s.epoch = rec.Epoch
-	return true
-}
-
-func (s *relReplay) state(name string) *RelationState {
-	rows := make([]storage.Row, 0, len(s.index))
-	for _, row := range s.order {
-		if row != nil {
-			rows = append(rows, row)
-		}
-	}
-	return &RelationState{Name: name, Arity: s.arity, Epoch: s.epoch, Rows: rows}
+	// Relations maps each recovered relation's name to its table, at the
+	// epoch of its last record. Empty when the directory was fresh.
+	Relations map[string]*storage.Table
+	RecoveryStats
 }
 
 // seqEntry is one sequence-numbered file in the log directory.
@@ -161,7 +62,7 @@ func listSeq(dir, prefix, suffix string) ([]seqEntry, error) {
 // recovered around, not fatal.
 func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 	start := time.Now()
-	rec := &Recovered{Relations: make(map[string]*RelationState)}
+	rec := &Recovered{Relations: make(map[string]*storage.Table)}
 
 	segs, err := listSeq(dir, "wal-", ".log")
 	if err != nil {
@@ -188,8 +89,6 @@ func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 		}
 	}
 
-	states := make(map[string]*relReplay)
-
 	// Newest loadable snapshot wins; a snapshot that fails its checksums
 	// is logged and skipped in favor of an older one (replay of the full
 	// segment history behind it restores the same state).
@@ -200,10 +99,8 @@ func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 			logger.Warn("wal: snapshot unreadable, falling back", "file", e.name, "err", err)
 			continue
 		}
-		for name, s := range loaded {
-			states[name] = s
-		}
-		rec.Unknown += unknown
+		rec.Relations = loaded
+		rec.UnknownRecords += unknown
 		rec.HadSnapshot = true
 		rec.SnapshotSeq = e.seq
 		break
@@ -211,35 +108,27 @@ func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 
 	// Replay segments in order. The first torn/corrupt record ends replay:
 	// everything after it postdates a record that never fully committed.
-	truncated := false
 	for _, e := range segs {
-		if truncated {
+		if rec.Truncated {
 			orphan(dir, e.name, logger)
 			continue
 		}
 		rec.SegmentsScanned++
-		res, err := replaySegment(filepath.Join(dir, e.name), states, logger)
+		at, reason, err := replaySegment(filepath.Join(dir, e.name), rec, logger)
 		if err != nil {
 			return nil, 0, err
 		}
-		rec.Records += res.applied
-		rec.Skipped += res.skipped
-		rec.Unknown += res.unknown
-		if res.truncatedAt >= 0 {
-			truncated = true
+		if at >= 0 {
 			rec.Truncated = true
-			logger.Warn("wal: truncating torn tail",
-				"file", e.name, "offset", res.truncatedAt, "reason", res.truncateReason)
-			if err := os.Truncate(filepath.Join(dir, e.name), res.truncatedAt); err != nil {
+			logger.Warn("wal: truncating torn tail", "file", e.name, "offset", at, "reason", reason)
+			if err := os.Truncate(filepath.Join(dir, e.name), at); err != nil {
 				return nil, 0, fmt.Errorf("wal: truncating %s: %w", e.name, err)
 			}
 		}
 	}
 
-	for name, s := range states {
-		rec.Relations[name] = s.state(name)
-	}
-	rec.Duration = time.Since(start)
+	rec.RecoveryStats.Relations = len(rec.Relations)
+	rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rec, maxSeq, nil
 }
 
@@ -257,7 +146,7 @@ func orphan(dir, name string, logger *slog.Logger) {
 // loadSnapshot reads one snapshot file. Unlike segment replay, any tear or
 // corruption invalidates the whole file (snapshots are written atomically,
 // so damage means the file cannot be trusted at all).
-func loadSnapshot(path string) (map[string]*relReplay, int, error) {
+func loadSnapshot(path string) (map[string]*storage.Table, int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -265,9 +154,10 @@ func loadSnapshot(path string) (map[string]*relReplay, int, error) {
 	return decodeSnapshot(b)
 }
 
-// decodeSnapshot reads a snapshot file's contents.
-func decodeSnapshot(b []byte) (map[string]*relReplay, int, error) {
-	out := make(map[string]*relReplay)
+// decodeSnapshot rebuilds the tables a snapshot file's contents hold, and
+// counts the records of unknown type it skipped.
+func decodeSnapshot(b []byte) (map[string]*storage.Table, int, error) {
+	out := make(map[string]*storage.Table)
 	unknown := 0
 	for len(b) > 0 {
 		r, n, err := Decode(b)
@@ -282,65 +172,57 @@ func decodeSnapshot(b []byte) (map[string]*relReplay, int, error) {
 		if r.Type != TypeSnapshotRows {
 			return nil, 0, fmt.Errorf("wal: record type %d inside a snapshot file", r.Type)
 		}
-		s := &relReplay{arity: r.Arity}
-		s.apply(r)
-		out[r.Relation] = s
+		t := storage.NewTable(r.Relation, r.Arity)
+		t.Replay(r.event())
+		out[r.Relation] = t
 		b = b[n:]
 	}
 	return out, unknown, nil
 }
 
-// segmentResult is one segment's replay outcome. truncatedAt < 0 means the
-// segment was clean.
-type segmentResult struct {
-	applied, skipped, unknown int
-	truncatedAt               int64
-	truncateReason            string
-}
-
-// replaySegment folds one segment's records into states, stopping at the
-// first torn or corrupt record and reporting its byte offset.
-func replaySegment(path string, states map[string]*relReplay, logger *slog.Logger) (segmentResult, error) {
-	res := segmentResult{truncatedAt: -1}
+// replaySegment replays one segment's records into rec's tables and counts
+// them, stopping at the first torn or corrupt record: it returns that
+// record's byte offset and why, or −1 for a clean segment. A record of a
+// relation not seen before starts a fresh table of the record's arity.
+func replaySegment(path string, rec *Recovered, logger *slog.Logger) (int64, string, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return res, fmt.Errorf("wal: reading %s: %w", path, err)
+		return -1, "", fmt.Errorf("wal: reading %s: %w", path, err)
 	}
 	off := int64(0)
 	for len(b) > 0 {
 		r, n, err := Decode(b)
 		switch {
 		case errors.Is(err, ErrUnknownType):
-			res.unknown++
+			rec.UnknownRecords++
 			logger.Warn("wal: skipping record of unknown type",
 				"file", filepath.Base(path), "offset", off, "type", r.Type)
 			b = b[n:]
 			off += int64(n)
 			continue
 		case errors.Is(err, ErrTorn), errors.Is(err, ErrCorrupt):
-			res.truncatedAt = off
-			res.truncateReason = err.Error()
-			return res, nil
+			return off, err.Error(), nil
 		case err != nil:
-			return res, fmt.Errorf("wal: decoding %s: %w", path, err)
+			return -1, "", fmt.Errorf("wal: decoding %s: %w", path, err)
 		}
-		s := states[r.Relation]
-		if s == nil {
-			s = &relReplay{arity: r.Arity}
-			states[r.Relation] = s
+		t := rec.Relations[r.Relation]
+		if t == nil {
+			t = storage.NewTable(r.Relation, r.Arity)
+			rec.Relations[r.Relation] = t
 		}
-		if s.arity != r.Arity {
+		switch {
+		case t.Arity != r.Arity:
 			logger.Warn("wal: skipping record with mismatched arity",
 				"file", filepath.Base(path), "relation", r.Relation,
-				"arity", r.Arity, "want", s.arity)
-			res.skipped++
-		} else if s.apply(r) {
-			res.applied++
-		} else {
-			res.skipped++
+				"arity", r.Arity, "want", t.Arity)
+			rec.RecordsSkipped++
+		case t.Replay(r.event()):
+			rec.RecordsReplayed++
+		default:
+			rec.RecordsSkipped++
 		}
 		b = b[n:]
 		off += int64(n)
 	}
-	return res, nil
+	return -1, "", nil
 }

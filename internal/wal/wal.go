@@ -83,7 +83,7 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // RelationState is one relation's durable state: the rows alive at Epoch.
-// Recovery returns these; snapshot sources produce them.
+// Snapshot sources produce these.
 type RelationState struct {
 	Name  string
 	Arity int
@@ -153,7 +153,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l.recovery = rec.stats()
+	l.recovery = rec.RecoveryStats
 	l.nextSeq = maxSeq + 1
 	l.mu.Lock()
 	err = l.openSegmentLocked()
@@ -538,11 +538,11 @@ type RecoveryStats struct {
 	HadSnapshot     bool    `json:"had_snapshot"`
 	SnapshotSeq     uint64  `json:"snapshot_seq,omitempty"`
 	SegmentsScanned int     `json:"segments_scanned"`
-	RecordsReplayed int     `json:"records_replayed"`
-	RecordsSkipped  int     `json:"records_skipped"`
-	UnknownRecords  int     `json:"unknown_records"`
-	Truncated       bool    `json:"truncated"`
-	Relations       int     `json:"relations"`
+	RecordsReplayed int     `json:"records_replayed"` // tail records applied on top of the snapshot
+	RecordsSkipped  int     `json:"records_skipped"`  // at or below their relation's epoch, or of another arity
+	UnknownRecords  int     `json:"unknown_records"`  // checksummed records of unknown type
+	Truncated       bool    `json:"truncated"`        // a torn/corrupt tail was cut from a segment
+	Relations       int     `json:"relations"`        // how many relations Recovered.Relations holds
 	DurationMS      float64 `json:"duration_ms"`
 }
 

@@ -132,7 +132,7 @@ func ev(rel string, op storage.CommitOp, epoch uint64, rows ...storage.Row) stor
 func TestRecoverEmptyWAL(t *testing.T) {
 	dir := t.TempDir()
 	l, rec := openTestLog(t, dir, nil)
-	if rec.HadSnapshot || len(rec.Relations) != 0 || rec.Records != 0 {
+	if rec.HadSnapshot || len(rec.Relations) != 0 || rec.RecordsReplayed != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
 	if err := l.Close(); err != nil {
@@ -161,18 +161,18 @@ func TestAppendReplay(t *testing.T) {
 	}
 
 	_, rec := mustReopenClosed(t, dir)
-	if rec.Records != 4 || rec.Truncated {
+	if rec.RecordsReplayed != 4 || rec.Truncated {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	pub := rec.Relations["pub"]
-	if pub == nil || pub.Epoch != 4 || pub.Arity != 2 {
+	if pub == nil || pub.Epoch() != 4 || pub.Arity != 2 {
 		t.Fatalf("pub state: %+v", pub)
 	}
 	wantRows := []storage.Row{{"b", "2"}, {"c", "3"}}
-	if !reflect.DeepEqual(pub.Rows, wantRows) {
-		t.Fatalf("pub rows = %v, want %v", pub.Rows, wantRows)
+	if !reflect.DeepEqual(pub.Snapshot().Rows(), wantRows) {
+		t.Fatalf("pub rows = %v, want %v", pub.Snapshot().Rows(), wantRows)
 	}
-	if seed := rec.Relations["seed"]; seed == nil || seed.Epoch != 2 || len(seed.Rows) != 1 {
+	if seed := rec.Relations["seed"]; seed == nil || seed.Epoch() != 2 || seed.Snapshot().Len() != 1 {
 		t.Fatalf("seed state: %+v", rec.Relations["seed"])
 	}
 }
@@ -203,14 +203,14 @@ func TestSnapshotNoTail(t *testing.T) {
 	}
 
 	_, rec := mustReopenClosed(t, dir)
-	if !rec.HadSnapshot || rec.Records != 0 {
+	if !rec.HadSnapshot || rec.RecordsReplayed != 0 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	pub := rec.Relations["pub"]
-	if pub == nil || pub.Epoch != 9 || len(pub.Rows) != 2 {
+	if pub == nil || pub.Epoch() != 9 || pub.Snapshot().Len() != 2 {
 		t.Fatalf("pub state: %+v", pub)
 	}
-	if bare := rec.Relations["bare"]; bare == nil || bare.Epoch != 1 || len(bare.Rows) != 0 {
+	if bare := rec.Relations["bare"]; bare == nil || bare.Epoch() != 1 || bare.Snapshot().Len() != 0 {
 		t.Fatalf("bare state: %+v", rec.Relations["bare"])
 	}
 }
@@ -236,7 +236,7 @@ func TestSnapshotPlusTailAndIdempotentReplay(t *testing.T) {
 		t.Fatal("snapshot not found")
 	}
 	pub := rec.Relations["pub"]
-	if pub == nil || pub.Epoch != 4 || len(pub.Rows) != 3 {
+	if pub == nil || pub.Epoch() != 4 || pub.Snapshot().Len() != 3 {
 		t.Fatalf("pub state: %+v", pub)
 	}
 
@@ -258,10 +258,10 @@ func TestSnapshotPlusTailAndIdempotentReplay(t *testing.T) {
 	}
 	_, rec2 := mustReopenClosed(t, dir)
 	pub2 := rec2.Relations["pub"]
-	if pub2 == nil || pub2.Epoch != 4 || len(pub2.Rows) != 3 {
+	if pub2 == nil || pub2.Epoch() != 4 || pub2.Snapshot().Len() != 3 {
 		t.Fatalf("after duplicate replay: %+v", pub2)
 	}
-	if rec2.Skipped == 0 {
+	if rec2.RecordsSkipped == 0 {
 		t.Fatal("duplicate records were not counted as skipped")
 	}
 }
@@ -291,7 +291,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 		t.Fatal("torn tail not reported")
 	}
 	pub := rec.Relations["pub"]
-	if pub == nil || pub.Epoch != 2 || len(pub.Rows) != 1 {
+	if pub == nil || pub.Epoch() != 2 || pub.Snapshot().Len() != 1 {
 		t.Fatalf("state after truncation: %+v", pub)
 	}
 	// The torn bytes are gone: a third open sees a clean log.
@@ -299,7 +299,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	if rec2.Truncated {
 		t.Fatal("truncation did not persist")
 	}
-	if p := rec2.Relations["pub"]; p == nil || p.Epoch != 2 {
+	if p := rec2.Relations["pub"]; p == nil || p.Epoch() != 2 {
 		t.Fatalf("state after second recovery: %+v", p)
 	}
 }
@@ -341,13 +341,13 @@ func TestUnknownRecordTypeSkippedWithWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if rec.Unknown != 1 {
-		t.Fatalf("unknown records = %d, want 1", rec.Unknown)
+	if rec.UnknownRecords != 1 {
+		t.Fatalf("unknown records = %d, want 1", rec.UnknownRecords)
 	}
 	if rec.Truncated {
 		t.Fatal("unknown type must not truncate")
 	}
-	if p := rec.Relations["pub"]; p == nil || p.Epoch != 3 || len(p.Rows) != 2 {
+	if p := rec.Relations["pub"]; p == nil || p.Epoch() != 3 || p.Snapshot().Len() != 2 {
 		t.Fatalf("records after the unknown frame were lost: %+v", rec.Relations["pub"])
 	}
 	if !bytes.Contains(logged.Bytes(), []byte("unknown type")) {
@@ -400,7 +400,7 @@ func TestRotationAndArchive(t *testing.T) {
 	}
 
 	_, rec := mustReopenClosed(t, dir)
-	if p := rec.Relations["pub"]; p == nil || p.Epoch != 21 {
+	if p := rec.Relations["pub"]; p == nil || p.Epoch() != 21 {
 		t.Fatalf("state after archive: %+v", rec.Relations["pub"])
 	}
 }
