@@ -78,7 +78,9 @@ func TestLinkcheckFindsBreakage(t *testing.T) {
 // followed by `*` or `{…}` (`BenchmarkBatch*`) stands for every name it
 // prefixes. README's metric catalog must name exactly the families the
 // code registers (checkMetricCatalog), and its toorjahd table exactly the
-// flags toorjahd registers (checkFlagTable).
+// flags toorjahd registers (checkFlagTable). Every path the docs cite in
+// inline code must exist (checkCitedPaths), and README and ARCHITECTURE
+// stay under their byte ceilings (checkDocSizes).
 func TestRepoDocs(t *testing.T) {
 	root := "../.."
 	files := []string{
@@ -120,6 +122,52 @@ func TestRepoDocs(t *testing.T) {
 	}
 	checkMetricCatalog(t, root)
 	checkFlagTable(t, root)
+	checkCitedPaths(t, root, files)
+	checkDocSizes(t, root)
+}
+
+// docCeilings are the byte ceilings of the two largest docs. A change may
+// lower a ceiling, never raise one: a new contract that needs room deletes
+// an older paragraph.
+var docCeilings = map[string]int64{"README.md": 54108, "ARCHITECTURE.md": 61258}
+
+// checkDocSizes holds each doc of docCeilings to its ceiling.
+func checkDocSizes(t *testing.T, root string) {
+	t.Helper()
+	for name, ceiling := range docCeilings {
+		fi, err := os.Stat(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > ceiling {
+			t.Errorf("%s is %d bytes, over its ceiling of %d: delete an older paragraph", name, fi.Size(), ceiling)
+		}
+	}
+}
+
+// checkCitedPaths holds every word of an inline code span that names a path
+// under cmd/, internal/, examples/ or bench/ — a leading ./, a :line suffix
+// and a trailing /... aside, each alternative of a brace group on its own —
+// to a file or directory of the tree.
+func checkCitedPaths(t *testing.T, root string, files []string) {
+	t.Helper()
+	for _, f := range files {
+		spans, _ := docCode(t, f)
+		for _, span := range spans {
+			for _, word := range strings.Fields(strings.Trim(span, "`")) {
+				path, _, _ := strings.Cut(strings.TrimPrefix(word, "./"), ":")
+				path = strings.TrimSuffix(path, "/...") // a Go package pattern
+				if !citedPathRE.MatchString(path) {
+					continue
+				}
+				for _, p := range expandBraces(path) {
+					if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+						t.Errorf("%s cites `%s`, and %s does not exist", f, word, p)
+					}
+				}
+			}
+		}
+	}
 }
 
 // checkMetricCatalog holds README's metric catalog — the first cell of each
@@ -235,27 +283,38 @@ func expandBraces(name string) []string {
 }
 
 var (
-	declaredRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	codeSpanRE = regexp.MustCompile("`[^`]+`")
-	citedRE    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\*|\{[^}]*\})?`)
-	familyRE   = regexp.MustCompile(`"(toorjah_[a-z_]+)"`)
-	flagRE     = regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Var)\((?:&\w+, )?"([a-z0-9-]+)"`)
-	flagRowRE  = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+	declaredRE  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	codeSpanRE  = regexp.MustCompile("`[^`]+`")
+	citedRE     = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\*|\{[^}]*\})?`)
+	familyRE    = regexp.MustCompile(`"(toorjah_[a-z_]+)"`)
+	flagRE      = regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Var)\((?:&\w+, )?"([a-z0-9-]+)"`)
+	flagRowRE   = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+	citedPathRE = regexp.MustCompile(`^(?:cmd|internal|examples|bench)/`)
 )
 
 // citedTests returns the test, benchmark and fuzz target names a markdown
-// file cites in code: in inline code spans, which never cross a blank line,
-// and anywhere in fenced blocks.
+// file cites in code: in inline code spans and anywhere in fenced blocks.
 func citedTests(t *testing.T, path string) []string {
+	t.Helper()
+	spans, fenced := docCode(t, path)
+	var names []string
+	for _, c := range append(spans, fenced...) {
+		names = append(names, citedRE.FindAllString(c, -1)...)
+	}
+	return names
+}
+
+// docCode returns a markdown file's inline code spans, which never cross a
+// blank line, and the lines of its fenced blocks.
+func docCode(t *testing.T, path string) (spans, fenced []string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var code []string
 	var para strings.Builder
 	flush := func() {
-		code = append(code, codeSpanRE.FindAllString(para.String(), -1)...)
+		spans = append(spans, codeSpanRE.FindAllString(para.String(), -1)...)
 		para.Reset()
 	}
 	inFence := false
@@ -266,7 +325,7 @@ func citedTests(t *testing.T, path string) []string {
 			flush()
 			inFence = !inFence
 		case inFence:
-			code = append(code, line)
+			fenced = append(fenced, line)
 		case trimmed == "":
 			flush()
 		default:
@@ -274,9 +333,5 @@ func citedTests(t *testing.T, path string) []string {
 		}
 	}
 	flush()
-	var names []string
-	for _, c := range code {
-		names = append(names, citedRE.FindAllString(c, -1)...)
-	}
-	return names
+	return spans, fenced
 }

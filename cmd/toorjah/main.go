@@ -20,7 +20,9 @@
 //
 //	-plan            print the optimized plan (ordering + Datalog program)
 //	                 and exit (for a UCQ: one plan per disjunct)
-//	-dot             print the d-graph in DOT format and exit (single CQ only)
+//	-dot             print the d-graph in DOT format and exit (single CQ only):
+//	                 the view of the paper's Figs. 2 and 7–9 for any schema
+//	                 and query (`experiments -fig 2|4|7|8|9` draws those)
 //	-naive           run the naive algorithm instead of the optimized plan
 //	-stats           print per-relation access statistics after the answers
 //	-latency         simulated per-access latency (e.g. 50ms)
@@ -118,28 +120,59 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if cq.IsUnion(*queryText) {
-		return runUCQ(sys, *queryText, *showPlan, *showDOT, *naive, *showStats, stdout)
+	// A CQ runs as a union of one disjunct; only its messages, its -plan
+	// lines and -dot are its own.
+	union := cq.IsUnion(*queryText)
+	if union && *showDOT {
+		return errors.New("-dot renders a single CQ's d-graph; pass one disjunct at a time")
 	}
-	q, err := sys.Prepare(*queryText)
-	if err != nil {
-		return err
-	}
-	if !q.Answerable() {
-		fmt.Fprintln(stdout, "query is not answerable: some relation in it is not queryable; the answer is empty on every instance")
-		return nil
+	var (
+		q         query
+		disjuncts []*toorjah.Query
+	)
+	if union {
+		u, err := sys.PrepareUCQ(*queryText)
+		if err != nil {
+			return err
+		}
+		q, disjuncts = u, u.Disjuncts()
+	} else {
+		one, err := sys.Prepare(*queryText)
+		if err != nil {
+			return err
+		}
+		if !one.Answerable() {
+			fmt.Fprintln(stdout, "query is not answerable: some relation in it is not queryable; the answer is empty on every instance")
+			return nil
+		}
+		q, disjuncts = one, []*toorjah.Query{one}
 	}
 	if *showDOT {
-		fmt.Fprint(stdout, q.DGraphDOT())
+		fmt.Fprint(stdout, disjuncts[0].DGraphDOT())
 		return nil
 	}
 	if *showPlan {
-		fmt.Fprintf(stdout, "relevant relations:   %s\n", strings.Join(q.RelevantRelations(), ", "))
-		fmt.Fprintf(stdout, "irrelevant relations: %s\n", strings.Join(q.IrrelevantRelations(), ", "))
-		if q.ForAllMinimal() {
-			fmt.Fprintln(stdout, "the ordering is unique: this plan is ∀-minimal")
+		for i, d := range disjuncts {
+			if union {
+				fmt.Fprintf(stdout, "-- disjunct %d --\n", i+1)
+				if !d.Answerable() {
+					fmt.Fprintln(stdout, "not answerable: the answer is empty on every instance")
+					continue
+				}
+			}
+			fmt.Fprintf(stdout, "relevant relations:   %s\n", strings.Join(d.RelevantRelations(), ", "))
+			if !union {
+				fmt.Fprintf(stdout, "irrelevant relations: %s\n", strings.Join(d.IrrelevantRelations(), ", "))
+				if d.ForAllMinimal() {
+					fmt.Fprintln(stdout, "the ordering is unique: this plan is ∀-minimal")
+				}
+			}
+			fmt.Fprintln(stdout, d.Plan())
 		}
-		fmt.Fprintln(stdout, q.Plan())
+		return nil
+	}
+	if !q.Answerable() {
+		fmt.Fprintln(stdout, "no disjunct is answerable; the answer is empty on every instance")
 		return nil
 	}
 
@@ -163,67 +196,12 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	printSummary(stdout, sch, res, *showStats)
-	return nil
-}
-
-// runUCQ answers a union of conjunctive queries through the façade: the
-// disjuncts execute concurrently over one registry and the distinct union
-// answers stream as the first disjunct derives them.
-func runUCQ(sys *toorjah.System, queryText string, showPlan, showDOT, naive, showStats bool, stdout io.Writer) error {
-	if showDOT {
-		return errors.New("-dot renders a single CQ's d-graph; pass one disjunct at a time")
+	if union {
+		fmt.Fprintf(stdout, "-- union of %d disjunct(s)\n", len(disjuncts))
 	}
-	u, err := sys.PrepareUCQ(queryText)
-	if err != nil {
-		return err
-	}
-	if showPlan {
-		for i, q := range u.Disjuncts() {
-			fmt.Fprintf(stdout, "-- disjunct %d --\n", i+1)
-			if !q.Answerable() {
-				fmt.Fprintln(stdout, "not answerable: the answer is empty on every instance")
-				continue
-			}
-			fmt.Fprintf(stdout, "relevant relations:   %s\n", strings.Join(q.RelevantRelations(), ", "))
-			fmt.Fprintln(stdout, q.Plan())
-		}
-		return nil
-	}
-	if !u.Answerable() {
-		fmt.Fprintln(stdout, "no disjunct is answerable; the answer is empty on every instance")
-		return nil
-	}
-
-	ctx := context.Background()
-	start := time.Now()
-	var res *toorjah.Result
-	if naive {
-		res, err = u.Execute(ctx, toorjah.WithExecutor(toorjah.ExecutorNaive))
-		if err != nil {
-			return err
-		}
-		for _, t := range res.Answers.Tuples() {
-			fmt.Fprintln(stdout, strings.Join(t.Strings(), ", "))
-		}
-	} else {
-		res, err = u.Execute(ctx, toorjah.OnAnswer(func(t toorjah.Tuple) {
-			fmt.Fprintf(stdout, "%s    (after %s)\n", strings.Join(t.Strings(), ", "), time.Since(start).Round(time.Millisecond))
-		}))
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stdout, "-- union of %d disjunct(s)\n", len(u.Disjuncts()))
-	printSummary(stdout, sys.Schema(), res, showStats)
-	return nil
-}
-
-// printSummary renders the shared answer/access footer of both query kinds.
-func printSummary(stdout io.Writer, sch *schema.Schema, res *toorjah.Result, showStats bool) {
 	fmt.Fprintf(stdout, "-- %d answer(s) in %s\n", res.Answers.Len(), res.Elapsed.Round(time.Millisecond))
-	if !showStats {
-		return
+	if !*showStats {
+		return nil
 	}
 	fmt.Fprintf(stdout, "-- %d access(es) in %d round trip(s), %d tuple(s) extracted\n",
 		res.TotalAccesses(), res.TotalBatches(), res.TotalTuples())
@@ -233,4 +211,13 @@ func printSummary(stdout io.Writer, sch *schema.Schema, res *toorjah.Result, sho
 				rel.Name, st.Accesses, st.Batches, st.Tuples)
 		}
 	}
+	return nil
+}
+
+// query is a prepared CQ or UCQ: the UCQ's disjuncts execute concurrently
+// over one registry and the distinct union answers stream as the first
+// disjunct derives them.
+type query interface {
+	Answerable() bool
+	Execute(ctx context.Context, options ...toorjah.ExecOption) (*toorjah.Result, error)
 }

@@ -448,7 +448,7 @@ func superset(big, small map[int]bool) bool {
 func TestDOTOutput(t *testing.T) {
 	g := build(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
 	o := g.Optimize()
-	full := DOT(g, o.Solution, true, nil)
+	full := DOT(g, o.Solution, nil)
 	for _, want := range []string{"digraph", "cluster_s0", "r3", "dashed"} {
 		if !strings.Contains(full, want) {
 			t.Errorf("DOT output missing %q", want)

@@ -29,23 +29,39 @@ func sourceLabels(g *Graph, consts []string) func(*Source) string {
 }
 
 // DOT renders the full d-graph in Graphviz DOT format, one cluster per
-// source. Strong arcs render with double lines (penwidth), deleted arcs are
-// dashed grey when includeDeleted is set, weak arcs are plain. Passing a nil
-// solution renders every arc as weak (the unmarked d-graph). consts, when
-// non-nil, are the values to show on the sources of the query constants, by
-// slot (see sourceLabels).
-func DOT(g *Graph, sol *Solution, includeDeleted bool, consts []string) string {
+// source (solid when black, dashed when white). Strong arcs render with
+// double lines (penwidth), deleted arcs dashed grey, weak arcs plain.
+// consts, when non-nil, are the values to show on the sources of the query
+// constants, by slot (see sourceLabels).
+func DOT(g *Graph, sol *Solution, consts []string) string {
+	return render("dgraph", g, g.Sources, g.Arcs, sol, true, consts)
+}
+
+// DOTOptimized renders the optimized d-graph (pruned sources and deleted
+// arcs omitted), with consts as in DOT.
+func DOTOptimized(o *Optimized, consts []string) string {
+	return render("optimized", o.Graph, o.Sources, o.Arcs, o.Solution, false, consts)
+}
+
+// render writes the named digraph of the given sources and arcs of g, each
+// arc drawn by its mark in sol; styled sets each cluster's line style by
+// its source's colour.
+func render(name string, g *Graph, sources []*Source, arcs []*Arc, sol *Solution, styled bool, consts []string) string {
 	label := sourceLabels(g, consts)
 	var b strings.Builder
-	b.WriteString("digraph dgraph {\n")
+	fmt.Fprintf(&b, "digraph %s {\n", name)
 	b.WriteString("  rankdir=LR;\n  compound=true;\n  node [shape=circle, fontsize=10];\n")
-	for _, s := range g.Sources {
+	for _, s := range sources {
 		fmt.Fprintf(&b, "  subgraph cluster_s%d {\n", s.ID)
-		style := "dashed" // white sources
-		if s.Black {
-			style = "solid"
+		fmt.Fprintf(&b, "    label=%q;", label(s))
+		if styled {
+			style := "dashed" // white sources
+			if s.Black {
+				style = "solid"
+			}
+			fmt.Fprintf(&b, " style=%s;", style)
 		}
-		fmt.Fprintf(&b, "    label=%q; style=%s;\n", label(s), style)
+		b.WriteString("\n")
 		if len(s.Nodes) == 0 {
 			// Nullary source: emit a point so the cluster renders.
 			fmt.Fprintf(&b, "    n_s%d [shape=point, label=\"\"];\n", s.ID)
@@ -60,54 +76,13 @@ func DOT(g *Graph, sol *Solution, includeDeleted bool, consts []string) string {
 		}
 		b.WriteString("  }\n")
 	}
-	for _, a := range g.Arcs {
-		mark := Weak
-		if sol != nil {
-			mark = sol.Mark(a)
-		}
-		switch mark {
+	for _, a := range arcs {
+		switch sol.Mark(a) {
 		case Deleted:
-			if !includeDeleted {
-				continue
-			}
 			fmt.Fprintf(&b, "  n%d -> n%d [style=dashed, color=grey];\n", a.From.ID, a.To.ID)
 		case Strong:
 			fmt.Fprintf(&b, "  n%d -> n%d [penwidth=2.5, color=\"black:white:black\"];\n", a.From.ID, a.To.ID)
 		default:
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", a.From.ID, a.To.ID)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// DOTOptimized renders the optimized d-graph (pruned sources omitted), with
-// consts as in DOT.
-func DOTOptimized(o *Optimized, consts []string) string {
-	label := sourceLabels(o.Graph, consts)
-	var b strings.Builder
-	b.WriteString("digraph optimized {\n")
-	b.WriteString("  rankdir=LR;\n  compound=true;\n  node [shape=circle, fontsize=10];\n")
-	for _, s := range o.Sources {
-		fmt.Fprintf(&b, "  subgraph cluster_s%d {\n", s.ID)
-		fmt.Fprintf(&b, "    label=%q;\n", label(s))
-		if len(s.Nodes) == 0 {
-			fmt.Fprintf(&b, "    n_s%d [shape=point, label=\"\"];\n", s.ID)
-		}
-		for _, n := range s.Nodes {
-			fill := "white"
-			if n.IsInput() {
-				fill = "lightgrey"
-			}
-			fmt.Fprintf(&b, "    n%d [label=\"%s\\n%s\", style=filled, fillcolor=%s];\n",
-				n.ID, n.Domain, n.Mode, fill)
-		}
-		b.WriteString("  }\n")
-	}
-	for _, a := range o.Arcs {
-		if o.Solution.Mark(a) == Strong {
-			fmt.Fprintf(&b, "  n%d -> n%d [penwidth=2.5, color=\"black:white:black\"];\n", a.From.ID, a.To.ID)
-		} else {
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", a.From.ID, a.To.ID)
 		}
 	}

@@ -114,10 +114,9 @@ func (g *Graph) CyclicCandidateArcs() map[int]bool {
 	adj := make([][]int, len(cand))
 	for i, a := range cand {
 		adj[i] = fromSource[a.To.Source.ID]
-		_ = a
 	}
-	comp := tarjanSCC(len(cand), adj)
-	compSize := make(map[int]int)
+	comp, ncomp := SCC(len(cand), adj)
+	compSize := make([]int, ncomp)
 	for _, c := range comp {
 		compSize[c]++
 	}
@@ -226,14 +225,16 @@ func (g *Graph) unmarkDel(s, d map[int]bool) map[int]bool {
 	return out
 }
 
-// tarjanSCC computes strongly connected components of a directed graph given
-// as adjacency lists; it returns, for each vertex, its component number.
-// Implemented iteratively to cope with deep graphs.
-func tarjanSCC(n int, adj [][]int) []int {
+// SCC computes the strongly connected components of a directed graph on
+// vertices 0…n-1 given as adjacency lists, with an iterative Tarjan (deep
+// graphs need no deep Go stack). It returns each vertex's component number
+// and the number of components; components are numbered in reverse
+// topological order of the condensation.
+func SCC(n int, adj [][]int) (comp []int, ncomp int) {
 	const unvisited = -1
 	index := make([]int, n)
 	low := make([]int, n)
-	comp := make([]int, n)
+	comp = make([]int, n)
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
@@ -241,18 +242,13 @@ func tarjanSCC(n int, adj [][]int) []int {
 	}
 	var stack []int
 	next := 0
-	ncomp := 0
-
-	type frame struct {
-		v, i int
-	}
+	type frame struct{ v, i int }
 	for start := 0; start < n; start++ {
 		if index[start] != unvisited {
 			continue
 		}
 		frames := []frame{{v: start}}
-		index[start] = next
-		low[start] = next
+		index[start], low[start] = next, next
 		next++
 		stack = append(stack, start)
 		onStack[start] = true
@@ -262,8 +258,7 @@ func tarjanSCC(n int, adj [][]int) []int {
 				w := adj[f.v][f.i]
 				f.i++
 				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
+					index[w], low[w] = next, next
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
@@ -276,9 +271,9 @@ func tarjanSCC(n int, adj [][]int) []int {
 			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
+				p := frames[len(frames)-1].v
+				if low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
@@ -295,5 +290,5 @@ func tarjanSCC(n int, adj [][]int) []int {
 			}
 		}
 	}
-	return comp
+	return comp, ncomp
 }

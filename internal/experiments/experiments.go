@@ -1,5 +1,6 @@
-// Package experiments implements the reproduction of the paper's
-// experimental evaluation (Section V): Fig. 6 (per-relation accesses and
+// Package experiments implements the reproduction of the paper's figures:
+// the d-graphs of Figs. 2, 4, 7, 8 and 9 (Sections III–V), and the
+// experimental evaluation of Section V: Fig. 6 (per-relation accesses and
 // extracted rows for q1–q3 over the publication schema, naive vs
 // optimized), Fig. 10 (aggregate d-graph and savings statistics over random
 // workloads) and Fig. 11 (average execution time by query size under a
@@ -15,12 +16,52 @@ import (
 
 	"toorjah/internal/core"
 	"toorjah/internal/cq"
+	"toorjah/internal/dgraph"
 	"toorjah/internal/exec"
 	"toorjah/internal/gen"
 	"toorjah/internal/plan"
+	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/stats"
 )
+
+// The running example of Section III, drawn in Figs. 2 and 4.
+const (
+	exampleSchema = `
+r1^io(A, B)
+r2^io(B, C)
+r3^io(C, A)
+`
+	exampleQuery = "q(C) :- r1(a, B), r2(B, C)"
+)
+
+// DGraphFig renders one of the paper's d-graph figures in Graphviz DOT
+// format, after "// query:", "// relevant:" and "// irrelevant:" header
+// lines: Fig. 2 is the d-graph of the running example, Fig. 4 its optimized
+// d-graph, and Figs. 7, 8 and 9 the d-graphs of q1, q2 and q3 over the
+// publication schema, strong and deleted arcs marked.
+func DGraphFig(w io.Writer, fig int) error {
+	schText, qText := exampleSchema, exampleQuery
+	switch fig {
+	case 2, 4:
+	case 7, 8, 9:
+		schText, qText = gen.PublicationSchemaText, gen.PublicationQueries[fig-7]
+	default:
+		return fmt.Errorf("no d-graph figure %d (want 2, 4, 7, 8 or 9)", fig)
+	}
+	p, err := core.Prepare(schema.MustParse(schText), cq.MustParse(qText))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "// query: %s\n// relevant: %v\n// irrelevant: %v\n",
+		qText, p.Opt.RelevantRelations(), p.Opt.IrrelevantRelations())
+	if fig == 4 {
+		fmt.Fprint(w, dgraph.DOTOptimized(p.Opt, nil))
+	} else {
+		fmt.Fprint(w, dgraph.DOT(p.Graph, p.Opt.Solution, nil))
+	}
+	return nil
+}
 
 // Fig6Row is one relation's measurements for one query.
 type Fig6Row struct {
@@ -147,58 +188,78 @@ type Fig10Stats struct {
 	Orderable int
 }
 
-// RunFig10 generates random schemata and queries with the published
-// parameter ranges, measures the d-graph statistics and — on a random
-// instance per schema — the access savings of the optimized plan.
-func RunFig10(ctx context.Context, seed int64, nSchemas, nQueries int, cfg gen.Config) (*Fig10Stats, error) {
-	out := &Fig10Stats{}
+// randomRun is one answerable query of the random workload, prepared and
+// run by both executors.
+type randomRun struct {
+	sch         *schema.Schema
+	q           *cq.CQ
+	p           *core.Pipeline
+	naive, fast *exec.Result
+}
+
+// walkRandom generates nSchemas random schemata with nQueries queries each
+// (the published parameter ranges in cfg), prepares every query with opts,
+// runs each answerable one naive and fast-fail on a random instance of its
+// schema, checks that the two answer sets agree, and hands the run to visit.
+func walkRandom(ctx context.Context, seed int64, nSchemas, nQueries int, cfg gen.Config, opts core.Options, visit func(randomRun)) error {
 	for si := 0; si < nSchemas; si++ {
 		g := gen.New(seed+int64(si)*1000, cfg)
 		sch := g.Schema()
-		db := g.Instance(sch)
-		reg, err := source.FromDatabase(sch, db, 0)
+		reg, err := source.FromDatabase(sch, g.Instance(sch), 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for qi := 0; qi < nQueries; qi++ {
 			q, ok := g.Query(sch, fmt.Sprintf("q%d", qi))
 			if !ok {
 				continue
 			}
-			p, err := core.Prepare(sch, q)
+			p, err := core.PrepareOpts(sch, q, opts)
 			if err != nil || !p.Answerable() {
 				continue
 			}
-			out.Queries++
-			nStrong, nDeleted := p.Opt.Solution.Counts()
-			out.Arcs.Add(float64(len(p.Graph.Arcs)))
-			out.Deleted.Add(float64(nDeleted))
-			out.Strong.Add(float64(nStrong))
-			if !cq.IsConnectionQuery(q, sch) {
-				out.NonConnection++
-			}
-			if _, ok := plan.Orderable(q, sch); ok {
-				out.Orderable++
-			}
-
 			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing, exec.Options{}, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fast, err := exec.FastFailing(ctx, p.Plan, reg, exec.Options{}, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !sameAnswers(naive, fast) {
-				return nil, fmt.Errorf("schema %d query %q: naive and optimized disagree", si, q)
+				return fmt.Errorf("schema %d query %q: naive and optimized disagree", si, q)
 			}
-			na, oa := naive.TotalAccesses(), fast.TotalAccesses()
-			out.NaiveAccesses.Add(float64(na))
-			out.OptAccesses.Add(float64(oa))
-			if na > 0 {
-				out.Saved.Add(1 - float64(oa)/float64(na))
-			}
+			visit(randomRun{sch: sch, q: q, p: p, naive: naive, fast: fast})
 		}
+	}
+	return nil
+}
+
+// RunFig10 measures, over the random workload of walkRandom, the d-graph
+// statistics and the access savings of the optimized plan.
+func RunFig10(ctx context.Context, seed int64, nSchemas, nQueries int, cfg gen.Config) (*Fig10Stats, error) {
+	out := &Fig10Stats{}
+	err := walkRandom(ctx, seed, nSchemas, nQueries, cfg, core.Options{}, func(r randomRun) {
+		out.Queries++
+		nStrong, nDeleted := r.p.Opt.Solution.Counts()
+		out.Arcs.Add(float64(len(r.p.Graph.Arcs)))
+		out.Deleted.Add(float64(nDeleted))
+		out.Strong.Add(float64(nStrong))
+		if !cq.IsConnectionQuery(r.q, r.sch) {
+			out.NonConnection++
+		}
+		if _, ok := plan.Orderable(r.q, r.sch); ok {
+			out.Orderable++
+		}
+		na, oa := r.naive.TotalAccesses(), r.fast.TotalAccesses()
+		out.NaiveAccesses.Add(float64(na))
+		out.OptAccesses.Add(float64(oa))
+		if na > 0 {
+			out.Saved.Add(1 - float64(oa)/float64(na))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -244,9 +305,9 @@ type Fig11Bucket struct {
 	NaiveTime, OptTime time.Duration
 }
 
-// RunFig11 reproduces the execution-time experiment: random queries grouped
-// by atom count, timed naive vs optimized, with a simulated per-access
-// latency. The time of a run is its measured in-memory wall time plus
+// RunFig11 reproduces the execution-time experiment: the random workload of
+// walkRandom (queries not minimized), grouped by atom count, timed naive vs
+// optimized, with a simulated per-access latency. The time of a run is its measured in-memory wall time plus
 // accesses × latency — the sequential remote-source model of the paper,
 // where per-access cost dominates.
 func RunFig11(ctx context.Context, seed int64, nSchemas, nQueries int, latency time.Duration, cfg gen.Config) ([]Fig11Bucket, error) {
@@ -255,40 +316,18 @@ func RunFig11(ctx context.Context, seed int64, nSchemas, nQueries int, latency t
 		naive, opt time.Duration
 	}
 	buckets := make(map[int]*acc)
-	for si := 0; si < nSchemas; si++ {
-		g := gen.New(seed+int64(si)*1000, cfg)
-		sch := g.Schema()
-		db := g.Instance(sch)
-		reg, err := source.FromDatabase(sch, db, 0)
-		if err != nil {
-			return nil, err
+	err := walkRandom(ctx, seed, nSchemas, nQueries, cfg, core.Options{SkipMinimize: true}, func(r randomRun) {
+		b := buckets[len(r.q.Body)]
+		if b == nil {
+			b = &acc{}
+			buckets[len(r.q.Body)] = b
 		}
-		for qi := 0; qi < nQueries; qi++ {
-			q, ok := g.Query(sch, fmt.Sprintf("q%d", qi))
-			if !ok {
-				continue
-			}
-			p, err := core.PrepareOpts(sch, q, core.Options{SkipMinimize: true})
-			if err != nil || !p.Answerable() {
-				continue
-			}
-			naive, err := exec.Naive(ctx, sch, reg, p.Query, p.Typing, exec.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			fast, err := exec.FastFailing(ctx, p.Plan, reg, exec.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			b := buckets[len(q.Body)]
-			if b == nil {
-				b = &acc{}
-				buckets[len(q.Body)] = b
-			}
-			b.n++
-			b.naive += naive.Elapsed + time.Duration(naive.TotalAccesses())*latency
-			b.opt += fast.Elapsed + time.Duration(fast.TotalAccesses())*latency
-		}
+		b.n++
+		b.naive += r.naive.Elapsed + time.Duration(r.naive.TotalAccesses())*latency
+		b.opt += r.fast.Elapsed + time.Duration(r.fast.TotalAccesses())*latency
+	})
+	if err != nil {
+		return nil, err
 	}
 	var out []Fig11Bucket
 	for atoms := cfg.MinAtoms; atoms <= cfg.MaxAtoms; atoms++ {

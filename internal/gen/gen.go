@@ -270,10 +270,3 @@ func (g *Generator) Instance(sch *schema.Schema) *storage.Database {
 	}
 	return db
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -187,8 +187,8 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.instrument(nil, func() any { return &Counter{} }).(*Counter)
 }
 
-// CounterVec is a counter family with labels; resolve the per-series
-// counters with With at setup time, not on the hot path.
+// CounterVec is a counter family with labels. With costs a lock and a map
+// lookup: fine once per request, resolved ahead of a per-access loop.
 type CounterVec struct{ f *family }
 
 // CounterVec registers a labeled counter family.
@@ -234,10 +234,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
 }
 
-// CounterFunc registers a counter computed at scrape time — for totals the
-// service already accumulates elsewhere (an atomic served-request count, a
-// stats snapshot); the callback must be monotone for the series to behave
-// as a counter.
+// CounterFunc registers a counter computed at scrape time — for totals
+// kept elsewhere (a stats snapshot); the callback must be monotone for the
+// series to behave as a counter.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.familyFor(name, help, TypeCounter, nil)
 	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }

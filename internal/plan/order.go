@@ -42,13 +42,7 @@ func Order(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Source, u
 			adj[u] = append(adj[u], v)
 		}
 	}
-	comp := sccOf(len(sources), adj)
-	ncomp := 0
-	for _, c := range comp {
-		if c+1 > ncomp {
-			ncomp = c + 1
-		}
-	}
+	comp, ncomp := dgraph.SCC(len(sources), adj)
 	members := make([][]*dgraph.Source, ncomp)
 	for i, s := range sources {
 		members[comp[i]] = append(members[comp[i]], s)
@@ -146,70 +140,4 @@ func sourceJoins(o *dgraph.Optimized, s *dgraph.Source) int {
 		}
 	}
 	return n
-}
-
-// sccOf computes strongly connected components with an iterative Tarjan,
-// returning component numbers in reverse topological order normalized so
-// that components are usable as indexes.
-func sccOf(n int, adj [][]int) []int {
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	next, ncomp := 0, 0
-	type frame struct{ v, i int }
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
-			continue
-		}
-		frames := []frame{{v: start}}
-		index[start], low[start] = next, next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(adj[f.v]) {
-				w := adj[f.v][f.i]
-				f.i++
-				if index[w] == unvisited {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-		}
-	}
-	return comp
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"toorjah/internal/schema"
@@ -10,11 +9,11 @@ import (
 
 // AttachSpec names a peer and the relations to source from it, as given on
 // the command line: "http://host:8344=R1,R2" attaches R1 and R2;
-// "http://host:8344" alone attaches every peer relation the local schema
-// also declares.
+// "http://host:8344" alone leaves the choice to the caller (the façade's
+// System.AttachRemote takes the shared relations it holds no data for).
 type AttachSpec struct {
 	Base string
-	// Relations to attach; nil means all shared relations.
+	// Relations to attach; nil for a bare address.
 	Relations []string
 }
 
@@ -44,24 +43,14 @@ func ParseAttachSpec(s string) (AttachSpec, error) {
 }
 
 // AttachDiscovered builds one Source per attached relation of a peer whose
-// schema, peer, FetchSchema has discovered. With an explicit relation list,
-// every listed relation must be served by the peer; with none, all peer
-// relations also declared locally are attached (and there must be at least
-// one). Either way, each attached relation's declaration — name, access
-// pattern, and domains — must be identical on both sides: a pattern mismatch
-// would let the planner issue probes the peer rejects, and a domain mismatch
-// would corrupt the relevance analysis.
+// schema, peer, FetchSchema has discovered. The list must name at least one
+// relation, and every listed relation must be served by the peer with a
+// declaration — name, access pattern, and domains — identical to the local
+// one: a pattern mismatch would let the planner issue probes the peer
+// rejects, and a domain mismatch would corrupt the relevance analysis.
 func AttachDiscovered(c *Client, local, peer *schema.Schema, relations []string) ([]*Source, error) {
-	if relations == nil {
-		for _, rel := range peer.Relations() {
-			if local.Has(rel.Name) {
-				relations = append(relations, rel.Name)
-			}
-		}
-		sort.Strings(relations)
-		if len(relations) == 0 {
-			return nil, fmt.Errorf("remote %s: no peer relation appears in the local schema", c.base)
-		}
+	if len(relations) == 0 {
+		return nil, fmt.Errorf("remote %s: no relation to attach", c.base)
 	}
 	out := make([]*Source, 0, len(relations))
 	for _, name := range relations {

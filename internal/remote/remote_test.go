@@ -450,10 +450,9 @@ func TestFetchSchemaAndAttach(t *testing.T) {
 		t.Fatalf("discovered schema = %s", peer)
 	}
 
-	// The local node declares a superset; nil relations attaches the
-	// intersection.
+	// The local node declares a superset; the list names what to attach.
 	local := schema.MustParse(testSchemaText + "\nlocalonly^o(C)")
-	srcs, err := AttachDiscovered(c, local, peer, nil)
+	srcs, err := AttachDiscovered(c, local, peer, []string{"empty", "free", "r"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,10 +473,12 @@ func TestFetchSchemaAndAttach(t *testing.T) {
 	if _, err := AttachDiscovered(c, mismatched, peer, []string{"r"}); err == nil || !strings.Contains(err.Error(), "declared as") {
 		t.Errorf("pattern mismatch: err = %v", err)
 	}
-	// No shared relation at all.
-	disjoint := schema.MustParse("other^o(X)")
-	if _, err := AttachDiscovered(c, disjoint, peer, nil); err == nil {
-		t.Error("disjoint schemas: want error")
+	// An empty list is an error: choosing for a bare address is the
+	// façade's rule (TestBareAttachDoesNotShadowLocalData).
+	for _, none := range [][]string{nil, {}} {
+		if _, err := AttachDiscovered(c, local, peer, none); err == nil {
+			t.Errorf("relations %#v: want error", none)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"toorjah"
@@ -57,42 +56,26 @@ type Server struct {
 	exec  toorjah.Options // executor tuning shared by every served query
 	start time.Time
 
-	served    atomic.Int64
-	ucqServed atomic.Int64
+	probeH         *remote.Handler
+	maxIngestBytes int64 // the cap on one /ingest body
 
-	srcMu      sync.Mutex
-	peerProbes map[string]toorjah.SourceStats // per-relation accounting of probes served to peers
-
-	probeH *remote.Handler
-
-	// Ingestion state: the body cap and the accounting of applied
-	// mutations, per relation and op.
-	maxIngestBytes int64
-	ingMu          sync.Mutex
-	ingests        map[ingestKey]ingestStats
-
-	// Observability: the registry behind GET /metrics (counters and gauges
-	// the service already accumulates become scrape-time collectors; the
-	// histograms below are fed directly; the source-level families travel
-	// to every execution in exec.Metrics), the end-to-end latency histograms
-	// per executor, the structured query log (nil = silent), and the peer
-	// reachability timeout of /healthz?ready.
-	metrics       *obs.Registry
-	queryDuration *obs.HistogramVec
-	queryFirst    *obs.HistogramVec
-	peerProbeDur  *obs.Histogram
-	writeErrs     *obs.Counter
-	queryLog      *obs.QueryLog
-	readyTimeout  time.Duration
-}
-
-// ingestKey names one relation and op of the ingestion accounting.
-type ingestKey struct{ relation, op string }
-
-// ingestStats accumulates what /ingest applied under one ingestKey.
-type ingestStats struct {
-	batches int64 // /ingest requests applied
-	rows    int64 // rows that changed the relation
+	// Observability: the registry behind GET /metrics, the node's one
+	// read-out. The service's own counts and histograms below live in it and
+	// are fed where their event happens; what the system keeps elsewhere is
+	// collected at scrape time (registerCollectors); the source-level
+	// families travel to every execution in exec.Metrics. Then the
+	// structured query log (nil = silent) and the peer reachability timeout
+	// of /healthz?ready.
+	metrics                         *obs.Registry
+	served, ucqServed               *obs.Counter      // /query runs served; those that were unions
+	queryDuration, queryFirst       *obs.HistogramVec // by executor
+	probesServed, peerProbeAccesses *obs.CounterVec   // /probe round trips and bindings, by relation
+	peerProbeTuples                 *obs.CounterVec   // and tuples streamed back
+	peerProbeDur                    *obs.Histogram
+	ingestsServed, ingestRows       *obs.CounterVec // /ingest batches and applied rows, by relation and op
+	writeErrs                       *obs.Counter
+	queryLog                        *obs.QueryLog
+	readyTimeout                    time.Duration
 }
 
 // Option configures a Server at construction.
@@ -132,13 +115,26 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 		sys:            sys,
 		exec:           execOpts,
 		start:          time.Now(),
-		peerProbes:     make(map[string]toorjah.SourceStats),
 		maxIngestBytes: DefaultMaxIngestBytes,
-		ingests:        make(map[ingestKey]ingestStats),
 		readyTimeout:   DefaultReadyTimeout,
 	}
-	s.metrics = obs.NewRegistry()
-	s.exec.Metrics = obs.NewProbeMetrics(s.metrics)
+	m := obs.NewRegistry()
+	s.metrics = m
+	s.exec.Metrics = obs.NewProbeMetrics(m)
+	s.served = m.Counter("toorjah_queries_served_total",
+		"Queries served to completion by /query (unions included).")
+	s.ucqServed = m.Counter("toorjah_ucqs_served_total",
+		"Served queries that were unions of conjunctive queries.")
+	s.probesServed = m.CounterVec("toorjah_probes_served_total",
+		"POST /probe round trips answered for federated peers, by relation.", "relation")
+	s.peerProbeAccesses = m.CounterVec("toorjah_peer_probe_accesses_total",
+		"Bindings probed by POST /probe for federated peers, by relation.", "relation")
+	s.peerProbeTuples = m.CounterVec("toorjah_peer_probe_tuples_total",
+		"Tuples streamed by POST /probe to federated peers, by relation.", "relation")
+	s.ingestsServed = m.CounterVec("toorjah_ingests_served_total",
+		"POST /ingest batches applied, by relation and op.", "relation", "op")
+	s.ingestRows = m.CounterVec("toorjah_ingest_rows_total",
+		"Rows applied by POST /ingest, by relation and op.", "relation", "op")
 	s.queryDuration = s.metrics.HistogramVec("toorjah_query_duration_seconds",
 		"End-to-end latency of one served /query, by executor.", obs.LatencyBuckets, "executor")
 	s.queryFirst = s.metrics.HistogramVec("toorjah_query_time_to_first_seconds",
@@ -157,53 +153,14 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 	return s
 }
 
-// registerCollectors turns every point-in-time statistic the service (and
-// its system) already keeps into scrape-time series on /metrics, the node's
-// one read-out: nothing is counted twice.
+// registerCollectors turns the point-in-time statistics the system and its
+// peers keep — uptime, the plan and access caches, remote telemetry — into
+// scrape-time series on /metrics, read where they are kept, never copied.
 func (s *Server) registerCollectors() {
 	m := s.metrics
 	m.GaugeFunc("toorjah_uptime_seconds",
 		"Seconds since the service started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	m.CounterFunc("toorjah_queries_served_total",
-		"Queries served to completion by /query (unions included).",
-		func() float64 { return float64(s.served.Load()) })
-	m.CounterFunc("toorjah_ucqs_served_total",
-		"Served queries that were unions of conjunctive queries.",
-		func() float64 { return float64(s.ucqServed.Load()) })
-	peerProbeCounter := func(name, help string, field func(toorjah.SourceStats) int) {
-		m.CounterVecFunc(name, help, []string{"relation"}, func(emit func([]string, float64)) {
-			s.srcMu.Lock()
-			defer s.srcMu.Unlock()
-			for rel, st := range s.peerProbes {
-				emit([]string{rel}, float64(field(st)))
-			}
-		})
-	}
-	peerProbeCounter("toorjah_probes_served_total",
-		"POST /probe round trips answered for federated peers, by relation.",
-		func(st toorjah.SourceStats) int { return st.Batches })
-	peerProbeCounter("toorjah_peer_probe_accesses_total",
-		"Bindings probed by POST /probe for federated peers, by relation.",
-		func(st toorjah.SourceStats) int { return st.Accesses })
-	peerProbeCounter("toorjah_peer_probe_tuples_total",
-		"Tuples streamed by POST /probe to federated peers, by relation.",
-		func(st toorjah.SourceStats) int { return st.Tuples })
-	ingestCounter := func(name, help string, field func(ingestStats) int64) {
-		m.CounterVecFunc(name, help, []string{"relation", "op"}, func(emit func([]string, float64)) {
-			s.ingMu.Lock()
-			defer s.ingMu.Unlock()
-			for k, st := range s.ingests {
-				emit([]string{k.relation, k.op}, float64(field(st)))
-			}
-		})
-	}
-	ingestCounter("toorjah_ingests_served_total",
-		"POST /ingest batches applied, by relation and op.",
-		func(st ingestStats) int64 { return st.batches })
-	ingestCounter("toorjah_ingest_rows_total",
-		"Rows applied by POST /ingest, by relation and op.",
-		func(st ingestStats) int64 { return st.rows })
 	m.GaugeFunc("toorjah_prepared_plans",
 		"Query shapes whose plan the system currently holds.",
 		func() float64 { return float64(s.sys.PlanCacheStats().Shapes) })
@@ -332,18 +289,15 @@ func breakerStateValue(state string) float64 {
 	return -1
 }
 
-// recordProbe folds one served /probe into the federation accounting (a
-// request is one round trip of `accesses` bindings), the probe-latency
-// histogram, and — carrying the calling query's trace ID — the query log,
-// so a federated trace stitches across nodes in the logs.
+// recordProbe counts one served /probe (a request is one round trip of
+// `accesses` bindings) and its latency, and logs it with the calling query's
+// trace ID, so a federated trace stitches across nodes in the logs.
 func (s *Server) recordProbe(p remote.ProbeRecord) {
+	s.probesServed.With(p.Relation).Inc()
+	s.peerProbeAccesses.With(p.Relation).Add(int64(p.Accesses))
+	s.peerProbeTuples.With(p.Relation).Add(int64(p.Tuples))
 	s.peerProbeDur.Observe(p.Elapsed.Seconds())
 	s.queryLog.Probe(p.TraceID, p.Relation, p.Accesses, p.Tuples, p.Elapsed)
-	s.srcMu.Lock()
-	defer s.srcMu.Unlock()
-	cur := s.peerProbes[p.Relation]
-	cur.Add(toorjah.SourceStats{Accesses: p.Accesses, Batches: 1, Tuples: p.Tuples})
-	s.peerProbes[p.Relation] = cur
 }
 
 // handler returns the service's route table.
@@ -624,7 +578,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if gone {
 		return
 	}
-	s.served.Add(1)
+	s.served.Inc()
 	done := doneLine{
 		Done:      true,
 		Answers:   res.Answers.Len(),
@@ -636,7 +590,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		TraceID:   traceID,
 	}
 	if u, ok := q.(*toorjah.UnionQuery); ok {
-		s.ucqServed.Add(1)
+		s.ucqServed.Inc()
 		done.Disjuncts = len(u.Disjuncts())
 	}
 	if trace != nil {
@@ -725,7 +679,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.recordIngest(rel, op, applied)
+	s.ingestsServed.With(rel, op).Inc()
+	s.ingestRows.With(rel, op).Add(int64(applied))
 
 	w.Header().Set("Content-Type", "application/json")
 	// The rows are copies: the body's buffer is free to hold the ack.
@@ -773,17 +728,6 @@ func decodeIngestRows(body []byte, readErr error, arity int) ([]toorjah.Row, err
 		}
 		rows = append(rows, row)
 	}
-}
-
-// recordIngest folds one applied /ingest into the per-relation accounting.
-func (s *Server) recordIngest(rel, op string, applied int) {
-	k := ingestKey{rel, op}
-	s.ingMu.Lock()
-	defer s.ingMu.Unlock()
-	st := s.ingests[k]
-	st.batches++
-	st.rows += int64(applied)
-	s.ingests[k] = st
 }
 
 // handleSchema serves the schema in the paper's notation — the federation

@@ -382,12 +382,12 @@ func (s *System) Insert(name string, rows ...Row) (int, error) {
 }
 
 // validateRows rejects rows a table could not store faithfully: wrong
-// arity, and values containing NUL. Storage itself no longer cares — rows
-// are interned to symbol IDs and indexed on packed integer keys — but the
-// wire formats still do: the HTTP probe protocol and Access.Key join
-// values with NUL, so a NUL inside a value would let two distinct bindings
-// collide at the federation boundary (unreachable from CSV, reachable from
-// JSON ingestion).
+// arity, and values containing NUL. Storage itself does not care — rows
+// are interned to symbol IDs and indexed on packed integer keys — but
+// storage.Row.Key joins values with NUL and callers key rows by it (a
+// result's answer set, for one), so a NUL inside a value would let two
+// distinct rows collide (unreachable from CSV, reachable from JSON
+// ingestion).
 func validateRows(name string, rows []Row, arity int) error {
 	for _, r := range rows {
 		if len(r) != arity {
@@ -688,7 +688,7 @@ func (q *Query) ForAllMinimal() bool {
 // deleted arcs are dashed. The source of each constant is labelled with its
 // slot's relation and the value it holds for this query.
 func (q *Query) DGraphDOT() string {
-	return dgraph.DOT(q.pipeline.Graph, q.pipeline.Opt.Solution, true, q.consts)
+	return dgraph.DOT(q.pipeline.Graph, q.pipeline.Opt.Solution, q.consts)
 }
 
 // OptimizedDOT renders the optimized d-graph in Graphviz DOT format.
