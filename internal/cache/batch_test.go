@@ -157,9 +157,9 @@ type invalidatingWrapper struct {
 	c *Cache
 }
 
-func (w *invalidatingWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (w *invalidatingWrapper) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	w.c.Invalidate(w.Relation().Name)
-	return w.Wrapper.Probe(ctx, bindings, out)
+	return w.Wrapper.Probe(ctx, ids, out)
 }
 
 // TestMultiGetExpiry: expired entries are dropped and counted, not served.

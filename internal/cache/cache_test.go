@@ -171,9 +171,9 @@ func TestCapacityIsExact(t *testing.T) {
 		ctr, _ := testSource(t, "r^io(A, B)") // every extraction is empty, and cached
 		c := New(Options{Capacity: capacity})
 		w := c.Wrap(ctr)
-		batch := make([][]sym.ID, 0, 64)
+		batch := make([]sym.ID, 0, 64)
 		for i := 0; i < 5*capacity; i++ {
-			batch = append(batch, sym.InternAll([]string{fmt.Sprintf("k%d", i)}))
+			batch = append(batch, sym.Intern(fmt.Sprintf("k%d", i)))
 			if len(batch) == cap(batch) || i == 5*capacity-1 {
 				if err := w.Probe(context.Background(), batch, make([][]storage.IRow, len(batch))); err != nil {
 					t.Fatal(err)
@@ -236,9 +236,9 @@ type slowWrapper struct {
 }
 
 func (s *slowWrapper) Relation() *schema.Relation { return s.inner.Relation() }
-func (s *slowWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (s *slowWrapper) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	time.Sleep(s.d)
-	return s.inner.Probe(ctx, bindings, out)
+	return s.inner.Probe(ctx, ids, out)
 }
 
 func TestSingleflightCollapsesConcurrentProbes(t *testing.T) {
@@ -307,12 +307,12 @@ type panicOnceWrapper struct {
 }
 
 func (p *panicOnceWrapper) Relation() *schema.Relation { return p.inner.Relation() }
-func (p *panicOnceWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (p *panicOnceWrapper) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	if !p.panicked {
 		p.panicked = true
 		panic("wrapper bug")
 	}
-	return p.inner.Probe(ctx, bindings, out)
+	return p.inner.Probe(ctx, ids, out)
 }
 
 // TestPanicDoesNotWedgeKey: a panicking wrapper must not leave the access

@@ -27,6 +27,11 @@ func TestProbeContract(t *testing.T) {
 		if got := ctr.Stats().Accesses; got != 5 {
 			t.Errorf("source accesses = %d, want 5: the batch's distinct bindings, once", got)
 		}
+		// The refused blocks were refused before any access was classified:
+		// what the cache counted is the two good batches of six.
+		if st := c.Snapshot()["r"]; st.Hits+st.Misses+st.Collapsed != 2*int64(len(f.Dirty())) {
+			t.Errorf("the cache classified %+v, want the accesses of two batches of %d", st, len(f.Dirty()))
+		}
 	})
 
 	for name, fail := range map[string]func() error{
@@ -84,9 +89,9 @@ func TestWarmHitAllocatesNothing(t *testing.T) {
 	f := sourcetest.New(t)
 	ctr := sourcetest.NewCounter(f.Source, false)
 	w := New(Options{}).Wrap(ctr)
-	bindings, out := make([][]sym.ID, 16), make([][]storage.IRow, 16)
+	bindings, out := make([]sym.ID, 16), make([][]storage.IRow, 16)
 	for i := range bindings {
-		bindings[i] = []sym.ID{sym.Intern("a" + strconv.Itoa(i))} // a0…a3 match rows, the rest nothing
+		bindings[i] = sym.Intern("a" + strconv.Itoa(i)) // a0…a3 match rows, the rest nothing
 	}
 	ctx := context.Background()
 	probe := func() {

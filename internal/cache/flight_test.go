@@ -25,7 +25,7 @@ type gateWrapper struct {
 	failFirst func() error
 }
 
-func (g *gateWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (g *gateWrapper) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	<-g.release
 	g.mu.Lock()
 	fail := g.failFirst
@@ -34,7 +34,7 @@ func (g *gateWrapper) Probe(ctx context.Context, bindings [][]sym.ID, out [][]st
 	if fail != nil {
 		return fail()
 	}
-	return g.Wrapper.Probe(ctx, bindings, out)
+	return g.Wrapper.Probe(ctx, ids, out)
 }
 
 // awaitClassified blocks until the cache has classified n accesses of r

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,8 +29,10 @@ type scriptedSource struct {
 
 func (s *scriptedSource) Relation() *schema.Relation { return s.rel }
 func (s *scriptedSource) Epoch() uint64              { return s.epoch }
-func (s *scriptedSource) Probe(_ context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
-	for i, b := range bindings {
+func (s *scriptedSource) Probe(_ context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	w := len(s.rel.InputPositions())
+	for i := range out {
+		b := append([]sym.ID{}, ids[i*w:i*w+w]...)
 		s.probed = append(s.probed, b)
 		out[i] = extraction(s.epoch, b)
 	}
@@ -198,13 +201,14 @@ func TestCacheMatchesMapModel(t *testing.T) {
 			live bool // false once its relation was invalidated
 		}
 		wrappers := map[string][]*wrapper{}
-		binding := func() []sym.ID {
-			b := make([]sym.ID, rng.Intn(4))
+		bindingOf := func(width int) []sym.ID {
+			b := make([]sym.ID, width)
 			for i := range b {
 				b[i] = sym.ID(1 + rng.Intn(4))
 			}
 			return b
 		}
+		binding := func() []sym.ID { return bindingOf(rng.Intn(4)) }
 		someEpoch := func(rel string) uint64 { // the current epoch, at times an older one
 			if e := epochs[rel]; e > 1 && rng.Intn(4) == 0 {
 				return e - 1 - uint64(rng.Intn(2))
@@ -247,19 +251,24 @@ func TestCacheMatchesMapModel(t *testing.T) {
 				if ws := wrappers[rel]; len(ws) > 0 && rng.Intn(3) > 0 {
 					w = ws[rng.Intn(len(ws))]
 				} else {
-					src := &scriptedSource{rel: schema.MustParse(rel + "^io(A, B)").Relation(rel), epoch: someEpoch(rel)}
+					// A probe's block holds bindings of the relation's input
+					// width alone: each wrapper's relation has a width of its own.
+					k := rng.Intn(4)
+					pattern := fmt.Sprintf("%s^%so(%sB)", rel, strings.Repeat("i", k), strings.Repeat("A, ", k))
+					src := &scriptedSource{rel: schema.MustParse(pattern).Relation(rel), epoch: someEpoch(rel)}
 					w = &wrapper{src: src, w: c.Wrap(src), live: true}
 					wrappers[rel] = append(wrappers[rel], w)
 				}
 				var bs [][]sym.ID
-				for n := 1 + rng.Intn(4); len(bs) < n; {
-					if b := binding(); !slices.ContainsFunc(bs, func(o []sym.ID) bool { return slices.Equal(o, b) }) {
+				width := len(w.src.rel.InputPositions())
+				for n := min(1+rng.Intn(4), 1<<(2*width)); len(bs) < n; {
+					if b := bindingOf(width); !slices.ContainsFunc(bs, func(o []sym.ID) bool { return slices.Equal(o, b) }) {
 						bs = append(bs, b)
 					}
 				}
 				w.src.probed = nil
 				out := make([][]storage.IRow, len(bs))
-				if err := w.w.Probe(context.Background(), bs, out); err != nil {
+				if err := w.w.Probe(context.Background(), slices.Concat(bs...), out); err != nil {
 					t.Fatal(err)
 				}
 				var missed [][]sym.ID

@@ -62,17 +62,19 @@ type wait struct {
 // Hits, and what foreign flights deliver, go straight into the caller's
 // slots. A flight's own extractions land in slots the cache allocates for
 // it: the requests collapsed onto the flight read them after this one has
-// returned and its caller has reused out.
-func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
-	if err := source.CheckSlots(s.inner.Relation(), bindings, out); err != nil {
+// returned and its caller has reused out. The misses travel as one block —
+// the caller's own when every access missed, else gathered (gather).
+func (s *cachedSource) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	rel := s.inner.Relation()
+	if err := source.CheckSlots(rel, ids, out); err != nil {
 		return err
 	}
-	c := s.c
+	c, w := s.c, len(rel.InputPositions())
 	ctx, sp := obs.StartSpan(ctx, "cache-lookup")
 	defer sp.End()
 	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
-		sp.SetAttr("relation", s.inner.Relation().Name)
-		sp.SetAttr("requested", len(bindings))
+		sp.SetAttr("relation", rel.Name)
+		sp.SetAttr("requested", len(out))
 	}
 
 	v := version{s.rel, s.inc, source.EpochOf(s.inner)}
@@ -83,7 +85,8 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 		ownIdx  []int
 		foreign []wait
 	)
-	for i, b := range bindings {
+	for i := range out {
+		b := ids[i*w : i*w+w]
 		h := sym.HashIDs(b)
 		sh := c.shard(h)
 		sh.mu.Lock()
@@ -106,12 +109,16 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 		sh.mu.Unlock()
 	}
 	if sp != nil {
-		sp.SetAttr("hits", len(bindings)-len(ownIdx)-len(foreign))
+		sp.SetAttr("hits", len(out)-len(ownIdx)-len(foreign))
 		sp.SetAttr("collapsed", len(foreign))
 	}
 
 	if own != nil {
-		rows, err := c.fetch(ctx, s.inner, own, v, pick(bindings, ownIdx))
+		block := ids
+		if len(ownIdx) < len(out) {
+			block = gather(ids, w, ownIdx)
+		}
+		rows, err := c.fetch(ctx, s.inner, own, v, block, w, len(ownIdx))
 		if err != nil {
 			return err
 		}
@@ -135,7 +142,7 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 	}
 	if len(orphans) > 0 {
 		rows := make([][]storage.IRow, len(orphans))
-		if err := s.Probe(ctx, pick(bindings, orphans), rows); err != nil {
+		if err := s.Probe(ctx, gather(ids, w, orphans), rows); err != nil {
 			return err
 		}
 		for j, i := range orphans {
@@ -145,32 +152,34 @@ func (s *cachedSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 	return nil
 }
 
-// pick gathers the bindings at the given batch positions.
-func pick(bindings [][]sym.ID, idx []int) [][]sym.ID {
-	out := make([][]sym.ID, len(idx))
-	for j, i := range idx {
-		out[j] = bindings[i]
+// gather copies the bindings of width w at the given batch positions of the
+// block ids into a block of their own.
+func gather(ids []sym.ID, w int, idx []int) []sym.ID {
+	out := make([]sym.ID, 0, w*len(idx))
+	for _, i := range idx {
+		out = append(out, ids[i*w:i*w+w]...)
 	}
 	return out
 }
 
-// fetch is the cache's one call into an inner source: it probes the keys
-// flight f owns as a single round trip, into result slots it allocates for
-// the flight (its waiters share them), and publishes the outcome — success,
-// error and panic alike, so a panicking wrapper cannot wedge its keys: the
-// claims are settled or dropped, waiters are released, and the panic
-// propagates to the request that owns the flight. An extraction is stored
-// where its claim still stands: not when the probe failed, and not when the
-// claim's generation was freed meanwhile — by a newer epoch's first use, or by
-// Invalidate: an extraction read from a source that was replaced mid-probe
-// must not re-populate the cache. The TTL counts from when the extraction is
-// stored, not from when the probe began — a slow source must not shorten its
-// entry's life.
-func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v version, bindings [][]sym.ID) (rows [][]storage.IRow, err error) {
+// fetch is the cache's one call into an inner source: it probes the n keys
+// of width w that flight f owns, the block ids, as a single round trip, into
+// result slots it allocates for the flight (its waiters share them), and
+// publishes the outcome — success, error and panic alike, so a panicking
+// wrapper cannot wedge its keys: the claims are settled or dropped, waiters
+// are released, and the panic propagates to the request that owns the
+// flight. An extraction is stored where its claim still stands: not when the
+// probe failed, and not when the claim's generation was freed meanwhile — by
+// a newer epoch's first use, or by Invalidate: an extraction read from a
+// source that was replaced mid-probe must not re-populate the cache. The TTL
+// counts from when the extraction is stored, not from when the probe began —
+// a slow source must not shorten its entry's life.
+func (c *Cache) fetch(ctx context.Context, inner source.Wrapper, f *flight, v version, ids []sym.ID, w, n int) (rows [][]storage.IRow, err error) {
 	delivered := false
 	defer func() {
 		now := c.now()
-		for j, b := range bindings {
+		for j := range n {
+			b := ids[j*w : j*w+w]
 			h := sym.HashIDs(b)
 			sh := c.shard(h)
 			sh.mu.Lock()
@@ -190,8 +199,8 @@ func (c *Cache) fetch(ctx context.Context, w source.Wrapper, f *flight, v versio
 		}
 		close(f.done)
 	}()
-	rows = make([][]storage.IRow, len(bindings))
-	err = w.Probe(ctx, bindings, rows)
+	rows = make([][]storage.IRow, n)
+	err = inner.Probe(ctx, ids, rows)
 	delivered = err == nil
 	return rows, err
 }

@@ -80,28 +80,28 @@ func (a *access) Epoch() uint64 { return source.EpochOf(a.src) }
 // trace. The instruments are counts and durations and never need the
 // values. A round trip that fails is timed and not counted: no access was
 // answered.
-func (a *access) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (a *access) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	ctx, sp := obs.StartSpan(ctx, "probe")
 	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
 		sp.SetAttr("relation", a.src.Relation().Name)
-		sp.SetAttr("accesses", len(bindings))
+		sp.SetAttr("accesses", len(out))
 	}
 	var start time.Time
 	if a.m != nil {
 		start = time.Now()
 	}
-	err := a.src.Probe(ctx, bindings, out)
+	err := a.src.Probe(ctx, ids, out)
 	tuples := 0
 	if err == nil {
 		for _, rows := range out {
 			tuples += len(rows)
 		}
-		a.accesses.Add(int64(len(bindings)))
+		a.accesses.Add(int64(len(out)))
 		a.batches.Add(1)
 		a.tuples.Add(int64(tuples))
 	}
 	if a.m != nil {
-		a.m.Record(len(bindings), time.Since(start), tuples, err == nil)
+		a.m.Record(len(out), time.Since(start), tuples, err == nil)
 	}
 	if sp != nil {
 		if err != nil {

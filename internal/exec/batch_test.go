@@ -133,9 +133,9 @@ type cancelSource struct {
 	b *accessBudget
 }
 
-func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (w *cancelSource) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	w.b.mu.Lock()
-	w.b.budget -= len(bindings)
+	w.b.budget -= len(out)
 	spent := w.b.budget <= 0
 	w.b.mu.Unlock()
 	if spent {
@@ -144,7 +144,7 @@ func (w *cancelSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]s
 			return ctx.Err()
 		}
 	}
-	return w.Wrapper.Probe(ctx, bindings, out)
+	return w.Wrapper.Probe(ctx, ids, out)
 }
 
 // cancelAfter rebinds every relation of the fixture behind wrappers that

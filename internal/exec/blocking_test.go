@@ -73,7 +73,7 @@ func newProbeSpy(w source.Wrapper, canBlock bool) *probeSpy {
 
 func (s *probeSpy) CanBlock() bool { return s.canBlock }
 
-func (s *probeSpy) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (s *probeSpy) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	s.mu.Lock()
 	s.goroutines[goid()]++
 	s.inflight++
@@ -93,7 +93,7 @@ func (s *probeSpy) Probe(ctx context.Context, bindings [][]sym.ID, out [][]stora
 		s.inflight--
 		s.mu.Unlock()
 	}()
-	return s.Wrapper.Probe(ctx, bindings, out)
+	return s.Wrapper.Probe(ctx, ids, out)
 }
 
 // TestRoundTripsRunWhereTheSourceSays: a pipelined run makes the round trips

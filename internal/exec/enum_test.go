@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"toorjah/internal/plan"
 	"toorjah/internal/storage"
 	"toorjah/internal/sym"
 )
@@ -165,9 +166,9 @@ func TestEnumeratorVisitsEachBindingOnce(t *testing.T) {
 }
 
 // BenchmarkEnumerate times the enumerator on its own: one pass appending a
-// 4096-binding product of width 1, 2 or 3 onto a reused queue, with an owner
-// per binding, the way run appends a node's bindings to its relation's. It
-// reports ns per binding.
+// 4096-binding product of width 1, 2 or 3 onto a reused queue, with its owner
+// run, the way run appends a node's bindings to its relation's. It reports ns
+// per binding.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, width := range []int{1, 2, 3} {
 		b.Run(fmt.Sprint(width), func(b *testing.B) {
@@ -179,8 +180,8 @@ func BenchmarkEnumerate(b *testing.B) {
 					es.pos[i].add(sym.ID(1000*(i+1) + v))
 				}
 			}
-			var queue []sym.ID
-			var owners []int32
+			var r relQueue
+			node := &plan.Cache{}
 			bindings := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -189,11 +190,9 @@ func BenchmarkEnumerate(b *testing.B) {
 					es.pos[i].old = 0
 				}
 				var n int
-				queue, n = es.next(queue[:0])
-				owners = slices.Grow(owners[:0], n)
-				for range n {
-					owners = append(owners, 0)
-				}
+				r.ids, r.runs, r.n = r.ids[:0], r.runs[:0], 0
+				r.ids, n = es.next(r.ids)
+				r.queued(node, n)
 				bindings += n
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(bindings), "ns/binding")

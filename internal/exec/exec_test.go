@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"toorjah/internal/cache"
@@ -16,7 +17,9 @@ import (
 	"toorjah/internal/plan"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
+	"toorjah/internal/source/sourcetest"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // fixture bundles everything needed to run a query in all strategies.
@@ -329,6 +332,74 @@ r^io(A, A)
 			t.Errorf("max batch 1: %s; want %s", runs[0], want)
 		}
 	})
+}
+
+// TestOwnerRunsAcrossAFlight: a round trip may carry the access tuples of
+// two cache nodes, and each extraction must fold into the cache of the node
+// that asked, found through the queue's runs. With one round trip in flight
+// and a batch bound of 40, r's first occurrence queues x0…x99 for its 100
+// seeds and sends them 40 at a time; the second occurrence queues y0…y39
+// behind x80…x99 while x40…x79 are out, so the third round trip carries
+// x80…x99 for the first occurrence and y0…y19 for the second. With the
+// meta-cache and without, the answers and the access set are the naive
+// algorithm's, and some round trip did mix the two occurrences.
+func TestOwnerRunsAcrossAFlight(t *testing.T) {
+	const n = 100
+	data := map[string][]storage.Row{}
+	for i := 0; i < n; i++ {
+		x, y, next := fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i), fmt.Sprintf("x%d", (i+1)%n)
+		data["seed"] = append(data["seed"], storage.Row{x})
+		data["r"] = append(data["r"], storage.Row{x, y}, storage.Row{y, next})
+	}
+	f := setup(t, `
+seed^o(A)
+r^io(A, A)
+`, "q(X, Z) :- seed(X), r(X, Y), r(Y, Z)", data).blocking()
+	ctx := context.Background()
+	reg, counters := sourcetest.Counted(f.reg, true)
+	want, err := Naive(ctx, f.sch, reg, f.q, f.ty, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAccesses := sortedKeys(counters["r"].AccessSet())
+	if len(want.SortedAnswers()) != n || len(wantAccesses) != 2*n {
+		t.Fatalf("naive: %d answers and %d accesses to r, want %d and %d", len(want.SortedAnswers()), len(wantAccesses), n, 2*n)
+	}
+	for _, noMeta := range []bool{true, false} {
+		reg, counters := sourcetest.Counted(f.reg, true)
+		spy := &mixSpy{Wrapper: counters["r"]}
+		reg.Bind(spy)
+		got, err := Pipelined(ctx, f.plan, reg, Options{MaxBatch: 40, NoMetaCache: noMeta, parallelism: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := strings.Join(got.SortedAnswers(), ";"), strings.Join(want.SortedAnswers(), ";"); g != w {
+			t.Errorf("no meta-cache %v: answers\n  %s\nwant\n  %s", noMeta, g, w)
+		}
+		if g := sortedKeys(counters["r"].AccessSet()); !slices.Equal(g, wantAccesses) {
+			t.Errorf("no meta-cache %v: r's accesses\n  %v\nwant\n  %v", noMeta, g, wantAccesses)
+		}
+		if spy.mixed.Load() == 0 {
+			t.Errorf("no meta-cache %v: no round trip carried both occurrences' accesses", noMeta)
+		}
+	}
+}
+
+// mixSpy counts the round trips whose block holds both an x and a y value.
+type mixSpy struct {
+	source.Wrapper
+	mixed atomic.Int32
+}
+
+func (s *mixSpy) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	var x, y bool
+	for _, v := range sym.Strs(ids) {
+		x, y = x || v[0] == 'x', y || v[0] == 'y'
+	}
+	if x && y {
+		s.mixed.Add(1)
+	}
+	return s.Wrapper.Probe(ctx, ids, out)
 }
 
 // TestAccessSubsetProperty: on a pipeline schema, every access made by the

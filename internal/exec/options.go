@@ -134,9 +134,10 @@ var errCancelled = errors.New("exec: extraction cancelled")
 // its context is done failed because of the cancellation — a round trip cut
 // off mid-flight, an abandoned wait on another query's in-flight access —
 // and reports errCancelled, so the run truncates instead of erroring. The
-// extractions land in slots, which the caller owns as it owns the bindings.
-func probe(ctx context.Context, w source.Wrapper, bindings [][]sym.ID, slots [][]datalog.Tuple) error {
-	err := w.Probe(ctx, bindings, slots)
+// extractions land in slots, which the caller owns as it owns the block of
+// bindings.
+func probe(ctx context.Context, w source.Wrapper, ids []sym.ID, slots [][]datalog.Tuple) error {
+	err := w.Probe(ctx, ids, slots)
 	if err != nil && ctxDone(ctx) {
 		return errCancelled
 	}

@@ -31,10 +31,9 @@ type scratch struct {
 	enums    []*enumState
 	enumsOut int
 	// arena holds a naive pass's access bindings laid out flat, width IDs
-	// apiece; batch is the slice of binding headers into it that one round
-	// trip carries, slots the extractions it brings back.
+	// apiece — a round trip carries a slice of it; slots are the extractions
+	// one brings back.
 	arena []sym.ID
-	batch [][]sym.ID
 	slots [][]datalog.Tuple
 	// fresh is groupState.ingest's result buffer: the tuples of the latest
 	// extraction that were new to their cache. fold is where a landed round
@@ -73,7 +72,7 @@ func (sc *scratch) release() {
 		q := &sc.queues[i]
 		q.seen.Reset()
 		clear(q.meta)
-		*q = relQueue{ids: q.ids[:0], owners: q.owners[:0], seen: q.seen, meta: q.meta[:0]}
+		*q = relQueue{ids: q.ids[:0], runs: q.runs[:0], seen: q.seen, meta: q.meta[:0]}
 	}
 	sc.relsOut, sc.enumsOut, sc.queuesOut = 0, 0, 0
 	sc.arena = sc.arena[:0]
@@ -114,22 +113,24 @@ func (sc *scratch) relQueues(n int) []relQueue {
 	return sc.queues[:n]
 }
 
-// flight hands out an empty round-trip record; recycle takes it back once
-// its extractions have been folded in, dropping its references to them — no
-// row stays reachable from the pool.
-func (sc *scratch) flight() *flight {
-	if n := len(sc.flights); n > 0 {
-		fl := sc.flights[n-1]
-		sc.flights = sc.flights[:n-1]
-		return fl
+// flight hands out a round-trip record with n result slots; recycle takes it
+// back once its extractions have been folded in, dropping its references to
+// them — no row stays reachable from the pool.
+func (sc *scratch) flight(n int) *flight {
+	var fl *flight
+	if k := len(sc.flights); k > 0 {
+		fl = sc.flights[k-1]
+		sc.flights = sc.flights[:k-1]
+	} else {
+		fl = new(flight)
 	}
-	return new(flight)
+	fl.rows = slices.Grow(fl.rows[:0], n)[:n]
+	return fl
 }
 
 func (sc *scratch) recycle(fl *flight) {
-	clear(fl.bindings)
 	clear(fl.rows)
-	fl.bindings, fl.rows, fl.err = fl.bindings[:0], fl.rows[:0], nil
+	fl.rows, fl.err = fl.rows[:0], nil
 	sc.flights = append(sc.flights, fl)
 }
 
@@ -137,8 +138,8 @@ func (sc *scratch) recycle(fl *flight) {
 // pass laid out in the arena, at most maxBatch per round trip and in arena
 // order, and hands every extraction to ingest. A pass that collected N
 // fresh bindings thus costs ceil(N/maxBatch) round trips and allocates
-// nothing per binding: each batch is a reused slice of headers into the
-// arena and a reused slice of result slots. A context found done between
+// nothing per binding: each batch is a slice of the arena and a reused
+// slice of result slots. A context found done between
 // two round trips ends the pass with errCancelled. Either way it reports how
 // many of the bindings it sent on a round trip: the accesses demanded.
 func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, count, maxBatch int, ingest func(rows []datalog.Tuple)) (sent int, err error) {
@@ -147,12 +148,8 @@ func (sc *scratch) probeArena(ctx context.Context, w source.Wrapper, width, coun
 			return done, errCancelled
 		}
 		n := min(maxBatch, count-done)
-		sc.batch = sc.batch[:0]
-		for i := done; i < done+n; i++ {
-			sc.batch = append(sc.batch, sc.arena[i*width:(i+1)*width:(i+1)*width])
-		}
 		sc.slots = slices.Grow(sc.slots[:0], n)[:n]
-		if err := probe(ctx, w, sc.batch, sc.slots); err != nil {
+		if err := probe(ctx, w, sc.arena[done*width:(done+n)*width], sc.slots); err != nil {
 			return done + n, err
 		}
 		for _, rows := range sc.slots {

@@ -43,14 +43,19 @@ func Pipelined(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Opt
 
 // relQueue is the coordinator's view of one relation of the plan: its
 // source and the access queue of the paper's Fig. 5 — the access tuples
-// generated for the relation, in arrival order, laid out flat.
+// generated for the relation, in arrival order, laid out flat, so that a
+// round trip is a slice of them. Who asked for an access tuple is kept per
+// enumerator pass, not per tuple: one pass queues for one cache node, so the
+// queue is cut into runs.
 type relQueue struct {
 	w        source.Wrapper
-	width    int      // IDs per access tuple: the relation's input positions
-	ids      []sym.ID // the access tuples, width IDs apiece
-	owners   []int32  // per access tuple, the cache node that asked (plan.Cache.Index)
-	head     int      // access tuples before head have been dispatched
-	inflight int      // round trips dispatched and not yet landed
+	width    int        // IDs per access tuple: the relation's input positions
+	ids      []sym.ID   // the access tuples, width IDs apiece
+	n        int        // access tuples queued (a free access has no ID)
+	runs     []ownerRun // the tuples each pass queued, in queue order
+	cur      int        // the run holding the tuple at head
+	head     int        // access tuples before head have been dispatched
+	inflight int        // round trips dispatched and not yet landed
 	// concurrent keeps up to roundTripsInFlight of the relation's round
 	// trips in flight at once, each on a goroutine started for it: the run
 	// is not staged and the pinned source can block. Otherwise the
@@ -67,6 +72,11 @@ type relQueue struct {
 	seen   sym.RefTable
 	meta   []metaEntry // per access tuple, when shared
 }
+
+// ownerRun is what one enumerator pass queued: the access tuples from where
+// the run before it ends up to end, all asked for by the cache node whose
+// plan.Cache.Index is node.
+type ownerRun struct{ node, end int32 }
 
 // metaEntry is what the meta-cache knows about one access tuple of a
 // relation: its extraction once the round trip has landed, and until then
@@ -95,11 +105,12 @@ func (r *relQueue) find(binding []sym.ID) (int32, uint32) {
 // one another occurrence of the relation has queued or in flight waits for
 // that extraction — "every access tuple is never sent twice to the same
 // wrapper"; the rest stay queued and are filed in seen, so that later askers
-// wait. The tail is compacted in place; an error from extract ends it there.
+// wait. The tail is compacted in place, and the pass's run trimmed to what
+// stays — dropped when nothing does; an error from extract ends it there.
 func (r *relQueue) file(c *plan.Cache, from int, extract func(*plan.Cache, []datalog.Tuple) error) error {
 	w, keep := r.width, from
 	var err error
-	for i := from; i < len(r.owners) && err == nil; i++ {
+	for i := from; i < r.n && err == nil; i++ {
 		binding := r.ids[i*w : (i+1)*w]
 		at, h := r.find(binding)
 		switch {
@@ -114,19 +125,32 @@ func (r *relQueue) file(c *plan.Cache, from int, extract func(*plan.Cache, []dat
 			r.meta[at].waiters = append(r.meta[at].waiters, c)
 		}
 	}
-	r.ids, r.owners = r.ids[:keep*w], r.owners[:keep]
+	r.ids, r.n = r.ids[:keep*w], keep
+	if keep == from {
+		r.runs = r.runs[:len(r.runs)-1]
+	} else {
+		r.runs[len(r.runs)-1].end = int32(keep)
+	}
 	return err
 }
 
+// queued records that a pass of cache node c appended count access tuples
+// to the queue: one run.
+func (r *relQueue) queued(c *plan.Cache, count int) {
+	r.n += count
+	r.runs = append(r.runs, ownerRun{node: int32(c.Index), end: int32(r.n)})
+}
+
 // flight is one round trip: up to MaxBatch consecutive access tuples of one
-// relation's queue, probed together. It owns the memory the source is handed
-// — the binding headers and the result slots — and is recycled with it.
+// relation's queue, probed together as the block of the queue's IDs they
+// occupy. It owns the result slots the source is handed and is recycled
+// with them.
 type flight struct {
-	rel      int               // position in Plan.Relations
-	from     int               // queue position of the first access tuple
-	bindings [][]sym.ID        // headers into the queue's ids
-	rows     [][]datalog.Tuple // per binding, the slot its extraction lands in
-	err      error
+	rel  int               // position in Plan.Relations
+	from int               // queue position of the first access tuple
+	run  int               // the queue's run holding that tuple
+	rows [][]datalog.Tuple // per access tuple, the slot its extraction lands in
+	err  error
 }
 
 // run executes a ⊂-minimal plan: one coordinator loop that generates the
@@ -226,20 +250,17 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// (file).
 	generate := func(c *plan.Cache) (bool, error) {
 		r := &rels[c.Rel]
-		if !r.shared && r.head == len(r.owners) && r.inflight == 0 {
+		if !r.shared && r.head == r.n && r.inflight == 0 {
 			// Nothing refers to the queue's storage: reuse it.
-			r.ids, r.owners, r.head = r.ids[:0], r.owners[:0], 0
+			r.ids, r.runs, r.n, r.cur, r.head = r.ids[:0], r.runs[:0], 0, 0, 0
 		}
-		from := len(r.owners)
+		from := r.n
 		var n int
 		r.ids, n = st.enums[c.Index].next(r.ids)
 		if n == 0 {
 			return false, nil
 		}
-		r.owners = slices.Grow(r.owners, n)
-		for range n {
-			r.owners = append(r.owners, int32(c.Index))
-		}
+		r.queued(c, n)
 		if !r.shared {
 			return true, nil
 		}
@@ -250,7 +271,9 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// meta-cache, to the node that asked and to the nodes that waited. The
 	// extractions of consecutive accesses one node asked for are one delta
 	// (sc.fold), extracted once; an access with waiters closes it first, and
-	// its waiters extract after it, in the order accesses landed.
+	// its waiters extract after it, in the order accesses landed. Who asked
+	// is read off the queue's runs by a cursor that starts at the flight's
+	// first run and only moves forward.
 	land := func(fl *flight) error {
 		defer sc.recycle(fl)
 		if errors.Is(fl.err, errCancelled) {
@@ -261,7 +284,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			return fl.err
 		}
 		r, caches := &rels[fl.rel], p.Caches
-		owners := r.owners[fl.from:]
+		run := fl.run
 		fold, by := sc.fold[:0], int32(-1)
 		flush := func() error {
 			if len(fold) == 0 {
@@ -282,11 +305,14 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			if len(rows) == 0 {
 				continue // most accesses of a selective plan extract nothing
 			}
-			if owners[i] != by {
+			for int(r.runs[run].end) <= fl.from+i {
+				run++
+			}
+			if node := r.runs[run].node; node != by {
 				if err := flush(); err != nil {
 					return err
 				}
-				by = owners[i]
+				by = node
 			}
 			fold = append(fold, rows...)
 			if len(waiters) == 0 {
@@ -314,22 +340,22 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// before each is sent; a cancel from the callback stops that access.
 	dispatch := func(rel int) error {
 		r := &rels[rel]
-		for r.head < len(r.owners) && r.inflight < par {
+		for r.head < r.n && r.inflight < par {
 			k.deliver(false)
 			if stop() {
 				break
 			}
-			fl := sc.flight()
-			fl.rel, fl.from = rel, r.head
-			for n := min(maxBatch, len(r.owners)-r.head); n > 0; n-- {
-				at := r.head * r.width
-				fl.bindings = append(fl.bindings, r.ids[at:at+r.width:at+r.width])
-				r.head++
+			for int(r.runs[r.cur].end) <= r.head {
+				r.cur++
 			}
-			fl.rows = slices.Grow(fl.rows, len(fl.bindings))[:len(fl.bindings)]
-			demanded += len(fl.bindings)
+			n := min(maxBatch, r.n-r.head)
+			fl := sc.flight(n)
+			fl.rel, fl.from, fl.run = rel, r.head, r.cur
+			block := r.ids[r.head*r.width : (r.head+n)*r.width : (r.head+n)*r.width]
+			r.head += n
+			demanded += n
 			if !r.concurrent {
-				fl.err = probe(pctx, r.w, fl.bindings, fl.rows)
+				fl.err = probe(pctx, r.w, block, fl.rows)
 				if err := land(fl); err != nil {
 					return err
 				}
@@ -337,10 +363,10 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			}
 			r.inflight++
 			outstanding++
-			go func(ctx context.Context) {
-				fl.err = probe(ctx, r.w, fl.bindings, fl.rows)
+			go func(ctx context.Context, block []sym.ID) {
+				fl.err = probe(ctx, r.w, block, fl.rows)
 				landed <- fl
-			}(pctx)
+			}(pctx, block)
 		}
 		return nil
 	}
@@ -405,7 +431,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// opened or an access tuple that was generated was not probed.
 	truncated := opened < len(p.Groups) || outstanding > 0 || unanswered
 	for i := range rels {
-		truncated = truncated || rels[i].head < len(rels[i].owners)
+		truncated = truncated || rels[i].head < rels[i].n
 	}
 	drain() // the access statistics are final once nothing is in flight
 	if !streaming {

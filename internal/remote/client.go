@@ -294,11 +294,16 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 // streams), failing fast while the relation's circuit breaker is open.
 // Result i holds exactly the rows matching bindings[i].
 func (c *Client) Probe(ctx context.Context, relation string, bindings [][]string) ([][]storage.Row, error) {
-	return c.probe(ctx, c.relStateFor(relation), relation, bindings)
+	buf := ndjson.Get()
+	defer buf.Free()
+	buf.B = appendProbeRequest(buf.B, relation, bindings)
+	return c.probe(ctx, c.relStateFor(relation), relation, buf, len(bindings))
 }
 
-// probe is Probe for a caller that holds the relation's state.
-func (c *Client) probe(ctx context.Context, st *relState, relation string, bindings [][]string) ([][]storage.Row, error) {
+// probe is Probe for a caller that holds the relation's state and has
+// rendered the request body of its n bindings into buf, a pooled buffer the
+// caller frees once probe returns.
+func (c *Client) probe(ctx context.Context, st *relState, relation string, buf *ndjson.Buffer, n int) ([][]storage.Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -314,16 +319,13 @@ func (c *Client) probe(ctx context.Context, st *relState, relation string, bindi
 	// bytes, and copied in behind the head. The query's trace ID travels to
 	// the peer, so the peer's probe log carries the same ID as the query's
 	// trace — one query, one ID, across nodes.
-	buf := ndjson.Get()
-	defer buf.Free()
-	buf.B = appendProbeRequest(buf.B, relation, bindings)
-	n := len(buf.B)
-	buf.B = c.tr.appendRequest(buf.B, "/probe", obs.TraceIDFromContext(ctx), buf.B[:n])
-	req := buf.B[n:]
+	body := len(buf.B)
+	buf.B = c.tr.appendRequest(buf.B, "/probe", obs.TraceIDFromContext(ctx), buf.B[:body])
+	req := buf.B[body:]
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		rows, retryable, err := c.probeOnce(ctx, st, req, len(bindings))
+		rows, retryable, err := c.probeOnce(ctx, st, req, n)
 		st.roundTrips.Add(1)
 		st.latencyNS.Add(int64(time.Since(start)))
 		if err == nil {
@@ -477,35 +479,31 @@ func (s *Source) Epoch() uint64 {
 // trip when the context carries a trace.
 //
 // This is the remote-decode boundary of the engine. The probe protocol
-// speaks NDJSON strings, so the bindings materialize into wire form and
+// speaks NDJSON strings, so the block renders straight into wire form and
 // every decoded row interns here; the freshly decoded strings become
 // garbage immediately instead of living on in caches and relations, and
 // everything above this source (cache, counters, executors) stays on
 // integer tuples.
-func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
-	if err := source.CheckSlots(s.rel, bindings, out); err != nil {
+func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	if err := source.CheckSlots(s.rel, ids, out); err != nil {
 		return err
 	}
 	inputs := s.rel.InputPositions()
-	wire := make([][]string, len(bindings))
-	for i, b := range bindings {
-		if len(b) != len(inputs) {
-			return fmt.Errorf("remote source %s: binding of %d values for %d input arguments",
-				s.rel.Name, len(b), len(inputs))
-		}
-		wire[i] = sym.Strs(b)
-	}
+	w := len(inputs)
+	buf := ndjson.Get()
+	defer buf.Free()
+	buf.B = appendProbeBlock(buf.B, s.rel.Name, ids, w, len(out))
 	ctx, sp := obs.StartSpan(ctx, "remote-probe")
 	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
 		sp.SetAttr("peer", s.c.base)
 		sp.SetAttr("relation", s.rel.Name)
-		sp.SetAttr("accesses", len(bindings))
+		sp.SetAttr("accesses", len(out))
 		if id := obs.TraceIDFromContext(ctx); id != "" {
 			sp.SetAttr("trace_id", id)
 		}
 	}
 	defer sp.End()
-	results, err := s.c.probe(ctx, s.st, s.rel.Name, wire)
+	results, err := s.c.probe(ctx, s.st, s.rel.Name, buf, len(out))
 	if err != nil {
 		if sp != nil {
 			sp.SetAttr("error", err.Error())
@@ -516,13 +514,14 @@ func (s *Source) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage
 	// and agree with its binding on the input positions. A misconfigured or
 	// buggy peer surfaces as an error, never as wrong answers.
 	for i, rows := range results {
+		b := ids[i*w : i*w+w]
 		for _, row := range rows {
 			if len(row) != s.rel.Arity() {
 				return fmt.Errorf("remote source %s: peer %s returned a row of arity %d, want %d",
 					s.rel.Name, s.c.base, len(row), s.rel.Arity())
 			}
 			for k, pos := range inputs {
-				if row[pos] != wire[i][k] {
+				if row[pos] != sym.Default.Str(b[k]) {
 					return fmt.Errorf("remote source %s: peer %s returned a row not matching its binding at position %d",
 						s.rel.Name, s.c.base, pos+1)
 				}

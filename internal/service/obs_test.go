@@ -298,7 +298,7 @@ type heldSource struct {
 	release chan struct{}
 }
 
-func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (h *heldSource) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	if h.free.Add(-1) < 0 {
 		select {
 		case <-h.release:
@@ -306,7 +306,7 @@ func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]sto
 			return ctx.Err()
 		}
 	}
-	return h.Wrapper.Probe(ctx, bindings, out)
+	return h.Wrapper.Probe(ctx, ids, out)
 }
 
 // TestMetricsCoalescedOnServingPath: two identical cold queries in flight

@@ -61,9 +61,10 @@ func TestProbeContract(t *testing.T) {
 }
 
 // TestProbeFreeRelationSlots: a free relation has one access, the empty
-// binding, and every slot of a batch of them is the one shared slice of the
-// table's live rows — assigned over whatever the slot held, allocated once
-// per table version and not per binding.
+// binding, so its block is empty and a batch of them is its slots; every
+// slot is the one shared slice of the table's live rows — assigned over
+// whatever the slot held, allocated once per table version and not per
+// binding.
 func TestProbeFreeRelationSlots(t *testing.T) {
 	tab := storage.NewTable("free", 2)
 	tab.InsertAll([]storage.Row{{"x", "y"}, {"z", "w"}, {"gone", "soon"}})
@@ -74,7 +75,7 @@ func TestProbeFreeRelationSlots(t *testing.T) {
 	}
 	for name, w := range map[string]source.Wrapper{"live": src, "pinned": src.Snapshot()} {
 		out := [][]storage.IRow{{storage.Row{"stale", "row"}.Intern()}, nil, {storage.Row{"stale", "row"}.Intern()}}
-		if err := w.Probe(context.Background(), [][]sym.ID{{}, {}, {}}, out); err != nil {
+		if err := w.Probe(context.Background(), nil, out); err != nil {
 			t.Fatal(err)
 		}
 		for i, rows := range out {
@@ -82,11 +83,8 @@ func TestProbeFreeRelationSlots(t *testing.T) {
 				t.Errorf("%s: slot %d holds %v, want the shared slice of the two live rows", name, i, storage.MaterializeRows(rows))
 			}
 		}
-		if err := w.Probe(context.Background(), [][]sym.ID{{}, {sym.Intern("x")}}, out[:2]); err == nil {
+		if err := w.Probe(context.Background(), []sym.ID{sym.Intern("x")}, out[:2]); err == nil {
 			t.Errorf("%s: a binding of one value for a free relation was accepted", name)
-		}
-		if err := w.Probe(context.Background(), [][]sym.ID{{}}, out); err == nil {
-			t.Errorf("%s: three slots for one binding were accepted", name)
 		}
 	}
 }
@@ -98,9 +96,9 @@ func TestProbeFreeRelationSlots(t *testing.T) {
 func TestProbeMissAllocatesNothing(t *testing.T) {
 	f := sourcetest.New(t)
 	w := sourcetest.NewCounter(f.Source.Snapshot(), false)
-	bindings, out := make([][]sym.ID, 16), make([][]storage.IRow, 16)
+	bindings, out := make([]sym.ID, 16), make([][]storage.IRow, 16)
 	for i := range bindings {
-		bindings[i] = []sym.ID{sym.Intern("miss" + strconv.Itoa(i))}
+		bindings[i] = sym.Intern("miss" + strconv.Itoa(i))
 	}
 	ctx := context.Background()
 	probe := func() {

@@ -29,28 +29,32 @@ import (
 )
 
 // Wrapper is a data source with access limitations, and Probe is its one
-// operation: the paper's access, batched. Each binding assigns interned
-// values to the relation's input positions (parallel to
-// Relation().InputPositions()); Probe sets out[i] to every tuple matching
-// bindings[i], complete with input and output attributes. A batch of N
-// bindings is exactly N accesses under the paper's cost model folded into
-// one round trip — soundness and access accounting are unaffected, only the
-// per-probe overhead (network latency, lock traffic) is amortised. An error
-// fails the whole batch and leaves out unspecified. The context carries
-// cancellation and the observability baggage of the query being served
-// (trace ID, current span) through decorator stacks down to the source that
-// pays the round trip; a source is free to ignore it.
+// operation: the paper's access, batched. A batch is a block: ids holds
+// len(out) bindings of w = len(Relation().InputPositions()) interned values
+// each, laid back to back, each binding's values parallel to the input
+// positions; for a free relation (w = 0) ids is empty and len(out) is the
+// number of accesses. Probe sets out[i] to every tuple matching the i-th
+// binding, complete with input and output attributes. A batch of N bindings
+// is exactly N accesses under the paper's cost model folded into one round
+// trip — soundness and access accounting are unaffected, only the per-probe
+// overhead (network latency, lock traffic) is amortised. A block whose
+// length is not w·len(out) is refused with an error before anything is
+// probed or any slot touched (CheckSlots); any other error fails the whole
+// batch and leaves out unspecified. The context carries cancellation and the
+// observability baggage of the query being served (trace ID, current span)
+// through decorator stacks down to the source that pays the round trip; a
+// source is free to ignore it.
 //
-// A round trip's memory is its caller's. The bindings and the result slots
-// out (len(out) == len(bindings), or the probe is an error) both belong to
-// the caller, which reuses them for its next batch: an implementation
-// assigns every out[i] — nil when nothing matches, whatever the slot held
-// before — and keeps neither slice, nor a binding, once Probe returns. What
-// it puts into the slots, the extracted rows, belongs to the source: rows
-// may be shared between results and with the table they came from, are
-// immutable, and stay valid for as long as anyone holds them. So a probe of
-// a local table that matches nothing allocates nothing, and a decorator
-// forwards its caller's slots instead of copying between its own and theirs.
+// A round trip's memory is its caller's. The block and the result slots out
+// both belong to the caller, which reuses them for its next batch: an
+// implementation assigns every out[i] — nil when nothing matches, whatever
+// the slot held before — and keeps neither slice, nor a part of one, once
+// Probe returns. What it puts into the slots, the extracted rows, belongs to
+// the source: rows may be shared between results and with the table they
+// came from, are immutable, and stay valid for as long as anyone holds them.
+// So a probe of a local table that matches nothing allocates nothing, and a
+// decorator forwards its caller's block and slots instead of copying between
+// its own and theirs.
 //
 // Tuples are interned end to end: the table source, the counting and caching
 // decorators and the executors with their meter never construct a string.
@@ -58,29 +62,38 @@ import (
 // codec inside remote.Source.
 type Wrapper interface {
 	Relation() *schema.Relation
-	Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error
+	Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error
 }
 
-// CheckSlots reports a batch whose result slots do not pair up with its
-// bindings. Every implementation that writes slots itself — rather than
-// forwarding the batch whole — checks before it touches either.
-func CheckSlots(rel *schema.Relation, bindings [][]sym.ID, out [][]storage.IRow) error {
-	if len(out) != len(bindings) {
-		return fmt.Errorf("source %s: %d result slots for %d bindings", rel.Name, len(out), len(bindings))
+// CheckSlots reports a block that does not hold len(out) bindings of the
+// relation's input width. Every implementation that reads the block or
+// writes slots itself — rather than forwarding the batch whole — checks
+// before it touches either.
+func CheckSlots(rel *schema.Relation, ids []sym.ID, out [][]storage.IRow) error {
+	if w := len(rel.InputPositions()); len(ids) != w*len(out) {
+		return fmt.Errorf("source %s: a block of %d IDs for %d bindings of %d input arguments", rel.Name, len(ids), len(out), w)
 	}
 	return nil
 }
 
-// ProbeStrings probes w with boundary-form bindings: the values intern on
-// the way in and the extracted rows materialize on the way out. It serves
-// callers that hold strings by nature — the /probe wire handler, tests —
-// and is the only string door into a Wrapper.
+// ProbeStrings probes w with boundary-form bindings: the values intern into
+// one block on the way in and the extracted rows materialize on the way
+// out. It serves callers that hold strings by nature — the /probe wire
+// handler, tests — and is the only string door into a Wrapper. A binding of
+// the wrong width is an error.
 func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]storage.Row, error) {
-	ids := make([][]sym.ID, len(bindings))
+	rel := w.Relation()
+	width := len(rel.InputPositions())
+	ids := make([]sym.ID, 0, width*len(bindings))
 	for i, b := range bindings {
-		ids[i] = sym.InternAll(b)
+		if len(b) != width {
+			return nil, fmt.Errorf("source %s: binding %d has %d values for %d input arguments", rel.Name, i, len(b), width)
+		}
+		for _, v := range b {
+			ids = append(ids, sym.Intern(v))
+		}
 	}
-	rows := make([][]storage.IRow, len(ids))
+	rows := make([][]storage.IRow, len(bindings))
 	if err := w.Probe(ctx, ids, rows); err != nil {
 		return nil, err
 	}
@@ -189,23 +202,19 @@ func (s *TableSource) view() *storage.Snapshot {
 	return s.table.Snapshot()
 }
 
-// Probe probes the table once per binding in a single round trip, hashing
-// the IDs as they stand and writing the matches into the caller's slots: the
-// simulated latency is paid once for the whole batch (that is the point of
-// batching a remote source) and one table version serves every binding of
-// the batch. A binding whose width is not the relation's input count fails
-// the batch.
-func (s *TableSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
-	if err := CheckSlots(s.rel, bindings, out); err != nil {
+// Probe probes the table once per binding of the block in a single round
+// trip, hashing the IDs as they stand and writing the matches into the
+// caller's slots: the simulated latency is paid once for the whole batch
+// (that is the point of batching a remote source) and one table version
+// serves every binding of the batch.
+func (s *TableSource) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	if err := CheckSlots(s.rel, ids, out); err != nil {
 		return err
 	}
 	if s.latency > 0 {
 		time.Sleep(s.latency)
 	}
-	if err := s.view().SelectInto(s.rel.InputPositions(), bindings, out); err != nil {
-		return fmt.Errorf("source %s: %w", s.rel.Name, err)
-	}
-	return nil
+	return s.view().SelectInto(s.rel.InputPositions(), ids, out)
 }
 
 // Stats aggregates the access accounting of one relation.

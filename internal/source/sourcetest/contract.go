@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"toorjah/internal/schema"
@@ -55,11 +56,12 @@ var (
 	}
 )
 
-// Batch returns the fixture's batch, in memory of its own each time.
-func (f *Fixture) Batch() [][]sym.ID {
-	out := make([][]sym.ID, len(batch))
+// Batch returns the fixture's batch as a block, one ID per binding, in
+// memory of its own each time.
+func (f *Fixture) Batch() []sym.ID {
+	out := make([]sym.ID, len(batch))
 	for i, v := range batch {
-		out[i] = []sym.ID{sym.Intern(v)}
+		out[i] = sym.Intern(v)
 	}
 	return out
 }
@@ -115,13 +117,33 @@ func (f *Fixture) Contract(t *testing.T, w source.Wrapper, accesses func() int) 
 	if err := w.Probe(ctx, f.Batch(), append(f.Dirty(), nil)); err == nil {
 		t.Error("a batch with more slots than bindings was accepted")
 	}
-	wide := f.Batch()
-	wide[2] = append(wide[2], wide[0][0])
+	wide := slices.Insert(f.Batch(), 3, f.Batch()[0])
 	if err := w.Probe(ctx, wide, f.Dirty()); err == nil {
 		t.Error("a binding of two values for one input position was accepted")
 	}
 	if got := count(); got != before {
 		t.Errorf("refused batches were counted: %d accesses, %d before them", got, before)
+	}
+
+	// A block that is not one ID per slot is refused whole, before anything
+	// is probed: every slot is left as it was, and nothing reaches the source.
+	for name, block := range map[string][]sym.ID{
+		"one ID short": f.Batch()[1:],
+		"one ID extra": append(f.Batch(), f.Batch()[0]),
+		"empty":        nil,
+	} {
+		out := f.Dirty()
+		if err := w.Probe(ctx, block, out); err == nil {
+			t.Errorf("a block %s for %d slots was accepted", name, len(out))
+		}
+		for i, rows := range out {
+			if got := storage.MaterializeRows(rows); !reflect.DeepEqual(got, []storage.Row{{"stale", "row"}}) {
+				t.Errorf("a block %s was refused, but slot %d now holds %v", name, i, got)
+			}
+		}
+	}
+	if got := count(); got != before {
+		t.Errorf("refused blocks reached the source: %d accesses, %d before them", got, before)
 	}
 
 	// Every slot is assigned, whatever it held.
@@ -137,7 +159,7 @@ func (f *Fixture) Contract(t *testing.T, w source.Wrapper, accesses func() int) 
 	// The caller reuses both slices right away; nothing the implementation
 	// kept may alias them.
 	for i := range bindings {
-		bindings[i][0] = sym.Intern("a2")
+		bindings[i] = sym.Intern("a2")
 		out[i] = []storage.IRow{storage.Row{"scribbled", "over"}.Intern()}
 	}
 	clear(bindings)

@@ -62,11 +62,11 @@ func (c *Counter) Epoch() uint64 { return source.EpochOf(c.inner) }
 // CanBlock answers for the wrapped source.
 func (c *Counter) CanBlock() bool { return source.CanBlock(c.inner) }
 
-// Probe forwards the batch to the wrapped source, recording one access per
+// Probe forwards the block to the wrapped source, recording one access per
 // binding and one round trip for the batch — integer adds only, unless the
 // counter is audited (the audit log materializes strings).
-func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
-	if err := c.inner.Probe(ctx, bindings, out); err != nil {
+func (c *Counter) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	if err := c.inner.Probe(ctx, ids, out); err != nil {
 		return err
 	}
 	tuples := 0
@@ -74,13 +74,14 @@ func (c *Counter) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storag
 		tuples += len(r)
 	}
 	c.mu.Lock()
-	c.stats.Accesses += len(bindings)
+	c.stats.Accesses += len(out)
 	c.stats.Batches++
 	c.stats.Tuples += tuples
 	if c.keepLog {
-		rel := c.inner.Relation().Name
-		for _, b := range bindings {
-			c.log = append(c.log, Access{Relation: rel, Binding: sym.Strs(b)})
+		rel := c.inner.Relation()
+		w := len(rel.InputPositions())
+		for i := range out {
+			c.log = append(c.log, Access{Relation: rel.Name, Binding: sym.Strs(ids[i*w : i*w+w])})
 		}
 	}
 	c.mu.Unlock()
@@ -164,12 +165,16 @@ func (f *Flaky) CanBlock() bool { return source.CanBlock(f.inner) }
 
 // Probe forwards to the wrapped source until the budget is exhausted: a
 // batch spends one access of budget per binding, and the batch that
-// overruns the budget fails whole and exhausts it.
-func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+// overruns the budget fails whole and exhausts it. A malformed block is
+// refused first and spends nothing.
+func (f *Flaky) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	if err := source.CheckSlots(f.inner.Relation(), ids, out); err != nil {
+		return err
+	}
 	f.mu.Lock()
-	ok := f.remaining >= len(bindings)
+	ok := f.remaining >= len(out)
 	if ok {
-		f.remaining -= len(bindings)
+		f.remaining -= len(out)
 	} else {
 		f.remaining = 0
 	}
@@ -177,7 +182,7 @@ func (f *Flaky) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.
 	if !ok {
 		return f.err
 	}
-	return f.inner.Probe(ctx, bindings, out)
+	return f.inner.Probe(ctx, ids, out)
 }
 
 // Counted returns a registry in which every source of r is wrapped in a

@@ -68,9 +68,9 @@ func TestFreeProbeAllocatesNothing(t *testing.T) {
 	tab.InsertAll(rows)
 	tab.DeleteAll(rows[:100])
 	snap := tab.Snapshot()
-	bindings, out := [][]sym.ID{{}, {}}, make([][]IRow, 2)
+	out := make([][]IRow, 2)
 	probe := func() {
-		if err := snap.SelectInto(nil, bindings, out); err != nil {
+		if err := snap.SelectInto(nil, nil, out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,24 +84,24 @@ func TestFreeProbeAllocatesNothing(t *testing.T) {
 }
 
 // selectFixture is a 600-row relation of arity 3 with 600 distinct keys on
-// its first two positions, and 1600 two-ID bindings of those positions: the
-// 600 "hit" bindings with q < 15 match one row each, the 1000 "miss" ones
-// nothing.
-func selectFixture() (*Snapshot, []int, map[string][][]sym.ID) {
+// its first two positions, and 1600 two-ID bindings of those positions, as
+// two blocks: the 600 "hit" bindings with q < 15 match one row each, the
+// 1000 "miss" ones nothing.
+func selectFixture() (*Snapshot, []int, map[string][]sym.ID) {
 	tab := NewTable("r", 3)
 	rows := make([]Row, 600)
 	for i := range rows {
 		rows[i] = Row{fmt.Sprintf("p%d", i%40), fmt.Sprintf("q%d", i/40), fmt.Sprintf("v%d", i)}
 	}
 	tab.InsertAll(rows)
-	bindings := map[string][][]sym.ID{}
+	bindings := map[string][]sym.ID{}
 	for p := 0; p < 40; p++ {
 		for q := 0; q < 40; q++ {
 			kind := "miss"
 			if q < 15 {
 				kind = "hit"
 			}
-			bindings[kind] = append(bindings[kind], Row{fmt.Sprintf("p%d", p), fmt.Sprintf("q%d", q)}.Intern())
+			bindings[kind] = append(bindings[kind], Row{fmt.Sprintf("p%d", p), fmt.Sprintf("q%d", q)}.Intern()...)
 		}
 	}
 	return tab.Snapshot(), []int{0, 1}, bindings
@@ -120,7 +120,7 @@ func TestIndexFilterRejectsMisses(t *testing.T) {
 	}
 	for i, rows := range out[:600] {
 		if len(rows) != 1 {
-			t.Fatalf("present key %v matched %d rows, want 1", bindings["hit"][i], len(rows))
+			t.Fatalf("present key %v matched %d rows, want 1", bindings["hit"][2*i:2*i+2], len(rows))
 		}
 	}
 	finds := 0
@@ -131,7 +131,7 @@ func TestIndexFilterRejectsMisses(t *testing.T) {
 	}
 	for i, rows := range out {
 		if rows != nil {
-			t.Fatalf("absent key %v matched %v", bindings["miss"][i], rows)
+			t.Fatalf("absent key %v matched %v", bindings["miss"][2*i:2*i+2], rows)
 		}
 	}
 	t.Logf("%d of %d absent keys rejected by the filter", len(out)-finds, len(out))
@@ -140,37 +140,61 @@ func TestIndexFilterRejectsMisses(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectBatchSym times the probe primitive per binding over a
-// 600-row relation indexed on two input positions — the shape of q2's
-// rev_icde accesses — into slots the caller owns, as a round trip makes it:
-// bindings that match one row each and bindings that match nothing (most of
-// q2's), one per call and sixteen (the executors' default batch). The
+// BenchmarkSelectInto times the probe primitive per binding over a 600-row
+// relation indexed on two input positions — the shape of q2's rev_icde
+// accesses — from a block into slots the caller owns, as a round trip makes
+// it: bindings that match one row each and bindings that match nothing (most
+// of q2's), one per call and sixteen (the executors' default batch). The
 // difference between the sizes is the per-batch work (index resolution,
-// lock) amortised; a miss allocates nothing, a hit its result.
+// lock, the block's length check) amortised; a miss allocates nothing, a hit
+// its result.
+func BenchmarkSelectInto(b *testing.B) {
+	benchmarkSelect(b, func(snap *Snapshot, positions []int, block []sym.ID, out [][]IRow) [][]IRow {
+		if err := snap.SelectInto(positions, block, out); err != nil {
+			b.Fatal(err)
+		}
+		return out
+	})
+}
+
+// BenchmarkSelectBatchSym is BenchmarkSelectInto through the adapter that
+// takes one slice per binding and allocates the slots, as bench's
+// storage.select_ns_per_binding calls it.
 func BenchmarkSelectBatchSym(b *testing.B) {
+	var bindings [][]sym.ID
+	benchmarkSelect(b, func(snap *Snapshot, positions []int, block []sym.ID, _ [][]IRow) [][]IRow {
+		bindings = bindings[:0]
+		for at := 0; at < len(block); at += len(positions) {
+			bindings = append(bindings, block[at:at+len(positions)])
+		}
+		return snap.SelectBatchSym(positions, bindings)
+	})
+}
+
+// benchmarkSelect runs one select over selectFixture's blocks, hits and
+// misses, one binding and sixteen per call, and reports ns per binding.
+func benchmarkSelect(b *testing.B, sel func(snap *Snapshot, positions []int, block []sym.ID, out [][]IRow) [][]IRow) {
 	snap, positions, bindings := selectFixture()
+	w := len(positions)
 	out := make([][]IRow, 16)
-	if err := snap.SelectInto(positions, bindings["hit"][:1], out[:1]); err != nil { // builds the index outside the timing
-		b.Fatal(err)
-	}
+	sel(snap, positions, bindings["hit"][:w], out[:1]) // builds the index outside the timing
 	for _, kind := range []string{"hit", "miss"} {
 		for _, size := range []int{1, 16} {
 			b.Run(fmt.Sprintf("%s/%d", kind, size), func(b *testing.B) {
-				bs := bindings[kind]
+				block, n := bindings[kind], len(bindings[kind])/w
 				b.ReportAllocs()
-				matched := 0
-				for i := 0; i < b.N; i += size {
-					from := i % (len(bs) - size)
-					if err := snap.SelectInto(positions, bs[from:from+size], out[:size]); err != nil {
-						b.Fatal(err)
-					}
-					for _, rows := range out[:size] {
+				matched, probed := 0, 0
+				for i := 0; i < b.N; i++ {
+					from := i * size % (n - size)
+					for _, rows := range sel(snap, positions, block[from*w:(from+size)*w], out[:size]) {
 						matched += len(rows)
 					}
+					probed += size
 				}
 				if (matched > 0) != (kind == "hit") {
 					b.Fatalf("%d rows matched", matched)
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probed), "ns/binding")
 			})
 		}
 	}
@@ -240,7 +264,7 @@ func loadRows(n int) []Row {
 func BenchmarkTableLoad(b *testing.B) {
 	rows := loadRows(300000)
 	NewTable("warm", 3).InsertAll(rows)
-	key := [][]sym.ID{rows[0][:1].Intern()}
+	key := rows[0][:1].Intern()
 	out := make([][]IRow, 1)
 	for _, load := range []struct {
 		name  string
@@ -346,7 +370,7 @@ func TestTableBytesPerRow(t *testing.T) {
 	const tableBudget, indexBudget = 36, 21
 	rows := loadRows(100000)
 	NewTable("warm", 3).InsertAll(rows) // intern the values outside the count
-	key := [][]sym.ID{rows[0][:1].Intern()}
+	key := rows[0][:1].Intern()
 	heap := func() int64 {
 		runtime.GC()
 		runtime.GC()

@@ -572,39 +572,49 @@ func (s *Snapshot) Rows() []Row {
 	return out
 }
 
-// SelectInto is the probe primitive of the engine: it sets out[i] to the
-// stored rows whose values at positions equal bindings[i] — nil when there
-// are none; with no positions, every live row, one shared slice. Every
-// slot is assigned, whatever it held; len(out) must be len(bindings). A
-// binding whose width is not len(positions) is an error. Nothing is built
-// per binding and nothing allocated for one that matches no row: the IDs are
-// hashed as they stand, and the index of the position set is resolved once
-// for the whole batch — one lock acquisition, at most one extension over
-// rows appended since it was last used. The rows are shared and immutable;
-// neither the bindings nor out are kept.
-func (s *Snapshot) SelectInto(positions []int, bindings [][]sym.ID, out [][]IRow) error {
-	if len(positions) > 0 {
-		return s.idx.selectInto(s, positions, bindings, out)
+// SelectInto is the probe primitive of the engine. ids is a block of
+// len(out) bindings of len(positions) IDs each, laid back to back; it sets
+// out[i] to the stored rows whose values at positions equal the i-th binding
+// — nil when there are none; with no positions, every live row, one shared
+// slice. Every slot is assigned, whatever it held. A block of any other
+// length is an error, found before any slot is touched. Nothing is built
+// per binding and nothing allocated for one that matches no row: the IDs
+// are hashed as they stand, and the index of the position set is resolved
+// once for the whole batch — one lock acquisition, at most one extension
+// over rows appended since it was last used. The rows are shared and
+// immutable; neither ids nor out is kept.
+func (s *Snapshot) SelectInto(positions []int, ids []sym.ID, out [][]IRow) error {
+	if len(ids) != len(positions)*len(out) {
+		return fmt.Errorf("table %s: a block of %d IDs for %d bindings of %d bound positions", s.name, len(ids), len(out), len(positions))
 	}
-	rows := s.RowsSym()
-	for i, b := range bindings {
-		if len(b) != 0 {
-			return s.widthError(positions, b)
+	if len(positions) == 0 {
+		rows := s.RowsSym()
+		for i := range out {
+			out[i] = rows
 		}
-		out[i] = rows
+		return nil
 	}
+	s.idx.selectInto(s, positions, ids, out)
 	return nil
 }
 
-func (s *Snapshot) widthError(positions []int, b []sym.ID) error {
-	return fmt.Errorf("table %s: binding of %d values for %d bound positions", s.name, len(b), len(positions))
-}
-
-// SelectBatchSym is SelectInto with the result slots allocated for the
-// caller; a binding of the wrong width panics.
+// SelectBatchSym is SelectInto over bindings held one slice apiece, with the
+// result slots allocated for the caller; a binding of the wrong width
+// panics. A single binding is its own block.
 func (s *Snapshot) SelectBatchSym(positions []int, bindings [][]sym.ID) [][]IRow {
+	var ids []sym.ID
+	if len(bindings) == 1 {
+		ids = bindings[0]
+	} else {
+		for _, b := range bindings {
+			if len(b) != len(positions) {
+				panic(fmt.Sprintf("table %s: binding of %d values for %d bound positions", s.name, len(b), len(positions)))
+			}
+		}
+		ids = slices.Concat(bindings...)
+	}
 	out := make([][]IRow, len(bindings))
-	if err := s.SelectInto(positions, bindings, out); err != nil {
+	if err := s.SelectInto(positions, ids, out); err != nil {
 		panic(err.Error())
 	}
 	return out
@@ -727,11 +737,12 @@ candidates:
 	return -1
 }
 
-// selectInto fills out[i] with the rows of snapshot s matching bindings[i]
-// over the position set. One read lock covers the whole batch; a batch that
-// finds the index lagging behind s's rows has it extended first (an index
-// only ever grows, so it still covers s once the read lock is back).
-func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID, out [][]IRow) error {
+// selectInto fills out[i] with the rows of snapshot s matching the i-th
+// binding of the block ids over the position set; the block's length has
+// been checked. One read lock covers the whole batch; a batch that finds the
+// index lagging behind s's rows has it extended first (an index only ever
+// grows, so it still covers s once the read lock is back).
+func (ix *indexSet) selectInto(s *Snapshot, positions []int, ids []sym.ID, out [][]IRow) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	in := ix.on(positions)
@@ -742,16 +753,14 @@ func (ix *indexSet) selectInto(s *Snapshot, positions []int, bindings [][]sym.ID
 		ix.mu.Unlock()
 		ix.mu.RLock()
 	}
-	for i, b := range bindings {
-		if len(b) != len(positions) {
-			return s.widthError(positions, b)
-		}
+	w := len(positions)
+	for i := range out {
+		b := ids[i*w : i*w+w]
 		out[i] = nil
 		if key := in.find(b, sym.HashIDs(b)); key >= 0 {
 			out[i] = s.collect(in, in.keys[key].first)
 		}
 	}
-	return nil
 }
 
 // extendLocked brings the index of one position set up to snapshot s's

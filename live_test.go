@@ -304,12 +304,12 @@ type heldSource struct {
 	once             sync.Once
 }
 
-func (h *heldSource) Probe(ctx context.Context, bindings [][]sym.ID, out [][]storage.IRow) error {
+func (h *heldSource) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	h.once.Do(func() {
 		close(h.entered)
 		<-h.release
 	})
-	return h.Wrapper.Probe(ctx, bindings, out)
+	return h.Wrapper.Probe(ctx, ids, out)
 }
 
 // TestIngestVoidsNobodyElsesStore: a batch applied to one relation takes
