@@ -294,16 +294,11 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 // streams), failing fast while the relation's circuit breaker is open.
 // Result i holds exactly the rows matching bindings[i].
 func (c *Client) Probe(ctx context.Context, relation string, bindings [][]string) ([][]storage.Row, error) {
-	buf := ndjson.Get()
-	defer buf.Free()
-	buf.B = appendProbeRequest(buf.B, relation, bindings)
-	return c.probe(ctx, c.relStateFor(relation), relation, buf, len(bindings))
+	return c.probe(ctx, c.relStateFor(relation), relation, bindings)
 }
 
-// probe is Probe for a caller that holds the relation's state and has
-// rendered the request body of its n bindings into buf, a pooled buffer the
-// caller frees once probe returns.
-func (c *Client) probe(ctx context.Context, st *relState, relation string, buf *ndjson.Buffer, n int) ([][]storage.Row, error) {
+// probe is Probe for a caller that holds the relation's state.
+func (c *Client) probe(ctx context.Context, st *relState, relation string, bindings [][]string) ([][]storage.Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -319,13 +314,16 @@ func (c *Client) probe(ctx context.Context, st *relState, relation string, buf *
 	// bytes, and copied in behind the head. The query's trace ID travels to
 	// the peer, so the peer's probe log carries the same ID as the query's
 	// trace — one query, one ID, across nodes.
-	body := len(buf.B)
-	buf.B = c.tr.appendRequest(buf.B, "/probe", obs.TraceIDFromContext(ctx), buf.B[:body])
-	req := buf.B[body:]
+	buf := ndjson.Get()
+	defer buf.Free()
+	buf.B = appendProbeRequest(buf.B, relation, bindings)
+	n := len(buf.B)
+	buf.B = c.tr.appendRequest(buf.B, "/probe", obs.TraceIDFromContext(ctx), buf.B[:n])
+	req := buf.B[n:]
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		rows, retryable, err := c.probeOnce(ctx, st, req, n)
+		rows, retryable, err := c.probeOnce(ctx, st, req, len(bindings))
 		st.roundTrips.Add(1)
 		st.latencyNS.Add(int64(time.Since(start)))
 		if err == nil {
@@ -479,7 +477,7 @@ func (s *Source) Epoch() uint64 {
 // trip when the context carries a trace.
 //
 // This is the remote-decode boundary of the engine. The probe protocol
-// speaks NDJSON strings, so the block renders straight into wire form and
+// speaks NDJSON strings, so the block materializes into wire form and
 // every decoded row interns here; the freshly decoded strings become
 // garbage immediately instead of living on in caches and relations, and
 // everything above this source (cache, counters, executors) stays on
@@ -490,9 +488,10 @@ func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 	}
 	inputs := s.rel.InputPositions()
 	w := len(inputs)
-	buf := ndjson.Get()
-	defer buf.Free()
-	buf.B = appendProbeBlock(buf.B, s.rel.Name, ids, w, len(out))
+	strs, wire := sym.Strs(ids), make([][]string, len(out))
+	for i := range wire {
+		wire[i] = strs[i*w : i*w+w]
+	}
 	ctx, sp := obs.StartSpan(ctx, "remote-probe")
 	if sp != nil { // boxing an attribute allocates, which an untraced probe must not
 		sp.SetAttr("peer", s.c.base)
@@ -503,7 +502,7 @@ func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 		}
 	}
 	defer sp.End()
-	results, err := s.c.probe(ctx, s.st, s.rel.Name, buf, len(out))
+	results, err := s.c.probe(ctx, s.st, s.rel.Name, wire)
 	if err != nil {
 		if sp != nil {
 			sp.SetAttr("error", err.Error())
@@ -514,14 +513,13 @@ func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 	// and agree with its binding on the input positions. A misconfigured or
 	// buggy peer surfaces as an error, never as wrong answers.
 	for i, rows := range results {
-		b := ids[i*w : i*w+w]
 		for _, row := range rows {
 			if len(row) != s.rel.Arity() {
 				return fmt.Errorf("remote source %s: peer %s returned a row of arity %d, want %d",
 					s.rel.Name, s.c.base, len(row), s.rel.Arity())
 			}
 			for k, pos := range inputs {
-				if row[pos] != sym.Default.Str(b[k]) {
+				if row[pos] != wire[i][k] {
 					return fmt.Errorf("remote source %s: peer %s returned a row not matching its binding at position %d",
 						s.rel.Name, s.c.base, pos+1)
 				}

@@ -11,7 +11,6 @@ import (
 	"testing/iotest"
 
 	"toorjah/internal/ndjson"
-	"toorjah/internal/sym"
 )
 
 // FuzzParseSchemaEpochs checks the epoch side-channel in /schema bodies:
@@ -228,18 +227,6 @@ func FuzzProbeWire(f *testing.F) {
 		}
 		if got := appendProbeRequest([]byte("kept"), relation, bindings); string(got) != "kept"+string(want) {
 			t.Fatalf("appendProbeRequest(%q, %q) = %q, json.Marshal writes %q", relation, bindings, got[4:], want)
-		}
-		// A block renders what its bindings, materialized, render: two of
-		// width two, and two free accesses.
-		block := []sym.ID{sym.Intern(a), sym.Intern(b), sym.Intern(b), sym.Intern(a)}
-		for _, w := range []int{2, 0} {
-			wire := [][]string{{a, b}, {b, a}}
-			if w == 0 {
-				wire = [][]string{{}, {}}
-			}
-			if got, want := appendProbeBlock(nil, relation, block[:2*w], w, 2), appendProbeRequest(nil, relation, wire); !bytes.Equal(got, want) {
-				t.Fatalf("appendProbeBlock(%q, width %d) = %q, appendProbeRequest writes %q", relation, w, got, want)
-			}
 		}
 		var back ProbeRequest
 		if err := decodeProbeRequest(want, &back); err != nil || !reflect.DeepEqual(back, roundTripped(t, want)) {

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"toorjah/internal/ndjson"
-	"toorjah/internal/sym"
 )
 
 // The /probe wire format. Request: a JSON body naming the relation and the
@@ -118,29 +117,6 @@ func appendProbeRequest(dst []byte, relation string, bindings [][]string) []byte
 		} else {
 			dst = ndjson.AppendStrings(dst, b)
 		}
-	}
-	return append(dst, "]}"...)
-}
-
-// appendProbeBlock appends the body of a POST /probe for n bindings of w
-// interned values each, laid back to back in ids: the bytes appendProbeRequest
-// renders for the bindings the block interns, with no string slice built.
-func appendProbeBlock(dst []byte, relation string, ids []sym.ID, w, n int) []byte {
-	dst = append(dst, `{"relation":`...)
-	dst = ndjson.AppendString(dst, relation)
-	dst = append(dst, `,"bindings":[`...)
-	for i := range n {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '[')
-		for k, id := range ids[i*w : i*w+w] {
-			if k > 0 {
-				dst = append(dst, ',')
-			}
-			dst = ndjson.AppendString(dst, sym.Default.Str(id))
-		}
-		dst = append(dst, ']')
 	}
 	return append(dst, "]}"...)
 }

@@ -340,10 +340,10 @@ func TestDialRefusesNonHTTPScheme(t *testing.T) {
 // TestRemoteRoundTripAllocBudget pins what one warm one-binding probe costs,
 // both halves in this process: the client's request, response parse, frame
 // decode and interning, and the peer's handler, PeerMux and http.Server. The
-// trace ID rides along as it does under /query. It measures 72 with the
-// request rendered straight from the block; 75 when the binding was first
-// materialized into a [][]string, and 128 with net/http's client and the
-// span attributes boxed untraced.
+// trace ID rides along as it does under /query. It measures 74, and 76 to 77
+// under the race detector; 75 when every binding was materialized into a
+// string slice of its own, and 128 with net/http's client and the span
+// attributes boxed untraced.
 func TestRemoteRoundTripAllocBudget(t *testing.T) {
 	sch, reg := testRegistry(t)
 	ts := httptest.NewServer(PeerMux(reg))
@@ -366,7 +366,7 @@ func TestRemoteRoundTripAllocBudget(t *testing.T) {
 	// The best of eight: the peer's goroutine may still be finishing the
 	// previous request when a measurement starts, and the race detector
 	// drops pooled buffers.
-	const budget = 77
+	const budget = 78
 	allocs := testing.AllocsPerRun(20, run)
 	for i := 1; i < 8; i++ {
 		allocs = min(allocs, testing.AllocsPerRun(20, run))

@@ -108,37 +108,27 @@ func (f *Fixture) Contract(t *testing.T, w source.Wrapper, accesses func() int) 
 		return accesses()
 	}
 
-	// Refused before anything is probed: slots that do not pair up with the
-	// bindings, and a binding of the wrong width.
+	// Refused whole, before anything is probed: a block that is not one ID
+	// per slot, however the two disagree. Every slot is left as it was, and
+	// nothing reaches the source.
 	before := count()
-	if err := w.Probe(ctx, f.Batch(), f.Dirty()[1:]); err == nil {
-		t.Error("a batch with fewer slots than bindings was accepted")
-	}
-	if err := w.Probe(ctx, f.Batch(), append(f.Dirty(), nil)); err == nil {
-		t.Error("a batch with more slots than bindings was accepted")
-	}
-	wide := slices.Insert(f.Batch(), 3, f.Batch()[0])
-	if err := w.Probe(ctx, wide, f.Dirty()); err == nil {
-		t.Error("a binding of two values for one input position was accepted")
-	}
-	if got := count(); got != before {
-		t.Errorf("refused batches were counted: %d accesses, %d before them", got, before)
-	}
-
-	// A block that is not one ID per slot is refused whole, before anything
-	// is probed: every slot is left as it was, and nothing reaches the source.
-	for name, block := range map[string][]sym.ID{
-		"one ID short": f.Batch()[1:],
-		"one ID extra": append(f.Batch(), f.Batch()[0]),
-		"empty":        nil,
+	for name, c := range map[string]struct {
+		block []sym.ID
+		out   [][]storage.IRow
+	}{
+		"with fewer slots than bindings": {f.Batch(), f.Dirty()[1:]},
+		"with more slots than bindings":  {f.Batch(), append(f.Dirty(), nil)},
+		"one ID short":                   {f.Batch()[1:], f.Dirty()},
+		"one ID extra":                   {append(f.Batch(), f.Batch()[0]), f.Dirty()},
+		"empty":                          {nil, f.Dirty()},
 	} {
-		out := f.Dirty()
-		if err := w.Probe(ctx, block, out); err == nil {
-			t.Errorf("a block %s for %d slots was accepted", name, len(out))
+		held := slices.Clone(c.out)
+		if err := w.Probe(ctx, c.block, c.out); err == nil {
+			t.Errorf("a block %s was accepted", name)
 		}
-		for i, rows := range out {
-			if got := storage.MaterializeRows(rows); !reflect.DeepEqual(got, []storage.Row{{"stale", "row"}}) {
-				t.Errorf("a block %s was refused, but slot %d now holds %v", name, i, got)
+		for i := range c.out {
+			if !reflect.DeepEqual(c.out[i], held[i]) {
+				t.Errorf("a block %s was refused, but slot %d now holds %v", name, i, storage.MaterializeRows(c.out[i]))
 			}
 		}
 	}
