@@ -129,7 +129,7 @@ func TestRepoDocs(t *testing.T) {
 // docCeilings are the byte ceilings of the two largest docs. A change may
 // lower a ceiling, never raise one: a new contract that needs room deletes
 // an older paragraph.
-var docCeilings = map[string]int64{"README.md": 54088, "ARCHITECTURE.md": 61253}
+var docCeilings = map[string]int64{"README.md": 53995, "ARCHITECTURE.md": 61192}
 
 // checkDocSizes holds each doc of docCeilings to its ceiling.
 func checkDocSizes(t *testing.T, root string) {

@@ -7,6 +7,7 @@ import (
 	"toorjah/internal/datalog"
 	"toorjah/internal/exec"
 	"toorjah/internal/source"
+	"toorjah/internal/sym"
 )
 
 // Executor selects the execution strategy of Execute.
@@ -190,6 +191,14 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	if c := u.sys.execOpts(cfg.opts).Cache; c != nil {
 		cfg.opts.Cache = c.Pin()
 	}
+	// The pinned snapshots' IDs are the union's from here on, not their
+	// tables': the hold is taken before them, and the disjuncts join it.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	h := sym.Default.HoldFor(ctx)
+	defer h.Release()
+	ctx = sym.WithHold(ctx)
 	pinned := u.sys.reg.Snapshot() // one data version for every disjunct
 	if unionPinned != nil {
 		unionPinned()

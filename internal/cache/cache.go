@@ -47,6 +47,9 @@
 // middleware). Per-relation
 // hit/miss/eviction statistics are available through Snapshot.
 //
+// A cache is a root of the symbol table (sym.AddRoot): the IDs of its
+// entries' bindings and rows are never freed while the cache is reachable.
+//
 // Errors are never cached: a failed probe is retried by the next access.
 // Results handed out by the cache are shared slices and must not be
 // mutated by callers (the same contract as storage.Table.Select).
@@ -370,7 +373,25 @@ func New(opts Options) *Cache {
 		}
 		c.shards[i] = &shard{slab: make([]entry, 1), capacity: capacity}
 	}
+	sym.AddRoot(sym.Default, c.state)
 	return c
+}
+
+// MarkIDs marks the IDs of every entry's binding and rows: a sweep keeps
+// them.
+func (st *state) MarkIDs(m *sym.Marks) {
+	for _, sh := range st.shards {
+		sh.mu.Lock()
+		for i := range sh.slab {
+			if e := &sh.slab[i]; e.filed != nil {
+				m.Add(e.ids)
+				for _, r := range e.rows {
+					m.Add(r)
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // relation resolves a name to its number, numbering it on first sight.

@@ -66,8 +66,19 @@ type checkAtom struct {
 // Compile prepares rule r for running with the body atom at deltaPos
 // ranging over a delta, or, with deltaPos −1, over full relations only. It
 // rejects an unsafe rule: a run reads every head and negated variable from
-// a register a positive atom loaded.
-func Compile(r *Rule, deltaPos int) (*Compiled, error) {
+// a register a positive atom loaded. The rule's constants are interned and
+// pinned: a Compiled may outlive any hold. The plans compile rules without
+// constants — a query's constants reach an execution through its plan's
+// constant vector.
+func Compile(r *Rule, deltaPos int) (*Compiled, error) { return compile(r, deltaPos, sym.Intern) }
+
+// CompileUnder is Compile for a rule used only while hold h is active: its
+// constants are interned under h, unpinned.
+func CompileUnder(h sym.Hold, r *Rule, deltaPos int) (*Compiled, error) {
+	return compile(r, deltaPos, h.Intern)
+}
+
+func compile(r *Rule, deltaPos int, intern func(string) sym.ID) (*Compiled, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -82,7 +93,7 @@ func Compile(r *Rule, deltaPos int) (*Compiled, error) {
 		out := make([]operand, len(a.Args))
 		for i, term := range a.Args {
 			if !term.IsVar {
-				out[i] = operand{reg: -1, id: sym.Intern(term.Name)}
+				out[i] = operand{reg: -1, id: intern(term.Name)}
 				continue
 			}
 			reg, ok := regs[term.Name]

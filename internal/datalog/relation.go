@@ -13,11 +13,12 @@ import (
 // extraction travels from a table through its source into a cache relation
 // without a copy or a conversion. Constants intern on entry (query parse,
 // rule heads); values materialize back into strings only at the result
-// boundary via Strings.
+// boundary via Strings — for an answer, while its Result is reachable.
 type Tuple = storage.IRow
 
-// T builds a tuple from string values, interning them — the boundary
-// constructor used by tests and by callers holding boundary data.
+// T builds a tuple from string values, interning and pinning them (see
+// package sym) — the boundary constructor used by tests and by callers
+// holding boundary data.
 func T(vals ...string) Tuple { return sym.InternAll(vals) }
 
 // Relation is a set of equal-length tuples with lazily built hash indexes on
@@ -93,6 +94,14 @@ func (ix *index) add(t Tuple) {
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
 	return &Relation{Name: name, Arity: arity}
+}
+
+// MarkIDs marks the IDs of every tuple: a relation registered with
+// sym.AddRoot keeps its values while it is reachable.
+func (r *Relation) MarkIDs(m *sym.Marks) {
+	for _, t := range r.tuples {
+		m.Add(t)
+	}
 }
 
 // Reset empties the relation for reuse (under a new Name and Arity, if the

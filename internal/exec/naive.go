@@ -32,8 +32,12 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// One hold for the whole run, as for the optimized executor: the query's
+	// constants intern under it, unpinned.
+	h := sym.Default.HoldFor(ctx)
+	defer h.Release()
 	k := newSink(q.Name, len(q.Head), opts, onAnswers)
-	query, err := datalog.Compile(datalog.RuleOf(q), -1)
+	query, err := datalog.CompileUnder(h, datalog.RuleOf(q), -1)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +73,7 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	// Seeded with the query constants, interned here — the string boundary
 	// of the run.
 	for c, d := range ty.ConstDomain {
-		learn(d, sym.Intern(c))
+		learn(d, h.Intern(c))
 	}
 
 	cache := datalog.DB{}

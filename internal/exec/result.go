@@ -55,7 +55,8 @@ import (
 
 // Result is the outcome of one query execution.
 type Result struct {
-	// Answers is the deduplicated answer relation.
+	// Answers is the deduplicated answer relation, a root of the symbol
+	// table: its tuples resolve while the Result is reachable.
 	Answers *datalog.Relation
 	// Stats has per-relation access accounting (relations never probed are
 	// absent): what reached the sources.

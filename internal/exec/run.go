@@ -173,6 +173,10 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// One hold for the whole run: from interning the constants until the
+	// last round trip has landed and the Result is rooted.
+	h := sym.Default.HoldFor(ctx)
+	defer h.Release()
 	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers)
 	k.sizeFrom(p.LastAnswers)
 	paths, err := openAccess(reg, p.Relations, opts)
@@ -181,7 +185,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	}
 	sc := getScratch()
 	defer sc.release()
-	st, err := newGroupState(p, sc)
+	st, err := newGroupState(h, p, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -453,9 +457,9 @@ type groupState struct {
 }
 
 // newGroupState sets an execution up: empty cache relations and input
-// domains, then the query constants, whose caches seed the domains they
-// feed once and for all.
-func newGroupState(p *plan.Plan, sc *scratch) (*groupState, error) {
+// domains, then the query constants, interned under the run's hold h, whose
+// caches seed the domains they feed once and for all.
+func newGroupState(h sym.Hold, p *plan.Plan, sc *scratch) (*groupState, error) {
 	st := &groupState{
 		p:     p,
 		sc:    sc,
@@ -478,7 +482,7 @@ func newGroupState(p *plan.Plan, sc *scratch) (*groupState, error) {
 		// Query constants intern here — the last string boundary on the way
 		// into an execution. They come from the plan's vector, never from
 		// its structure: the plan may be shared by every query of a shape.
-		if _, err := st.ingest(c, []datalog.Tuple{{sym.Intern(p.Consts[c.Slot])}}); err != nil {
+		if _, err := st.ingest(c, []datalog.Tuple{{h.Intern(p.Consts[c.Slot])}}); err != nil {
 			return nil, err
 		}
 	}

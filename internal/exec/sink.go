@@ -7,6 +7,7 @@ import (
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/source"
+	"toorjah/internal/sym"
 )
 
 // sink is the one way answers leave an executor — the naive algorithm, both
@@ -111,11 +112,17 @@ func (k *sink) evaluate(query *datalog.Compiled, m *datalog.Machine, db datalog.
 }
 
 // finish delivers what is still recorded, as the run's last burst, and
-// builds the execution's Result — the one place a Result is made.
+// builds the execution's Result — the one place a Result is made. Answers
+// become a root of the symbol table here, while the run's hold is still
+// active, so they resolve for as long as the relation is reachable; an empty
+// relation holds no ID and is not registered.
 func (k *sink) finish(stats map[string]source.Stats, demanded int, truncated, earlyEmpty bool) *Result {
 	k.deliver(true)
 	if k.sizedBy != nil {
 		k.sizedBy.Store(int64(k.answers.Len()))
+	}
+	if k.answers.Len() > 0 {
+		sym.AddRoot(sym.Default, k.answers)
 	}
 	return &Result{
 		Answers:     k.answers,

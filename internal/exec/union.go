@@ -7,6 +7,7 @@ import (
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
 	"toorjah/internal/source"
+	"toorjah/internal/sym"
 )
 
 // DisjunctRun executes one disjunct of a union. The runner hands it a
@@ -48,7 +49,11 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	// The union's answers are held from the first disjunct's to the last;
+	// the disjuncts join the hold.
+	h := sym.Default.HoldFor(ctx)
+	defer h.Release()
+	ctx, cancel := context.WithCancel(sym.WithHold(ctx))
 	defer cancel()
 
 	union := newSink(name, arity, opts, onAnswers)

@@ -481,7 +481,8 @@ func (s *Source) Epoch() uint64 {
 // every decoded row interns here; the freshly decoded strings become
 // garbage immediately instead of living on in caches and relations, and
 // everything above this source (cache, counters, executors) stays on
-// integer tuples.
+// integer tuples. The rows intern unpinned, under a hold joined for the
+// decode: they are the caller's while its own hold lasts.
 func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
 	if err := source.CheckSlots(s.rel, ids, out); err != nil {
 		return err
@@ -512,6 +513,8 @@ func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 	// Soundness guard: every returned row must have the relation's arity
 	// and agree with its binding on the input positions. A misconfigured or
 	// buggy peer surfaces as an error, never as wrong answers.
+	h := sym.Default.Join()
+	defer h.Release()
 	for i, rows := range results {
 		for _, row := range rows {
 			if len(row) != s.rel.Arity() {
@@ -527,7 +530,7 @@ func (s *Source) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 		}
 		out[i] = nil
 		if len(rows) > 0 {
-			out[i] = storage.InternRows(rows)
+			out[i] = storage.InternRows(h, rows)
 		}
 	}
 	return nil

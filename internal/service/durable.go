@@ -9,6 +9,7 @@ import (
 	"toorjah"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 	"toorjah/internal/wal"
 )
 
@@ -21,6 +22,8 @@ import (
 // On a first boot — nothing recovered — the seeded database is snapshotted
 // synchronously before returning, so the WAL tail always has a durable
 // base state to replay onto and the CSV seed is never re-read again.
+// Recovery ends with a sweep of the symbol table, which frees every value
+// the replayed history interned and the recovered tables no longer hold.
 //
 // Recovered relations missing from the schema are kept on disk but not
 // loaded; a warning notes each one. A recovered arity that contradicts the
@@ -72,6 +75,7 @@ func OpenDurable(sch *schema.Schema, csvDir string, wopts wal.Options) (*storage
 			return nil, nil, fmt.Errorf("service: writing the initial snapshot: %w", err)
 		}
 	}
+	sym.Default.Sweep()
 	return db, l, nil
 }
 
@@ -106,8 +110,11 @@ func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (in
 }
 
 // databaseStates reads a pinned version of every schema relation present
-// in db, in name order — the bootstrap snapshot source.
+// in db, in name order — the bootstrap snapshot source — under a hold of the
+// symbol table.
 func databaseStates(sch *schema.Schema, db *storage.Database) []wal.RelationState {
+	h := sym.Default.Hold()
+	defer h.Release()
 	var states []wal.RelationState
 	for _, rel := range sch.Relations() {
 		t := db.Table(rel.Name)

@@ -18,6 +18,7 @@ import (
 	"toorjah"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 	"toorjah/internal/wal"
 )
 
@@ -225,9 +226,11 @@ func benchRecover(b *testing.B, schemaText string, fill func(tab *storage.Table,
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	allocated, mallocs := ms.TotalAlloc, ms.Mallocs
+	var db *storage.Database
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, l, err := OpenDurable(sch, "", quietWALOpts(dir))
+		var l *wal.Log
+		db, l, err = OpenDurable(sch, "", quietWALOpts(dir))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,4 +247,12 @@ func benchRecover(b *testing.B, schemaText string, fill func(tab *storage.Table,
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 	b.ReportMetric(float64(ms.TotalAlloc-allocated)/float64(records), "B/record")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(records), "allocs/record")
+	// What the recovered node holds once OpenDurable has returned: the heap
+	// after two collections, the logged table beside it, and the symbols.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-MB")
+	b.ReportMetric(float64(sym.Default.Len()), "symbols")
+	runtime.KeepAlive(db)
 }

@@ -173,6 +173,12 @@ func (s *Server) registerCollectors() {
 	m.CounterFunc("toorjah_plan_cache_evictions_total",
 		"Planned query shapes dropped at the plan cache's bound.",
 		func() float64 { return float64(s.sys.PlanCacheStats().Evictions) })
+	m.GaugeFunc("toorjah_symbols",
+		"Values the process-wide symbol table holds: interned and not freed by a sweep.",
+		func() float64 { return float64(sym.Default.Len()) })
+	m.CounterFunc("toorjah_symbol_sweeps_total",
+		"Sweeps of the symbol table, each freeing the values nothing holds.",
+		func() float64 { return float64(sym.Default.Stats().Sweeps) })
 
 	if c := s.sys.AccessCache(); c != nil {
 		cacheCounter := func(name, help string, field func(toorjah.CacheStats) float64) {

@@ -80,8 +80,15 @@ func CheckSlots(rel *schema.Relation, ids []sym.ID, out [][]storage.IRow) error 
 // one block on the way in and the extracted rows materialize on the way
 // out. It serves callers that hold strings by nature — the /probe wire
 // handler, tests — and is the only string door into a Wrapper. A binding of
-// the wrong width is an error.
+// the wrong width is an error. It holds the symbol table from interning the
+// bindings until the rows are strings — a hold of its own unless ctx says
+// its caller's (sym.WithHold), so that /probe traffic whose holds overlap
+// without a break still lets an overdue sweep run. A value the node never
+// interned is interned, not skipped: the relation may be bound to a peer or
+// to a wrapper of the embedder's, where it can still match rows.
 func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]storage.Row, error) {
+	h := sym.Default.HoldFor(ctx)
+	defer h.Release()
 	rel := w.Relation()
 	width := len(rel.InputPositions())
 	ids := make([]sym.ID, 0, width*len(bindings))
@@ -90,7 +97,7 @@ func ProbeStrings(ctx context.Context, w Wrapper, bindings [][]string) ([][]stor
 			return nil, fmt.Errorf("source %s: binding %d has %d values for %d input arguments", rel.Name, i, len(b), width)
 		}
 		for _, v := range b {
-			ids = append(ids, sym.Intern(v))
+			ids = append(ids, h.Intern(v))
 		}
 	}
 	rows := make([][]storage.IRow, len(bindings))

@@ -18,6 +18,13 @@
 // representation (CSV files, JSON ingestion, results); Rows materializes
 // through the symbol table only when a caller asks for strings.
 //
+// A table is a root of the symbol table (sym.AddRoot): the IDs of its log,
+// tombstoned rows included until compaction drops them, are never freed
+// while the table is reachable. A batch interns and looks up under a hold
+// (sym.Hold), taken before the writer lock, from interning until its rows
+// are filed. A snapshot's rows are only the table's while the snapshot is
+// current: a caller that reads one outside an execution holds too.
+//
 // Tables are live: Insert and Delete batches mutate a table while queries
 // run. Mutation is copy-on-write — every batch publishes a new immutable
 // Snapshot under a monotonically increasing epoch, and readers pick up the
@@ -68,7 +75,8 @@ type Row []string
 // Key encodes the row into a collision-free string.
 func (r Row) Key() string { return strings.Join([]string(r), "\x00") }
 
-// Intern swaps every value for its symbol ID (interning first-seen values).
+// Intern swaps every value for its symbol ID (interning first-seen values)
+// and pins them (see package sym).
 func (r Row) Intern() IRow { return sym.InternAll(r) }
 
 // IRow is one stored tuple: the interned form of a Row. It is the canonical
@@ -84,11 +92,16 @@ func (r IRow) Strings() Row { return sym.Strs(r) }
 // callers that keep rows in maps of their own; nothing in this package does.
 func (r IRow) Key() string { return sym.Key(r) }
 
-// InternRows interns a batch of boundary rows.
-func InternRows(rows []Row) []IRow {
+// InternRows interns a batch of boundary rows under h, pinning nothing: the
+// rows are valid while a hold is active, or a root holds them.
+func InternRows(h sym.Hold, rows []Row) []IRow {
 	out := make([]IRow, len(rows))
 	for i, r := range rows {
-		out[i] = r.Intern()
+		ir := make(IRow, len(r))
+		for j, v := range r {
+			ir[j] = h.Intern(v)
+		}
+		out[i] = ir
 	}
 	return out
 }
@@ -250,16 +263,28 @@ func (t *Table) SetCommitHook(fn func(CommitEvent)) {
 	t.hook = fn
 }
 
-// NewTable creates an empty table at epoch 1.
+// NewTable creates an empty table at epoch 1, a root of sym.Default.
 func NewTable(name string, arity int) *Table {
 	t := &Table{Name: name, Arity: arity, idx: new(indexSet)}
 	t.snap.Store(&Snapshot{name: name, arity: arity, epoch: 1, idx: t.idx})
+	sym.AddRoot(sym.Default, t)
 	return t
 }
 
+// MarkIDs marks the IDs of every row of the log, tombstoned ones included:
+// a sweep keeps them.
+func (t *Table) MarkIDs(m *sym.Marks) {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	for k, c := range t.rows {
+		m.Add(c[:min(chunkRows, t.n-k*chunkRows)*t.Arity])
+	}
+}
+
 // Snapshot returns the current immutable version of the table. The snapshot
-// stays valid and consistent forever: later Insert/Delete batches publish
-// new versions without disturbing it.
+// stays consistent forever: later Insert/Delete batches publish new versions
+// without disturbing it. Its IDs resolve while a hold is active, or while
+// the table still holds its rows.
 func (t *Table) Snapshot() *Snapshot { return t.snap.Load() }
 
 // Epoch returns the current version number. Epochs start at 1 and advance
@@ -312,9 +337,11 @@ func (t *Table) InsertAll(rows []Row) int {
 			panic(fmt.Sprintf("table %s: row arity %d, want %d", t.Name, len(r), t.Arity))
 		}
 	}
+	h := sym.Default.Hold()
+	defer h.Release()
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	n, applied := t.addLocked(rows)
+	n, applied := t.addLocked(h, rows)
 	if n > 0 {
 		t.publish(t.Epoch() + 1)
 		t.commitLocked(OpInsert, applied)
@@ -333,15 +360,17 @@ func (t *Table) InsertAll(rows []Row) int {
 // insert event replayed onto a fresh table. Rows of another arity are
 // skipped, and the commit hook is not called.
 func (t *Table) Replay(ev CommitEvent) bool {
+	h := sym.Default.Hold()
+	defer h.Release()
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	if ev.Epoch <= t.Epoch() {
 		return false
 	}
 	if ev.Op == OpDelete {
-		t.deleteLocked(ev.Rows)
+		t.deleteLocked(h, ev.Rows)
 	} else {
-		t.addLocked(ev.Rows)
+		t.addLocked(h, ev.Rows)
 	}
 	t.publish(ev.Epoch)
 	return true
@@ -353,8 +382,8 @@ func (t *Table) Replay(ev CommitEvent) bool {
 // table's scratch, and each row then deduplicated against the row set (which
 // holds the batch's earlier rows too) and, when new, copied to the end of
 // the log: the log allocates per chunk, never per row, and nothing the size
-// of a bulk load is kept. wmu is held.
-func (t *Table) addLocked(rows []Row) (n int, applied []Row) {
+// of a bulk load is kept. h and wmu are held.
+func (t *Table) addLocked(h sym.Hold, rows []Row) (n int, applied []Row) {
 	t.seen.Grow(len(rows))
 	deadCopied := false
 	for len(rows) > 0 {
@@ -364,7 +393,7 @@ func (t *Table) addLocked(rows []Row) (n int, applied []Row) {
 		for _, r := range block {
 			if len(r) == t.Arity {
 				for _, v := range r {
-					ids = append(ids, sym.Intern(v))
+					ids = append(ids, h.Intern(v))
 				}
 			}
 		}
@@ -375,10 +404,10 @@ func (t *Table) addLocked(rows []Row) (n int, applied []Row) {
 			}
 			ir := IRow(ids[:t.Arity:t.Arity])
 			ids = ids[t.Arity:]
-			h := sym.HashIDs(ir)
-			switch off := t.offsetOf(ir, h); {
+			hash := sym.HashIDs(ir)
+			switch off := t.offsetOf(ir, hash); {
 			case off < 0:
-				t.seen.Add(h, int32(t.n))
+				t.seen.Add(hash, int32(t.n))
 				t.rows = t.rows.push(t.n, ir, len(rows)+len(block)-i-1)
 				t.n++
 			case !t.dead.has(off):
@@ -428,9 +457,11 @@ func (t *Table) Delete(r Row) bool { return t.DeleteAll([]Row{r}) == 1 }
 // serving the rows they were born with. A batch that removes at least one
 // row advances the epoch by exactly one.
 func (t *Table) DeleteAll(rows []Row) int {
+	h := sym.Default.Hold()
+	defer h.Release()
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	n, applied := t.deleteLocked(rows)
+	n, applied := t.deleteLocked(h, rows)
 	if n > 0 {
 		t.publish(t.Epoch() + 1)
 		t.commitLocked(OpDelete, applied)
@@ -440,8 +471,8 @@ func (t *Table) DeleteAll(rows []Row) int {
 
 // deleteLocked tombstones a batch, compacting the log when the batch
 // removed a row, and returns the number of rows it removed and — when a
-// commit hook is listening — those rows. wmu is held.
-func (t *Table) deleteLocked(rows []Row) (n int, applied []Row) {
+// commit hook is listening — those rows. h and wmu are held.
+func (t *Table) deleteLocked(h sym.Hold, rows []Row) (n int, applied []Row) {
 	deadCopied := false
 	ir := IRow(slices.Grow(t.scratch[:0], t.Arity)[:t.Arity])
 	t.scratch = ir
@@ -452,7 +483,7 @@ rows:
 		}
 		for i, v := range r {
 			// A value never interned cannot be stored anywhere.
-			id, ok := sym.Lookup(v)
+			id, ok := h.Lookup(v)
 			if !ok {
 				continue rows
 			}

@@ -10,10 +10,15 @@ import (
 // private table is advanced to the last ID (issuing two billion values for
 // real would need the reverse pages too), after which every first-seen
 // value must panic — repeatedly, never wrapping round to re-issue ID 1 —
-// while values interned before keep their IDs.
+// while values interned before keep their IDs. Exhaustion means 2³¹−1 live
+// IDs: once a sweep has freed one, the next first-seen value gets it instead
+// of panicking, and the one after panics again.
 func TestInternExhaustionPanics(t *testing.T) {
 	tab := NewTable()
 	a := tab.Intern("a")
+	h := tab.Hold()
+	gone := h.Intern("gone") // unpinned: freed by the sweep below
+	h.Release()
 	tab.next.Store(math.MaxInt32)
 
 	for _, v := range []string{"b", "c"} {
@@ -41,5 +46,23 @@ func TestInternExhaustionPanics(t *testing.T) {
 	}
 	if got := tab.Str(a); got != "a" {
 		t.Errorf("Str(%d) = %q after exhaustion", a, got)
+	}
+
+	if !tab.Sweep() {
+		t.Fatal("Sweep did not run on a table with no hold active")
+	}
+	if got := tab.Intern("d"); got != gone {
+		t.Fatalf("Intern(d) at the cap = %d, want the freed ID %d", got, gone)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Intern(e) at the cap with no ID free returned instead of panicking")
+			}
+		}()
+		tab.Intern("e")
+	}()
+	if got := tab.Str(a); got != "a" {
+		t.Errorf("Str(%d) = %q after the sweep, want the pinned value", a, got)
 	}
 }

@@ -1,5 +1,5 @@
-// Package sym provides the process-wide value interning of the engine: an
-// append-only, concurrency-safe symbol table mapping every data value to a
+// Package sym provides the process-wide value interning of the engine: a
+// concurrency-safe symbol table mapping every data value to a
 // dense uint32 ID. The paper's cost model is the number of accesses — but a
 // long-running service spends its *wall clock* on string plumbing: joining
 // values into NUL-separated map keys, hashing variable-length strings on
@@ -18,22 +18,32 @@
 // AppendKey/Key pack IDs into a string for the callers that key a Go map at
 // a boundary — a finished result's answer set, tests.
 //
-// IDs are stable for the life of the process: the table is append-only (an
-// interned value is never removed or renumbered), so IDs — and every hash or
-// key made from them — survive table snapshots, compactions and data epochs.
-// That epoch-stability is what lets the cross-query cache keep serving
-// entries filed by IDs while relations advance underneath it.
+// An ID is stable while anything holds it, and only then. An ID is held by
+// a hold (Table.Hold) while the hold is active — an execution, a write
+// batch, a /probe or a snapshot read takes one for as long as it keeps IDs;
+// by a root (AddRoot) — a table's rows, an access cache's entries, a
+// result's answers — while the root is reachable; and by a pin, for good:
+// the exported Intern, InternAll and Lookup pin what they hand out, the
+// contract of callers that know nothing of holds. A sweep (Sweep, and
+// automatically as IDs are issued) runs only while no hold is active: it
+// keeps every ID a root or a pin holds and frees the rest, whose IDs are
+// issued again before any new one. So an ID, and every hash or key made
+// from it, survives snapshots, compactions and data epochs for as long as
+// it is held — what lets the cross-query cache keep serving entries filed by
+// IDs while relations advance underneath it.
 //
 // The zero ID is never issued; it is reserved as "no value" so packed keys
 // and sentinel slots stay unambiguous.
 package sym
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ID is an interned value: a dense handle into the symbol table. IDs start
@@ -44,11 +54,11 @@ type ID uint32
 // from remote decodes and parallel ingests from contending.
 const shardCount = 64
 
-// Table is an append-only, concurrency-safe symbol table. The zero value is
-// not usable; use NewTable (or the package-level Default table, which the
-// storage, cache and executor layers share — one process, one ID space).
+// Table is a concurrency-safe symbol table. The zero value is not usable;
+// use NewTable (or the package-level Default table, which the storage, cache
+// and executor layers share — one process, one ID space).
 //
-// A value costs the GC one pointer: its header in a reverse page. Its bytes
+// A value costs the GC one pointer: its slot in a reverse page. Its bytes
 // are copied into the chunks of its shard, which hold no pointers, and the
 // forward index files the ID itself under the value's hash — no map entry,
 // no boxed string, and nothing kept of the string Intern was handed.
@@ -57,15 +67,17 @@ type Table struct {
 	// concurrent interning scales.
 	shards [shardCount]shard
 
-	// next is the next ID to issue; IDs are dense and start at 1.
+	// next is the last ID issued; IDs are dense and start at 1.
 	next atomic.Uint32
 
-	// pages are the reverse index (ID -> value header), grown in fixed-size
+	// pages are the reverse index (ID -> value slot), grown in fixed-size
 	// pages that are published once and never moved, so Str reads are
 	// lock-free: a page pointer is written exactly once (under the
-	// shard-independent pageMu), and an ID's header before its shard files it.
+	// shard-independent pageMu), and an ID's slot before its shard files it.
 	pages  atomic.Pointer[[]*page]
 	pageMu sync.Mutex
+
+	reclaim // holds, roots, the sweep schedule and the free IDs (reclaim.go)
 }
 
 // shard is two cache lines: the lock and the index a lookup touches share
@@ -77,15 +89,35 @@ type shard struct {
 	_     [32]byte
 }
 
-// chunkSize is the capacity of a shard's value chunk. A chunk is grown once,
-// so the values written into it are substrings of one buffer that no later
-// write moves; a value longer than a chunk gets an allocation of its own.
-const chunkSize = 64 << 10
+// A shard's value chunk starts at firstChunk bytes and doubles, chunk by
+// chunk, up to chunkSize, so a table of a few values is small. A chunk is
+// never grown in place, so the values written into it are substrings of one
+// buffer that no later write moves; a value longer than chunkSize gets an
+// allocation of its own.
+const (
+	firstChunk = 1 << 10
+	chunkSize  = 64 << 10
+)
 
 // pageSize is the number of symbols per reverse-lookup page (power of two).
 const pageSize = 1 << 12
 
-type page [pageSize]string
+// page is the reverse index of pageSize IDs: their value slots, and one pin
+// bit each. A slot is one pointer, read and written atomically, to the
+// value's copy in its chunk, which starts with the value's length (a native
+// uint32, 4-byte aligned); the empty value's slot stays nil. The length
+// travels with the bytes, both written before the pointer is published and
+// never after, so a read of a slot is never torn: a goroutine that resolves
+// an ID nothing holds — which a sweep may clear (nil) or reissue meanwhile —
+// gets "" or a value the ID once had, never bytes outside a value. A held
+// ID's read is ordered after its store, and before the sweep that clears
+// it, by the hold; an ID held through a table or a result the GC has since
+// collected is ordered before the sweep by the collector alone, which the
+// race detector does not see — hence the atomics.
+type page struct {
+	vals [pageSize]atomic.Pointer[byte]
+	pins [pageSize / 64]atomic.Uint64
+}
 
 // valueSeed keys the hash of every value of the process: the values are
 // client-supplied strings, so the hash must not be predictable from outside.
@@ -96,6 +128,7 @@ func NewTable() *Table {
 	t := &Table{}
 	empty := make([]*page, 0)
 	t.pages.Store(&empty)
+	t.initReclaim()
 	return t
 }
 
@@ -104,27 +137,44 @@ func NewTable() *Table {
 // value everywhere in the process.
 var Default = NewTable()
 
-// Intern returns the ID of v, issuing a fresh one the first time v is seen.
-// Safe for concurrent use; the common case (already interned) is one shard
-// read-lock and one index walk. A first-seen value is copied, so the ID
-// keeps nothing of v alive. A table that has issued 2³¹−1 IDs — what a
-// RefTable can reference — panics on the next first-seen value: exhaustion
-// is a hard failure, never a reused ID.
-func (t *Table) Intern(v string) ID {
-	if id, ok := t.Lookup(v); ok {
+// Intern returns the ID of v, issuing one the first time v is seen, and pins
+// it: the ID is never freed. Safe for concurrent use; the common case
+// (already interned) is one shard read-lock and one index walk. A
+// first-seen value is copied, so the ID keeps nothing of v alive. A table
+// holding 2³¹−1 IDs — what a RefTable can reference — with none freed panics
+// on the next first-seen value: exhaustion is a hard failure, never an ID
+// issued twice.
+func (t *Table) Intern(v string) ID { return t.intern(v, true) }
+
+// intern returns the ID of v, issuing one when v has none, and pins it when
+// pin is set.
+func (t *Table) intern(v string, pin bool) ID {
+	sh, h := t.shard(v)
+	sh.mu.RLock()
+	id := t.find(sh, v, h)
+	if id != 0 && pin {
+		t.pin(id)
+	}
+	sh.mu.RUnlock()
+	if id != 0 {
 		return id
 	}
-	sh, h := t.shard(v)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if id := t.find(sh, v, h); id != 0 {
+		if pin {
+			t.pin(id)
+		}
 		return id
 	}
-	id := t.issue()
+	id = t.issue()
 	t.store(id, sh.copy(v))
-	// The reverse slot is written before the forward index files the ID
-	// under the shard's lock, so any goroutine that can observe the ID can
-	// resolve it.
+	if pin {
+		t.pin(id)
+	}
+	// The reverse slot and the pin are written before the forward index
+	// files the ID under the shard's lock, so any goroutine that can
+	// observe the ID can resolve it, and a sweep finds it pinned.
 	sh.ids.Add(h, int32(id))
 	return id
 }
@@ -146,29 +196,56 @@ func (t *Table) find(sh *shard, v string, h uint32) ID {
 	return 0
 }
 
-// copy appends v to the shard's chunk and returns the copy; sh.mu is held.
-func (sh *shard) copy(v string) string {
-	if len(v) > chunkSize {
-		return strings.Clone(v)
+// copy appends v, its length first, to the shard's chunk and returns the
+// copy (see page), nil for the empty value; sh.mu is held.
+func (sh *shard) copy(v string) *byte {
+	if v == "" {
+		return nil
 	}
-	if sh.chunk.Cap()-sh.chunk.Len() < len(v) {
+	var n [4]byte
+	binary.NativeEndian.PutUint32(n[:], uint32(len(v)))
+	need := 4 + len(v)
+	if need > chunkSize {
+		b := append(append(make([]byte, 0, need), n[:]...), v...)
+		return &b[0]
+	}
+	pad := -sh.chunk.Len() & 3
+	if sh.chunk.Cap()-sh.chunk.Len() < pad+need {
+		size := min(chunkSize, max(firstChunk, 2*sh.chunk.Cap(), need))
 		sh.chunk.Reset()
-		sh.chunk.Grow(chunkSize)
+		sh.chunk.Grow(size)
+		pad = 0
 	}
+	sh.chunk.WriteString("\x00\x00\x00"[:pad])
 	from := sh.chunk.Len()
+	sh.chunk.Write(n[:])
 	sh.chunk.WriteString(v)
-	return sh.chunk.String()[from:]
+	return unsafe.StringData(sh.chunk.String()[from:])
 }
 
-// issue hands out the next dense ID. The counter stops at the last ID: a
-// plain Add would wrap to 0 and then re-issue 1, 2, … for new values, so
-// every key packed from IDs would silently alias. Values already interned
-// keep resolving after exhaustion; only first-seen values panic.
+// issue hands out an ID for a first-seen value: one a sweep freed, else the
+// next dense one. The counter stops at the last ID: a plain Add would wrap to
+// 0 and then re-issue 1, 2, … for new values, so every key packed from IDs
+// would silently alias. Values already interned keep resolving after
+// exhaustion; only first-seen values panic, and only while no ID is free.
 func (t *Table) issue() ID {
+	t.issued()
+	if t.nfree.Load() > 0 {
+		t.freeMu.Lock()
+		if n := len(t.free); n > 0 {
+			id := t.free[n-1]
+			t.free = t.free[:n-1]
+			t.nfree.Store(int32(n - 1))
+			t.freeMu.Unlock()
+			t.stats.reused.Add(1)
+			return id
+		}
+		t.freeMu.Unlock()
+	}
 	for {
 		cur := t.next.Load()
 		if cur >= math.MaxInt32 {
-			panic("sym: symbol table exhausted: all 2^31-1 IDs are issued")
+			panic("sym: symbol table exhausted: all 2^31-1 IDs are live")
 		}
 		if t.next.CompareAndSwap(cur, cur+1) {
 			return ID(cur + 1)
@@ -178,12 +255,12 @@ func (t *Table) issue() ID {
 
 // store writes the reverse-lookup slot for a freshly issued ID, growing the
 // page directory when the ID lands past it.
-func (t *Table) store(id ID, v string) {
+func (t *Table) store(id ID, v *byte) {
 	pi := int(uint32(id) / pageSize)
 	for {
 		pages := *t.pages.Load()
 		if pi < len(pages) {
-			pages[pi][uint32(id)%pageSize] = v
+			pages[pi].vals[uint32(id)%pageSize].Store(v)
 			return
 		}
 		t.pageMu.Lock()
@@ -200,34 +277,57 @@ func (t *Table) store(id ID, v string) {
 	}
 }
 
-// Lookup returns the ID of v without interning it; ok is false when v has
-// never been interned. Read paths (probes of values that may not exist in
-// any relation) use Lookup so that queries for absent values cannot grow
+// pin marks id as never to be freed; its shard's lock is held.
+func (t *Table) pin(id ID) {
+	w := &(*t.pages.Load())[uint32(id)/pageSize].pins[uint32(id)%pageSize/64]
+	if bit := uint64(1) << (id % 64); w.Load()&bit == 0 {
+		w.Or(bit)
+	}
+}
+
+// pinned reports whether id is pinned; its shard's lock is held.
+func (t *Table) pinned(id ID) bool {
+	w := &(*t.pages.Load())[uint32(id)/pageSize].pins[uint32(id)%pageSize/64]
+	return w.Load()>>(id%64)&1 != 0
+}
+
+// Lookup returns the ID of v without interning it, and pins it; ok is false
+// when v is not interned. Read paths (probes of values that may not exist
+// in any relation) look up so that queries for absent values cannot grow
 // the table.
-func (t *Table) Lookup(v string) (ID, bool) {
+func (t *Table) Lookup(v string) (ID, bool) { return t.lookup(v, true) }
+
+func (t *Table) lookup(v string, pin bool) (ID, bool) {
 	sh, h := t.shard(v)
 	sh.mu.RLock()
 	id := t.find(sh, v, h)
+	if id != 0 && pin {
+		t.pin(id)
+	}
 	sh.mu.RUnlock()
 	return id, id != 0
 }
 
-// Str returns the value of an ID handed out by Intern or Lookup. Lock-free:
-// one atomic page-directory load and one header read. The zero ID, and an
-// ID never issued, return the empty string.
+// Str returns the value of a held ID. Lock-free: one atomic page-directory
+// load and one slot read. The zero ID, and an ID never issued, return the
+// empty string; an ID nothing holds returns "" or a value it had.
 func (t *Table) Str(id ID) string {
 	pages := *t.pages.Load()
 	pi := int(uint32(id) / pageSize)
 	if pi >= len(pages) {
 		return ""
 	}
-	return pages[pi][uint32(id)%pageSize]
+	p := unsafe.Pointer(pages[pi].vals[uint32(id)%pageSize].Load())
+	if p == nil {
+		return ""
+	}
+	return unsafe.String((*byte)(unsafe.Add(p, 4)), *(*uint32)(p))
 }
 
-// Len returns the number of interned symbols.
-func (t *Table) Len() int { return int(t.next.Load()) }
+// Len returns the number of live symbols: issued and not freed.
+func (t *Table) Len() int { return int(t.next.Load()) - int(t.nfree.Load()) }
 
-// InternAll interns every value of a row and returns the ID tuple.
+// InternAll interns and pins every value of a row and returns the ID tuple.
 func (t *Table) InternAll(vals []string) []ID {
 	out := make([]ID, len(vals))
 	for i, v := range vals {
@@ -257,13 +357,13 @@ func (t *Table) Strs(ids []ID) []string {
 
 // Package-level conveniences over the Default table.
 
-// Intern interns v in the Default table.
+// Intern interns and pins v in the Default table.
 func Intern(v string) ID { return Default.Intern(v) }
 
-// Lookup resolves v in the Default table without interning.
+// Lookup resolves and pins v in the Default table without interning.
 func Lookup(v string) (ID, bool) { return Default.Lookup(v) }
 
-// InternAll interns a row in the Default table.
+// InternAll interns and pins a row in the Default table.
 func InternAll(vals []string) []ID { return Default.InternAll(vals) }
 
 // Strs materializes a row from the Default table.

@@ -3,6 +3,8 @@ package sym_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,11 +204,19 @@ func TestFirstSeenInternAllocBudget(t *testing.T) {
 // string, NUL, invalid UTF-8, values that are prefixes of others and one
 // longer than a chunk among them. Str inverts Intern, Intern is idempotent,
 // Lookup agrees with it, and distinct values get distinct IDs.
+//
+// ops then drives reclamation over a second table against a map model, one
+// operation a byte: intern under a hold, pin, root an ID the model knows to
+// be live or drop the newest root, end the hold, sweep. After every step
+// every value the table holds resolves to its value and no two share an ID;
+// a sweep frees exactly what no pin or root holds, so a pinned ID is never
+// freed; and a first-seen value gets a freed ID while one is free, a new one
+// otherwise.
 func FuzzIntern(f *testing.F) {
-	f.Add("", "")
-	f.Add("a\x00b", "\xff\xfe")
-	f.Add("héllo", "wörld")
-	f.Fuzz(func(t *testing.T, a, b string) {
+	f.Add("", "", []byte{0, 4, 0})
+	f.Add("a\x00b", "\xff\xfe", []byte{0, 8, 17, 2, 4, 16, 9, 4, 24, 4})
+	f.Add("héllo", "wörld", []byte{1, 8, 10, 26, 5, 4, 40, 48, 2, 19, 4, 3, 4, 56, 0})
+	f.Fuzz(func(t *testing.T, a, b string, ops []byte) {
 		tab := sym.NewTable()
 		values := []string{"", "\x00", a, b, a + b, b + a, a + "\x00" + b, "\xff" + a,
 			strings.Repeat(a+b+"\xff", 70<<10/(len(a)+len(b)+1)+1), a}
@@ -231,7 +241,141 @@ func FuzzIntern(f *testing.F) {
 		if tab.Len() != len(ids) {
 			t.Fatalf("Len() = %d for %d distinct values", tab.Len(), len(ids))
 		}
+		reclaimModel(t, values, ops)
 	})
+}
+
+// idRoot is a root holding a list of IDs.
+type idRoot struct{ ids []sym.ID }
+
+func (r *idRoot) MarkIDs(m *sym.Marks) { m.Add(r.ids) }
+
+// reclaimModel runs FuzzIntern's reclamation model over values.
+func reclaimModel(t *testing.T, values []string, ops []byte) {
+	tab := sym.NewTable()
+	root := &idRoot{}
+	sym.AddRoot(tab, root)
+	var (
+		h       sym.Hold
+		held    bool
+		inTable = map[string]sym.ID{} // interned and not swept
+		live    = map[sym.ID]bool{}   // interned under the active hold
+		pinned  = map[sym.ID]bool{}
+		free    = map[sym.ID]bool{} // freed and not issued again
+		top     sym.ID              // the highest ID issued
+	)
+	intern := func(v string, pin bool) {
+		var id sym.ID
+		if pin {
+			id = tab.Intern(v)
+			pinned[id] = true
+		} else {
+			if !held {
+				h, held = tab.Hold(), true
+			}
+			id = h.Intern(v)
+			live[id] = true
+		}
+		if known, ok := inTable[v]; ok {
+			if id != known {
+				t.Fatalf("%q is ID %d, the model has %d", v, id, known)
+			}
+			return
+		}
+		switch {
+		case len(free) > 0 && !free[id]:
+			t.Fatalf("first-seen %q got ID %d while %d freed IDs were free", v, id, len(free))
+		case len(free) == 0 && id != top+1:
+			t.Fatalf("first-seen %q got ID %d with none free, want the new ID %d", v, id, top+1)
+		}
+		delete(free, id)
+		top = max(top, id)
+		inTable[v] = id
+	}
+	for step, op := range ops {
+		v := values[int(op>>3)%len(values)]
+		switch op % 6 {
+		case 0:
+			intern(v, false)
+		case 1:
+			intern(v, true)
+		case 2:
+			if id, ok := inTable[v]; ok && (live[id] || pinned[id] || slices.Contains(root.ids, id)) {
+				root.ids = append(root.ids, id)
+			}
+		case 3:
+			if len(root.ids) > 0 {
+				root.ids = root.ids[:len(root.ids)-1]
+			}
+		case 4:
+			if held {
+				h.Release()
+				held = false
+				clear(live)
+			}
+			if !tab.Sweep() {
+				t.Fatalf("step %d: Sweep did not run with no hold active", step)
+			}
+			for w, id := range inTable {
+				if !pinned[id] && !slices.Contains(root.ids, id) {
+					delete(inTable, w)
+					free[id] = true
+				}
+			}
+			for id := range free {
+				if got := tab.Str(id); got != "" {
+					t.Fatalf("step %d: freed ID %d still resolves to %q", step, id, got)
+				}
+			}
+		default:
+			if held {
+				h.Release()
+				held = false
+				clear(live)
+			}
+		}
+		owner := map[sym.ID]string{}
+		for w, id := range inTable {
+			if got := tab.Str(id); got != w {
+				t.Fatalf("step %d: %q is ID %d, which resolves to %q", step, w, id, got)
+			}
+			if prev, ok := owner[id]; ok {
+				t.Fatalf("step %d: %q and %q share ID %d", step, prev, w, id)
+			}
+			owner[id] = w
+		}
+		if tab.Len() != len(inTable) {
+			t.Fatalf("step %d: Len() = %d, the model holds %d values", step, tab.Len(), len(inTable))
+		}
+	}
+	if held {
+		h.Release()
+	}
+}
+
+// TestSmallTableIsSmall: a shard's first chunk is small and doubles, so a
+// table of a thousand short values costs its values, its index and one
+// reverse page — not 64 chunks of 64 KiB, 4 MiB before the first value
+// repaid any of it.
+func TestSmallTableIsSmall(t *testing.T) {
+	for _, c := range []struct{ n, budget int }{{64, 128 << 10}, {1000, 256 << 10}} {
+		vals := benchValues(c.n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tab := sym.NewTable()
+		for _, v := range vals {
+			tab.Intern(v)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tab)
+		got := int(after.HeapAlloc) - int(before.HeapAlloc)
+		t.Logf("a table of %d values holds %d B of heap", c.n, got)
+		if got > c.budget {
+			t.Errorf("a table of %d values holds %d B of heap, budget %d", c.n, got, c.budget)
+		}
+	}
 }
 
 // TestKeyInjectivity: packed keys collide only when the ID tuples are
@@ -271,8 +415,16 @@ func TestKeyInjectivity(t *testing.T) {
 // contract the cross-query cache rests on: IDs recorded in a storage
 // snapshot keep resolving to the same values — and the forward map keeps
 // returning the same IDs — after the table underneath churns through
-// deletes, compaction and new epochs full of fresh symbols.
+// deletes, compaction and new epochs full of fresh symbols, for as long as
+// a hold is active. The snapshot is held outside any execution, so the test
+// takes the hold itself; its churn issues fewer IDs than make a sweep
+// overdue, so the table's own holds, nested in it, never wait. The converse
+// follows: once the hold has ended and a sweep has run, the values the table
+// deleted and compacted away are gone, and the ones pinned (the assertions'
+// sym.Lookup pins) are not.
 func TestIDStabilityAcrossSnapshotsAndCompaction(t *testing.T) {
+	sym.Sweep()
+	h := sym.Default.Hold()
 	tab := storage.NewTable("r", 2)
 	for i := 0; i < 200; i++ {
 		tab.Insert(storage.Row{fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)})
@@ -315,5 +467,89 @@ func TestIDStabilityAcrossSnapshotsAndCompaction(t *testing.T) {
 				t.Fatalf("snapshot row %d changed: %v vs %v", i, r, pinnedIDs[i])
 			}
 		}
+	}
+
+	// Delete the churned rows too, so that compaction drops them from the
+	// log, then end the hold and sweep.
+	churned := make([]storage.Row, 5000)
+	for i := range churned {
+		churned[i] = storage.Row{fmt.Sprintf("churn%d", i), fmt.Sprintf("w%d", i)}
+	}
+	tab.DeleteAll(churned)
+	h.Release()
+	if !sym.Sweep() {
+		t.Fatal("Sweep did not run with no hold active")
+	}
+	look := sym.Default.Hold()
+	defer look.Release()
+	for _, r := range churned[:100] {
+		for _, v := range r {
+			if id, ok := look.Lookup(v); ok {
+				t.Fatalf("%q, deleted and compacted away, is still ID %d after a sweep", v, id)
+			}
+		}
+	}
+	for i, ids := range pinnedIDs {
+		for j, id := range ids {
+			if got := sym.Default.Str(id); got != pinnedStrs[i][j] {
+				t.Fatalf("pinned ID %d resolves to %q after a sweep, want %q", id, got, pinnedStrs[i][j])
+			}
+		}
+	}
+	runtime.KeepAlive(tab)
+}
+
+// TestStrOfAnUnheldIDIsHarmless: resolving an ID nothing holds is a bug of
+// the caller's, and what it gets is "" or a value the ID had — never a
+// panic or bytes outside a value. One goroutine resolves every ID of a
+// table without a hold while another interns values of many lengths under
+// holds, drops them, and sweeps, so the IDs are freed and issued again to
+// values of other lengths the whole time.
+func TestStrOfAnUnheldIDIsHarmless(t *testing.T) {
+	tab := sym.NewTable()
+	value := func(round, i int) string {
+		return fmt.Sprintf("r%d-%s", round, strings.Repeat("x", (round*7+i*13)%300))
+	}
+	const perRound = 256
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			for id := sym.ID(0); id <= perRound+1; id++ {
+				v := tab.Str(id)
+				if v == "" {
+					continue
+				}
+				round, xs, ok := strings.Cut(strings.TrimPrefix(v, "r"), "-")
+				if !ok || strings.Trim(round, "0123456789") != "" || strings.Trim(xs, "x") != "" {
+					t.Errorf("ID %d resolved to %q, which no ID ever had", id, v)
+					return
+				}
+			}
+		}
+	}()
+	rounds := 300
+	if testing.Short() {
+		rounds = 50
+	}
+	for round := 0; round < rounds; round++ {
+		h := tab.Hold()
+		for i := 0; i < perRound; i++ {
+			h.Intern(value(round, i))
+		}
+		h.Release()
+		if !tab.Sweep() {
+			t.Fatal("no sweep ran with no hold active")
+		}
+		if n := tab.Len(); n != 0 {
+			t.Fatalf("round %d: %d values live after the sweep", round, n)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if st := tab.Stats(); st.Reused == 0 {
+		t.Errorf("%+v: no ID was issued again", st)
 	}
 }

@@ -105,6 +105,7 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // Re-exported types, so that most applications only import this package.
@@ -119,7 +120,8 @@ type (
 	UCQ = cq.UCQ
 	// Result is the outcome of one execution.
 	Result = exec.Result
-	// Tuple is one answer row.
+	// Tuple is one answer row, interned: resolve it (Strings) while its
+	// Result is reachable, or inside the OnAnswer callback that handed it.
 	Tuple = datalog.Tuple
 	// Plan is a ⊂-minimal query plan.
 	Plan = plan.Plan
@@ -322,8 +324,10 @@ type RelationDump struct {
 // relation's dump is internally consistent (one immutable snapshot per
 // table); the write-ahead log uses this as its snapshot source, where
 // cross-relation skew is harmless because replay reconciles per relation
-// by epoch.
+// by epoch. The snapshots are read under a hold of the symbol table.
 func (s *System) DataSnapshot() map[string]RelationDump {
+	h := sym.Default.Hold()
+	defer h.Release()
 	out := make(map[string]RelationDump)
 	for _, name := range s.reg.Names() {
 		ts, ok := s.reg.Source(name).(*source.TableSource)

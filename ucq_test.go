@@ -2,12 +2,16 @@ package toorjah
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"toorjah/internal/gen"
 	"toorjah/internal/source/sourcetest"
+	"toorjah/internal/sym"
 )
 
 // ucqPubSystem builds a system over a small publication instance, with every
@@ -249,5 +253,53 @@ func TestUCQRebindCachesNoStaleRows(t *testing.T) {
 	}
 	if got := strings.Join(res.SortedAnswers(), ";"); got != "new" {
 		t.Errorf("after the rebind a query answered %q, want new: the union cached the old source's rows under the new binding", got)
+	}
+}
+
+// TestUnionHoldsItsPinnedSnapshot: a union answers over the snapshots it
+// pinned, and their IDs are the union's from the pinning on. Between the
+// pinning and the disjuncts (unionPinned) every row of the table is deleted —
+// enough to compact the log, so the table holds none of their values — the
+// symbol table is swept, and as many fresh values are inserted, which would
+// take the IDs a sweep freed. The union still answers the deleted rows'
+// values.
+func TestUnionHoldsItsPinnedSnapshot(t *testing.T) {
+	sch, err := ParseSchema("live^io(K, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch)
+	const n = 1100 // past storage's compaction threshold of 1024 tombstones
+	rows, fresh, want := make([]Row, n), make([]Row, n), make([]string, n)
+	for i := range rows {
+		rows[i] = Row{"k", fmt.Sprintf("union-held-%d", i)}
+		fresh[i] = Row{"x", fmt.Sprintf("union-fresh-%d", i)}
+		want[i] = rows[i][1]
+	}
+	if err := sys.BindRows("live", rows...); err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.PrepareUCQ("q(V) :- live(k, V)\nq(V) :- live(k, V), live(k, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unionPinned = func() {
+		if _, err := sys.Delete("live", rows...); err != nil {
+			t.Error(err)
+		}
+		sym.Sweep()
+		if _, err := sys.Insert("live", fresh...); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := u.Execute(context.Background())
+	unionPinned = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(want)
+	if got := res.SortedAnswers(); !slices.Equal(got, want) {
+		t.Errorf("the union answered %d values over its pinned snapshot, want the %d deleted ones; first %q",
+			len(got), len(want), got[:min(3, len(got))])
 	}
 }
