@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// newExample1System builds the quickstart system with the given options.
+// newExample1System builds the paper's Example 1 with the given options.
 func newExample1System(t *testing.T, opts ...SystemOption) *System {
 	t.Helper()
 	sch, err := ParseSchema(`

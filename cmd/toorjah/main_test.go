@@ -13,7 +13,7 @@ import (
 	"toorjah/internal/storage"
 )
 
-// writeExample lays out the quickstart example (the paper's Example 1) as
+// writeExample lays out the paper's Example 1 as
 // the schema file and CSV data directory the CLI consumes.
 func writeExample(t *testing.T) (schemaFile, dataDir string) {
 	t.Helper()

@@ -17,7 +17,8 @@ import (
 // ExampleNewSystem is the paper's Example 1: the query binds neither
 // limited source directly, so the only way in is the free relation r3 —
 // which the query never mentions — whose values unlock r1, whose values
-// unlock r2, recursively.
+// unlock r2, recursively. The plan names the constant volare by the
+// artificial relation l_0 that holds it.
 func ExampleNewSystem() {
 	sch, err := toorjah.ParseSchema(`
 		r1^ioo(Artist, Nation, Year)
@@ -39,9 +40,47 @@ func ExampleNewSystem() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("relevant:", strings.Join(q.RelevantRelations(), ", "))
 	fmt.Println("answers:", strings.Join(res.SortedAnswers(), " "))
+	fmt.Println("accesses:", res.TotalAccesses())
 	// Output:
+	// relevant: l_0, r1, r2, r3
 	// answers: italy
+	// accesses: 3
+}
+
+// ExampleSystem_Prepare_negation checks a conflict of interest with safe
+// negation: reviewers who have not published at their own conference. The
+// negated atom never provides bindings; it is probed only with the
+// reviewer names the positive atom justifies.
+func ExampleSystem_Prepare_negation() {
+	sch, err := toorjah.ParseSchema(`
+		reviewers^oo(Person, ConfName)
+		published^io(Person, ConfName)`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys := toorjah.NewSystem(sch)
+	sys.BindRows("reviewers",
+		toorjah.Row{"alice", "icde"}, toorjah.Row{"bob", "icde"}, toorjah.Row{"carol", "vldb"})
+	sys.BindRows("published",
+		toorjah.Row{"bob", "icde"}, toorjah.Row{"alice", "vldb"}, toorjah.Row{"carol", "vldb"})
+
+	q, err := sys.Prepare("clean(R, C) :- reviewers(R, C), not published(R, C)")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := q.Execute(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, a := range res.SortedAnswers() {
+		fmt.Println(strings.ReplaceAll(a, ",", " @ "))
+	}
+	fmt.Println("accesses:", res.TotalAccesses())
+	// Output:
+	// alice @ icde
+	// accesses: 4
 }
 
 // ExampleSystem_PrepareUCQ executes a union of conjunctive queries: one
@@ -129,6 +168,7 @@ func ExampleSystem_AttachRemote() {
 // ExampleSystem_Insert mutates a live relation between executions of one
 // prepared query: each mutating batch advances the relation's epoch, and
 // the next execution — same plan, same cache — answers over the new data.
+// A re-execution over an unchanged epoch is served by the cache alone.
 func ExampleSystem_Insert() {
 	sch, err := toorjah.ParseSchema(`rev^oo(Person, ConfName)`)
 	if err != nil {
@@ -146,9 +186,10 @@ func ExampleSystem_Insert() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("epoch %d: %s\n", sys.RelationEpoch("rev"),
-			strings.Join(res.SortedAnswers(), " "))
+		fmt.Printf("epoch %d: %s; accesses %d\n", sys.RelationEpoch("rev"),
+			strings.Join(res.SortedAnswers(), " "), res.TotalAccesses())
 	}
+	run()
 	run()
 	if _, err := sys.Insert("rev", toorjah.Row{"bob", "icde"}); err != nil {
 		log.Fatal(err)
@@ -158,8 +199,14 @@ func ExampleSystem_Insert() {
 		log.Fatal(err)
 	}
 	run()
+	if _, err := sys.LoadCSV("rev", strings.NewReader("carol,icde\ndave,vldb\n")); err != nil {
+		log.Fatal(err)
+	}
+	run()
 	// Output:
-	// epoch 2: alice
-	// epoch 3: alice bob
-	// epoch 4: bob
+	// epoch 2: alice; accesses 1
+	// epoch 2: alice; accesses 0
+	// epoch 3: alice bob; accesses 1
+	// epoch 4: bob; accesses 1
+	// epoch 5: bob carol; accesses 1
 }

@@ -288,16 +288,12 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Probe serves one batched probe of a relation: a single HTTP round trip
-// for the whole batch, retried with exponential backoff and jitter on
-// retryable failures (network errors, timeouts, 5xx, 408/429, truncated
-// streams), failing fast while the relation's circuit breaker is open.
-// Result i holds exactly the rows matching bindings[i].
-func (c *Client) Probe(ctx context.Context, relation string, bindings [][]string) ([][]storage.Row, error) {
-	return c.probe(ctx, c.relStateFor(relation), relation, bindings)
-}
-
-// probe is Probe for a caller that holds the relation's state.
+// probe serves one batched probe of a relation whose state st the caller
+// holds: a single HTTP round trip for the whole batch, retried with
+// exponential backoff and jitter on retryable failures (network errors,
+// timeouts, 5xx, 408/429, truncated streams), failing fast while the
+// relation's circuit breaker is open. Result i holds exactly the rows
+// matching bindings[i].
 func (c *Client) probe(ctx context.Context, st *relState, relation string, bindings [][]string) ([][]storage.Row, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -60,7 +60,7 @@ func TestOlderPeerFramesStillLand(t *testing.T) {
 		`{"b":0,"row":["a1","b2"]}`,
 		`{ "b": 0, "row": ["a1", "caf\u00e9"] }`,
 		`{"tuples":3,"accesses":1,"done":true,"epoch":9,"took_ms":0.5}`)
-	rows, err := c.Probe(context.Background(), "r", [][]string{{"a1"}})
+	rows, err := c.probe(context.Background(), c.relStateFor("r"), "r", [][]string{{"a1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFrameLongerThanTheReadBuffer(t *testing.T) {
 	}
 	lines = append(lines, `{"done":true,"accesses":1,"tuples":3001}`)
 	c := servedBy(t, fastOptions(), lines...)
-	rows, err := c.Probe(context.Background(), "r", [][]string{{"a1"}})
+	rows, err := c.probe(context.Background(), c.relStateFor("r"), "r", [][]string{{"a1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStreamEndings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := servedBy(t, tc.opts, tc.lines...)
-			_, err := c.Probe(context.Background(), "r", [][]string{{"a1"}})
+			_, err := c.probe(context.Background(), c.relStateFor("r"), "r", [][]string{{"a1"}})
 			if tc.errHas == "" && err != nil || tc.errHas != "" && (err == nil || !strings.Contains(err.Error(), tc.errHas)) {
 				t.Errorf("err = %v, want one holding %q", err, tc.errHas)
 			}

@@ -272,7 +272,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 	c := Dial(ts.URL, fastOptions())
 	defer c.Close()
 
-	_, err := c.Probe(context.Background(), "nope", [][]string{{"a"}})
+	_, err := c.probe(context.Background(), c.relStateFor("nope"), "nope", [][]string{{"a"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown relation") {
 		t.Fatalf("err = %v, want unknown relation", err)
 	}

@@ -329,7 +329,7 @@ func TestDialRefusesNonHTTPScheme(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"https"`) {
 		t.Errorf("FetchSchema: err = %v, want one naming the scheme", err)
 	}
-	if _, err := c.Probe(ctx, "r", [][]string{{"a1"}}); err == nil || !strings.Contains(err.Error(), `"https"`) {
+	if _, err := c.probe(ctx, c.relStateFor("r"), "r", [][]string{{"a1"}}); err == nil || !strings.Contains(err.Error(), `"https"`) {
 		t.Errorf("Probe: err = %v, want one naming the scheme", err)
 	}
 	if err := c.Healthy(ctx); err == nil || !strings.Contains(err.Error(), `"https"`) {

@@ -70,7 +70,12 @@ func OpenDurable(sch *schema.Schema, csvDir string, wopts wal.Options) (*storage
 		}
 	}
 	if !rec.HadSnapshot && seeded {
-		if err := l.WriteSnapshot(databaseStates(sch, db)); err != nil {
+		boot := toorjah.NewSystem(sch)
+		if err := boot.BindDatabase(db); err != nil {
+			closeQuiet(l)
+			return nil, nil, err
+		}
+		if err := l.WriteSnapshot(relationStates(boot)); err != nil {
 			closeQuiet(l)
 			return nil, nil, fmt.Errorf("service: writing the initial snapshot: %w", err)
 		}
@@ -109,47 +114,27 @@ func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (in
 	return dbt.InsertAll(rows), nil
 }
 
-// databaseStates reads a pinned version of every schema relation present
-// in db, in name order — the bootstrap snapshot source — under a hold of the
-// symbol table.
-func databaseStates(sch *schema.Schema, db *storage.Database) []wal.RelationState {
-	h := sym.Default.Hold()
-	defer h.Release()
-	var states []wal.RelationState
-	for _, rel := range sch.Relations() {
-		t := db.Table(rel.Name)
-		if t == nil {
-			continue
-		}
-		snap := t.Snapshot()
-		states = append(states, wal.RelationState{
-			Name:  rel.Name,
-			Arity: rel.Arity(),
-			Epoch: snap.Epoch(),
-			Rows:  snap.Rows(),
-		})
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-	return states
-}
-
 // WireWAL connects a fully bound system to the log: every applied mutation
 // batch appends (and, under -fsync always, reaches disk) before its
 // acknowledgement, and snapshots read the system's pinned relation
 // versions. Call it after BindDatabase and before serving traffic.
 func WireWAL(sys *toorjah.System, l *wal.Log) {
 	sys.SetCommitHook(l.AppendCommit)
-	l.SetSource(func() []wal.RelationState {
-		dump := sys.DataSnapshot()
-		states := make([]wal.RelationState, 0, len(dump))
-		for name, d := range dump {
-			states = append(states, wal.RelationState{
-				Name: name, Arity: d.Arity, Epoch: d.Epoch, Rows: d.Rows,
-			})
-		}
-		sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-		return states
-	})
+	l.SetSource(func() []wal.RelationState { return relationStates(sys) })
+}
+
+// relationStates is what a snapshot writes: a pinned version of every
+// relation sys backs with a local table, in name order.
+func relationStates(sys *toorjah.System) []wal.RelationState {
+	dump := sys.DataSnapshot()
+	states := make([]wal.RelationState, 0, len(dump))
+	for name, d := range dump {
+		states = append(states, wal.RelationState{
+			Name: name, Arity: d.Arity, Epoch: d.Epoch, Rows: d.Rows,
+		})
+	}
+	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
+	return states
 }
 
 // WithWAL surfaces a write-ahead log on the server: /metrics gains the

@@ -15,7 +15,7 @@ import (
 	"toorjah/internal/storage"
 )
 
-// startPeer serves the given relations of the quickstart schema as a
+// startPeer serves the given relations of the paper's Example 1 schema as a
 // federation peer, returning its URL and a counter of /probe round trips.
 func startPeer(t *testing.T, rels map[string][]Row) (string, *atomic.Int64) {
 	t.Helper()
@@ -53,7 +53,7 @@ r3^oo(Artist, Album)
 	return ts.URL, &probes
 }
 
-// federationRows is the quickstart data, split for the federation tests.
+// federationRows is Example 1's data, split for the federation tests.
 var federationRows = map[string][]Row{
 	"r1": {{"modugno", "italy", "1928"}, {"madonna", "usa", "1958"}, {"dylan", "usa", "1941"}},
 	"r2": {{"volare", "1958", "modugno"}, {"vogue", "1990", "madonna"}, {"hurricane", "1976", "dylan"}},
