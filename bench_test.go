@@ -26,7 +26,6 @@ import (
 	"toorjah/internal/exec"
 	"toorjah/internal/experiments"
 	"toorjah/internal/gen"
-	"toorjah/internal/plan"
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 )
@@ -155,10 +154,6 @@ func BenchmarkAblation_NoMetaCache(b *testing.B) {
 
 func BenchmarkAblation_NoEarlyFailure(b *testing.B) {
 	benchAblation(b, core.Options{}, exec.Options{NoEarlyFailure: true})
-}
-
-func BenchmarkAblation_NoOrderingHeuristic(b *testing.B) {
-	benchAblation(b, core.Options{Order: plan.OrderOptions{NoHeuristic: true}}, exec.Options{})
 }
 
 // BenchmarkPipelined measures the parallel engine against the sequential

@@ -129,7 +129,7 @@ func TestRepoDocs(t *testing.T) {
 // docCeilings are the byte ceilings of the two largest docs. A change may
 // lower a ceiling, never raise one: a new contract that needs room deletes
 // an older paragraph.
-var docCeilings = map[string]int64{"README.md": 53891, "ARCHITECTURE.md": 61168}
+var docCeilings = map[string]int64{"README.md": 53845, "ARCHITECTURE.md": 61143}
 
 // checkDocSizes holds each doc of docCeilings to its ceiling.
 func checkDocSizes(t *testing.T, root string) {

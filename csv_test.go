@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"toorjah/internal/storage"
 )
 
 // TestCSVEndToEnd exercises the cmd/toorjah data path: relations loaded
@@ -39,12 +37,9 @@ rev^ooi(Person, ConfName, Year)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := storage.ReadCSV(rel.Name, rel.Arity(), f)
+		_, err = sys.LoadCSV(rel.Name, f)
 		f.Close()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.BindTable(rel.Name, tab); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package toorjah
 
 import (
 	"context"
+	"slices"
 
 	"toorjah/internal/cq"
 	"toorjah/internal/datalog"
@@ -147,8 +148,8 @@ func (q *Query) Execute(ctx context.Context, options ...ExecOption) (*Result, er
 }
 
 // executeWith runs one configured execution over an explicit registry (the
-// union runner passes one pinned snapshot so every disjunct answers over
-// the same data version).
+// union runner passes the relations it opened, so every disjunct answers
+// over the same data version).
 func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execConfig) (*Result, error) {
 	opts := q.sys.execOpts(cfg.opts)
 	switch {
@@ -178,19 +179,13 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 // exactly once (serialized, with the burst of the first disjunct to deliver
 // it), WithLimit
 // caps the distinct union answers and cancels the remaining disjuncts once
-// reached. One snapshot of the sources is pinned for the whole union, so
-// all disjuncts answer over a single data version; per-relation statistics
-// merge across disjuncts and Truncated/EarlyEmpty are OR-ed. A cancelled
-// context yields a truncated sound subset, never an error.
+// reached. The relations are opened once for the whole union, so all
+// disjuncts answer over a single data version through one cache layer and
+// one meter per relation; Result.Stats is what the union cost, and
+// Truncated/EarlyEmpty are OR-ed. A cancelled context yields a truncated
+// sound subset, never an error.
 func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Result, error) {
 	cfg := resolveExec(options)
-	// The cache's incarnations first, the sources second, as for one query
-	// (exec.openAccess): the disjuncts wrap the cache after the sources are
-	// pinned, so a rebind in between would otherwise pair a new incarnation
-	// with the old source.
-	if c := u.sys.execOpts(cfg.opts).Cache; c != nil {
-		cfg.opts.Cache = c.Pin()
-	}
 	// The pinned snapshots' IDs are the union's from here on, not their
 	// tables': the hold is taken before them, and the disjuncts join it.
 	if ctx == nil {
@@ -199,7 +194,11 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 	h := sym.Default.HoldFor(ctx)
 	defer h.Release()
 	ctx = sym.WithHold(ctx)
-	pinned := u.sys.reg.Snapshot() // one data version for every disjunct
+	paths, err := exec.Open(u.sys.reg, u.relations(cfg.executor), u.sys.execOpts(cfg.opts))
+	if err != nil {
+		return nil, err
+	}
+	opened := paths.Registry()
 	if unionPinned != nil {
 		unionPinned()
 	}
@@ -212,12 +211,34 @@ func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Resul
 			// withholds one has an answer the union lacks or has no room for.
 			dc := cfg
 			dc.onBursts = func(burst []datalog.Tuple, _ bool) { emit(burst) }
-			return q.executeWith(dctx, pinned, dc)
+			return q.executeWith(dctx, opened, dc)
 		}
 	}
-	return exec.Union(ctx, u.name, u.arity, runs, cfg.opts, cfg.onBursts)
+	res, err := exec.Union(ctx, u.name, u.arity, runs, cfg.opts, cfg.onBursts)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = paths.Stats()
+	return res, nil
 }
 
-// unionPinned, when set, runs between a union's pinning of its sources and
+// relations names, each once, what the disjuncts probe when they run on
+// executor: the schema for the naive algorithm, which probes every
+// relation, and otherwise the relations of the answerable disjuncts' plans.
+func (u *UnionQuery) relations(executor Executor) []string {
+	if executor == ExecutorNaive {
+		return u.sys.sch.Names()
+	}
+	var out []string
+	for _, q := range u.queries {
+		if q.Answerable() {
+			out = append(out, q.pipeline.Plan.Relations...)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// unionPinned, when set, runs between a union's opening of its relations and
 // its disjuncts; tests rebind a relation from it.
 var unionPinned func()

@@ -336,14 +336,6 @@ func (sh *shard) settle(ttl time.Duration, i int32, rows []storage.IRow, now int
 // Cache is a sharded, bounded, expiring access cache shared across query
 // executions. Create one with New; the zero value is not usable.
 type Cache struct {
-	*state
-	// pinned is, in a view Pin made, each relation's incarnation at the
-	// Pin; nil in the cache New made.
-	pinned map[*relation]uint32
-}
-
-// state is everything a cache and its pinned views share.
-type state struct {
 	opts   Options
 	shards []*shard
 
@@ -365,7 +357,7 @@ func New(opts Options) *Cache {
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	c := &Cache{state: &state{opts: opts, shards: make([]*shard, opts.shards), rels: make(map[string]*relation)}}
+	c := &Cache{opts: opts, shards: make([]*shard, opts.shards), rels: make(map[string]*relation)}
 	for i := range c.shards {
 		capacity := opts.Capacity / opts.shards
 		if i < opts.Capacity%opts.shards {
@@ -373,14 +365,14 @@ func New(opts Options) *Cache {
 		}
 		c.shards[i] = &shard{slab: make([]entry, 1), capacity: capacity}
 	}
-	sym.AddRoot(sym.Default, c.state)
+	sym.AddRoot(sym.Default, c)
 	return c
 }
 
 // MarkIDs marks the IDs of every entry's binding and rows: a sweep keeps
 // them.
-func (st *state) MarkIDs(m *sym.Marks) {
-	for _, sh := range st.shards {
+func (c *Cache) MarkIDs(m *sym.Marks) {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for i := range sh.slab {
 			if e := &sh.slab[i]; e.filed != nil {
@@ -530,22 +522,6 @@ func (c *Cache) invalidate(r *relation) int {
 	defer r.mu.Unlock()
 	r.newest.Store(0) // a new source may count its epochs from the start
 	return c.freeBelow(version{r: r, inc: r.inc.Add(1)})
-}
-
-// Pin returns a view of the cache whose wrappers (Wrap) take each
-// relation's incarnation as it is now, not as it is when they are made;
-// everything else is the cache's own. A caller that pins its sources after
-// the cache — a union pins one data version for all its disjuncts, which
-// wrap later — thereby keeps the rule Wrap states: a rebind after the Pin
-// leaves those wrappers an invalidated incarnation, and they cache nothing.
-func (c *Cache) Pin() *Cache {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	pinned := make(map[*relation]uint32, len(c.rels))
-	for _, r := range c.rels {
-		pinned[r] = r.inc.Load()
-	}
-	return &Cache{state: c.state, pinned: pinned}
 }
 
 // Clear invalidates every relation; statistics are preserved.

@@ -52,10 +52,12 @@ type wait struct {
 // round trip fetches it) or collapsed (another request's does), so
 // hits + misses + collapsed is the number of accesses demanded; only an
 // access orphaned by a failed flight is classified — and counted — again.
-// Entries are filed under the inner source's data epoch captured before the
-// probe: if the source advances mid-probe the extraction is stored under
-// the pre-probe epoch and simply never serves the new version —
-// conservative, never stale. When the context carries a trace, a
+// Entries are filed under the inner source's data epoch, read before the
+// probe. For a local table it is the version the probe reads: the engine
+// wraps a source pinned to one version (exec.openAccess). A federated
+// source reports the epoch its peer last advertised, so the first probe
+// after the peer moved files the newer rows under the older epoch, which
+// the probe's done frame then retires. When the context carries a trace, a
 // "cache-lookup" span records how many of the requested accesses the cache
 // absorbed.
 //
@@ -209,16 +211,13 @@ func (c *Cache) fetch(ctx context.Context, inner source.Wrapper, f *flight, v ve
 // under the cache sees only the probes that actually reach the source. The
 // cache is keyed by relation name: everything wrapped by one cache must bind
 // the same logical sources to the same names. A wrapper is made for one
-// binding of its relation: it holds the incarnation current when it was made
-// (by a Pin view: at the Pin), and after an Invalidate or a Clear it still
-// answers, from the source, and caches nothing — wrap again, as the engine
-// does per execution and per /probe request. Wrap before reading which source is bound, and a rebind in
-// between cannot file the old source's rows under the new incarnation.
+// binding of its relation: it holds the incarnation current when it was made,
+// and after an Invalidate or a Clear it still answers, from the source, and
+// caches nothing — wrap again, as the engine does each time it opens a
+// relation (exec.openAccess). Wrap before reading which source is bound, and
+// a rebind in between cannot file the old source's rows under the new
+// incarnation.
 func (c *Cache) Wrap(w source.Wrapper) source.Wrapper {
 	r := c.relation(w.Relation().Name)
-	inc := r.inc.Load()
-	if c.pinned != nil {
-		inc = c.pinned[r] // a relation first seen after the Pin was at its first, 0
-	}
-	return &cachedSource{c: c, inner: w, rel: r, inc: inc}
+	return &cachedSource{c: c, inner: w, rel: r, inc: r.inc.Load()}
 }

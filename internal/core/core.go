@@ -29,9 +29,6 @@ type Options struct {
 	// SkipPruning keeps every arc of the d-graph weak (no GFP), producing
 	// the unoptimized plan; used by ablation experiments.
 	SkipPruning bool
-	// Order tunes the linearization of the source ordering (heuristic-free;
-	// see plan.OrderOptions).
-	Order plan.OrderOptions
 }
 
 // Pipeline carries every artifact of query preparation.
@@ -99,7 +96,7 @@ func PrepareOpts(sch *schema.Schema, q *cq.CQ, opts Options) (*Pipeline, error) 
 	if !p.Graph.Answerable {
 		return p, nil
 	}
-	p.Plan, err = plan.Generate(p.Opt, opts.Order)
+	p.Plan, err = plan.Generate(p.Opt)
 	if err != nil {
 		return nil, err
 	}

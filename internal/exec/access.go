@@ -13,44 +13,50 @@ import (
 	"toorjah/internal/sym"
 )
 
-// access is one relation's access path for one execution: the one way a
-// probe leaves an executor. A probe passes, in order,
+// access is one relation's access path: the one way a probe leaves an
+// executor. A probe passes, in order,
 //
 //	cache → meter → pinned source
 //
 // the cross-query cache when one is configured (cache.Wrap: an access
 // answered before at this epoch is not an access), then the meter, which is
-// this type, then the source the registry held when the run began — pinned
-// to its current data version when it is versioned, so the run observes one
-// consistent epoch per relation however far concurrent writers advance the
-// tables. The meter is where an access is counted, once: it keeps the run's
-// source.Stats (Result.Stats) and, when the server hands its metric families
-// down (Options.Metrics), times the round trip and feeds them the same
-// numbers at the same moment. What the cache absorbs never reaches it, so
-// all of these count what reached a source and nothing else; what the plan
-// asked for, hits included, is counted where round trips are cut
-// (Result.Demanded).
+// this type, then the source the registry held when the path was opened —
+// pinned to its current data version when it is versioned, so every read
+// over the path observes one consistent epoch per relation however far
+// concurrent writers advance the tables. The meter is where an access is
+// counted, once: it keeps the path's source.Stats (Result.Stats) and, when
+// the server hands its metric families down (Options.Metrics), times the
+// round trip and feeds them the same numbers at the same moment. What the
+// cache absorbs never reaches it, so all of these count what reached a
+// source and nothing else; what the plan asked for, hits included, is
+// counted where round trips are cut (Result.Demanded).
 type access struct {
 	top source.Wrapper      // what the executor probes: the cache over the meter, or the meter
 	src source.Wrapper      // the pinned source
 	m   *obs.RelationProbes // the server's handles for the relation; nil without Options.Metrics
 
-	// The run's accounting: atomic, because the pipelined strategy keeps
+	// The path's accounting: atomic, because the pipelined strategy keeps
 	// several round trips per relation in flight.
 	accesses, batches, tuples atomic.Int64
 }
 
 // openAccess builds the access paths of the relations an execution probes —
 // those and no others, so a run costs what its plan touches, not what the
-// schema holds — in the order of relations. A relation without a source is
-// an error here, before the first probe: a missing binding never costs an
-// access.
+// schema holds — in the order of relations. It is the one opener of
+// relations and the one place a table is pinned: a path Open opened is taken
+// as it is, with no second cache layer and no second meter. A relation
+// without a source is an error here, before the first probe: a missing
+// binding never costs an access.
 func openAccess(reg *source.Registry, relations []string, opts Options) ([]access, error) {
 	paths := make([]access, len(relations))
 	for i, name := range relations {
 		a := &paths[i]
 		if a.src = reg.Source(name); a.src == nil {
 			return nil, fmt.Errorf("exec: no source bound for relation %s", name)
+		}
+		if o, ok := a.src.(opened); ok {
+			a.top, a.src = o.top, o.src
+			continue
 		}
 		a.top = a
 		if opts.Cache != nil {
@@ -67,6 +73,40 @@ func openAccess(reg *source.Registry, relations []string, opts Options) ([]acces
 		a.m = opts.Metrics.For(name)
 	}
 	return paths, nil
+}
+
+// Open opens relations once for reads that share them — a union's
+// disjuncts, a /probe request — so all of them read one data version and one
+// cache incarnation per relation, and the meters count what they all cost.
+// Hold (sym.Hold) before Open, as an execution does before openAccess.
+func Open(reg *source.Registry, relations []string, opts Options) (Paths, error) {
+	return openAccess(reg, relations, opts)
+}
+
+// Paths are the relations Open opened, in the order it was given them.
+type Paths []access
+
+// Source is the i-th path as a source: a probe enters at its top.
+func (p Paths) Source(i int) source.Wrapper { return opened{&p[i]} }
+
+// Registry binds the paths by name; an execution over it takes them as they
+// are (openAccess).
+func (p Paths) Registry() *source.Registry {
+	reg := source.NewRegistry()
+	for i := range p {
+		reg.Bind(p.Source(i))
+	}
+	return reg
+}
+
+// Stats reads what the reads over the paths cost.
+func (p Paths) Stats() map[string]source.Stats { return statsOf(p) }
+
+// opened is an access path as Paths hands it out: a probe enters at the top.
+type opened struct{ *access }
+
+func (o opened) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	return o.top.Probe(ctx, ids, out)
 }
 
 func (a *access) Relation() *schema.Relation { return a.src.Relation() }
@@ -116,11 +156,11 @@ func (a *access) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 
 // statsOf reads the run's accounting off its access paths; a relation that
 // was never probed is absent.
-func statsOf(relations []string, paths []access) map[string]source.Stats {
+func statsOf(paths []access) map[string]source.Stats {
 	out := make(map[string]source.Stats, len(paths))
 	for i := range paths {
 		if n := paths[i].accesses.Load(); n > 0 {
-			out[relations[i]] = source.Stats{
+			out[paths[i].src.Relation().Name] = source.Stats{
 				Accesses: int(n),
 				Batches:  int(paths[i].batches.Load()),
 				Tuples:   int(paths[i].tuples.Load()),

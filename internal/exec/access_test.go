@@ -83,7 +83,7 @@ func TestProbeContract(t *testing.T) {
 				if err := earlier[0].top.Probe(context.Background(), f.Batch(), f.Dirty()); err != nil {
 					t.Fatal(err)
 				}
-				warmed = statsOf([]string{"r"}, earlier)["r"]
+				warmed = statsOf(earlier)["r"]
 			}
 
 			paths, err := openAccess(reg, []string{"r"}, opts)
@@ -92,7 +92,7 @@ func TestProbeContract(t *testing.T) {
 			}
 			f.Contract(t, paths[0].top, func() int { return int(paths[0].accesses.Load()) })
 
-			got := statsOf([]string{"r"}, paths)
+			got := statsOf(paths)
 			if got["r"] != shape.want || (shape.want.Accesses == 0 && len(got) != 0) {
 				t.Errorf("the run's stats = %+v, want %+v (a relation never probed is absent)", got, shape.want)
 			}

@@ -117,5 +117,5 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	if err := k.evaluate(query, &sc.join, cache, truncated); err != nil {
 		return nil, err
 	}
-	return k.finish(statsOf(names, paths), demanded, truncated, false), nil
+	return k.finish(statsOf(paths), demanded, truncated, false), nil
 }

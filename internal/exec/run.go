@@ -421,7 +421,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 				}
 				if !sat {
 					span.SetAttr("early_empty", true)
-					return k.finish(statsOf(p.Relations, paths), demanded, false, true), nil
+					return k.finish(statsOf(paths), demanded, false, true), nil
 				}
 			}
 			opened++
@@ -443,7 +443,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			return nil, err
 		}
 	}
-	return k.finish(statsOf(p.Relations, paths), demanded, truncated, false), nil
+	return k.finish(statsOf(paths), demanded, truncated, false), nil
 }
 
 // groupState holds the cache database and the bookkeeping of one execution

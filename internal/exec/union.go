@@ -6,7 +6,6 @@ import (
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/obs"
-	"toorjah/internal/source"
 	"toorjah/internal/sym"
 )
 
@@ -30,11 +29,11 @@ type DisjunctRun func(ctx context.Context, emit func([]datalog.Tuple)) (*Result,
 //     as last: a disjunct's last burst is not the union's, whose other
 //     disjuncts may be awaiting their sources; calls are serialized, never
 //     concurrent;
-//   - per-relation statistics merge via source.Stats.Add, so Accesses,
-//     Batches and Tuples all survive, and Demanded sums (a disjunct's
-//     probes are counted against whichever disjunct actually reached the
-//     source — under a shared cross-query cache, concurrent identical
-//     probes collapse into one flight and are counted once);
+//   - Demanded sums over disjuncts, while Stats is left to the caller: the
+//     disjuncts share one opening of the relations (Open), whose paths
+//     count what the whole union cost — under a shared cross-query cache,
+//     concurrent identical probes collapse into one flight and are counted
+//     once;
 //   - Truncated and EarlyEmpty are OR-ed over disjuncts: a union containing
 //     any truncated disjunct is itself a sound subset of the obtainable
 //     answers, and EarlyEmpty records that at least one disjunct's
@@ -57,9 +56,8 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	defer cancel()
 
 	union := newSink(name, arity, opts, onAnswers)
-	stats := make(map[string]source.Stats)
 	var (
-		mu         sync.Mutex // guards union, stats and the flags
+		mu         sync.Mutex // guards union, demanded and the flags
 		demanded   int
 		truncated  bool
 		earlyEmpty bool
@@ -115,11 +113,6 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 				cancel() // stop the other disjuncts from spending accesses
 				return
 			}
-			for rel, st := range res.Stats {
-				cur := stats[rel]
-				cur.Add(st)
-				stats[rel] = cur
-			}
 			demanded += res.Demanded
 			truncated = truncated || res.Truncated
 			earlyEmpty = earlyEmpty || res.EarlyEmpty
@@ -130,5 +123,5 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return union.finish(stats, demanded, truncated, earlyEmpty), nil
+	return union.finish(nil, demanded, truncated, earlyEmpty), nil
 }

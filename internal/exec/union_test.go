@@ -32,9 +32,10 @@ func sortedUnion(t *testing.T, r *Result) string {
 }
 
 // TestUnionDedupAndStatsMerge: overlapping disjuncts dedup into one answer
-// set; per-relation stats merge via Stats.Add (Batches included) and the
-// Truncated/EarlyEmpty flags OR — the regression the hand-rolled merge of
-// the old UCQ wrapper dropped.
+// set and the Truncated/EarlyEmpty flags OR. The disjuncts' stats are not
+// merged: disjuncts share one opening of the relations (Open), so the
+// union's stats are read once off those paths — counts_test.go's UCQ rows
+// hold that bill.
 func TestUnionDedupAndStatsMerge(t *testing.T) {
 	runs := []DisjunctRun{
 		fakeDisjunct(
@@ -59,14 +60,8 @@ func TestUnionDedupAndStatsMerge(t *testing.T) {
 	if len(streamed) != 3 {
 		t.Errorf("onAnswer saw %d answers (%v), want 3 deduplicated", len(streamed), streamed)
 	}
-	if st := res.Stats["r"]; st != (source.Stats{Accesses: 4, Batches: 3, Tuples: 6}) {
-		t.Errorf("merged stats[r] = %+v", st)
-	}
-	if st := res.Stats["s"]; st != (source.Stats{Accesses: 4, Batches: 1, Tuples: 9}) {
-		t.Errorf("merged stats[s] = %+v", st)
-	}
-	if res.TotalBatches() != 4 {
-		t.Errorf("TotalBatches = %d, want 4", res.TotalBatches())
+	if len(res.Stats) != 0 {
+		t.Errorf("the union added up its disjuncts' stats into %+v; they share their access paths, which hold the union's bill", res.Stats)
 	}
 	if !res.Truncated || !res.EarlyEmpty {
 		t.Errorf("flags not OR-ed: truncated=%v earlyEmpty=%v", res.Truncated, res.EarlyEmpty)

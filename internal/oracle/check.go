@@ -36,6 +36,8 @@ type Outcome struct {
 //	answers             a run without a limit — no driver cancels one — is
 //	                    complete and answers what the reference answers
 //	union               the same, for a UCQ: the union of its disjuncts'
+//	complete            a stable case's run that is not truncated answers
+//	                    the complete answer (Ref.Complete)
 //	truncated-subset    a limited run's answers are a subset, exactly
 //	                    min(limit, reference answers) of them, and the run
 //	                    says it is truncated when the limit cut any
@@ -73,6 +75,9 @@ func Check(t testing.TB, c *Case, surface string, o Outcome) {
 			property = "union"
 		}
 		fail(property, "got %q (truncated %v), want %q", got, o.Truncated, want)
+	}
+	if c.Stable && !o.Truncated && !slices.Equal(got, c.Ref.Complete) {
+		fail("complete", "a stable case answered %q, its complete answer is %q", got, c.Ref.Complete)
 	}
 	if s := slices.Sorted(slices.Values(o.Streamed)); o.Streamed != nil && !slices.Equal(s, got) {
 		fail("streamed-once", "streamed %q, the result holds %q", s, got)

@@ -23,6 +23,7 @@ import (
 
 	"toorjah/internal/cq"
 	"toorjah/internal/gen"
+	"toorjah/internal/plan"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
 )
@@ -36,6 +37,10 @@ type Case struct {
 	Limit     int               // a limit to run the case under too; 0 for none
 	Script    []Batch           // batches to replay on DB (Replay); nil for none
 	Ref       *Ref              // the reference's outcome over DB
+	// Stable is set when every disjunct's obtainable answer is its complete
+	// answer on every instance: it has no negated atom and its minimal
+	// equivalent is orderable (C. Li and E. Chang, ICDT 2001).
+	Stable bool
 
 	mu     sync.Mutex
 	groups map[string][2]string // Check's groups: the first surface and its value
@@ -101,6 +106,7 @@ func Generate(seed int64) *Case {
 		if rng.Intn(2) == 0 {
 			c.Script = Mutations(rng, sch, c.DB, 3+rng.Intn(6))
 		}
+		c.Stable = stable(sch, c.Disjuncts)
 		return c
 	}
 	panic(fmt.Sprintf("oracle: seed %d: no answer planted in 100 draws", seed))
@@ -177,7 +183,7 @@ func (c *Case) Copy() *storage.Database { return Build(c.Schema, c.Load()) }
 // Replay returns the case after its script: the instance copied with the
 // batches applied, and its reference.
 func (c *Case) Replay() *Case {
-	r := &Case{Seed: c.Seed, Schema: c.Schema, DB: Build(c.Schema, append(c.Load(), c.Script...)), Disjuncts: c.Disjuncts, Limit: c.Limit}
+	r := &Case{Seed: c.Seed, Schema: c.Schema, DB: Build(c.Schema, append(c.Load(), c.Script...)), Disjuncts: c.Disjuncts, Limit: c.Limit, Stable: c.Stable}
 	r.Ref = mustReference(r)
 	return r
 }
@@ -208,6 +214,17 @@ func (c *Case) Sibling() []*cq.CQ {
 		out = append(out, cq.Instantiate(shape, consts))
 	}
 	return out
+}
+
+// stable reports whether no disjunct is negated and every disjunct's minimal
+// equivalent is orderable.
+func stable(sch *schema.Schema, disjuncts []*cq.CQ) bool {
+	for _, d := range disjuncts {
+		if _, ok := plan.Orderable(cq.Minimize(d), sch); !ok || len(d.Negated) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // valid reports whether q is a query over sch.

@@ -23,12 +23,14 @@ func TestGenerateIsDeterministic(t *testing.T) {
 }
 
 // TestCensus: over the seeds the drivers run (900–939), the reference
-// answers nearly every case, and every family of case occurs.
+// answers nearly every case, every family of case occurs, and at least 15 %
+// of the cases are stable — enough for the complete property to mean
+// something (10 of the 40 are).
 func TestCensus(t *testing.T) {
 	census := map[string]int{}
 	for seed := int64(900); seed < 940; seed++ {
 		c := Generate(seed)
-		has := map[string]bool{"answers": len(c.Ref.Answers) > 0, "union": len(c.Disjuncts) > 1, "limit": c.Limit > 0, "script": c.Script != nil}
+		has := map[string]bool{"answers": len(c.Ref.Answers) > 0, "union": len(c.Disjuncts) > 1, "limit": c.Limit > 0, "script": c.Script != nil, "stable": c.Stable}
 		for _, pool := range Pools(c.Schema, c.DB) {
 			has["empty string"] = has["empty string"] || pool[0] == ""
 		}
@@ -51,10 +53,36 @@ func TestCensus(t *testing.T) {
 	if census["answers"] < 36 {
 		t.Errorf("%d of 40 cases have answers, want at least 90%%", census["answers"])
 	}
+	if census["stable"] < 6 {
+		t.Errorf("%d of 40 cases are stable, want at least 15%%", census["stable"])
+	}
 	for _, family := range []string{"negation", "repeated variable", "head constant", "union", "limit", "empty string", "script"} {
 		if census[family] == 0 {
 			t.Errorf("no case has a %s", family)
 		}
+	}
+}
+
+// TestStabilityTheorem: on every stable case the reference's obtainable
+// answer is the complete one, and on some unstable cases it is not — so
+// Stable is what separates them, not a property every case has.
+func TestStabilityTheorem(t *testing.T) {
+	stable, differ := 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		c := Generate(seed)
+		same := slices.Equal(c.Ref.Answers, c.Ref.Complete)
+		if c.Stable {
+			stable++
+			if !same {
+				t.Errorf("seed %d: stable, obtains %q of the complete %q\nquery: %s", seed, c.Ref.Answers, c.Ref.Complete, c.Text())
+			}
+		} else if !same {
+			differ++
+		}
+	}
+	t.Logf("of 200 cases, %d are stable and %d unstable ones obtain less than the complete answer", stable, differ)
+	if differ == 0 {
+		t.Error("no unstable case obtains less than its complete answer")
 	}
 }
 

@@ -17,9 +17,12 @@ import (
 // Ref is the reference's outcome: the sorted answers, as Key strings, and the
 // set of accesses made, as sourcetest.Access keys — for the naive algorithm a
 // pure function of the instance, whatever the probing order, the batching or
-// the representation of values.
+// the representation of values. Complete is the complete answer beside the
+// obtainable one: the disjuncts joined over every row of the instance, as if
+// no access were limited.
 type Ref struct {
 	Answers  []string
+	Complete []string
 	Accesses map[string]bool
 }
 
@@ -49,6 +52,14 @@ func mustReference(c *Case) *Ref {
 	if err == nil {
 		var ref *Ref
 		if ref, err = Reference(c.Schema, reg, c.Disjuncts); err == nil {
+			rows, complete := map[string][]storage.Row{}, map[string]bool{}
+			for _, b := range c.Load() {
+				rows[b.Rel] = b.Rows
+			}
+			for _, q := range c.Disjuncts {
+				join(q, rows, complete)
+			}
+			ref.Complete = slices.Sorted(maps.Keys(complete))
 			return ref
 		}
 	}
@@ -116,8 +127,14 @@ func runNaive(sch *schema.Schema, reg *source.Registry, q *cq.CQ) (*naiveRun, er
 		}
 	}
 
-	// The positive body joined over the extracted rows, then the negated
-	// atoms checked against them, then the head projected — all on strings.
+	join(q, rows, n.answers)
+	return n, nil
+}
+
+// join adds to answers q's answers over rows, by relation: the positive body
+// joined, then the negated atoms checked against the same rows, then the head
+// projected — all on strings.
+func join(q *cq.CQ, rows map[string][]storage.Row, answers map[string]bool) {
 	env := map[string]string{}
 	unify := func(a cq.Atom, row storage.Row) bool { // binds env so that a matches row
 		for p, tm := range a.Args {
@@ -129,13 +146,13 @@ func runNaive(sch *schema.Schema, reg *source.Registry, q *cq.CQ) (*naiveRun, er
 		}
 		return true
 	}
-	var join func(i int)
-	join = func(i int) {
+	var from func(i int)
+	from = func(i int) {
 		if i < len(q.Body) {
 			for _, row := range rows[q.Body[i].Pred] {
 				outer := maps.Clone(env)
 				if unify(q.Body[i], row) {
-					join(i + 1)
+					from(i + 1)
 				}
 				env = outer
 			}
@@ -146,10 +163,9 @@ func runNaive(sch *schema.Schema, reg *source.Registry, q *cq.CQ) (*naiveRun, er
 				return
 			}
 		}
-		n.answers[Key(ground(q.Head, env))] = true
+		answers[Key(ground(q.Head, env))] = true
 	}
-	join(0)
-	return n, nil
+	from(0)
 }
 
 // Plant plants an answer of q in db and returns it as a Key. It draws a

@@ -6,14 +6,6 @@ import (
 	"toorjah/internal/dgraph"
 )
 
-// OrderOptions tunes the linearization of the source ordering among the
-// many valid ones.
-type OrderOptions struct {
-	// NoHeuristic disables the fast-failure tie-breaks: ready groups are
-	// taken in source-ID order. Used by ablation experiments.
-	NoHeuristic bool
-}
-
 // Order computes the source ordering of Section IV for an optimized
 // d-graph: sources traversed by a cyclic d-path (a strongly connected
 // component of the live source graph) share a position group; a weak arc
@@ -24,9 +16,8 @@ type OrderOptions struct {
 // those whose sources take part in more query joins (failure is detected
 // earlier). The second result reports whether the linearization was forced
 // at every step — exactly one ordering possible — which is the paper's
-// criterion for the existence of a ∀-minimal plan. opts tunes the
-// linearization.
-func Order(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Source, unique bool) {
+// criterion for the existence of a ∀-minimal plan.
+func Order(o *dgraph.Optimized) (groups [][]*dgraph.Source, unique bool) {
 	sources := o.Sources
 	if len(sources) == 0 {
 		return nil, true
@@ -91,12 +82,6 @@ func Order(o *dgraph.Optimized, opts OrderOptions) (groups [][]*dgraph.Source, u
 		best := 0
 		for i := 1; i < len(ready); i++ {
 			a, b := ready[i], ready[best]
-			if opts.NoHeuristic {
-				if members[a][0].ID < members[b][0].ID {
-					best = i
-				}
-				continue
-			}
 			switch {
 			case allFree[a] != allFree[b]:
 				if allFree[a] {

@@ -4,60 +4,27 @@ import (
 	"testing"
 )
 
-// TestOrderNoHeuristic is deterministic and ignores joins and freeness.
-func TestOrderNoHeuristic(t *testing.T) {
-	o := optimize(t, `
-seed^o(A)
-r^io(A, B)
-s^io(A, C)
-`, "q(B, C) :- r(X, B), s(X, C), seed(X)")
-	p, err := Generate(o, OrderOptions{NoHeuristic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// r occurs before s in the body, so its source ID is smaller; with the
-	// heuristic off the tie breaks by ID.
-	posOf := map[string]int{}
-	for gi, g := range p.Groups {
-		for _, s := range g {
-			posOf[s.Rel.Name] = gi
-		}
-	}
-	if posOf["r"] > posOf["s"] {
-		t.Errorf("ID order violated: %s", p)
-	}
-	// Both variants still satisfy the ordering constraints (checked by the
-	// general invariant below): strong arcs strictly ordered.
-	for _, a := range o.Arcs {
-		// seed -> r and seed -> s are the strong candidates here.
-		_ = a
-	}
-}
-
-// TestOrderUniqueOnChain: a pure chain has exactly one ordering regardless
-// of heuristics.
+// TestOrderUniqueOnChain: a pure chain has exactly one ordering.
 func TestOrderUniqueOnChain(t *testing.T) {
 	o := optimize(t, `
 seed^o(A)
 mid^io(A, B)
 last^io(B, C)
 `, "q(C) :- seed(X), mid(X, Y), last(Y, C)")
-	for _, opts := range []OrderOptions{{}, {NoHeuristic: true}} {
-		groups, unique := Order(o, opts)
-		if !unique {
-			t.Errorf("chain ordering must be unique (opts %+v)", opts)
+	groups, unique := Order(o)
+	if !unique {
+		t.Error("chain ordering must be unique")
+	}
+	if len(groups) != 3 {
+		t.Errorf("groups = %d", len(groups))
+	}
+	names := []string{}
+	for _, g := range groups {
+		for _, s := range g {
+			names = append(names, s.Rel.Name)
 		}
-		if len(groups) != 3 {
-			t.Errorf("groups = %d", len(groups))
-		}
-		names := []string{}
-		for _, g := range groups {
-			for _, s := range g {
-				names = append(names, s.Rel.Name)
-			}
-		}
-		if names[0] != "seed" || names[1] != "mid" || names[2] != "last" {
-			t.Errorf("order = %v", names)
-		}
+	}
+	if names[0] != "seed" || names[1] != "mid" || names[2] != "last" {
+		t.Errorf("order = %v", names)
 	}
 }

@@ -203,13 +203,12 @@ func domainPred(s *dgraph.Source, pos int) string {
 }
 
 // Generate builds the ⊂-minimal plan for an optimized d-graph whose query
-// is answerable, ordering its sources with ordOpts (the zero value, or the
-// heuristic-free linearization of the ablation).
-func Generate(o *dgraph.Optimized, ordOpts OrderOptions) (*Plan, error) {
+// is answerable, ordering its sources with Order.
+func Generate(o *dgraph.Optimized) (*Plan, error) {
 	if !o.Graph.Answerable {
 		return nil, fmt.Errorf("plan: query %s is not answerable", o.Graph.Query.Name)
 	}
-	groups, unique := Order(o, ordOpts)
+	groups, unique := Order(o)
 	p := &Plan{
 		Opt:            o,
 		Program:        &datalog.Program{},

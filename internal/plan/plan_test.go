@@ -55,7 +55,7 @@ func optimize(t *testing.T, schemaText, queryText string) *dgraph.Optimized {
 // relation from, and a plan generated anew starts its own.
 func TestBindSharesAnswerCount(t *testing.T) {
 	o := optimize(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBindSharesAnswerCount(t *testing.T) {
 	if got := b.LastAnswers.Load(); got != 7 {
 		t.Errorf("a count stored through one bound plan reads %d through the other, want 7", got)
 	}
-	again, err := Generate(o, OrderOptions{})
+	again, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ r3^io(C, A)
 // predicates, the ordering ra ≺ r1 ≺ r2, and no trace of the irrelevant r3.
 func TestPaperExample7(t *testing.T) {
 	o := optimize(t, example3Schema, "q(C) :- r1(a, B), r2(B, C)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPaperExample7(t *testing.T) {
 // unique.
 func TestExample6NoForAllMinimal(t *testing.T) {
 	o := optimize(t, "r1^o(A)\nr2^o(B)", "q(X) :- r1(X), r2(Y)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ r1^io(A, C)
 r2^io(B, C)
 r3^io(C, B)
 `, "q(C) :- r1(X, C), r3(C2, X2)")
-	if _, err := Generate(o, OrderOptions{}); err == nil {
+	if _, err := Generate(o); err == nil {
 		t.Error("want error for non-answerable query")
 	}
 }
@@ -189,7 +189,7 @@ rev_icde^iio(Person, Paper, Eval)
 // relations absent.
 func TestQ1PlanShape(t *testing.T) {
 	o := optimize(t, pubSchema, "q1(R) :- pub1(P, R), conf(P, C, Y), rev(R, C, Y)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ f1^oo(A, B)
 f2^oo(B, C)
 lim^io(B, D)
 `, "q(D) :- lim(X, D)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ a^oo(P, D1)
 b^oo(P, D2)
 lim^io(P, D3)
 `, "q(Z) :- a(X, Y1), b(X, Y2), lim(X, Z)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ lim^io(P, D3)
 // off-diagonal tuples; the diagonal restriction lives in the query rule.
 func TestSelfJoinCacheNotRestricted(t *testing.T) {
 	o := optimize(t, "r^oo(A, A)\nlim^io(A, B)", "q(X, Z) :- r(X, X), lim(X, Z)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestNegatedAtomInPlan(t *testing.T) {
 r^oo(A, B)
 s^io(B, C)
 `, "q(X) :- r(X, Y), s(Y, Z), not s(Y, Z)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ seed^o(A)
 r^io(A, B)
 s^io(B, A)
 `, "q(Y) :- r(X, Y), s(Y2, X2)")
-	p, err := Generate(o, OrderOptions{})
+	p, err := Generate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestPlanProgramValidates(t *testing.T) {
 	}
 	for _, c := range cases {
 		o := optimize(t, c.schema, c.query)
-		p, err := Generate(o, OrderOptions{})
+		p, err := Generate(o)
 		if err != nil {
 			t.Errorf("%s: %v", c.query, err)
 			continue

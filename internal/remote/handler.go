@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"toorjah/internal/ndjson"
 	"toorjah/internal/obs"
 	"toorjah/internal/source"
+	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // Server-side bounds of one /probe request; both are defensive caps, not
@@ -34,11 +37,6 @@ type Handler struct {
 	// Record, when set, observes every served probe. toorjahd feeds its
 	// /metrics and probe log from it.
 	Record func(ProbeRecord)
-
-	// MaxBindings and MaxRequestBytes bound one request; zero means the
-	// package defaults.
-	MaxBindings     int
-	MaxRequestBytes int64
 }
 
 // ProbeRecord is the accounting of one served probe: the relation, the
@@ -67,11 +65,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST with a JSON probe request", http.StatusMethodNotAllowed)
 		return
 	}
-	maxBytes := h.MaxRequestBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxRequestBytes
-	}
-	buf, err := ndjson.Read(http.MaxBytesReader(w, r.Body, maxBytes))
+	buf, err := ndjson.Read(http.MaxBytesReader(w, r.Body, DefaultMaxRequestBytes))
 	defer buf.Free()
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -88,36 +82,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad probe request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	maxBindings := h.MaxBindings
-	if maxBindings <= 0 {
-		maxBindings = DefaultMaxBindings
-	}
-	if len(req.Bindings) > maxBindings {
+	if len(req.Bindings) > DefaultMaxBindings {
 		http.Error(w, fmt.Sprintf("probe of %d bindings exceeds the %d-binding cap",
-			len(req.Bindings), maxBindings), http.StatusBadRequest)
+			len(req.Bindings), DefaultMaxBindings), http.StatusBadRequest)
 		return
 	}
-	src := h.resolve(req.Relation)
-	if src == nil {
-		http.Error(w, "unknown relation "+req.Relation, http.StatusNotFound)
-		return
-	}
-	inputs := len(src.Relation().InputPositions())
-	for i, b := range req.Bindings {
-		if len(b) != inputs {
-			http.Error(w, fmt.Sprintf("binding %d has %d values for %d input arguments of %s",
-				i, len(b), inputs, req.Relation), http.StatusBadRequest)
-			return
-		}
-	}
-
-	// Probe before streaming: the batch either succeeds whole (the
-	// extractions are in memory anyway, the sources are local tables or a
-	// cache over them) or fails as a clean, retryable 500. The epoch is
-	// captured before the probe, like the cache does: if an ingest lands
-	// mid-probe the done frame advertises the older version — conservative,
-	// the client merely re-learns the epoch one probe later.
-	//
 	// The probe runs under the request context carrying the caller's trace
 	// ID, so a further federated hop forwards the same ID — one query, one
 	// trace, however many nodes deep.
@@ -127,10 +96,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if traceID != "" {
 		ctx = obs.ContextWithTraceID(ctx, traceID)
 	}
-	epoch := source.EpochOf(src)
-	results, err := source.ProbeStrings(ctx, src, req.Bindings)
+	results, epoch, status, err := h.probe(ctx, &req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), status)
 		return
 	}
 
@@ -167,6 +135,32 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			TraceID:  traceID,
 		})
 	}
+}
+
+// probe resolves the request's relation and probes it before anything is
+// streamed, so the batch succeeds whole or fails as a clean, retryable 500.
+// One hold spans both: a resolver may pin its table's current version
+// (System.PeerSource does), whose IDs are the reader's only while it holds,
+// and the done frame's epoch is then the version the rows were read at.
+func (h *Handler) probe(ctx context.Context, req *ProbeRequest) (results [][]storage.Row, epoch uint64, status int, err error) {
+	hold := sym.Default.HoldFor(ctx)
+	defer hold.Release()
+	src := h.resolve(req.Relation)
+	if src == nil {
+		return nil, 0, http.StatusNotFound, errors.New("unknown relation " + req.Relation)
+	}
+	inputs := len(src.Relation().InputPositions())
+	for i, b := range req.Bindings {
+		if len(b) != inputs {
+			return nil, 0, http.StatusBadRequest, fmt.Errorf("binding %d has %d values for %d input arguments of %s",
+				i, len(b), inputs, req.Relation)
+		}
+	}
+	epoch = source.EpochOf(src)
+	if results, err = source.ProbeStrings(sym.WithHold(ctx), src, req.Bindings); err != nil {
+		return nil, 0, http.StatusInternalServerError, err
+	}
+	return results, epoch, http.StatusOK, nil
 }
 
 // PeerMux is a minimal federation peer over a registry: the /probe

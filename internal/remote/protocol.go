@@ -65,8 +65,9 @@ type rowFrame struct {
 
 // doneFrame terminates a successful stream, carrying the served accounting
 // — bindings probed (always len(Bindings)) and total tuples streamed — and
-// the relation's data epoch at serve time (0 when the peer's source is
-// unversioned). A client remembers the last epoch per relation: a change
+// the data epoch the rows were read at (0 when the peer's source is
+// unversioned): for a local table, the one version every binding of the
+// probe was answered over. A client remembers the last epoch per relation: a change
 // between probes means the peer's data moved, so whatever this node cached
 // from earlier probes describes a stale peer snapshot (the client's cache
 // keys entries by this epoch, making the stale set unreachable, and the

@@ -138,8 +138,6 @@ func TestProbeRoundTrip(t *testing.T) {
 func TestHandlerRejects(t *testing.T) {
 	_, reg := testRegistry(t)
 	h := NewHandler(reg.Source)
-	h.MaxBindings = 2
-	h.MaxRequestBytes = 256
 
 	post := func(body string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -153,10 +151,10 @@ func TestHandlerRejects(t *testing.T) {
 	if w := post(`{"relation":"r","bindings":[["a","b"]]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("bad arity: status %d, want 400", w.Code)
 	}
-	if w := post(`{"relation":"r","bindings":[["a"],["b"],["c"]]}`); w.Code != http.StatusBadRequest {
+	if w := post(`{"relation":"r","bindings":[` + strings.Repeat(`["a"],`, DefaultMaxBindings) + `["b"]]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("binding cap: status %d, want 400", w.Code)
 	}
-	if w := post(`{"relation":"r","bindings":[["` + strings.Repeat("x", 300) + `"]]}`); w.Code != http.StatusRequestEntityTooLarge {
+	if w := post(`{"relation":"r","bindings":[["` + strings.Repeat("x", DefaultMaxRequestBytes) + `"]]}`); w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("body cap: status %d, want 413", w.Code)
 	}
 	if w := post("not json"); w.Code != http.StatusBadRequest {

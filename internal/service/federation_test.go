@@ -19,6 +19,7 @@ import (
 	"toorjah"
 	"toorjah/internal/schema"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // fastRemote keeps the resilience delays test-sized.
@@ -418,5 +419,58 @@ func TestReadinessReportsDeadPeer(t *testing.T) {
 	lresp.Body.Close()
 	if lresp.StatusCode != http.StatusOK || !strings.Contains(string(b[:n]), "ok") {
 		t.Errorf("liveness = %d %q", lresp.StatusCode, b[:n])
+	}
+}
+
+// TestPeerIngestMidProbeCachesOneVersion: a client caches a peer's rows
+// under the epoch the peer's done frame advertises, so an ingest that lands
+// on the peer while a /probe waits for its source must not reach the rows
+// filed under the pre-ingest epoch. The peer's cache counting the probe's
+// miss marks the moment: its source is then inside its latency.
+func TestPeerIngestMidProbeCachesOneVersion(t *testing.T) {
+	sch := schema.MustParse("r^io(K, V)")
+	peerSys := toorjah.NewSystem(sch, toorjah.WithCache(toorjah.CacheOptions{}), toorjah.WithLatency(200*time.Millisecond))
+	if err := peerSys.BindRows("r", toorjah.Row{"a", "old"}); err != nil {
+		t.Fatal(err)
+	}
+	peerH := New(peerSys, toorjah.Options{}).Handler()
+	peer := httptest.NewServer(peerH)
+	defer peer.Close()
+	epoch := peerSys.RelationEpoch("r")
+
+	client := toorjah.NewSystem(sch.Clone(), toorjah.WithCache(toorjah.CacheOptions{}), toorjah.WithRemoteOptions(fastRemote()))
+	if err := client.AttachRemote(context.Background(), peer.URL+"=r"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.Prepare("q(V) :- r(a, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answered struct {
+		res *toorjah.Result
+		err error
+	}
+	done := make(chan answered, 1)
+	go func() {
+		res, err := q.Execute(context.Background())
+		done <- answered{res, err}
+	}()
+	for peerSys.AccessCache().Snapshot()["r"].Misses == 0 {
+		time.Sleep(time.Millisecond) // the peer files the miss before it asks its source
+	}
+	if w := postIngest(peerH, "/ingest?relation=r", `["a","new"]`+"\n"); w.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	a := <-done
+	if a.err != nil || strings.Join(a.res.SortedAnswers(), ";") != "old" {
+		t.Fatalf("the client answered %v, %v; want epoch %d's old", a.res, a.err, epoch)
+	}
+	if e := client.RelationEpoch("r"); e != epoch {
+		t.Errorf("the client learned epoch %d from the probe, want the %d it read", e, epoch)
+	}
+	id, _ := sym.Lookup("a")
+	rows, ok := client.AccessCache().MultiGetSym("r", epoch, [][]sym.ID{{id}})
+	if got := storage.MaterializeRows(rows[0]); !ok[0] || len(got) != 1 || got[0][1] != "old" {
+		t.Errorf("the client caches %v (present %v) under epoch %d, want that epoch's one row", got, ok[0], epoch)
 	}
 }

@@ -182,7 +182,7 @@ func TestSweepsBesideQueriesAndChurn(t *testing.T) {
 	run(func() { write(next); next++ })
 	var sweeps atomic.Int64
 	run(func() {
-		if sym.Sweep() {
+		if sym.Default.Sweep() {
 			sweeps.Add(1)
 		}
 	})
@@ -333,7 +333,7 @@ func TestSlowReaderStallsNothing(t *testing.T) {
 	const persons = 64
 	sys, target := scanSystem(t, persons)
 	h := New(sys, toorjah.Options{}).Handler()
-	sym.Sweep()
+	sym.Default.Sweep()
 	kept := sym.Default.Len()
 	w := &stalledWriter{flushCounter: newFlushCounter(), stalled: make(chan struct{}), resume: make(chan struct{})}
 	served := make(chan struct{})
@@ -384,7 +384,7 @@ func TestSlowReaderStallsNothing(t *testing.T) {
 	if n := strings.Count(w.body.String(), "\n"); n != 4*persons+1 || !strings.Contains(w.body.String(), `"answers":256,`) {
 		t.Errorf("the stalled response ended with %d lines: %q…", n, w.body.String()[:min(200, w.body.Len())])
 	}
-	sym.Sweep()
+	sym.Default.Sweep()
 	if n := sym.Default.Len(); n > kept+64 {
 		t.Errorf("%d values live after the reader left and a sweep ran, %d before it stalled", n, kept)
 	}
@@ -403,7 +403,7 @@ func TestProbeTrafficStaysBounded(t *testing.T) {
 	peer := httptest.NewServer(New(sys, toorjah.Options{}).Handler())
 	t.Cleanup(peer.Close)
 
-	sym.Sweep()
+	sym.Default.Sweep()
 	base := sym.Default.Len()
 	// A sweep is overdue once four times what the last one kept, or four
 	// times its floor of 4096, have been issued; add the probes in flight.

@@ -478,7 +478,7 @@ func TestPlansAreCachedPerShape(t *testing.T) {
 }
 
 // TestLoadDatabase covers the service's CSV loading path, including the
-// tolerant parsing of storage.ReadCSV (BOM, blank trailing lines).
+// tolerant parsing of storage.ReadCSVRows (BOM, blank trailing lines).
 func TestLoadDatabase(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{

@@ -279,25 +279,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Snapshot returns a registry in which every TableSource is pinned to its
-// current data version (everything else passes through unchanged).
-// Executors snapshot once per execution, so a query in flight keeps reading
-// one consistent epoch of every relation while Insert/Delete batches
-// advance the live tables.
-func (r *Registry) Snapshot() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := NewRegistry()
-	for name, w := range r.sources {
-		if ts, ok := w.(*TableSource); ok {
-			out.sources[name] = ts.Snapshot()
-		} else {
-			out.sources[name] = w
-		}
-	}
-	return out
-}
-
 // FromDatabase builds a registry of plain table sources for every relation
 // of the schema, reading rows from same-named tables of db. Relations
 // without a table get an empty table.

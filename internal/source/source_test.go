@@ -118,8 +118,7 @@ func TestLatency(t *testing.T) {
 }
 
 // TestTableSourcePinning: a snapshotted source keeps serving the version it
-// pinned while the live source and the table move on, and the registry
-// snapshot pins every table-backed source at once.
+// pinned while the live source and the table move on.
 func TestTableSourcePinning(t *testing.T) {
 	sch, err := schema.Parse("r^io(K, V)")
 	if err != nil {
@@ -156,12 +155,4 @@ func TestTableSourcePinning(t *testing.T) {
 		t.Errorf("live epoch did not advance from %d", wantEpoch)
 	}
 
-	// Registry.Snapshot pins table sources.
-	reg := NewRegistry()
-	reg.Bind(live)
-	snapReg := reg.Snapshot()
-	tab.InsertAll([]storage.Row{{"k", "newer"}})
-	if rows, _ := access(snapReg.Source("r"), "k"); len(rows) != 1 {
-		t.Errorf("registry snapshot reads the live table: %v", rows)
-	}
 }

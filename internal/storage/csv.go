@@ -11,28 +11,14 @@ import (
 // utf8BOM is the byte-order mark some spreadsheet exports prepend.
 var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 
-// ReadCSV loads rows from CSV data into a new table of the given arity,
-// applying them as one batch (one epoch). Every record must have exactly
-// arity fields; errors name the offending line. The reader tolerates the
-// rough edges of hand-edited and exported files: a leading UTF-8 byte-order
-// mark, leading whitespace before fields, and blank (or whitespace-only)
-// lines anywhere in the file. Quoted content — an empty field ("") or a
-// whitespace-only line inside a multi-line quoted field — is data, not
-// blankness, and is preserved.
-func ReadCSV(name string, arity int, r io.Reader) (*Table, error) {
-	rows, err := ReadCSVRows(name, arity, r)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable(name, arity)
-	t.InsertAll(rows)
-	return t, nil
-}
-
-// ReadCSVRows parses CSV data into rows of the given arity without building
-// a table, for callers that batch-apply the rows to a table of their own
-// (the ingestion API, the service's CSV seed). Parsing rules are exactly
-// ReadCSV's.
+// ReadCSVRows parses CSV data into rows of the given arity, for callers
+// that batch-apply them to a table (the ingestion API, the service's CSV
+// seed). Every record must have exactly arity fields; errors name the
+// offending line. The reader tolerates the rough edges of hand-edited and
+// exported files: a leading UTF-8 byte-order mark, leading whitespace before
+// fields, and blank (or whitespace-only) lines anywhere in the file. Quoted
+// content — an empty field ("") or a whitespace-only line inside a
+// multi-line quoted field — is data, not blankness, and is preserved.
 func ReadCSVRows(name string, arity int, r io.Reader) ([]Row, error) {
 	var rows []Row
 	br := bufio.NewReader(r)

@@ -31,7 +31,7 @@
 // current snapshot through a single atomic load, so a reader holding a
 // snapshot observes a frozen version of the relation no matter how far
 // writers advance it. Executors pin one snapshot per relation per execution
-// (source.Registry.Snapshot), which is what makes concurrent ingestion safe:
+// (exec.openAccess), which is what makes concurrent ingestion safe:
 // a query's answers are always the answers over some single epoch of each
 // relation, never a torn mix of two.
 //

@@ -38,7 +38,7 @@ func TestChurnKeepsSymbolsBounded(t *testing.T) {
 		heapMargin = 1 << 20
 	)
 	runtime.GC()
-	sym.Sweep()
+	sym.Default.Sweep()
 	base := sym.Default.Len()
 	// Between sweeps up to max(kept, SweepFloor) IDs are issued; what a
 	// sweep keeps is base, the live values and the values of the tombstoned
@@ -98,7 +98,7 @@ func TestFreshConstantsAreFreed(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	sym.Sweep()
+	sym.Default.Sweep()
 	base := sym.Default.Len()
 	for i := 0; i < 10000; i++ {
 		q, err := sys.Prepare(fmt.Sprintf("q(B) :- r1(absent%d, B)", i))

@@ -208,9 +208,6 @@ func (t *Table) issued() {
 // whether it ran: a caller sweeping in a loop does not starve the holds.
 func (t *Table) Sweep() bool { return t.waiting.Load() == 0 && t.trySweep() }
 
-// Sweep sweeps the Default table now if no hold is active or waiting.
-func Sweep() bool { return Default.Sweep() }
-
 func (t *Table) trySweep() bool {
 	for {
 		s := t.state.Load()

@@ -24,7 +24,7 @@
 // by a root (AddRoot) — a table's rows, an access cache's entries, a
 // result's answers — while the root is reachable; and by a pin, for good:
 // the exported Intern, InternAll and Lookup pin what they hand out, the
-// contract of callers that know nothing of holds. A sweep (Sweep, and
+// contract of callers that know nothing of holds. A sweep (Table.Sweep, and
 // automatically as IDs are issued) runs only while no hold is active: it
 // keeps every ID a root or a pin holds and frees the rest, whose IDs are
 // issued again before any new one. So an ID, and every hash or key made

@@ -423,7 +423,7 @@ func TestKeyInjectivity(t *testing.T) {
 // deleted and compacted away are gone, and the ones pinned (the assertions'
 // sym.Lookup pins) are not.
 func TestIDStabilityAcrossSnapshotsAndCompaction(t *testing.T) {
-	sym.Sweep()
+	sym.Default.Sweep()
 	h := sym.Default.Hold()
 	tab := storage.NewTable("r", 2)
 	for i := 0; i < 200; i++ {
@@ -477,7 +477,7 @@ func TestIDStabilityAcrossSnapshotsAndCompaction(t *testing.T) {
 	}
 	tab.DeleteAll(churned)
 	h.Release()
-	if !sym.Sweep() {
+	if !sym.Default.Sweep() {
 		t.Fatal("Sweep did not run with no hold active")
 	}
 	look := sym.Default.Hold()

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"toorjah/internal/exec"
 	"toorjah/internal/remote"
 	"toorjah/internal/source"
 )
@@ -122,27 +123,16 @@ func (s *System) RemotePeers() []*RemotePeer {
 	return out
 }
 
-// PeerSource returns a relation's source as served to federated peers: the
-// one bound right now — nil when there is none — behind the cross-query cache
-// when one is configured, so a probe repeated by (or across) peers costs no
-// local access. toorjahd's /probe endpoint asks per request, so it serves
-// whatever the node has bound, inserted into or rebound since it started.
+// PeerSource returns a relation's source as served to federated peers, nil
+// when none is bound, opened as an execution opens it: behind the
+// cross-query cache when one is configured, over the source pinned to its
+// current version, so the epoch it reports is the one every probe reads.
+// Call and probe it under one symbol hold, as remote.Handler does; toorjahd's
+// /probe endpoint asks per request, so it serves what is bound now.
 func (s *System) PeerSource(name string) Wrapper {
-	w := s.reg.Source(name)
-	if w == nil || s.cache == nil {
-		return w
+	paths, err := exec.Open(s.reg, []string{name}, s.execOpts(Options{}))
+	if err != nil {
+		return nil // nothing bound
 	}
-	// As an execution's access path does: the cache's wrapper first, the
-	// source second, so a rebind in between cannot file the old source's rows
-	// under the relation's new incarnation (cache.Wrap).
-	p := &peerAccess{w}
-	cached := s.cache.Wrap(p)
-	p.Wrapper = s.reg.Source(name)
-	return cached
+	return paths.Source(0)
 }
-
-// peerAccess is what PeerSource wraps: the bound source, settable after the
-// cache has wrapped it, with the epoch the embedding would hide.
-type peerAccess struct{ Wrapper }
-
-func (p *peerAccess) Epoch() uint64 { return source.EpochOf(p.Wrapper) }

@@ -2,8 +2,12 @@ package toorjah
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // startPeer serves the given relations of the paper's Example 1 schema as a
@@ -294,5 +299,109 @@ r3^oo(Artist, Album)
 	}
 	if err := full.AttachRemote(context.Background(), url); err == nil || !strings.Contains(err.Error(), "already locally bound") {
 		t.Errorf("fully-owned bare attach: err = %v", err)
+	}
+}
+
+// TestPeerSourceServesTheVersionItAdvertises: a /probe reads the version its
+// source reports, cache or not. An insert lands while the cached probe of a
+// is inside its source's latency — after the cache has filed the miss under
+// the epoch it read — and neither the probe's rows, nor what the cache holds
+// under that epoch, nor the epoch the source reports may carry the new row.
+func TestPeerSourceServesTheVersionItAdvertises(t *testing.T) {
+	sch, err := ParseSchema("r^io(K, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(sch, WithCache(CacheOptions{}), WithLatency(200*time.Millisecond))
+	if err := sys.BindRows("r", Row{"a", "old"}); err != nil {
+		t.Fatal(err)
+	}
+	w := sys.PeerSource("r")
+	epoch := source.EpochOf(w)
+	type probed struct {
+		rows [][]storage.Row
+		err  error
+	}
+	done := make(chan probed, 1)
+	go func() {
+		rows, err := source.ProbeStrings(context.Background(), w, [][]string{{"a"}})
+		done <- probed{rows, err}
+	}()
+	for sys.AccessCache().Snapshot()["r"].Misses == 0 {
+		time.Sleep(time.Millisecond) // the miss is filed before the source is asked
+	}
+	if _, err := sys.Insert("r", Row{"a", "new"}); err != nil {
+		t.Fatal(err)
+	}
+	p := <-done
+	if p.err != nil || len(p.rows) != 1 || len(p.rows[0]) != 1 || p.rows[0][0][1] != "old" {
+		t.Errorf("the probe answered %v, %v; want epoch %d's one row", p.rows, p.err, epoch)
+	}
+	if e := source.EpochOf(w); e != epoch {
+		t.Errorf("the probed source reports epoch %d, want the %d it read", e, epoch)
+	}
+	a, _ := sym.Lookup("a")
+	rows, ok := sys.AccessCache().MultiGetSym("r", epoch, [][]sym.ID{{a}})
+	if got := storage.MaterializeRows(rows[0]); !ok[0] || len(got) != 1 || got[0][1] != "old" {
+		t.Errorf("the cache holds %v (present %v) under epoch %d, want that epoch's one row", got, ok[0], epoch)
+	}
+}
+
+// TestPeerProbeHoldsItsPinnedVersion: a /probe request holds the symbol
+// table from before its relation is resolved, since PeerSource pins the
+// table's current version there. A batch that deletes every row and
+// compacts the log, a sweep and a batch of fresh values all land between
+// the resolve and the probe, and the probe still answers the pinned
+// version's strings, cache or not.
+func TestPeerProbeHoldsItsPinnedVersion(t *testing.T) {
+	sch, err := ParseSchema("live^io(K, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]SystemOption{nil, {WithCache(CacheOptions{})}} {
+		sys := NewSystem(sch, opts...)
+		const n = 1100 // past storage's compaction threshold of 1024 tombstones
+		rows, fresh, want := make([]Row, n), make([]Row, n), make([]string, n)
+		for i := range rows {
+			rows[i] = Row{"k", fmt.Sprintf("peer-held-%d", i)}
+			fresh[i] = Row{"x", fmt.Sprintf("peer-fresh-%d", i)}
+			want[i] = rows[i][1]
+		}
+		if err := sys.BindRows("live", rows...); err != nil {
+			t.Fatal(err)
+		}
+		h := remote.NewHandler(func(name string) source.Wrapper {
+			w := sys.PeerSource(name)
+			if _, err := sys.Delete("live", rows...); err != nil {
+				t.Error(err)
+			}
+			sym.Default.Sweep()
+			if _, err := sys.Insert("live", fresh...); err != nil {
+				t.Error(err)
+			}
+			return w
+		})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/probe",
+			strings.NewReader(`{"relation":"live","bindings":[["k"]]}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("probe: %d %s", rec.Code, rec.Body)
+		}
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+			var f struct{ Row []string }
+			if err := json.Unmarshal([]byte(line), &f); err != nil {
+				t.Fatal(err)
+			}
+			if f.Row != nil {
+				got = append(got, f.Row[1])
+			}
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("cache %v: the probe answered %d values over its pinned version, want the %d deleted ones; first %q",
+				opts != nil, len(got), len(want), got[:min(3, len(got))])
+		}
 	}
 }

@@ -49,8 +49,8 @@
 // Unions of conjunctive queries are first-class too: PrepareUCQ takes one
 // disjunct per line (same head predicate and arity), and the resulting
 // UnionQuery executes its disjuncts concurrently — or streams deduplicated
-// union answers via OnAnswer — with per-relation statistics merged across
-// disjuncts:
+// union answers via OnAnswer — with per-relation statistics of the whole
+// union:
 //
 //	u, _ := sys.PrepareUCQ("q(N) :- artist(A, N, Y)\nq(N) :- song(N, Y, A)")
 //	ures, _ := u.Execute(ctx)
@@ -423,9 +423,9 @@ func (s *System) Delete(name string, rows ...Row) (int, error) {
 	return t.DeleteAll(rows), nil
 }
 
-// LoadCSV parses CSV data (ReadCSV's tolerant dialect) and inserts the rows
-// into the relation's live table as one batch, returning the number of rows
-// added. Nothing is applied when parsing fails partway.
+// LoadCSV parses CSV data (the tolerant dialect of storage.ReadCSVRows) and
+// inserts the rows into the relation's live table as one batch, returning
+// the number of rows added. Nothing is applied when parsing fails partway.
 func (s *System) LoadCSV(name string, r io.Reader) (int, error) {
 	rel := s.sch.Relation(name)
 	if rel == nil {

@@ -484,3 +484,35 @@ r3^oo(Artist, Album)
 		t.Fatalf("cache-warm repeat moved the probe counter, want still %q:\n%s", want, out.String())
 	}
 }
+
+// TestUnionMetersWhatItProbes: a union opens the relations its disjuncts'
+// plans probe and no others, so a bound relation no disjunct touches gets
+// no source series on the server's metrics.
+func TestUnionMetersWhatItProbes(t *testing.T) {
+	reg := obs.NewRegistry()
+	sch, _ := ParseSchema(`
+r1^ioo(Artist, Nation, Year)
+r3^oo(Artist, Album)
+`)
+	sys := NewSystem(sch, WithCache(CacheOptions{}))
+	must(t, sys.BindRows("r1", Row{"madonna", "usa", "1958"}))
+	must(t, sys.BindRows("r3", Row{"madonna", "like_a_virgin"}))
+	u, err := sys.PrepareUCQ("q(A) :- r3(X, A)\nq(A) :- r3(A, X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := u.Execute(context.Background(), WithExecOptions(Options{Metrics: obs.NewProbeMetrics(reg)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.SortedAnswers(); len(got) != 2 || res.Stats["r3"].Accesses == 0 {
+		t.Fatalf("union answered %v with stats %v, want 2 answers from r3", got, res.Stats)
+	}
+	var out strings.Builder
+	if err := reg.WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `relation="r3"`) || strings.Contains(out.String(), `relation="r1"`) {
+		t.Errorf("metrics after a union over r3 alone:\n%s", out.String())
+	}
+}

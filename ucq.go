@@ -15,8 +15,8 @@ import (
 // identical probes issued by overlapping disjuncts collapse into a single
 // source access, so parallelism never costs extra accesses over running
 // them one at a time (Options.MaxConcurrent: -1). Execute
-// pins one snapshot of the sources for the whole union, so all disjuncts —
-// and therefore the union answer — evaluate over a single data version even
+// opens the relations once for the whole union, so all disjuncts — and
+// therefore the union answer — evaluate over a single data version even
 // while writers ingest into the relations.
 type UnionQuery struct {
 	sys     *System

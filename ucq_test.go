@@ -287,7 +287,7 @@ func TestUnionHoldsItsPinnedSnapshot(t *testing.T) {
 		if _, err := sys.Delete("live", rows...); err != nil {
 			t.Error(err)
 		}
-		sym.Sweep()
+		sym.Default.Sweep()
 		if _, err := sys.Insert("live", fresh...); err != nil {
 			t.Error(err)
 		}
