@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io/fs"
 	"maps"
 	"os"
@@ -78,7 +79,9 @@ func TestLinkcheckFindsBreakage(t *testing.T) {
 // followed by `*` or `{…}` (`BenchmarkBatch*`) stands for every name it
 // prefixes. README's metric catalog must name exactly the families the
 // code registers (checkMetricCatalog), and its toorjahd table exactly the
-// flags toorjahd registers (checkFlagTable). Every path the docs cite in
+// flags toorjahd registers (checkFlagTable). CI's fuzz smoke must list
+// exactly the declared fuzz targets, and every name CI cites must be
+// declared (checkFuzzSmoke). Every path the docs cite in
 // inline code must exist (checkCitedPaths), and README and ARCHITECTURE
 // stay under their byte ceilings (checkDocSizes).
 func TestRepoDocs(t *testing.T) {
@@ -94,21 +97,26 @@ func TestRepoDocs(t *testing.T) {
 	}
 
 	var declared []string
+	fuzzers := make(map[string]bool) // "dir FuzzName", for each fuzz target outside bench/
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
 		}
 		src, err := os.ReadFile(path)
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
 		for _, m := range declaredRE.FindAllSubmatch(src, -1) {
 			declared = append(declared, string(m[1]))
+			if bytes.HasPrefix(m[1], []byte("Fuzz")) && dir != "bench" && !strings.HasPrefix(dir, "bench/") {
+				fuzzers[dir+" "+string(m[1])] = true
+			}
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		for _, cited := range citedTests(t, f) {
+	checkCited := func(f string, cited []string) {
+		for _, cited := range cited {
 			name, prefix := strings.CutSuffix(cited, "*")
 			if i := strings.IndexByte(name, '{'); i >= 0 {
 				name, prefix = name[:i], true
@@ -120,16 +128,51 @@ func TestRepoDocs(t *testing.T) {
 			}
 		}
 	}
+	for _, f := range files {
+		checkCited(f, citedTests(t, f))
+	}
+	ci := filepath.Join(root, ".github", "workflows", "ci.yml")
+	checkCited(ci, checkFuzzSmoke(t, ci, fuzzers))
 	checkMetricCatalog(t, root)
 	checkFlagTable(t, root)
 	checkCitedPaths(t, root, files)
 	checkDocSizes(t, root)
 }
 
+// checkFuzzSmoke holds CI's fuzz smoke — its `-fuzz '^FuzzX$' ./dir/`
+// lines — to the fuzz targets the tree declares outside bench/, package by
+// package and in both directions: `go test -fuzz` with a pattern its
+// package does not declare warns and passes. It returns the test, benchmark
+// and fuzz target names the workflow cites, for the caller to hold to the
+// declared ones.
+func checkFuzzSmoke(t *testing.T, ci string, declared map[string]bool) []string {
+	t.Helper()
+	src, err := os.ReadFile(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[string]bool)
+	for _, m := range fuzzLineRE.FindAllStringSubmatch(string(src), -1) {
+		dir := strings.Trim(strings.TrimPrefix(m[2], "./"), "/")
+		listed[dir+" "+m[1]] = true
+	}
+	for _, target := range slices.Sorted(maps.Keys(declared)) {
+		if !listed[target] {
+			t.Errorf("%s declares fuzz target %s, which %s does not fuzz", strings.Fields(target)[0], strings.Fields(target)[1], ci)
+		}
+	}
+	for _, target := range slices.Sorted(maps.Keys(listed)) {
+		if !declared[target] {
+			t.Errorf("%s fuzzes %s in %s, which declares no such target", ci, strings.Fields(target)[1], strings.Fields(target)[0])
+		}
+	}
+	return citedRE.FindAllString(string(src), -1)
+}
+
 // docCeilings are the byte ceilings of the two largest docs. A change may
 // lower a ceiling, never raise one: a new contract that needs room deletes
 // an older paragraph.
-var docCeilings = map[string]int64{"README.md": 53845, "ARCHITECTURE.md": 61143}
+var docCeilings = map[string]int64{"README.md": 50538, "ARCHITECTURE.md": 58046}
 
 // checkDocSizes holds each doc of docCeilings to its ceiling.
 func checkDocSizes(t *testing.T, root string) {
@@ -290,6 +333,7 @@ var (
 	flagRE      = regexp.MustCompile(`\bflag\.(?:String|Int|Int64|Bool|Duration|Var)\((?:&\w+, )?"([a-z0-9-]+)"`)
 	flagRowRE   = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
 	citedPathRE = regexp.MustCompile(`^(?:cmd|internal|examples|bench)/`)
+	fuzzLineRE  = regexp.MustCompile(`(?m)-fuzz '\^(Fuzz\w+)\$'.* (\.\S*)$`)
 )
 
 // citedTests returns the test, benchmark and fuzz target names a markdown

@@ -6,10 +6,10 @@
 //
 // The schema file uses the paper's notation, one relation per line
 // ("rev^ooi(Person, ConfName, Year)"); datadir holds one CSV file per
-// relation (rev.csv, …). A -query with several non-comment lines is a union
-// of conjunctive queries (UCQ), one disjunct per line sharing the head
-// predicate and arity; the disjuncts execute concurrently and the distinct
-// union answers stream as they are derived.
+// relation (rev.csv, …). A -query is a union of conjunctive queries (UCQ),
+// one disjunct per line sharing the head predicate and arity, blank and '#'
+// lines ignored, a CQ being a union of one; the disjuncts execute
+// concurrently and the distinct union answers stream as they are derived.
 //
 // Relations need not be local: -remote attaches a running toorjahd node as
 // a federation peer, sourcing the named relations (or, with a bare
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"toorjah"
-	"toorjah/internal/cq"
 	"toorjah/internal/schema"
 	"toorjah/internal/service"
 )
@@ -120,34 +119,21 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// A CQ runs as a union of one disjunct; only its messages, its -plan
-	// lines and -dot are its own.
-	union := cq.IsUnion(*queryText)
-	if union && *showDOT {
+	// A CQ is a union of one disjunct; only its messages, its -plan lines and
+	// -dot are its own.
+	u, err := sys.PrepareUCQ(*queryText)
+	if err != nil {
+		return err
+	}
+	disjuncts := u.Disjuncts()
+	union := len(disjuncts) > 1
+	switch {
+	case union && *showDOT:
 		return errors.New("-dot renders a single CQ's d-graph; pass one disjunct at a time")
-	}
-	var (
-		q         query
-		disjuncts []*toorjah.Query
-	)
-	if union {
-		u, err := sys.PrepareUCQ(*queryText)
-		if err != nil {
-			return err
-		}
-		q, disjuncts = u, u.Disjuncts()
-	} else {
-		one, err := sys.Prepare(*queryText)
-		if err != nil {
-			return err
-		}
-		if !one.Answerable() {
-			fmt.Fprintln(stdout, "query is not answerable: some relation in it is not queryable; the answer is empty on every instance")
-			return nil
-		}
-		q, disjuncts = one, []*toorjah.Query{one}
-	}
-	if *showDOT {
+	case !union && !u.Answerable():
+		fmt.Fprintln(stdout, "query is not answerable: some relation in it is not queryable; the answer is empty on every instance")
+		return nil
+	case *showDOT:
 		fmt.Fprint(stdout, disjuncts[0].DGraphDOT())
 		return nil
 	}
@@ -171,30 +157,23 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-	if !q.Answerable() {
+	if !u.Answerable() {
 		fmt.Fprintln(stdout, "no disjunct is answerable; the answer is empty on every instance")
 		return nil
 	}
 
-	ctx := context.Background()
-	start := time.Now()
-	var res *toorjah.Result
+	// One sink prints the answers as any executor derives them.
+	executor := toorjah.ExecutorPipelined
 	if *naive {
-		res, err = q.Execute(ctx, toorjah.WithExecutor(toorjah.ExecutorNaive))
-		if err != nil {
-			return err
-		}
-		for _, t := range res.Answers.Tuples() {
-			fmt.Fprintln(stdout, strings.Join(t.Strings(), ", "))
-		}
-	} else {
-		// Stream answers as they are derived (the Toorjah way).
-		res, err = q.Execute(ctx, toorjah.OnAnswer(func(t toorjah.Tuple) {
+		executor = toorjah.ExecutorNaive
+	}
+	start := time.Now()
+	res, err := u.Execute(context.Background(), toorjah.WithExecutor(executor),
+		toorjah.OnAnswer(func(t toorjah.Tuple) {
 			fmt.Fprintf(stdout, "%s    (after %s)\n", strings.Join(t.Strings(), ", "), time.Since(start).Round(time.Millisecond))
 		}))
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	if union {
 		fmt.Fprintf(stdout, "-- union of %d disjunct(s)\n", len(disjuncts))
@@ -212,12 +191,4 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// query is a prepared CQ or UCQ: the UCQ's disjuncts execute concurrently
-// over one registry and the distinct union answers stream as the first
-// disjunct derives them.
-type query interface {
-	Answerable() bool
-	Execute(ctx context.Context, options ...toorjah.ExecOption) (*toorjah.Result, error)
 }

@@ -66,6 +66,31 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLICommentedCQ: a -query is read as a union, one disjunct per line
+// with '#' lines ignored, so a CQ after a comment line prints the answers
+// and summary the bare CQ prints, as a CQ, not a union.
+func TestCLICommentedCQ(t *testing.T) {
+	schemaFile, dataDir := writeExample(t)
+	answers := func(query string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run([]string{"-schema", schemaFile, "-data", dataDir, "-query", query}, &out); err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		var lines []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			line, _, _ = strings.Cut(line, "    (after ") // answer lines carry their timing
+			line, _, _ = strings.Cut(line, " in ")        // and so does the summary
+			lines = append(lines, line)
+		}
+		return strings.Join(lines, "\n")
+	}
+	bare := answers(exampleQuery)
+	if got := answers("# note\n" + exampleQuery); got != bare || !strings.Contains(got, "italy") {
+		t.Errorf("commented CQ printed\n%s\nwant the bare CQ's\n%s", got, bare)
+	}
+}
+
 // TestCLINaive: the -naive strategy agrees on the answer.
 func TestCLINaive(t *testing.T) {
 	schemaFile, dataDir := writeExample(t)

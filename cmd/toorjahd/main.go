@@ -27,12 +27,12 @@
 //	                               probes served, ingest batches and rows,
 //	                               relation epochs/rows/modification times
 //
-// A query text with several non-comment lines is a union of conjunctive
-// queries (UCQ), one disjunct per line sharing the head predicate and
-// arity: the disjuncts execute concurrently over the shared access cache
-// and the deduplicated union answers stream as NDJSON the moment the first
-// disjunct derives them; the summary line carries the merged access
-// statistics and the disjunct count.
+// A query text is a union of conjunctive queries (UCQ), one disjunct per
+// line sharing the head predicate and arity, blank and '#' lines ignored, a
+// CQ being a union of one. The disjuncts of a union of several execute
+// concurrently over the shared access cache, the deduplicated answers
+// stream as NDJSON the moment the first disjunct derives them, and the
+// summary line carries the merged access statistics and the disjunct count.
 //
 // Relations are live: POST /ingest?relation=rev streams NDJSON rows (one
 // JSON string array per line) into the relation as a single batch — one

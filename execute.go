@@ -88,8 +88,8 @@ func OnAnswers(f func([]Tuple)) ExecOption {
 // the service writes a summary line — and wants its last burst to ride with
 // that: last is set on the call the engine makes as a run finishes, and no
 // call follows it. A run whose answers had all left before it finished, a
-// run that fails, and a UnionQuery (a disjunct's last burst is not the
-// union's) never say last.
+// run that fails, and a union of several disjuncts (a disjunct's last burst
+// is not the union's) never say last.
 func OnBursts(f func(burst []Tuple, last bool)) ExecOption {
 	return func(c *execConfig) { c.onBursts = f }
 }
@@ -172,19 +172,22 @@ func (q *Query) executeWith(ctx context.Context, reg *source.Registry, cfg execC
 	}
 }
 
-// Execute runs every disjunct concurrently (bounded by Options.MaxConcurrent) and
-// unions the answers — the UCQ semantics of the paper's Section II. The
-// same options as Query.Execute apply: WithExecutor selects the strategy
-// every disjunct runs, OnAnswers/OnAnswer observe each distinct union answer
-// exactly once (serialized, with the burst of the first disjunct to deliver
-// it), WithLimit
-// caps the distinct union answers and cancels the remaining disjuncts once
-// reached. The relations are opened once for the whole union, so all
-// disjuncts answer over a single data version through one cache layer and
-// one meter per relation; Result.Stats is what the union cost, and
-// Truncated/EarlyEmpty are OR-ed. A cancelled context yields a truncated
-// sound subset, never an error.
+// Execute runs every disjunct concurrently (bounded by Options.MaxConcurrent)
+// and unions the answers — the UCQ semantics of the paper's Section II; a
+// union of one disjunct runs as its Query.Execute. The same options apply:
+// WithExecutor selects the strategy every disjunct runs, OnAnswers/OnAnswer
+// observe each distinct union answer exactly once (serialized, with the
+// burst of the first disjunct to deliver it), WithLimit caps the distinct
+// union answers and cancels the remaining disjuncts once reached. The
+// relations are opened once for the whole union, so all disjuncts answer
+// over a single data version through one cache layer and one meter per
+// relation; Result.Stats is what the union cost, and Truncated/EarlyEmpty
+// are OR-ed. A cancelled context yields a truncated sound subset, never an
+// error.
 func (u *UnionQuery) Execute(ctx context.Context, options ...ExecOption) (*Result, error) {
+	if len(u.queries) == 1 {
+		return u.queries[0].Execute(ctx, options...)
+	}
 	cfg := resolveExec(options)
 	// The pinned snapshots' IDs are the union's from here on, not their
 	// tables': the hold is taken before them, and the disjuncts join it.

@@ -22,10 +22,6 @@ type cachedSource struct {
 // Relation returns the wrapped relation schema.
 func (s *cachedSource) Relation() *schema.Relation { return s.inner.Relation() }
 
-// Epoch forwards the wrapped source's data epoch (0 when unversioned), so
-// layered caches and the probe protocol see through the cache decorator.
-func (s *cachedSource) Epoch() uint64 { return source.EpochOf(s.inner) }
-
 // wait is one access of a batch that found its key already being fetched
 // by another request's flight.
 type wait struct {
@@ -52,12 +48,11 @@ type wait struct {
 // round trip fetches it) or collapsed (another request's does), so
 // hits + misses + collapsed is the number of accesses demanded; only an
 // access orphaned by a failed flight is classified — and counted — again.
-// Entries are filed under the inner source's data epoch, read before the
-// probe. For a local table it is the version the probe reads: the engine
-// wraps a source pinned to one version (exec.openAccess). A federated
-// source reports the epoch its peer last advertised, so the first probe
-// after the peer moved files the newer rows under the older epoch, which
-// the probe's done frame then retires. When the context carries a trace, a
+// Entries are filed only under the epoch they were read at: the inner
+// source's, read before the probe and again after it (fetch). A local
+// table's cannot move, being pinned (exec.openAccess); a federated source's
+// is what its peer last advertised, which a probe's done frame may move.
+// When the context carries a trace, a
 // "cache-lookup" span records how many of the requested accesses the cache
 // absorbed.
 //
@@ -171,15 +166,18 @@ func gather(ids []sym.ID, w int, idx []int) []sym.ID {
 // wrapper cannot wedge its keys: the claims are settled or dropped, waiters
 // are released, and the panic propagates to the request that owns the
 // flight. An extraction is stored where its claim still stands: not when the
-// probe failed, and not when the claim's generation was freed meanwhile — by
-// a newer epoch's first use, or by Invalidate: an extraction read from a
-// source that was replaced mid-probe must not re-populate the cache. The TTL
+// probe failed, not when the source's epoch moved during the probe (the rows
+// may be the newer version's, and v names the older), and not when the
+// claim's generation was freed meanwhile — by a newer epoch's first use, or
+// by Invalidate: an extraction read from a source that was replaced
+// mid-probe must not re-populate the cache. The TTL
 // counts from when the extraction is stored, not from when the probe began —
 // a slow source must not shorten its entry's life.
 func (c *Cache) fetch(ctx context.Context, inner source.Wrapper, f *flight, v version, ids []sym.ID, w, n int) (rows [][]storage.IRow, err error) {
 	delivered := false
 	defer func() {
 		now := c.now()
+		stored := delivered && source.EpochOf(inner) == v.epoch
 		for j := range n {
 			b := ids[j*w : j*w+w]
 			h := sym.HashIDs(b)
@@ -187,7 +185,7 @@ func (c *Cache) fetch(ctx context.Context, inner source.Wrapper, f *flight, v ve
 			sh.mu.Lock()
 			if g := sh.rel(v.r.n).generation(v, false); g != nil {
 				if _, i := sh.find(g, h, b); i >= 0 && sh.slab[i].flight == f {
-					if delivered {
+					if stored {
 						sh.settle(c.opts.TTL, i, rows[j], now, false)
 					} else {
 						sh.drop(i)

@@ -165,18 +165,25 @@ q(X) :- pub2(P, X)
 	}
 }
 
-func TestIsUnion(t *testing.T) {
-	for text, want := range map[string]bool{
-		"":                                  false,
-		"q(X) :- r(X)":                      false,
-		"\n\n  q(X) :- r(X)  \n# comment\n": false,
-		"# a\n# b\n":                        false,
-		"q(X) :- r(X)\nq(X) :- s(X)":        true,
-		"q(X) :- r(X)\r\n\t\nq(X) :- s(X)":  true,
-		"q(X) :- r(X)\n#\nbad(":             true,
-	} {
-		if got := IsUnion(text); got != want {
-			t.Errorf("IsUnion(%q) = %v, want %v", text, got, want)
+// TestParseUCQOneDisjunctIsParse: a text of one disjunct, comment and blank
+// lines aside, parses as Parse parses the disjunct — a CQ is a union of
+// one — and a one-line text, trailing blank lines included, fails with
+// Parse's own error on the whole text; an error in a union of several names
+// its line.
+func TestParseUCQOneDisjunctIsParse(t *testing.T) {
+	for _, text := range []string{"# note\nq(X) :- r(X)", "q(X) :- r(X)\n# note", "\n\t\n  q(X) :- r(X)  \r\n\n"} {
+		u, err := ParseUCQ(text)
+		if err != nil || len(u.Disjuncts) != 1 || u.Disjuncts[0].String() != "q(X) :- r(X)" {
+			t.Errorf("ParseUCQ(%q) = %v, %v; want the one disjunct q(X) :- r(X)", text, u, err)
 		}
+	}
+	for _, text := range []string{"garbage(", "garbage(\n", "  q(X) :- r(X) junk\r\n\n", "q(X) :- r('a)"} {
+		_, want := Parse(text)
+		if _, err := ParseUCQ(text); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("ParseUCQ(%q) failed with %v, want Parse's %v", text, err, want)
+		}
+	}
+	if _, err := ParseUCQ("q(X) :- r(X)\n\n# note\nq(X) :- s(X"); err == nil || !strings.HasPrefix(err.Error(), "line 4: ") {
+		t.Errorf("a union's error is %v, want it to name line 4", err)
 	}
 }

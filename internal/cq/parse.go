@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -35,43 +36,43 @@ func MustParse(text string) *CQ {
 	return q
 }
 
-// IsUnion reports whether a query text is a union under ParseUCQ's
-// line-splitting rules: more than one non-blank, non-comment line. Both
-// binaries use it to route a text to Parse or ParseUCQ — /query on every
-// request, so it walks the text in place.
-func IsUnion(text string) bool {
-	lines := 0
-	for len(text) > 0 {
-		var raw string
-		raw, text, _ = strings.Cut(text, "\n")
-		if line := strings.TrimSpace(raw); line != "" && !strings.HasPrefix(line, "#") {
-			if lines++; lines > 1 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ParseUCQ parses a union of conjunctive queries, one disjunct per line
-// (blank lines and '#' comments ignored). All disjuncts must share the head
-// predicate and arity.
+// ParseUCQ parses a query text as a union of conjunctive queries: one
+// disjunct per line, blank lines and lines starting with '#' ignored, all
+// disjuncts sharing the head predicate and arity. A CQ is a union of one: a
+// one-line text fails as Parse fails, a union of several names its line.
 func ParseUCQ(text string) (*UCQ, error) {
-	u := &UCQ{}
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
+	u, n, errLine := &UCQ{}, 0, 0 // the union; its disjunct lines; the first that fails
+	var err error
+	for rest, lineNo := text, 1; rest != ""; lineNo++ {
+		lo := len(text) - len(rest)
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if t := strings.Trim(line, " \t\r"); t == "" || t[0] == '#' {
 			continue
 		}
-		q, err := Parse(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		hi := lo + len(line)
+		if strings.Trim(rest, " \t\r\n") == "" { // the blank lines after the last line are space to it
+			hi = len(text)
 		}
-		if u.Name == "" {
-			u.Name = q.Name
+		if n++; err != nil {
+			continue
 		}
-		u.Disjuncts = append(u.Disjuncts, q)
+		var q *CQ
+		if q, err = Parse(text[lo:hi]); err == nil {
+			u.Disjuncts = append(u.Disjuncts, q)
+		} else {
+			errLine = lineNo
+		}
 	}
+	switch {
+	case err != nil && n > 1:
+		return nil, fmt.Errorf("line %d: %w", errLine, err)
+	case err != nil:
+		return nil, err
+	case n == 0:
+		return nil, errors.New("no query: every line is blank or a comment")
+	}
+	u.Name = u.Disjuncts[0].Name
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}

@@ -168,10 +168,16 @@ func (h *Handler) probe(ctx context.Context, req *ProbeRequest) (results [][]sto
 // line, in the paper's notation), and a /healthz liveness probe. toorjahd
 // mounts the same Handler into its richer route table; PeerMux serves the
 // tests, benchmarks, and embedders that need a probe-able node and nothing
-// else.
+// else. A /probe reads the version it resolves, as System.PeerSource's do.
 func PeerMux(reg *source.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/probe", NewHandler(reg.Source))
+	mux.Handle("/probe", NewHandler(func(relation string) source.Wrapper {
+		src := reg.Source(relation)
+		if ts, ok := src.(*source.TableSource); ok {
+			return ts.Snapshot() // the done frame's epoch is then its rows'
+		}
+		return src
+	}))
 	mux.HandleFunc("/schema", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		var b strings.Builder

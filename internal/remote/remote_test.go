@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -642,5 +643,57 @@ func TestProbeContract(t *testing.T) {
 	f.Contract(t, c.Source(f.Rel), func() int { return peer.Stats().Accesses })
 	if got := c.Telemetry()["r"].RoundTrips; got != 2 {
 		t.Errorf("the contract's two batches made %d round trips", got)
+	}
+}
+
+// TestPeerMuxServesTheVersionItAdvertises: PeerMux pins the table's current
+// version when it resolves a /probe's relation, so the rows and the done
+// frame's epoch are one version even when a batch lands mid-probe. The
+// insert waits for the request to reach the handler, then lands well inside
+// the source's 200 ms latency.
+func TestPeerMuxServesTheVersionItAdvertises(t *testing.T) {
+	rel := schema.MustParse("r^io(K, V)").Relation("r")
+	tab := storage.NewTable("r", 2)
+	tab.InsertAll([]storage.Row{{"a", "old"}})
+	src, err := source.NewTableSource(rel, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := source.NewRegistry()
+	reg.Bind(src.WithLatency(200 * time.Millisecond))
+	mux := PeerMux(reg)
+	reached := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached <- struct{}{}
+		mux.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := Dial(ts.URL, fastOptions())
+	defer c.Close()
+	peer := c.Source(rel)
+	epoch := tab.Epoch()
+
+	type probed struct {
+		rows []storage.Row
+		err  error
+	}
+	done := make(chan probed, 1)
+	go func() {
+		rows, err := access(peer, "a")
+		done <- probed{rows, err}
+	}()
+	<-reached
+	time.Sleep(50 * time.Millisecond) // the probe resolves at once, and reads at 200 ms
+	tab.Insert(storage.Row{"a", "new"})
+	p := <-done
+	var got []string
+	for _, row := range p.rows {
+		got = append(got, row[1])
+	}
+	slices.Sort(got)
+	want := map[uint64]string{epoch: "old", epoch + 1: "new;old"}[source.EpochOf(peer)]
+	if p.err != nil || want == "" || strings.Join(got, ";") != want {
+		t.Errorf("the probe answered %v, %v under epoch %d; want one version's rows, epoch %d's old",
+			got, p.err, source.EpochOf(peer), epoch)
 	}
 }

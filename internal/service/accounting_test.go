@@ -45,7 +45,10 @@ func TestOneProducerPerNumber(t *testing.T) {
 
 	audited := func() (total toorjah.SourceStats) {
 		for _, ctr := range counters {
-			total.Add(ctr.Stats())
+			st := ctr.Stats()
+			total.Accesses += st.Accesses
+			total.Batches += st.Batches
+			total.Tuples += st.Tuples
 		}
 		return total
 	}

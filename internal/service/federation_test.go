@@ -474,3 +474,48 @@ func TestPeerIngestMidProbeCachesOneVersion(t *testing.T) {
 		t.Errorf("the client caches %v (present %v) under epoch %d, want that epoch's one row", got, ok[0], epoch)
 	}
 }
+
+// TestClientCachesPeerRowsUnderTheirEpoch: a client files a peer's rows only
+// under the epoch they were read at. It has seen the peer's epoch e when the
+// peer inserts a row for the binding the client then probes: the probe reads
+// epoch e+1, whose done frame says so, and the client's cache holds nothing
+// for the binding under e. Its next probe is filed under e+1.
+func TestClientCachesPeerRowsUnderTheirEpoch(t *testing.T) {
+	sch := schema.MustParse("r^io(K, V)")
+	peerSys := toorjah.NewSystem(sch)
+	if err := peerSys.BindRows("r", toorjah.Row{"a", "old"}); err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(New(peerSys, toorjah.Options{}).Handler())
+	defer peer.Close()
+	epoch := peerSys.RelationEpoch("r")
+
+	client := toorjah.NewSystem(sch.Clone(), toorjah.WithCache(toorjah.CacheOptions{}), toorjah.WithRemoteOptions(fastRemote()))
+	if err := client.AttachRemote(context.Background(), peer.URL+"=r"); err != nil {
+		t.Fatal(err)
+	}
+	if e := client.RelationEpoch("r"); e != epoch {
+		t.Fatalf("the client attached at epoch %d, want the peer's %d", e, epoch)
+	}
+	if _, err := peerSys.Insert("r", toorjah.Row{"a", "new"}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := client.Prepare("q(V) :- r(a, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := sym.Lookup("a")
+	for run, at := range []uint64{epoch, epoch + 1} {
+		res, err := q.Execute(context.Background())
+		if err != nil || strings.Join(res.SortedAnswers(), ";") != "new;old" {
+			t.Fatalf("run %d answered %v, %v; want new;old", run, res, err)
+		}
+		if e := client.RelationEpoch("r"); e != epoch+1 {
+			t.Errorf("run %d: the client knows epoch %d, want the %d the probe read", run, e, epoch+1)
+		}
+		rows, ok := client.AccessCache().MultiGetSym("r", at, [][]sym.ID{{id}})
+		if got := storage.MaterializeRows(rows[0]); ok[0] != (run == 1) || run == 1 && len(got) != 2 {
+			t.Errorf("run %d: the client caches %v (present %v) under epoch %d", run, got, ok[0], at)
+		}
+	}
+}

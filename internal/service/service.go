@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"toorjah"
-	"toorjah/internal/cq"
 	"toorjah/internal/ndjson"
 	"toorjah/internal/obs"
 	"toorjah/internal/remote"
@@ -44,12 +43,6 @@ const DefaultMaxIngestBytes = 8 << 20
 // DefaultReadyTimeout bounds the peer reachability checks of GET
 // /healthz?ready (toorjahd's -ready-timeout overrides).
 const DefaultReadyTimeout = 2 * time.Second
-
-// runnable is a prepared query of either kind — a single CQ or a UCQ whose
-// disjuncts stream concurrently — behind the one entry point /query needs.
-type runnable interface {
-	Execute(ctx context.Context, options ...toorjah.ExecOption) (*toorjah.Result, error)
-}
 
 type Server struct {
 	sys   *toorjah.System
@@ -124,7 +117,7 @@ func New(sys *toorjah.System, execOpts toorjah.Options, opts ...Option) *Server 
 	s.served = m.Counter("toorjah_queries_served_total",
 		"Queries served to completion by /query (unions included).")
 	s.ucqServed = m.Counter("toorjah_ucqs_served_total",
-		"Served queries that were unions of conjunctive queries.")
+		"Served queries that were unions of several conjunctive queries.")
 	s.probesServed = m.CounterVec("toorjah_probes_served_total",
 		"POST /probe round trips answered for federated peers, by relation.", "relation")
 	s.peerProbeAccesses = m.CounterVec("toorjah_peer_probe_accesses_total",
@@ -386,16 +379,6 @@ func (s *Server) writeString(w io.Writer, text string) {
 	}
 }
 
-// prepare parses a query text — a single CQ, or a UCQ when the text has
-// several disjunct lines — and prepares it against the system, whose plan
-// cache makes that a lookup for every shape it has seen.
-func (s *Server) prepare(text string) (runnable, error) {
-	if cq.IsUnion(text) {
-		return s.sys.PrepareUCQ(text)
-	}
-	return s.sys.Prepare(text)
-}
-
 // answerLine / doneLine / errorLine are the NDJSON frames of /query. The
 // answer and done lines are rendered by appendAnswerLine and appendDoneLine,
 // not through these types, which stay as the frames' definition and the
@@ -428,13 +411,13 @@ type errorLine struct {
 	Error string `json:"error"`
 }
 
-// handleQuery answers one conjunctive query — or a union of them, one
-// disjunct per line — streaming each distinct answer as an NDJSON line, the
-// first the moment the engine derives it and the rest burst by burst as
-// round trips land, then a final summary line, in one write with the run's
-// last burst. The query text
-// comes from the q parameter (GET) or the request body (POST); limit, when
-// positive, stops after that many answers.
+// handleQuery answers one query text — a union of conjunctive queries, one
+// disjunct per line, blank and '#' lines ignored, a CQ being a union of one —
+// streaming each distinct answer as an NDJSON line, the first the moment
+// the engine derives it and the rest burst by burst as round trips land,
+// then a final summary line, in one write with the run's last burst. The
+// query text comes from the q parameter (GET) or the request body (POST);
+// limit, when positive, stops after that many answers.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query() // parsed once: every call to Query re-parses the raw string
 	var text string
@@ -474,13 +457,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	q, err := s.prepare(text)
+	// The system's plan cache makes preparing a lookup for every shape it has
+	// seen.
+	q, err := s.sys.PrepareUCQ(text)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	executor := "pipelined"
-	if _, ok := q.(*toorjah.UnionQuery); ok {
+	executor, disjuncts := "pipelined", len(q.Disjuncts())
+	if disjuncts > 1 {
 		executor = "union"
 	}
 
@@ -512,9 +497,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// first answer being what streaming is for. The run's last burst waits
 	// for nothing but the done line and leaves with it: a response whose run
 	// never waited again is one Write and no Flush, sent un-chunked. Calls are
-	// serialized by both kinds of runnable — a CQ delivers from the goroutine
-	// executing the query, a UCQ serializes its concurrent disjuncts — so
-	// the buffers need no locking. Answers materialize to strings only here,
+	// serialized — a CQ delivers from the goroutine executing the query, a
+	// union of several serializes its concurrent disjuncts — so the buffers
+	// need no locking. Answers materialize to strings only here,
 	// at the NDJSON boundary.
 	var (
 		lines     = make([]byte, 0, 512) // rendered, not yet written; reused; a point response fits
@@ -595,9 +580,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Truncated: res.Truncated,
 		TraceID:   traceID,
 	}
-	if u, ok := q.(*toorjah.UnionQuery); ok {
+	if disjuncts > 1 {
 		s.ucqServed.Inc()
-		done.Disjuncts = len(u.Disjuncts())
+		done.Disjuncts = disjuncts
 	}
 	if trace != nil {
 		trace.Root.End()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -375,6 +376,72 @@ func TestServerUCQStream(t *testing.T) {
 	answers2, done2 := queryNDJSON(t, ts.URL+"/query?q="+strings.ReplaceAll(strings.ReplaceAll(pubUCQ, "\n", "%0A"), " ", "%20"))
 	if strings.Join(answers2, ";") != "alice" || done2.Accesses != 0 {
 		t.Errorf("warm UCQ: answers=%v accesses=%d, want alice and 0", answers2, done2.Accesses)
+	}
+}
+
+// TestCommentedCQIsTheBareCQ: every /query text is a union, one disjunct
+// per line with blank and '#' lines ignored, so a CQ with a comment line
+// before or after it — by GET and by POST — is the bare CQ: the same answers
+// and the same done line, with no disjuncts field, counted as a CQ on
+// /metrics. A malformed CQ and one naming an unknown relation answer 400
+// with Prepare's text.
+func TestCommentedCQIsTheBareCQ(t *testing.T) {
+	sys, _ := newTestSystem(t) // no cache: every run makes the same accesses
+	srv := New(sys, toorjah.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	bare, bareDone := queryNDJSON(t, ts.URL+"/query?q="+url.QueryEscape(pubQuery))
+	if strings.Join(bare, ";") != "alice" {
+		t.Fatalf("bare CQ answered %v, want alice", bare)
+	}
+	same := func(d doneLine) bool {
+		d.ElapsedMS, d.TraceID = bareDone.ElapsedMS, bareDone.TraceID
+		return d == bareDone
+	}
+	texts := []string{"# who reviewed\n" + pubQuery, pubQuery + "\n# trailing note", "\n#a\n\n  " + pubQuery + "  \r\n\n# b\n"}
+	for _, text := range texts {
+		answers, done := queryNDJSON(t, ts.URL+"/query?q="+url.QueryEscape(text))
+		if strings.Join(answers, ";") != "alice" || !same(done) {
+			t.Errorf("GET %q: answers %v, done %+v; want the bare CQ's %v, %+v", text, answers, done, bare, bareDone)
+		}
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+		var d doneLine
+		if resp.StatusCode != http.StatusOK || len(lines) != 2 || lines[0] != `{"answer":["alice"]}` ||
+			json.Unmarshal([]byte(lines[1]), &d) != nil || !same(d) || strings.Contains(lines[1], "disjuncts") {
+			t.Errorf("POST %q: status %d, body %s; want the bare CQ's stream", text, resp.StatusCode, body)
+		}
+	}
+	body := scrapeMetrics(t, ts.URL)
+	n := float64(1 + 2*len(texts))
+	if got := metricValue(t, body, `toorjah_query_duration_seconds_count{executor="pipelined"}`); got != n {
+		t.Errorf("pipelined queries = %v, want %v", got, n)
+	}
+	if got := metricValue(t, body, "toorjah_ucqs_served_total"); got != 0 {
+		t.Errorf("ucqs served = %v, want 0: every text was a CQ", got)
+	}
+	misses, hits := metricValue(t, body, "toorjah_plan_cache_misses_total"), metricValue(t, body, "toorjah_plan_cache_hits_total")
+	if misses != 1 || hits != n-1 {
+		t.Errorf("plan cache: %v misses, %v hits; want 1 and %v, as for the bare CQ repeated", misses, hits, n-1)
+	}
+
+	for _, text := range []string{"garbage(", "q(R) :- pub1(P, R\n", "\n  q(X) :- nosuch(X)", "q(P) :- conf(P, 'No Such', Y, extra)"} {
+		_, want := sys.Prepare(text)
+		resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want == nil || resp.StatusCode != http.StatusBadRequest || string(body) != want.Error()+"\n" {
+			t.Errorf("%q: status %d, body %q; want 400 and Prepare's %v", text, resp.StatusCode, body, want)
+		}
 	}
 }
 

@@ -236,13 +236,6 @@ type Stats struct {
 	Tuples int `json:"tuples"`
 }
 
-// Add accumulates another relation's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.Batches += o.Batches
-	s.Tuples += o.Tuples
-}
-
 // Registry is the set of wrapped sources of a schema, by relation name.
 type Registry struct {
 	mu      sync.RWMutex

@@ -25,8 +25,8 @@ type UnionQuery struct {
 	arity   int
 }
 
-// PrepareUCQ parses and prepares a union of conjunctive queries, one
-// disjunct per line, all sharing the head predicate and arity.
+// PrepareUCQ parses (cq.ParseUCQ) and prepares a union of conjunctive
+// queries; a text of one disjunct is a CQ, and fails as Prepare fails.
 func (s *System) PrepareUCQ(text string) (*UnionQuery, error) {
 	u, err := cq.ParseUCQ(text)
 	if err != nil {
@@ -43,8 +43,11 @@ func (s *System) PrepareUCQFrom(u *UCQ) (*UnionQuery, error) {
 	out := &UnionQuery{sys: s, name: u.Name, arity: u.Arity()}
 	for _, d := range u.Disjuncts {
 		q, err := s.PrepareCQ(d)
+		if err != nil && len(u.Disjuncts) > 1 {
+			err = fmt.Errorf("disjunct %s: %w", d, err)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("disjunct %s: %w", d, err)
+			return nil, err
 		}
 		out.queries = append(out.queries, q)
 	}

@@ -303,3 +303,39 @@ func TestUnionHoldsItsPinnedSnapshot(t *testing.T) {
 			len(got), len(want), got[:min(3, len(got))])
 	}
 }
+
+// TestUnionOfOneIsItsCQ: a text of one disjunct is a CQ. PrepareUCQ fails
+// with Prepare's error, and Execute runs the disjunct's Query.Execute:
+// the same answers and access bill, and an OnBursts sink that sees last.
+func TestUnionOfOneIsItsCQ(t *testing.T) {
+	sys := musicSystem(t)
+	for _, text := range []string{"q(N) :- r1(A, N", "q(N) :- nosuch(N)", "q(N) :- r1(A, N, Y, extra)"} {
+		_, want := sys.Prepare(text)
+		if _, err := sys.PrepareUCQ("# a comment\n" + text); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("PrepareUCQ(%q) failed with %v, want Prepare's %v", text, err, want)
+		}
+	}
+	const text = "q(N) :- r1(A, N, Y1), r2(volare, Y2, A)"
+	q, err := sys.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.PrepareUCQ("# Example 1\n" + text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := false
+	got, err := u.Execute(context.Background(), WithExecutor(ExecutorFastFail),
+		OnBursts(func(_ []Tuple, l bool) { last = l }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.SortedAnswers(), want.SortedAnswers()) || got.TotalAccesses() != want.TotalAccesses() || !last {
+		t.Errorf("union of one: answers %v, %d accesses, last %v; want the CQ's %v, %d accesses, last true",
+			got.SortedAnswers(), got.TotalAccesses(), last, want.SortedAnswers(), want.TotalAccesses())
+	}
+}
