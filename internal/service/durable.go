@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"toorjah"
 	"toorjah/internal/schema"
@@ -70,12 +69,14 @@ func OpenDurable(sch *schema.Schema, csvDir string, wopts wal.Options) (*storage
 		}
 	}
 	if !rec.HadSnapshot && seeded {
-		boot := toorjah.NewSystem(sch)
-		if err := boot.BindDatabase(db); err != nil {
-			closeQuiet(l)
-			return nil, nil, err
+		boot := make(map[string]storage.CommitEvent)
+		for _, rel := range sch.Relations() {
+			boot[rel.Name] = storage.CommitEvent{Relation: rel.Name, Arity: rel.Arity(), Op: storage.OpInsert, Epoch: 1}
+			if t := db.Table(rel.Name); t != nil {
+				boot[rel.Name] = t.Batch()
+			}
 		}
-		if err := l.WriteSnapshot(relationStates(boot)); err != nil {
+		if err := l.WriteSnapshot(boot); err != nil {
 			closeQuiet(l)
 			return nil, nil, fmt.Errorf("service: writing the initial snapshot: %w", err)
 		}
@@ -120,21 +121,7 @@ func loadCSVRelation(db *storage.Database, rel *schema.Relation, dir string) (in
 // versions. Call it after BindDatabase and before serving traffic.
 func WireWAL(sys *toorjah.System, l *wal.Log) {
 	sys.SetCommitHook(l.AppendCommit)
-	l.SetSource(func() []wal.RelationState { return relationStates(sys) })
-}
-
-// relationStates is what a snapshot writes: a pinned version of every
-// relation sys backs with a local table, in name order.
-func relationStates(sys *toorjah.System) []wal.RelationState {
-	dump := sys.DataSnapshot()
-	states := make([]wal.RelationState, 0, len(dump))
-	for name, d := range dump {
-		states = append(states, wal.RelationState{
-			Name: name, Arity: d.Arity, Epoch: d.Epoch, Rows: d.Rows,
-		})
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-	return states
+	l.SetSource(sys.DataSnapshot)
 }
 
 // WithWAL surfaces a write-ahead log on the server: /metrics gains the

@@ -235,15 +235,18 @@ func (op CommitOp) String() string {
 	return "insert"
 }
 
-// CommitEvent describes one applied mutating batch: the rows that actually
-// changed the table (duplicates and misses filtered out) and the epoch the
-// batch advanced the table to. Replaying the events of a table in order
-// (Table.Replay) on an empty table of the same name and arity rebuilds its
-// live row set, the order Rows lists them in, and its epoch — the contract
-// the write-ahead log persists. The order holds for the events alone: a
-// snapshot replayed in their place lists only the live rows, so a row
-// deleted before it and revived after it lands at the end of the table, not
-// at its old place.
+// CommitEvent is a relation's rows at an epoch, and the one type for them:
+// the batch the commit hook delivers, a write-ahead log record, a snapshot
+// file's state of a relation (Table.Batch) and a relation's value in the
+// façade's DataSnapshot.
+// As a commit it holds the rows that actually changed the table (duplicates
+// and misses filtered out) and the epoch the batch advanced the table to.
+// Replaying the events of a table in order (Table.Replay) on an empty table
+// of the same name and arity rebuilds its live row set, the order Rows lists
+// them in, and its epoch — the contract the write-ahead log persists. The
+// order holds for the events alone: a snapshot replayed in their place lists
+// only the live rows, so a row deleted before it and revived after it lands
+// at the end of the table, not at its old place.
 type CommitEvent struct {
 	Relation string
 	Arity    int
@@ -286,6 +289,26 @@ func (t *Table) MarkIDs(m *sym.Marks) {
 // without disturbing it. Its IDs resolve while a hold is active, or while
 // the table still holds its rows.
 func (t *Table) Snapshot() *Snapshot { return t.snap.Load() }
+
+// Batch returns the current version's live rows as one insert batch at its
+// epoch, the inverse of Replay: replayed onto a fresh table of the same name
+// and arity, it rebuilds that version. The version is loaded and read under
+// one hold of the symbol table, so no sweep between the two can free its
+// IDs once a later batch has compacted them out of the log; call it outside
+// a hold.
+func (t *Table) Batch() CommitEvent {
+	h := sym.Default.Hold()
+	defer h.Release()
+	s := t.Snapshot()
+	if batchLoaded != nil {
+		batchLoaded()
+	}
+	return CommitEvent{Relation: s.name, Arity: s.arity, Op: OpInsert, Epoch: s.epoch, Rows: s.Rows()}
+}
+
+// batchLoaded, when set, runs between Batch's load of a version and its
+// read; tests compact and sweep from it.
+var batchLoaded func()
 
 // Epoch returns the current version number. Epochs start at 1 and advance
 // by one per mutating batch (a batch that changes nothing keeps the epoch);

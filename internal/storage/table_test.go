@@ -238,6 +238,38 @@ func TestReplayRebuildsTheTable(t *testing.T) {
 	}
 }
 
+// TestBatchIsTheVersionItLoaded: Batch is the inverse of Replay, and a
+// batch that compacts the loaded version's rows out of the log, a sweep and
+// fresh values issued between Batch's load and its read change none of the
+// rows it reads: a sweep cannot free their IDs and hand them to the fresh
+// values.
+func TestBatchIsTheVersionItLoaded(t *testing.T) {
+	tab := NewTable("r", 1)
+	old := make([]Row, 2*compactMinDead)
+	for i := range old {
+		old[i] = Row{fmt.Sprintf("batch-old-%d", i)}
+	}
+	tab.InsertAll(old)
+	batchLoaded = func() {
+		batchLoaded = nil
+		tab.DeleteAll(old)
+		sym.Default.Sweep()
+		for i := range old {
+			tab.Insert(Row{fmt.Sprintf("batch-new-%d", i)})
+		}
+	}
+	defer func() { batchLoaded = nil }()
+	got := tab.Batch()
+	if got.Relation != "r" || got.Arity != 1 || got.Op != OpInsert || got.Epoch != 2 || !slices.EqualFunc(got.Rows, old, slices.Equal) {
+		t.Fatalf("Batch = %s/%d %s at epoch %d with %d rows; want r/1 insert at epoch 2 with the %d rows inserted",
+			got.Relation, got.Arity, got.Op, got.Epoch, len(got.Rows), len(old))
+	}
+	re := NewTable("r", 1)
+	if !re.Replay(got) || re.Epoch() != 2 || !slices.EqualFunc(re.Snapshot().Rows(), old, slices.Equal) {
+		t.Fatalf("the batch replayed to epoch %d with %d rows, want epoch 2 with %d", re.Epoch(), re.Snapshot().Len(), len(old))
+	}
+}
+
 func TestDeleteAndRevive(t *testing.T) {
 	tab := NewTable("r", 2)
 	tab.InsertAll([]Row{{"a", "1"}, {"b", "2"}, {"c", "3"}})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
-	"sort"
 	"testing"
 
 	"toorjah/internal/storage"
@@ -25,11 +24,9 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	seed(Record{Type: TypeInsert, Relation: "pub", Arity: 2, Epoch: 2,
-		Rows: []storage.Row{{"a", "1"}, {"b\x00c", ""}}})
-	seed(Record{Type: TypeDelete, Relation: "r", Arity: 1, Epoch: 9,
-		Rows: []storage.Row{{"gone"}}})
-	seed(Record{Type: TypeSnapshotRows, Relation: "empty", Arity: 3, Epoch: 1})
+	seed(record(TypeInsert, "pub", 2, 2, storage.Row{"a", "1"}, storage.Row{"b\x00c", ""}))
+	seed(record(TypeDelete, "r", 1, 9, storage.Row{"gone"}))
+	seed(record(TypeSnapshotRows, "empty", 3, 1))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 42})
 
@@ -72,9 +69,9 @@ func FuzzWALDecode(f *testing.F) {
 func FuzzSnapshotLoad(f *testing.F) {
 	var snap []byte
 	for _, r := range []Record{
-		{Type: TypeSnapshotRows, Relation: "pub", Arity: 2, Epoch: 3, Rows: []storage.Row{{"a", "1"}, {"b\x00c", ""}, {"a", "1"}}},
-		{Type: TypeSnapshotRows, Relation: "empty", Arity: 1, Epoch: 1},
-		{Type: TypeDelete, Relation: "r", Arity: 1, Epoch: 9, Rows: []storage.Row{{"gone"}}},
+		record(TypeSnapshotRows, "pub", 2, 3, storage.Row{"a", "1"}, storage.Row{"b\x00c", ""}, storage.Row{"a", "1"}),
+		record(TypeSnapshotRows, "empty", 1, 1),
+		record(TypeDelete, "r", 1, 9, storage.Row{"gone"}),
 	} {
 		b, err := AppendEncode(nil, r)
 		if err != nil {
@@ -106,13 +103,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 	})
 }
 
-// snapshotStates lists what a loaded snapshot holds, by relation name.
-func snapshotStates(loaded map[string]*storage.Table) []RelationState {
-	var out []RelationState
+// snapshotStates is what a loaded snapshot holds: each table as one insert
+// batch at its epoch, by relation name.
+func snapshotStates(loaded map[string]*storage.Table) map[string]storage.CommitEvent {
+	out := make(map[string]storage.CommitEvent, len(loaded))
 	for name, t := range loaded {
-		snap := t.Snapshot()
-		out = append(out, RelationState{Name: name, Arity: t.Arity, Epoch: snap.Epoch(), Rows: snap.Rows()})
+		out[name] = t.Batch()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -9,7 +9,9 @@
 //	uint32 CRC-32 (IEEE) of the payload
 //	payload
 //
-// and the payload is a canonical encoding of one Record:
+// and the payload is a canonical encoding of one Record — a relation's
+// rows at an epoch, the storage.CommitEvent the commit hook delivers and a
+// snapshot holds, under its record type:
 //
 //	byte   record type (1 insert, 2 delete, 3 snapshot-relation)
 //	uint64 epoch after the batch applied (big endian)
@@ -67,24 +69,24 @@ var (
 	ErrUnknownType = errors.New("wal: unknown record type")
 )
 
-// Record is one logged event: a mutation batch applied to a relation at a
-// given epoch, or one relation's full live contents inside a snapshot.
+// Record is one frame's batch: a mutation batch a relation's commit hook
+// delivered, or, flagged Snapshot, one relation's live rows inside a
+// snapshot (storage.Table.Batch). Its record type follows from the two, so
+// a decoded record replays as it is (storage.Table.Replay).
 type Record struct {
-	Type     byte
-	Relation string
-	Arity    int
-	Epoch    uint64
-	Rows     []storage.Row
+	storage.CommitEvent
+	Snapshot bool
 }
 
-// event is the batch r logged, in the form storage.Table.Replay applies; a
-// snapshot record inserts every live row.
-func (r Record) event() storage.CommitEvent {
-	op := storage.OpInsert
-	if r.Type == TypeDelete {
-		op = storage.OpDelete
+// typ is the record type r is encoded under.
+func (r Record) typ() byte {
+	switch {
+	case r.Snapshot:
+		return TypeSnapshotRows
+	case r.Op == storage.OpDelete:
+		return TypeDelete
 	}
-	return storage.CommitEvent{Relation: r.Relation, Arity: r.Arity, Op: op, Epoch: r.Epoch, Rows: r.Rows}
+	return TypeInsert
 }
 
 // AppendEncode appends the framed encoding of r to dst. Encoding fails
@@ -100,7 +102,7 @@ func AppendEncode(dst []byte, r Record) ([]byte, error) {
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	dst = append(dst, r.Type)
+	dst = append(dst, r.typ())
 	dst = binary.BigEndian.AppendUint64(dst, r.Epoch)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Relation)))
 	dst = append(dst, r.Relation...)
@@ -176,8 +178,11 @@ func decodePayload(p []byte) (Record, error) {
 	if len(p) < 1+8+2 {
 		return Record{}, fmt.Errorf("%w: payload header short", ErrCorrupt)
 	}
-	var r Record
-	r.Type = p[0]
+	typ := p[0]
+	r := Record{CommitEvent: storage.CommitEvent{Op: storage.OpInsert}, Snapshot: typ == TypeSnapshotRows}
+	if typ == TypeDelete {
+		r.Op = storage.OpDelete
+	}
 	r.Epoch = binary.BigEndian.Uint64(p[1:])
 	nameLen := int(binary.BigEndian.Uint16(p[9:]))
 	p = p[11:]
@@ -191,8 +196,8 @@ func decodePayload(p []byte) (Record, error) {
 	r.Arity = int(binary.BigEndian.Uint16(p[nameLen:]))
 	nrows := int(binary.BigEndian.Uint32(p[nameLen+2:]))
 	p = p[nameLen+2+4:]
-	if r.Type != TypeInsert && r.Type != TypeDelete && r.Type != TypeSnapshotRows {
-		return r, fmt.Errorf("%w: type %d", ErrUnknownType, r.Type)
+	if typ != TypeInsert && typ != TypeDelete && typ != TypeSnapshotRows {
+		return Record{}, fmt.Errorf("%w: type %d", ErrUnknownType, typ)
 	}
 	if r.Arity == 0 {
 		return Record{}, fmt.Errorf("%w: zero arity", ErrCorrupt)

@@ -169,11 +169,11 @@ func decodeSnapshot(b []byte) (map[string]*storage.Table, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if r.Type != TypeSnapshotRows {
-			return nil, 0, fmt.Errorf("wal: record type %d inside a snapshot file", r.Type)
+		if !r.Snapshot {
+			return nil, 0, fmt.Errorf("wal: record type %d inside a snapshot file", r.typ())
 		}
 		t := storage.NewTable(r.Relation, r.Arity)
-		t.Replay(r.event())
+		t.Replay(r.CommitEvent)
 		out[r.Relation] = t
 		b = b[n:]
 	}
@@ -196,7 +196,7 @@ func replaySegment(path string, rec *Recovered, logger *slog.Logger) (int64, str
 		case errors.Is(err, ErrUnknownType):
 			rec.UnknownRecords++
 			logger.Warn("wal: skipping record of unknown type",
-				"file", filepath.Base(path), "offset", off, "type", r.Type)
+				"file", filepath.Base(path), "offset", off, "err", err)
 			b = b[n:]
 			off += int64(n)
 			continue
@@ -216,7 +216,7 @@ func replaySegment(path string, rec *Recovered, logger *slog.Logger) (int64, str
 				"file", filepath.Base(path), "relation", r.Relation,
 				"arity", r.Arity, "want", t.Arity)
 			rec.RecordsSkipped++
-		case t.Replay(r.event()):
+		case t.Replay(r.CommitEvent):
 			rec.RecordsReplayed++
 		default:
 			rec.RecordsSkipped++

@@ -14,10 +14,7 @@ import (
 func loggedTable(l *Log, name string, arity int) *storage.Table {
 	tab := storage.NewTable(name, arity)
 	tab.SetCommitHook(l.AppendCommit)
-	l.SetSource(func() []RelationState {
-		snap := tab.Snapshot()
-		return []RelationState{{Name: name, Arity: arity, Epoch: snap.Epoch(), Rows: snap.Rows()}}
-	})
+	l.SetSource(func() map[string]storage.CommitEvent { return batches(tab.Batch()) })
 	return tab
 }
 

@@ -3,9 +3,10 @@ package wal
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,15 +83,6 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// RelationState is one relation's durable state: the rows alive at Epoch.
-// Snapshot sources produce these.
-type RelationState struct {
-	Name  string
-	Arity int
-	Epoch uint64
-	Rows  []storage.Row
-}
-
 // Log is an append-only write-ahead log over size-rotated segment
 // files, with epoch-stamped snapshots that bound replay and feed sealed
 // segments to the archive. Open recovers existing state; AppendCommit is
@@ -105,8 +97,9 @@ type Log struct {
 	activeSeq   uint64
 	activeBytes int64
 	dirty       bool // unsynced bytes in the active segment
+	entrySynced bool // the active segment's directory entry is on disk
 	nextSeq     uint64
-	source      func() []RelationState
+	source      func() map[string]storage.CommitEvent
 	buf         []byte // append-path encode scratch, reused under mu
 	closed      bool
 	lastErr     error
@@ -186,11 +179,7 @@ func archiveDir(dir string) string { return filepath.Join(dir, "archive") }
 // is durable. Append errors are counted and logged, never propagated — a
 // full disk degrades durability, it does not take query serving down.
 func (l *Log) AppendCommit(ev storage.CommitEvent) {
-	typ := TypeInsert
-	if ev.Op == storage.OpDelete {
-		typ = TypeDelete
-	}
-	l.append(Record{Type: typ, Relation: ev.Relation, Arity: ev.Arity, Epoch: ev.Epoch, Rows: ev.Rows})
+	l.append(Record{CommitEvent: ev})
 }
 
 func (l *Log) append(rec Record) {
@@ -222,7 +211,9 @@ func (l *Log) append(rec Record) {
 	}
 }
 
-// syncLocked flushes the active segment if it has unsynced bytes.
+// syncLocked flushes the active segment if it has unsynced bytes, and at
+// the segment's first flush its directory entry: a file's fsync does not
+// make its name durable. A failed directory flush leaves the segment dirty.
 func (l *Log) syncLocked() {
 	if !l.dirty || l.f == nil {
 		return
@@ -231,6 +222,13 @@ func (l *Log) syncLocked() {
 	if err := fsync(l.f); err != nil {
 		l.noteErrLocked("fsync", err)
 		return
+	}
+	if !l.entrySynced {
+		if err := syncDir(l.opts.Dir); err != nil {
+			l.noteErrLocked("directory fsync", err)
+			return
+		}
+		l.entrySynced = true
 	}
 	l.dirty = false
 	l.syncs.Add(1)
@@ -285,13 +283,15 @@ func (l *Log) openSegmentLocked() error {
 	l.activeSeq = seq
 	l.activeBytes = 0
 	l.dirty = false
+	l.entrySynced = false
 	return nil
 }
 
 // SetSource installs the function snapshots read the system state from: a
-// consistent set of pinned relation versions. Until a source is set,
+// pinned version of each relation, as one insert batch at its epoch
+// (storage.Table.Batch), by relation name. Until a source is set,
 // Snapshot fails and the automatic snapshot ticker idles.
-func (l *Log) SetSource(fn func() []RelationState) {
+func (l *Log) SetSource(fn func() map[string]storage.CommitEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.source = fn
@@ -309,11 +309,11 @@ func (l *Log) Snapshot() error {
 	return l.snapshot(src)
 }
 
-// WriteSnapshot writes a snapshot of the given states directly — the
+// WriteSnapshot writes a snapshot of the given relations directly — the
 // bootstrap path, used to persist a freshly seeded database before the
 // first batch arrives so the WAL tail always has a base to replay onto.
-func (l *Log) WriteSnapshot(states []RelationState) error {
-	return l.snapshot(func() []RelationState { return states })
+func (l *Log) WriteSnapshot(batches map[string]storage.CommitEvent) error {
+	return l.snapshot(func() map[string]storage.CommitEvent { return batches })
 }
 
 // snapshot is the common snapshot procedure. Order matters: the active
@@ -322,7 +322,7 @@ func (l *Log) WriteSnapshot(states []RelationState) error {
 // snapshot — only then is archiving the sealed segments safe. Records that
 // race into the new active segment while the source reads are at worst
 // duplicated by the snapshot; replay's epoch check skips them.
-func (l *Log) snapshot(src func() []RelationState) error {
+func (l *Log) snapshot(src func() map[string]storage.CommitEvent) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
@@ -339,8 +339,7 @@ func (l *Log) snapshot(src func() []RelationState) error {
 	l.nextSeq++
 	l.mu.Unlock()
 
-	states := src()
-	if err := l.writeSnapshotFile(seq, states); err != nil {
+	if err := l.writeSnapshotFile(seq, src()); err != nil {
 		l.mu.Lock()
 		l.noteErrLocked("snapshot", err)
 		l.mu.Unlock()
@@ -351,11 +350,11 @@ func (l *Log) snapshot(src func() []RelationState) error {
 	return nil
 }
 
-// writeSnapshotFile writes states (sorted by name, one record each) to a
+// writeSnapshotFile writes batches (sorted by name, one record each) to a
 // temp file, flushes it, and renames it into place — a snapshot is either
 // completely present or absent, never torn.
-func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
-	buf, err := encodeSnapshot(states)
+func (l *Log) writeSnapshotFile(seq uint64, batches map[string]storage.CommitEvent) error {
+	buf, err := encodeSnapshot(batches)
 	if err != nil {
 		return err
 	}
@@ -384,22 +383,15 @@ func (l *Log) writeSnapshotFile(seq uint64, states []RelationState) error {
 	return syncDir(l.opts.Dir)
 }
 
-// encodeSnapshot renders states as a snapshot file's contents: sorted by
+// encodeSnapshot renders batches as a snapshot file's contents: sorted by
 // name, one record each.
-func encodeSnapshot(states []RelationState) ([]byte, error) {
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
+func encodeSnapshot(batches map[string]storage.CommitEvent) ([]byte, error) {
 	var buf []byte
-	for _, st := range states {
+	for _, name := range slices.Sorted(maps.Keys(batches)) {
 		var err error
-		buf, err = AppendEncode(buf, Record{
-			Type:     TypeSnapshotRows,
-			Relation: st.Name,
-			Arity:    st.Arity,
-			Epoch:    st.Epoch,
-			Rows:     st.Rows,
-		})
+		buf, err = AppendEncode(buf, Record{CommitEvent: batches[name], Snapshot: true})
 		if err != nil {
-			return nil, fmt.Errorf("wal: encoding snapshot of %s: %w", st.Name, err)
+			return nil, fmt.Errorf("wal: encoding snapshot of %s: %w", name, err)
 		}
 	}
 	return buf, nil
@@ -410,7 +402,8 @@ func encodeSnapshot(states []RelationState) ([]byte, error) {
 // which files are flushed, and when.
 var fsync = (*os.File).Sync
 
-// syncDir flushes a directory so a just-renamed file survives power loss.
+// syncDir flushes a directory so a just-created or just-renamed file
+// survives power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

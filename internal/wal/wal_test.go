@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,11 +28,9 @@ func mustEncode(t *testing.T, r Record) []byte {
 
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
-		{Type: TypeInsert, Relation: "pub", Arity: 2, Epoch: 7,
-			Rows: []storage.Row{{"a", "b"}, {"", "x\x00y"}}},
-		{Type: TypeDelete, Relation: "conf", Arity: 3, Epoch: 1 << 40,
-			Rows: []storage.Row{{"1", "2", "3"}}},
-		{Type: TypeSnapshotRows, Relation: "empty", Arity: 1, Epoch: 1, Rows: nil},
+		record(TypeInsert, "pub", 2, 7, storage.Row{"a", "b"}, storage.Row{"", "x\x00y"}),
+		record(TypeDelete, "conf", 3, 1<<40, storage.Row{"1", "2", "3"}),
+		record(TypeSnapshotRows, "empty", 1, 1),
 	}
 	var stream []byte
 	for _, r := range recs {
@@ -41,7 +41,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
-		if got.Type != want.Type || got.Relation != want.Relation ||
+		if got.Op != want.Op || got.Snapshot != want.Snapshot || got.Relation != want.Relation ||
 			got.Arity != want.Arity || got.Epoch != want.Epoch ||
 			!reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
@@ -60,9 +60,9 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsMalformed(t *testing.T) {
 	cases := []Record{
-		{Type: TypeInsert, Relation: "", Arity: 1, Epoch: 1},
-		{Type: TypeInsert, Relation: "r", Arity: 0, Epoch: 1},
-		{Type: TypeInsert, Relation: "r", Arity: 2, Epoch: 1, Rows: []storage.Row{{"only-one"}}},
+		record(TypeInsert, "", 1, 1),
+		record(TypeInsert, "r", 0, 1),
+		record(TypeInsert, "r", 2, 1, storage.Row{"only-one"}),
 	}
 	for i, r := range cases {
 		if _, err := AppendEncode(nil, r); err == nil {
@@ -72,8 +72,7 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 }
 
 func TestDecodeTornAndCorrupt(t *testing.T) {
-	frame := mustEncode(t, Record{Type: TypeInsert, Relation: "r", Arity: 1, Epoch: 2,
-		Rows: []storage.Row{{"v"}}})
+	frame := mustEncode(t, record(TypeInsert, "r", 1, 2, storage.Row{"v"}))
 	for cut := 0; cut < len(frame); cut++ {
 		if _, n, err := Decode(frame[:cut]); !errors.Is(err, ErrTorn) || n != 0 {
 			t.Fatalf("prefix of %d bytes: want ErrTorn/0, got n=%d err=%v", cut, n, err)
@@ -88,21 +87,20 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 }
 
 func TestDecodeUnknownTypeSkippable(t *testing.T) {
-	frame := mustEncode(t, Record{Type: TypeInsert, Relation: "r", Arity: 1, Epoch: 2,
-		Rows: []storage.Row{{"v"}}})
+	frame := mustEncode(t, record(TypeInsert, "r", 1, 2, storage.Row{"v"}))
 	// Rewrite the type byte (payload[0] = frame[8]) and fix the checksum:
 	// a valid frame of a future record type.
 	frame[8] = 250
 	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[8:]))
-	rec, n, err := Decode(frame)
+	_, n, err := Decode(frame)
 	if !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("want ErrUnknownType, got %v", err)
 	}
 	if n != len(frame) {
 		t.Fatalf("unknown type must return the frame size %d, got %d", len(frame), n)
 	}
-	if rec.Type != 250 {
-		t.Fatalf("rec.Type = %d, want 250", rec.Type)
+	if !strings.Contains(err.Error(), "type 250") {
+		t.Fatalf("error %q does not name type 250", err)
 	}
 }
 
@@ -127,6 +125,24 @@ func openTestLog(t *testing.T, dir string, mut func(*Options)) (*Log, *Recovered
 
 func ev(rel string, op storage.CommitOp, epoch uint64, rows ...storage.Row) storage.CommitEvent {
 	return storage.CommitEvent{Relation: rel, Arity: len(rows[0]), Op: op, Epoch: epoch, Rows: rows}
+}
+
+// record builds the record a frame of type typ decodes to.
+func record(typ byte, rel string, arity int, epoch uint64, rows ...storage.Row) Record {
+	op := storage.OpInsert
+	if typ == TypeDelete {
+		op = storage.OpDelete
+	}
+	return Record{CommitEvent: storage.CommitEvent{Relation: rel, Arity: arity, Op: op, Epoch: epoch, Rows: rows}, Snapshot: typ == TypeSnapshotRows}
+}
+
+// batches keys each batch by its relation, as a snapshot source does.
+func batches(evs ...storage.CommitEvent) map[string]storage.CommitEvent {
+	m := make(map[string]storage.CommitEvent, len(evs))
+	for _, e := range evs {
+		m[e.Relation] = e
+	}
+	return m
 }
 
 func TestRecoverEmptyWAL(t *testing.T) {
@@ -192,10 +208,10 @@ func mustReopenClosed(t *testing.T, dir string) (Stats, *Recovered) {
 func TestSnapshotNoTail(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openTestLog(t, dir, nil)
-	if err := l.WriteSnapshot([]RelationState{
-		{Name: "pub", Arity: 2, Epoch: 9, Rows: []storage.Row{{"a", "1"}, {"b", "2"}}},
-		{Name: "bare", Arity: 1, Epoch: 1},
-	}); err != nil {
+	if err := l.WriteSnapshot(batches(
+		ev("pub", storage.OpInsert, 9, storage.Row{"a", "1"}, storage.Row{"b", "2"}),
+		storage.CommitEvent{Relation: "bare", Arity: 1, Op: storage.OpInsert, Epoch: 1},
+	)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -221,9 +237,9 @@ func TestSnapshotPlusTailAndIdempotentReplay(t *testing.T) {
 	l.AppendCommit(ev("pub", storage.OpInsert, 2, storage.Row{"a", "1"}))
 	l.AppendCommit(ev("pub", storage.OpInsert, 3, storage.Row{"b", "2"}))
 	// Snapshot covers epochs <= 3; the segment holding them is archived.
-	if err := l.WriteSnapshot([]RelationState{
-		{Name: "pub", Arity: 2, Epoch: 3, Rows: []storage.Row{{"a", "1"}, {"b", "2"}}},
-	}); err != nil {
+	if err := l.WriteSnapshot(batches(
+		ev("pub", storage.OpInsert, 3, storage.Row{"a", "1"}, storage.Row{"b", "2"}),
+	)); err != nil {
 		t.Fatal(err)
 	}
 	l.AppendCommit(ev("pub", storage.OpInsert, 4, storage.Row{"c", "3"}))
@@ -243,13 +259,11 @@ func TestSnapshotPlusTailAndIdempotentReplay(t *testing.T) {
 	// Duplicate replay: put a copy of the pre-snapshot records back as a
 	// fresh segment after the snapshot — replay must skip them by epoch,
 	// not double-apply.
-	dup, err := AppendEncode(nil, Record{Type: TypeInsert, Relation: "pub", Arity: 2, Epoch: 2,
-		Rows: []storage.Row{{"a", "1"}}})
+	dup, err := AppendEncode(nil, record(TypeInsert, "pub", 2, 2, storage.Row{"a", "1"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err = AppendEncode(dup, Record{Type: TypeDelete, Relation: "pub", Arity: 2, Epoch: 3,
-		Rows: []storage.Row{{"b", "2"}}})
+	dup, err = AppendEncode(dup, record(TypeDelete, "pub", 2, 3, storage.Row{"b", "2"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +330,7 @@ func TestUnknownRecordTypeSkippedWithWarning(t *testing.T) {
 	// Append a valid-checksum frame of a future type, then a normal record
 	// after it — replay must skip the unknown frame and keep going.
 	future := mustFrameOfType(t, 251)
-	tail, err := AppendEncode(nil, Record{Type: TypeInsert, Relation: "pub", Arity: 2, Epoch: 3,
-		Rows: []storage.Row{{"b", "2"}}})
+	tail, err := AppendEncode(nil, record(TypeInsert, "pub", 2, 3, storage.Row{"b", "2"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +372,7 @@ func TestUnknownRecordTypeSkippedWithWarning(t *testing.T) {
 // binary understands.
 func mustFrameOfType(t *testing.T, typ byte) []byte {
 	t.Helper()
-	frame, err := AppendEncode(nil, Record{Type: TypeInsert, Relation: "x", Arity: 1, Epoch: 1,
-		Rows: []storage.Row{{"v"}}})
+	frame, err := AppendEncode(nil, record(TypeInsert, "x", 1, 1, storage.Row{"v"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +395,9 @@ func TestRotationAndArchive(t *testing.T) {
 
 	// Snapshot: sealed segments move to the archive, recovery still sees
 	// the full state.
-	if err := l.WriteSnapshot([]RelationState{
-		{Name: "pub", Arity: 2, Epoch: 21, Rows: []storage.Row{{"key-key-key", "value-value-value"}}},
-	}); err != nil {
+	if err := l.WriteSnapshot(batches(
+		ev("pub", storage.OpInsert, 21, storage.Row{"key-key-key", "value-value-value"}),
+	)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().SegmentsArchived; got == 0 {
@@ -412,8 +424,8 @@ func TestSnapshotFromSource(t *testing.T) {
 	if err := l.Snapshot(); err == nil {
 		t.Fatal("Snapshot without a source must fail")
 	}
-	l.SetSource(func() []RelationState {
-		return []RelationState{{Name: "pub", Arity: 2, Epoch: 5, Rows: []storage.Row{{"a", "1"}}}}
+	l.SetSource(func() map[string]storage.CommitEvent {
+		return batches(ev("pub", storage.OpInsert, 5, storage.Row{"a", "1"}))
 	})
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -485,9 +497,9 @@ func TestSnapshotAndSealFsync(t *testing.T) {
 		dir := t.TempDir()
 		calls := recordFsyncs(t, dir)
 		l, _ := openTestLog(t, dir, nil)
-		if err := l.WriteSnapshot([]RelationState{
-			{Name: "pub", Arity: 2, Epoch: 3, Rows: []storage.Row{{"a", "1"}}},
-		}); err != nil {
+		if err := l.WriteSnapshot(batches(
+			ev("pub", storage.OpInsert, 3, storage.Row{"a", "1"}),
+		)); err != nil {
 			t.Fatal(err)
 		}
 		final, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -534,6 +546,69 @@ func TestSnapshotAndSealFsync(t *testing.T) {
 		}
 		if !sealed {
 			t.Errorf("fsyncs %v under FsyncNever: the sealed segment %s is not among them", *calls, first)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSegmentEntryFsync: under FsyncAlways the directory is flushed in the
+// append that first writes to a segment — once per segment, after the
+// segment file — so the new file's name is on disk before the record is
+// acknowledged; syncing a file does not make its directory entry durable. A
+// failed directory flush is counted as a WAL error and retried at the next
+// flush.
+func TestSegmentEntryFsync(t *testing.T) {
+	row := storage.Row{"key-key-key", "value-value-value"} // a 64-byte frame
+	t.Run("once per segment", func(t *testing.T) {
+		dir := t.TempDir()
+		calls := recordFsyncs(t, dir)
+		l, _ := openTestLog(t, dir, func(o *Options) { o.Fsync, o.SegmentMaxBytes = FsyncAlways, 128 })
+		first := segPath(dir, l.Stats().ActiveSegment)
+		second := segPath(dir, l.Stats().ActiveSegment+1)
+		// Two frames fill a segment; the third seals the first segment.
+		for i, want := range [][]string{{first, dir}, {first}, {first, second, dir}, {second}} {
+			before := len(*calls)
+			l.AppendCommit(ev("pub", storage.OpInsert, uint64(i+2), row))
+			var names []string
+			for _, c := range (*calls)[before:] {
+				names = append(names, c.name)
+			}
+			if !reflect.DeepEqual(names, want) {
+				t.Errorf("append %d fsynced %v, want %v", i, names, want)
+			}
+		}
+		if st := l.Stats(); st.SegmentsSealed != 1 || st.Errors != 0 {
+			t.Errorf("%d segments sealed, %d errors; want 1 and 0", st.SegmentsSealed, st.Errors)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("failure", func(t *testing.T) {
+		dir := t.TempDir()
+		failDir := errors.New("injected directory fsync failure")
+		prev := fsync
+		fsync = func(f *os.File) error {
+			if f.Name() == dir {
+				return failDir
+			}
+			return prev(f)
+		}
+		t.Cleanup(func() { fsync = prev })
+		l, _ := openTestLog(t, dir, func(o *Options) {
+			o.Fsync, o.Logger = FsyncAlways, slog.New(slog.NewTextHandler(io.Discard, nil))
+		})
+		l.AppendCommit(ev("pub", storage.OpInsert, 2, row))
+		l.AppendCommit(ev("pub", storage.OpInsert, 3, row))
+		if st := l.Stats(); st.Errors != 2 || st.Syncs != 0 || st.LastError != failDir.Error() {
+			t.Errorf("after two appends: %d errors, %d syncs, last error %q; want 2, 0 and the injected one", st.Errors, st.Syncs, st.LastError)
+		}
+		fsync = prev
+		l.AppendCommit(ev("pub", storage.OpInsert, 4, row))
+		if st := l.Stats(); st.Errors != 2 || st.Syncs != 1 {
+			t.Errorf("once the directory flushes: %d errors, %d syncs; want 2 and 1", st.Errors, st.Syncs)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)

@@ -105,7 +105,6 @@ import (
 	"toorjah/internal/schema"
 	"toorjah/internal/source"
 	"toorjah/internal/storage"
-	"toorjah/internal/sym"
 )
 
 // Re-exported types, so that most applications only import this package.
@@ -311,35 +310,18 @@ func (s *System) applyCommitHook() {
 	}
 }
 
-// RelationDump is one relation's pinned live contents, as returned by
-// DataSnapshot.
-type RelationDump struct {
-	Arity int
-	Epoch uint64
-	Rows  []Row
-}
-
 // DataSnapshot reads a consistent pinned version of every relation backed
-// by a local table: the live rows and the epoch they correspond to. Each
-// relation's dump is internally consistent (one immutable snapshot per
-// table); the write-ahead log uses this as its snapshot source, where
-// cross-relation skew is harmless because replay reconciles per relation
-// by epoch. The snapshots are read under a hold of the symbol table.
-func (s *System) DataSnapshot() map[string]RelationDump {
-	h := sym.Default.Hold()
-	defer h.Release()
-	out := make(map[string]RelationDump)
+// by a local table: its live rows as one insert batch at its epoch
+// (storage.Table.Batch), by relation name. Each relation's batch is
+// internally consistent (one immutable snapshot per table); the write-ahead
+// log uses this as its snapshot source, where cross-relation skew is
+// harmless because replay reconciles per relation by epoch.
+func (s *System) DataSnapshot() map[string]CommitEvent {
+	out := make(map[string]CommitEvent)
 	for _, name := range s.reg.Names() {
-		ts, ok := s.reg.Source(name).(*source.TableSource)
-		if !ok {
-			continue
+		if ts, ok := s.reg.Source(name).(*source.TableSource); ok && s.sch.Relation(name) != nil {
+			out[name] = ts.Table().Batch()
 		}
-		rel := s.sch.Relation(name)
-		if rel == nil {
-			continue
-		}
-		snap := ts.Table().Snapshot()
-		out[name] = RelationDump{Arity: rel.Arity(), Epoch: snap.Epoch(), Rows: snap.Rows()}
 	}
 	return out
 }
