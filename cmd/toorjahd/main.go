@@ -64,9 +64,10 @@
 // one checksummed record to a write-ahead log under that directory before
 // the batch is acknowledged (-fsync picks the flush policy: always syncs
 // inside the acknowledgement path, interval flushes on -fsync-interval,
-// never leaves flushing to the OS), snapshot files of every relation's
-// live rows are written every -snapshot-interval, and sealed WAL segments
-// rotate by -wal-segment-bytes into an archive subdirectory. On restart the
+// never leaves flushing to the OS), and WAL segments are sealed at
+// -wal-segment-bytes. Every -snapshot-interval in which a batch was logged,
+// a snapshot file of every relation's live rows is written, and the sealed
+// segments and older snapshot it covers are deleted. On restart the
 // node recovers the latest valid snapshot, replays the WAL tail (truncating
 // a torn final record rather than refusing to start), and serves the same
 // rows and epochs it had acknowledged — the CSV seed in -data is read only
@@ -124,7 +125,7 @@ func main() {
 	walDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots; empty = memory only)")
 	fsync := flag.String("fsync", wal.FsyncAlways, "WAL flush policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "flush period under -fsync interval (0 = default 100ms)")
-	snapInterval := flag.Duration("snapshot-interval", 5*time.Minute, "snapshot + archive period (0 = disabled)")
+	snapInterval := flag.Duration("snapshot-interval", 5*time.Minute, "snapshot period, skipped while no batch is logged (0 = disabled)")
 	segBytes := flag.Int64("wal-segment-bytes", 0, "active WAL segment size cap (0 = default 64 MiB)")
 	var remotes multiFlag
 	flag.Var(&remotes, "remote", "federation peer to attach, host[:port][=R1,R2] (repeatable)")

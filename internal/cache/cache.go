@@ -91,12 +91,12 @@ const (
 
 // RelStats is the per-relation accounting of one cache.
 type RelStats struct {
-	Hits        int64 `json:"hits"`        // accesses served from the cache
-	Misses      int64 `json:"misses"`      // accesses that probed the source
-	Collapsed   int64 `json:"collapsed"`   // accesses merged into an in-flight probe
-	Evictions   int64 `json:"evictions"`   // entries dropped by the LRU bound
-	Expirations int64 `json:"expirations"` // entries dropped by TTL
-	Entries     int64 `json:"entries"`     // entries currently cached (Snapshot only)
+	Hits        int64 // accesses served from the cache
+	Misses      int64 // accesses that probed the source
+	Collapsed   int64 // accesses merged into an in-flight probe
+	Evictions   int64 // entries dropped by the LRU bound
+	Expirations int64 // entries dropped by TTL
+	Entries     int64 // entries currently cached (Snapshot only)
 }
 
 // Add accumulates another relation's counters into s.

@@ -12,13 +12,14 @@ import (
 // cooldown; callers see the error wrapped with the peer and relation.
 var ErrBreakerOpen = errors.New("remote: circuit breaker open")
 
-// breakerState is the classic three-state circuit.
+// breakerState is the classic three-state circuit, numbered as the
+// toorjah_remote_breaker_state gauge shows it.
 type breakerState int
 
 const (
 	breakerClosed breakerState = iota
-	breakerOpen
 	breakerHalfOpen
+	breakerOpen
 )
 
 // breaker is a per-relation circuit breaker: threshold consecutive probe
@@ -93,24 +94,10 @@ func (b *breaker) open() {
 	b.opens++
 }
 
-// openCount returns the lifetime number of times the circuit opened.
-func (b *breaker) openCount() int {
+// snapshot returns the current state and the lifetime number of times the
+// circuit opened.
+func (b *breaker) snapshot() (breakerState, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.opens
-}
-
-// stateName renders the current state for telemetry ("closed", "open",
-// "half-open").
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
+	return b.state, b.opens
 }

@@ -86,15 +86,15 @@ func (o Options) withDefaults() Options {
 // probing it: everything cached locally from the older probes describes a
 // stale peer snapshot (the epoch-keyed cache already stopped serving it).
 type Telemetry struct {
-	RoundTrips   int     `json:"round_trips"`
-	Retries      int     `json:"retries"`
-	BreakerOpens int     `json:"breaker_opens"`
-	LatencyMS    float64 `json:"latency_ms"`
-	Epoch        uint64  `json:"epoch,omitempty"`
-	EpochChanges int     `json:"epoch_changes,omitempty"`
-	// BreakerState is the relation's circuit at snapshot time: "closed",
-	// "open" or "half-open".
-	BreakerState string `json:"breaker_state,omitempty"`
+	RoundTrips   int
+	Retries      int
+	BreakerOpens int
+	Latency      time.Duration
+	Epoch        uint64
+	EpochChanges int
+	// BreakerState is the relation's circuit at snapshot time: 0 closed,
+	// 1 half-open, 2 open.
+	BreakerState int
 }
 
 // relState is the per-relation resilience state of a client. The counters
@@ -194,14 +194,15 @@ func (c *Client) Telemetry() map[string]Telemetry {
 	defer c.mu.Unlock()
 	out := make(map[string]Telemetry, len(c.rels))
 	for name, st := range c.rels {
+		state, opens := st.br.snapshot()
 		out[name] = Telemetry{
 			RoundTrips:   int(st.roundTrips.Load()),
 			Retries:      int(st.retries.Load()),
-			BreakerOpens: st.br.openCount(),
-			LatencyMS:    float64(st.latencyNS.Load()) / 1e6,
+			BreakerOpens: opens,
+			Latency:      time.Duration(st.latencyNS.Load()),
 			Epoch:        st.lastEpoch.Load(),
 			EpochChanges: int(st.epochChanges.Load()),
-			BreakerState: st.br.stateName(),
+			BreakerState: int(state),
 		}
 	}
 	return out
@@ -416,8 +417,6 @@ func (c *Client) probeOnce(ctx context.Context, st *relState, req []byte, bindin
 			return nil, true, fmt.Errorf("bad probe frame: %w", err)
 		}
 		switch {
-		case f.Error != "":
-			return nil, true, fmt.Errorf("peer: %s", f.Error)
 		case f.Done:
 			if f.Tuples != tuples {
 				return nil, true, fmt.Errorf("probe stream carried %d tuples, done frame says %d", tuples, f.Tuples)

@@ -106,7 +106,7 @@ func TestStreamEndings(t *testing.T) {
 	}{
 		{"no done frame", fastOptions(), []string{`{"b":0,"row":["a1","b1"]}`}, 3, "without a done frame"},
 		{"cut mid-frame", fastOptions(), []string{`{"b":0,"row":["a1","b1"]}`, `{"b":0,"row":["a1",`}, 3, "bad probe frame"},
-		{"in-band error", fastOptions(), []string{`{"error":"index unavailable"}`}, 3, "peer: index unavailable"},
+		{"in-band error", fastOptions(), []string{`{"error":"index unavailable"}`}, 1, "unclassifiable"},
 		{"done frame miscounts", fastOptions(), []string{`{"b":0,"row":["a1","b1"]}`, `{"done":true,"accesses":1,"tuples":2}`}, 3, "carried 1 tuples"},
 		{"response limit tripped", small, []string{`{"b":0,"row":["a1","b1"]}`, `{"b":0,"row":["a1","b2"]}`, `{"done":true,"accesses":1,"tuples":2}`}, 1, "exceeds 40 bytes"},
 		{"bad frame before the limit", small, []string{`{"b":0,"row":[a1]}`, `{"b":0,"row":["a1","b2"]}`, `{"done":true,"accesses":1,"tuples":1}`}, 3, "bad probe frame"},

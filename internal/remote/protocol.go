@@ -34,9 +34,9 @@ import (
 // batch of input bindings (each parallel to the relation's input
 // positions). Response: application/x-ndjson — zero or more row frames
 // {"b":i,"row":[...]}, each a full tuple (inputs and outputs) matching
-// binding i, terminated by a done frame {"done":true,...}. A failure after
-// the stream has started is reported in-band as {"error":"..."}; failures
-// before it use plain HTTP status codes.
+// binding i, terminated by a done frame {"done":true,...}. A failure before
+// the first frame is an HTTP status; a stream that fails after it ends
+// without a done frame.
 
 // The frames are rendered by the append encoders below and decoded by the
 // scanners beside them, not through these types, which stay as the frames'
@@ -79,15 +79,10 @@ type doneFrame struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
-// errorFrame reports a failure in-band once the stream has started.
-type errorFrame struct {
-	Error string `json:"error"`
-}
-
-// probeFrame is the decoding union of the three frame shapes: a frame is an
-// error when Error is non-empty, done when Done is set, and a row when Row
-// is non-nil (JSON "row":[] decodes to a non-nil empty slice, so nullary
-// rows classify correctly); anything else is a protocol violation.
+// probeFrame is the decoding union of the two frame shapes: a frame is
+// done when Done is set, and a row when Row is non-nil (JSON "row":[]
+// decodes to a non-nil empty slice, so nullary rows classify correctly);
+// anything else is a protocol violation.
 type probeFrame struct {
 	B        int      `json:"b"`
 	Row      []string `json:"row"`
@@ -95,7 +90,6 @@ type probeFrame struct {
 	Accesses int      `json:"accesses"`
 	Tuples   int      `json:"tuples"`
 	Epoch    uint64   `json:"epoch"`
-	Error    string   `json:"error"`
 }
 
 // appendProbeRequest appends the body of a POST /probe — byte for byte what
@@ -175,9 +169,8 @@ func appendDoneFrame(dst []byte, d doneFrame) []byte {
 
 // decodeFrame is json.Decoder.Decode(f) for a zero f over the stream sc
 // holds, read to its end: io.EOF when nothing but whitespace is left of a
-// stream that ended cleanly. A row frame as appendRowFrame renders it, a done
-// frame as appendDoneFrame does and an error frame {"error":"..."} are
-// scanned.
+// stream that ended cleanly. A row frame as appendRowFrame renders it and a
+// done frame as appendDoneFrame does are scanned.
 func decodeFrame(sc *ndjson.Scanner, f *probeFrame) error {
 	if err := sc.End(); err != nil {
 		return err
@@ -188,7 +181,8 @@ func decodeFrame(sc *ndjson.Scanner, f *probeFrame) error {
 		f.B = int(sc.Uint())
 		sc.Expect(`,"row":`)
 		f.Row = sc.Strings()
-	case sc.Has(`{"done":true,"accesses":`):
+	default:
+		sc.Expect(`{"done":true,"accesses":`)
 		f.Done = true
 		f.Accesses = int(sc.Uint())
 		sc.Expect(`,"tuples":`)
@@ -196,9 +190,6 @@ func decodeFrame(sc *ndjson.Scanner, f *probeFrame) error {
 		if sc.Has(`,"epoch":`) {
 			f.Epoch = sc.Uint()
 		}
-	default:
-		sc.Expect(`{"error":`)
-		f.Error = sc.Str()
 	}
 	if sc.Expect("}"); sc.Failed() {
 		*f = probeFrame{}

@@ -129,8 +129,8 @@ func TestProbeRoundTrip(t *testing.T) {
 	if tel["r"].RoundTrips != 2 || tel["r"].Retries != 0 {
 		t.Errorf("telemetry for r = %+v, want 2 clean round trips", tel["r"])
 	}
-	if tel["r"].LatencyMS <= 0 {
-		t.Errorf("telemetry latency = %v, want > 0", tel["r"].LatencyMS)
+	if tel["r"].Latency <= 0 {
+		t.Errorf("telemetry latency = %v, want > 0", tel["r"].Latency)
 	}
 }
 

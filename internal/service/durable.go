@@ -149,9 +149,6 @@ func (s *Server) registerWALCollectors(l *wal.Log) {
 	m.CounterFunc("toorjah_wal_segments_sealed_total",
 		"WAL segments sealed by the size cap or a snapshot.",
 		func() float64 { return float64(l.Stats().SegmentsSealed) })
-	m.CounterFunc("toorjah_wal_segments_archived_total",
-		"Sealed WAL segments and superseded snapshots moved to the archive directory.",
-		func() float64 { return float64(l.Stats().SegmentsArchived) })
 	m.CounterFunc("toorjah_wal_snapshots_total",
 		"Epoch-stamped snapshot files written.",
 		func() float64 { return float64(l.Stats().Snapshots) })

@@ -519,3 +519,71 @@ func TestClientCachesPeerRowsUnderTheirEpoch(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakerStateGauge pins toorjah_remote_breaker_state's scale as one
+// peer relation's circuit goes closed (0), open (2), half-open while its
+// trial is held in the peer (1), and closed again (0).
+func TestBreakerStateGauge(t *testing.T) {
+	sch := schema.MustParse(pubSchemaText)
+	revOnly := []*schema.Relation{sch.Relation("rev")}
+	var mode atomic.Int32 // 0 serve, 1 fail, 2 hold
+	held, release := make(chan struct{}), make(chan struct{})
+	peerURL := startToorjahd(t, revOnly, subDatabase(t, pubDatabase(t, sch), revOnly),
+		func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path != "/probe":
+				case mode.Load() == 1:
+					http.Error(w, "injected fault", http.StatusServiceUnavailable)
+					return
+				case mode.Load() == 2:
+					close(held)
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	ropts := fastRemote()
+	ropts.MaxRetries, ropts.BreakerThreshold, ropts.BreakerCooldown = -1, 1, 20*time.Millisecond
+	front := toorjah.NewSystem(sch.Clone(), toorjah.WithRemoteOptions(ropts))
+	if err := front.AttachRemote(context.Background(), peerURL+"=rev"); err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(New(front, toorjah.Options{}).Handler())
+	defer fsrv.Close()
+	q, err := front.Prepare("q(C) :- rev(R, C, y2008)") // one access, one round trip
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(want float64, state string) {
+		t.Helper()
+		series := `toorjah_remote_breaker_state{peer="` + peerURL + `",relation="rev"}`
+		if got := metricValue(t, scrapeMetrics(t, fsrv.URL), series); got != want {
+			t.Errorf("%s: breaker gauge %v, want %v", state, got, want)
+		}
+	}
+
+	if _, err := q.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gauge(0, "closed")
+	mode.Store(1)
+	if _, err := q.Execute(context.Background()); err == nil {
+		t.Fatal("a failing peer answered")
+	}
+	gauge(2, "open")
+	mode.Store(2)
+	time.Sleep(2 * ropts.BreakerCooldown)
+	done := make(chan error)
+	go func() {
+		_, err := q.Execute(context.Background())
+		done <- err
+	}()
+	<-held
+	gauge(1, "half-open")
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("the trial failed: %v", err)
+	}
+	gauge(0, "closed again")
+}

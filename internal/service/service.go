@@ -228,13 +228,13 @@ func (s *Server) registerCollectors() {
 		func(t toorjah.RemoteTelemetry) float64 { return float64(t.EpochChanges) })
 	remoteCounter("toorjah_remote_latency_seconds_total",
 		"Cumulative wall-clock probe latency spent on a peer relation, by peer and relation.",
-		func(t toorjah.RemoteTelemetry) float64 { return t.LatencyMS / 1000 })
+		func(t toorjah.RemoteTelemetry) float64 { return t.Latency.Seconds() })
 	m.GaugeVecFunc("toorjah_remote_breaker_state",
 		"Circuit breaker state per peer relation: 0 closed, 1 half-open, 2 open.",
 		[]string{"peer", "relation"}, func(emit func([]string, float64)) {
 			for _, p := range s.sys.RemotePeers() {
 				for rel, t := range p.Telemetry() {
-					emit([]string{p.Base(), rel}, breakerStateValue(t.BreakerState))
+					emit([]string{p.Base(), rel}, float64(t.BreakerState))
 				}
 			}
 		})
@@ -273,19 +273,6 @@ func (s *Server) registerCollectors() {
 				}
 			}
 		})
-}
-
-// breakerStateValue maps a breaker state name onto the gauge scale.
-func breakerStateValue(state string) float64 {
-	switch state {
-	case "closed":
-		return 0
-	case "half-open":
-		return 1
-	case "open":
-		return 2
-	}
-	return -1
 }
 
 // recordProbe counts one served /probe (a request is one round trip of

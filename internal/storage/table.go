@@ -378,7 +378,7 @@ func (t *Table) InsertAll(rows []Row) int {
 // current epoch — state the table already holds — is ignored, and Replay
 // reports false. So a table rebuilt from a log resumes at its last
 // record's epoch even when the log has a gap (a lost snapshot, with the
-// segments it covered archived), and epoch-keyed cache entries and peers'
+// segments it covered deleted), and epoch-keyed cache entries and peers'
 // staleness checks never see an epoch go backwards. A snapshot is one
 // insert event replayed onto a fresh table. Rows of another arity are
 // skipped, and the commit hook is not called.

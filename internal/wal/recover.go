@@ -30,7 +30,8 @@ type seqEntry struct {
 }
 
 // listSeq returns the prefix/suffix-matching files of dir in ascending
-// sequence order, ignoring names that do not parse (temp files, strays).
+// sequence order, ignoring names that do not parse (temp files, orphans,
+// strays).
 func listSeq(dir, prefix, suffix string) ([]seqEntry, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -57,9 +58,10 @@ func listSeq(dir, prefix, suffix string) ([]seqEntry, error) {
 // snapshot first (corrupt snapshots fall back to older ones), then every
 // segment in sequence order replayed on top, truncating the first torn or
 // corrupt record and orphaning anything after it. It returns the highest
-// sequence number seen across live and archived files, so new files never
-// collide with old ones. Only I/O failures are errors — corruption is
-// recovered around, not fatal.
+// sequence number seen across live and orphaned files, so new files never
+// collide with old ones: the newest snapshot outnumbers every file a
+// snapshot deleted. Only I/O failures are errors — corruption is recovered
+// around, not fatal.
 func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 	start := time.Now()
 	rec := &Recovered{Relations: make(map[string]*storage.Table)}
@@ -72,20 +74,14 @@ func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: scanning %s: %w", dir, err)
 	}
+	orphans, err := listSeq(dir, "wal-", ".log.orphan")
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: scanning %s: %w", dir, err)
+	}
 	maxSeq := uint64(0)
-	for _, e := range segs {
-		maxSeq = max(maxSeq, e.seq)
-	}
-	for _, e := range snaps {
-		maxSeq = max(maxSeq, e.seq)
-	}
-	// Archived files left the live directory, but their sequence numbers
-	// must stay retired.
-	for _, sub := range []struct{ prefix, suffix string }{{"wal-", ".log"}, {"snap-", ".snap"}} {
-		if arch, err := listSeq(filepath.Join(dir, "archive"), sub.prefix, sub.suffix); err == nil {
-			for _, e := range arch {
-				maxSeq = max(maxSeq, e.seq)
-			}
+	for _, files := range [][]seqEntry{segs, snaps, orphans} {
+		if len(files) > 0 {
+			maxSeq = max(maxSeq, files[len(files)-1].seq)
 		}
 	}
 
@@ -132,13 +128,13 @@ func recoverState(dir string, logger *slog.Logger) (*Recovered, uint64, error) {
 	return rec, maxSeq, nil
 }
 
-// orphan renames a segment that postdates a truncation point out of the
-// live directory — its records depend on a record that never committed, so
+// orphan renames a segment that postdates a truncation point to
+// <name>.orphan — its records depend on a record that never committed, so
 // no future recovery may replay it, but the bytes are kept for forensics.
 func orphan(dir, name string, logger *slog.Logger) {
 	logger.Warn("wal: orphaning segment past a truncated record", "file", name)
-	to := filepath.Join(dir, "archive", name+".orphan")
-	if err := os.Rename(filepath.Join(dir, name), to); err != nil {
+	from := filepath.Join(dir, name)
+	if err := os.Rename(from, from+".orphan"); err != nil {
 		logger.Error("wal: orphan move failed", "file", name, "err", err)
 	}
 }

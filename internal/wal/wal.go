@@ -50,9 +50,10 @@ type Options struct {
 	// this size (default 64 MiB).
 	SegmentMaxBytes int64
 
-	// SnapshotInterval writes a snapshot (and archives the sealed
-	// segments it covers) this often, when a source is set. 0 disables
-	// automatic snapshots.
+	// SnapshotInterval writes a snapshot (and deletes the files it
+	// covers) this often, when a source is set and a record has been
+	// handed to the log since the last snapshot. 0 disables automatic
+	// snapshots.
 	SnapshotInterval time.Duration
 
 	// Logger receives recovery warnings and append-path errors
@@ -84,9 +85,9 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // Log is an append-only write-ahead log over size-rotated segment
-// files, with epoch-stamped snapshots that bound replay and feed sealed
-// segments to the archive. Open recovers existing state; AppendCommit is
-// the storage commit hook; Close flushes and stops background work.
+// files, with epoch-stamped snapshots that bound replay and replace the
+// files they cover. Open recovers existing state; AppendCommit is the
+// storage commit hook; Close flushes and stops background work.
 type Log struct {
 	opts   Options
 	logger *slog.Logger
@@ -99,6 +100,7 @@ type Log struct {
 	dirty       bool // unsynced bytes in the active segment
 	entrySynced bool // the active segment's directory entry is on disk
 	nextSeq     uint64
+	unsnapped   int64 // records handed to the log since the last snapshot sealed
 	source      func() map[string]storage.CommitEvent
 	buf         []byte // append-path encode scratch, reused under mu
 	closed      bool
@@ -115,7 +117,6 @@ type Log struct {
 	syncs     atomic.Int64
 	errors    atomic.Int64
 	sealed    atomic.Int64
-	archived  atomic.Int64
 	snapshots atomic.Int64
 
 	recovery RecoveryStats
@@ -133,9 +134,6 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := os.MkdirAll(archiveDir(opts.Dir), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
 	l := &Log{
 		opts:   opts,
 		logger: opts.Logger,
@@ -148,6 +146,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	}
 	l.recovery = rec.RecoveryStats
 	l.nextSeq = maxSeq + 1
+	l.unsnapped = int64(rec.RecordsReplayed) // the tail no snapshot covers yet
 	l.mu.Lock()
 	err = l.openSegmentLocked()
 	l.mu.Unlock()
@@ -169,10 +168,6 @@ func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", seq))
 }
 
-// archiveDir receives sealed segments and superseded snapshots. Recovery
-// never reads it; it is the cold tier an operator ships elsewhere or prunes.
-func archiveDir(dir string) string { return filepath.Join(dir, "archive") }
-
 // AppendCommit logs one applied mutation batch. It has the exact shape of
 // the storage commit hook and runs inside it: under FsyncAlways the record
 // is on disk before the mutating call returns, so every acknowledged batch
@@ -188,6 +183,9 @@ func (l *Log) append(rec Record) {
 	if l.closed {
 		return
 	}
+	// A failed append counts too: its batch changed a table the log does
+	// not hold, which only the next snapshot can record.
+	l.unsnapped++
 	buf, err := AppendEncode(l.buf[:0], rec)
 	if err != nil {
 		l.noteErrLocked("encode", err)
@@ -232,6 +230,12 @@ func (l *Log) syncLocked() {
 	}
 	l.dirty = false
 	l.syncs.Add(1)
+}
+
+func (l *Log) noteErr(op string, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.noteErrLocked(op, err)
 }
 
 func (l *Log) noteErrLocked(op string, err error) {
@@ -297,8 +301,8 @@ func (l *Log) SetSource(fn func() map[string]storage.CommitEvent) {
 	l.source = fn
 }
 
-// Snapshot writes a snapshot from the installed source and archives the
-// sealed segments it covers.
+// Snapshot writes a snapshot from the installed source and deletes the
+// files it covers.
 func (l *Log) Snapshot() error {
 	l.mu.Lock()
 	src := l.source
@@ -319,7 +323,7 @@ func (l *Log) WriteSnapshot(batches map[string]storage.CommitEvent) error {
 // snapshot is the common snapshot procedure. Order matters: the active
 // segment is sealed *before* the source reads the relation states, so
 // every record in a sealed segment is covered by (or duplicated in) the
-// snapshot — only then is archiving the sealed segments safe. Records that
+// snapshot — only then is deleting the sealed segments safe. Records that
 // race into the new active segment while the source reads are at worst
 // duplicated by the snapshot; replay's epoch check skips them.
 func (l *Log) snapshot(src func() map[string]storage.CommitEvent) error {
@@ -337,16 +341,19 @@ func (l *Log) snapshot(src func() map[string]storage.CommitEvent) error {
 	coveredBelow := l.activeSeq
 	seq := l.nextSeq
 	l.nextSeq++
+	unsnapped := l.unsnapped
+	l.unsnapped = 0
 	l.mu.Unlock()
 
 	if err := l.writeSnapshotFile(seq, src()); err != nil {
 		l.mu.Lock()
+		l.unsnapped += unsnapped
 		l.noteErrLocked("snapshot", err)
 		l.mu.Unlock()
 		return err
 	}
 	l.snapshots.Add(1)
-	l.archive(coveredBelow, seq)
+	l.prune(coveredBelow, seq)
 	return nil
 }
 
@@ -417,48 +424,34 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// archive moves every sealed segment below the snapshot's rotation point,
-// and every superseded snapshot, into the archive directory — the
-// seal-then-archive-then-delete-local lifecycle, with os.Rename standing
-// in for the upload. Failures are logged and retried implicitly by the
-// next snapshot.
-func (l *Log) archive(segsBelow, snapSeq uint64) {
-	names, err := listSeq(l.opts.Dir, "wal-", ".log")
-	if err != nil {
-		l.logger.Error("wal archive scan failed", "dir", l.opts.Dir, "err", err)
-		return
-	}
-	for _, e := range names {
-		if e.seq >= segsBelow {
-			continue
+// prune deletes what the snapshot numbered snapSeq covers, once it is on
+// disk under its name: every segment below segsBelow and every older
+// snapshot. Recovery reads none of them again. If a power loss undoes a
+// removal, replay skips the file's records by epoch. A failure is counted,
+// and the next snapshot tries again.
+func (l *Log) prune(segsBelow, snapSeq uint64) {
+	for _, kind := range []struct {
+		prefix, suffix string
+		below          uint64
+	}{{"wal-", ".log", segsBelow}, {"snap-", ".snap", snapSeq}} {
+		names, err := listSeq(l.opts.Dir, kind.prefix, kind.suffix)
+		if err != nil {
+			l.noteErr("prune", err)
+			return
 		}
-		l.moveToArchive(e.name)
-	}
-	snaps, err := listSeq(l.opts.Dir, "snap-", ".snap")
-	if err != nil {
-		l.logger.Error("wal archive scan failed", "dir", l.opts.Dir, "err", err)
-		return
-	}
-	for _, e := range snaps {
-		if e.seq >= snapSeq {
-			continue
+		for _, e := range names {
+			if e.seq >= kind.below {
+				break
+			}
+			if err := os.Remove(filepath.Join(l.opts.Dir, e.name)); err != nil {
+				l.noteErr("prune", err)
+			}
 		}
-		l.moveToArchive(e.name)
 	}
 }
 
-func (l *Log) moveToArchive(name string) {
-	from := filepath.Join(l.opts.Dir, name)
-	to := filepath.Join(archiveDir(l.opts.Dir), name)
-	if err := os.Rename(from, to); err != nil {
-		l.errors.Add(1)
-		l.logger.Error("wal archive move failed", "file", name, "err", err)
-		return
-	}
-	l.archived.Add(1)
-}
-
-// run is the background loop: interval fsync and periodic snapshots.
+// run is the background loop: interval fsync, and a periodic snapshot
+// whenever a record has been handed to the log since the last one.
 func (l *Log) run() {
 	defer l.wg.Done()
 	var syncC, snapC <-chan time.Time
@@ -482,9 +475,9 @@ func (l *Log) run() {
 			l.mu.Unlock()
 		case <-snapC:
 			l.mu.Lock()
-			src := l.source
+			src, unsnapped := l.source, l.unsnapped
 			l.mu.Unlock()
-			if src != nil {
+			if src != nil && unsnapped > 0 {
 				// unchecked: snapshot has already counted and logged the error.
 				_ = l.snapshot(src)
 			}
@@ -511,32 +504,29 @@ func (l *Log) Close() error {
 
 // Stats is a point-in-time counter snapshot for /metrics.
 type Stats struct {
-	Dir              string        `json:"dir"`
-	Fsync            string        `json:"fsync"`
-	Appends          int64         `json:"appends"`
-	AppendedBytes    int64         `json:"appended_bytes"`
-	Syncs            int64         `json:"syncs"`
-	Errors           int64         `json:"errors"`
-	SegmentsSealed   int64         `json:"segments_sealed"`
-	SegmentsArchived int64         `json:"segments_archived"`
-	Snapshots        int64         `json:"snapshots"`
-	ActiveSegment    uint64        `json:"active_segment"`
-	ActiveBytes      int64         `json:"active_bytes"`
-	LastError        string        `json:"last_error,omitempty"`
-	Recovery         RecoveryStats `json:"recovery"`
+	Appends        int64
+	AppendedBytes  int64
+	Syncs          int64
+	Errors         int64
+	SegmentsSealed int64
+	Snapshots      int64
+	ActiveSegment  uint64
+	ActiveBytes    int64
+	LastError      string
+	Recovery       RecoveryStats
 }
 
 // RecoveryStats describes what Open found on disk.
 type RecoveryStats struct {
-	HadSnapshot     bool    `json:"had_snapshot"`
-	SnapshotSeq     uint64  `json:"snapshot_seq,omitempty"`
-	SegmentsScanned int     `json:"segments_scanned"`
-	RecordsReplayed int     `json:"records_replayed"` // tail records applied on top of the snapshot
-	RecordsSkipped  int     `json:"records_skipped"`  // at or below their relation's epoch, or of another arity
-	UnknownRecords  int     `json:"unknown_records"`  // checksummed records of unknown type
-	Truncated       bool    `json:"truncated"`        // a torn/corrupt tail was cut from a segment
-	Relations       int     `json:"relations"`        // how many relations Recovered.Relations holds
-	DurationMS      float64 `json:"duration_ms"`
+	HadSnapshot     bool
+	SnapshotSeq     uint64
+	SegmentsScanned int
+	RecordsReplayed int  // tail records applied on top of the snapshot
+	RecordsSkipped  int  // at or below their relation's epoch, or of another arity
+	UnknownRecords  int  // checksummed records of unknown type
+	Truncated       bool // a torn/corrupt tail was cut from a segment
+	Relations       int  // how many relations Recovered.Relations holds
+	DurationMS      float64
 }
 
 // Stats returns current counters.
@@ -545,18 +535,15 @@ func (l *Log) Stats() Stats {
 	activeSeq, activeBytes, lastErr := l.activeSeq, l.activeBytes, l.lastErr
 	l.mu.Unlock()
 	s := Stats{
-		Dir:              l.opts.Dir,
-		Fsync:            l.opts.Fsync,
-		Appends:          l.appends.Load(),
-		AppendedBytes:    l.bytes.Load(),
-		Syncs:            l.syncs.Load(),
-		Errors:           l.errors.Load(),
-		SegmentsSealed:   l.sealed.Load(),
-		SegmentsArchived: l.archived.Load(),
-		Snapshots:        l.snapshots.Load(),
-		ActiveSegment:    activeSeq,
-		ActiveBytes:      activeBytes,
-		Recovery:         l.recovery,
+		Appends:        l.appends.Load(),
+		AppendedBytes:  l.bytes.Load(),
+		Syncs:          l.syncs.Load(),
+		Errors:         l.errors.Load(),
+		SegmentsSealed: l.sealed.Load(),
+		Snapshots:      l.snapshots.Load(),
+		ActiveSegment:  activeSeq,
+		ActiveBytes:    activeBytes,
+		Recovery:       l.recovery,
 	}
 	if lastErr != nil {
 		s.LastError = lastErr.Error()
