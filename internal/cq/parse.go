@@ -15,16 +15,12 @@ import (
 // upper-case letter or underscore are variables; single-quoted strings and
 // all other identifiers are constants.
 func Parse(text string) (*CQ, error) {
-	p := &parser{src: text}
-	q, err := p.parseQuery()
+	p := newParser(text)
+	q, err := p.parse(text)
 	if err != nil {
 		return nil, err
 	}
-	p.skipSpace()
-	if !p.eof() {
-		return nil, p.errf("trailing input %q", p.rest())
-	}
-	return q, nil
+	return &q, nil
 }
 
 // MustParse is Parse that panics on error; for tests and examples.
@@ -41,7 +37,10 @@ func MustParse(text string) *CQ {
 // disjuncts sharing the head predicate and arity. A CQ is a union of one: a
 // one-line text fails as Parse fails, a union of several names its line.
 func ParseUCQ(text string) (*UCQ, error) {
-	u, n, errLine := &UCQ{}, 0, 0 // the union; its disjunct lines; the first that fails
+	p := newParser(text)
+	var first CQ       // the union's first disjunct
+	var more []*CQ     // and the ones after it
+	n, errLine := 0, 0 // the disjunct lines; the first that fails
 	var err error
 	for rest, lineNo := text, 1; rest != ""; lineNo++ {
 		lo := len(text) - len(rest)
@@ -57,11 +56,15 @@ func ParseUCQ(text string) (*UCQ, error) {
 		if n++; err != nil {
 			continue
 		}
-		var q *CQ
-		if q, err = Parse(text[lo:hi]); err == nil {
-			u.Disjuncts = append(u.Disjuncts, q)
-		} else {
+		var q CQ
+		switch q, err = p.parse(text[lo:hi]); {
+		case err != nil:
 			errLine = lineNo
+		case n == 1:
+			first = q
+		default:
+			d := q
+			more = append(more, &d)
 		}
 	}
 	switch {
@@ -72,16 +75,54 @@ func ParseUCQ(text string) (*UCQ, error) {
 	case n == 0:
 		return nil, errors.New("no query: every line is blank or a comment")
 	}
-	u.Name = u.Disjuncts[0].Name
+	// A union of one — a CQ, the common case — is a single allocation.
+	b := &struct {
+		u UCQ
+		d [1]*CQ
+		q CQ
+	}{q: first}
+	b.d[0] = &b.q
+	u := &b.u
+	u.Name, u.Disjuncts = first.Name, append(b.d[:], more...)
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
+// parser parses one line of query text at a time, carving the terms of
+// every atom and the positive body of every disjunct from two slices sized
+// once for the whole text: every atom opens a '(' and every argument but an
+// atom's first follows a ','. A carved slice is capped at its own length.
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	terms []Term
+	atoms []Atom
+}
+
+// newParser sizes the slices for text, to at most 256 slots each: a text
+// padded with quoted commas asks for no more memory than its parse needs.
+func newParser(text string) parser {
+	opens := strings.Count(text, "(")
+	return parser{
+		terms: make([]Term, 0, min(opens+strings.Count(text, ","), 256)),
+		atoms: make([]Atom, 0, min(opens, 256)),
+	}
+}
+
+// parse parses src as one conjunctive query, to its end.
+func (p *parser) parse(src string) (CQ, error) {
+	p.src, p.pos = src, 0
+	q, err := p.parseQuery()
+	if err != nil {
+		return CQ{}, err
+	}
+	p.skipSpace()
+	if !p.eof() {
+		return CQ{}, p.errf("trailing input %q", p.rest())
+	}
+	return q, nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -113,10 +154,10 @@ func (p *parser) expect(tok string) error {
 	return nil
 }
 
-func (p *parser) parseQuery() (*CQ, error) {
+func (p *parser) parseQuery() (CQ, error) {
 	head, err := p.parseAtom()
 	if err != nil {
-		return nil, fmt.Errorf("head: %w", err)
+		return CQ{}, fmt.Errorf("head: %w", err)
 	}
 	p.skipSpace()
 	switch {
@@ -125,9 +166,9 @@ func (p *parser) parseQuery() (*CQ, error) {
 	case strings.HasPrefix(p.rest(), "<-"):
 		p.pos += 2
 	default:
-		return nil, p.errf("expected \":-\" or \"<-\" after head")
+		return CQ{}, p.errf("expected \":-\" or \"<-\" after head")
 	}
-	q := &CQ{Name: head.Pred, Head: head.Args}
+	q, body := CQ{Name: head.Pred, Head: head.Args}, len(p.atoms)
 	for {
 		p.skipSpace()
 		neg := false
@@ -140,12 +181,12 @@ func (p *parser) parseQuery() (*CQ, error) {
 		}
 		a, err := p.parseAtom()
 		if err != nil {
-			return nil, fmt.Errorf("body: %w", err)
+			return CQ{}, fmt.Errorf("body: %w", err)
 		}
 		if neg {
 			q.Negated = append(q.Negated, a)
 		} else {
-			q.Body = append(q.Body, a)
+			p.atoms = append(p.atoms, a)
 		}
 		p.skipSpace()
 		if p.eof() || p.peek() != ',' {
@@ -153,11 +194,14 @@ func (p *parser) parseQuery() (*CQ, error) {
 		}
 		p.pos++ // consume ','
 	}
+	if len(p.atoms) > body {
+		q.Body = p.atoms[body:len(p.atoms):len(p.atoms)]
+	}
 	if len(q.Body) == 0 && len(q.Negated) > 0 {
-		return nil, p.errf("query with only negated atoms is unsafe")
+		return CQ{}, p.errf("query with only negated atoms is unsafe")
 	}
 	if len(q.Body) == 0 {
-		return nil, p.errf("query with empty body")
+		return CQ{}, p.errf("query with empty body")
 	}
 	return q, nil
 }
@@ -177,12 +221,13 @@ func (p *parser) parseAtom() (Atom, error) {
 		p.pos++
 		return a, nil // nullary atom
 	}
+	from := len(p.terms)
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return Atom{}, err
 		}
-		a.Args = append(a.Args, t)
+		p.terms = append(p.terms, t)
 		p.skipSpace()
 		if p.eof() {
 			return Atom{}, p.errf("unterminated atom %s", name)
@@ -191,6 +236,7 @@ func (p *parser) parseAtom() (Atom, error) {
 		case ',':
 			continue
 		case ')':
+			a.Args = p.terms[from:len(p.terms):len(p.terms)]
 			return a, nil
 		default:
 			return Atom{}, p.errf("expected ',' or ')' in atom %s", name)

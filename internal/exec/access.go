@@ -155,11 +155,14 @@ func (a *access) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 }
 
 // statsOf reads the run's accounting off its access paths; a relation that
-// was never probed is absent.
+// was never probed is absent, and a run that probed none has no map.
 func statsOf(paths []access) map[string]source.Stats {
-	out := make(map[string]source.Stats, len(paths))
+	var out map[string]source.Stats
 	for i := range paths {
 		if n := paths[i].accesses.Load(); n > 0 {
+			if out == nil {
+				out = make(map[string]source.Stats, len(paths))
+			}
 			out[paths[i].src.Relation().Name] = source.Stats{
 				Accesses: int(n),
 				Batches:  int(paths[i].batches.Load()),

@@ -36,7 +36,7 @@ func Naive(ctx context.Context, sch *schema.Schema, reg *source.Registry, q *cq.
 	// constants intern under it, unpinned.
 	h := sym.Default.HoldFor(ctx)
 	defer h.Release()
-	k := newSink(q.Name, len(q.Head), opts, onAnswers)
+	k := newSink(q.Name, len(q.Head), opts, onAnswers, nil)
 	query, err := datalog.CompileUnder(h, datalog.RuleOf(q), -1)
 	if err != nil {
 		return nil, err

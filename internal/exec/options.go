@@ -115,15 +115,10 @@ func (o Options) maxConcurrent() int {
 	return o.MaxConcurrent
 }
 
-// ctxDone reports whether ctx has been cancelled.
-func ctxDone(ctx context.Context) bool {
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
+// ctxDone reports whether ctx has been cancelled. It asks Err, not Done: a
+// cancelable context makes its Done channel on the first call, and a run
+// that is never cancelled need not.
+func ctxDone(ctx context.Context) bool { return ctx.Err() != nil }
 
 // errCancelled aborts an extraction from deep inside the probe loops when
 // the context is done; the executors translate it into a truncated result

@@ -49,6 +49,14 @@ type scratch struct {
 	queues    []relQueue
 	queuesOut int
 	flights   []*flight
+	// st is the optimized executor's group state, over cdb and byNode; k is
+	// its answer sink, whose burst buffer is recycled; consts holds the
+	// one-value tuples of the query constants' caches.
+	st     groupState
+	cdb    datalog.DB
+	byNode []*enumState
+	k      sink
+	consts []sym.ID
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -75,7 +83,12 @@ func (sc *scratch) release() {
 		*q = relQueue{ids: q.ids[:0], runs: q.runs[:0], seen: q.seen, meta: q.meta[:0]}
 	}
 	sc.relsOut, sc.enumsOut, sc.queuesOut = 0, 0, 0
-	sc.arena = sc.arena[:0]
+	sc.st = groupState{}
+	clear(sc.cdb)
+	clear(sc.byNode)
+	clear(sc.k.burst[:cap(sc.k.burst)])
+	sc.k = sink{burst: sc.k.burst[:0]}
+	sc.arena, sc.consts = sc.arena[:0], sc.consts[:0]
 	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.fresh[:cap(sc.fresh)])
 	scratchPool.Put(sc)

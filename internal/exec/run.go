@@ -177,35 +177,39 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 	// last round trip has landed and the Result is rooted.
 	h := sym.Default.HoldFor(ctx)
 	defer h.Release()
-	k := newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers)
+	sc := getScratch()
+	defer sc.release()
+	k := &sc.k
+	*k = newSink(p.Query.Name, len(p.Query.Head), opts, onAnswers, k.burst)
 	k.sizeFrom(p.LastAnswers)
 	paths, err := openAccess(reg, p.Relations, opts)
 	if err != nil {
 		return nil, err
 	}
-	sc := getScratch()
-	defer sc.release()
 	st, err := newGroupState(h, p, sc)
 	if err != nil {
 		return nil, err
 	}
 	rels := sc.relQueues(len(p.Relations))
+	var landed chan *flight // round trips reporting back; made for a source that can block
 	for _, c := range p.Caches {
 		if !c.IsConst {
 			r := &rels[c.Rel]
 			r.w, r.width = paths[c.Rel].top, len(c.DomainPreds)
 			r.concurrent = !staged && source.CanBlock(paths[c.Rel].src)
 			r.shared = r.shared || c.Shared && !opts.NoMetaCache
+			if r.concurrent && landed == nil {
+				landed = make(chan *flight)
+			}
 		}
 	}
 
 	var (
 		maxBatch, par = opts.maxBatch(), opts.inFlight()
-		landed        = make(chan *flight) // round trips reporting back
-		outstanding   = 0                  // round trips in flight
-		demanded      = 0                  // accesses sent on a round trip
-		unanswered    = false              // a round trip was cut off by cancellation
-		opened        = 0                  // position groups [0, opened) are open
+		outstanding   = 0     // round trips in flight
+		demanded      = 0     // accesses sent on a round trip
+		unanswered    = false // a round trip was cut off by cancellation
+		opened        = 0     // position groups [0, opened) are open
 	)
 	// await receives the next round trip to land, first handing over what
 	// has been derived: no answer is held while a source is awaited.
@@ -415,7 +419,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			pctx, span = obs.StartSpan(ctx, "group")
 			span.SetAttr("group", opened)
 			if opened > 0 && !opts.NoEarlyFailure {
-				sat, err := st.subquerySatisfiable(opened)
+				sat, err := st.subquerySatisfiable(p, opened)
 				if err != nil {
 					return nil, err
 				}
@@ -447,9 +451,10 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 }
 
 // groupState holds the cache database and the bookkeeping of one execution
-// of a plan.
+// of a plan. It lives in the run's scratch, as do its map and its slice, and
+// keeps no pointer to the plan: a plan the façade binds to a query's
+// constants (plan.Plan.Bind) for one run then stays on the façade's stack.
 type groupState struct {
-	p  *plan.Plan
 	sc *scratch // the run's recycled working memory; owned by the executor
 
 	cdb   datalog.DB   // cache predicate relations
@@ -460,12 +465,14 @@ type groupState struct {
 // domains, then the query constants, interned under the run's hold h, whose
 // caches seed the domains they feed once and for all.
 func newGroupState(h sym.Hold, p *plan.Plan, sc *scratch) (*groupState, error) {
-	st := &groupState{
-		p:     p,
-		sc:    sc,
-		cdb:   make(datalog.DB, len(p.Caches)),
-		enums: make([]*enumState, len(p.Caches)),
+	if sc.cdb == nil {
+		sc.cdb = make(datalog.DB)
 	}
+	if cap(sc.byNode) < len(p.Caches) {
+		sc.byNode = make([]*enumState, len(p.Caches))
+	}
+	sc.st = groupState{sc: sc, cdb: sc.cdb, enums: sc.byNode[:len(p.Caches)]}
+	st := &sc.st
 	for _, c := range p.Caches {
 		st.cdb[c.Pred] = sc.relation(c.Pred, c.Source.Rel.Arity())
 		if !c.IsConst {
@@ -482,7 +489,9 @@ func newGroupState(h sym.Hold, p *plan.Plan, sc *scratch) (*groupState, error) {
 		// Query constants intern here — the last string boundary on the way
 		// into an execution. They come from the plan's vector, never from
 		// its structure: the plan may be shared by every query of a shape.
-		if _, err := st.ingest(c, []datalog.Tuple{{h.Intern(p.Consts[c.Slot])}}); err != nil {
+		n := len(sc.consts)
+		sc.consts = append(sc.consts, h.Intern(p.Consts[c.Slot]))
+		if _, err := st.ingest(c, []datalog.Tuple{sc.consts[n : n+1 : n+1]}); err != nil {
 			return nil, err
 		}
 	}
@@ -525,8 +534,8 @@ func (st *groupState) ingest(c *plan.Cache, rows []datalog.Tuple) ([]datalog.Tup
 // group gi: the positive subquery restricted to the atoms whose caches
 // belong to groups j < gi must have at least one satisfying assignment —
 // one; the join stops at the first it finds.
-func (st *groupState) subquerySatisfiable(gi int) (bool, error) {
-	test := st.p.GroupTests[gi]
+func (st *groupState) subquerySatisfiable(p *plan.Plan, gi int) (bool, error) {
+	test := p.GroupTests[gi]
 	if test == nil {
 		return true, nil
 	}

@@ -50,9 +50,11 @@ func (k *sink) sizeFrom(last *atomic.Int64) {
 	k.sizedBy = last
 }
 
-// newSink starts an execution's clock and opens its empty answer relation.
-func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tuple, bool)) *sink {
-	return &sink{
+// newSink starts an execution's clock and opens its empty answer relation;
+// burst is a buffer to record the bursts in, kept from an earlier run.
+func newSink(name string, arity int, opts Options, onAnswers func([]datalog.Tuple, bool), burst []datalog.Tuple) sink {
+	return sink{
+		burst:     burst[:0],
 		answers:   datalog.NewRelation(name, arity),
 		limit:     opts.Limit,
 		onAnswers: onAnswers,

@@ -55,7 +55,7 @@ func Union(ctx context.Context, name string, arity int, runs []DisjunctRun, opts
 	ctx, cancel := context.WithCancel(sym.WithHold(ctx))
 	defer cancel()
 
-	union := newSink(name, arity, opts, onAnswers)
+	union := newSink(name, arity, opts, onAnswers, nil)
 	var (
 		mu         sync.Mutex // guards union, demanded and the flags
 		demanded   int

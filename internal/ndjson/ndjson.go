@@ -84,6 +84,20 @@ func AppendStrings(dst []byte, vals []string) []byte {
 // very large magnitudes, and then without a leading zero in a two-digit
 // exponent.
 func AppendFloat(dst []byte, f float64) []byte {
+	// Milliseconds from whole microseconds (every elapsed_ms) are nearest to
+	// a three-place decimal of at most 15 digits, which round-trip through a
+	// float64: no shorter decimal is as near, so it is the answer.
+	if m := math.Round(f * 1000); f > 0 && m < 1e15 && m/1000 == f {
+		ms := int64(m)
+		dst = strconv.AppendInt(dst, ms/1000, 10)
+		if frac := ms % 1000; frac != 0 {
+			dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+			for dst[len(dst)-1] == '0' {
+				dst = dst[:len(dst)-1]
+			}
+		}
+		return dst
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +192,42 @@ func TestAppendStringMatchesMarshal(t *testing.T) {
 		for d := 0; d < 256; d++ {
 			check(string([]byte{byte(c), byte(d)}))
 		}
+	}
+}
+
+// TestAppendFloatMatchesMarshal: AppendFloat writes what json.Marshal does
+// for every millisecond count of whole microseconds up to a fifth of a
+// second, for random ones up to 10¹⁵ µs, and for values beside and beyond
+// them — zero and its sign, every power of ten, nearly-whole and
+// nearly-three-decimal values, random bit patterns.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	var buf []byte
+	check := func(f float64) {
+		want, err := json.Marshal(f)
+		if buf = AppendFloat(buf[:0], f); err != nil || string(buf) != string(want) {
+			t.Fatalf("AppendFloat(%v) = %s, json.Marshal = %s, %v", f, buf, want, err)
+		}
+	}
+	for us := int64(0); us <= 200_000; us++ {
+		check(float64(us) / 1000)
+	}
+	check(math.Copysign(0, -1))
+	for e := -30; e <= 30; e++ {
+		p := math.Pow(10, float64(e))
+		for _, f := range []float64{p, -p, 1.5 * p, p / 1000, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))} {
+			check(f)
+		}
+	}
+	for _, f := range []float64{0.1 + 0.2, 1e15 / 1000, 999999999999.999, 1e12, 0.0005, 0.0015, 1.0005} {
+		check(f)
+		check(math.Nextafter(f, 0))
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20_000; i++ {
+		if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			check(f)
+		}
+		check(float64(r.Int64N(1e15)) / 1000)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"time"
 )
@@ -49,12 +50,25 @@ func (r QueryRecord) CacheHitRatio() float64 {
 	return float64(r.Demanded-r.Accesses) / float64(r.Demanded)
 }
 
-// Query logs one served query.
+// Query logs one served query. The record's attributes are built only when
+// the level is enabled, and handed over as slog.Attrs, not boxed into []any.
 func (l *QueryLog) Query(r QueryRecord) {
 	if l == nil {
 		return
 	}
-	attrs := []any{
+	// last is the error, slow=true or empty: a handler ignores an empty Attr.
+	level, last := slog.LevelInfo, slog.Attr{}
+	switch {
+	case r.Err != nil:
+		level, last = slog.LevelError, slog.String("error", r.Err.Error())
+	case l.Slow > 0 && r.Elapsed >= l.Slow:
+		level, last = slog.LevelWarn, slog.Bool("slow", true)
+	}
+	ctx := context.Background()
+	if !l.log.Enabled(ctx, level) {
+		return
+	}
+	attrs := [...]slog.Attr{
 		slog.String("trace_id", r.TraceID),
 		slog.String("query", r.Query),
 		slog.String("executor", r.Executor),
@@ -65,18 +79,9 @@ func (l *QueryLog) Query(r QueryRecord) {
 		slog.Duration("elapsed", r.Elapsed),
 		slog.Duration("time_to_first", r.TimeToFirst),
 		slog.Bool("truncated", r.Truncated),
+		last,
 	}
-	if r.Err != nil {
-		attrs = append(attrs, slog.String("error", r.Err.Error()))
-		l.log.Error("query", attrs...)
-		return
-	}
-	if l.Slow > 0 && r.Elapsed >= l.Slow {
-		attrs = append(attrs, slog.Bool("slow", true))
-		l.log.Warn("query", attrs...)
-		return
-	}
-	l.log.Info("query", attrs...)
+	l.log.LogAttrs(ctx, level, "query", attrs[:]...)
 }
 
 // Probe logs one served federated probe (the peer side of a remote round
@@ -86,7 +91,7 @@ func (l *QueryLog) Probe(traceID, relation string, accesses, tuples int, elapsed
 	if l == nil {
 		return
 	}
-	l.log.Info("probe",
+	l.log.LogAttrs(context.Background(), slog.LevelInfo, "probe",
 		slog.String("trace_id", traceID),
 		slog.String("relation", relation),
 		slog.Int("accesses", accesses),

@@ -2,8 +2,9 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -20,15 +21,15 @@ import (
 // federated peers on /probe, so one query's trace stitches across nodes.
 const TraceHeader = "X-Toorjah-Trace"
 
-// NewTraceID returns a fresh 16-hex-digit random trace ID.
+// NewTraceID returns a fresh 16-hex-digit random trace ID. It names a
+// query and guards nothing, so math/rand's generator serves, without a
+// system call.
 func NewTraceID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; degrade to a
-		// fixed ID rather than panicking inside a query.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
+	binary.LittleEndian.PutUint64(b[:], rand.Uint64())
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // Span is one node of the trace tree. Attrs and children are mutex-guarded
@@ -156,7 +157,21 @@ const (
 
 // ContextWithTraceID attaches a trace ID to the context.
 func ContextWithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyTraceID, id)
+	return &traceIDCtx{ctx, id}
+}
+
+// traceIDCtx is context.WithValue in one allocation, not two: its value is
+// a pointer to its own field, where WithValue would box the string.
+type traceIDCtx struct {
+	context.Context
+	id string
+}
+
+func (c *traceIDCtx) Value(key any) any {
+	if key == ctxKeyTraceID {
+		return &c.id
+	}
+	return c.Context.Value(key)
 }
 
 // TraceIDFromContext returns the context's trace ID, or "".
@@ -164,8 +179,10 @@ func TraceIDFromContext(ctx context.Context) string {
 	if ctx == nil {
 		return ""
 	}
-	id, _ := ctx.Value(ctxKeyTraceID).(string)
-	return id
+	if id, ok := ctx.Value(ctxKeyTraceID).(*string); ok {
+		return *id
+	}
+	return ""
 }
 
 // ContextWithSpan attaches the current span to the context.

@@ -129,6 +129,39 @@ func TestQueryLogSlowThreshold(t *testing.T) {
 	nilLog.Probe("id", "r", 1, 1, time.Millisecond)
 }
 
+// discardHandler takes every record and keeps none of it.
+type discardHandler struct{ level slog.Level }
+
+func (h discardHandler) Enabled(_ context.Context, l slog.Level) bool { return l >= h.level }
+func (discardHandler) Handle(context.Context, slog.Record) error      { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler           { return h }
+func (h discardHandler) WithGroup(string) slog.Handler                { return h }
+
+// TestQueryLogAllocs: a logged query costs the record room for the
+// attributes that do not fit in it inline — one allocation (two under the
+// race detector, whose slices.Grow allocates twice), not one per attribute —
+// a probe fits and costs none, and a record below the handler's level costs
+// nothing.
+func TestQueryLogAllocs(t *testing.T) {
+	rec := QueryRecord{TraceID: "aa", Query: "q(X) :- r(X)", Executor: "pipelined",
+		Answers: 3, Accesses: 5, Demanded: 10, Elapsed: 10 * time.Millisecond}
+	for _, c := range []struct {
+		name   string
+		level  slog.Level
+		log    func(*QueryLog)
+		budget float64
+	}{
+		{"query", slog.LevelInfo, func(l *QueryLog) { l.Query(rec) }, 2},
+		{"probe", slog.LevelInfo, func(l *QueryLog) { l.Probe("aa", "r", 1, 2, time.Millisecond) }, 0},
+		{"query below the level", slog.LevelWarn, func(l *QueryLog) { l.Query(rec) }, 0},
+	} {
+		l := NewQueryLog(slog.New(discardHandler{c.level}), time.Second)
+		if n := testing.AllocsPerRun(100, func() { c.log(l) }); n > c.budget {
+			t.Errorf("%s: %.0f allocations, budget %.0f", c.name, n, c.budget)
+		}
+	}
+}
+
 func TestCacheHitRatio(t *testing.T) {
 	cases := []struct {
 		demanded, probed int

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,5 +175,40 @@ func FuzzDecodeIngestRows(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string, arity int, cut int) {
 		checkIngestRowsAgainstOracle(t, body, arity, cut)
+	})
+}
+
+// FuzzQueryParams holds queryParam to url.ParseQuery(raw) followed by Get
+// and Has, for the key a raw query names and for the handlers' own keys:
+// the same first value, the same presence — across repeated keys, ';' in a
+// pair, '+', escapes in keys and values, malformed escapes and empty values.
+func FuzzQueryParams(f *testing.F) {
+	for _, seed := range []struct{ raw, key string }{
+		{"q=q%28C%2C+Y%29+%3A-+conf%28p5%2C+C%2C+Y%29&limit=1", "q"},
+		{"q=a&q=b", "q"},
+		{"q=%zz&q=b", "q"},
+		{"q=a;b&q=c", "q"},
+		{"a;b=1&q=2", "q"},
+		{"%71=escaped+key", "q"},
+		{"trace=1&trace=0", "trace"},
+		{"limit=&limit=3", "limit"},
+		{"ready", "ready"},
+		{"ready=%", "ready"},
+		{"&&q=&", "q"},
+		{"q=%4", "q"},
+		{"q=100%25+sure", "q"},
+		{"q+x=1&q x=2", "q x"},
+		{"relation=r%C3%A9v&op=delete", "relation"},
+	} {
+		f.Add(seed.raw, seed.key)
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		values, _ := url.ParseQuery(raw)
+		for _, k := range []string{key, "q", "limit", "trace", "ready", "relation", "op"} {
+			got, has := queryParam(raw, k)
+			if want := values.Get(k); got != want || has != values.Has(k) {
+				t.Fatalf("queryParam(%q, %q) = %q, %v; url.ParseQuery: %q, %v", raw, k, got, has, want, values.Has(k))
+			}
+		}
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -303,7 +304,7 @@ func (s *Server) Handler() http.Handler {
 // and answering 503 when any is down (so a load balancer can stop routing
 // federated queries to a node whose peers are unreachable).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !r.URL.Query().Has("ready") {
+	if _, ready := queryParam(r.URL.RawQuery, "ready"); !ready {
 		s.writeString(w, "ok\n")
 		return
 	}
@@ -406,11 +407,11 @@ type errorLine struct {
 // query text comes from the q parameter (GET) or the request body (POST);
 // limit, when positive, stops after that many answers.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query() // parsed once: every call to Query re-parses the raw string
+	raw := r.URL.RawQuery
 	var text string
 	switch r.Method {
 	case http.MethodGet:
-		text = params.Get("q")
+		text, _ = queryParam(raw, "q")
 	case http.MethodPost:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 		if err != nil {
@@ -425,7 +426,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		text = string(body)
 		if strings.TrimSpace(text) == "" {
-			text = params.Get("q")
+			text, _ = queryParam(raw, "q")
 		}
 	default:
 		http.Error(w, "use GET ?q= or POST with the query as body", http.StatusMethodNotAllowed)
@@ -436,7 +437,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := 0
-	if v := params.Get("limit"); v != "" {
+	if v, _ := queryParam(raw, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
@@ -462,73 +463,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// value lookup per probe batch and nothing else.
 	traceID := obs.NewTraceID()
 	// A disconnected client cancels the run, so the executor stops
-	// spending accesses on an answer nobody will read. A failed answer
-	// write cancels it too: the TCP session can outlive the reader.
-	ctx, cancel := context.WithCancel(obs.ContextWithTraceID(r.Context(), traceID))
-	defer cancel()
+	// spending accesses on an answer nobody will read. A failed answer write
+	// cancels it too — the TCP session can outlive the reader — as net/http
+	// cancels the request's context when a write to its connection fails: a
+	// cancelable context of the handler's own would cost every query a
+	// registration with the request's.
+	ctx := obs.ContextWithTraceID(r.Context(), traceID)
 	var trace *obs.Trace
-	if params.Get("trace") == "1" {
+	if v, _ := queryParam(raw, "trace"); v == "1" {
 		trace = obs.NewTrace(traceID, "query")
 		trace.Root.SetAttr("executor", executor)
 		ctx = obs.ContextWithSpan(ctx, trace.Root)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
+	w.Header()["Content-Type"] = ndjsonType
+	st := streams.Get().(*queryStream)
+	defer st.release()
+	st.s, st.w, st.r = s, w, r
+	st.flusher, _ = w.(http.Flusher)
 	opts := s.exec
 	opts.Limit = limit
-	// Answers leave the way the engine hands them over, in bursts: the
-	// answers derived since the last burst are rendered into one buffer and
-	// written and flushed together — the engine delivers before it sends or
-	// awaits a round trip, so no answer sits in a buffer while a source is
-	// awaited — and the very first answer is flushed on its own, time to
-	// first answer being what streaming is for. The run's last burst waits
-	// for nothing but the done line and leaves with it: a response whose run
-	// never waited again is one Write and no Flush, sent un-chunked. Calls are
-	// serialized — a CQ delivers from the goroutine executing the query, a
-	// union of several serializes its concurrent disjuncts — so the buffers
-	// need no locking. Answers materialize to strings only here,
-	// at the NDJSON boundary.
-	var (
-		lines     = make([]byte, 0, 512) // rendered, not yet written; reused; a point response fits
-		vals      []string               // one answer's values; reused from answer to answer
-		streaming bool                   // the first answer has left
-		failed    bool                   // a write failed: the response is over, render nothing more
-	)
-	write := func(flush bool) {
-		if _, err := w.Write(lines); err != nil {
-			// One failed response, not one per write — and none when the
-			// request's context is done: the client left, no server error.
-			if r.Context().Err() == nil {
-				s.writeErrs.Inc()
-			}
-			failed = true
-			cancel() // nobody is reading: abort the execution, not just the stream
-		} else if flush && flusher != nil {
-			flusher.Flush()
-		}
-		lines = lines[:0]
-	}
-	res, err := q.Execute(ctx, toorjah.WithExecOptions(opts),
-		toorjah.OnBursts(func(burst []toorjah.Tuple, last bool) {
-			for _, t := range burst {
-				if failed {
-					return
-				}
-				if len(lines) >= ndjson.Spill {
-					write(false) // net/http's own buffering takes it from here
-				}
-				vals = sym.Default.StrsAppend(vals, t)
-				lines = appendAnswerLine(lines, vals)
-				if !streaming && !last {
-					streaming = true
-					write(true)
-				}
-			}
-			if len(lines) > 0 && !last {
-				write(true)
-			}
-		}))
-	gone := failed || r.Context().Err() != nil // nobody is reading an error line or a summary
+	res, err := q.Execute(ctx, toorjah.WithExecOptions(opts), toorjah.OnBursts(st.onBursts))
+	gone := st.failed || r.Context().Err() != nil // nobody is reading an error line or a summary
 	if err != nil {
 		s.queryLog.Query(obs.QueryRecord{TraceID: traceID, Query: text, Executor: executor, Err: err})
 		// The stream may already be half-written; report the error in-band.
@@ -576,8 +531,101 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tj := trace.JSON()
 		done.Trace = &tj
 	}
-	lines = appendDoneLine(lines, &done)
-	write(false)
+	st.lines = appendDoneLine(st.lines, &done)
+	st.write(false)
+}
+
+// ndjsonType is the Content-Type of a /query response, set as the header's
+// value slice itself: Header.Set would make one per response.
+var ndjsonType = []string{"application/x-ndjson"}
+
+// queryStream is how one /query response leaves: in the engine's bursts,
+// each rendered into one buffer and written and flushed together — the
+// engine delivers before it sends or awaits a round trip, so no answer waits
+// on a source — the very first answer flushed on its own, and the last burst
+// with the done line: a run that never waited again is one Write, no Flush,
+// sent un-chunked. Calls are serialized (a union serializes its disjuncts),
+// so nothing is locked. Answers become strings only here. Streams are
+// pooled: buffers and burst callback are made once per stream.
+type queryStream struct {
+	s       *Server
+	w       http.ResponseWriter
+	r       *http.Request
+	flusher http.Flusher
+
+	lines     []byte   // rendered, not yet written; a point response fits
+	vals      []string // one answer's values; reused from answer to answer
+	streaming bool     // the first answer has left
+	failed    bool     // a write failed: the response is over, render nothing more
+	onBursts  func([]toorjah.Tuple, bool)
+}
+
+var streams = sync.Pool{New: func() any {
+	st := &queryStream{lines: make([]byte, 0, 512)}
+	st.onBursts = st.bursts
+	return st
+}}
+
+// release returns the stream to the pool, holding on to no request.
+func (st *queryStream) release() {
+	clear(st.vals)
+	*st = queryStream{lines: st.lines[:0], vals: st.vals[:0], onBursts: st.onBursts}
+	streams.Put(st)
+}
+
+func (st *queryStream) bursts(burst []toorjah.Tuple, last bool) {
+	for _, t := range burst {
+		if st.failed {
+			return
+		}
+		if len(st.lines) >= ndjson.Spill {
+			st.write(false) // net/http's own buffering takes it from here
+		}
+		st.vals = sym.Default.StrsAppend(st.vals, t)
+		st.lines = appendAnswerLine(st.lines, st.vals)
+		if !st.streaming && !last {
+			st.streaming = true
+			st.write(true)
+		}
+	}
+	if len(st.lines) > 0 && !last {
+		st.write(true)
+	}
+}
+
+// write sends the rendered lines, flushing them when asked.
+func (st *queryStream) write(flush bool) {
+	if _, err := st.w.Write(st.lines); err != nil {
+		// One failed response, not one per write — and none when the
+		// request's context is done: the client left, no server error.
+		if st.r.Context().Err() == nil {
+			st.s.writeErrs.Inc()
+		}
+		st.failed = true
+	} else if flush && st.flusher != nil {
+		st.flusher.Flush()
+	}
+	st.lines = st.lines[:0]
+}
+
+// queryParam is url.ParseQuery(raw)'s Get(key) and Has(key) without building
+// url.Values: the first value of key in a pair that parses, if any.
+func queryParam(raw, key string) (string, bool) {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v, true
+		}
+	}
+	return "", false
 }
 
 // ingestResponse is the JSON payload answering one applied /ingest.
@@ -612,13 +660,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST with NDJSON rows as the body", http.StatusMethodNotAllowed)
 		return
 	}
-	params := r.URL.Query() // parsed once, as in handleQuery
-	rel := params.Get("relation")
+	rel, _ := queryParam(r.URL.RawQuery, "relation")
 	if rel == "" {
 		http.Error(w, "missing ?relation=", http.StatusBadRequest)
 		return
 	}
-	op := params.Get("op")
+	op, _ := queryParam(r.URL.RawQuery, "op")
 	if op == "" {
 		op = "insert"
 	}

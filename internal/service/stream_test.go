@@ -523,6 +523,42 @@ func BenchmarkQueryHandlerPointDistinct(b *testing.B) {
 	}
 }
 
+// TestPointQueryAllocBudget pins the request path of a warm point query —
+// raw-query read, parse, plan-cache hit, executor set-up, one access-cache
+// hit, NDJSON out — through Handler(). It measures 19 allocations: the query
+// text, its parse (terms, atoms, the union of one), its constants, the
+// prepared union, the trace ID and its context, the access path (pinned
+// snapshot, meter slice, cache layer), the answer relation and its root, the
+// Result, the call's options. The budget is 22, so a per-term or per-atom
+// parse, a url.Values, an unpooled executor set-up or a per-request render
+// buffer creeping back fails here.
+func TestPointQueryAllocBudget(t *testing.T) {
+	sys, reqs := pointSystem(t, 4)
+	h := New(sys, toorjah.Options{}).Handler()
+	w := newFlushCounter()
+	serve := func() {
+		w.body.Reset()
+		h.ServeHTTP(w, reqs[1])
+	}
+	serve() // plan the shape, fill the cache, size the scratch
+	serve()
+	if !bytes.Contains(w.body.Bytes(), []byte(`"answers":2,"accesses":0,`)) {
+		t.Fatalf("warm response: %s", w.body.Bytes())
+	}
+	// The best of sixteen single runs, as exec's TestFastFailQ2AllocBudget
+	// takes the best of eight: under the race detector sync.Pool drops a
+	// quarter of what is put back, a run that finds its scratch or its stream
+	// gone makes them again, and this path draws from several pools.
+	const budget = 22
+	allocs := testing.AllocsPerRun(1, serve)
+	for i := 1; i < 16; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, serve))
+	}
+	if allocs > budget {
+		t.Errorf("a warm point query makes %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
 // BenchmarkQueryHandlerPointHot is serve-hot without the network: 512 point
 // lookups going round, every one a plan-cache hit and an access-cache hit,
 // through Handler() into memory — reporting how many writes and flushes a

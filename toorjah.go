@@ -592,16 +592,26 @@ func (s *System) Prepare(queryText string) (*Query, error) {
 
 // PrepareCQ is Prepare for an already-parsed query.
 func (s *System) PrepareCQ(q *CQ) (*Query, error) {
+	out := new(Query)
+	if err := s.prepareCQ(q, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// prepareCQ is PrepareCQ into a Query the caller holds.
+func (s *System) prepareCQ(q *CQ, out *Query) error {
 	var buf [256]byte
 	key, consts := cq.AppendShapeKey(buf[:0], q)
 	p := s.plans.get(key)
 	if p == nil {
 		var err error
 		if p, err = s.planShape(string(key), q); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return &Query{sys: s, pipeline: p, consts: consts}, nil
+	*out = Query{sys: s, pipeline: p, consts: consts}
+	return nil
 }
 
 // planShape plans the shape of q, which the cache does not hold, and caches

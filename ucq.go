@@ -23,16 +23,19 @@ type UnionQuery struct {
 	queries []*Query
 	name    string
 	arity   int
+	// A union of one — a CQ, the common case — is one allocation.
+	one   [1]*Query
+	first Query
 }
 
 // PrepareUCQ parses (cq.ParseUCQ) and prepares a union of conjunctive
 // queries; a text of one disjunct is a CQ, and fails as Prepare fails.
 func (s *System) PrepareUCQ(text string) (*UnionQuery, error) {
-	u, err := cq.ParseUCQ(text)
+	u, err := cq.ParseUCQ(text) // validates the union
 	if err != nil {
 		return nil, err
 	}
-	return s.PrepareUCQFrom(u)
+	return s.prepareUnion(u)
 }
 
 // PrepareUCQFrom is PrepareUCQ for an already-parsed union.
@@ -40,16 +43,26 @@ func (s *System) PrepareUCQFrom(u *UCQ) (*UnionQuery, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
+	return s.prepareUnion(u)
+}
+
+// prepareUnion prepares each disjunct of a validated union.
+func (s *System) prepareUnion(u *UCQ) (*UnionQuery, error) {
 	out := &UnionQuery{sys: s, name: u.Name, arity: u.Arity()}
-	for _, d := range u.Disjuncts {
-		q, err := s.PrepareCQ(d)
+	out.one[0], out.queries = &out.first, out.one[:]
+	for i, d := range u.Disjuncts {
+		q := &out.first
+		if i > 0 {
+			q = new(Query)
+			out.queries = append(out.queries, q)
+		}
+		err := s.prepareCQ(d, q)
 		if err != nil && len(u.Disjuncts) > 1 {
 			err = fmt.Errorf("disjunct %s: %w", d, err)
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.queries = append(out.queries, q)
 	}
 	return out, nil
 }
