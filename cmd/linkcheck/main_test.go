@@ -172,7 +172,7 @@ func checkFuzzSmoke(t *testing.T, ci string, declared map[string]bool) []string 
 // docCeilings are the byte ceilings of the two largest docs. A change may
 // lower a ceiling, never raise one: a new contract that needs room deletes
 // an older paragraph.
-var docCeilings = map[string]int64{"README.md": 44893, "ARCHITECTURE.md": 49920}
+var docCeilings = map[string]int64{"README.md": 44716, "ARCHITECTURE.md": 49913}
 
 // checkDocSizes holds each doc of docCeilings to its ceiling.
 func checkDocSizes(t *testing.T, root string) {

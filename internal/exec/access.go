@@ -36,8 +36,46 @@ type access struct {
 	m   *obs.RelationProbes // the server's handles for the relation; nil without Options.Metrics
 
 	// The path's accounting: atomic, because the pipelined strategy keeps
-	// several round trips per relation in flight.
+	// several round trips per relation in flight. counts packs the round
+	// trips (high half) and accesses (low half) not yet moved into batches
+	// and accesses, so a round trip that extracted nothing is one atomic
+	// step (count).
+	counts                    atomic.Uint64
 	accesses, batches, tuples atomic.Int64
+}
+
+// count records a round trip of n accesses that extracted tuples rows. The
+// round trip goes into counts by one compare-and-swap; one that would carry
+// out of either half moves the word into batches and accesses instead, so
+// no count wraps before an int64 would.
+func (a *access) count(n, tuples int) {
+	if tuples > 0 {
+		a.tuples.Add(int64(tuples))
+	}
+	for {
+		old := a.counts.Load()
+		if old>>32 < 1<<32-1 && uint64(n) < 1<<32-old&(1<<32-1) {
+			if a.counts.CompareAndSwap(old, old+1<<32+uint64(n)) {
+				return
+			}
+			continue
+		}
+		if a.counts.CompareAndSwap(old, 0) {
+			a.batches.Add(int64(old>>32) + 1)
+			a.accesses.Add(int64(old&(1<<32-1)) + int64(n))
+			return
+		}
+	}
+}
+
+// stats reads the path's accounting once its round trips have landed.
+func (a *access) stats() source.Stats {
+	c := a.counts.Load()
+	return source.Stats{
+		Accesses: int(a.accesses.Load() + int64(c&(1<<32-1))),
+		Batches:  int(a.batches.Load() + int64(c>>32)),
+		Tuples:   int(a.tuples.Load()),
+	}
 }
 
 // openAccess builds the access paths of the relations an execution probes —
@@ -136,9 +174,7 @@ func (a *access) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 		for _, rows := range out {
 			tuples += len(rows)
 		}
-		a.accesses.Add(int64(len(out)))
-		a.batches.Add(1)
-		a.tuples.Add(int64(tuples))
+		a.count(len(out), tuples)
 	}
 	if a.m != nil {
 		a.m.Record(len(out), time.Since(start), tuples, err == nil)
@@ -159,15 +195,11 @@ func (a *access) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) 
 func statsOf(paths []access) map[string]source.Stats {
 	var out map[string]source.Stats
 	for i := range paths {
-		if n := paths[i].accesses.Load(); n > 0 {
+		if st := paths[i].stats(); st.Accesses > 0 {
 			if out == nil {
 				out = make(map[string]source.Stats, len(paths))
 			}
-			out[paths[i].src.Relation().Name] = source.Stats{
-				Accesses: int(n),
-				Batches:  int(paths[i].batches.Load()),
-				Tuples:   int(paths[i].tuples.Load()),
-			}
+			out[paths[i].src.Relation().Name] = st
 		}
 	}
 	return out

@@ -2,14 +2,19 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"toorjah/internal/cache"
 	"toorjah/internal/obs"
 	"toorjah/internal/source"
 	"toorjah/internal/source/sourcetest"
+	"toorjah/internal/storage"
 )
 
 // metered sums what a server's source-level families hold, read from the
@@ -90,7 +95,7 @@ func TestProbeContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Contract(t, paths[0].top, func() int { return int(paths[0].accesses.Load()) })
+			f.Contract(t, paths[0].top, func() int { return paths[0].stats().Accesses })
 
 			got := statsOf(paths)
 			if got["r"] != shape.want || (shape.want.Accesses == 0 && len(got) != 0) {
@@ -156,5 +161,80 @@ func BenchmarkAccessSetup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		setUp()
+	}
+}
+
+// TestMeterMatchesAudit: what the meter's packed counts hold is what reached
+// the source, by an audited sourcetest.Counter below it. Four pipelined runs
+// share one Open path over a source that can block, each keeping four round
+// trips of one access in flight, at GOMAXPROCS 2 or more; then single runs
+// start from a word one round trip short of carrying out of either half, so
+// that round trip moves the word into the 64-bit totals.
+func TestMeterMatchesAudit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const n = 40
+	data := map[string][]storage.Row{}
+	for i := range n {
+		x := fmt.Sprintf("x%d", i)
+		data["seed"] = append(data["seed"], storage.Row{x})
+		data["r"] = append(data["r"], storage.Row{x, fmt.Sprintf("x%d", i+1)})
+	}
+	f := setup(t, `
+seed^o(A)
+r^io(A, A)
+`, "q(X, Z) :- seed(X), r(X, Y), r(Y, Z)", data).blocking()
+	ctx, opts := context.Background(), Options{MaxBatch: 1}
+	open := func() (Paths, map[string]*sourcetest.Counter) {
+		reg, counters := sourcetest.Counted(f.reg, true)
+		paths, err := Open(reg, f.plan.Relations, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths, counters
+	}
+	audit := func(t *testing.T, paths Paths, counters map[string]*sourcetest.Counter, offset map[string]source.Stats) {
+		t.Helper()
+		got := paths.Stats()
+		for name, c := range counters {
+			want := c.Stats()
+			if len(c.Log()) != want.Accesses {
+				t.Fatalf("%s: the audit logged %d accesses and counted %d", name, len(c.Log()), want.Accesses)
+			}
+			want.Accesses += offset[name].Accesses
+			want.Batches += offset[name].Batches
+			if got[name] != want {
+				t.Errorf("%s: the meter holds %+v, the audit %+v", name, got[name], want)
+			}
+		}
+	}
+
+	paths, counters := open()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Pipelined(ctx, f.plan, paths.Registry(), opts, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	audit(t, paths, counters, nil)
+	if got := counters["r"].Stats().Batches; got < 4*n {
+		t.Fatalf("r took %d round trips, want at least %d", got, 4*n)
+	}
+
+	for _, word := range []uint64{1<<32 - 1, (1<<32 - 1) << 32} {
+		paths, counters := open()
+		r := slices.Index(f.plan.Relations, "r")
+		paths[r].counts.Store(word)
+		if _, err := Pipelined(ctx, f.plan, paths.Registry(), opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		if paths[r].batches.Load() == 0 {
+			t.Errorf("starting from %#x, no round trip moved the packed word", word)
+		}
+		audit(t, paths, counters, map[string]source.Stats{"r": {Accesses: int(word & (1<<32 - 1)), Batches: int(word >> 32)}})
 	}
 }

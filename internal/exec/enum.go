@@ -118,7 +118,9 @@ func (es *enumState) next(dst []sym.ID) ([]sym.ID, int) {
 
 // walk appends to dst the combinations whose rightmost fresh coordinate is
 // d, with es.binding[:i] as their leading coordinates. The last position
-// writes each binding in place: the leading coordinates, then its own value.
+// writes its bindings in place: every one of them starts with the same
+// leading coordinates, so those are written once and doubled across the
+// run by copy, and each value then goes into its own binding's last slot.
 func (es *enumState) walk(dst []sym.ID, i, d int) []sym.ID {
 	p := &es.pos[i]
 	vals := p.vals
@@ -138,16 +140,15 @@ func (es *enumState) walk(dst []sym.ID, i, d int) []sym.ID {
 	if i == 0 {
 		return append(dst, vals...) // one input: the pool slice is the bindings
 	}
-	lead, w := es.binding[:i], i+1
-	at := len(dst)
+	w, at := i+1, len(dst)
 	dst = slices.Grow(dst, len(vals)*w)[:at+len(vals)*w]
-	for _, v := range vals {
-		b := dst[at : at+w : at+w]
-		for j, x := range lead {
-			b[j] = x
-		}
-		b[i] = v
-		at += w
+	run := dst[at:]
+	copy(run, es.binding[:i])
+	for filled := w; filled < len(run); filled *= 2 {
+		copy(run[filled:], run[:filled])
+	}
+	for j, v := range vals {
+		run[j*w+i] = v
 	}
 	return dst
 }

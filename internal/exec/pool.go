@@ -142,8 +142,10 @@ func (sc *scratch) flight(n int) *flight {
 }
 
 func (sc *scratch) recycle(fl *flight) {
-	clear(fl.rows)
-	fl.rows, fl.err = fl.rows[:0], nil
+	if !fl.landed {
+		clear(fl.rows)
+	}
+	*fl = flight{rows: fl.rows[:0]}
 	sc.flights = append(sc.flights, fl)
 }
 

@@ -2,12 +2,17 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"toorjah/internal/datalog"
 	"toorjah/internal/gen"
+	"toorjah/internal/source"
+	"toorjah/internal/storage"
+	"toorjah/internal/sym"
 )
 
 // q2Fixture is the paper's Fig. 6 query q2 over the publication instance
@@ -167,4 +172,81 @@ func TestRecycledSlotsHoldNoRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLandedSlotsHoldNoRow: land drops each row it reads, and recycle clears
+// the slots of a flight only when land stopped short of its last, so after a
+// run no pooled flight's slot holds a row — with rows landing in the first, a
+// middle and the last slot of each round trip, and with a round trip that
+// fails once its slots are filled. Both on the coordinator (fast-fail over
+// tables) and on goroutines (pipelined over a source that can block).
+func TestLandedSlotsHoldNoRow(t *testing.T) {
+	data := map[string][]storage.Row{}
+	for i := range 10 {
+		x := fmt.Sprintf("x%d", i)
+		data["seed"] = append(data["seed"], storage.Row{x})
+		if i%5%2 == 0 {
+			data["r"] = append(data["r"], storage.Row{x, "y" + x})
+		}
+	}
+	f := setup(t, `
+seed^o(A)
+r^io(A, B)
+`, "q(X, Y) :- seed(X), r(X, Y)", data)
+	for _, fail := range []bool{false, true} {
+		for _, staged := range []bool{true, false} {
+			spy := &slotSpy{Wrapper: f.reg.Source("r"), canBlock: !staged, fail: fail}
+			reg := source.NewRegistry()
+			reg.Bind(f.reg.Source("seed"))
+			reg.Bind(spy)
+			_, err := run(context.Background(), f.plan, reg, Options{MaxBatch: 5, parallelism: 1}, staged, nil)
+			if (err != nil) != fail {
+				t.Fatalf("fail %v, staged %v: run error %v", fail, staged, err)
+			}
+			if len(spy.slots) == 0 {
+				t.Fatalf("fail %v, staged %v: r was never probed", fail, staged)
+			}
+			for k, slots := range spy.slots {
+				if got := fmt.Sprint(spy.filled[k]); got != "[0 2 4]" {
+					t.Errorf("fail %v, staged %v: round trip %d extracted rows in slots %s, want [0 2 4]", fail, staged, k, got)
+				}
+				for i, rows := range slots {
+					if rows != nil {
+						t.Errorf("fail %v, staged %v: round trip %d's slot %d still holds %v", fail, staged, k, i, rows)
+					}
+				}
+			}
+		}
+	}
+}
+
+// slotSpy keeps every block of result slots its source is handed, and which
+// of them the source filled; a failing spy reports an error once the source
+// has filled them.
+type slotSpy struct {
+	source.Wrapper
+	canBlock, fail bool
+
+	mu     sync.Mutex
+	slots  [][][]storage.IRow
+	filled [][]int
+}
+
+func (s *slotSpy) CanBlock() bool { return s.canBlock }
+
+func (s *slotSpy) Probe(ctx context.Context, ids []sym.ID, out [][]storage.IRow) error {
+	err := s.Wrapper.Probe(ctx, ids, out)
+	var filled []int
+	for i, rows := range out {
+		if rows != nil {
+			filled = append(filled, i)
+		}
+	}
+	s.mu.Lock()
+	s.slots, s.filled = append(s.slots, out), append(s.filled, filled)
+	s.mu.Unlock()
+	if err == nil && s.fail {
+		return errors.New("the round trip failed with its slots filled")
+	}
+	return err
 }

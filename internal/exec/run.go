@@ -144,13 +144,16 @@ func (r *relQueue) queued(c *plan.Cache, count int) {
 // flight is one round trip: up to MaxBatch consecutive access tuples of one
 // relation's queue, probed together as the block of the queue's IDs they
 // occupy. It owns the result slots the source is handed and is recycled
-// with them.
+// with them. The source assigns every slot, so the slots are cleared once:
+// land drops each row it reads, and recycle clears them only when land
+// stopped short of the last.
 type flight struct {
-	rel  int               // position in Plan.Relations
-	from int               // queue position of the first access tuple
-	run  int               // the queue's run holding that tuple
-	rows [][]datalog.Tuple // per access tuple, the slot its extraction lands in
-	err  error
+	rel    int               // position in Plan.Relations
+	from   int               // queue position of the first access tuple
+	run    int               // the queue's run holding that tuple
+	rows   [][]datalog.Tuple // per access tuple, the slot its extraction lands in
+	err    error
+	landed bool // land read every slot and dropped the rows it found
 }
 
 // run executes a ⊂-minimal plan: one coordinator loop that generates the
@@ -313,6 +316,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 			if len(rows) == 0 {
 				continue // most accesses of a selective plan extract nothing
 			}
+			fl.rows[i] = nil
 			for int(r.runs[run].end) <= fl.from+i {
 				run++
 			}
@@ -337,6 +341,7 @@ func run(ctx context.Context, p *plan.Plan, reg *source.Registry, opts Options, 
 		}
 		err := flush()
 		sc.fold = fold
+		fl.landed = true
 		return err
 	}
 

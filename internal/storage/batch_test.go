@@ -145,6 +145,8 @@ func TestIndexFilterRejectsMisses(t *testing.T) {
 // accesses — from a block into slots the caller owns, as a round trip makes
 // it: bindings that match one row each and bindings that match nothing (most
 // of q2's), one per call and sixteen (the executors' default batch). The
+// width1 cases probe the same rows by one position, the width of a served
+// point query's conf(P) probe, a peer's probe and ingest-rw's read. The
 // difference between the sizes is the per-batch work (index resolution,
 // lock, the block's length check) amortised; a miss allocates nothing, a hit
 // its result.
@@ -172,30 +174,42 @@ func BenchmarkSelectBatchSym(b *testing.B) {
 }
 
 // benchmarkSelect runs one select over selectFixture's blocks, hits and
-// misses, one binding and sixteen per call, and reports ns per binding.
+// misses, one binding and sixteen per call, and over one-ID blocks of the
+// same rows' third position, and reports ns per binding.
 func benchmarkSelect(b *testing.B, sel func(snap *Snapshot, positions []int, block []sym.ID, out [][]IRow) [][]IRow) {
 	snap, positions, bindings := selectFixture()
-	w := len(positions)
+	byValue := map[string][]sym.ID{}
+	for i := range 600 {
+		byValue["hit"] = append(byValue["hit"], sym.Intern(fmt.Sprintf("v%d", i)))
+		byValue["miss"] = append(byValue["miss"], sym.Intern(fmt.Sprintf("absent%d", i)))
+	}
 	out := make([][]IRow, 16)
-	sel(snap, positions, bindings["hit"][:w], out[:1]) // builds the index outside the timing
-	for _, kind := range []string{"hit", "miss"} {
-		for _, size := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/%d", kind, size), func(b *testing.B) {
-				block, n := bindings[kind], len(bindings[kind])/w
-				b.ReportAllocs()
-				matched, probed := 0, 0
-				for i := 0; i < b.N; i++ {
-					from := i * size % (n - size)
-					for _, rows := range sel(snap, positions, block[from*w:(from+size)*w], out[:size]) {
-						matched += len(rows)
+	for _, shape := range []struct {
+		prefix    string
+		positions []int
+		bindings  map[string][]sym.ID
+	}{{"", positions, bindings}, {"width1/", []int{2}, byValue}} {
+		w := len(shape.positions)
+		sel(snap, shape.positions, shape.bindings["hit"][:w], out[:1]) // builds the index outside the timing
+		for _, kind := range []string{"hit", "miss"} {
+			for _, size := range []int{1, 16} {
+				b.Run(fmt.Sprintf("%s%s/%d", shape.prefix, kind, size), func(b *testing.B) {
+					block, n := shape.bindings[kind], len(shape.bindings[kind])/w
+					b.ReportAllocs()
+					matched, probed := 0, 0
+					for i := 0; i < b.N; i++ {
+						from := i * size % (n - size)
+						for _, rows := range sel(snap, shape.positions, block[from*w:(from+size)*w], out[:size]) {
+							matched += len(rows)
+						}
+						probed += size
 					}
-					probed += size
-				}
-				if (matched > 0) != (kind == "hit") {
-					b.Fatalf("%d rows matched", matched)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probed), "ns/binding")
-			})
+					if (matched > 0) != (kind == "hit") {
+						b.Fatalf("%d rows matched", matched)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probed), "ns/binding")
+				})
+			}
 		}
 	}
 }

@@ -211,3 +211,20 @@ func TestHashIDsUnrolledMatchesLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestHashPairMatchesHashIDs: HashPair hashes two IDs as HashIDs hashes the
+// pair — an index filed under one is probed under the other — on random IDs
+// under the process's seed and the two extremes.
+func TestHashPairMatchesHashIDs(t *testing.T) {
+	defer func(seed uint64) { hashSeed = seed }(hashSeed)
+	rng := rand.New(rand.NewSource(11))
+	for _, seed := range []uint64{hashSeed, 0, ^uint64(0)} {
+		hashSeed = seed
+		for range 10000 {
+			a, b := ID(rng.Uint32()), ID(rng.Uint32())
+			if got, want := HashPair(a, b), HashIDs([]ID{a, b}); got != want {
+				t.Fatalf("seed %#x: HashPair(%d, %d) = %#x, HashIDs %#x", seed, a, b, got, want)
+			}
+		}
+	}
+}
